@@ -97,19 +97,7 @@ impl OutcomeRecord {
     /// Folds this record into a running FNV-1a digest (see
     /// [`digest_outcomes`]).
     pub fn fold(&self, digest: &mut Fnv64) {
-        digest
-            .fold(self.seq)
-            .fold(u64::from(self.shard))
-            .fold(u64::from(self.attempts))
-            .fold(u64::from(self.invalidations))
-            .fold(u64::from(self.forced_evictions))
-            .fold(u64::from(self.forced_invalidations));
-        let flags = u64::from(self.hit)
-            | u64::from(self.allocated) << 1
-            | u64::from(self.failed) << 2
-            | u64::from(self.invalidated_all) << 3
-            | u64::from(self.removed_entry) << 4;
-        digest.fold(flags).fold(self.detail);
+        self.fold_view(digest, true);
     }
 
     /// Folds the record's *semantic* view — everything except
@@ -123,18 +111,32 @@ impl OutcomeRecord {
     /// displacement chains.  This view is what live-resize equivalence is
     /// checked against.
     pub fn fold_semantic(&self, digest: &mut Fnv64) {
+        self.fold_view(digest, false);
+    }
+
+    /// The one place that fixes the digest's field order: both views fold
+    /// exactly this sequence, the semantic one minus the attempt count.
+    #[inline]
+    fn fold_view(&self, digest: &mut Fnv64, with_attempts: bool) {
+        digest.fold(self.seq).fold(u64::from(self.shard));
+        if with_attempts {
+            digest.fold(u64::from(self.attempts));
+        }
         digest
-            .fold(self.seq)
-            .fold(u64::from(self.shard))
             .fold(u64::from(self.invalidations))
             .fold(u64::from(self.forced_evictions))
-            .fold(u64::from(self.forced_invalidations));
-        let flags = u64::from(self.hit)
+            .fold(u64::from(self.forced_invalidations))
+            .fold(self.flags())
+            .fold(self.detail);
+    }
+
+    /// The five outcome flags packed into the low bits of one word.
+    fn flags(&self) -> u64 {
+        u64::from(self.hit)
             | u64::from(self.allocated) << 1
             | u64::from(self.failed) << 2
             | u64::from(self.invalidated_all) << 3
-            | u64::from(self.removed_entry) << 4;
-        digest.fold(flags).fold(self.detail);
+            | u64::from(self.removed_entry) << 4
     }
 }
 
@@ -165,9 +167,88 @@ pub fn digest_outcome_semantics(records: &[OutcomeRecord]) -> u64 {
     digest.finish()
 }
 
+/// A worker's outcome log broke the order [`reassemble`] relies on: its
+/// record `seq` did not come strictly after `after`, the record emitted
+/// just before it.  Either that worker's log is not ascending or two
+/// workers logged the same request — a bug in the service, never an input
+/// condition.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct LogOrderError {
+    /// Index of the worker whose record arrived out of order.
+    pub(crate) worker: usize,
+    /// The offending record's sequence number.
+    pub(crate) seq: u64,
+    /// The sequence number emitted immediately before it.
+    pub(crate) after: u64,
+}
+
+/// Reassembles per-worker outcome logs — `(worker index, log)` pairs, each
+/// log ascending in `seq` because a worker applies its FIFO queue in order —
+/// into the one sequence-ordered log, and returns it with its
+/// [`digest_outcomes`] value.
+///
+/// When at most one log holds records (every serial run, every one-worker
+/// run) that `Vec` is moved out untouched; otherwise the logs are k-way
+/// merged into one exactly-sized vector.  `k` is the worker count, a
+/// handful, so the smallest head is found by scanning them.  Either way each
+/// record is visited once, and that visit both folds it into the digest and
+/// verifies the order instead of assuming it.
+///
+/// # Errors
+///
+/// [`LogOrderError`], naming the worker, when a log is not strictly
+/// ascending or a `seq` occurs in two logs.  Nothing is emitted then.
+pub(crate) fn reassemble(
+    mut logs: Vec<(usize, Vec<OutcomeRecord>)>,
+) -> Result<(Vec<OutcomeRecord>, u64), LogOrderError> {
+    let mut digest = Fnv64::new();
+    let mut last = None;
+    // Accepts the log's next record, which `worker` produced.
+    let mut accept = |worker: usize, record: &OutcomeRecord| {
+        if let Some(after) = last.filter(|&last| record.seq <= last) {
+            return Err(LogOrderError {
+                worker,
+                seq: record.seq,
+                after,
+            });
+        }
+        last = Some(record.seq);
+        record.fold(&mut digest);
+        Ok(())
+    };
+
+    logs.retain(|(_, log)| !log.is_empty());
+    if logs.len() <= 1 {
+        let (worker, log) = logs.pop().unwrap_or_default();
+        for record in &log {
+            accept(worker, record)?;
+        }
+        return Ok((log, digest.finish()));
+    }
+
+    let total = logs.iter().map(|(_, log)| log.len()).sum();
+    let mut merged = Vec::with_capacity(total);
+    // The unfinished logs, each with its worker: never an empty slice.
+    let mut runs: Vec<(usize, &[OutcomeRecord])> = logs
+        .iter()
+        .map(|(worker, log)| (*worker, log.as_slice()))
+        .collect();
+    while let Some(lead) = (0..runs.len()).min_by_key(|&at| runs[at].1[0].seq) {
+        let (worker, run) = &mut runs[lead];
+        accept(*worker, &run[0])?;
+        merged.push(run[0]);
+        *run = &run[1..];
+        if run.is_empty() {
+            runs.remove(lead);
+        }
+    }
+    Ok((merged, digest.finish()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccd_common::rng::{Rng64, SplitMix64};
     use ccd_common::{CacheId, LineAddr};
 
     fn sample_outcome() -> Outcome {
@@ -228,5 +309,162 @@ mod tests {
         assert_ne!(digest_outcomes(&[a, b]), digest_outcomes(&[b, a]));
         assert_eq!(digest_outcomes(&[a, b]), digest_outcomes(&[a, b]));
         assert_ne!(digest_outcomes(&[a]), digest_outcomes(&[a, b]));
+    }
+
+    #[test]
+    fn digests_of_a_fixed_log_are_pinned() {
+        let quiet = OutcomeRecord {
+            seq: 0,
+            shard: 0,
+            attempts: 0,
+            invalidations: 0,
+            forced_evictions: 0,
+            forced_invalidations: 0,
+            hit: false,
+            allocated: false,
+            failed: false,
+            invalidated_all: false,
+            removed_entry: false,
+            detail: Fnv64::OFFSET,
+        };
+        let log = [
+            OutcomeRecord {
+                attempts: 1,
+                allocated: true,
+                ..quiet
+            },
+            OutcomeRecord {
+                seq: 1,
+                shard: 3,
+                invalidations: 2,
+                hit: true,
+                invalidated_all: true,
+                detail: 0x0123_4567_89ab_cdef,
+                ..quiet
+            },
+            OutcomeRecord {
+                seq: 0x1_0000,
+                shard: 1,
+                attempts: 32,
+                forced_evictions: 1,
+                forced_invalidations: 3,
+                allocated: true,
+                failed: true,
+                detail: u64::MAX,
+                ..quiet
+            },
+            OutcomeRecord {
+                seq: 0xff_ffff_ffff,
+                shard: 255,
+                invalidations: 1,
+                hit: true,
+                removed_entry: true,
+                detail: 0x100,
+                ..quiet
+            },
+        ];
+        // Literals computed once by byte-at-a-time FNV-1a outside this
+        // crate: every golden file and BENCH_*.json digest rests on them.
+        assert_eq!(digest_outcomes(&log), 0x3b37_a1cb_57e2_52c1);
+        assert_eq!(digest_outcome_semantics(&log), 0x706b_22bf_2b53_1c8c);
+    }
+
+    /// A dense log `0..len` whose records differ in every digested field.
+    fn dense_log(rng: &mut SplitMix64, len: u64) -> Vec<OutcomeRecord> {
+        (0..len)
+            .map(|seq| {
+                let bits = rng.next_u64();
+                OutcomeRecord {
+                    seq,
+                    shard: (bits % 8) as u32,
+                    attempts: (bits >> 8) as u32 % 33,
+                    invalidations: (bits >> 16) as u32 % 16,
+                    forced_evictions: (bits >> 24) as u32 % 2,
+                    forced_invalidations: (bits >> 32) as u32 % 4,
+                    hit: bits >> 40 & 1 == 1,
+                    allocated: bits >> 41 & 1 == 1,
+                    failed: bits >> 42 & 1 == 1,
+                    invalidated_all: bits >> 43 & 1 == 1,
+                    removed_entry: bits >> 44 & 1 == 1,
+                    detail: rng.next_u64(),
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reassembly_of_random_ascending_runs_is_the_sorted_log() {
+        let mut rng = SplitMix64::new(0xa55e_3b1e);
+        for case in 0..300 {
+            // Short logs over many workers give runs of length 1.
+            let len = rng.next_u64() % if case % 5 == 0 { 10 } else { 400 };
+            let reference = dense_log(&mut rng, len);
+            let workers = 1 + (rng.next_u64() % 8) as usize;
+            // Every third case deals only to the first one or two runs, so
+            // empty runs and one run holding everything occur often.
+            let used = if case % 3 == 0 {
+                1 + (rng.next_u64() % 2) as usize
+            } else {
+                workers
+            };
+            let mut logs: Vec<(usize, Vec<OutcomeRecord>)> =
+                (0..workers).map(|worker| (worker, Vec::new())).collect();
+            for record in &reference {
+                let run = rng.next_u64() as usize % used.min(workers);
+                logs[run].1.push(*record);
+            }
+            let non_empty: Vec<_> = logs.iter().filter(|(_, log)| !log.is_empty()).collect();
+            let lone = match non_empty[..] {
+                [(_, log)] => Some(log.as_ptr()),
+                _ => None,
+            };
+
+            let (merged, digest) = reassemble(logs).expect("ascending, disjoint runs");
+            assert_eq!(merged, reference, "case {case}");
+            assert_eq!(digest, digest_outcomes(&reference), "case {case}");
+            if let Some(buffer) = lone {
+                assert_eq!(merged.as_ptr(), buffer, "a lone log is moved, not copied");
+            }
+        }
+    }
+
+    #[test]
+    fn reassembly_sizes_the_merged_log_exactly() {
+        let mut rng = SplitMix64::new(7);
+        let reference = dense_log(&mut rng, 1000);
+        let (even, odd): (Vec<_>, Vec<_>) = reference.iter().partition(|r| r.seq % 2 == 0);
+        let (merged, _) = reassemble(vec![(0, even), (1, odd)]).expect("two ascending runs");
+        assert_eq!(merged, reference);
+        assert_eq!(merged.capacity(), reference.len());
+    }
+
+    #[test]
+    fn reassembly_detects_disorder_and_names_the_worker() {
+        let mut rng = SplitMix64::new(11);
+        let log = dense_log(&mut rng, 8);
+        let pick = |seqs: &[usize]| seqs.iter().map(|&at| log[at]).collect::<Vec<_>>();
+
+        // A run that steps backwards, merged with a healthy one.
+        let err = reassemble(vec![(0, pick(&[0, 2, 4])), (1, pick(&[1, 5, 3]))]).unwrap_err();
+        assert_eq!((err.worker, err.seq, err.after), (1, 3, 5));
+        // The same seq logged by two workers.
+        let err = reassemble(vec![(0, pick(&[0, 2, 3])), (1, pick(&[1, 3, 4]))]).unwrap_err();
+        assert_eq!((err.worker, err.seq, err.after), (1, 3, 3));
+        // The moved path checks too: a lone log is verified, not trusted.
+        let err = reassemble(vec![(0, Vec::new()), (3, pick(&[0, 1, 1]))]).unwrap_err();
+        assert_eq!((err.worker, err.seq, err.after), (3, 1, 1));
+        let err = reassemble(vec![(2, pick(&[4, 2]))]).unwrap_err();
+        assert_eq!((err.worker, err.seq, err.after), (2, 2, 4));
+        // Gaps are fine: order is the contract, density is not.
+        assert!(reassemble(vec![(0, pick(&[0, 7])), (1, pick(&[3]))]).is_ok());
+    }
+
+    #[test]
+    fn reassembly_of_nothing_is_the_empty_log() {
+        for logs in [Vec::new(), vec![(0, Vec::new()), (1, Vec::new())]] {
+            let (merged, digest) = reassemble(logs).expect("nothing to disorder");
+            assert!(merged.is_empty());
+            assert_eq!(digest, digest_outcomes(&[]));
+        }
     }
 }

@@ -33,8 +33,10 @@
 //! 2. each worker's channel is FIFO, so each shard observes exactly the
 //!    per-address (in fact per-shard) subsequence of the input stream, in
 //!    input order, regardless of how many workers exist,
-//! 3. statistics merge in global shard order and outcome logs merge by
-//!    sequence number.
+//! 3. statistics merge in global shard order, and the per-worker outcome
+//!    logs — each ascending in sequence number — are reassembled into one
+//!    by moving a lone log or k-way merging several, the order verified in
+//!    the same pass that folds the digest.
 //!
 //! Consequently, for a fixed shard count, **every worker count produces
 //! bit-identical outcome logs, statistics and shard contents** — equal to
@@ -56,7 +58,7 @@
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
-use crate::request::{digest_outcome_semantics, digest_outcomes, OutcomeRecord, Request};
+use crate::request::{digest_outcome_semantics, reassemble, OutcomeRecord, Request};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSet, MetricSnapshot};
@@ -181,7 +183,7 @@ pub struct ServiceReport {
     /// The sequence-ordered outcome log (empty when
     /// [`ServiceConfig::record_outcomes`] is off).
     pub outcomes: Vec<OutcomeRecord>,
-    /// FNV-1a digest of the outcome log ([`digest_outcomes`]).
+    /// FNV-1a digest of the outcome log ([`crate::digest_outcomes`]).
     pub outcome_digest: u64,
     /// What the observability layer recorded, when one was armed.
     /// Excluded from every semantics view — the explicit field lists in
@@ -661,10 +663,18 @@ pub(crate) fn absorb_into(
 }
 
 /// Reassembles worker outputs into the final report: shards back into
-/// global order, per-shard statistics merged in that (fixed) order,
-/// outcome logs merged by sequence number.  `shed` and `recoveries` come
-/// from the supervisor (always 0 for serial runs), as does the router's
-/// flight recording (`None` for serial runs).
+/// global order, per-shard statistics merged in that (fixed) order, and the
+/// outcome logs reassembled by [`reassemble`] — a lone log is moved, several
+/// are k-way merged by sequence number, and the one pass that folds the
+/// digest verifies the order.  `shed` and `recoveries` come from the
+/// supervisor (always 0 for serial runs), as does the router's flight
+/// recording (`None` for serial runs).
+///
+/// # Panics
+///
+/// When the worker logs are not strictly ascending and disjoint in `seq`,
+/// naming the worker: the service broke its own routing contract, and a
+/// report built from such logs would be wrong silently.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish(
     organization: String,
@@ -685,7 +695,6 @@ pub(crate) fn finish(
 
     let mut stats = ServiceStats::new();
     let mut requests = 0u64;
-    let mut outcomes: Vec<OutcomeRecord> = Vec::new();
     let mut batches = 0u64;
     for output in &outputs {
         requests += output.applied;
@@ -743,15 +752,13 @@ pub(crate) fn finish(
                 .collect(),
         }
     });
-    for output in &mut outputs {
-        outcomes.append(&mut output.outcomes);
-    }
-    outcomes.sort_unstable_by_key(|record| record.seq);
-    let outcome_digest = if record {
-        digest_outcomes(&outcomes)
-    } else {
-        0
-    };
+    let logs = outputs
+        .iter_mut()
+        .map(|output| (output.index, std::mem::take(&mut output.outcomes)))
+        .collect();
+    let (outcomes, digest) = reassemble(logs)
+        .expect("each worker logs its own requests, in the order its FIFO queue delivered them");
+    let outcome_digest = if record { digest } else { 0 };
 
     ServiceReport {
         organization,
@@ -840,14 +847,33 @@ mod tests {
     #[test]
     fn outcome_recording_can_be_disabled() {
         let stream = ops(1_000);
-        let config = ServiceConfig::new("sparse-4x64-c8", 2, 2).with_outcomes(false);
-        let report = DirectoryService::build_standard(config)
-            .unwrap()
-            .run(stream.into_iter())
-            .unwrap();
-        assert!(report.outcomes.is_empty());
-        assert_eq!(report.outcome_digest, 0);
-        assert_eq!(report.requests, 1_000);
+        let build = |workers| {
+            let config = ServiceConfig::new("sparse-4x64-c8", 2, workers).with_outcomes(false);
+            DirectoryService::build_standard(config).unwrap()
+        };
+        // The moved log (serial, one worker) and the merged one alike.
+        let mut reports = vec![build(1).run_serial(stream.iter().copied())];
+        for workers in [1, 2] {
+            reports.push(build(workers).run(stream.iter().copied()).unwrap());
+        }
+        for report in reports {
+            assert!(report.outcomes.is_empty());
+            assert_eq!(report.outcome_digest, 0);
+            assert_eq!(report.requests, 1_000);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "LogOrderError { worker: 1, seq: 2, after: 2 }")]
+    fn finish_refuses_to_emit_a_log_two_workers_both_claim() {
+        let record = |seq| OutcomeRecord::capture(seq, 0, &Outcome::new());
+        let mut outputs = vec![
+            WorkerOutput::new(0, Vec::new()),
+            WorkerOutput::new(1, Vec::new()),
+        ];
+        outputs[0].outcomes = vec![record(0), record(2)];
+        outputs[1].outcomes = vec![record(1), record(2)];
+        let _ = finish(String::new(), 0, 2, outputs, true, 0, 0, None, None);
     }
 
     #[test]
