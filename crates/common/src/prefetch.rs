@@ -31,11 +31,18 @@ pub fn prefetch_read<T>(ptr: *const T) {
 /// Prefetches element `index` of `slice` for a future read, if it exists.
 ///
 /// Bounds-checked so callers can speculate on indices without care; an
-/// out-of-range index simply skips the hint.
+/// out-of-range index simply skips the hint.  An element larger than its
+/// alignment (a 24-byte payload aligned to 8, say) can straddle two cache
+/// lines, so its last byte is hinted as well; for bytes and words the
+/// second hint compiles away.
 #[inline(always)]
 pub fn prefetch_slice_element<T>(slice: &[T], index: usize) {
-    if index < slice.len() {
-        prefetch_read(&slice[index]);
+    if let Some(element) = slice.get(index) {
+        let first = std::ptr::from_ref(element).cast::<u8>();
+        prefetch_read(first);
+        if std::mem::size_of::<T>() > std::mem::align_of::<T>() {
+            prefetch_read(first.wrapping_add(std::mem::size_of::<T>() - 1));
+        }
     }
 }
 

@@ -111,13 +111,18 @@ impl<S: SharerSet> CuckooDirectory<S> {
     /// facts in `out`.  One fused table probe covers the lookup, the vacancy
     /// scan and — on a hit — the payload access: the returned borrow is the
     /// entry's sharer set, which is guaranteed to exist afterwards.
-    fn find_or_allocate(&mut self, line: LineAddr, out: &mut Outcome) -> &mut S {
-        self.stats.lookups.incr();
-        let key = line.block_number();
-        let num_caches = self.config.num_caches;
-        let capacity = self.config.capacity();
-        let len_before = self.table.len();
-        let entry = self.table.find_or_insert_with(key, || S::new(num_caches));
+    fn find_or_allocate<'t>(
+        config: &CuckooConfig,
+        table: &'t mut CuckooTable<S>,
+        stats: &mut DirectoryStats,
+        line: LineAddr,
+        staged: Option<&mut [usize]>,
+        out: &mut Outcome,
+    ) -> &'t mut S {
+        stats.lookups.incr();
+        let num_caches = config.num_caches;
+        let len_before = table.len();
+        let entry = table.find_or_insert_staged(line.block_number(), staged, || S::new(num_caches));
         let Some(outcome) = entry.inserted else {
             out.set_hit(true);
             return entry.value;
@@ -132,10 +137,10 @@ impl<S: SharerSet> CuckooDirectory<S> {
             // stored — the discarded victim is never `line` itself — which
             // is what makes the returned borrow valid after this call.
             out.record_insertion_failure();
-            self.stats.insertion_failures.incr();
+            stats.insertion_failures.incr();
             let targets =
                 out.push_forced_eviction(LineAddr::from_block_number(victim_key), &victim_sharers);
-            self.stats.forced_block_invalidations.add(targets as u64);
+            stats.forced_block_invalidations.add(targets as u64);
             forced = 1;
         }
         // A discarding insertion removes one entry for the one it adds, so
@@ -146,10 +151,79 @@ impl<S: SharerSet> CuckooDirectory<S> {
         } else {
             len_before + 1
         };
-        let occupancy = len_after as f64 / capacity as f64;
-        self.stats
-            .record_insertion(outcome.attempts, forced, occupancy);
+        let occupancy = len_after as f64 / config.capacity() as f64;
+        stats.record_insertion(outcome.attempts, forced, occupancy);
         entry.value
+    }
+
+    /// One operation against the table — the body of both
+    /// [`Directory::apply`] (`staged` is `None`: every table call hashes the
+    /// line itself) and stage 3 of [`Directory::apply_batch`] (`staged`
+    /// holds the candidate indices the pipeline hashed the line to a window
+    /// ago, so nothing is hashed twice).  Takes the directory field by field
+    /// because the pipeline lends the table out on its own.
+    #[inline]
+    fn apply_op(
+        config: &CuckooConfig,
+        table: &mut CuckooTable<S>,
+        stats: &mut DirectoryStats,
+        op: DirectoryOp,
+        staged: Option<&mut [usize]>,
+        out: &mut Outcome,
+    ) {
+        out.reset();
+        match op {
+            DirectoryOp::Probe { line } => {
+                if let Some(sharers) = table.get_staged(line.block_number(), staged.as_deref()) {
+                    out.set_hit(true);
+                    sharers.extend_targets(out.invalidate_buf());
+                }
+            }
+            DirectoryOp::AddSharer { line, cache } => {
+                let entry = Self::find_or_allocate(config, table, stats, line, staged, out);
+                entry.add(cache);
+                if out.hit() {
+                    stats.sharer_adds.incr();
+                }
+            }
+            DirectoryOp::SetExclusive { line, cache } => {
+                let entry = Self::find_or_allocate(config, table, stats, line, staged, out);
+                let start = out.invalidate_len();
+                entry.extend_targets(out.invalidate_buf());
+                out.drop_invalidate_from(start, cache);
+                entry.clear();
+                entry.add(cache);
+                if out.invalidate_len() > start {
+                    out.record_invalidate_all();
+                    stats.invalidate_alls.incr();
+                } else if out.hit() {
+                    stats.sharer_adds.incr();
+                }
+            }
+            DirectoryOp::RemoveSharer { line, cache } => {
+                let Some(mut entry) = table.occupied(line.block_number(), staged.as_deref()) else {
+                    return;
+                };
+                out.set_hit(true);
+                stats.sharer_removes.incr();
+                let sharers = entry.get_mut();
+                sharers.remove(cache);
+                if sharers.is_empty() {
+                    entry.remove();
+                    out.record_removed_entry();
+                    stats.entry_removes.incr();
+                }
+            }
+            DirectoryOp::RemoveEntry { line } => {
+                let Some(entry) = table.occupied(line.block_number(), staged.as_deref()) else {
+                    return;
+                };
+                out.set_hit(true);
+                out.record_removed_entry();
+                entry.remove().extend_targets(out.invalidate_buf());
+                stats.entry_removes.incr();
+            }
+        }
     }
 }
 
@@ -212,59 +286,43 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
-        out.reset();
-        match op {
-            DirectoryOp::Probe { line } => {
-                if let Some(sharers) = self.table.get(line.block_number()) {
-                    out.set_hit(true);
-                    sharers.extend_targets(out.invalidate_buf());
-                }
-            }
-            DirectoryOp::AddSharer { line, cache } => {
-                let entry = self.find_or_allocate(line, out);
-                entry.add(cache);
-                if out.hit() {
-                    self.stats.sharer_adds.incr();
-                }
-            }
-            DirectoryOp::SetExclusive { line, cache } => {
-                let entry = self.find_or_allocate(line, out);
-                let start = out.invalidate_len();
-                entry.extend_targets(out.invalidate_buf());
-                out.drop_invalidate_from(start, cache);
-                entry.clear();
-                entry.add(cache);
-                if out.invalidate_len() > start {
-                    out.record_invalidate_all();
-                    self.stats.invalidate_alls.incr();
-                } else if out.hit() {
-                    self.stats.sharer_adds.incr();
-                }
-            }
-            DirectoryOp::RemoveSharer { line, cache } => {
-                let key = line.block_number();
-                let Some(entry) = self.table.get_mut(key) else {
-                    return;
-                };
-                out.set_hit(true);
-                self.stats.sharer_removes.incr();
-                entry.remove(cache);
-                if entry.is_empty() {
-                    self.table.remove(key);
-                    out.record_removed_entry();
-                    self.stats.entry_removes.incr();
-                }
-            }
-            DirectoryOp::RemoveEntry { line } => {
-                let Some(entry) = self.table.remove(line.block_number()) else {
-                    return;
-                };
-                out.set_hit(true);
-                out.record_removed_entry();
-                entry.extend_targets(out.invalidate_buf());
-                self.stats.entry_removes.incr();
-            }
-        }
+        Self::apply_op(
+            &self.config,
+            &mut self.table,
+            &mut self.stats,
+            op,
+            None,
+            out,
+        );
+    }
+
+    // The staged pipeline of `CuckooTable::for_each_staged` instead of the
+    // default's "prefetch the tags, then hash every line again in `apply`":
+    // per window, each line is hashed once and its candidate tags
+    // prefetched; then the key and sharer lines behind matching tags are
+    // prefetched; then the ops run in order through the same indices.  The
+    // prefetches are hints only — each op probes the tags itself — so the
+    // batch computes exactly what the `apply` loop computes, including when
+    // an earlier op of the window moves or discards a later op's line.
+    fn apply_batch(
+        &mut self,
+        ops: &[DirectoryOp],
+        out: &mut Outcome,
+        sink: &mut dyn FnMut(&DirectoryOp, &Outcome),
+    ) {
+        let CuckooDirectory {
+            config,
+            table,
+            stats,
+        } = self;
+        table.for_each_staged(
+            ops.len(),
+            |item| ops[item].line().block_number(),
+            |table, item, indices| {
+                Self::apply_op(config, table, stats, ops[item], Some(indices), out);
+                sink(&ops[item], out);
+            },
+        );
     }
 
     fn stats(&self) -> &DirectoryStats {

@@ -58,7 +58,7 @@ pub mod table;
 pub use config::CuckooConfig;
 pub use directory::CuckooDirectory;
 pub use simd::VectorEngine;
-pub use table::{CuckooTable, FindOrInsert, InsertOutcome, PREFETCH_WINDOW};
+pub use table::{CuckooTable, FindOrInsert, InsertOutcome, PIPELINE_DEPTH};
 
 use ccd_common::ConfigError;
 use ccd_directory::{match_sharer_format, BuilderRegistry, Directory, DirectorySpec};

@@ -16,72 +16,108 @@ pub fn vector_bits(num_caches: usize) -> u64 {
     num_caches as u64
 }
 
+/// Caches whose presence bits fit the inline word.
+const INLINE_CACHES: usize = u64::BITS as usize;
+
+/// The presence bits: one word stored in the entry itself for up to
+/// [`INLINE_CACHES`] caches, a heap slice of `ceil(num_caches / 64)` words
+/// above that.  The representation is a function of `num_caches` alone, so
+/// two vectors of the same width always compare variant against variant.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Words {
+    Inline(u64),
+    Heap(Box<[u64]>),
+}
+
 /// An exact, one-bit-per-cache sharer vector.
+///
+/// Up to 64 caches the vector is 24 bytes of plain data: creating, cloning
+/// and dropping one never touches the allocator, and a directory hit reads
+/// the presence word out of the entry it already fetched instead of chasing
+/// a pointer to it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FullBitVector {
-    words: Vec<u64>,
-    num_caches: usize,
-    count: usize,
+    words: Words,
+    num_caches: u32,
+    count: u32,
 }
 
 impl FullBitVector {
     /// Number of caches currently marked as sharers.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.count
+        self.count as usize
     }
 
-    fn word_and_bit(cache: CacheId) -> (usize, u64) {
-        (cache.index() / 64, 1u64 << (cache.index() % 64))
-    }
-
-    fn assert_in_range(&self, cache: CacheId) {
+    /// The word holding `cache`'s presence bit, and that bit's mask.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` is out of range.
+    fn locate_mut(&mut self, cache: CacheId) -> (&mut u64, u64) {
+        let index = cache.index();
         assert!(
-            cache.index() < self.num_caches,
+            index < self.num_caches as usize,
             "{cache} out of range for a {}-cache sharer vector",
             self.num_caches
         );
+        let word = match &mut self.words {
+            Words::Inline(word) => word,
+            Words::Heap(words) => &mut words[index / 64],
+        };
+        (word, 1 << (index % 64))
+    }
+
+    fn words(&self) -> &[u64] {
+        match &self.words {
+            Words::Inline(word) => std::slice::from_ref(word),
+            Words::Heap(words) => words,
+        }
     }
 }
 
 impl SharerSet for FullBitVector {
     fn new(num_caches: usize) -> Self {
         assert!(num_caches > 0, "sharer vector needs at least one cache");
+        assert!(
+            u32::try_from(num_caches).is_ok(),
+            "cache ids are 32-bit: no vector tracks {num_caches} caches"
+        );
+        let words = if num_caches <= INLINE_CACHES {
+            Words::Inline(0)
+        } else {
+            Words::Heap(vec![0; num_caches.div_ceil(64)].into_boxed_slice())
+        };
         FullBitVector {
-            words: vec![0; num_caches.div_ceil(64)],
-            num_caches,
+            words,
+            num_caches: num_caches as u32,
             count: 0,
         }
     }
 
     fn num_caches(&self) -> usize {
-        self.num_caches
+        self.num_caches as usize
     }
 
     fn add(&mut self, cache: CacheId) {
-        self.assert_in_range(cache);
-        let (word, bit) = Self::word_and_bit(cache);
-        if self.words[word] & bit == 0 {
-            self.words[word] |= bit;
+        let (word, bit) = self.locate_mut(cache);
+        if *word & bit == 0 {
+            *word |= bit;
             self.count += 1;
         }
     }
 
     fn remove(&mut self, cache: CacheId) {
-        self.assert_in_range(cache);
-        let (word, bit) = Self::word_and_bit(cache);
-        if self.words[word] & bit != 0 {
-            self.words[word] &= !bit;
+        let (word, bit) = self.locate_mut(cache);
+        if *word & bit != 0 {
+            *word &= !bit;
             self.count -= 1;
         }
     }
 
     fn may_contain(&self, cache: CacheId) -> bool {
-        if cache.index() >= self.num_caches {
-            return false;
-        }
-        let (word, bit) = Self::word_and_bit(cache);
-        self.words[word] & bit != 0
+        let index = cache.index();
+        index < self.num_caches() && self.words()[index / 64] & (1 << (index % 64)) != 0
     }
 
     fn is_empty(&self) -> bool {
@@ -89,13 +125,13 @@ impl SharerSet for FullBitVector {
     }
 
     fn invalidation_targets(&self) -> Vec<CacheId> {
-        let mut targets = Vec::with_capacity(self.count);
+        let mut targets = Vec::with_capacity(self.count());
         self.extend_targets(&mut targets);
         targets
     }
 
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
-        for (w, &word) in self.words.iter().enumerate() {
+        for (w, &word) in self.words().iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
@@ -110,16 +146,19 @@ impl SharerSet for FullBitVector {
     }
 
     fn exact_count(&self) -> Option<usize> {
-        Some(self.count)
+        Some(self.count())
     }
 
     fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        match &mut self.words {
+            Words::Inline(word) => *word = 0,
+            Words::Heap(words) => words.fill(0),
+        }
         self.count = 0;
     }
 
     fn storage_bits(&self) -> u64 {
-        vector_bits(self.num_caches)
+        vector_bits(self.num_caches())
     }
 }
 
@@ -187,6 +226,71 @@ mod tests {
     fn out_of_range_add_panics() {
         let mut v = FullBitVector::new(8);
         v.add(CacheId::new(8));
+    }
+
+    #[test]
+    fn the_entry_stays_small_and_inline_up_to_64_caches() {
+        // The cuckoo table stores one of these per slot: 24 bytes is what
+        // keeps an entry (tag + key + vector) at 33 bytes.
+        assert!(std::mem::size_of::<FullBitVector>() <= 24);
+        assert!(matches!(FullBitVector::new(64).words, Words::Inline(_)));
+        assert!(matches!(FullBitVector::new(65).words, Words::Heap(_)));
+    }
+
+    #[test]
+    fn both_representations_track_a_bool_model_in_lockstep() {
+        use ccd_common::rng::{Rng64, SplitMix64};
+
+        for caches in [1usize, 63, 64, 65, 128, 1024] {
+            let mut rng = SplitMix64::new(caches as u64);
+            let mut vector = FullBitVector::new(caches);
+            let mut model = vec![false; caches];
+            let steps = if cfg!(miri) { 200 } else { 4 * caches + 200 };
+            for step in 0..steps {
+                let cache = rng.next_below(caches as u64) as usize;
+                match rng.next_below(16) {
+                    0 => {
+                        vector.clear();
+                        model.fill(false);
+                    }
+                    1..=5 => {
+                        vector.remove(CacheId::new(cache as u32));
+                        model[cache] = false;
+                    }
+                    _ => {
+                        vector.add(CacheId::new(cache as u32));
+                        model[cache] = true;
+                    }
+                }
+                let expected: Vec<CacheId> = (0..caches)
+                    .filter(|&c| model[c])
+                    .map(|c| CacheId::new(c as u32))
+                    .collect();
+                let mut targets = vec![CacheId::new(u32::MAX)];
+                vector.extend_targets(&mut targets);
+                assert_eq!(targets[1..], expected[..], "{caches} caches, step {step}");
+                assert_eq!(vector.invalidation_targets(), expected);
+                assert_eq!(vector.count(), expected.len());
+                assert_eq!(vector.is_empty(), expected.is_empty());
+                assert_eq!(vector.may_contain(CacheId::new(cache as u32)), model[cache]);
+                assert!(!vector.may_contain(CacheId::new(caches as u32)));
+                assert!(!vector.may_contain(CacheId::new(u32::MAX)));
+
+                // A clone is equal and independent; a vector rebuilt from
+                // the model is equal too, whatever order its bits arrived in.
+                let mut clone = vector.clone();
+                assert_eq!(clone, vector);
+                let mut rebuilt = FullBitVector::new(caches);
+                expected.iter().rev().for_each(|&c| rebuilt.add(c));
+                assert_eq!(rebuilt, vector);
+                clone.add(CacheId::new(cache as u32));
+                clone.remove(CacheId::new((cache + 1) as u32 % caches as u32));
+                assert_eq!(vector.invalidation_targets(), expected);
+                assert_eq!(clone == vector, clone.invalidation_targets() == expected);
+            }
+            assert_eq!(vector.num_caches(), caches);
+            assert_eq!(vector.storage_bits(), caches as u64);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_cuckoo::standard_registry;
-use ccd_directory::{DirectoryOp, Outcome};
+use ccd_directory::{DepthMetrics, DirectoryOp, DirectoryStats, Outcome};
 use cuckoo_directory::prelude::*;
 
 /// Every organization (and modifier axis) constructible from the registry.
@@ -325,84 +325,140 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
     }
 }
 
+/// Cuckoo geometries and kernels the batch pipeline must treat alike, on
+/// top of [`REGISTRY_SPECS`]: way counts on both sides of the table's
+/// compact-buffer bound (8), every probe kernel, both insertion policies,
+/// a heap-backed full vector, and two tables small enough that the stream
+/// below drives them far past capacity.
+const PIPELINE_SPECS: &[&str] = &[
+    "cuckoo-2x64-strong-c8",
+    "cuckoo-3x64-ms-c8",
+    "cuckoo-8x16-skew-c8",
+    "cuckoo-16x8-strong-c8",
+    "cuckoo-4x64-strong-scalar-c8",
+    "cuckoo-4x64-strong-swar-c8",
+    "cuckoo-4x64-strong-simd-c8",
+    "cuckoo-4x64-tagalt-localized-c8",
+    "cuckoo-4x64-tagalt-bfs-c8",
+    "cuckoo-4x64-skew-c128",
+    TINY_GREEDY,
+    "cuckoo-3x4-strong-bfs-c4",
+];
+
+/// Eight entries for a stream over 96 lines.
+const TINY_GREEDY: &str = "cuckoo-2x4-strong-c4";
+
+/// Everything observable about one run of an op stream.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    /// Each operation's complete [`Outcome`], in order.
+    outcomes: Vec<Outcome>,
+    len: usize,
+    stats: DirectoryStats,
+    depths: Option<DepthMetrics>,
+    contents: Vec<Option<Vec<CacheId>>>,
+}
+
+fn observe(
+    spec: &str,
+    run: impl FnOnce(&mut dyn Directory, &mut dyn FnMut(&DirectoryOp, &Outcome)),
+) -> Observed {
+    let mut dir = standard_registry().build_str(spec).expect(spec);
+    // Armed on both sides where the organization has depth metrics: the
+    // distributions are part of what must not differ (contract #11).
+    dir.arm_depth_metrics(2);
+    let mut outcomes = Vec::new();
+    run(dir.as_mut(), &mut |_, out| outcomes.push(out.clone()));
+    Observed {
+        outcomes,
+        len: dir.len(),
+        stats: dir.stats().clone(),
+        depths: dir.depth_metrics().cloned(),
+        contents: (0..96u64)
+            .map(|block| dir.sharers(LineAddr::from_block_number(block * 13)))
+            .collect(),
+    }
+}
+
 #[test]
 fn apply_batch_is_observably_identical_to_sequential_apply() {
-    // The windowed, prefetching batch entry point must be a pure latency
-    // optimization: for every organization, driving the same op stream
-    // through `apply_batch` and through an `apply` loop yields the same
-    // per-op outcomes, the same statistics and the same final contents.
-    let registry = standard_registry();
-    for (label, mut sequential) in all_dirs() {
-        let mut batched = match registry.build_str(&label) {
-            Ok(dir) => dir,
-            // Paper-spec labels are not registry specs; rebuild those via
-            // the same path as `all_dirs` by skipping them here (the
-            // registry-built organizations already cover every type).
-            Err(_) => continue,
-        };
-
-        let caches = sequential.num_caches() as u64;
+    // The batch entry point — the default's prefetch window, and the cuckoo
+    // directory's staged pipeline — must be a pure latency optimization:
+    // driving the same op stream through `apply_batch` and through an
+    // `apply` loop yields the same complete per-op outcomes, the same
+    // statistics, the same depth distributions and the same contents.
+    let depth = ccd_cuckoo::PIPELINE_DEPTH;
+    for spec in REGISTRY_SPECS.iter().chain(PIPELINE_SPECS) {
+        let caches = standard_registry()
+            .build_str(spec)
+            .expect(spec)
+            .num_caches() as u64;
         let mut rng = SplitMix64::new(0xBA7C4);
-        let ops: Vec<DirectoryOp> = (0..512)
-            .map(|_| {
-                let line = LineAddr::from_block_number(rng.next_below(96) * 13);
-                let cache = CacheId::new(rng.next_below(caches) as u32);
-                match rng.next_below(5) {
-                    0 => DirectoryOp::Probe { line },
-                    1 => DirectoryOp::SetExclusive { line, cache },
-                    2 => DirectoryOp::RemoveSharer { line, cache },
-                    3 => DirectoryOp::RemoveEntry { line },
-                    _ => DirectoryOp::AddSharer { line, cache },
+        // One line allocated, emptied and allocated again inside the first
+        // window, then read, dropped and taken exclusively: each op must
+        // see what the one before it left, not what the window's
+        // prefetches saw.
+        let line = LineAddr::from_block_number(5 * 13);
+        let (a, b) = (CacheId::new(0), CacheId::new(1));
+        let mut ops = vec![
+            DirectoryOp::AddSharer { line, cache: a },
+            DirectoryOp::RemoveSharer { line, cache: a },
+            DirectoryOp::Probe { line },
+            DirectoryOp::AddSharer { line, cache: b },
+            DirectoryOp::Probe { line },
+            DirectoryOp::RemoveEntry { line },
+            DirectoryOp::SetExclusive { line, cache: a },
+            DirectoryOp::RemoveSharer { line, cache: a },
+        ];
+        ops.extend((0..512).map(|_| {
+            let line = LineAddr::from_block_number(rng.next_below(96) * 13);
+            let cache = CacheId::new(rng.next_below(caches) as u32);
+            match rng.next_below(5) {
+                0 => DirectoryOp::Probe { line },
+                1 => DirectoryOp::SetExclusive { line, cache },
+                2 => DirectoryOp::RemoveSharer { line, cache },
+                3 => DirectoryOp::RemoveEntry { line },
+                _ => DirectoryOp::AddSharer { line, cache },
+            }
+        }));
+
+        // Whole stream, then prefixes around the pipeline depth (an empty
+        // batch, a lone op, a window one short, exact, and one over).
+        let whole = ops.len();
+        for len in [whole, 0, 1, depth - 1, depth, depth + 1] {
+            let ops = &ops[..len];
+            let expected = observe(spec, |dir, sink| {
+                let mut out = Outcome::new();
+                for op in ops {
+                    dir.apply(*op, &mut out);
+                    sink(op, &out);
                 }
-            })
-            .collect();
+            });
+            let observed = observe(spec, |dir, sink| {
+                dir.apply_batch(ops, &mut Outcome::new(), sink);
+            });
+            // Per op first, so a divergence names the op it began at.
+            for (i, pair) in observed.outcomes.iter().zip(&expected.outcomes).enumerate() {
+                assert_eq!(pair.0, pair.1, "{spec}: op {i} of {len} ({:?})", ops[i]);
+            }
+            assert_eq!(observed, expected, "{spec}: {len} ops");
+            assert_eq!(observed.outcomes.len(), len, "{spec}: one outcome per op");
 
-        // Sequential reference: record a digest of every outcome.
-        let mut out = Outcome::new();
-        let mut expected: Vec<(bool, bool, u32, usize, usize)> = Vec::new();
-        for op in &ops {
-            sequential.apply(*op, &mut out);
-            expected.push((
-                out.hit(),
-                out.allocated_new_entry(),
-                out.insertion_attempts(),
-                out.invalidate().len(),
-                out.forced_eviction_count(),
-            ));
-        }
-
-        // Batched run through the windowed prefetching path.
-        let mut observed = Vec::with_capacity(ops.len());
-        let mut batch_out = Outcome::new();
-        batched.apply_batch(&ops, &mut batch_out, &mut |_, o| {
-            observed.push((
-                o.hit(),
-                o.allocated_new_entry(),
-                o.insertion_attempts(),
-                o.invalidate().len(),
-                o.forced_eviction_count(),
-            ));
-        });
-
-        assert_eq!(observed, expected, "{label}: per-op outcomes diverged");
-        assert_eq!(batched.len(), sequential.len(), "{label}: len diverged");
-        assert_eq!(
-            batched.stats().insertions.get(),
-            sequential.stats().insertions.get(),
-            "{label}: insertion stats diverged"
-        );
-        assert_eq!(
-            batched.stats().forced_evictions.get(),
-            sequential.stats().forced_evictions.get(),
-            "{label}: eviction stats diverged"
-        );
-        for block in 0..96u64 {
-            let line = LineAddr::from_block_number(block * 13);
-            assert_eq!(
-                batched.sharers(line),
-                sequential.sharers(line),
-                "{label}: contents diverged at block {block}"
-            );
+            if *spec == TINY_GREEDY && len == whole {
+                // The stream really does what the pipeline must survive: a
+                // forced eviction discards a line that a later op of the
+                // same window then touches.
+                let discarded_then_touched =
+                    expected.outcomes.iter().enumerate().any(|(i, out)| {
+                        let window_end = (i / depth + 1) * depth;
+                        out.forced_evictions().any(|eviction| {
+                            ops[i + 1..window_end.min(len)]
+                                .iter()
+                                .any(|later| later.line() == eviction.line)
+                        })
+                    });
+                assert!(discarded_then_touched, "{spec}: stream lost its hazard");
+            }
         }
     }
 }

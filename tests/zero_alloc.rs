@@ -5,9 +5,12 @@
 //! `AddSharer`-on-existing-entry path perform **zero heap allocations** per
 //! operation, for every organization the registry can build.  The same
 //! proof covers the prefetch hints and the batched entry points — the
-//! directory-level `apply_batch` window and the raw cuckoo table's
-//! `probe_batch` / `apply_batch`, which probe through the SoA tag arrays
-//! with caller-owned buffers.
+//! directory-level `apply_batch` (the default's window and the cuckoo
+//! directory's staged pipeline) and the raw cuckoo table's `probe_batch` /
+//! `apply_batch`, which probe through the SoA tag arrays with caller-owned
+//! buffers.  A cuckoo directory of full vectors over at most 64 caches
+//! goes further: its entries hold their presence word inline, so even
+//! allocating and freeing an entry stays off the heap.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single `#[test]` so no concurrent test can perturb the
@@ -81,6 +84,8 @@ fn min_allocs(attempts: u32, rounds: u64, mut f: impl FnMut()) -> u64 {
 fn steady_state_hot_paths_do_not_allocate() {
     const SPECS: &[&str] = &[
         "cuckoo-4x512-skew",
+        "cuckoo-4x512-skew-c16",
+        "cuckoo-4x512-skew-c64",
         "cuckoo-4x512-tagalt-bfs",
         "cuckoo-4x512@coarse",
         "cuckoo-4x512@hier",
@@ -92,9 +97,17 @@ fn steady_state_hot_paths_do_not_allocate() {
         "tagless-2x32",
         "sharded4:cuckoo-4x512-skew",
     ];
+    /// Full vectors over 16, 32 (the default) and 64 caches: one inline
+    /// word each.
+    const INLINE_SPECS: &[&str] = &[
+        "cuckoo-4x512-skew",
+        "cuckoo-4x512-skew-c16",
+        "cuckoo-4x512-skew-c64",
+    ];
     let registry = standard_registry();
     for spec in SPECS {
         let mut dir = registry.build_str(spec).expect(spec);
+        let caches = dir.num_caches() as u32;
         let mut out = Outcome::new();
         let lines: Vec<LineAddr> = (0..64u64)
             .map(|i| LineAddr::from_block_number(i * 97))
@@ -109,7 +122,7 @@ fn steady_state_hot_paths_do_not_allocate() {
                     dir.apply(
                         DirectoryOp::AddSharer {
                             line,
-                            cache: CacheId::new((i as u32 + c * 7) % 32),
+                            cache: CacheId::new((i as u32 + c * 7) % caches),
                         },
                         &mut out,
                     );
@@ -142,7 +155,7 @@ fn steady_state_hot_paths_do_not_allocate() {
                 dir.apply(
                     DirectoryOp::AddSharer {
                         line,
-                        cache: CacheId::new(i as u32 % 32),
+                        cache: CacheId::new(i as u32 % caches),
                     },
                     &mut out,
                 );
@@ -178,7 +191,7 @@ fn steady_state_hot_paths_do_not_allocate() {
                     DirectoryOp::Probe { line },
                     DirectoryOp::AddSharer {
                         line,
-                        cache: CacheId::new(i as u32 % 32),
+                        cache: CacheId::new(i as u32 % caches),
                     },
                 ]
             })
@@ -194,6 +207,42 @@ fn steady_state_hot_paths_do_not_allocate() {
             assert_eq!(round_hits, ops.len() as u64, "{spec}: batch missed");
         });
         assert_eq!(batched, 0, "{spec}: apply_batch allocated {batched} times");
+
+        // 5. The allocating cycle, where the sharer vector is inline: an
+        // `AddSharer` of an untracked line allocates an entry and the
+        // `RemoveSharer` of its only sharer frees it, one op at a time and
+        // batched, without the heap.
+        if !INLINE_SPECS.contains(spec) {
+            continue;
+        }
+        let cache = CacheId::new(5);
+        let cycle: Vec<DirectoryOp> = (1000..1064u64)
+            .map(|i| LineAddr::from_block_number(i * 89))
+            .flat_map(|line| {
+                [
+                    DirectoryOp::AddSharer { line, cache },
+                    DirectoryOp::RemoveSharer { line, cache },
+                ]
+            })
+            .collect();
+        let single = min_allocs(3, 4, || {
+            for op in &cycle {
+                dir.apply(*op, &mut out);
+            }
+        });
+        assert_eq!(single, 0, "{spec}: allocate/free allocated {single} times");
+        let batched = min_allocs(3, 4, || {
+            let (mut allocated, mut freed) = (0u64, 0u64);
+            dir.apply_batch(&cycle, &mut out, &mut |_, o| {
+                allocated += u64::from(o.allocated_new_entry());
+                freed += u64::from(o.removed_entry());
+            });
+            assert_eq!((allocated, freed), (64, 64), "{spec}: not a cycle");
+        });
+        assert_eq!(
+            batched, 0,
+            "{spec}: batched allocate/free allocated {batched} times"
+        );
     }
 
     // --- The raw cuckoo table's batched probe and insert paths ------------
