@@ -1,6 +1,6 @@
 //! `BENCH_probe` — ns/op trajectory of the cuckoo probe/insert hot path.
 //!
-//! Three sections, one result file:
+//! Two sections, one result file:
 //!
 //! **Layout** (`layout` rows): times `find_hit`, `find_miss` and `insert`
 //! at occupancies {0.25, 0.5, 0.75, 0.9} for two layouts —
@@ -14,35 +14,37 @@
 //!   and (reported separately) the prefetching `probe_batch` /
 //!   `apply_batch` entry points.
 //!
-//! **Variants** (`variants` rows): sweeps every [`ProbeVariant`] tag-probe
-//! kernel — `scalar`, `swar`, `simd`, `localized` — over a tagalt table at
-//! occupancies {0.5, 0.75, 0.85, 0.9}.  At the default scale the tag
-//! arrays (4 MB) spill L2 but still fit the LLC, so this sweep reports the
-//! cache-resident regime: the kernels are near parity here because the
-//! per-way byte loads overlap freely in the load buffers.  Informational.
+//! **Kernels** (`kernels` rows): the table's two tag layouts as
+//! [`CuckooTable::new`] hands them out — `cuckoo-4xN-skew` (planar tags,
+//! SWAR match) beside `cuckoo-4xN-tagalt` (line-local tags, one vector
+//! compare) — at occupancies {0.5, 0.85} in two regimes:
 //!
-//! **Spill** (`spill` rows): the gate section.  The same kernels over a
-//! tagalt table whose tag arrays are sized *past* the LLC (512 MiB at the
-//! default scale), filled in bulk to 0.85 occupancy — the regime a real
-//! directory slice lives in, where coherence traffic probes a structure
-//! far larger than any cache.  Here every probe runs at memory latency and
-//! the line count per probe dominates: the per-way layouts touch `ways`
-//! tag cache lines per miss, while `localized` reads one vector-wide tag
-//! block.  The perf gate requires the best vector path to beat SWAR by
-//! ≥ 1.3× on `find_miss` at ≥ 0.85 occupancy (enforced at the default and
-//! full scales; informational at `quick`, where the spill table is tiny).
+//! * **resident**: tag arrays of 4 MB at the default scale, past L2 but
+//!   inside the LLC, where the planar layout's per-way byte loads overlap
+//!   freely in the load buffers;
+//! * **spill**: tag arrays sized *past* the LLC (512 MiB at the default
+//!   scale) — the regime a real directory slice lives in, where every
+//!   probe runs at memory latency and the planar layout touches `ways` tag
+//!   lines per miss against the line-local layout's one.
 //!
-//! Every kernel is outcome-identical (the lockstep property suite proves
-//! it), so all deltas are purely memory layout and instruction path.
-//! Results are written to `BENCH_probe.json` at the repository root *and*
-//! under the results directory; CI golden-checks the quick-scale output
-//! with the wall-clock-derived fields filtered out.
+//! Each cell reports the best of its trials with the trial spread
+//! (`(max − min) / min`) beside it, and the line-local rows carry their
+//! ratio to the planar row of the same cell (`vs_planar`).  The two tables
+//! of a regime are built and timed one after the other (one spill table is
+//! 4.5 GB), so a host shift between them is *not* inside the spread; and
+//! the two specs differ in hash family as well as layout.  The ratios are a
+//! record, not a gate: one run's wall clock cannot hold a threshold.
+//!
+//! Both layouts are outcome-identical to the seed reference (the lockstep
+//! property suite proves it).  Results are written to `BENCH_probe.json`
+//! at the repository root *and* under the results directory; CI
+//! golden-checks the quick-scale output with the wall-clock-derived fields
+//! filtered out.
 
 use ccd_bench::{write_bench_json, TextTable};
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_cuckoo::seed_reference::AosReferenceTable;
-use ccd_cuckoo::CuckooTable;
-use ccd_directory::ProbeVariant;
+use ccd_cuckoo::{CuckooTable, VectorEngine};
 use ccd_hash::HashKind;
 use std::hint::black_box;
 use std::time::Instant;
@@ -56,13 +58,13 @@ const SEED: u64 = 0xBE7C4;
 struct ProbeScale {
     /// Sets for the AoS-vs-SoA layout section (skewing hashes, as seeded).
     layout_sets: usize,
-    /// Sets for the cache-resident probe-variant sweep (tagalt hashes).
-    /// The default puts the tag arrays at 4 MB — past L2, inside the LLC.
-    variant_sets: usize,
-    /// Sets for the LLC-spilling gate section.  The default puts the tag
-    /// arrays at 512 MiB — past this host class's LLC — so every probe
-    /// runs at DRAM latency and the tag-lines-per-probe count is what the
-    /// clock measures.  Values are `()` (a directory tag check carries no
+    /// Sets for the LLC-resident regime of the kernel section.  The
+    /// default puts the tag arrays at 4 MB — past L2, inside the LLC.
+    resident_sets: usize,
+    /// Sets for the LLC-spilling regime.  The default puts the tag arrays
+    /// at 512 MiB — past this host class's LLC — so every probe runs at
+    /// DRAM latency and the tag-lines-per-probe count is what the clock
+    /// measures.  Values are `()` (a directory tag check carries no
     /// payload) and the fill goes through `apply_batch`, so the bulk fill
     /// stays in the minutes even at half a billion entries.
     spill_sets: usize,
@@ -71,10 +73,8 @@ struct ProbeScale {
     probe_keys: usize,
     /// Insertions per timed trial.
     insert_keys: usize,
-    /// Trials per cell (best-of, interleaved across layouts/variants).
+    /// Trials per cell (best-of).
     trials: usize,
-    /// Whether the ≥ 1.3× find_miss gate aborts the run when missed.
-    enforce_gate: bool,
 }
 
 impl ProbeScale {
@@ -83,36 +83,33 @@ impl ProbeScale {
             Ok("quick") => (
                 ProbeScale {
                     layout_sets: 4 * 1024,
-                    variant_sets: 4 * 1024,
+                    resident_sets: 4 * 1024,
                     spill_sets: 4 * 1024,
                     probe_keys: 8 * 1024,
                     insert_keys: 1024,
                     trials: 3,
-                    enforce_gate: false,
                 },
                 "quick",
             ),
             Ok("full") => (
                 ProbeScale {
                     layout_sets: 16 * 1024,
-                    variant_sets: 2 * 1024 * 1024,
+                    resident_sets: 2 * 1024 * 1024,
                     spill_sets: 128 * 1024 * 1024,
                     probe_keys: 256 * 1024,
                     insert_keys: 4096,
                     trials: 9,
-                    enforce_gate: true,
                 },
                 "full",
             ),
             _ => (
                 ProbeScale {
                     layout_sets: 16 * 1024,
-                    variant_sets: 1024 * 1024,
+                    resident_sets: 1024 * 1024,
                     spill_sets: 128 * 1024 * 1024,
                     probe_keys: 256 * 1024,
                     insert_keys: 4096,
                     trials: 5,
-                    enforce_gate: true,
                 },
                 "default",
             ),
@@ -141,39 +138,25 @@ ccd_bench::impl_to_json!(LayoutRow {
 });
 
 #[derive(Debug)]
-struct VariantRow {
+struct KernelRow {
+    regime: String,
     spec: String,
-    variant: String,
+    layout: String,
     occupancy: f64,
     metric: String,
     ns_per_op: f64,
-    vs_swar: f64,
+    trial_spread: f64,
+    vs_planar: f64,
 }
-ccd_bench::impl_to_json!(VariantRow {
+ccd_bench::impl_to_json!(KernelRow {
+    regime,
     spec,
-    variant,
+    layout,
     occupancy,
     metric,
     ns_per_op,
-    vs_swar
-});
-
-#[derive(Debug)]
-struct Gate {
-    metric: String,
-    min_occupancy: f64,
-    target_vs_swar: f64,
-    best_variant: String,
-    achieved_vs_swar: f64,
-    enforced: bool,
-}
-ccd_bench::impl_to_json!(Gate {
-    metric,
-    min_occupancy,
-    target_vs_swar,
-    best_variant,
-    achieved_vs_swar,
-    enforced
+    trial_spread,
+    vs_planar
 });
 
 #[derive(Debug)]
@@ -181,17 +164,13 @@ struct BenchProbe {
     scale: String,
     engine: String,
     layout: Vec<LayoutRow>,
-    variants: Vec<VariantRow>,
-    spill: Vec<VariantRow>,
-    gate: Gate,
+    kernels: Vec<KernelRow>,
 }
 ccd_bench::impl_to_json!(BenchProbe {
     scale,
     engine,
     layout,
-    variants,
-    spill,
-    gate
+    kernels
 });
 
 /// Human-readable tag-array size for the section headings.
@@ -210,26 +189,40 @@ fn time_once(ops: usize, f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64() * 1e9 / ops as f64
 }
 
-/// Grows `table` to `target` entries with fresh keys from `rng`, keeping
-/// `resident` in sync (discards are rare below the 4-ary threshold but must
-/// not leave phantom hit keys behind).
-fn fill_to(
-    table: &mut CuckooTable<u64>,
-    target: usize,
-    rng: &mut SplitMix64,
-    resident: &mut Vec<u64>,
-) {
-    while table.len() < target {
+/// Best and spread of a cell's trials.
+struct Timing {
+    /// Fastest trial, ns/op.
+    best: f64,
+    /// `(slowest − fastest) / fastest`: what the trials alone say about
+    /// how far a ratio of two `best` figures can be trusted.
+    spread: f64,
+}
+
+/// Runs `once` (which returns its own ns/op, so it can keep set-up and
+/// tear-down outside the clock) `trials` times.
+fn time_trials(trials: usize, mut once: impl FnMut() -> f64) -> Timing {
+    let (mut best, mut worst) = (f64::INFINITY, 0.0f64);
+    for _ in 0..trials {
+        let ns = once();
+        best = best.min(ns);
+        worst = worst.max(ns);
+    }
+    Timing {
+        best,
+        spread: (worst - best) / best,
+    }
+}
+
+/// `count` keys from `rng` that `table` does not hold.
+fn absent_keys<V>(table: &CuckooTable<V>, count: usize, rng: &mut SplitMix64) -> Vec<u64> {
+    let mut keys = Vec::with_capacity(count);
+    while keys.len() < count {
         let key = rng.next_u64() >> 8;
-        if table.contains(key) {
-            continue;
-        }
-        let outcome = table.insert(key, key);
-        resident.push(key);
-        if let Some((lost, _)) = outcome.discarded {
-            resident.retain(|&k| k != lost);
+        if !table.contains(key) {
+            keys.push(key);
         }
     }
+    keys
 }
 
 /// Samples `count` resident keys (strided, so repeats only when the
@@ -243,45 +236,7 @@ fn probe_sets(
     let hits: Vec<u64> = (0..count)
         .map(|i| resident[(i * 127) % resident.len()])
         .collect();
-    let mut misses: Vec<u64> = Vec::with_capacity(count);
-    while misses.len() < count {
-        let key = rng.next_u64() >> 8;
-        if !table.contains(key) {
-            misses.push(key);
-        }
-    }
-    (hits, misses)
-}
-
-/// Best-of-`trials` ns/op for a plain `contains` loop over `keys`.
-fn time_contains<V>(table: &CuckooTable<V>, keys: &[u64], expect_hit: bool, trials: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        best = best.min(time_once(keys.len(), || {
-            let mut found = 0u64;
-            for &k in keys {
-                found += u64::from(table.contains(k));
-            }
-            assert_eq!(found == keys.len() as u64, expect_hit);
-            black_box(found);
-        }));
-    }
-    best
-}
-
-/// Best-of-`trials` ns/op for inserting `keys` into a clone of `table`
-/// (clones are taken outside the timed region).
-fn time_inserts(table: &CuckooTable<u64>, keys: &[u64], trials: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..trials {
-        let mut clone = table.clone();
-        best = best.min(time_once(keys.len(), || {
-            for &k in keys {
-                black_box(clone.insert(k, k));
-            }
-        }));
-    }
-    best
+    (hits, absent_keys(table, count, rng))
 }
 
 /// The AoS-vs-SoA layout section (the seed-versus-current comparison the
@@ -319,16 +274,7 @@ fn layout_section(scale: &ProbeScale) -> Vec<LayoutRow> {
         assert_eq!(soa.len(), aos.len());
 
         let (hit_keys, miss_keys) = probe_sets(&soa, &resident, scale.probe_keys, &mut rng);
-        let fresh_keys: Vec<u64> = {
-            let mut fresh = Vec::with_capacity(scale.insert_keys);
-            while fresh.len() < scale.insert_keys {
-                let key = rng.next_u64() >> 8;
-                if !soa.contains(key) {
-                    fresh.push(key);
-                }
-            }
-            fresh
-        };
+        let fresh_keys = absent_keys(&soa, scale.insert_keys, &mut rng);
         let mut hits = vec![false; scale.probe_keys];
         let mut entries: Vec<(u64, u64)> = Vec::with_capacity(scale.insert_keys);
         let mut outcomes = Vec::with_capacity(scale.insert_keys);
@@ -413,211 +359,139 @@ fn layout_section(scale: &ProbeScale) -> Vec<LayoutRow> {
     rows
 }
 
-/// The cache-resident probe-variant sweep: every kernel over the same
-/// tagalt geometry and key stream (outcome-identical by the lockstep
-/// contract, so each variant can fill its own table independently and
-/// still hold identical contents).  Informational — in this regime the
-/// per-way byte loads pipeline freely and the kernels sit near parity.
-fn variant_section(scale: &ProbeScale) -> Vec<VariantRow> {
-    const OCCUPANCIES: &[f64] = &[0.5, 0.75, 0.85, 0.9];
-    const VARIANTS: &[ProbeVariant] = &[
-        ProbeVariant::Swar,
-        ProbeVariant::Scalar,
-        ProbeVariant::Simd,
-        ProbeVariant::Localized,
-    ];
-    let sets = scale.variant_sets;
-    let capacity = WAYS * sets;
-    let mut rows: Vec<VariantRow> = Vec::new();
-    // SWAR runs first and anchors the `vs_swar` column.
-    let mut swar_ns: Vec<(usize, &str, f64)> = Vec::new();
-
-    for &variant in VARIANTS {
-        let mut table: CuckooTable<u64> =
-            CuckooTable::with_variant(WAYS, sets, HashKind::TagAlt, SEED, Some(variant))
-                .expect("geometry");
-        let spec = format!("cuckoo-{WAYS}x{sets}-tagalt-{variant}");
-        let mut rng = SplitMix64::new(0xF222);
-        let mut resident: Vec<u64> = Vec::new();
-
-        for (occ_idx, &occupancy) in OCCUPANCIES.iter().enumerate() {
-            fill_to(
-                &mut table,
-                (capacity as f64 * occupancy) as usize,
-                &mut rng,
-                &mut resident,
-            );
-            let (hit_keys, miss_keys) = probe_sets(&table, &resident, scale.probe_keys, &mut rng);
-            let fresh_keys: Vec<u64> = {
-                let mut fresh = Vec::with_capacity(scale.insert_keys);
-                while fresh.len() < scale.insert_keys {
-                    let key = rng.next_u64() >> 8;
-                    if !table.contains(key) {
-                        fresh.push(key);
-                    }
-                }
-                fresh
-            };
-
-            for (metric, ns) in [
-                (
-                    "find_hit",
-                    time_contains(&table, &hit_keys, true, scale.trials),
-                ),
-                (
-                    "find_miss",
-                    time_contains(&table, &miss_keys, false, scale.trials),
-                ),
-                ("insert", time_inserts(&table, &fresh_keys, scale.trials)),
-            ] {
-                let baseline = if variant == ProbeVariant::Swar {
-                    swar_ns.push((occ_idx, metric, ns));
-                    ns
-                } else {
-                    swar_ns
-                        .iter()
-                        .find(|(i, m, _)| *i == occ_idx && *m == metric)
-                        .map(|(_, _, b)| *b)
-                        .expect("swar baseline measured first")
-                };
-                rows.push(VariantRow {
-                    spec: spec.clone(),
-                    variant: variant.to_string(),
-                    occupancy,
-                    metric: metric.to_string(),
-                    ns_per_op: ns,
-                    vs_swar: baseline / ns,
-                });
-            }
-        }
-    }
-
-    rows
-}
-
-/// The LLC-spilling gate section.  Tag arrays sized past the last-level
-/// cache, values `()`, bulk-filled with `apply_batch` to 0.85 occupancy,
-/// then timed on plain `find_hit`/`find_miss` loops and the prefetching
-/// `probe_batch` miss path.  Scalar is omitted: the gate compares the
-/// vector paths against the SWAR baseline, and a fourth multi-minute fill
-/// would buy no information the cache-resident sweep doesn't already have.
-fn spill_section(scale: &ProbeScale) -> (Vec<VariantRow>, Gate) {
-    const OCCUPANCY: f64 = 0.85;
-    const VARIANTS: &[ProbeVariant] = &[
-        ProbeVariant::Swar,
-        ProbeVariant::Simd,
-        ProbeVariant::Localized,
-    ];
-    let sets = scale.spill_sets;
-    let target = (WAYS as f64 * sets as f64 * OCCUPANCY) as usize;
-    let mut rows: Vec<VariantRow> = Vec::new();
-    let mut swar_ns: Vec<(&str, f64)> = Vec::new();
-
-    for &variant in VARIANTS {
-        let mut table: CuckooTable<()> =
-            CuckooTable::with_variant(WAYS, sets, HashKind::TagAlt, SEED, Some(variant))
-                .expect("geometry");
-        let spec = format!("cuckoo-{WAYS}x{sets}-tagalt-{variant}");
-        let mut rng = SplitMix64::new(0xF333);
-
-        // Bulk fill.  A strided sample of the drawn key stream doubles as
-        // the hit pool (filtered afterwards — displacement can discard a
-        // key, and duplicate draws land as updates that `len()` ignores).
-        let mut hit_pool: Vec<u64> = Vec::new();
-        let mut entries: Vec<(u64, ())> = Vec::with_capacity(1 << 16);
-        let mut outcomes = Vec::with_capacity(1 << 16);
-        let mut drawn = 0usize;
-        while table.len() < target {
-            entries.clear();
-            for _ in 0..(1usize << 16).min(target - table.len()) {
-                let key = rng.next_u64() >> 8;
-                if drawn.is_multiple_of(997) {
-                    hit_pool.push(key);
-                }
-                drawn += 1;
-                entries.push((key, ()));
-            }
-            outcomes.clear();
-            table.apply_batch(&mut entries, &mut outcomes);
-        }
-        hit_pool.retain(|&k| table.contains(k));
-
-        let hit_keys: Vec<u64> = (0..scale.probe_keys)
-            .map(|i| hit_pool[(i * 127) % hit_pool.len()])
-            .collect();
-        let mut miss_keys: Vec<u64> = Vec::with_capacity(scale.probe_keys);
-        while miss_keys.len() < scale.probe_keys {
-            let key = rng.next_u64() >> 8;
-            if !table.contains(key) {
-                miss_keys.push(key);
-            }
-        }
-
-        let mut hits = vec![false; scale.probe_keys];
-        let mut batch_ns = f64::INFINITY;
-        for _ in 0..scale.trials {
-            batch_ns = batch_ns.min(time_once(miss_keys.len(), || {
-                table.probe_batch(&miss_keys, &mut hits);
-                black_box(&hits);
-            }));
-        }
-
-        for (metric, ns) in [
-            (
-                "find_hit",
-                time_contains(&table, &hit_keys, true, scale.trials),
-            ),
-            (
-                "find_miss",
-                time_contains(&table, &miss_keys, false, scale.trials),
-            ),
-            ("find_miss_batch", batch_ns),
+/// The kernel section: the two tag layouts, each on the spec that gets it
+/// from [`CuckooTable::new`], in the LLC-resident and the LLC-spilling
+/// regime.  Values are `()`; the fill goes through `apply_batch`.
+fn kernel_section(scale: &ProbeScale) -> Vec<KernelRow> {
+    const OCCUPANCIES: &[f64] = &[0.5, 0.85];
+    let mut rows: Vec<KernelRow> = Vec::new();
+    for (regime, sets) in [
+        ("resident", scale.resident_sets),
+        ("spill", scale.spill_sets),
+    ] {
+        let capacity = WAYS * sets;
+        // One drawn key in `stride` feeds the hit pool: about four times
+        // the probe window at the last occupancy, whatever the table size.
+        let stride = (capacity / (4 * scale.probe_keys)).max(1);
+        // The planar table runs first and anchors the `vs_planar` column.
+        let mut planar_ns: Vec<f64> = Vec::new();
+        for (kind, hash, layout) in [
+            (HashKind::Skewing, "skew", "planar"),
+            (HashKind::TagAlt, "tagalt", "line-local"),
         ] {
-            let baseline = if variant == ProbeVariant::Swar {
-                swar_ns.push((metric, ns));
-                ns
-            } else {
-                swar_ns
-                    .iter()
-                    .find(|(m, _)| *m == metric)
-                    .map(|(_, b)| *b)
-                    .expect("swar baseline measured first")
-            };
-            rows.push(VariantRow {
-                spec: spec.clone(),
-                variant: variant.to_string(),
-                occupancy: OCCUPANCY,
-                metric: metric.to_string(),
-                ns_per_op: ns,
-                vs_swar: baseline / ns,
-            });
+            let mut table: CuckooTable<()> =
+                CuckooTable::new(WAYS, sets, kind, SEED).expect("geometry");
+            let spec = format!("cuckoo-{WAYS}x{sets}-{hash}");
+            let mut rng = SplitMix64::new(0xF333);
+            let mut hit_pool: Vec<u64> = Vec::new();
+            let mut entries: Vec<(u64, ())> = Vec::with_capacity(1 << 16);
+            let mut outcomes = Vec::with_capacity(1 << 16);
+            let mut drawn = 0usize;
+            let mut cell = 0usize;
+
+            for &occupancy in OCCUPANCIES {
+                // Bulk fill.  The strided sample of the drawn key stream is
+                // filtered afterwards: displacement can discard a key (the
+                // 64-slot tagalt blocks overflow well before the table
+                // does), and so can the insert trials of the step before.
+                let target = (capacity as f64 * occupancy) as usize;
+                while table.len() < target {
+                    entries.clear();
+                    for _ in 0..(1usize << 16).min(target - table.len()) {
+                        let key = rng.next_u64() >> 8;
+                        if drawn.is_multiple_of(stride) {
+                            hit_pool.push(key);
+                        }
+                        drawn += 1;
+                        entries.push((key, ()));
+                    }
+                    outcomes.clear();
+                    table.apply_batch(&mut entries, &mut outcomes);
+                }
+                hit_pool.retain(|&k| table.contains(k));
+
+                let hit_keys: Vec<u64> = (0..scale.probe_keys)
+                    .map(|i| hit_pool[(i * 127) % hit_pool.len()])
+                    .collect();
+                let miss_keys = absent_keys(&table, scale.probe_keys, &mut rng);
+                // A window of its own per insert trial: re-inserting removed
+                // keys would find the holes they left and never displace.
+                let fresh_keys = absent_keys(&table, scale.trials * scale.insert_keys, &mut rng);
+                let mut fresh_windows = fresh_keys.chunks(scale.insert_keys);
+                let mut hits = vec![false; scale.probe_keys];
+
+                let contains_loop = |table: &CuckooTable<()>, keys: &[u64], expect_hit: bool| {
+                    time_once(keys.len(), || {
+                        let mut found = 0u64;
+                        for &k in keys {
+                            found += u64::from(table.contains(k));
+                        }
+                        assert_eq!(found == keys.len() as u64, expect_hit);
+                        black_box(found);
+                    })
+                };
+                let timings = [
+                    (
+                        "find_hit",
+                        time_trials(scale.trials, || contains_loop(&table, &hit_keys, true)),
+                    ),
+                    (
+                        "find_miss",
+                        time_trials(scale.trials, || contains_loop(&table, &miss_keys, false)),
+                    ),
+                    (
+                        "find_miss_batch",
+                        time_trials(scale.trials, || {
+                            time_once(miss_keys.len(), || {
+                                table.probe_batch(&miss_keys, &mut hits);
+                                black_box(&hits);
+                            })
+                        }),
+                    ),
+                    // In place (a spill table is too large to clone per
+                    // trial): a window of fresh keys goes in on the clock
+                    // and comes out again off it.
+                    (
+                        "insert",
+                        time_trials(scale.trials, || {
+                            let window = fresh_windows.next().expect("one window per trial");
+                            let ns = time_once(window.len(), || {
+                                for &k in window {
+                                    black_box(table.insert(k, ()));
+                                }
+                            });
+                            for &k in window {
+                                table.remove(k);
+                            }
+                            ns
+                        }),
+                    ),
+                ];
+                for (metric, timing) in timings {
+                    if layout == "planar" {
+                        planar_ns.push(timing.best);
+                    }
+                    rows.push(KernelRow {
+                        regime: regime.to_string(),
+                        spec: spec.clone(),
+                        layout: layout.to_string(),
+                        occupancy,
+                        metric: metric.to_string(),
+                        ns_per_op: timing.best,
+                        trial_spread: timing.spread,
+                        vs_planar: planar_ns[cell] / timing.best,
+                    });
+                    cell += 1;
+                }
+            }
         }
     }
-
-    // The perf gate: once probes run at memory latency, the best vector
-    // path must beat SWAR by >= 1.3x on the plain find_miss loop (the
-    // prefetched batch path clears it by more; it is reported, not gated).
-    let best = rows
-        .iter()
-        .filter(|r| r.metric == "find_miss" && (r.variant == "simd" || r.variant == "localized"))
-        .max_by(|a, b| a.vs_swar.total_cmp(&b.vs_swar))
-        .expect("vector find_miss rows exist");
-    let gate = Gate {
-        metric: "find_miss".to_string(),
-        min_occupancy: OCCUPANCY,
-        target_vs_swar: 1.3,
-        best_variant: best.variant.clone(),
-        achieved_vs_swar: best.vs_swar,
-        enforced: scale.enforce_gate,
-    };
-    (rows, gate)
+    rows
 }
 
 fn main() {
     let (scale, scale_name) = ProbeScale::from_env();
-    let engine = CuckooTable::<u64>::with_variant(WAYS, 64, HashKind::TagAlt, SEED, None)
-        .expect("geometry")
-        .vector_engine();
+    let engine = VectorEngine::detect();
 
     println!("== BENCH_probe: cuckoo probe/insert ns-per-op ==");
     println!(
@@ -662,68 +536,39 @@ fn main() {
     );
 
     println!(
-        "-- variants (cache-resident): probe kernels over tagalt, {WAYS} ways x {} sets ({} tags) --",
-        scale.variant_sets,
-        fmt_bytes(WAYS * scale.variant_sets)
-    );
-    let variants = variant_section(&scale);
-    let mut table = TextTable::new(vec!["occupancy", "metric", "variant", "ns/op", "vs swar"]);
-    for row in &variants {
-        table.add_row(vec![
-            format!("{:.2}", row.occupancy),
-            row.metric.clone(),
-            row.variant.clone(),
-            format!("{:.2}", row.ns_per_op),
-            format!("{:.2}x", row.vs_swar),
-        ]);
-    }
-    table.print();
-
-    println!(
-        "\n-- spill (past the LLC): probe kernels over tagalt, {WAYS} ways x {} sets ({} tags), occupancy 0.85 --",
-        scale.spill_sets,
+        "-- kernels: planar/SWAR (skew) vs line-local/vector (tagalt), {WAYS} ways; \
+         resident {} tags, spill {} tags --",
+        fmt_bytes(WAYS * scale.resident_sets),
         fmt_bytes(WAYS * scale.spill_sets)
     );
-    let (spill, gate) = spill_section(&scale);
-    let mut table = TextTable::new(vec!["occupancy", "metric", "variant", "ns/op", "vs swar"]);
-    for row in &spill {
+    let kernels = kernel_section(&scale);
+    let mut table = TextTable::new(vec![
+        "regime",
+        "occupancy",
+        "metric",
+        "layout",
+        "ns/op",
+        "trial spread",
+        "vs planar",
+    ]);
+    for row in &kernels {
         table.add_row(vec![
+            row.regime.clone(),
             format!("{:.2}", row.occupancy),
             row.metric.clone(),
-            row.variant.clone(),
+            row.layout.clone(),
             format!("{:.2}", row.ns_per_op),
-            format!("{:.2}x", row.vs_swar),
+            format!("{:.1}%", row.trial_spread * 100.0),
+            format!("{:.2}x", row.vs_planar),
         ]);
     }
     table.print();
-    println!(
-        "\nfind_miss @ >= {:.2} occupancy: {} reaches {:.2}x over swar (target >= {:.1}x{})",
-        gate.min_occupancy,
-        gate.best_variant,
-        gate.achieved_vs_swar,
-        gate.target_vs_swar,
-        if gate.enforced {
-            ""
-        } else {
-            "; informational at quick scale"
-        }
-    );
 
     let report = BenchProbe {
         scale: scale_name.to_string(),
         engine: engine.name().to_string(),
         layout,
-        variants,
-        spill,
-        gate,
+        kernels,
     };
     write_bench_json("BENCH_probe", &report);
-
-    if report.gate.enforced && report.gate.achieved_vs_swar < report.gate.target_vs_swar {
-        eprintln!(
-            "error: probe perf gate missed — best vector path {:.2}x < {:.1}x over swar",
-            report.gate.achieved_vs_swar, report.gate.target_vs_swar
-        );
-        std::process::exit(1);
-    }
 }

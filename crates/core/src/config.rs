@@ -1,7 +1,7 @@
 //! Configuration of a Cuckoo directory slice.
 
 use ccd_common::ConfigError;
-use ccd_directory::{InsertPolicy, ProbeVariant};
+use ccd_directory::InsertPolicy;
 use ccd_hash::HashKind;
 
 /// The insertion-attempt budget used throughout the paper's evaluation
@@ -34,15 +34,10 @@ pub struct CuckooConfig {
     /// Maximum number of insertion attempts before the most recently
     /// displaced entry is discarded (forcing invalidations).
     pub max_insertion_attempts: u32,
-    /// The tag-probe kernel.  `None` (the default) defers to the `CCD_PROBE`
-    /// environment override and then to the table's auto-selection; an
-    /// explicit variant pins the kernel and is reflected in the directory's
-    /// organization label.
-    pub probe: Option<ProbeVariant>,
     /// How the table resolves insertions whose candidate slots are all
     /// occupied: the paper's greedy displacement chain (the default), or
-    /// BFS shortest-displacement-path search.  Unlike `probe` this changes
-    /// attempt accounting and placements, so a non-default policy is always
+    /// BFS shortest-displacement-path search.  This changes attempt
+    /// accounting and placements, so a non-default policy is always
     /// reflected in the organization label.
     pub insert_policy: InsertPolicy,
 }
@@ -59,7 +54,6 @@ impl CuckooConfig {
             hash_kind: HashKind::Skewing,
             hash_seed: 0xC0C0_0D15_EC70,
             max_insertion_attempts: DEFAULT_MAX_ATTEMPTS,
-            probe: None,
             insert_policy: InsertPolicy::Greedy,
         }
     }
@@ -103,14 +97,6 @@ impl CuckooConfig {
     #[must_use]
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
         self.max_insertion_attempts = attempts;
-        self
-    }
-
-    /// Pins the tag-probe kernel (overriding both the `CCD_PROBE`
-    /// environment variable and the table's auto-selection).
-    #[must_use]
-    pub fn with_probe(mut self, probe: ProbeVariant) -> Self {
-        self.probe = Some(probe);
         self
     }
 
@@ -237,15 +223,6 @@ mod tests {
             .with_max_attempts(0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn probe_is_unpinned_by_default_and_composes() {
-        let c = CuckooConfig::new(4, 512, 32);
-        assert_eq!(c.probe, None);
-        let c = c.with_probe(ProbeVariant::Simd);
-        assert_eq!(c.probe, Some(ProbeVariant::Simd));
-        assert!(c.validate().is_ok());
     }
 
     #[test]

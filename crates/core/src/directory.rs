@@ -16,8 +16,7 @@
 use crate::{config::CuckooConfig, table::CuckooTable};
 use ccd_common::{ceil_log2, CacheId, ConfigError, LineAddr};
 use ccd_directory::{
-    DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome, ProbeVariant,
-    StorageProfile,
+    DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome, StorageProfile,
 };
 use ccd_obs::ObsConfig;
 use ccd_sharers::SharerSet;
@@ -36,22 +35,14 @@ impl<S: SharerSet> CuckooDirectory<S> {
     /// # Errors
     ///
     /// Returns the [`ConfigError`] produced by [`CuckooConfig::validate`],
-    /// by the hash-family construction, by an invalid probe-variant request
-    /// (e.g. `localized` without the `tagalt` family), or by a malformed
-    /// `CCD_PROBE` or `CCD_OBS` environment override.
+    /// by the hash-family construction, or by a malformed `CCD_OBS`
+    /// environment override.
     pub fn new(config: CuckooConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        // Probe resolution: an explicit config pin wins, then the CCD_PROBE
-        // environment override, then the table's auto-selection (`None`).
-        let probe = match config.probe {
-            Some(variant) => Some(variant),
-            None => ProbeVariant::from_env()?,
-        };
-        let mut table = Self::build_table(&config, probe)?;
+        let mut table = Self::build_table(&config)?;
         // A CCD_OBS override arms the depth distributions at construction.
-        // Like CCD_PROBE, it never reaches the organization label or any
-        // result-bearing field — armed and unarmed runs stay byte-identical
-        // (contract #11).
+        // It never reaches the organization label or any result-bearing
+        // field — armed and unarmed runs stay byte-identical (contract #11).
         if let Some(obs) = ObsConfig::from_env()? {
             table.arm_depth_metrics(obs.sig_bits());
         }
@@ -62,20 +53,11 @@ impl<S: SharerSet> CuckooDirectory<S> {
         })
     }
 
-    /// Builds a table for `config` running `probe`, with the attempt budget
-    /// and insertion policy applied — shared by construction and live
-    /// resize.
-    fn build_table(
-        config: &CuckooConfig,
-        probe: Option<ProbeVariant>,
-    ) -> Result<CuckooTable<S>, ConfigError> {
-        let mut table = CuckooTable::with_variant(
-            config.ways,
-            config.sets,
-            config.hash_kind,
-            config.hash_seed,
-            probe,
-        )?;
+    /// Builds a table for `config`, with the attempt budget and insertion
+    /// policy applied — shared by construction and live resize.
+    fn build_table(config: &CuckooConfig) -> Result<CuckooTable<S>, ConfigError> {
+        let mut table =
+            CuckooTable::new(config.ways, config.sets, config.hash_kind, config.hash_seed)?;
         table.set_max_attempts(config.max_insertion_attempts);
         table.set_insert_policy(config.insert_policy);
         Ok(table)
@@ -97,13 +79,6 @@ impl<S: SharerSet> CuckooDirectory<S> {
     #[must_use]
     pub fn sets(&self) -> usize {
         self.config.sets
-    }
-
-    /// The tag-probe kernel the underlying table resolved to (explicit pin,
-    /// `CCD_PROBE` override, or auto-selection).
-    #[must_use]
-    pub fn probe_variant(&self) -> ProbeVariant {
-        self.table.probe_variant()
     }
 
     /// Looks `line` up and, if absent, inserts a fresh entry via the cuckoo
@@ -229,20 +204,12 @@ impl<S: SharerSet> CuckooDirectory<S> {
 
 impl<S: SharerSet> Directory for CuckooDirectory<S> {
     fn organization(&self) -> String {
-        // Only an *explicit* probe pin is part of the organization label: a
-        // CCD_PROBE environment override changes the kernel but never the
-        // label, so golden result files diff byte-identically under it.
         let mut label = format!(
             "cuckoo-{}x{}-{}",
             self.config.ways, self.config.sets, self.config.hash_kind
         );
-        if let Some(probe) = self.config.probe {
-            label.push('-');
-            label.push_str(&probe.to_string());
-        }
-        // The insertion policy, unlike the probe kernel, is semantic
-        // (attempt counts and placements differ), so a non-default policy is
-        // always part of the label.
+        // The insertion policy is semantic (attempt counts and placements
+        // differ), so a non-default policy is always part of the label.
         if self.config.insert_policy != InsertPolicy::Greedy {
             label.push('-');
             label.push_str(&self.config.insert_policy.to_string());
@@ -359,14 +326,9 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
         config.ways = ways;
         config.sets = sets;
         config.validate()?;
-        // Same probe resolution as construction: config pin, then CCD_PROBE,
-        // then auto-selection (the new geometry may legalize or outlaw the
-        // localized layout, so the auto choice is re-made).
-        let probe = match config.probe {
-            Some(variant) => Some(variant),
-            None => ProbeVariant::from_env()?,
-        };
-        let mut table = Self::build_table(&config, probe)?;
+        // The new table picks its own tag layout: a re-way can cross the
+        // line-local layout's `ways × block_span` bound in either direction.
+        let mut table = Self::build_table(&config)?;
         // Like the per-insertion statistics, the depth distributions skip
         // the migration itself: recorded data survives the resize, and the
         // re-homed table stays armed, but migration traffic never lands in
@@ -641,6 +603,64 @@ mod tests {
         assert_eq!(d.geometry(), Some((8, 64)));
         for &l in &tracked {
             assert!(d.contains(l), "re-way lost {:#x}", l.block_number());
+        }
+    }
+
+    #[test]
+    fn live_resize_crosses_the_tag_layout_bound_in_both_directions() {
+        // A tagalt table is line-local up to four ways and planar above, so
+        // a 4 <-> 8 re-way is the one place a live directory changes probe
+        // kernels.  Nothing observable may move but the geometry.
+        type Observed = (
+            usize,
+            DirectoryStats,
+            Option<DepthMetrics>,
+            Vec<Option<Vec<CacheId>>>,
+        );
+        fn observe(d: &Dir, lines: &[LineAddr]) -> Observed {
+            (
+                d.len(),
+                d.stats().clone(),
+                d.depth_metrics().cloned(),
+                lines.iter().map(|&l| d.sharers(l)).collect(),
+            )
+        }
+        for (from_ways, to_ways) in [(4usize, 8usize), (8, 4)] {
+            for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
+                for armed in [false, true] {
+                    let case = format!("{from_ways}->{to_ways} {policy} armed={armed}");
+                    let config = CuckooConfig::new(from_ways, 64, 8)
+                        .with_hash_kind(HashKind::TagAlt)
+                        .with_insert_policy(policy);
+                    let mut d = Dir::new(config).unwrap();
+                    if armed {
+                        assert!(d.arm_depth_metrics(2));
+                    }
+                    let mut rng = SplitMix64::new(0x7A6A);
+                    let lines: Vec<LineAddr> =
+                        (0..100).map(|_| line(rng.next_u64() >> 10)).collect();
+                    for &l in &lines {
+                        d.add_sharer(l, CacheId::new(rng.next_below(8) as u32));
+                        d.add_sharer(l, CacheId::new(rng.next_below(8) as u32));
+                    }
+                    assert_eq!(d.stats().forced_evictions.get(), 0, "{case}");
+                    let before = observe(&d, &lines);
+                    assert_eq!(observe(&d.clone(), &lines), before, "{case}: clone");
+                    let label = d.organization();
+
+                    assert!(d.live_resize(to_ways, 64).unwrap(), "{case}");
+                    assert_eq!(observe(&d, &lines), before, "{case}: resized");
+                    assert_eq!(observe(&d.clone(), &lines), before, "{case}: clone after");
+                    assert_eq!(
+                        d.organization(),
+                        label.replace(&format!("-{from_ways}x64-"), &format!("-{to_ways}x64-")),
+                        "{case}"
+                    );
+                    // The re-homed directory keeps serving under its policy.
+                    d.add_sharer(line(1), CacheId::new(0));
+                    assert_eq!(d.len(), before.0 + 1, "{case}");
+                }
+            }
         }
     }
 

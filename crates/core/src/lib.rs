@@ -64,14 +64,11 @@ use ccd_common::ConfigError;
 use ccd_directory::{match_sharer_format, BuilderRegistry, Directory, DirectorySpec};
 use ccd_hash::HashKind;
 
-/// The registry builder for `cuckoo-WxS[-hash][-probe][-policy]` specs.
+/// The registry builder for `cuckoo-WxS[-hash][-policy]` specs.
 fn build_cuckoo(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
-    let mut config = CuckooConfig::new(spec.ways, spec.sets, spec.caches)
+    let config = CuckooConfig::new(spec.ways, spec.sets, spec.caches)
         .with_hash_kind(spec.hash.unwrap_or(HashKind::Skewing))
         .with_insert_policy(spec.policy);
-    if let Some(probe) = spec.probe {
-        config = config.with_probe(probe);
-    }
     Ok(match_sharer_format!(spec.sharers, S => {
         Box::new(CuckooDirectory::<S>::new(config)?)
     }))
@@ -169,25 +166,8 @@ mod tests {
         assert_eq!(dir.num_caches(), 16);
         let full = registry.build_str("cuckoo-3x8192-strong-c16@full").unwrap();
         assert!(dir.storage_profile().total_bits < full.storage_profile().total_bits);
-    }
-
-    #[test]
-    fn registry_cuckoo_honours_probe_modifiers() {
-        let registry = standard_registry();
-        // An explicit probe pin round-trips through the organization label.
-        let dir = registry
-            .build_str("cuckoo-4x1024-tagalt-localized")
-            .unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x1024-tagalt-localized");
-        let dir = registry.build_str("cuckoo-4x512-strong-simd-c16").unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x512-strong-simd");
-        // Without a pin the label is unchanged from the seed, whatever the
-        // table auto-selected.
         let dir = registry.build_str("cuckoo-4x512-skew").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x512-skewing");
-        // Impossible combinations surface the table's validation error.
-        assert!(registry.build_str("cuckoo-4x512-strong-localized").is_err());
-        assert!(registry.build_str("cuckoo-8x512-tagalt-localized").is_err());
     }
 
     #[test]
@@ -196,11 +176,9 @@ mod tests {
         // A non-default insertion policy round-trips through the label.
         let dir = registry.build_str("cuckoo-4x64-strong-bfs").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x64-strong-bfs");
-        // It composes with a probe pin (policy after probe, per grammar).
-        let dir = registry
-            .build_str("cuckoo-4x64-tagalt-localized-bfs-c16")
-            .unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x64-tagalt-localized-bfs");
+        // It composes with a hash family (policy after hash, per grammar).
+        let dir = registry.build_str("cuckoo-4x64-tagalt-bfs-c16").unwrap();
+        assert_eq!(dir.organization(), "cuckoo-4x64-tagalt-bfs");
         // The default greedy policy leaves the label unchanged.
         let dir = registry.build_str("cuckoo-4x64-strong-greedy").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x64-strong");

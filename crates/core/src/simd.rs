@@ -1,6 +1,6 @@
 //! Runtime-dispatched vector kernels for tag probing.
 //!
-//! The probe variants of [`crate::table::CuckooTable`] reduce to one
+//! The line-local tag probe of [`crate::table::CuckooTable`] reduces to one
 //! primitive: *which bytes of this ≤64-byte tag span equal a needle byte?*
 //! This module answers it with the best instruction set the host offers —
 //! sse2 (the x86_64 baseline), avx2 (runtime-detected), or neon (the

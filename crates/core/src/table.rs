@@ -22,23 +22,25 @@
 //!   where `tags` is occupied.
 //!
 //! A probe reduces to *which candidate tags equal the fingerprint / the
-//! empty tag?* — answered by one of four [`ProbeVariant`] kernels:
+//! empty tag?*  The tags live in one of two layouts, each with the match
+//! kernel that suits it; which one a table gets is a pure function of its
+//! hash family and way count, decided once in `CuckooTable::alloc_tags`:
 //!
-//! * `scalar` — one tag byte per way, compared in a plain loop.
-//! * `swar` — the candidate tags of up to eight ways gathered into one
-//!   integer and matched branchlessly with SWAR arithmetic (the portable
-//!   default, and the only variant in the seed revision of this crate).
-//! * `simd` — the gathered tags matched by the best vector unit the host
-//!   offers ([`crate::simd::VectorEngine`]: sse2 / avx2 / neon, runtime
-//!   detected once per table).
-//! * `localized` — an F14-style *transposed* tag layout for the `tagalt`
-//!   hash family, whose candidate indices all fall in one aligned
-//!   [`block_span`](ccd_hash::TagAltFamily::block_span)-set block: tags are
-//!   stored `tag_base + set_index * ways + way` over a 64-byte-aligned
-//!   allocation, so the whole candidate block is one contiguous ≤64-byte
-//!   span covered by a single vector compare — no per-way gather at all.
+//! * **planar** (every table but the ones below) — tags indexed like the
+//!   keys, `way * sets + set_index`; the candidate tags of up to eight ways
+//!   are gathered into one integer and matched branchlessly with SWAR
+//!   arithmetic.
+//! * **line-local** (the `tagalt` hash family with `ways × block_span ≤`
+//!   [`MAX_TAG_SPAN`] tag bytes, i.e. up to four ways) — an F14-style
+//!   *transposed* layout.  A `tagalt` key's candidate indices all fall in
+//!   one aligned [`block_span`](ccd_hash::TagAltFamily::block_span)-set
+//!   block, so tags are stored `base + set_index * ways + way` over a
+//!   64-byte-aligned allocation: the whole candidate block is one contiguous
+//!   ≤64-byte span — one tag line per lookup instead of `d` — covered by a
+//!   single vector compare ([`crate::simd::VectorEngine`]: sse2 / avx2 /
+//!   neon, runtime detected once per table) with no per-way gather at all.
 //!
-//! Every variant produces the same way-indexed match masks (the SWAR
+//! Both kernels produce the same way-indexed match masks (the SWAR
 //! fingerprint scan may over-report, which the key confirmation filters, so
 //! observable behaviour is identical); only ways whose tag matches the
 //! key's fingerprint are confirmed with a full key compare, so a negative
@@ -126,12 +128,12 @@
 //!
 //! Both policies agree on which keys are resident until a budget actually
 //! expires, but attempt counts and physical placements differ — the policy
-//! is semantic, unlike the bit-identical [`ProbeVariant`] kernels.
+//! is semantic, unlike the two bit-identical tag layouts.
 
 use crate::simd::VectorEngine;
 use ccd_common::prefetch::prefetch_slice_element;
 use ccd_common::{ConfigError, LineAddr};
-use ccd_directory::{DepthMetrics, InsertPolicy, ProbeVariant};
+use ccd_directory::{DepthMetrics, InsertPolicy};
 use ccd_hash::{fingerprint, HashFamily, HashKind, IndexHashFamily, MAX_FAMILY_WAYS};
 use std::mem::MaybeUninit;
 
@@ -164,10 +166,40 @@ const SMALL_WAYS: usize = 8;
 /// so the simpler loop stayed.
 pub const PIPELINE_DEPTH: usize = 16;
 
-/// Longest contiguous tag span a localized probe reads in one vector
+/// Longest contiguous tag span a line-local probe reads in one vector
 /// compare (the [`VectorEngine::eq_mask`] limit: one cache line, one `u64`
-/// mask).  The `localized` variant requires `ways × block_span` to fit.
+/// mask).  A `tagalt` table whose `ways × block_span` fits gets the
+/// line-local tag layout.
 pub const MAX_TAG_SPAN: usize = 64;
+
+/// How a table lays out its tag bytes, with what the matching probe kernel
+/// needs (see the module docs).
+#[derive(Clone, Copy, Debug)]
+enum TagLayout {
+    /// `tags[way * sets + index]`, matched by SWAR over gathered tags.
+    Planar,
+    /// `tags[base + index * ways + way]`, matched by one vector compare
+    /// over the key's whole candidate block.
+    LineLocal {
+        /// First logical tag position: the skid that 64-byte-aligns the
+        /// candidate blocks inside the allocation.
+        base: usize,
+        /// Sets per aligned candidate block (the family's block span).
+        block: usize,
+        /// The vector unit the compare runs on, detected once per table.
+        engine: VectorEngine,
+    },
+}
+
+impl TagLayout {
+    /// First logical tag position inside the allocation.
+    fn base(self) -> usize {
+        match self {
+            TagLayout::Planar => 0,
+            TagLayout::LineLocal { base, .. } => base,
+        }
+    }
+}
 
 /// Returns a mask with bit 7 of byte lane `i` set when byte `i` of `word`
 /// equals `tag` — the classic SWAR byte-equality test.
@@ -351,21 +383,10 @@ pub struct CuckooTable<V> {
     ways: usize,
     sets: usize,
     hashes: HashFamily,
-    /// Which probe kernel this table runs (fixed at construction).
-    variant: ProbeVariant,
-    /// The vector unit backing the `simd` and `localized` variants
-    /// (detected once at construction; unused by `scalar` / `swar`).
-    engine: VectorEngine,
-    /// Per-slot occupancy tags; position `tag_pos(way, index)` — see the
-    /// module docs (standard `way * sets + index`, or the transposed
-    /// localized layout).
+    /// Per-slot occupancy tags; position `tag_pos(way, index)`.
     tags: Vec<u8>,
-    /// First logical tag position inside `tags`: the skid that 64-byte-
-    /// aligns the localized layout's blocks (0 for the standard layout).
-    tag_base: usize,
-    /// Sets per aligned candidate block of the localized layout (1 for the
-    /// other variants, so the block math stays well-defined).
-    loc_block: usize,
+    /// How `tags` is laid out (fixed by [`CuckooTable::alloc_tags`]).
+    layout: TagLayout,
     /// Stored keys, indexed `way * sets + index` (garbage where the tag is
     /// empty).
     keys: Vec<u64>,
@@ -388,37 +409,13 @@ pub struct CuckooTable<V> {
 
 impl<V> CuckooTable<V> {
     /// Creates an empty table of `ways` direct-mapped tables with `sets`
-    /// entries each, indexed by the `kind` hash family seeded with `seed`,
-    /// with the probe variant auto-selected (see
-    /// [`CuckooTable::with_variant`]).
+    /// entries each, indexed by the `kind` hash family seeded with `seed`.
     ///
     /// # Errors
     ///
     /// * [`ConfigError::TooSmall`] if `ways < 2`,
     /// * plus the hash family's own validation errors (zero/`!pow2` sets).
     pub fn new(ways: usize, sets: usize, kind: HashKind, seed: u64) -> Result<Self, ConfigError> {
-        Self::with_variant(ways, sets, kind, seed, None)
-    }
-
-    /// Creates an empty table running the requested [`ProbeVariant`], or —
-    /// when `variant` is `None` — auto-selecting one: `localized` when the
-    /// hash family supports it (the `tagalt` family with a candidate block
-    /// of at most [`MAX_TAG_SPAN`] tag bytes), `swar` otherwise.
-    ///
-    /// # Errors
-    ///
-    /// * [`ConfigError::TooSmall`] if `ways < 2`,
-    /// * [`ConfigError::Inconsistent`] if `localized` is requested for a
-    ///   hash family without tag-derived block-local candidates, or with a
-    ///   candidate block wider than [`MAX_TAG_SPAN`] tag bytes,
-    /// * plus the hash family's own validation errors (zero/`!pow2` sets).
-    pub fn with_variant(
-        ways: usize,
-        sets: usize,
-        kind: HashKind,
-        seed: u64,
-        variant: Option<ProbeVariant>,
-    ) -> Result<Self, ConfigError> {
         if ways < 2 {
             return Err(ConfigError::TooSmall {
                 what: "ways",
@@ -428,44 +425,16 @@ impl<V> CuckooTable<V> {
         }
         let hashes = HashFamily::with_seed(kind, ways, sets, seed)?;
         debug_assert!(ways <= MAX_FAMILY_WAYS, "hash families cap the way count");
-        let localizable = hashes
-            .tag_alt()
-            .is_some_and(|family| ways * family.block_span() <= MAX_TAG_SPAN);
-        let variant = match variant {
-            Some(requested) => requested,
-            None if localizable => ProbeVariant::Localized,
-            None => ProbeVariant::Swar,
-        };
-        let loc_block = if variant == ProbeVariant::Localized {
-            let Some(family) = hashes.tag_alt() else {
-                return Err(ConfigError::Inconsistent {
-                    what: "the localized probe variant requires the tagalt hash family \
-                           (its candidates share one aligned tag block)",
-                });
-            };
-            if ways * family.block_span() > MAX_TAG_SPAN {
-                return Err(ConfigError::Inconsistent {
-                    what: "the localized probe variant needs ways × block-span tag bytes \
-                           to fit one 64-byte vector span",
-                });
-            }
-            family.block_span()
-        } else {
-            1
-        };
         let capacity = ways * sets;
-        let (tags, tag_base) = Self::alloc_tags(variant, capacity);
+        let (tags, layout) = Self::alloc_tags(&hashes, ways, sets);
         let mut values = Vec::new();
         values.resize_with(capacity, MaybeUninit::uninit);
         Ok(CuckooTable {
             ways,
             sets,
             hashes,
-            variant,
-            engine: VectorEngine::detect(),
             tags,
-            tag_base,
-            loc_block,
+            layout,
             keys: vec![0; capacity],
             values,
             valid: 0,
@@ -477,18 +446,31 @@ impl<V> CuckooTable<V> {
         })
     }
 
-    /// Allocates the tag array for `variant`: the localized layout
-    /// over-allocates by a cache line and skids its logical start to the
-    /// next 64-byte boundary, so every aligned candidate block touches at
-    /// most one extra line and the full span sits in bounds.
-    fn alloc_tags(variant: ProbeVariant, capacity: usize) -> (Vec<u8>, usize) {
-        if variant == ProbeVariant::Localized {
-            let tags = vec![EMPTY_TAG; capacity + MAX_TAG_SPAN - 1];
-            let tag_base = tags.as_ptr().addr().wrapping_neg() & (MAX_TAG_SPAN - 1);
-            (tags, tag_base)
-        } else {
-            (vec![EMPTY_TAG; capacity], 0)
-        }
+    /// Allocates the all-vacant tag array of a `ways × sets` table indexed
+    /// by `hashes` — and, in doing so, makes the table's one layout
+    /// decision: line-local when the family's candidates share an aligned
+    /// block of at most [`MAX_TAG_SPAN`] tag bytes, planar otherwise.
+    ///
+    /// The line-local layout over-allocates by a cache line and skids its
+    /// logical start to the next 64-byte boundary, so every aligned
+    /// candidate block touches at most one extra line and the full span
+    /// sits in bounds.
+    fn alloc_tags(hashes: &HashFamily, ways: usize, sets: usize) -> (Vec<u8>, TagLayout) {
+        let capacity = ways * sets;
+        let block = hashes
+            .tag_alt()
+            .map(|family| family.block_span())
+            .filter(|block| ways * block <= MAX_TAG_SPAN);
+        let Some(block) = block else {
+            return (vec![EMPTY_TAG; capacity], TagLayout::Planar);
+        };
+        let tags = vec![EMPTY_TAG; capacity + MAX_TAG_SPAN - 1];
+        let layout = TagLayout::LineLocal {
+            base: tags.as_ptr().addr().wrapping_neg() & (MAX_TAG_SPAN - 1),
+            block,
+            engine: VectorEngine::detect(),
+        };
+        (tags, layout)
     }
 
     /// Sets the insertion-attempt budget (default 32).
@@ -629,19 +611,6 @@ impl<V> CuckooTable<V> {
         self.sets
     }
 
-    /// The probe variant this table runs.
-    #[must_use]
-    pub fn probe_variant(&self) -> ProbeVariant {
-        self.variant
-    }
-
-    /// The vector engine backing the `simd` / `localized` variants on this
-    /// host (detected at construction; `scalar` / `swar` ignore it).
-    #[must_use]
-    pub fn vector_engine(&self) -> VectorEngine {
-        self.engine
-    }
-
     /// Total capacity (`ways × sets`).
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -674,21 +643,23 @@ impl<V> CuckooTable<V> {
             .index_all_into(LineAddr::from_block_number(key), indices);
     }
 
-    /// Position of `(way, index)`'s tag byte inside `tags`: the transposed
-    /// line-local layout for `localized`, `way * sets + index` otherwise.
+    /// Position of `(way, index)`'s tag byte inside `tags`.
     #[inline]
     fn tag_pos(&self, way: usize, index: usize) -> usize {
-        if self.variant == ProbeVariant::Localized {
-            self.tag_base + index * self.ways + way
-        } else {
-            way * self.sets + index
+        match self.layout {
+            TagLayout::Planar => way * self.sets + index,
+            TagLayout::LineLocal { base, .. } => base + index * self.ways + way,
         }
     }
 
-    /// Tag position of a `way * sets + index` slot number.
+    /// Tag position of a `way * sets + index` slot number — the slot number
+    /// itself on the planar layout.
     #[inline]
     fn tag_pos_of_slot(&self, slot: usize) -> usize {
-        self.tag_pos(slot / self.sets, slot % self.sets)
+        match self.layout {
+            TagLayout::Planar => slot,
+            TagLayout::LineLocal { .. } => self.tag_pos(slot / self.sets, slot % self.sets),
+        }
     }
 
     /// Reads the tag byte at `pos` without a bounds check: every position
@@ -699,7 +670,7 @@ impl<V> CuckooTable<V> {
     #[inline]
     fn tag_at(&self, pos: usize) -> u8 {
         debug_assert!(pos < self.tags.len());
-        // SAFETY: see above — pos < tag_base + ways * sets <= tags.len().
+        // SAFETY: see above — pos < base + ways * sets <= tags.len().
         unsafe { *self.tags.get_unchecked(pos) }
     }
 
@@ -738,13 +709,13 @@ impl<V> CuckooTable<V> {
         }
     }
 
-    /// The shared probe primitive behind every variant: way-indexed
+    /// The shared probe primitive behind both layouts: way-indexed
     /// bitmasks over `key`'s candidate slots — bit `w` of the first mask is
     /// set when way `w`'s candidate tag equals `fp` (SWAR may over-report;
     /// callers confirm with a key compare), bit `w` of the second when it
     /// is vacant (always exact).  Unwanted masks (per the const flags) are
     /// zero.  All selection downstream walks these masks with
-    /// `trailing_zeros`, so every variant scans ways in ascending order —
+    /// `trailing_zeros`, so both kernels scan ways in ascending order —
     /// exactly the order the displacement procedure relies on.
     #[inline]
     fn way_masks<const WANT_FP: bool, const WANT_EMPTY: bool>(
@@ -752,37 +723,19 @@ impl<V> CuckooTable<V> {
         fp: u8,
         indices: &[usize],
     ) -> (u64, u64) {
-        match self.variant {
-            ProbeVariant::Scalar => self.way_masks_scalar::<WANT_FP, WANT_EMPTY>(fp, indices),
-            ProbeVariant::Swar => self.way_masks_swar::<WANT_FP, WANT_EMPTY>(fp, indices),
-            ProbeVariant::Simd => self.way_masks_simd::<WANT_FP, WANT_EMPTY>(fp, indices),
-            ProbeVariant::Localized => self.way_masks_localized::<WANT_FP, WANT_EMPTY>(fp, indices),
+        match self.layout {
+            TagLayout::Planar => self.way_masks_swar::<WANT_FP, WANT_EMPTY>(fp, indices),
+            TagLayout::LineLocal {
+                base,
+                block,
+                engine,
+            } => self.way_masks_line_local::<WANT_FP, WANT_EMPTY>(base, block, engine, fp, indices),
         }
     }
 
-    /// `scalar`: one tag byte per way, compared in a plain loop.
-    fn way_masks_scalar<const WANT_FP: bool, const WANT_EMPTY: bool>(
-        &self,
-        fp: u8,
-        indices: &[usize],
-    ) -> (u64, u64) {
-        let mut fp_mask = 0u64;
-        let mut empty_mask = 0u64;
-        for (way, &index) in indices.iter().enumerate().take(self.ways) {
-            let tag = self.tag_at(self.tag_pos(way, index));
-            if WANT_FP && tag == fp {
-                fp_mask |= 1 << way;
-            }
-            if WANT_EMPTY && tag == EMPTY_TAG {
-                empty_mask |= 1 << way;
-            }
-        }
-        (fp_mask, empty_mask)
-    }
-
-    /// `swar`: up to eight candidate tags gathered into one integer and
-    /// matched branchlessly (the seed revision's only kernel); lane bits
-    /// fold into way bits.
+    /// Planar layout: up to eight candidate tags gathered into one integer
+    /// and matched branchlessly with SWAR arithmetic; lane bits fold into
+    /// way bits.
     fn way_masks_swar<const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
         fp: u8,
@@ -813,50 +766,28 @@ impl<V> CuckooTable<V> {
         (fp_mask, empty_mask)
     }
 
-    /// `simd`: gather one candidate tag byte per way into a stack span,
-    /// then one exact vector compare per wanted mask.
-    fn way_masks_simd<const WANT_FP: bool, const WANT_EMPTY: bool>(
+    /// Line-local layout: every candidate lives in one aligned
+    /// `ways × block` tag span (the tagalt block property), so a single
+    /// vector compare covers the whole candidate block and the per-way bits
+    /// are extracted at `(index - block_base) * ways + way`.
+    fn way_masks_line_local<const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
+        base: usize,
+        block: usize,
+        engine: VectorEngine,
         fp: u8,
         indices: &[usize],
     ) -> (u64, u64) {
-        let mut span = [0xFFu8; MAX_FAMILY_WAYS];
-        for way in 0..self.ways {
-            span[way] = self.tag_at(self.tag_pos(way, indices[way]));
-        }
-        let bytes = &span[..self.ways];
-        let fp_mask = if WANT_FP {
-            self.engine.eq_mask(bytes, fp)
-        } else {
-            0
-        };
-        let empty_mask = if WANT_EMPTY {
-            self.engine.eq_mask(bytes, EMPTY_TAG)
-        } else {
-            0
-        };
-        (fp_mask, empty_mask)
-    }
-
-    /// `localized`: every candidate lives in one aligned `ways × loc_block`
-    /// tag span (the tagalt block property), so a single vector compare
-    /// covers the whole candidate block and the per-way bits are extracted
-    /// at `(index - block_base) * ways + way`.
-    fn way_masks_localized<const WANT_FP: bool, const WANT_EMPTY: bool>(
-        &self,
-        fp: u8,
-        indices: &[usize],
-    ) -> (u64, u64) {
-        let block_base = indices[0] & !(self.loc_block - 1);
-        let start = self.tag_base + block_base * self.ways;
-        let bytes = &self.tags[start..start + self.ways * self.loc_block];
+        let block_base = indices[0] & !(block - 1);
+        let start = base + block_base * self.ways;
+        let bytes = &self.tags[start..start + self.ways * block];
         let fp_eq = if WANT_FP {
-            self.engine.eq_mask(bytes, fp)
+            engine.eq_mask(bytes, fp)
         } else {
             0
         };
         let empty_eq = if WANT_EMPTY {
-            self.engine.eq_mask(bytes, EMPTY_TAG)
+            engine.eq_mask(bytes, EMPTY_TAG)
         } else {
             0
         };
@@ -888,7 +819,7 @@ impl<V> CuckooTable<V> {
     }
 
     /// Probes `key`'s candidate slots given precomputed way `indices`:
-    /// matches the fingerprint and the empty tag through the variant's
+    /// matches the fingerprint and the empty tag through the layout's
     /// kernel, and confirms fingerprint candidates with a key compare.
     /// Ways are scanned in ascending order, so the hit is the first way
     /// holding the key and the vacancy is the first vacant way.
@@ -1068,15 +999,18 @@ impl<V> CuckooTable<V> {
     /// tag bytes behind `indices`.  Purely a performance hint; see
     /// [`ccd_common::prefetch::prefetch_read`].
     fn prefetch_tags(&self, indices: &[usize]) {
-        if self.variant == ProbeVariant::Localized {
-            // The whole candidate block is one contiguous span: touch its
-            // first and last byte (at most two cache lines).
-            let start = self.tag_base + (indices[0] & !(self.loc_block - 1)) * self.ways;
-            prefetch_slice_element(&self.tags, start);
-            prefetch_slice_element(&self.tags, start + self.ways * self.loc_block - 1);
-        } else {
-            for (way, &index) in indices.iter().enumerate().take(self.ways) {
-                prefetch_slice_element(&self.tags, way * self.sets + index);
+        match self.layout {
+            TagLayout::Planar => {
+                for (way, &index) in indices.iter().enumerate().take(self.ways) {
+                    prefetch_slice_element(&self.tags, way * self.sets + index);
+                }
+            }
+            TagLayout::LineLocal { base, block, .. } => {
+                // The whole candidate block is one contiguous span: touch
+                // its first and last byte (at most two cache lines).
+                let start = base + (indices[0] & !(block - 1)) * self.ways;
+                prefetch_slice_element(&self.tags, start);
+                prefetch_slice_element(&self.tags, start + self.ways * block - 1);
             }
         }
     }
@@ -1621,21 +1555,18 @@ impl<V: Clone> Clone for CuckooTable<V> {
                 }
             })
             .collect();
-        // The localized alignment skid depends on the allocation address,
+        // The line-local alignment skid depends on the allocation address,
         // so the clone re-derives its own and copies the logical tag range
         // rather than cloning the vector verbatim.
-        let (mut tags, tag_base) = Self::alloc_tags(self.variant, capacity);
-        tags[tag_base..tag_base + capacity]
-            .copy_from_slice(&self.tags[self.tag_base..self.tag_base + capacity]);
+        let (mut tags, layout) = Self::alloc_tags(&self.hashes, self.ways, self.sets);
+        let (from, to) = (self.layout.base(), layout.base());
+        tags[to..to + capacity].copy_from_slice(&self.tags[from..from + capacity]);
         CuckooTable {
             ways: self.ways,
             sets: self.sets,
             hashes: self.hashes.clone(),
-            variant: self.variant,
-            engine: self.engine,
             tags,
-            tag_base,
-            loc_block: self.loc_block,
+            layout,
             keys: self.keys.clone(),
             values,
             valid: self.valid,
@@ -1670,8 +1601,9 @@ impl<V> Drop for CuckooTable<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seed_reference::AosReferenceTable;
     use ccd_common::rng::{Rng64, SplitMix64};
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     fn filled_table(
         ways: usize,
@@ -2037,96 +1969,93 @@ mod tests {
         assert!(hits.iter().all(|&h| h));
     }
 
-    // ---- Probe-variant specific tests -------------------------------------
+    // ---- Tag-layout specific tests ----------------------------------------
 
-    #[test]
-    fn variant_auto_selection_and_validation() {
-        // Non-tagalt families default to the portable SWAR kernel.
-        let t: CuckooTable<()> = CuckooTable::new(4, 64, HashKind::Strong, 1).unwrap();
-        assert_eq!(t.probe_variant(), ProbeVariant::Swar);
-        // tagalt with `ways × block_span <= 64` unlocks the localized layout.
-        let t: CuckooTable<()> = CuckooTable::new(4, 64, HashKind::TagAlt, 1).unwrap();
-        assert_eq!(t.probe_variant(), ProbeVariant::Localized);
-        // Too wide a candidate block falls back to SWAR...
-        let t: CuckooTable<()> = CuckooTable::new(8, 64, HashKind::TagAlt, 1).unwrap();
-        assert_eq!(t.probe_variant(), ProbeVariant::Swar);
-        // ...and explicitly requesting localized there is rejected, as it is
-        // for families without block-local candidates.
-        assert!(CuckooTable::<()>::with_variant(
-            8,
-            64,
-            HashKind::TagAlt,
-            1,
-            Some(ProbeVariant::Localized)
-        )
-        .is_err());
-        assert!(CuckooTable::<()>::with_variant(
-            4,
-            64,
-            HashKind::Strong,
-            1,
-            Some(ProbeVariant::Localized)
-        )
-        .is_err());
+    fn is_line_local<V>(table: &CuckooTable<V>) -> bool {
+        matches!(table.layout, TagLayout::LineLocal { .. })
+    }
+
+    fn contents(table: &CuckooTable<u64>) -> BTreeMap<u64, u64> {
+        table.iter().map(|(k, &v)| (k, v)).collect()
     }
 
     #[test]
-    fn every_variant_matches_swar_on_the_same_op_stream() {
-        // Drive the same saturating insert/remove stream through every
-        // variant legal for the hash kind and demand bit-identical outcomes
-        // (attempts, discards) and contents.
-        for kind in [HashKind::Strong, HashKind::TagAlt] {
-            let variants: &[ProbeVariant] = if kind == HashKind::TagAlt {
-                &[
-                    ProbeVariant::Scalar,
-                    ProbeVariant::Swar,
-                    ProbeVariant::Simd,
-                    ProbeVariant::Localized,
-                ]
-            } else {
-                &[ProbeVariant::Scalar, ProbeVariant::Swar, ProbeVariant::Simd]
-            };
-            let mut tables: Vec<CuckooTable<u64>> = variants
-                .iter()
-                .map(|&v| CuckooTable::with_variant(4, 16, kind, 7, Some(v)).unwrap())
-                .collect();
-            for t in &mut tables {
-                t.set_max_attempts(6);
+    fn layout_follows_the_hash_family_and_the_tag_span_bound() {
+        // tagalt candidates share a 16-set block: four ways are exactly
+        // MAX_TAG_SPAN tag bytes, five are past it.
+        for ways in [2, 3, 4, 5, 8, 16] {
+            let t: CuckooTable<()> = CuckooTable::new(ways, 64, HashKind::TagAlt, 1).unwrap();
+            assert_eq!(is_line_local(&t), ways * 16 <= MAX_TAG_SPAN, "{ways} ways");
+            // A clone decides again, from the same inputs.
+            assert_eq!(is_line_local(&t.clone()), is_line_local(&t), "{ways} ways");
+            if let TagLayout::LineLocal { base, block, .. } = t.layout {
+                assert_eq!(block, 16);
+                assert_eq!((t.tags.as_ptr().addr() + base) % MAX_TAG_SPAN, 0);
+                assert!(base + t.capacity() <= t.tags.len());
             }
-            let mut rng = SplitMix64::new(0xD1CE);
-            let samples = if cfg!(miri) { 60 } else { 600 };
-            for i in 0..samples {
-                let key = rng.next_u64() >> 8;
-                let outcomes: Vec<InsertOutcome<u64>> =
-                    tables.iter_mut().map(|t| t.insert(key, key)).collect();
-                for (o, &v) in outcomes.iter().zip(variants).skip(1) {
-                    assert_eq!(o, &outcomes[0], "{kind}/{v} diverged at insert {i}");
-                }
-                if i % 3 == 0 {
-                    let doomed = rng.next_u64() >> 8;
-                    let removed: Vec<Option<u64>> =
-                        tables.iter_mut().map(|t| t.remove(doomed)).collect();
-                    for (r, &v) in removed.iter().zip(variants).skip(1) {
-                        assert_eq!(r, &removed[0], "{kind}/{v} diverged at remove {i}");
-                    }
-                }
-            }
-            let reference: std::collections::BTreeMap<u64, u64> =
-                tables[0].iter().map(|(k, &v)| (k, v)).collect();
-            for (t, &v) in tables.iter().zip(variants).skip(1) {
-                let contents: std::collections::BTreeMap<u64, u64> =
-                    t.iter().map(|(k, &v)| (k, v)).collect();
-                assert_eq!(contents, reference, "{kind}/{v} contents diverged");
-                assert_eq!(t.len(), tables[0].len());
+        }
+        // Families without block-local candidates are planar at any width.
+        for kind in HashKind::all() {
+            for ways in [2, 4, 16] {
+                let t: CuckooTable<()> = CuckooTable::new(ways, 64, kind, 1).unwrap();
+                assert!(!is_line_local(&t), "{kind} {ways} ways");
             }
         }
     }
 
     #[test]
-    fn localized_layout_survives_clone_and_high_occupancy() {
-        let mut t: CuckooTable<u64> =
-            CuckooTable::with_variant(4, 64, HashKind::TagAlt, 3, Some(ProbeVariant::Localized))
-                .unwrap();
+    fn both_layouts_match_the_seed_reference_on_the_same_op_stream() {
+        // Drive the same saturating insert/remove stream through the table
+        // and the seed's array-of-structs model for every hash kind at way
+        // counts on both sides of the layout bound and of the 8-lane SWAR
+        // chunk, and demand bit-identical outcomes (attempts, discards) and
+        // contents.
+        let mut line_local_runs = 0;
+        for kind in HashKind::all().into_iter().chain([HashKind::TagAlt]) {
+            for ways in [2usize, 3, 4, 8, 16] {
+                let mut table: CuckooTable<u64> = CuckooTable::new(ways, 16, kind, 7).unwrap();
+                table.set_max_attempts(6);
+                let mut reference = AosReferenceTable::new(ways, 16, kind, 7, 6).unwrap();
+                let line_local = kind == HashKind::TagAlt && ways <= 4;
+                assert_eq!(is_line_local(&table), line_local, "{kind} {ways} ways");
+                line_local_runs += usize::from(line_local);
+                let mut rng = SplitMix64::new(0xD1CE);
+                let keyspace = (ways * 16 * 3 / 2) as u64;
+                let samples = if cfg!(miri) { 60 } else { 150 * ways };
+                let mut discards = 0;
+                for i in 0..samples {
+                    let key = rng.next_below(keyspace) << 4 | 0x3;
+                    let got = table.insert(key, key ^ i as u64);
+                    let want = reference.insert(key, key ^ i as u64);
+                    discards += usize::from(got.discarded.is_some());
+                    assert_eq!(
+                        (got.attempts, got.discarded),
+                        want,
+                        "{kind} {ways} ways diverged at insert {i}"
+                    );
+                    if i % 3 == 0 {
+                        let doomed = rng.next_below(keyspace) << 4 | 0x3;
+                        assert_eq!(
+                            table.remove(doomed),
+                            reference.remove(doomed),
+                            "{kind} {ways} ways diverged at remove {i}"
+                        );
+                    }
+                    assert_eq!(table.len(), reference.len(), "{kind} {ways} ways at {i}");
+                }
+                let want: BTreeMap<u64, u64> = reference.iter().map(|(k, &v)| (k, v)).collect();
+                assert_eq!(contents(&table), want, "{kind} {ways} ways contents");
+                if !cfg!(miri) {
+                    assert!(discards > 0, "{kind} {ways} ways must exhaust a budget");
+                }
+            }
+        }
+        assert_eq!(line_local_runs, 3, "tagalt at 2, 3 and 4 ways");
+    }
+
+    #[test]
+    fn line_local_layout_survives_clone_and_high_occupancy() {
+        let mut t: CuckooTable<u64> = CuckooTable::new(4, 64, HashKind::TagAlt, 3).unwrap();
         let mut rng = SplitMix64::new(0x10C);
         let mut keys = Vec::new();
         // tagalt partitions the table into independent 4x16-slot blocks, so
@@ -2142,7 +2071,7 @@ mod tests {
         keys.sort_unstable();
         keys.dedup();
         let cloned = t.clone();
-        assert_eq!(cloned.probe_variant(), ProbeVariant::Localized);
+        assert!(is_line_local(&t) && is_line_local(&cloned));
         for &k in &keys {
             assert!(t.contains(k), "lost key {k:#x}");
             assert_eq!(cloned.get(k), Some(&(k ^ 1)), "clone lost key {k:#x}");
@@ -2316,6 +2245,49 @@ mod tests {
         assert_eq!(target.len(), keys.len());
         for &k in &keys {
             assert_eq!(target.get(k), Some(&(k * 2)), "migration lost {k:#x}");
+        }
+    }
+
+    #[test]
+    fn migrate_into_crosses_the_layout_bound_in_both_directions() {
+        // A re-way between 4 and 8 tagalt ways moves every entry from one
+        // tag layout to the other; nothing but the placement may change.
+        for (from_ways, to_ways) in [(4usize, 8usize), (8, 4)] {
+            for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
+                for armed in [false, true] {
+                    let case = format!("{from_ways}->{to_ways} {policy} armed={armed}");
+                    let mut source: CuckooTable<u64> =
+                        CuckooTable::new(from_ways, 64, HashKind::TagAlt, 51).unwrap();
+                    let mut target: CuckooTable<u64> =
+                        CuckooTable::new(to_ways, 64, HashKind::TagAlt, 52).unwrap();
+                    assert_ne!(is_line_local(&source), is_line_local(&target), "{case}");
+                    for table in [&mut source, &mut target] {
+                        table.set_insert_policy(policy);
+                        if armed {
+                            table.arm_depth_metrics(2);
+                        }
+                    }
+                    let mut rng = SplitMix64::new(0x3167);
+                    for _ in 0..100 {
+                        let key = rng.next_u64() >> 8;
+                        assert!(source.insert(key, key ^ 5).succeeded(), "{case}");
+                    }
+                    let snapshot = source.clone();
+                    assert_eq!(contents(&snapshot), contents(&source), "{case}");
+                    assert_eq!(snapshot.depth_metrics(), source.depth_metrics(), "{case}");
+
+                    assert!(source.migrate_into(&mut target).is_empty(), "{case}");
+                    assert!(source.is_empty(), "{case}");
+                    assert_eq!(source.depth_metrics(), snapshot.depth_metrics(), "{case}");
+                    assert_eq!(target.len(), snapshot.len(), "{case}");
+                    assert_eq!(contents(&target), contents(&snapshot), "{case}");
+                    assert_eq!(target.insert_policy(), policy, "{case}");
+                    assert_eq!(target.depth_metrics().is_some(), armed, "{case}");
+                    let cloned = target.clone();
+                    assert_eq!(contents(&cloned), contents(&target), "{case}");
+                    assert_eq!(cloned.depth_metrics(), target.depth_metrics(), "{case}");
+                }
+            }
         }
     }
 

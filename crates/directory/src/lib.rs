@@ -86,7 +86,7 @@ pub use in_cache::InCacheDirectory;
 pub use sharded::ShardedDirectory;
 pub use skewed::SkewedDirectory;
 pub use sparse::SparseDirectory;
-pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy, ProbeVariant};
+pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy};
 pub use stats::{DepthMetrics, DirectoryStats};
 pub use tagless::TaglessDirectory;
 

@@ -17,7 +17,7 @@
 //! # Spec-string grammar
 //!
 //! ```text
-//! [shardedN:]ORG-WxS[-HASH][-PROBE][-POLICY][-cCACHES][@SHARERS]
+//! [shardedN:]ORG-WxS[-HASH][-POLICY][-cCACHES][@SHARERS]
 //! ```
 //!
 //! * `ORG` — `cuckoo`, `sparse`, `skewed`, `duplicate-tag` (alias
@@ -27,14 +27,10 @@
 //!   `in-cache`, the embedding L2 bank geometry;
 //! * `HASH` — `skew`, `ms`, `strong`, or `tagalt` (organizations with
 //!   hashed indexing only);
-//! * `PROBE` — `scalar`, `swar`, `simd`, or `localized`: the cuckoo
-//!   directory's tag-probe variant (all variants are bit-identical in
-//!   behaviour; this picks the kernel, and the label then names it);
 //! * `POLICY` — `greedy` (default) or `bfs`: the cuckoo directory's
-//!   insertion policy.  Unlike the probe kernels this is *semantic*: BFS
-//!   finds shortest displacement paths, so attempt counts and placements
-//!   differ from the greedy chain (the label names `bfs` whenever it is
-//!   in effect);
+//!   insertion policy.  The policy is *semantic*: BFS finds shortest
+//!   displacement paths, so attempt counts and placements differ from the
+//!   greedy chain (the label names `bfs` whenever it is in effect);
 //! * `cCACHES` — number of tracked private caches (default 32);
 //! * `@SHARERS` — `full`, `limited`, `coarse`, or `hier` (default `full`);
 //! * `shardedN:` — interleave the capacity across `N` identical slices
@@ -68,106 +64,10 @@ use std::str::FromStr;
 /// 16-core Shared-L2 system tracks 32 L1 caches).
 pub const DEFAULT_CACHES: usize = 32;
 
-/// Which tag-probe kernel a cuckoo directory's table should use.
-///
-/// Every variant is **bit-identical in behaviour** — same hits, same
-/// vacancy choices, same Section 5.2 displacement accounting — so the
-/// choice is purely a performance knob.  It can come from a spec string
-/// (`cuckoo-4x1024-tagalt-localized`), from the `CCD_PROBE` environment
-/// variable via [`ProbeVariant::from_env`], or be left to the table's own
-/// auto-selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ProbeVariant {
-    /// One tag byte compared at a time — the reference kernel.
-    Scalar,
-    /// Portable SWAR over gathered tag words (the PR 2 path, and the
-    /// fallback when no vector unit is available).
-    Swar,
-    /// Gathered candidate tags compared with one vector instruction
-    /// (sse2/avx2/neon, runtime-detected; portable fallback under Miri).
-    Simd,
-    /// F14-style line-local tag blocks: tags stored transposed so all of a
-    /// key's candidates sit in one contiguous span covered by a single
-    /// vector load.  Requires a block-local hash family (`tagalt`).
-    Localized,
-}
-
-impl ProbeVariant {
-    /// All variants, in the order bench sweeps report them.
-    #[must_use]
-    pub const fn all() -> [ProbeVariant; 4] {
-        [
-            ProbeVariant::Scalar,
-            ProbeVariant::Swar,
-            ProbeVariant::Simd,
-            ProbeVariant::Localized,
-        ]
-    }
-
-    /// Reads the `CCD_PROBE` environment override.
-    ///
-    /// Unset means "no preference" (`Ok(None)`); anything set must parse.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::Parse`] naming the offending token when the variable
-    /// is set to something other than a probe-variant name.
-    pub fn from_env() -> Result<Option<Self>, ConfigError> {
-        match std::env::var("CCD_PROBE") {
-            Ok(raw) => {
-                let variant =
-                    raw.trim()
-                        .parse::<ProbeVariant>()
-                        .map_err(|_| ConfigError::Parse {
-                            what: format!(
-                                "CCD_PROBE `{}`: expected one of scalar, swar, simd, localized",
-                                raw.trim()
-                            ),
-                        })?;
-                Ok(Some(variant))
-            }
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => Err(ConfigError::Parse {
-                what: "CCD_PROBE is not valid unicode".to_string(),
-            }),
-        }
-    }
-}
-
-impl fmt::Display for ProbeVariant {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ProbeVariant::Scalar => "scalar",
-            ProbeVariant::Swar => "swar",
-            ProbeVariant::Simd => "simd",
-            ProbeVariant::Localized => "localized",
-        };
-        f.write_str(name)
-    }
-}
-
-impl FromStr for ProbeVariant {
-    type Err = ConfigError;
-
-    fn from_str(s: &str) -> Result<Self, ConfigError> {
-        match s {
-            "scalar" => Ok(ProbeVariant::Scalar),
-            "swar" => Ok(ProbeVariant::Swar),
-            "simd" => Ok(ProbeVariant::Simd),
-            "localized" => Ok(ProbeVariant::Localized),
-            other => Err(ConfigError::Parse {
-                what: format!(
-                    "unknown probe variant `{other}` (known: scalar, swar, simd, localized)"
-                ),
-            }),
-        }
-    }
-}
-
 /// How a cuckoo directory's table finds a home for a new entry when every
 /// candidate slot is occupied.
 ///
-/// Unlike [`ProbeVariant`], the policy is **semantic**: the two policies
+/// The policy is **semantic**: the two policies
 /// agree on which keys are resident (until an attempt budget actually
 /// expires), but attempt counts and physical placements differ, so the
 /// policy is part of the organization label (`cuckoo-4x1024-bfs`) and of
@@ -221,8 +121,6 @@ pub struct DirectorySpec {
     pub sets: usize,
     /// Index hash family, for organizations that hash their ways.
     pub hash: Option<HashKind>,
-    /// Tag-probe kernel, for the cuckoo organization (`None` = auto).
-    pub probe: Option<ProbeVariant>,
     /// Insertion policy, for the cuckoo organization (default greedy).
     pub policy: InsertPolicy,
     /// Per-entry sharer representation.
@@ -243,7 +141,6 @@ impl DirectorySpec {
             ways,
             sets,
             hash: None,
-            probe: None,
             policy: InsertPolicy::Greedy,
             sharers: SharerFormat::FullVector,
             caches: DEFAULT_CACHES,
@@ -262,13 +159,6 @@ impl DirectorySpec {
     #[must_use]
     pub fn with_hash(mut self, hash: HashKind) -> Self {
         self.hash = Some(hash);
-        self
-    }
-
-    /// Returns the spec with an explicit tag-probe variant.
-    #[must_use]
-    pub fn with_probe(mut self, probe: ProbeVariant) -> Self {
-        self.probe = Some(probe);
         self
     }
 
@@ -396,10 +286,6 @@ impl FromStr for DirectorySpec {
                 spec.hash = Some(hash);
                 continue;
             }
-            if let Ok(probe) = token.parse::<ProbeVariant>() {
-                spec.probe = Some(probe);
-                continue;
-            }
             if let Ok(policy) = token.parse::<InsertPolicy>() {
                 spec.policy = policy;
                 continue;
@@ -438,9 +324,6 @@ impl fmt::Display for DirectorySpec {
                 HashKind::TagAlt => "tagalt",
             };
             write!(f, "-{name}")?;
-        }
-        if let Some(probe) = self.probe {
-            write!(f, "-{probe}")?;
         }
         if self.policy != InsertPolicy::Greedy {
             write!(f, "-{}", self.policy)?;
@@ -530,21 +413,6 @@ fn reject_sharers(spec: &DirectorySpec) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Rejects a `-PROBE` modifier on organizations without a cuckoo tag-probe
-/// engine, so e.g. `sparse-8x512-localized` fails loudly instead of
-/// silently ignoring the requested kernel.
-fn reject_probe(spec: &DirectorySpec) -> Result<(), ConfigError> {
-    if let Some(probe) = spec.probe {
-        return Err(ConfigError::Parse {
-            what: format!(
-                "organization `{}` has no tag-probe engine; the `{probe}` modifier does not apply",
-                spec.org
-            ),
-        });
-    }
-    Ok(())
-}
-
 /// Rejects a `-POLICY` modifier on organizations without a displacement
 /// insertion engine, so e.g. `sparse-8x512-bfs` fails loudly instead of
 /// silently ignoring the requested policy.
@@ -563,7 +431,6 @@ fn reject_policy(spec: &DirectorySpec) -> Result<(), ConfigError> {
 
 fn build_sparse(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
-    reject_probe(spec)?;
     reject_policy(spec)?;
     Ok(match_sharer_format!(spec.sharers, S => {
         Box::new(SparseDirectory::<S>::new(spec.ways, spec.sets, spec.caches)?)
@@ -571,7 +438,6 @@ fn build_sparse(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>
 }
 
 fn build_skewed(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
-    reject_probe(spec)?;
     reject_policy(spec)?;
     let hash = spec.hash.unwrap_or(HashKind::Skewing);
     Ok(match_sharer_format!(spec.sharers, S => {
@@ -583,7 +449,6 @@ fn build_duplicate_tag(spec: &DirectorySpec) -> Result<Box<dyn Directory>, Confi
     // `ways` mirrors the tracked caches' associativity; sharer identity is
     // implicit in which mirror a tag sits in.
     reject_hash(spec)?;
-    reject_probe(spec)?;
     reject_policy(spec)?;
     reject_sharers(spec)?;
     Ok(Box::new(DuplicateTagDirectory::new(
@@ -595,7 +460,6 @@ fn build_duplicate_tag(spec: &DirectorySpec) -> Result<Box<dyn Directory>, Confi
 
 fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
-    reject_probe(spec)?;
     reject_policy(spec)?;
     Ok(match_sharer_format!(spec.sharers, S => {
         Box::new(InCacheDirectory::<S>::new(spec.ways, spec.sets, spec.caches)?)
@@ -604,7 +468,6 @@ fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigErro
 
 fn build_tagless(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
-    reject_probe(spec)?;
     reject_policy(spec)?;
     reject_sharers(spec)?;
     Ok(Box::new(TaglessDirectory::with_filter_geometry(
@@ -736,15 +599,6 @@ mod tests {
         let spec: DirectorySpec = "skewed-4x256-strong".parse().unwrap();
         assert_eq!(spec.hash, Some(HashKind::Strong));
 
-        let spec: DirectorySpec = "cuckoo-4x1024-tagalt-localized".parse().unwrap();
-        assert_eq!(spec.hash, Some(HashKind::TagAlt));
-        assert_eq!(spec.probe, Some(ProbeVariant::Localized));
-
-        let spec: DirectorySpec = "cuckoo-4x1024-swar".parse().unwrap();
-        assert_eq!(spec.hash, None);
-        assert_eq!(spec.probe, Some(ProbeVariant::Swar));
-        assert_eq!(spec.policy, InsertPolicy::Greedy);
-
         let spec: DirectorySpec = "cuckoo-4x1024-tagalt-bfs-c16".parse().unwrap();
         assert_eq!(spec.hash, Some(HashKind::TagAlt));
         assert_eq!(spec.policy, InsertPolicy::Bfs);
@@ -762,19 +616,6 @@ mod tests {
         assert!(err.contains("bfs"), "should list policies: {err}");
         for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
             assert_eq!(policy.to_string().parse::<InsertPolicy>().unwrap(), policy);
-        }
-    }
-
-    #[test]
-    fn probe_variant_parse_errors_name_the_token() {
-        let err = "vectorish".parse::<ProbeVariant>().unwrap_err().to_string();
-        assert!(err.contains("`vectorish`"), "{err}");
-        assert!(err.contains("localized"), "should list variants: {err}");
-        for variant in ProbeVariant::all() {
-            assert_eq!(
-                variant.to_string().parse::<ProbeVariant>().unwrap(),
-                variant
-            );
         }
     }
 
@@ -832,10 +673,9 @@ mod tests {
             "skewed-4x1024-strong",
             "duplicate-tag-16x512-c16",
             "sharded4:sparse-4x256@coarse",
-            "cuckoo-4x1024-tagalt-localized",
-            "cuckoo-4x1024-simd-c16",
+            "cuckoo-4x1024-tagalt",
             "cuckoo-4x1024-bfs",
-            "cuckoo-4x1024-tagalt-localized-bfs-c16",
+            "cuckoo-4x1024-tagalt-bfs-c16",
         ] {
             let spec: DirectorySpec = input.parse().unwrap();
             assert_eq!(spec.to_string(), input);
@@ -875,20 +715,6 @@ mod tests {
         // Sharer formats only apply to organizations with per-entry sets.
         assert!(registry.build_str("duplicate-tag-2x32@coarse").is_err());
         assert!(registry.build_str("tagless-2x32@hier").is_err());
-        // Probe variants only apply to the cuckoo organization's engine.
-        for spec in [
-            "sparse-8x512-localized",
-            "skewed-4x256-simd",
-            "duplicate-tag-2x32-scalar",
-            "in-cache-16x64-swar",
-            "tagless-2x32-swar",
-        ] {
-            let err = match registry.build_str(spec) {
-                Err(e) => e.to_string(),
-                Ok(_) => panic!("{spec} must be rejected"),
-            };
-            assert!(err.contains("no tag-probe engine"), "{spec}: {err}");
-        }
         // Insert policies only apply to the cuckoo displacement engine.
         for spec in [
             "sparse-8x512-bfs",
@@ -930,37 +756,5 @@ mod tests {
         assert!(sharded.organization().starts_with("sharded4x["));
         // Indivisible set counts are rejected.
         assert!(registry.build_str("sharded3:sparse-4x1024").is_err());
-    }
-
-    #[test]
-    fn probe_from_env_parses_and_quotes_bad_tokens() {
-        // The only test in this binary touching CCD_PROBE, so the env
-        // mutation cannot race with a concurrent reader (mirrors the
-        // CCD_WORKERS test of the coherence runner).
-        let restore = std::env::var("CCD_PROBE").ok();
-        std::env::remove_var("CCD_PROBE");
-        assert_eq!(ProbeVariant::from_env().unwrap(), None);
-        for (token, want) in [
-            ("scalar", ProbeVariant::Scalar),
-            (" swar ", ProbeVariant::Swar),
-            ("simd", ProbeVariant::Simd),
-            ("localized", ProbeVariant::Localized),
-        ] {
-            std::env::set_var("CCD_PROBE", token);
-            assert_eq!(ProbeVariant::from_env().unwrap(), Some(want));
-        }
-        for bad in ["avx9", "SWAR", "local", ""] {
-            std::env::set_var("CCD_PROBE", bad);
-            let err = ProbeVariant::from_env().unwrap_err().to_string();
-            assert!(err.contains("CCD_PROBE"), "{err}");
-            assert!(
-                err.contains(&format!("`{}`", bad.trim())),
-                "must quote the token: {err}"
-            );
-        }
-        match restore {
-            Some(value) => std::env::set_var("CCD_PROBE", value),
-            None => std::env::remove_var("CCD_PROBE"),
-        }
     }
 }

@@ -25,7 +25,7 @@ pub enum HashKind {
     /// Tag-derived alternate buckets (`base ^ g(tag)`): a strong way-0
     /// index with per-tag XOR offsets for the other ways, so displacement
     /// candidates derive from the tag array alone and all candidates of a
-    /// key share one aligned block (enables the `localized` probe layout).
+    /// key share one aligned block (enables the table's line-local tag layout).
     TagAlt,
 }
 
@@ -148,7 +148,7 @@ impl HashFamily {
     }
 
     /// The concrete tag-alt family, when this is one — probe layers use
-    /// this to unlock tag-only displacement and the localized layout.
+    /// this to unlock tag-only displacement and the line-local tag layout.
     #[must_use]
     pub fn tag_alt(&self) -> Option<&TagAltFamily> {
         match self {

@@ -26,7 +26,7 @@
 //!   [`IndexHashFamily::index_all_into`].
 //! * **Block locality.**  All candidates of a key differ from `index_0`
 //!   only in the low `log2(BLOCK_SPAN)` bits, so they share one aligned
-//!   [`BLOCK_SPAN`]-set block.  The `localized` probe layout exploits this
+//!   [`BLOCK_SPAN`]-set block.  The table's line-local tag layout exploits this
 //!   by storing a block's tags contiguously: one vector load covers every
 //!   candidate of a probe.
 

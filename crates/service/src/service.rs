@@ -597,7 +597,7 @@ impl WorkerOutput {
 /// # Panics
 ///
 /// When the policy's target geometry is invalid for the organization (for
-/// example re-waying past a pinned probe kernel's limit).  That is a
+/// example re-waying past the hash family's way limit).  That is a
 /// configuration error, not a runtime condition, and surfacing it beats
 /// silently diverging from the schedule.
 pub(crate) fn maybe_resize(

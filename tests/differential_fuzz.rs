@@ -1,7 +1,8 @@
 //! Differential fuzz harness (ARCHITECTURE.md Contract #10).
 //!
 //! Each fuzz case draws a random directory spec (geometry × hash family ×
-//! probe kernel × insertion policy), a random workload, and optionally a
+//! insertion policy — way counts and families on both sides of the table's
+//! tag-layout bound), a random workload, and optionally a
 //! live-resize policy and a crash schedule — then checks the service's
 //! determinism contract differentially:
 //!
@@ -43,7 +44,7 @@ fn build(
 fn run_case(seed: u64, index: usize) {
     let mut rng = SplitMix64::new(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // --- the spec: geometry x hash x probe x policy -----------------------
+    // --- the spec: geometry x hash x policy -------------------------------
     let shards = [2usize, 4][rng.next_below(2) as usize];
     let sets = [32usize, 64][rng.next_below(2) as usize] * shards;
     let spec = if rng.next_below(5) == 0 {
@@ -53,13 +54,8 @@ fn run_case(seed: u64, index: usize) {
     } else {
         let ways = [2usize, 3, 4, 8][rng.next_below(4) as usize];
         let kind = ["skew", "strong", "tagalt"][rng.next_below(3) as usize];
-        let probe = if kind == "tagalt" && ways <= 4 && rng.next_below(4) == 0 {
-            "-localized"
-        } else {
-            ["-scalar", "-swar", "-simd", ""][rng.next_below(4) as usize]
-        };
         let policy = ["", "-bfs"][rng.next_below(2) as usize];
-        format!("cuckoo-{ways}x{sets}-{kind}{probe}{policy}-c8")
+        format!("cuckoo-{ways}x{sets}-{kind}{policy}-c8")
     };
 
     // --- the traffic ------------------------------------------------------

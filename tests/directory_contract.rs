@@ -92,6 +92,31 @@ fn every_registry_spec_constructs_at_runtime() {
 }
 
 #[test]
+fn former_probe_tokens_are_unknown_modifiers_and_registry_specs_round_trip() {
+    use ccd_directory::DirectorySpec as RegistrySpec;
+    // The spec grammar has no probe slot: the tokens that used to pin a
+    // kernel fail like any other unknown modifier, quoting the token.
+    for (input, token) in [
+        ("cuckoo-4x64-tagalt-localized", "`localized`"),
+        ("cuckoo-4x64-strong-simd-c8", "`simd`"),
+        ("sparse-4x64-swar", "`swar`"),
+        ("sharded2:cuckoo-4x64-scalar", "`scalar`"),
+    ] {
+        let err = match input.parse::<RegistrySpec>() {
+            Err(err) => err.to_string(),
+            Ok(spec) => panic!("{input} must not parse (got {spec})"),
+        };
+        assert!(err.contains("unknown modifier"), "{input}: {err}");
+        assert!(err.contains(token), "{input}: {err}");
+    }
+    for input in REGISTRY_SPECS.iter().chain(PIPELINE_SPECS) {
+        let spec: RegistrySpec = input.parse().expect(input);
+        let reparsed: RegistrySpec = spec.to_string().parse().expect(input);
+        assert_eq!(reparsed, spec, "{input}");
+    }
+}
+
+#[test]
 fn sharers_are_always_a_superset_of_what_was_added() {
     for (label, mut dir) in all_dirs() {
         let caches = dir.num_caches();
@@ -325,20 +350,18 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
     }
 }
 
-/// Cuckoo geometries and kernels the batch pipeline must treat alike, on
-/// top of [`REGISTRY_SPECS`]: way counts on both sides of the table's
-/// compact-buffer bound (8), every probe kernel, both insertion policies,
-/// a heap-backed full vector, and two tables small enough that the stream
+/// Cuckoo geometries the batch pipeline must treat alike, on top of
+/// [`REGISTRY_SPECS`]: way counts on both sides of the table's
+/// compact-buffer bound (8), both tag layouts (`tagalt` at four ways is
+/// line-local, everything else planar), both insertion policies, a
+/// heap-backed full vector, and two tables small enough that the stream
 /// below drives them far past capacity.
 const PIPELINE_SPECS: &[&str] = &[
     "cuckoo-2x64-strong-c8",
     "cuckoo-3x64-ms-c8",
     "cuckoo-8x16-skew-c8",
     "cuckoo-16x8-strong-c8",
-    "cuckoo-4x64-strong-scalar-c8",
-    "cuckoo-4x64-strong-swar-c8",
-    "cuckoo-4x64-strong-simd-c8",
-    "cuckoo-4x64-tagalt-localized-c8",
+    "cuckoo-4x64-tagalt-c8",
     "cuckoo-4x64-tagalt-bfs-c8",
     "cuckoo-4x64-skew-c128",
     TINY_GREEDY,

@@ -1,49 +1,40 @@
-//! Probe-variant equivalence suite (ARCHITECTURE.md Contract #9).
+//! Tag-layout equivalence suite (ARCHITECTURE.md Contract #9).
 //!
-//! Every [`ProbeVariant`] kernel — `scalar`, `swar`, `simd`, `localized` —
-//! must be observationally identical to the seed's array-of-structs table:
-//! same hit/miss answers, same Section 5.2 insertion accounting (attempt
-//! counts, discard choices), same final contents, on the same operation
-//! stream.  These tests drive randomized saturating streams (occupancies up
-//! to ~0.95) and the displacement edge cases (attempt budget of 1, a 2-way
-//! table at 100% load, chains that circle back to the incoming key) through
-//! every variant legal for a hash kind, in lockstep against
-//! [`AosReferenceTable`].
+//! Whichever of its two tag layouts a table is built with — line-local with
+//! the one-vector compare for `tagalt` up to four ways, planar with SWAR
+//! for everything else — it must be observationally identical to the seed's
+//! array-of-structs table: same hit/miss answers, same Section 5.2
+//! insertion accounting (attempt counts, discard choices), same final
+//! contents, on the same operation stream.  These tests drive randomized
+//! saturating streams (occupancies up to ~0.95) and the displacement edge
+//! cases (attempt budget of 1, a 2-way table at 100% load, chains that
+//! circle back to the incoming key) through every hash kind at way counts
+//! on both sides of the layout bound, in lockstep against
+//! [`AosReferenceTable`].  Which geometry gets which layout is asserted by
+//! the `table.rs` unit tests, which can see it.
 
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_common::LineAddr;
 use ccd_cuckoo::seed_reference::AosReferenceTable;
-use ccd_cuckoo::{CuckooConfig, CuckooDirectory, CuckooTable};
-use ccd_directory::{Directory, InsertPolicy, ProbeVariant};
+use ccd_cuckoo::CuckooTable;
+use ccd_directory::InsertPolicy;
 use ccd_hash::{fingerprint, HashFamily, HashKind, IndexHashFamily};
-use ccd_sharers::FullBitVector;
 use std::collections::BTreeMap;
 
-/// Every variant legal for `kind` (`localized` needs the tagalt family).
-fn variants_for(kind: HashKind) -> Vec<ProbeVariant> {
-    let mut variants = vec![ProbeVariant::Scalar, ProbeVariant::Swar, ProbeVariant::Simd];
-    if kind == HashKind::TagAlt {
-        variants.push(ProbeVariant::Localized);
-    }
-    variants
-}
-
 /// Drives `ops` random operations (inserts from a narrow keyspace so the
-/// table saturates, plus removes and lookups) through a variant table and
+/// table saturates, plus removes and lookups) through a table and
 /// the seed reference in lockstep, asserting identical accounting at every
 /// step and identical contents at the end.  Returns the peak occupancy the
 /// stream reached.
 fn lockstep_stream(
     kind: HashKind,
-    variant: ProbeVariant,
     ways: usize,
     sets: usize,
     budget: u32,
     ops: usize,
     seed: u64,
 ) -> f64 {
-    let mut table: CuckooTable<u64> =
-        CuckooTable::with_variant(ways, sets, kind, seed, Some(variant)).unwrap();
+    let mut table: CuckooTable<u64> = CuckooTable::new(ways, sets, kind, seed).unwrap();
     table.set_max_attempts(budget);
     let mut reference = AosReferenceTable::new(ways, sets, kind, seed, budget).unwrap();
     let mut rng = SplitMix64::new(seed ^ 0x9E3779B9);
@@ -57,13 +48,13 @@ fn lockstep_stream(
             0 => {
                 let got = table.remove(key);
                 let want = reference.remove(key);
-                assert_eq!(got, want, "{kind}/{variant} remove diverged at {step}");
+                assert_eq!(got, want, "{kind}/{ways}-way remove diverged at {step}");
             }
             1 => {
                 assert_eq!(
                     table.contains(key),
                     reference.contains(key),
-                    "{kind}/{variant} contains diverged at {step}"
+                    "{kind}/{ways}-way contains diverged at {step}"
                 );
             }
             _ => {
@@ -72,27 +63,30 @@ fn lockstep_stream(
                 assert_eq!(
                     (got.attempts, &got.discarded),
                     (want_attempts, &want_discard),
-                    "{kind}/{variant} insert accounting diverged at {step}"
+                    "{kind}/{ways}-way insert accounting diverged at {step}"
                 );
             }
         }
-        assert_eq!(table.len(), reference.len(), "{kind}/{variant} at {step}");
+        assert_eq!(table.len(), reference.len(), "{kind}/{ways}-way at {step}");
         peak = peak.max(table.occupancy());
     }
     let got: BTreeMap<u64, u64> = table.iter().map(|(k, &v)| (k, v)).collect();
     let want: BTreeMap<u64, u64> = reference.iter().map(|(k, &v)| (k, v)).collect();
-    assert_eq!(got, want, "{kind}/{variant} final contents diverged");
+    assert_eq!(got, want, "{kind}/{ways}-way final contents diverged");
     peak
 }
 
 #[test]
-fn all_variants_match_the_seed_reference_at_saturating_occupancy() {
-    for kind in [HashKind::Skewing, HashKind::Strong, HashKind::TagAlt] {
-        for variant in variants_for(kind) {
-            let peak = lockstep_stream(kind, variant, 4, 64, 32, 4000, 0xA5);
+fn both_layouts_match_the_seed_reference_at_saturating_occupancy() {
+    for kind in HashKind::all().into_iter().chain([HashKind::TagAlt]) {
+        for ways in [2, 3, 4, 8, 16] {
+            let sets = if ways <= 4 { 64 } else { 16 };
+            let peak = lockstep_stream(kind, ways, sets, 32, 16 * ways * sets, 0xA5);
+            // A 2-ary table cannot fill (Figure 7); everything wider must.
+            let floor = if ways == 2 { 0.5 } else { 0.85 };
             assert!(
-                peak >= 0.85,
-                "{kind}/{variant} stream must saturate the table (peak {peak:.3})"
+                peak >= floor,
+                "{kind}/{ways}-way stream must saturate the table (peak {peak:.3})"
             );
         }
     }
@@ -102,41 +96,30 @@ fn all_variants_match_the_seed_reference_at_saturating_occupancy() {
 fn strong_4ary_reaches_ninety_five_percent_in_lockstep() {
     // The 4-ary threshold sits near 0.97 (Figure 7): a saturating stream
     // must carry the lockstep comparison through 0.95 occupancy.
-    let peak = lockstep_stream(
-        HashKind::Strong,
-        ProbeVariant::Simd,
-        4,
-        128,
-        32,
-        12_000,
-        0x51,
-    );
+    let peak = lockstep_stream(HashKind::Strong, 4, 128, 32, 12_000, 0x51);
     assert!(peak >= 0.95, "peak occupancy only {peak:.3}");
 }
 
 #[test]
 fn displacement_edge_cases_stay_in_lockstep() {
     for kind in [HashKind::Strong, HashKind::TagAlt] {
-        for variant in variants_for(kind) {
-            // Attempt budget of 1: exhaustion on the very first round, the
-            // chain "circles back" immediately and the probed slot's victim
-            // is discarded.
-            lockstep_stream(kind, variant, 2, 16, 1, 1500, 0xB1);
-            // 2-way at 100% load: every insert displaces; short budget.
-            lockstep_stream(kind, variant, 2, 16, 4, 1500, 0xB2);
-            // Wider table, budget 2: chains that wrap past the last way.
-            lockstep_stream(kind, variant, 4, 16, 2, 1500, 0xB3);
-        }
+        // Attempt budget of 1: exhaustion on the very first round, the
+        // chain "circles back" immediately and the probed slot's victim is
+        // discarded.
+        lockstep_stream(kind, 2, 16, 1, 1500, 0xB1);
+        // 2-way at 100% load: every insert displaces; short budget.
+        lockstep_stream(kind, 2, 16, 4, 1500, 0xB2);
+        // Wider table, budget 2: chains that wrap past the last way.
+        lockstep_stream(kind, 4, 16, 2, 1500, 0xB3);
     }
 }
 
 #[test]
 fn wide_tagalt_tables_probe_identically_without_localized() {
-    // 8 ways x 16-set blocks exceed the 64-byte span, so localized is
-    // unavailable — but the other variants must still agree on tagalt.
-    for variant in [ProbeVariant::Scalar, ProbeVariant::Swar, ProbeVariant::Simd] {
-        lockstep_stream(HashKind::TagAlt, variant, 8, 32, 8, 2000, 0xC4);
-    }
+    // 8 ways x 16-set blocks exceed the 64-byte span, so the line-local
+    // layout is unavailable — the planar one must still agree on tagalt,
+    // here under a budget short enough to expire mid-chain.
+    lockstep_stream(HashKind::TagAlt, 8, 32, 8, 2000, 0xC4);
 }
 
 #[test]
@@ -182,8 +165,7 @@ fn occupancy_at_first_discard(
     budget: u32,
     seed: u64,
 ) -> f64 {
-    let mut table: CuckooTable<u64> =
-        CuckooTable::with_variant(ways, sets, kind, seed, None).unwrap();
+    let mut table: CuckooTable<u64> = CuckooTable::new(ways, sets, kind, seed).unwrap();
     table.set_max_attempts(budget);
     table.set_insert_policy(policy);
     let mut rng = SplitMix64::new(seed ^ 0x5EED);
@@ -239,8 +221,7 @@ fn bfs_and_greedy_lookups_agree_for_every_inserted_key() {
     // first discard on either side.
     for kind in [HashKind::Strong, HashKind::TagAlt] {
         let (ways, sets, budget, seed) = (4, 64, 8, 0xBF5u64);
-        let mut greedy: CuckooTable<u64> =
-            CuckooTable::with_variant(ways, sets, kind, seed, None).unwrap();
+        let mut greedy: CuckooTable<u64> = CuckooTable::new(ways, sets, kind, seed).unwrap();
         greedy.set_max_attempts(budget);
         let mut bfs = greedy.clone();
         bfs.set_insert_policy(InsertPolicy::Bfs);
@@ -275,48 +256,5 @@ fn bfs_and_greedy_lookups_agree_for_every_inserted_key() {
             let absent = rng.next_u64() >> 4;
             assert_eq!(greedy.contains(absent), bfs.contains(absent), "{kind}");
         }
-    }
-}
-
-#[test]
-fn ccd_probe_env_override_selects_the_kernel_but_not_the_label() {
-    // The only test in this binary touching CCD_PROBE, so the env mutation
-    // cannot race with a concurrent reader (the lockstep tests construct
-    // tables with explicit variants, which never consult the environment).
-    let restore = std::env::var("CCD_PROBE").ok();
-
-    std::env::remove_var("CCD_PROBE");
-    let auto = CuckooDirectory::<FullBitVector>::new(CuckooConfig::new(4, 64, 8)).unwrap();
-    assert_eq!(auto.probe_variant(), ProbeVariant::Swar);
-
-    std::env::set_var("CCD_PROBE", "scalar");
-    let dir = CuckooDirectory::<FullBitVector>::new(CuckooConfig::new(4, 64, 8)).unwrap();
-    assert_eq!(dir.probe_variant(), ProbeVariant::Scalar);
-    // The env override never relabels the directory: golden result files
-    // diff byte-identically under CCD_PROBE.
-    assert_eq!(dir.organization(), auto.organization());
-
-    // An explicit config pin beats the environment and names itself.
-    let pinned = CuckooDirectory::<FullBitVector>::new(
-        CuckooConfig::new(4, 64, 8).with_probe(ProbeVariant::Simd),
-    )
-    .unwrap();
-    assert_eq!(pinned.probe_variant(), ProbeVariant::Simd);
-    assert!(pinned.organization().ends_with("-simd"));
-
-    // A malformed override fails construction with the token quoted.
-    std::env::set_var("CCD_PROBE", "avx512");
-    let Err(err) = CuckooDirectory::<FullBitVector>::new(CuckooConfig::new(4, 64, 8)) else {
-        panic!("bad CCD_PROBE must fail");
-    };
-    let err = err.to_string();
-    assert!(
-        err.contains("CCD_PROBE") && err.contains("`avx512`"),
-        "{err}"
-    );
-
-    match restore {
-        Some(value) => std::env::set_var("CCD_PROBE", value),
-        None => std::env::remove_var("CCD_PROBE"),
     }
 }
