@@ -3,8 +3,10 @@
 //! Runs the Figure 9 provisioning sweep — the largest simulation sweep in
 //! the suite (2 hierarchies × 6 organizations × 9 workloads) — once on a
 //! single worker and once on all available workers, verifies the two runs
-//! produce *byte-identical* results, and records both wall-clocks in
-//! `results/BENCH_sweep.json`.
+//! produce *byte-identical* results, and records both wall-clocks and the
+//! serial simulation rate in `results/BENCH_sweep.json`.  With one worker
+//! available the "parallel" run is a second serial run, so no speedup is
+//! recorded (`"speedup": null`).
 
 use ccd_bench::{fig9_sweep, write_bench_json, ParallelRunner, RunScale, SweepResults, TextTable};
 use ccd_coherence::Hierarchy;
@@ -15,18 +17,26 @@ struct SweepBench {
     scale: String,
     points: usize,
     refs_processed_total: u64,
+    /// Warm-up plus measured references of one run of the sweep.
+    refs_simulated_total: u64,
     workers: usize,
     serial_seconds: f64,
+    /// `refs_simulated_total / serial_seconds`.
+    serial_refs_per_second: f64,
     parallel_seconds: f64,
-    speedup: f64,
+    /// Serial over parallel wall-clock; `None` when the parallel run had a
+    /// single worker and so measured nothing parallel.
+    speedup: Option<f64>,
     outputs_identical: bool,
 }
 ccd_bench::impl_to_json!(SweepBench {
     scale,
     points,
     refs_processed_total,
+    refs_simulated_total,
     workers,
     serial_seconds,
+    serial_refs_per_second,
     parallel_seconds,
     speedup,
     outputs_identical
@@ -46,8 +56,10 @@ fn runs_identical(a: &[SweepResults], b: &[SweepResults]) -> bool {
         })
 }
 
+const HIERARCHIES: [Hierarchy; 2] = [Hierarchy::SharedL2, Hierarchy::PrivateL2];
+
 fn run_all(runner: &ParallelRunner, scale: RunScale) -> Vec<SweepResults> {
-    [Hierarchy::SharedL2, Hierarchy::PrivateL2]
+    HIERARCHIES
         .into_iter()
         .map(|h| {
             fig9_sweep(h, scale)
@@ -92,14 +104,23 @@ fn main() {
         .map(|c| c.report.refs_processed)
         .sum();
 
+    let refs_simulated_total: u64 = HIERARCHIES
+        .into_iter()
+        .flat_map(|h| fig9_sweep(h, scale).jobs())
+        .map(|(_, job)| job.warmup_refs + job.measure_refs)
+        .sum();
+
+    let workers = parallel_runner.workers();
     let bench = SweepBench {
         scale: scale_name.to_string(),
         points,
         refs_processed_total,
-        workers: parallel_runner.workers(),
+        refs_simulated_total,
+        workers,
         serial_seconds,
+        serial_refs_per_second: refs_simulated_total as f64 / serial_seconds.max(1e-9),
         parallel_seconds,
-        speedup: serial_seconds / parallel_seconds.max(1e-9),
+        speedup: (workers > 1).then(|| serial_seconds / parallel_seconds.max(1e-9)),
         outputs_identical,
     };
 
@@ -110,8 +131,16 @@ fn main() {
         bench.refs_processed_total.to_string(),
     ]);
     table.add_row(vec![
+        "simulated refs (with warm-up)".to_string(),
+        bench.refs_simulated_total.to_string(),
+    ]);
+    table.add_row(vec![
         "serial wall-clock (s)".to_string(),
         format!("{:.2}", bench.serial_seconds),
+    ]);
+    table.add_row(vec![
+        "serial rate (M refs/s)".to_string(),
+        format!("{:.2}", bench.serial_refs_per_second / 1e6),
     ]);
     table.add_row(vec![
         format!("parallel wall-clock (s, {} workers)", bench.workers),
@@ -119,7 +148,10 @@ fn main() {
     ]);
     table.add_row(vec![
         "speedup".to_string(),
-        format!("{:.2}x", bench.speedup),
+        bench.speedup.map_or_else(
+            || "not measured (one worker: both runs were serial)".to_string(),
+            |speedup| format!("{speedup:.2}x"),
+        ),
     ]);
     table.add_row(vec![
         "outputs identical".to_string(),

@@ -9,11 +9,17 @@ use ccd_directory::{Directory, DirectoryOp, DirectoryStats, Outcome};
 ///
 /// A block's home slice is selected by the low-order block-number bits and
 /// the slice is handed the *slice-local* line (block number with the slice
-/// bits divided out) so intra-slice indexing is not aliased by the
-/// interleaving.  The complex owns only directory state; cache effects and
+/// bits shifted out) so intra-slice indexing is not aliased by the
+/// interleaving.  The slice count is a power of two, so routing is a mask
+/// and a shift.  The complex owns only directory state; cache effects and
 /// statistics routing stay with the simulator's other layers.
 pub struct DirectoryComplex {
     slices: Vec<Box<dyn Directory>>,
+    /// `log2(slices.len())`: how far a block number shifts to drop its
+    /// slice bits.
+    slice_shift: u32,
+    /// `slices.len() - 1`: the block-number bits that select the slice.
+    slice_mask: u64,
     organization: String,
 }
 
@@ -32,13 +38,24 @@ impl DirectoryComplex {
     ///
     /// # Errors
     ///
-    /// Propagates the organization's configuration errors.
+    /// Returns [`ConfigError::NotPowerOfTwo`] when the system's slice count
+    /// is not a power of two (home routing masks and shifts by it), and
+    /// propagates the organization's configuration errors.
     pub fn new(system: &SystemConfig, spec: &DirectorySpec) -> Result<Self, ConfigError> {
+        let count = system.num_slices() as u64;
+        if !ccd_common::is_power_of_two(count) {
+            return Err(ConfigError::NotPowerOfTwo {
+                what: "directory slice count",
+                value: count,
+            });
+        }
         let slices = (0..system.num_slices())
             .map(|_| spec.build_slice(system))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(DirectoryComplex {
             slices,
+            slice_shift: count.trailing_zeros(),
+            slice_mask: count - 1,
             organization: spec.label(),
         })
     }
@@ -59,11 +76,10 @@ impl DirectoryComplex {
     /// line handed to that slice's directory.
     #[must_use]
     pub fn home_of(&self, line: LineAddr) -> (usize, LineAddr) {
-        let slices = self.slices.len() as u64;
         let block = line.block_number();
         (
-            (block % slices) as usize,
-            LineAddr::from_block_number(block / slices),
+            (block & self.slice_mask) as usize,
+            LineAddr::from_block_number(block >> self.slice_shift),
         )
     }
 
@@ -71,7 +87,7 @@ impl DirectoryComplex {
     /// slice-local line reported by that slice.
     #[must_use]
     pub fn global_line(&self, slice: usize, local: LineAddr) -> LineAddr {
-        LineAddr::from_block_number(local.block_number() * self.slices.len() as u64 + slice as u64)
+        LineAddr::from_block_number((local.block_number() << self.slice_shift) | slice as u64)
     }
 
     /// Applies `op` (already carrying a slice-local line) to `slice`.
@@ -79,11 +95,10 @@ impl DirectoryComplex {
         self.slices[slice].apply(op, out);
     }
 
-    /// Prefetches the home slice's candidate locations for the global line
-    /// `line` (see [`Directory::prefetch_line`]).
-    pub fn prefetch(&self, line: LineAddr) {
-        let (slice, local) = self.home_of(line);
-        self.slices[slice].prefetch_line(local);
+    /// The slices themselves, for per-slice lockstep comparisons.
+    #[cfg(test)]
+    pub(crate) fn slices(&self) -> &[Box<dyn Directory>] {
+        &self.slices
     }
 
     /// Mean occupancy across all slices.
@@ -129,12 +144,50 @@ mod tests {
 
     #[test]
     fn home_routing_round_trips() {
-        let complex = complex();
-        for block in [0u64, 1, 5, 1023, 0xFFFF_FFFF] {
-            let line = LineAddr::from_block_number(block);
-            let (slice, local) = complex.home_of(line);
-            assert!(slice < complex.num_slices());
-            assert_eq!(complex.global_line(slice, local), line);
+        for slices in [1usize, 2, 4, 16, 1024] {
+            // Explicit tiny slices: 1024 of them sized for Table 1 would
+            // hold half a gigabyte.
+            let system = SystemConfig::private_l2(slices);
+            let spec = DirectorySpec::custom("cuckoo-4x2").unwrap();
+            let complex = DirectoryComplex::new(&system, &spec).unwrap();
+            assert_eq!(complex.num_slices(), slices);
+            for block in [
+                0u64,
+                1,
+                5,
+                1023,
+                0xFFFF_FFFF,
+                u64::MAX,
+                u64::MAX - 1,
+                u64::MAX << 10,
+                (u64::MAX << 10) | 0x155,
+            ] {
+                let line = LineAddr::from_block_number(block);
+                let (slice, local) = complex.home_of(line);
+                assert_eq!(slice as u64, block % slices as u64);
+                assert_eq!(local.block_number(), block / slices as u64);
+                assert_eq!(complex.global_line(slice, local), line);
+            }
+        }
+    }
+
+    #[test]
+    fn a_slice_count_that_is_not_a_power_of_two_is_rejected() {
+        // A hand-built system that skipped `SystemConfig::validate`: routing
+        // by mask would send its blocks to the wrong slice.
+        for cores in [0usize, 3, 6, 12] {
+            let system = SystemConfig {
+                num_cores: cores,
+                ..SystemConfig::shared_l2(4)
+            };
+            let err = DirectoryComplex::new(&system, &DirectorySpec::cuckoo(4, 1.0)).unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::NotPowerOfTwo {
+                    what: "directory slice count",
+                    value: cores as u64,
+                }
+            );
         }
     }
 

@@ -97,6 +97,16 @@ impl TileCaches {
         self.caches[cache.index()].downgrade(line)
     }
 
+    /// Every resident `(cache, line, state)` in frame order — the whole
+    /// observable cache state, for lockstep comparisons of two simulators.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> impl Iterator<Item = (usize, LineAddr, CoherenceState)> + '_ {
+        self.caches
+            .iter()
+            .enumerate()
+            .flat_map(|(id, cache)| cache.resident_lines().map(move |(l, s)| (id, l, s)))
+    }
+
     /// Total `(accesses, misses)` across all caches.
     #[must_use]
     pub fn totals(&self) -> (u64, u64) {

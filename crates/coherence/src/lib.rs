@@ -17,7 +17,7 @@
 //!
 //! The directory is distributed into one slice per tile; a block's home
 //! slice is selected by the low-order block-number bits and the slice is
-//! handed the *slice-local* line (block number with the slice bits divided
+//! handed the *slice-local* line (block number with the slice bits shifted
 //! out) so that intra-slice indexing is not aliased by the interleaving.
 //!
 //! # Engine architecture

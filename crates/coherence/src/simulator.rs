@@ -6,13 +6,6 @@ use ccd_cache::{AccessOutcome, CoherenceState};
 use ccd_common::{CacheId, ConfigError, LineAddr, MemRef};
 use ccd_directory::{DirectoryOp, Outcome};
 
-/// How many upcoming references [`CmpSimulator::run`] pulls from the trace
-/// at a time: each window's home-slice directory lines are prefetched before
-/// the references are processed, overlapping the candidate-slot cache misses
-/// of independent references.  Purely a latency optimization — references
-/// are still processed one at a time, in trace order.
-pub const RUN_PREFETCH_WINDOW: usize = 8;
-
 /// A functional, trace-driven simulator of the paper's tiled CMP.
 ///
 /// See the crate-level documentation for the modelled protocol.  The
@@ -104,7 +97,8 @@ impl CmpSimulator {
     /// Applies the cache-side effects of a directory update: coherence
     /// invalidations of other sharers and forced invalidations of blocks
     /// whose directory entries were evicted.
-    fn apply_update(&mut self, slice: usize, line: LineAddr, out: &Outcome) {
+    fn apply_update(&mut self, slice: usize, line: LineAddr) {
+        let out = &self.outcome;
         for &target in out.invalidate() {
             if self.tiles.invalidate(target, line) {
                 self.stats.record_coherence_invalidation();
@@ -123,15 +117,16 @@ impl CmpSimulator {
     /// Dispatches `op` to `slice`'s directory through the reusable outcome
     /// buffer and applies the resulting invalidations to the caches.
     fn dispatch(&mut self, slice: usize, line: LineAddr, op: DirectoryOp) {
-        let mut out = std::mem::take(&mut self.outcome);
-        self.directory.apply(slice, op, &mut out);
-        self.apply_update(slice, line, &out);
-        self.outcome = out;
+        self.directory.apply(slice, op, &mut self.outcome);
+        self.apply_update(slice, line);
     }
 
-    /// Downgrades any cache holding `line` in Modified state (another cache
-    /// is about to obtain a shared copy).  Allocation-free: one `Probe`
-    /// through the reusable outcome buffer yields the sharer set.
+    /// Downgrades every *other* cache holding `line` in Modified state
+    /// (`requester` obtained a shared copy).  Allocation-free: one `Probe`
+    /// through the reusable outcome buffer yields the sharer set.  The set
+    /// may be a superset of the true holders (coarse, overflowed
+    /// limited-pointer, Tagless); the caches' own
+    /// [`state_of`](TileCaches::state_of) decides who is downgraded.
     fn downgrade_writers(
         &mut self,
         slice: usize,
@@ -139,20 +134,40 @@ impl CmpSimulator {
         line: LineAddr,
         requester: CacheId,
     ) {
-        let mut out = std::mem::take(&mut self.outcome);
         self.directory
-            .apply(slice, DirectoryOp::Probe { line: local }, &mut out);
-        for &sharer in out.sharers() {
+            .apply(slice, DirectoryOp::Probe { line: local }, &mut self.outcome);
+        for &sharer in self.outcome.sharers() {
             if sharer != requester
                 && self.tiles.state_of(sharer, line) == Some(CoherenceState::Modified)
             {
                 self.tiles.downgrade(sharer, line);
             }
         }
-        self.outcome = out;
     }
 
     /// Processes one memory reference.
+    ///
+    /// A read miss sends `AddSharer` first and asks for the sharer set
+    /// (`Probe`, then the downgrade of remote writers) only when the add
+    /// *hit* an existing entry.  That is observably the same as probing
+    /// first, for every organization:
+    ///
+    /// * an add that **allocated** found no entry, so a probe before it
+    ///   would have reported no sharer and downgraded nobody;
+    /// * an add that **hit** allocated nothing, so it evicted no other
+    ///   line's entry.  Its one possible cache effect — Duplicate-Tag
+    ///   evicting a stale line from the requester's *own* mirror — touches
+    ///   `(requester, victim line)`, while a downgrade touches
+    ///   `(other cache, this line)`: different pairs, so the order between
+    ///   them does not matter;
+    /// * the probe after the add may report more caches than one before it
+    ///   (the requester itself, or everyone once a limited-pointer entry
+    ///   overflows to broadcast), but reported sharers are only candidates:
+    ///   the requester is skipped and the rest are downgraded only if their
+    ///   cache holds the line Modified;
+    /// * `Probe` moves no [`DirectoryStats`](ccd_directory::DirectoryStats)
+    ///   counter and no replacement state, so the probes no longer sent
+    ///   leave no trace.
     pub fn process(&mut self, mem_ref: MemRef) {
         let line = self.system.block.line_of(mem_ref.addr);
         let cache_id = self.tiles.cache_for(mem_ref.core, mem_ref.kind);
@@ -191,13 +206,15 @@ impl CmpSimulator {
                         cache: cache_id,
                     }
                 } else {
-                    self.downgrade_writers(slice, local, line, cache_id);
                     DirectoryOp::AddSharer {
                         line: local,
                         cache: cache_id,
                     }
                 };
                 self.dispatch(slice, line, op);
+                if !is_write && self.outcome.hit() {
+                    self.downgrade_writers(slice, local, line, cache_id);
+                }
             }
         }
 
@@ -207,49 +224,29 @@ impl CmpSimulator {
         }
     }
 
-    /// Processes `count` references drawn from `trace`.  Stops early if the
-    /// trace ends.
+    /// Processes `count` references drawn from `trace`, one at a time in
+    /// trace order — observably [`CmpSimulator::process`] in a loop.  The
+    /// trace is polled at most `count` times and never again after its first
+    /// `None`, so a non-fused source is safe and a following `run` continues
+    /// with the very next reference.
     ///
-    /// References are pulled in windows of [`RUN_PREFETCH_WINDOW`]: the home
-    /// slice of every reference in the window is asked to
-    /// [prefetch](ccd_directory::Directory::prefetch_line) its candidate
-    /// directory locations before the window is processed, so the directory
-    /// probes of independent references overlap their cache misses.
-    /// Processing order and semantics are identical to calling
-    /// [`CmpSimulator::process`] in a loop.
+    /// The one liberty taken is *when* the trace is polled: reference
+    /// `i + 1` is pulled before reference `i` is processed.  Producing a
+    /// reference (a generator's Zipf draw walks two tables) and processing
+    /// one (tile cache, then directory) are each a chain of dependent cache
+    /// misses but independent of each other, and issued in this order the
+    /// core overlaps them; pulled only after `process` returns, the next
+    /// reference's chain starts when the previous one ends.  Nothing is
+    /// hinted and no line is hashed twice.
     pub fn run<I>(&mut self, trace: &mut I, count: u64)
     where
         I: Iterator<Item = MemRef>,
     {
-        let mut window = [None::<MemRef>; RUN_PREFETCH_WINDOW];
-        let mut remaining = count;
-        let mut trace_ended = false;
-        while remaining > 0 && !trace_ended {
-            let want = remaining.min(RUN_PREFETCH_WINDOW as u64) as usize;
-            let mut filled = 0;
-            while filled < want {
-                match trace.next() {
-                    Some(r) => {
-                        window[filled] = Some(r);
-                        filled += 1;
-                    }
-                    None => {
-                        // Stop for good at the first exhaustion, like the
-                        // sequential loop did — a non-fused iterator must
-                        // not be polled again after its first `None`.
-                        trace_ended = true;
-                        break;
-                    }
-                }
-            }
-            for r in window.iter().take(filled).flatten() {
-                let line = self.system.block.line_of(r.addr);
-                self.directory.prefetch(line);
-            }
-            for r in window.iter().take(filled) {
-                self.process(r.expect("filled window entries are present"));
-            }
-            remaining -= filled as u64;
+        let mut ahead = if count > 0 { trace.next() } else { None };
+        for remaining in (0..count).rev() {
+            let Some(mem_ref) = ahead else { break };
+            ahead = if remaining > 0 { trace.next() } else { None };
+            self.process(mem_ref);
         }
     }
 
@@ -306,6 +303,319 @@ impl CmpSimulator {
     }
 }
 
+/// Protocol-order oracle.  [`CmpSimulator::process`] answers a read miss
+/// with `AddSharer` and probes for writers to downgrade only when the add
+/// hit; the order it replaced probed and downgraded first.  The old order
+/// is kept here as the reference and driven in lockstep with the new one:
+/// after every reference the two simulators must agree on everything
+/// observable.
+#[cfg(test)]
+mod protocol_order {
+    use super::tests::{read, write};
+    use super::*;
+    use crate::Hierarchy;
+    use ccd_cache::CacheConfig;
+    use ccd_common::BlockGeometry;
+    use ccd_workloads::WorkloadSpec;
+
+    impl CmpSimulator {
+        /// The reference: [`CmpSimulator::process`] as it was when a read miss
+        /// sent `Probe` (and downgraded) before `AddSharer`, unconditionally.
+        fn process_probe_first(&mut self, mem_ref: MemRef) {
+            let line = self.system.block.line_of(mem_ref.addr);
+            let cache_id = self.tiles.cache_for(mem_ref.core, mem_ref.kind);
+            let is_write = mem_ref.kind.is_write();
+
+            match self.tiles.access(cache_id, line, is_write) {
+                AccessOutcome::Hit => {}
+                AccessOutcome::UpgradeMiss => {
+                    let (slice, local) = self.directory.home_of(line);
+                    self.dispatch(
+                        slice,
+                        line,
+                        DirectoryOp::SetExclusive {
+                            line: local,
+                            cache: cache_id,
+                        },
+                    );
+                }
+                AccessOutcome::Miss { victim } => {
+                    if let Some(evicted) = victim {
+                        let (vslice, vlocal) = self.directory.home_of(evicted.line);
+                        self.dispatch(
+                            vslice,
+                            evicted.line,
+                            DirectoryOp::RemoveSharer {
+                                line: vlocal,
+                                cache: cache_id,
+                            },
+                        );
+                    }
+                    let (slice, local) = self.directory.home_of(line);
+                    let op = if is_write {
+                        DirectoryOp::SetExclusive {
+                            line: local,
+                            cache: cache_id,
+                        }
+                    } else {
+                        self.downgrade_writers(slice, local, line, cache_id);
+                        DirectoryOp::AddSharer {
+                            line: local,
+                            cache: cache_id,
+                        }
+                    };
+                    self.dispatch(slice, line, op);
+                }
+            }
+
+            if self.stats.retire_reference() {
+                let occupancy = self.directory.occupancy();
+                self.stats.record_occupancy(occupancy);
+            }
+        }
+    }
+
+    /// A 4-core system with caches small enough that a few thousand references
+    /// churn them: 8 × 32 frames (Shared-L2) or 4 × 128 frames (Private-L2).
+    fn small_system(hierarchy: Hierarchy) -> SystemConfig {
+        SystemConfig {
+            num_cores: 4,
+            hierarchy,
+            l1: CacheConfig::new(16, 2, 64),
+            private_l2: CacheConfig::new(32, 4, 64),
+            block: BlockGeometry::new(64),
+            ..SystemConfig::shared_l2(4)
+        }
+        .with_occupancy_sample_interval(64)
+    }
+
+    /// The new order and the reference, fed the same references.
+    struct Lockstep {
+        label: String,
+        new_order: CmpSimulator,
+        probe_first: CmpSimulator,
+        steps: u64,
+        /// Modified → Shared transitions seen on the new-order side.
+        downgrades: u64,
+    }
+
+    impl Lockstep {
+        fn new(system: SystemConfig, spec: &DirectorySpec) -> Self {
+            Lockstep {
+                label: format!("{} on {:?}", spec.label(), system.hierarchy),
+                new_order: CmpSimulator::new(system.clone(), spec).unwrap(),
+                probe_first: CmpSimulator::new(system, spec).unwrap(),
+                steps: 0,
+                downgrades: 0,
+            }
+        }
+
+        /// Processes `mem_ref` on both sides and compares everything
+        /// observable: the report, every cache's whole contents with states
+        /// (which covers `state_of` of any line the reference touched, on any
+        /// cache), and each slice's entry count and statistics.
+        fn step(&mut self, mem_ref: MemRef) {
+            let line = self.new_order.system.block.line_of(mem_ref.addr);
+            let writers = |sim: &CmpSimulator| {
+                (0..sim.tiles.len() as u32)
+                    .map(CacheId::new)
+                    .filter(|&c| sim.tiles.state_of(c, line) == Some(CoherenceState::Modified))
+                    .count() as u64
+            };
+            let writers_before = writers(&self.new_order);
+            self.new_order.process(mem_ref);
+            if !mem_ref.kind.is_write() {
+                self.downgrades += writers_before - writers(&self.new_order);
+            }
+            self.probe_first.process_probe_first(mem_ref);
+            self.steps += 1;
+            let at = format!("{}, reference {} ({mem_ref:?})", self.label, self.steps);
+            assert_eq!(self.new_order.report(), self.probe_first.report(), "{at}");
+            assert!(
+                self.new_order
+                    .tiles
+                    .resident()
+                    .eq(self.probe_first.tiles.resident()),
+                "{at}: cache contents differ"
+            );
+            let slices = self.new_order.directory.slices();
+            for (index, (a, b)) in slices
+                .iter()
+                .zip(self.probe_first.directory.slices())
+                .enumerate()
+            {
+                assert_eq!(a.len(), b.len(), "{at}, slice {index}");
+                assert_eq!(a.stats(), b.stats(), "{at}, slice {index}");
+            }
+        }
+
+        fn state_of(&self, cache: u32, block: u64) -> Option<CoherenceState> {
+            self.new_order
+                .tiles
+                .state_of(CacheId::new(cache), LineAddr::from_block_number(block))
+        }
+    }
+
+    fn custom(spec: &str) -> DirectorySpec {
+        DirectorySpec::custom(spec).unwrap()
+    }
+
+    /// Every organization `DirectorySpec` can build, amply sized and
+    /// undersized (so forced evictions fire), and the three sharer formats
+    /// under the cuckoo, sparse and skewed tag stores.
+    fn organizations() -> Vec<DirectorySpec> {
+        vec![
+            DirectorySpec::cuckoo(4, 1.0),
+            DirectorySpec::cuckoo(3, 0.25),
+            DirectorySpec::sparse(8, 2.0),
+            DirectorySpec::sparse(2, 0.25),
+            DirectorySpec::skewed(4, 2.0),
+            DirectorySpec::skewed(4, 0.25),
+            DirectorySpec::DuplicateTag,
+            DirectorySpec::InCache,
+            DirectorySpec::tagless(),
+            custom("cuckoo-4x16@full"),
+            custom("cuckoo-4x16@coarse"),
+            custom("cuckoo-4x16@limited"),
+            custom("cuckoo-4x4-bfs@limited"),
+            custom("sparse-2x8@coarse"),
+            custom("sparse-4x16@limited"),
+            custom("skewed-4x8@coarse"),
+            custom("skewed-4x16@limited"),
+            // A mirror smaller than the cache it mirrors: adds evict from the
+            // requester's own mirror.
+            custom("duplicate-tag-1x2"),
+        ]
+    }
+
+    /// References per (organization, hierarchy) run: enough for `migratory`'s
+    /// default epoch (512 read–write pairs) to hand lines over twice.
+    const REFS: usize = 3000;
+
+    fn lockstep_over(workload: &str) {
+        let workload: WorkloadSpec = workload.parse().unwrap();
+        let mut forced = 0;
+        let mut downgrades = 0;
+        for hierarchy in [Hierarchy::SharedL2, Hierarchy::PrivateL2] {
+            for spec in organizations() {
+                let system = small_system(hierarchy);
+                let mut pair = Lockstep::new(system.clone(), &spec);
+                let stream = workload.stream(system.num_cores, 0xC0FFEE).unwrap();
+                for mem_ref in stream.take(REFS) {
+                    pair.step(mem_ref);
+                }
+                forced += pair.new_order.report().forced_invalidations;
+                downgrades += pair.downgrades;
+            }
+        }
+        // The runs must have reached what the order could have disturbed.
+        assert!(forced > 0, "no undersized directory forced an eviction");
+        assert!(downgrades > 0, "no read ever found a remote writer");
+    }
+
+    #[test]
+    fn orders_agree_on_a_paper_profile() {
+        lockstep_over("oracle");
+    }
+
+    #[test]
+    fn orders_agree_on_migratory_sharing() {
+        lockstep_over("migratory-zipf0.9");
+    }
+
+    #[test]
+    fn orders_agree_on_producer_consumer_handoffs() {
+        lockstep_over("prodcons-b256-e16");
+    }
+
+    /// Case 1 of the commutation argument: the add hits, so the probe and the
+    /// downgrade still happen.  (Skipping the probe on a hit too leaves the
+    /// writer Modified and fails here.)
+    #[test]
+    fn a_remote_read_still_downgrades_the_modified_holder() {
+        for spec in organizations() {
+            let mut pair = Lockstep::new(small_system(Hierarchy::PrivateL2), &spec);
+            pair.step(write(1, 100));
+            assert_eq!(pair.state_of(1, 100), Some(CoherenceState::Modified));
+            pair.step(read(0, 100));
+            assert_eq!(
+                pair.state_of(1, 100),
+                Some(CoherenceState::Shared),
+                "{}: the writer keeps a shared copy",
+                pair.label
+            );
+            assert_eq!(pair.state_of(0, 100), Some(CoherenceState::Shared));
+        }
+    }
+
+    /// Case 2: a Duplicate-Tag add that hits (another cache holds the line)
+    /// *and* evicts a stale line from the requester's own mirror.  The forced
+    /// invalidation lands on `(requester, victim)`, the downgrade on
+    /// `(writer, line)`; either order leaves the same caches.
+    #[test]
+    fn a_duplicate_tag_add_that_hits_and_evicts_from_its_own_mirror() {
+        // One mirror frame per (cache, slice): blocks 100 and 104 share home
+        // slice 0 and mirror set 0 but sit in different cache sets.
+        let mut pair = Lockstep::new(
+            small_system(Hierarchy::PrivateL2),
+            &custom("duplicate-tag-1x1"),
+        );
+        pair.step(write(1, 100));
+        pair.step(read(0, 104));
+        assert_eq!(pair.state_of(0, 104), Some(CoherenceState::Shared));
+        assert_eq!(pair.new_order.report().forced_invalidations, 0);
+
+        pair.step(read(0, 100));
+        assert_eq!(
+            pair.new_order.report().directory.sharer_adds.get(),
+            1,
+            "the add found cache 1's entry"
+        );
+        assert_eq!(pair.new_order.report().forced_invalidations, 1);
+        assert_eq!(pair.state_of(0, 104), None, "evicted from cache 0's mirror");
+        assert_eq!(pair.state_of(1, 100), Some(CoherenceState::Shared));
+        assert_eq!(pair.state_of(0, 100), Some(CoherenceState::Shared));
+    }
+
+    /// Case 3: the add overflows a limited-pointer entry to broadcast, so the
+    /// probe after it names every cache where a probe before it named four.
+    /// Reported sharers are only candidates — the caches' own states decide.
+    #[test]
+    fn a_limited_pointer_entry_that_overflows_on_the_add() {
+        let system = SystemConfig {
+            num_cores: 8,
+            ..small_system(Hierarchy::PrivateL2)
+        };
+        for spec in ["cuckoo-4x16@limited", "sparse-4x16@limited"] {
+            let mut pair = Lockstep::new(system.clone(), &custom(spec));
+            for core in 0..4 {
+                pair.step(read(core, 64));
+            }
+            let line = LineAddr::from_block_number(64);
+            let (slice, local) = pair.new_order.directory.home_of(line);
+            let sharers = |pair: &Lockstep| pair.new_order.directory.slices()[slice].sharers(local);
+            assert_eq!(
+                sharers(&pair).unwrap().len(),
+                4,
+                "{spec}: four exact pointers"
+            );
+
+            pair.step(read(4, 64));
+            assert_eq!(sharers(&pair).unwrap().len(), 8, "{spec}: broadcast");
+            for cache in 0..8 {
+                let expected = (cache <= 4).then_some(CoherenceState::Shared);
+                assert_eq!(pair.state_of(cache, 64), expected, "{spec}: cache {cache}");
+            }
+
+            // A writer takes the line back to one exact pointer; the next
+            // reader downgrades it through the same path.
+            pair.step(write(6, 64));
+            pair.step(read(7, 64));
+            assert_eq!(pair.state_of(6, 64), Some(CoherenceState::Shared));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,11 +634,11 @@ mod tests {
         }
     }
 
-    fn write(core: u32, block: u64) -> MemRef {
+    pub(super) fn write(core: u32, block: u64) -> MemRef {
         MemRef::write(CoreId::new(core), Address::new(block * 64))
     }
 
-    fn read(core: u32, block: u64) -> MemRef {
+    pub(super) fn read(core: u32, block: u64) -> MemRef {
         MemRef::read(CoreId::new(core), Address::new(block * 64))
     }
 
@@ -469,8 +779,7 @@ mod tests {
     fn run_stops_permanently_at_the_first_trace_exhaustion() {
         // A "stuttering" non-fused source (e.g. a transiently empty queue):
         // refs 1..=3, then None, then more refs.  `run` must stop at the
-        // first None and never poll the iterator again, exactly like the
-        // sequential loop it replaced.
+        // first None and never poll the iterator again.
         let mut sim =
             CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).unwrap();
         let mut n = 0u64;
@@ -484,8 +793,29 @@ mod tests {
         });
         sim.run(&mut trace, 64);
         assert_eq!(sim.refs_processed(), 3, "must stop at the first None");
-        // The partial window before the exhaustion was still processed.
+        // The references before the exhaustion were still processed.
         assert!(sim.report().cache_misses >= 3);
+    }
+
+    #[test]
+    fn run_polls_the_trace_exactly_count_times() {
+        // `run` pulls one reference ahead of the one it processes; that must
+        // not cost the caller a reference at the end of a run (warm-up and
+        // measurement are two `run`s over one trace).
+        let mut sim =
+            CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).unwrap();
+        let polls = std::cell::Cell::new(0u64);
+        let mut trace = (1u64..).map(|block| {
+            polls.set(polls.get() + 1);
+            read(0, block)
+        });
+        sim.run(&mut trace, 0);
+        assert_eq!(polls.get(), 0);
+        sim.run(&mut trace, 5);
+        assert_eq!((polls.get(), sim.refs_processed()), (5, 5));
+        sim.run(&mut trace, 1);
+        assert_eq!((polls.get(), sim.refs_processed()), (6, 6));
+        assert_eq!(trace.next(), Some(read(0, 7)));
     }
 
     #[test]

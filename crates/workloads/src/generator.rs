@@ -259,6 +259,32 @@ mod tests {
     }
 
     #[test]
+    fn the_first_references_of_oracle_are_pinned() {
+        // The stream's bytes, held by a test and not only by the figure
+        // goldens: every sampler and generator change must reproduce them.
+        use AccessType::{InstructionFetch as I, Read as R, Write as W};
+        #[rustfmt::skip]
+        let expected: [(u32, u64, AccessType); 32] = [
+            (0, 0x2000abe6368, R), (1, 0x100087132c8, I), (2, 0x40024d6b570, R),
+            (3, 0x200090249a8, R), (4, 0x1000c3923c0, I), (5, 0x2000618ae18, R),
+            (6, 0x40061f0e058, R), (7, 0x4007afc3038, R), (8, 0x2000618a148, R),
+            (9, 0x20009fe6a80, R), (10, 0x2000618aea0, R), (11, 0x400b8c418e8, R),
+            (12, 0x1000c3937e8, I), (13, 0x200051ffd70, R), (14, 0x400ed303ae0, R),
+            (15, 0x1000fc30878, I), (0, 0x10008712098, I), (1, 0x1000abd50b0, I),
+            (2, 0x400231280f8, R), (3, 0x200090256b8, R), (4, 0x200000a9aa8, R),
+            (5, 0x4005edd0bb0, R), (6, 0x20003938b28, W), (7, 0x2000618be10, R),
+            (8, 0x10008712088, I), (9, 0x200039387f0, R), (10, 0x200028424f0, R),
+            (11, 0x2000618a440, R), (12, 0x1000f3434f8, I), (13, 0x100087122c0, I),
+            (14, 0x400e0521f48, R), (15, 0x400fad78100, R),
+        ];
+        let refs: Vec<_> = TraceGenerator::new(WorkloadProfile::oracle(), 16, 1)
+            .take(expected.len())
+            .map(|r| (r.core.raw(), r.addr.raw(), r.kind))
+            .collect();
+        assert_eq!(refs, expected);
+    }
+
+    #[test]
     fn cores_are_interleaved_round_robin() {
         let refs: Vec<_> = TraceGenerator::new(WorkloadProfile::apache(), 4, 3)
             .take(8)

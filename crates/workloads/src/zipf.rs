@@ -7,16 +7,32 @@
 //! proportional to `1 / i^theta`.  `theta = 0` degenerates to a uniform
 //! distribution, which the scientific kernels (regular grid/graph sweeps)
 //! use.
+//!
+//! A draw inverts the precomputed cumulative distribution at a uniform
+//! `u`: the rank is the first CDF entry at or past `u`.  A *guide table*
+//! makes that O(1) in expectation: `[0, 1)` is cut into `B` equal buckets
+//! (`B` a power of two, about one per rank) and `guide[k]` is the first
+//! CDF index at or past the bucket's lower edge `k / B`, so the answer for
+//! a `u` in bucket `k` lies in `cdf[guide[k]..=guide[k + 1]]` — a handful
+//! of entries even in the flat tail of a skewed distribution — and the
+//! search runs over those alone instead of over the whole array.
 
 use ccd_common::rng::Rng64;
 
 /// A sampler drawing ranks in `[0, n)` from a Zipf distribution.
 ///
-/// The cumulative distribution is precomputed, so each draw is a binary
-/// search — O(log n) — and the memory cost is one `f64` per element.
+/// The cumulative distribution and its guide table are precomputed, so a
+/// draw is one guide load plus a search over the few CDF entries between
+/// two guide marks; the memory cost is one `f64` per rank and one `u32`
+/// per bucket (at most `n.next_power_of_two() + 1` of them).
 #[derive(Clone, Debug)]
 pub struct ZipfSampler {
     cdf: Vec<f64>,
+    /// `guide[k]` = first index whose CDF value is `>= k / buckets`, for
+    /// `k` in `0..=buckets`.
+    guide: Vec<u32>,
+    /// The bucket count as the factor that maps `u` to its bucket.
+    buckets: f64,
 }
 
 impl ZipfSampler {
@@ -24,10 +40,15 @@ impl ZipfSampler {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero or `theta` is negative or not finite.
+    /// Panics if `n` is zero or does not fit a `u32`, or if `theta` is
+    /// negative or not finite.
     #[must_use]
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "cannot sample from an empty population");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "population does not fit the u32 guide table"
+        );
         assert!(
             theta >= 0.0 && theta.is_finite(),
             "theta must be finite and >= 0"
@@ -43,7 +64,25 @@ impl ZipfSampler {
         for c in &mut cdf {
             *c /= norm;
         }
-        ZipfSampler { cdf }
+
+        // One merge walk: the CDF and the bucket edges both ascend, so the
+        // cursor never moves back.  `k / buckets` is exact (a power-of-two
+        // divisor), which is what lets `rank_of` trust the marks.
+        let buckets = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(buckets + 1);
+        let mut index = 0;
+        for k in 0..=buckets {
+            let edge = k as f64 / buckets as f64;
+            while index < n && cdf[index] < edge {
+                index += 1;
+            }
+            guide.push(index as u32);
+        }
+        ZipfSampler {
+            cdf,
+            guide,
+            buckets: buckets as f64,
+        }
     }
 
     /// Number of ranks.
@@ -60,10 +99,19 @@ impl ZipfSampler {
 
     /// Draws one rank in `[0, len())`; rank 0 is the hottest.
     pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> usize {
-        let u = rng.next_f64();
-        // partition_point returns the first index whose cdf >= u.
-        let idx = self.cdf.partition_point(|&c| c < u);
-        idx.min(self.cdf.len() - 1)
+        self.rank_of(rng.next_f64())
+    }
+
+    /// The rank a uniform `u` in `[0, 1)` selects: the first index whose
+    /// CDF value is `>= u`.  `u * buckets` only shifts the exponent, so the
+    /// bucket `k` satisfies `k / buckets <= u < (k + 1) / buckets` exactly
+    /// and the first entry at or past `u` sits between the two marks.
+    fn rank_of(&self, u: f64) -> usize {
+        let bucket = (u * self.buckets) as usize;
+        let lo = self.guide[bucket] as usize;
+        let hi = self.guide[bucket + 1] as usize;
+        let index = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        index.min(self.cdf.len() - 1)
     }
 }
 
@@ -71,6 +119,54 @@ impl ZipfSampler {
 mod tests {
     use super::*;
     use ccd_common::rng::Xoshiro256;
+
+    impl ZipfSampler {
+        /// The oracle: the draw as one search over the whole CDF, which is
+        /// what `rank_of` did before the guide table narrowed it.
+        fn rank_of_whole_array(&self, u: f64) -> usize {
+            let index = self.cdf.partition_point(|&c| c < u);
+            index.min(self.cdf.len() - 1)
+        }
+    }
+
+    /// `x` and the `f64`s right below and above it, kept to `[0, 1)`.
+    fn with_neighbours(x: f64) -> impl Iterator<Item = f64> {
+        [x.next_down(), x, x.next_up()]
+            .into_iter()
+            .filter(|u| (0.0..1.0).contains(u))
+    }
+
+    #[test]
+    fn guided_draw_matches_the_whole_array_search() {
+        for n in [1, 2, 3, 1000, 2560, 49_152] {
+            for theta in [0.0, 0.02, 0.8, 0.99, 1.5] {
+                let sampler = ZipfSampler::new(n, theta);
+                let buckets = sampler.guide.len() - 1;
+                assert_eq!(buckets, n.next_power_of_two());
+                assert!(sampler.guide.windows(2).all(|w| w[0] <= w[1]));
+
+                let check = |u: f64| {
+                    assert_eq!(
+                        sampler.rank_of(u),
+                        sampler.rank_of_whole_array(u),
+                        "n={n} theta={theta} u={u:e}"
+                    );
+                };
+                check(0.0);
+                check(1.0f64.next_down());
+                for &c in &sampler.cdf {
+                    with_neighbours(c).for_each(check);
+                }
+                for k in 0..=buckets {
+                    with_neighbours(k as f64 / buckets as f64).for_each(check);
+                }
+                let mut rng = Xoshiro256::new(n as u64 ^ theta.to_bits());
+                for _ in 0..1_000_000 {
+                    check(rng.next_f64());
+                }
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "empty population")]

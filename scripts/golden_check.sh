@@ -28,6 +28,8 @@ checks=(
   "|fig7_hash_characteristics|fig7_hash_characteristics|"
   "|fig10_insertion_attempts|fig10_insertion_attempts|"
   "|fig11_attempt_distribution|fig11_attempt_distribution|"
+  "|fig12_invalidation_rates|fig12_invalidation_rates|"
+  "|ablation_sharer_format|ablation_sharer_format|"
   "|bench_scenarios|BENCH_scenarios|"
   "|bench_service|BENCH_service|$clock"
   "|bench_chaos|BENCH_chaos|$clock"
