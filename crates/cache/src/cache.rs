@@ -90,6 +90,9 @@ struct Frame {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `config.sets - 1`: [`CacheConfig::validate`] guarantees a power-of-two
+    /// set count, so the set index is a mask.
+    set_mask: u64,
     frames: Vec<Option<Frame>>,
     tick: u64,
     valid: usize,
@@ -106,6 +109,7 @@ impl Cache {
         config.validate()?;
         Ok(Cache {
             config,
+            set_mask: config.sets as u64 - 1,
             frames: (0..config.frames()).map(|_| None).collect(),
             tick: 0,
             valid: 0,
@@ -149,7 +153,7 @@ impl Cache {
     }
 
     fn set_of(&self, line: LineAddr) -> usize {
-        (line.block_number() % self.config.sets as u64) as usize
+        (line.block_number() & self.set_mask) as usize
     }
 
     fn frame_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -312,6 +316,24 @@ mod tests {
         assert!(Cache::new(CacheConfig::new(0, 2, 64)).is_err());
         assert!(Cache::new(CacheConfig::new(2, 2, 63)).is_err());
         assert!(Cache::new(CacheConfig::l1_64k()).is_ok());
+        // The set mask rests on this rejection.
+        assert!(Cache::new(CacheConfig::new(768, 2, 64)).is_err());
+    }
+
+    #[test]
+    fn set_mask_agrees_with_the_modulo() {
+        for sets in [1usize, 2, 64, 1024] {
+            let c = Cache::new(CacheConfig::new(sets, 2, 64)).unwrap();
+            for low in [0u64, 1, 63, 64, 1023, 1024, 0x1234_5678] {
+                for block in [low, !low, low | 0xffff_ffff_0000_0000, u64::MAX - low] {
+                    assert_eq!(
+                        c.set_of(line(block)),
+                        (block % sets as u64) as usize,
+                        "{sets} sets, block {block:#x}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

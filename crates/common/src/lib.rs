@@ -14,6 +14,9 @@
 //!   the directories, caches and the coherence simulator ([`stats`]),
 //! * bounded backpressure channels connecting the directory service's
 //!   ingestion frontend to its shard-owning workers ([`channel`]),
+//! * fixed-length, cache-line-aligned buffers that move onto huge pages
+//!   when they are large — what the cuckoo table's arrays live in
+//!   ([`pages`]),
 //! * the shared error type ([`ConfigError`]).
 //!
 //! # Example
@@ -36,6 +39,7 @@ pub mod channel;
 pub mod error;
 pub mod ids;
 pub mod mem;
+pub mod pages;
 pub mod prefetch;
 pub mod rng;
 pub mod stats;

@@ -11,7 +11,15 @@
 //! # Storage layout
 //!
 //! The table stores its slots struct-of-arrays across three parallel dense
-//! arrays.  `keys` and `values` are always indexed `way * sets + set_index`:
+//! arrays, each a [`PageBuf`]: a fixed-length buffer that is 64-byte aligned
+//! and, from one huge page (2 MiB) of bytes up, huge-page aligned and
+//! advised `MADV_HUGEPAGE` before its first touch.  The byte size of each
+//! array is the only selector — a 4 × 64 Ki-set table's 2 MiB key array is
+//! the smallest that crosses the line — so a slice of millions of entries
+//! sits on a few dozen huge pages a TLB can hold instead of tens of
+//! thousands of base pages it cannot, and a small table is what it would be
+//! in three boxed slices.  `keys` and `values` are always indexed
+//! `way * sets + set_index`:
 //!
 //! * `tags` — one byte per slot: `EMPTY_TAG` (0) for a vacant slot, or a
 //!   7-bit key fingerprint with the high bit set for an occupied one.  The
@@ -24,7 +32,7 @@
 //! A probe reduces to *which candidate tags equal the fingerprint / the
 //! empty tag?*  The tags live in one of two layouts, each with the match
 //! kernel that suits it; which one a table gets is a pure function of its
-//! hash family and way count, decided once in `CuckooTable::alloc_tags`:
+//! hash family and way count, decided once in `CuckooTable::tag_layout`:
 //!
 //! * **planar** (every table but the ones below) — tags indexed like the
 //!   keys, `way * sets + set_index`; the candidate tags of up to eight ways
@@ -34,11 +42,12 @@
 //!   [`MAX_TAG_SPAN`] tag bytes, i.e. up to four ways) — an F14-style
 //!   *transposed* layout.  A `tagalt` key's candidate indices all fall in
 //!   one aligned [`block_span`](ccd_hash::TagAltFamily::block_span)-set
-//!   block, so tags are stored `base + set_index * ways + way` over a
-//!   64-byte-aligned allocation: the whole candidate block is one contiguous
-//!   ≤64-byte span — one tag line per lookup instead of `d` — covered by a
-//!   single vector compare ([`crate::simd::VectorEngine`]: sse2 / avx2 /
-//!   neon, runtime detected once per table) with no per-way gather at all.
+//!   block, so tags are stored `set_index * ways + way` — the buffer's own
+//!   alignment puts block 0 on a cache-line boundary, nothing skids: the
+//!   whole candidate block is one contiguous ≤64-byte span — one tag line
+//!   per lookup instead of `d` — covered by a single vector compare
+//!   ([`crate::simd::VectorEngine`]: sse2 / avx2 / neon, runtime detected
+//!   once per table) with no per-way gather at all.
 //!
 //! Both kernels produce the same way-indexed match masks (the SWAR
 //! fingerprint scan may over-report, which the key confirmation filters, so
@@ -131,8 +140,10 @@
 //! is semantic, unlike the two bit-identical tag layouts.
 
 use crate::simd::VectorEngine;
+use ccd_common::pages::PageBuf;
 use ccd_common::prefetch::prefetch_slice_element;
 use ccd_common::{ConfigError, LineAddr};
+use ccd_directory::spec::{capacity_too_large, checked_capacity};
 use ccd_directory::{DepthMetrics, InsertPolicy};
 use ccd_hash::{fingerprint, HashFamily, HashKind, IndexHashFamily, MAX_FAMILY_WAYS};
 use std::mem::MaybeUninit;
@@ -178,27 +189,14 @@ pub const MAX_TAG_SPAN: usize = 64;
 enum TagLayout {
     /// `tags[way * sets + index]`, matched by SWAR over gathered tags.
     Planar,
-    /// `tags[base + index * ways + way]`, matched by one vector compare
-    /// over the key's whole candidate block.
+    /// `tags[index * ways + way]`, matched by one vector compare over the
+    /// key's whole candidate block.
     LineLocal {
-        /// First logical tag position: the skid that 64-byte-aligns the
-        /// candidate blocks inside the allocation.
-        base: usize,
         /// Sets per aligned candidate block (the family's block span).
         block: usize,
         /// The vector unit the compare runs on, detected once per table.
         engine: VectorEngine,
     },
-}
-
-impl TagLayout {
-    /// First logical tag position inside the allocation.
-    fn base(self) -> usize {
-        match self {
-            TagLayout::Planar => 0,
-            TagLayout::LineLocal { base, .. } => base,
-        }
-    }
 }
 
 /// Returns a mask with bit 7 of byte lane `i` set when byte `i` of `word`
@@ -384,14 +382,14 @@ pub struct CuckooTable<V> {
     sets: usize,
     hashes: HashFamily,
     /// Per-slot occupancy tags; position `tag_pos(way, index)`.
-    tags: Vec<u8>,
-    /// How `tags` is laid out (fixed by [`CuckooTable::alloc_tags`]).
+    tags: PageBuf<u8>,
+    /// How `tags` is laid out (fixed by [`CuckooTable::tag_layout`]).
     layout: TagLayout,
     /// Stored keys, indexed `way * sets + index` (garbage where the tag is
     /// empty).
-    keys: Vec<u64>,
+    keys: PageBuf<u64>,
     /// Stored payloads, initialized exactly where the tag is occupied.
-    values: Vec<MaybeUninit<V>>,
+    values: PageBuf<MaybeUninit<V>>,
     valid: usize,
     max_attempts: u32,
     next_start_way: usize,
@@ -414,6 +412,9 @@ impl<V> CuckooTable<V> {
     /// # Errors
     ///
     /// * [`ConfigError::TooSmall`] if `ways < 2`,
+    /// * [`ConfigError::TooLarge`] (`"directory capacity"`) if `ways × sets`
+    ///   overflows, one of the three arrays is not a representable
+    ///   allocation, or the allocator refuses it,
     /// * plus the hash family's own validation errors (zero/`!pow2` sets).
     pub fn new(ways: usize, sets: usize, kind: HashKind, seed: u64) -> Result<Self, ConfigError> {
         if ways < 2 {
@@ -425,18 +426,18 @@ impl<V> CuckooTable<V> {
         }
         let hashes = HashFamily::with_seed(kind, ways, sets, seed)?;
         debug_assert!(ways <= MAX_FAMILY_WAYS, "hash families cap the way count");
-        let capacity = ways * sets;
-        let (tags, layout) = Self::alloc_tags(&hashes, ways, sets);
-        let mut values = Vec::new();
-        values.resize_with(capacity, MaybeUninit::uninit);
+        // The unchecked reads of `tag_at`/`key_at` rest on these lengths:
+        // the product is checked, never wrapped.
+        let capacity = checked_capacity(ways, sets)?;
+        let refused = || capacity_too_large(ways, sets);
         Ok(CuckooTable {
             ways,
             sets,
+            layout: Self::tag_layout(&hashes, ways),
             hashes,
-            tags,
-            layout,
-            keys: vec![0; capacity],
-            values,
+            tags: PageBuf::filled(capacity, EMPTY_TAG).ok_or_else(refused)?,
+            keys: PageBuf::filled(capacity, 0).ok_or_else(refused)?,
+            values: PageBuf::uninit(capacity).ok_or_else(refused)?,
             valid: 0,
             max_attempts: crate::config::DEFAULT_MAX_ATTEMPTS,
             next_start_way: 0,
@@ -446,31 +447,20 @@ impl<V> CuckooTable<V> {
         })
     }
 
-    /// Allocates the all-vacant tag array of a `ways × sets` table indexed
-    /// by `hashes` — and, in doing so, makes the table's one layout
-    /// decision: line-local when the family's candidates share an aligned
-    /// block of at most [`MAX_TAG_SPAN`] tag bytes, planar otherwise.
-    ///
-    /// The line-local layout over-allocates by a cache line and skids its
-    /// logical start to the next 64-byte boundary, so every aligned
-    /// candidate block touches at most one extra line and the full span
-    /// sits in bounds.
-    fn alloc_tags(hashes: &HashFamily, ways: usize, sets: usize) -> (Vec<u8>, TagLayout) {
-        let capacity = ways * sets;
-        let block = hashes
+    /// The table's one layout decision: line-local when the family's
+    /// candidates share an aligned block of at most [`MAX_TAG_SPAN`] tag
+    /// bytes, planar otherwise.  Either way the tag array is one byte a slot
+    /// in a [`PageBuf`], which starts on a cache-line boundary, so every
+    /// aligned line-local candidate block touches at most one extra line.
+    fn tag_layout(hashes: &HashFamily, ways: usize) -> TagLayout {
+        hashes
             .tag_alt()
             .map(|family| family.block_span())
-            .filter(|block| ways * block <= MAX_TAG_SPAN);
-        let Some(block) = block else {
-            return (vec![EMPTY_TAG; capacity], TagLayout::Planar);
-        };
-        let tags = vec![EMPTY_TAG; capacity + MAX_TAG_SPAN - 1];
-        let layout = TagLayout::LineLocal {
-            base: tags.as_ptr().addr().wrapping_neg() & (MAX_TAG_SPAN - 1),
-            block,
-            engine: VectorEngine::detect(),
-        };
-        (tags, layout)
+            .filter(|block| ways * block <= MAX_TAG_SPAN)
+            .map_or(TagLayout::Planar, |block| TagLayout::LineLocal {
+                block,
+                engine: VectorEngine::detect(),
+            })
     }
 
     /// Sets the insertion-attempt budget (default 32).
@@ -648,7 +638,7 @@ impl<V> CuckooTable<V> {
     fn tag_pos(&self, way: usize, index: usize) -> usize {
         match self.layout {
             TagLayout::Planar => way * self.sets + index,
-            TagLayout::LineLocal { base, .. } => base + index * self.ways + way,
+            TagLayout::LineLocal { .. } => index * self.ways + way,
         }
     }
 
@@ -666,11 +656,12 @@ impl<V> CuckooTable<V> {
     /// this table computes comes from [`CuckooTable::tag_pos`] with
     /// `way < ways` (enforced by the probe loops) and `index < sets` (the
     /// [`IndexHashFamily`] contract, upheld by masking/shifting in every
-    /// family), so both layouts stay below `tags.len()`.
+    /// family), so both layouts stay below `tags.len()` — the checked
+    /// product `ways × sets` that `new` allocated.
     #[inline]
     fn tag_at(&self, pos: usize) -> u8 {
         debug_assert!(pos < self.tags.len());
-        // SAFETY: see above — pos < base + ways * sets <= tags.len().
+        // SAFETY: see above — pos < ways * sets == tags.len().
         unsafe { *self.tags.get_unchecked(pos) }
     }
 
@@ -725,11 +716,9 @@ impl<V> CuckooTable<V> {
     ) -> (u64, u64) {
         match self.layout {
             TagLayout::Planar => self.way_masks_swar::<WANT_FP, WANT_EMPTY>(fp, indices),
-            TagLayout::LineLocal {
-                base,
-                block,
-                engine,
-            } => self.way_masks_line_local::<WANT_FP, WANT_EMPTY>(base, block, engine, fp, indices),
+            TagLayout::LineLocal { block, engine } => {
+                self.way_masks_line_local::<WANT_FP, WANT_EMPTY>(block, engine, fp, indices)
+            }
         }
     }
 
@@ -772,14 +761,13 @@ impl<V> CuckooTable<V> {
     /// are extracted at `(index - block_base) * ways + way`.
     fn way_masks_line_local<const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
-        base: usize,
         block: usize,
         engine: VectorEngine,
         fp: u8,
         indices: &[usize],
     ) -> (u64, u64) {
         let block_base = indices[0] & !(block - 1);
-        let start = base + block_base * self.ways;
+        let start = block_base * self.ways;
         let bytes = &self.tags[start..start + self.ways * block];
         let fp_eq = if WANT_FP {
             engine.eq_mask(bytes, fp)
@@ -1005,10 +993,10 @@ impl<V> CuckooTable<V> {
                     prefetch_slice_element(&self.tags, way * self.sets + index);
                 }
             }
-            TagLayout::LineLocal { base, block, .. } => {
+            TagLayout::LineLocal { block, .. } => {
                 // The whole candidate block is one contiguous span: touch
                 // its first and last byte (at most two cache lines).
-                let start = base + (indices[0] & !(block - 1)) * self.ways;
+                let start = (indices[0] & !(block - 1)) * self.ways;
                 prefetch_slice_element(&self.tags, start);
                 prefetch_slice_element(&self.tags, start + self.ways * block - 1);
             }
@@ -1545,28 +1533,19 @@ impl<V> CuckooTable<V> {
 impl<V: Clone> Clone for CuckooTable<V> {
     fn clone(&self) -> Self {
         let capacity = self.ways * self.sets;
-        let values = (0..capacity)
-            .map(|slot| {
-                if self.tag_at(self.tag_pos_of_slot(slot)) == EMPTY_TAG {
-                    MaybeUninit::uninit()
-                } else {
-                    // SAFETY: occupied tags guarantee initialized payloads.
-                    MaybeUninit::new(unsafe { self.values[slot].assume_init_ref() }.clone())
-                }
-            })
-            .collect();
-        // The line-local alignment skid depends on the allocation address,
-        // so the clone re-derives its own and copies the logical tag range
-        // rather than cloning the vector verbatim.
-        let (mut tags, layout) = Self::alloc_tags(&self.hashes, self.ways, self.sets);
-        let (from, to) = (self.layout.base(), layout.base());
-        tags[to..to + capacity].copy_from_slice(&self.tags[from..from + capacity]);
+        let mut values = self.values.uninit_like();
+        for slot in 0..capacity {
+            if self.tag_at(self.tag_pos_of_slot(slot)) != EMPTY_TAG {
+                // SAFETY: occupied tags guarantee initialized payloads.
+                values[slot].write(unsafe { self.values[slot].assume_init_ref() }.clone());
+            }
+        }
         CuckooTable {
             ways: self.ways,
             sets: self.sets,
             hashes: self.hashes.clone(),
-            tags,
-            layout,
+            tags: self.tags.clone(),
+            layout: self.layout,
             keys: self.keys.clone(),
             values,
             valid: self.valid,
@@ -1633,6 +1612,19 @@ mod tests {
         assert!(CuckooTable::<()>::new(1, 64, HashKind::Strong, 0).is_err());
         assert!(CuckooTable::<()>::new(3, 100, HashKind::Strong, 0).is_err());
         assert!(CuckooTable::<()>::new(3, 128, HashKind::Strong, 0).is_ok());
+        // A product that wraps (4 x 2^62 is 0 in release arithmetic) or
+        // arrays that are no allocation: an error, never a zero-slot table
+        // under the unchecked reads.
+        for sets in [1usize << 56, 1 << 61, 1 << 62, 1 << 63] {
+            for kind in [HashKind::Strong, HashKind::TagAlt] {
+                let err = CuckooTable::<u64>::new(4, sets, kind, 0).unwrap_err();
+                let what = "directory capacity";
+                assert!(
+                    matches!(err, ConfigError::TooLarge { what: w, .. } if w == what),
+                    "4x{sets} {kind}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1979,6 +1971,38 @@ mod tests {
         table.iter().map(|(k, &v)| (k, v)).collect()
     }
 
+    thread_local! {
+        /// [`Tracked`] payloads alive on this thread — libtest runs each test
+        /// on a thread of its own, so tests do not see each other's.
+        static LIVE: std::cell::Cell<i64> = const { std::cell::Cell::new(0) };
+    }
+
+    fn live_payloads() -> i64 {
+        LIVE.with(std::cell::Cell::get)
+    }
+
+    /// A payload that counts its constructions, clones and drops.
+    struct Tracked(u64);
+
+    impl Tracked {
+        fn new(v: u64) -> Self {
+            LIVE.with(|live| live.set(live.get() + 1));
+            Tracked(v)
+        }
+    }
+
+    impl Clone for Tracked {
+        fn clone(&self) -> Self {
+            Tracked::new(self.0)
+        }
+    }
+
+    impl Drop for Tracked {
+        fn drop(&mut self) {
+            LIVE.with(|live| live.set(live.get() - 1));
+        }
+    }
+
     #[test]
     fn layout_follows_the_hash_family_and_the_tag_span_bound() {
         // tagalt candidates share a 16-set block: four ways are exactly
@@ -1986,12 +2010,15 @@ mod tests {
         for ways in [2, 3, 4, 5, 8, 16] {
             let t: CuckooTable<()> = CuckooTable::new(ways, 64, HashKind::TagAlt, 1).unwrap();
             assert_eq!(is_line_local(&t), ways * 16 <= MAX_TAG_SPAN, "{ways} ways");
-            // A clone decides again, from the same inputs.
+            // A clone keeps the layout, over a buffer of its own.
             assert_eq!(is_line_local(&t.clone()), is_line_local(&t), "{ways} ways");
-            if let TagLayout::LineLocal { base, block, .. } = t.layout {
+            // Block 0 starts a cache line — the buffer's alignment, no skid
+            // — and the tag array is exactly one byte a slot.
+            assert_eq!(t.tags.as_ptr().addr() % MAX_TAG_SPAN, 0);
+            assert_eq!(t.clone().tags.as_ptr().addr() % MAX_TAG_SPAN, 0);
+            assert_eq!(t.tags.len(), t.capacity());
+            if let TagLayout::LineLocal { block, .. } = t.layout {
                 assert_eq!(block, 16);
-                assert_eq!((t.tags.as_ptr().addr() + base) % MAX_TAG_SPAN, 0);
-                assert!(base + t.capacity() <= t.tags.len());
             }
         }
         // Families without block-local candidates are planar at any width.
@@ -2082,27 +2109,6 @@ mod tests {
 
     #[test]
     fn clone_deep_copies_payloads_and_drop_is_balanced() {
-        use std::sync::atomic::{AtomicI64, Ordering};
-        static LIVE: AtomicI64 = AtomicI64::new(0);
-
-        struct Tracked(u64);
-        impl Tracked {
-            fn new(v: u64) -> Self {
-                LIVE.fetch_add(1, Ordering::Relaxed);
-                Tracked(v)
-            }
-        }
-        impl Clone for Tracked {
-            fn clone(&self) -> Self {
-                Tracked::new(self.0)
-            }
-        }
-        impl Drop for Tracked {
-            fn drop(&mut self) {
-                LIVE.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-
         {
             let mut t: CuckooTable<Tracked> = CuckooTable::new(2, 4, HashKind::Strong, 1).unwrap();
             t.set_max_attempts(3);
@@ -2112,11 +2118,11 @@ mod tests {
                 // Exercises replace-on-existing, displacement and discard.
                 let _ = t.insert(key, Tracked::new(key));
             }
-            let live_before_clone = LIVE.load(Ordering::Relaxed);
+            let live_before_clone = live_payloads();
             assert_eq!(live_before_clone, t.len() as i64);
             {
                 let mut cloned = t.clone();
-                assert_eq!(LIVE.load(Ordering::Relaxed), 2 * live_before_clone);
+                assert_eq!(live_payloads(), 2 * live_before_clone);
                 let (some_key, payload) = {
                     let (k, v) = cloned.iter().next().unwrap();
                     (k, v.0)
@@ -2125,10 +2131,124 @@ mod tests {
                 drop(cloned.remove(some_key));
             }
             // The clone and everything it held is gone; the original intact.
-            assert_eq!(LIVE.load(Ordering::Relaxed), live_before_clone);
+            assert_eq!(live_payloads(), live_before_clone);
             assert_eq!(t.iter().count(), t.len());
         }
-        assert_eq!(LIVE.load(Ordering::Relaxed), 0, "every payload dropped");
+        assert_eq!(live_payloads(), 0, "every payload dropped");
+    }
+
+    #[test]
+    #[cfg_attr(
+        miri,
+        ignore = "the geometry is the point: 2^18 slots, too slow interpreted"
+    )]
+    fn tables_across_the_huge_page_line_match_the_seed_reference() {
+        use ccd_common::pages::HUGE_PAGE_BYTES;
+        // 4 x 2^16 sets is the smallest 4-way geometry on the far side of
+        // the line: a 2 MiB key array and, with this 8-byte payload, a 2 MiB
+        // payload array, over a 256 KiB tag array that stays below it.
+        const SMALL: usize = 1 << 10;
+        const LARGE: usize = 1 << 16;
+        const BUDGET: u32 = 8;
+        type Reference = AosReferenceTable<u64>;
+
+        fn pair(sets: usize, seed: u64) -> (CuckooTable<Tracked>, Reference) {
+            let mut table = CuckooTable::new(4, sets, HashKind::Strong, seed).unwrap();
+            table.set_max_attempts(BUDGET);
+            let reference = Reference::new(4, sets, HashKind::Strong, seed, BUDGET).unwrap();
+            if sets == LARGE {
+                assert!(table.keys.as_ptr().addr().is_multiple_of(HUGE_PAGE_BYTES));
+                assert!(table.values.as_ptr().addr().is_multiple_of(HUGE_PAGE_BYTES));
+            }
+            (table, reference)
+        }
+
+        fn drive(
+            table: &mut CuckooTable<Tracked>,
+            reference: &mut Reference,
+            rng: &mut SplitMix64,
+            ops: u64,
+            keyspace: u64,
+        ) {
+            for i in 0..ops {
+                let key = rng.next_below(keyspace) << 4 | 0x5;
+                let got = table.insert(key, Tracked::new(key ^ i));
+                let got = (got.attempts, got.discarded.map(|(k, v)| (k, v.0)));
+                assert_eq!(got, reference.insert(key, key ^ i), "insert {i}");
+                if i % 3 == 0 {
+                    let doomed = rng.next_below(keyspace) << 4 | 0x5;
+                    let got = table.remove(doomed).map(|v| v.0);
+                    assert_eq!(got, reference.remove(doomed), "remove {i}");
+                }
+            }
+            in_step(table, reference);
+        }
+
+        /// Same entries, every payload accounted for.
+        fn in_step(table: &CuckooTable<Tracked>, reference: &Reference) {
+            assert_eq!(table.len(), reference.len());
+            let got: BTreeMap<u64, u64> = table.iter().map(|(k, v)| (k, v.0)).collect();
+            let want: BTreeMap<u64, u64> = reference.iter().map(|(k, &v)| (k, v)).collect();
+            assert_eq!(got, want);
+        }
+
+        /// The live-resize primitive against re-inserting the reference's
+        /// entries in the same ascending slot order.
+        fn resize(
+            from: (CuckooTable<Tracked>, Reference),
+            to: &mut (CuckooTable<Tracked>, Reference),
+        ) {
+            let (mut table, reference) = from;
+            let discarded: Vec<(u64, u64)> = table
+                .migrate_into(&mut to.0)
+                .into_iter()
+                .map(|(k, v)| (k, v.0))
+                .collect();
+            let want: Vec<(u64, u64)> = reference
+                .iter()
+                .filter_map(|(k, &v)| to.1.insert(k, v).1)
+                .collect();
+            assert_eq!(discarded, want);
+            assert!(table.is_empty());
+            in_step(&to.0, &to.1);
+        }
+
+        {
+            let mut rng = SplitMix64::new(0x2_0000);
+            let mut small = pair(SMALL, 7);
+            drive(&mut small.0, &mut small.1, &mut rng, 6000, 6000);
+            assert!(small.0.occupancy() > 0.6, "the stream loads the table");
+
+            // Below the line -> above it: nothing is lost growing 64x.
+            let mut large = pair(LARGE, 8);
+            let before = small.0.len();
+            resize(small, &mut large);
+            assert_eq!(large.0.len(), before);
+            drive(&mut large.0, &mut large.1, &mut rng, 6000, 1 << 20);
+            assert_eq!(live_payloads(), large.0.len() as i64);
+
+            // Clone and Drop of a table whose arrays are huge-page buffers.
+            {
+                let mut cloned = large.0.clone();
+                assert!(cloned.keys.as_ptr().addr().is_multiple_of(HUGE_PAGE_BYTES));
+                assert_eq!(live_payloads(), 2 * large.0.len() as i64);
+                in_step(&cloned, &large.1);
+                let (key, _) = cloned.iter().next().unwrap();
+                drop(cloned.remove(key));
+                assert!(large.0.contains(key), "the clone owns its own arrays");
+            }
+            assert_eq!(live_payloads(), large.0.len() as i64);
+
+            // ... and back below it, into a table too small for everything.
+            let mut shrunk = pair(SMALL, 9);
+            let before = large.0.len();
+            resize(large, &mut shrunk);
+            assert!(shrunk.0.len() < before, "4096 slots cannot hold {before}");
+            assert_eq!(live_payloads(), shrunk.0.len() as i64);
+            drive(&mut shrunk.0, &mut shrunk.1, &mut rng, 2000, 6000);
+            assert_eq!(live_payloads(), shrunk.0.len() as i64);
+        }
+        assert_eq!(live_payloads(), 0, "every payload dropped");
     }
 
     // ---- Insertion-policy and migration tests ------------------------------

@@ -344,6 +344,40 @@ impl fmt::Display for DirectorySpec {
     }
 }
 
+/// Most entries one slice may have.  No organization's slot — tag, sharer
+/// set, replacement state; the hierarchical sharer vector makes the widest,
+/// about 100 bytes — is larger than 128 bytes, so up to here every slot
+/// array is a representable [`Layout`](std::alloc::Layout) (at most
+/// `isize::MAX` bytes) and past it none need be.
+pub const MAX_CAPACITY: usize = isize::MAX as usize / 128;
+
+/// The error for a `ways × sets` geometry of more entries than can exist:
+/// past [`MAX_CAPACITY`], or refused by the allocator at any size.  An
+/// allocator does not say what it would have granted, so for a refusal
+/// below [`MAX_CAPACITY`] the reported maximum is one less than was asked.
+#[must_use]
+pub fn capacity_too_large(ways: usize, sets: usize) -> ConfigError {
+    let value = (ways as u64).saturating_mul(sets as u64);
+    ConfigError::TooLarge {
+        what: "directory capacity",
+        value,
+        max: (MAX_CAPACITY as u64).min(value.saturating_sub(1)),
+    }
+}
+
+/// `ways × sets`, checked: the one place a geometry's entry count is
+/// computed before anything is sized, indexed or allocated from it.
+///
+/// # Errors
+///
+/// [`capacity_too_large`] when the product overflows or exceeds
+/// [`MAX_CAPACITY`].
+pub fn checked_capacity(ways: usize, sets: usize) -> Result<usize, ConfigError> {
+    ways.checked_mul(sets)
+        .filter(|&capacity| capacity <= MAX_CAPACITY)
+        .ok_or_else(|| capacity_too_large(ways, sets))
+}
+
 /// A builder function constructing one (unsharded) directory slice.
 pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>;
 
@@ -525,6 +559,8 @@ impl BuilderRegistry {
     /// * [`ConfigError::Parse`] for an unregistered organization,
     /// * [`ConfigError::Inconsistent`] when the set count is not divisible
     ///   by the shard count,
+    /// * [`ConfigError::TooLarge`] when `ways × sets` is not a capacity
+    ///   that can exist ([`checked_capacity`]),
     /// * any error from the organization's own constructor.
     pub fn build(&self, spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
         let builder = self
@@ -535,6 +571,9 @@ impl BuilderRegistry {
             .ok_or_else(|| ConfigError::Parse {
                 what: format!("no builder registered for organization `{}`", spec.org),
             })?;
+        // Every organization multiplies `ways × sets` unchecked from here
+        // on, and a sharded directory sums its slices' capacities.
+        checked_capacity(spec.ways, spec.sets)?;
         if spec.shards == 1 {
             return builder(spec);
         }
@@ -756,5 +795,34 @@ mod tests {
         assert!(sharded.organization().starts_with("sharded4x["));
         // Indivisible set counts are rejected.
         assert!(registry.build_str("sharded3:sparse-4x1024").is_err());
+    }
+
+    #[test]
+    fn capacity_is_checked_at_the_bound_and_at_the_wrap() {
+        assert_eq!(checked_capacity(4, 1 << 20), Ok(4 << 20));
+        assert_eq!(checked_capacity(1, MAX_CAPACITY), Ok(MAX_CAPACITY));
+        let too_large = |ways, sets, value, max| {
+            let want = ConfigError::TooLarge {
+                what: "directory capacity",
+                value,
+                max,
+            };
+            assert_eq!(checked_capacity(ways, sets), Err(want), "{ways}x{sets}");
+        };
+        let bound = MAX_CAPACITY as u64;
+        too_large(1, MAX_CAPACITY + 1, bound + 1, bound);
+        too_large(2, 1 << 56, 1 << 57, bound);
+        // 4 x 2^62 wraps to 0 and 4 x 2^63 to 0 again: reported saturated.
+        too_large(4, 1 << 62, u64::MAX, bound);
+        too_large(4, 1 << 63, u64::MAX, bound);
+        // A refusal below the bound: all that is known is "less than asked".
+        assert_eq!(
+            capacity_too_large(4, 1 << 40),
+            ConfigError::TooLarge {
+                what: "directory capacity",
+                value: 1 << 42,
+                max: (1 << 42) - 1,
+            }
+        );
     }
 }

@@ -14,6 +14,7 @@
 //! | `unsafe-inventory`  | every `unsafe` is registered in the inventory file   |
 //! | `no-unwrap-in-lib`  | no `.unwrap()`/`.expect(` in non-test library code   |
 //! | `arch-confinement`  | `std::arch` intrinsics only in the dispatch modules  |
+//! | `ffi-confinement`   | `extern` blocks / `#[link` only in the buffer module |
 //!
 //! Plus three meta rules that keep the escape hatches honest:
 //! `bad-suppression` (malformed allow comment), `unused-suppression`
@@ -45,6 +46,7 @@ pub const RULE_NAMES: &[&str] = &[
     "unsafe-inventory",
     "no-unwrap-in-lib",
     "arch-confinement",
+    "ffi-confinement",
     "bad-suppression",
     "unused-suppression",
     "unused-allowlist",
@@ -97,6 +99,9 @@ pub struct Config {
     /// Files allowed to name CPU features (`std::arch`, runtime feature
     /// detection, `target_feature`): the vector dispatch modules.
     pub arch_allowed: Vec<String>,
+    /// Files allowed to declare foreign functions (`extern` blocks,
+    /// `#[link` attributes): the huge-page buffer module.
+    pub ffi_allowed: Vec<String>,
     /// The panic-surface allowlist file, relative to `root`.
     pub panic_allowlist: String,
     /// The unsafe inventory file, relative to `root`.
@@ -150,6 +155,7 @@ impl Config {
                 "crates/coherence/src/engine/runner.rs",
             ]),
             arch_allowed: owned(&["crates/common/src/prefetch.rs", "crates/core/src/simd.rs"]),
+            ffi_allowed: owned(&["crates/common/src/pages.rs"]),
             panic_allowlist: "lint/panic_allowlist.txt".to_string(),
             unsafe_inventory: "lint/unsafe_inventory.json".to_string(),
         }
@@ -328,6 +334,26 @@ fn has_token(code: &str, needle: &str) -> bool {
     find_token(code, needle, 0).is_some()
 }
 
+/// `true` when `code` opens a foreign-ABI block: an `extern` token, an
+/// optional ABI string (its contents blanked by the scanner), then `{`.
+/// `extern "C" fn` items and pointers and `extern crate` are Rust-side and
+/// stay silent.
+fn opens_extern_block(code: &str) -> bool {
+    let mut from = 0;
+    while let Some(at) = find_token(code, "extern", from) {
+        from = at + "extern".len();
+        let rest = code[from..].trim_start();
+        let rest = rest
+            .strip_prefix('"')
+            .and_then(|abi| abi.split_once('"'))
+            .map_or(rest, |(_, after)| after.trim_start());
+        if rest.starts_with('{') {
+            return true;
+        }
+    }
+    false
+}
+
 /// Checks the per-line token rules over one scanned file.  The unsafe
 /// rules live in [`crate::inventory`]; suppression filtering and the meta
 /// rules happen in [`crate::workspace`].
@@ -344,6 +370,7 @@ pub fn check_tokens(file: &ScannedFile, cfg: &Config) -> Vec<Diagnostic> {
     let in_lock_free = cfg.under(path, &cfg.lock_free);
     let needs_ordering_comments = cfg.under(path, &cfg.ordering_commented);
     let arch_ok = cfg.under(path, &cfg.arch_allowed);
+    let ffi_ok = cfg.under(path, &cfg.ffi_allowed);
     let panic_rule_applies = file.kind == FileKind::Lib;
 
     for (idx, line) in file.lines.iter().enumerate() {
@@ -440,6 +467,23 @@ pub fn check_tokens(file: &ScannedFile, cfg: &Config) -> Vec<Diagnostic> {
                             "`{token}` outside the vector dispatch modules: CPU-feature \
                              selection lives behind `VectorEngine` (crates/core/src/simd.rs) \
                              so every other module stays portable and Miri-runnable"
+                        ),
+                    );
+                }
+            }
+        }
+        if !ffi_ok {
+            for (found, what) in [
+                (opens_extern_block(code), "a foreign `extern` block"),
+                (code.contains("#[link"), "a `#[link` attribute"),
+            ] {
+                if found {
+                    emit(
+                        "ffi-confinement",
+                        format!(
+                            "{what} outside the huge-page buffer module: the workspace's one \
+                             foreign declaration lives in crates/common/src/pages.rs so every \
+                             other module stays portable and Miri-runnable"
                         ),
                     );
                 }
@@ -611,6 +655,37 @@ mod tests {
             "#[cfg(target_arch = \"x86_64\")]\nmod imp {}\n",
         )
         .is_empty());
+    }
+
+    #[test]
+    fn foreign_declarations_fire_outside_the_buffer_module_only() {
+        for snippet in [
+            "extern \"C\" {\n    fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;\n}\n",
+            "unsafe extern \"system\" {\n    fn f();\n}\n",
+            "extern {\n    fn f();\n}\n",
+            "#[link(name = \"c\")]\nextern \"C\" {}\n",
+            "#[link_name = \"posix_madvise\"]\nfn f();\n",
+        ] {
+            let bad = diags("crates/core/src/table.rs", snippet);
+            assert!(!bad.is_empty(), "{snippet}");
+            assert!(bad.iter().all(|d| d.rule == "ffi-confinement"), "{snippet}");
+            assert!(
+                diags("crates/common/src/pages.rs", snippet).is_empty(),
+                "{snippet}"
+            );
+        }
+        // Rust-side uses of the keyword are not declarations of foreign code.
+        for snippet in [
+            "extern crate alloc;\n",
+            "pub extern \"C\" fn callback(x: u32) -> u32 { x }\n",
+            "type Hook = unsafe extern \"C\" fn(*mut u8);\n",
+            "let external = 1; let s = \"extern { }\";\n",
+        ] {
+            assert!(
+                diags("crates/core/src/table.rs", snippet).is_empty(),
+                "{snippet}"
+            );
+        }
     }
 
     #[test]

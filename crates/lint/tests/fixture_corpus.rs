@@ -33,6 +33,7 @@ fn fixture_config() -> Config {
         lock_free: owned(&["crates/hotpath", "crates/recorder"]),
         ordering_commented: owned(&["crates/resultful/src/atomics.rs"]),
         arch_allowed: Vec::new(),
+        ffi_allowed: Vec::new(),
         panic_allowlist: "lint/panic_allowlist.txt".to_string(),
         unsafe_inventory: "lint/unsafe_inventory.json".to_string(),
     }
@@ -68,6 +69,10 @@ fn every_rule_fires_at_its_known_site() {
         ),
         ("crates/resultful/src/determinism.rs", 9, "no-wallclock"),
         ("crates/resultful/src/determinism.rs", 14, "no-wallclock"),
+        // Foreign declarations outside a sanctioned module (the fixture
+        // config sanctions none); the `extern "C" fn` stays silent.
+        ("crates/resultful/src/foreign.rs", 4, "ffi-confinement"),
+        ("crates/resultful/src/foreign.rs", 5, "ffi-confinement"),
         // Bare unwrap in library code; the allowlisted `expect` and the
         // suppressed unwrap stay silent.
         ("crates/resultful/src/panics.rs", 4, "no-unwrap-in-lib"),

@@ -245,6 +245,51 @@ fn capacity_and_storage_profiles_are_positive_and_consistent() {
     }
 }
 
+/// One spec per organization the registry builds (and per way the cuckoo
+/// table lays its tags out), `{sets}` left open.
+const GEOMETRY_TEMPLATES: &[&str] = &[
+    "cuckoo-4x{sets}-c16",
+    "cuckoo-3x{sets}-ms",
+    "cuckoo-4x{sets}-tagalt-bfs",
+    "cuckoo-2x{sets}@hier",
+    "sparse-8x{sets}",
+    "sparse-1x{sets}@limited",
+    "skewed-4x{sets}",
+    "duplicate-tag-2x{sets}",
+    "in-cache-16x{sets}",
+    "tagless-2x{sets}",
+    "sharded4:cuckoo-4x{sets}-skew",
+    "sharded2:sparse-8x{sets}",
+    "sharded4:tagless-2x{sets}",
+];
+
+/// A geometry whose `ways x sets` wraps `usize`, or whose slot array no
+/// allocation could hold, is a `ConfigError` where the spec enters.  Release
+/// builds used to wrap the product: `cuckoo-4x4611686018427387904-c16` built
+/// a zero-slot directory whose first `Probe` read out of bounds (SIGSEGV),
+/// and the five baselines built zero-slot directories that panicked on first
+/// use.  Debug builds trap the multiplication instead, so the reproducer is
+/// this test under `cargo test --release`.
+#[test]
+fn geometries_that_cannot_exist_are_errors_not_directories() {
+    let registry = standard_registry();
+    for template in GEOMETRY_TEMPLATES {
+        for sets in [1usize << 61, 1 << 62, 1 << 63] {
+            let spec = template.replace("{sets}", &sets.to_string());
+            match registry.build_str(&spec) {
+                Err(ccd_common::ConfigError::TooLarge { what, .. }) => {
+                    assert_eq!(what, "directory capacity", "{spec}");
+                }
+                Err(other) => panic!("{spec}: rejected for the wrong reason: {other}"),
+                Ok(dir) => panic!("{spec}: built {} entries", dir.capacity()),
+            }
+        }
+        // The same template at a size that does exist still builds.
+        let spec = template.replace("{sets}", "64");
+        assert!(registry.build_str(&spec).expect(&spec).capacity() > 0);
+    }
+}
+
 #[test]
 fn stats_reflect_the_operations_performed() {
     for (label, mut dir) in all_dirs() {

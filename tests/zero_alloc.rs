@@ -12,6 +12,10 @@
 //! goes further: its entries hold their presence word inline, so even
 //! allocating and freeing an entry stays off the heap.
 //!
+//! The same allocator sees every layout, so it also checks that the table's
+//! cache-line- and huge-page-aligned buffers (`ccd_common::pages::PageBuf`)
+//! are released with exactly the layout they were allocated with.
+//!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single `#[test]` so no concurrent test can perturb the
 //! counters.
@@ -21,19 +25,41 @@ use ccd_cuckoo::{standard_registry, CuckooTable, InsertOutcome};
 use ccd_directory::{DirectoryOp, Outcome};
 use ccd_hash::HashKind;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// Sizes and alignments of the live allocations aligned to a cache line or
+/// more, each summed: allocated with one layout and released with another,
+/// a buffer leaves one of the sums off balance.
+static ALIGNED_BYTES: AtomicI64 = AtomicI64::new(0);
+static ALIGNED_ALIGNS: AtomicI64 = AtomicI64::new(0);
+
+fn track_aligned(layout: Layout, sign: i64) {
+    if layout.align() >= 64 {
+        ALIGNED_BYTES.fetch_add(sign * layout.size() as i64, Ordering::Relaxed);
+        ALIGNED_ALIGNS.fetch_add(sign * layout.align() as i64, Ordering::Relaxed);
+    }
+}
+
+fn aligned_live() -> (i64, i64) {
+    (
+        ALIGNED_BYTES.load(Ordering::Relaxed),
+        ALIGNED_ALIGNS.load(Ordering::Relaxed),
+    )
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        track_aligned(layout, 1);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track_aligned(layout, -1);
         System.dealloc(ptr, layout)
     }
 
@@ -289,4 +315,33 @@ fn steady_state_hot_paths_do_not_allocate() {
         }
     });
     assert_eq!(prefetch_allocs, 0, "prefetch allocated {prefetch_allocs}");
+
+    // --- The table's buffers: one layout at allocation and at release ------
+
+    const LINE: i64 = 64;
+    const HUGE: i64 = 2 << 20;
+    let before = aligned_live();
+    {
+        // 4 x 512: 2 KiB of tags, 16 KiB of keys and of payloads, all below
+        // the huge-page line; 4 x 2^16: 256 KiB of tags below it, 2 MiB of
+        // keys and of payloads on it.  A clone allocates the same again.
+        let small: CuckooTable<u64> = CuckooTable::new(4, 512, HashKind::Skewing, 1).unwrap();
+        let (bytes, aligns) = aligned_live();
+        assert_eq!(bytes - before.0, 2048 + 2 * 16384);
+        assert_eq!(aligns - before.1, 3 * LINE);
+        let large: CuckooTable<u64> = CuckooTable::new(4, 1 << 16, HashKind::Skewing, 1).unwrap();
+        let cloned = large.clone();
+        let (bytes, aligns) = aligned_live();
+        assert_eq!(
+            bytes - before.0,
+            2048 + 2 * 16384 + 2 * ((256 << 10) + 2 * HUGE)
+        );
+        assert_eq!(aligns - before.1, 3 * LINE + 2 * (LINE + 2 * HUGE));
+        drop((small, large, cloned));
+    }
+    assert_eq!(
+        aligned_live(),
+        before,
+        "a buffer was released with another layout"
+    );
 }
