@@ -1,28 +1,26 @@
-//! `bench_chaos` — fault-recovery overhead and digest-identity of the
-//! supervised directory service.
+//! `bench_chaos` — digest-identity of the supervised directory service
+//! under injected faults.
 //!
 //! Sweeps fault plan × worker count through
 //! `ccd_service::DirectoryService`: every cell streams the same
 //! deterministic load under an armed `FaultPlan` — scheduled worker
 //! crashes (recovered by journal replay), batch stalls, admission-control
-//! shedding — and records wall-clock throughput, the recovery counters,
-//! and the FNV digest of the sequence-ordered outcome log.  Each cell is
-//! **asserted digest-identical to the fault-free serial reference**
+//! shedding — and records the recovery counters and the FNV digest of the
+//! sequence-ordered outcome log.  Each cell is **asserted digest-identical
+//! to the fault-free serial reference**
 //! (`ServiceReport::recovery_semantics`): crashing a worker mid-stream
-//! must not change a single byte of what the service computes, only how
-//! long it takes.
+//! must not change a single byte of what the service computes.
 //!
-//! Results land in `BENCH_chaos.json` at the repository root *and* under
-//! `results/`.  All fields except the wall-clock ones (`seconds`,
-//! `mops_per_sec`) are deterministic, so CI golden-checks the quick-scale
-//! output with those two field names filtered out.
+//! Nothing here is timed — what a recovery costs is unmeasured until the
+//! repository benchmark grows a workload for it — so every byte of
+//! `BENCH_chaos.json` under the results directory is deterministic and the
+//! quick-scale output is golden-checked whole.
 
-use ccd_bench::{write_bench_json, RunScale, TextTable};
+use ccd_bench::{write_json, RunScale, TextTable};
 use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
-use std::time::Instant;
 
 /// Shard organization: a 16 K-entry 4-way cuckoo directory tracking 16
-/// caches (the `bench_service` organization, for comparable numbers).
+/// caches (the `bench_service` organization).
 const SPEC: &str = "cuckoo-4x4096-c16";
 const CORES: usize = 16;
 const SHARDS: usize = 4;
@@ -42,8 +40,6 @@ struct ChaosRow {
     forced_invalidations: u64,
     outcome_digest: String,
     matches_serial: bool,
-    seconds: f64,
-    mops_per_sec: f64,
 }
 ccd_bench::impl_to_json!(ChaosRow {
     plan,
@@ -56,8 +52,6 @@ ccd_bench::impl_to_json!(ChaosRow {
     forced_invalidations,
     outcome_digest,
     matches_serial,
-    seconds,
-    mops_per_sec,
 });
 
 #[derive(Debug)]
@@ -99,23 +93,21 @@ fn plans_for(requests: u64) -> Vec<String> {
     let mid = requests / 2;
     let late = requests - requests / 10;
     vec![
-        "faults".to_string(), // armed-but-empty: supervision overhead only
+        "faults".to_string(), // armed-but-empty: supervision alone
         format!("faults-crash@w0:{mid}"),
         format!("faults-crash@w0:{early}-crash@w0:{late}"),
         format!("faults-seed11-crash@w0:{mid}-stall@w0:1ms-shed0.01"),
     ]
 }
 
-fn run_cell(workers: usize, plan: &str, load: &LoadSpec) -> (ServiceReport, f64) {
+fn run_cell(workers: usize, plan: &str, load: &LoadSpec) -> ServiceReport {
     let config = ServiceConfig::new(SPEC, SHARDS, workers)
         .with_fault_spec(plan)
         .expect("bench fault plan parses");
-    let service = DirectoryService::build_standard(config).expect("bench topology builds");
-    let start = Instant::now();
-    let report = service
+    DirectoryService::build_standard(config)
+        .expect("bench topology builds")
         .run_load(load)
-        .expect("recoverable bench plan recovers");
-    (report, start.elapsed().as_secs_f64())
+        .expect("recoverable bench plan recovers")
 }
 
 fn main() {
@@ -137,17 +129,10 @@ fn main() {
         .run_load_serial(&load)
         .expect("serial reference runs");
 
-    // Untimed warm-up: pay one-time process costs before the timed cells.
-    let _ = run_cell(
-        *WORKER_AXIS.last().unwrap(),
-        &plans[1],
-        &LoadSpec::parse(WORKLOAD, CORES, BASE_SEED, requests.min(20_000)).unwrap(),
-    );
-
     let mut rows: Vec<ChaosRow> = Vec::new();
     for plan in &plans {
         for &workers in WORKER_AXIS {
-            let (report, seconds) = run_cell(workers, plan, &load);
+            let report = run_cell(workers, plan, &load);
             let matches_serial = report.recovery_semantics() == serial.recovery_semantics();
             assert!(
                 matches_serial,
@@ -165,25 +150,15 @@ fn main() {
                 forced_invalidations: report.stats.forced_invalidations.get(),
                 outcome_digest: format!("{:016x}", report.outcome_digest),
                 matches_serial,
-                seconds,
-                mops_per_sec: report.requests as f64 / seconds.max(1e-9) / 1e6,
             });
         }
     }
 
-    let mut table = TextTable::new(vec![
-        "plan",
-        "workers",
-        "Mreq/s",
-        "recoveries",
-        "shed",
-        "digest",
-    ]);
+    let mut table = TextTable::new(vec!["plan", "workers", "recoveries", "shed", "digest"]);
     for row in &rows {
         table.add_row(vec![
             row.plan.clone(),
             row.workers.to_string(),
-            format!("{:.2}", row.mops_per_sec),
             row.recoveries.to_string(),
             row.shed.to_string(),
             row.outcome_digest.clone(),
@@ -207,5 +182,5 @@ fn main() {
         serial_digest: format!("{:016x}", serial.outcome_digest),
         rows,
     };
-    write_bench_json("BENCH_chaos", &bench);
+    write_json("BENCH_chaos", &bench);
 }

@@ -1,34 +1,26 @@
-//! `bench_obs` — cost and invariance of the deterministic observability
-//! layer.
+//! `bench_obs` — invariance of the deterministic observability layer.
 //!
 //! Runs the calibrated Oracle workload through the concurrent directory
 //! service twice per worker count: **dark** (no observability) and
 //! **armed** (depth metrics + flight recorder + spans,
 //! `obs-ring4096-spans`).  Every armed cell is asserted bit-identical to
-//! its dark twin — contract #11, exercised at benchmark scale — and every
-//! armed cell's merged metric snapshot must render byte-identically to
-//! the armed serial reference's (the snapshot is worker-count invariant).
+//! its dark twin — contract #11, exercised at scale — and every armed
+//! cell's merged metric snapshot must render byte-identically to the armed
+//! serial reference's (the snapshot is worker-count invariant).
 //!
-//! The headline number is the **armed overhead**: the relative throughput
-//! cost of observation, best-of-N per cell to damp scheduler noise.  At
-//! the default and full scales the run *fails* if the worst armed cell
-//! costs more than [`GATE`] (5%); the quick scale records the numbers
-//! without gating, because CI timing is too noisy to assert on.
+//! What observation *costs* is not measured here: the repository
+//! benchmark's traced run reports it as `obs.armed_overhead`, with trials
+//! and spreads.
 //!
 //! Two flight-recording files land under the results directory
 //! (`obs_trace_router.bin`, `obs_trace_worker0.bin`) so the `trace_dump`
-//! reader can be smoke-tested against real recordings.
-//!
-//! Results land in `BENCH_obs.json` at the repository root *and* under
-//! `results/` (one code path writes both).  All fields except the
-//! wall-clock ones (`seconds`, `mops_per_sec`, `overhead`) are
-//! deterministic, so CI golden-checks the quick-scale output with those
-//! field names filtered out.
+//! reader can be smoke-tested against real recordings, beside
+//! `BENCH_obs.json`, whose every byte is deterministic: the quick-scale
+//! output is golden-checked whole.
 
-use ccd_bench::{results_dir, write_bench_json, RunScale, TextTable};
+use ccd_bench::{results_dir, write_json, RunScale, TextTable};
 use ccd_obs::expo::render_json;
 use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
-use std::time::Instant;
 
 /// Shard organization: a 16 K-entry 4-way cuckoo directory tracking 16
 /// caches, split across 8 address-interleaved shards.
@@ -39,10 +31,6 @@ const SEED: u64 = 0x0B5E;
 const WORKLOAD: &str = "oracle";
 const OBS: &str = "obs-ring4096-spans";
 const WORKER_AXIS: &[usize] = &[1, 2, 4];
-
-/// The armed-overhead gate: observation may cost at most this fraction of
-/// dark throughput (asserted at non-quick scales).
-const GATE: f64 = 0.05;
 
 #[derive(Debug)]
 struct ObsRow {
@@ -60,9 +48,6 @@ struct ObsRow {
     chain_p50: u64,
     chain_p99: u64,
     chain_max: u64,
-    seconds: f64,
-    mops_per_sec: f64,
-    overhead: f64,
 }
 ccd_bench::impl_to_json!(ObsRow {
     workers,
@@ -79,9 +64,6 @@ ccd_bench::impl_to_json!(ObsRow {
     chain_p50,
     chain_p99,
     chain_max,
-    seconds,
-    mops_per_sec,
-    overhead,
 });
 
 #[derive(Debug)]
@@ -94,7 +76,6 @@ struct ObsBench {
     shards: usize,
     requests: u64,
     snapshot_invariant: bool,
-    overhead: f64,
     rows: Vec<ObsRow>,
 }
 ccd_bench::impl_to_json!(ObsBench {
@@ -106,7 +87,6 @@ ccd_bench::impl_to_json!(ObsBench {
     shards,
     requests,
     snapshot_invariant,
-    overhead,
     rows,
 });
 
@@ -127,20 +107,11 @@ fn config(workers: usize, armed: bool) -> ServiceConfig {
     }
 }
 
-/// Runs one cell `reps` times and keeps the best wall-clock time (the
-/// reports are deterministic, so any rep's report will do).
-fn timed_run(workers: usize, armed: bool, load: &LoadSpec, reps: usize) -> (ServiceReport, f64) {
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps.max(1) {
-        let service = DirectoryService::build_standard(config(workers, armed))
-            .expect("bench topology builds");
-        let start = Instant::now();
-        let run = service.run_load(load).expect("bench load runs");
-        best = best.min(start.elapsed().as_secs_f64());
-        report = Some(run);
-    }
-    (report.expect("at least one rep ran"), best)
+fn run_cell(workers: usize, armed: bool, load: &LoadSpec) -> ServiceReport {
+    DirectoryService::build_standard(config(workers, armed))
+        .expect("bench topology builds")
+        .run_load(load)
+        .expect("bench load runs")
 }
 
 /// `(count, p50, p99, max)` of one named histogram in the armed
@@ -158,14 +129,7 @@ fn depth_summary(report: &ServiceReport, name: &str) -> (u64, u64, u64, u64) {
     (h.count, h.p50, h.p99, h.max)
 }
 
-fn row(
-    workers: usize,
-    armed: bool,
-    report: &ServiceReport,
-    seconds: f64,
-    dark_mops: f64,
-) -> ObsRow {
-    let mops = report.requests as f64 / seconds.max(1e-9) / 1e6;
+fn row(workers: usize, armed: bool, report: &ServiceReport) -> ObsRow {
     let (probe_count, probe_p50, probe_p99, probe_max) = depth_summary(report, "probe_depth");
     let (chain_count, chain_p50, chain_p99, chain_max) =
         depth_summary(report, "displacement_chain");
@@ -188,9 +152,6 @@ fn row(
         chain_p50,
         chain_p99,
         chain_max,
-        seconds,
-        mops_per_sec: mops,
-        overhead: if armed { 1.0 - mops / dark_mops } else { 0.0 },
     }
 }
 
@@ -225,17 +186,13 @@ fn dump_recordings(report: &ServiceReport) {
 fn main() {
     let (_, scale_name) = RunScale::from_env_named();
     let requests = requests_for(scale_name);
-    let reps = if scale_name == "quick" { 1 } else { 3 };
-    println!("== BENCH_obs: observability layer cost and invariance ==");
+    println!("== BENCH_obs: observability layer invariance ==");
     println!(
         "   spec {SPEC}, {CORES} cores, {SHARDS} shards, workload {WORKLOAD}, \
          {requests} requests/cell, scale {scale_name}, obs {OBS}"
     );
 
     let load = LoadSpec::parse(WORKLOAD, CORES, SEED, requests).expect("catalog workload parses");
-
-    // Untimed warm-up: pay one-time process costs before the timed cells.
-    let _ = timed_run(*WORKER_AXIS.last().unwrap(), true, &load, 1);
 
     // The armed serial reference anchors the snapshot-invariance check.
     let serial = DirectoryService::build_standard(config(1, true))
@@ -252,10 +209,9 @@ fn main() {
 
     let mut rows: Vec<ObsRow> = Vec::new();
     let mut snapshot_invariant = true;
-    let mut worst_overhead = 0.0f64;
     for &workers in WORKER_AXIS {
-        let (dark, dark_seconds) = timed_run(workers, false, &load, reps);
-        let (armed, armed_seconds) = timed_run(workers, true, &load, reps);
+        let dark = run_cell(workers, false, &load);
+        let armed = run_cell(workers, true, &load);
         // Contract #11 at benchmark scale: observation never perturbs.
         assert_eq!(
             armed.semantics(),
@@ -270,11 +226,8 @@ fn main() {
             snapshot_invariant,
             "{workers} armed workers rendered a different metric snapshot"
         );
-        let dark_mops = dark.requests as f64 / dark_seconds.max(1e-9) / 1e6;
-        rows.push(row(workers, false, &dark, dark_seconds, dark_mops));
-        let armed_row = row(workers, true, &armed, armed_seconds, dark_mops);
-        worst_overhead = worst_overhead.max(armed_row.overhead);
-        rows.push(armed_row);
+        rows.push(row(workers, false, &dark));
+        rows.push(row(workers, true, &armed));
         if workers == 2 {
             dump_recordings(&armed);
         }
@@ -283,8 +236,6 @@ fn main() {
     let mut table = TextTable::new(vec![
         "workers",
         "obs",
-        "Mreq/s",
-        "overhead",
         "probe p50",
         "probe p99",
         "chain p99",
@@ -294,12 +245,6 @@ fn main() {
         table.add_row(vec![
             row.workers.to_string(),
             row.armed.clone(),
-            format!("{:.2}", row.mops_per_sec),
-            if row.armed == "-" {
-                "-".to_string()
-            } else {
-                format!("{:+.1}%", row.overhead * 100.0)
-            },
             row.probe_p50.to_string(),
             row.probe_p99.to_string(),
             row.chain_p99.to_string(),
@@ -308,20 +253,7 @@ fn main() {
     }
     println!();
     table.print();
-    println!(
-        "\nworst armed overhead: {:+.2}% (gate {:.0}% at non-quick scales); \
-         snapshot worker-count invariant: {snapshot_invariant}",
-        worst_overhead * 100.0,
-        GATE * 100.0
-    );
-    if scale_name != "quick" {
-        assert!(
-            worst_overhead <= GATE,
-            "armed observation cost {:.2}% exceeds the {:.0}% gate",
-            worst_overhead * 100.0,
-            GATE * 100.0
-        );
-    }
+    println!("\nsnapshot worker-count invariant: {snapshot_invariant}");
 
     let bench = ObsBench {
         scale: scale_name.to_string(),
@@ -332,8 +264,7 @@ fn main() {
         shards: SHARDS,
         requests,
         snapshot_invariant,
-        overhead: worst_overhead,
         rows,
     };
-    write_bench_json("BENCH_obs", &bench);
+    write_json("BENCH_obs", &bench);
 }

@@ -1,23 +1,14 @@
-//! `BENCH_probe` — ns/op trajectory of the cuckoo probe/insert hot path.
+//! `BENCH_probe` — ns/op of the cuckoo table's two tag layouts.
 //!
-//! Two sections, one result file:
+//! The one place outside the repository benchmark that reads a clock, and
+//! the documented exception to that rule: the benchmark has no `tagalt`
+//! workload, so until it grows one this binary is the only measurement of
+//! the planar / line-local layout rule.  It records; it gates nothing.
 //!
-//! **Layout** (`layout` rows): times `find_hit`, `find_miss` and `insert`
-//! at occupancies {0.25, 0.5, 0.75, 0.9} for two layouts —
-//!
-//! * **scalar-AoS (pre)**: a faithful transcription of the seed's
-//!   array-of-structs table (`Vec<Option<Slot>>`, branchy `Option` probing,
-//!   search-then-hash double hashing on insertion), embedded as
-//!   [`AosReferenceTable`];
-//! * **SoA-SWAR (post)**: the current [`CuckooTable`] — per-way `u8`
-//!   fingerprint tag arrays probed branchlessly, fused hit/vacancy probing,
-//!   and (reported separately) the prefetching `probe_batch` /
-//!   `apply_batch` entry points.
-//!
-//! **Kernels** (`kernels` rows): the table's two tag layouts as
-//! [`CuckooTable::new`] hands them out — `cuckoo-4xN-skew` (planar tags,
-//! SWAR match) beside `cuckoo-4xN-tagalt` (line-local tags, one vector
-//! compare) — at occupancies {0.5, 0.85} in two regimes:
+//! The table's two tag layouts as [`CuckooTable::new`] hands them out —
+//! `cuckoo-4xN-skew` (planar tags, SWAR match) beside `cuckoo-4xN-tagalt`
+//! (line-local tags, one vector compare) — at occupancies {0.5, 0.85} in
+//! two regimes:
 //!
 //! * **resident**: tag arrays of 4 MB at the default scale, past L2 but
 //!   inside the LLC, where the planar layout's per-way byte loads overlap
@@ -37,13 +28,11 @@
 //!
 //! Both layouts are outcome-identical to the seed reference (the lockstep
 //! property suite proves it).  Results are written to `BENCH_probe.json`
-//! at the repository root *and* under the results directory; CI
-//! golden-checks the quick-scale output with the wall-clock-derived fields
-//! filtered out.
+//! under the results directory; CI golden-checks the quick-scale output
+//! with the wall-clock-derived fields filtered out.
 
-use ccd_bench::{write_bench_json, TextTable};
+use ccd_bench::{write_json, RunScale, TextTable};
 use ccd_common::rng::{Rng64, SplitMix64};
-use ccd_cuckoo::seed_reference::AosReferenceTable;
 use ccd_cuckoo::{CuckooTable, VectorEngine};
 use ccd_hash::HashKind;
 use std::hint::black_box;
@@ -56,10 +45,8 @@ const SEED: u64 = 0xBE7C4;
 /// Work shaping for this binary, selected by `CCD_SCALE` (the sweep scales
 /// in `RunScale` are simulator reference counts, which do not apply here).
 struct ProbeScale {
-    /// Sets for the AoS-vs-SoA layout section (skewing hashes, as seeded).
-    layout_sets: usize,
-    /// Sets for the LLC-resident regime of the kernel section.  The
-    /// default puts the tag arrays at 4 MB — past L2, inside the LLC.
+    /// Sets for the LLC-resident regime.  The default puts the tag arrays
+    /// at 4 MB — past L2, inside the LLC.
     resident_sets: usize,
     /// Sets for the LLC-spilling regime.  The default puts the tag arrays
     /// at 512 MiB — past this host class's LLC — so every probe runs at
@@ -78,64 +65,33 @@ struct ProbeScale {
 }
 
 impl ProbeScale {
-    fn from_env() -> (Self, &'static str) {
-        match std::env::var("CCD_SCALE").as_deref() {
-            Ok("quick") => (
-                ProbeScale {
-                    layout_sets: 4 * 1024,
-                    resident_sets: 4 * 1024,
-                    spill_sets: 4 * 1024,
-                    probe_keys: 8 * 1024,
-                    insert_keys: 1024,
-                    trials: 3,
-                },
-                "quick",
-            ),
-            Ok("full") => (
-                ProbeScale {
-                    layout_sets: 16 * 1024,
-                    resident_sets: 2 * 1024 * 1024,
-                    spill_sets: 128 * 1024 * 1024,
-                    probe_keys: 256 * 1024,
-                    insert_keys: 4096,
-                    trials: 9,
-                },
-                "full",
-            ),
-            _ => (
-                ProbeScale {
-                    layout_sets: 16 * 1024,
-                    resident_sets: 1024 * 1024,
-                    spill_sets: 128 * 1024 * 1024,
-                    probe_keys: 256 * 1024,
-                    insert_keys: 4096,
-                    trials: 5,
-                },
-                "default",
-            ),
+    /// The shape for a scale name out of [`RunScale::from_env_named`].
+    fn named(scale_name: &str) -> Self {
+        match scale_name {
+            "quick" => ProbeScale {
+                resident_sets: 4 * 1024,
+                spill_sets: 4 * 1024,
+                probe_keys: 8 * 1024,
+                insert_keys: 1024,
+                trials: 3,
+            },
+            "full" => ProbeScale {
+                resident_sets: 2 * 1024 * 1024,
+                spill_sets: 128 * 1024 * 1024,
+                probe_keys: 256 * 1024,
+                insert_keys: 4096,
+                trials: 9,
+            },
+            _ => ProbeScale {
+                resident_sets: 1024 * 1024,
+                spill_sets: 128 * 1024 * 1024,
+                probe_keys: 256 * 1024,
+                insert_keys: 4096,
+                trials: 5,
+            },
         }
     }
 }
-
-#[derive(Debug)]
-struct LayoutRow {
-    occupancy: f64,
-    metric: String,
-    aos_ns_per_op: f64,
-    soa_ns_per_op: f64,
-    soa_batch_ns_per_op: f64,
-    speedup_scalar: f64,
-    speedup_batch: f64,
-}
-ccd_bench::impl_to_json!(LayoutRow {
-    occupancy,
-    metric,
-    aos_ns_per_op,
-    soa_ns_per_op,
-    soa_batch_ns_per_op,
-    speedup_scalar,
-    speedup_batch
-});
 
 #[derive(Debug)]
 struct KernelRow {
@@ -163,13 +119,11 @@ ccd_bench::impl_to_json!(KernelRow {
 struct BenchProbe {
     scale: String,
     engine: String,
-    layout: Vec<LayoutRow>,
     kernels: Vec<KernelRow>,
 }
 ccd_bench::impl_to_json!(BenchProbe {
     scale,
     engine,
-    layout,
     kernels
 });
 
@@ -223,140 +177,6 @@ fn absent_keys<V>(table: &CuckooTable<V>, count: usize, rng: &mut SplitMix64) ->
         }
     }
     keys
-}
-
-/// Samples `count` resident keys (strided, so repeats only when the
-/// population is smaller than the window) and `count` guaranteed misses.
-fn probe_sets(
-    table: &CuckooTable<u64>,
-    resident: &[u64],
-    count: usize,
-    rng: &mut SplitMix64,
-) -> (Vec<u64>, Vec<u64>) {
-    let hits: Vec<u64> = (0..count)
-        .map(|i| resident[(i * 127) % resident.len()])
-        .collect();
-    (hits, absent_keys(table, count, rng))
-}
-
-/// The AoS-vs-SoA layout section (the seed-versus-current comparison the
-/// file has always reported).
-fn layout_section(scale: &ProbeScale) -> Vec<LayoutRow> {
-    const OCCUPANCIES: &[f64] = &[0.25, 0.5, 0.75, 0.9];
-    let sets = scale.layout_sets;
-    let mut soa: CuckooTable<u64> =
-        CuckooTable::new(WAYS, sets, HashKind::Skewing, SEED).expect("geometry");
-    let mut aos: AosReferenceTable<u64> =
-        AosReferenceTable::new(WAYS, sets, HashKind::Skewing, SEED, 32).expect("geometry");
-    let capacity = WAYS * sets;
-
-    let mut rng = SplitMix64::new(0xF111);
-    let mut resident: Vec<u64> = Vec::new();
-    let mut rows: Vec<LayoutRow> = Vec::new();
-
-    for &occupancy in OCCUPANCIES {
-        // Grow both layouts with the same key stream to the target load.
-        let target = (capacity as f64 * occupancy) as usize;
-        while soa.len() < target {
-            let key = rng.next_u64() >> 8;
-            if soa.contains(key) {
-                continue;
-            }
-            let outcome = soa.insert(key, key);
-            let (attempts, discarded) = aos.insert(key, key);
-            assert_eq!(outcome.attempts, attempts, "layouts diverged while filling");
-            assert_eq!(outcome.discarded, discarded);
-            resident.push(key);
-            if let Some((lost, _)) = outcome.discarded {
-                resident.retain(|&k| k != lost);
-            }
-        }
-        assert_eq!(soa.len(), aos.len());
-
-        let (hit_keys, miss_keys) = probe_sets(&soa, &resident, scale.probe_keys, &mut rng);
-        let fresh_keys = absent_keys(&soa, scale.insert_keys, &mut rng);
-        let mut hits = vec![false; scale.probe_keys];
-        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(scale.insert_keys);
-        let mut outcomes = Vec::with_capacity(scale.insert_keys);
-
-        for (metric, keys, expect_hit) in [
-            ("find_hit", &hit_keys, true),
-            ("find_miss", &miss_keys, false),
-        ] {
-            // Trials interleave the two layouts back to back so a frequency
-            // or load shift on the host biases both sides equally.
-            let (mut aos_ns, mut soa_ns, mut batch_ns) =
-                (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-            for _ in 0..scale.trials {
-                aos_ns = aos_ns.min(time_once(keys.len(), || {
-                    let mut found = 0u64;
-                    for &k in keys {
-                        found += u64::from(aos.contains(k));
-                    }
-                    assert_eq!(found == keys.len() as u64, expect_hit);
-                    black_box(found);
-                }));
-                soa_ns = soa_ns.min(time_once(keys.len(), || {
-                    let mut found = 0u64;
-                    for &k in keys {
-                        found += u64::from(soa.contains(k));
-                    }
-                    assert_eq!(found == keys.len() as u64, expect_hit);
-                    black_box(found);
-                }));
-                batch_ns = batch_ns.min(time_once(keys.len(), || {
-                    soa.probe_batch(keys, &mut hits);
-                    black_box(&hits);
-                }));
-            }
-            rows.push(LayoutRow {
-                occupancy,
-                metric: metric.to_string(),
-                aos_ns_per_op: aos_ns,
-                soa_ns_per_op: soa_ns,
-                soa_batch_ns_per_op: batch_ns,
-                speedup_scalar: aos_ns / soa_ns,
-                speedup_batch: aos_ns / batch_ns,
-            });
-        }
-
-        // Insertions: each trial clones the filled tables (outside the
-        // timed regions) and inserts the same fresh keys, again interleaving
-        // the layouts within each trial.
-        let (mut aos_ns, mut soa_ns, mut batch_ns) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..scale.trials {
-            let mut aos_clone = aos.clone();
-            aos_ns = aos_ns.min(time_once(fresh_keys.len(), || {
-                for &k in &fresh_keys {
-                    black_box(aos_clone.insert(k, k));
-                }
-            }));
-            let mut soa_clone = soa.clone();
-            soa_ns = soa_ns.min(time_once(fresh_keys.len(), || {
-                for &k in &fresh_keys {
-                    black_box(soa_clone.insert(k, k));
-                }
-            }));
-            let mut batch_clone = soa.clone();
-            entries.clear();
-            entries.extend(fresh_keys.iter().map(|&k| (k, k)));
-            outcomes.clear();
-            batch_ns = batch_ns.min(time_once(fresh_keys.len(), || {
-                batch_clone.apply_batch(&mut entries, &mut outcomes);
-            }));
-            black_box(&outcomes);
-        }
-        rows.push(LayoutRow {
-            occupancy,
-            metric: "insert".to_string(),
-            aos_ns_per_op: aos_ns,
-            soa_ns_per_op: soa_ns,
-            soa_batch_ns_per_op: batch_ns,
-            speedup_scalar: aos_ns / soa_ns,
-            speedup_batch: aos_ns / batch_ns,
-        });
-    }
-    rows
 }
 
 /// The kernel section: the two tag layouts, each on the spec that gets it
@@ -490,7 +310,8 @@ fn kernel_section(scale: &ProbeScale) -> Vec<KernelRow> {
 }
 
 fn main() {
-    let (scale, scale_name) = ProbeScale::from_env();
+    let (_, scale_name) = RunScale::from_env_named();
+    let scale = ProbeScale::named(scale_name);
     let engine = VectorEngine::detect();
 
     println!("== BENCH_probe: cuckoo probe/insert ns-per-op ==");
@@ -498,41 +319,6 @@ fn main() {
         "   scale {scale_name}; vector engine {}; best of {} trials\n",
         engine.name(),
         scale.trials
-    );
-
-    println!(
-        "-- layout: scalar-AoS (pre) vs SoA-SWAR (post), {WAYS} ways x {} sets, skewing hashes --",
-        scale.layout_sets
-    );
-    let layout = layout_section(&scale);
-    let mut table = TextTable::new(vec![
-        "occupancy",
-        "metric",
-        "AoS ns/op",
-        "SoA ns/op",
-        "SoA batch ns/op",
-        "speedup",
-        "batch speedup",
-    ]);
-    for row in &layout {
-        table.add_row(vec![
-            format!("{:.2}", row.occupancy),
-            row.metric.clone(),
-            format!("{:.2}", row.aos_ns_per_op),
-            format!("{:.2}", row.soa_ns_per_op),
-            format!("{:.2}", row.soa_batch_ns_per_op),
-            format!("{:.2}x", row.speedup_scalar),
-            format!("{:.2}x", row.speedup_batch),
-        ]);
-    }
-    table.print();
-    let legacy_gate = layout
-        .iter()
-        .find(|r| r.metric == "find_miss" && (r.occupancy - 0.75).abs() < 1e-9)
-        .expect("gate row exists");
-    println!(
-        "\nfind_miss @ 0.75 occupancy: {:.2}x over the seed AoS probe (target >= 2x)\n",
-        legacy_gate.speedup_scalar
     );
 
     println!(
@@ -567,8 +353,7 @@ fn main() {
     let report = BenchProbe {
         scale: scale_name.to_string(),
         engine: engine.name().to_string(),
-        layout,
         kernels,
     };
-    write_bench_json("BENCH_probe", &report);
+    write_json("BENCH_probe", &report);
 }

@@ -15,7 +15,7 @@
 //! deterministic (no wall-clocks), so the quick-scale run is golden-checked
 //! in CI.
 
-use ccd_bench::{write_bench_json, ParallelRunner, RunScale, SweepSpec, TextTable};
+use ccd_bench::{write_json, ParallelRunner, RunScale, SweepSpec, TextTable};
 use ccd_coherence::{DirectorySpec, Hierarchy, SimJob, SimReport, SystemConfig};
 use ccd_workloads::{record_trace, WorkloadSpec};
 
@@ -207,5 +207,5 @@ fn main() {
         replay_identical_parallel: identical[1],
         rows,
     };
-    write_bench_json("BENCH_scenarios", &bench);
+    write_json("BENCH_scenarios", &bench);
 }

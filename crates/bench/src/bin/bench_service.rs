@@ -1,16 +1,17 @@
-//! `bench_service` — throughput/latency scaling of the concurrent
-//! directory service.
+//! `bench_service` — the concurrent directory service's determinism
+//! matrix.
 //!
 //! Sweeps worker count × shard count × workload through
 //! `ccd_service::DirectoryService`: every cell streams the same
 //! deterministic load (three catalog workloads, seed-paired across all
-//! topologies) through the service and records wall-clock throughput,
-//! the merged statistics, and the FNV digest of the sequence-ordered
-//! outcome log.  Before timing anything, each (workload, shard count)
-//! pair is applied through the inline serial reference
+//! topologies) through the service and records the merged statistics and
+//! the FNV digest of the sequence-ordered outcome log.  Each (workload,
+//! shard count) pair is first applied through the inline serial reference
 //! (`DirectoryService::run_serial`) and **every concurrent cell is
 //! asserted bit-identical to it** — the service's core determinism
-//! contract, exercised at benchmark scale on every run.
+//! contract, exercised at scale on every run.  The oracle cells run a
+//! saturated table on purpose: two thirds of their requests force an
+//! eviction, which is the discard path worth pinning.
 //!
 //! A final **resize-armed** section starts the migratory workload on a
 //! 4x-undersized shard organization with a live [`ResizePolicy`] armed:
@@ -20,17 +21,15 @@
 //! equal the statically provisioned serial reference at the target
 //! geometry.
 //!
-//! Results land in `BENCH_service.json` at the repository root *and*
-//! under `results/` (one code path writes both).  All fields except the
-//! wall-clock ones (`seconds`, `mops_per_sec`) are deterministic, so CI
-//! golden-checks the quick-scale output with those two field names
-//! filtered out.
+//! Nothing here is timed (the service's rates are the repository
+//! benchmark's `svc_hit` / `svc_churn` workloads), so every byte of
+//! `BENCH_service.json` under the results directory is deterministic and
+//! the quick-scale output is golden-checked whole.
 //!
 //! [`ResizePolicy`]: ccd_service::ResizePolicy
 
-use ccd_bench::{write_bench_json, RunScale, TextTable};
+use ccd_bench::{write_json, RunScale, TextTable};
 use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
-use std::time::Instant;
 
 /// Shard organization: a 16 K-entry 4-way cuckoo directory tracking 16
 /// caches; the set count divides by every shard count on the axis.
@@ -66,8 +65,6 @@ struct ServiceRow {
     forced_invalidations: u64,
     outcome_digest: String,
     matches_serial: bool,
-    seconds: f64,
-    mops_per_sec: f64,
 }
 ccd_bench::impl_to_json!(ServiceRow {
     workload,
@@ -82,8 +79,6 @@ ccd_bench::impl_to_json!(ServiceRow {
     forced_invalidations,
     outcome_digest,
     matches_serial,
-    seconds,
-    mops_per_sec,
 });
 
 #[derive(Debug)]
@@ -118,20 +113,27 @@ fn load_for(workload: &str, index: usize, requests: u64) -> LoadSpec {
         .expect("catalog workload parses")
 }
 
-fn run_cell(shards: usize, workers: usize, load: &LoadSpec) -> (ServiceReport, f64) {
-    let config = ServiceConfig::new(SPEC, shards, workers);
-    let service = DirectoryService::build_standard(config).expect("bench topology builds");
-    let start = Instant::now();
-    let report = service.run_load(load).expect("bench load runs");
-    (report, start.elapsed().as_secs_f64())
+fn run_cell(config: ServiceConfig, load: &LoadSpec) -> ServiceReport {
+    DirectoryService::build_standard(config)
+        .expect("bench topology builds")
+        .run_load(load)
+        .expect("bench load runs")
 }
 
-fn armed_row(workers: usize, report: &ServiceReport, seconds: f64) -> ServiceRow {
+/// One matrix row, built only after the cell's report was asserted equal
+/// to its serial reference.
+fn row(
+    workload: &str,
+    shards: usize,
+    workers: usize,
+    resize: &str,
+    report: &ServiceReport,
+) -> ServiceRow {
     ServiceRow {
-        workload: RESIZE_WORKLOAD.to_string(),
-        shards: RESIZE_SHARDS,
+        workload: workload.to_string(),
+        shards,
         workers,
-        resize: RESIZE_POLICY.to_string(),
+        resize: resize.to_string(),
         resizes: report.stats.resizes.get(),
         requests: report.requests,
         entries: report.entries as u64,
@@ -140,25 +142,16 @@ fn armed_row(workers: usize, report: &ServiceReport, seconds: f64) -> ServiceRow
         forced_invalidations: report.stats.forced_invalidations.get(),
         outcome_digest: format!("{:016x}", report.outcome_digest),
         matches_serial: true,
-        seconds,
-        mops_per_sec: report.requests as f64 / seconds.max(1e-9) / 1e6,
     }
 }
 
 fn main() {
     let (_, scale_name) = RunScale::from_env_named();
     let requests = requests_for(scale_name);
-    println!("== BENCH_service: shard-per-worker directory service scaling ==");
+    println!("== BENCH_service: shard-per-worker directory service determinism matrix ==");
     println!(
         "   spec {SPEC}, {CORES} cores, {requests} requests/cell, scale {scale_name}, \
          shards x workers = {SHARD_AXIS:?} x {WORKER_AXIS:?}"
-    );
-
-    // Untimed warm-up: pay one-time process costs before the timed cells.
-    let _ = run_cell(
-        SHARD_AXIS[0],
-        *WORKER_AXIS.last().unwrap(),
-        &load_for(WORKLOADS[0], 0, requests.min(50_000)),
     );
 
     let mut rows: Vec<ServiceRow> = Vec::new();
@@ -171,29 +164,13 @@ fn main() {
                 .run_load_serial(&load)
                 .expect("serial reference runs");
             for &workers in WORKER_AXIS {
-                let (report, seconds) = run_cell(shards, workers, &load);
-                let matches_serial = report.semantics() == serial.semantics();
+                let report = run_cell(ServiceConfig::new(SPEC, shards, workers), &load);
                 assert!(
-                    matches_serial,
+                    report.semantics() == serial.semantics(),
                     "{workload} x {shards} shards x {workers} workers diverged \
                      from serial application"
                 );
-                rows.push(ServiceRow {
-                    workload: (*workload).to_string(),
-                    shards,
-                    workers,
-                    resize: "-".to_string(),
-                    resizes: 0,
-                    requests: report.requests,
-                    entries: report.entries as u64,
-                    insertions: report.stats.directory.insertions.get(),
-                    invalidations: report.stats.invalidations.get(),
-                    forced_invalidations: report.stats.forced_invalidations.get(),
-                    outcome_digest: format!("{:016x}", report.outcome_digest),
-                    matches_serial,
-                    seconds,
-                    mops_per_sec: report.requests as f64 / seconds.max(1e-9) / 1e6,
-                });
+                rows.push(row(workload, shards, workers, "-", &report));
             }
         }
     }
@@ -234,11 +211,7 @@ fn main() {
         assert_eq!(report.stats.directory.insertion_failures.get(), 0);
     }
     for &workers in WORKER_AXIS {
-        let service =
-            DirectoryService::build_standard(armed_config(workers)).expect("bench topology builds");
-        let start = Instant::now();
-        let report = service.run_load(&load).expect("armed bench load runs");
-        let seconds = start.elapsed().as_secs_f64();
+        let report = run_cell(armed_config(workers), &load);
         assert_eq!(
             report.semantics(),
             armed_serial.semantics(),
@@ -249,7 +222,13 @@ fn main() {
             fixed_serial.resize_semantics(),
             "{workers} armed workers diverged from the statically provisioned reference"
         );
-        rows.push(armed_row(workers, &report, seconds));
+        rows.push(row(
+            RESIZE_WORKLOAD,
+            RESIZE_SHARDS,
+            workers,
+            RESIZE_POLICY,
+            &report,
+        ));
     }
 
     let mut table = TextTable::new(vec![
@@ -257,7 +236,6 @@ fn main() {
         "shards",
         "workers",
         "resize",
-        "Mreq/s",
         "entries",
         "forced inv",
         "digest",
@@ -272,7 +250,6 @@ fn main() {
             } else {
                 format!("{} x{}", row.resize, row.resizes)
             },
-            format!("{:.2}", row.mops_per_sec),
             row.entries.to_string(),
             row.forced_invalidations.to_string(),
             row.outcome_digest.clone(),
@@ -293,5 +270,5 @@ fn main() {
         requests,
         rows,
     };
-    write_bench_json("BENCH_service", &bench);
+    write_json("BENCH_service", &bench);
 }

@@ -1,22 +1,25 @@
-//! Shared harness utilities for the experiment binaries and the Criterion
-//! micro-benchmarks.
+//! Shared harness utilities for the experiment binaries.
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
 //! binary in this crate (see the READMEs reproducing-the-figures walkthrough for the index).  All binaries
 //! share the plumbing here:
 //!
 //! * [`RunScale`] — how many references to warm up and measure per
-//!   simulation, scaled to the tracked-cache capacity and overridable with
-//!   the `CCD_SCALE` environment variable (`quick`, `default`, `full`),
+//!   simulation, scaled to the tracked-cache capacity and selected with
+//!   the `CCD_SCALE` environment variable (`quick`, `default`, `full`;
+//!   anything else is an error, not a fallback),
 //! * [`SweepSpec`] — declarative parameter sweeps (organizations × systems
 //!   × workloads × seeds) fanned across threads by the engine's
 //!   [`ParallelRunner`] with deterministic results,
 //! * [`simulate_workload`] — build + warm + measure one (system, directory,
 //!   workload) combination,
 //! * [`TextTable`] — fixed-width table printing for the figure data,
-//! * [`write_json`] — persist results under `results/` for EXPERIMENTS.md,
-//! * [`write_bench_json`] — persist the headline `BENCH_*` files to the
-//!   repository root *and* `results/` from one render (CI diffs the two).
+//! * [`write_json`] — the one door results leave by: deterministic JSON
+//!   under `results/`, pinned byte for byte by `scripts/golden_check.sh`.
+//!
+//! Nothing here reads a clock.  Wall time belongs to the repository
+//! benchmark (`src/bin/benchmark/`), which measures it with trials and
+//! spreads; `ccd-lint`'s `no-wallclock` rule keeps it there.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -27,9 +30,9 @@ pub mod sweep;
 use ccd_coherence::{CmpSimulator, DirectorySpec, SimReport, SystemConfig};
 use ccd_common::ConfigError;
 use ccd_workloads::{TraceGenerator, WorkloadProfile};
-use json::{Json, ToJson};
+use json::ToJson;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub use ccd_coherence::{ParallelRunner, SimJob};
 pub use sweep::{fig9_sweep, SweepCell, SweepResults, SweepSpec};
@@ -85,22 +88,46 @@ impl RunScale {
         }
     }
 
-    /// Reads the scale from the `CCD_SCALE` environment variable
-    /// (`quick` / `default` / `full`); unknown values fall back to the
-    /// default scale.
+    /// The single parse site of a `CCD_SCALE` value (`None`: the variable
+    /// is unset, which selects the default scale), returning the scale and
+    /// its canonical name for result files that record how they were run.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Parse`] quoting the token when it is not exactly
+    /// `quick`, `default` or `full`: a typo must not silently run minutes
+    /// of default-scale work under the wrong label.
+    pub fn parse_named(raw: Option<&str>) -> Result<(Self, &'static str), ConfigError> {
+        match raw {
+            Some("quick") => Ok((Self::quick(), "quick")),
+            None | Some("default") => Ok((Self::default_scale(), "default")),
+            Some("full") => Ok((Self::full(), "full")),
+            Some(other) => Err(ConfigError::parse(format!(
+                "CCD_SCALE `{other}`: expected `quick`, `default` or `full`"
+            ))),
+        }
+    }
+
+    /// The `CCD_SCALE`-selected scale, for binaries: like
+    /// [`runner_from_env`], exits with a readable message naming the
+    /// offending token when the variable is invalid.
     #[must_use]
     pub fn from_env() -> Self {
         Self::from_env_named().0
     }
 
     /// Like [`RunScale::from_env`], but also returns the canonical name of
-    /// the selected scale (for result files that record how they were run).
+    /// the selected scale.
     #[must_use]
     pub fn from_env_named() -> (Self, &'static str) {
-        match std::env::var("CCD_SCALE").as_deref() {
-            Ok("quick") => (Self::quick(), "quick"),
-            Ok("full") => (Self::full(), "full"),
-            _ => (Self::default_scale(), "default"),
+        let raw = std::env::var_os("CCD_SCALE");
+        let raw = raw.as_deref().map(std::ffi::OsStr::to_string_lossy);
+        match Self::parse_named(raw.as_deref()) {
+            Ok(named) => named,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
         }
     }
 
@@ -225,53 +252,19 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Serializes `value` as pretty JSON under [`results_dir`]`/name.json`.
-/// Failures are reported to stderr but do not abort the experiment.
+/// Serializes `value` as pretty JSON under [`results_dir`]`/name.json`,
+/// creating the directory.  Failures are reported to stderr but do not
+/// abort the experiment.
 pub fn write_json<T: ToJson>(name: &str, value: &T) {
-    write_json_text(
-        &results_dir().join(format!("{name}.json")),
-        &value.to_json().to_pretty(),
-    );
-}
-
-/// Schema version of the headline `BENCH_*` result files.  Stamped into
-/// every file [`write_bench_json`] writes as a leading `schema` field, so
-/// downstream readers can detect shape changes; bump it whenever the
-/// structure of any headline file changes.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// Serializes `value` as pretty JSON to **both** `BENCH` locations —
-/// [`results_dir`]`/name.json` and `./name.json` at the repository root —
-/// from one render, so the two tracked copies can never drift (CI diffs
-/// them byte-for-byte).  Use this for the headline `BENCH_*` result files;
-/// per-figure results stay under [`write_json`].
-///
-/// A `schema` field carrying [`BENCH_SCHEMA_VERSION`] is injected at the
-/// head of the top-level object (values that are not objects are written
-/// unchanged).
-pub fn write_bench_json<T: ToJson>(name: &str, value: &T) {
-    let mut json = value.to_json();
-    if let Json::Obj(fields) = &mut json {
-        let schema = ("schema".to_string(), Json::Num(BENCH_SCHEMA_VERSION as f64));
-        fields.insert(0, schema);
-    }
-    let rendered = json.to_pretty();
-    write_json_text(&results_dir().join(format!("{name}.json")), &rendered);
-    write_json_text(Path::new(&format!("{name}.json")), &rendered);
-}
-
-/// Writes pre-rendered JSON, creating parent directories; failures are
-/// reported to stderr but do not abort the experiment.
-fn write_json_text(path: &Path, rendered: &str) {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Err(e) = std::fs::create_dir_all(parent) {
-                eprintln!("warning: could not create {}: {e}", parent.display());
-                return;
-            }
+    let dir = results_dir();
+    if !dir.as_os_str().is_empty() {
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("warning: could not create {}: {e}", dir.display());
+            return;
         }
     }
-    if let Err(e) = std::fs::write(path, rendered) {
+    let path = dir.join(format!("{name}.json"));
+    if let Err(e) = std::fs::write(&path, value.to_json().to_pretty()) {
         eprintln!("warning: could not write {}: {e}", path.display());
     }
 }
@@ -326,26 +319,19 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_schema_field_leads_the_object() {
-        struct Bench {
-            scale: String,
+    fn scale_names_parse_exactly_and_typos_are_named_errors() {
+        for (raw, scale, name) in [
+            (None, RunScale::default_scale(), "default"),
+            (Some("quick"), RunScale::quick(), "quick"),
+            (Some("default"), RunScale::default_scale(), "default"),
+            (Some("full"), RunScale::full(), "full"),
+        ] {
+            assert_eq!(RunScale::parse_named(raw), Ok((scale, name)));
         }
-        impl_to_json!(Bench { scale });
-        let mut json = Bench {
-            scale: "quick".into(),
+        for typo in ["", "Quick", "qiuck"] {
+            let message = RunScale::parse_named(Some(typo)).unwrap_err().to_string();
+            assert!(message.contains(&format!("`{typo}`")), "{message}");
         }
-        .to_json();
-        // Mirror `write_bench_json`'s injection without touching the
-        // filesystem.
-        if let Json::Obj(fields) = &mut json {
-            fields.insert(
-                0,
-                ("schema".to_string(), Json::Num(BENCH_SCHEMA_VERSION as f64)),
-            );
-        }
-        let rendered = json.to_pretty();
-        let schema_line = format!("\"schema\": {BENCH_SCHEMA_VERSION}");
-        assert!(rendered.lines().nth(1).unwrap().contains(&schema_line));
     }
 
     #[test]

@@ -365,11 +365,8 @@ pub fn cuckoo_org_label(ways: usize, sets: usize) -> String {
 }
 
 /// The Figure 9 provisioning sweep: the paper's under- to over-provisioned
-/// Cuckoo organizations for one hierarchy, over the full workload suite.
-///
-/// Shared by the `fig9_provisioning` binary and the `bench_sweep`
-/// serial-vs-parallel wall-clock benchmark, so both measure exactly the
-/// same job list.
+/// Cuckoo organizations for one hierarchy, over the full workload suite
+/// (the `fig9_provisioning` binary's job list).
 #[must_use]
 pub fn fig9_sweep(hierarchy: ccd_coherence::Hierarchy, scale: RunScale) -> SweepSpec {
     let mut sweep = SweepSpec::new(format!("Figure 9 provisioning ({hierarchy})"))

@@ -233,11 +233,6 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
         self.table.contains(line.block_number())
     }
 
-    // Prefetch the d candidate tag bytes an op for `line` would probe.
-    fn prefetch_line(&self, line: LineAddr) {
-        self.table.prefetch(line.block_number());
-    }
-
     fn may_hold(&self, line: LineAddr, cache: CacheId) -> bool {
         self.table
             .get(line.block_number())
@@ -264,13 +259,13 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
     }
 
     // The staged pipeline of `CuckooTable::for_each_staged` instead of the
-    // default's "prefetch the tags, then hash every line again in `apply`":
-    // per window, each line is hashed once and its candidate tags
-    // prefetched; then the key and sharer lines behind matching tags are
-    // prefetched; then the ops run in order through the same indices.  The
-    // prefetches are hints only — each op probes the tags itself — so the
-    // batch computes exactly what the `apply` loop computes, including when
-    // an earlier op of the window moves or discards a later op's line.
+    // default's `apply` loop, which overlaps no memory latency: per window,
+    // each line is hashed once and its candidate tags prefetched; then the
+    // key and sharer lines behind matching tags are prefetched; then the
+    // ops run in order through the same indices.  The prefetches are hints
+    // only — each op probes the tags itself — so the batch computes exactly
+    // what the `apply` loop computes, including when an earlier op of the
+    // window moves or discards a later op's line.
     fn apply_batch(
         &mut self,
         ops: &[DirectoryOp],

@@ -1040,19 +1040,6 @@ impl<V> CuckooTable<V> {
         }
     }
 
-    fn prefetch_n<const N: usize>(&self, key: u64) {
-        let mut indices = [0usize; N];
-        self.hash_into(key, &mut indices);
-        self.prefetch_tags(&indices);
-    }
-
-    /// Issues software prefetches for `key`'s candidate tag bytes, hiding
-    /// the probe's cache misses when called a few operations ahead of the
-    /// actual lookup or insertion.  Semantically a no-op.
-    pub fn prefetch(&self, key: u64) {
-        ways_dispatch!(self.prefetch_n(key));
-    }
-
     /// Inserts `key` with `value`, displacing existing entries as needed.
     ///
     /// If `key` is already present its payload is replaced and the insertion
@@ -1913,11 +1900,6 @@ mod tests {
         for (query, hit) in queries.iter().zip(&hits) {
             assert_eq!(*hit, table.contains(*query), "key {query:#x}");
         }
-        // Prefetching is a semantic no-op.
-        for &query in &queries {
-            table.prefetch(query);
-        }
-        assert_eq!(table.len(), keys.len());
     }
 
     #[test]

@@ -93,19 +93,6 @@ pub use tagless::TaglessDirectory;
 use ccd_common::{CacheId, ConfigError, LineAddr};
 use ccd_sharers::SharerSet;
 
-/// How many upcoming operations the default [`Directory::apply_batch`] (and
-/// the service workers' request loop) hint with
-/// [`Directory::prefetch_line`] before applying them.
-///
-/// The hint covers only an organization's tag or slot lines, so the window
-/// just has to outlast one such miss.  Measured through the `sharded4:`
-/// cuckoo row of the `dir_spill` benchmark, windows of 4, 8, 16 and 32 are
-/// indistinguishable (176–280 ns/op over three seeds each, the spread of
-/// the host rather than of the window), so the value stays at 8.  The
-/// cuckoo directory's own batch path does not use it: its staged pipeline
-/// has a depth of its own (`ccd_cuckoo::PIPELINE_DEPTH`).
-pub const APPLY_BATCH_WINDOW: usize = 8;
-
 /// A block whose directory entry was evicted to make room for another entry.
 ///
 /// The coherence protocol must invalidate the listed caches' copies of the
@@ -583,29 +570,15 @@ pub trait Directory: Send {
     /// allocation.
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome);
 
-    /// Hints that `line` is about to be operated on, prefetching the first
-    /// storage a subsequent [`Directory::apply`] for that line would touch.
-    /// Semantically a no-op.  The default does nothing, which is right for
-    /// the set-indexed organizations (sparse, duplicate-tag, in-cache,
-    /// tagless); the hashed ones override it — the skewed directory hints
-    /// its `d` candidate slots, the cuckoo directory its `d` candidate tag
-    /// bytes, and [`ShardedDirectory`] forwards to the owning shard — so
-    /// batched callers can overlap the resulting cache misses.
-    fn prefetch_line(&self, _line: LineAddr) {}
-
     /// Applies `ops` in order through the reusable `out` buffer, invoking
     /// `sink(op, out)` after each operation while its results are still in
     /// the buffer.
     ///
-    /// The default implementation works in windows of
-    /// [`APPLY_BATCH_WINDOW`]: every line in the window is
-    /// [prefetched](Directory::prefetch_line) before the window's operations
-    /// are applied, so the candidate-slot cache misses of independent
-    /// operations overlap instead of serializing.  Every organization but
-    /// one runs this default; the cuckoo directory overrides it with a
-    /// three-stage pipeline that hashes each line once and also prefetches
-    /// the key and sharer lines behind matching tags.  Either way observable
-    /// behaviour is identical to calling [`Directory::apply`] in a loop —
+    /// The default is [`Directory::apply`] in a loop, and every
+    /// organization but one runs it; the cuckoo directory overrides it with
+    /// a three-stage pipeline that hashes each line once and prefetches the
+    /// tag, key and sharer lines of a window of operations before applying
+    /// them.  Either way observable behaviour is identical to the loop —
     /// prefetches are hints, never inputs — and with a warmed-up `out`
     /// buffer and an allocation-free `sink` the batch performs no heap
     /// allocation.
@@ -615,17 +588,9 @@ pub trait Directory: Send {
         out: &mut Outcome,
         sink: &mut dyn FnMut(&DirectoryOp, &Outcome),
     ) {
-        let mut start = 0;
-        while start < ops.len() {
-            let end = (start + APPLY_BATCH_WINDOW).min(ops.len());
-            for op in &ops[start..end] {
-                self.prefetch_line(op.line());
-            }
-            for op in &ops[start..end] {
-                self.apply(*op, out);
-                sink(op, out);
-            }
-            start = end;
+        for op in ops {
+            self.apply(*op, out);
+            sink(op, out);
         }
     }
 

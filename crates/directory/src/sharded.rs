@@ -176,15 +176,6 @@ impl Directory for ShardedDirectory {
         self.absorb_outcome(&op, out);
     }
 
-    // Routes the hint to the owning slice.  Because consecutive lines
-    // interleave across slices, the windowed default of
-    // [`Directory::apply_batch`] naturally spreads its prefetches over
-    // several independent slices' storage arrays.
-    fn prefetch_line(&self, line: LineAddr) {
-        let (shard, local) = self.home_of(line);
-        self.shards[shard].prefetch_line(local);
-    }
-
     fn sharers(&self, line: LineAddr) -> Option<Vec<CacheId>> {
         let (shard, local) = self.home_of(line);
         self.shards[shard].sharers(local)

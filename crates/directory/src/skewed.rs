@@ -16,7 +16,6 @@
 //! shows for server workloads.
 
 use crate::{Directory, DirectoryStats, Outcome, StorageProfile};
-use ccd_common::prefetch::prefetch_slice_element;
 use ccd_common::{ceil_log2, ConfigError, LineAddr};
 use ccd_hash::{HashFamily, HashKind, IndexHashFamily, MAX_FAMILY_WAYS};
 use ccd_sharers::SharerSet;
@@ -189,16 +188,6 @@ impl<S: SharerSet> Directory for SkewedDirectory<S> {
     }
 
     crate::slot_dispatch::impl_slot_directory_ops!();
-
-    // Prefetch the candidate slot of every way — each sits at an
-    // independent hashed index, so a batched caller overlaps their misses.
-    fn prefetch_line(&self, line: LineAddr) {
-        let mut candidates = [0usize; MAX_FAMILY_WAYS];
-        self.candidate_slots_into(line, &mut candidates);
-        for &slot in &candidates[..self.ways] {
-            prefetch_slice_element(&self.slots, slot);
-        }
-    }
 
     fn stats(&self) -> &DirectoryStats {
         &self.stats

@@ -28,7 +28,7 @@ fn fixture_config() -> Config {
         scan_roots: owned(&["crates"]),
         excluded: Vec::new(),
         result_bearing: owned(&["crates/resultful"]),
-        wallclock_allowed: Vec::new(),
+        wallclock_allowed: owned(&["crates/resultful/src/bin/benchmark"]),
         spawn_allowed: owned(&["crates/resultful/src/runner.rs"]),
         lock_free: owned(&["crates/hotpath", "crates/recorder"]),
         ordering_commented: owned(&["crates/resultful/src/atomics.rs"]),
@@ -60,6 +60,9 @@ fn every_rule_fires_at_its_known_site() {
         // An atomic ordering without a `// ordering:` justification; the
         // justified load and `cmp::Ordering` stay silent.
         ("crates/resultful/src/atomics.rs", 6, "ordering-comment"),
+        // One clock: a bin beside the benchmark directory may not read it;
+        // `bin/benchmark/main.rs`, under the sanctioned prefix, stays silent.
+        ("crates/resultful/src/bin/figure.rs", 4, "no-wallclock"),
         // Default-hasher map and wall-clock reads in result-bearing code;
         // the `#[cfg(test)]` module's uses stay silent.
         (
@@ -114,15 +117,18 @@ fn every_rule_fires_at_its_known_site() {
 
 #[test]
 fn kind_exemptions_hold() {
-    // The corpus contains `src/bin/tool.rs` with an `.expect(` and
-    // `runner.rs` (spawn-allowed) with `thread::spawn`; neither may
-    // produce a diagnostic.
+    // The corpus contains `src/bin/tool.rs` with an `.expect(`,
+    // `runner.rs` (spawn-allowed) with `thread::spawn` and
+    // `src/bin/benchmark/main.rs` (wallclock-allowed) with `Instant::now`;
+    // none may produce a diagnostic.
     let report = run(&fixture_config()).expect("fixture corpus is readable");
     assert!(
         !report
             .diagnostics
             .iter()
-            .any(|d| d.file.contains("tool.rs") || d.file.contains("runner.rs")),
+            .any(|d| ["tool.rs", "runner.rs", "benchmark/main.rs"]
+                .iter()
+                .any(|exempt| d.file.contains(exempt))),
         "binary/sanctioned-file exemptions regressed"
     );
 }

@@ -11,8 +11,8 @@
 //! * ingests coherence requests through bounded channels
 //!   ([`ccd_common::channel`]) with blocking backpressure, so any generator
 //!   becomes a closed loop;
-//! * drains requests in batches through the directories' batched fast path
-//!   ([`Directory::apply_batch`] / [`Directory::prefetch_line`]);
+//! * drains requests in batches, through the directory's batched fast path
+//!   ([`Directory::apply_batch`]) where a worker owns one shard;
 //! * exposes a snapshot-consistent, mergeable [`ServiceStats`] built from
 //!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
 //!   simulation engine;
@@ -59,7 +59,6 @@
 //! ```
 //!
 //! [`Directory::apply_batch`]: ccd_directory::Directory::apply_batch
-//! [`Directory::prefetch_line`]: ccd_directory::Directory::prefetch_line
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -16,12 +16,10 @@
 //! Every shard is owned by exactly one worker, so the hot path takes no
 //! lock: a worker's only synchronization is the bounded ingestion channel
 //! it drains batches from (and the allocation-recycling return channel it
-//! offers drained batch buffers back on).  Batches are applied through the
-//! directories' own batched fast path — [`Directory::apply_batch`] when a
-//! worker owns a single shard, and the same window-prefetch discipline
-//! ([`Directory::prefetch_line`] per [`ccd_directory::APPLY_BATCH_WINDOW`])
-//! across shards
-//! otherwise.
+//! offers drained batch buffers back on).  A worker that owns a single shard
+//! applies each batch through the directory's own batched fast path,
+//! [`Directory::apply_batch`]; one that owns several (or runs with a resize
+//! policy armed) applies request by request, each on its own shard.
 //!
 //! # Determinism contract
 //!

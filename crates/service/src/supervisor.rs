@@ -78,9 +78,7 @@ use crate::service::{
     absorb_into, finish, maybe_resize, DirectoryService, ServiceReport, WorkerOutput,
 };
 use ccd_common::channel::{bounded, Backoff, Receiver, SendTimeoutError, Sender};
-use ccd_directory::{
-    BuilderRegistry, Directory, DirectoryOp, DirectorySpec, Outcome, APPLY_BATCH_WINDOW,
-};
+use ccd_directory::{BuilderRegistry, Directory, DirectoryOp, DirectorySpec, Outcome};
 use ccd_obs::{EventKind, FlightRecorder, ObsConfig};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -723,43 +721,10 @@ fn apply_requests(
     ops_buf: &mut Vec<DirectoryOp>,
 ) {
     output.applied += requests.len() as u64;
-    if let Some(policy) = resize {
-        // With a resize policy armed, a shard may change geometry between
-        // any two requests, so every batch goes through the per-request
-        // windowed path (semantically identical to `apply_batch` by the
-        // directories' own batching contract) with the epoch check after
-        // each absorb — the same apply → absorb → count order as the
-        // serial reference.
-        let index = output.index as u32;
-        let mut start = 0;
-        while start < requests.len() {
-            let end = (start + APPLY_BATCH_WINDOW).min(requests.len());
-            for request in &requests[start..end] {
-                output.slices[request.shard as usize].prefetch_line(request.op.line());
-            }
-            for request in &requests[start..end] {
-                let shard = request.shard as usize;
-                output.slices[shard].apply(request.op, out);
-                let global_shard = request.shard * workers as u32 + index;
-                absorb_into(
-                    &mut output.outcomes,
-                    &mut output.invalidations,
-                    &mut output.forced_invalidations,
-                    request.seq,
-                    global_shard,
-                    out,
-                    record,
-                );
-                maybe_resize(output, shard, global_shard, policy);
-            }
-            start = end;
-        }
-        return;
-    }
-    if output.slices.len() == 1 {
-        // Single owned shard: the whole batch targets it, so the
-        // organization's own (possibly overridden) batched fast path
-        // applies directly.
+    if resize.is_none() && output.slices.len() == 1 {
+        // Single owned shard of fixed geometry: the whole batch targets
+        // it, so the organization's own (possibly overridden) batched fast
+        // path applies directly.
         ops_buf.clear();
         ops_buf.extend(requests.iter().map(|r| r.op));
         let global_shard = output.index as u32;
@@ -782,31 +747,29 @@ fn apply_requests(
             );
         };
         slices[0].apply_batch(ops_buf, out, &mut absorb);
-    } else {
-        // Multiple shards: same window discipline as the default
-        // `apply_batch`, with each request prefetching and applying on its
-        // own shard.
-        let index = output.index as u32;
-        let mut start = 0;
-        while start < requests.len() {
-            let end = (start + APPLY_BATCH_WINDOW).min(requests.len());
-            for request in &requests[start..end] {
-                output.slices[request.shard as usize].prefetch_line(request.op.line());
-            }
-            for request in &requests[start..end] {
-                output.slices[request.shard as usize].apply(request.op, out);
-                let global_shard = request.shard * workers as u32 + index;
-                absorb_into(
-                    &mut output.outcomes,
-                    &mut output.invalidations,
-                    &mut output.forced_invalidations,
-                    request.seq,
-                    global_shard,
-                    out,
-                    record,
-                );
-            }
-            start = end;
+        return;
+    }
+    // Several shards, or a resize policy armed (a shard may then change
+    // geometry between any two requests): one request at a time on its own
+    // shard — semantically identical to `apply_batch` by the directories'
+    // own batching contract — with the epoch check after each absorb, the
+    // same apply → absorb → count order as the serial reference.
+    let index = output.index as u32;
+    for request in requests {
+        let shard = request.shard as usize;
+        output.slices[shard].apply(request.op, out);
+        let global_shard = request.shard * workers as u32 + index;
+        absorb_into(
+            &mut output.outcomes,
+            &mut output.invalidations,
+            &mut output.forced_invalidations,
+            request.seq,
+            global_shard,
+            out,
+            record,
+        );
+        if let Some(policy) = resize {
+            maybe_resize(output, shard, global_shard, policy);
         }
     }
 }

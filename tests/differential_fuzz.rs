@@ -132,10 +132,14 @@ fn fuzz_burst() {
                 None => text.parse().expect("numeric CCD_FUZZ_SEED"),
             }
         }
-        Err(_) => std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .expect("clock before 1970")
-            .as_nanos() as u64,
+        // Fresh per process without reading a clock: the standard library
+        // keys every `RandomState` from OS entropy.
+        Err(_) => {
+            use std::hash::{BuildHasher, Hasher};
+            std::collections::hash_map::RandomState::new()
+                .build_hasher()
+                .finish()
+        }
     };
     eprintln!("differential_fuzz: CCD_FUZZ_SEED={seed:#x}");
     for index in 0..4 {

@@ -4,9 +4,9 @@
 //! reused [`Outcome`] buffer, the lookup-hit (`Probe`) path and the
 //! `AddSharer`-on-existing-entry path perform **zero heap allocations** per
 //! operation, for every organization the registry can build.  The same
-//! proof covers the prefetch hints and the batched entry points — the
-//! directory-level `apply_batch` (the default's window and the cuckoo
-//! directory's staged pipeline) and the raw cuckoo table's `probe_batch` /
+//! proof covers the batched entry points — the directory-level
+//! `apply_batch` (the default's loop and the cuckoo directory's staged
+//! pipeline) and the raw cuckoo table's `probe_batch` /
 //! `apply_batch`, which probe through the SoA tag arrays with caller-owned
 //! buffers.  A cuckoo directory of full vectors over at most 64 caches
 //! goes further: its entries hold their presence word inline, so even
@@ -206,9 +206,9 @@ fn steady_state_hot_paths_do_not_allocate() {
         });
         assert_eq!(queries, 0, "{spec}: pure queries allocated {queries} times");
 
-        // 4. Line prefetch hints and the batched apply path: with warmed-up
-        // op/outcome buffers and an allocation-free sink, a window-prefetched
-        // batch of Probe + AddSharer-on-existing ops must not allocate.
+        // 4. The batched apply path: with warmed-up op/outcome buffers and
+        // an allocation-free sink, a batch of Probe + AddSharer-on-existing
+        // ops must not allocate.
         let ops: Vec<DirectoryOp> = lines
             .iter()
             .enumerate()
@@ -223,9 +223,6 @@ fn steady_state_hot_paths_do_not_allocate() {
             })
             .collect();
         let batched = min_allocs(3, 4, || {
-            for &line in &lines {
-                dir.prefetch_line(line);
-            }
             let mut round_hits = 0u64;
             dir.apply_batch(&ops, &mut out, &mut |_, o| {
                 round_hits += u64::from(o.hit());
@@ -307,14 +304,6 @@ fn steady_state_hot_paths_do_not_allocate() {
         insert_allocs, 0,
         "CuckooTable::apply_batch allocated {insert_allocs} times"
     );
-
-    // Scalar prefetch hints are pure.
-    let prefetch_allocs = min_allocs(3, 4, || {
-        for &k in &keys {
-            table.prefetch(k);
-        }
-    });
-    assert_eq!(prefetch_allocs, 0, "prefetch allocated {prefetch_allocs}");
 
     // --- The table's buffers: one layout at allocation and at release ------
 
