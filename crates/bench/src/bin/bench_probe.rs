@@ -31,7 +31,8 @@
 //! under the results directory; CI golden-checks the quick-scale output
 //! with the wall-clock-derived fields filtered out.
 
-use ccd_bench::{write_json, RunScale, TextTable};
+use ccd_bench::json::Json;
+use ccd_bench::{obj, RunScale};
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_cuckoo::{CuckooTable, VectorEngine};
 use ccd_hash::HashKind;
@@ -93,40 +94,6 @@ impl ProbeScale {
     }
 }
 
-#[derive(Debug)]
-struct KernelRow {
-    regime: String,
-    spec: String,
-    layout: String,
-    occupancy: f64,
-    metric: String,
-    ns_per_op: f64,
-    trial_spread: f64,
-    vs_planar: f64,
-}
-ccd_bench::impl_to_json!(KernelRow {
-    regime,
-    spec,
-    layout,
-    occupancy,
-    metric,
-    ns_per_op,
-    trial_spread,
-    vs_planar
-});
-
-#[derive(Debug)]
-struct BenchProbe {
-    scale: String,
-    engine: String,
-    kernels: Vec<KernelRow>,
-}
-ccd_bench::impl_to_json!(BenchProbe {
-    scale,
-    engine,
-    kernels
-});
-
 /// Human-readable tag-array size for the section headings.
 fn fmt_bytes(bytes: usize) -> String {
     if bytes >= 1 << 20 {
@@ -182,9 +149,9 @@ fn absent_keys<V>(table: &CuckooTable<V>, count: usize, rng: &mut SplitMix64) ->
 /// The kernel section: the two tag layouts, each on the spec that gets it
 /// from [`CuckooTable::new`], in the LLC-resident and the LLC-spilling
 /// regime.  Values are `()`; the fill goes through `apply_batch`.
-fn kernel_section(scale: &ProbeScale) -> Vec<KernelRow> {
+fn kernel_section(scale: &ProbeScale) -> Vec<Json> {
     const OCCUPANCIES: &[f64] = &[0.5, 0.85];
-    let mut rows: Vec<KernelRow> = Vec::new();
+    let mut rows = Vec::new();
     for (regime, sets) in [
         ("resident", scale.resident_sets),
         ("spill", scale.spill_sets),
@@ -291,15 +258,15 @@ fn kernel_section(scale: &ProbeScale) -> Vec<KernelRow> {
                     if layout == "planar" {
                         planar_ns.push(timing.best);
                     }
-                    rows.push(KernelRow {
-                        regime: regime.to_string(),
-                        spec: spec.clone(),
-                        layout: layout.to_string(),
-                        occupancy,
-                        metric: metric.to_string(),
-                        ns_per_op: timing.best,
-                        trial_spread: timing.spread,
-                        vs_planar: planar_ns[cell] / timing.best,
+                    rows.push(obj! {
+                        "regime": regime,
+                        "spec": spec,
+                        "layout": layout,
+                        "occupancy": occupancy,
+                        "metric": metric,
+                        "ns_per_op": timing.best,
+                        "trial_spread": timing.spread,
+                        "vs_planar": planar_ns[cell] / timing.best,
                     });
                     cell += 1;
                 }
@@ -314,46 +281,26 @@ fn main() {
     let scale = ProbeScale::named(scale_name);
     let engine = VectorEngine::detect();
 
-    println!("== BENCH_probe: cuckoo probe/insert ns-per-op ==");
     println!(
-        "   scale {scale_name}; vector engine {}; best of {} trials\n",
-        engine.name(),
+        "== BENCH_probe: planar/SWAR (skew) vs line-local/vector (tagalt), {WAYS} ways; \
+         resident {} tags, spill {} tags; best of {} trials ==",
+        fmt_bytes(WAYS * scale.resident_sets),
+        fmt_bytes(WAYS * scale.spill_sets),
         scale.trials
     );
-
-    println!(
-        "-- kernels: planar/SWAR (skew) vs line-local/vector (tagalt), {WAYS} ways; \
-         resident {} tags, spill {} tags --",
-        fmt_bytes(WAYS * scale.resident_sets),
-        fmt_bytes(WAYS * scale.spill_sets)
-    );
-    let kernels = kernel_section(&scale);
-    let mut table = TextTable::new(vec![
-        "regime",
-        "occupancy",
-        "metric",
-        "layout",
-        "ns/op",
-        "trial spread",
-        "vs planar",
-    ]);
-    for row in &kernels {
-        table.add_row(vec![
-            row.regime.clone(),
-            format!("{:.2}", row.occupancy),
-            row.metric.clone(),
-            row.layout.clone(),
-            format!("{:.2}", row.ns_per_op),
-            format!("{:.1}%", row.trial_spread * 100.0),
-            format!("{:.2}x", row.vs_planar),
-        ]);
-    }
-    table.print();
-
-    let report = BenchProbe {
-        scale: scale_name.to_string(),
-        engine: engine.name().to_string(),
-        kernels,
+    let report = obj! {
+        "scale": scale_name,
+        "engine": engine.name(),
+        "kernels": Json::Arr(kernel_section(&scale)),
     };
-    write_json("BENCH_probe", &report);
+    print!("{}", report.to_text());
+    let written = ccd_bench::write_result(
+        &ccd_bench::results_dir(),
+        "BENCH_probe.json",
+        report.to_pretty().as_bytes(),
+    );
+    if let Err(e) = written {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
 }

@@ -1,9 +1,10 @@
-//! Dependency-free JSON serialization for the experiment result files.
+//! Dependency-free JSON for the experiment result files.
 //!
-//! The build environment cannot fetch `serde`/`serde_json`, so the figure
-//! binaries serialize their row structs through this small [`ToJson`] trait
-//! instead.  [`crate::impl_to_json!`] generates the field-by-field impl for
-//! a plain struct in one line.
+//! The build environment cannot fetch `serde`/`serde_json`, so an
+//! experiment builds its result as a [`Json`] tree directly: [`crate::obj!`]
+//! makes one row, naming each column once, and [`ToJson`] converts the
+//! values.  The tree renders two ways — [`Json::to_pretty`] is the file,
+//! [`Json::to_text`] the table a person reads on stdout.
 
 use std::fmt::{self, Write as _};
 
@@ -25,12 +26,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Builds an object from `(key, value)` pairs.
-    #[must_use]
-    pub fn obj(fields: Vec<(String, Json)>) -> Json {
-        Json::Obj(fields)
-    }
-
     fn write_escaped(s: &str, out: &mut String) {
         out.push('"');
         for c in s.chars() {
@@ -119,6 +114,137 @@ impl Json {
     }
 }
 
+/// A number as a person reads it: integers whole, anything else to four
+/// significant digits, trailing zeros dropped.
+fn display_num(n: f64) -> String {
+    if n.fract() == 0.0 || !n.is_finite() {
+        let mut out = String::new();
+        Json::write_num(n, &mut out);
+        return out;
+    }
+    let digits = (3 - n.abs().log10().floor() as i32).clamp(0, 12) as usize;
+    let text = format!("{n:.digits$}");
+    if text.contains('.') {
+        text.trim_end_matches('0').trim_end_matches('.').to_string()
+    } else {
+        text
+    }
+}
+
+/// The text side of a tree: what `figs` prints for a result.
+impl Json {
+    /// A scalar as a person reads it; `None` for arrays and objects.
+    fn scalar(&self) -> Option<String> {
+        match self {
+            Json::Null => Some("-".to_string()),
+            Json::Bool(b) => Some(b.to_string()),
+            Json::Num(n) => Some(display_num(*n)),
+            Json::Str(s) => Some(s.clone()),
+            Json::Arr(_) | Json::Obj(_) => None,
+        }
+    }
+
+    /// What fits in one table cell — a scalar, or an array of scalars
+    /// joined by spaces; `None` for anything nested deeper.
+    fn cell(&self) -> Option<String> {
+        match self {
+            Json::Arr(items) => {
+                let cells: Option<Vec<String>> = items.iter().map(Json::scalar).collect();
+                cells.map(|cells| cells.join(" "))
+            }
+            other => other.scalar(),
+        }
+    }
+
+    /// One table row: an object of cells under its keys, or an array of
+    /// scalars under no header; `None` when a value nests deeper.
+    fn flat_row(&self) -> Option<Vec<(&str, String)>> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter()
+                .map(|(key, value)| Some((key.as_str(), value.cell()?)))
+                .collect(),
+            Json::Arr(items) => items
+                .iter()
+                .map(|item| Some(("", item.scalar()?)))
+                .collect(),
+            _ => None,
+        }
+    }
+
+    fn text(&self, out: &mut String) {
+        match self {
+            Json::Arr(items) => {
+                let rows: Option<Vec<_>> = items.iter().map(Json::flat_row).collect();
+                match rows {
+                    Some(rows) if !rows.is_empty() => write_table(&rows, out),
+                    _ => {
+                        for (i, item) in items.iter().enumerate() {
+                            if i > 0 {
+                                out.push('\n');
+                            }
+                            item.text(out);
+                        }
+                    }
+                }
+            }
+            Json::Obj(fields) => {
+                for (key, value) in fields {
+                    match value.cell() {
+                        Some(cell) => {
+                            let _ = writeln!(out, "{key}: {cell}");
+                        }
+                        None => {
+                            let _ = writeln!(out, "{key}:");
+                            value.text(out);
+                        }
+                    }
+                }
+            }
+            leaf => {
+                let _ = writeln!(out, "{}", leaf.scalar().unwrap_or_default());
+            }
+        }
+    }
+
+    /// Renders the value for a terminal: an array of flat rows becomes a
+    /// fixed-width table (keys as headers, values in the file's own units,
+    /// numbers to four significant digits); an object prints its scalar
+    /// fields as `key: value` lines and recurses into the rest.
+    #[must_use]
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        self.text(&mut out);
+        out
+    }
+}
+
+/// Fixed-width columns, headed by the first row's keys when it has any.
+fn write_table(rows: &[Vec<(&str, String)>], out: &mut String) {
+    let mut widths: Vec<usize> = rows[0].iter().map(|(key, _)| key.chars().count()).collect();
+    for row in rows {
+        for (width, (_, cell)) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.chars().count());
+        }
+    }
+    let mut line = |cells: &mut dyn Iterator<Item = &str>| {
+        let start = out.len();
+        for (cell, width) in cells.zip(&widths) {
+            let _ = write!(out, "{cell:width$}  ");
+        }
+        out.truncate(start + out[start..].trim_end().len());
+        out.push('\n');
+    };
+    if rows[0].iter().any(|(key, _)| !key.is_empty()) {
+        line(&mut rows[0].iter().map(|(key, _)| *key));
+        let rule = "-".repeat(widths.iter().map(|w| w + 2).sum::<usize>() - 2);
+        line(&mut std::iter::once(rule.as_str()));
+    }
+    for row in rows {
+        line(&mut row.iter().map(|(_, cell)| cell.as_str()));
+    }
+}
+
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_pretty())
@@ -141,6 +267,12 @@ macro_rules! impl_num {
     };
 }
 impl_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+
+impl ToJson for Json {
+    fn to_json(&self) -> Json {
+        self.clone()
+    }
+}
 
 impl ToJson for bool {
     fn to_json(&self) -> Json {
@@ -193,28 +325,19 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     }
 }
 
-/// Implements [`ToJson`] for a plain struct by listing its fields:
+/// Builds one [`Json::Obj`] row, naming each column once; values convert
+/// through [`ToJson`]:
 ///
 /// ```
-/// struct Row {
-///     workload: String,
-///     rate: f64,
-/// }
-/// ccd_bench::impl_to_json!(Row { workload, rate });
-/// # let row = Row { workload: "DB2".into(), rate: 0.5 };
-/// # use ccd_bench::json::ToJson;
-/// # assert!(row.to_json().to_pretty().contains("\"workload\""));
+/// let row = ccd_bench::obj! { "workload": "DB2", "rate": 0.5 };
+/// assert_eq!(row.to_text(), "workload: DB2\nrate: 0.5\n");
 /// ```
 #[macro_export]
-macro_rules! impl_to_json {
-    ($ty:ty { $($field:ident),+ $(,)? }) => {
-        impl $crate::json::ToJson for $ty {
-            fn to_json(&self) -> $crate::json::Json {
-                $crate::json::Json::obj(vec![
-                    $((stringify!($field).to_string(), $crate::json::ToJson::to_json(&self.$field)),)+
-                ])
-            }
-        }
+macro_rules! obj {
+    ($($key:literal: $value:expr),+ $(,)?) => {
+        $crate::json::Json::Obj(vec![
+            $(($key.to_string(), $crate::json::ToJson::to_json(&$value)),)+
+        ])
     };
 }
 
@@ -234,20 +357,55 @@ mod tests {
 
     #[test]
     fn renders_nested_structures() {
-        struct Row {
-            name: String,
-            values: Vec<(u64, f64)>,
-        }
-        impl_to_json!(Row { name, values });
-        let row = Row {
-            name: "x".into(),
-            values: vec![(1, 0.5)],
+        let row = crate::obj! { "name": "x", "values": vec![(1u64, 0.5)], "skipped": None::<f64> };
+        assert_eq!(
+            vec![row].to_json().to_pretty(),
+            "[\n  {\n    \"name\": \"x\",\n    \"values\": [\n      [\n        1,\n        0.5\n      \
+             ]\n    ],\n    \"skipped\": null\n  }\n]"
+        );
+    }
+
+    #[test]
+    fn flat_rows_become_a_table_headed_by_their_keys() {
+        let rows = vec![
+            crate::obj! { "workload": "DB2", "rate": 0.0123456, "cores": vec![16u32, 32] },
+            crate::obj! { "workload": "ocean", "rate": None::<f64>, "cores": vec![1024u32] },
+        ];
+        assert_eq!(
+            rows.to_json().to_text(),
+            "workload  rate     cores\n\
+             ------------------------\n\
+             DB2       0.01235  16 32\n\
+             ocean     -        1024\n"
+        );
+    }
+
+    #[test]
+    fn nested_results_print_their_scalars_then_recurse() {
+        let bench = crate::obj! {
+            "scale": "quick",
+            "ok": true,
+            "rows": vec![crate::obj! { "workers": 2u32, "digest": "00ff" }],
+            "pairs": vec![(1u64, 85.25), (2, 10.0)],
         };
-        let text = vec![row].to_json().to_pretty();
-        assert!(text.starts_with('['));
-        assert!(text.contains("\"name\": \"x\""));
-        assert!(text.contains('['));
-        // Integral floats render without a fraction.
-        assert!(text.contains('1'));
+        assert_eq!(
+            bench.to_text(),
+            "scale: quick\nok: true\nrows:\nworkers  digest\n---------------\n2        00ff\n\
+             pairs:\n1  85.25\n2  10\n"
+        );
+    }
+
+    #[test]
+    fn numbers_print_to_four_significant_digits() {
+        for (n, text) in [
+            (3.0, "3"),
+            (0.5, "0.5"),
+            (85.254, "85.25"),
+            (0.000123456, "0.0001235"),
+            (1234.56, "1235"),
+            (-2.5, "-2.5"),
+        ] {
+            assert_eq!(display_num(n), text);
+        }
     }
 }

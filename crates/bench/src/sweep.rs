@@ -2,7 +2,7 @@
 //!
 //! The paper's headline results are all sweeps over the same four axes —
 //! directory organization × system configuration × workload × seed — and
-//! every figure binary used to hand-roll its own loop over them.
+//! every figure used to hand-roll its own loop over them.
 //! [`SweepSpec`] expresses the sweep as *data*: the cross product of the
 //! axes becomes a list of pure [`SimJob`]s, the
 //! [`ParallelRunner`] fans them across
@@ -17,7 +17,7 @@
 //! byte-identical outputs.
 //!
 //! ```no_run
-//! use ccd_bench::{RunScale, SweepSpec};
+//! use ccd_bench::{ParallelRunner, RunScale, SweepSpec};
 //! use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 //! use ccd_workloads::WorkloadProfile;
 //!
@@ -27,20 +27,18 @@
 //!     .org("Sparse 2x", DirectorySpec::sparse(8, 2.0))
 //!     .workloads(WorkloadProfile::all_paper_workloads())
 //!     .scale(RunScale::quick())
-//!     .run()
+//!     .run_with(&ParallelRunner::new())
 //!     .expect("valid sweep");
-//! let cuckoo_rate = results.mean_where(
-//!     |c| c.org == "Cuckoo 1x",
-//!     |r| r.forced_invalidation_rate(),
-//! );
+//! let cuckoo_rate = results
+//!     .mean_where(|c| c.org == "Cuckoo 1x", |r| r.forced_invalidation_rate())
+//!     .expect("the label is on the organization axis");
 //! assert!(cuckoo_rate < 0.01);
 //! ```
 
 use crate::RunScale;
 use ccd_coherence::{DirectorySpec, ParallelRunner, SimJob, SimReport, SystemConfig};
 use ccd_common::ConfigError;
-use ccd_hash::HashKind;
-use ccd_workloads::{derive_seed, WorkloadProfile, WorkloadSpec};
+use ccd_workloads::{derive_seed, WorkloadSpec};
 
 /// Default [`SweepSpec::base_seed`].
 pub const DEFAULT_BASE_SEED: u64 = 0xCCD5;
@@ -48,8 +46,8 @@ pub const DEFAULT_BASE_SEED: u64 = 0xCCD5;
 /// A declarative parameter sweep: the cross product of four axes.
 ///
 /// Axis nesting order (outer → inner) is systems → organizations →
-/// workloads → seeds; [`SweepSpec::run`] returns one [`SweepCell`] per
-/// point, in that order.
+/// workloads → seeds; [`SweepSpec::run_with`] returns one [`SweepCell`]
+/// per point, in that order.
 #[derive(Clone, Debug)]
 pub struct SweepSpec {
     /// Title used in banners and error messages.
@@ -92,14 +90,6 @@ impl SweepSpec {
         self
     }
 
-    /// Adds one directory organization labelled with its own
-    /// [`DirectorySpec::label`].
-    #[must_use]
-    pub fn org_labelled(self, spec: DirectorySpec) -> Self {
-        let label = spec.label();
-        self.org(label, spec)
-    }
-
     /// Adds one labelled directory organization.
     #[must_use]
     pub fn org(mut self, label: impl Into<String>, spec: DirectorySpec) -> Self {
@@ -107,7 +97,8 @@ impl SweepSpec {
         self
     }
 
-    /// Adds one workload: a [`WorkloadProfile`], a parsed
+    /// Adds one workload: a
+    /// [`WorkloadProfile`](ccd_workloads::WorkloadProfile), a parsed
     /// [`ScenarioSpec`](ccd_workloads::ScenarioSpec), or any
     /// [`WorkloadSpec`].
     #[must_use]
@@ -215,7 +206,8 @@ impl SweepSpec {
         jobs
     }
 
-    /// Runs the sweep on `runner`.
+    /// Runs the sweep on `runner` (a serial runner, `CCD_WORKERS=1`, and
+    /// any worker count return identical results).
     ///
     /// # Errors
     ///
@@ -240,17 +232,6 @@ impl SweepSpec {
             title: self.title.clone(),
             cells,
         })
-    }
-
-    /// Runs the sweep on the environment-selected runner
-    /// ([`ParallelRunner::from_env`]: `CCD_WORKERS=1` forces serial).
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepSpec::run_with`]; additionally an invalid `CCD_WORKERS`
-    /// value is a named parse error rather than a silent fallback.
-    pub fn run(&self) -> Result<SweepResults, ConfigError> {
-        self.run_with(&ParallelRunner::from_env()?)
     }
 }
 
@@ -310,87 +291,30 @@ impl SweepResults {
             .find(|c| c.system == system && c.org == org && c.workload == workload)
     }
 
-    /// Mean of `metric` over the cells matching `predicate`; 0 when none
-    /// match.
+    /// Mean of `metric` over the cells matching `predicate`; `None` when
+    /// none match — a drifted label must not publish a straight-faced `0`.
     pub fn mean_where(
         &self,
         predicate: impl Fn(&SweepCell) -> bool,
         metric: impl Fn(&SimReport) -> f64,
-    ) -> f64 {
+    ) -> Option<f64> {
         let values: Vec<f64> = self.select(predicate).map(|c| metric(&c.report)).collect();
-        if values.is_empty() {
-            0.0
-        } else {
-            values.iter().sum::<f64>() / values.len() as f64
-        }
-    }
-}
-
-/// The per-slice Cuckoo organizations of Figure 9 for one hierarchy, as
-/// `(ways, sets, provisioning)` triples in the figure's order.
-///
-/// The structured form is exposed (rather than only the labels inside
-/// [`fig9_sweep`]) so consumers never have to re-parse display strings.
-#[must_use]
-pub fn fig9_organizations(
-    hierarchy: ccd_coherence::Hierarchy,
-) -> &'static [(usize, usize, &'static str)] {
-    use ccd_coherence::Hierarchy;
-    match hierarchy {
-        Hierarchy::SharedL2 => &[
-            (4, 1024, "2x"),
-            (3, 1024, "1.5x"),
-            (4, 512, "1x"),
-            (3, 512, "3/4x"),
-            (4, 256, "1/2x"),
-            (3, 256, "3/8x"),
-        ],
-        Hierarchy::PrivateL2 => &[
-            (4, 8192, "2x"),
-            (3, 8192, "1.5x"),
-            (8, 2048, "1x"),
-            (3, 4096, "3/4x"),
-            (8, 1024, "1/2x"),
-            (3, 2048, "3/8x"),
-        ],
+        (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
     }
 }
 
 /// The canonical organization-axis label for an explicit `ways x sets`
-/// Cuckoo geometry, shared by every figure binary that sweeps one (fig9,
+/// Cuckoo geometry, shared by every experiment that sweeps one (fig9,
 /// fig10, fig11) so the labels can never drift apart.
 #[must_use]
 pub fn cuckoo_org_label(ways: usize, sets: usize) -> String {
     format!("Cuckoo {ways}x{sets}")
 }
 
-/// The Figure 9 provisioning sweep: the paper's under- to over-provisioned
-/// Cuckoo organizations for one hierarchy, over the full workload suite
-/// (the `fig9_provisioning` binary's job list).
-#[must_use]
-pub fn fig9_sweep(hierarchy: ccd_coherence::Hierarchy, scale: RunScale) -> SweepSpec {
-    let mut sweep = SweepSpec::new(format!("Figure 9 provisioning ({hierarchy})"))
-        .system(hierarchy.to_string(), SystemConfig::table1(hierarchy))
-        .workloads(WorkloadProfile::all_paper_workloads())
-        .scale(scale)
-        .base_seed(0xF19);
-    for &(ways, sets, _) in fig9_organizations(hierarchy) {
-        sweep = sweep.org(
-            cuckoo_org_label(ways, sets),
-            DirectorySpec::CuckooExplicit {
-                ways,
-                sets,
-                hash: HashKind::Skewing,
-            },
-        );
-    }
-    sweep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccd_coherence::Hierarchy;
+    use ccd_workloads::WorkloadProfile;
 
     fn tiny_sweep() -> SweepSpec {
         SweepSpec::new("tiny")
@@ -455,9 +379,14 @@ mod tests {
         assert_eq!(results.select(|c| c.org == "Cuckoo 1x").count(), 4);
         assert!(results.find("Shared-L2", "Sparse 2x", "ocean").is_some());
         assert!(results.find("Shared-L2", "Sparse 2x", "nope").is_none());
-        let rate = results.mean_where(|c| c.org == "Cuckoo 1x", |r| r.forced_invalidation_rate());
+        let rate = results
+            .mean_where(|c| c.org == "Cuckoo 1x", |r| r.forced_invalidation_rate())
+            .expect("four cells carry the label");
         assert!(rate < 0.05, "{rate}");
-        assert_eq!(results.mean_where(|_| false, |r| r.cache_miss_rate()), 0.0);
+        // A drifted label used to answer 0.0, which reads as a perfect
+        // forced-invalidation rate; a query that matches nothing has no mean.
+        let mislabelled = results.mean_where(|c| c.org == "Cuckoo 1 x", |r| r.cache_miss_rate());
+        assert_eq!(mislabelled, None);
     }
 
     #[test]
@@ -481,15 +410,5 @@ mod tests {
 
         // Parse errors surface before any simulation runs.
         assert!(SweepSpec::new("bad").workload_str("martian-b2").is_err());
-    }
-
-    #[test]
-    fn fig9_sweep_covers_six_orgs_and_the_full_suite() {
-        for hierarchy in [Hierarchy::SharedL2, Hierarchy::PrivateL2] {
-            let sweep = fig9_sweep(hierarchy, RunScale::quick());
-            assert_eq!(sweep.orgs.len(), 6);
-            assert_eq!(sweep.workloads.len(), 9);
-            assert_eq!(sweep.len(), 6 * 9);
-        }
     }
 }

@@ -119,7 +119,7 @@ impl DirectoryComplex {
     pub fn merged_stats(&self) -> DirectoryStats {
         let mut stats = DirectoryStats::new();
         for slice in &self.slices {
-            stats.merge(slice.stats());
+            stats.merge(&slice.stats());
         }
         stats
     }

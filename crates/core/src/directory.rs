@@ -287,8 +287,8 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
         );
     }
 
-    fn stats(&self) -> &DirectoryStats {
-        &self.stats
+    fn stats(&self) -> DirectoryStats {
+        self.stats.clone()
     }
 
     fn reset_stats(&mut self) {
@@ -615,7 +615,7 @@ mod tests {
         fn observe(d: &Dir, lines: &[LineAddr]) -> Observed {
             (
                 d.len(),
-                d.stats().clone(),
+                d.stats(),
                 d.depth_metrics().cloned(),
                 lines.iter().map(|&l| d.sharers(l)).collect(),
             )

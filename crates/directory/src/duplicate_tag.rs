@@ -298,8 +298,8 @@ impl Directory for DuplicateTagDirectory {
         }
     }
 
-    fn stats(&self) -> &DirectoryStats {
-        &self.stats
+    fn stats(&self) -> DirectoryStats {
+        self.stats.clone()
     }
 
     fn reset_stats(&mut self) {

@@ -83,7 +83,7 @@ impl<S: SharerSet> Directory for InCacheDirectory<S> {
         self.inner.sharers(line)
     }
 
-    fn stats(&self) -> &DirectoryStats {
+    fn stats(&self) -> DirectoryStats {
         self.inner.stats()
     }
 

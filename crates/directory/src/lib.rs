@@ -594,8 +594,10 @@ pub trait Directory: Send {
         }
     }
 
-    /// Accumulated statistics.
-    fn stats(&self) -> &DirectoryStats;
+    /// Accumulated statistics, by value: a snapshot read at report time,
+    /// never on the request path (a sharded directory computes it by
+    /// merging its slices').
+    fn stats(&self) -> DirectoryStats;
 
     /// Clears the statistics (used after warm-up).
     fn reset_stats(&mut self);

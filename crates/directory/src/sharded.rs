@@ -14,9 +14,10 @@
 //! `shardedN:` spec prefix) builds `N` identical slices whose total
 //! capacity matches the unsharded spec.
 //!
-//! Aggregate statistics are maintained by observing each operation's
-//! [`Outcome`], so a sharded directory reports the same counters a single
-//! slice of the same total capacity would.
+//! The wrapper keeps no books of its own: its statistics are the merge of
+//! its slices', in shard order, computed when asked — so it reports the
+//! same counters a single slice of the same total capacity would, and the
+//! request path pays for routing only.
 
 use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
 use ccd_common::{CacheId, ConfigError, LineAddr};
@@ -24,7 +25,6 @@ use ccd_common::{CacheId, ConfigError, LineAddr};
 /// `N` address-interleaved directory slices behind one [`Directory`].
 pub struct ShardedDirectory {
     shards: Vec<Box<dyn Directory>>,
-    stats: DirectoryStats,
 }
 
 impl std::fmt::Debug for ShardedDirectory {
@@ -56,10 +56,7 @@ impl ShardedDirectory {
                 what: "all shards must track the same number of caches",
             });
         }
-        Ok(ShardedDirectory {
-            shards,
-            stats: DirectoryStats::new(),
-        })
+        Ok(ShardedDirectory { shards })
     }
 
     /// Number of slices.
@@ -84,56 +81,6 @@ impl ShardedDirectory {
     /// Reconstructs the global line from a shard index and its local line.
     fn global_line(&self, shard: usize, local: LineAddr) -> LineAddr {
         LineAddr::from_block_number(local.block_number() * self.shards.len() as u64 + shard as u64)
-    }
-
-    /// Folds the operation's observable effects into the aggregate
-    /// statistics, mirroring what a monolithic slice would have recorded.
-    /// Probes are statistics-neutral, matching the per-organization
-    /// implementations.
-    fn absorb_outcome(&mut self, op: &DirectoryOp, out: &Outcome) {
-        match op {
-            DirectoryOp::AddSharer { .. } | DirectoryOp::SetExclusive { .. } => {
-                self.stats.lookups.incr();
-            }
-            DirectoryOp::RemoveSharer { .. }
-            | DirectoryOp::RemoveEntry { .. }
-            | DirectoryOp::Probe { .. } => {}
-        }
-        if out.allocated_new_entry() {
-            let occupancy = self.occupancy();
-            self.stats.record_insertion(
-                out.insertion_attempts(),
-                out.forced_eviction_count() as u64,
-                occupancy,
-            );
-            if out.insertion_failed() {
-                self.stats.insertion_failures.incr();
-            }
-        } else if out.forced_eviction_count() > 0 {
-            // Hit-path evictions (e.g. a duplicate-tag mirror overflow when
-            // the tag already exists elsewhere) bypass `record_insertion`.
-            self.stats
-                .forced_evictions
-                .add(out.forced_eviction_count() as u64);
-        }
-        self.stats
-            .forced_block_invalidations
-            .add(out.forced_invalidation_count() as u64);
-        match op {
-            DirectoryOp::AddSharer { .. } if out.hit() => self.stats.sharer_adds.incr(),
-            DirectoryOp::SetExclusive { .. } => {
-                if out.invalidated_all() {
-                    self.stats.invalidate_alls.incr();
-                } else if out.hit() {
-                    self.stats.sharer_adds.incr();
-                }
-            }
-            DirectoryOp::RemoveSharer { .. } if out.hit() => self.stats.sharer_removes.incr(),
-            _ => {}
-        }
-        if out.removed_entry() {
-            self.stats.entry_removes.incr();
-        }
     }
 }
 
@@ -173,7 +120,6 @@ impl Directory for ShardedDirectory {
         let (shard, local) = self.home_of(op.line());
         self.shards[shard].apply(op.with_line(local), out);
         out.map_eviction_lines(|victim| self.global_line(shard, victim));
-        self.absorb_outcome(&op, out);
     }
 
     fn sharers(&self, line: LineAddr) -> Option<Vec<CacheId>> {
@@ -181,12 +127,15 @@ impl Directory for ShardedDirectory {
         self.shards[shard].sharers(local)
     }
 
-    fn stats(&self) -> &DirectoryStats {
-        &self.stats
+    fn stats(&self) -> DirectoryStats {
+        let mut stats = DirectoryStats::new();
+        for shard in &self.shards {
+            stats.merge(&shard.stats());
+        }
+        stats
     }
 
     fn reset_stats(&mut self) {
-        self.stats.reset();
         for shard in &mut self.shards {
             shard.reset_stats();
         }

@@ -184,8 +184,8 @@ impl<S: SharerSet> Directory for SparseDirectory<S> {
 
     crate::slot_dispatch::impl_slot_directory_ops!();
 
-    fn stats(&self) -> &DirectoryStats {
-        &self.stats
+    fn stats(&self) -> DirectoryStats {
+        self.stats.clone()
     }
 
     fn reset_stats(&mut self) {

@@ -1,6 +1,6 @@
 //! Runtime directory construction: spec strings and the builder registry.
 //!
-//! The simulator, the service and the figure binaries all want to
+//! The simulator, the service and the results program all want to
 //! pick a directory organization from *configuration* — a string like
 //! `cuckoo-4x1024-skew` or `sparse-8x2048` — rather than from compile-time
 //! generics.  This module provides:

@@ -340,8 +340,8 @@ impl Directory for TaglessDirectory {
         }
     }
 
-    fn stats(&self) -> &DirectoryStats {
-        &self.stats
+    fn stats(&self) -> DirectoryStats {
+        self.stats.clone()
     }
 
     fn reset_stats(&mut self) {

@@ -574,8 +574,9 @@ mod tests {
             assert!(diags(allowed, "let t = Instant::now();\n").is_empty());
         }
         for refused in [
-            "crates/bench/src/bin/fig8_occupancy.rs",
-            "crates/bench/src/bin/bench_service.rs",
+            "crates/bench/src/bin/figs/main.rs",
+            "crates/bench/src/bin/figs/fig8_occupancy.rs",
+            "crates/bench/src/bin/figs/bench_service.rs",
             "crates/bench/src/lib.rs",
             "crates/coherence/src/simulator.rs",
         ] {
@@ -630,7 +631,7 @@ mod tests {
     fn unwrap_fires_in_lib_but_not_bins_or_unwrap_or() {
         let bad = diags("crates/cache/src/cache.rs", "let x = y.unwrap();\n");
         assert_eq!(bad[0].rule, "no-unwrap-in-lib");
-        assert!(diags("crates/bench/src/bin/fig9.rs", "let x = y.unwrap();\n").is_empty());
+        assert!(diags("crates/bench/src/bin/figs/main.rs", "let x = y.unwrap();\n").is_empty());
         assert!(diags("crates/cache/src/cache.rs", "let x = y.unwrap_or(0);\n").is_empty());
         assert!(diags(
             "crates/cache/src/cache.rs",

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Reads files produced by serializing a [`FlightRecording`]
-//! (`bench_obs` writes one under the results directory) and prints each
+//! (`figs bench_obs` writes two under the results directory) and prints each
 //! event with its virtual-time stamp, kind, lane and argument.  Exits
 //! non-zero on unreadable or corrupt input.
 //!

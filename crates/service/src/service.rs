@@ -714,7 +714,7 @@ pub(crate) fn finish(
     for shard in 0..shards {
         let slice = &outputs[shard % stride].slices[shard / stride];
         entries += slice.len();
-        stats.directory.merge(slice.stats());
+        stats.directory.merge(&slice.stats());
     }
     // The observability report rides the same reassembly.  Counters come
     // from the merged stats (scheduling-dependent ones — shed, recoveries,

@@ -440,7 +440,7 @@ fn observe(
     Observed {
         outcomes,
         len: dir.len(),
-        stats: dir.stats().clone(),
+        stats: dir.stats(),
         depths: dir.depth_metrics().cloned(),
         contents: (0..96u64)
             .map(|block| dir.sharers(LineAddr::from_block_number(block * 13)))
