@@ -49,8 +49,10 @@ impl DirectoryComplex {
                 value: count,
             });
         }
+        let resolved = spec.resolve(system)?;
+        let registry = ccd_cuckoo::standard_registry();
         let slices = (0..system.num_slices())
-            .map(|_| spec.build_slice(system))
+            .map(|_| registry.build(&resolved))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(DirectoryComplex {
             slices,

@@ -11,10 +11,10 @@
 //!   into a mergeable [`SimStats`] snapshot.
 //!
 //! On top of the layers, [`SimJob`] describes one complete simulation as a
-//! pure value and [`ParallelRunner`] fans independent jobs (sweep points,
-//! per-seed replicas) across `std::thread::scope` workers with
-//! deterministic, order-independent result collection: outputs depend only
-//! on the job list, never on worker scheduling.
+//! pure value and [`ParallelRunner`] fans independent jobs (the cells of a
+//! sweep) across `std::thread::scope` workers with deterministic,
+//! order-independent result collection: outputs depend only on the job
+//! list, never on worker scheduling.
 
 pub mod complex;
 pub mod runner;

@@ -4,8 +4,6 @@ use crate::{CmpSimulator, DirectorySpec, SimReport, SystemConfig};
 use ccd_common::ConfigError;
 use ccd_workloads::WorkloadSpec;
 
-use super::SimStats;
-
 /// One fully-described simulation: build the system, warm it up on a
 /// deterministic trace, measure, report.
 ///
@@ -33,16 +31,6 @@ pub struct SimJob {
 }
 
 impl SimJob {
-    /// Returns a copy of the job with a different trace seed — the
-    /// per-replica variation axis.
-    #[must_use]
-    pub fn with_seed(&self, seed: u64) -> Self {
-        SimJob {
-            seed,
-            ..self.clone()
-        }
-    }
-
     /// Checks that the job can be built, without running it: validates the
     /// system configuration, constructs one trial directory slice, and
     /// validates the workload (scenario knobs, replay-file header — and
@@ -68,39 +56,23 @@ impl SimJob {
     ///
     /// Propagates construction errors; see [`CmpSimulator::new`].
     pub fn run(&self) -> Result<SimReport, ConfigError> {
-        let (organization, stats) = self.run_stats()?;
-        Ok(stats.report(organization))
-    }
-
-    /// Runs the job and returns its organization label plus the raw,
-    /// mergeable statistics snapshot (used by replica reductions).
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors; see [`CmpSimulator::new`].
-    pub fn run_stats(&self) -> Result<(String, SimStats), ConfigError> {
         let mut sim = CmpSimulator::new(self.system.clone(), &self.spec)?;
         let mut trace = self.workload.stream(self.system.num_cores, self.seed)?;
         sim.run(&mut trace, self.warmup_refs);
         sim.reset_stats();
         sim.run(&mut trace, self.measure_refs);
-        Ok((sim.organization().to_string(), sim.stats()))
+        Ok(sim.report())
     }
 }
 
 /// Fans independent work items across `std::thread::scope` workers with
 /// deterministic, order-independent result collection.
 ///
-/// Three properties make every run reproducible:
+/// Two properties make every run reproducible:
 ///
 /// 1. each item is processed by a pure function of the item alone (no
 ///    shared mutable state),
-/// 2. results are stored by *input index*, never by completion order,
-/// 3. reductions ([`ParallelRunner::run_replicas`]) fold the indexed
-///    results in input order — which is what makes the floating-point
-///    accumulators inside [`SimStats`] bit-exactly reproducible (float
-///    addition is not associative; the integer counters would be
-///    order-independent on their own).
+/// 2. results are stored by *input index*, never by completion order.
 ///
 /// A runner with one worker executes inline on the calling thread, so
 /// `CCD_WORKERS=1` gives a genuinely serial run for A/B comparisons; the
@@ -241,32 +213,6 @@ impl ParallelRunner {
         }
         self.map(jobs, SimJob::run).into_iter().collect()
     }
-
-    /// Runs `job` once per seed and reduces the per-replica statistics into
-    /// one aggregate report.
-    ///
-    /// The reduction folds the indexed results in seed order — a fixed
-    /// order regardless of worker scheduling, so even the floating-point
-    /// accumulators come out bit-identical on every run.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first construction error, if any.  With an empty seed
-    /// list the job's own seed is used (one replica).
-    pub fn run_replicas(&self, job: &SimJob, seeds: &[u64]) -> Result<SimReport, ConfigError> {
-        job.validate()?;
-        let own = [job.seed];
-        let seeds = if seeds.is_empty() { &own[..] } else { seeds };
-        let results: Vec<_> = self.map(seeds, |&seed| job.with_seed(seed).run_stats());
-        let mut merged = SimStats::new();
-        let mut organization = String::new();
-        for result in results {
-            let (label, stats) = result?;
-            organization = label;
-            merged.merge(&stats);
-        }
-        Ok(merged.report(organization))
-    }
 }
 
 #[cfg(test)]
@@ -305,7 +251,12 @@ mod tests {
 
     #[test]
     fn jobs_produce_identical_reports_serially_and_in_parallel() {
-        let jobs: Vec<SimJob> = (0..4).map(|i| quick_job().with_seed(i)).collect();
+        let jobs: Vec<SimJob> = (0..4)
+            .map(|seed| SimJob {
+                seed,
+                ..quick_job()
+            })
+            .collect();
         let serial = ParallelRunner::serial().run_jobs(&jobs).unwrap();
         let parallel = ParallelRunner::with_workers(4).run_jobs(&jobs).unwrap();
         assert_eq!(serial.len(), parallel.len());
@@ -315,25 +266,6 @@ mod tests {
             assert_eq!(s.directory.insertions.get(), p.directory.insertions.get());
             assert!((s.avg_directory_occupancy - p.avg_directory_occupancy).abs() == 0.0);
         }
-    }
-
-    #[test]
-    fn replica_reduction_is_schedule_independent() {
-        let job = quick_job();
-        let seeds = [1u64, 2, 3, 4, 5];
-        let serial = ParallelRunner::serial().run_replicas(&job, &seeds).unwrap();
-        let parallel = ParallelRunner::with_workers(5)
-            .run_replicas(&job, &seeds)
-            .unwrap();
-        assert_eq!(serial.refs_processed, 5 * job.measure_refs);
-        assert_eq!(serial.refs_processed, parallel.refs_processed);
-        assert_eq!(serial.cache_accesses, parallel.cache_accesses);
-        assert_eq!(
-            serial.directory.insertion_attempts,
-            parallel.directory.insertion_attempts
-        );
-        assert!((serial.avg_directory_occupancy - parallel.avg_directory_occupancy).abs() == 0.0);
-        assert_eq!(serial.organization, "Cuckoo 1x (4-way)");
     }
 
     #[test]
@@ -367,7 +299,6 @@ mod tests {
         let mut job = quick_job();
         job.system = SystemConfig::shared_l2(3); // not a power of two
         assert!(ParallelRunner::new().run_jobs(&[job.clone()]).is_err());
-        assert!(ParallelRunner::new().run_replicas(&job, &[1, 2]).is_err());
 
         // Workload errors are caught by up-front validation too.
         let mut job = quick_job();

@@ -30,15 +30,12 @@
 //! * [`engine::DirectoryComplex`] — the directory slices plus the
 //!   global↔slice-local line interleaving;
 //! * [`engine::StatsPipeline`] — the protocol counters, assembled into a
-//!   mergeable [`engine::SimStats`] snapshot (integer counters merge
-//!   order-independently; float accumulators rely on the runner's fixed
-//!   input-order fold for bit-exact reproducibility).
+//!   mergeable [`engine::SimStats`] snapshot.
 //!
-//! Independent simulations — sweep points and per-seed workload replicas —
-//! are described as pure [`engine::SimJob`] values and fanned across
-//! threads by [`engine::ParallelRunner`], whose results are collected by
-//! input index and reduced in input order, so a parallel sweep is
-//! byte-identical to a serial one.
+//! Independent simulations — the cells of a sweep — are described as pure
+//! [`engine::SimJob`] values and fanned across threads by
+//! [`engine::ParallelRunner`], whose results are collected by input index,
+//! so a parallel sweep is byte-identical to a serial one.
 //!
 //! # Example
 //!

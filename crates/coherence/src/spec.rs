@@ -3,20 +3,16 @@
 //! The evaluation compares many directory organizations under identical
 //! system configurations and workloads (Figure 12 and Section 5.6).
 //! [`DirectorySpec`] names one organization plus its provisioning, and knows
-//! how to build one slice of it sized for a given [`SystemConfig`] — so the
+//! how to size one slice of it for a given [`SystemConfig`] — so the
 //! simulator, the examples and the benchmark harness all configure
 //! directories the same way the paper describes them ("Sparse 2×",
-//! "Cuckoo 1.5×", …).
+//! "Cuckoo 1.5×", …).  Sizing is all it does: the slice is built by
+//! [`ccd_cuckoo::standard_registry`] from the resolved geometry.
 
 use crate::SystemConfig;
 use ccd_common::ConfigError;
-use ccd_cuckoo::{CuckooConfig, CuckooDirectory};
-use ccd_directory::{
-    Directory, DuplicateTagDirectory, InCacheDirectory, SkewedDirectory, SparseDirectory,
-    TaglessDirectory,
-};
+use ccd_directory::Directory;
 use ccd_hash::HashKind;
-use ccd_sharers::FullBitVector;
 use std::fmt;
 
 /// A directory organization plus its sizing policy.
@@ -65,12 +61,7 @@ pub enum DirectorySpec {
     /// only); capacity follows the L2 bank geometry.
     InCache,
     /// Tagless (Bloom-filter grid) directory.
-    Tagless {
-        /// Filter buckets per (cache, set).
-        buckets: usize,
-        /// Hash probes per filter operation.
-        probes: usize,
-    },
+    Tagless,
     /// Any organization expressible as a `ccd-directory` spec string (e.g.
     /// `"cuckoo-4x512-skew"`, `"sharded4:sparse-8x512"`), resolved through
     /// [`ccd_cuckoo::standard_registry`].  The tracked-cache count is taken
@@ -105,15 +96,6 @@ impl DirectorySpec {
         DirectorySpec::Skewed { ways, provisioning }
     }
 
-    /// Default Tagless configuration.
-    #[must_use]
-    pub fn tagless() -> Self {
-        DirectorySpec::Tagless {
-            buckets: ccd_directory::tagless::DEFAULT_BUCKETS,
-            probes: ccd_directory::tagless::DEFAULT_PROBES,
-        }
-    }
-
     /// An organization given as a `ccd-directory` spec string (validated on
     /// construction).
     ///
@@ -144,7 +126,7 @@ impl DirectorySpec {
             }
             DirectorySpec::DuplicateTag => "Duplicate-Tag".to_string(),
             DirectorySpec::InCache => "In-Cache".to_string(),
-            DirectorySpec::Tagless { .. } => "Tagless".to_string(),
+            DirectorySpec::Tagless => "Tagless".to_string(),
             DirectorySpec::Custom { spec } => spec.clone(),
         }
     }
@@ -155,6 +137,53 @@ impl DirectorySpec {
         (capacity.div_ceil(ways.max(1))).next_power_of_two().max(2)
     }
 
+    /// Sizes one slice for `system`: the sizing policy becomes the explicit
+    /// `ways × sets` geometry and tracked-cache count the builder registry
+    /// takes.  Pure — nothing is built or validated here.
+    ///
+    /// # Errors
+    ///
+    /// The parse error of a malformed [`DirectorySpec::Custom`] string.
+    pub fn resolve(
+        &self,
+        system: &SystemConfig,
+    ) -> Result<ccd_directory::DirectorySpec, ConfigError> {
+        use ccd_directory::DirectorySpec as Resolved;
+        let tracked = system.tracked_frames_per_slice();
+        let cache = system.tracked_cache();
+        let mirrored_sets = system.tracked_sets_per_slice();
+        let provisioned = |org, ways, provisioning| {
+            Resolved::new(org, ways, Self::sets_for(ways, tracked, provisioning))
+        };
+        let spec = match self {
+            DirectorySpec::Cuckoo {
+                ways,
+                provisioning,
+                hash,
+            } => provisioned("cuckoo", *ways, *provisioning).with_hash(*hash),
+            DirectorySpec::CuckooExplicit { ways, sets, hash } => {
+                Resolved::new("cuckoo", *ways, *sets).with_hash(*hash)
+            }
+            DirectorySpec::Sparse { ways, provisioning } => {
+                provisioned("sparse", *ways, *provisioning)
+            }
+            DirectorySpec::Skewed { ways, provisioning } => {
+                provisioned("skewed", *ways, *provisioning)
+            }
+            DirectorySpec::DuplicateTag => {
+                Resolved::new("duplicate-tag", cache.ways, mirrored_sets)
+            }
+            DirectorySpec::InCache => {
+                // One bank of the shared L2 per slice.
+                let l2 = system.private_l2;
+                Resolved::new("in-cache", l2.ways, (l2.sets / system.num_slices()).max(1))
+            }
+            DirectorySpec::Tagless => Resolved::new("tagless", cache.ways, mirrored_sets),
+            DirectorySpec::Custom { spec } => spec.parse()?,
+        };
+        Ok(spec.with_caches(system.num_private_caches()))
+    }
+
     /// Builds one directory slice sized for `system`.
     ///
     /// # Errors
@@ -162,61 +191,7 @@ impl DirectorySpec {
     /// Propagates the organization's own configuration errors (invalid way
     /// counts, etc.).
     pub fn build_slice(&self, system: &SystemConfig) -> Result<Box<dyn Directory>, ConfigError> {
-        let tracked = system.tracked_frames_per_slice();
-        let caches = system.num_private_caches();
-        let cache = system.tracked_cache();
-        let sets_per_slice = system.tracked_sets_per_slice();
-        Ok(match self {
-            DirectorySpec::Cuckoo {
-                ways,
-                provisioning,
-                hash,
-            } => {
-                let config = CuckooConfig::with_provisioning(*ways, tracked, *provisioning, caches)
-                    .with_hash_kind(*hash);
-                Box::new(CuckooDirectory::<FullBitVector>::new(config)?)
-            }
-            DirectorySpec::CuckooExplicit { ways, sets, hash } => {
-                let config = CuckooConfig::new(*ways, *sets, caches).with_hash_kind(*hash);
-                Box::new(CuckooDirectory::<FullBitVector>::new(config)?)
-            }
-            DirectorySpec::Sparse { ways, provisioning } => {
-                let sets = Self::sets_for(*ways, tracked, *provisioning);
-                Box::new(SparseDirectory::<FullBitVector>::new(*ways, sets, caches)?)
-            }
-            DirectorySpec::Skewed { ways, provisioning } => {
-                let sets = Self::sets_for(*ways, tracked, *provisioning);
-                Box::new(SkewedDirectory::<FullBitVector>::new(*ways, sets, caches)?)
-            }
-            DirectorySpec::DuplicateTag => Box::new(DuplicateTagDirectory::new(
-                sets_per_slice,
-                cache.ways,
-                caches,
-            )?),
-            DirectorySpec::InCache => {
-                // One bank of the shared L2 per slice.
-                let l2 = system.private_l2;
-                let bank_sets = (l2.sets / system.num_slices()).max(1);
-                Box::new(InCacheDirectory::<FullBitVector>::new(
-                    l2.ways, bank_sets, caches,
-                )?)
-            }
-            DirectorySpec::Tagless { buckets, probes } => {
-                Box::new(TaglessDirectory::with_filter_geometry(
-                    sets_per_slice,
-                    cache.ways,
-                    caches,
-                    *buckets,
-                    *probes,
-                )?)
-            }
-            DirectorySpec::Custom { spec } => {
-                let parsed = spec
-                    .parse::<ccd_directory::DirectorySpec>()?
-                    .with_caches(caches);
-                ccd_cuckoo::standard_registry().build(&parsed)?
-            }
-        })
+        ccd_cuckoo::standard_registry().build(&self.resolve(system)?)
     }
 }
 
@@ -257,6 +232,13 @@ mod tests {
         assert_eq!(dir.capacity(), 3 * 8192);
         assert_eq!(dir.num_caches(), 16);
 
+        // Under-provisioned configurations round up to a power of two:
+        // 0.375 x 2048 frames over 3 ways -> 3 x 256.
+        let dir = DirectorySpec::cuckoo(3, 0.375)
+            .build_slice(&shared)
+            .unwrap();
+        assert_eq!(dir.capacity(), 3 * 256);
+
         // Sparse 2x, 8-way for Shared-L2: capacity 4096.
         let dir = DirectorySpec::sparse(8, 2.0).build_slice(&shared).unwrap();
         assert_eq!(dir.capacity(), 4096);
@@ -270,7 +252,7 @@ mod tests {
         assert_eq!(dir.capacity(), 2048);
 
         // Tagless and In-Cache build successfully.
-        assert!(DirectorySpec::tagless().build_slice(&shared).is_ok());
+        assert!(DirectorySpec::Tagless.build_slice(&shared).is_ok());
         assert!(DirectorySpec::InCache.build_slice(&shared).is_ok());
     }
 
@@ -279,7 +261,7 @@ mod tests {
         assert_eq!(DirectorySpec::sparse(8, 2.0).label(), "Sparse 2x (8-way)");
         assert_eq!(DirectorySpec::cuckoo(3, 1.5).label(), "Cuckoo 1.5x (3-way)");
         assert_eq!(DirectorySpec::DuplicateTag.label(), "Duplicate-Tag");
-        assert_eq!(DirectorySpec::tagless().label(), "Tagless");
+        assert_eq!(DirectorySpec::Tagless.label(), "Tagless");
         assert_eq!(
             DirectorySpec::CuckooExplicit {
                 ways: 4,
@@ -297,12 +279,6 @@ mod tests {
         let shared = SystemConfig::table1(Hierarchy::SharedL2);
         assert!(DirectorySpec::cuckoo(1, 1.0).build_slice(&shared).is_err());
         assert!(DirectorySpec::sparse(0, 2.0).build_slice(&shared).is_err());
-        assert!(DirectorySpec::Tagless {
-            buckets: 48,
-            probes: 2
-        }
-        .build_slice(&shared)
-        .is_err());
     }
 
     #[test]

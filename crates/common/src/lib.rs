@@ -50,8 +50,8 @@ pub use ids::{CacheId, CoreId, SliceId};
 pub use mem::{AccessType, MemRef};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::{
-    Counter, CounterId, Fnv64, Histogram, HistogramId, HistogramSnapshot, LogHistogram,
-    MeanAccumulator, MergeError, MetricSet, MetricSnapshot, RateEstimator,
+    Counter, Fnv64, Histogram, HistogramSnapshot, LogHistogram, MeanAccumulator, MetricSnapshot,
+    RateEstimator,
 };
 
 /// The physical address width assumed by the paper's system (Table 1).

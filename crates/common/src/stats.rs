@@ -161,36 +161,6 @@ impl Default for Fnv64 {
     }
 }
 
-/// Two statistics containers have incompatible shapes for merging.
-///
-/// Returned by the `try_merge` fallible variants so callers that reduce
-/// per-worker statistics can surface a configuration bug as an error
-/// instead of a panic deep inside the merge loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MergeError {
-    message: String,
-}
-
-impl MergeError {
-    fn new(message: String) -> Self {
-        MergeError { message }
-    }
-
-    /// Human-readable description of the shape mismatch.
-    #[must_use]
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-}
-
-impl core::fmt::Display for MergeError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for MergeError {}
-
 /// A bounded histogram of small non-negative integer observations.
 ///
 /// Observations larger than the configured bound are accumulated in the
@@ -316,42 +286,26 @@ impl Histogram {
             .map(|(v, &c)| (v as u64, c))
     }
 
-    /// Merges another histogram into this one.
+    /// Merges another histogram into this one.  Bucket counts saturate
+    /// like [`Counter`], so the reduction is order-independent even at the
+    /// `u64` ceiling.
     ///
     /// # Panics
     ///
-    /// Panics if the histograms have different bucket counts; use
-    /// [`Histogram::try_merge`] to handle the mismatch as an error.
+    /// Panics if the histograms have different bounds.
     pub fn merge(&mut self, other: &Histogram) {
-        if let Err(err) = self.try_merge(other) {
-            panic!("cannot merge histograms with different bounds: {err}");
-        }
-    }
-
-    /// Merges another histogram into this one, reporting a bound mismatch
-    /// as a [`MergeError`] instead of panicking.
-    ///
-    /// On error `self` is left untouched.  Bucket counts saturate like
-    /// [`Counter`], so the reduction is order-independent even at the
-    /// `u64` ceiling.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MergeError`] when the histograms have different bounds.
-    pub fn try_merge(&mut self, other: &Histogram) -> Result<(), MergeError> {
-        if self.buckets.len() != other.buckets.len() {
-            return Err(MergeError::new(format!(
-                "histogram bounds differ: 0..={} vs 0..={}",
-                self.max_value(),
-                other.max_value()
-            )));
-        }
+        assert!(
+            self.buckets.len() == other.buckets.len(),
+            "cannot merge histograms with different bounds: \
+             histogram bounds differ: 0..={} vs 0..={}",
+            self.max_value(),
+            other.max_value()
+        );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);
         }
         self.total = self.total.saturating_add(other.total);
         self.sum = self.sum.saturating_add(other.sum);
-        Ok(())
     }
 
     /// Resets all buckets to zero.
@@ -580,33 +534,21 @@ impl LogHistogram {
 
     /// Merges another histogram into this one.
     ///
-    /// # Panics
-    ///
-    /// Panics if the resolutions differ; use
-    /// [`LogHistogram::try_merge`] to handle the mismatch as an error.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if let Err(err) = self.try_merge(other) {
-            panic!("cannot merge log-histograms with different resolutions: {err}");
-        }
-    }
-
-    /// Merges another histogram into this one, reporting a resolution
-    /// mismatch as a [`MergeError`] instead of panicking.
-    ///
     /// The merge is *exact* (bucket-by-bucket, saturating) and therefore
     /// order-independent: any permutation of a set of merges yields a
-    /// bit-identical histogram.  On error `self` is left untouched.
+    /// bit-identical histogram.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// Returns [`MergeError`] when `sig_bits` differ.
-    pub fn try_merge(&mut self, other: &LogHistogram) -> Result<(), MergeError> {
-        if self.sig_bits != other.sig_bits {
-            return Err(MergeError::new(format!(
-                "log-histogram resolutions differ: {} vs {} significant bits",
-                self.sig_bits, other.sig_bits
-            )));
-        }
+    /// Panics if the resolutions differ.
+    pub fn merge(&mut self, other: &LogHistogram) {
+        assert!(
+            self.sig_bits == other.sig_bits,
+            "cannot merge log-histograms with different resolutions: \
+             log-histogram resolutions differ: {} vs {} significant bits",
+            self.sig_bits,
+            other.sig_bits
+        );
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a = a.saturating_add(*b);
         }
@@ -614,7 +556,6 @@ impl LogHistogram {
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
-        Ok(())
     }
 
     /// Resets the histogram to empty, keeping the configured resolution.
@@ -788,224 +729,64 @@ impl RateEstimator {
     }
 }
 
-/// Handle to a [`Counter`] registered in a [`MetricSet`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle to a [`LogHistogram`] registered in a [`MetricSet`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramId(usize);
-
-/// A registry of named counters and log-histograms with a *fixed
-/// registration order*.
+/// Named counters and log-histogram summaries in a *fixed push order*.
 ///
-/// Two `MetricSet`s built by running the same registration code are
-/// structurally identical, so per-worker sets can be merged in any order
-/// and snapshots render byte-identically regardless of worker count —
-/// the property the service stack's determinism contract leans on.
-///
-/// ```
-/// use ccd_common::stats::MetricSet;
-/// let mut m = MetricSet::new();
-/// let requests = m.counter("requests");
-/// let depth = m.histogram("probe_depth", 2);
-/// m.add(requests, 10);
-/// m.record(depth, 3);
-/// let snap = m.snapshot();
-/// assert_eq!(snap.counters[0], ("requests".to_string(), 10));
-/// assert_eq!(snap.histograms[0].count, 1);
-/// ```
+/// All fields are integers, so two equal snapshots render byte-identically
+/// through any deterministic serializer, and two snapshots built by the
+/// same pushing code are structurally identical regardless of worker count
+/// — the property the service stack's determinism contract leans on.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct MetricSet {
-    counters: Vec<(String, Counter)>,
-    histograms: Vec<(String, LogHistogram)>,
+pub struct MetricSnapshot {
+    /// `(name, value)` for every counter, in push order.
+    pub counters: Vec<(String, u64)>,
+    /// One summary per histogram, in push order.
+    pub histograms: Vec<HistogramSnapshot>,
 }
 
-impl MetricSet {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        MetricSet::default()
-    }
-
-    /// Registers a counter under `name` and returns its handle.
+impl MetricSnapshot {
+    /// Appends counter `name` at `value`.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is already registered as a counter: registration
-    /// order is part of the set's identity, so collisions are bugs.
-    pub fn counter(&mut self, name: &str) -> CounterId {
+    /// Panics if `name` is already a counter: push order is part of the
+    /// snapshot's identity, so collisions are bugs.
+    pub fn push_counter(&mut self, name: &str, value: u64) {
         assert!(
             self.counters.iter().all(|(n, _)| n != name),
             "counter {name:?} registered twice"
         );
-        self.counters.push((name.to_string(), Counter::new()));
-        CounterId(self.counters.len() - 1)
+        self.counters.push((name.to_string(), value));
     }
 
-    /// Registers a log-histogram under `name` with `sig_bits` resolution
-    /// and returns its handle.
+    /// Appends the integer summary of `hist` under `name`.
     ///
     /// # Panics
     ///
-    /// Panics if `name` is already registered as a histogram, or if
-    /// `sig_bits` is outside `1..=8`.
-    pub fn histogram(&mut self, name: &str, sig_bits: u32) -> HistogramId {
+    /// Panics if `name` is already a histogram.
+    pub fn push_histogram(&mut self, name: &str, hist: &LogHistogram) {
         assert!(
-            self.histograms.iter().all(|(n, _)| n != name),
+            self.histograms.iter().all(|h| h.name != name),
             "histogram {name:?} registered twice"
         );
-        self.histograms
-            .push((name.to_string(), LogHistogram::new(sig_bits)));
-        HistogramId(self.histograms.len() - 1)
+        self.histograms.push(HistogramSnapshot {
+            name: name.to_string(),
+            sig_bits: hist.sig_bits(),
+            count: hist.count(),
+            sum: hist.sum(),
+            min: hist.min().unwrap_or(0),
+            max: hist.max().unwrap_or(0),
+            p50: hist.p50(),
+            p99: hist.p99(),
+            p999: hist.p999(),
+            buckets: hist.iter().collect(),
+        });
     }
-
-    /// Adds `n` to a registered counter.
-    pub fn add(&mut self, id: CounterId, n: u64) {
-        self.counters[id.0].1.add(n);
-    }
-
-    /// Increments a registered counter by one.
-    pub fn incr(&mut self, id: CounterId) {
-        self.counters[id.0].1.incr();
-    }
-
-    /// Records one observation into a registered histogram.
-    pub fn record(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0].1.record(value);
-    }
-
-    /// Current value of a registered counter.
-    #[must_use]
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        self.counters[id.0].1.get()
-    }
-
-    /// Read access to a registered histogram.
-    #[must_use]
-    pub fn histogram_ref(&self, id: HistogramId) -> &LogHistogram {
-        &self.histograms[id.0].1
-    }
-
-    /// Mutable access to a registered histogram (for bulk recording or
-    /// folding in an externally accumulated distribution).
-    pub fn histogram_mut(&mut self, id: HistogramId) -> &mut LogHistogram {
-        &mut self.histograms[id.0].1
-    }
-
-    /// Merges another set into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registries differ; use [`MetricSet::try_merge`] to
-    /// handle the mismatch as an error.
-    pub fn merge(&mut self, other: &MetricSet) {
-        if let Err(err) = self.try_merge(other) {
-            panic!("cannot merge metric sets with different registries: {err}");
-        }
-    }
-
-    /// Merges another set into this one, requiring identical registries
-    /// (same names, same order, same histogram resolutions).
-    ///
-    /// Counter and histogram merges both saturate, so reducing N
-    /// per-worker sets yields a bit-identical result in any merge order.
-    /// On error `self` may have merged a prefix of the counters but no
-    /// histograms beyond the first mismatch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MergeError`] on any name, order, length or resolution
-    /// mismatch.
-    pub fn try_merge(&mut self, other: &MetricSet) -> Result<(), MergeError> {
-        if self.counters.len() != other.counters.len()
-            || self.histograms.len() != other.histograms.len()
-        {
-            return Err(MergeError::new(format!(
-                "metric registries differ: {}+{} vs {}+{} counters+histograms",
-                self.counters.len(),
-                self.histograms.len(),
-                other.counters.len(),
-                other.histograms.len()
-            )));
-        }
-        for ((name, _), (other_name, _)) in self.counters.iter().zip(&other.counters) {
-            if name != other_name {
-                return Err(MergeError::new(format!(
-                    "counter registration order differs: {name:?} vs {other_name:?}"
-                )));
-            }
-        }
-        for ((name, hist), (other_name, other_hist)) in
-            self.histograms.iter().zip(&other.histograms)
-        {
-            if name != other_name {
-                return Err(MergeError::new(format!(
-                    "histogram registration order differs: {name:?} vs {other_name:?}"
-                )));
-            }
-            if hist.sig_bits() != other_hist.sig_bits() {
-                return Err(MergeError::new(format!(
-                    "histogram {name:?} resolutions differ: {} vs {} significant bits",
-                    hist.sig_bits(),
-                    other_hist.sig_bits()
-                )));
-            }
-        }
-        for ((_, counter), (_, other_counter)) in self.counters.iter_mut().zip(&other.counters) {
-            counter.merge(other_counter);
-        }
-        for ((_, hist), (_, other_hist)) in self.histograms.iter_mut().zip(&other.histograms) {
-            hist.try_merge(other_hist)?;
-        }
-        Ok(())
-    }
-
-    /// Takes an integer-only snapshot of every registered metric, in
-    /// registration order.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricSnapshot {
-        MetricSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(name, c)| (name.clone(), c.get()))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| HistogramSnapshot {
-                    name: name.clone(),
-                    sig_bits: h.sig_bits(),
-                    count: h.count(),
-                    sum: h.sum(),
-                    min: h.min().unwrap_or(0),
-                    max: h.max().unwrap_or(0),
-                    p50: h.p50(),
-                    p99: h.p99(),
-                    p999: h.p999(),
-                    buckets: h.iter().collect(),
-                })
-                .collect(),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`MetricSet`]: all fields are integers, so
-/// two equal snapshots render byte-identically through any deterministic
-/// serializer.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct MetricSnapshot {
-    /// `(name, value)` for every counter, in registration order.
-    pub counters: Vec<(String, u64)>,
-    /// One summary per histogram, in registration order.
-    pub histograms: Vec<HistogramSnapshot>,
 }
 
 /// Integer summary of one [`LogHistogram`] inside a [`MetricSnapshot`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Registered metric name.
+    /// Metric name.
     pub name: String,
     /// Configured resolution in significant bits.
     pub sig_bits: u32,
@@ -1419,13 +1200,11 @@ mod tests {
             assert_eq!(reduce(&order), reference, "merge order {order:?} diverged");
         }
         // Structural equality implies identical snapshots too.
-        let mut set_a = MetricSet::new();
-        let id_a = set_a.histogram("h", 3);
-        *set_a.histogram_mut(id_a) = reference.clone();
-        let mut set_b = MetricSet::new();
-        let id_b = set_b.histogram("h", 3);
-        *set_b.histogram_mut(id_b) = reduce(&order);
-        assert_eq!(set_a.snapshot(), set_b.snapshot());
+        let mut snap_a = MetricSnapshot::default();
+        snap_a.push_histogram("h", &reference);
+        let mut snap_b = MetricSnapshot::default();
+        snap_b.push_histogram("h", &reduce(&order));
+        assert_eq!(snap_a, snap_b);
     }
 
     #[test]
@@ -1444,17 +1223,17 @@ mod tests {
 
         // empty ← filled adopts the filled side exactly.
         let mut target = LogHistogram::new(2);
-        target.try_merge(&filled).unwrap();
+        target.merge(&filled);
         assert_eq!(target, filled);
 
         // filled ← empty is the identity.
         let mut unchanged = filled.clone();
-        unchanged.try_merge(&empty).unwrap();
+        unchanged.merge(&empty);
         assert_eq!(unchanged, filled);
 
         // empty ← empty stays empty with no spurious min/max.
         let mut both = LogHistogram::new(2);
-        both.try_merge(&LogHistogram::new(2)).unwrap();
+        both.merge(&LogHistogram::new(2));
         assert!(both.is_empty());
         assert_eq!(both.min(), None);
     }
@@ -1471,21 +1250,9 @@ mod tests {
         assert_eq!(h.min(), Some(3));
         // Merging two saturated histograms stays saturated.
         let other = h.clone();
-        h.try_merge(&other).unwrap();
+        h.merge(&other);
         assert_eq!(h.count(), u64::MAX);
         assert_eq!(h.quantile(0.5), 3);
-    }
-
-    #[test]
-    fn log_histogram_merge_mismatch_is_an_error_and_leaves_self_untouched() {
-        let mut a = LogHistogram::new(2);
-        a.record(10);
-        let before = a.clone();
-        let mut b = LogHistogram::new(3);
-        b.record(99);
-        let err = a.try_merge(&b).unwrap_err();
-        assert!(err.message().contains("2 vs 3"), "{err}");
-        assert_eq!(a, before, "failed merge must not partially apply");
     }
 
     #[test]
@@ -1502,15 +1269,15 @@ mod tests {
     }
 
     #[test]
-    fn histogram_try_merge_empty_nonempty_saturation_and_mismatch() {
+    fn histogram_merge_empty_nonempty_and_saturation() {
         // empty ← filled and filled ← empty.
         let mut filled = Histogram::new(8);
         filled.record_n(2, 4);
         let mut target = Histogram::new(8);
-        target.try_merge(&filled).unwrap();
+        target.merge(&filled);
         assert_eq!(target, filled);
         let mut unchanged = filled.clone();
-        unchanged.try_merge(&Histogram::new(8)).unwrap();
+        unchanged.merge(&Histogram::new(8));
         assert_eq!(unchanged, filled);
 
         // Saturation: counts pin at u64::MAX instead of wrapping.
@@ -1520,36 +1287,19 @@ mod tests {
         assert_eq!(sat.count(1), u64::MAX);
         assert_eq!(sat.total(), u64::MAX);
         let other = sat.clone();
-        sat.try_merge(&other).unwrap();
+        sat.merge(&other);
         assert_eq!(sat.total(), u64::MAX);
-
-        // Mismatch is an error (both directions) and self is untouched.
-        let mut small = Histogram::new(4);
-        small.record(3);
-        let before = small.clone();
-        let big = Histogram::new(8);
-        let err = small.try_merge(&big).unwrap_err();
-        assert!(err.message().contains("0..=4"), "{err}");
-        assert_eq!(small, before);
-        let mut big = big;
-        assert!(big.try_merge(&before).is_err());
     }
 
     #[test]
-    fn metric_set_registers_records_and_snapshots_in_fixed_order() {
-        let mut m = MetricSet::new();
-        let hits = m.counter("hits");
-        let misses = m.counter("misses");
-        let depth = m.histogram("depth", 2);
-        m.incr(hits);
-        m.add(misses, 3);
-        m.record(depth, 5);
-        m.record(depth, 9);
-        assert_eq!(m.counter_value(hits), 1);
-        assert_eq!(m.counter_value(misses), 3);
-        assert_eq!(m.histogram_ref(depth).count(), 2);
-
-        let snap = m.snapshot();
+    fn metric_snapshot_keeps_push_order_and_summarizes_histograms() {
+        let mut depth = LogHistogram::new(2);
+        depth.record(5);
+        depth.record(9);
+        let mut snap = MetricSnapshot::default();
+        snap.push_counter("hits", 1);
+        snap.push_counter("misses", 3);
+        snap.push_histogram("depth", &depth);
         assert_eq!(
             snap.counters,
             vec![("hits".to_string(), 1), ("misses".to_string(), 3)]
@@ -1564,45 +1314,10 @@ mod tests {
     }
 
     #[test]
-    fn metric_set_merge_requires_identical_registries() {
-        let build = || {
-            let mut m = MetricSet::new();
-            let c = m.counter("requests");
-            let h = m.histogram("depth", 2);
-            (m, c, h)
-        };
-        let (mut a, ca, ha) = build();
-        let (mut b, cb, hb) = build();
-        a.add(ca, 5);
-        a.record(ha, 1);
-        b.add(cb, 7);
-        b.record(hb, 1000);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "metric-set merge must commute");
-        assert_eq!(ab.counter_value(ca), 12);
-        assert_eq!(ab.snapshot(), ba.snapshot());
-
-        // Different names, different order, different resolution: errors.
-        let mut renamed = MetricSet::new();
-        renamed.counter("other");
-        renamed.histogram("depth", 2);
-        assert!(a.clone().try_merge(&renamed).is_err());
-        let mut coarse = MetricSet::new();
-        coarse.counter("requests");
-        coarse.histogram("depth", 3);
-        assert!(a.clone().try_merge(&coarse).is_err());
-        let empty = MetricSet::new();
-        assert!(a.try_merge(&empty).is_err());
-    }
-
-    #[test]
     #[should_panic(expected = "registered twice")]
-    fn metric_set_rejects_duplicate_names() {
-        let mut m = MetricSet::new();
-        m.counter("x");
-        m.counter("x");
+    fn metric_snapshot_rejects_duplicate_names() {
+        let mut snap = MetricSnapshot::default();
+        snap.push_counter("x", 0);
+        snap.push_counter("x", 0);
     }
 }

@@ -14,8 +14,8 @@ pub const DEFAULT_MAX_ATTEMPTS: u32 = 32;
 /// The paper describes slices by `ways × sets` (e.g. the selected `4 × 512`
 /// Shared-L2 and `3 × 8192` Private-L2 organizations of Section 5.3) and by
 /// a *provisioning factor* relating the capacity to the worst-case number of
-/// blocks the slice must track.  [`CuckooConfig::with_provisioning`] builds a
-/// configuration directly from that factor.
+/// blocks the slice must track; `ccd-coherence`'s `DirectorySpec` turns such
+/// a factor into a geometry.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CuckooConfig {
     /// Number of ways (`d` of the d-ary cuckoo hash); the paper uses 3 or 4.
@@ -56,27 +56,6 @@ impl CuckooConfig {
             max_insertion_attempts: DEFAULT_MAX_ATTEMPTS,
             insert_policy: InsertPolicy::Greedy,
         }
-    }
-
-    /// Builds a configuration whose capacity is `factor ×` the worst-case
-    /// number of tracked blocks (`tracked_frames`), rounding the per-way set
-    /// count up to the next power of two.
-    ///
-    /// `factor = 1.0` corresponds to the paper's "1×" provisioning (capacity
-    /// equal to the number of cache frames mapping to the slice); the paper
-    /// selects 1× for the Shared-L2 configuration and 1.5× for Private-L2
-    /// (Section 5.2).
-    #[must_use]
-    pub fn with_provisioning(
-        ways: usize,
-        tracked_frames: usize,
-        factor: f64,
-        num_caches: usize,
-    ) -> Self {
-        let target_capacity = (tracked_frames as f64 * factor).ceil() as usize;
-        let sets_exact = target_capacity.div_ceil(ways.max(1));
-        let sets = sets_exact.next_power_of_two().max(2);
-        CuckooConfig::new(ways, sets, num_caches)
     }
 
     /// Selects the hash family.
@@ -185,19 +164,13 @@ mod tests {
     fn provisioning_factor_round_trip() {
         // Shared-L2, 16 cores: each slice tracks 2048 L1 frames; 1x with 4
         // ways -> 4 x 512.
-        let c = CuckooConfig::with_provisioning(4, 2048, 1.0, 32);
-        assert_eq!(c.sets, 512);
+        let c = CuckooConfig::new(4, 512, 32);
         assert!((c.provisioning_factor(2048) - 1.0).abs() < 1e-12);
 
         // Private-L2, 16 cores: 16384 frames per slice; 1.5x with 3 ways ->
         // 3 x 8192.
-        let c = CuckooConfig::with_provisioning(3, 16_384, 1.5, 16);
-        assert_eq!(c.sets, 8192);
+        let c = CuckooConfig::new(3, 8192, 16);
         assert!((c.provisioning_factor(16_384) - 1.5).abs() < 1e-12);
-
-        // Under-provisioned configurations round up to a power of two.
-        let c = CuckooConfig::with_provisioning(3, 2048, 0.375, 32);
-        assert_eq!(c.sets, 256);
     }
 
     #[test]

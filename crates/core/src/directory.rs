@@ -239,14 +239,6 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
             .is_some_and(|sharers| sharers.may_contain(cache))
     }
 
-    // Override the default (which repeats the lookup once per cache id)
-    // with a single table probe.
-    fn sharers(&self, line: LineAddr) -> Option<Vec<CacheId>> {
-        self.table
-            .get(line.block_number())
-            .map(SharerSet::invalidation_targets)
-    }
-
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
         Self::apply_op(
             &self.config,
@@ -382,6 +374,21 @@ mod tests {
         Dir::new(CuckooConfig::new(ways, sets, caches)).unwrap()
     }
 
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
+    fn remove(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::RemoveSharer { line, cache }
+    }
+
+    /// `Probe`'s answer: `None` on a miss, the reported sharers on a hit.
+    fn probe(dir: &mut impl Directory, line: LineAddr) -> Option<Vec<CacheId>> {
+        let mut out = Outcome::new();
+        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        out.hit().then(|| out.sharers().to_vec())
+    }
+
     #[test]
     fn construction_validation() {
         assert!(Dir::new(CuckooConfig::new(1, 64, 4)).is_err());
@@ -393,32 +400,35 @@ mod tests {
     #[test]
     fn add_query_remove_round_trip() {
         let mut d = dir(4, 64, 8);
-        let r = d.add_sharer(line(100), CacheId::new(1));
-        assert!(r.allocated_new_entry);
-        assert_eq!(r.insertion_attempts, 1);
-        d.add_sharer(line(100), CacheId::new(4));
+        let mut out = Outcome::new();
+        d.apply(add(line(100), CacheId::new(1)), &mut out);
+        assert!(out.allocated_new_entry());
+        assert_eq!(out.insertion_attempts(), 1);
+        d.apply(add(line(100), CacheId::new(4)), &mut out);
         assert_eq!(
-            d.sharers(line(100)),
+            probe(&mut d, line(100)),
             Some(vec![CacheId::new(1), CacheId::new(4)])
         );
         assert_eq!(d.len(), 1);
-        d.remove_sharer(line(100), CacheId::new(1));
-        d.remove_sharer(line(100), CacheId::new(4));
+        d.apply(remove(line(100), CacheId::new(1)), &mut out);
+        d.apply(remove(line(100), CacheId::new(4)), &mut out);
         assert!(!d.contains(line(100)));
         assert_eq!(d.len(), 0);
         assert_eq!(d.stats().entry_removes.get(), 1);
         // Removing a sharer of an unknown line is a no-op.
-        d.remove_sharer(line(100), CacheId::new(4));
+        d.apply(remove(line(100), CacheId::new(4)), &mut out);
     }
 
     #[test]
     fn exclusive_requests_invalidate_other_sharers() {
         let mut d = dir(4, 64, 8);
+        let mut out = Outcome::new();
         for c in 0..5u32 {
-            d.add_sharer(line(77), CacheId::new(c));
+            d.apply(add(line(77), CacheId::new(c)), &mut out);
         }
-        let r = d.set_exclusive(line(77), CacheId::new(2));
-        let mut inv = r.invalidate;
+        let (line, cache) = (line(77), CacheId::new(2));
+        d.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        let mut inv = out.invalidate().to_vec();
         inv.sort_unstable();
         assert_eq!(
             inv,
@@ -429,18 +439,21 @@ mod tests {
                 CacheId::new(4)
             ]
         );
-        assert_eq!(d.sharers(line(77)), Some(vec![CacheId::new(2)]));
+        assert_eq!(probe(&mut d, line), Some(vec![CacheId::new(2)]));
         assert_eq!(d.stats().invalidate_alls.get(), 1);
     }
 
     #[test]
     fn remove_entry_returns_targets() {
         let mut d = dir(3, 32, 4);
-        assert!(d.remove_entry(line(5)).is_none());
-        d.add_sharer(line(5), CacheId::new(0));
-        d.add_sharer(line(5), CacheId::new(3));
-        let targets = d.remove_entry(line(5)).unwrap();
-        assert_eq!(targets, vec![CacheId::new(0), CacheId::new(3)]);
+        let mut out = Outcome::new();
+        d.apply(DirectoryOp::RemoveEntry { line: line(5) }, &mut out);
+        assert!(!out.hit());
+        d.apply(add(line(5), CacheId::new(0)), &mut out);
+        d.apply(add(line(5), CacheId::new(3)), &mut out);
+        d.apply(DirectoryOp::RemoveEntry { line: line(5) }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.invalidate(), &[CacheId::new(0), CacheId::new(3)]);
         assert!(d.is_empty());
     }
 
@@ -449,6 +462,7 @@ mod tests {
         // The paper's core claim: a Cuckoo directory sized at 2x the tracked
         // blocks (occupancy <= 50%) never invalidates due to conflicts.
         let mut d = dir(4, 512, 32); // capacity 2048
+        let mut out = Outcome::new();
         let mut rng = SplitMix64::new(7);
         let target = d.capacity() / 2;
         let mut inserted = std::collections::HashSet::new();
@@ -457,9 +471,10 @@ mod tests {
             if !inserted.insert(l.block_number()) {
                 continue;
             }
-            let r = d.add_sharer(l, CacheId::new((rng.next_below(32)) as u32));
-            assert!(
-                r.forced_evictions.is_empty(),
+            d.apply(add(l, CacheId::new((rng.next_below(32)) as u32)), &mut out);
+            assert_eq!(
+                out.forced_eviction_count(),
+                0,
                 "forced eviction at occupancy {}",
                 d.occupancy()
             );
@@ -480,12 +495,15 @@ mod tests {
         let mut sparse =
             ccd_directory::SparseDirectory::<FullBitVector>::new(ways, sets, caches).unwrap();
         let mut cuckoo = dir(ways, sets, caches);
+        let mut out = Outcome::new();
         let mut sparse_forced = 0usize;
         let mut cuckoo_forced = 0usize;
         for i in 0..128u64 {
             let l = line(3 + i * sets as u64);
-            sparse_forced += sparse.add_sharer(l, CacheId::new(0)).forced_evictions.len();
-            cuckoo_forced += cuckoo.add_sharer(l, CacheId::new(0)).forced_evictions.len();
+            sparse.apply(add(l, CacheId::new(0)), &mut out);
+            sparse_forced += out.forced_eviction_count();
+            cuckoo.apply(add(l, CacheId::new(0)), &mut out);
+            cuckoo_forced += out.forced_eviction_count();
         }
         assert!(sparse_forced > 0);
         assert_eq!(
@@ -500,10 +518,11 @@ mod tests {
         // keep succeeding (discarding victims), len must never exceed
         // capacity, and the failure statistics must reflect the overflow.
         let mut d = dir(3, 16, 4); // capacity 48
+        let mut out = Outcome::new();
         let mut rng = SplitMix64::new(42);
         for _ in 0..1000 {
             let l = line(rng.next_u64() >> 12);
-            let _ = d.add_sharer(l, CacheId::new((rng.next_below(4)) as u32));
+            d.apply(add(l, CacheId::new((rng.next_below(4)) as u32)), &mut out);
             assert!(d.len() <= d.capacity());
         }
         assert!(d.stats().forced_evictions.get() > 0);
@@ -516,11 +535,12 @@ mod tests {
     fn insertion_attempts_bounded_by_budget() {
         let config = CuckooConfig::new(3, 8, 2).with_max_attempts(8);
         let mut d = CuckooDirectory::<FullBitVector>::new(config).unwrap();
+        let mut out = Outcome::new();
         let mut rng = SplitMix64::new(5);
         for _ in 0..500 {
             let l = line(rng.next_u64() >> 16);
-            let r = d.add_sharer(l, CacheId::new(0));
-            assert!(r.insertion_attempts <= 8 || !r.allocated_new_entry);
+            d.apply(add(l, CacheId::new(0)), &mut out);
+            assert!(out.insertion_attempts() <= 8 || !out.allocated_new_entry());
         }
         assert!(d.stats().insertion_attempts.max_value() >= 8);
     }
@@ -531,17 +551,20 @@ mod tests {
             CuckooDirectory::<CoarseVector>::new(CuckooConfig::new(4, 64, 64)).unwrap();
         let mut hier =
             CuckooDirectory::<HierarchicalVector>::new(CuckooConfig::new(4, 64, 64)).unwrap();
+        let mut out = Outcome::new();
         for c in [0u32, 5, 17, 44] {
-            coarse.add_sharer(line(9), CacheId::new(c));
-            hier.add_sharer(line(9), CacheId::new(c));
+            coarse.apply(add(line(9), CacheId::new(c)), &mut out);
+            hier.apply(add(line(9), CacheId::new(c)), &mut out);
         }
         // Both must report a superset of the true sharers.
+        let coarse_sharers = probe(&mut coarse, line(9)).unwrap();
+        let hier_sharers = probe(&mut hier, line(9)).unwrap();
         for c in [0u32, 5, 17, 44] {
-            assert!(coarse.sharers(line(9)).unwrap().contains(&CacheId::new(c)));
-            assert!(hier.sharers(line(9)).unwrap().contains(&CacheId::new(c)));
+            assert!(coarse_sharers.contains(&CacheId::new(c)));
+            assert!(hier_sharers.contains(&CacheId::new(c)));
         }
         // Hierarchical is exact.
-        assert_eq!(hier.sharers(line(9)).unwrap().len(), 4);
+        assert_eq!(hier_sharers.len(), 4);
     }
 
     #[test]
@@ -570,12 +593,13 @@ mod tests {
     #[test]
     fn live_resize_grows_in_place_and_preserves_entries() {
         let mut d = dir(4, 64, 8);
+        let mut out = Outcome::new();
         let mut rng = SplitMix64::new(0x9E51);
         let mut tracked = Vec::new();
         for _ in 0..180 {
             let l = line(rng.next_u64() >> 10);
-            let r = d.add_sharer(l, CacheId::new((rng.next_below(8)) as u32));
-            if r.forced_evictions.is_empty() {
+            d.apply(add(l, CacheId::new((rng.next_below(8)) as u32)), &mut out);
+            if out.forced_eviction_count() == 0 {
                 tracked.push(l);
             }
         }
@@ -612,14 +636,15 @@ mod tests {
             Option<DepthMetrics>,
             Vec<Option<Vec<CacheId>>>,
         );
-        fn observe(d: &Dir, lines: &[LineAddr]) -> Observed {
+        fn observe(d: &mut Dir, lines: &[LineAddr]) -> Observed {
             (
                 d.len(),
                 d.stats(),
                 d.depth_metrics().cloned(),
-                lines.iter().map(|&l| d.sharers(l)).collect(),
+                lines.iter().map(|&l| probe(d, l)).collect(),
             )
         }
+        let mut out = Outcome::new();
         for (from_ways, to_ways) in [(4usize, 8usize), (8, 4)] {
             for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
                 for armed in [false, true] {
@@ -635,24 +660,24 @@ mod tests {
                     let lines: Vec<LineAddr> =
                         (0..100).map(|_| line(rng.next_u64() >> 10)).collect();
                     for &l in &lines {
-                        d.add_sharer(l, CacheId::new(rng.next_below(8) as u32));
-                        d.add_sharer(l, CacheId::new(rng.next_below(8) as u32));
+                        d.apply(add(l, CacheId::new(rng.next_below(8) as u32)), &mut out);
+                        d.apply(add(l, CacheId::new(rng.next_below(8) as u32)), &mut out);
                     }
                     assert_eq!(d.stats().forced_evictions.get(), 0, "{case}");
-                    let before = observe(&d, &lines);
-                    assert_eq!(observe(&d.clone(), &lines), before, "{case}: clone");
+                    let before = observe(&mut d, &lines);
+                    assert_eq!(observe(&mut d.clone(), &lines), before, "{case}: clone");
                     let label = d.organization();
 
                     assert!(d.live_resize(to_ways, 64).unwrap(), "{case}");
-                    assert_eq!(observe(&d, &lines), before, "{case}: resized");
-                    assert_eq!(observe(&d.clone(), &lines), before, "{case}: clone after");
+                    assert_eq!(observe(&mut d, &lines), before, "{case}: resized");
+                    assert_eq!(observe(&mut d.clone(), &lines), before, "{case}: reclone");
                     assert_eq!(
                         d.organization(),
                         label.replace(&format!("-{from_ways}x64-"), &format!("-{to_ways}x64-")),
                         "{case}"
                     );
                     // The re-homed directory keeps serving under its policy.
-                    d.add_sharer(line(1), CacheId::new(0));
+                    d.apply(add(line(1), CacheId::new(0)), &mut out);
                     assert_eq!(d.len(), before.0 + 1, "{case}");
                 }
             }
@@ -677,12 +702,13 @@ mod tests {
     #[test]
     fn depth_metrics_arm_record_and_survive_resize() {
         let mut d = dir(4, 64, 8);
+        let mut out = Outcome::new();
         assert!(d.depth_metrics().is_none(), "directories start disarmed");
         assert!(d.arm_depth_metrics(2));
         let mut rng = SplitMix64::new(0x0B5);
         for _ in 0..120 {
             let l = line(rng.next_u64() >> 10);
-            d.add_sharer(l, CacheId::new((rng.next_below(8)) as u32));
+            d.apply(add(l, CacheId::new((rng.next_below(8)) as u32)), &mut out);
         }
         let recorded = d.depth_metrics().unwrap().probe_depth.count();
         assert!(recorded > 0, "armed insertions must record probe depths");
@@ -692,7 +718,7 @@ mod tests {
         assert!(d.live_resize(4, 128).unwrap());
         let metrics = d.depth_metrics().unwrap();
         assert_eq!(metrics.probe_depth.count(), recorded);
-        d.add_sharer(line(1), CacheId::new(0));
+        d.apply(add(line(1), CacheId::new(0)), &mut out);
         assert_eq!(d.depth_metrics().unwrap().probe_depth.count(), recorded + 1);
 
         // Arming is observational only: an armed and an unarmed twin fed the
@@ -704,8 +730,8 @@ mod tests {
         for _ in 0..300 {
             let l = line(rng.next_u64() >> 14);
             let c = CacheId::new((rng.next_below(8)) as u32);
-            plain.add_sharer(l, c);
-            armed.add_sharer(l, c);
+            plain.apply(add(l, c), &mut out);
+            armed.apply(add(l, c), &mut out);
         }
         assert_eq!(plain.stats(), armed.stats());
         assert_eq!(plain.len(), armed.len());
@@ -714,7 +740,7 @@ mod tests {
     #[test]
     fn stats_reset() {
         let mut d = dir(4, 64, 4);
-        d.add_sharer(line(1), CacheId::new(0));
+        d.apply(add(line(1), CacheId::new(0)), &mut Outcome::new());
         assert_eq!(d.stats().insertions.get(), 1);
         d.reset_stats();
         assert_eq!(d.stats().insertions.get(), 0);

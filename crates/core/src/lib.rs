@@ -29,7 +29,7 @@
 //! ```
 //! use ccd_common::{CacheId, LineAddr};
 //! use ccd_cuckoo::{CuckooConfig, CuckooDirectory};
-//! use ccd_directory::Directory;
+//! use ccd_directory::{Directory, DirectoryOp, Outcome};
 //! use ccd_sharers::FullBitVector;
 //!
 //! // The paper's Shared-L2 configuration: a 4-way x 512-set slice (1x
@@ -38,10 +38,12 @@
 //! let mut dir = CuckooDirectory::<FullBitVector>::new(config)?;
 //!
 //! let line = LineAddr::from_block_number(0x40_1234);
-//! let outcome = dir.add_sharer(line, CacheId::new(7));
-//! assert!(outcome.allocated_new_entry);
-//! assert_eq!(outcome.insertion_attempts, 1);
-//! assert_eq!(dir.sharers(line), Some(vec![CacheId::new(7)]));
+//! let mut out = Outcome::new();
+//! dir.apply(DirectoryOp::AddSharer { line, cache: CacheId::new(7) }, &mut out);
+//! assert!(out.allocated_new_entry());
+//! assert_eq!(out.insertion_attempts(), 1);
+//! dir.apply(DirectoryOp::Probe { line }, &mut out);
+//! assert_eq!(out.sharers(), &[CacheId::new(7)]);
 //! # Ok::<(), ccd_common::ConfigError>(())
 //! ```
 
@@ -129,7 +131,7 @@ mod tests {
     fn sharded_cuckoo_aggregates_insertion_failures() {
         use ccd_common::rng::{Rng64, SplitMix64};
         use ccd_common::{CacheId, LineAddr};
-        use ccd_directory::ShardedDirectory;
+        use ccd_directory::{DirectoryOp, Outcome, ShardedDirectory};
 
         let registry = standard_registry();
         let slices: Vec<Box<dyn Directory>> = (0..4)
@@ -139,9 +141,11 @@ mod tests {
         // Drive far past the 64-entry total capacity so attempt budgets run
         // out and shards discard entries.
         let mut rng = SplitMix64::new(99);
+        let mut out = Outcome::new();
         for _ in 0..600 {
             let line = LineAddr::from_block_number(rng.next_below(100_000));
-            dir.add_sharer(line, CacheId::new(rng.next_below(4) as u32));
+            let cache = CacheId::new(rng.next_below(4) as u32);
+            dir.apply(DirectoryOp::AddSharer { line, cache }, &mut out);
         }
         let aggregated = dir.stats().insertion_failures.get();
         let per_shard: u64 = dir

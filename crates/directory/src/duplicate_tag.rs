@@ -336,6 +336,21 @@ mod tests {
         LineAddr::from_block_number(n)
     }
 
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
+    fn remove(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::RemoveSharer { line, cache }
+    }
+
+    /// `Probe`'s answer: `None` on a miss, the reported sharers on a hit.
+    fn probe(dir: &mut DuplicateTagDirectory, line: LineAddr) -> Option<Vec<CacheId>> {
+        let mut out = Outcome::new();
+        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        out.hit().then(|| out.sharers().to_vec())
+    }
+
     #[test]
     fn construction_validation() {
         assert!(DuplicateTagDirectory::new(0, 2, 4).is_err());
@@ -350,19 +365,20 @@ mod tests {
     #[test]
     fn tracks_sharers_across_mirrors() {
         let mut dir = DuplicateTagDirectory::new(8, 2, 4).unwrap();
-        let r = dir.add_sharer(line(3), CacheId::new(0));
-        assert!(r.allocated_new_entry);
-        let r = dir.add_sharer(line(3), CacheId::new(2));
-        assert!(!r.allocated_new_entry, "same tag, second cache");
+        let mut out = Outcome::new();
+        dir.apply(add(line(3), CacheId::new(0)), &mut out);
+        assert!(out.allocated_new_entry());
+        dir.apply(add(line(3), CacheId::new(2)), &mut out);
+        assert!(!out.allocated_new_entry(), "same tag, second cache");
         assert_eq!(
-            dir.sharers(line(3)),
+            probe(&mut dir, line(3)),
             Some(vec![CacheId::new(0), CacheId::new(2)])
         );
         assert_eq!(dir.len(), 1);
 
-        dir.remove_sharer(line(3), CacheId::new(0));
-        assert_eq!(dir.sharers(line(3)), Some(vec![CacheId::new(2)]));
-        dir.remove_sharer(line(3), CacheId::new(2));
+        dir.apply(remove(line(3), CacheId::new(0)), &mut out);
+        assert_eq!(probe(&mut dir, line(3)), Some(vec![CacheId::new(2)]));
+        dir.apply(remove(line(3), CacheId::new(2)), &mut out);
         assert!(!dir.contains(line(3)));
         assert_eq!(dir.stats().entry_removes.get(), 1);
     }
@@ -372,6 +388,7 @@ mod tests {
         // Mirror a 2-way, 4-set cache per core and emulate the private cache
         // by evicting before every insertion that would overflow a set.
         let mut dir = DuplicateTagDirectory::new(4, 2, 2).unwrap();
+        let mut out = Outcome::new();
         let cache = CacheId::new(0);
         let mut resident: Vec<LineAddr> = Vec::new();
         let mut forced = 0usize;
@@ -387,10 +404,11 @@ mod tests {
                 .collect();
             if in_set.len() == 2 {
                 let victim = in_set[0];
-                dir.remove_sharer(victim, cache);
+                dir.apply(remove(victim, cache), &mut out);
                 resident.retain(|&r| r != victim);
             }
-            forced += dir.add_sharer(l, cache).forced_evictions.len();
+            dir.apply(add(l, cache), &mut out);
+            forced += out.forced_eviction_count();
             resident.push(l);
         }
         assert_eq!(forced, 0, "duplicate-tag never forces invalidations");
@@ -400,10 +418,11 @@ mod tests {
     #[test]
     fn overflow_without_evictions_replaces_stale_mirror_entries() {
         let mut dir = DuplicateTagDirectory::new(2, 1, 1).unwrap();
-        dir.add_sharer(line(0), CacheId::new(0));
-        let r = dir.add_sharer(line(2), CacheId::new(0)); // same set, 1 way
-        assert_eq!(r.forced_evictions.len(), 1);
-        assert_eq!(r.forced_evictions[0].line, line(0));
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(2), CacheId::new(0)), &mut out); // same set, 1 way
+        assert_eq!(out.forced_eviction_count(), 1);
+        assert_eq!(out.forced_evictions().next().unwrap().line, line(0));
         assert!(!dir.contains(line(0)));
         assert!(dir.contains(line(2)));
     }
@@ -411,25 +430,30 @@ mod tests {
     #[test]
     fn exclusive_removes_other_mirrors() {
         let mut dir = DuplicateTagDirectory::new(8, 2, 4).unwrap();
+        let mut out = Outcome::new();
         for c in 0..3u32 {
-            dir.add_sharer(line(10), CacheId::new(c));
+            dir.apply(add(line(10), CacheId::new(c)), &mut out);
         }
-        let r = dir.set_exclusive(line(10), CacheId::new(3));
-        let mut inv = r.invalidate;
+        let (line, cache) = (line(10), CacheId::new(3));
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        let mut inv = out.invalidate().to_vec();
         inv.sort_unstable();
         assert_eq!(inv, vec![CacheId::new(0), CacheId::new(1), CacheId::new(2)]);
-        assert_eq!(dir.sharers(line(10)), Some(vec![CacheId::new(3)]));
+        assert_eq!(probe(&mut dir, line), Some(vec![CacheId::new(3)]));
         assert_eq!(dir.stats().invalidate_alls.get(), 1);
     }
 
     #[test]
     fn remove_entry_clears_all_mirrors() {
         let mut dir = DuplicateTagDirectory::new(8, 2, 4).unwrap();
-        assert!(dir.remove_entry(line(1)).is_none());
-        dir.add_sharer(line(1), CacheId::new(0));
-        dir.add_sharer(line(1), CacheId::new(3));
-        let holders = dir.remove_entry(line(1)).unwrap();
-        assert_eq!(holders.len(), 2);
+        let mut out = Outcome::new();
+        dir.apply(DirectoryOp::RemoveEntry { line: line(1) }, &mut out);
+        assert!(!out.hit());
+        dir.apply(add(line(1), CacheId::new(0)), &mut out);
+        dir.apply(add(line(1), CacheId::new(3)), &mut out);
+        dir.apply(DirectoryOp::RemoveEntry { line: line(1) }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.invalidate().len(), 2);
         assert!(dir.is_empty());
     }
 

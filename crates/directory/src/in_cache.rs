@@ -79,10 +79,6 @@ impl<S: SharerSet> Directory for InCacheDirectory<S> {
         self.inner.apply(op, out);
     }
 
-    fn sharers(&self, line: LineAddr) -> Option<Vec<CacheId>> {
-        self.inner.sharers(line)
-    }
-
     fn stats(&self) -> DirectoryStats {
         self.inner.stats()
     }
@@ -117,20 +113,25 @@ mod tests {
         LineAddr::from_block_number(n)
     }
 
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
     #[test]
     fn behaves_like_a_sparse_directory_with_l2_geometry() {
         let mut dir = InCacheDirectory::<FullBitVector>::new(16, 64, 32).unwrap();
+        let mut out = Outcome::new();
         assert_eq!(dir.capacity(), 1024);
         assert_eq!(dir.l2_geometry(), (16, 64));
-        dir.add_sharer(line(7), CacheId::new(1));
-        dir.add_sharer(line(7), CacheId::new(9));
-        assert_eq!(
-            dir.sharers(line(7)),
-            Some(vec![CacheId::new(1), CacheId::new(9)])
-        );
-        let r = dir.set_exclusive(line(7), CacheId::new(1));
-        assert_eq!(r.invalidate, vec![CacheId::new(9)]);
-        dir.remove_sharer(line(7), CacheId::new(1));
+        dir.apply(add(line(7), CacheId::new(1)), &mut out);
+        dir.apply(add(line(7), CacheId::new(9)), &mut out);
+        let (line, cache) = (line(7), CacheId::new(1));
+        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.sharers(), &[CacheId::new(1), CacheId::new(9)]);
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        assert_eq!(out.invalidate(), &[CacheId::new(9)]);
+        dir.apply(DirectoryOp::RemoveSharer { line, cache }, &mut out);
         assert!(dir.is_empty());
         assert_eq!(dir.organization(), "in-cache-16x64");
     }
@@ -151,10 +152,12 @@ mod tests {
         // set evicts the first, which models the inclusion-victim
         // invalidation of an in-cache directory.
         let mut dir = InCacheDirectory::<FullBitVector>::new(1, 2, 4).unwrap();
-        dir.add_sharer(line(0), CacheId::new(0));
-        let r = dir.add_sharer(line(2), CacheId::new(1));
-        assert_eq!(r.forced_evictions.len(), 1);
-        assert_eq!(r.forced_evictions[0].line, line(0));
-        assert_eq!(r.forced_evictions[0].invalidate, vec![CacheId::new(0)]);
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(2), CacheId::new(1)), &mut out);
+        let evictions: Vec<_> = out.forced_evictions().collect();
+        assert_eq!(evictions.len(), 1);
+        assert_eq!(evictions[0].line, line(0));
+        assert_eq!(evictions[0].targets, &[CacheId::new(0)]);
     }
 }

@@ -38,10 +38,10 @@
 //! sharer additions on existing entries, sharer removals and exclusive
 //! upgrades; only the allocation of a brand-new entry may allocate.
 //!
-//! The legacy convenience methods ([`Directory::add_sharer`],
-//! [`Directory::set_exclusive`], …) survive as thin default shims over
-//! `apply` that allocate a fresh [`UpdateResult`] per call — fine for tests
-//! and examples, not for the simulator's inner loop.
+//! `apply` (and its batched form, [`Directory::apply_batch`]) is the only
+//! write path.  An entry is read either through [`DirectoryOp::Probe`] —
+//! which needs `&mut` for the outcome buffer only and changes nothing — or,
+//! through `&`, with [`Directory::contains`] and [`Directory::may_hold`].
 //!
 //! # Example
 //!
@@ -54,17 +54,15 @@
 //! let mut dir = SparseDirectory::<FullBitVector>::new(8, 256, 32)?;
 //! let line = LineAddr::from_block_number(0xabc);
 //!
-//! // Hot path: one reusable outcome buffer for any number of operations.
+//! // One reusable outcome buffer for any number of operations.
 //! let mut out = Outcome::new();
 //! dir.apply(DirectoryOp::AddSharer { line, cache: CacheId::new(3) }, &mut out);
 //! assert!(out.allocated_new_entry());
+//! dir.apply(DirectoryOp::AddSharer { line, cache: CacheId::new(5) }, &mut out);
+//! assert!(out.hit() && !out.allocated_new_entry());
 //! dir.apply(DirectoryOp::Probe { line }, &mut out);
-//! assert_eq!(out.sharers(), &[CacheId::new(3)]);
-//!
-//! // Compatibility path: allocating convenience wrappers.
-//! let outcome = dir.add_sharer(line, CacheId::new(5));
-//! assert!(!outcome.allocated_new_entry);
-//! assert_eq!(dir.sharers(line), Some(vec![CacheId::new(3), CacheId::new(5)]));
+//! assert_eq!(out.sharers(), &[CacheId::new(3), CacheId::new(5)]);
+//! assert!(dir.may_hold(line, CacheId::new(5)) && !dir.may_hold(line, CacheId::new(4)));
 //! # Ok::<(), ccd_common::ConfigError>(())
 //! ```
 
@@ -92,54 +90,6 @@ pub use tagless::TaglessDirectory;
 
 use ccd_common::{CacheId, ConfigError, LineAddr};
 use ccd_sharers::SharerSet;
-
-/// A block whose directory entry was evicted to make room for another entry.
-///
-/// The coherence protocol must invalidate the listed caches' copies of the
-/// block before the entry can be reused — this is the "forced invalidation"
-/// the paper's Figures 9 and 12 measure.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ForcedEviction {
-    /// The block that lost its directory entry.
-    pub line: LineAddr,
-    /// Caches that may hold a copy and must be invalidated.
-    pub invalidate: Vec<CacheId>,
-}
-
-/// The result of a directory update that may allocate an entry.
-///
-/// This is the *allocating* result type returned by the legacy convenience
-/// methods; the hot path uses [`Outcome`] instead.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct UpdateResult {
-    /// `true` when the update allocated a new directory entry (a new tag was
-    /// inserted), `false` when it only modified an existing entry.
-    pub allocated_new_entry: bool,
-    /// Number of insertion attempts performed (always 1 for set-associative
-    /// organizations; ≥ 1 for the Cuckoo directory's displacement chain).
-    pub insertion_attempts: u32,
-    /// Entries evicted from the directory to make room, whose blocks must be
-    /// invalidated in the private caches.
-    pub forced_evictions: Vec<ForcedEviction>,
-    /// Caches that must be invalidated because of the *semantics* of the
-    /// update itself (e.g. other sharers on an exclusive request), not
-    /// because of directory conflicts.
-    pub invalidate: Vec<CacheId>,
-}
-
-impl UpdateResult {
-    /// An update that modified an existing entry without side effects.
-    #[must_use]
-    pub fn existing() -> Self {
-        UpdateResult::default()
-    }
-
-    /// Convenience: `true` when no blocks need to be invalidated anywhere.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.forced_evictions.is_empty() && self.invalidate.is_empty()
-    }
-}
 
 /// One operation against a directory slice.
 ///
@@ -180,8 +130,8 @@ pub enum DirectoryOp {
     },
     /// Read the entry for `line`: sets [`Outcome::hit`] and fills
     /// [`Outcome::sharers`] with the (possibly conservative) sharer set.
-    /// Statistics-neutral: like [`Directory::sharers`], a probe is a pure
-    /// query; lookup counters are accumulated by the mutating operations.
+    /// Statistics-neutral: a probe is a pure query; lookup counters are
+    /// accumulated by the mutating operations.
     Probe {
         /// The queried block.
         line: LineAddr,
@@ -356,23 +306,6 @@ impl Outcome {
         self.invalidate.is_empty() && self.eviction_targets.is_empty()
     }
 
-    /// Converts into the allocating legacy result type.
-    #[must_use]
-    pub fn to_update_result(&self) -> UpdateResult {
-        UpdateResult {
-            allocated_new_entry: self.allocated_new_entry,
-            insertion_attempts: self.insertion_attempts,
-            forced_evictions: self
-                .forced_evictions()
-                .map(|e| ForcedEviction {
-                    line: e.line,
-                    invalidate: e.targets.to_vec(),
-                })
-                .collect(),
-            invalidate: self.invalidate.clone(),
-        }
-    }
-
     // ---- producer API (used by Directory implementations) -----------------
 
     /// Marks the operation as having found an existing entry.
@@ -456,72 +389,12 @@ impl Outcome {
     }
 }
 
-/// A borrowed, allocation-free iterator over the sharers of one line.
-///
-/// Obtained from [`Directory::sharer_view`] (or
-/// [`sharer_view`](fn@sharer_view) for `dyn Directory`); walks cache ids in
-/// ascending order and yields those the directory reports as possible
-/// holders — exactly the set the allocating [`Directory::sharers`] returns.
-pub struct SharerView<'a> {
-    dir: &'a dyn Directory,
-    line: LineAddr,
-    next: u32,
-    total: u32,
-}
-
-impl std::fmt::Debug for SharerView<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SharerView")
-            .field("line", &self.line)
-            .field("next", &self.next)
-            .field("total", &self.total)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a> SharerView<'a> {
-    /// Creates a view over `dir`'s sharers of `line`, or `None` when the
-    /// line is untracked.
-    #[must_use]
-    pub fn of(dir: &'a dyn Directory, line: LineAddr) -> Option<Self> {
-        dir.contains(line).then(|| SharerView {
-            dir,
-            line,
-            next: 0,
-            total: dir.num_caches() as u32,
-        })
-    }
-}
-
-impl Iterator for SharerView<'_> {
-    type Item = CacheId;
-
-    fn next(&mut self) -> Option<CacheId> {
-        while self.next < self.total {
-            let cache = CacheId::new(self.next);
-            self.next += 1;
-            if self.dir.may_hold(self.line, cache) {
-                return Some(cache);
-            }
-        }
-        None
-    }
-}
-
-/// Borrowed sharer iteration for trait objects (see
-/// [`Directory::sharer_view`], which requires `Self: Sized`).
-#[must_use]
-pub fn sharer_view(dir: &dyn Directory, line: LineAddr) -> Option<SharerView<'_>> {
-    SharerView::of(dir, line)
-}
-
 /// The interface every directory organization implements.
 ///
 /// The trait is object-safe so the coherence simulator can swap
 /// organizations at runtime (`Box<dyn Directory>`).  Implementations
 /// provide the allocation-free [`Directory::apply`] entry point plus pure
-/// queries; the legacy per-operation methods are default shims over
-/// `apply`.
+/// queries.
 ///
 /// `Send` is a supertrait: every organization is plain owned data, so built
 /// slices (and the simulators composed from them) can be constructed on one
@@ -650,67 +523,6 @@ pub trait Directory: Send {
     fn depth_metrics(&self) -> Option<&DepthMetrics> {
         None
     }
-
-    // ---- provided: borrowed sharer queries --------------------------------
-
-    /// Borrowed, allocation-free iterator over the sharers of `line`
-    /// (`None` when untracked).  For `dyn Directory` use the free function
-    /// [`sharer_view`](fn@sharer_view).
-    fn sharer_view(&self, line: LineAddr) -> Option<SharerView<'_>>
-    where
-        Self: Sized,
-    {
-        SharerView::of(self, line)
-    }
-
-    // ---- provided: legacy allocating shims --------------------------------
-
-    /// Returns the (possibly conservative) set of caches holding `line`, or
-    /// `None` when the line is not tracked.  Allocates; the hot path uses
-    /// [`Directory::sharer_view`] or [`DirectoryOp::Probe`] instead.
-    fn sharers(&self, line: LineAddr) -> Option<Vec<CacheId>> {
-        if !self.contains(line) {
-            return None;
-        }
-        Some(
-            (0..self.num_caches() as u32)
-                .map(CacheId::new)
-                .filter(|&c| self.may_hold(line, c))
-                .collect(),
-        )
-    }
-
-    /// Records that `cache` now holds a copy of `line`, allocating a new
-    /// entry if the line is not yet tracked.
-    fn add_sharer(&mut self, line: LineAddr, cache: CacheId) -> UpdateResult {
-        let mut out = Outcome::new();
-        self.apply(DirectoryOp::AddSharer { line, cache }, &mut out);
-        out.to_update_result()
-    }
-
-    /// Records that `cache` obtained an exclusive (writable) copy of `line`:
-    /// the entry is allocated if needed, all *other* sharers are returned in
-    /// [`UpdateResult::invalidate`], and only `cache` remains recorded.
-    fn set_exclusive(&mut self, line: LineAddr, cache: CacheId) -> UpdateResult {
-        let mut out = Outcome::new();
-        self.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
-        out.to_update_result()
-    }
-
-    /// Records that `cache` evicted its copy of `line`.  The entry is freed
-    /// once its last sharer leaves.
-    fn remove_sharer(&mut self, line: LineAddr, cache: CacheId) {
-        let mut out = Outcome::new();
-        self.apply(DirectoryOp::RemoveSharer { line, cache }, &mut out);
-    }
-
-    /// Removes the entry for `line` entirely (e.g. when the home L2 bank
-    /// evicts the block), returning the caches that must be invalidated.
-    fn remove_entry(&mut self, line: LineAddr) -> Option<Vec<CacheId>> {
-        let mut out = Outcome::new();
-        self.apply(DirectoryOp::RemoveEntry { line }, &mut out);
-        out.hit().then(|| out.invalidate().to_vec())
-    }
 }
 
 /// Storage-geometry description used by the analytical energy/area model.
@@ -734,24 +546,6 @@ pub struct StorageProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn update_result_helpers() {
-        let r = UpdateResult::existing();
-        assert!(!r.allocated_new_entry);
-        assert!(r.is_clean());
-
-        let r = UpdateResult {
-            allocated_new_entry: true,
-            insertion_attempts: 2,
-            forced_evictions: vec![ForcedEviction {
-                line: LineAddr::from_block_number(5),
-                invalidate: vec![CacheId::new(1)],
-            }],
-            invalidate: Vec::new(),
-        };
-        assert!(!r.is_clean());
-    }
 
     #[test]
     fn directory_trait_is_object_safe() {
@@ -791,8 +585,6 @@ mod tests {
         assert_eq!(views[0].targets, &[CacheId::new(2), CacheId::new(5)]);
         assert_eq!(views[1].targets, &[CacheId::new(1)]);
 
-        let legacy = out.to_update_result();
-        assert_eq!(legacy.forced_evictions.len(), 2);
         assert!(!out.is_clean());
 
         out.reset();

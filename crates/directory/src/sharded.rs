@@ -122,11 +122,6 @@ impl Directory for ShardedDirectory {
         out.map_eviction_lines(|victim| self.global_line(shard, victim));
     }
 
-    fn sharers(&self, line: LineAddr) -> Option<Vec<CacheId>> {
-        let (shard, local) = self.home_of(line);
-        self.shards[shard].sharers(local)
-    }
-
     fn stats(&self) -> DirectoryStats {
         let mut stats = DirectoryStats::new();
         for shard in &self.shards {
@@ -172,6 +167,10 @@ mod tests {
         LineAddr::from_block_number(n)
     }
 
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
     #[test]
     fn construction_validation() {
         assert!(ShardedDirectory::new(Vec::new()).is_err());
@@ -190,15 +189,18 @@ mod tests {
     #[test]
     fn routes_lines_to_the_owning_shard() {
         let mut dir = ShardedDirectory::new(vec![slice(2, 8), slice(2, 8)]).unwrap();
-        dir.add_sharer(line(4), CacheId::new(1)); // even -> shard 0
-        dir.add_sharer(line(7), CacheId::new(2)); // odd  -> shard 1
+        let mut out = Outcome::new();
+        dir.apply(add(line(4), CacheId::new(1)), &mut out); // even -> shard 0
+        dir.apply(add(line(7), CacheId::new(2)), &mut out); // odd  -> shard 1
         assert_eq!(dir.shards()[0].len(), 1);
         assert_eq!(dir.shards()[1].len(), 1);
         assert_eq!(dir.len(), 2);
         assert!(dir.contains(line(4)));
         assert!(dir.contains(line(7)));
         assert!(!dir.contains(line(5)));
-        assert_eq!(dir.sharers(line(7)), Some(vec![CacheId::new(2)]));
+        dir.apply(DirectoryOp::Probe { line: line(7) }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.sharers(), &[CacheId::new(2)]);
         assert!(dir.may_hold(line(4), CacheId::new(1)));
         assert!(!dir.may_hold(line(4), CacheId::new(2)));
     }
@@ -208,11 +210,12 @@ mod tests {
         // 1-way 2-set slices, 2 shards: global blocks 0 and 8 both land on
         // shard 0, local set 0 -> the second insertion evicts the first.
         let mut dir = ShardedDirectory::new(vec![slice(1, 2), slice(1, 2)]).unwrap();
-        dir.add_sharer(line(0), CacheId::new(0));
-        let result = dir.add_sharer(line(8), CacheId::new(1));
-        assert_eq!(result.forced_evictions.len(), 1);
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(8), CacheId::new(1)), &mut out);
+        assert_eq!(out.forced_eviction_count(), 1);
         assert_eq!(
-            result.forced_evictions[0].line,
+            out.forced_evictions().next().unwrap().line,
             line(0),
             "global line expected"
         );
@@ -229,16 +232,10 @@ mod tests {
             Box::new(crate::DuplicateTagDirectory::new(2, 1, 2).unwrap())
         };
         let mut dir = ShardedDirectory::new(vec![mk(), mk()]).unwrap();
-        dir.add_sharer(line(0), CacheId::new(1)); // shard 0, local 0
-        dir.add_sharer(line(4), CacheId::new(0)); // shard 0, local 2 (same mirror set)
         let mut out = Outcome::new();
-        dir.apply(
-            DirectoryOp::AddSharer {
-                line: line(0),
-                cache: CacheId::new(0),
-            },
-            &mut out,
-        );
+        dir.apply(add(line(0), CacheId::new(1)), &mut out); // shard 0, local 0
+        dir.apply(add(line(4), CacheId::new(0)), &mut out); // shard 0, local 2 (same mirror set)
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
         assert!(out.hit(), "tag already tracked via cache 1");
         assert!(!out.allocated_new_entry());
         assert_eq!(out.forced_eviction_count(), 1);
@@ -261,12 +258,13 @@ mod tests {
     #[test]
     fn aggregate_stats_match_observable_operations() {
         let mut dir = ShardedDirectory::new(vec![slice(4, 8), slice(4, 8)]).unwrap();
-        let l = line(42);
-        dir.add_sharer(l, CacheId::new(0));
-        dir.add_sharer(l, CacheId::new(1));
-        let r = dir.set_exclusive(l, CacheId::new(2));
-        assert_eq!(r.invalidate.len(), 2);
-        dir.remove_sharer(l, CacheId::new(2));
+        let mut out = Outcome::new();
+        let (line, cache) = (line(42), CacheId::new(2));
+        dir.apply(add(line, CacheId::new(0)), &mut out);
+        dir.apply(add(line, CacheId::new(1)), &mut out);
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        assert_eq!(out.invalidate().len(), 2);
+        dir.apply(DirectoryOp::RemoveSharer { line, cache }, &mut out);
         assert_eq!(dir.stats().insertions.get(), 1);
         assert_eq!(dir.stats().sharer_adds.get(), 1);
         assert_eq!(dir.stats().invalidate_alls.get(), 1);

@@ -223,6 +223,7 @@ impl<S: SharerSet> Directory for SkewedDirectory<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirectoryOp;
     use ccd_common::rng::{Rng64, SplitMix64};
     use ccd_common::CacheId;
     use ccd_sharers::FullBitVector;
@@ -231,6 +232,14 @@ mod tests {
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_block_number(n)
+    }
+
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
+    fn remove(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::RemoveSharer { line, cache }
     }
 
     #[test]
@@ -244,15 +253,15 @@ mod tests {
     #[test]
     fn basic_add_lookup_remove() {
         let mut dir = Dir::new(4, 64, 8).unwrap();
-        let r = dir.add_sharer(line(100), CacheId::new(2));
-        assert!(r.allocated_new_entry);
-        dir.add_sharer(line(100), CacheId::new(5));
-        assert_eq!(
-            dir.sharers(line(100)),
-            Some(vec![CacheId::new(2), CacheId::new(5)])
-        );
-        dir.remove_sharer(line(100), CacheId::new(2));
-        dir.remove_sharer(line(100), CacheId::new(5));
+        let mut out = Outcome::new();
+        dir.apply(add(line(100), CacheId::new(2)), &mut out);
+        assert!(out.allocated_new_entry());
+        dir.apply(add(line(100), CacheId::new(5)), &mut out);
+        dir.apply(DirectoryOp::Probe { line: line(100) }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.sharers(), &[CacheId::new(2), CacheId::new(5)]);
+        dir.apply(remove(line(100), CacheId::new(2)), &mut out);
+        dir.apply(remove(line(100), CacheId::new(5)), &mut out);
         assert!(!dir.contains(line(100)));
         assert_eq!(dir.len(), 0);
     }
@@ -260,13 +269,17 @@ mod tests {
     #[test]
     fn exclusive_invalidates_other_sharers() {
         let mut dir = Dir::new(2, 32, 4).unwrap();
-        dir.add_sharer(line(1), CacheId::new(0));
-        dir.add_sharer(line(1), CacheId::new(1));
-        let r = dir.set_exclusive(line(1), CacheId::new(3));
-        let mut inv = r.invalidate;
+        let mut out = Outcome::new();
+        dir.apply(add(line(1), CacheId::new(0)), &mut out);
+        dir.apply(add(line(1), CacheId::new(1)), &mut out);
+        let (line, cache) = (line(1), CacheId::new(3));
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        let mut inv = out.invalidate().to_vec();
         inv.sort_unstable();
         assert_eq!(inv, vec![CacheId::new(0), CacheId::new(1)]);
-        assert_eq!(dir.sharers(line(1)), Some(vec![CacheId::new(3)]));
+        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.sharers(), &[CacheId::new(3)]);
     }
 
     #[test]
@@ -274,10 +287,11 @@ mod tests {
         // 1-way skewed = direct-mapped through one hash; drive it well past
         // capacity and confirm evictions occur and capacity is respected.
         let mut dir = Dir::new(1, 16, 2).unwrap();
+        let mut out = Outcome::new();
         let mut evictions = 0usize;
         for n in 0..64u64 {
-            let r = dir.add_sharer(line(n), CacheId::new(0));
-            evictions += r.forced_evictions.len();
+            dir.apply(add(line(n), CacheId::new(0)), &mut out);
+            evictions += out.forced_eviction_count();
         }
         assert!(evictions > 0, "a 16-entry table cannot hold 64 lines");
         assert!(dir.len() <= 16);
@@ -293,13 +307,16 @@ mod tests {
         let sets = 256;
         let mut sparse = crate::SparseDirectory::<FullBitVector>::new(ways, sets, 4).unwrap();
         let mut skewed = Dir::new(ways, sets, 4).unwrap();
+        let mut out = Outcome::new();
         // 64 lines that all share the same low-order bits.
         let mut sparse_evictions = 0usize;
         let mut skewed_evictions = 0usize;
         for i in 0..64u64 {
             let l = line(7 + i * sets as u64);
-            sparse_evictions += sparse.add_sharer(l, CacheId::new(0)).forced_evictions.len();
-            skewed_evictions += skewed.add_sharer(l, CacheId::new(0)).forced_evictions.len();
+            sparse.apply(add(l, CacheId::new(0)), &mut out);
+            sparse_evictions += out.forced_eviction_count();
+            skewed.apply(add(l, CacheId::new(0)), &mut out);
+            skewed_evictions += out.forced_eviction_count();
         }
         assert!(sparse_evictions > 0, "sparse must conflict on this pattern");
         assert!(
@@ -311,13 +328,15 @@ mod tests {
     #[test]
     fn random_load_below_capacity_rarely_evicts() {
         let mut dir = Dir::new(4, 1024, 8).unwrap();
+        let mut out = Outcome::new();
         let mut rng = SplitMix64::new(42);
         let capacity = dir.capacity();
         let mut evictions = 0usize;
         // Fill to 50% occupancy with random lines.
         for _ in 0..capacity / 2 {
             let l = line(rng.next_u64() >> 10);
-            evictions += dir.add_sharer(l, CacheId::new(0)).forced_evictions.len();
+            dir.apply(add(l, CacheId::new(0)), &mut out);
+            evictions += out.forced_eviction_count();
         }
         let rate = evictions as f64 / (capacity / 2) as f64;
         assert!(

@@ -30,18 +30,6 @@ macro_rules! impl_slot_directory_ops {
             })
         }
 
-        // Override the default (which repeats the lookup once per cache id)
-        // with a single indexed lookup.
-        fn sharers(&self, line: ccd_common::LineAddr) -> Option<Vec<ccd_common::CacheId>> {
-            self.find_slot(line).map(|slot| {
-                self.slots[slot]
-                    .as_ref()
-                    .expect("slot is valid")
-                    .sharers
-                    .invalidation_targets()
-            })
-        }
-
         fn apply(&mut self, op: crate::DirectoryOp, out: &mut crate::Outcome) {
             out.reset();
             match op {

@@ -214,6 +214,7 @@ impl<S: SharerSet> Directory for SparseDirectory<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DirectoryOp;
     use ccd_common::CacheId;
     use ccd_sharers::{CoarseVector, FullBitVector};
 
@@ -221,6 +222,21 @@ mod tests {
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_block_number(n)
+    }
+
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
+    fn remove(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::RemoveSharer { line, cache }
+    }
+
+    /// `Probe`'s answer: `None` on a miss, the reported sharers on a hit.
+    fn probe(dir: &mut Dir, line: LineAddr) -> Option<Vec<CacheId>> {
+        let mut out = Outcome::new();
+        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        out.hit().then(|| out.sharers().to_vec())
     }
 
     #[test]
@@ -235,13 +251,14 @@ mod tests {
     #[test]
     fn add_and_query_sharers() {
         let mut dir = Dir::new(2, 8, 4).unwrap();
-        let r = dir.add_sharer(line(5), CacheId::new(1));
-        assert!(r.allocated_new_entry);
-        assert!(r.is_clean());
-        let r = dir.add_sharer(line(5), CacheId::new(3));
-        assert!(!r.allocated_new_entry);
+        let mut out = Outcome::new();
+        dir.apply(add(line(5), CacheId::new(1)), &mut out);
+        assert!(out.allocated_new_entry());
+        assert!(out.is_clean());
+        dir.apply(add(line(5), CacheId::new(3)), &mut out);
+        assert!(!out.allocated_new_entry());
         assert_eq!(
-            dir.sharers(line(5)),
+            probe(&mut dir, line(5)),
             Some(vec![CacheId::new(1), CacheId::new(3)])
         );
         assert!(dir.contains(line(5)));
@@ -253,12 +270,14 @@ mod tests {
     fn set_conflict_forces_invalidation_of_lru_victim() {
         // 1 way, 4 sets: lines 0 and 4 conflict.
         let mut dir = Dir::new(1, 4, 4).unwrap();
-        dir.add_sharer(line(0), CacheId::new(0));
-        let r = dir.add_sharer(line(4), CacheId::new(1));
-        assert!(r.allocated_new_entry);
-        assert_eq!(r.forced_evictions.len(), 1);
-        assert_eq!(r.forced_evictions[0].line, line(0));
-        assert_eq!(r.forced_evictions[0].invalidate, vec![CacheId::new(0)]);
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(4), CacheId::new(1)), &mut out);
+        assert!(out.allocated_new_entry());
+        let evictions: Vec<_> = out.forced_evictions().collect();
+        assert_eq!(evictions.len(), 1);
+        assert_eq!(evictions[0].line, line(0));
+        assert_eq!(evictions[0].targets, &[CacheId::new(0)]);
         assert!(!dir.contains(line(0)));
         assert!(dir.contains(line(4)));
         assert_eq!(dir.stats().forced_evictions.get(), 1);
@@ -269,12 +288,13 @@ mod tests {
     fn lru_prefers_older_entry_as_victim() {
         // 2 ways, 2 sets: lines 0, 2, 4 all map to set 0.
         let mut dir = Dir::new(2, 2, 4).unwrap();
-        dir.add_sharer(line(0), CacheId::new(0));
-        dir.add_sharer(line(2), CacheId::new(1));
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(2), CacheId::new(1)), &mut out);
         // Touch line 0 so line 2 becomes LRU.
-        dir.add_sharer(line(0), CacheId::new(2));
-        let r = dir.add_sharer(line(4), CacheId::new(3));
-        assert_eq!(r.forced_evictions[0].line, line(2));
+        dir.apply(add(line(0), CacheId::new(2)), &mut out);
+        dir.apply(add(line(4), CacheId::new(3)), &mut out);
+        assert_eq!(out.forced_evictions().next().unwrap().line, line(2));
         assert!(dir.contains(line(0)));
         assert!(dir.contains(line(4)));
     }
@@ -282,61 +302,70 @@ mod tests {
     #[test]
     fn exclusive_request_invalidates_other_sharers() {
         let mut dir = Dir::new(4, 8, 8).unwrap();
-        dir.add_sharer(line(9), CacheId::new(0));
-        dir.add_sharer(line(9), CacheId::new(1));
-        dir.add_sharer(line(9), CacheId::new(2));
-        let r = dir.set_exclusive(line(9), CacheId::new(1));
-        assert!(!r.allocated_new_entry);
-        let mut invalidate = r.invalidate.clone();
+        let mut out = Outcome::new();
+        dir.apply(add(line(9), CacheId::new(0)), &mut out);
+        dir.apply(add(line(9), CacheId::new(1)), &mut out);
+        dir.apply(add(line(9), CacheId::new(2)), &mut out);
+        let (line, cache) = (line(9), CacheId::new(1));
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        assert!(!out.allocated_new_entry());
+        let mut invalidate = out.invalidate().to_vec();
         invalidate.sort_unstable();
         assert_eq!(invalidate, vec![CacheId::new(0), CacheId::new(2)]);
-        assert_eq!(dir.sharers(line(9)), Some(vec![CacheId::new(1)]));
+        assert_eq!(probe(&mut dir, line), Some(vec![CacheId::new(1)]));
         assert_eq!(dir.stats().invalidate_alls.get(), 1);
     }
 
     #[test]
     fn exclusive_on_untracked_line_allocates() {
         let mut dir = Dir::new(4, 8, 8).unwrap();
-        let r = dir.set_exclusive(line(42), CacheId::new(5));
-        assert!(r.allocated_new_entry);
-        assert!(r.invalidate.is_empty());
-        assert_eq!(dir.sharers(line(42)), Some(vec![CacheId::new(5)]));
+        let mut out = Outcome::new();
+        let (line, cache) = (line(42), CacheId::new(5));
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        assert!(out.allocated_new_entry());
+        assert!(out.invalidate().is_empty());
+        assert_eq!(probe(&mut dir, line), Some(vec![CacheId::new(5)]));
     }
 
     #[test]
     fn removing_last_sharer_frees_the_entry() {
         let mut dir = Dir::new(2, 4, 4).unwrap();
-        dir.add_sharer(line(7), CacheId::new(0));
-        dir.add_sharer(line(7), CacheId::new(1));
-        dir.remove_sharer(line(7), CacheId::new(0));
+        let mut out = Outcome::new();
+        dir.apply(add(line(7), CacheId::new(0)), &mut out);
+        dir.apply(add(line(7), CacheId::new(1)), &mut out);
+        dir.apply(remove(line(7), CacheId::new(0)), &mut out);
         assert!(dir.contains(line(7)));
         assert_eq!(dir.len(), 1);
-        dir.remove_sharer(line(7), CacheId::new(1));
+        dir.apply(remove(line(7), CacheId::new(1)), &mut out);
         assert!(!dir.contains(line(7)));
         assert_eq!(dir.len(), 0);
         assert_eq!(dir.stats().entry_removes.get(), 1);
         // Removing from an untracked line is a no-op.
-        dir.remove_sharer(line(7), CacheId::new(1));
+        dir.apply(remove(line(7), CacheId::new(1)), &mut out);
         assert_eq!(dir.len(), 0);
     }
 
     #[test]
     fn remove_entry_returns_invalidation_targets() {
         let mut dir = Dir::new(2, 4, 4).unwrap();
-        assert!(dir.remove_entry(line(3)).is_none());
-        dir.add_sharer(line(3), CacheId::new(2));
-        dir.add_sharer(line(3), CacheId::new(3));
-        let targets = dir.remove_entry(line(3)).unwrap();
-        assert_eq!(targets, vec![CacheId::new(2), CacheId::new(3)]);
+        let mut out = Outcome::new();
+        dir.apply(DirectoryOp::RemoveEntry { line: line(3) }, &mut out);
+        assert!(!out.hit());
+        dir.apply(add(line(3), CacheId::new(2)), &mut out);
+        dir.apply(add(line(3), CacheId::new(3)), &mut out);
+        dir.apply(DirectoryOp::RemoveEntry { line: line(3) }, &mut out);
+        assert!(out.hit());
+        assert_eq!(out.invalidate(), &[CacheId::new(2), CacheId::new(3)]);
         assert!(dir.is_empty());
     }
 
     #[test]
     fn occupancy_tracks_valid_entries() {
         let mut dir = Dir::new(2, 2, 4).unwrap();
+        let mut out = Outcome::new();
         assert_eq!(dir.occupancy(), 0.0);
-        dir.add_sharer(line(0), CacheId::new(0));
-        dir.add_sharer(line(1), CacheId::new(0));
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(1), CacheId::new(0)), &mut out);
         assert!((dir.occupancy() - 0.5).abs() < 1e-12);
         assert_eq!(dir.capacity(), 4);
     }
@@ -361,8 +390,9 @@ mod tests {
     #[test]
     fn stats_reset_clears_history() {
         let mut dir = Dir::new(1, 2, 2).unwrap();
-        dir.add_sharer(line(0), CacheId::new(0));
-        dir.add_sharer(line(2), CacheId::new(1));
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(2), CacheId::new(1)), &mut out);
         assert!(dir.stats().insertions.get() > 0);
         dir.reset_stats();
         assert_eq!(dir.stats().insertions.get(), 0);

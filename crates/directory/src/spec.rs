@@ -306,6 +306,7 @@ impl FromStr for DirectorySpec {
                 what: "cache count",
             });
         }
+        check_caches(spec.caches)?;
         Ok(spec)
     }
 }
@@ -376,6 +377,20 @@ pub fn checked_capacity(ways: usize, sets: usize) -> Result<usize, ConfigError> 
     ways.checked_mul(sets)
         .filter(|&capacity| capacity <= MAX_CAPACITY)
         .ok_or_else(|| capacity_too_large(ways, sets))
+}
+
+/// Cache ids are 32-bit ([`ccd_common::CacheId`]), so no sharer
+/// representation tracks more than `u32::MAX` caches: checked where a spec
+/// is parsed and where one is built, before any sharer set is sized from it.
+fn check_caches(caches: usize) -> Result<(), ConfigError> {
+    match u32::try_from(caches) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(ConfigError::TooLarge {
+            what: "cache count",
+            value: caches as u64,
+            max: u64::from(u32::MAX),
+        }),
+    }
 }
 
 /// A builder function constructing one (unsharded) directory slice.
@@ -560,7 +575,8 @@ impl BuilderRegistry {
     /// * [`ConfigError::Inconsistent`] when the set count is not divisible
     ///   by the shard count,
     /// * [`ConfigError::TooLarge`] when `ways × sets` is not a capacity
-    ///   that can exist ([`checked_capacity`]),
+    ///   that can exist ([`checked_capacity`]) or the cache count does not
+    ///   fit the 32-bit cache ids,
     /// * any error from the organization's own constructor.
     pub fn build(&self, spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
         let builder = self
@@ -574,6 +590,7 @@ impl BuilderRegistry {
         // Every organization multiplies `ways × sets` unchecked from here
         // on, and a sharded directory sums its slices' capacities.
         checked_capacity(spec.ways, spec.sets)?;
+        check_caches(spec.caches)?;
         if spec.shards == 1 {
             return builder(spec);
         }
@@ -824,5 +841,22 @@ mod tests {
                 max: (1 << 42) - 1,
             }
         );
+
+        // The cache count has a bound of its own: ids are 32-bit.  Checked
+        // by the parser, and again by `build` for a spec assembled by hand.
+        let registry = BuilderRegistry::with_baselines();
+        let ids = u64::from(u32::MAX);
+        assert!(registry.build_str("sparse-4x64-c4294967295").is_ok());
+        for caches in [ids + 1, u64::MAX] {
+            let want = ConfigError::TooLarge {
+                what: "cache count",
+                value: caches,
+                max: ids,
+            };
+            let input = format!("sharded2:sparse-4x64-c{caches}@coarse");
+            assert_eq!(input.parse::<DirectorySpec>(), Err(want.clone()), "{input}");
+            let by_hand = DirectorySpec::new("sparse", 4, 64).with_caches(caches as usize);
+            assert_eq!(registry.build(&by_hand).err(), Some(want), "{caches}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //!   (footnote 1 of Section 5.6).
 
 use ccd_common::stats::{
-    Counter, Histogram, LogHistogram, MeanAccumulator, MetricSet, RateEstimator,
+    Counter, Histogram, LogHistogram, MeanAccumulator, MetricSnapshot, RateEstimator,
 };
 
 /// Upper bound for the insertion-attempt histogram, matching the paper's
@@ -223,17 +223,12 @@ impl DepthMetrics {
         self.bfs_path_depth.merge(&other.bfs_path_depth);
     }
 
-    /// Registers the three distributions into `metrics` under their
-    /// canonical names and folds the recorded data in.
-    pub fn register_into(&self, metrics: &mut MetricSet) {
-        for (name, hist) in [
-            ("probe_depth", &self.probe_depth),
-            ("displacement_chain", &self.displacement_chain),
-            ("bfs_path_depth", &self.bfs_path_depth),
-        ] {
-            let id = metrics.histogram(name, hist.sig_bits());
-            metrics.histogram_mut(id).merge(hist);
-        }
+    /// Registers the three distributions into `snapshot` under their
+    /// canonical names.
+    pub fn register_into(&self, snapshot: &mut MetricSnapshot) {
+        snapshot.push_histogram("probe_depth", &self.probe_depth);
+        snapshot.push_histogram("displacement_chain", &self.displacement_chain);
+        snapshot.push_histogram("bfs_path_depth", &self.bfs_path_depth);
     }
 
     /// Resets every histogram, keeping the resolution.
@@ -372,9 +367,8 @@ mod tests {
         assert_eq!(ab, ba);
         assert_eq!(ab.probe_depth.count(), 2);
 
-        let mut set = ccd_common::MetricSet::new();
-        ab.register_into(&mut set);
-        let snap = set.snapshot();
+        let mut snap = MetricSnapshot::default();
+        ab.register_into(&mut snap);
         assert_eq!(snap.histograms.len(), 3);
         assert_eq!(snap.histograms[0].name, "probe_depth");
         assert_eq!(snap.histograms[0].count, 2);

@@ -372,6 +372,14 @@ mod tests {
         LineAddr::from_block_number(n)
     }
 
+    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::AddSharer { line, cache }
+    }
+
+    fn remove(line: LineAddr, cache: CacheId) -> DirectoryOp {
+        DirectoryOp::RemoveSharer { line, cache }
+    }
+
     #[test]
     fn construction_validation() {
         assert!(TaglessDirectory::new(0, 2, 4).is_err());
@@ -386,25 +394,30 @@ mod tests {
     #[test]
     fn sharers_are_a_superset_of_true_holders() {
         let mut dir = TaglessDirectory::new(64, 2, 8).unwrap();
-        dir.add_sharer(line(5), CacheId::new(1));
-        dir.add_sharer(line(5), CacheId::new(6));
-        let sharers = dir.sharers(line(5)).unwrap();
-        assert!(sharers.contains(&CacheId::new(1)));
-        assert!(sharers.contains(&CacheId::new(6)));
+        let mut out = Outcome::new();
+        dir.apply(add(line(5), CacheId::new(1)), &mut out);
+        dir.apply(add(line(5), CacheId::new(6)), &mut out);
+        dir.apply(DirectoryOp::Probe { line: line(5) }, &mut out);
+        assert!(out.hit());
+        assert!(out.sharers().contains(&CacheId::new(1)));
+        assert!(out.sharers().contains(&CacheId::new(6)));
         assert!(!dir.contains(line(6)));
-        assert_eq!(dir.sharers(line(6)), None);
+        dir.apply(DirectoryOp::Probe { line: line(6) }, &mut out);
+        assert!(!out.hit() && out.sharers().is_empty());
     }
 
     #[test]
     fn removal_keeps_filters_consistent() {
         let mut dir = TaglessDirectory::new(64, 2, 4).unwrap();
-        dir.add_sharer(line(9), CacheId::new(0));
-        dir.add_sharer(line(73), CacheId::new(0)); // same set (64 sets)
-        dir.remove_sharer(line(9), CacheId::new(0));
+        let mut out = Outcome::new();
+        dir.apply(add(line(9), CacheId::new(0)), &mut out);
+        dir.apply(add(line(73), CacheId::new(0)), &mut out); // same set (64 sets)
+        dir.apply(remove(line(9), CacheId::new(0)), &mut out);
         assert!(!dir.contains(line(9)));
         // line 73 must still be reported for cache 0.
-        assert!(dir.sharers(line(73)).unwrap().contains(&CacheId::new(0)));
-        dir.remove_sharer(line(73), CacheId::new(0));
+        dir.apply(DirectoryOp::Probe { line: line(73) }, &mut out);
+        assert!(out.hit() && out.sharers().contains(&CacheId::new(0)));
+        dir.apply(remove(line(73), CacheId::new(0)), &mut out);
         assert!(dir.is_empty());
         assert_eq!(dir.stats().entry_removes.get(), 2);
     }
@@ -412,9 +425,10 @@ mod tests {
     #[test]
     fn never_forces_invalidations_under_heavy_load() {
         let mut dir = TaglessDirectory::new(16, 2, 4).unwrap();
+        let mut out = Outcome::new();
         for n in 0..1000u64 {
-            let r = dir.add_sharer(line(n), CacheId::new((n % 4) as u32));
-            assert!(r.forced_evictions.is_empty());
+            dir.apply(add(line(n), CacheId::new((n % 4) as u32)), &mut out);
+            assert_eq!(out.forced_eviction_count(), 0);
         }
         assert_eq!(dir.stats().forced_evictions.get(), 0);
         assert!((dir.stats().forced_invalidation_rate()).abs() < 1e-12);
@@ -423,25 +437,30 @@ mod tests {
     #[test]
     fn exclusive_clears_true_holders_and_reports_superset() {
         let mut dir = TaglessDirectory::new(64, 2, 8).unwrap();
-        dir.add_sharer(line(3), CacheId::new(0));
-        dir.add_sharer(line(3), CacheId::new(5));
-        let r = dir.set_exclusive(line(3), CacheId::new(2));
-        assert!(r.invalidate.contains(&CacheId::new(0)));
-        assert!(r.invalidate.contains(&CacheId::new(5)));
-        assert!(!r.invalidate.contains(&CacheId::new(2)));
+        let mut out = Outcome::new();
+        dir.apply(add(line(3), CacheId::new(0)), &mut out);
+        dir.apply(add(line(3), CacheId::new(5)), &mut out);
+        let (line, cache) = (line(3), CacheId::new(2));
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
+        assert!(out.invalidate().contains(&CacheId::new(0)));
+        assert!(out.invalidate().contains(&CacheId::new(5)));
+        assert!(!out.invalidate().contains(&CacheId::new(2)));
         // After the upgrade only the writer is a true holder.
-        assert_eq!(dir.exact_holders(line(3)).unwrap(), &vec![CacheId::new(2)]);
+        assert_eq!(dir.exact_holders(line).unwrap(), &vec![CacheId::new(2)]);
     }
 
     #[test]
     fn remove_entry_returns_superset_and_clears_state() {
         let mut dir = TaglessDirectory::new(64, 2, 4).unwrap();
-        assert!(dir.remove_entry(line(1)).is_none());
-        dir.add_sharer(line(1), CacheId::new(1));
-        dir.add_sharer(line(1), CacheId::new(2));
-        let targets = dir.remove_entry(line(1)).unwrap();
-        assert!(targets.contains(&CacheId::new(1)));
-        assert!(targets.contains(&CacheId::new(2)));
+        let mut out = Outcome::new();
+        dir.apply(DirectoryOp::RemoveEntry { line: line(1) }, &mut out);
+        assert!(!out.hit());
+        dir.apply(add(line(1), CacheId::new(1)), &mut out);
+        dir.apply(add(line(1), CacheId::new(2)), &mut out);
+        dir.apply(DirectoryOp::RemoveEntry { line: line(1) }, &mut out);
+        assert!(out.hit());
+        assert!(out.invalidate().contains(&CacheId::new(1)));
+        assert!(out.invalidate().contains(&CacheId::new(2)));
         assert!(dir.is_empty());
     }
 

@@ -1,21 +1,19 @@
 //! Metric exposition: deterministic JSON and Prometheus-style text.
 //!
-//! Both renderers consume a [`MetricSnapshot`] — an integer-only,
-//! registration-ordered copy of a [`MetricSet`] — and emit nothing but
+//! Both renderers consume a [`MetricSnapshot`] — integer-only counters and
+//! histogram summaries in a fixed push order — and emit nothing but
 //! integers in a fixed field order, so equal snapshots render to
 //! byte-identical strings.  This is what lets the service stack assert its
 //! merged-metrics determinism contract at the *serialized* level: a serial
 //! run and an N-worker run must produce the same bytes here, not merely
 //! "equivalent" numbers.
-//!
-//! [`MetricSet`]: ccd_common::MetricSet
 
 use ccd_common::{HistogramSnapshot, MetricSnapshot};
 use std::fmt::Write as _;
 
 /// Renders a snapshot as pretty-printed JSON.
 ///
-/// Counters become an object (registration order), histograms an array of
+/// Counters become an object (push order), histograms an array of
 /// objects with their quantile summary and non-empty `[upper_edge, count]`
 /// buckets.
 #[must_use]
@@ -102,17 +100,17 @@ pub fn render_prometheus(snapshot: &MetricSnapshot, prefix: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccd_common::MetricSet;
+    use ccd_common::LogHistogram;
 
     fn sample() -> MetricSnapshot {
-        let mut set = MetricSet::new();
-        let requests = set.counter("requests");
-        let depth = set.histogram("probe_depth", 2);
-        set.add(requests, 1000);
+        let mut depth = LogHistogram::new(2);
         for v in [1u64, 1, 2, 4, 9] {
-            set.record(depth, v);
+            depth.record(v);
         }
-        set.snapshot()
+        let mut snapshot = MetricSnapshot::default();
+        snapshot.push_counter("requests", 1000);
+        snapshot.push_histogram("probe_depth", &depth);
+        snapshot
     }
 
     #[test]
@@ -137,8 +135,7 @@ mod tests {
 
     #[test]
     fn json_handles_empty_snapshots() {
-        let empty = MetricSet::new().snapshot();
-        let text = render_json(&empty);
+        let text = render_json(&MetricSnapshot::default());
         assert!(text.contains("\"counters\": {}"));
         assert!(text.contains("\"histograms\": []"));
     }

@@ -16,13 +16,12 @@
 //!   a [`MetricSnapshot`], the serialized form the service's merged-metrics
 //!   determinism contract is asserted against.
 //!
-//! The histograms themselves ([`LogHistogram`], [`MetricSet`]) live in
+//! The histograms themselves ([`LogHistogram`]) live in
 //! `ccd_common::stats` next to `Counter`/`Histogram`; this crate holds
 //! everything that *consumes* them.
 //!
 //! [`MetricSnapshot`]: ccd_common::MetricSnapshot
 //! [`LogHistogram`]: ccd_common::LogHistogram
-//! [`MetricSet`]: ccd_common::MetricSet
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

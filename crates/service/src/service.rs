@@ -59,7 +59,7 @@ use crate::load::LoadSpec;
 use crate::request::{digest_outcome_semantics, reassemble, OutcomeRecord, Request};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
-use ccd_common::stats::{Counter, MetricSet, MetricSnapshot};
+use ccd_common::stats::{Counter, MetricSnapshot};
 use ccd_common::{ConfigError, LineAddr};
 use ccd_directory::{
     BuilderRegistry, DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome,
@@ -720,9 +720,9 @@ pub(crate) fn finish(
     // from the merged stats (scheduling-dependent ones — shed, recoveries,
     // batches — deliberately excluded) and the depth distributions merge
     // in global shard order, so the snapshot is worker-count invariant;
-    // its registration order is fixed here and nowhere else.
+    // its order is fixed here and nowhere else.
     let obs = obs.map(|cfg| {
-        let mut metrics = MetricSet::new();
+        let mut metrics = MetricSnapshot::default();
         for (name, value) in [
             ("requests", requests),
             ("invalidations", stats.invalidations.get()),
@@ -730,8 +730,7 @@ pub(crate) fn finish(
             ("resizes", stats.resizes.get()),
             ("entries", entries as u64),
         ] {
-            let id = metrics.counter(name);
-            metrics.add(id, value);
+            metrics.push_counter(name, value);
         }
         let mut depth = DepthMetrics::new(cfg.sig_bits());
         for shard in 0..shards {
@@ -742,7 +741,7 @@ pub(crate) fn finish(
         depth.register_into(&mut metrics);
         ObsReport {
             label: cfg.label().to_string(),
-            metrics: metrics.snapshot(),
+            metrics,
             router,
             workers: outputs
                 .iter()

@@ -146,93 +146,13 @@ impl Iterator for TraceGenerator {
     }
 }
 
-/// A splittable family of independent trace streams over one workload.
-///
-/// Parallel sweeps want many *statistically independent* replicas of the
-/// same workload — one per seed — whose streams do not depend on how work is
-/// distributed across threads.  A `TraceFamily` fixes the `(profile,
-/// num_cores, base_seed)` triple once and derives each replica's generator
-/// seed with a [`SplitMix64::mix`] of the base seed and the replica index,
-/// so replica `k` produces the same stream whether it runs first, last,
-/// serially or on any worker thread.
-///
-/// ```
-/// use ccd_workloads::{TraceFamily, WorkloadProfile};
-///
-/// let family = TraceFamily::new(WorkloadProfile::apache(), 4, 42);
-/// let a: Vec<_> = family.replica(0).take(100).collect();
-/// let b: Vec<_> = family.replica(1).take(100).collect();
-/// assert_ne!(a, b, "replicas are independent streams");
-/// assert_eq!(a, family.replica(0).take(100).collect::<Vec<_>>());
-/// ```
-#[derive(Clone, Debug)]
-pub struct TraceFamily {
-    profile: WorkloadProfile,
-    num_cores: usize,
-    base_seed: u64,
-}
-
-impl TraceFamily {
-    /// Creates a family over `profile` for `num_cores` cores, rooted at
-    /// `base_seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_cores` is zero or the profile is invalid (same
-    /// contract as [`TraceGenerator::new`]).
-    #[must_use]
-    pub fn new(profile: WorkloadProfile, num_cores: usize, base_seed: u64) -> Self {
-        assert!(num_cores > 0, "need at least one core");
-        assert!(profile.is_valid(), "invalid workload profile");
-        TraceFamily {
-            profile,
-            num_cores,
-            base_seed,
-        }
-    }
-
-    /// The profile every replica follows.
-    #[must_use]
-    pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
-    }
-
-    /// Number of simulated cores.
-    #[must_use]
-    pub fn num_cores(&self) -> usize {
-        self.num_cores
-    }
-
-    /// The seed the family is rooted at.
-    #[must_use]
-    pub fn base_seed(&self) -> u64 {
-        self.base_seed
-    }
-
-    /// The generator seed of replica `index` — a pure function of
-    /// `(base_seed, index)`, usable directly where only a seed is needed.
-    #[must_use]
-    pub fn replica_seed(&self, index: u64) -> u64 {
-        derive_seed(self.base_seed, index)
-    }
-
-    /// An independent, deterministic trace stream for replica `index`.
-    #[must_use]
-    pub fn replica(&self, index: u64) -> TraceGenerator {
-        TraceGenerator::new(
-            self.profile.clone(),
-            self.num_cores,
-            self.replica_seed(index),
-        )
-    }
-}
-
 /// Derives an independent stream seed from `(base, index)`.
 ///
 /// The SplitMix64 finalizer decorrelates adjacent indices, so seed families
 /// built from consecutive integers do not produce correlated Xoshiro
-/// states.  Shared by [`TraceFamily`] and the sweep harnesses that need
-/// per-cell seeds outside a family.
+/// states.  A pure function of its arguments, so stream `index` of a sweep,
+/// a service run or a benchmark job is the same stream whether it runs
+/// first, last, serially or on any worker thread.
 #[must_use]
 pub fn derive_seed(base: u64, index: u64) -> u64 {
     SplitMix64::mix(base ^ index.wrapping_mul(0xA076_1D64_78BD_642F))
@@ -422,23 +342,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_family_replicas_are_independent_and_reproducible() {
-        let family = TraceFamily::new(WorkloadProfile::oracle(), 8, 0xBEEF);
-        let r0: Vec<_> = family.replica(0).take(300).collect();
-        let r1: Vec<_> = family.replica(1).take(300).collect();
-        assert_ne!(r0, r1, "different replicas differ");
-        assert_eq!(r0, family.replica(0).take(300).collect::<Vec<_>>());
-
-        // Replica k is a plain TraceGenerator with the derived seed, so the
-        // family adds no hidden state.
-        let direct: Vec<_> =
-            TraceGenerator::new(WorkloadProfile::oracle(), 8, family.replica_seed(1))
-                .take(300)
-                .collect();
-        assert_eq!(r1, direct);
-
-        // Adjacent indices decorrelate: derived seeds are far apart.
-        assert_ne!(family.replica_seed(0), family.replica_seed(1));
+    fn derived_seeds_decorrelate_adjacent_indices_and_bases() {
+        assert_ne!(derive_seed(0xBEEF, 0), derive_seed(0xBEEF, 1));
         assert_ne!(derive_seed(1, 0), derive_seed(2, 0));
     }
 }

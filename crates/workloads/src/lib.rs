@@ -26,8 +26,8 @@
 //!   nine paper workloads,
 //! * [`TraceGenerator`] — an infinite iterator of [`MemRef`]s implementing
 //!   the two-region (shared/private) access model,
-//! * [`TraceFamily`] — a splittable family of independent per-seed replica
-//!   streams for parallel sweeps,
+//! * [`derive_seed`] — the `(base, index)` seed split that gives parallel
+//!   sweeps independent per-cell streams,
 //! * [`scenario`] — the [`WorkloadFamily`] trait, the five classic
 //!   sharing-pattern families, and [`ScenarioSpec`] spec-string parsing,
 //! * [`WorkloadSpec`] — one runtime-selectable handle over *any* workload:
@@ -61,7 +61,7 @@ pub mod spec;
 pub mod trace_io;
 pub mod zipf;
 
-pub use generator::{derive_seed, TraceFamily, TraceGenerator};
+pub use generator::{derive_seed, TraceGenerator};
 pub use profiles::{WorkloadCategory, WorkloadProfile};
 pub use random_stream::RandomKeyStream;
 pub use scenario::{

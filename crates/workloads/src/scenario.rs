@@ -29,10 +29,9 @@
 //! assert_eq!(refs.len(), 100);
 //! ```
 //!
-//! Every stream is deterministic per `(spec, num_cores, seed)`; replica
-//! streams for parallel sweeps derive their seeds through the same
-//! [`derive_seed`](crate::derive_seed) splitting the
-//! [`TraceFamily`](crate::TraceFamily) uses.
+//! Every stream is deterministic per `(spec, num_cores, seed)`; parallel
+//! sweeps derive each cell's seed through
+//! [`derive_seed`](crate::derive_seed).
 
 use crate::generator::{PRIVATE_REGION_BASE, PRIVATE_REGION_SPAN};
 use crate::ZipfSampler;

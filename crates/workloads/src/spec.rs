@@ -326,6 +326,30 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_record_outside_the_header_core_count_fails_the_build() {
+        let dir = std::env::temp_dir().join("ccd-workload-spec-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-core.ccdt");
+        let trace = TraceGenerator::new(WorkloadProfile::apache(), 4, 9);
+        crate::trace_io::record_trace(&path, 4, trace, 500).unwrap();
+        // The first record's core varint: past the 18-byte header and the
+        // kind byte.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[19] = 9;
+        std::fs::write(&path, bytes).unwrap();
+
+        let spec = WorkloadSpec::replay(path.to_str().unwrap());
+        let err = spec.stream(4, 0).expect_err("no tile for core 9");
+        assert!(matches!(err, ConfigError::Parse { .. }), "{err}");
+        let what = err.to_string();
+        assert!(
+            what.contains("core 9") && what.contains("4 cores"),
+            "{what}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn paper_and_scenario_streams_follow_the_seed() {
         for spec in ["oracle", "readmostly"] {
             let spec: WorkloadSpec = spec.parse().unwrap();

@@ -24,7 +24,8 @@
 //! against the 13 bytes of a naive fixed layout) because consecutive
 //! references cluster in the address space.  The reader streams from any
 //! [`Read`] — no memory-mapping, no seeking — and validates the header,
-//! every varint and the record count.
+//! every varint, every core id against the header's core count, and the
+//! record count.
 //!
 //! ```
 //! use ccd_workloads::{TraceReader, TraceWriter, TraceGenerator, WorkloadProfile};
@@ -307,7 +308,18 @@ impl<R: Read> TraceReader<R> {
         self.src.read_exact(&mut kind)?;
         let kind = kind_of(kind[0])?;
         let core = read_varint(&mut self.src)?;
-        let core = u32::try_from(core).map_err(|_| invalid("core id exceeds u32"))?;
+        // The header's core count is what consumers size their per-core
+        // state by, so a record outside it is corruption, not a reference.
+        let core = u32::try_from(core)
+            .ok()
+            .filter(|&core| core < self.num_cores)
+            .ok_or_else(|| {
+                invalid(format!(
+                    "record {} names core {core}, but the header declares {} cores",
+                    self.count - self.remaining,
+                    self.num_cores
+                ))
+            })?;
         let delta = unzigzag(read_varint(&mut self.src)?);
         let addr = self.prev_addr.wrapping_add(delta as u64);
         self.prev_addr = addr;
@@ -459,10 +471,10 @@ mod tests {
     fn extreme_addresses_and_cores_survive() {
         let refs = vec![
             MemRef::read(CoreId::new(0), Address::new(u64::MAX)),
-            MemRef::write(CoreId::new(u32::MAX), Address::new(0)),
+            MemRef::write(CoreId::new(u32::MAX - 1), Address::new(0)),
             MemRef::ifetch(CoreId::new(1023), Address::new(0x0400_0000_0000)),
         ];
-        let bytes = round_trip(&refs, 1024);
+        let bytes = round_trip(&refs, u32::MAX);
         let replayed: Vec<_> = TraceReader::new(Cursor::new(&bytes))
             .unwrap()
             .map(Result::unwrap)
@@ -497,6 +509,38 @@ mod tests {
         let mut reader = TraceReader::new(Cursor::new(&bytes)).unwrap();
         assert!(reader.next().unwrap().is_err());
         assert!(reader.next().is_none(), "errors end the stream");
+    }
+
+    #[test]
+    fn a_core_the_header_excludes_is_corruption() {
+        let refs: Vec<_> = TraceGenerator::new(WorkloadProfile::db2(), 4, 2)
+            .take(100)
+            .collect();
+        let mut bytes = round_trip(&refs, 4);
+        // The first record's core varint follows the 18-byte header and the
+        // kind byte; core 3 is the last the header admits.
+        bytes[19] = 3;
+        let replayed: Result<Vec<_>, _> = TraceReader::new(Cursor::new(&bytes)).unwrap().collect();
+        assert_eq!(replayed.unwrap()[0].core, CoreId::new(3));
+        // One past it, a stray id, and 2^32 (LEB128; reported as read, not
+        // truncated to `u32`).
+        for (core, text) in [
+            (&[4u8][..], "names core 4,"),
+            (&[9], "names core 9,"),
+            (&[0x80, 0x80, 0x80, 0x80, 0x10], "names core 4294967296,"),
+        ] {
+            let patched = [&bytes[..19], core, &bytes[20..]].concat();
+            let mut reader = TraceReader::new(Cursor::new(&patched)).unwrap();
+            let err = reader.next().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(
+                message.contains("record 0") && message.contains(text),
+                "{message}"
+            );
+            assert!(message.contains("declares 4 cores"), "{message}");
+            assert!(reader.next().is_none(), "errors end the stream");
+        }
     }
 
     #[test]

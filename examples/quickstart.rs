@@ -46,7 +46,8 @@ fn main() -> Result<(), ccd_common::ConfigError> {
         &mut out,
     );
     println!("write by cache5 invalidates: {:?}", out.invalidate());
-    println!("sharers after the write:    {:?}\n", dir.sharers(block));
+    dir.apply(DirectoryOp::Probe { line: block }, &mut out);
+    println!("sharers after the write:    {:?}\n", out.sharers());
 
     // --- 2. The same directory inside a simulated 16-core CMP -------------
     let system = SystemConfig::table1(Hierarchy::SharedL2);

@@ -109,7 +109,7 @@ pub mod prelude {
     pub use ccd_cuckoo::{standard_registry, CuckooConfig, CuckooDirectory, CuckooTable};
     pub use ccd_directory::{
         BuilderRegistry, Directory, DirectoryOp, DirectoryStats, Outcome, ShardedDirectory,
-        SharerView, SparseDirectory,
+        SparseDirectory,
     };
     pub use ccd_energy::{DirOrg, EnergyModel};
     pub use ccd_hash::{HashFamily, HashKind, IndexHashFamily};
@@ -118,8 +118,7 @@ pub mod prelude {
         CoarseVector, FullBitVector, HierarchicalVector, SharerFormat, SharerSet,
     };
     pub use ccd_workloads::{
-        ScenarioSpec, TraceFamily, TraceGenerator, TraceReader, TraceWriter, WorkloadProfile,
-        WorkloadSpec,
+        ScenarioSpec, TraceGenerator, TraceReader, TraceWriter, WorkloadProfile, WorkloadSpec,
     };
 }
 

@@ -41,7 +41,7 @@ fn paper_specs() -> Vec<DirectorySpec> {
         DirectorySpec::skewed(4, 2.0),
         DirectorySpec::DuplicateTag,
         DirectorySpec::InCache,
-        DirectorySpec::tagless(),
+        DirectorySpec::Tagless,
     ]
 }
 
@@ -66,6 +66,17 @@ fn all_dirs() -> Vec<(String, Box<dyn Directory>)> {
         )
     }));
     dirs
+}
+
+fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
+    DirectoryOp::AddSharer { line, cache }
+}
+
+/// `Probe`'s answer: `None` on a miss, the reported sharers on a hit.
+fn probe(dir: &mut dyn Directory, line: LineAddr) -> Option<Vec<CacheId>> {
+    let mut out = Outcome::new();
+    dir.apply(DirectoryOp::Probe { line }, &mut out);
+    out.hit().then(|| out.sharers().to_vec())
 }
 
 #[test]
@@ -121,6 +132,7 @@ fn sharers_are_always_a_superset_of_what_was_added() {
     for (label, mut dir) in all_dirs() {
         let caches = dir.num_caches();
         let mut rng = SplitMix64::new(1);
+        let mut out = Outcome::new();
         // Track a modest number of lines so even small organizations hold
         // them without conflicts, and verify the superset property.
         let mut expected: Vec<(LineAddr, Vec<CacheId>)> = Vec::new();
@@ -130,7 +142,7 @@ fn sharers_are_always_a_superset_of_what_was_added() {
                 .map(|_| CacheId::new(rng.next_below(caches as u64) as u32))
                 .collect();
             for &c in &holders {
-                dir.add_sharer(line, c);
+                dir.apply(add(line, c), &mut out);
             }
             expected.push((line, holders));
         }
@@ -138,10 +150,10 @@ fn sharers_are_always_a_superset_of_what_was_added() {
             if !dir.contains(*line) {
                 // Conflict-prone organizations may have evicted the entry;
                 // that is legal, but then it must not claim to track it.
-                assert!(dir.sharers(*line).is_none(), "{label}");
+                assert!(probe(dir.as_mut(), *line).is_none(), "{label}");
                 continue;
             }
-            let reported = dir.sharers(*line).expect("tracked line has sharers");
+            let reported = probe(dir.as_mut(), *line).expect("tracked line has sharers");
             for holder in holders {
                 assert!(
                     reported.contains(holder),
@@ -152,34 +164,75 @@ fn sharers_are_always_a_superset_of_what_was_added() {
                     "{label}: may_hold denies true holder {holder}",
                 );
             }
-            // The borrowed view agrees with the allocating query.
-            let viewed: Vec<CacheId> = ccd_directory::sharer_view(dir.as_ref(), *line)
-                .expect("tracked")
-                .collect();
-            assert_eq!(viewed, reported, "{label}: sharer_view diverged");
         }
     }
 }
 
+/// The reads of an entry are one answer: `Probe` hits exactly where
+/// `contains` holds, and its list is `{c : may_hold(line, c)}` in ascending
+/// order (empty on a miss) — over `all_dirs()` and over every compressed
+/// sharer format below and above one vector word, unsharded and sharded,
+/// where `may_contain` and `extend_targets` are separate code.
 #[test]
-fn probe_reports_the_same_sharers_as_the_allocating_query() {
-    for (label, mut dir) in all_dirs() {
+fn probe_may_hold_and_contains_agree_after_a_random_op_stream() {
+    fn check(label: &str, dir: &mut dyn Directory, line: LineAddr, out: &mut Outcome) {
+        dir.apply(DirectoryOp::Probe { line }, out);
+        assert_eq!(out.hit(), dir.contains(line), "{label}: {line:?}");
+        let may_hold: Vec<CacheId> = (0..dir.num_caches() as u32)
+            .map(CacheId::new)
+            .filter(|&cache| dir.may_hold(line, cache))
+            .collect();
+        assert_eq!(out.sharers(), may_hold, "{label}: {line:?}");
+    }
+
+    let registry = standard_registry();
+    let mut dirs = all_dirs();
+    for org in ["cuckoo-4x64", "sparse-4x64", "skewed-4x64", "in-cache-4x64"] {
+        for format in ["limited", "coarse", "hier"] {
+            for caches in [8, 100] {
+                for shards in ["", "sharded2:", "sharded4:"] {
+                    let spec = format!("{shards}{org}-c{caches}@{format}");
+                    let dir = registry.build_str(&spec).expect(&spec);
+                    dirs.push((spec, dir));
+                }
+            }
+        }
+    }
+    for (label, mut dir) in dirs {
+        let dir = dir.as_mut();
         let mut out = Outcome::new();
         let line = LineAddr::from_block_number(0x1CE);
-        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        check(&label, dir, line, &mut out);
         assert!(!out.hit(), "{label}: probe of untracked line must miss");
         assert!(out.sharers().is_empty(), "{label}");
 
         for c in [0u32, 2, 7] {
-            dir.add_sharer(line, CacheId::new(c));
+            dir.apply(add(line, CacheId::new(c)), &mut out);
         }
-        dir.apply(DirectoryOp::Probe { line }, &mut out);
+        check(&label, dir, line, &mut out);
         assert!(out.hit(), "{label}");
-        let mut probed: Vec<CacheId> = out.sharers().to_vec();
-        probed.sort_unstable();
-        let mut queried = dir.sharers(line).expect("tracked");
-        queried.sort_unstable();
-        assert_eq!(probed, queried, "{label}: probe and sharers() disagree");
+
+        let caches = dir.num_caches() as u64;
+        let lines: Vec<LineAddr> = (0..48u64)
+            .map(|i| LineAddr::from_block_number(i * 13))
+            .collect();
+        let mut rng = SplitMix64::new(0x3EAD5);
+        for step in 0..600 {
+            let line = lines[rng.next_below(48) as usize];
+            let cache = CacheId::new(rng.next_below(caches) as u32);
+            let op = match rng.next_below(10) {
+                0..=5 => add(line, cache),
+                6 | 7 => DirectoryOp::RemoveSharer { line, cache },
+                8 => DirectoryOp::SetExclusive { line, cache },
+                _ => DirectoryOp::RemoveEntry { line },
+            };
+            dir.apply(op, &mut out);
+            if step % 100 == 99 {
+                for &line in &lines {
+                    check(&label, dir, line, &mut out);
+                }
+            }
+        }
     }
 }
 
@@ -187,23 +240,24 @@ fn probe_reports_the_same_sharers_as_the_allocating_query() {
 fn exclusive_requests_always_cover_previous_sharers() {
     for (label, mut dir) in all_dirs() {
         let line = LineAddr::from_block_number(0xBEEF);
+        let mut out = Outcome::new();
         for c in [1u32, 3, 9, 20] {
-            dir.add_sharer(line, CacheId::new(c));
+            dir.apply(add(line, CacheId::new(c)), &mut out);
         }
-        let result = dir.set_exclusive(line, CacheId::new(5));
+        let cache = CacheId::new(5);
+        dir.apply(DirectoryOp::SetExclusive { line, cache }, &mut out);
         for c in [1u32, 3, 9, 20] {
             assert!(
-                result.invalidate.contains(&CacheId::new(c)),
+                out.invalidate().contains(&CacheId::new(c)),
                 "{label}: write must invalidate cache{c}",
             );
         }
         assert!(
-            !result.invalidate.contains(&CacheId::new(5)),
+            !out.invalidate().contains(&CacheId::new(5)),
             "{label}: the writer itself is never invalidated",
         );
         // After the write the writer is (at least) among the sharers.
-        assert!(dir
-            .sharers(line)
+        assert!(probe(dir.as_mut(), line)
             .expect("line is tracked after a write")
             .contains(&CacheId::new(5)));
     }
@@ -215,11 +269,14 @@ fn removing_all_sharers_eventually_frees_every_entry() {
         let lines: Vec<LineAddr> = (0..256u64)
             .map(|i| LineAddr::from_block_number(i * 7))
             .collect();
+        let mut out = Outcome::new();
         for (i, &line) in lines.iter().enumerate() {
-            dir.add_sharer(line, CacheId::new((i % dir.num_caches()) as u32));
+            let cache = CacheId::new((i % dir.num_caches()) as u32);
+            dir.apply(add(line, cache), &mut out);
         }
         for (i, &line) in lines.iter().enumerate() {
-            dir.remove_sharer(line, CacheId::new((i % dir.num_caches()) as u32));
+            let cache = CacheId::new((i % dir.num_caches()) as u32);
+            dir.apply(DirectoryOp::RemoveSharer { line, cache }, &mut out);
         }
         assert!(
             dir.is_empty(),
@@ -264,7 +321,8 @@ const GEOMETRY_TEMPLATES: &[&str] = &[
 ];
 
 /// A geometry whose `ways x sets` wraps `usize`, or whose slot array no
-/// allocation could hold, is a `ConfigError` where the spec enters.  Release
+/// allocation could hold, or whose cache count no cache id can reach, is a
+/// `ConfigError` where the spec enters.  Release
 /// builds used to wrap the product: `cuckoo-4x4611686018427387904-c16` built
 /// a zero-slot directory whose first `Probe` read out of bounds (SIGSEGV),
 /// and the five baselines built zero-slot directories that panicked on first
@@ -288,15 +346,59 @@ fn geometries_that_cannot_exist_are_errors_not_directories() {
         let spec = template.replace("{sets}", "64");
         assert!(registry.build_str(&spec).expect(&spec).capacity() > 0);
     }
+
+    // Cache ids are 32-bit, so a count past `u32::MAX` is no directory
+    // either: `sparse-4x64-c4294967296` used to build, and panic inside the
+    // sharer vector on its first allocating op.
+    for (spec, value) in [
+        ("sparse-4x64-c4294967296", 1 << 32),
+        ("cuckoo-4x64-skew-c4294967296@coarse", 1 << 32),
+        ("duplicate-tag-2x32-c18446744073709551615", u64::MAX),
+        ("sharded2:tagless-2x32-c4294967296", 1 << 32),
+    ] {
+        let (what, max) = ("cache count", u32::MAX.into());
+        let want = ccd_common::ConfigError::TooLarge { what, value, max };
+        assert_eq!(registry.build_str(spec).err(), Some(want), "{spec}");
+    }
+}
+
+/// `ccd_coherence::DirectorySpec::resolve` is the whole sizing decision: for
+/// both Table 1 systems and every paper configuration, the built slice has
+/// the resolved organization and geometry and the system's cache count.
+#[test]
+fn resolved_specs_describe_the_slices_they_build() {
+    for hierarchy in [Hierarchy::SharedL2, Hierarchy::PrivateL2] {
+        let system = SystemConfig::table1(hierarchy);
+        for spec in paper_specs() {
+            let label = format!("{} on {hierarchy:?}", spec.label());
+            let resolved = spec.resolve(&system).expect(&label);
+            let slice = spec.build_slice(&system).expect(&label);
+            assert_eq!(resolved.caches, system.num_private_caches(), "{label}");
+            assert_eq!(slice.num_caches(), resolved.caches, "{label}");
+            let org = slice.organization();
+            assert!(org.starts_with(&resolved.org), "{label}: {org}");
+            // The mirroring organizations hold one `ways x sets` mirror per
+            // tracked cache; the others name their entries outright.
+            let entries = resolved.ways * resolved.sets;
+            if matches!(resolved.org.as_str(), "duplicate-tag" | "tagless") {
+                assert_eq!(slice.capacity(), entries * resolved.caches, "{label}");
+            } else {
+                assert_eq!(slice.capacity(), entries, "{label}");
+                let geometry = format!("-{}x{}", resolved.ways, resolved.sets);
+                assert!(org.contains(&geometry), "{label}: {org}");
+            }
+        }
+    }
 }
 
 #[test]
 fn stats_reflect_the_operations_performed() {
     for (label, mut dir) in all_dirs() {
         let line = LineAddr::from_block_number(42);
-        dir.add_sharer(line, CacheId::new(0));
-        dir.add_sharer(line, CacheId::new(1));
-        dir.remove_sharer(line, CacheId::new(0));
+        let (cache, mut out) = (CacheId::new(0), Outcome::new());
+        dir.apply(add(line, cache), &mut out);
+        dir.apply(add(line, CacheId::new(1)), &mut out);
+        dir.apply(DirectoryOp::RemoveSharer { line, cache }, &mut out);
         let stats = dir.stats();
         assert_eq!(stats.insertions.get(), 1, "{label}");
         assert!(stats.sharer_adds.get() >= 1, "{label}");
@@ -371,8 +473,8 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
                 "step {step}: contains diverged"
             );
             assert_eq!(
-                single.sharers(line),
-                sharded.sharers(line),
+                probe(single.as_mut(), line),
+                probe(sharded.as_mut(), line),
                 "step {step}: sharers diverged"
             );
         }
@@ -443,7 +545,7 @@ fn observe(
         stats: dir.stats(),
         depths: dir.depth_metrics().cloned(),
         contents: (0..96u64)
-            .map(|block| dir.sharers(LineAddr::from_block_number(block * 13)))
+            .map(|block| probe(dir.as_mut(), LineAddr::from_block_number(block * 13)))
             .collect(),
     }
 }

@@ -107,7 +107,7 @@ fn tagless_matches_exact_directories_on_protocol_behaviour() {
     // directories (same trace, same caches).
     let system = small_shared();
     let profile = WorkloadProfile::zeus();
-    let tagless = run(&system, &DirectorySpec::tagless(), &profile, 9);
+    let tagless = run(&system, &DirectorySpec::Tagless, &profile, 9);
     let cuckoo = run(&system, &DirectorySpec::cuckoo(4, 2.0), &profile, 9);
     assert_eq!(tagless.directory.forced_evictions.get(), 0);
     assert_eq!(tagless.cache_accesses, cuckoo.cache_accesses);

@@ -147,23 +147,25 @@ fn cuckoo_directory_tracks_exactly_the_uncovered_model() {
     for _ in 0..24 {
         let mut dir = CuckooDirectory::<FullBitVector>::new(CuckooConfig::new(4, 256, 8)).unwrap();
         let mut model: HashMap<u64, HashSet<u32>> = HashMap::new();
+        let mut out = Outcome::new();
         let op_count = 1 + rng.next_below(400) as usize;
         for _ in 0..op_count {
             let block = rng.next_below(500);
-            let cache = rng.next_below(8) as u32;
+            let id = rng.next_below(8) as u32;
             let add = rng.next_below(2) == 0;
-            let line = LineAddr::from_block_number(block);
+            let (line, cache) = (LineAddr::from_block_number(block), CacheId::new(id));
             if add {
-                let r = dir.add_sharer(line, CacheId::new(cache));
-                assert!(
-                    r.forced_evictions.is_empty(),
+                dir.apply(DirectoryOp::AddSharer { line, cache }, &mut out);
+                assert_eq!(
+                    out.forced_eviction_count(),
+                    0,
                     "directory is oversized; no evictions expected"
                 );
-                model.entry(block).or_default().insert(cache);
+                model.entry(block).or_default().insert(id);
             } else {
-                dir.remove_sharer(line, CacheId::new(cache));
+                dir.apply(DirectoryOp::RemoveSharer { line, cache }, &mut out);
                 if let Some(set) = model.get_mut(&block) {
-                    set.remove(&cache);
+                    set.remove(&id);
                     if set.is_empty() {
                         model.remove(&block);
                     }
@@ -172,10 +174,12 @@ fn cuckoo_directory_tracks_exactly_the_uncovered_model() {
         }
         assert_eq!(dir.len(), model.len());
         for (block, caches) in &model {
-            let sharers = dir.sharers(LineAddr::from_block_number(*block)).unwrap();
-            assert_eq!(sharers.len(), caches.len());
+            let line = LineAddr::from_block_number(*block);
+            dir.apply(DirectoryOp::Probe { line }, &mut out);
+            assert!(out.hit());
+            assert_eq!(out.sharers().len(), caches.len());
             for c in caches {
-                assert!(sharers.contains(&CacheId::new(*c)));
+                assert!(out.sharers().contains(&CacheId::new(*c)));
             }
         }
     }
