@@ -168,7 +168,7 @@ pub fn digest_outcome_semantics(records: &[OutcomeRecord]) -> u64 {
 }
 
 /// A worker's outcome log broke the order [`reassemble`] relies on: its
-/// record `seq` did not come strictly after `after`, the record emitted
+/// record `seq` did not come strictly after `after`, the record accepted
 /// just before it.  Either that worker's log is not ascending or two
 /// workers logged the same request — a bug in the service, never an input
 /// condition.
@@ -178,71 +178,138 @@ pub(crate) struct LogOrderError {
     pub(crate) worker: usize,
     /// The offending record's sequence number.
     pub(crate) seq: u64,
-    /// The sequence number emitted immediately before it.
+    /// The sequence number accepted immediately before it.
     pub(crate) after: u64,
 }
 
-/// Reassembles per-worker outcome logs — `(worker index, log)` pairs, each
-/// log ascending in `seq` because a worker applies its FIFO queue in order —
-/// into the one sequence-ordered log, and returns it with its
-/// [`digest_outcomes`] value.
-///
-/// When at most one log holds records (every serial run, every one-worker
-/// run) that `Vec` is moved out untouched; otherwise the logs are k-way
-/// merged into one exactly-sized vector.  `k` is the worker count, a
-/// handful, so the smallest head is found by scanning them.  Either way each
-/// record is visited once, and that visit both folds it into the digest and
-/// verifies the order instead of assuming it.
-///
-/// # Errors
-///
-/// [`LogOrderError`], naming the worker, when a log is not strictly
-/// ascending or a `seq` occurs in two logs.  Nothing is emitted then.
-pub(crate) fn reassemble(
-    mut logs: Vec<(usize, Vec<OutcomeRecord>)>,
-) -> Result<(Vec<OutcomeRecord>, u64), LogOrderError> {
-    let mut digest = Fnv64::new();
-    let mut last = None;
-    // Accepts the log's next record, which `worker` produced.
-    let mut accept = |worker: usize, record: &OutcomeRecord| {
-        if let Some(after) = last.filter(|&last| record.seq <= last) {
+/// The running [`digest_outcomes`] value of a sequence of records and the
+/// order check that travels with it.  Every record enters a log through
+/// [`Chain::accept`], whether a worker pushes it or the merge emits it.
+#[derive(Clone, Copy, Debug)]
+struct Chain {
+    digest: Fnv64,
+    last: Option<u64>,
+}
+
+impl Chain {
+    fn new() -> Self {
+        Chain {
+            digest: Fnv64::new(),
+            last: None,
+        }
+    }
+
+    /// Checks that `record`, which `worker` produced, comes strictly after
+    /// the last one accepted, then folds it into the digest.
+    #[inline]
+    fn accept(&mut self, worker: usize, record: &OutcomeRecord) -> Result<(), LogOrderError> {
+        if let Some(after) = self.last.filter(|&last| record.seq <= last) {
             return Err(LogOrderError {
                 worker,
                 seq: record.seq,
                 after,
             });
         }
-        last = Some(record.seq);
-        record.fold(&mut digest);
+        self.last = Some(record.seq);
+        record.fold(&mut self.digest);
         Ok(())
-    };
-
-    logs.retain(|(_, log)| !log.is_empty());
-    if logs.len() <= 1 {
-        let (worker, log) = logs.pop().unwrap_or_default();
-        for record in &log {
-            accept(worker, record)?;
-        }
-        return Ok((log, digest.finish()));
     }
 
-    let total = logs.iter().map(|(_, log)| log.len()).sum();
+    fn digest(&self) -> u64 {
+        self.digest.finish()
+    }
+}
+
+/// One worker's outcome log.  [`OutcomeLog::push`] is the only way in, so
+/// the log always knows its own digest and whether it is still strictly
+/// ascending in `seq` — which is what lets [`reassemble`] move a lone log
+/// without another pass over it.
+#[derive(Debug)]
+pub(crate) struct OutcomeLog {
+    worker: usize,
+    records: Vec<OutcomeRecord>,
+    chain: Chain,
+    /// The first record pushed out of order; the digest is meaningless
+    /// from there on and the log is refused by [`reassemble`].
+    disorder: Option<LogOrderError>,
+}
+
+impl OutcomeLog {
+    /// The empty log of worker `worker`.
+    pub(crate) fn new(worker: usize) -> Self {
+        OutcomeLog {
+            worker,
+            records: Vec::new(),
+            chain: Chain::new(),
+            disorder: None,
+        }
+    }
+
+    /// Appends `record`, checking it against its predecessor and folding
+    /// it into the log's digest while it is still in registers.
+    #[inline]
+    pub(crate) fn push(&mut self, record: OutcomeRecord) {
+        if let Err(broken) = self.chain.accept(self.worker, &record) {
+            self.disorder.get_or_insert(broken);
+        }
+        self.records.push(record);
+    }
+
+    /// Worker `worker`'s log of `records`, pushed in the order given.
+    #[cfg(test)]
+    pub(crate) fn of(worker: usize, records: impl IntoIterator<Item = OutcomeRecord>) -> Self {
+        let mut log = OutcomeLog::new(worker);
+        records.into_iter().for_each(|record| log.push(record));
+        log
+    }
+}
+
+/// Reassembles per-worker outcome logs — each ascending in `seq` because a
+/// worker applies its FIFO queue in order — into the one sequence-ordered
+/// log, and returns it with its [`digest_outcomes`] value.
+///
+/// When at most one log holds records (every serial run, every one-worker
+/// run) its `Vec` is moved out untouched and its digest taken as is: the
+/// log was order-checked and folded record by record as it grew.  Otherwise
+/// the logs are k-way merged into one exactly-sized vector, each record
+/// order-checked and folded by the same [`Chain::accept`] as it is emitted
+/// (the workers' own partial digests go unused).  `k` is the worker count,
+/// a handful, so the smallest head is found by scanning them.
+///
+/// # Errors
+///
+/// [`LogOrderError`], naming the worker, when a log is not strictly
+/// ascending or a `seq` occurs in two logs.  Nothing is emitted then.
+pub(crate) fn reassemble(
+    mut logs: Vec<OutcomeLog>,
+) -> Result<(Vec<OutcomeRecord>, u64), LogOrderError> {
+    logs.retain(|log| !log.records.is_empty());
+    if logs.len() <= 1 {
+        let log = logs.pop().unwrap_or_else(|| OutcomeLog::new(0));
+        return match log.disorder {
+            Some(broken) => Err(broken),
+            None => Ok((log.records, log.chain.digest())),
+        };
+    }
+
+    let total = logs.iter().map(|log| log.records.len()).sum();
     let mut merged = Vec::with_capacity(total);
+    let mut chain = Chain::new();
     // The unfinished logs, each with its worker: never an empty slice.
     let mut runs: Vec<(usize, &[OutcomeRecord])> = logs
         .iter()
-        .map(|(worker, log)| (*worker, log.as_slice()))
+        .map(|log| (log.worker, log.records.as_slice()))
         .collect();
     while let Some(lead) = (0..runs.len()).min_by_key(|&at| runs[at].1[0].seq) {
         let (worker, run) = &mut runs[lead];
-        accept(*worker, &run[0])?;
+        chain.accept(*worker, &run[0])?;
         merged.push(run[0]);
         *run = &run[1..];
         if run.is_empty() {
             runs.remove(lead);
         }
     }
-    Ok((merged, digest.finish()))
+    Ok((merged, chain.digest()))
 }
 
 #[cfg(test)]
@@ -407,15 +474,14 @@ mod tests {
             } else {
                 workers
             };
-            let mut logs: Vec<(usize, Vec<OutcomeRecord>)> =
-                (0..workers).map(|worker| (worker, Vec::new())).collect();
+            let mut logs: Vec<OutcomeLog> = (0..workers).map(OutcomeLog::new).collect();
             for record in &reference {
                 let run = rng.next_u64() as usize % used.min(workers);
-                logs[run].1.push(*record);
+                logs[run].push(*record);
             }
-            let non_empty: Vec<_> = logs.iter().filter(|(_, log)| !log.is_empty()).collect();
+            let non_empty: Vec<_> = logs.iter().filter(|log| !log.records.is_empty()).collect();
             let lone = match non_empty[..] {
-                [(_, log)] => Some(log.as_ptr()),
+                [log] => Some(log.records.as_ptr()),
                 _ => None,
             };
 
@@ -433,7 +499,8 @@ mod tests {
         let mut rng = SplitMix64::new(7);
         let reference = dense_log(&mut rng, 1000);
         let (even, odd): (Vec<_>, Vec<_>) = reference.iter().partition(|r| r.seq % 2 == 0);
-        let (merged, _) = reassemble(vec![(0, even), (1, odd)]).expect("two ascending runs");
+        let (merged, _) = reassemble(vec![OutcomeLog::of(0, even), OutcomeLog::of(1, odd)])
+            .expect("two ascending runs");
         assert_eq!(merged, reference);
         assert_eq!(merged.capacity(), reference.len());
     }
@@ -442,26 +509,28 @@ mod tests {
     fn reassembly_detects_disorder_and_names_the_worker() {
         let mut rng = SplitMix64::new(11);
         let log = dense_log(&mut rng, 8);
-        let pick = |seqs: &[usize]| seqs.iter().map(|&at| log[at]).collect::<Vec<_>>();
+        // Every log is built record by record through `push`.
+        let pick = |worker, seqs: &[usize]| OutcomeLog::of(worker, seqs.iter().map(|&at| log[at]));
 
         // A run that steps backwards, merged with a healthy one.
-        let err = reassemble(vec![(0, pick(&[0, 2, 4])), (1, pick(&[1, 5, 3]))]).unwrap_err();
+        let err = reassemble(vec![pick(0, &[0, 2, 4]), pick(1, &[1, 5, 3])]).unwrap_err();
         assert_eq!((err.worker, err.seq, err.after), (1, 3, 5));
         // The same seq logged by two workers.
-        let err = reassemble(vec![(0, pick(&[0, 2, 3])), (1, pick(&[1, 3, 4]))]).unwrap_err();
+        let err = reassemble(vec![pick(0, &[0, 2, 3]), pick(1, &[1, 3, 4])]).unwrap_err();
         assert_eq!((err.worker, err.seq, err.after), (1, 3, 3));
-        // The moved path checks too: a lone log is verified, not trusted.
-        let err = reassemble(vec![(0, Vec::new()), (3, pick(&[0, 1, 1]))]).unwrap_err();
+        // The moved path checks too: a lone log was verified as it grew,
+        // and remembers its first violation, not its last.
+        let err = reassemble(vec![pick(0, &[]), pick(3, &[0, 1, 1])]).unwrap_err();
         assert_eq!((err.worker, err.seq, err.after), (3, 1, 1));
-        let err = reassemble(vec![(2, pick(&[4, 2]))]).unwrap_err();
+        let err = reassemble(vec![pick(2, &[4, 2, 7, 6])]).unwrap_err();
         assert_eq!((err.worker, err.seq, err.after), (2, 2, 4));
         // Gaps are fine: order is the contract, density is not.
-        assert!(reassemble(vec![(0, pick(&[0, 7])), (1, pick(&[3]))]).is_ok());
+        assert!(reassemble(vec![pick(0, &[0, 7]), pick(1, &[3])]).is_ok());
     }
 
     #[test]
     fn reassembly_of_nothing_is_the_empty_log() {
-        for logs in [Vec::new(), vec![(0, Vec::new()), (1, Vec::new())]] {
+        for logs in [Vec::new(), vec![OutcomeLog::new(0), OutcomeLog::new(1)]] {
             let (merged, digest) = reassemble(logs).expect("nothing to disorder");
             assert!(merged.is_empty());
             assert_eq!(digest, digest_outcomes(&[]));

@@ -32,9 +32,10 @@
 //!    per-address (in fact per-shard) subsequence of the input stream, in
 //!    input order, regardless of how many workers exist,
 //! 3. statistics merge in global shard order, and the per-worker outcome
-//!    logs — each ascending in sequence number — are reassembled into one
-//!    by moving a lone log or k-way merging several, the order verified in
-//!    the same pass that folds the digest.
+//!    logs — each ascending in sequence number, order-checked and folded
+//!    into its digest record by record as it grows — are reassembled into
+//!    one by moving a lone log or k-way merging several, the merge checking
+//!    and folding each record it emits the same way.
 //!
 //! Consequently, for a fixed shard count, **every worker count produces
 //! bit-identical outcome logs, statistics and shard contents** — equal to
@@ -56,7 +57,7 @@
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
-use crate::request::{digest_outcome_semantics, reassemble, OutcomeRecord, Request};
+use crate::request::{digest_outcome_semantics, reassemble, OutcomeLog, OutcomeRecord, Request};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
@@ -508,7 +509,7 @@ pub(crate) struct WorkerOutput {
     pub(crate) index: usize,
     /// The owned slices, in local order.
     pub(crate) slices: Vec<Box<dyn Directory>>,
-    pub(crate) outcomes: Vec<OutcomeRecord>,
+    pub(crate) outcomes: OutcomeLog,
     pub(crate) applied: u64,
     pub(crate) batches: u64,
     pub(crate) invalidations: u64,
@@ -534,7 +535,7 @@ impl WorkerOutput {
         WorkerOutput {
             index,
             slices,
-            outcomes: Vec::new(),
+            outcomes: OutcomeLog::new(index),
             applied: 0,
             batches: 0,
             invalidations: 0,
@@ -645,7 +646,7 @@ pub(crate) fn maybe_resize(
 /// fields disjointly from the slices).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn absorb_into(
-    outcomes: &mut Vec<OutcomeRecord>,
+    outcomes: &mut OutcomeLog,
     invalidations: &mut u64,
     forced_invalidations: &mut u64,
     seq: u64,
@@ -662,11 +663,11 @@ pub(crate) fn absorb_into(
 
 /// Reassembles worker outputs into the final report: shards back into
 /// global order, per-shard statistics merged in that (fixed) order, and the
-/// outcome logs reassembled by [`reassemble`] — a lone log is moved, several
-/// are k-way merged by sequence number, and the one pass that folds the
-/// digest verifies the order.  `shed` and `recoveries` come from the
-/// supervisor (always 0 for serial runs), as does the router's flight
-/// recording (`None` for serial runs).
+/// outcome logs reassembled by [`reassemble`] — a lone log, checked and
+/// folded as it grew, is moved; several are k-way merged by sequence number
+/// in a pass that checks the order and folds the digest.  `shed` and
+/// `recoveries` come from the supervisor (always 0 for serial runs), as
+/// does the router's flight recording (`None` for serial runs).
 ///
 /// # Panics
 ///
@@ -749,10 +750,7 @@ pub(crate) fn finish(
                 .collect(),
         }
     });
-    let logs = outputs
-        .iter_mut()
-        .map(|output| (output.index, std::mem::take(&mut output.outcomes)))
-        .collect();
+    let logs = outputs.into_iter().map(|output| output.outcomes).collect();
     let (outcomes, digest) = reassemble(logs)
         .expect("each worker logs its own requests, in the order its FIFO queue delivered them");
     let outcome_digest = if record { digest } else { 0 };
@@ -868,8 +866,8 @@ mod tests {
             WorkerOutput::new(0, Vec::new()),
             WorkerOutput::new(1, Vec::new()),
         ];
-        outputs[0].outcomes = vec![record(0), record(2)];
-        outputs[1].outcomes = vec![record(1), record(2)];
+        outputs[0].outcomes = OutcomeLog::of(0, [record(0), record(2)]);
+        outputs[1].outcomes = OutcomeLog::of(1, [record(1), record(2)]);
         let _ = finish(String::new(), 0, 2, outputs, true, 0, 0, None, None);
     }
 
