@@ -1,5 +1,38 @@
 //! The service's wire types: sequence-numbered requests and the compact
 //! outcome log used to verify bit-identity against serial application.
+//!
+//! # The outcome digest
+//!
+//! One definition, here and nowhere else.  The digest of a log is a chain
+//! over its records in sequence order, and a record enters it in two steps:
+//!
+//! 1. **Mix** — the record's five value words
+//!
+//!    | word | low 32 bits | high 32 bits |
+//!    |---|---|---|
+//!    | 0 | `seq` (all 64 bits) | |
+//!    | 1 | `shard` | `attempts` |
+//!    | 2 | `invalidations` | `forced_evictions` |
+//!    | 3 | `forced_invalidations` | flags: `hit`, `allocated`, `failed`, `invalidated_all`, `removed_entry` from bit 0 |
+//!    | 4 | `detail` (all 64 bits) | |
+//!
+//!    are built from the field *values* (never by reinterpreting the
+//!    struct's bytes, so the digest knows nothing of endianness or padding),
+//!    each multiplied by its own odd constant, rotated by its own amount and
+//!    XORed together; the high half of the result is then XORed onto the
+//!    low.  An odd multiply, a rotation and that last step are bijections,
+//!    so changing any one word — any one bit of any field — always changes
+//!    the mix.  The mix reads nothing but the record: consecutive records'
+//!    mixes compute in parallel.
+//! 2. **Chain** — `state = (state.rotate_left(5) ^ mix) * CHAIN_PRIME`
+//!    (wrapping), starting from `CHAIN_SEED`: one multiply depends on the
+//!    previous record.  For a fixed mix the step is a bijection on the
+//!    state, so a difference once in the state never cancels by itself, and
+//!    the rotation makes the chain order-sensitive.
+//!
+//! [`digest_outcomes`] is the state after the last record;
+//! [`digest_outcome_semantics`] is the same chain with `attempts` read as
+//! zero.  [`OutcomeRecord::detail`] is still an FNV-1a fold ([`Fnv64`]).
 
 use ccd_common::stats::Fnv64;
 use ccd_directory::{DirectoryOp, Outcome};
@@ -94,40 +127,32 @@ impl OutcomeRecord {
         }
     }
 
-    /// Folds this record into a running FNV-1a digest (see
-    /// [`digest_outcomes`]).
-    pub fn fold(&self, digest: &mut Fnv64) {
-        self.fold_view(digest, true);
-    }
-
-    /// Folds the record's *semantic* view — everything except
-    /// [`OutcomeRecord::attempts`] — into a running digest (see
-    /// [`digest_outcome_semantics`]).
+    /// This record's contribution to the digest chain (module docs, step
+    /// 1); the semantic view reads `attempts` as zero and is otherwise the
+    /// same function.
     ///
     /// Attempt counts describe how hard the directory worked, not what it
     /// decided: a statically large table and a table that grew to the same
     /// geometry mid-stream hold the same entries and produce the same hits,
     /// invalidations and evictions, but reach them through different
-    /// displacement chains.  This view is what live-resize equivalence is
-    /// checked against.
-    pub fn fold_semantic(&self, digest: &mut Fnv64) {
-        self.fold_view(digest, false);
-    }
-
-    /// The one place that fixes the digest's field order: both views fold
-    /// exactly this sequence, the semantic one minus the attempt count.
+    /// displacement chains.  The semantic view is what live-resize
+    /// equivalence is checked against.
     #[inline]
-    fn fold_view(&self, digest: &mut Fnv64, with_attempts: bool) {
-        digest.fold(self.seq).fold(u64::from(self.shard));
-        if with_attempts {
-            digest.fold(u64::from(self.attempts));
-        }
-        digest
-            .fold(u64::from(self.invalidations))
-            .fold(u64::from(self.forced_evictions))
-            .fold(u64::from(self.forced_invalidations))
-            .fold(self.flags())
-            .fold(self.detail);
+    fn mix(&self, with_attempts: bool) -> u64 {
+        let attempts = if with_attempts { self.attempts } else { 0 };
+        let words = [
+            self.seq,
+            u64::from(self.shard) | u64::from(attempts) << 32,
+            u64::from(self.invalidations) | u64::from(self.forced_evictions) << 32,
+            u64::from(self.forced_invalidations) | self.flags() << 32,
+            self.detail,
+        ];
+        let mix = words[0].wrapping_mul(WORD_PRIMES[0])
+            ^ words[1].wrapping_mul(WORD_PRIMES[1]).rotate_left(13)
+            ^ words[2].wrapping_mul(WORD_PRIMES[2]).rotate_left(26)
+            ^ words[3].wrapping_mul(WORD_PRIMES[3]).rotate_left(39)
+            ^ words[4].wrapping_mul(WORD_PRIMES[4]).rotate_left(52);
+        mix ^ mix >> 32
     }
 
     /// The five outcome flags packed into the low bits of one word.
@@ -140,7 +165,28 @@ impl OutcomeRecord {
     }
 }
 
-/// FNV-1a digest of an outcome log in sequence order.
+/// One odd multiplier per record word (module docs, step 1).
+const WORD_PRIMES: [u64; 5] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+    0xc2b2_ae3d_27d4_eb4f,
+    0x1656_67b1_9e37_79f9,
+];
+
+/// The chain's multiplier and starting state (module docs, step 2).
+const CHAIN_PRIME: u64 = 0xd6e8_feb8_6659_fd93;
+const CHAIN_SEED: u64 = 0x2545_f491_4f6c_dd1d;
+
+/// Advances the digest chain by one record's mix: the only multiply that
+/// waits for the previous record.
+#[inline]
+fn chain_step(state: u64, mix: u64) -> u64 {
+    (state.rotate_left(5) ^ mix).wrapping_mul(CHAIN_PRIME)
+}
+
+/// Digest of an outcome log in sequence order (see the module docs for the
+/// definition).
 ///
 /// Two configurations of the service (any worker count over the same shard
 /// count) produce the same digest iff their merged outcome logs are
@@ -148,23 +194,22 @@ impl OutcomeRecord {
 /// the golden check pins it.
 #[must_use]
 pub fn digest_outcomes(records: &[OutcomeRecord]) -> u64 {
-    let mut digest = Fnv64::new();
+    let mut state = CHAIN_SEED;
     for record in records {
-        record.fold(&mut digest);
+        state = chain_step(state, record.mix(true));
     }
-    digest.finish()
+    state
 }
 
-/// FNV-1a digest of an outcome log's semantic view in sequence order:
-/// [`digest_outcomes`] with every record's attempt count masked out (see
-/// [`OutcomeRecord::fold_semantic`]).
+/// Digest of an outcome log's semantic view in sequence order:
+/// [`digest_outcomes`] with every record's attempt count read as zero.
 #[must_use]
 pub fn digest_outcome_semantics(records: &[OutcomeRecord]) -> u64 {
-    let mut digest = Fnv64::new();
+    let mut state = CHAIN_SEED;
     for record in records {
-        record.fold_semantic(&mut digest);
+        state = chain_step(state, record.mix(false));
     }
-    digest.finish()
+    state
 }
 
 /// A worker's outcome log broke the order [`reassemble`] relies on: its
@@ -187,14 +232,14 @@ pub(crate) struct LogOrderError {
 /// [`Chain::accept`], whether a worker pushes it or the merge emits it.
 #[derive(Clone, Copy, Debug)]
 struct Chain {
-    digest: Fnv64,
+    state: u64,
     last: Option<u64>,
 }
 
 impl Chain {
     fn new() -> Self {
         Chain {
-            digest: Fnv64::new(),
+            state: CHAIN_SEED,
             last: None,
         }
     }
@@ -211,12 +256,8 @@ impl Chain {
             });
         }
         self.last = Some(record.seq);
-        record.fold(&mut self.digest);
+        self.state = chain_step(self.state, record.mix(true));
         Ok(())
-    }
-
-    fn digest(&self) -> u64 {
-        self.digest.finish()
     }
 }
 
@@ -288,7 +329,7 @@ pub(crate) fn reassemble(
         let log = logs.pop().unwrap_or_else(|| OutcomeLog::new(0));
         return match log.disorder {
             Some(broken) => Err(broken),
-            None => Ok((log.records, log.chain.digest())),
+            None => Ok((log.records, log.chain.state)),
         };
     }
 
@@ -309,7 +350,7 @@ pub(crate) fn reassemble(
             runs.remove(lead);
         }
     }
-    Ok((merged, chain.digest()))
+    Ok((merged, chain.state))
 }
 
 #[cfg(test)]
@@ -430,10 +471,12 @@ mod tests {
                 ..quiet
             },
         ];
-        // Literals computed once by byte-at-a-time FNV-1a outside this
-        // crate: every golden file and BENCH_*.json digest rests on them.
-        assert_eq!(digest_outcomes(&log), 0x3b37_a1cb_57e2_52c1);
-        assert_eq!(digest_outcome_semantics(&log), 0x706b_22bf_2b53_1c8c);
+        // Literals computed once outside this crate, from the module docs'
+        // definition written out in another language: every golden file's
+        // digest rests on them.
+        assert_eq!(digest_outcomes(&log), 0x7f83_1ec3_d240_b651);
+        assert_eq!(digest_outcome_semantics(&log), 0x6f4f_498c_707a_9771);
+        assert_eq!(digest_outcomes(&[]), 0x2545_f491_4f6c_dd1d);
     }
 
     /// A dense log `0..len` whose records differ in every digested field.
