@@ -5,7 +5,7 @@
 //! `ccd_service::DirectoryService`: every cell streams the same
 //! deterministic load under an armed `FaultPlan` — scheduled worker
 //! crashes (recovered by journal replay), batch stalls, admission-control
-//! shedding — and records the recovery counters and the FNV digest of the
+//! shedding — and records the recovery counters and the digest of the
 //! sequence-ordered outcome log.  Each cell is **asserted digest-identical
 //! to the fault-free serial reference**
 //! (`ServiceReport::recovery_semantics`): crashing a worker mid-stream

@@ -5,7 +5,7 @@
 //! `ccd_service::DirectoryService`: every cell streams the same
 //! deterministic load (three catalog workloads, seed-paired across all
 //! topologies) through the service and records the merged statistics and
-//! the FNV digest of the sequence-ordered outcome log.  Each (workload,
+//! the digest of the sequence-ordered outcome log.  Each (workload,
 //! shard count) pair is first applied through the inline serial reference
 //! (`DirectoryService::run_serial`) and **every concurrent cell is
 //! asserted bit-identical to it** — the service's core determinism

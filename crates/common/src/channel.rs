@@ -22,14 +22,14 @@
 //!   close: it discards the backlog immediately and surfaces as
 //!   [`RecvError::Shutdown`], so a consumer can tell a natural
 //!   end-of-stream from a supervisor-ordered abort;
-//! * **virtual-tick timeouts** — [`Sender::send_timeout`] and
-//!   [`Receiver::recv_timeout`] bound their blocking in *ticks* (bounded
-//!   condvar wait rounds of [`TICK`]), never by reading the wall clock, so
-//!   the resilient retry paths built on them ([`Backoff`]) stay compatible
-//!   with the `no-wallclock` lint rule and with deterministic replay: a
-//!   timeout can change *when* work happens, never *what* the result is;
+//! * **virtual-tick timeouts** — [`Sender::send_timeout`] bounds its
+//!   blocking in *ticks* (bounded condvar wait rounds of [`TICK`]), never
+//!   by reading the wall clock, so the resilient retry path built on it
+//!   ([`Backoff`]) stays compatible with the `no-wallclock` lint rule and
+//!   with deterministic replay: a timeout can change *when* work happens,
+//!   never *what* the result is;
 //! * **introspection** — queue depth and capacity are observable from both
-//!   ends ([`Receiver::len`], [`Sender::len`], [`Sender::is_full`]), which
+//!   ends ([`Receiver::len`], [`Sender::len`], [`Sender::capacity`]), which
 //!   the tests, the service's admission-control accounting and diagnostics
 //!   use to assert occupancy directly.  Depth reads are lock-free (an
 //!   atomic mirror of the queue length), so monitoring never contends with
@@ -70,7 +70,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// One *virtual tick*: the bounded condvar wait quantum behind
-/// [`Sender::send_timeout`] and [`Receiver::recv_timeout`].
+/// [`Sender::send_timeout`].
 ///
 /// Timeouts are counted in wait rounds, not in elapsed wall-clock time:
 /// a budget of `n` ticks bounds the call to at most `n` re-checks of the
@@ -238,32 +238,6 @@ impl fmt::Display for RecvError {
 
 impl std::error::Error for RecvError {}
 
-/// Why [`Receiver::recv_timeout`] returned no value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    /// The tick budget ran out while the queue stayed empty.  Retryable:
-    /// senders are still connected.
-    TimedOut,
-    /// Every [`Sender`] was dropped and the queue is fully drained.
-    Disconnected,
-    /// [`Sender::shutdown`] closed the channel.
-    Shutdown,
-}
-
-impl fmt::Display for RecvTimeoutError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecvTimeoutError::TimedOut => f.write_str("recv timed out on an empty channel"),
-            RecvTimeoutError::Disconnected => {
-                f.write_str("receiving on a channel with no senders left")
-            }
-            RecvTimeoutError::Shutdown => f.write_str("receiving on a channel closed by shutdown"),
-        }
-    }
-}
-
-impl std::error::Error for RecvTimeoutError {}
-
 /// The producer half of a [`bounded`] channel.  Cloneable: any number of
 /// threads may feed the same receiver.
 pub struct Sender<T> {
@@ -401,13 +375,6 @@ impl<T> Sender<T> {
         self.len() == 0
     }
 
-    /// `true` when the ring currently holds `capacity` items (a send now
-    /// would block, time out or shed).
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.len() == self.shared.capacity
-    }
-
     /// The channel's fixed capacity.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -496,40 +463,6 @@ impl<T> Receiver<T> {
                 return Err(RecvError::Disconnected);
             }
             state = self.shared.not_empty.wait(state).unwrap();
-        }
-    }
-
-    /// Dequeues the next item, waiting at most `ticks` bounded wait rounds
-    /// (each of at most [`TICK`]).  `ticks == 0` is a pure try.  Like
-    /// [`Sender::send_timeout`], the budget bounds wait *rounds*, not
-    /// wall-clock time.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvTimeoutError::TimedOut`] (retryable) when the budget ran out,
-    /// otherwise the sticky [`RecvTimeoutError::Disconnected`] /
-    /// [`RecvTimeoutError::Shutdown`] cases of [`Receiver::recv`].
-    pub fn recv_timeout(&self, ticks: u32) -> Result<T, RecvTimeoutError> {
-        let mut state = self.shared.state.lock().unwrap();
-        let mut remaining = ticks;
-        loop {
-            if state.shutdown {
-                return Err(RecvTimeoutError::Shutdown);
-            }
-            if let Some(value) = state.queue.pop_front() {
-                self.shared.sync_depth(&state);
-                drop(state);
-                self.shared.not_full.notify_one();
-                return Ok(value);
-            }
-            if state.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            if remaining == 0 {
-                return Err(RecvTimeoutError::TimedOut);
-            }
-            remaining -= 1;
-            state = self.shared.not_empty.wait_timeout(state, TICK).unwrap().0;
         }
     }
 
@@ -646,7 +579,6 @@ mod tests {
         tx.send(2).unwrap();
         assert_eq!(rx.len(), 2);
         assert_eq!(tx.len(), 2);
-        assert!(tx.is_full());
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         assert!(rx.is_empty());
@@ -675,13 +607,12 @@ mod tests {
         let (tx, rx) = bounded(2);
         tx.try_send(1).unwrap();
         tx.try_send(2).unwrap();
-        assert!(tx.is_full());
+        assert_eq!(tx.len(), tx.capacity());
         assert!(tx.try_send(3).unwrap_err().full);
         assert_eq!(rx.try_recv(), Some(1));
         assert_eq!(tx.len(), 1);
-        assert!(!tx.is_full());
         tx.try_send(3).unwrap();
-        assert!(tx.is_full());
+        assert_eq!(tx.len(), tx.capacity());
         assert_eq!(rx.recv(), Ok(2));
         assert_eq!(rx.recv(), Ok(3));
         assert_eq!(rx.len(), 0);
@@ -768,25 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_expires_empty_and_sees_items_disconnects_and_shutdown() {
-        let (tx, rx) = bounded(2);
-        assert_eq!(rx.recv_timeout(0), Err(RecvTimeoutError::TimedOut));
-        assert_eq!(rx.recv_timeout(2), Err(RecvTimeoutError::TimedOut));
-        tx.send(5).unwrap();
-        assert_eq!(rx.recv_timeout(0), Ok(5));
-        let tx2 = tx.clone();
-        drop(tx);
-        tx2.send(6).unwrap();
-        drop(tx2);
-        assert_eq!(rx.recv_timeout(1), Ok(6));
-        assert_eq!(rx.recv_timeout(1), Err(RecvTimeoutError::Disconnected));
-
-        let (tx, rx) = bounded::<u32>(2);
-        tx.shutdown();
-        assert_eq!(rx.recv_timeout(5), Err(RecvTimeoutError::Shutdown));
-    }
-
-    #[test]
     fn shutdown_discards_the_backlog_and_is_sticky_on_both_sides() {
         let (tx, rx) = bounded(4);
         tx.send(1).unwrap();
@@ -842,8 +754,8 @@ mod tests {
     #[test]
     fn timeout_interleaving_smoke_delivers_every_item_exactly_once() {
         // A loom-style stress: three producers using only the bounded
-        // timeout+retry path, one consumer using only recv_timeout, over a
-        // deliberately tiny ring.  Every value must arrive exactly once.
+        // timeout+retry path, one blocking consumer, over a deliberately
+        // tiny ring.  Every value must arrive exactly once.
         // (CI also runs this under ThreadSanitizer; the count shrinks under
         // Miri's interpreter like the statistical tests elsewhere.)
         const PRODUCERS: u64 = 3;
@@ -874,14 +786,13 @@ mod tests {
         drop(tx);
         let mut seen = vec![false; (PRODUCERS * PER_PRODUCER) as usize];
         loop {
-            match rx.recv_timeout(2) {
+            match rx.recv() {
                 Ok(v) => {
                     assert!(!seen[v as usize], "value {v} delivered twice");
                     seen[v as usize] = true;
                 }
-                Err(RecvTimeoutError::TimedOut) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Shutdown) => panic!("nothing shut this channel down"),
+                Err(RecvError::Disconnected) => break,
+                Err(RecvError::Shutdown) => panic!("nothing shut this channel down"),
             }
         }
         for handle in producers {

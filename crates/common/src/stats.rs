@@ -248,17 +248,6 @@ impl Histogram {
         }
     }
 
-    /// Fraction of observations at or above `value`; 0 when empty.
-    #[must_use]
-    pub fn fraction_at_least(&self, value: u64) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let start = (value as usize).min(self.buckets.len() - 1);
-        let count: u64 = self.buckets[start..].iter().sum();
-        count as f64 / self.total as f64
-    }
-
     /// The smallest value `v` such that at least `q` (0..=1) of the
     /// observations are `<= v`. Returns 0 for an empty histogram.
     #[must_use]
@@ -1026,7 +1015,6 @@ mod tests {
             h.record(v);
         }
         assert!((h.fraction(1) - 0.3).abs() < 1e-12);
-        assert!((h.fraction_at_least(5) - 0.5).abs() < 1e-12);
         assert_eq!(h.quantile(0.0), 1);
         assert_eq!(h.quantile(0.3), 1);
         assert_eq!(h.quantile(0.5), 2);
@@ -1062,7 +1050,6 @@ mod tests {
         let h = Histogram::new(4);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.fraction(2), 0.0);
-        assert_eq!(h.fraction_at_least(0), 0.0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.iter().count(), 0);
     }

@@ -1489,6 +1489,7 @@ impl<V> CuckooTable<V> {
     /// generously as `self`.
     pub fn migrate_into(&mut self, target: &mut CuckooTable<V>) -> Vec<(u64, V)> {
         const MIGRATE_BATCH: usize = 64;
+        debug_assert_eq!(self.check_invariants(), Ok(()), "migration source");
         let mut entries: Vec<(u64, V)> = Vec::with_capacity(MIGRATE_BATCH);
         let mut outcomes: Vec<InsertOutcome<V>> = Vec::with_capacity(MIGRATE_BATCH);
         let mut discarded = Vec::new();
@@ -1513,7 +1514,82 @@ impl<V> CuckooTable<V> {
             discarded.extend(outcomes.drain(..).filter_map(|o| o.discarded));
         }
         debug_assert!(self.is_empty());
+        debug_assert_eq!(target.check_invariants(), Ok(()), "migration target");
         discarded
+    }
+
+    /// Checks the table's structural invariants and describes the first one
+    /// broken.  Walks every slot and hashes every stored key, so it belongs
+    /// in tests and `debug_assert!`s (the migration boundary above), never
+    /// on a request path.
+    ///
+    /// * On the line-local layout `tag_pos_of_slot` round-trips: a slot's
+    ///   tag position is in bounds and maps back to that slot.
+    /// * Every occupied slot's tag is its key's [`fingerprint`].
+    /// * Every stored key sits in a candidate slot: at the index its own
+    ///   way's hash gives it.
+    /// * For the `tagalt` family, `alt_index` from a stored entry to any way
+    ///   stays inside the table and leads back (an involution).
+    /// * [`CuckooTable::len`] equals the number of occupied slots.
+    ///
+    /// # Errors
+    ///
+    /// The broken invariant, with the slot and key it was found at.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut indices = [0usize; MAX_FAMILY_WAYS];
+        let mut occupied = 0usize;
+        for slot in 0..self.capacity() {
+            let (way, index) = (slot / self.sets, slot % self.sets);
+            let pos = self.tag_pos_of_slot(slot);
+            if pos >= self.tags.len() {
+                return Err(format!("slot {slot}: tag position {pos} is out of bounds"));
+            }
+            if matches!(self.layout, TagLayout::LineLocal { .. })
+                && (pos % self.ways) * self.sets + pos / self.ways != slot
+            {
+                return Err(format!(
+                    "slot {slot}: line-local tag position {pos} does not map back to it"
+                ));
+            }
+            let tag = self.tags[pos];
+            if tag == EMPTY_TAG {
+                continue;
+            }
+            occupied += 1;
+            let key = self.keys[slot];
+            if tag != fingerprint(key) {
+                return Err(format!(
+                    "slot {slot}: tag {tag:#04x} is not key {key:#x}'s fingerprint {:#04x}",
+                    fingerprint(key)
+                ));
+            }
+            self.hash_into(key, &mut indices);
+            if indices[way] != index {
+                return Err(format!(
+                    "slot {slot}: key {key:#x} sits at index {index} of way {way}, \
+                     whose hash sends it to {}",
+                    indices[way]
+                ));
+            }
+            if let Some(family) = self.hashes.tag_alt() {
+                for to in 0..self.ways {
+                    let alt = family.alt_index(way, index, tag, to);
+                    if alt >= self.sets || family.alt_index(to, alt, tag, way) != index {
+                        return Err(format!(
+                            "slot {slot}: alt_index of tag {tag:#04x} from way {way} index \
+                             {index} to way {to} gives {alt}, which does not lead back"
+                        ));
+                    }
+                }
+            }
+        }
+        if occupied != self.valid {
+            return Err(format!(
+                "len() is {} but {occupied} slots are occupied",
+                self.valid
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -2334,6 +2410,48 @@ mod tests {
             if o.discarded.is_some() {
                 assert_eq!(o.attempts, 6, "a discard always reports max attempts");
             }
+        }
+    }
+
+    #[test]
+    fn check_invariants_names_corrupted_tags_keys_and_counts() {
+        for kind in [HashKind::Strong, HashKind::TagAlt] {
+            let mut table: CuckooTable<u64> = CuckooTable::new(4, 64, kind, 5).unwrap();
+            assert_eq!(table.check_invariants(), Ok(()), "an empty table");
+            for key in 0..150u64 {
+                table.insert(key * 7919, key);
+            }
+            assert_eq!(table.check_invariants(), Ok(()));
+            let slot = (0..table.capacity())
+                .find(|&slot| table.tags[table.tag_pos_of_slot(slot)] != EMPTY_TAG)
+                .unwrap();
+            let pos = table.tag_pos_of_slot(slot);
+
+            table.tags[pos] ^= 1;
+            let why = table.check_invariants().unwrap_err();
+            assert!(why.contains("fingerprint"), "{kind}: {why}");
+            table.tags[pos] ^= 1;
+
+            // A key with the same fingerprint that hashes elsewhere.
+            let resident = table.keys[slot];
+            let mut indices = [0usize; MAX_FAMILY_WAYS];
+            let stray = (1u64 << 40..)
+                .find(|&key| {
+                    table.hash_into(key, &mut indices);
+                    fingerprint(key) == fingerprint(resident)
+                        && indices[slot / table.sets] != slot % table.sets
+                })
+                .unwrap();
+            table.keys[slot] = stray;
+            let why = table.check_invariants().unwrap_err();
+            assert!(why.contains("whose hash sends it to"), "{kind}: {why}");
+            table.keys[slot] = resident;
+
+            table.valid += 1;
+            let why = table.check_invariants().unwrap_err();
+            assert!(why.contains("slots are occupied"), "{kind}: {why}");
+            table.valid -= 1;
+            assert_eq!(table.check_invariants(), Ok(()));
         }
     }
 

@@ -24,7 +24,7 @@
 //!    so changing any one word — any one bit of any field — always changes
 //!    the mix.  The mix reads nothing but the record: consecutive records'
 //!    mixes compute in parallel.
-//! 2. **Chain** — `state = (state.rotate_left(5) ^ mix) * CHAIN_PRIME`
+//! 2. **Chain** — `state = (state.rotate_left(5) ^ mix) * CHAIN_MULTIPLIER`
 //!    (wrapping), starting from `CHAIN_SEED`: one multiply depends on the
 //!    previous record.  For a fixed mix the step is a bijection on the
 //!    state, so a difference once in the state never cancels by itself, and
@@ -147,11 +147,11 @@ impl OutcomeRecord {
             u64::from(self.forced_invalidations) | self.flags() << 32,
             self.detail,
         ];
-        let mix = words[0].wrapping_mul(WORD_PRIMES[0])
-            ^ words[1].wrapping_mul(WORD_PRIMES[1]).rotate_left(13)
-            ^ words[2].wrapping_mul(WORD_PRIMES[2]).rotate_left(26)
-            ^ words[3].wrapping_mul(WORD_PRIMES[3]).rotate_left(39)
-            ^ words[4].wrapping_mul(WORD_PRIMES[4]).rotate_left(52);
+        let mix = words[0].wrapping_mul(WORD_MULTIPLIERS[0])
+            ^ words[1].wrapping_mul(WORD_MULTIPLIERS[1]).rotate_left(13)
+            ^ words[2].wrapping_mul(WORD_MULTIPLIERS[2]).rotate_left(26)
+            ^ words[3].wrapping_mul(WORD_MULTIPLIERS[3]).rotate_left(39)
+            ^ words[4].wrapping_mul(WORD_MULTIPLIERS[4]).rotate_left(52);
         mix ^ mix >> 32
     }
 
@@ -166,7 +166,7 @@ impl OutcomeRecord {
 }
 
 /// One odd multiplier per record word (module docs, step 1).
-const WORD_PRIMES: [u64; 5] = [
+const WORD_MULTIPLIERS: [u64; 5] = [
     0x9e37_79b9_7f4a_7c15,
     0xbf58_476d_1ce4_e5b9,
     0x94d0_49bb_1331_11eb,
@@ -175,14 +175,22 @@ const WORD_PRIMES: [u64; 5] = [
 ];
 
 /// The chain's multiplier and starting state (module docs, step 2).
-const CHAIN_PRIME: u64 = 0xd6e8_feb8_6659_fd93;
+const CHAIN_MULTIPLIER: u64 = 0xd6e8_feb8_6659_fd93;
 const CHAIN_SEED: u64 = 0x2545_f491_4f6c_dd1d;
 
 /// Advances the digest chain by one record's mix: the only multiply that
 /// waits for the previous record.
 #[inline]
 fn chain_step(state: u64, mix: u64) -> u64 {
-    (state.rotate_left(5) ^ mix).wrapping_mul(CHAIN_PRIME)
+    (state.rotate_left(5) ^ mix).wrapping_mul(CHAIN_MULTIPLIER)
+}
+
+/// The digest chain over `records`' full or semantic view.
+#[inline]
+fn digest_view(records: &[OutcomeRecord], with_attempts: bool) -> u64 {
+    records.iter().fold(CHAIN_SEED, |state, record| {
+        chain_step(state, record.mix(with_attempts))
+    })
 }
 
 /// Digest of an outcome log in sequence order (see the module docs for the
@@ -194,22 +202,14 @@ fn chain_step(state: u64, mix: u64) -> u64 {
 /// the golden check pins it.
 #[must_use]
 pub fn digest_outcomes(records: &[OutcomeRecord]) -> u64 {
-    let mut state = CHAIN_SEED;
-    for record in records {
-        state = chain_step(state, record.mix(true));
-    }
-    state
+    digest_view(records, true)
 }
 
 /// Digest of an outcome log's semantic view in sequence order:
 /// [`digest_outcomes`] with every record's attempt count read as zero.
 #[must_use]
 pub fn digest_outcome_semantics(records: &[OutcomeRecord]) -> u64 {
-    let mut state = CHAIN_SEED;
-    for record in records {
-        state = chain_step(state, record.mix(false));
-    }
-    state
+    digest_view(records, false)
 }
 
 /// A worker's outcome log broke the order [`reassemble`] relies on: its
@@ -230,7 +230,6 @@ pub(crate) struct LogOrderError {
 /// The running [`digest_outcomes`] value of a sequence of records and the
 /// order check that travels with it.  Every record enters a log through
 /// [`Chain::accept`], whether a worker pushes it or the merge emits it.
-#[derive(Clone, Copy, Debug)]
 struct Chain {
     state: u64,
     last: Option<u64>,
@@ -265,7 +264,6 @@ impl Chain {
 /// the log always knows its own digest and whether it is still strictly
 /// ascending in `seq` — which is what lets [`reassemble`] move a lone log
 /// without another pass over it.
-#[derive(Debug)]
 pub(crate) struct OutcomeLog {
     worker: usize,
     records: Vec<OutcomeRecord>,
@@ -417,6 +415,84 @@ mod tests {
         assert_ne!(digest_outcomes(&[a, b]), digest_outcomes(&[b, a]));
         assert_eq!(digest_outcomes(&[a, b]), digest_outcomes(&[a, b]));
         assert_ne!(digest_outcomes(&[a]), digest_outcomes(&[a, b]));
+    }
+
+    /// Every digested field: its name, its width in bits, and how to flip
+    /// one bit of it.
+    type Field = (&'static str, u32, fn(&mut OutcomeRecord, u32));
+    const FIELDS: [Field; 12] = [
+        ("seq", 64, |r, bit| r.seq ^= 1 << bit),
+        ("shard", 32, |r, bit| r.shard ^= 1 << bit),
+        ("attempts", 32, |r, bit| r.attempts ^= 1 << bit),
+        ("invalidations", 32, |r, bit| r.invalidations ^= 1 << bit),
+        ("forced_evictions", 32, |r, bit| {
+            r.forced_evictions ^= 1 << bit
+        }),
+        ("forced_invalidations", 32, |r, bit| {
+            r.forced_invalidations ^= 1 << bit
+        }),
+        ("hit", 1, |r, _| r.hit ^= true),
+        ("allocated", 1, |r, _| r.allocated ^= true),
+        ("failed", 1, |r, _| r.failed ^= true),
+        ("invalidated_all", 1, |r, _| r.invalidated_all ^= true),
+        ("removed_entry", 1, |r, _| r.removed_entry ^= true),
+        ("detail", 64, |r, bit| r.detail ^= 1 << bit),
+    ];
+
+    #[test]
+    fn every_bit_of_every_field_of_every_record_reaches_the_digest() {
+        // Exhaustive over a 64-record log: 293 bits a record, ~19k digests.
+        // The semantic view must move with all of them but `attempts`.
+        let log = dense_log(&mut SplitMix64::new(0xd1_6e57), 64);
+        let (full, semantic) = (digest_outcomes(&log), digest_outcome_semantics(&log));
+        let mut flipped = log.clone();
+        for at in 0..log.len() {
+            for (field, width, flip) in FIELDS {
+                for bit in 0..width {
+                    flip(&mut flipped[at], bit);
+                    assert_ne!(flipped[at], log[at], "{field} bit {bit} did not flip");
+                    assert_ne!(
+                        digest_outcomes(&flipped),
+                        full,
+                        "record {at}: {field} bit {bit} does not reach the digest"
+                    );
+                    assert_eq!(
+                        digest_outcome_semantics(&flipped) == semantic,
+                        field == "attempts",
+                        "record {at}: {field} bit {bit} and the semantic view"
+                    );
+                    flipped[at] = log[at];
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_truncating_and_appending_each_change_the_digest() {
+        let log = dense_log(&mut SplitMix64::new(0x5aa9), 65);
+        let (log, extra) = log.split_at(64);
+        let full = digest_outcomes(log);
+        for at in 0..log.len() - 1 {
+            let mut swapped = log.to_vec();
+            swapped.swap(at, at + 1);
+            assert_ne!(
+                digest_outcomes(&swapped),
+                full,
+                "records {at} and {}",
+                at + 1
+            );
+        }
+        assert_ne!(digest_outcomes(&log[..63]), full, "truncated by one");
+        assert_ne!(digest_outcomes(&log[1..]), full, "first record dropped");
+        assert_ne!(
+            digest_outcomes(&[log, extra].concat()),
+            full,
+            "one appended"
+        );
+        // Appending even the blandest record moves the chain.
+        let mut blank = log.to_vec();
+        blank.push(OutcomeRecord::capture(64, 0, &Outcome::new()));
+        assert_ne!(digest_outcomes(&blank), full);
     }
 
     #[test]

@@ -182,7 +182,9 @@ pub struct ServiceReport {
     /// The sequence-ordered outcome log (empty when
     /// [`ServiceConfig::record_outcomes`] is off).
     pub outcomes: Vec<OutcomeRecord>,
-    /// FNV-1a digest of the outcome log ([`crate::digest_outcomes`]).
+    /// [`crate::digest_outcomes`] of the outcome log, folded record by
+    /// record as the log was written (`0` when
+    /// [`ServiceConfig::record_outcomes`] is off).
     pub outcome_digest: u64,
     /// What the observability layer recorded, when one was armed.
     /// Excluded from every semantics view — the explicit field lists in

@@ -6,7 +6,7 @@
 //! recorded trace replay.
 
 use ccd_common::rng::{Rng64, SplitMix64};
-use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
+use ccd_service::{digest_outcomes, DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
 use ccd_workloads::{record_trace, WorkloadSpec};
 
 const CORES: usize = 8;
@@ -116,6 +116,54 @@ fn randomized_topologies_obey_the_contract() {
             report.semantics(),
             serial.semantics(),
             "workers={workers} queue={queue_depth} batch={batch}"
+        );
+    }
+}
+
+/// The reported digest is folded record by record while the worker logs
+/// grow — a lone log's is taken as it stands, several logs are folded again
+/// by the merge — and either way it must be what a plain pass over the
+/// reported log computes.  The crash plans (from `fault_recovery.rs`) put a
+/// journal replay under it: at one worker the log that is moved out was
+/// rebuilt by replay and then extended live.
+#[test]
+fn the_reported_digest_is_the_digest_of_the_reported_log() {
+    const SPEC: &str = "cuckoo-4x128-c8";
+    let load = LoadSpec::parse("migratory-zipf0.9", CORES, 23, REQUESTS).unwrap();
+    let mut reports = vec![(
+        "serial".to_string(),
+        build(SPEC, 4, 1).run_load_serial(&load).unwrap(),
+    )];
+    for workers in [1usize, 2, 4] {
+        let report = build(SPEC, 4, workers).run_load(&load).unwrap();
+        reports.push((format!("{workers} workers"), report));
+    }
+    for (workers, plan, recoveries) in [
+        (1usize, "faults-crash@w0:5000", 1),
+        (2, "faults-crash@w1:3000-crash@w1:9000", 2),
+    ] {
+        let config = ServiceConfig::new(SPEC, 4, workers)
+            .with_batch(64)
+            .with_fault_spec(plan)
+            .expect("fault plan parses");
+        let report = DirectoryService::build_standard(config)
+            .expect("topology builds")
+            .run_load(&load)
+            .expect("a recoverable plan recovers");
+        assert_eq!(report.stats.recoveries.get(), recoveries, "{plan}");
+        reports.push((format!("{workers} workers under {plan}"), report));
+    }
+    let reference = reports[0].1.outcome_digest;
+    for (what, report) in &reports {
+        assert_eq!(report.outcomes.len() as u64, REQUESTS, "{what}");
+        assert_eq!(
+            digest_outcomes(&report.outcomes),
+            report.outcome_digest,
+            "{what}: reported digest is not the log's"
+        );
+        assert_eq!(
+            report.outcome_digest, reference,
+            "{what}: differs from serial"
         );
     }
 }

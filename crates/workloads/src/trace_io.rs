@@ -110,6 +110,12 @@ const fn kind_code(kind: AccessType) -> u8 {
     }
 }
 
+/// What writer and reader both say about record `record`'s core id when the
+/// header's count excludes it.
+fn excluded_core(record: u64, core: u64, num_cores: u32) -> String {
+    format!("record {record} names core {core}, but the header declares {num_cores} cores")
+}
+
 fn kind_of(code: u8) -> io::Result<AccessType> {
     match code {
         0 => Ok(AccessType::InstructionFetch),
@@ -128,6 +134,7 @@ fn kind_of(code: u8) -> io::Result<AccessType> {
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
+    num_cores: u32,
     count: u64,
     prev_addr: u64,
 }
@@ -145,6 +152,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         sink.write_all(&0u64.to_le_bytes())?; // count, patched by finish()
         Ok(TraceWriter {
             sink,
+            num_cores,
             count: 0,
             prev_addr: 0,
         })
@@ -154,8 +162,17 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the sink.
+    /// [`io::ErrorKind::InvalidInput`], before any byte of the record is
+    /// written, when `r.core` is not below the header's core count — the
+    /// reader would reject the whole file over it.  Propagates I/O errors
+    /// from the sink.
     pub fn record(&mut self, r: MemRef) -> io::Result<()> {
+        if r.core.raw() >= self.num_cores {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                excluded_core(self.count, u64::from(r.core.raw()), self.num_cores),
+            ));
+        }
         self.sink.write_all(&[kind_code(r.kind)])?;
         write_varint(&mut self.sink, u64::from(r.core.raw()))?;
         let delta = r.addr.raw().wrapping_sub(self.prev_addr) as i64;
@@ -314,10 +331,10 @@ impl<R: Read> TraceReader<R> {
             .ok()
             .filter(|&core| core < self.num_cores)
             .ok_or_else(|| {
-                invalid(format!(
-                    "record {} names core {core}, but the header declares {} cores",
+                invalid(excluded_core(
                     self.count - self.remaining,
-                    self.num_cores
+                    core,
+                    self.num_cores,
                 ))
             })?;
         let delta = unzigzag(read_varint(&mut self.src)?);
@@ -541,6 +558,42 @@ mod tests {
             assert!(message.contains("declares 4 cores"), "{message}");
             assert!(reader.next().is_none(), "errors end the stream");
         }
+    }
+
+    #[test]
+    fn the_writer_refuses_a_core_its_own_header_excludes() {
+        let refs: Vec<_> = TraceGenerator::new(WorkloadProfile::db2(), 4, 2)
+            .take(10)
+            .collect();
+        let mut writer = TraceWriter::new(Cursor::new(Vec::new()), 4).unwrap();
+        for r in &refs[..5] {
+            writer.record(*r).unwrap();
+        }
+        for core in [4, 9, u32::MAX] {
+            let err = writer
+                .record(MemRef::read(CoreId::new(core), Address::new(64)))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("record 5 names core {core},"))
+                    && message.contains("declares 4 cores"),
+                "{message}"
+            );
+        }
+        // Nothing of the refused records reached the sink: the writer goes
+        // on, and the file is exactly the ten accepted records.
+        for r in &refs[5..] {
+            writer.record(*r).unwrap();
+        }
+        let (cursor, count) = writer.finish().unwrap();
+        assert_eq!(count, 10);
+        assert_eq!(cursor.get_ref(), &round_trip(&refs, 4));
+        let replayed: Vec<_> = TraceReader::new(Cursor::new(cursor.get_ref()))
+            .unwrap()
+            .map(Result::unwrap)
+            .collect();
+        assert_eq!(replayed, refs);
     }
 
     #[test]

@@ -7,12 +7,22 @@
 # CCD_WORKERS=1 re-runs (serial == parallel, byte level) and the CCD_OBS-armed
 # re-run (contract #11: observation moves no result byte).
 #
-#   scripts/golden_check.sh [OUT_DIR]     # default: a fresh temp directory
+#   scripts/golden_check.sh [--bless] [OUT_DIR]   # default: a fresh temp directory
 #
 # Every row is byte-identical but bench_probe's, the one bin outside the
 # repository benchmark that reads a clock.
+#
+# --bless is for a deliberate re-pin: a plain row that differs is copied over
+# its golden and its `git diff --stat` printed, instead of failing.  The
+# override rows stay checks — they hold the freshly blessed files to the
+# serial and armed re-runs.  CI never passes it.
 set -euo pipefail
 
+bless=
+if [ "${1:-}" = "--bless" ]; then
+  bless=1
+  shift
+fi
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 out="${1:-$(mktemp -d)}"
 mkdir -p "$out"
@@ -44,6 +54,7 @@ strip() {
 }
 
 ran=
+blessed=0
 for check in "${checks[@]}"; do
   IFS='|' read -r override command result fields <<<"$check"
   # Plain runs share OUT_DIR itself; each override gets a directory of its own.
@@ -58,7 +69,13 @@ for check in "${checks[@]}"; do
   fi
   stem="${result%.json}"
   golden="$repo/tests/golden/$(tr '[:upper:]' '[:lower:]' <<<"$stem").quick.json"
+  if [ -n "$bless" ] && [ -z "$override" ] &&
+     ! diff -q <(strip "$golden" "$fields") <(strip "$dir/$result" "$fields") >/dev/null; then
+    cp "$dir/$result" "$golden"
+    git -C "$repo" diff --stat -- "$golden"
+    blessed=$((blessed + 1))
+  fi
   diff -u <(strip "$golden" "$fields") \
           <(strip "$dir/$result" "$fields")
 done
-echo "golden: all ${#checks[@]} checks match (outputs under $out)"
+echo "golden: all ${#checks[@]} checks match${bless:+, $blessed blessed} (outputs under $out)"

@@ -67,6 +67,11 @@ fn lockstep_stream(
                 );
             }
         }
+        assert_eq!(
+            table.check_invariants(),
+            Ok(()),
+            "{kind}/{ways}-way after {step}"
+        );
         assert_eq!(table.len(), reference.len(), "{kind}/{ways}-way at {step}");
         peak = peak.max(table.occupancy());
     }
@@ -234,6 +239,7 @@ fn bfs_and_greedy_lookups_agree_for_every_inserted_key() {
             let snapshot = (greedy.clone(), bfs.clone());
             let from_greedy = greedy.insert(key, key ^ 1);
             let from_bfs = bfs.insert(key, key ^ 1);
+            assert_eq!(bfs.check_invariants(), Ok(()), "{kind}: after {key:#x}");
             if from_greedy.discarded.is_some() || from_bfs.discarded.is_some() {
                 (greedy, bfs) = snapshot;
                 break;

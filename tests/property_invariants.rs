@@ -126,6 +126,7 @@ fn cuckoo_table_never_loses_undiscarded_keys() {
                 assert_eq!(lost, payload, "payload must travel with its key");
                 expected.remove(&lost);
             }
+            assert_eq!(table.check_invariants(), Ok(()), "after inserting {k}");
         }
         assert_eq!(table.len(), expected.len());
         for &k in &expected {
@@ -235,6 +236,11 @@ fn soa_table_matches_the_seed_aos_model_bit_for_bit() {
                     );
                 }
                 assert_eq!(table.len(), model.len());
+                assert_eq!(
+                    table.check_invariants(),
+                    Ok(()),
+                    "{ways}x{sets}-{kind} budget {budget}: after step {step}"
+                );
             }
             let table_contents: HashMap<u64, u64> = table.iter().map(|(k, v)| (k, *v)).collect();
             let model_contents: HashMap<u64, u64> = model.iter().map(|(k, v)| (k, *v)).collect();
@@ -274,6 +280,7 @@ fn attempt_budget_of_one_discards_on_the_first_attempt() {
         assert!(table.contains(fresh), "the requested key must be tracked");
         assert!(!table.contains(lost), "the victim must be gone");
         assert_eq!(table.len(), table.capacity(), "one-for-one swap");
+        assert_eq!(table.check_invariants(), Ok(()));
         discards += 1;
     }
     assert_eq!(discards, 64);
@@ -308,6 +315,7 @@ fn two_way_table_at_full_occupancy_exhausts_the_budget_exactly() {
             assert!(table.contains(fresh));
             assert!(!table.contains(lost));
             assert_eq!(table.len(), table.capacity());
+            assert_eq!(table.check_invariants(), Ok(()));
         }
     }
 }
@@ -340,6 +348,11 @@ fn chains_that_circle_back_to_the_incoming_key_keep_it_tracked() {
             );
             assert_eq!(table.get(key), Some(&step), "insert replaces the payload");
             assert!(table.len() <= table.capacity());
+            assert_eq!(
+                table.check_invariants(),
+                Ok(()),
+                "seed {seed}: after step {step}"
+            );
         }
         assert!(discards > 0, "a 4-entry table under this load must discard");
     }
