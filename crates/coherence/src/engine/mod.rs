@@ -5,8 +5,9 @@
 //!
 //! * [`TileCaches`] — the per-core private caches and the core→cache
 //!   routing the hierarchy implies;
-//! * [`DirectoryComplex`] — the directory slices plus the home-slice
-//!   interleaving between global and slice-local lines;
+//! * a [`ShardedDirectory`](ccd_directory::ShardedDirectory) — one
+//!   directory slice per tile behind the home-slice interleaving between
+//!   global and slice-local lines ([`ccd_common::Interleave`]);
 //! * [`StatsPipeline`] — the protocol-level counters, assembled on demand
 //!   into a mergeable [`SimStats`] snapshot.
 //!
@@ -16,12 +17,10 @@
 //! order-independent result collection: outputs depend only on the job
 //! list, never on worker scheduling.
 
-pub mod complex;
 pub mod runner;
 pub mod stats;
 pub mod tiles;
 
-pub use complex::DirectoryComplex;
 pub use runner::{ParallelRunner, SimJob};
 pub use stats::{SimStats, StatsPipeline};
 pub use tiles::TileCaches;

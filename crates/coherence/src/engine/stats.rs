@@ -2,10 +2,10 @@
 //! and the [`StatsPipeline`] that accumulates protocol-level counters while
 //! a simulation runs.
 
-use crate::engine::{DirectoryComplex, TileCaches};
+use crate::engine::TileCaches;
 use crate::SimReport;
 use ccd_common::stats::{Counter, MeanAccumulator};
-use ccd_directory::DirectoryStats;
+use ccd_directory::{Directory, DirectoryStats};
 
 /// Every statistic one simulation interval produces, in mergeable form.
 ///
@@ -142,12 +142,6 @@ impl StatsPipeline {
         self.occupancy_samples.record(occupancy);
     }
 
-    /// Number of occupancy samples taken so far.
-    #[must_use]
-    pub fn occupancy_sample_count(&self) -> u64 {
-        self.occupancy_samples.count()
-    }
-
     /// Clears all pipeline counters (the end-of-warm-up reset).
     pub fn reset(&mut self) {
         self.refs_processed = 0;
@@ -159,7 +153,7 @@ impl StatsPipeline {
     /// Assembles a full snapshot from the pipeline's own counters plus the
     /// cache and directory layers.
     #[must_use]
-    pub fn collect(&self, tiles: &TileCaches, directory: &DirectoryComplex) -> SimStats {
+    pub fn collect(&self, tiles: &TileCaches, directory: &dyn Directory) -> SimStats {
         let (accesses, misses) = tiles.totals();
         let mut cache_accesses = Counter::new();
         cache_accesses.add(accesses);
@@ -174,7 +168,7 @@ impl StatsPipeline {
             coherence_invalidations: self.coherence_invalidations,
             forced_invalidations: self.forced_invalidations,
             occupancy_samples: self.occupancy_samples,
-            directory: directory.merged_stats(),
+            directory: directory.stats(),
         }
     }
 }
@@ -193,10 +187,10 @@ mod tests {
         );
         assert_eq!(pipeline.refs_processed(), 8);
         pipeline.record_occupancy(0.5);
-        assert_eq!(pipeline.occupancy_sample_count(), 1);
+        assert_eq!(pipeline.occupancy_samples.count(), 1);
         pipeline.reset();
         assert_eq!(pipeline.refs_processed(), 0);
-        assert_eq!(pipeline.occupancy_sample_count(), 0);
+        assert_eq!(pipeline.occupancy_samples.count(), 0);
     }
 
     #[test]

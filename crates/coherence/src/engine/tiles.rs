@@ -10,7 +10,7 @@ use ccd_common::{AccessType, CacheId, ConfigError, CoreId, LineAddr};
 /// in the Shared-L2 hierarchy, one unified L2 per core in Private-L2 — and
 /// the core→cache routing that the hierarchy implies.  It knows nothing
 /// about directories or statistics pipelines; the simulator composes it with
-/// a [`DirectoryComplex`](crate::engine::DirectoryComplex) and a
+/// a [`ShardedDirectory`](ccd_directory::ShardedDirectory) and a
 /// [`StatsPipeline`](crate::engine::StatsPipeline).
 pub struct TileCaches {
     hierarchy: Hierarchy,

@@ -15,10 +15,10 @@
 //!   tracks the L2s (16 caches for 16 cores).  This also represents a
 //!   3-level hierarchy with two private levels and a shared LLC.
 //!
-//! The directory is distributed into one slice per tile; a block's home
-//! slice is selected by the low-order block-number bits and the slice is
-//! handed the *slice-local* line (block number with the slice bits shifted
-//! out) so that intra-slice indexing is not aliased by the interleaving.
+//! The directory is distributed into one slice per tile and interleaved by
+//! address ([`ccd_common::Interleave`]): a block's home slice is selected by
+//! the low-order block-number bits and tracks it under the *slice-local*
+//! line.
 //!
 //! # Engine architecture
 //!
@@ -27,8 +27,8 @@
 //!
 //! * [`engine::TileCaches`] — the per-core private caches plus the
 //!   core→cache routing of the hierarchy;
-//! * [`engine::DirectoryComplex`] — the directory slices plus the
-//!   global↔slice-local line interleaving;
+//! * a [`ccd_directory::ShardedDirectory`] — the directory slices behind
+//!   the global↔slice-local line interleaving;
 //! * [`engine::StatsPipeline`] — the protocol counters, assembled into a
 //!   mergeable [`engine::SimStats`] snapshot.
 //!

@@ -1,25 +1,30 @@
 //! The tiled-CMP simulator proper: a thin composition of the engine layers.
 
-use crate::engine::{DirectoryComplex, SimStats, StatsPipeline, TileCaches};
+use crate::engine::{SimStats, StatsPipeline, TileCaches};
 use crate::{DirectorySpec, SimReport, SystemConfig};
 use ccd_cache::{AccessOutcome, CoherenceState};
 use ccd_common::{CacheId, ConfigError, LineAddr, MemRef};
-use ccd_directory::{DirectoryOp, Outcome};
+use ccd_directory::{Directory, DirectoryOp, Outcome, ShardedDirectory};
 
 /// A functional, trace-driven simulator of the paper's tiled CMP.
 ///
 /// See the crate-level documentation for the modelled protocol.  The
 /// simulator composes the three engine layers — [`TileCaches`] for the
-/// private caches, [`DirectoryComplex`] for the distributed directory and
-/// [`StatsPipeline`] for the protocol counters — and implements the
-/// coherence protocol that ties them together.  It is `Send`, so whole
+/// private caches, a [`ShardedDirectory`] of one slice per tile for the
+/// distributed directory and [`StatsPipeline`] for the protocol counters —
+/// and implements the coherence protocol that ties them together.  The
+/// directory is addressed by *global* lines: home-slice routing and the
+/// translation of forced-eviction lines back to global ones are the
+/// [`ShardedDirectory`]'s.  It is `Send`, so whole
 /// simulations can be constructed on one thread and driven on another (the
 /// [`engine::ParallelRunner`](crate::engine::ParallelRunner) relies on
 /// this).
 pub struct CmpSimulator {
     system: SystemConfig,
     tiles: TileCaches,
-    directory: DirectoryComplex,
+    directory: ShardedDirectory,
+    /// The label of the organization the slices implement.
+    organization: String,
     stats: StatsPipeline,
     /// Reusable op-outcome buffer: the per-reference protocol sequence
     /// performs no heap allocation once its capacity is warmed up.
@@ -30,7 +35,7 @@ impl std::fmt::Debug for CmpSimulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CmpSimulator")
             .field("system", &self.system)
-            .field("organization", &self.directory.organization())
+            .field("organization", &self.organization)
             .field("refs_processed", &self.stats.refs_processed())
             .finish_non_exhaustive()
     }
@@ -42,17 +47,24 @@ impl CmpSimulator {
     ///
     /// # Errors
     ///
-    /// Propagates validation errors from the system configuration, the cache
-    /// geometry, or the directory specification.
+    /// Propagates validation errors from the system configuration (among
+    /// them a slice count that is not a power of two), the cache geometry,
+    /// or the directory specification.
     pub fn new(system: SystemConfig, spec: &DirectorySpec) -> Result<Self, ConfigError> {
         system.validate()?;
         let tiles = TileCaches::new(&system)?;
-        let directory = DirectoryComplex::new(&system, spec)?;
+        let resolved = spec.resolve(&system)?;
+        let registry = ccd_cuckoo::standard_registry();
+        let slices = (0..system.num_slices())
+            .map(|_| registry.build(&resolved))
+            .collect::<Result<Vec<_>, _>>()?;
+        let directory = ShardedDirectory::new(slices)?;
         let stats = StatsPipeline::new(system.occupancy_sample_interval);
         Ok(CmpSimulator {
             system,
             tiles,
             directory,
+            organization: spec.label(),
             stats,
             outcome: Outcome::new(),
         })
@@ -70,16 +82,16 @@ impl CmpSimulator {
         &self.tiles
     }
 
-    /// The directory layer.
+    /// The directory layer: one slice per tile, in tile order.
     #[must_use]
-    pub fn directory(&self) -> &DirectoryComplex {
+    pub fn directory(&self) -> &ShardedDirectory {
         &self.directory
     }
 
     /// The label of the directory organization under test.
     #[must_use]
     pub fn organization(&self) -> &str {
-        self.directory.organization()
+        &self.organization
     }
 
     /// Number of references processed since the last statistics reset.
@@ -88,16 +100,19 @@ impl CmpSimulator {
         self.stats.refs_processed()
     }
 
-    /// Current mean directory occupancy across all slices.
-    #[must_use]
-    pub fn current_occupancy(&self) -> f64 {
-        self.directory.occupancy()
+    /// The occupancy sample: the mean of the per-slice occupancies, in slice
+    /// order.  (Not `len / capacity` over the whole directory, which rounds
+    /// differently.)
+    fn occupancy(&self) -> f64 {
+        let slices = self.directory.shards();
+        let sum: f64 = slices.iter().map(|s| s.occupancy()).sum();
+        sum / slices.len() as f64
     }
 
     /// Applies the cache-side effects of a directory update: coherence
     /// invalidations of other sharers and forced invalidations of blocks
     /// whose directory entries were evicted.
-    fn apply_update(&mut self, slice: usize, line: LineAddr) {
+    fn apply_update(&mut self, line: LineAddr) {
         let out = &self.outcome;
         for &target in out.invalidate() {
             if self.tiles.invalidate(target, line) {
@@ -105,20 +120,19 @@ impl CmpSimulator {
             }
         }
         for eviction in out.forced_evictions() {
-            let victim_line = self.directory.global_line(slice, eviction.line);
             for &target in eviction.targets {
-                if self.tiles.invalidate(target, victim_line) {
+                if self.tiles.invalidate(target, eviction.line) {
                     self.stats.record_forced_invalidation();
                 }
             }
         }
     }
 
-    /// Dispatches `op` to `slice`'s directory through the reusable outcome
+    /// Dispatches `op` to its line's home slice through the reusable outcome
     /// buffer and applies the resulting invalidations to the caches.
-    fn dispatch(&mut self, slice: usize, line: LineAddr, op: DirectoryOp) {
-        self.directory.apply(slice, op, &mut self.outcome);
-        self.apply_update(slice, line);
+    fn dispatch(&mut self, op: DirectoryOp) {
+        self.directory.apply(op, &mut self.outcome);
+        self.apply_update(op.line());
     }
 
     /// Downgrades every *other* cache holding `line` in Modified state
@@ -127,15 +141,9 @@ impl CmpSimulator {
     /// may be a superset of the true holders (coarse, overflowed
     /// limited-pointer, Tagless); the caches' own
     /// [`state_of`](TileCaches::state_of) decides who is downgraded.
-    fn downgrade_writers(
-        &mut self,
-        slice: usize,
-        local: LineAddr,
-        line: LineAddr,
-        requester: CacheId,
-    ) {
+    fn downgrade_writers(&mut self, line: LineAddr, requester: CacheId) {
         self.directory
-            .apply(slice, DirectoryOp::Probe { line: local }, &mut self.outcome);
+            .apply(DirectoryOp::Probe { line }, &mut self.outcome);
         for &sharer in self.outcome.sharers() {
             if sharer != requester
                 && self.tiles.state_of(sharer, line) == Some(CoherenceState::Modified)
@@ -170,56 +178,34 @@ impl CmpSimulator {
     ///   leave no trace.
     pub fn process(&mut self, mem_ref: MemRef) {
         let line = self.system.block.line_of(mem_ref.addr);
-        let cache_id = self.tiles.cache_for(mem_ref.core, mem_ref.kind);
+        let cache = self.tiles.cache_for(mem_ref.core, mem_ref.kind);
         let is_write = mem_ref.kind.is_write();
 
-        match self.tiles.access(cache_id, line, is_write) {
+        match self.tiles.access(cache, line, is_write) {
             AccessOutcome::Hit => {}
             AccessOutcome::UpgradeMiss => {
-                let (slice, local) = self.directory.home_of(line);
-                self.dispatch(
-                    slice,
-                    line,
-                    DirectoryOp::SetExclusive {
-                        line: local,
-                        cache: cache_id,
-                    },
-                );
+                self.dispatch(DirectoryOp::SetExclusive { line, cache });
             }
             AccessOutcome::Miss { victim } => {
                 // Tell the victim's home slice the block left this cache.
                 if let Some(evicted) = victim {
-                    let (vslice, vlocal) = self.directory.home_of(evicted.line);
-                    self.dispatch(
-                        vslice,
-                        evicted.line,
-                        DirectoryOp::RemoveSharer {
-                            line: vlocal,
-                            cache: cache_id,
-                        },
-                    );
+                    let line = evicted.line;
+                    self.dispatch(DirectoryOp::RemoveSharer { line, cache });
                 }
-                let (slice, local) = self.directory.home_of(line);
                 let op = if is_write {
-                    DirectoryOp::SetExclusive {
-                        line: local,
-                        cache: cache_id,
-                    }
+                    DirectoryOp::SetExclusive { line, cache }
                 } else {
-                    DirectoryOp::AddSharer {
-                        line: local,
-                        cache: cache_id,
-                    }
+                    DirectoryOp::AddSharer { line, cache }
                 };
-                self.dispatch(slice, line, op);
+                self.dispatch(op);
                 if !is_write && self.outcome.hit() {
-                    self.downgrade_writers(slice, local, line, cache_id);
+                    self.downgrade_writers(line, cache);
                 }
             }
         }
 
         if self.stats.retire_reference() {
-            let occupancy = self.directory.occupancy();
+            let occupancy = self.occupancy();
             self.stats.record_occupancy(occupancy);
         }
     }
@@ -269,7 +255,7 @@ impl CmpSimulator {
     pub fn stats(&self) -> SimStats {
         let mut stats = self.stats.collect(&self.tiles, &self.directory);
         if stats.occupancy_samples.count() == 0 {
-            stats.occupancy_samples.record(self.directory.occupancy());
+            stats.occupancy_samples.record(self.occupancy());
         }
         stats
     }
@@ -277,7 +263,7 @@ impl CmpSimulator {
     /// Produces the aggregated report for the measured interval.
     #[must_use]
     pub fn report(&self) -> SimReport {
-        self.stats().report(self.directory.organization())
+        self.stats().report(&self.organization)
     }
 
     /// Convenience wrapper: builds a simulator, warms it up and measures.
@@ -323,53 +309,31 @@ mod protocol_order {
         /// sent `Probe` (and downgraded) before `AddSharer`, unconditionally.
         fn process_probe_first(&mut self, mem_ref: MemRef) {
             let line = self.system.block.line_of(mem_ref.addr);
-            let cache_id = self.tiles.cache_for(mem_ref.core, mem_ref.kind);
+            let cache = self.tiles.cache_for(mem_ref.core, mem_ref.kind);
             let is_write = mem_ref.kind.is_write();
 
-            match self.tiles.access(cache_id, line, is_write) {
+            match self.tiles.access(cache, line, is_write) {
                 AccessOutcome::Hit => {}
                 AccessOutcome::UpgradeMiss => {
-                    let (slice, local) = self.directory.home_of(line);
-                    self.dispatch(
-                        slice,
-                        line,
-                        DirectoryOp::SetExclusive {
-                            line: local,
-                            cache: cache_id,
-                        },
-                    );
+                    self.dispatch(DirectoryOp::SetExclusive { line, cache });
                 }
                 AccessOutcome::Miss { victim } => {
                     if let Some(evicted) = victim {
-                        let (vslice, vlocal) = self.directory.home_of(evicted.line);
-                        self.dispatch(
-                            vslice,
-                            evicted.line,
-                            DirectoryOp::RemoveSharer {
-                                line: vlocal,
-                                cache: cache_id,
-                            },
-                        );
+                        let line = evicted.line;
+                        self.dispatch(DirectoryOp::RemoveSharer { line, cache });
                     }
-                    let (slice, local) = self.directory.home_of(line);
                     let op = if is_write {
-                        DirectoryOp::SetExclusive {
-                            line: local,
-                            cache: cache_id,
-                        }
+                        DirectoryOp::SetExclusive { line, cache }
                     } else {
-                        self.downgrade_writers(slice, local, line, cache_id);
-                        DirectoryOp::AddSharer {
-                            line: local,
-                            cache: cache_id,
-                        }
+                        self.downgrade_writers(line, cache);
+                        DirectoryOp::AddSharer { line, cache }
                     };
-                    self.dispatch(slice, line, op);
+                    self.dispatch(op);
                 }
             }
 
             if self.stats.retire_reference() {
-                let occupancy = self.directory.occupancy();
+                let occupancy = self.occupancy();
                 self.stats.record_occupancy(occupancy);
             }
         }
@@ -438,10 +402,10 @@ mod protocol_order {
                     .eq(self.probe_first.tiles.resident()),
                 "{at}: cache contents differ"
             );
-            let slices = self.new_order.directory.slices();
+            let slices = self.new_order.directory.shards();
             for (index, (a, b)) in slices
                 .iter()
-                .zip(self.probe_first.directory.slices())
+                .zip(self.probe_first.directory.shards())
                 .enumerate()
             {
                 assert_eq!(a.len(), b.len(), "{at}, slice {index}");
@@ -592,11 +556,10 @@ mod protocol_order {
                 pair.step(read(core, 64));
             }
             let line = LineAddr::from_block_number(64);
-            let (slice, local) = pair.new_order.directory.home_of(line);
             let candidates = |pair: &Lockstep| {
-                let home = &pair.new_order.directory.slices()[slice];
+                let directory = &pair.new_order.directory;
                 (0..8)
-                    .filter(|&cache| home.may_hold(local, CacheId::new(cache)))
+                    .filter(|&cache| directory.may_hold(line, CacheId::new(cache)))
                     .count()
             };
             assert_eq!(candidates(&pair), 4, "{spec}: four exact pointers");
@@ -646,9 +609,14 @@ mod tests {
     #[test]
     fn construction_validates_system_and_spec() {
         assert!(CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).is_ok());
+        // Three tiles: routing by mask would send blocks to the wrong slice.
         let mut bad = small_shared_system();
         bad.num_cores = 3;
-        assert!(CmpSimulator::new(bad, &DirectorySpec::cuckoo(4, 1.0)).is_err());
+        let (what, value) = ("core count", 3);
+        assert_eq!(
+            CmpSimulator::new(bad, &DirectorySpec::cuckoo(4, 1.0)).err(),
+            Some(ConfigError::NotPowerOfTwo { what, value })
+        );
         assert!(CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(1, 1.0)).is_err());
         let unsampled = small_shared_system().with_occupancy_sample_interval(0);
         assert!(CmpSimulator::new(unsampled, &DirectorySpec::cuckoo(4, 1.0)).is_err());
@@ -659,8 +627,8 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<CmpSimulator>();
         let sim = CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).unwrap();
-        let handle = std::thread::spawn(move || sim.current_occupancy());
-        assert_eq!(handle.join().unwrap(), 0.0);
+        let handle = std::thread::spawn(move || sim.directory().len());
+        assert_eq!(handle.join().unwrap(), 0);
     }
 
     #[test]
@@ -735,7 +703,7 @@ mod tests {
             sim.process(read(0, block));
         }
         // Only the 4 resident blocks of core 0's D-cache are tracked.
-        assert_eq!(sim.directory().total_entries(), 4);
+        assert_eq!(sim.directory().len(), 4);
         let report = sim.report();
         assert_eq!(report.forced_invalidations, 0);
         assert!(report.directory.sharer_removes.get() > 900);
@@ -826,15 +794,15 @@ mod tests {
         for block in 0..100u64 {
             sim.process(read(0, block));
         }
-        let occupancy_before = sim.current_occupancy();
-        assert!(occupancy_before > 0.0);
+        let entries_before = sim.directory().len();
+        assert!(entries_before > 0);
         sim.reset_stats();
         assert_eq!(sim.refs_processed(), 0);
         let report = sim.report();
         assert_eq!(report.cache_accesses, 0);
         assert_eq!(report.directory.insertions.get(), 0);
         // Contents survive the reset.
-        assert!((sim.current_occupancy() - occupancy_before).abs() < 1e-12);
+        assert_eq!(sim.directory().len(), entries_before);
     }
 
     #[test]
@@ -842,7 +810,7 @@ mod tests {
         let mut sim =
             CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).unwrap();
         for block in 0..64u64 {
-            sim.process(read((block % 4) as u32, block));
+            sim.process(read(block as u32 % 4, block));
         }
         let report = sim.report();
         assert!(report.avg_directory_occupancy > 0.0);
@@ -851,6 +819,27 @@ mod tests {
             report.cache_miss_rate() > 0.9,
             "cold cache: almost all misses"
         );
+    }
+
+    #[test]
+    fn the_occupancy_sample_is_the_mean_of_the_per_slice_occupancies() {
+        // Three-way slices: a capacity that is not a power of two, so
+        // `len / capacity` over the whole directory rounds differently from
+        // the per-slice mean.  Run until the two disagree; fewer references
+        // than the sample interval, so the report carries the current sample.
+        let mut sim =
+            CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(3, 1.5)).unwrap();
+        let mean = |sim: &CmpSimulator| {
+            let slices = sim.directory().shards();
+            slices.iter().map(|s| s.occupancy()).sum::<f64>() / slices.len() as f64
+        };
+        let mut block = 0;
+        while mean(&sim) == sim.directory().occupancy() {
+            assert!(block < 4096, "the two formulas never disagreed");
+            sim.process(read(block as u32 % 4, block * 7));
+            block += 1;
+        }
+        assert_eq!(sim.report().avg_directory_occupancy, mean(&sim));
     }
 
     #[test]

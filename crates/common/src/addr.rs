@@ -129,6 +129,73 @@ impl fmt::Display for LineAddr {
     }
 }
 
+/// Address interleaving over a power-of-two number of directory slices: the
+/// one definition of which slice is a block's home (Section 2 of the paper:
+/// the directory is "distributed across tiles" by address).
+///
+/// The low-order block-number bits select the slice and the slice is handed
+/// the *slice-local* line — the block number with those bits shifted out —
+/// so indexing inside a slice is not aliased by the interleaving.  That is
+/// `(block mod N, block div N)` as a mask and a shift.
+///
+/// ```
+/// use ccd_common::{Interleave, LineAddr};
+/// let four = Interleave::new(4)?;
+/// let line = LineAddr::from_block_number(0b1011_10);
+/// assert_eq!(four.home_of(line), (0b10, LineAddr::from_block_number(0b1011)));
+/// assert_eq!(four.global_line(0b10, LineAddr::from_block_number(0b1011)), line);
+/// assert!(Interleave::new(3).is_err());
+/// # Ok::<(), ccd_common::ConfigError>(())
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Interleave {
+    /// `log2(count)`: how far a block number shifts to drop its slice bits.
+    shift: u32,
+    /// `count - 1`: the block-number bits that select the slice.
+    mask: u64,
+}
+
+impl Interleave {
+    /// Interleaving over `count` slices.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::NotPowerOfTwo`] when `count` is zero or not a power
+    /// of two.
+    pub fn new(count: usize) -> Result<Self, ConfigError> {
+        let count = count as u64;
+        if !is_power_of_two(count) {
+            return Err(ConfigError::NotPowerOfTwo {
+                what: "directory slice count",
+                value: count,
+            });
+        }
+        Ok(Interleave {
+            shift: count.trailing_zeros(),
+            mask: count - 1,
+        })
+    }
+
+    /// The home slice of a global line and the slice-local line that slice
+    /// tracks it under.
+    #[inline]
+    #[must_use]
+    pub fn home_of(self, line: LineAddr) -> (usize, LineAddr) {
+        (
+            (line.0 & self.mask) as usize,
+            LineAddr(line.0 >> self.shift),
+        )
+    }
+
+    /// The global line that slice `index` tracks under `local`: the inverse
+    /// of [`Interleave::home_of`].
+    #[inline]
+    #[must_use]
+    pub fn global_line(self, index: usize, local: LineAddr) -> LineAddr {
+        LineAddr((local.0 << self.shift) | index as u64)
+    }
+}
+
 /// Cache-block geometry: block size and the derived offset-bit count.
 ///
 /// The paper's system uses 64-byte blocks everywhere (Table 1); other sizes
@@ -250,6 +317,44 @@ mod tests {
         assert_eq!(geom.tag_bits(10), 32);
         // Saturates rather than underflowing.
         assert_eq!(geom.tag_bits(60), 0);
+    }
+
+    #[test]
+    fn home_routing_round_trips() {
+        for count in [1usize, 2, 4, 16, 1024] {
+            let interleave = Interleave::new(count).unwrap();
+            for block in [
+                0u64,
+                1,
+                5,
+                1023,
+                0xFFFF_FFFF,
+                u64::MAX,
+                u64::MAX - 1,
+                u64::MAX << 10,
+                (u64::MAX << 10) | 0x155,
+            ] {
+                let line = LineAddr::from_block_number(block);
+                let (slice, local) = interleave.home_of(line);
+                assert_eq!(slice as u64, block % count as u64);
+                assert_eq!(local.block_number(), block / count as u64);
+                assert_eq!(interleave.global_line(slice, local), line);
+            }
+        }
+    }
+
+    #[test]
+    fn a_slice_count_that_is_not_a_power_of_two_is_rejected() {
+        // Routing by mask would send such a system's blocks to the wrong slice.
+        for count in [0usize, 3, 6, 12] {
+            assert_eq!(
+                Interleave::new(count),
+                Err(ConfigError::NotPowerOfTwo {
+                    what: "directory slice count",
+                    value: count as u64,
+                })
+            );
+        }
     }
 
     #[test]

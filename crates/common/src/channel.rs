@@ -179,21 +179,6 @@ pub enum SendTimeoutError<T> {
     Disconnected(T),
 }
 
-impl<T> SendTimeoutError<T> {
-    /// Recovers the value that could not be sent.
-    pub fn into_value(self) -> T {
-        match self {
-            SendTimeoutError::TimedOut(value) | SendTimeoutError::Disconnected(value) => value,
-        }
-    }
-
-    /// `true` for the retryable [`SendTimeoutError::TimedOut`] case.
-    #[must_use]
-    pub fn is_timeout(&self) -> bool {
-        matches!(self, SendTimeoutError::TimedOut(_))
-    }
-}
-
 impl<T> fmt::Debug for SendTimeoutError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -689,9 +674,10 @@ mod tests {
             SendTimeoutError::TimedOut(2)
         );
         // A small budget still expires while nothing drains.
-        let err = tx.send_timeout(2, 3).unwrap_err();
-        assert!(err.is_timeout());
-        assert_eq!(err.into_value(), 2);
+        assert_eq!(
+            tx.send_timeout(2, 3).unwrap_err(),
+            SendTimeoutError::TimedOut(2)
+        );
         // After a drain the same send goes through within the budget.
         assert_eq!(rx.recv(), Ok(1));
         tx.send_timeout(2, 3).unwrap();

@@ -93,25 +93,9 @@ id_type!(
     "slice"
 );
 
-/// Helpers enumerating identifier ranges.
-pub fn all_cores(count: usize) -> impl Iterator<Item = CoreId> {
-    (0..count as u32).map(CoreId::new)
-}
-
-/// Enumerates `count` cache identifiers starting at zero.
-pub fn all_caches(count: usize) -> impl Iterator<Item = CacheId> {
-    (0..count as u32).map(CacheId::new)
-}
-
-/// Enumerates `count` slice identifiers starting at zero.
-pub fn all_slices(count: usize) -> impl Iterator<Item = SliceId> {
-    (0..count as u32).map(SliceId::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn ids_round_trip_and_display() {
@@ -127,21 +111,6 @@ mod tests {
 
         let s = SliceId::from(11u32);
         assert_eq!(format!("{s}"), "slice11");
-    }
-
-    #[test]
-    fn ids_are_distinct_types() {
-        // This is a compile-time property; at runtime we just make sure the
-        // enumerators produce the expected ranges.
-        let cores: Vec<_> = all_cores(4).collect();
-        assert_eq!(cores.len(), 4);
-        assert_eq!(cores[3], CoreId::new(3));
-
-        let caches: HashSet<_> = all_caches(8).collect();
-        assert_eq!(caches.len(), 8);
-
-        let slices: Vec<_> = all_slices(2).collect();
-        assert_eq!(slices, vec![SliceId::new(0), SliceId::new(1)]);
     }
 
     #[test]

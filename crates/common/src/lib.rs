@@ -8,6 +8,8 @@
 //!   ([`CoreId`], [`CacheId`], [`SliceId`]),
 //! * physical-address and cache-line newtypes with the block geometry used
 //!   throughout the paper ([`Address`], [`LineAddr`], [`BlockGeometry`]),
+//!   and the address interleaving that picks a block's home directory slice
+//!   ([`Interleave`]),
 //! * deterministic, seedable random number generation used by the synthetic
 //!   workloads and the hash-characterization experiments ([`rng`]),
 //! * light-weight statistics (counters, histograms, running means) used by
@@ -44,7 +46,7 @@ pub mod prefetch;
 pub mod rng;
 pub mod stats;
 
-pub use addr::{Address, BlockGeometry, LineAddr};
+pub use addr::{Address, BlockGeometry, Interleave, LineAddr};
 pub use error::ConfigError;
 pub use ids::{CacheId, CoreId, SliceId};
 pub use mem::{AccessType, MemRef};

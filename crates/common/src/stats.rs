@@ -52,16 +52,6 @@ impl Counter {
     pub fn merge(&mut self, other: &Counter) {
         self.0 = self.0.saturating_add(other.0);
     }
-
-    /// Returns this count as a fraction of `denom`, or 0 when `denom` is 0.
-    #[must_use]
-    pub fn fraction_of(self, denom: u64) -> f64 {
-        if denom == 0 {
-            0.0
-        } else {
-            self.0 as f64 / denom as f64
-        }
-    }
 }
 
 impl From<Counter> for u64 {
@@ -311,8 +301,7 @@ impl Histogram {
 /// `LogHistogram` covers `0..=u64::MAX` with O(1) recording and a bounded
 /// *relative* error: each power-of-two segment is split into
 /// `2^sig_bits` linear sub-buckets, so any reported quantile is within a
-/// factor of `2^-sig_bits` of the exact observation
-/// ([`LogHistogram::relative_error`]).  This is the scheme popularised by
+/// factor of `2^-sig_bits` of the exact observation.  This is the scheme popularised by
 /// HdrHistogram for tail-latency accounting: `p999` of a billion samples
 /// costs the same handful of index operations as `p50` of ten.
 ///
@@ -332,7 +321,7 @@ impl Histogram {
 /// assert_eq!(h.max(), Some(1000));
 /// assert_eq!(h.p50(), 2);
 /// let p99 = h.p99() as f64;
-/// assert!((p99 - 1000.0).abs() / 1000.0 <= h.relative_error());
+/// assert!((p99 - 1000.0).abs() / 1000.0 <= 0.25);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LogHistogram {
@@ -376,13 +365,6 @@ impl LogHistogram {
         self.sig_bits
     }
 
-    /// The worst-case relative error of any reported quantile:
-    /// `2^-sig_bits`.
-    #[must_use]
-    pub fn relative_error(&self) -> f64 {
-        1.0 / (1u64 << self.sig_bits) as f64
-    }
-
     /// The bucket index holding `value`: exact for values below
     /// `2^sig_bits`, log-linear above (segment = position of the most
     /// significant bit, sub-bucket = the next `sig_bits` bits).
@@ -399,7 +381,7 @@ impl LogHistogram {
     }
 
     /// The largest value mapping into bucket `index` (its upper edge);
-    /// quantiles report this, biasing *up* by at most `relative_error`.
+    /// quantiles report this, biasing *up* by at most `2^-sig_bits`.
     fn bucket_upper(&self, index: usize) -> u64 {
         let b = self.sig_bits;
         let seg = index >> b;
@@ -472,7 +454,7 @@ impl LogHistogram {
     }
 
     /// The value `v` such that at least `q` (`0..=1`) of the observations
-    /// are `<= v`, within [`LogHistogram::relative_error`] of the exact
+    /// are `<= v`, within a factor of `2^-sig_bits` of the exact
     /// order statistic (biased up, clamped to the recorded `max`).
     /// Returns 0 for an empty histogram.
     #[must_use]
@@ -808,8 +790,6 @@ mod tests {
         c.incr();
         c.add(9);
         assert_eq!(c.get(), 10);
-        assert!((c.fraction_of(40) - 0.25).abs() < 1e-12);
-        assert_eq!(c.fraction_of(0), 0.0);
         c.reset();
         assert_eq!(c.get(), 0);
     }
@@ -1135,7 +1115,7 @@ mod tests {
                 exact.push(value);
             }
             exact.sort_unstable();
-            let tolerance = h.relative_error();
+            let tolerance = 1.0 / (1u64 << sig_bits) as f64;
             for q in [0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
                 let rank = ((q * exact.len() as f64).ceil() as usize)
                     .max(1)

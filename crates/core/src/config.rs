@@ -65,13 +65,6 @@ impl CuckooConfig {
         self
     }
 
-    /// Sets the hash seed (ignored by the seedless skewing family).
-    #[must_use]
-    pub fn with_hash_seed(mut self, seed: u64) -> Self {
-        self.hash_seed = seed;
-        self
-    }
-
     /// Sets the insertion-attempt budget.
     #[must_use]
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
@@ -177,10 +170,8 @@ mod tests {
     fn builder_methods_compose() {
         let c = CuckooConfig::new(3, 8192, 16)
             .with_hash_kind(HashKind::Strong)
-            .with_hash_seed(99)
             .with_max_attempts(16);
         assert_eq!(c.hash_kind, HashKind::Strong);
-        assert_eq!(c.hash_seed, 99);
         assert_eq!(c.max_insertion_attempts, 16);
         assert!(c.validate().is_ok());
     }

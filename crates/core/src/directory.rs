@@ -493,7 +493,7 @@ mod tests {
         let sets = 256;
         let caches = 8;
         let mut sparse =
-            ccd_directory::SparseDirectory::<FullBitVector>::new(ways, sets, caches).unwrap();
+            ccd_directory::SlotDirectory::<FullBitVector>::sparse(ways, sets, caches).unwrap();
         let mut cuckoo = dir(ways, sets, caches);
         let mut out = Outcome::new();
         let mut sparse_forced = 0usize;
@@ -694,7 +694,7 @@ mod tests {
 
     #[test]
     fn baseline_directories_report_non_resizable() {
-        let mut sparse = ccd_directory::SparseDirectory::<FullBitVector>::new(4, 64, 8).unwrap();
+        let mut sparse = ccd_directory::SlotDirectory::<FullBitVector>::sparse(4, 64, 8).unwrap();
         assert_eq!(sparse.geometry(), None);
         assert!(!sparse.live_resize(4, 128).unwrap());
     }

@@ -533,11 +533,6 @@ impl<V> CuckooTable<V> {
         self.metrics = Some(Box::new(DepthMetrics::new(sig_bits)));
     }
 
-    /// Stops depth-distribution recording and drops anything recorded.
-    pub fn disarm_depth_metrics(&mut self) {
-        self.metrics = None;
-    }
-
     /// Moves the recorded distributions out of the table, disarming it.
     /// The live-resize migration path uses this to keep migration traffic
     /// out of the request-path distributions.
@@ -1744,10 +1739,10 @@ mod tests {
         assert!(metrics.displacement_chain.count() > 0);
         assert_eq!(metrics.bfs_path_depth.count(), 0);
 
-        // Clones carry the recorded distributions; disarming drops them.
+        // Clones carry the recorded distributions; taking them disarms.
         let cloned = armed.clone();
         assert_eq!(cloned.depth_metrics(), armed.depth_metrics());
-        armed.disarm_depth_metrics();
+        assert!(armed.take_depth_metrics().is_some());
         assert!(armed.depth_metrics().is_none());
     }
 

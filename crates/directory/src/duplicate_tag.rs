@@ -16,6 +16,7 @@
 //! eviction notifications (e.g. in stand-alone stress tests), a mirror
 //! overflow is reported as a forced eviction of the stale entry.
 
+use crate::spec::{capacity_too_large, checked_capacity, try_filled};
 use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
 use ccd_common::{ceil_log2, CacheId, ConfigError, LineAddr};
 
@@ -35,8 +36,9 @@ pub struct DuplicateTagDirectory {
     cache_sets: usize,
     cache_ways: usize,
     num_caches: usize,
-    /// `mirrors[cache][set * cache_ways + way]`
-    mirrors: Vec<Vec<Option<MirrorEntry>>>,
+    /// One mirror per cache, end to end:
+    /// `mirrors[(cache * cache_sets + set) * cache_ways + way]`
+    mirrors: Vec<Option<MirrorEntry>>,
     tick: u64,
     valid: usize,
     stats: DirectoryStats,
@@ -51,8 +53,10 @@ impl DuplicateTagDirectory {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when any parameter is zero or `cache_sets`
-    /// is not a power of two.
+    /// Returns a [`ConfigError`] when any parameter is zero, `cache_sets`
+    /// is not a power of two, or `cache_sets × cache_ways × num_caches`
+    /// frames cannot exist ([`checked_capacity`]) or are refused by the
+    /// allocator.
     pub fn new(
         cache_sets: usize,
         cache_ways: usize,
@@ -77,11 +81,14 @@ impl DuplicateTagDirectory {
                 value: cache_sets as u64,
             });
         }
+        let frames = checked_capacity(cache_ways, cache_sets)?;
+        let capacity = checked_capacity(frames, num_caches)?;
         Ok(DuplicateTagDirectory {
             cache_sets,
             cache_ways,
             num_caches,
-            mirrors: vec![vec![None; cache_sets * cache_ways]; num_caches],
+            mirrors: try_filled(capacity, None)
+                .ok_or_else(|| capacity_too_large(frames, num_caches))?,
             tick: 0,
             valid: 0,
             stats: DirectoryStats::new(),
@@ -101,14 +108,15 @@ impl DuplicateTagDirectory {
         (line.block_number() % self.cache_sets as u64) as usize
     }
 
-    fn frame_range(&self, set: usize) -> std::ops::Range<usize> {
-        set * self.cache_ways..(set + 1) * self.cache_ways
+    /// The frames of `line`'s set in `cache`'s mirror.
+    fn frame_range(&self, cache: CacheId, line: LineAddr) -> std::ops::Range<usize> {
+        let start = (cache.index() * self.cache_sets + self.set_of(line)) * self.cache_ways;
+        start..start + self.cache_ways
     }
 
     fn find_in_mirror(&self, cache: CacheId, line: LineAddr) -> Option<usize> {
-        let set = self.set_of(line);
-        self.frame_range(set)
-            .find(|&frame| matches!(&self.mirrors[cache.index()][frame], Some(e) if e.line == line))
+        self.frame_range(cache, line)
+            .find(|&frame| matches!(&self.mirrors[frame], Some(e) if e.line == line))
     }
 
     fn note_added(&mut self, line: LineAddr) -> bool {
@@ -129,7 +137,7 @@ impl DuplicateTagDirectory {
 
     fn remove_from_mirror(&mut self, cache: CacheId, line: LineAddr) -> bool {
         if let Some(frame) = self.find_in_mirror(cache, line) {
-            self.mirrors[cache.index()][frame] = None;
+            self.mirrors[frame] = None;
             self.valid -= 1;
             self.note_removed(line);
             true
@@ -142,15 +150,13 @@ impl DuplicateTagDirectory {
     /// the mirror set was full (which only happens when the caller does not
     /// report private-cache evictions).
     fn insert_into_mirror(&mut self, cache: CacheId, line: LineAddr) -> Option<LineAddr> {
-        let set = self.set_of(line);
         self.tick += 1;
         let tick = self.tick;
 
         // Reuse an invalid frame when available.
-        let range = self.frame_range(set);
-        let mirror = &mut self.mirrors[cache.index()];
-        if let Some(frame) = range.clone().find(|&f| mirror[f].is_none()) {
-            mirror[frame] = Some(MirrorEntry {
+        let range = self.frame_range(cache, line);
+        if let Some(frame) = range.clone().find(|&f| self.mirrors[f].is_none()) {
+            self.mirrors[frame] = Some(MirrorEntry {
                 line,
                 last_use: tick,
             });
@@ -160,9 +166,9 @@ impl DuplicateTagDirectory {
         // Mirror set full: replace the LRU frame (the private cache must have
         // replaced it too; if not, report the stale entry as forcibly evicted).
         let frame = range
-            .min_by_key(|&f| mirror[f].as_ref().map_or(0, |e| e.last_use))
+            .min_by_key(|&f| self.mirrors[f].as_ref().map_or(0, |e| e.last_use))
             .expect("cache_ways > 0");
-        let victim = mirror[frame]
+        let victim = self.mirrors[frame]
             .replace(MirrorEntry {
                 line,
                 last_use: tick,
@@ -181,7 +187,7 @@ impl DuplicateTagDirectory {
         if let Some(frame) = self.find_in_mirror(cache, line) {
             // Already mirrored for this cache; refresh recency.
             self.tick += 1;
-            self.mirrors[cache.index()][frame]
+            self.mirrors[frame]
                 .as_mut()
                 .expect("frame is valid")
                 .last_use = self.tick;

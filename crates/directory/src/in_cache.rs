@@ -12,117 +12,44 @@
 //! It is only meaningful for the Shared-L2 configuration; "inclusion of
 //! private L2s in other private L2s is not possible" (Section 5.6).
 //!
-//! Functionally this is a [`SparseDirectory`] with the L2's geometry; the
-//! difference is entirely in the storage/energy accounting, which this
-//! wrapper overrides.
+//! Functionally this is a Sparse directory ([`SlotDirectory::sparse`]) with
+//! the L2's geometry; the difference is entirely in the storage/energy
+//! accounting.
 
-use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, SparseDirectory, StorageProfile};
-use ccd_common::{CacheId, ConfigError, LineAddr};
+use crate::slots::{Organization, SlotDirectory};
+use ccd_common::ConfigError;
 use ccd_sharers::SharerSet;
 
-/// An in-cache directory: sharer vectors embedded in the shared L2 tags.
-#[derive(Clone, Debug)]
-pub struct InCacheDirectory<S: SharerSet> {
-    inner: SparseDirectory<S>,
-    l2_ways: usize,
-    l2_sets: usize,
-}
-
-impl<S: SharerSet> InCacheDirectory<S> {
-    /// Creates an in-cache directory embedded in an L2 bank of
-    /// `l2_ways × l2_sets` frames, tracking `num_caches` private caches.
+impl<S: SharerSet> SlotDirectory<S> {
+    /// Creates an in-cache directory: sharer vectors embedded in the tags of
+    /// an L2 bank of `l2_ways × l2_sets` frames, tracking `num_caches`
+    /// private caches.
     ///
     /// # Errors
     ///
-    /// Propagates the geometry validation of [`SparseDirectory::new`].
-    pub fn new(l2_ways: usize, l2_sets: usize, num_caches: usize) -> Result<Self, ConfigError> {
-        Ok(InCacheDirectory {
-            inner: SparseDirectory::new(l2_ways, l2_sets, num_caches)?,
-            l2_ways,
-            l2_sets,
-        })
-    }
-
-    /// The L2 bank geometry this directory is embedded in.
-    #[must_use]
-    pub fn l2_geometry(&self) -> (usize, usize) {
-        (self.l2_ways, self.l2_sets)
-    }
-}
-
-impl<S: SharerSet> Directory for InCacheDirectory<S> {
-    fn organization(&self) -> String {
-        format!("in-cache-{}x{}", self.l2_ways, self.l2_sets)
-    }
-
-    fn num_caches(&self) -> usize {
-        self.inner.num_caches()
-    }
-
-    fn capacity(&self) -> usize {
-        self.inner.capacity()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn contains(&self, line: LineAddr) -> bool {
-        self.inner.contains(line)
-    }
-
-    fn may_hold(&self, line: LineAddr, cache: CacheId) -> bool {
-        self.inner.may_hold(line, cache)
-    }
-
-    fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
-        self.inner.apply(op, out);
-    }
-
-    fn stats(&self) -> DirectoryStats {
-        self.inner.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.inner.reset_stats();
-    }
-
-    fn storage_profile(&self) -> StorageProfile {
-        let probe = S::new(self.num_caches());
-        let sharer_bits = probe.storage_bits();
-        let frames = (self.l2_ways * self.l2_sets) as u64;
-        StorageProfile {
-            // Tags are shared with the L2 and therefore free; the directory
-            // pays only for a sharer vector on every L2 frame.
-            total_bits: sharer_bits * frames,
-            // The tag comparison rides on the L2 lookup; the directory reads
-            // the sharer vectors of the accessed set.
-            bits_read_per_lookup: self.l2_ways as u64 * probe.access_bits(),
-            bits_written_per_update: sharer_bits,
-            comparators_per_lookup: 0,
-        }
+    /// The geometry rules of [`SlotDirectory::sparse`].
+    pub fn in_cache(
+        l2_ways: usize,
+        l2_sets: usize,
+        num_caches: usize,
+    ) -> Result<Self, ConfigError> {
+        crate::sparse::check_geometry(l2_ways, l2_sets, num_caches)?;
+        Self::with_organization(Organization::InCache, l2_ways, l2_sets, num_caches)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::testing::{add, line};
+    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory};
+    use ccd_common::CacheId;
     use ccd_sharers::FullBitVector;
-
-    fn line(n: u64) -> LineAddr {
-        LineAddr::from_block_number(n)
-    }
-
-    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
-        DirectoryOp::AddSharer { line, cache }
-    }
 
     #[test]
     fn behaves_like_a_sparse_directory_with_l2_geometry() {
-        let mut dir = InCacheDirectory::<FullBitVector>::new(16, 64, 32).unwrap();
+        let mut dir = SlotDirectory::<FullBitVector>::in_cache(16, 64, 32).unwrap();
         let mut out = Outcome::new();
         assert_eq!(dir.capacity(), 1024);
-        assert_eq!(dir.l2_geometry(), (16, 64));
         dir.apply(add(line(7), CacheId::new(1)), &mut out);
         dir.apply(add(line(7), CacheId::new(9)), &mut out);
         let (line, cache) = (line(7), CacheId::new(1));
@@ -138,7 +65,7 @@ mod tests {
 
     #[test]
     fn storage_charges_a_vector_per_l2_frame_and_no_tags() {
-        let dir = InCacheDirectory::<FullBitVector>::new(16, 1024, 32).unwrap();
+        let dir = SlotDirectory::<FullBitVector>::in_cache(16, 1024, 32).unwrap();
         let p = dir.storage_profile();
         assert_eq!(p.total_bits, 32 * 16 * 1024);
         assert_eq!(p.comparators_per_lookup, 0, "tag match rides on the L2");
@@ -151,7 +78,7 @@ mod tests {
         // A tiny 1-way, 2-set "L2": inserting two blocks that map to the same
         // set evicts the first, which models the inclusion-victim
         // invalidation of an in-cache directory.
-        let mut dir = InCacheDirectory::<FullBitVector>::new(1, 2, 4).unwrap();
+        let mut dir = SlotDirectory::<FullBitVector>::in_cache(1, 2, 4).unwrap();
         let mut out = Outcome::new();
         dir.apply(add(line(0), CacheId::new(0)), &mut out);
         dir.apply(add(line(2), CacheId::new(1)), &mut out);

@@ -7,25 +7,31 @@
 //! organizations that differ in how entries are found and where a new entry
 //! may be placed:
 //!
-//! * [`SparseDirectory`] — a conventional set-associative structure indexed
-//!   by low-order address bits.  Set conflicts force invalidations of cached
-//!   blocks (Section 3.2), which is why practical Sparse directories
-//!   over-provision capacity (the 2× and 8× configurations of Figure 12).
-//! * [`SkewedDirectory`] — the same storage, but each way indexed through a
-//!   different skewing hash function (Seznec's skewed-associative cache
-//!   adapted to a directory).  Reduces, but does not eliminate, conflicts.
+//! * Sparse ([`SlotDirectory::sparse`]) — a conventional set-associative
+//!   structure indexed by low-order address bits.  Set conflicts force
+//!   invalidations of cached blocks (Section 3.2), which is why practical
+//!   Sparse directories over-provision capacity (the 2× and 8×
+//!   configurations of Figure 12).
+//! * Skewed ([`SlotDirectory::skewed`]) — the same storage, but each way
+//!   indexed through a different skewing hash function (Seznec's
+//!   skewed-associative cache adapted to a directory).  Reduces, but does
+//!   not eliminate, conflicts.
 //! * [`DuplicateTagDirectory`] — mirrors every private cache's tag array;
 //!   never forces invalidations but needs `cache associativity × cache
 //!   count` way comparisons per lookup (Section 3.1), which is what makes
 //!   its energy grow quadratically in aggregate.
-//! * [`InCacheDirectory`] — embeds sharer vectors in the (inclusive) shared
-//!   L2 tags; tag storage is free but every L2 tag carries a full vector.
+//! * In-Cache ([`SlotDirectory::in_cache`]) — embeds sharer vectors in the
+//!   (inclusive) shared L2 tags; tag storage is free but every L2 tag
+//!   carries a full vector.
 //! * [`TaglessDirectory`] — the Tagless design of Zebchuk et al.: a grid of
 //!   per-(cache, set) Bloom filters giving a conservative sharer superset.
 //!
-//! The paper's own contribution, the Cuckoo directory, implements this same
-//! trait from the `ccd-cuckoo` crate, and [`ShardedDirectory`] composes any
-//! number of slices of any organization behind the same interface.
+//! Sparse, Skewed and In-Cache differ in one decision each (where a line's
+//! candidate slots are; what the storage is charged for) and share one slot
+//! store, [`SlotDirectory`].  The paper's own contribution, the Cuckoo
+//! directory, implements this same trait from the `ccd-cuckoo` crate, and
+//! [`ShardedDirectory`] composes a power-of-two number of slices of any
+//! organization behind the same interface.
 //!
 //! # The op/outcome protocol
 //!
@@ -47,11 +53,11 @@
 //!
 //! ```
 //! use ccd_common::{CacheId, LineAddr};
-//! use ccd_directory::{Directory, DirectoryOp, Outcome, SparseDirectory};
+//! use ccd_directory::{Directory, DirectoryOp, Outcome, SlotDirectory};
 //! use ccd_sharers::FullBitVector;
 //!
 //! // An 8-way, 256-set sparse directory tracking 32 private caches.
-//! let mut dir = SparseDirectory::<FullBitVector>::new(8, 256, 32)?;
+//! let mut dir = SlotDirectory::<FullBitVector>::sparse(8, 256, 32)?;
 //! let line = LineAddr::from_block_number(0xabc);
 //!
 //! // One reusable outcome buffer for any number of operations.
@@ -73,17 +79,17 @@ pub mod duplicate_tag;
 pub mod in_cache;
 pub mod sharded;
 pub mod skewed;
-pub(crate) mod slot_dispatch;
+pub mod slots;
 pub mod sparse;
 pub mod spec;
 pub mod stats;
 pub mod tagless;
+#[cfg(test)]
+pub(crate) mod testing;
 
 pub use duplicate_tag::DuplicateTagDirectory;
-pub use in_cache::InCacheDirectory;
 pub use sharded::ShardedDirectory;
-pub use skewed::SkewedDirectory;
-pub use sparse::SparseDirectory;
+pub use slots::SlotDirectory;
 pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy};
 pub use stats::{DepthMetrics, DirectoryStats};
 pub use tagless::TaglessDirectory;
@@ -551,7 +557,7 @@ mod tests {
     fn directory_trait_is_object_safe() {
         fn assert_object_safe(_d: &dyn Directory) {}
         let dir =
-            SparseDirectory::<ccd_sharers::FullBitVector>::new(4, 16, 8).expect("valid geometry");
+            SlotDirectory::<ccd_sharers::FullBitVector>::sparse(4, 16, 8).expect("valid geometry");
         assert_object_safe(&dir);
     }
 
@@ -562,7 +568,7 @@ mod tests {
         assert_send::<Box<dyn Directory>>();
         // A built slice really can cross a thread boundary.
         let dir: Box<dyn Directory> = Box::new(
-            SparseDirectory::<ccd_sharers::FullBitVector>::new(4, 16, 8).expect("valid geometry"),
+            SlotDirectory::<ccd_sharers::FullBitVector>::sparse(4, 16, 8).expect("valid geometry"),
         );
         let handle = std::thread::spawn(move || dir.capacity());
         assert_eq!(handle.join().unwrap(), 64);

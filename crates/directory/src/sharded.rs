@@ -4,9 +4,9 @@
 //! slice owns the blocks whose addresses interleave onto it (Section 2 of
 //! the paper).  [`ShardedDirectory`] reproduces that structure behind the
 //! ordinary [`Directory`] interface: it owns `N` independent slices (of any
-//! organization), routes every operation to the owning slice by
-//! `block mod N`, and translates slice-local lines in the results back to
-//! global ones.
+//! organization, `N` a power of two), routes every operation to the owning
+//! slice through [`ccd_common::Interleave`], and translates slice-local
+//! lines in the results back to global ones.
 //!
 //! Because every slice is an independent `Box<dyn Directory>`, shards can
 //! even mix organizations — useful for asymmetric/NUCA experiments — though
@@ -20,11 +20,12 @@
 //! request path pays for routing only.
 
 use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
-use ccd_common::{CacheId, ConfigError, LineAddr};
+use ccd_common::{CacheId, ConfigError, Interleave, LineAddr};
 
 /// `N` address-interleaved directory slices behind one [`Directory`].
 pub struct ShardedDirectory {
     shards: Vec<Box<dyn Directory>>,
+    interleave: Interleave,
 }
 
 impl std::fmt::Debug for ShardedDirectory {
@@ -42,6 +43,8 @@ impl ShardedDirectory {
     /// # Errors
     ///
     /// * [`ConfigError::Zero`] when `shards` is empty,
+    /// * [`ConfigError::NotPowerOfTwo`] when their count is not a power of
+    ///   two ([`Interleave::new`]),
     /// * [`ConfigError::Inconsistent`] when the shards disagree on the
     ///   number of tracked caches.
     pub fn new(shards: Vec<Box<dyn Directory>>) -> Result<Self, ConfigError> {
@@ -50,37 +53,20 @@ impl ShardedDirectory {
                 what: "shard count",
             });
         }
+        let interleave = Interleave::new(shards.len())?;
         let caches = shards[0].num_caches();
         if shards.iter().any(|s| s.num_caches() != caches) {
             return Err(ConfigError::Inconsistent {
                 what: "all shards must track the same number of caches",
             });
         }
-        Ok(ShardedDirectory { shards })
+        Ok(ShardedDirectory { shards, interleave })
     }
 
-    /// Number of slices.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to the individual slices.
+    /// Read access to the individual slices, in shard order.
     #[must_use]
     pub fn shards(&self) -> &[Box<dyn Directory>] {
         &self.shards
-    }
-
-    /// Which slice owns `line`, and the slice-local line it sees.
-    fn home_of(&self, line: LineAddr) -> (usize, LineAddr) {
-        let n = self.shards.len() as u64;
-        let block = line.block_number();
-        ((block % n) as usize, LineAddr::from_block_number(block / n))
-    }
-
-    /// Reconstructs the global line from a shard index and its local line.
-    fn global_line(&self, shard: usize, local: LineAddr) -> LineAddr {
-        LineAddr::from_block_number(local.block_number() * self.shards.len() as u64 + shard as u64)
     }
 }
 
@@ -107,19 +93,19 @@ impl Directory for ShardedDirectory {
     }
 
     fn contains(&self, line: LineAddr) -> bool {
-        let (shard, local) = self.home_of(line);
+        let (shard, local) = self.interleave.home_of(line);
         self.shards[shard].contains(local)
     }
 
     fn may_hold(&self, line: LineAddr, cache: CacheId) -> bool {
-        let (shard, local) = self.home_of(line);
+        let (shard, local) = self.interleave.home_of(line);
         self.shards[shard].may_hold(local, cache)
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
-        let (shard, local) = self.home_of(op.line());
+        let (shard, local) = self.interleave.home_of(op.line());
         self.shards[shard].apply(op.with_line(local), out);
-        out.map_eviction_lines(|victim| self.global_line(shard, victim));
+        out.map_eviction_lines(|victim| self.interleave.global_line(shard, victim));
     }
 
     fn stats(&self) -> DirectoryStats {
@@ -156,19 +142,12 @@ impl Directory for ShardedDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SparseDirectory;
+    use crate::testing::{add, line};
+    use crate::SlotDirectory;
     use ccd_sharers::FullBitVector;
 
     fn slice(ways: usize, sets: usize) -> Box<dyn Directory> {
-        Box::new(SparseDirectory::<FullBitVector>::new(ways, sets, 8).unwrap())
-    }
-
-    fn line(n: u64) -> LineAddr {
-        LineAddr::from_block_number(n)
-    }
-
-    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
-        DirectoryOp::AddSharer { line, cache }
+        Box::new(SlotDirectory::<FullBitVector>::sparse(ways, sets, 8).unwrap())
     }
 
     #[test]
@@ -176,11 +155,19 @@ mod tests {
         assert!(ShardedDirectory::new(Vec::new()).is_err());
         let mismatched: Vec<Box<dyn Directory>> = vec![
             slice(2, 8),
-            Box::new(SparseDirectory::<FullBitVector>::new(2, 8, 4).unwrap()),
+            Box::new(SlotDirectory::<FullBitVector>::sparse(2, 8, 4).unwrap()),
         ];
         assert!(ShardedDirectory::new(mismatched).is_err());
+        let three = (0..3).map(|_| slice(2, 8)).collect();
+        assert_eq!(
+            ShardedDirectory::new(three).err(),
+            Some(ConfigError::NotPowerOfTwo {
+                what: "directory slice count",
+                value: 3,
+            })
+        );
         let ok = ShardedDirectory::new(vec![slice(2, 8), slice(2, 8)]).unwrap();
-        assert_eq!(ok.shard_count(), 2);
+        assert_eq!(ok.shards().len(), 2);
         assert_eq!(ok.capacity(), 32);
         assert_eq!(ok.num_caches(), 8);
         assert!(ok.organization().starts_with("sharded2x["));
@@ -209,17 +196,21 @@ mod tests {
     fn forced_eviction_lines_are_reported_globally() {
         // 1-way 2-set slices, 2 shards: global blocks 0 and 8 both land on
         // shard 0, local set 0 -> the second insertion evicts the first.
+        // Blocks 1 and 9 do the same on shard 1, where the global line is
+        // not the local one shifted back.
         let mut dir = ShardedDirectory::new(vec![slice(1, 2), slice(1, 2)]).unwrap();
         let mut out = Outcome::new();
-        dir.apply(add(line(0), CacheId::new(0)), &mut out);
-        dir.apply(add(line(8), CacheId::new(1)), &mut out);
-        assert_eq!(out.forced_eviction_count(), 1);
-        assert_eq!(
-            out.forced_evictions().next().unwrap().line,
-            line(0),
-            "global line expected"
-        );
-        assert_eq!(dir.stats().forced_evictions.get(), 1);
+        for shard in 0..2 {
+            dir.apply(add(line(shard), CacheId::new(0)), &mut out);
+            dir.apply(add(line(8 + shard), CacheId::new(1)), &mut out);
+            assert_eq!(out.forced_eviction_count(), 1);
+            assert_eq!(
+                out.forced_evictions().next().unwrap().line,
+                line(shard),
+                "global line expected"
+            );
+        }
+        assert_eq!(dir.stats().forced_evictions.get(), 2);
     }
 
     #[test]

@@ -15,50 +15,22 @@
 //! forces invalidations under pressure, which is exactly what Figure 12
 //! shows for server workloads.
 
-use crate::{Directory, DirectoryStats, Outcome, StorageProfile};
-use ccd_common::{ceil_log2, ConfigError, LineAddr};
-use ccd_hash::{HashFamily, HashKind, IndexHashFamily, MAX_FAMILY_WAYS};
+use crate::slots::{Organization, SlotDirectory};
+use ccd_common::ConfigError;
+use ccd_hash::{HashFamily, HashKind};
 use ccd_sharers::SharerSet;
 
-#[derive(Clone, Debug)]
-struct Entry<S> {
-    line: LineAddr,
-    sharers: S,
-}
-
-/// A skewed-associative coherence directory slice.
-#[derive(Clone, Debug)]
-pub struct SkewedDirectory<S: SharerSet> {
-    ways: usize,
-    sets: usize,
-    num_caches: usize,
-    hashes: HashFamily,
-    /// `ways` direct-mapped tables, flattened as `way * sets + index`.
-    slots: Vec<Option<Entry<S>>>,
-    last_use: Vec<u64>,
-    tick: u64,
-    valid: usize,
-    stats: DirectoryStats,
-}
-
-impl<S: SharerSet> SkewedDirectory<S> {
-    /// Creates a skewed-associative directory with `ways` direct-mapped
-    /// tables of `sets` entries each, indexed by skewing hash functions.
+impl<S: SharerSet> SlotDirectory<S> {
+    /// Creates a skewed-associative directory slice: `ways` direct-mapped
+    /// tables of `sets` entries each, way `w` indexed by hash function `w`
+    /// of the `kind` family ([`HashKind::Skewing`] is the paper's).
     ///
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when any parameter is zero, `sets` is not a
-    /// power of two, or the hash family cannot be constructed.
-    pub fn new(ways: usize, sets: usize, num_caches: usize) -> Result<Self, ConfigError> {
-        Self::with_hash_kind(ways, sets, num_caches, HashKind::Skewing)
-    }
-
-    /// Creates a skewed-associative directory with an explicit hash family.
-    ///
-    /// # Errors
-    ///
-    /// See [`SkewedDirectory::new`].
-    pub fn with_hash_kind(
+    /// power of two, the hash family cannot be constructed or `ways × sets`
+    /// entries cannot exist.
+    pub fn skewed(
         ways: usize,
         sets: usize,
         num_caches: usize,
@@ -70,189 +42,36 @@ impl<S: SharerSet> SkewedDirectory<S> {
             });
         }
         let hashes = HashFamily::new(kind, ways, sets)?;
-        Ok(SkewedDirectory {
-            ways,
-            sets,
-            num_caches,
-            hashes,
-            slots: (0..ways * sets).map(|_| None).collect(),
-            last_use: vec![0; ways * sets],
-            tick: 0,
-            valid: 0,
-            stats: DirectoryStats::new(),
-        })
-    }
-
-    /// Number of ways (direct-mapped tables).
-    #[must_use]
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    /// Number of sets per way.
-    #[must_use]
-    pub fn sets(&self) -> usize {
-        self.sets
-    }
-
-    /// All candidate slots of `line`, hashed in one pass into `slots[..ways]`.
-    fn candidate_slots_into(&self, line: LineAddr, slots: &mut [usize]) {
-        self.hashes.index_all_into(line, slots);
-        for (way, slot) in slots.iter_mut().enumerate().take(self.ways) {
-            *slot += way * self.sets;
-        }
-    }
-
-    fn touch(&mut self, slot: usize) {
-        self.tick += 1;
-        self.last_use[slot] = self.tick;
-    }
-
-    /// The entry-matching predicate shared by lookup and allocation: the
-    /// first candidate slot whose occupant is `line`.
-    fn find_in(&self, line: LineAddr, candidates: &[usize]) -> Option<usize> {
-        candidates
-            .iter()
-            .copied()
-            .find(|&slot| matches!(&self.slots[slot], Some(e) if e.line == line))
-    }
-
-    fn find_slot(&self, line: LineAddr) -> Option<usize> {
-        let mut candidates = [0usize; MAX_FAMILY_WAYS];
-        self.candidate_slots_into(line, &mut candidates);
-        self.find_in(line, &candidates[..self.ways])
-    }
-
-    fn find_or_allocate(&mut self, line: LineAddr, out: &mut Outcome) -> usize {
-        self.stats.lookups.incr();
-        let mut candidates = [0usize; MAX_FAMILY_WAYS];
-        self.candidate_slots_into(line, &mut candidates);
-        if let Some(slot) = self.find_in(line, &candidates[..self.ways]) {
-            self.touch(slot);
-            out.set_hit(true);
-            return slot;
-        }
-
-        // Candidate locations, one per way: first invalid slot, else the
-        // least recently used candidate.
-        let mut chosen = None;
-        let mut lru_slot = usize::MAX;
-        let mut lru_time = u64::MAX;
-        for &slot in &candidates[..self.ways] {
-            if self.slots[slot].is_none() {
-                chosen = Some(slot);
-                break;
-            }
-            if self.last_use[slot] < lru_time {
-                lru_time = self.last_use[slot];
-                lru_slot = slot;
-            }
-        }
-        let chosen = chosen.unwrap_or(lru_slot);
-
-        out.record_allocation(1);
-        let mut evictions = 0u64;
-        if let Some(victim) = self.slots[chosen].take() {
-            let targets = out.push_forced_eviction(victim.line, &victim.sharers);
-            self.stats.forced_block_invalidations.add(targets as u64);
-            self.valid -= 1;
-            evictions = 1;
-        }
-        self.slots[chosen] = Some(Entry {
-            line,
-            sharers: S::new(self.num_caches),
-        });
-        self.valid += 1;
-        self.touch(chosen);
-        let occupancy = self.occupancy();
-        self.stats.record_insertion(1, evictions, occupancy);
-        chosen
-    }
-}
-
-impl<S: SharerSet> Directory for SkewedDirectory<S> {
-    fn organization(&self) -> String {
-        format!("skewed-{}x{}", self.ways, self.sets)
-    }
-
-    fn num_caches(&self) -> usize {
-        self.num_caches
-    }
-
-    fn capacity(&self) -> usize {
-        self.ways * self.sets
-    }
-
-    fn len(&self) -> usize {
-        self.valid
-    }
-
-    crate::slot_dispatch::impl_slot_directory_ops!();
-
-    fn stats(&self) -> DirectoryStats {
-        self.stats.clone()
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats.reset();
-    }
-
-    fn storage_profile(&self) -> StorageProfile {
-        let probe = S::new(self.num_caches);
-        let sharer_bits = probe.storage_bits();
-        // Skewed indexing folds all address bits into the index, so the full
-        // block-number tag must be stored (minus nothing recoverable from the
-        // index); we follow the usual practice of storing the same tag width
-        // as the equivalent set-associative structure.
-        let tag_bits = u64::from(
-            ccd_common::PHYSICAL_ADDRESS_BITS
-                .saturating_sub(ccd_common::BlockGeometry::default().offset_bits())
-                .saturating_sub(ceil_log2(self.sets as u64)),
-        );
-        let state_bits = 1;
-        let entry_bits = tag_bits + sharer_bits + state_bits;
-        StorageProfile {
-            total_bits: entry_bits * (self.ways * self.sets) as u64,
-            bits_read_per_lookup: self.ways as u64 * (tag_bits + probe.access_bits()),
-            bits_written_per_update: entry_bits,
-            comparators_per_lookup: self.ways as u64,
-        }
+        Self::with_organization(Organization::Skewed(hashes), ways, sets, num_caches)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::DirectoryOp;
+    use crate::testing::{add, line, remove};
+    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory};
     use ccd_common::rng::{Rng64, SplitMix64};
     use ccd_common::CacheId;
+    use ccd_hash::{HashFamily, HashKind, IndexHashFamily};
     use ccd_sharers::FullBitVector;
 
-    type Dir = SkewedDirectory<FullBitVector>;
+    type Dir = SlotDirectory<FullBitVector>;
 
-    fn line(n: u64) -> LineAddr {
-        LineAddr::from_block_number(n)
-    }
-
-    fn add(line: LineAddr, cache: CacheId) -> DirectoryOp {
-        DirectoryOp::AddSharer { line, cache }
-    }
-
-    fn remove(line: LineAddr, cache: CacheId) -> DirectoryOp {
-        DirectoryOp::RemoveSharer { line, cache }
+    fn skewed(ways: usize, sets: usize, caches: usize) -> Result<Dir, ccd_common::ConfigError> {
+        Dir::skewed(ways, sets, caches, HashKind::Skewing)
     }
 
     #[test]
     fn construction_validation() {
-        assert!(Dir::new(0, 64, 4).is_err());
-        assert!(Dir::new(4, 63, 4).is_err());
-        assert!(Dir::new(4, 64, 0).is_err());
-        assert!(Dir::new(4, 64, 4).is_ok());
+        assert!(skewed(0, 64, 4).is_err());
+        assert!(skewed(4, 63, 4).is_err());
+        assert!(skewed(4, 64, 0).is_err());
+        assert!(skewed(4, 64, 4).is_ok());
     }
 
     #[test]
     fn basic_add_lookup_remove() {
-        let mut dir = Dir::new(4, 64, 8).unwrap();
+        let mut dir = skewed(4, 64, 8).unwrap();
         let mut out = Outcome::new();
         dir.apply(add(line(100), CacheId::new(2)), &mut out);
         assert!(out.allocated_new_entry());
@@ -268,7 +87,7 @@ mod tests {
 
     #[test]
     fn exclusive_invalidates_other_sharers() {
-        let mut dir = Dir::new(2, 32, 4).unwrap();
+        let mut dir = skewed(2, 32, 4).unwrap();
         let mut out = Outcome::new();
         dir.apply(add(line(1), CacheId::new(0)), &mut out);
         dir.apply(add(line(1), CacheId::new(1)), &mut out);
@@ -286,7 +105,7 @@ mod tests {
     fn conflicts_force_eviction_when_all_ways_occupied() {
         // 1-way skewed = direct-mapped through one hash; drive it well past
         // capacity and confirm evictions occur and capacity is respected.
-        let mut dir = Dir::new(1, 16, 2).unwrap();
+        let mut dir = skewed(1, 16, 2).unwrap();
         let mut out = Outcome::new();
         let mut evictions = 0usize;
         for n in 0..64u64 {
@@ -299,14 +118,41 @@ mod tests {
     }
 
     #[test]
+    fn each_way_is_indexed_by_its_own_hash() {
+        // Three lines that collide in way 0 and not in way 1: the second and
+        // third each find their own way-1 slot free.  Indexed by one hash in
+        // every way, the third would evict.
+        let hashes = HashFamily::new(HashKind::Skewing, 2, 64).unwrap();
+        let mut lines: Vec<_> = Vec::new();
+        for n in (0..4096).map(line) {
+            let collides = hashes.index(0, n) == hashes.index(0, line(0));
+            if collides
+                && lines
+                    .iter()
+                    .all(|&l| hashes.index(1, l) != hashes.index(1, n))
+            {
+                lines.push(n);
+            }
+        }
+        assert!(lines.len() >= 3, "the scan found {lines:?}");
+        let mut dir = skewed(2, 64, 4).unwrap();
+        let mut out = Outcome::new();
+        for &l in &lines[..3] {
+            dir.apply(add(l, CacheId::new(0)), &mut out);
+            assert_eq!(out.forced_eviction_count(), 0, "{l}");
+        }
+        assert_eq!(dir.len(), 3);
+    }
+
+    #[test]
     fn skewing_reduces_conflicts_versus_sparse_on_adversarial_pattern() {
         // Lines that collide in the low-order index bits (classic pathological
         // pattern for a modulo-indexed Sparse directory) are spread out by
         // the skewing functions.
         let ways = 4;
         let sets = 256;
-        let mut sparse = crate::SparseDirectory::<FullBitVector>::new(ways, sets, 4).unwrap();
-        let mut skewed = Dir::new(ways, sets, 4).unwrap();
+        let mut sparse = Dir::sparse(ways, sets, 4).unwrap();
+        let mut skewed = skewed(ways, sets, 4).unwrap();
         let mut out = Outcome::new();
         // 64 lines that all share the same low-order bits.
         let mut sparse_evictions = 0usize;
@@ -327,7 +173,7 @@ mod tests {
 
     #[test]
     fn random_load_below_capacity_rarely_evicts() {
-        let mut dir = Dir::new(4, 1024, 8).unwrap();
+        let mut dir = skewed(4, 1024, 8).unwrap();
         let mut out = Outcome::new();
         let mut rng = SplitMix64::new(42);
         let capacity = dir.capacity();
@@ -347,7 +193,7 @@ mod tests {
 
     #[test]
     fn organization_and_profile() {
-        let dir = Dir::new(4, 512, 16).unwrap();
+        let dir = skewed(4, 512, 16).unwrap();
         assert_eq!(dir.organization(), "skewed-4x512");
         let p = dir.storage_profile();
         assert_eq!(p.comparators_per_lookup, 4);

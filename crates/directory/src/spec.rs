@@ -51,8 +51,7 @@
 //! ```
 
 use crate::{
-    tagless, Directory, DuplicateTagDirectory, InCacheDirectory, ShardedDirectory, SkewedDirectory,
-    SparseDirectory, TaglessDirectory,
+    tagless, Directory, DuplicateTagDirectory, ShardedDirectory, SlotDirectory, TaglessDirectory,
 };
 use ccd_common::ConfigError;
 use ccd_hash::HashKind;
@@ -159,13 +158,6 @@ impl DirectorySpec {
     #[must_use]
     pub fn with_hash(mut self, hash: HashKind) -> Self {
         self.hash = Some(hash);
-        self
-    }
-
-    /// Returns the spec with an explicit insertion policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: InsertPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -393,6 +385,16 @@ fn check_caches(caches: usize) -> Result<(), ConfigError> {
     }
 }
 
+/// `len` cells of `fill`, or `None` when the allocator refuses them: a
+/// geometry no machine can hold is an error of its constructor, not an
+/// abort of the process.
+pub(crate) fn try_filled<T: Clone>(len: usize, fill: T) -> Option<Vec<T>> {
+    let mut cells = Vec::new();
+    cells.try_reserve_exact(len).ok()?;
+    cells.resize(len, fill);
+    Some(cells)
+}
+
 /// A builder function constructing one (unsharded) directory slice.
 pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>;
 
@@ -482,7 +484,7 @@ fn build_sparse(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>
     reject_hash(spec)?;
     reject_policy(spec)?;
     Ok(match_sharer_format!(spec.sharers, S => {
-        Box::new(SparseDirectory::<S>::new(spec.ways, spec.sets, spec.caches)?)
+        Box::new(SlotDirectory::<S>::sparse(spec.ways, spec.sets, spec.caches)?)
     }))
 }
 
@@ -490,7 +492,7 @@ fn build_skewed(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>
     reject_policy(spec)?;
     let hash = spec.hash.unwrap_or(HashKind::Skewing);
     Ok(match_sharer_format!(spec.sharers, S => {
-        Box::new(SkewedDirectory::<S>::with_hash_kind(spec.ways, spec.sets, spec.caches, hash)?)
+        Box::new(SlotDirectory::<S>::skewed(spec.ways, spec.sets, spec.caches, hash)?)
     }))
 }
 
@@ -511,7 +513,7 @@ fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigErro
     reject_hash(spec)?;
     reject_policy(spec)?;
     Ok(match_sharer_format!(spec.sharers, S => {
-        Box::new(InCacheDirectory::<S>::new(spec.ways, spec.sets, spec.caches)?)
+        Box::new(SlotDirectory::<S>::in_cache(spec.ways, spec.sets, spec.caches)?)
     }))
 }
 

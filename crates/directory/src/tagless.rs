@@ -24,6 +24,7 @@
 //!   aliasing produces spurious invalidation *messages* (false-positive
 //!   sharers), not evictions of live blocks.
 
+use crate::spec::{capacity_too_large, checked_capacity, try_filled};
 use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
 use ccd_common::rng::SplitMix64;
 use ccd_common::{CacheId, ConfigError, LineAddr};
@@ -44,8 +45,10 @@ pub struct TaglessDirectory {
     num_caches: usize,
     buckets: usize,
     probes: usize,
-    /// `filters[cache][set * buckets + bucket]` — small saturating counters.
-    filters: Vec<Vec<u8>>,
+    /// One filter row per cache, end to end:
+    /// `filters[(cache * cache_sets + set) * buckets + bucket]` — small
+    /// saturating counters.
+    filters: Vec<u8>,
     /// Exact per-line presence, used to keep the counting filters consistent
     /// and to answer `len`/`contains` exactly (mirrors the bookkeeping the
     /// hardware design derives from observing cache fills and evictions).
@@ -81,7 +84,9 @@ impl TaglessDirectory {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when any parameter is zero, `cache_sets` or
-    /// `buckets` is not a power of two, or `probes` exceeds `buckets`.
+    /// `buckets` is not a power of two, `probes` exceeds `buckets`, or
+    /// `cache_sets × cache_ways × num_caches` tracked frames cannot exist
+    /// ([`checked_capacity`]) or their filters are refused by the allocator.
     pub fn with_filter_geometry(
         cache_sets: usize,
         cache_ways: usize,
@@ -131,53 +136,53 @@ impl TaglessDirectory {
                 max: buckets as u64,
             });
         }
+        let frames = checked_capacity(cache_ways, cache_sets)?;
+        checked_capacity(frames, num_caches)?;
+        let filters = cache_sets
+            .checked_mul(buckets)
+            .and_then(|row| row.checked_mul(num_caches))
+            .and_then(|cells| try_filled(cells, 0u8))
+            .ok_or_else(|| capacity_too_large(frames, num_caches))?;
         Ok(TaglessDirectory {
             cache_sets,
             cache_ways,
             num_caches,
             buckets,
             probes,
-            filters: vec![vec![0u8; cache_sets * buckets]; num_caches],
+            filters,
             // ccd-lint: allow(no-default-hasher) reason="keyed lookups only, never iterated"
             present: HashMap::new(),
             stats: DirectoryStats::new(),
         })
     }
 
-    /// Bloom-filter buckets per (cache, set) filter.
-    #[must_use]
-    pub fn buckets(&self) -> usize {
-        self.buckets
-    }
-
     fn set_of(&self, line: LineAddr) -> usize {
         (line.block_number() % self.cache_sets as u64) as usize
     }
 
-    /// The `p`-th Bloom-filter bucket probed for `line` — a pure function so
-    /// read and update paths stay allocation-free.
-    fn probe_bucket(&self, line: LineAddr, p: usize) -> usize {
+    /// The `p`-th Bloom-filter bucket of `cache`'s row probed for `line` —
+    /// a pure function so read and update paths stay allocation-free.
+    fn probe_bucket(&self, cache: CacheId, line: LineAddr, p: usize) -> usize {
         let h = SplitMix64::mix(line.block_number() ^ (p as u64).wrapping_mul(0x9E37_79B9));
-        self.set_of(line) * self.buckets + (h % self.buckets as u64) as usize
+        let filter = cache.index() * self.cache_sets + self.set_of(line);
+        filter * self.buckets + (h % self.buckets as u64) as usize
     }
 
     fn filter_may_contain(&self, cache: CacheId, line: LineAddr) -> bool {
-        (0..self.probes).all(|p| self.filters[cache.index()][self.probe_bucket(line, p)] > 0)
+        (0..self.probes).all(|p| self.filters[self.probe_bucket(cache, line, p)] > 0)
     }
 
     fn filter_add(&mut self, cache: CacheId, line: LineAddr) {
         for p in 0..self.probes {
-            let b = self.probe_bucket(line, p);
-            let counter = &mut self.filters[cache.index()][b];
-            *counter = counter.saturating_add(1);
+            let b = self.probe_bucket(cache, line, p);
+            self.filters[b] = self.filters[b].saturating_add(1);
         }
     }
 
     fn filter_remove(&mut self, cache: CacheId, line: LineAddr) {
         for p in 0..self.probes {
-            let b = self.probe_bucket(line, p);
-            let counter = &mut self.filters[cache.index()][b];
-            *counter = counter.saturating_sub(1);
+            let b = self.probe_bucket(cache, line, p);
+            self.filters[b] = self.filters[b].saturating_sub(1);
         }
     }
 

@@ -1,7 +1,7 @@
-//! Metric exposition: deterministic JSON and Prometheus-style text.
+//! Metric exposition: deterministic JSON.
 //!
-//! Both renderers consume a [`MetricSnapshot`] — integer-only counters and
-//! histogram summaries in a fixed push order — and emit nothing but
+//! The renderer consumes a [`MetricSnapshot`] — integer-only counters and
+//! histogram summaries in a fixed push order — and emits nothing but
 //! integers in a fixed field order, so equal snapshots render to
 //! byte-identical strings.  This is what lets the service stack assert its
 //! merged-metrics determinism contract at the *serialized* level: a serial
@@ -71,32 +71,6 @@ fn render_histogram_json(hist: &HistogramSnapshot, out: &mut String) {
     out.push_str("]\n    }");
 }
 
-/// Renders a snapshot in the Prometheus text exposition format.
-///
-/// Counters become `<prefix>_<name>` counter samples; each histogram
-/// becomes a summary — `quantile`-labelled samples plus `_count`, `_sum`,
-/// `_min` and `_max` — all integer-valued.
-#[must_use]
-pub fn render_prometheus(snapshot: &MetricSnapshot, prefix: &str) -> String {
-    let mut out = String::new();
-    for (name, value) in &snapshot.counters {
-        let _ = writeln!(out, "# TYPE {prefix}_{name} counter");
-        let _ = writeln!(out, "{prefix}_{name} {value}");
-    }
-    for hist in &snapshot.histograms {
-        let name = format!("{prefix}_{}", hist.name);
-        let _ = writeln!(out, "# TYPE {name} summary");
-        for (label, value) in [("0.5", hist.p50), ("0.99", hist.p99), ("0.999", hist.p999)] {
-            let _ = writeln!(out, "{name}{{quantile=\"{label}\"}} {value}");
-        }
-        let _ = writeln!(out, "{name}_count {}", hist.count);
-        let _ = writeln!(out, "{name}_sum {}", hist.sum);
-        let _ = writeln!(out, "{name}_min {}", hist.min);
-        let _ = writeln!(out, "{name}_max {}", hist.max);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,21 +112,5 @@ mod tests {
         let text = render_json(&MetricSnapshot::default());
         assert!(text.contains("\"counters\": {}"));
         assert!(text.contains("\"histograms\": []"));
-    }
-
-    #[test]
-    fn prometheus_rendering_matches_the_text_format() {
-        let text = render_prometheus(&sample(), "ccd");
-        assert!(text.contains("# TYPE ccd_requests counter\nccd_requests 1000\n"));
-        assert!(text.contains("# TYPE ccd_probe_depth summary"));
-        assert!(text.contains("ccd_probe_depth{quantile=\"0.5\"} 2"));
-        assert!(text.contains("ccd_probe_depth_count 5"));
-        assert!(text.contains("ccd_probe_depth_min 1"));
-        assert!(text.contains("ccd_probe_depth_max 9"));
-        // Every non-comment line is `name[{labels}] integer`.
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let value = line.rsplit(' ').next().unwrap();
-            assert!(value.parse::<u64>().is_ok(), "non-integer sample: {line}");
-        }
     }
 }

@@ -12,8 +12,8 @@
 //!   zero-alloc ring of compact binary events stamped with *virtual time*
 //!   (request sequence numbers, recovery epochs, shard-apply ticks — never
 //!   wall-clock), so recordings of deterministic runs are bit-reproducible.
-//! * [`expo`] — byte-deterministic JSON and Prometheus-style renderings of
-//!   a [`MetricSnapshot`], the serialized form the service's merged-metrics
+//! * [`expo`] — the byte-deterministic JSON rendering of a
+//!   [`MetricSnapshot`], the serialized form the service's merged-metrics
 //!   determinism contract is asserted against.
 //!
 //! The histograms themselves ([`LogHistogram`]) live in

@@ -335,12 +335,6 @@ impl WorkerFaults {
         }
     }
 
-    /// The scheduled per-batch stall, if any.
-    #[must_use]
-    pub fn stall_duration(&self) -> Option<Duration> {
-        self.stall
-    }
-
     /// The remaining crash points, in firing order.
     #[must_use]
     pub fn crashes(&self) -> &[CrashPoint] {
@@ -526,7 +520,7 @@ mod tests {
         assert!(plan.arm(2, 0).is_none(), "worker 2 has no scheduled faults");
         let w0 = plan.arm(0, 0).unwrap();
         assert!(w0.crashes().is_empty());
-        assert_eq!(w0.stall_duration(), Some(Duration::from_millis(1)));
+        assert_eq!(w0.stall, Some(Duration::from_millis(1)));
         let w1 = plan.arm(1, 0).unwrap();
         assert_eq!(w1.crashes().len(), 2);
         // After the first crash fired, the replacement arms only the rest.

@@ -6,7 +6,7 @@
 //!             ┌────────────── DirectoryService::run ──────────────┐
 //!             │                                                   │
 //! ops ──► router (caller thread)                                  │
-//!             │  seq-stamp, route by block % shards,              │
+//!             │  seq-stamp, route by ccd_common::Interleave,      │
 //!             │  batch per owning worker                          │
 //!             ├─── bounded channel ──► worker 0 ── shards 0,W,2W… │
 //!             ├─── bounded channel ──► worker 1 ── shards 1,W+1,… │
@@ -61,7 +61,7 @@ use crate::request::{digest_outcome_semantics, reassemble, OutcomeLog, OutcomeRe
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
-use ccd_common::{ConfigError, LineAddr};
+use ccd_common::{ConfigError, Interleave};
 use ccd_directory::{
     BuilderRegistry, DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome,
 };
@@ -299,6 +299,8 @@ impl ServiceReport {
 pub struct DirectoryService {
     pub(crate) config: ServiceConfig,
     pub(crate) slices: Vec<Box<dyn Directory>>,
+    /// Which shard owns a line, and the shard-local line it tracks it under.
+    pub(crate) interleave: Interleave,
     pub(crate) organization: String,
     /// Kept for the supervisor: a crashed worker's shards are rebuilt from
     /// the same registry and per-shard spec the service was built from.
@@ -328,9 +330,11 @@ impl DirectoryService {
     ///
     /// # Errors
     ///
-    /// See [`ServiceConfig::validate`] and [`BuilderRegistry::build`].
+    /// See [`ServiceConfig::validate`], [`Interleave::new`] (the shard count
+    /// is a power of two) and [`BuilderRegistry::build`].
     pub fn build(config: ServiceConfig, registry: &BuilderRegistry) -> Result<Self, ConfigError> {
         let spec = config.validate()?;
+        let interleave = Interleave::new(config.shards)?;
         let slice_spec = DirectorySpec {
             sets: spec.sets / config.shards,
             ..spec
@@ -355,6 +359,7 @@ impl DirectoryService {
         Ok(DirectoryService {
             config,
             slices,
+            interleave,
             organization,
             registry: registry.clone(),
             slice_spec,
@@ -429,16 +434,6 @@ impl DirectoryService {
         Ok(self.run_serial(ops))
     }
 
-    /// Routes `op`'s line: the owning global shard and the shard-local line.
-    #[inline]
-    pub(crate) fn route(shards: u64, line: LineAddr) -> (usize, LineAddr) {
-        let block = line.block_number();
-        (
-            (block % shards) as usize,
-            LineAddr::from_block_number(block / shards),
-        )
-    }
-
     /// Runs the service over `ops`: spawns one supervised worker thread per
     /// configured worker, ingests the stream in batches with backpressure
     /// from the calling thread, drains everything, joins the workers and
@@ -472,7 +467,7 @@ impl DirectoryService {
         output.arm_obs(obs.as_ref());
         let mut out = Outcome::new();
         for (seq, op) in ops.enumerate() {
-            let (shard, local) = Self::route(shards as u64, op.line());
+            let (shard, local) = self.interleave.home_of(op.line());
             output.slices[shard].apply(op.with_line(local), &mut out);
             output.applied += 1;
             absorb_into(
@@ -774,7 +769,7 @@ pub(crate) fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccd_common::CacheId;
+    use ccd_common::{CacheId, LineAddr};
 
     fn ops(n: u64) -> Vec<DirectoryOp> {
         // A deterministic little op mix touching a handful of lines from a

@@ -466,6 +466,7 @@ pub(crate) fn run_concurrent(
 ) -> Result<ServiceReport, ServiceError> {
     let workers = service.config.workers;
     let shards = service.config.shards;
+    let interleave = service.interleave;
     let batch = service.config.batch;
     let record = service.config.record_outcomes;
     let plan = service.config.fault_plan.clone().filter(|p| !p.is_noop());
@@ -509,7 +510,7 @@ pub(crate) fn run_concurrent(
             (0..workers).map(|_| Vec::with_capacity(batch)).collect();
         let routed = (|| -> Result<(), ServiceError> {
             for (seq, op) in ops.enumerate() {
-                let (shard, local) = DirectoryService::route(shards as u64, op.line());
+                let (shard, local) = interleave.home_of(op.line());
                 let owner = shard % workers;
                 staging[owner].push(Request {
                     seq: seq as u64,

@@ -6,8 +6,8 @@
 //!   (metrics + flight recorder + spans), under an active fault plan *and*
 //!   an active resize policy, is digest-identical to the same run dark.
 //! * **Merged metrics are worker-count invariant** — the merged metric
-//!   snapshot (and its byte-level JSON / Prometheus renderings) is
-//!   identical for the serial reference and every worker count, because
+//!   snapshot (and its byte-level JSON rendering) is identical for the
+//!   serial reference and every worker count, because
 //!   counters come from merged stats and depth distributions merge in
 //!   global shard order.
 //!
@@ -18,7 +18,7 @@
 //! thread race, so crash narration is asserted by presence and by its
 //! deterministic virtual-time stamps instead of by ring digest.
 
-use ccd_obs::expo::{render_json, render_prometheus};
+use ccd_obs::expo::render_json;
 use ccd_obs::EventKind;
 use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
 
@@ -112,23 +112,20 @@ fn armed_and_unarmed_runs_are_digest_identical_under_faults_and_resize() {
     }
 }
 
-/// The merged metric snapshot — and therefore its JSON and Prometheus
-/// renderings — is byte-identical across the serial reference and every
-/// worker count.
+/// The merged metric snapshot — and therefore its JSON rendering — is
+/// byte-identical across the serial reference and every worker count.
 #[test]
 fn merged_metric_snapshots_are_byte_identical_across_worker_counts() {
     let armed = |workers| config(workers).with_obs_spec(OBS).expect("obs spec parses");
     let serial = run_serial(armed(1));
     let reference = serial.obs.as_ref().expect("serial obs report");
     let reference_json = render_json(&reference.metrics);
-    let reference_prom = render_prometheus(&reference.metrics, "ccd");
     assert!(reference.router.is_none(), "serial runs have no router");
     for workers in [1usize, 2, 4] {
         let report = run(armed(workers));
         let obs = report.obs.as_ref().expect("concurrent obs report");
         assert_eq!(obs.metrics, reference.metrics, "{workers} workers");
         assert_eq!(render_json(&obs.metrics), reference_json);
-        assert_eq!(render_prometheus(&obs.metrics, "ccd"), reference_prom);
     }
 }
 

@@ -211,113 +211,6 @@ impl std::fmt::Display for SharerFormat {
     }
 }
 
-/// A sharer set whose representation is chosen at runtime.
-///
-/// This is the type the coherence simulator stores in directory entries when
-/// the sharer format is part of the experiment configuration.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DynSharerSet {
-    /// Full bit vector.
-    Full(FullBitVector),
-    /// Limited pointers.
-    Limited(LimitedPointer),
-    /// Coarse vector with pointer fast path.
-    Coarse(CoarseVector),
-    /// Two-level hierarchical vector.
-    Hierarchical(HierarchicalVector),
-}
-
-impl DynSharerSet {
-    /// Creates an empty set of the given `format` for `num_caches` caches.
-    #[must_use]
-    pub fn with_format(format: SharerFormat, num_caches: usize) -> Self {
-        match format {
-            SharerFormat::FullVector => DynSharerSet::Full(FullBitVector::new(num_caches)),
-            SharerFormat::LimitedPointer => DynSharerSet::Limited(LimitedPointer::new(num_caches)),
-            SharerFormat::Coarse => DynSharerSet::Coarse(CoarseVector::new(num_caches)),
-            SharerFormat::Hierarchical => {
-                DynSharerSet::Hierarchical(HierarchicalVector::new(num_caches))
-            }
-        }
-    }
-
-    /// Returns the format of this set.
-    #[must_use]
-    pub fn format(&self) -> SharerFormat {
-        match self {
-            DynSharerSet::Full(_) => SharerFormat::FullVector,
-            DynSharerSet::Limited(_) => SharerFormat::LimitedPointer,
-            DynSharerSet::Coarse(_) => SharerFormat::Coarse,
-            DynSharerSet::Hierarchical(_) => SharerFormat::Hierarchical,
-        }
-    }
-}
-
-macro_rules! dyn_dispatch {
-    ($self:ident, $inner:ident, $body:expr) => {
-        match $self {
-            DynSharerSet::Full($inner) => $body,
-            DynSharerSet::Limited($inner) => $body,
-            DynSharerSet::Coarse($inner) => $body,
-            DynSharerSet::Hierarchical($inner) => $body,
-        }
-    };
-}
-
-impl SharerSet for DynSharerSet {
-    fn new(num_caches: usize) -> Self {
-        DynSharerSet::Full(FullBitVector::new(num_caches))
-    }
-
-    fn num_caches(&self) -> usize {
-        dyn_dispatch!(self, s, s.num_caches())
-    }
-
-    fn add(&mut self, cache: CacheId) {
-        dyn_dispatch!(self, s, s.add(cache));
-    }
-
-    fn remove(&mut self, cache: CacheId) {
-        dyn_dispatch!(self, s, s.remove(cache));
-    }
-
-    fn may_contain(&self, cache: CacheId) -> bool {
-        dyn_dispatch!(self, s, s.may_contain(cache))
-    }
-
-    fn is_empty(&self) -> bool {
-        dyn_dispatch!(self, s, s.is_empty())
-    }
-
-    fn invalidation_targets(&self) -> Vec<CacheId> {
-        dyn_dispatch!(self, s, s.invalidation_targets())
-    }
-
-    fn extend_targets(&self, out: &mut Vec<CacheId>) {
-        dyn_dispatch!(self, s, s.extend_targets(out));
-    }
-
-    fn is_exact(&self) -> bool {
-        dyn_dispatch!(self, s, s.is_exact())
-    }
-
-    fn exact_count(&self) -> Option<usize> {
-        dyn_dispatch!(self, s, s.exact_count())
-    }
-
-    fn clear(&mut self) {
-        dyn_dispatch!(self, s, s.clear());
-    }
-
-    fn storage_bits(&self) -> u64 {
-        dyn_dispatch!(self, s, s.storage_bits())
-    }
-
-    fn access_bits(&self) -> u64 {
-        dyn_dispatch!(self, s, s.access_bits())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,17 +241,27 @@ mod tests {
         exercise::<LimitedPointer>(32);
         exercise::<CoarseVector>(32);
         exercise::<HierarchicalVector>(32);
-        exercise::<DynSharerSet>(32);
     }
 
     #[test]
-    fn dyn_set_reports_its_format() {
-        for format in SharerFormat::all() {
-            let s = DynSharerSet::with_format(format, 16);
-            assert_eq!(s.format(), format);
-            assert_eq!(s.num_caches(), 16);
-            assert_eq!(s.storage_bits(), format.entry_bits(16));
-        }
+    fn representations_store_what_their_format_declares() {
+        let bits = |format: SharerFormat| format.entry_bits(16);
+        assert_eq!(
+            FullBitVector::new(16).storage_bits(),
+            bits(SharerFormat::FullVector)
+        );
+        assert_eq!(
+            LimitedPointer::new(16).storage_bits(),
+            bits(SharerFormat::LimitedPointer)
+        );
+        assert_eq!(
+            CoarseVector::new(16).storage_bits(),
+            bits(SharerFormat::Coarse)
+        );
+        assert_eq!(
+            HierarchicalVector::new(16).storage_bits(),
+            bits(SharerFormat::Hierarchical)
+        );
     }
 
     #[test]

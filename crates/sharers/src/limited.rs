@@ -53,12 +53,6 @@ impl LimitedPointer {
         }
     }
 
-    /// Returns `true` once the entry has overflowed into broadcast mode.
-    #[must_use]
-    pub fn has_overflowed(&self) -> bool {
-        self.overflowed
-    }
-
     /// The pointer budget of this entry.
     #[must_use]
     pub fn capacity(&self) -> usize {
@@ -170,7 +164,6 @@ mod tests {
 
         // Third sharer overflows into broadcast.
         s.add(CacheId::new(40));
-        assert!(s.has_overflowed());
         assert!(!s.is_exact());
         assert_eq!(s.exact_count(), None);
         assert_eq!(s.invalidation_targets().len(), 64);

@@ -256,13 +256,6 @@ impl WorkloadProfile {
             .find(|p| p.name.eq_ignore_ascii_case(name))
     }
 
-    /// Total number of distinct blocks the workload can touch on a system
-    /// with `num_cores` cores.
-    #[must_use]
-    pub fn total_footprint_blocks(&self, num_cores: usize) -> usize {
-        self.shared_code_blocks + self.shared_data_blocks + self.private_data_blocks * num_cores
-    }
-
     /// Validates that the profile's fractions are sane.
     #[must_use]
     pub fn is_valid(&self) -> bool {
@@ -311,14 +304,6 @@ mod tests {
         let db2 = WorkloadProfile::db2();
         assert!(db2.shared_data_blocks > db2.private_data_blocks);
         assert!(db2.shared_data_fraction > 0.5);
-    }
-
-    #[test]
-    fn footprints_scale_with_core_count() {
-        let p = WorkloadProfile::qry16();
-        let f16 = p.total_footprint_blocks(16);
-        let f32 = p.total_footprint_blocks(32);
-        assert_eq!(f32 - f16, 16 * p.private_data_blocks);
     }
 
     #[test]

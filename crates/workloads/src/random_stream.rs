@@ -41,12 +41,6 @@ impl RandomKeyStream {
         }
     }
 
-    /// Draws `n` distinct keys.
-    #[must_use]
-    pub fn take_keys(&mut self, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.next_key()).collect()
-    }
-
     /// Number of keys drawn so far.
     #[must_use]
     pub fn drawn(&self) -> usize {
@@ -70,8 +64,8 @@ mod tests {
     fn keys_are_unique_and_deterministic() {
         let mut a = RandomKeyStream::new(9);
         let mut b = RandomKeyStream::new(9);
-        let ka = a.take_keys(10_000);
-        let kb = b.take_keys(10_000);
+        let ka: Vec<u64> = a.by_ref().take(10_000).collect();
+        let kb: Vec<u64> = b.by_ref().take(10_000).collect();
         assert_eq!(ka, kb);
         let unique: HashSet<_> = ka.iter().collect();
         assert_eq!(unique.len(), ka.len());
@@ -80,8 +74,7 @@ mod tests {
 
     #[test]
     fn keys_fit_in_block_number_range() {
-        let mut s = RandomKeyStream::new(3);
-        for k in s.take_keys(1000) {
+        for k in RandomKeyStream::new(3).take(1000) {
             assert!(k < (1u64 << 42));
         }
     }

@@ -109,7 +109,7 @@ pub mod prelude {
     pub use ccd_cuckoo::{standard_registry, CuckooConfig, CuckooDirectory, CuckooTable};
     pub use ccd_directory::{
         BuilderRegistry, Directory, DirectoryOp, DirectoryStats, Outcome, ShardedDirectory,
-        SparseDirectory,
+        SlotDirectory,
     };
     pub use ccd_energy::{DirOrg, EnergyModel};
     pub use ccd_hash::{HashFamily, HashKind, IndexHashFamily};

@@ -347,6 +347,23 @@ fn geometries_that_cannot_exist_are_errors_not_directories() {
         assert!(registry.build_str(&spec).expect(&spec).capacity() > 0);
     }
 
+    // Duplicate-Tag and Tagless hold one mirror / filter grid *per cache*,
+    // so their capacity has a third factor: 2^54 frames are under
+    // `MAX_CAPACITY` and past any address space, whatever the overcommit
+    // mode.  (`duplicate-tag-4x64-c4294967295` used to abort the process
+    // with "memory allocation of 103079215080 bytes failed".)
+    for org in ["duplicate-tag", "tagless"] {
+        let spec = format!("{org}-4x1048576-c4294967295");
+        match registry.build_str(&spec) {
+            Err(ccd_common::ConfigError::TooLarge { what, value, .. }) => {
+                assert_eq!(what, "directory capacity", "{spec}");
+                assert_eq!(value, (4 << 20) * u64::from(u32::MAX), "{spec}");
+            }
+            Err(other) => panic!("{spec}: rejected for the wrong reason: {other}"),
+            Ok(dir) => panic!("{spec}: built {} entries", dir.capacity()),
+        }
+    }
+
     // Cache ids are 32-bit, so a count past `u32::MAX` is no directory
     // either: `sparse-4x64-c4294967296` used to build, and panic inside the
     // sharer vector on its first allocating op.
