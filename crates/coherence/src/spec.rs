@@ -11,6 +11,7 @@
 
 use crate::SystemConfig;
 use ccd_common::ConfigError;
+use ccd_directory::spec::provisioned_sets;
 use ccd_directory::Directory;
 use ccd_hash::HashKind;
 use std::fmt;
@@ -131,12 +132,6 @@ impl DirectorySpec {
         }
     }
 
-    /// Rounds a capacity target to a power-of-two per-way set count.
-    fn sets_for(ways: usize, tracked_frames: usize, provisioning: f64) -> usize {
-        let capacity = (tracked_frames as f64 * provisioning).ceil() as usize;
-        (capacity.div_ceil(ways.max(1))).next_power_of_two().max(2)
-    }
-
     /// Sizes one slice for `system`: the sizing policy becomes the explicit
     /// `ways × sets` geometry and tracked-cache count the builder registry
     /// takes.  Pure — nothing is built or validated here.
@@ -153,7 +148,7 @@ impl DirectorySpec {
         let cache = system.tracked_cache();
         let mirrored_sets = system.tracked_sets_per_slice();
         let provisioned = |org, ways, provisioning| {
-            Resolved::new(org, ways, Self::sets_for(ways, tracked, provisioning))
+            Resolved::new(org, ways, provisioned_sets(ways, tracked, provisioning))
         };
         let spec = match self {
             DirectorySpec::Cuckoo {

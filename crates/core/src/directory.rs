@@ -14,10 +14,8 @@
 //! rate, occupancy) are the quantities Figures 8–12 report.
 
 use crate::{config::CuckooConfig, table::CuckooTable};
-use ccd_common::{ceil_log2, CacheId, ConfigError, LineAddr};
-use ccd_directory::{
-    DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome, StorageProfile,
-};
+use ccd_common::{CacheId, ConfigError, LineAddr};
+use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome};
 use ccd_obs::ObsConfig;
 use ccd_sharers::SharerSet;
 
@@ -331,38 +329,15 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
         self.config = config;
         Ok(true)
     }
-
-    fn storage_profile(&self) -> StorageProfile {
-        let probe = S::new(self.config.num_caches);
-        let sharer_bits = probe.storage_bits();
-        // The cuckoo indexing folds all address bits into every way's index,
-        // so no index bits can be dropped from the tag; we store the block
-        // number above the per-way index width, as a skewed structure does.
-        let tag_bits = u64::from(
-            ccd_common::PHYSICAL_ADDRESS_BITS
-                .saturating_sub(ccd_common::BlockGeometry::default().offset_bits())
-                .saturating_sub(ceil_log2(self.config.sets as u64)),
-        );
-        let state_bits = 1;
-        let entry_bits = tag_bits + sharer_bits + state_bits;
-        StorageProfile {
-            total_bits: entry_bits * self.config.capacity() as u64,
-            // Lookups read one entry per way (tags + sharer data), exactly
-            // like a d-way set-associative structure (Section 4.1: "nearly
-            // identical energy and latency per lookup").
-            bits_read_per_lookup: self.config.ways as u64 * (tag_bits + probe.access_bits()),
-            bits_written_per_update: entry_bits,
-            comparators_per_lookup: self.config.ways as u64,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ccd_common::rng::{Rng64, SplitMix64};
+    use ccd_directory::StorageProfile;
     use ccd_hash::HashKind;
-    use ccd_sharers::{CoarseVector, FullBitVector, HierarchicalVector};
+    use ccd_sharers::{CoarseVector, FullBitVector, HierarchicalVector, SharerFormat};
 
     type Dir = CuckooDirectory<FullBitVector>;
 
@@ -569,8 +544,7 @@ mod tests {
 
     #[test]
     fn storage_profile_matches_a_4_way_structure() {
-        let d = dir(4, 512, 32);
-        let p = d.storage_profile();
+        let p = StorageProfile::tagged(4, 512, SharerFormat::FullVector.entry_bits(32));
         assert_eq!(p.comparators_per_lookup, 4);
         // tag = 48 - 6 - 9 = 33 bits, sharers = 32, valid = 1.
         assert_eq!(p.bits_written_per_update, 33 + 32 + 1);

@@ -162,14 +162,29 @@ mod tests {
 
     #[test]
     fn registry_cuckoo_honours_hash_and_sharer_modifiers() {
+        use ccd_common::{CacheId, LineAddr};
+        use ccd_directory::{DirectoryOp, Outcome};
+
         let registry = standard_registry();
         let dir = registry
             .build_str("cuckoo-3x8192-strong-c16@coarse")
             .unwrap();
         assert_eq!(dir.organization(), "cuckoo-3x8192-strong");
         assert_eq!(dir.num_caches(), 16);
+        // Three caches share a line — one more than `@coarse` has exact
+        // pointers, so it answers with whole regions where `@full` is exact.
+        let probed_sharers = |mut dir: Box<dyn Directory>| {
+            let line = LineAddr::from_block_number(7);
+            let mut out = Outcome::new();
+            for cache in [0, 5, 10].map(CacheId::new) {
+                dir.apply(DirectoryOp::AddSharer { line, cache }, &mut out);
+            }
+            dir.apply(DirectoryOp::Probe { line }, &mut out);
+            out.sharers().len()
+        };
         let full = registry.build_str("cuckoo-3x8192-strong-c16@full").unwrap();
-        assert!(dir.storage_profile().total_bits < full.storage_profile().total_bits);
+        assert_eq!(probed_sharers(full), 3);
+        assert!(probed_sharers(dir) > 3);
         let dir = registry.build_str("cuckoo-4x512-skew").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x512-skewing");
     }

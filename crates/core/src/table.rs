@@ -1523,6 +1523,8 @@ impl<V> CuckooTable<V> {
     /// * Every occupied slot's tag is its key's [`fingerprint`].
     /// * Every stored key sits in a candidate slot: at the index its own
     ///   way's hash gives it.
+    /// * No key is stored twice: none of its other candidate slots holds it
+    ///   too.
     /// * For the `tagalt` family, `alt_index` from a stored entry to any way
     ///   stays inside the table and leads back (an involution).
     /// * [`CuckooTable::len`] equals the number of occupied slots.
@@ -1565,6 +1567,14 @@ impl<V> CuckooTable<V> {
                      whose hash sends it to {}",
                     indices[way]
                 ));
+            }
+            for (other, &at) in indices.iter().enumerate().take(self.ways).skip(way + 1) {
+                let twin = other * self.sets + at;
+                if self.tags[self.tag_pos_of_slot(twin)] != EMPTY_TAG && self.keys[twin] == key {
+                    return Err(format!(
+                        "slot {slot}: key {key:#x} is stored again at slot {twin}"
+                    ));
+                }
             }
             if let Some(family) = self.hashes.tag_alt() {
                 for to in 0..self.ways {
@@ -2441,6 +2451,27 @@ mod tests {
             let why = table.check_invariants().unwrap_err();
             assert!(why.contains("whose hash sends it to"), "{kind}: {why}");
             table.keys[slot] = resident;
+
+            // A second copy of a resident key in a vacant candidate slot of
+            // a later way (counted, so only the duplicate is wrong).
+            let (slot, twin) = (0..table.capacity())
+                .filter(|&slot| table.tags[table.tag_pos_of_slot(slot)] != EMPTY_TAG)
+                .find_map(|slot| {
+                    table.hash_into(table.keys[slot], &mut indices);
+                    (slot / table.sets + 1..table.ways)
+                        .map(|way| way * table.sets + indices[way])
+                        .find(|&twin| table.tags[table.tag_pos_of_slot(twin)] == EMPTY_TAG)
+                        .map(|twin| (slot, twin))
+                })
+                .unwrap();
+            let twin_pos = table.tag_pos_of_slot(twin);
+            table.tags[twin_pos] = fingerprint(table.keys[slot]);
+            table.keys[twin] = table.keys[slot];
+            table.valid += 1;
+            let why = table.check_invariants().unwrap_err();
+            assert!(why.contains("is stored again at slot"), "{kind}: {why}");
+            table.tags[twin_pos] = EMPTY_TAG;
+            table.valid -= 1;
 
             table.valid += 1;
             let why = table.check_invariants().unwrap_err();

@@ -17,8 +17,8 @@
 //! overflow is reported as a forced eviction of the stale entry.
 
 use crate::spec::{capacity_too_large, checked_capacity, try_filled};
-use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
-use ccd_common::{ceil_log2, CacheId, ConfigError, LineAddr};
+use crate::{Directory, DirectoryOp, DirectoryStats, Outcome};
+use ccd_common::{CacheId, ConfigError, LineAddr};
 
 #[derive(Clone, Debug)]
 struct MirrorEntry {
@@ -311,32 +311,12 @@ impl Directory for DuplicateTagDirectory {
     fn reset_stats(&mut self) {
         self.stats.reset();
     }
-
-    fn storage_profile(&self) -> StorageProfile {
-        let tag_bits = u64::from(
-            ccd_common::PHYSICAL_ADDRESS_BITS
-                .saturating_sub(ccd_common::BlockGeometry::default().offset_bits())
-                .saturating_sub(ceil_log2(self.cache_sets as u64)),
-        );
-        let state_bits = 1;
-        let entry_bits = tag_bits + state_bits;
-        let frames = self.capacity() as u64;
-        let assoc = self.effective_associativity() as u64;
-        StorageProfile {
-            // Only duplicated tags are stored; sharer identity is implicit in
-            // which mirror the tag sits in.
-            total_bits: entry_bits * frames,
-            // Every lookup reads the full set across all mirrored caches.
-            bits_read_per_lookup: assoc * tag_bits,
-            bits_written_per_update: entry_bits,
-            comparators_per_lookup: assoc,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageProfile;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_block_number(n)
@@ -465,12 +445,8 @@ mod tests {
 
     #[test]
     fn storage_profile_scales_with_cache_count() {
-        let small = DuplicateTagDirectory::new(256, 2, 2)
-            .unwrap()
-            .storage_profile();
-        let large = DuplicateTagDirectory::new(256, 2, 32)
-            .unwrap()
-            .storage_profile();
+        let small = StorageProfile::duplicate_tag(256, 2, 2);
+        let large = StorageProfile::duplicate_tag(256, 2, 32);
         // Lookup width (and thus energy) grows linearly with cache count.
         assert_eq!(large.bits_read_per_lookup, 16 * small.bits_read_per_lookup);
         assert_eq!(large.comparators_per_lookup, 64);

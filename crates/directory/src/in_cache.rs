@@ -14,7 +14,7 @@
 //!
 //! Functionally this is a Sparse directory ([`SlotDirectory::sparse`]) with
 //! the L2's geometry; the difference is entirely in the storage/energy
-//! accounting.
+//! accounting ([`StorageProfile::untagged`](crate::StorageProfile::untagged)).
 
 use crate::slots::{Organization, SlotDirectory};
 use ccd_common::ConfigError;
@@ -41,9 +41,9 @@ impl<S: SharerSet> SlotDirectory<S> {
 #[cfg(test)]
 mod tests {
     use crate::testing::{add, line};
-    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory};
+    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory, StorageProfile};
     use ccd_common::CacheId;
-    use ccd_sharers::FullBitVector;
+    use ccd_sharers::{FullBitVector, SharerFormat};
 
     #[test]
     fn behaves_like_a_sparse_directory_with_l2_geometry() {
@@ -65,8 +65,7 @@ mod tests {
 
     #[test]
     fn storage_charges_a_vector_per_l2_frame_and_no_tags() {
-        let dir = SlotDirectory::<FullBitVector>::in_cache(16, 1024, 32).unwrap();
-        let p = dir.storage_profile();
+        let p = StorageProfile::untagged(16, 1024, SharerFormat::FullVector.entry_bits(32));
         assert_eq!(p.total_bits, 32 * 16 * 1024);
         assert_eq!(p.comparators_per_lookup, 0, "tag match rides on the L2");
         assert_eq!(p.bits_read_per_lookup, 16 * 32);

@@ -94,7 +94,7 @@ pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy};
 pub use stats::{DepthMetrics, DirectoryStats};
 pub use tagless::TaglessDirectory;
 
-use ccd_common::{CacheId, ConfigError, LineAddr};
+use ccd_common::{ceil_log2, BlockGeometry, CacheId, ConfigError, LineAddr};
 use ccd_sharers::SharerSet;
 
 /// One operation against a directory slice.
@@ -400,7 +400,8 @@ impl Outcome {
 /// The trait is object-safe so the coherence simulator can swap
 /// organizations at runtime (`Box<dyn Directory>`).  Implementations
 /// provide the allocation-free [`Directory::apply`] entry point plus pure
-/// queries.
+/// queries.  What a structure costs in bits is not among them: that is a
+/// function of the geometry it was built from, [`StorageProfile`].
 ///
 /// `Send` is a supertrait: every organization is plain owned data, so built
 /// slices (and the simulators composed from them) can be constructed on one
@@ -481,9 +482,6 @@ pub trait Directory: Send {
     /// Clears the statistics (used after warm-up).
     fn reset_stats(&mut self);
 
-    /// Storage-geometry profile for the energy/area model.
-    fn storage_profile(&self) -> StorageProfile;
-
     // ---- provided: live resize --------------------------------------------
 
     /// The resizable `(ways, sets)` geometry of this organization, when it
@@ -531,12 +529,16 @@ pub trait Directory: Send {
     }
 }
 
-/// Storage-geometry description used by the analytical energy/area model.
+/// What one directory slice stores, reads per lookup and writes per update,
+/// in bits — the quantities the paper's scalability argument counts
+/// (Section 3) and the analytical model turns into the relative energy and
+/// area curves of Figures 4 and 13.
 ///
-/// Every organization reports how many bits one lookup reads, how many bits
-/// one update writes, and how many bits the slice stores in total; the
-/// `ccd-energy` crate turns these into the relative energy and area curves
-/// of Figures 4 and 13.
+/// A profile is a function of geometry alone, so it is computed by the four
+/// constructors below, one per kind of structure, not asked of a built
+/// directory; `ccd_energy::orgs::storage_profile` maps every organization
+/// of the figures, at any core count, onto them.  Tags assume the paper's
+/// 48-bit physical addresses and 64-byte blocks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StorageProfile {
     /// Total bits stored by this directory slice (tags + sharers + state).
@@ -547,6 +549,79 @@ pub struct StorageProfile {
     pub bits_written_per_update: u64,
     /// Number of tag comparators exercised per lookup.
     pub comparators_per_lookup: u64,
+}
+
+/// Tag width of a structure indexed into `sets` sets.
+fn tag_bits(sets: usize) -> u64 {
+    u64::from(BlockGeometry::default().tag_bits(ceil_log2(sets as u64)))
+}
+
+impl StorageProfile {
+    /// A `ways × sets` structure whose entries carry their own tag, a
+    /// `sharer_bits`-wide sharer set and a valid bit: Sparse, Skewed and
+    /// Cuckoo.  A lookup reads one entry per way, exactly like a `ways`-way
+    /// set-associative cache (Section 4.1: "nearly identical energy and
+    /// latency per lookup").  A hashed index folds all address bits, yet
+    /// the usual practice stores the tag width of the equivalent
+    /// set-associative structure, so the three are charged alike.
+    #[must_use]
+    pub fn tagged(ways: usize, sets: usize, sharer_bits: u64) -> Self {
+        let tag = tag_bits(sets);
+        let entry = tag + sharer_bits + 1;
+        StorageProfile {
+            total_bits: entry * (ways * sets) as u64,
+            bits_read_per_lookup: ways as u64 * (tag + sharer_bits),
+            bits_written_per_update: entry,
+            comparators_per_lookup: ways as u64,
+        }
+    }
+
+    /// Sharer sets embedded in the frames of a `ways × sets` cache bank:
+    /// In-Cache.  The tags and their comparison are the L2's — that lookup
+    /// happens anyway — so only the sharer bits are charged.
+    #[must_use]
+    pub fn untagged(ways: usize, sets: usize, sharer_bits: u64) -> Self {
+        StorageProfile {
+            total_bits: sharer_bits * (ways * sets) as u64,
+            bits_read_per_lookup: ways as u64 * sharer_bits,
+            bits_written_per_update: sharer_bits,
+            comparators_per_lookup: 0,
+        }
+    }
+
+    /// Mirrors of the tag arrays of `caches` caches, `cache_sets` sets of
+    /// each landing in this slice: Duplicate-Tag.  Only tags (and a valid
+    /// bit) are stored — sharer identity is implicit in which mirror a tag
+    /// sits in — but every lookup reads and compares the full set across
+    /// all mirrors (Section 3.1).
+    #[must_use]
+    pub fn duplicate_tag(cache_sets: usize, cache_ways: usize, caches: usize) -> Self {
+        let tag = tag_bits(cache_sets);
+        let entry = tag + 1;
+        let assoc = (cache_ways * caches) as u64;
+        StorageProfile {
+            total_bits: entry * cache_sets as u64 * assoc,
+            bits_read_per_lookup: assoc * tag,
+            bits_written_per_update: entry,
+            comparators_per_lookup: assoc,
+        }
+    }
+
+    /// A grid of `buckets`-bit Bloom filters, one per (cache, set):
+    /// Tagless (one bit a bucket in hardware; the executable filter's
+    /// counters are a simulation convenience).  A lookup reads the filter
+    /// row of one set across all caches; an update rewrites one cache's
+    /// filter for that set.
+    #[must_use]
+    pub fn tagless(cache_sets: usize, caches: usize, buckets: usize) -> Self {
+        let filter = buckets as u64;
+        StorageProfile {
+            total_bits: filter * (cache_sets * caches) as u64,
+            bits_read_per_lookup: filter * caches as u64,
+            bits_written_per_update: filter,
+            comparators_per_lookup: 0,
+        }
+    }
 }
 
 #[cfg(test)]

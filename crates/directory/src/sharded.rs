@@ -19,7 +19,7 @@
 //! same counters a single slice of the same total capacity would, and the
 //! request path pays for routing only.
 
-use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
+use crate::{Directory, DirectoryOp, DirectoryStats, Outcome};
 use ccd_common::{CacheId, ConfigError, Interleave, LineAddr};
 
 /// `N` address-interleaved directory slices behind one [`Directory`].
@@ -120,22 +120,6 @@ impl Directory for ShardedDirectory {
         for shard in &mut self.shards {
             shard.reset_stats();
         }
-    }
-
-    fn storage_profile(&self) -> StorageProfile {
-        // A lookup or update touches exactly one slice, so access widths are
-        // per-slice; storage is the sum over slices.  For heterogeneous
-        // shards the per-access widths are the element-wise maxima — a
-        // conservative bound for the energy model.
-        self.shards
-            .iter()
-            .map(|s| s.storage_profile())
-            .fold(StorageProfile::default(), |acc, p| StorageProfile {
-                total_bits: acc.total_bits + p.total_bits,
-                bits_read_per_lookup: acc.bits_read_per_lookup.max(p.bits_read_per_lookup),
-                bits_written_per_update: acc.bits_written_per_update.max(p.bits_written_per_update),
-                comparators_per_lookup: acc.comparators_per_lookup.max(p.comparators_per_lookup),
-            })
     }
 }
 
@@ -265,18 +249,5 @@ mod tests {
         dir.reset_stats();
         assert_eq!(dir.stats().insertions.get(), 0);
         assert_eq!(dir.shards()[0].stats().insertions.get(), 0);
-    }
-
-    #[test]
-    fn storage_profile_sums_capacity_but_keeps_per_slice_widths() {
-        let dir = ShardedDirectory::new(vec![slice(2, 8), slice(2, 8)]).unwrap();
-        let single = slice(2, 8).storage_profile();
-        let profile = dir.storage_profile();
-        assert_eq!(profile.total_bits, 2 * single.total_bits);
-        assert_eq!(profile.bits_read_per_lookup, single.bits_read_per_lookup);
-        assert_eq!(
-            profile.comparators_per_lookup,
-            single.comparators_per_lookup
-        );
     }
 }

@@ -49,11 +49,11 @@ impl<S: SharerSet> SlotDirectory<S> {
 #[cfg(test)]
 mod tests {
     use crate::testing::{add, line, remove};
-    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory};
+    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory, StorageProfile};
     use ccd_common::rng::{Rng64, SplitMix64};
     use ccd_common::CacheId;
     use ccd_hash::{HashFamily, HashKind, IndexHashFamily};
-    use ccd_sharers::FullBitVector;
+    use ccd_sharers::{FullBitVector, SharerFormat};
 
     type Dir = SlotDirectory<FullBitVector>;
 
@@ -195,8 +195,9 @@ mod tests {
     fn organization_and_profile() {
         let dir = skewed(4, 512, 16).unwrap();
         assert_eq!(dir.organization(), "skewed-4x512");
-        let p = dir.storage_profile();
+        // Charged like the set-associative structure of the same geometry.
+        let p = StorageProfile::tagged(4, 512, SharerFormat::FullVector.entry_bits(16));
         assert_eq!(p.comparators_per_lookup, 4);
-        assert!(p.total_bits > 0);
+        assert_eq!(p.total_bits, (33 + 16 + 1) * dir.capacity() as u64);
     }
 }

@@ -2,9 +2,10 @@
 //!
 //! The three differ from each other in one decision each — where a line's
 //! candidate slots are (low-order block bits pick a set, or each way is
-//! indexed through its own hash) and what the storage is charged for (an
-//! own tag array, or sharer vectors riding on the L2's tags) — and that
-//! decision is data here: an `Organization` value.  Everything else is
+//! indexed through its own hash) and whose the tags are (an own array, or
+//! the L2's — which shows in the label and in what the bit accounting
+//! charges, [`crate::StorageProfile::untagged`]) — and that decision is
+//! data here: an `Organization` value.  Everything else is
 //! written once: one entry type, one `slots / last_use / tick / valid /
 //! stats`, one victim rule (the first invalid candidate in way order, else
 //! the strictly least recently used) and one op/outcome protocol.
@@ -14,8 +15,8 @@
 //! [`crate::in_cache`].
 
 use crate::spec::{capacity_too_large, checked_capacity, try_filled};
-use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
-use ccd_common::{ceil_log2, BlockGeometry, CacheId, ConfigError, LineAddr};
+use crate::{Directory, DirectoryOp, DirectoryStats, Outcome};
+use ccd_common::{CacheId, ConfigError, LineAddr};
 use ccd_hash::{HashFamily, IndexHashFamily, MAX_FAMILY_WAYS};
 use ccd_sharers::SharerSet;
 
@@ -291,31 +292,5 @@ impl<S: SharerSet> Directory for SlotDirectory<S> {
 
     fn reset_stats(&mut self) {
         self.stats.reset();
-    }
-
-    fn storage_profile(&self) -> StorageProfile {
-        let probe = S::new(self.num_caches);
-        let sharer_bits = probe.storage_bits();
-        let ways = self.ways as u64;
-        // What each entry stores beside its sharer set and each way compares
-        // on a lookup.  A hashed index folds all address bits, yet the usual
-        // practice stores the tag width of the equivalent set-associative
-        // structure, so Sparse and Skewed are charged alike.  In-cache, the
-        // tags and their comparison are the L2's: the lookup happens anyway.
-        let (tag_bits, state_bits, comparators) = match self.organization {
-            Organization::InCache => (0, 0, 0),
-            Organization::Sparse | Organization::Skewed(_) => {
-                let index_bits = ceil_log2(self.sets as u64);
-                let tag_bits = BlockGeometry::default().tag_bits(index_bits);
-                (u64::from(tag_bits), 1, ways) // state: the valid bit
-            }
-        };
-        let entry_bits = tag_bits + sharer_bits + state_bits;
-        StorageProfile {
-            total_bits: entry_bits * self.capacity() as u64,
-            bits_read_per_lookup: ways * (tag_bits + probe.access_bits()),
-            bits_written_per_update: entry_bits,
-            comparators_per_lookup: comparators,
-        }
     }
 }

@@ -65,9 +65,9 @@ impl<S: SharerSet> SlotDirectory<S> {
 #[cfg(test)]
 mod tests {
     use crate::testing::{add, line, probe, remove};
-    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory};
+    use crate::{Directory, DirectoryOp, Outcome, SlotDirectory, StorageProfile};
     use ccd_common::CacheId;
-    use ccd_sharers::{CoarseVector, FullBitVector};
+    use ccd_sharers::{FullBitVector, SharerFormat};
 
     type Dir = SlotDirectory<FullBitVector>;
 
@@ -204,8 +204,7 @@ mod tests {
 
     #[test]
     fn storage_profile_is_consistent() {
-        let dir = SlotDirectory::<CoarseVector>::sparse(8, 2048, 32).unwrap();
-        let p = dir.storage_profile();
+        let p = StorageProfile::tagged(8, 2048, SharerFormat::Coarse.entry_bits(32));
         // tag bits = 48 - 6 - 11 = 31, sharer bits = 2*5+1 = 11, +1 valid.
         assert_eq!(p.total_bits, (31 + 11 + 1) * 8 * 2048);
         assert_eq!(p.comparators_per_lookup, 8);

@@ -371,6 +371,17 @@ pub fn checked_capacity(ways: usize, sets: usize) -> Result<usize, ConfigError> 
         .ok_or_else(|| capacity_too_large(ways, sets))
 }
 
+/// Sets per way of a `ways`-way slice provisioned at `provisioning` × the
+/// `tracked_frames` blocks it must be able to track ("Sparse 2×", "Cuckoo
+/// 1.5×"): the capacity target rounded up to a power-of-two set count, at
+/// least 2.  The simulator sizes its slices and the analytical model prices
+/// them through this one rule.
+#[must_use]
+pub fn provisioned_sets(ways: usize, tracked_frames: usize, provisioning: f64) -> usize {
+    let capacity = (tracked_frames as f64 * provisioning).ceil() as usize;
+    capacity.div_ceil(ways.max(1)).next_power_of_two().max(2)
+}
+
 /// Cache ids are 32-bit ([`ccd_common::CacheId`]), so no sharer
 /// representation tracks more than `u32::MAX` caches: checked where a spec
 /// is parsed and where one is built, before any sharer set is sized from it.
@@ -796,13 +807,20 @@ mod tests {
 
     #[test]
     fn sharer_formats_select_distinct_storage() {
+        use crate::testing::{add, line, probe};
+        // Three caches share a line — one more than `@coarse` has exact
+        // pointers, so it answers with whole regions where `@full` is exact.
         let registry = BuilderRegistry::with_baselines();
-        let full = registry.build_str("sparse-8x256-c64@full").unwrap();
-        let coarse = registry.build_str("sparse-8x256-c64@coarse").unwrap();
-        assert!(
-            coarse.storage_profile().total_bits < full.storage_profile().total_bits,
-            "coarse vectors must be smaller than full vectors"
-        );
+        let probed_sharers = |spec: &str| {
+            let mut dir = registry.build_str(spec).unwrap();
+            let mut out = crate::Outcome::new();
+            for cache in [0, 20, 40] {
+                dir.apply(add(line(7), ccd_common::CacheId::new(cache)), &mut out);
+            }
+            probe(dir.as_mut(), line(7)).unwrap().len()
+        };
+        assert_eq!(probed_sharers("sparse-8x256-c64@full"), 3);
+        assert!(probed_sharers("sparse-8x256-c64@coarse") > 3);
     }
 
     #[test]

@@ -10,22 +10,22 @@
 //! storage is tiny and independent of tag width, but "the bit-widths of
 //! either each read or each update operation … increase with the number of
 //! cores" (Section 3.3), so its aggregate energy grows quadratically with
-//! core count just like Duplicate-Tag — which is exactly the behaviour the
-//! [`StorageProfile`] reported here exposes to the energy model
-//! (Figures 4 and 13).
+//! core count just like Duplicate-Tag — which is exactly what
+//! [`StorageProfile::tagless`](crate::StorageProfile::tagless) charges in
+//! the energy model (Figures 4 and 13).
 //!
 //! # Modelling notes
 //!
 //! * Filters are maintained as counting Bloom filters so that sharer
 //!   removals (private-cache evictions) can be processed exactly; hardware
-//!   Tagless achieves the same effect with its own bookkeeping.  Reported
-//!   storage uses one bit per bucket, as in the hardware design.
+//!   Tagless achieves the same effect with its own bookkeeping.  The
+//!   energy model charges one bit per bucket, as in the hardware design.
 //! * Like the hardware design, the structure never forces invalidations —
 //!   aliasing produces spurious invalidation *messages* (false-positive
 //!   sharers), not evictions of live blocks.
 
 use crate::spec::{capacity_too_large, checked_capacity, try_filled};
-use crate::{Directory, DirectoryOp, DirectoryStats, Outcome, StorageProfile};
+use crate::{Directory, DirectoryOp, DirectoryStats, Outcome};
 use ccd_common::rng::SplitMix64;
 use ccd_common::{CacheId, ConfigError, LineAddr};
 // ccd-lint: allow(no-default-hasher) reason="exact-presence map is keyed lookups only, never iterated"
@@ -352,26 +352,12 @@ impl Directory for TaglessDirectory {
     fn reset_stats(&mut self) {
         self.stats.reset();
     }
-
-    fn storage_profile(&self) -> StorageProfile {
-        let filter_bits = self.buckets as u64;
-        let grid_bits = filter_bits * (self.cache_sets * self.num_caches) as u64;
-        StorageProfile {
-            // One bit per bucket in hardware (the counters here are a
-            // simulation convenience).
-            total_bits: grid_bits,
-            // A lookup reads the filter row of one set across all caches.
-            bits_read_per_lookup: filter_bits * self.num_caches as u64,
-            // An update rewrites one cache's filter for that set.
-            bits_written_per_update: filter_bits,
-            comparators_per_lookup: 0,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StorageProfile;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_block_number(n)
@@ -471,8 +457,8 @@ mod tests {
 
     #[test]
     fn lookup_width_scales_with_cache_count_but_storage_stays_small() {
-        let small = TaglessDirectory::new(256, 2, 2).unwrap().storage_profile();
-        let large = TaglessDirectory::new(256, 2, 64).unwrap().storage_profile();
+        let small = StorageProfile::tagless(256, 2, DEFAULT_BUCKETS);
+        let large = StorageProfile::tagless(256, 64, DEFAULT_BUCKETS);
         assert_eq!(large.bits_read_per_lookup, 32 * small.bits_read_per_lookup);
         assert_eq!(small.bits_written_per_update, large.bits_written_per_update);
         // Storage per tracked frame is far below a duplicate-tag entry.

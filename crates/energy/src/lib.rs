@@ -16,9 +16,10 @@
 //!
 //! * [`sram`] — the normalization references and the bits→energy/area
 //!   proportionality,
-//! * [`orgs`] — per-organization closed-form storage/access-width formulas
-//!   (consistent with the `storage_profile()` reported by the executable
-//!   directory implementations),
+//! * [`orgs`] — the organizations of the figures and the geometry each has
+//!   at a given core count, priced by `ccd_directory::StorageProfile`'s
+//!   four closed forms and sized by the rule the simulator sizes its own
+//!   slices with,
 //! * [`model`] — the per-core energy/area evaluation, core-count sweeps and
 //!   the headline-ratio helpers (e.g. "7× more area-efficient than Sparse at
 //!   1024 cores").

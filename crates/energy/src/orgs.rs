@@ -1,13 +1,15 @@
-//! Closed-form storage and access-width formulas per directory organization.
+//! The organizations of Figures 4 and 13 and the geometry each has at a
+//! given system size.
 //!
-//! Each organization is reduced to the same [`StorageProfile`] the
-//! executable implementations report: total bits stored per slice, bits read
-//! per lookup, bits written per update.  The formulas here are the
-//! `N`-core generalizations of those implementations' accounting, so the
-//! analytical curves and the measured structures agree at the sizes where
-//! both exist (see the cross-checking unit tests).
+//! The bit accounting itself — total bits stored per slice, bits read per
+//! lookup, bits written per update — is [`StorageProfile`]'s four
+//! constructors; [`storage_profile`] decides which one an organization is
+//! and with what geometry.  Provisioned organizations get their set count
+//! from the rule the simulator sizes its slices with
+//! ([`provisioned_sets`]), so a label means one geometry to both
+//! (`tests/model_cross_checks.rs`).
 
-use crate::sram::tag_bits;
+use ccd_directory::spec::provisioned_sets;
 use ccd_directory::StorageProfile;
 use ccd_sharers::SharerFormat;
 use std::fmt;
@@ -16,8 +18,8 @@ use std::fmt;
 /// organization: the filter is sized proportionally to the number of blocks
 /// it summarizes (~8 buckets per cache way), as in the MICRO 2009 design.
 #[must_use]
-pub fn tagless_buckets(cache_ways: usize) -> u64 {
-    ((cache_ways * 8) as u64).next_power_of_two()
+pub fn tagless_buckets(cache_ways: usize) -> usize {
+    (cache_ways * 8).next_power_of_two()
 }
 
 /// A directory organization, as plotted in Figures 4 and 13.
@@ -198,62 +200,34 @@ pub struct SliceEnvironment {
     pub l2_ways: usize,
 }
 
-fn set_assoc_geometry(ways: usize, tracked_frames: usize, provisioning: f64) -> (usize, usize) {
-    let capacity = (tracked_frames as f64 * provisioning).ceil() as usize;
-    let sets = capacity.div_ceil(ways.max(1)).next_power_of_two().max(2);
-    (ways, sets)
-}
-
 /// Computes the per-slice storage profile of `org` in environment `env`.
 #[must_use]
 pub fn storage_profile(org: &DirOrg, env: &SliceEnvironment) -> StorageProfile {
-    let caches = env.num_caches as u64;
+    let caches = env.num_caches;
     match org {
         DirOrg::DuplicateTag => {
-            let entry = tag_bits(env.tracked_sets) + 1;
-            let assoc = (env.cache_ways * env.num_caches) as u64;
-            StorageProfile {
-                total_bits: entry * (env.tracked_sets * env.cache_ways * env.num_caches) as u64,
-                bits_read_per_lookup: assoc * tag_bits(env.tracked_sets),
-                bits_written_per_update: entry,
-                comparators_per_lookup: assoc,
-            }
+            StorageProfile::duplicate_tag(env.tracked_sets, env.cache_ways, caches)
         }
         DirOrg::Tagless => {
-            let buckets = tagless_buckets(env.cache_ways);
-            StorageProfile {
-                total_bits: buckets * (env.tracked_sets * env.num_caches) as u64,
-                bits_read_per_lookup: buckets * caches,
-                bits_written_per_update: buckets,
-                comparators_per_lookup: 0,
-            }
+            StorageProfile::tagless(env.tracked_sets, caches, tagless_buckets(env.cache_ways))
         }
-        DirOrg::InCacheFullVector => StorageProfile {
-            total_bits: caches * env.l2_frames_per_slice as u64,
-            bits_read_per_lookup: env.l2_ways as u64 * caches,
-            bits_written_per_update: caches,
-            comparators_per_lookup: 0,
-        },
+        DirOrg::InCacheFullVector => StorageProfile::untagged(
+            env.l2_ways,
+            env.l2_frames_per_slice / env.l2_ways.max(1),
+            SharerFormat::FullVector.entry_bits(caches),
+        ),
         DirOrg::SparseFullVector { ways, provisioning }
         | DirOrg::SparseCoarse { ways, provisioning }
         | DirOrg::SparseHierarchical { ways, provisioning }
         | DirOrg::CuckooCoarse { ways, provisioning }
         | DirOrg::CuckooHierarchical { ways, provisioning } => {
-            let (ways, sets) = set_assoc_geometry(*ways, env.tracked_frames, *provisioning);
             let format = match org {
                 DirOrg::SparseFullVector { .. } => SharerFormat::FullVector,
                 DirOrg::SparseCoarse { .. } | DirOrg::CuckooCoarse { .. } => SharerFormat::Coarse,
                 _ => SharerFormat::Hierarchical,
             };
-            let sharer_bits = format.entry_bits(env.num_caches);
-            let tag = tag_bits(sets);
-            let entry = tag + sharer_bits + 1;
-            StorageProfile {
-                total_bits: entry * (ways * sets) as u64,
-                bits_read_per_lookup: ways as u64 * (tag + sharer_bits),
-                bits_written_per_update: entry,
-                comparators_per_lookup: ways as u64,
-            }
+            let sets = provisioned_sets(*ways, env.tracked_frames, *provisioning);
+            StorageProfile::tagged(*ways, sets, format.entry_bits(caches))
         }
     }
 }
@@ -375,31 +349,6 @@ mod tests {
         assert!(
             ratio > 6.0,
             "paper claims ~7x area advantage at 1024 cores, model gives {ratio}"
-        );
-    }
-
-    #[test]
-    fn analytical_profile_matches_executable_cuckoo_directory() {
-        // Cross-check the closed form against the real implementation's
-        // accounting at the 16-core Shared-L2 size (full-vector entries).
-        use ccd_cuckoo::{CuckooConfig, CuckooDirectory};
-        use ccd_directory::Directory;
-        use ccd_sharers::FullBitVector;
-
-        let dir = CuckooDirectory::<FullBitVector>::new(CuckooConfig::new(4, 512, 32)).unwrap();
-        let executable = dir.storage_profile();
-        let analytical = storage_profile(
-            &DirOrg::SparseFullVector {
-                ways: 4,
-                provisioning: 1.0,
-            },
-            &shared_env(16),
-        );
-        // Same ways x sets x (tag + vector + valid) accounting.
-        assert_eq!(executable.total_bits, analytical.total_bits);
-        assert_eq!(
-            executable.bits_read_per_lookup,
-            analytical.bits_read_per_lookup
         );
     }
 

@@ -8,21 +8,7 @@
 //! the constants cancel in the ratios, so the model works directly in bit
 //! counts.
 
-use ccd_common::{ceil_log2, PHYSICAL_ADDRESS_BITS};
-
-/// Block offset bits for the 64-byte blocks used throughout the paper.
-pub const BLOCK_OFFSET_BITS: u32 = 6;
-
-/// Tag width (in bits) of a structure with `sets` sets, assuming the paper's
-/// 48-bit physical address space and 64-byte blocks.
-#[must_use]
-pub fn tag_bits(sets: usize) -> u64 {
-    u64::from(
-        PHYSICAL_ADDRESS_BITS
-            .saturating_sub(BLOCK_OFFSET_BITS)
-            .saturating_sub(ceil_log2(sets as u64)),
-    )
-}
+use ccd_common::{ceil_log2, BlockGeometry};
 
 /// Bits read by the reference operation: one lookup of the tags of a 1 MB,
 /// 16-way, 64-byte-block L2 cache (16 384 frames, 1 024 sets): 16 ways ×
@@ -30,7 +16,8 @@ pub fn tag_bits(sets: usize) -> u64 {
 #[must_use]
 pub fn reference_lookup_bits() -> f64 {
     let sets = 1024;
-    16.0 * (tag_bits(sets) + 1) as f64
+    let tag_bits = BlockGeometry::default().tag_bits(ceil_log2(sets));
+    16.0 * f64::from(tag_bits + 1)
 }
 
 /// Bits stored by the reference area: the data array of a 1 MB cache.
@@ -59,6 +46,7 @@ mod tests {
 
     #[test]
     fn tag_bits_for_common_geometries() {
+        let tag_bits = |sets| BlockGeometry::default().tag_bits(ceil_log2(sets));
         // 1 MB 16-way: 1024 sets -> 48 - 6 - 10 = 32 tag bits.
         assert_eq!(tag_bits(1024), 32);
         // 64 KB 2-way L1: 512 sets -> 48 - 6 - 9 = 33.

@@ -80,11 +80,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// Deepest nesting of arrays and objects [`parse`] follows.  The parser
+/// recurses once per level and its input is a checked-in file, so the bound
+/// is what keeps a hostile document from overflowing the stack; the
+/// inventory nests three deep.
+const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document; trailing non-whitespace, or nesting
+/// deeper than 64 levels, is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(input, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing data after document"));
@@ -105,13 +112,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// `depth` is the number of arrays and objects already open around `pos`.
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(err(*pos, format!("nesting deeper than {MAX_DEPTH} levels")))
+        }
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => Ok(Value::Str(parse_string(input, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
@@ -149,7 +161,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         .map_err(|_| err(start, format!("invalid number `{text}`")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, ParseError> {
+    let bytes = input.as_bytes();
     debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
     *pos += 1;
     let mut out = String::new();
@@ -189,10 +202,12 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| err(*pos, "bad utf-8 in string"))?;
-                let c = rest.chars().next().ok_or_else(|| err(*pos, "empty"))?;
+                // Consume one UTF-8 scalar.  `pos` only ever advances by
+                // whole scalars, so it sits on a boundary of `input`.
+                let c = input
+                    .get(*pos..)
+                    .and_then(|rest| rest.chars().next())
+                    .ok_or_else(|| err(*pos, "bad utf-8 in string"))?;
                 out.push(c);
                 *pos += c.len_utf8();
             }
@@ -200,7 +215,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = input.as_bytes();
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -209,7 +225,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         return Ok(Value::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -222,7 +238,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
+    let bytes = input.as_bytes();
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -235,13 +252,13 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err(*pos, "expected object key"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(input, pos)?;
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(err(*pos, "expected `:`"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(input, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -305,6 +322,28 @@ mod tests {
         assert!(parse("{\"a\": ").is_err());
         assert!(parse("[1, 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_into() {
+        // Either of these overflowed the stack before the bound existed.
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let e = parse(&open.repeat(2_000_000)).unwrap_err();
+            assert!(e.what.contains("nesting"), "{e}");
+            assert_eq!(e.offset, open.len() * MAX_DEPTH);
+            // The bound itself still parses.
+            let deepest = format!("{}1{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(parse(&deepest).is_ok());
+        }
+    }
+
+    #[test]
+    fn a_long_string_parses_in_linear_time() {
+        // Each character used to re-validate the whole tail: 80k characters
+        // took seconds, this would not have finished.
+        let text = "aé".repeat(350_000);
+        let parsed = parse(&format!("\"{text}\"")).unwrap();
+        assert_eq!(parsed.as_str(), Some(text.as_str()));
     }
 
     #[test]

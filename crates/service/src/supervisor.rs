@@ -203,7 +203,7 @@ impl<'scope> Supervisor<'scope> {
     /// Spawns the initial fleet.
     fn launch<'env>(
         scope: &'scope Scope<'scope, 'env>,
-        env: &RunEnv,
+        env: &'env RunEnv,
         owned: Vec<Vec<Box<dyn Directory>>>,
     ) -> Self {
         let mut sup = Supervisor {
@@ -240,7 +240,7 @@ impl<'scope> Supervisor<'scope> {
     fn deliver<'env>(
         &mut self,
         scope: &'scope Scope<'scope, 'env>,
-        env: &RunEnv,
+        env: &'env RunEnv,
         owner: usize,
         batch: Vec<Request>,
     ) -> Result<(), ServiceError> {
@@ -304,31 +304,16 @@ impl<'scope> Supervisor<'scope> {
         }
     }
 
-    /// Handles a detected crash of `owner`: joins the corpse, classifies
-    /// the panic, and — when it was a scheduled recoverable injection on a
-    /// journaled worker — rebuilds the worker's shards by replay and
-    /// respawns it.  Anything else is fatal for the run.
+    /// Handles a detected crash of `owner`: joins the corpse, rebuilds the
+    /// worker's state ([`Supervisor::recovered_output`]) and respawns it.
     fn recover<'env>(
         &mut self,
         scope: &'scope Scope<'scope, 'env>,
-        env: &RunEnv,
+        env: &'env RunEnv,
         owner: usize,
     ) -> Result<(), ServiceError> {
         let note = self.join_corpse(owner);
-        let crash = match note.injected {
-            Some(crash) if crash.recoverable && env.journaled[owner] => crash,
-            _ => return Err(note.into_error()),
-        };
-        self.fired[owner] += 1;
-        self.recoveries += 1;
-        self.record_event(EventKind::Crash, owner, crash.seq, self.fired[owner] as u64);
-        let output = self.replay(env, owner)?;
-        self.record_event(
-            EventKind::Recovery,
-            owner,
-            crash.seq,
-            self.fired[owner] as u64,
-        );
+        let output = self.recovered_output(env, note)?;
         let hooks = env
             .plan
             .as_ref()
@@ -338,6 +323,37 @@ impl<'scope> Supervisor<'scope> {
         self.recycles[owner] = recycle_rx;
         self.handles[owner] = Some(handle);
         Ok(())
+    }
+
+    /// Classifies a dead worker's panic and — when it was a scheduled
+    /// recoverable injection on a journaled worker — rebuilds the state it
+    /// lost by replay.  Anything else is fatal for the run.
+    fn recovered_output(
+        &mut self,
+        env: &RunEnv,
+        note: CrashNote,
+    ) -> Result<WorkerOutput, ServiceError> {
+        let owner = note.worker;
+        let crash = match note.injected {
+            Some(crash) if crash.recoverable && env.journaled[owner] => crash,
+            _ => return Err(note.into_error()),
+        };
+        self.count_crash(owner, crash);
+        let output = self.replay(env, owner)?;
+        self.record_event(
+            EventKind::Recovery,
+            owner,
+            crash.seq,
+            self.fired[owner] as u64,
+        );
+        Ok(output)
+    }
+
+    /// Counts one fired crash point of `owner`, live or mid-replay.
+    fn count_crash(&mut self, owner: usize, crash: InjectedCrash) {
+        self.fired[owner] += 1;
+        self.recoveries += 1;
+        self.record_event(EventKind::Crash, owner, crash.seq, self.fired[owner] as u64);
     }
 
     /// Rebuilds `owner`'s state by replaying its journal onto fresh
@@ -359,16 +375,7 @@ impl<'scope> Supervisor<'scope> {
                     return Ok(output);
                 }
                 Err(note) => match note.injected {
-                    Some(crash) if crash.recoverable => {
-                        self.fired[owner] += 1;
-                        self.recoveries += 1;
-                        self.record_event(
-                            EventKind::Crash,
-                            owner,
-                            crash.seq,
-                            self.fired[owner] as u64,
-                        );
-                    }
+                    Some(crash) if crash.recoverable => self.count_crash(owner, crash),
                     _ => return Err(note.into_error()),
                 },
             }
@@ -428,26 +435,8 @@ impl<'scope> Supervisor<'scope> {
                 Ok(Err(note)) => note,
                 Err(payload) => CrashNote::new(owner, payload),
             };
-            let crash = match note.injected {
-                Some(crash) if crash.recoverable && env.journaled[owner] => crash,
-                _ => {
-                    self.abort();
-                    return Err(note.into_error());
-                }
-            };
-            self.fired[owner] += 1;
-            self.recoveries += 1;
-            self.record_event(EventKind::Crash, owner, crash.seq, self.fired[owner] as u64);
-            match self.replay(env, owner) {
-                Ok(output) => {
-                    self.record_event(
-                        EventKind::Recovery,
-                        owner,
-                        crash.seq,
-                        self.fired[owner] as u64,
-                    );
-                    outputs.push(output);
-                }
+            match self.recovered_output(env, note) {
+                Ok(output) => outputs.push(output),
                 Err(err) => {
                     self.abort();
                     return Err(err);
@@ -565,7 +554,7 @@ type WorkerLanes<'scope> = (
 
 fn spawn_worker<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
-    env: &RunEnv,
+    env: &'env RunEnv,
     output: WorkerOutput,
     hooks: Option<WorkerFaults>,
 ) -> WorkerLanes<'scope> {
@@ -573,72 +562,40 @@ fn spawn_worker<'scope, 'env>(
     // One spare slot beyond the queue depth so a worker's non-blocking
     // buffer return almost never drops a buffer.
     let (recycle_tx, recycle_rx) = bounded::<Vec<Request>>(env.queue_depth + 1);
-    let workers = env.workers;
-    let record = env.record;
-    let resize = env.resize.clone();
-    let handle =
-        scope.spawn(move || drive_worker(output, workers, rx, recycle_tx, record, hooks, resize));
+    let handle = scope.spawn(move || drive_worker(output, env, rx, recycle_tx, hooks));
     (tx, recycle_rx, handle)
 }
 
-/// One worker's supervised drain loop: receive a batch, fire any scheduled
-/// fault, apply the batch through the batched fast path, account the
-/// outcomes, return the buffer, repeat until the ingestion side hangs up
-/// or shuts down.
+/// One worker's supervised drain loop: receive a batch, sleep any
+/// scheduled stall, run the batch, return the buffer, repeat until the
+/// ingestion side hangs up or shuts down.
 fn drive_worker(
     output: WorkerOutput,
-    workers: usize,
+    env: &RunEnv,
     rx: Receiver<Vec<Request>>,
     recycle_tx: Sender<Vec<Request>>,
-    record: bool,
     hooks: Option<WorkerFaults>,
-    resize: Option<ResizePolicy>,
 ) -> Result<WorkerOutput, CrashNote> {
     let worker = output.index;
     catch_unwind(AssertUnwindSafe(move || {
         let mut output = output;
         let mut out = Outcome::new();
         let mut ops_buf: Vec<DirectoryOp> = Vec::new();
-        let resize = resize.as_ref();
         // Both a natural end of stream (Disconnected) and a supervisor
         // abort (Shutdown) end the loop; the distinction matters to the
         // supervisor, not to the worker.
         while let Ok(mut requests) = rx.recv() {
-            output.batches += 1;
-            output.batch_span_begin(&requests);
             if let Some(hooks) = hooks.as_ref() {
                 hooks.stall();
-                if let Some((cut, point)) = hooks.crash_cut(requests.iter().map(|r| r.seq)) {
-                    // Apply the prefix normally, then die exactly where
-                    // the plan says — before the first request with
-                    // `seq >= the trigger`.
-                    apply_requests(
-                        &mut output,
-                        &requests[..cut],
-                        workers,
-                        record,
-                        resize,
-                        &mut out,
-                        &mut ops_buf,
-                    );
-                    InjectedCrash {
-                        worker: output.index,
-                        seq: requests[cut].seq,
-                        recoverable: point.recoverable,
-                    }
-                    .fire();
-                }
             }
-            apply_requests(
+            run_batch(
                 &mut output,
                 &requests,
-                workers,
-                record,
-                resize,
+                env,
+                hooks.as_ref(),
                 &mut out,
                 &mut ops_buf,
             );
-            output.batch_applied(&requests);
             requests.clear();
             // Non-blocking buffer return; on a full recycle ring the
             // buffer is simply dropped and the router allocates fresh.
@@ -660,67 +617,65 @@ fn replay_journal(
     env: &RunEnv,
     hooks: Option<WorkerFaults>,
 ) -> Result<WorkerOutput, CrashNote> {
-    let workers = env.workers;
-    let record = env.record;
-    let batch = env.batch.max(1);
-    let resize = env.resize.as_ref();
-    let obs = env.obs.as_ref();
     catch_unwind(AssertUnwindSafe(move || {
         let mut output = WorkerOutput::new(worker, slices);
-        output.arm_obs(obs);
+        output.arm_obs(env.obs.as_ref());
         let mut out = Outcome::new();
         let mut ops_buf: Vec<DirectoryOp> = Vec::new();
-        for chunk in journal.chunks(batch) {
-            output.batches += 1;
-            output.batch_span_begin(chunk);
-            if let Some(hooks) = hooks.as_ref() {
-                if let Some((cut, point)) = hooks.crash_cut(chunk.iter().map(|r| r.seq)) {
-                    apply_requests(
-                        &mut output,
-                        &chunk[..cut],
-                        workers,
-                        record,
-                        resize,
-                        &mut out,
-                        &mut ops_buf,
-                    );
-                    InjectedCrash {
-                        worker,
-                        seq: chunk[cut].seq,
-                        recoverable: point.recoverable,
-                    }
-                    .fire();
-                }
-            }
-            apply_requests(
+        for chunk in journal.chunks(env.batch.max(1)) {
+            run_batch(
                 &mut output,
                 chunk,
-                workers,
-                record,
-                resize,
+                env,
+                hooks.as_ref(),
                 &mut out,
                 &mut ops_buf,
             );
-            output.batch_applied(chunk);
         }
         output
     }))
     .map_err(|payload| CrashNote::new(worker, payload))
 }
 
-/// The shared batch-application kernel: exactly this code runs in live
-/// workers and in recovery replay, which is half of the digest-identity
-/// argument (the other half is the journal being the worker's exact
-/// delivered subsequence).
-fn apply_requests(
+/// One batch through a worker: count it, open its span, die at a scheduled
+/// crash point if one falls inside it, apply it, close the span.  Exactly
+/// this code runs in live workers and in recovery replay, which is half of
+/// the digest-identity argument (the other half is the journal being the
+/// worker's exact delivered subsequence).
+fn run_batch(
     output: &mut WorkerOutput,
     requests: &[Request],
-    workers: usize,
-    record: bool,
-    resize: Option<&ResizePolicy>,
+    env: &RunEnv,
+    hooks: Option<&WorkerFaults>,
     out: &mut Outcome,
     ops_buf: &mut Vec<DirectoryOp>,
 ) {
+    output.batches += 1;
+    output.batch_span_begin(requests);
+    if let Some((cut, point)) = hooks.and_then(|h| h.crash_cut(requests.iter().map(|r| r.seq))) {
+        // Apply the prefix normally, then die exactly where the plan says —
+        // before the first request with `seq >= the trigger`.
+        apply_requests(output, &requests[..cut], env, out, ops_buf);
+        InjectedCrash {
+            worker: output.index,
+            seq: requests[cut].seq,
+            recoverable: point.recoverable,
+        }
+        .fire();
+    }
+    apply_requests(output, requests, env, out, ops_buf);
+    output.batch_applied(requests);
+}
+
+/// Applies `requests` to the worker's shards and absorbs each outcome.
+fn apply_requests(
+    output: &mut WorkerOutput,
+    requests: &[Request],
+    env: &RunEnv,
+    out: &mut Outcome,
+    ops_buf: &mut Vec<DirectoryOp>,
+) {
+    let (workers, record, resize) = (env.workers, env.record, env.resize.as_ref());
     output.applied += requests.len() as u64;
     if resize.is_none() && output.slices.len() == 1 {
         // Single owned shard of fixed geometry: the whole batch targets

@@ -197,10 +197,6 @@ impl SharerSet for CoarseVector {
     fn clear(&mut self) {
         self.mode = Mode::Pointers(Vec::with_capacity(Self::MAX_POINTERS));
     }
-
-    fn storage_bits(&self) -> u64 {
-        entry_bits(self.num_caches)
-    }
 }
 
 #[cfg(test)]
@@ -289,8 +285,7 @@ mod tests {
         assert_eq!(entry_bits(16), 2 * 4 + 1);
         assert_eq!(entry_bits(1024), 2 * 10 + 1);
         assert_eq!(entry_bits(2), 2 + 1);
-        let s = CoarseVector::new(256);
-        assert_eq!(s.storage_bits(), 2 * 8 + 1);
+        assert_eq!(entry_bits(256), 2 * 8 + 1);
     }
 
     #[test]

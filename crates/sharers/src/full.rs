@@ -156,10 +156,6 @@ impl SharerSet for FullBitVector {
         }
         self.count = 0;
     }
-
-    fn storage_bits(&self) -> u64 {
-        vector_bits(self.num_caches())
-    }
 }
 
 #[cfg(test)]
@@ -169,7 +165,7 @@ mod tests {
     #[test]
     fn add_remove_contains() {
         let mut v = FullBitVector::new(130);
-        assert_eq!(v.storage_bits(), 130);
+        assert_eq!(vector_bits(130), 130);
         for i in [0u32, 63, 64, 65, 129] {
             v.add(CacheId::new(i));
         }
@@ -289,7 +285,7 @@ mod tests {
                 assert_eq!(clone == vector, clone.invalidation_targets() == expected);
             }
             assert_eq!(vector.num_caches(), caches);
-            assert_eq!(vector.storage_bits(), caches as u64);
+            assert_eq!(vector_bits(caches), caches as u64);
         }
     }
 

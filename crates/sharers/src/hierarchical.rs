@@ -9,14 +9,12 @@
 //! one or two groups) stores far fewer bits than a full vector.
 //!
 //! The representation here is exact: leaves hold precise per-cache bits.
-//! Storage accounting distinguishes:
-//!
-//! * [`SharerSet::storage_bits`] — the *primary-entry* width (root vector
-//!   plus one resident leaf), which is what each directory entry provisions;
-//! * [`HierarchicalVector::allocated_leaf_bits`] — bits currently held in
-//!   secondary (overflow) leaves, which hierarchical directories store in
-//!   additional entries with replicated tags.  The analytical area model
-//!   charges that replication cost separately.
+//! What a directory entry provisions — and what the analytical model
+//! charges — is [`entry_bits`], the *primary-entry* width: the root vector
+//! plus one resident leaf, which is also all a lookup or update touches.
+//! The further leaves of a block shared across groups, which a hierarchical
+//! directory keeps in additional entries with replicated tags, are modelled
+//! nowhere: the set holds them, the area model does not charge them.
 
 use crate::SharerSet;
 use ccd_common::CacheId;
@@ -43,7 +41,6 @@ pub fn entry_bits(num_caches: usize) -> u64 {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HierarchicalVector {
     num_caches: usize,
-    groups: usize,
     group_size: usize,
     /// One leaf bitmask per group; `0` means the leaf is unallocated.
     leaves: Vec<u64>,
@@ -51,19 +48,6 @@ pub struct HierarchicalVector {
 }
 
 impl HierarchicalVector {
-    /// Number of groups whose leaf vector is currently allocated (non-zero).
-    #[must_use]
-    pub fn allocated_leaves(&self) -> usize {
-        self.leaves.iter().filter(|&&l| l != 0).count()
-    }
-
-    /// Bits held in secondary leaves (all allocated leaves beyond the first),
-    /// which a hierarchical directory stores in extra tagged entries.
-    #[must_use]
-    pub fn allocated_leaf_bits(&self) -> u64 {
-        (self.allocated_leaves().saturating_sub(1) * self.group_size) as u64
-    }
-
     /// Number of caches currently marked as sharers.
     #[must_use]
     pub fn count(&self) -> usize {
@@ -96,7 +80,6 @@ impl SharerSet for HierarchicalVector {
         );
         HierarchicalVector {
             num_caches,
-            groups,
             group_size: gsize,
             leaves: vec![0; groups],
             count: 0,
@@ -169,15 +152,6 @@ impl SharerSet for HierarchicalVector {
         self.leaves.iter_mut().for_each(|l| *l = 0);
         self.count = 0;
     }
-
-    fn storage_bits(&self) -> u64 {
-        entry_bits(self.num_caches)
-    }
-
-    fn access_bits(&self) -> u64 {
-        // A lookup or update touches the root vector and at most one leaf.
-        (self.groups + self.group_size) as u64
-    }
 }
 
 #[cfg(test)]
@@ -228,29 +202,21 @@ mod tests {
     #[test]
     fn leaf_allocation_tracking() {
         let mut s = HierarchicalVector::new(64); // 8 groups of 8
-        assert_eq!(s.allocated_leaves(), 0);
-        assert_eq!(s.allocated_leaf_bits(), 0);
-        s.add(CacheId::new(1));
-        s.add(CacheId::new(2)); // same group
-        assert_eq!(s.allocated_leaves(), 1);
-        assert_eq!(
-            s.allocated_leaf_bits(),
-            0,
-            "first leaf fits in the primary entry"
-        );
-        s.add(CacheId::new(63)); // a new group
-        assert_eq!(s.allocated_leaves(), 2);
-        assert_eq!(s.allocated_leaf_bits(), 8);
+        s.add(CacheId::new(63)); // the last group's leaf
+        s.add(CacheId::new(2));
+        s.add(CacheId::new(1)); // same leaf as 2
+                                // Sharers come back leaf by leaf, whatever order they arrived in.
+        assert_eq!(s.invalidation_targets(), [1, 2, 63].map(CacheId::new));
+        s.remove(CacheId::new(63)); // empties that leaf
+        assert_eq!(s.invalidation_targets(), [1, 2].map(CacheId::new));
         s.clear();
-        assert_eq!(s.allocated_leaves(), 0);
         assert!(s.is_empty());
     }
 
     #[test]
     fn access_touches_root_plus_one_leaf() {
-        let s = HierarchicalVector::new(1024);
-        assert_eq!(s.access_bits(), 64);
-        assert!(s.access_bits() < 1024);
+        assert_eq!(entry_bits(1024), 32 + 32);
+        assert!(entry_bits(1024) < crate::full::vector_bits(1024));
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! * [`HierarchicalVector`] — a two-level bit vector (root groups plus
 //!   on-demand leaf vectors), the Sparse/Cuckoo *Hierarchical* format.
 //!
-//! All representations implement [`SharerSet`], which exposes both the
-//! semantic operations (add/remove/invalidation targets) and the storage
-//! accounting the energy/area model needs.
+//! All representations implement [`SharerSet`], the semantic operations
+//! (add/remove/invalidation targets); what an entry of each costs in bits is
+//! a closed form of the cache count alone, [`SharerFormat::entry_bits`].
 //!
 //! # Conservativeness
 //!
@@ -124,19 +124,6 @@ pub trait SharerSet: Clone + Debug + Send {
 
     /// Removes all sharers.
     fn clear(&mut self);
-
-    /// Number of storage bits one directory entry needs for this
-    /// representation (excluding the tag and state bits), as provisioned in
-    /// hardware — i.e. the worst-case width, not the currently-occupied
-    /// width.
-    fn storage_bits(&self) -> u64;
-
-    /// Number of bits a directory read or update of this entry touches.
-    /// For most formats this equals [`SharerSet::storage_bits`]; the
-    /// hierarchical format only touches the root plus one leaf.
-    fn access_bits(&self) -> u64 {
-        self.storage_bits()
-    }
 }
 
 /// The sharer-vector formats evaluated in the paper, as a runtime choice.
@@ -165,11 +152,14 @@ impl SharerFormat {
         ]
     }
 
-    /// Worst-case per-entry sharer storage bits for `num_caches` caches.
+    /// Bits one directory entry provisions for a sharer set of this format
+    /// over `num_caches` caches (excluding the tag and state bits): the
+    /// worst-case width in hardware, not what a set currently occupies.  A
+    /// read or update touches the same width — the hierarchical format's
+    /// entry is the root vector plus the one leaf an access reaches.
     ///
-    /// These closed forms are what the analytical area model (Figure 4 and
-    /// Figure 13) uses; they match the `storage_bits()` reported by freshly
-    /// constructed sets of each representation.
+    /// These closed forms are what the analytical energy and area model
+    /// (Figures 4 and 13) charges.
     #[must_use]
     pub fn entry_bits(self, num_caches: usize) -> u64 {
         match self {
@@ -241,27 +231,6 @@ mod tests {
         exercise::<LimitedPointer>(32);
         exercise::<CoarseVector>(32);
         exercise::<HierarchicalVector>(32);
-    }
-
-    #[test]
-    fn representations_store_what_their_format_declares() {
-        let bits = |format: SharerFormat| format.entry_bits(16);
-        assert_eq!(
-            FullBitVector::new(16).storage_bits(),
-            bits(SharerFormat::FullVector)
-        );
-        assert_eq!(
-            LimitedPointer::new(16).storage_bits(),
-            bits(SharerFormat::LimitedPointer)
-        );
-        assert_eq!(
-            CoarseVector::new(16).storage_bits(),
-            bits(SharerFormat::Coarse)
-        );
-        assert_eq!(
-            HierarchicalVector::new(16).storage_bits(),
-            bits(SharerFormat::Hierarchical)
-        );
     }
 
     #[test]

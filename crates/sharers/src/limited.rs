@@ -140,10 +140,6 @@ impl SharerSet for LimitedPointer {
         self.pointers.clear();
         self.overflowed = false;
     }
-
-    fn storage_bits(&self) -> u64 {
-        entry_bits(self.num_caches, self.capacity)
-    }
 }
 
 #[cfg(test)]
@@ -209,10 +205,8 @@ mod tests {
     #[test]
     fn storage_bits_formula() {
         // 4 pointers * log2(256)=8 bits + 1 overflow bit.
-        let s = LimitedPointer::new(256);
-        assert_eq!(s.storage_bits(), 4 * 8 + 1);
-        let s = LimitedPointer::with_capacity(1024, 2);
-        assert_eq!(s.storage_bits(), 2 * 10 + 1);
+        assert_eq!(default_entry_bits(256), 4 * 8 + 1);
+        assert_eq!(entry_bits(1024, 2), 2 * 10 + 1);
     }
 
     #[test]

@@ -157,9 +157,6 @@ pub trait WorkloadFamily: fmt::Debug + Send + Sync {
     /// Family name as it appears in spec strings (e.g. `"migratory"`).
     fn name(&self) -> &'static str;
 
-    /// One-line description of the sharing pattern, for catalogs and CLIs.
-    fn describe(&self) -> &'static str;
-
     /// The family's default knob values.
     fn defaults(&self) -> ScenarioParams;
 
@@ -235,10 +232,6 @@ impl WorkloadFamily for ReadMostlyFamily {
 
     fn name(&self) -> &'static str {
         "readmostly"
-    }
-
-    fn describe(&self) -> &'static str {
-        "Zipf-skewed shared reads with a small write fraction"
     }
 
     fn defaults(&self) -> ScenarioParams {
@@ -328,10 +321,6 @@ impl WorkloadFamily for ProducerConsumerFamily {
 
     fn name(&self) -> &'static str {
         "prodcons"
-    }
-
-    fn describe(&self) -> &'static str {
-        "producer writes a buffer of lines, all consumers read it, role rotates"
     }
 
     fn defaults(&self) -> ScenarioParams {
@@ -441,10 +430,6 @@ impl WorkloadFamily for MigratoryFamily {
         "migratory"
     }
 
-    fn describe(&self) -> &'static str {
-        "read-modify-write lines whose single owner migrates between epochs"
-    }
-
     fn defaults(&self) -> ScenarioParams {
         ScenarioParams {
             cores: None,
@@ -528,10 +513,6 @@ impl WorkloadFamily for FalseSharingFamily {
         "falseshare"
     }
 
-    fn describe(&self) -> &'static str {
-        "cores write disjoint bytes of the same small hot set of lines"
-    }
-
     fn defaults(&self) -> ScenarioParams {
         ScenarioParams {
             cores: None,
@@ -608,10 +589,6 @@ impl WorkloadFamily for StreamingScanFamily {
 
     fn name(&self) -> &'static str {
         "stream"
-    }
-
-    fn describe(&self) -> &'static str {
-        "per-core sequential streaming scans with low reuse"
     }
 
     fn defaults(&self) -> ScenarioParams {
@@ -935,9 +912,6 @@ mod tests {
         assert_eq!(names.len(), 5);
         assert!(family_by_name("migratory").is_some());
         assert!(family_by_name("nope").is_none());
-        for family in families() {
-            assert!(!family.describe().is_empty());
-        }
     }
 
     #[test]

@@ -1,60 +1,72 @@
-//! Cross-checks between the analytical energy/area model and the executable
-//! directory implementations: where both exist at the same size, their
-//! storage accounting must agree, and the model's qualitative claims must be
-//! visible in the simulator.
+//! Cross-checks between the analytical energy/area model and the
+//! simulator: where both exist at the same size they must mean the same
+//! system and the same slice geometry (the bit accounting is one function,
+//! so there is nothing of it to compare), and the model's qualitative claims
+//! must be visible in the simulator.
 
-use ccd_energy::orgs::{storage_profile, SliceEnvironment};
+use ccd_energy::orgs::storage_profile;
 use ccd_energy::{DirOrg, EnergyModel};
+use cuckoo_directory::directory::StorageProfile;
 use cuckoo_directory::prelude::*;
 
-/// The slice environment of the paper's 16-core Shared-L2 system.
-fn shared_16core_env() -> SliceEnvironment {
-    let system = SystemConfig::table1(Hierarchy::SharedL2);
-    SliceEnvironment {
-        num_caches: system.num_private_caches(),
-        tracked_frames: system.tracked_frames_per_slice(),
-        tracked_sets: system.tracked_sets_per_slice() * 2,
-        cache_ways: system.tracked_cache().ways,
-        l2_frames_per_slice: system.private_l2.frames(),
-        l2_ways: system.private_l2.ways,
+/// The model's own slice environment of the paper's 16-core Shared-L2
+/// system, which `the_models_environment_is_the_table_1_systems` ties to the
+/// simulator's `SystemConfig`.
+fn shared_16core_env() -> ccd_energy::orgs::SliceEnvironment {
+    EnergyModel::shared_l2().slice_environment(16)
+}
+
+#[test]
+fn the_models_environment_is_the_table_1_systems() {
+    for (model, hierarchy) in [
+        (EnergyModel::shared_l2(), Hierarchy::SharedL2),
+        (EnergyModel::private_l2(), Hierarchy::PrivateL2),
+    ] {
+        let system = SystemConfig::table1(hierarchy);
+        let env = model.slice_environment(system.num_cores);
+        assert_eq!(env.num_caches, system.num_private_caches());
+        assert_eq!(env.tracked_frames, system.tracked_frames_per_slice());
+        assert_eq!(env.tracked_sets, system.tracked_sets_per_slice());
+        assert_eq!(env.cache_ways, system.tracked_cache().ways);
+        // A shared L2 is `private_l2`-sized per core; Private-L2 has none.
+        let (l2_frames, l2_ways) = match hierarchy {
+            Hierarchy::SharedL2 => (system.private_l2.frames(), system.private_l2.ways),
+            Hierarchy::PrivateL2 => (0, 0),
+        };
+        assert_eq!(env.l2_frames_per_slice, l2_frames);
+        assert_eq!(env.l2_ways, l2_ways);
     }
+}
+
+/// The bits of the tagged slice the simulator would build for `spec`.
+fn resolved_tagged_profile(spec: &DirectorySpec) -> StorageProfile {
+    let system = SystemConfig::table1(Hierarchy::SharedL2);
+    let slice = spec.resolve(&system).expect("valid spec");
+    StorageProfile::tagged(
+        slice.ways,
+        slice.sets,
+        slice.sharers.entry_bits(slice.caches),
+    )
 }
 
 #[test]
 fn analytical_and_executable_sparse_profiles_agree() {
-    let system = SystemConfig::table1(Hierarchy::SharedL2);
-    let env = shared_16core_env();
-    // Sparse 8-way 2x: executable (full-vector) slice vs analytical formula.
-    let dir = DirectorySpec::sparse(8, 2.0)
-        .build_slice(&system)
-        .expect("valid spec");
-    let executable = dir.storage_profile();
+    // Sparse 8-way 2x: the simulator's (full-vector) slice vs the model's.
     let analytical = storage_profile(
         &DirOrg::SparseFullVector {
             ways: 8,
             provisioning: 2.0,
         },
-        &env,
-    );
-    assert_eq!(executable.total_bits, analytical.total_bits);
-    assert_eq!(
-        executable.bits_read_per_lookup,
-        analytical.bits_read_per_lookup
+        &shared_16core_env(),
     );
     assert_eq!(
-        executable.comparators_per_lookup,
-        analytical.comparators_per_lookup
+        resolved_tagged_profile(&DirectorySpec::sparse(8, 2.0)),
+        analytical
     );
 }
 
 #[test]
 fn analytical_and_executable_cuckoo_profiles_agree() {
-    let system = SystemConfig::table1(Hierarchy::SharedL2);
-    let env = shared_16core_env();
-    let dir = DirectorySpec::cuckoo(4, 1.0)
-        .build_slice(&system)
-        .expect("valid spec");
-    let executable = dir.storage_profile();
     // The executable simulator uses full-vector entries; the matching
     // analytical organization is the 4-way 1x structure with full vectors.
     let analytical = storage_profile(
@@ -62,31 +74,28 @@ fn analytical_and_executable_cuckoo_profiles_agree() {
             ways: 4,
             provisioning: 1.0,
         },
-        &env,
+        &shared_16core_env(),
     );
-    assert_eq!(executable.total_bits, analytical.total_bits);
     assert_eq!(
-        executable.bits_written_per_update,
-        analytical.bits_written_per_update
+        resolved_tagged_profile(&DirectorySpec::cuckoo(4, 1.0)),
+        analytical
     );
+}
+
+/// The bits of the Duplicate-Tag slice the simulator would build for the
+/// 16-core system of `hierarchy`.
+fn resolved_duplicate_tag_profile(hierarchy: Hierarchy) -> StorageProfile {
+    let slice = DirectorySpec::DuplicateTag
+        .resolve(&SystemConfig::table1(hierarchy))
+        .expect("valid spec");
+    StorageProfile::duplicate_tag(slice.sets, slice.ways, slice.caches)
 }
 
 #[test]
 fn analytical_and_executable_duplicate_tag_profiles_agree() {
-    let system = SystemConfig::table1(Hierarchy::SharedL2);
-    let env = SliceEnvironment {
-        tracked_sets: system.tracked_sets_per_slice(),
-        ..shared_16core_env()
-    };
-    let dir = DirectorySpec::DuplicateTag
-        .build_slice(&system)
-        .expect("valid spec");
-    let executable = dir.storage_profile();
-    let analytical = storage_profile(&DirOrg::DuplicateTag, &env);
-    assert_eq!(executable.total_bits, analytical.total_bits);
     assert_eq!(
-        executable.comparators_per_lookup,
-        analytical.comparators_per_lookup
+        resolved_duplicate_tag_profile(Hierarchy::SharedL2),
+        storage_profile(&DirOrg::DuplicateTag, &shared_16core_env())
     );
 }
 
@@ -94,13 +103,11 @@ fn analytical_and_executable_duplicate_tag_profiles_agree() {
 fn duplicate_tag_lookup_width_matches_the_paper_arithmetic() {
     // Section 3.1: the Duplicate-Tag associativity equals cache associativity
     // x cache count; for the Shared-L2 16-core system that is 2 x 32 = 64.
-    let system = SystemConfig::table1(Hierarchy::SharedL2);
-    let dir = DirectorySpec::DuplicateTag.build_slice(&system).unwrap();
-    assert_eq!(dir.storage_profile().comparators_per_lookup, 64);
+    let shared = resolved_duplicate_tag_profile(Hierarchy::SharedL2);
+    assert_eq!(shared.comparators_per_lookup, 64);
     // And for the Private-L2 configuration, 16 x 16 = 256.
-    let system = SystemConfig::table1(Hierarchy::PrivateL2);
-    let dir = DirectorySpec::DuplicateTag.build_slice(&system).unwrap();
-    assert_eq!(dir.storage_profile().comparators_per_lookup, 256);
+    let private = resolved_duplicate_tag_profile(Hierarchy::PrivateL2);
+    assert_eq!(private.comparators_per_lookup, 256);
 }
 
 #[test]

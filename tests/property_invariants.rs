@@ -77,7 +77,6 @@ fn check_sharer_set<S: SharerSet>(num_caches: usize, ops: &[SharerOp]) {
         if set.is_empty() {
             assert!(model.is_empty());
         }
-        assert!(set.storage_bits() > 0);
     }
 }
 
