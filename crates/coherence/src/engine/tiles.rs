@@ -98,8 +98,9 @@ impl TileCaches {
     }
 
     /// Every resident `(cache, line, state)` in frame order — the whole
-    /// observable cache state, for lockstep comparisons of two simulators.
-    #[cfg(test)]
+    /// observable cache state, for lockstep comparisons of two simulators
+    /// and [`CmpSimulator::check_coherence`](crate::CmpSimulator).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn resident(&self) -> impl Iterator<Item = (usize, LineAddr, CoherenceState)> + '_ {
         self.caches
             .iter()

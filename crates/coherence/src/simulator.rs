@@ -266,6 +266,74 @@ impl CmpSimulator {
         self.stats().report(&self.organization)
     }
 
+    /// Checks what the directory exists to keep (Section 4.2): it stays
+    /// inclusive of the private caches.  `spec` is the specification the
+    /// simulator was built from; it decides whether sharer lists are exact.
+    ///
+    /// * Every block resident in a tile cache is tracked by its home slice
+    ///   (`contains`), and the slice admits that cache as a holder
+    ///   (`may_hold`).
+    /// * A block `Modified` in one cache is resident in no other.
+    /// * A `Probe` lists exactly the caches holding the block when entries
+    ///   are full bit vectors, and at least those for the coarse, limited,
+    ///   hierarchical and Tagless formats.
+    /// * No slice holds more entries than its capacity.
+    ///
+    /// Walks every frame of every cache: for tests and debug builds.
+    ///
+    /// # Errors
+    ///
+    /// The first broken clause, with the block and cache it was found at.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_coherence(&mut self, spec: &DirectorySpec) -> Result<(), String> {
+        use ccd_sharers::SharerFormat;
+
+        let resolved = spec.resolve(&self.system).map_err(|e| e.to_string())?;
+        let exact = resolved.sharers == SharerFormat::FullVector && resolved.org != "tagless";
+        let mut resident: Vec<(LineAddr, CacheId, CoherenceState)> = self
+            .tiles
+            .resident()
+            .map(|(cache, line, state)| (line, CacheId::new(cache as u32), state))
+            .collect();
+        resident.sort_unstable_by_key(|&(line, cache, _)| (line, cache));
+        let mut out = Outcome::new();
+        // One chunk a resident block: its holders in cache order.
+        for copies in resident.chunk_by(|a, b| a.0 == b.0) {
+            let line = copies[0].0;
+            let holders: Vec<CacheId> = copies.iter().map(|&(_, cache, _)| cache).collect();
+            if !self.directory.contains(line) {
+                return Err(format!(
+                    "{line:?} is in {holders:?} but not in the directory"
+                ));
+            }
+            if let Some(cache) = holders.iter().find(|&&c| !self.directory.may_hold(line, c)) {
+                return Err(format!(
+                    "the directory rules out {cache:?} holding {line:?}"
+                ));
+            }
+            let written = copies.iter().any(|c| c.2 == CoherenceState::Modified);
+            if written && copies.len() > 1 {
+                return Err(format!("{line:?} is Modified yet held by {holders:?}"));
+            }
+            self.directory.apply(DirectoryOp::Probe { line }, &mut out);
+            let mut listed = out.sharers().to_vec();
+            listed.sort_unstable();
+            let covered = holders.iter().all(|c| listed.binary_search(c).is_ok());
+            if !covered || (exact && listed.len() != holders.len()) {
+                return Err(format!(
+                    "{line:?} is held by {holders:?} but the probe lists {listed:?}"
+                ));
+            }
+        }
+        for (index, slice) in self.directory.shards().iter().enumerate() {
+            if slice.len() > slice.capacity() {
+                let (len, capacity) = (slice.len(), slice.capacity());
+                return Err(format!("slice {index} holds {len} entries of {capacity}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Convenience wrapper: builds a simulator, warms it up and measures.
     ///
     /// # Errors
@@ -285,6 +353,10 @@ impl CmpSimulator {
         sim.run(trace, warmup_refs);
         sim.reset_stats();
         sim.run(trace, measure_refs);
+        #[cfg(debug_assertions)]
+        if let Err(broken) = sim.check_coherence(spec) {
+            panic!("{}: {broken}", sim.organization);
+        }
         Ok(sim.report())
     }
 }
@@ -356,6 +428,7 @@ mod protocol_order {
     /// The new order and the reference, fed the same references.
     struct Lockstep {
         label: String,
+        spec: DirectorySpec,
         new_order: CmpSimulator,
         probe_first: CmpSimulator,
         steps: u64,
@@ -367,6 +440,7 @@ mod protocol_order {
         fn new(system: SystemConfig, spec: &DirectorySpec) -> Self {
             Lockstep {
                 label: format!("{} on {:?}", spec.label(), system.hierarchy),
+                spec: spec.clone(),
                 new_order: CmpSimulator::new(system.clone(), spec).unwrap(),
                 probe_first: CmpSimulator::new(system, spec).unwrap(),
                 steps: 0,
@@ -411,6 +485,7 @@ mod protocol_order {
                 assert_eq!(a.len(), b.len(), "{at}, slice {index}");
                 assert_eq!(a.stats(), b.stats(), "{at}, slice {index}");
             }
+            assert_eq!(self.new_order.check_coherence(&self.spec), Ok(()), "{at}");
         }
 
         fn state_of(&self, cache: u32, block: u64) -> Option<CoherenceState> {

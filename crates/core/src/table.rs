@@ -36,8 +36,9 @@
 //!
 //! * **planar** (every table but the ones below) — tags indexed like the
 //!   keys, `way * sets + set_index`; the candidate tags of up to eight ways
-//!   are gathered into one integer and matched branchlessly with SWAR
-//!   arithmetic.
+//!   are gathered into one integer, matched with SWAR arithmetic, and the
+//!   matching lanes folded into way bits by one multiply-shift
+//!   (`fold_lanes`): no branch or loop depends on how many ways match.
 //! * **line-local** (the `tagalt` hash family with `ways × block_span ≤`
 //!   [`MAX_TAG_SPAN`] tag bytes, i.e. up to four ways) — an F14-style
 //!   *transposed* layout.  A `tagalt` key's candidate indices all fall in
@@ -211,6 +212,18 @@ enum TagLayout {
 fn swar_match(word: u64, tag: u8) -> u64 {
     let x = word ^ SWAR_LOW.wrapping_mul(u64::from(tag));
     x.wrapping_sub(SWAR_LOW) & !x & SWAR_HIGH
+}
+
+/// Folds a [`swar_match`] result (bit 7 of byte lane `j` set or clear,
+/// nothing else) into bit `j` of the low byte: the multiplier's eight set
+/// bits, seven apart, carry lane `j`'s bit `8j + 7` to bit `56 + j`, and
+/// no two of the 64 partial products land on the same bit, so nothing
+/// carries.  One multiply and one shift whatever the number of matching
+/// lanes — at half occupancy that number is a coin flip per way.
+#[inline]
+fn fold_lanes(lanes: u64) -> u64 {
+    debug_assert_eq!(lanes & !SWAR_HIGH, 0);
+    lanes.wrapping_mul(0x0002_0408_1020_4081) >> 56
 }
 
 /// What a fused probe learned about a key's `d` candidate slots.
@@ -717,9 +730,9 @@ impl<V> CuckooTable<V> {
         }
     }
 
-    /// Planar layout: up to eight candidate tags gathered into one integer
-    /// and matched branchlessly with SWAR arithmetic; lane bits fold into
-    /// way bits.
+    /// Planar layout: up to eight candidate tags a chunk gathered into one
+    /// integer and matched with SWAR arithmetic; [`fold_lanes`] turns the
+    /// chunk's lane bits into way bits, shifted to the chunk's first way.
     fn way_masks_swar<const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
         fp: u8,
@@ -732,18 +745,11 @@ impl<V> CuckooTable<V> {
             let lanes = (self.ways - way).min(8);
             let word = self.gather_tags(way, lanes, indices);
             if WANT_FP {
-                let mut lanes_hit = swar_match(word, fp);
-                while lanes_hit != 0 {
-                    fp_mask |= 1 << (way + (lanes_hit.trailing_zeros() / 8) as usize);
-                    lanes_hit &= lanes_hit - 1;
-                }
+                fp_mask |= fold_lanes(swar_match(word, fp)) << way;
             }
             if WANT_EMPTY {
-                let mut lanes_empty = swar_match(word, EMPTY_TAG) & Self::lane_mask(lanes);
-                while lanes_empty != 0 {
-                    empty_mask |= 1 << (way + (lanes_empty.trailing_zeros() / 8) as usize);
-                    lanes_empty &= lanes_empty - 1;
-                }
+                let lanes_empty = swar_match(word, EMPTY_TAG) & Self::lane_mask(lanes);
+                empty_mask |= fold_lanes(lanes_empty) << way;
             }
             way += lanes;
         }
@@ -835,27 +841,20 @@ impl<V> CuckooTable<V> {
         })
     }
 
-    /// Finds the slot currently holding `key`, if any.
-    ///
-    /// Checks way 0 first with a single hash: the vacancy scan prefers
-    /// lower-numbered ways, so at moderate occupancy most resident keys
-    /// live in way 0 and the common hit skips hashing the remaining ways.
-    /// The direct key compare needs no fingerprint — an occupied slot's key
-    /// is authoritative; the tag is only consulted to reject the stale key
-    /// of a removed entry.  A miss falls through to the full SWAR probe,
-    /// which re-examines way 0 (its key cannot match there, so the answer
-    /// is unchanged — first matching way in way order).
+    /// Finds the slot currently holding `key`, if any: one hash pass over
+    /// all ways, then the lookup-only probe — the same straight line for
+    /// every key.  A way-0 shortcut (hash way 0 alone, compare its key, fall
+    /// through on a miss) does not pay: at the paper's operating point only
+    /// 0.33–0.35 of the resident keys sit in way 0 (4 × 512 slices at
+    /// occupancy 0.49–0.51 under `oracle`, `apache`, `ocean`), which makes
+    /// it an unpredictable branch that hashes way 0 twice on the way out.
+    /// Without it `sim_mix` runs 2.9 % faster (10/10 pairs) and `svc_churn`'s
+    /// `cuckoo.get_single_ns` / `remove_ns` fall 19.5 → 16.5 and 20.6 → 16.3;
+    /// on `svc_hit`'s table, filled straight to a quarter so that every key
+    /// does sit in way 0, they rise 5.3 → 15.0 and 6.6 → 14.0 ns while its
+    /// `ops_per_s` stays inside its spread.
     #[inline]
     fn find_n<const N: usize>(&self, key: u64) -> Option<usize> {
-        let index0 = self.hashes.index(0, LineAddr::from_block_number(key));
-        // Way 0: slot == set index.
-        let slot0 = index0;
-        // Non-short-circuit `&`: the tag byte and the key word live in
-        // different arrays, so loading both unconditionally lets the two
-        // cache accesses overlap instead of serializing behind the branch.
-        if (self.tag_at(self.tag_pos(0, index0)) != EMPTY_TAG) & (self.key_at(slot0) == key) {
-            return Some(slot0);
-        }
         let mut indices = [0usize; N];
         self.hash_into(key, &mut indices);
         self.probe_hit_prehashed(key, &indices)
@@ -1917,6 +1916,36 @@ mod tests {
         assert_eq!(empties, (1 << 15) | (1 << 39));
     }
 
+    /// The loops `fold_lanes` replaced: one iteration a set lane.
+    fn fold_by_loop(mut lanes: u64, way: usize) -> u64 {
+        let mut mask = 0u64;
+        while lanes != 0 {
+            mask |= 1 << (way + (lanes.trailing_zeros() / 8) as usize);
+            lanes &= lanes - 1;
+        }
+        mask
+    }
+
+    #[test]
+    fn lane_fold_equals_the_loop_it_replaced() {
+        for pattern in 0..256u64 {
+            // Bit 7 of lane `j` is bit `j` of `pattern`.
+            let word = (0..8).fold(0u64, |w, j| w | ((pattern >> j) & 1) << (8 * j + 7));
+            for way in [0, 8] {
+                for lanes in 1..=8 {
+                    // The vacancy scan's clip of a partial chunk's padding.
+                    let clipped = word & CuckooTable::<()>::lane_mask(lanes);
+                    assert_eq!(fold_lanes(clipped), pattern & ((1 << lanes) - 1));
+                    assert_eq!(
+                        fold_lanes(clipped) << way,
+                        fold_by_loop(clipped, way),
+                        "pattern {pattern:#010b}, way {way}, {lanes} lanes"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn fingerprints_are_never_the_empty_tag() {
         let mut rng = SplitMix64::new(0xF1);
@@ -2014,14 +2043,19 @@ mod tests {
 
     #[test]
     fn wide_tables_probe_through_the_chunked_swar_path() {
-        // 12 ways exercises the multi-chunk gather (8 + 4 lanes).
-        let (table, keys) = filled_table(12, 64, 384, 3);
-        for &k in &keys {
-            assert!(table.contains(k));
+        // Past eight ways the gather runs in chunks: 8 + 1, 8 + 4 and 8 + 8
+        // lanes, the second chunk's bits folded in at way 8.
+        for ways in [9, 12, 16] {
+            let (table, keys) = filled_table(ways, 64, ways * 32, 3);
+            table.check_invariants().unwrap();
+            for &k in &keys {
+                assert!(table.contains(k), "{ways} ways");
+                assert!(!table.contains(k ^ 1 << 60), "{ways} ways");
+            }
+            let mut hits = vec![false; keys.len()];
+            table.probe_batch(&keys, &mut hits);
+            assert!(hits.iter().all(|&h| h), "{ways} ways");
         }
-        let mut hits = vec![false; keys.len()];
-        table.probe_batch(&keys, &mut hits);
-        assert!(hits.iter().all(|&h| h));
     }
 
     // ---- Tag-layout specific tests ----------------------------------------

@@ -74,6 +74,31 @@ impl FullBitVector {
             Words::Heap(words) => words,
         }
     }
+
+    /// Checks what the methods above rely on and describes the first
+    /// clause broken: the representation is the one `num_caches` selects
+    /// (so `==` compares like with like), no bit is set at or past
+    /// `num_caches`, and `count` is the number of set bits.
+    #[cfg(test)]
+    fn check_invariants(&self) -> Result<(), String> {
+        let caches = self.num_caches as usize;
+        let inline = matches!(self.words, Words::Inline(_));
+        let words = self.words();
+        if inline != (caches <= INLINE_CACHES) || words.len() != caches.div_ceil(64) {
+            let kind = if inline { "inline" } else { "heap" };
+            return Err(format!("{} {kind} words for {caches} caches", words.len()));
+        }
+        let last = words[words.len() - 1];
+        let spare = (words.len() * 64 - caches) as u32;
+        if last.leading_zeros() < spare {
+            return Err(format!("a bit past cache {caches} in {last:#x}"));
+        }
+        let set: u32 = words.iter().map(|w| w.count_ones()).sum();
+        if set != self.count {
+            return Err(format!("count {} but {set} bits set", self.count));
+        }
+        Ok(())
+    }
 }
 
 impl SharerSet for FullBitVector {
@@ -258,6 +283,7 @@ mod tests {
                         model[cache] = true;
                     }
                 }
+                assert_eq!(vector.check_invariants(), Ok(()), "{caches} caches");
                 let expected: Vec<CacheId> = (0..caches)
                     .filter(|&c| model[c])
                     .map(|c| CacheId::new(c as u32))
@@ -281,6 +307,7 @@ mod tests {
                 assert_eq!(rebuilt, vector);
                 clone.add(CacheId::new(cache as u32));
                 clone.remove(CacheId::new((cache + 1) as u32 % caches as u32));
+                assert_eq!(clone.check_invariants(), Ok(()), "{caches} caches");
                 assert_eq!(vector.invalidation_targets(), expected);
                 assert_eq!(clone == vector, clone.invalidation_targets() == expected);
             }
