@@ -277,6 +277,13 @@ impl CmpSimulator {
     /// * A `Probe` lists exactly the caches holding the block when entries
     ///   are full bit vectors, and at least those for the coarse, limited,
     ///   hierarchical and Tagless formats.
+    /// * No slice tracks an entry with an empty sharer set, as a count: with
+    ///   full vectors, where every organization but Tagless keeps one entry
+    ///   per tracked block (Cuckoo, Sparse, Skewed and In-Cache one slot,
+    ///   Duplicate-Tag one distinct line across its mirrors), the directory
+    ///   holds exactly one entry per distinct resident block; for the other
+    ///   formats, whose removals may leave a conservative set behind, at
+    ///   least one.
     /// * No slice holds more entries than its capacity.
     ///
     /// Walks every frame of every cache: for tests and debug builds.
@@ -297,8 +304,10 @@ impl CmpSimulator {
             .collect();
         resident.sort_unstable_by_key(|&(line, cache, _)| (line, cache));
         let mut out = Outcome::new();
+        let mut blocks = 0;
         // One chunk a resident block: its holders in cache order.
         for copies in resident.chunk_by(|a, b| a.0 == b.0) {
+            blocks += 1;
             let line = copies[0].0;
             let holders: Vec<CacheId> = copies.iter().map(|&(_, cache, _)| cache).collect();
             if !self.directory.contains(line) {
@@ -324,6 +333,12 @@ impl CmpSimulator {
                     "{line:?} is held by {holders:?} but the probe lists {listed:?}"
                 ));
             }
+        }
+        let entries = self.directory.len();
+        if entries < blocks || (exact && entries != blocks) {
+            return Err(format!(
+                "the directory holds {entries} entries for {blocks} resident blocks"
+            ));
         }
         for (index, slice) in self.directory.shards().iter().enumerate() {
             if slice.len() > slice.capacity() {

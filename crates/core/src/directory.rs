@@ -13,7 +13,8 @@
 //! statistics recorded here (insertion-attempt histogram, forced-invalidation
 //! rate, occupancy) are the quantities Figures 8–12 report.
 
-use crate::{config::CuckooConfig, table::CuckooTable};
+use crate::config::CuckooConfig;
+use crate::table::{ways_dispatch, CuckooTable};
 use ccd_common::{CacheId, ConfigError, LineAddr};
 use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome};
 use ccd_obs::ObsConfig;
@@ -84,18 +85,19 @@ impl<S: SharerSet> CuckooDirectory<S> {
     /// facts in `out`.  One fused table probe covers the lookup, the vacancy
     /// scan and — on a hit — the payload access: the returned borrow is the
     /// entry's sharer set, which is guaranteed to exist afterwards.
-    fn find_or_allocate<'t>(
+    fn find_or_allocate<'t, const N: usize>(
         config: &CuckooConfig,
         table: &'t mut CuckooTable<S>,
         stats: &mut DirectoryStats,
         line: LineAddr,
-        staged: Option<&mut [usize]>,
+        indices: &mut [usize; N],
         out: &mut Outcome,
     ) -> &'t mut S {
         stats.lookups.incr();
         let num_caches = config.num_caches;
         let len_before = table.len();
-        let entry = table.find_or_insert_staged(line.block_number(), staged, || S::new(num_caches));
+        let entry =
+            table.find_or_insert_prehashed(line.block_number(), indices, || S::new(num_caches));
         let Some(outcome) = entry.inserted else {
             out.set_hit(true);
             return entry.value;
@@ -129,38 +131,40 @@ impl<S: SharerSet> CuckooDirectory<S> {
         entry.value
     }
 
-    /// One operation against the table — the body of both
-    /// [`Directory::apply`] (`staged` is `None`: every table call hashes the
-    /// line itself) and stage 3 of [`Directory::apply_batch`] (`staged`
-    /// holds the candidate indices the pipeline hashed the line to a window
-    /// ago, so nothing is hashed twice).  Takes the directory field by field
-    /// because the pipeline lends the table out on its own.
+    /// One operation against the table, given the candidate set `indices`
+    /// of its line — the body of both [`Directory::apply`] (which hashes
+    /// the line just before) and stage 3 of [`Directory::apply_batch`]
+    /// (whose pipeline hashed it a window ago, so nothing is hashed twice).
+    /// This is the organization's op entry, where the cache an op names is
+    /// checked against the directory's cache count.  Takes the directory
+    /// field by field because the pipeline lends the table out on its own.
     #[inline]
-    fn apply_op(
+    fn apply_op<const N: usize>(
         config: &CuckooConfig,
         table: &mut CuckooTable<S>,
         stats: &mut DirectoryStats,
         op: DirectoryOp,
-        staged: Option<&mut [usize]>,
+        indices: &mut [usize; N],
         out: &mut Outcome,
     ) {
+        op.check_cache(config.num_caches);
         out.reset();
         match op {
             DirectoryOp::Probe { line } => {
-                if let Some(sharers) = table.get_staged(line.block_number(), staged.as_deref()) {
+                if let Some(sharers) = table.get_prehashed(line.block_number(), indices) {
                     out.set_hit(true);
                     sharers.extend_targets(out.invalidate_buf());
                 }
             }
             DirectoryOp::AddSharer { line, cache } => {
-                let entry = Self::find_or_allocate(config, table, stats, line, staged, out);
+                let entry = Self::find_or_allocate(config, table, stats, line, indices, out);
                 entry.add(cache);
                 if out.hit() {
                     stats.sharer_adds.incr();
                 }
             }
             DirectoryOp::SetExclusive { line, cache } => {
-                let entry = Self::find_or_allocate(config, table, stats, line, staged, out);
+                let entry = Self::find_or_allocate(config, table, stats, line, indices, out);
                 let start = out.invalidate_len();
                 entry.extend_targets(out.invalidate_buf());
                 out.drop_invalidate_from(start, cache);
@@ -174,7 +178,7 @@ impl<S: SharerSet> CuckooDirectory<S> {
                 }
             }
             DirectoryOp::RemoveSharer { line, cache } => {
-                let Some(mut entry) = table.occupied(line.block_number(), staged.as_deref()) else {
+                let Some(mut entry) = table.occupied(line.block_number(), indices) else {
                     return;
                 };
                 out.set_hit(true);
@@ -188,7 +192,7 @@ impl<S: SharerSet> CuckooDirectory<S> {
                 }
             }
             DirectoryOp::RemoveEntry { line } => {
-                let Some(entry) = table.occupied(line.block_number(), staged.as_deref()) else {
+                let Some(entry) = table.occupied(line.block_number(), indices) else {
                     return;
                 };
                 out.set_hit(true);
@@ -238,14 +242,15 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
-        Self::apply_op(
-            &self.config,
-            &mut self.table,
-            &mut self.stats,
-            op,
-            None,
-            out,
-        );
+        let CuckooDirectory {
+            config,
+            table,
+            stats,
+        } = self;
+        ways_dispatch!(table.ways(), N => {
+            let mut indices = table.hashed::<N>(op.line().block_number());
+            Self::apply_op(config, table, stats, op, &mut indices, out);
+        });
     }
 
     // The staged pipeline of `CuckooTable::for_each_staged` instead of the
@@ -267,14 +272,14 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
             table,
             stats,
         } = self;
-        table.for_each_staged(
+        ways_dispatch!(table.ways(), N => table.for_each_staged::<N>(
             ops.len(),
             |item| ops[item].line().block_number(),
             |table, item, indices| {
-                Self::apply_op(config, table, stats, ops[item], Some(indices), out);
+                Self::apply_op(config, table, stats, ops[item], indices, out);
                 sink(&ops[item], out);
             },
-        );
+        ));
     }
 
     fn stats(&self) -> DirectoryStats {

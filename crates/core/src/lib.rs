@@ -71,7 +71,7 @@ fn build_cuckoo(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>
     let config = CuckooConfig::new(spec.ways, spec.sets, spec.caches)
         .with_hash_kind(spec.hash.unwrap_or(HashKind::Skewing))
         .with_insert_policy(spec.policy);
-    Ok(match_sharer_format!(spec.sharers, S => {
+    Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(CuckooDirectory::<S>::new(config)?)
     }))
 }

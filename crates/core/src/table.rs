@@ -58,6 +58,14 @@
 //! always have their high bit set and the empty tag is zero, the vacancy
 //! scan is exact (no false positives).
 //!
+//! Every entry point picks the probe compiled for the table's way count
+//! (`ways_dispatch!`): exactly `d` for tables of up to eight ways, so the
+//! hash, the tag gather and the lane mask run a constant number of ways and
+//! unroll into straight-line code, one copy per way count from one generic
+//! body.  The walks over the resulting masks stay `trailing_zeros` loops —
+//! their trip count is the number of matching ways, not the way count, and
+//! a branch per way measured slower once the hit way is a coin flip.
+//!
 //! # The staged batch pipeline
 //!
 //! Out of cache, what a probe costs is the cache lines it waits for, one
@@ -159,8 +167,9 @@ const EMPTY_TAG: u8 = 0;
 const SWAR_LOW: u64 = 0x0101_0101_0101_0101;
 const SWAR_HIGH: u64 = 0x8080_8080_8080_8080;
 
-/// Way counts up to this bound probe through compact stack buffers; wider
-/// tables (up to [`MAX_FAMILY_WAYS`]) fall back to full-width buffers.
+/// Way counts up to this bound get a probe compiled for exactly their way
+/// count ([`ways_dispatch!`]); wider tables (up to [`MAX_FAMILY_WAYS`]) share
+/// one compiled for full-width buffers and a runtime bound.
 const SMALL_WAYS: usize = 8;
 
 /// Operations per window of the staged batch pipeline
@@ -364,17 +373,53 @@ impl BfsScratch {
     }
 }
 
-/// Dispatches a const-generic probe method on the way count, so the common
-/// `d <= 8` tables run with compact stack index buffers.
+/// Evaluates `$body` with the constant `$N` bound to the way count `$ways`
+/// for tables of up to [`SMALL_WAYS`] ways, and to [`MAX_FAMILY_WAYS`] above.
+/// Every probe kernel is generic over `N` and walks its ways as
+/// `0..ways_of::<N>()`, which is the constant `N` itself below the bound: the
+/// tag gather, the lane mask, the hash and the vacancy and candidate
+/// positions of a 3- or 4-way table are straight-line code, compiled once
+/// per way count from one body.  Above the bound the buffers are
+/// `MAX_FAMILY_WAYS` long and the loops keep the table's runtime count.
 macro_rules! ways_dispatch {
-    ($self:ident . $method:ident ( $($arg:expr),* )) => {
-        if $self.ways <= SMALL_WAYS {
-            $self.$method::<SMALL_WAYS>($($arg),*)
-        } else {
-            $self.$method::<MAX_FAMILY_WAYS>($($arg),*)
+    ($ways:expr, $N:ident => $body:expr) => {
+        match $ways {
+            2 => {
+                const $N: usize = 2;
+                $body
+            }
+            3 => {
+                const $N: usize = 3;
+                $body
+            }
+            4 => {
+                const $N: usize = 4;
+                $body
+            }
+            5 => {
+                const $N: usize = 5;
+                $body
+            }
+            6 => {
+                const $N: usize = 6;
+                $body
+            }
+            7 => {
+                const $N: usize = 7;
+                $body
+            }
+            8 => {
+                const $N: usize = 8;
+                $body
+            }
+            _ => {
+                const $N: usize = ccd_hash::MAX_FAMILY_WAYS;
+                $body
+            }
         }
     };
 }
+pub(crate) use ways_dispatch;
 
 /// A d-ary cuckoo hash table with bounded displacement insertion.
 ///
@@ -633,12 +678,35 @@ impl<V> CuckooTable<V> {
         self.valid as f64 / self.capacity() as f64
     }
 
+    /// The number of ways a kernel compiled for `N` walks: `N` itself, a
+    /// constant, when [`ways_dispatch!`] matched the table's way count
+    /// exactly; the runtime count for the wide tables it sends to
+    /// `MAX_FAMILY_WAYS`.
+    #[inline(always)]
+    fn ways_of<const N: usize>(&self) -> usize {
+        if N <= SMALL_WAYS {
+            debug_assert_eq!(N, self.ways, "a probe compiled for {N} ways");
+            N
+        } else {
+            self.ways
+        }
+    }
+
     /// Computes the candidate set index of every way for `key` in one hash
     /// pass, into `indices[..ways]`.
-    #[inline]
-    fn hash_into(&self, key: u64, indices: &mut [usize]) {
+    #[inline(always)]
+    fn hash_into<const N: usize>(&self, key: u64, indices: &mut [usize; N]) {
+        let ways = self.ways_of::<N>();
         self.hashes
-            .index_all_into(LineAddr::from_block_number(key), indices);
+            .index_all_into(LineAddr::from_block_number(key), &mut indices[..ways]);
+    }
+
+    /// `key`'s candidate set indices, one a way ([`CuckooTable::hash_into`]).
+    #[inline(always)]
+    pub(crate) fn hashed<const N: usize>(&self, key: u64) -> [usize; N] {
+        let mut indices = [0usize; N];
+        self.hash_into(key, &mut indices);
+        indices
     }
 
     /// Position of `(way, index)`'s tag byte inside `tags`.
@@ -686,7 +754,7 @@ impl<V> CuckooTable<V> {
     /// word (byte lane `j` = way `way + j`) — the shared chunk primitive of
     /// every probe loop.
     #[inline(always)]
-    fn gather_tags(&self, way: usize, lanes: usize, indices: &[usize]) -> u64 {
+    fn gather_tags<const N: usize>(&self, way: usize, lanes: usize, indices: &[usize; N]) -> u64 {
         let mut word = 0u64;
         for j in 0..lanes {
             let w = way + j;
@@ -716,16 +784,16 @@ impl<V> CuckooTable<V> {
     /// zero.  All selection downstream walks these masks with
     /// `trailing_zeros`, so both kernels scan ways in ascending order —
     /// exactly the order the displacement procedure relies on.
-    #[inline]
-    fn way_masks<const WANT_FP: bool, const WANT_EMPTY: bool>(
+    #[inline(always)]
+    fn way_masks<const N: usize, const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
         fp: u8,
-        indices: &[usize],
+        indices: &[usize; N],
     ) -> (u64, u64) {
         match self.layout {
-            TagLayout::Planar => self.way_masks_swar::<WANT_FP, WANT_EMPTY>(fp, indices),
+            TagLayout::Planar => self.way_masks_swar::<N, WANT_FP, WANT_EMPTY>(fp, indices),
             TagLayout::LineLocal { block, engine } => {
-                self.way_masks_line_local::<WANT_FP, WANT_EMPTY>(block, engine, fp, indices)
+                self.way_masks_line_local::<N, WANT_FP, WANT_EMPTY>(block, engine, fp, indices)
             }
         }
     }
@@ -733,16 +801,20 @@ impl<V> CuckooTable<V> {
     /// Planar layout: up to eight candidate tags a chunk gathered into one
     /// integer and matched with SWAR arithmetic; [`fold_lanes`] turns the
     /// chunk's lane bits into way bits, shifted to the chunk's first way.
-    fn way_masks_swar<const WANT_FP: bool, const WANT_EMPTY: bool>(
+    /// Compiled for up to eight exact ways, the loop is one chunk of a
+    /// constant lane count.
+    #[inline(always)]
+    fn way_masks_swar<const N: usize, const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
         fp: u8,
-        indices: &[usize],
+        indices: &[usize; N],
     ) -> (u64, u64) {
+        let ways = self.ways_of::<N>();
         let mut fp_mask = 0u64;
         let mut empty_mask = 0u64;
         let mut way = 0;
-        while way < self.ways {
-            let lanes = (self.ways - way).min(8);
+        while way < ways {
+            let lanes = (ways - way).min(8);
             let word = self.gather_tags(way, lanes, indices);
             if WANT_FP {
                 fp_mask |= fold_lanes(swar_match(word, fp)) << way;
@@ -760,12 +832,12 @@ impl<V> CuckooTable<V> {
     /// `ways × block` tag span (the tagalt block property), so a single
     /// vector compare covers the whole candidate block and the per-way bits
     /// are extracted at `(index - block_base) * ways + way`.
-    fn way_masks_line_local<const WANT_FP: bool, const WANT_EMPTY: bool>(
+    fn way_masks_line_local<const N: usize, const WANT_FP: bool, const WANT_EMPTY: bool>(
         &self,
         block: usize,
         engine: VectorEngine,
         fp: u8,
-        indices: &[usize],
+        indices: &[usize; N],
     ) -> (u64, u64) {
         let block_base = indices[0] & !(block - 1);
         let start = block_base * self.ways;
@@ -782,7 +854,7 @@ impl<V> CuckooTable<V> {
         };
         let mut fp_mask = 0u64;
         let mut empty_mask = 0u64;
-        for (way, &index) in indices.iter().enumerate().take(self.ways) {
+        for (way, &index) in indices.iter().enumerate().take(self.ways_of::<N>()) {
             let bit = (index - block_base) * self.ways + way;
             fp_mask |= ((fp_eq >> bit) & 1) << way;
             empty_mask |= ((empty_eq >> bit) & 1) << way;
@@ -793,9 +865,9 @@ impl<V> CuckooTable<V> {
     /// Lookup-only probe: like [`CuckooTable::probe_prehashed`] but without
     /// the vacancy scan, for the pure-query paths (`contains` / `get` /
     /// `probe_batch`) that never insert.
-    #[inline]
-    fn probe_hit_prehashed(&self, key: u64, indices: &[usize]) -> Option<usize> {
-        let (mut candidates, _) = self.way_masks::<true, false>(fingerprint(key), indices);
+    #[inline(always)]
+    fn probe_hit_prehashed<const N: usize>(&self, key: u64, indices: &[usize; N]) -> Option<usize> {
+        let (mut candidates, _) = self.way_masks::<N, true, false>(fingerprint(key), indices);
         while candidates != 0 {
             let w = candidates.trailing_zeros() as usize;
             let slot = w * self.sets + indices[w];
@@ -812,8 +884,9 @@ impl<V> CuckooTable<V> {
     /// kernel, and confirms fingerprint candidates with a key compare.
     /// Ways are scanned in ascending order, so the hit is the first way
     /// holding the key and the vacancy is the first vacant way.
-    fn probe_prehashed(&self, key: u64, indices: &[usize]) -> ProbeOutcome {
-        let (mut candidates, empties) = self.way_masks::<true, true>(fingerprint(key), indices);
+    #[inline(always)]
+    fn probe_prehashed<const N: usize>(&self, key: u64, indices: &[usize; N]) -> ProbeOutcome {
+        let (mut candidates, empties) = self.way_masks::<N, true, true>(fingerprint(key), indices);
         let vacant = (empties != 0).then(|| {
             let w = empties.trailing_zeros() as usize;
             w * self.sets + indices[w]
@@ -833,8 +906,9 @@ impl<V> CuckooTable<V> {
     }
 
     /// First vacant candidate slot in way order, given precomputed indices.
-    fn first_vacant_prehashed(&self, indices: &[usize]) -> Option<usize> {
-        let (_, empties) = self.way_masks::<false, true>(EMPTY_TAG, indices);
+    #[inline(always)]
+    fn first_vacant_prehashed<const N: usize>(&self, indices: &[usize; N]) -> Option<usize> {
+        let (_, empties) = self.way_masks::<N, false, true>(EMPTY_TAG, indices);
         (empties != 0).then(|| {
             let w = empties.trailing_zeros() as usize;
             w * self.sets + indices[w]
@@ -853,15 +927,9 @@ impl<V> CuckooTable<V> {
     /// on `svc_hit`'s table, filled straight to a quarter so that every key
     /// does sit in way 0, they rise 5.3 → 15.0 and 6.6 → 14.0 ns while its
     /// `ops_per_s` stays inside its spread.
-    #[inline]
+    #[inline(always)]
     fn find_n<const N: usize>(&self, key: u64) -> Option<usize> {
-        let mut indices = [0usize; N];
-        self.hash_into(key, &mut indices);
-        self.probe_hit_prehashed(key, &indices)
-    }
-
-    fn find(&self, key: u64) -> Option<usize> {
-        ways_dispatch!(self.find_n(key))
+        self.probe_hit_prehashed(key, &self.hashed::<N>(key))
     }
 
     /// Writes `key`/`value` into the vacant `slot`.
@@ -915,53 +983,50 @@ impl<V> CuckooTable<V> {
     /// Returns `true` when `key` is present.
     #[must_use]
     pub fn contains(&self, key: u64) -> bool {
-        self.find(key).is_some()
-    }
-
-    /// The slot holding `key`: probed through `staged` when the batch
-    /// pipeline already hashed the key into it, hashed here otherwise.
-    #[inline]
-    fn locate(&self, key: u64, staged: Option<&[usize]>) -> Option<usize> {
-        match staged {
-            Some(indices) => self.probe_hit_prehashed(key, indices),
-            None => self.find(key),
-        }
+        ways_dispatch!(self.ways, N => self.find_n::<N>(key)).is_some()
     }
 
     /// Returns a reference to the payload stored for `key`.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<&V> {
-        self.get_staged(key, None)
+        ways_dispatch!(self.ways, N => self.get_prehashed(key, &self.hashed::<N>(key)))
     }
 
-    /// [`CuckooTable::get`], through the pipeline's indices when `staged`.
-    #[inline]
-    pub(crate) fn get_staged(&self, key: u64, staged: Option<&[usize]>) -> Option<&V> {
-        let slot = self.locate(key, staged)?;
-        // SAFETY: `locate` only returns occupied slots.
+    /// [`CuckooTable::get`], with `indices` already holding `key`'s
+    /// candidate set indices.
+    #[inline(always)]
+    pub(crate) fn get_prehashed<const N: usize>(
+        &self,
+        key: u64,
+        indices: &[usize; N],
+    ) -> Option<&V> {
+        let slot = self.probe_hit_prehashed(key, indices)?;
+        // SAFETY: the probe only returns occupied slots.
         Some(unsafe { self.values[slot].assume_init_ref() })
     }
 
     /// Returns a mutable reference to the payload stored for `key`.
     #[must_use]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
-        self.occupied(key, None).map(Occupied::into_mut)
+        ways_dispatch!(self.ways, N => self.occupied(key, &self.hashed::<N>(key)))
+            .map(Occupied::into_mut)
     }
 
     /// Removes `key`, returning its payload.
     pub fn remove(&mut self, key: u64) -> Option<V> {
-        self.occupied(key, None).map(Occupied::remove)
+        ways_dispatch!(self.ways, N => self.occupied(key, &self.hashed::<N>(key)))
+            .map(Occupied::remove)
     }
 
     /// The resident entry of `key`, to update and then possibly remove
-    /// behind a single probe (through the pipeline's indices when `staged`).
-    #[inline]
-    pub(crate) fn occupied(
+    /// behind a single probe of its candidate set `indices`.
+    #[inline(always)]
+    pub(crate) fn occupied<const N: usize>(
         &mut self,
         key: u64,
-        staged: Option<&[usize]>,
+        indices: &[usize; N],
     ) -> Option<Occupied<'_, V>> {
-        let slot = self.locate(key, staged)?;
+        let slot = self.probe_hit_prehashed(key, indices)?;
         Some(Occupied { table: self, slot })
     }
 
@@ -980,10 +1045,10 @@ impl<V> CuckooTable<V> {
     /// Stage 1 of the batch pipeline: hints the CPU to fetch the candidate
     /// tag bytes behind `indices`.  Purely a performance hint; see
     /// [`ccd_common::prefetch::prefetch_read`].
-    fn prefetch_tags(&self, indices: &[usize]) {
+    fn prefetch_tags<const N: usize>(&self, indices: &[usize; N]) {
         match self.layout {
             TagLayout::Planar => {
-                for (way, &index) in indices.iter().enumerate().take(self.ways) {
+                for (way, &index) in indices.iter().enumerate().take(self.ways_of::<N>()) {
                     prefetch_slice_element(&self.tags, way * self.sets + index);
                 }
             }
@@ -1004,8 +1069,8 @@ impl<V> CuckooTable<V> {
     /// absent one.  Like stage 1 a hint: the operation itself probes the
     /// tags again, so whatever an earlier operation of the window did to
     /// these slots in between changes nothing it computes.
-    fn prefetch_matching(&self, key: u64, indices: &[usize]) {
-        let (mut candidates, _) = self.way_masks::<true, false>(fingerprint(key), indices);
+    fn prefetch_matching<const N: usize>(&self, key: u64, indices: &[usize; N]) {
+        let (mut candidates, _) = self.way_masks::<N, true, false>(fingerprint(key), indices);
         while candidates != 0 {
             let w = candidates.trailing_zeros() as usize;
             let slot = w * self.sets + indices[w];
@@ -1041,19 +1106,18 @@ impl<V> CuckooTable<V> {
     /// recently displaced entry is discarded and returned in
     /// [`InsertOutcome::discarded`]; `key` itself is always stored.
     pub fn insert(&mut self, key: u64, value: V) -> InsertOutcome<V> {
-        ways_dispatch!(self.insert_n(key, value))
-    }
-
-    fn insert_n<const N: usize>(&mut self, key: u64, value: V) -> InsertOutcome<V> {
-        let mut indices = [0usize; N];
-        self.hash_into(key, &mut indices);
-        self.insert_prehashed(key, value, &mut indices)
+        ways_dispatch!(self.ways, N => self.insert_prehashed(key, value, &mut self.hashed::<N>(key)))
     }
 
     /// The insertion body, with `indices[..ways]` already holding `key`'s
     /// candidate set indices.  The lookup that precedes every insertion and
     /// the vacancy scan share one fused probe over those indices.
-    fn insert_prehashed(&mut self, key: u64, value: V, indices: &mut [usize]) -> InsertOutcome<V> {
+    fn insert_prehashed<const N: usize>(
+        &mut self,
+        key: u64,
+        value: V,
+        indices: &mut [usize; N],
+    ) -> InsertOutcome<V> {
         let probe = self.probe_prehashed(key, indices);
         self.record_probe_depth(probe.hit);
         if let Some(slot) = probe.hit {
@@ -1088,7 +1152,12 @@ impl<V> CuckooTable<V> {
     /// entry and is reused as the scratch buffer for each victim — every
     /// victim is hashed exactly once, covering both its vacancy probe and
     /// its next displacement target.
-    fn displace(&mut self, key: u64, value: V, indices: &mut [usize]) -> InsertOutcome<V> {
+    fn displace<const N: usize>(
+        &mut self,
+        key: u64,
+        value: V,
+        indices: &mut [usize; N],
+    ) -> InsertOutcome<V> {
         let mut attempts: u32 = 1;
         let mut current_key = key;
         let mut current_value = value;
@@ -1133,7 +1202,8 @@ impl<V> CuckooTable<V> {
             // re-hashing its key (an occupied tag *is* the fingerprint),
             // but without touching the key array.
             if let Some(family) = self.hashes.tag_alt() {
-                family.derive_all_into(way, indices[way], victim_tag, indices);
+                let from = indices[way];
+                family.derive_all_into(way, from, victim_tag, &mut indices[..self.ways_of::<N>()]);
             } else {
                 self.hash_into(victim_key, indices);
             }
@@ -1151,7 +1221,7 @@ impl<V> CuckooTable<V> {
             // on to the next way.
             current_key = victim_key;
             current_value = victim_value;
-            way = (way + 1) % self.ways;
+            way = (way + 1) % self.ways_of::<N>();
         }
     }
 
@@ -1159,7 +1229,12 @@ impl<V> CuckooTable<V> {
     /// `indices` holds the incoming key's candidate set indices — all
     /// occupied when this runs — and is left untouched so the discard
     /// fallback can reuse them.
-    fn displace_bfs(&mut self, key: u64, value: V, indices: &mut [usize]) -> InsertOutcome<V> {
+    fn displace_bfs<const N: usize>(
+        &mut self,
+        key: u64,
+        value: V,
+        indices: &mut [usize; N],
+    ) -> InsertOutcome<V> {
         let mut scratch = self
             .bfs
             .take()
@@ -1228,13 +1303,18 @@ impl<V> CuckooTable<V> {
     /// costing `D + 1` attempts, so only nodes at depth
     /// `<= max_attempts - 1` are expanded — the budget greedy would spend
     /// on its chain bounds the search depth here.
-    fn bfs_search(&self, scratch: &mut BfsScratch, indices: &[usize]) -> Option<(u32, usize)> {
+    fn bfs_search<const N: usize>(
+        &self,
+        scratch: &mut BfsScratch,
+        indices: &[usize; N],
+    ) -> Option<(u32, usize)> {
         debug_assert!(scratch.nodes.is_empty());
+        let ways = self.ways_of::<N>();
         let max_depth = (self.max_attempts - 1) as usize;
         if max_depth == 0 {
             return None;
         }
-        for (way, &index) in indices.iter().enumerate().take(self.ways) {
+        for (way, &index) in indices.iter().enumerate().take(ways) {
             let slot = way * self.sets + index;
             if scratch.visit(slot) {
                 scratch.nodes.push(BfsNode {
@@ -1243,7 +1323,7 @@ impl<V> CuckooTable<V> {
                 });
             }
         }
-        let mut cand = [0usize; MAX_FAMILY_WAYS];
+        let mut cand = [0usize; N];
         let mut head = 0usize;
         let mut level_end = scratch.nodes.len();
         let mut depth = 1usize;
@@ -1265,7 +1345,7 @@ impl<V> CuckooTable<V> {
             // uses); other families re-hash its key.
             if let Some(family) = self.hashes.tag_alt() {
                 let tag = self.tag_at(self.tag_pos(way, index));
-                family.derive_all_into(way, index, tag, &mut cand);
+                family.derive_all_into(way, index, tag, &mut cand[..ways]);
             } else {
                 self.hash_into(self.key_at(node_slot), &mut cand);
             }
@@ -1273,7 +1353,7 @@ impl<V> CuckooTable<V> {
                 return Some((head as u32, vacant));
             }
             if depth < max_depth {
-                for (w, &set_index) in cand.iter().enumerate().take(self.ways) {
+                for (w, &set_index) in cand.iter().enumerate().take(ways) {
                     if scratch.nodes.len() == BFS_ARENA {
                         break;
                     }
@@ -1303,41 +1383,19 @@ impl<V> CuckooTable<V> {
         key: u64,
         make: impl FnOnce() -> V,
     ) -> FindOrInsert<'_, V> {
-        ways_dispatch!(self.find_or_insert_n(key, make))
-    }
-
-    fn find_or_insert_n<const N: usize>(
-        &mut self,
-        key: u64,
-        make: impl FnOnce() -> V,
-    ) -> FindOrInsert<'_, V> {
-        let mut indices = [0usize; N];
-        self.hash_into(key, &mut indices);
-        self.find_or_insert_prehashed(key, &mut indices, make)
-    }
-
-    /// [`CuckooTable::find_or_insert_with`], through the pipeline's indices
-    /// when `staged`.
-    #[inline]
-    pub(crate) fn find_or_insert_staged(
-        &mut self,
-        key: u64,
-        staged: Option<&mut [usize]>,
-        make: impl FnOnce() -> V,
-    ) -> FindOrInsert<'_, V> {
-        match staged {
-            Some(indices) => self.find_or_insert_prehashed(key, indices, make),
-            None => self.find_or_insert_with(key, make),
-        }
+        ways_dispatch!(self.ways, N => {
+            self.find_or_insert_prehashed(key, &mut self.hashed::<N>(key), make)
+        })
     }
 
     /// The body of [`CuckooTable::find_or_insert_with`], with
     /// `indices[..ways]` already holding `key`'s candidate set indices (the
     /// displacement chain reuses them as its scratch buffer).
-    fn find_or_insert_prehashed(
+    #[inline]
+    pub(crate) fn find_or_insert_prehashed<const N: usize>(
         &mut self,
         key: u64,
-        indices: &mut [usize],
+        indices: &mut [usize; N],
         make: impl FnOnce() -> V,
     ) -> FindOrInsert<'_, V> {
         let probe = self.probe_prehashed(key, indices);
@@ -1363,7 +1421,7 @@ impl<V> CuckooTable<V> {
             // so its final slot needs one re-probe (rare path: all candidate
             // slots were occupied).
             let slot = self
-                .find(key)
+                .find_n::<N>(key)
                 .expect("insertion always stores the requested key");
             (slot, Some(outcome))
         };
@@ -1386,7 +1444,7 @@ impl<V> CuckooTable<V> {
     ///
     /// Panics when `hits` is shorter than `keys`.
     pub fn probe_batch(&self, keys: &[u64], hits: &mut [bool]) {
-        ways_dispatch!(self.probe_batch_n(keys, hits));
+        ways_dispatch!(self.ways, N => self.probe_batch_n::<N>(keys, hits));
     }
 
     fn probe_batch_n<const N: usize>(&self, keys: &[u64], hits: &mut [bool]) {
@@ -1412,21 +1470,13 @@ impl<V> CuckooTable<V> {
     /// [`PIPELINE_DEPTH`] items out of `len`, stages the keys `key_of`
     /// reports ([`CuckooTable::stage_window`]), then calls
     /// `apply(table, item, indices)` for each item in order with the indices
-    /// its key hashed to.
-    pub(crate) fn for_each_staged(
+    /// its key hashed to.  The caller picks `N` with [`ways_dispatch!`], so
+    /// `apply` is compiled for the table's way count too.
+    pub(crate) fn for_each_staged<const N: usize>(
         &mut self,
         len: usize,
         key_of: impl Fn(usize) -> u64,
-        apply: impl FnMut(&mut Self, usize, &mut [usize]),
-    ) {
-        ways_dispatch!(self.for_each_staged_n(len, key_of, apply));
-    }
-
-    fn for_each_staged_n<const N: usize>(
-        &mut self,
-        len: usize,
-        key_of: impl Fn(usize) -> u64,
-        mut apply: impl FnMut(&mut Self, usize, &mut [usize]),
+        mut apply: impl FnMut(&mut Self, usize, &mut [usize; N]),
     ) {
         let mut indices = [[0usize; N]; PIPELINE_DEPTH];
         let mut start = 0;
@@ -1452,7 +1502,7 @@ impl<V> CuckooTable<V> {
         entries: &mut Vec<(u64, V)>,
         outcomes: &mut Vec<InsertOutcome<V>>,
     ) {
-        ways_dispatch!(self.apply_batch_n(entries, outcomes));
+        ways_dispatch!(self.ways, N => self.apply_batch_n::<N>(entries, outcomes));
     }
 
     fn apply_batch_n<const N: usize>(

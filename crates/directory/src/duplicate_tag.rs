@@ -182,7 +182,6 @@ impl DuplicateTagDirectory {
     /// The `AddSharer` operation body, shared with `SetExclusive` (which
     /// appends to an already-populated outcome and must not reset it).
     fn add_impl(&mut self, line: LineAddr, cache: CacheId, out: &mut Outcome) {
-        assert!(cache.index() < self.num_caches, "{cache} out of range");
         self.stats.lookups.incr();
         if let Some(frame) = self.find_in_mirror(cache, line) {
             // Already mirrored for this cache; refresh recency.
@@ -244,10 +243,11 @@ impl Directory for DuplicateTagDirectory {
     }
 
     fn may_hold(&self, line: LineAddr, cache: CacheId) -> bool {
-        self.find_in_mirror(cache, line).is_some()
+        cache.index() < self.num_caches && self.find_in_mirror(cache, line).is_some()
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
+        op.check_cache(self.num_caches);
         out.reset();
         match op {
             DirectoryOp::Probe { line } => {

@@ -157,6 +157,28 @@ impl DirectoryOp {
         }
     }
 
+    /// The range check of every organization's op entry: the cache the
+    /// operation names, if it names one, must be below the directory's
+    /// `num_caches`.  Sharer sets do not check it (a full vector of up to 64
+    /// caches is its presence word alone), so the directory, which knows the
+    /// count, checks once — before anything is looked up or allocated.
+    ///
+    /// # Panics
+    ///
+    /// When the operation names a cache at or past `num_caches`.
+    #[inline]
+    pub fn check_cache(&self, num_caches: usize) {
+        if let DirectoryOp::AddSharer { cache, .. }
+        | DirectoryOp::SetExclusive { cache, .. }
+        | DirectoryOp::RemoveSharer { cache, .. } = *self
+        {
+            assert!(
+                cache.index() < num_caches,
+                "{cache} out of range for a {num_caches}-cache directory"
+            );
+        }
+    }
+
     /// Returns a copy of the operation with its line replaced — used by
     /// wrappers (e.g. [`ShardedDirectory`]) that translate global lines to
     /// slice-local ones.
@@ -448,6 +470,12 @@ pub trait Directory: Send {
     /// with warmed-up buffer capacity the lookup-hit, add-sharer-on-existing
     /// -entry, remove and exclusive-upgrade paths perform no heap
     /// allocation.
+    ///
+    /// # Panics
+    ///
+    /// Every organization panics, before changing anything, on an op naming
+    /// a cache at or past [`Directory::num_caches`]
+    /// ([`DirectoryOp::check_cache`]).
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome);
 
     /// Applies `ops` in order through the reusable `out` buffer, invoking

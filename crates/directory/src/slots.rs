@@ -119,7 +119,7 @@ impl<S: SharerSet> SlotDirectory<S> {
         match &self.organization {
             Organization::Skewed(hashes) => {
                 let mut slots = [0usize; MAX_FAMILY_WAYS];
-                hashes.index_all_into(line, &mut slots);
+                hashes.index_all_into(line, &mut slots[..self.ways]);
                 for (way, slot) in slots.iter_mut().enumerate().take(self.ways) {
                     *slot += way * self.sets;
                 }
@@ -230,6 +230,7 @@ impl<S: SharerSet> Directory for SlotDirectory<S> {
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
+        op.check_cache(self.num_caches);
         out.reset();
         match op {
             DirectoryOp::Probe { line } => {

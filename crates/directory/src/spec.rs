@@ -410,13 +410,21 @@ pub(crate) fn try_filled<T: Clone>(len: usize, fill: T) -> Option<Vec<T>> {
 pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>;
 
 /// Dispatches over the spec's sharer format, binding the chosen
-/// representation type to `$S` inside `$body`.
+/// representation type to `$S` inside `$body`.  The full vector's
+/// representation is chosen here, once per directory, from its cache count
+/// `$caches`: the presence word alone up to 64 caches
+/// ([`ccd_sharers::FullBitVector`]), heap words above
+/// ([`ccd_sharers::WideBitVector`]).
 #[macro_export]
 macro_rules! match_sharer_format {
-    ($format:expr, $S:ident => $body:expr) => {
+    ($format:expr, $caches:expr, $S:ident => $body:expr) => {
         match $format {
-            ccd_sharers::SharerFormat::FullVector => {
+            ccd_sharers::SharerFormat::FullVector if $caches <= ccd_sharers::full::WORD_CACHES => {
                 type $S = ccd_sharers::FullBitVector;
+                $body
+            }
+            ccd_sharers::SharerFormat::FullVector => {
+                type $S = ccd_sharers::WideBitVector;
                 $body
             }
             ccd_sharers::SharerFormat::LimitedPointer => {
@@ -494,7 +502,7 @@ fn reject_policy(spec: &DirectorySpec) -> Result<(), ConfigError> {
 fn build_sparse(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
     reject_policy(spec)?;
-    Ok(match_sharer_format!(spec.sharers, S => {
+    Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(SlotDirectory::<S>::sparse(spec.ways, spec.sets, spec.caches)?)
     }))
 }
@@ -502,7 +510,7 @@ fn build_sparse(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>
 fn build_skewed(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_policy(spec)?;
     let hash = spec.hash.unwrap_or(HashKind::Skewing);
-    Ok(match_sharer_format!(spec.sharers, S => {
+    Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(SlotDirectory::<S>::skewed(spec.ways, spec.sets, spec.caches, hash)?)
     }))
 }
@@ -523,7 +531,7 @@ fn build_duplicate_tag(spec: &DirectorySpec) -> Result<Box<dyn Directory>, Confi
 fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
     reject_policy(spec)?;
-    Ok(match_sharer_format!(spec.sharers, S => {
+    Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(SlotDirectory::<S>::in_cache(spec.ways, spec.sets, spec.caches)?)
     }))
 }

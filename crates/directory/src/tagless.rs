@@ -194,7 +194,6 @@ impl TaglessDirectory {
     /// The `AddSharer` operation body, shared with `SetExclusive` (which
     /// appends to an already-populated outcome and must not reset it).
     fn add_impl(&mut self, line: LineAddr, cache: CacheId, out: &mut Outcome) {
-        assert!(cache.index() < self.num_caches, "{cache} out of range");
         self.stats.lookups.incr();
         let holders = self.present.entry(line.block_number()).or_default();
         if holders.contains(&cache) {
@@ -243,10 +242,13 @@ impl Directory for TaglessDirectory {
     fn may_hold(&self, line: LineAddr, cache: CacheId) -> bool {
         // Conservative: every cache whose filter reports a hit may hold a
         // copy of any tracked line.
-        self.contains(line) && self.filter_may_contain(cache, line)
+        cache.index() < self.num_caches
+            && self.contains(line)
+            && self.filter_may_contain(cache, line)
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
+        op.check_cache(self.num_caches);
         out.reset();
         match op {
             DirectoryOp::Probe { line } => {

@@ -188,7 +188,7 @@ impl IndexHashFamily for HashFamily {
     }
 
     // One enum dispatch for the whole probe instead of one per way.
-    #[inline]
+    #[inline(always)]
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         match self {
             HashFamily::Skewing(f) => f.index_all_into(line, out),

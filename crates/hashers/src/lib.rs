@@ -85,10 +85,17 @@ pub trait IndexHashFamily {
     /// (field decomposition, enum dispatch) out of the per-way loop and write
     /// into a caller-owned stack buffer without allocating.
     ///
+    /// The families of this crate keep their per-way parameters in fixed
+    /// arrays of their way limit and run the loop over `out` itself, so an
+    /// `N`-long buffer is an `N`-trip loop that unrolls wherever `N` is a
+    /// compile-time constant.  An element past `ways()` (up to the family's
+    /// limit) receives the index the same family built with more ways would
+    /// put there: size the buffer to the way count (`&mut buf[..ways]`) to
+    /// leave the rest untouched.
+    ///
     /// # Panics
     ///
     /// Panics when `out` is shorter than [`IndexHashFamily::ways`].
-    /// Elements beyond `ways()` are left untouched.
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         assert!(
             out.len() >= self.ways(),
@@ -168,6 +175,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `index_all_into` over a buffer of exactly the way count equals
+    /// `index` way by way, for every way count 1..=`max_ways` the family
+    /// takes: through `[usize; N]` arrays for the counts the cuckoo table
+    /// compiles its probe for (up to eight ways, where the loop's trip count
+    /// is a constant), through slices for all of them.
+    fn exact_buffers_match_per_way_index<F: IndexHashFamily>(
+        max_ways: usize,
+        make: impl Fn(usize) -> F,
+    ) {
+        fn array<const N: usize>(family: &impl IndexHashFamily, line: LineAddr) -> Vec<usize> {
+            let mut out = [usize::MAX; N];
+            family.index_all_into(line, &mut out);
+            out.to_vec()
+        }
+        let mut rng = SplitMix64::new(0xE7AC7);
+        for ways in 1..=max_ways {
+            let family = make(ways);
+            for _ in 0..64 {
+                let line = LineAddr::from_block_number(rng.next_u64() >> 6);
+                let want: Vec<usize> = (0..ways).map(|way| family.index(way, line)).collect();
+                let mut slice = vec![usize::MAX; ways];
+                family.index_all_into(line, &mut slice);
+                assert_eq!(slice, want, "{ways} ways");
+                let unrolled = match ways {
+                    1 => array::<1>(&family, line),
+                    2 => array::<2>(&family, line),
+                    3 => array::<3>(&family, line),
+                    4 => array::<4>(&family, line),
+                    5 => array::<5>(&family, line),
+                    6 => array::<6>(&family, line),
+                    7 => array::<7>(&family, line),
+                    8 => array::<8>(&family, line),
+                    _ => continue,
+                };
+                assert_eq!(unrolled, want, "[usize; {ways}]");
+            }
+        }
+    }
+
+    #[test]
+    fn skewing_index_all_into_over_exact_buffers_matches_index() {
+        exact_buffers_match_per_way_index(skewing::MAX_WAYS, |ways| {
+            SkewingFamily::new(ways, 512).unwrap()
+        });
+    }
+
+    #[test]
+    fn multiply_shift_index_all_into_over_exact_buffers_matches_index() {
+        exact_buffers_match_per_way_index(multiply_shift::MAX_WAYS, |ways| {
+            MultiplyShiftFamily::with_seed(ways, 512, 3).unwrap()
+        });
+    }
+
+    #[test]
+    fn strong_index_all_into_over_exact_buffers_matches_index() {
+        exact_buffers_match_per_way_index(strong::MAX_WAYS, |ways| {
+            StrongFamily::with_seed(ways, 512, 5).unwrap()
+        });
+    }
+
+    #[test]
+    fn tagalt_index_all_into_over_exact_buffers_matches_index() {
+        exact_buffers_match_per_way_index(tag_alt::MAX_WAYS, |ways| {
+            TagAltFamily::with_seed(ways, 512, 7).unwrap()
+        });
     }
 
     #[test]

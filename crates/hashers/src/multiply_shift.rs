@@ -17,7 +17,10 @@ pub const MAX_WAYS: usize = 64;
 /// A family of per-way multiply-shift hash functions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MultiplyShiftFamily {
-    multipliers: Vec<u64>,
+    ways: usize,
+    /// Per-way odd multipliers, for all [`MAX_WAYS`] ways (see
+    /// [`IndexHashFamily::index_all_into`]).
+    multipliers: Box<[u64; MAX_WAYS]>,
     sets: usize,
     shift: u32,
 }
@@ -70,10 +73,11 @@ impl MultiplyShiftFamily {
             });
         }
         let index_bits = ceil_log2(sets as u64);
-        let multipliers = (0..ways as u64)
-            .map(|w| SplitMix64::mix(seed.wrapping_add(w.wrapping_mul(0xA5A5_5A5A_1234_5678))) | 1)
-            .collect();
+        let multipliers = Box::new(std::array::from_fn(|w| {
+            SplitMix64::mix(seed.wrapping_add((w as u64).wrapping_mul(0xA5A5_5A5A_1234_5678))) | 1
+        }));
         Ok(MultiplyShiftFamily {
+            ways,
             multipliers,
             sets,
             shift: 64 - index_bits,
@@ -83,7 +87,7 @@ impl MultiplyShiftFamily {
 
 impl IndexHashFamily for MultiplyShiftFamily {
     fn ways(&self) -> usize {
-        self.multipliers.len()
+        self.ways
     }
 
     fn sets(&self) -> usize {
@@ -96,16 +100,16 @@ impl IndexHashFamily for MultiplyShiftFamily {
         (line.block_number().wrapping_mul(m) >> self.shift) as usize
     }
 
-    #[inline]
+    #[inline(always)]
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         assert!(
-            out.len() >= self.multipliers.len(),
+            out.len() >= self.ways,
             "index buffer of {} entries cannot hold {} ways",
             out.len(),
-            self.multipliers.len()
+            self.ways
         );
         let block = line.block_number();
-        for (slot, &m) in out.iter_mut().zip(&self.multipliers) {
+        for (slot, &m) in out.iter_mut().zip(self.multipliers.iter()) {
             *slot = (block.wrapping_mul(m) >> self.shift) as usize;
         }
     }

@@ -35,8 +35,10 @@ pub struct SkewingFamily {
     sets: usize,
     index_bits: u32,
     /// Per-way `(rot(A1), rot(A2))` rotation amounts, pre-reduced modulo the
-    /// field width so the per-index hot path never divides.
-    rotations: Vec<(u32, u32)>,
+    /// field width so the per-index hot path never divides — for all
+    /// [`MAX_WAYS`] ways, so `index_all_into`'s loop has the buffer's trip
+    /// count.
+    rotations: [(u32, u32); MAX_WAYS],
 }
 
 impl SkewingFamily {
@@ -74,9 +76,10 @@ impl SkewingFamily {
             });
         }
         let index_bits = ceil_log2(sets as u64);
-        let rotations = (0..ways as u32)
-            .map(|way| (way % index_bits, (2 * way) % index_bits))
-            .collect();
+        let rotations = std::array::from_fn(|way| {
+            let way = way as u32;
+            (way % index_bits, (2 * way) % index_bits)
+        });
         Ok(SkewingFamily {
             ways,
             sets,
@@ -136,7 +139,7 @@ impl IndexHashFamily for SkewingFamily {
         (h & mask) as usize
     }
 
-    #[inline]
+    #[inline(always)]
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         assert!(
             out.len() >= self.ways,

@@ -21,7 +21,10 @@ pub const MAX_WAYS: usize = 64;
 /// A family of strong (well-mixed) per-way index hash functions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StrongFamily {
-    salts: Vec<u64>,
+    ways: usize,
+    /// Per-way salts, for all [`MAX_WAYS`] ways (see
+    /// [`IndexHashFamily::index_all_into`]).
+    salts: Box<[u64; MAX_WAYS]>,
     sets: usize,
     /// `sets - 1`: the set count is a power of two, so the reduction
     /// `mixed % sets` is a mask — no division on the hot path.
@@ -70,10 +73,11 @@ impl StrongFamily {
             });
         }
         // Derive distinct, well-separated salts for each way.
-        let salts = (0..ways as u64)
-            .map(|w| SplitMix64::mix(seed ^ SplitMix64::mix(w.wrapping_add(1))))
-            .collect();
+        let salts = Box::new(std::array::from_fn(|w| {
+            SplitMix64::mix(seed ^ SplitMix64::mix((w as u64).wrapping_add(1)))
+        }));
         Ok(StrongFamily {
+            ways,
             salts,
             sets,
             set_mask: sets as u64 - 1,
@@ -83,7 +87,7 @@ impl StrongFamily {
 
 impl IndexHashFamily for StrongFamily {
     fn ways(&self) -> usize {
-        self.salts.len()
+        self.ways
     }
 
     fn sets(&self) -> usize {
@@ -98,16 +102,16 @@ impl IndexHashFamily for StrongFamily {
         (mixed & self.set_mask) as usize
     }
 
-    #[inline]
+    #[inline(always)]
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         assert!(
-            out.len() >= self.salts.len(),
+            out.len() >= self.ways,
             "index buffer of {} entries cannot hold {} ways",
             out.len(),
-            self.salts.len()
+            self.ways
         );
         let block = line.block_number();
-        for (slot, &salt) in out.iter_mut().zip(&self.salts) {
+        for (slot, &salt) in out.iter_mut().zip(self.salts.iter()) {
             let mixed = SplitMix64::mix(SplitMix64::mix(block ^ salt).wrapping_add(salt));
             *slot = (mixed & self.set_mask) as usize;
         }

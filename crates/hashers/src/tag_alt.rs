@@ -63,11 +63,13 @@ pub fn fingerprint(key: u64) -> u8 {
 /// A family whose alternate buckets are derivable from the tag array alone.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TagAltFamily {
+    ways: usize,
     /// `offsets[way][tag & 0x7F]`: the XOR offset of `way`, `< BLOCK_SPAN`.
     /// Row 0 is all zeros; for a fixed tag the column values are pairwise
-    /// distinct (a per-tag permutation of `0..BLOCK_SPAN`, truncated to the
-    /// way count).
-    offsets: Vec<[u8; 128]>,
+    /// distinct (a per-tag permutation of `0..BLOCK_SPAN`).  All
+    /// [`MAX_WAYS`] rows are kept, whatever the way count (see
+    /// [`IndexHashFamily::index_all_into`]).
+    offsets: Box<[[u8; 128]; MAX_WAYS]>,
     sets: usize,
     set_mask: u64,
     salt: u64,
@@ -121,7 +123,7 @@ impl TagAltFamily {
                 min: BLOCK_SPAN as u64,
             });
         }
-        let mut offsets = vec![[0u8; 128]; ways];
+        let mut offsets = Box::new([[0u8; 128]; MAX_WAYS]);
         for tag in 0..128u64 {
             // A per-tag permutation of 0..BLOCK_SPAN (Fisher–Yates over a
             // seeded stream), with the value 0 swapped into position 0 so
@@ -140,6 +142,7 @@ impl TagAltFamily {
             }
         }
         Ok(TagAltFamily {
+            ways,
             offsets,
             sets,
             set_mask: sets as u64 - 1,
@@ -189,23 +192,24 @@ impl TagAltFamily {
     /// displacement-loop counterpart of
     /// [`IndexHashFamily::index_all_into`], commuting with it exactly:
     /// deriving from any `(way, index_way(key), fingerprint(key))` yields
-    /// the same indices as hashing `key`.
+    /// the same indices as hashing `key`.  Like `index_all_into` it loops
+    /// over `out` itself.
     ///
     /// # Panics
     ///
     /// Panics when `out` is shorter than [`IndexHashFamily::ways`] or
     /// `from_way` is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn derive_all_into(&self, from_way: usize, from_index: usize, tag: u8, out: &mut [usize]) {
         assert!(
-            out.len() >= self.offsets.len(),
+            out.len() >= self.ways,
             "index buffer of {} entries cannot hold {} ways",
             out.len(),
-            self.offsets.len()
+            self.ways
         );
         let t = usize::from(tag & 0x7F);
         let base = from_index ^ usize::from(self.offsets[from_way][t]);
-        for (slot, row) in out.iter_mut().zip(&self.offsets) {
+        for (slot, row) in out.iter_mut().zip(self.offsets.iter()) {
             *slot = base ^ usize::from(row[t]);
         }
     }
@@ -213,7 +217,7 @@ impl TagAltFamily {
 
 impl IndexHashFamily for TagAltFamily {
     fn ways(&self) -> usize {
-        self.offsets.len()
+        self.ways
     }
 
     fn sets(&self) -> usize {
@@ -226,18 +230,18 @@ impl IndexHashFamily for TagAltFamily {
         self.base_index(block) ^ self.offset(way, fingerprint(block))
     }
 
-    #[inline]
+    #[inline(always)]
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         assert!(
-            out.len() >= self.offsets.len(),
+            out.len() >= self.ways,
             "index buffer of {} entries cannot hold {} ways",
             out.len(),
-            self.offsets.len()
+            self.ways
         );
         let block = line.block_number();
         let base = self.base_index(block);
         let t = usize::from(fingerprint(block) & 0x7F);
-        for (slot, row) in out.iter_mut().zip(&self.offsets) {
+        for (slot, row) in out.iter_mut().zip(self.offsets.iter()) {
             *slot = base ^ usize::from(row[t]);
         }
     }

@@ -96,10 +96,6 @@ impl SharerSet for CoarseVector {
         }
     }
 
-    fn num_caches(&self) -> usize {
-        self.num_caches
-    }
-
     fn add(&mut self, cache: CacheId) {
         self.assert_in_range(cache);
         match &mut self.mode {

@@ -86,10 +86,6 @@ impl SharerSet for HierarchicalVector {
         }
     }
 
-    fn num_caches(&self) -> usize {
-        self.num_caches
-    }
-
     fn add(&mut self, cache: CacheId) {
         self.assert_in_range(cache);
         let (group, bit) = self.locate(cache);

@@ -8,10 +8,11 @@
 //! Cuckoo tag organization combined with both the *coarse* and the
 //! *hierarchical* sharer formats (Figure 13).
 //!
-//! This crate provides the four representations used across the evaluation:
+//! This crate provides the four formats used across the evaluation:
 //!
-//! * [`FullBitVector`] — one presence bit per cache (the traditional Sparse
-//!   format whose area grows linearly with core count),
+//! * [`FullBitVector`] / [`WideBitVector`] — one presence bit per cache
+//!   (the traditional Sparse format whose area grows linearly with core
+//!   count): the presence word itself up to 64 caches, heap words above,
 //! * [`LimitedPointer`] — a handful of exact cache pointers with a
 //!   broadcast-on-overflow fallback,
 //! * [`CoarseVector`] — exact pointers within `2·log₂(caches)` bits,
@@ -54,7 +55,7 @@ pub mod hierarchical;
 pub mod limited;
 
 pub use coarse::CoarseVector;
-pub use full::FullBitVector;
+pub use full::{FullBitVector, WideBitVector};
 pub use hierarchical::HierarchicalVector;
 pub use limited::LimitedPointer;
 
@@ -67,19 +68,22 @@ use std::fmt::Debug;
 /// [`SharerSet::invalidation_targets`] may over-approximate but never
 /// under-approximate the set of caches that were [`SharerSet::add`]ed and
 /// not since [`SharerSet::remove`]d.
+///
+/// How many caches a set describes is the directory's to know, not the
+/// set's: the directory creates every entry's set with its own cache count
+/// and checks each cache an operation names against that count once, at
+/// its op entry.  `add` and `remove` may therefore assume `cache` is in
+/// range; the full vectors do not even store the count (an entry of up to
+/// 64 caches is its presence word), while the compressed formats keep it for
+/// their own arithmetic and assert it.  `may_contain` answers `false` for
+/// any cache past the count.
 pub trait SharerSet: Clone + Debug + Send {
     /// Creates an empty sharer set sized for `num_caches` private caches,
     /// using the representation's default parameters.
     fn new(num_caches: usize) -> Self;
 
-    /// Number of private caches this set can describe.
-    fn num_caches(&self) -> usize;
-
-    /// Records that `cache` holds a copy of the block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` is out of range for this set.
+    /// Records that `cache` holds a copy of the block.  `cache` is below
+    /// the count the set was created for (see the trait docs).
     fn add(&mut self, cache: CacheId);
 
     /// Records that `cache` no longer holds a copy of the block.
@@ -208,7 +212,6 @@ mod tests {
     fn exercise<S: SharerSet>(num_caches: usize) {
         let mut s = S::new(num_caches);
         assert!(s.is_empty());
-        assert_eq!(s.num_caches(), num_caches);
         assert!(s.invalidation_targets().is_empty());
 
         s.add(CacheId::new(0));
@@ -228,6 +231,7 @@ mod tests {
     #[test]
     fn every_representation_satisfies_the_basic_contract() {
         exercise::<FullBitVector>(32);
+        exercise::<WideBitVector>(96);
         exercise::<LimitedPointer>(32);
         exercise::<CoarseVector>(32);
         exercise::<HierarchicalVector>(32);

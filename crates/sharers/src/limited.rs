@@ -73,10 +73,6 @@ impl SharerSet for LimitedPointer {
         Self::with_capacity(num_caches, DEFAULT_POINTERS)
     }
 
-    fn num_caches(&self) -> usize {
-        self.num_caches
-    }
-
     fn add(&mut self, cache: CacheId) {
         self.assert_in_range(cache);
         if self.overflowed || self.pointers.contains(&cache) {

@@ -287,6 +287,72 @@ fn removing_all_sharers_eventually_frees_every_entry() {
     }
 }
 
+/// The range check every organization makes at its op entry: an
+/// `AddSharer`, `SetExclusive` or `RemoveSharer` naming cache `num_caches`
+/// (one past the last) panics with "out of range" — one at a time and
+/// batched — before it changes anything, and `may_hold` answers `false`
+/// for that cache.  Over every organization × sharer format the registry
+/// builds, full vectors on both sides of the 64-cache presence word, plain
+/// and `sharded2:`.
+#[test]
+fn an_op_naming_a_cache_past_the_count_panics_at_the_op_entry() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let mut specs = Vec::new();
+    for org in ["cuckoo-4x64", "sparse-4x64", "skewed-4x64", "in-cache-4x64"] {
+        for format in ["full", "limited", "coarse", "hier"] {
+            for caches in [8, 64, 65] {
+                specs.push(format!("{org}-c{caches}@{format}"));
+            }
+        }
+    }
+    for org in ["duplicate-tag-2x32", "tagless-2x32"] {
+        for caches in [8, 65] {
+            specs.push(format!("{org}-c{caches}"));
+        }
+    }
+    let registry = standard_registry();
+    for spec in specs
+        .iter()
+        .flat_map(|spec| [spec.clone(), format!("sharded2:{spec}")])
+    {
+        let mut dir = registry.build_str(&spec).expect(&spec);
+        let caches = dir.num_caches();
+        let past = CacheId::new(caches as u32);
+        let line = LineAddr::from_block_number(0x5EC);
+        let mut out = Outcome::new();
+        for cache in [0, caches as u32 - 1].map(CacheId::new) {
+            dir.apply(add(line, cache), &mut out);
+        }
+        let before = (dir.len(), dir.stats(), probe(dir.as_mut(), line));
+        assert!(!dir.may_hold(line, past), "{spec}");
+        for op in [
+            add(line, past),
+            DirectoryOp::SetExclusive { line, cache: past },
+            DirectoryOp::RemoveSharer { line, cache: past },
+        ] {
+            for batched in [false, true] {
+                let panicked = catch_unwind(AssertUnwindSafe(|| {
+                    if batched {
+                        dir.apply_batch(&[op], &mut out, &mut |_, _| {});
+                    } else {
+                        dir.apply(op, &mut out);
+                    }
+                }))
+                .expect_err(&format!(
+                    "{spec}: {op:?} (batched: {batched}) did not panic"
+                ));
+                let message = panicked.downcast_ref::<String>().map_or("", String::as_str);
+                assert!(message.contains("out of range"), "{spec}: {message}");
+                let after = (dir.len(), dir.stats(), probe(dir.as_mut(), line));
+                assert_eq!(after, before, "{spec}: {op:?} changed the directory");
+            }
+        }
+        assert!(!dir.may_hold(line, past), "{spec}");
+        assert!(!dir.may_hold(line, CacheId::new(u32::MAX)), "{spec}");
+    }
+}
+
 #[test]
 fn capacity_and_storage_profiles_are_positive_and_consistent() {
     for (label, dir) in all_dirs() {
@@ -507,18 +573,25 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
 }
 
 /// Cuckoo geometries the batch pipeline must treat alike, on top of
-/// [`REGISTRY_SPECS`]: way counts on both sides of the table's
-/// compact-buffer bound (8), both tag layouts (`tagalt` at four ways is
-/// line-local, everything else planar), both insertion policies, a
-/// heap-backed full vector, and two tables small enough that the stream
-/// below drives them far past capacity.
+/// [`REGISTRY_SPECS`]: every way count the table compiles its probe for
+/// exactly (2 to 8, across the hash families) and one past that bound (16),
+/// both tag layouts (`tagalt` at four ways is line-local, everything else
+/// planar), both insertion policies, full vectors on each side of the
+/// 64-cache presence word (64 / 65) and far above it (128), and two tables
+/// small enough that the stream below drives them far past capacity.
 const PIPELINE_SPECS: &[&str] = &[
     "cuckoo-2x64-strong-c8",
     "cuckoo-3x64-ms-c8",
+    "cuckoo-5x32-skew-c8",
+    "cuckoo-5x32-tagalt-c8",
+    "cuckoo-6x32-ms-c8",
+    "cuckoo-7x32-strong-bfs-c8",
     "cuckoo-8x16-skew-c8",
     "cuckoo-16x8-strong-c8",
     "cuckoo-4x64-tagalt-c8",
     "cuckoo-4x64-tagalt-bfs-c8",
+    "cuckoo-4x64-skew-c64",
+    "cuckoo-4x64-skew-c65",
     "cuckoo-4x64-skew-c128",
     TINY_GREEDY,
     "cuckoo-3x4-strong-bfs-c4",

@@ -111,9 +111,10 @@ fn limited_pointer_is_conservative() {
 
 #[test]
 fn cuckoo_table_never_loses_undiscarded_keys() {
+    // Every way count the table compiles its probe for exactly (2..=8).
     let mut rng = SplitMix64::new(0x7AB1E);
-    for round in 0..48u64 {
-        let ways = 2 + (round % 4) as usize;
+    for round in 0..49u64 {
+        let ways = 2 + (round % 7) as usize;
         let key_count = 1 + rng.next_below(300) as usize;
         let keys: HashSet<u64> = (0..key_count).map(|_| rng.next_below(1_000_000)).collect();
         let mut table: CuckooTable<u64> = CuckooTable::new(ways, 256, HashKind::Strong, 7).unwrap();
@@ -201,7 +202,13 @@ fn soa_table_matches_the_seed_aos_model_bit_for_bit() {
         (3, 8, 2),
         (3, 16, 32),
         (4, 16, 8),
-        (12, 8, 6), // exercises the multi-chunk (>8-way) SWAR path
+        // One table per remaining way count compiled exactly, then the
+        // multi-chunk (>8-way) SWAR path with its runtime bound.
+        (5, 8, 6),
+        (6, 8, 6),
+        (7, 8, 6),
+        (8, 8, 6),
+        (12, 8, 6),
     ] {
         for kind in [HashKind::Skewing, HashKind::MultiplyShift, HashKind::Strong] {
             let hash_seed = rng.next_u64();

@@ -9,8 +9,8 @@
 //! pipeline) and the raw cuckoo table's `probe_batch` /
 //! `apply_batch`, which probe through the SoA tag arrays with caller-owned
 //! buffers.  A cuckoo directory of full vectors over at most 64 caches
-//! goes further: its entries hold their presence word inline, so even
-//! allocating and freeing an entry stays off the heap.
+//! goes further: its entry's sharer set is the presence word itself, so
+//! even allocating and freeing an entry stays off the heap.
 //!
 //! The same allocator sees every layout, so it also checks that the table's
 //! cache-line- and huge-page-aligned buffers (`ccd_common::pages::PageBuf`)
@@ -112,6 +112,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         "cuckoo-4x512-skew",
         "cuckoo-4x512-skew-c16",
         "cuckoo-4x512-skew-c64",
+        "cuckoo-4x512-skew-c65",
         "cuckoo-4x512-tagalt-bfs",
         "cuckoo-4x512@coarse",
         "cuckoo-4x512@hier",
@@ -123,7 +124,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         "tagless-2x32",
         "sharded4:cuckoo-4x512-skew",
     ];
-    /// Full vectors over 16, 32 (the default) and 64 caches: one inline
+    /// Full vectors over 16, 32 (the default) and 64 caches: the presence
     /// word each.
     const INLINE_SPECS: &[&str] = &[
         "cuckoo-4x512-skew",
