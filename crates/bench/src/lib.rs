@@ -2,9 +2,8 @@
 //!
 //! Every table and figure of the paper's evaluation is one row of the
 //! `figs` binary's experiment table (`src/bin/figs/`; the README's
-//! reproducing-the-figures walkthrough is the index).  The experiments —
-//! and `bench_probe`, the one result-writing bin beside them — share the
-//! plumbing here:
+//! reproducing-the-figures walkthrough is the index).  The experiments share
+//! the plumbing here:
 //!
 //! * [`RunScale`] — how many references to warm up and measure per
 //!   simulation, scaled to the tracked-cache capacity and selected with

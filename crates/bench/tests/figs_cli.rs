@@ -63,7 +63,7 @@ fn list_prints_one_name_and_its_files_per_row_in_table_order() {
 }
 
 #[test]
-fn every_golden_but_bench_probes_has_one_owner_and_every_result_a_golden() {
+fn every_golden_has_one_owner_and_every_result_a_golden() {
     let golden_of = |file: &str| format!("{}.quick.json", file.to_lowercase());
     let declared: Vec<String> = listed()
         .into_iter()
@@ -76,7 +76,7 @@ fn every_golden_but_bench_probes_has_one_owner_and_every_result_a_golden() {
     let goldens: BTreeSet<String> = std::fs::read_dir(GOLDEN_DIR)
         .expect("tests/golden exists")
         .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-        .filter(|name| name.ends_with(".quick.json") && name != "bench_probe.quick.json")
+        .filter(|name| name.ends_with(".quick.json"))
         .collect();
     assert_eq!(owned, goldens.iter().collect());
 }

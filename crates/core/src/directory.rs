@@ -316,8 +316,6 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
         config.ways = ways;
         config.sets = sets;
         config.validate()?;
-        // The new table picks its own tag layout: a re-way can cross the
-        // line-local layout's `ways × block_span` bound in either direction.
         let mut table = Self::build_table(&config)?;
         // Like the per-insertion statistics, the depth distributions skip
         // the migration itself: recorded data survives the resize, and the
@@ -605,10 +603,10 @@ mod tests {
     }
 
     #[test]
-    fn live_resize_crosses_the_tag_layout_bound_in_both_directions() {
-        // A tagalt table is line-local up to four ways and planar above, so
-        // a 4 <-> 8 re-way is the one place a live directory changes probe
-        // kernels.  Nothing observable may move but the geometry.
+    fn live_resize_re_ways_in_both_directions() {
+        // A 4 <-> 8 re-way is the one place a live directory changes the
+        // way count its probe is compiled for.  Nothing observable may move
+        // but the geometry.
         type Observed = (
             usize,
             DirectoryStats,
@@ -629,7 +627,7 @@ mod tests {
                 for armed in [false, true] {
                     let case = format!("{from_ways}->{to_ways} {policy} armed={armed}");
                     let config = CuckooConfig::new(from_ways, 64, 8)
-                        .with_hash_kind(HashKind::TagAlt)
+                        .with_hash_kind(HashKind::Strong)
                         .with_insert_policy(policy);
                     let mut d = Dir::new(config).unwrap();
                     if armed {

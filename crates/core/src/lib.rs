@@ -196,8 +196,8 @@ mod tests {
         let dir = registry.build_str("cuckoo-4x64-strong-bfs").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x64-strong-bfs");
         // It composes with a hash family (policy after hash, per grammar).
-        let dir = registry.build_str("cuckoo-4x64-tagalt-bfs-c16").unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x64-tagalt-bfs");
+        let dir = registry.build_str("cuckoo-4x64-ms-bfs-c16").unwrap();
+        assert_eq!(dir.organization(), "cuckoo-4x64-multiply-shift-bfs");
         // The default greedy policy leaves the label unchanged.
         let dir = registry.build_str("cuckoo-4x64-strong-greedy").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x64-strong");

@@ -3,13 +3,10 @@
 //! This is a literal transcription of the original (pre-SoA) table:
 //! `Vec<Option<(key, value)>>` storage, branchy `Option` probing,
 //! search-then-hash double hashing on insertion.  It is **not** part of the
-//! public API surface — it exists so the property suite can drive the
-//! SoA/SWAR [`CuckooTable`](crate::CuckooTable) in lockstep against the
-//! seed semantics (same attempt counts, same discard choices — the
-//! Section 5.2 accounting) and so the `bench_probe` binary can report
-//! ns/op against the exact layout the rework replaced.  Keeping the single
-//! authoritative transcription here prevents the test model and the bench
-//! baseline from drifting apart.
+//! public API surface — it exists only so the lockstep suites can drive the
+//! SoA/SWAR [`CuckooTable`](crate::CuckooTable) against the seed semantics
+//! (same attempt counts, same discard choices — the Section 5.2
+//! accounting).  It is no longer a timing baseline: nothing measures it.
 
 use ccd_common::{ConfigError, LineAddr};
 use ccd_hash::{HashFamily, HashKind, IndexHashFamily};

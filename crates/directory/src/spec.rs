@@ -25,8 +25,8 @@
 //! * `WxS` — ways × sets.  For `duplicate-tag`/`tagless`, `W` is the
 //!   mirrored cache associativity and `S` the mirrored sets; for
 //!   `in-cache`, the embedding L2 bank geometry;
-//! * `HASH` — `skew`, `ms`, `strong`, or `tagalt` (organizations with
-//!   hashed indexing only);
+//! * `HASH` — `skew`, `ms` or `strong` (organizations with hashed indexing
+//!   only);
 //! * `POLICY` — `greedy` (default) or `bfs`: the cuckoo directory's
 //!   insertion policy.  The policy is *semantic*: BFS finds shortest
 //!   displacement paths, so attempt counts and placements differ from the
@@ -35,6 +35,9 @@
 //! * `@SHARERS` — `full`, `limited`, `coarse`, or `hier` (default `full`);
 //! * `shardedN:` — interleave the capacity across `N` identical slices
 //!   behind a [`ShardedDirectory`]; `S` must be divisible by `N`.
+//!
+//! Each modifier appears at most once: a second hash, policy or cache-count
+//! token is an error naming it, not an override of the first.
 //!
 //! ```
 //! use ccd_directory::{BuilderRegistry, DirectorySpec};
@@ -267,26 +270,30 @@ impl FromStr for DirectorySpec {
         let mut spec = DirectorySpec::new(org.to_string(), ways, sets)
             .with_sharers(sharers)
             .with_shards(shards);
+        let (mut caches, mut policy) = (None, None);
         for token in tokens {
-            if let Some(count) = token.strip_prefix('c') {
-                if let Ok(caches) = count.parse() {
-                    spec.caches = caches;
-                    continue;
-                }
+            let count = token.strip_prefix('c').and_then(|count| count.parse().ok());
+            let repeated = if let Some(count) = count {
+                caches.replace(count).is_some()
+            } else if let Ok(hash) = token.parse::<HashKind>() {
+                spec.hash.replace(hash).is_some()
+            } else if let Ok(parsed) = token.parse::<InsertPolicy>() {
+                policy.replace(parsed).is_some()
+            } else {
+                return Err(Self::parse_error(
+                    input,
+                    format!("unknown modifier `{token}`"),
+                ));
+            };
+            if repeated {
+                return Err(Self::parse_error(
+                    input,
+                    format!("repeated modifier `{token}`"),
+                ));
             }
-            if let Ok(hash) = token.parse::<HashKind>() {
-                spec.hash = Some(hash);
-                continue;
-            }
-            if let Ok(policy) = token.parse::<InsertPolicy>() {
-                spec.policy = policy;
-                continue;
-            }
-            return Err(Self::parse_error(
-                input,
-                format!("unknown modifier `{token}`"),
-            ));
         }
+        spec.caches = caches.unwrap_or(DEFAULT_CACHES);
+        spec.policy = policy.unwrap_or_default();
         if spec.ways == 0 {
             return Err(ConfigError::Zero { what: "ways" });
         }
@@ -314,7 +321,6 @@ impl fmt::Display for DirectorySpec {
                 HashKind::Skewing => "skew",
                 HashKind::MultiplyShift => "ms",
                 HashKind::Strong => "strong",
-                HashKind::TagAlt => "tagalt",
             };
             write!(f, "-{name}")?;
         }
@@ -676,8 +682,8 @@ mod tests {
         let spec: DirectorySpec = "skewed-4x256-strong".parse().unwrap();
         assert_eq!(spec.hash, Some(HashKind::Strong));
 
-        let spec: DirectorySpec = "cuckoo-4x1024-tagalt-bfs-c16".parse().unwrap();
-        assert_eq!(spec.hash, Some(HashKind::TagAlt));
+        let spec: DirectorySpec = "cuckoo-4x1024-ms-bfs-c16".parse().unwrap();
+        assert_eq!(spec.hash, Some(HashKind::MultiplyShift));
         assert_eq!(spec.policy, InsertPolicy::Bfs);
         assert_eq!(spec.caches, 16);
 
@@ -737,6 +743,20 @@ mod tests {
         let err = message("sparse-4x64@martian");
         assert!(err.contains("`martian`"), "{err}");
 
+        // A retired hash family is an unknown modifier like any other.
+        let err = message("cuckoo-4x64-tagalt");
+        assert!(err.contains("unknown modifier `tagalt`"), "{err}");
+
+        // A second hash, policy or cache count is refused, not an override.
+        for (input, token) in [
+            ("cuckoo-4x64-skew-strong", "`strong`"),
+            ("cuckoo-4x64-c16-c8", "`c8`"),
+            ("cuckoo-4x64-bfs-greedy", "`greedy`"),
+        ] {
+            let err = message(input);
+            assert!(err.contains(&format!("repeated modifier {token}")), "{err}");
+        }
+
         // The full input is always quoted for context.
         for input in ["mystery-4x64", "sparse-4xq", "sparse-4x64-bogus"] {
             assert!(message(input).contains(input), "{input}");
@@ -750,9 +770,9 @@ mod tests {
             "skewed-4x1024-strong",
             "duplicate-tag-16x512-c16",
             "sharded4:sparse-4x256@coarse",
-            "cuckoo-4x1024-tagalt",
+            "cuckoo-4x1024-ms",
             "cuckoo-4x1024-bfs",
-            "cuckoo-4x1024-tagalt-bfs-c16",
+            "cuckoo-4x1024-strong-bfs-c16",
         ] {
             let spec: DirectorySpec = input.parse().unwrap();
             assert_eq!(spec.to_string(), input);

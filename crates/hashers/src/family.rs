@@ -6,7 +6,7 @@
 //! so [`HashFamily`] wraps the three concrete families behind one enum that
 //! still implements [`IndexHashFamily`].
 
-use crate::{IndexHashFamily, MultiplyShiftFamily, SkewingFamily, StrongFamily, TagAltFamily};
+use crate::{IndexHashFamily, MultiplyShiftFamily, SkewingFamily, StrongFamily};
 use ccd_common::{ConfigError, LineAddr};
 use std::fmt;
 
@@ -22,11 +22,6 @@ pub enum HashKind {
     /// Strong SplitMix-style mixers — stand-in for the paper's
     /// "cryptographic" functions.
     Strong,
-    /// Tag-derived alternate buckets (`base ^ g(tag)`): a strong way-0
-    /// index with per-tag XOR offsets for the other ways, so displacement
-    /// candidates derive from the tag array alone and all candidates of a
-    /// key share one aligned block (enables the table's line-local tag layout).
-    TagAlt,
 }
 
 impl fmt::Display for HashKind {
@@ -35,17 +30,14 @@ impl fmt::Display for HashKind {
             HashKind::Skewing => "skewing",
             HashKind::MultiplyShift => "multiply-shift",
             HashKind::Strong => "strong",
-            HashKind::TagAlt => "tagalt",
         };
         f.write_str(name)
     }
 }
 
 impl HashKind {
-    /// The paper-study kinds, in ascending hardware-cost order.  The
-    /// hash-function studies (Section 5.5 / Figure 7) sweep exactly these
-    /// three; [`HashKind::TagAlt`] is an opt-in layout-coupled family and
-    /// deliberately not part of the sweep.
+    /// Every kind, in ascending hardware-cost order: what the
+    /// hash-function studies (Section 5.5 / Figure 7) sweep.
     #[must_use]
     pub const fn all() -> [HashKind; 3] {
         [HashKind::Skewing, HashKind::MultiplyShift, HashKind::Strong]
@@ -56,13 +48,12 @@ impl std::str::FromStr for HashKind {
     type Err = ConfigError;
 
     /// Parses the names used in directory-spec strings: `skew`/`skewing`,
-    /// `ms`/`mshift`/`multiply-shift`, `strong`, `tagalt`.
+    /// `ms`/`mshift`/`multiply-shift`, `strong`.
     fn from_str(s: &str) -> Result<Self, ConfigError> {
         match s {
             "skew" | "skewing" => Ok(HashKind::Skewing),
             "ms" | "mshift" | "multiply-shift" => Ok(HashKind::MultiplyShift),
             "strong" => Ok(HashKind::Strong),
-            "tagalt" => Ok(HashKind::TagAlt),
             other => Err(ConfigError::Parse {
                 what: format!("unknown hash kind `{other}`"),
             }),
@@ -91,8 +82,6 @@ pub enum HashFamily {
     MultiplyShift(MultiplyShiftFamily),
     /// Strong mixers.
     Strong(StrongFamily),
-    /// Tag-derived alternate buckets.
-    TagAlt(TagAltFamily),
 }
 
 impl HashFamily {
@@ -110,7 +99,6 @@ impl HashFamily {
                 HashFamily::MultiplyShift(MultiplyShiftFamily::new(ways, sets)?)
             }
             HashKind::Strong => HashFamily::Strong(StrongFamily::new(ways, sets)?),
-            HashKind::TagAlt => HashFamily::TagAlt(TagAltFamily::new(ways, sets)?),
         })
     }
 
@@ -132,7 +120,6 @@ impl HashFamily {
                 HashFamily::MultiplyShift(MultiplyShiftFamily::with_seed(ways, sets, seed)?)
             }
             HashKind::Strong => HashFamily::Strong(StrongFamily::with_seed(ways, sets, seed)?),
-            HashKind::TagAlt => HashFamily::TagAlt(TagAltFamily::with_seed(ways, sets, seed)?),
         })
     }
 
@@ -143,17 +130,6 @@ impl HashFamily {
             HashFamily::Skewing(_) => HashKind::Skewing,
             HashFamily::MultiplyShift(_) => HashKind::MultiplyShift,
             HashFamily::Strong(_) => HashKind::Strong,
-            HashFamily::TagAlt(_) => HashKind::TagAlt,
-        }
-    }
-
-    /// The concrete tag-alt family, when this is one — probe layers use
-    /// this to unlock tag-only displacement and the line-local tag layout.
-    #[must_use]
-    pub fn tag_alt(&self) -> Option<&TagAltFamily> {
-        match self {
-            HashFamily::TagAlt(f) => Some(f),
-            _ => None,
         }
     }
 }
@@ -164,7 +140,6 @@ impl IndexHashFamily for HashFamily {
             HashFamily::Skewing(f) => f.ways(),
             HashFamily::MultiplyShift(f) => f.ways(),
             HashFamily::Strong(f) => f.ways(),
-            HashFamily::TagAlt(f) => f.ways(),
         }
     }
 
@@ -173,7 +148,6 @@ impl IndexHashFamily for HashFamily {
             HashFamily::Skewing(f) => f.sets(),
             HashFamily::MultiplyShift(f) => f.sets(),
             HashFamily::Strong(f) => f.sets(),
-            HashFamily::TagAlt(f) => f.sets(),
         }
     }
 
@@ -183,7 +157,6 @@ impl IndexHashFamily for HashFamily {
             HashFamily::Skewing(f) => f.index(way, line),
             HashFamily::MultiplyShift(f) => f.index(way, line),
             HashFamily::Strong(f) => f.index(way, line),
-            HashFamily::TagAlt(f) => f.index(way, line),
         }
     }
 
@@ -194,7 +167,6 @@ impl IndexHashFamily for HashFamily {
             HashFamily::Skewing(f) => f.index_all_into(line, out),
             HashFamily::MultiplyShift(f) => f.index_all_into(line, out),
             HashFamily::Strong(f) => f.index_all_into(line, out),
-            HashFamily::TagAlt(f) => f.index_all_into(line, out),
         }
     }
 
@@ -203,7 +175,6 @@ impl IndexHashFamily for HashFamily {
             HashFamily::Skewing(f) => f.logic_levels(),
             HashFamily::MultiplyShift(f) => f.logic_levels(),
             HashFamily::Strong(f) => f.logic_levels(),
-            HashFamily::TagAlt(f) => f.logic_levels(),
         }
     }
 }
@@ -238,24 +209,6 @@ mod tests {
         assert_eq!(HashKind::Skewing.to_string(), "skewing");
         assert_eq!(HashKind::MultiplyShift.to_string(), "multiply-shift");
         assert_eq!(HashKind::Strong.to_string(), "strong");
-        assert_eq!(HashKind::TagAlt.to_string(), "tagalt");
-    }
-
-    #[test]
-    fn tagalt_parses_errors_and_exposes_the_concrete_family() {
-        assert_eq!("tagalt".parse::<HashKind>().unwrap(), HashKind::TagAlt);
-        assert!(HashFamily::new(HashKind::TagAlt, 0, 64).is_err());
-        assert!(HashFamily::new(HashKind::TagAlt, 4, 100).is_err());
-        assert!(
-            HashFamily::new(HashKind::TagAlt, 4, 8).is_err(),
-            "sub-block set count"
-        );
-        let f = HashFamily::with_seed(HashKind::TagAlt, 3, 256, 7).unwrap();
-        assert_eq!(f.kind(), HashKind::TagAlt);
-        assert!(f.tag_alt().is_some(), "accessor must expose the family");
-        assert!(f.index(1, LineAddr::from_block_number(123)) < 256);
-        let skew = HashFamily::new(HashKind::Skewing, 3, 256).unwrap();
-        assert!(skew.tag_alt().is_none(), "other kinds expose nothing");
     }
 
     #[test]

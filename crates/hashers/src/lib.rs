@@ -34,13 +34,11 @@ pub mod family;
 pub mod multiply_shift;
 pub mod skewing;
 pub mod strong;
-pub mod tag_alt;
 
 pub use family::{HashFamily, HashKind};
 pub use multiply_shift::MultiplyShiftFamily;
 pub use skewing::SkewingFamily;
 pub use strong::StrongFamily;
-pub use tag_alt::{fingerprint, TagAltFamily};
 
 use ccd_common::LineAddr;
 
@@ -150,18 +148,12 @@ mod tests {
         check_uniformity(&SkewingFamily::new(4, 256).unwrap(), 100_000);
         check_uniformity(&StrongFamily::new(4, 256).unwrap(), 100_000);
         check_uniformity(&MultiplyShiftFamily::new(4, 256).unwrap(), 100_000);
-        check_uniformity(&TagAltFamily::new(4, 256).unwrap(), 100_000);
     }
 
     #[test]
     fn index_all_into_matches_per_way_index_for_every_kind() {
         let mut rng = SplitMix64::new(0xA11);
-        for kind in [
-            HashKind::Skewing,
-            HashKind::MultiplyShift,
-            HashKind::Strong,
-            HashKind::TagAlt,
-        ] {
+        for kind in HashKind::all() {
             for ways in [2usize, 3, 4, 8, 16] {
                 let family = HashFamily::new(kind, ways, 512).unwrap();
                 let mut buf = [0usize; MAX_FAMILY_WAYS];
@@ -234,13 +226,6 @@ mod tests {
     fn strong_index_all_into_over_exact_buffers_matches_index() {
         exact_buffers_match_per_way_index(strong::MAX_WAYS, |ways| {
             StrongFamily::with_seed(ways, 512, 5).unwrap()
-        });
-    }
-
-    #[test]
-    fn tagalt_index_all_into_over_exact_buffers_matches_index() {
-        exact_buffers_match_per_way_index(tag_alt::MAX_WAYS, |ways| {
-            TagAltFamily::with_seed(ways, 512, 7).unwrap()
         });
     }
 

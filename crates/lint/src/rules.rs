@@ -136,12 +136,8 @@ impl Config {
                 "src",
             ]),
             // One clock: every other bin writes deterministic, golden-pinned
-            // bytes.  `bench_probe` stays until the benchmark has a workload
-            // on the line-local tag layout.
-            wallclock_allowed: owned(&[
-                "crates/bench/src/bin/benchmark",
-                "crates/bench/src/bin/bench_probe.rs",
-            ]),
+            // bytes.
+            wallclock_allowed: owned(&["crates/bench/src/bin/benchmark"]),
             spawn_allowed: owned(&[
                 "crates/coherence/src/engine/runner.rs",
                 "crates/service/src/supervisor.rs",
@@ -470,9 +466,10 @@ pub fn check_tokens(file: &ScannedFile, cfg: &Config) -> Vec<Diagnostic> {
                     emit(
                         "arch-confinement",
                         format!(
-                            "`{token}` outside the vector dispatch modules: CPU-feature \
-                             selection lives behind `VectorEngine` (crates/core/src/simd.rs) \
-                             so every other module stays portable and Miri-runnable"
+                            "`{token}` outside the CPU-feature modules: feature detection \
+                             lives in crates/core/src/simd.rs and the prefetch hint in \
+                             crates/common/src/prefetch.rs, so every other module stays \
+                             portable and Miri-runnable"
                         ),
                     );
                 }
@@ -565,11 +562,10 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_is_allowed_in_the_benchmark_and_bench_probe_only() {
+    fn wallclock_is_allowed_in_the_benchmark_only() {
         for allowed in [
             "crates/bench/src/bin/benchmark/main.rs",
             "crates/bench/src/bin/benchmark/trace.rs",
-            "crates/bench/src/bin/bench_probe.rs",
         ] {
             assert!(diags(allowed, "let t = Instant::now();\n").is_empty());
         }

@@ -92,13 +92,13 @@ fn bfs_specs_obey_the_same_armed_contract() {
 }
 
 #[test]
-fn a_reway_across_the_tag_layout_bound_obeys_the_armed_contract() {
-    // Four tagalt ways probe one line-local tag span, eight gather planar
-    // tags: `reway8` swaps the probe kernel under a running shard.
+fn a_reway_from_four_to_eight_ways_obeys_the_armed_contract() {
+    // `reway8` swaps the probe compiled for four ways for the one compiled
+    // for eight under a running shard.
     const REWAY: &str = "resize-reway8@50-every64-max1";
     let stream = ops(6_000);
     let serial =
-        build("cuckoo-4x256-tagalt-c8", 4, 1, Some(REWAY)).run_serial(stream.iter().copied());
+        build("cuckoo-4x256-strong-c8", 4, 1, Some(REWAY)).run_serial(stream.iter().copied());
     assert_eq!(
         serial.stats.resizes.get(),
         4,
@@ -106,7 +106,7 @@ fn a_reway_across_the_tag_layout_bound_obeys_the_armed_contract() {
     );
     assert_eq!(serial.stats.directory.insertion_failures.get(), 0);
     for workers in [1, 2, 4] {
-        let report = build("cuckoo-4x256-tagalt-c8", 4, workers, Some(REWAY))
+        let report = build("cuckoo-4x256-strong-c8", 4, workers, Some(REWAY))
             .run(stream.iter().copied())
             .unwrap();
         assert_eq!(

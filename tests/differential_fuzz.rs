@@ -1,8 +1,7 @@
 //! Differential fuzz harness (ARCHITECTURE.md Contract #10).
 //!
 //! Each fuzz case draws a random directory spec (geometry × hash family ×
-//! insertion policy — way counts and families on both sides of the table's
-//! tag-layout bound), a random workload, and optionally a
+//! insertion policy), a random workload, and optionally a
 //! live-resize policy and a crash schedule — then checks the service's
 //! determinism contract differentially:
 //!
@@ -53,7 +52,7 @@ fn run_case(seed: u64, index: usize) {
         format!("sparse-4x{sets}-c8")
     } else {
         let ways = [2usize, 3, 4, 8][rng.next_below(4) as usize];
-        let kind = ["skew", "strong", "tagalt"][rng.next_below(3) as usize];
+        let kind = ["skew", "strong", "ms"][rng.next_below(3) as usize];
         let policy = ["", "-bfs"][rng.next_below(2) as usize];
         format!("cuckoo-{ways}x{sets}-{kind}{policy}-c8")
     };

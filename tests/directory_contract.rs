@@ -108,7 +108,7 @@ fn former_probe_tokens_are_unknown_modifiers_and_registry_specs_round_trip() {
     // The spec grammar has no probe slot: the tokens that used to pin a
     // kernel fail like any other unknown modifier, quoting the token.
     for (input, token) in [
-        ("cuckoo-4x64-tagalt-localized", "`localized`"),
+        ("cuckoo-4x64-strong-localized", "`localized`"),
         ("cuckoo-4x64-strong-simd-c8", "`simd`"),
         ("sparse-4x64-swar", "`swar`"),
         ("sharded2:cuckoo-4x64-scalar", "`scalar`"),
@@ -360,12 +360,12 @@ fn capacity_and_storage_profiles_are_positive_and_consistent() {
     }
 }
 
-/// One spec per organization the registry builds (and per way the cuckoo
-/// table lays its tags out), `{sets}` left open.
+/// One spec per organization the registry builds (and per cuckoo hash
+/// family and insertion policy), `{sets}` left open.
 const GEOMETRY_TEMPLATES: &[&str] = &[
     "cuckoo-4x{sets}-c16",
     "cuckoo-3x{sets}-ms",
-    "cuckoo-4x{sets}-tagalt-bfs",
+    "cuckoo-4x{sets}-strong-bfs",
     "cuckoo-2x{sets}@hier",
     "sparse-8x{sets}",
     "sparse-1x{sets}@limited",
@@ -575,21 +575,20 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
 /// Cuckoo geometries the batch pipeline must treat alike, on top of
 /// [`REGISTRY_SPECS`]: every way count the table compiles its probe for
 /// exactly (2 to 8, across the hash families) and one past that bound (16),
-/// both tag layouts (`tagalt` at four ways is line-local, everything else
-/// planar), both insertion policies, full vectors on each side of the
+/// both insertion policies, full vectors on each side of the
 /// 64-cache presence word (64 / 65) and far above it (128), and two tables
 /// small enough that the stream below drives them far past capacity.
 const PIPELINE_SPECS: &[&str] = &[
     "cuckoo-2x64-strong-c8",
     "cuckoo-3x64-ms-c8",
     "cuckoo-5x32-skew-c8",
-    "cuckoo-5x32-tagalt-c8",
+    "cuckoo-5x32-strong-c8",
     "cuckoo-6x32-ms-c8",
     "cuckoo-7x32-strong-bfs-c8",
     "cuckoo-8x16-skew-c8",
     "cuckoo-16x8-strong-c8",
-    "cuckoo-4x64-tagalt-c8",
-    "cuckoo-4x64-tagalt-bfs-c8",
+    "cuckoo-4x64-strong-c8",
+    "cuckoo-4x64-ms-bfs-c8",
     "cuckoo-4x64-skew-c64",
     "cuckoo-4x64-skew-c65",
     "cuckoo-4x64-skew-c128",

@@ -1,24 +1,19 @@
-//! Tag-layout equivalence suite (ARCHITECTURE.md Contract #9).
+//! Table lockstep suite (ARCHITECTURE.md Contract #9).
 //!
-//! Whichever of its two tag layouts a table is built with — line-local with
-//! the one-vector compare for `tagalt` up to four ways, planar with SWAR
-//! for everything else — it must be observationally identical to the seed's
-//! array-of-structs table: same hit/miss answers, same Section 5.2
-//! insertion accounting (attempt counts, discard choices), same final
-//! contents, on the same operation stream.  These tests drive randomized
-//! saturating streams (occupancies up to ~0.95) and the displacement edge
-//! cases (attempt budget of 1, a 2-way table at 100% load, chains that
-//! circle back to the incoming key) through every hash kind at way counts
-//! on both sides of the layout bound, in lockstep against
-//! [`AosReferenceTable`].  Which geometry gets which layout is asserted by
-//! the `table.rs` unit tests, which can see it.
+//! The cuckoo table is observationally the seed's array-of-structs table:
+//! same hit/miss answers, same Section 5.2 insertion accounting (attempt
+//! counts, discard choices), same final contents, on the same operation
+//! stream.  These tests drive randomized saturating streams (occupancies up
+//! to ~0.95) and the displacement edge cases (attempt budget of 1, a 2-way
+//! table at 100% load, chains that circle back to the incoming key) through
+//! every hash kind at every way count the probe is compiled for, in
+//! lockstep against [`AosReferenceTable`].
 
 use ccd_common::rng::{Rng64, SplitMix64};
-use ccd_common::LineAddr;
 use ccd_cuckoo::seed_reference::AosReferenceTable;
 use ccd_cuckoo::CuckooTable;
 use ccd_directory::InsertPolicy;
-use ccd_hash::{fingerprint, HashFamily, HashKind, IndexHashFamily};
+use ccd_hash::HashKind;
 use std::collections::BTreeMap;
 
 /// Drives `ops` random operations (inserts from a narrow keyspace so the
@@ -82,9 +77,9 @@ fn lockstep_stream(
 }
 
 #[test]
-fn both_layouts_match_the_seed_reference_at_saturating_occupancy() {
-    for kind in HashKind::all().into_iter().chain([HashKind::TagAlt]) {
-        for ways in [2, 3, 4, 8, 16] {
+fn every_way_count_matches_the_seed_reference_at_saturating_occupancy() {
+    for kind in HashKind::all() {
+        for ways in (2..=8).chain([16]) {
             let sets = if ways <= 4 { 64 } else { 16 };
             let peak = lockstep_stream(kind, ways, sets, 32, 16 * ways * sets, 0xA5);
             // A 2-ary table cannot fill (Figure 7); everything wider must.
@@ -107,7 +102,7 @@ fn strong_4ary_reaches_ninety_five_percent_in_lockstep() {
 
 #[test]
 fn displacement_edge_cases_stay_in_lockstep() {
-    for kind in [HashKind::Strong, HashKind::TagAlt] {
+    for kind in [HashKind::Strong, HashKind::MultiplyShift] {
         // Attempt budget of 1: exhaustion on the very first round, the
         // chain "circles back" immediately and the probed slot's victim is
         // discarded.
@@ -120,42 +115,10 @@ fn displacement_edge_cases_stay_in_lockstep() {
 }
 
 #[test]
-fn wide_tagalt_tables_probe_identically_without_localized() {
-    // 8 ways x 16-set blocks exceed the 64-byte span, so the line-local
-    // layout is unavailable — the planar one must still agree on tagalt,
-    // here under a budget short enough to expire mid-chain.
-    lockstep_stream(HashKind::TagAlt, 8, 32, 8, 2000, 0xC4);
-}
-
-#[test]
-fn tag_derived_alternate_buckets_commute_and_involute() {
-    // Integration form of the tagalt identities the displacement loop leans
-    // on: deriving a victim's candidate set from (way, index, tag) matches
-    // re-hashing its key exactly, and the pairwise alternate-index mapping
-    // is an involution.
-    let family = HashFamily::with_seed(HashKind::TagAlt, 4, 256, 0xD0).unwrap();
-    let tagalt = family.tag_alt().expect("tagalt family");
-    let mut rng = SplitMix64::new(0xD1);
-    for _ in 0..2000 {
-        let key = rng.next_u64() >> 6;
-        let line = LineAddr::from_block_number(key);
-        let hashed: Vec<usize> = (0..4).map(|w| family.index(w, line)).collect();
-        let tag = fingerprint(key);
-        for from_way in 0..4 {
-            let mut derived = [0usize; 4];
-            tagalt.derive_all_into(from_way, hashed[from_way], tag, &mut derived);
-            assert_eq!(&derived[..], &hashed[..], "derivation from way {from_way}");
-            for to_way in 0..4 {
-                let alt = tagalt.alt_index(from_way, hashed[from_way], tag, to_way);
-                assert_eq!(alt, hashed[to_way]);
-                assert_eq!(
-                    tagalt.alt_index(to_way, alt, tag, from_way),
-                    hashed[from_way],
-                    "alt∘alt must be the identity"
-                );
-            }
-        }
-    }
+fn eight_way_tables_stay_in_lockstep_when_the_budget_expires_mid_chain() {
+    // One full 8-lane SWAR chunk, under a budget short enough to expire
+    // mid-chain.
+    lockstep_stream(HashKind::MultiplyShift, 8, 32, 8, 2000, 0xC4);
 }
 
 /// Builds a table with the given insertion policy, feeds it fresh random
@@ -194,7 +157,7 @@ fn bfs_sustains_higher_occupancy_than_greedy_before_the_first_discard() {
     for (kind, budget) in [
         (HashKind::Strong, 4),
         (HashKind::Strong, 6),
-        (HashKind::TagAlt, 6),
+        (HashKind::MultiplyShift, 6),
         (HashKind::Skewing, 8),
     ] {
         for seed in [0x7E, 0xA1, 0xC3] {
@@ -224,7 +187,7 @@ fn bfs_and_greedy_lookups_agree_for_every_inserted_key() {
     // same key set: lookups are bit-identical for every inserted key (and
     // for absent keys).  Drive both tables in lockstep and stop at the
     // first discard on either side.
-    for kind in [HashKind::Strong, HashKind::TagAlt] {
+    for kind in [HashKind::Strong, HashKind::MultiplyShift] {
         let (ways, sets, budget, seed) = (4, 64, 8, 0xBF5u64);
         let mut greedy: CuckooTable<u64> = CuckooTable::new(ways, sets, kind, seed).unwrap();
         greedy.set_max_attempts(budget);
