@@ -1,0 +1,65 @@
+//! The table's structural invariants, checked in tests and debug builds.
+
+use super::kernels::fingerprint;
+use super::{CuckooTable, EMPTY_TAG};
+use ccd_hash::MAX_FAMILY_WAYS;
+
+impl<V> CuckooTable<V> {
+    /// Checks the table's structural invariants and describes the first one
+    /// broken.  Walks every slot and hashes every stored key, so it belongs
+    /// in tests and `debug_assert!`s (the migration boundary above), never
+    /// on a request path.
+    ///
+    /// * Every occupied slot's tag is its key's fingerprint.
+    /// * Every stored key sits in a candidate slot: at the index its own
+    ///   way's hash gives it.
+    /// * No key is stored twice: none of its other candidate slots holds it
+    ///   too.
+    /// * [`CuckooTable::len`] equals the number of occupied slots.
+    ///
+    /// # Errors
+    ///
+    /// The broken invariant, with the slot and key it was found at.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut indices = [0usize; MAX_FAMILY_WAYS];
+        let mut occupied = 0usize;
+        for slot in 0..self.capacity() {
+            let (way, index) = (slot / self.sets, slot % self.sets);
+            let tag = self.tags[slot];
+            if tag == EMPTY_TAG {
+                continue;
+            }
+            occupied += 1;
+            let key = self.keys[slot];
+            if tag != fingerprint(key) {
+                return Err(format!(
+                    "slot {slot}: tag {tag:#04x} is not key {key:#x}'s fingerprint {:#04x}",
+                    fingerprint(key)
+                ));
+            }
+            self.hash_into(key, &mut indices);
+            if indices[way] != index {
+                return Err(format!(
+                    "slot {slot}: key {key:#x} sits at index {index} of way {way}, \
+                     whose hash sends it to {}",
+                    indices[way]
+                ));
+            }
+            for (other, &at) in indices.iter().enumerate().take(self.ways).skip(way + 1) {
+                let twin = other * self.sets + at;
+                if self.tags[twin] != EMPTY_TAG && self.keys[twin] == key {
+                    return Err(format!(
+                        "slot {slot}: key {key:#x} is stored again at slot {twin}"
+                    ));
+                }
+            }
+        }
+        if occupied != self.valid {
+            return Err(format!(
+                "len() is {} but {occupied} slots are occupied",
+                self.valid
+            ));
+        }
+        Ok(())
+    }
+}
