@@ -99,7 +99,8 @@
 //! displacement chain starts at the way where the previous chain stopped.
 //!
 //! Each insertion hashes each (key, way) pair exactly once: the hit-probe
-//! and vacancy-probe share one [`IndexHashFamily::index_all_into`](ccd_hash::IndexHashFamily::index_all_into) pass, and
+//! and vacancy-probe share one
+//! [`index_all_into`](ccd_hash::IndexHashFamily::index_all_into) pass, and
 //! the displacement loop reuses each victim's indices for both its vacancy
 //! probe and its next displacement target.
 //!
@@ -113,8 +114,9 @@
 //! * `bfs` — breadth-first search for a **shortest displacement path**: the
 //!   frontier starts at the key's `d` candidate slots and expands each
 //!   victim into its alternate candidates (re-hashing the victim's key)
-//!   until some frontier victim has a vacant alternate.  The path of moves is then applied
-//!   deepest-first, vacating one of the key's candidate slots.  A path of
+//!   until some frontier victim has a vacant alternate.  The path of moves
+//!   is then applied deepest-first, vacating one of the key's candidate
+//!   slots.  A path of
 //!   `L` moves costs `L + 1` attempts, so the budget bounds the search
 //!   depth at `max_attempts - 1`; the frontier is additionally bounded by a
 //!   fixed preallocated scratch arena ([`BFS_ARENA`] nodes), keeping

@@ -292,8 +292,8 @@ impl FromStr for DirectorySpec {
                 ));
             }
         }
-        spec.caches = caches.unwrap_or(DEFAULT_CACHES);
-        spec.policy = policy.unwrap_or_default();
+        spec.caches = caches.unwrap_or(spec.caches);
+        spec.policy = policy.unwrap_or(spec.policy);
         if spec.ways == 0 {
             return Err(ConfigError::Zero { what: "ways" });
         }
