@@ -53,3 +53,21 @@ impl VectorEngine {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn miri_forces_the_portable_engine() {
+        if cfg!(miri) {
+            assert_eq!(VectorEngine::detect(), VectorEngine::Portable);
+        }
+    }
+
+    #[test]
+    fn detection_is_stable() {
+        assert_eq!(VectorEngine::detect(), VectorEngine::detect());
+        assert!(!VectorEngine::detect().name().is_empty());
+    }
+}

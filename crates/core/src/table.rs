@@ -116,14 +116,13 @@
 //!   victim into its alternate candidates (re-hashing the victim's key)
 //!   until some frontier victim has a vacant alternate.  The path of moves
 //!   is then applied deepest-first, vacating one of the key's candidate
-//!   slots.  A path of
-//!   `L` moves costs `L + 1` attempts, so the budget bounds the search
-//!   depth at `max_attempts - 1`; the frontier is additionally bounded by a
-//!   fixed preallocated scratch arena ([`BFS_ARENA`] nodes), keeping
-//!   steady-state insertions allocation-free.  When the bounded search
-//!   finds no path the table falls back to the shared discard rule: one
-//!   final displacement into the round-robin candidate way, reported with
-//!   `attempts = max_attempts`.
+//!   slots.  A path of `L` moves costs `L + 1` attempts, so the budget
+//!   bounds the search depth at `max_attempts - 1`; the frontier is
+//!   additionally bounded by a fixed preallocated scratch arena
+//!   ([`BFS_ARENA`] nodes), keeping steady-state insertions allocation-free.
+//!   When the bounded search finds no path the table falls back to the
+//!   shared discard rule: one final displacement into the round-robin
+//!   candidate way, reported with `attempts = max_attempts`.
 //!
 //! Both policies agree on which keys are resident until a budget actually
 //! expires, but attempt counts and physical placements differ: the policy

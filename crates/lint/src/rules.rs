@@ -13,7 +13,7 @@
 //! | `unsafe-audit`      | every `unsafe` is preceded by a `// SAFETY:` comment |
 //! | `unsafe-inventory`  | every `unsafe` is registered in the inventory file   |
 //! | `no-unwrap-in-lib`  | no `.unwrap()`/`.expect(` in non-test library code   |
-//! | `arch-confinement`  | `std::arch` intrinsics only in the dispatch modules  |
+//! | `arch-confinement`  | CPU-feature tokens only in the CPU-feature modules   |
 //! | `ffi-confinement`   | `extern` blocks / `#[link` only in the buffer module |
 //!
 //! Plus three meta rules that keep the escape hatches honest:
@@ -89,7 +89,7 @@ pub struct Config {
     /// Crates whose outputs feed results: `no-default-hasher` scope.
     pub result_bearing: Vec<String>,
     /// Prefixes where wall-clock time is legitimate: the repository
-    /// benchmark, and the one bench bin that measures what it cannot yet.
+    /// benchmark.
     pub wallclock_allowed: Vec<String>,
     /// Files allowed to spawn threads (the deterministic runners).
     pub spawn_allowed: Vec<String>,
@@ -98,7 +98,8 @@ pub struct Config {
     /// Files whose atomic `Ordering::*` uses need justification comments.
     pub ordering_commented: Vec<String>,
     /// Files allowed to name CPU features (`std::arch`, runtime feature
-    /// detection, `target_feature`): the vector dispatch modules.
+    /// detection, `target_feature`): the CPU-feature modules (host
+    /// detection in simd.rs, the prefetch hint).
     pub arch_allowed: Vec<String>,
     /// Files allowed to declare foreign functions (`extern` blocks,
     /// `#[link` attributes): the huge-page buffer module.

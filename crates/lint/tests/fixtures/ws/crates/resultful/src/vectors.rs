@@ -1,4 +1,4 @@
-//! Fixture: CPU-feature tokens are flagged outside the dispatch modules.
+//! Fixture: CPU-feature tokens are flagged outside the CPU-feature modules.
 
 #[allow(unused_imports)]
 use std::arch::x86_64::__m256i;
