@@ -6,8 +6,7 @@
 //! nothing at practical occupancies.
 
 use crate::{fill_to, Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_cuckoo::CuckooTable;
 use ccd_hash::HashKind;
 

@@ -6,8 +6,7 @@
 //! 1024 cores (Shared-L2 model).
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 use ccd_sharers::SharerFormat;
 

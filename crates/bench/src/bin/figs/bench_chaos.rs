@@ -17,8 +17,7 @@
 use crate::{
     digest_hex, service_cell, Artifact, Context, SERVICE_CORES, SERVICE_SPEC, WORKER_AXIS,
 };
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_service::{LoadSpec, ServiceConfig};
 
 const SHARDS: usize = 4;

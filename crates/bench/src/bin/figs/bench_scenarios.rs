@@ -12,9 +12,9 @@
 //! **byte-identical** to the live generation.
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::{obj, ParallelRunner, SweepSpec};
+use ccd_bench::{ParallelRunner, SweepSpec};
 use ccd_coherence::{DirectorySpec, Hierarchy, SimJob, SimReport, SystemConfig};
+use ccd_common::{json::Json, obj};
 use ccd_workloads::{record_trace, WorkloadSpec};
 
 /// The workload axis: the Oracle baseline plus the five scenario families

@@ -29,8 +29,7 @@
 use crate::{
     digest_hex, service_cell, Artifact, Context, SERVICE_CORES, SERVICE_SPEC, WORKER_AXIS,
 };
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_service::{LoadSpec, ServiceConfig, ServiceReport};
 
 const BASE_SEED: u64 = 0x5E21;

@@ -2,9 +2,9 @@
 //! Cuckoo organizations (4×512 Shared-L2, 3×8192 Private-L2).
 
 use crate::{explicit_cuckoo_sweep, selected_cuckoo, Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::{obj, SweepResults};
+use ccd_bench::SweepResults;
 use ccd_coherence::Hierarchy;
+use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
 /// One sweep per hierarchy, each over its own selected Cuckoo geometry.

@@ -7,9 +7,8 @@
 //! pairs an attempt count with the share of insert operations that took it.
 
 use crate::{explicit_cuckoo_sweep, selected_cuckoo, Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
 use ccd_coherence::Hierarchy;
+use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
 /// The worst-case point of one hierarchy, run as a single-cell sweep.

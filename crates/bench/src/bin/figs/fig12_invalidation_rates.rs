@@ -8,9 +8,9 @@
 //! and (d) the selected Cuckoo directory (1× Shared-L2 / 1.5× Private-L2).
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::{obj, SweepSpec};
+use ccd_bench::SweepSpec;
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
+use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
 pub fn run(context: &Context) -> Vec<Artifact> {

@@ -3,8 +3,7 @@
 
 use crate::fig4_scalability::series;
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 
 pub fn run(context: &Context) -> Vec<Artifact> {

@@ -7,8 +7,7 @@
 //! part of Figure 13.
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 
 /// `(label, energy %, area %)` of every organization over the paper's core

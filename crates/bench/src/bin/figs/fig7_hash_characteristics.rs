@@ -9,8 +9,7 @@
 //! paper's greedy displacement chain in the same report.
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_cuckoo::CuckooTable;
 use ccd_directory::InsertPolicy;
 use ccd_hash::HashKind;

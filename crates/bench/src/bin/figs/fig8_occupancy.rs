@@ -8,9 +8,9 @@
 //! (Section 5.2).
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::{obj, SweepSpec};
+use ccd_bench::SweepSpec;
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
+use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
 /// Rescales a reported occupancy (relative to the amply provisioned 2x

@@ -7,10 +7,10 @@
 //! suite.
 
 use crate::{explicit_cuckoo_sweep, Artifact, Context};
-use ccd_bench::json::Json;
 use ccd_bench::sweep::cuckoo_org_label;
-use ccd_bench::{obj, RunScale, SweepSpec};
+use ccd_bench::{RunScale, SweepSpec};
 use ccd_coherence::Hierarchy;
+use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
 /// The per-slice Cuckoo organizations of Figure 9 for one hierarchy, as

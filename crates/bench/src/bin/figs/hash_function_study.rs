@@ -10,9 +10,9 @@
 //!    residual forced invalidations — `hash_function_study_sim`.
 
 use crate::{fill_to, Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::{obj, SweepSpec};
+use ccd_bench::SweepSpec;
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
+use ccd_common::{json::Json, obj};
 use ccd_cuckoo::CuckooTable;
 use ccd_hash::HashKind;
 use ccd_workloads::WorkloadProfile;

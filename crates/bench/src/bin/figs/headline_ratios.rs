@@ -3,8 +3,7 @@
 //! model as Figures 4/13.
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 
 pub fn run(_: &Context) -> Vec<Artifact> {

@@ -18,7 +18,7 @@
 //! An experiment is a function from that [`Context`] to its artifacts, one
 //! per file its row declares: it builds rows as `Json` objects, naming
 //! each column once, and neither prints nor writes.  The driver does both:
-//! [`ccd_bench::json::Json::to_text`] is the stdout table,
+//! [`ccd_bench::text::to_text`] is the stdout table,
 //! [`ccd_bench::write_result`] the file; a file that cannot be written
 //! exits 1 naming the path.  Nothing here reads a clock, so every byte of
 //! every result is deterministic and `scripts/golden_check.sh` — which
@@ -42,10 +42,10 @@ mod hash_function_study;
 mod headline_ratios;
 mod table2_workloads;
 
-use ccd_bench::json::Json;
 use ccd_bench::sweep::cuckoo_org_label;
 use ccd_bench::{ParallelRunner, RunScale, SweepSpec};
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
+use ccd_common::json::Json;
 use ccd_cuckoo::CuckooTable;
 use ccd_hash::HashKind;
 use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
@@ -356,7 +356,7 @@ fn main() {
         for (file, artifact) in experiment.results.iter().zip(artifacts) {
             let bytes = match artifact {
                 Artifact::Json(tree) => {
-                    print!("{}", tree.to_text());
+                    print!("{}", ccd_bench::text::to_text(&tree));
                     tree.to_pretty().into_bytes()
                 }
                 Artifact::Bytes(bytes) => bytes,

@@ -5,8 +5,7 @@
 //! `ccd-workloads` and ARCHITECTURE.md for the substitution rationale).
 
 use crate::{Artifact, Context};
-use ccd_bench::json::Json;
-use ccd_bench::obj;
+use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
 pub fn run(_: &Context) -> Vec<Artifact> {

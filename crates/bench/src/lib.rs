@@ -12,10 +12,10 @@
 //! * [`SweepSpec`] — declarative parameter sweeps (organizations × systems
 //!   × workloads × seeds) fanned across threads by the engine's
 //!   [`ParallelRunner`] with deterministic results,
-//! * [`json`] — the result tree: rows are built as [`json::Json`] objects
-//!   with [`obj!`], so a column is named once, and the same tree renders
-//!   as the file ([`json::Json::to_pretty`]) and as the stdout table
-//!   ([`json::Json::to_text`]),
+//! * [`text`] — the stdout table of a result tree: rows are built as
+//!   `ccd_common::json::Json` objects with `ccd_common::obj!`, so a column
+//!   is named once, and the same tree renders as the file
+//!   (`Json::to_pretty`) and as the table ([`text::to_text`]),
 //! * [`write_result`] — the one door results leave by: a file under the
 //!   results directory, pinned byte for byte by `scripts/golden_check.sh`;
 //!   a file that cannot be written is an error, not a warning.
@@ -27,8 +27,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod json;
 pub mod sweep;
+pub mod text;
 
 use ccd_coherence::SystemConfig;
 use ccd_common::ConfigError;

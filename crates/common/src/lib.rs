@@ -19,6 +19,8 @@
 //! * fixed-length, cache-line-aligned buffers that move onto huge pages
 //!   when they are large — what the cuckoo table's arrays live in
 //!   ([`pages`]),
+//! * the workspace's one JSON value tree, writer and parser ([`json`]),
+//! * the one reader of its `prefix-clause-…` spec strings ([`clause`]),
 //! * the shared error type ([`ConfigError`]).
 //!
 //! # Example
@@ -38,8 +40,10 @@
 
 pub mod addr;
 pub mod channel;
+pub mod clause;
 pub mod error;
 pub mod ids;
+pub mod json;
 pub mod mem;
 pub mod pages;
 pub mod prefetch;

@@ -10,9 +10,10 @@
 //! fails until the inventory is regenerated (`--write-inventory`) and the
 //! regenerated file is committed.
 
-use crate::json;
 use crate::rules::{comment_above_or_beside, Diagnostic};
 use crate::scanner::{FileKind, ScannedFile};
+use ccd_common::json::{self, Json};
+use ccd_common::obj;
 
 /// One `unsafe` occurrence discovered in source.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,7 +209,7 @@ pub fn parse_inventory(body: &str) -> Result<Vec<InventoryEntry>, String> {
             file: field("file")?,
             line: entry
                 .get("line")
-                .and_then(json::Value::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or(format!("entry {i}: missing numeric field `line`"))?
                 as usize,
             hash: field("hash")?,
@@ -219,29 +220,20 @@ pub fn parse_inventory(body: &str) -> Result<Vec<InventoryEntry>, String> {
 }
 
 /// Renders the inventory JSON for `blocks`, sorted by (file, line) so the
-/// output is deterministic and diffs are minimal.
+/// output is deterministic and diffs are minimal: one entry per line.
 #[must_use]
 pub fn render_inventory(blocks: &[UnsafeBlock]) -> String {
     let mut sorted: Vec<&UnsafeBlock> = blocks.iter().collect();
     sorted.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(
-        "  \"generated_by\": \"cargo run -p ccd-lint -- --workspace --write-inventory\",\n",
-    );
-    out.push_str("  \"entries\": [\n");
-    for (i, b) in sorted.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"file\": \"{}\", \"line\": {}, \"hash\": \"{}\", \"summary\": \"{}\" }}{}\n",
-            json::escape(&b.file),
-            b.line,
-            json::escape(&b.hash),
-            json::escape(&b.summary),
-            if i + 1 == sorted.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let entries = sorted
+        .iter()
+        .map(|b| obj! { "file": b.file, "line": b.line, "hash": b.hash, "summary": b.summary })
+        .collect();
+    let doc = obj! {
+        "generated_by": "cargo run -p ccd-lint -- --workspace --write-inventory",
+        "entries": Json::Arr(entries),
+    };
+    doc.to_pretty_folded(2) + "\n"
 }
 
 /// Diffs discovered blocks against the checked-in inventory: unregistered

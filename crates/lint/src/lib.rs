@@ -9,9 +9,10 @@
 //! that cause them at review time, before a nondeterministic `HashMap`
 //! iteration or an ad-hoc `thread::spawn` ever runs.
 //!
-//! The analyzer is dependency-free by design (the workspace builds
-//! offline): a hand-rolled token scanner strips comments and literals and
-//! a set of named, path-scoped rules walks the code view.  See
+//! The analyzer uses no third-party crate (the workspace builds offline;
+//! its one dependency is `ccd-common`, whose JSON it reads and writes): a
+//! hand-rolled token scanner strips comments and literals and a set of
+//! named, path-scoped rules walks the code view.  See
 //! [`rules`] for the rule table, [`inventory`] for the unsafe audit, and
 //! ARCHITECTURE.md "Contract #7" for the workflow.
 //!
@@ -34,7 +35,6 @@
 //! themselves checked: malformed or unused waivers are diagnostics.
 
 pub mod inventory;
-pub mod json;
 pub mod rules;
 pub mod scanner;
 pub mod workspace;

@@ -10,6 +10,8 @@ use crate::rules::{
     Suppression,
 };
 use crate::scanner::{scan_source, ScannedFile};
+use ccd_common::json::Json;
+use ccd_common::obj;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -256,32 +258,19 @@ fn relative(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Renders the report as JSON (machine-readable diagnostics).
+/// Renders the report as JSON (machine-readable diagnostics), one
+/// diagnostic per line.
 #[must_use]
 pub fn render_json(report: &Report) -> String {
-    use crate::json::escape;
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"files_scanned\": {},\n  \"diagnostic_count\": {},\n",
-        report.files_scanned,
-        report.diagnostics.len()
-    ));
-    out.push_str("  \"diagnostics\": [\n");
-    for (i, d) in report.diagnostics.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\" }}{}\n",
-            escape(&d.file),
-            d.line,
-            escape(d.rule),
-            escape(&d.message),
-            if i + 1 == report.diagnostics.len() {
-                ""
-            } else {
-                ","
-            }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let diagnostics = report
+        .diagnostics
+        .iter()
+        .map(|d| obj! { "file": d.file, "line": d.line, "rule": d.rule, "message": d.message })
+        .collect();
+    let doc = obj! {
+        "files_scanned": report.files_scanned,
+        "diagnostic_count": report.diagnostics.len(),
+        "diagnostics": Json::Arr(diagnostics),
+    };
+    doc.to_pretty_folded(2) + "\n"
 }

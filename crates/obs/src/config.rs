@@ -1,7 +1,6 @@
 //! The `obs-…` spec grammar arming the observability layer.
 //!
-//! An [`ObsConfig`] is parsed and validated exactly like the workspace's
-//! other spec strings (`DirectorySpec`, `faults-…`, `resize-…`):
+//! An [`ObsConfig`] arms the layer from one spec string:
 //!
 //! ```text
 //! obs-sig3-ring4096-spans
@@ -18,7 +17,10 @@
 //! |------------|-----------------------------------------------------------|
 //! | `sig<B>`   | [`LogHistogram`] resolution in significant bits, `1..=8` (default 2) |
 //! | `ring<N>`  | flight-recorder capacity in events (power of two); absent or 0 disables event recording |
-//! | `spans`    | record span begin/end pairs in addition to instant events |
+//! | `spans`    | record span begin/end pairs in addition to instant events (needs a `ring`) |
+//!
+//! Each clause may appear once; the rules every spec grammar shares are
+//! [`ccd_common::clause`]'s.
 //!
 //! Observation must never perturb semantics (contract #11), so the config
 //! deliberately has no clause that could: there is no sampling, no
@@ -28,6 +30,7 @@
 //!
 //! [`LogHistogram`]: ccd_common::LogHistogram
 
+use ccd_common::clause::Clauses;
 use ccd_common::ConfigError;
 
 /// The default histogram resolution when no `sig` clause is given.
@@ -47,12 +50,6 @@ pub struct ObsConfig {
     spans: bool,
 }
 
-fn bad(spec: &str, clause: &str, expected: &str) -> ConfigError {
-    ConfigError::parse(format!(
-        "obs spec `{spec}`: clause `{clause}` must be `{expected}`"
-    ))
-}
-
 impl ObsConfig {
     /// Parses an `obs-…` spec string.
     ///
@@ -60,68 +57,28 @@ impl ObsConfig {
     ///
     /// [`ConfigError::Parse`] naming the offending clause; rejected inputs
     /// include `sig` outside `1..=8`, a `ring` that is not a power of two,
-    /// rings over [`MAX_RING`], and duplicate clauses.
+    /// rings over [`MAX_RING`], `spans` without a ring, and any clause
+    /// given twice.
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
-        let mut parts = spec.split('-');
-        if parts.next() != Some("obs") {
-            return Err(ConfigError::parse(format!(
-                "obs spec `{spec}` must start with `obs`"
-            )));
-        }
-        let mut sig_bits: Option<u32> = None;
-        let mut ring: Option<usize> = None;
-        let mut spans = false;
-        for clause in parts {
-            if let Some(rest) = clause.strip_prefix("sig") {
-                let bits: u32 = rest.parse().map_err(|_| bad(spec, clause, "sig<bits>"))?;
-                if !(1..=8).contains(&bits) {
-                    return Err(ConfigError::parse(format!(
-                        "obs spec `{spec}`: sig bits {bits} outside 1..=8"
-                    )));
-                }
-                if sig_bits.replace(bits).is_some() {
-                    return Err(ConfigError::parse(format!(
-                        "obs spec `{spec}`: duplicate `sig` clause"
-                    )));
-                }
-            } else if let Some(rest) = clause.strip_prefix("ring") {
-                let events: usize = rest
-                    .parse()
-                    .map_err(|_| bad(spec, clause, "ring<events>"))?;
+        let mut clauses = Clauses::with_prefix("obs spec", "obs", spec)?;
+        let (mut sig_bits, mut ring, mut spans) = (DEFAULT_SIG_BITS, 0usize, false);
+        while let Some(clause) = clauses.next_clause() {
+            if let Some(bits) = clauses.value("sig", 1..=8)? {
+                sig_bits = bits;
+            } else if let Some(events) = clauses.value("ring", 0..=MAX_RING)? {
                 if events != 0 && !events.is_power_of_two() {
-                    return Err(ConfigError::parse(format!(
-                        "obs spec `{spec}`: ring capacity {events} is not a power of two"
-                    )));
+                    return Err(clauses.invalid("is not a power of two"));
                 }
-                if events > MAX_RING {
-                    return Err(ConfigError::parse(format!(
-                        "obs spec `{spec}`: ring capacity {events} exceeds the {MAX_RING} cap"
-                    )));
-                }
-                if ring.replace(events).is_some() {
-                    return Err(ConfigError::parse(format!(
-                        "obs spec `{spec}`: duplicate `ring` clause"
-                    )));
-                }
+                ring = events;
             } else if clause == "spans" {
-                if spans {
-                    return Err(ConfigError::parse(format!(
-                        "obs spec `{spec}`: duplicate `spans` clause"
-                    )));
-                }
+                clauses.claim("spans")?;
                 spans = true;
             } else {
-                return Err(ConfigError::parse(format!(
-                    "obs spec `{spec}`: unknown clause `{clause}`"
-                )));
+                return Err(clauses.unknown());
             }
         }
-        let sig_bits = sig_bits.unwrap_or(DEFAULT_SIG_BITS);
-        let ring = ring.unwrap_or(0);
         if spans && ring == 0 {
-            return Err(ConfigError::parse(format!(
-                "obs spec `{spec}`: `spans` requires a non-zero `ring`"
-            )));
+            return Err(clauses.error("`spans` requires a non-zero `ring`"));
         }
         let label = render_label(sig_bits, ring, spans);
         Ok(ObsConfig {
@@ -217,17 +174,8 @@ mod tests {
         assert!(!bare.spans());
         assert!(!bare.records_events());
         assert_eq!(bare.label(), "obs-sig2");
-    }
-
-    #[test]
-    fn labels_are_canonical_and_round_trip() {
-        for spec in ["obs", "obs-ring1024", "obs-ring4096-spans", "obs-sig8"] {
-            let config = ObsConfig::parse(spec).unwrap();
-            let reparsed = ObsConfig::parse(config.label()).unwrap();
-            assert_eq!(config, reparsed, "{spec}");
-            assert_eq!(config.label(), reparsed.label(), "{spec}");
-        }
-        // Clause order is canonicalized.
+        // Clause order is canonicalized; the parser fuzz holds every label
+        // to re-parsing equal.
         assert_eq!(
             ObsConfig::parse("obs-spans-ring16").unwrap().label(),
             "obs-sig2-ring16-spans"
@@ -236,21 +184,26 @@ mod tests {
 
     #[test]
     fn rejects_malformed_specs() {
-        for bad in [
-            "observability",
-            "obs-sig0",
-            "obs-sig9",
-            "obs-sigx",
-            "obs-ring3",
-            "obs-ring",
-            "obs-ring99999999999",
-            "obs-spans",
-            "obs-sig2-sig3",
-            "obs-ring8-ring8",
-            "obs-ring8-spans-spans",
-            "obs-what",
+        // Each error quotes the spec and the token at fault.
+        for (spec, token) in [
+            ("observability", "obs"),
+            ("obs-sig0", "sig0"),
+            ("obs-sig9", "sig9"),
+            ("obs-sigx", "sigx"),
+            ("obs-ring3", "ring3"),
+            ("obs-ring", "ring"),
+            ("obs-ring99999999999", "ring99999999999"),
+            ("obs-spans", "spans"),
+            ("obs-sig2-sig3", "sig3"),
+            ("obs-ring8-ring8", "ring8"),
+            ("obs-ring8-spans-spans", "spans"),
+            ("obs-what", "what"),
         ] {
-            assert!(ObsConfig::parse(bad).is_err(), "{bad} should not parse");
+            let err = ObsConfig::parse(spec).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("obs spec `{spec}`")) && err.contains(&format!("`{token}`")),
+                "`{spec}` should fail naming `{token}`, got: {err}"
+            );
         }
         assert!(ObsConfig::parse(&format!("obs-ring{}", MAX_RING * 2)).is_err());
     }

@@ -6,74 +6,51 @@
 //! byte-identical strings.  This is what lets the service stack assert its
 //! merged-metrics determinism contract at the *serialized* level: a serial
 //! run and an N-worker run must produce the same bytes here, not merely
-//! "equivalent" numbers.
+//! "equivalent" numbers.  Counters are written as their exact digits
+//! (`ccd_common::json` never routes an integer through `f64`).
 
-use ccd_common::{HistogramSnapshot, MetricSnapshot};
-use std::fmt::Write as _;
+use ccd_common::json::{Json, ToJson};
+use ccd_common::{obj, MetricSnapshot};
 
 /// Renders a snapshot as pretty-printed JSON.
 ///
 /// Counters become an object (push order), histograms an array of
 /// objects with their quantile summary and non-empty `[upper_edge, count]`
-/// buckets.
+/// buckets, each bucket list on one line.
 #[must_use]
 pub fn render_json(snapshot: &MetricSnapshot) -> String {
-    let mut out = String::from("{\n  \"counters\": {");
-    for (i, (name, value)) in snapshot.counters.iter().enumerate() {
-        let sep = if i + 1 < snapshot.counters.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = write!(out, "\n    \"{name}\": {value}{sep}");
-    }
-    if snapshot.counters.is_empty() {
-        out.push_str("},\n");
-    } else {
-        out.push_str("\n  },\n");
-    }
-    out.push_str("  \"histograms\": [");
-    for (i, hist) in snapshot.histograms.iter().enumerate() {
-        render_histogram_json(hist, &mut out);
-        if i + 1 < snapshot.histograms.len() {
-            out.push(',');
-        }
-    }
-    if snapshot.histograms.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
-    }
-    out
-}
-
-fn render_histogram_json(hist: &HistogramSnapshot, out: &mut String) {
-    let _ = write!(
-        out,
-        "\n    {{\n      \"name\": \"{}\",\n      \"sig_bits\": {},\n      \
-         \"count\": {},\n      \"sum\": {},\n      \"min\": {},\n      \
-         \"max\": {},\n      \"p50\": {},\n      \"p99\": {},\n      \
-         \"p999\": {},\n      \"buckets\": [",
-        hist.name,
-        hist.sig_bits,
-        hist.count,
-        hist.sum,
-        hist.min,
-        hist.max,
-        hist.p50,
-        hist.p99,
-        hist.p999
-    );
-    for (i, (upper, count)) in hist.buckets.iter().enumerate() {
-        let sep = if i + 1 < hist.buckets.len() { "," } else { "" };
-        let _ = write!(out, "[{upper}, {count}]{sep}");
-    }
-    out.push_str("]\n    }");
+    let counters = snapshot
+        .counters
+        .iter()
+        .map(|(name, value)| (name.clone(), value.to_json()))
+        .collect();
+    let histograms = snapshot
+        .histograms
+        .iter()
+        .map(|hist| {
+            obj! {
+                "name": hist.name,
+                "sig_bits": hist.sig_bits,
+                "count": hist.count,
+                "sum": hist.sum,
+                "min": hist.min,
+                "max": hist.max,
+                "p50": hist.p50,
+                "p99": hist.p99,
+                "p999": hist.p999,
+                "buckets": hist.buckets,
+            }
+        })
+        .collect();
+    let tree = obj! { "counters": Json::Obj(counters), "histograms": Json::Arr(histograms) };
+    // Root, histogram list, histogram: the bucket lists are level 3.
+    tree.to_pretty_folded(3) + "\n"
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccd_common::json::parse;
     use ccd_common::LogHistogram;
 
     fn sample() -> MetricSnapshot {
@@ -83,34 +60,46 @@ mod tests {
         }
         let mut snapshot = MetricSnapshot::default();
         snapshot.push_counter("requests", 1000);
+        snapshot.push_counter("exact", (1 << 53) + 1);
         snapshot.push_histogram("probe_depth", &depth);
         snapshot
     }
 
     #[test]
-    fn json_rendering_is_deterministic_and_structured() {
-        let a = render_json(&sample());
-        let b = render_json(&sample());
-        assert_eq!(a, b, "equal snapshots must render byte-identically");
-        assert!(a.contains("\"requests\": 1000"));
-        assert!(a.contains("\"name\": \"probe_depth\""));
-        assert!(a.contains("\"count\": 5"));
-        assert!(a.contains("\"min\": 1"));
-        assert!(a.contains("\"max\": 9"));
-        // Valid-enough JSON: braces and brackets balance.
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(
-                a.matches(open).count(),
-                a.matches(close).count(),
-                "unbalanced {open}{close} in:\n{a}"
-            );
+    fn json_rendering_is_deterministic_and_parses_back_exactly() {
+        let snapshot = sample();
+        let text = render_json(&snapshot);
+        assert_eq!(text, render_json(&sample()), "equal snapshots, equal bytes");
+        assert!(text.contains("\"exact\": 9007199254740993"), "{text}");
+
+        let doc = parse(&text).unwrap();
+        for (name, value) in &snapshot.counters {
+            let parsed = doc.get("counters").and_then(|c| c.get(name));
+            assert_eq!(parsed.and_then(Json::as_u64), Some(*value), "{name}");
+        }
+        let hists = doc.get("histograms").and_then(Json::as_array).unwrap();
+        assert_eq!(hists.len(), snapshot.histograms.len());
+        for (parsed, h) in hists.iter().zip(&snapshot.histograms) {
+            for (key, want) in [
+                ("name", h.name.to_json()),
+                ("sig_bits", h.sig_bits.to_json()),
+                ("count", h.count.to_json()),
+                ("sum", h.sum.to_json()),
+                ("min", h.min.to_json()),
+                ("max", h.max.to_json()),
+                ("p50", h.p50.to_json()),
+                ("p99", h.p99.to_json()),
+                ("p999", h.p999.to_json()),
+                ("buckets", h.buckets.to_json()),
+            ] {
+                assert_eq!(parsed.get(key), Some(&want), "{} {key}", h.name);
+            }
         }
     }
 
     #[test]
     fn json_handles_empty_snapshots() {
         let text = render_json(&MetricSnapshot::default());
-        assert!(text.contains("\"counters\": {}"));
-        assert!(text.contains("\"histograms\": []"));
+        assert_eq!(text, "{\n  \"counters\": {},\n  \"histograms\": []\n}\n");
     }
 }

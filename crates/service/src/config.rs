@@ -154,8 +154,9 @@ impl ServiceConfig {
     /// * [`ConfigError::Zero`] — zero shards, workers, queue depth or batch;
     /// * [`ConfigError::Inconsistent`] — more workers than shards, a
     ///   `shardedN:` spec prefix (the service does its own interleaving),
-    ///   a set count not divisible by the shard count, or a fault plan
-    ///   naming a worker the topology does not have;
+    ///   a set count not divisible by the shard count, a fault plan
+    ///   naming a worker the topology does not have, or a resize policy
+    ///   whose firings grow a shard past the largest directory capacity;
     /// * any parse error from [`DirectorySpec`].
     pub fn validate(&self) -> Result<DirectorySpec, ConfigError> {
         if self.shards == 0 {
@@ -199,6 +200,9 @@ impl ServiceConfig {
                 what: "service shard count must divide the spec's set count \
                        so total capacity is preserved",
             });
+        }
+        if let Some(policy) = &self.resize_policy {
+            policy.validate_for(spec.ways, spec.sets / self.shards)?;
         }
         Ok(spec)
     }
@@ -260,6 +264,14 @@ mod tests {
         assert!(ServiceConfig::new("cuckoo-4x256-c8", 4, 2)
             .with_resize_spec("resize-oops")
             .is_err());
+        // Validated against the shard geometry: two 2^30 growths of a
+        // 4x64 shard leave every directory capacity there is.
+        let err = ServiceConfig::new("cuckoo-4x256-c16", 4, 2)
+            .with_resize_spec("resize-grow1073741824@1-max2")
+            .unwrap()
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("resize policy"), "{err}");
     }
 
     #[test]

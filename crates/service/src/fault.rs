@@ -2,11 +2,10 @@
 //!
 //! A [`FaultPlan`] is a seeded, spec-string-driven schedule of failures —
 //! worker panics, artificial batch-processing stalls, admission-control
-//! shedding — parsed and validated exactly like the workspace's other spec
-//! strings (`DirectorySpec`, workload specs).  Faults are *scheduled
-//! against the request sequence numbering*, never against time, so a plan
-//! reproduces the same failure at the same point in the stream on every
-//! run, at every worker count, on every machine:
+//! shedding.  Faults are *scheduled against the request sequence
+//! numbering*, never against time, so a plan reproduces the same failure
+//! at the same point in the stream on every run, at every worker count, on
+//! every machine:
 //!
 //! ```text
 //! faults-seed7-crash@w2:5000-stall@w0:2ms-shed0.01
@@ -29,6 +28,10 @@
 //! | `stall@w<W>:<N>ms` | worker `W` sleeps `N` ms before each batch (latency only — results are unaffected) |
 //! | `shed<P>`       | the router sheds each batch offer with probability `P ∈ [0, 1)`; shed offers are counted and re-offered, so no request is lost |
 //!
+//! `seed` and `shed` may appear once; `crash@` and `abort@` repeat for
+//! distinct `(worker, seq)` points, `stall@` once per worker.  The rules
+//! every spec grammar shares are [`ccd_common::clause`]'s.
+//!
 //! Injection sites are compiled into the worker loop as an
 //! `Option<WorkerFaults>` hook — `None` (the unarmed case) costs one branch
 //! per batch and nothing else.  Injected panics carry an [`InjectedCrash`]
@@ -36,6 +39,7 @@
 //! bug, and [`silence_injected_panics`] keeps the default panic hook's
 //! backtrace spew out of expected-failure test output.
 
+use ccd_common::clause::Clauses;
 use ccd_common::rng::Rng64;
 use ccd_common::{ConfigError, Xoshiro256};
 use std::time::Duration;
@@ -82,82 +86,54 @@ impl FaultPlan {
     /// # Errors
     ///
     /// [`ConfigError::Parse`] naming the offending clause; rejected inputs
-    /// include duplicate `(worker, seq)` crash points, more than one stall
-    /// per worker, `shed` outside `[0, 1)` and stalls over
-    /// [`MAX_STALL_MS`].
+    /// include a repeated `seed` or `shed`, duplicate `(worker, seq)` crash
+    /// points, more than one stall per worker, `shed` outside `[0, 1)` and
+    /// stalls over [`MAX_STALL_MS`].
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
-        let mut parts = spec.split('-');
-        if parts.next() != Some("faults") {
-            return Err(ConfigError::parse(format!(
-                "fault plan `{spec}` must start with `faults`"
-            )));
-        }
-        let mut seed = 0u64;
+        let mut clauses = Clauses::with_prefix("fault plan", "faults", spec)?;
+        let (mut seed, mut shed) = (0u64, 0.0f64);
         let mut crashes: Vec<CrashPoint> = Vec::new();
         let mut stalls: Vec<StallPoint> = Vec::new();
-        let mut shed = 0.0f64;
-        for clause in parts {
-            if let Some(rest) = clause.strip_prefix("seed") {
-                seed = rest.parse().map_err(|_| bad(spec, clause, "seed"))?;
-            } else if let Some(rest) = clause.strip_prefix("crash@") {
-                let (worker, seq) = worker_colon_value(rest)
-                    .ok_or_else(|| bad(spec, clause, "crash@w<worker>:<seq>"))?;
+        while clauses.next_clause().is_some() {
+            let crash = [("crash@", true), ("abort@", false)]
+                .into_iter()
+                .find(|(key, _)| clauses.strip(key).is_some());
+            if let Some(n) = clauses.value("seed", ..)? {
+                seed = n;
+            } else if let Some(p) = clauses.value("shed", 0.0..1.0)? {
+                shed = p;
+            } else if let Some((key, recoverable)) = crash {
+                let (worker, seq) = clauses
+                    .strip(key)
+                    .and_then(worker_colon_value)
+                    .ok_or_else(|| clauses.expected(&format!("{key}w<worker>:<seq>")))?;
+                if crashes.iter().any(|c| (c.worker, c.seq) == (worker, seq)) {
+                    return Err(clauses.invalid("repeats a crash point"));
+                }
                 crashes.push(CrashPoint {
                     worker,
                     seq,
-                    recoverable: true,
+                    recoverable,
                 });
-            } else if let Some(rest) = clause.strip_prefix("abort@") {
-                let (worker, seq) = worker_colon_value(rest)
-                    .ok_or_else(|| bad(spec, clause, "abort@w<worker>:<seq>"))?;
-                crashes.push(CrashPoint {
-                    worker,
-                    seq,
-                    recoverable: false,
-                });
-            } else if let Some(rest) = clause.strip_prefix("stall@") {
-                let inner = rest
+            } else if let Some(rest) = clauses.strip("stall@") {
+                let form = format!("stall@w<worker>:<0..={MAX_STALL_MS}>ms");
+                let (worker, millis) = rest
                     .strip_suffix("ms")
-                    .ok_or_else(|| bad(spec, clause, "stall@w<worker>:<millis>ms"))?;
-                let (worker, millis) = worker_colon_value(inner)
-                    .ok_or_else(|| bad(spec, clause, "stall@w<worker>:<millis>ms"))?;
-                if millis > MAX_STALL_MS {
-                    return Err(ConfigError::parse(format!(
-                        "fault plan `{spec}`: stall of {millis}ms exceeds the \
-                         {MAX_STALL_MS}ms cap"
-                    )));
+                    .and_then(worker_colon_value)
+                    .filter(|&(_, millis)| millis <= MAX_STALL_MS)
+                    .ok_or_else(|| clauses.expected(&form))?;
+                if stalls.iter().any(|s| s.worker == worker) {
+                    return Err(clauses.invalid("repeats a worker's stall"));
                 }
                 stalls.push(StallPoint { worker, millis });
-            } else if let Some(rest) = clause.strip_prefix("shed") {
-                shed = rest.parse().map_err(|_| bad(spec, clause, "shed<p>"))?;
-                if !(0.0..1.0).contains(&shed) {
-                    return Err(ConfigError::parse(format!(
-                        "fault plan `{spec}`: shed probability {shed} is outside [0, 1)"
-                    )));
-                }
             } else {
-                return Err(ConfigError::parse(format!(
-                    "fault plan `{spec}`: unknown clause `{clause}`"
-                )));
+                return Err(clauses.unknown());
             }
         }
         // Canonical order: crashes by (worker, seq) — which is also the
         // firing order each worker observes — and stalls by worker.
         crashes.sort_by_key(|c| (c.worker, c.seq));
-        if crashes
-            .windows(2)
-            .any(|w| (w[0].worker, w[0].seq) == (w[1].worker, w[1].seq))
-        {
-            return Err(ConfigError::parse(format!(
-                "fault plan `{spec}`: duplicate crash point (same worker and seq)"
-            )));
-        }
         stalls.sort_by_key(|s| s.worker);
-        if stalls.windows(2).any(|w| w[0].worker == w[1].worker) {
-            return Err(ConfigError::parse(format!(
-                "fault plan `{spec}`: more than one stall for the same worker"
-            )));
-        }
         let label = render_label(seed, &crashes, &stalls, shed);
         Ok(FaultPlan {
             label,
@@ -271,12 +247,6 @@ impl std::str::FromStr for FaultPlan {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         FaultPlan::parse(s)
     }
-}
-
-fn bad(spec: &str, clause: &str, expected: &str) -> ConfigError {
-    ConfigError::parse(format!(
-        "fault plan `{spec}`: clause `{clause}` does not match `{expected}`"
-    ))
 }
 
 /// Parses `w<digits>:<digits>` into `(worker, value)`.
@@ -485,23 +455,27 @@ mod tests {
 
     #[test]
     fn rejects_malformed_and_inconsistent_specs() {
-        for spec in [
-            "fault-crash@w0:1",                 // wrong prefix
-            "faults-crash@0:1",                 // missing `w`
-            "faults-crash@w0",                  // missing seq
-            "faults-stall@w0:2",                // missing `ms`
-            "faults-stall@w0:2000ms",           // over the cap
-            "faults-shed1.5",                   // probability out of range
-            "faults-shed1.0",                   // [0, 1) is half-open
-            "faults-seedx",                     // unparsable seed
-            "faults-explode@w0:1",              // unknown clause
-            "faults-crash@w0:1-crash@w0:1",     // duplicate crash point
-            "faults-stall@w0:1ms-stall@w0:2ms", // two stalls, one worker
+        // Each error quotes the spec and the token at fault.
+        for (spec, token) in [
+            ("fault-crash@w0:1", "faults"),                       // wrong prefix
+            ("faults-crash@0:1", "crash@0:1"),                    // missing `w`
+            ("faults-crash@w0", "crash@w0"),                      // missing seq
+            ("faults-stall@w0:2", "stall@w0:2"),                  // missing `ms`
+            ("faults-stall@w0:2000ms", "stall@w0:2000ms"),        // over the cap
+            ("faults-shed1.5", "shed1.5"),                        // probability out of range
+            ("faults-shed1.0", "shed1.0"),                        // [0, 1) is half-open
+            ("faults-seedx", "seedx"),                            // unparsable seed
+            ("faults-explode@w0:1", "explode@w0:1"),              // unknown clause
+            ("faults-crash@w0:1-crash@w0:1", "crash@w0:1"),       // duplicate crash point
+            ("faults-stall@w0:1ms-stall@w0:2ms", "stall@w0:2ms"), // two stalls, one worker
+            ("faults-seed1-seed2", "seed2"),                      // repeated seed
+            ("faults-shed0.1-shed0.2", "shed0.2"),                // repeated shed
         ] {
-            let err = FaultPlan::parse(spec).unwrap_err();
+            let err = FaultPlan::parse(spec).unwrap_err().to_string();
             assert!(
-                err.to_string().contains("fault plan"),
-                "`{spec}` should fail with a fault-plan message, got: {err}"
+                err.contains(&format!("fault plan `{spec}`"))
+                    && err.contains(&format!("`{token}`")),
+                "`{spec}` should fail naming `{token}`, got: {err}"
             );
         }
     }

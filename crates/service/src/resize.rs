@@ -1,13 +1,11 @@
 //! Online live-resize policies for the directory service.
 //!
 //! A [`ResizePolicy`] is a spec-string-driven schedule for growing (or
-//! re-waying) a shard's directory **while the service is running**, parsed
-//! and validated exactly like the workspace's other spec strings
-//! (`DirectorySpec`, [`FaultPlan`](crate::fault::FaultPlan)).  Firing is
-//! scheduled against each shard's *applied-request count*, never against
-//! time or worker topology, so an armed policy fires at the same points in
-//! each shard's stream on every run, at every worker count, and during
-//! journal replay after a crash:
+//! re-waying) a shard's directory **while the service is running**.
+//! Firing is scheduled against each shard's *applied-request count*, never
+//! against time or worker topology, so an armed policy fires at the same
+//! points in each shard's stream on every run, at every worker count, and
+//! during journal replay after a crash:
 //!
 //! ```text
 //! resize-grow2@75-every256-max4
@@ -23,21 +21,28 @@
 //!
 //! | clause        | meaning                                                 |
 //! |---------------|---------------------------------------------------------|
-//! | `grow<F>@<P>` | multiply the per-way set count by `F` (a power of two) when occupancy reaches `P` % |
+//! | `grow<F>@<P>` | multiply the per-way set count by `F` (a power of two, at most `2^31`) when occupancy reaches `P` % |
 //! | `reway<W>@<P>`| change the way count to `W` (sets unchanged) when occupancy reaches `P` % |
 //! | `every<N>`    | epoch length: check occupancy every `N` applied requests per shard (default 256) |
 //! | `max<M>`      | fire at most `M` times per shard (default 1)            |
 //!
-//! Exactly one mode clause (`grow@` or `reway@`) is required.  The policy
-//! is consulted at shard-local epoch boundaries only — after a shard
-//! applies its `every`-th, `2·every`-th, … request — which is what makes
-//! the firing points a pure function of the per-shard request subsequence.
-//! Organizations that cannot resize in place
+//! Exactly one mode clause (`grow@` or `reway@`) is required, and each
+//! clause may appear once; the rules every spec grammar shares are
+//! [`ccd_common::clause`]'s.  `ServiceConfig::validate` rejects a policy
+//! whose `max` firings would grow a shard past the largest directory
+//! capacity.
+//!
+//! The policy is consulted at shard-local epoch boundaries only — after a
+//! shard applies its `every`-th, `2·every`-th, … request — which is what
+//! makes the firing points a pure function of the per-shard request
+//! subsequence.  Organizations that cannot resize in place
 //! ([`Directory::geometry`](ccd_directory::Directory::geometry) returns
 //! `None`, or [`Directory::live_resize`](ccd_directory::Directory::live_resize)
 //! returns `Ok(false)`) make an armed policy a silent no-op.
 
+use ccd_common::clause::Clauses;
 use ccd_common::ConfigError;
+use ccd_directory::spec::checked_capacity;
 
 /// Default epoch length: occupancy is checked every this many applied
 /// requests per shard.
@@ -72,66 +77,50 @@ impl ResizePolicy {
     /// # Errors
     ///
     /// [`ConfigError::Parse`] naming the offending clause; rejected inputs
-    /// include a missing or duplicated mode clause, a grow factor that is
-    /// not a power of two (the per-way set count must stay one), a way
-    /// count outside `2..=16`, an occupancy threshold outside `1..=100`,
-    /// and zero `every` or `max` values.
+    /// include a missing mode clause, any clause given twice, a grow factor
+    /// that is not a power of two in `2..=2^31` (the per-way set count
+    /// must stay one), a way count outside `2..=16`, an occupancy threshold
+    /// outside `1..=100`, and zero `every` or `max` values.
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
-        let mut parts = spec.split('-');
-        if parts.next() != Some("resize") {
-            return Err(ConfigError::parse(format!(
-                "resize policy `{spec}` must start with `resize`"
-            )));
-        }
+        let mut clauses = Clauses::with_prefix("resize policy", "resize", spec)?;
         let mut mode_pct: Option<(ResizeMode, u32)> = None;
         let mut every = DEFAULT_RESIZE_EVERY;
         let mut max = DEFAULT_RESIZE_MAX;
-        for clause in parts {
-            if let Some(rest) = clause.strip_prefix("grow") {
-                let (factor, pct) =
-                    value_at_pct(rest).ok_or_else(|| bad(spec, clause, "grow<factor>@<pct>"))?;
-                if factor < 2 || !ccd_common::is_power_of_two(factor) {
-                    return Err(ConfigError::parse(format!(
-                        "resize policy `{spec}`: grow factor {factor} must be a \
-                         power of two >= 2 (the per-way set count must stay a \
-                         power of two)"
-                    )));
-                }
-                set_mode(spec, &mut mode_pct, ResizeMode::Grow(factor as u32), pct)?;
-            } else if let Some(rest) = clause.strip_prefix("reway") {
-                let (ways, pct) =
-                    value_at_pct(rest).ok_or_else(|| bad(spec, clause, "reway<ways>@<pct>"))?;
-                if !(2..=16).contains(&ways) {
-                    return Err(ConfigError::parse(format!(
-                        "resize policy `{spec}`: way count {ways} is outside 2..=16"
-                    )));
-                }
-                set_mode(spec, &mut mode_pct, ResizeMode::Reway(ways as usize), pct)?;
-            } else if let Some(rest) = clause.strip_prefix("every") {
-                every = rest.parse().map_err(|_| bad(spec, clause, "every<n>"))?;
-                if every == 0 {
-                    return Err(ConfigError::parse(format!(
-                        "resize policy `{spec}`: epoch length must be >= 1"
-                    )));
-                }
-            } else if let Some(rest) = clause.strip_prefix("max") {
-                max = rest.parse().map_err(|_| bad(spec, clause, "max<n>"))?;
-                if max == 0 {
-                    return Err(ConfigError::parse(format!(
-                        "resize policy `{spec}`: firing cap must be >= 1"
-                    )));
-                }
+        while clauses.next_clause().is_some() {
+            let mode = [
+                ("grow", "grow<2, 4, …, 2^31>@<1..=100>"),
+                ("reway", "reway<2..=16>@<1..=100>"),
+            ]
+            .into_iter()
+            .find_map(|(key, form)| Some((key, form, clauses.strip(key)?)));
+            if let Some((key, form, rest)) = mode {
+                clauses.claim("mode")?;
+                let (value, pct): (u32, u32) = rest
+                    .split_once('@')
+                    .and_then(|(value, pct)| Some((value.parse().ok()?, pct.parse().ok()?)))
+                    .ok_or_else(|| clauses.expected(form))?;
+                // A grown per-way set count must stay a power of two, and
+                // the factor a `u32`: `2^32` must not wrap to zero.
+                let mode = match key {
+                    _ if !(1..=100).contains(&pct) => None,
+                    "grow" => {
+                        (value >= 2 && value.is_power_of_two()).then_some(ResizeMode::Grow(value))
+                    }
+                    _ => (2..=16)
+                        .contains(&value)
+                        .then_some(ResizeMode::Reway(value as usize)),
+                };
+                mode_pct = Some((mode.ok_or_else(|| clauses.expected(form))?, pct));
+            } else if let Some(n) = clauses.value("every", 1..)? {
+                every = n;
+            } else if let Some(n) = clauses.value("max", 1..)? {
+                max = n;
             } else {
-                return Err(ConfigError::parse(format!(
-                    "resize policy `{spec}`: unknown clause `{clause}`"
-                )));
+                return Err(clauses.unknown());
             }
         }
         let Some((mode, pct)) = mode_pct else {
-            return Err(ConfigError::parse(format!(
-                "resize policy `{spec}` needs a mode clause (`grow<f>@<pct>` \
-                 or `reway<w>@<pct>`)"
-            )));
+            return Err(clauses.error("needs a mode clause (`grow<f>@<pct>` or `reway<w>@<pct>`)"));
         };
         let label = render_label(mode, pct, every, max);
         Ok(ResizePolicy {
@@ -191,6 +180,29 @@ impl ResizePolicy {
             ResizeMode::Reway(new_ways) => (new_ways, sets),
         }
     }
+
+    /// Checks that `max` firings keep a `ways × sets` shard a geometry
+    /// that can exist ([`checked_capacity`]).
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::Inconsistent`] when the grown set count overflows or
+    /// the final capacity exceeds the largest a directory may have.
+    pub(crate) fn validate_for(&self, ways: usize, sets: usize) -> Result<(), ConfigError> {
+        let last = match self.mode {
+            ResizeMode::Grow(factor) => (factor as usize)
+                .checked_pow(self.max)
+                .and_then(|growth| sets.checked_mul(growth))
+                .map(|sets| (ways, sets)),
+            ResizeMode::Reway(ways) => Some((ways, sets)),
+        };
+        match last.map(|(ways, sets)| checked_capacity(ways, sets)) {
+            Some(Ok(_)) => Ok(()),
+            _ => Err(ConfigError::Inconsistent {
+                what: "resize policy grows a shard past the largest directory capacity",
+            }),
+        }
+    }
 }
 
 impl std::str::FromStr for ResizePolicy {
@@ -199,39 +211,6 @@ impl std::str::FromStr for ResizePolicy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         ResizePolicy::parse(s)
     }
-}
-
-fn bad(spec: &str, clause: &str, expected: &str) -> ConfigError {
-    ConfigError::parse(format!(
-        "resize policy `{spec}`: clause `{clause}` does not match `{expected}`"
-    ))
-}
-
-/// Records the mode clause, rejecting a second one.
-fn set_mode(
-    spec: &str,
-    slot: &mut Option<(ResizeMode, u32)>,
-    mode: ResizeMode,
-    pct: u64,
-) -> Result<(), ConfigError> {
-    if slot.is_some() {
-        return Err(ConfigError::parse(format!(
-            "resize policy `{spec}`: more than one mode clause"
-        )));
-    }
-    if !(1..=100).contains(&pct) {
-        return Err(ConfigError::parse(format!(
-            "resize policy `{spec}`: occupancy threshold {pct}% is outside 1..=100"
-        )));
-    }
-    *slot = Some((mode, pct as u32));
-    Ok(())
-}
-
-/// Parses `<digits>@<digits>` into `(value, pct)`.
-fn value_at_pct(text: &str) -> Option<(u64, u64)> {
-    let (value, pct) = text.split_once('@')?;
-    Some((value.parse().ok()?, pct.parse().ok()?))
 }
 
 fn render_label(mode: ResizeMode, pct: u32, every: u64, max: u32) -> String {
@@ -274,31 +253,53 @@ mod tests {
 
     #[test]
     fn rejects_malformed_and_inconsistent_specs() {
-        for spec in [
-            "resiz-grow2@75",            // wrong prefix
-            "resize",                    // no mode clause
-            "resize-every256",           // no mode clause
-            "resize-grow2",              // missing threshold
-            "resize-grow@75",            // missing factor
-            "resize-grow3@75",           // factor not a power of two
-            "resize-grow1@75",           // factor < 2
-            "resize-grow0@75",           // factor < 2
-            "resize-reway1@75",          // ways < 2
-            "resize-reway17@75",         // ways > 16
-            "resize-grow2@0",            // threshold out of range
-            "resize-grow2@101",          // threshold out of range
-            "resize-grow2@75-every0",    // zero epoch
-            "resize-grow2@75-max0",      // zero cap
-            "resize-grow2@75-reway4@50", // two mode clauses
-            "resize-grow2@75-grow2@50",  // two mode clauses
-            "resize-shrink2@75",         // unknown clause
-            "resize-everyx",             // unparsable value
+        // Each error quotes the spec and the token at fault.
+        for (spec, token) in [
+            ("resiz-grow2@75", "resize"),                      // wrong prefix
+            ("resize", "resize"),                              // no mode clause
+            ("resize-every256", "resize-every256"),            // no mode clause
+            ("resize-grow2", "grow2"),                         // missing threshold
+            ("resize-grow@75", "grow@75"),                     // missing factor
+            ("resize-grow3@75", "grow3@75"),                   // factor not a power of two
+            ("resize-grow1@75", "grow1@75"),                   // factor < 2
+            ("resize-grow0@75", "grow0@75"),                   // factor < 2
+            ("resize-grow4294967296@50", "grow4294967296@50"), // factor past u32
+            ("resize-reway1@75", "reway1@75"),                 // ways < 2
+            ("resize-reway17@75", "reway17@75"),               // ways > 16
+            ("resize-grow2@0", "grow2@0"),                     // threshold out of range
+            ("resize-grow2@101", "grow2@101"),                 // threshold out of range
+            ("resize-grow2@75-every0", "every0"),              // zero epoch
+            ("resize-grow2@75-max0", "max0"),                  // zero cap
+            ("resize-grow2@75-reway4@50", "reway4@50"),        // two mode clauses
+            ("resize-grow2@75-grow2@50", "grow2@50"),          // two mode clauses
+            ("resize-shrink2@75", "shrink2@75"),               // unknown clause
+            ("resize-everyx", "everyx"),                       // unparsable value
+            ("resize-grow2@75-every64-every128", "every128"),  // repeated epoch
+            ("resize-grow2@75-max1-max3", "max3"),             // repeated cap
         ] {
-            let err = ResizePolicy::parse(spec).unwrap_err();
+            let err = ResizePolicy::parse(spec).unwrap_err().to_string();
             assert!(
-                err.to_string().contains("resize policy"),
-                "`{spec}` should fail with a resize-policy message, got: {err}"
+                err.contains(&format!("resize policy `{spec}`"))
+                    && err.contains(&format!("`{token}`")),
+                "`{spec}` should fail naming `{token}`, got: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn validate_for_bounds_the_grown_capacity() {
+        let policy = |spec| ResizePolicy::parse(spec).unwrap();
+        assert!(policy("resize-grow2@75-max4").validate_for(4, 256).is_ok());
+        assert!(policy("resize-reway16@75-max9")
+            .validate_for(4, 256)
+            .is_ok());
+        // 2^30 twice over 256 sets: 2^68 sets do not exist.
+        for spec in [
+            "resize-grow1073741824@1-max2",
+            "resize-grow2@50-max4000000000",
+        ] {
+            let err = policy(spec).validate_for(4, 256).unwrap_err();
+            assert!(err.to_string().contains("resize policy"), "{err}");
         }
     }
 

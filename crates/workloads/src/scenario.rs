@@ -35,6 +35,7 @@
 
 use crate::generator::{PRIVATE_REGION_BASE, PRIVATE_REGION_SPAN};
 use crate::ZipfSampler;
+use ccd_common::clause::Clauses;
 use ccd_common::rng::{Rng64, SplitMix64, Xoshiro256};
 use ccd_common::{AccessType, Address, ConfigError, CoreId, MemRef, DEFAULT_BLOCK_BYTES};
 use std::fmt;
@@ -669,9 +670,10 @@ pub fn family_by_name(name: &str) -> Option<&'static dyn WorkloadFamily> {
 /// * `wWRITES` — write fraction in `[0, 1]`;
 /// * `eEPOCH` — epoch length (see [`ScenarioParams::epoch`]).
 ///
-/// Knobs not named in the string keep the family's defaults.  [`Display`]
-/// prints the canonical form (family plus the non-default knobs), which
-/// re-parses to an equal spec.
+/// Knobs not named in the string keep the family's defaults, and each
+/// knob may be named once (the rules every spec grammar shares are
+/// [`ccd_common::clause`]'s).  [`Display`] prints the canonical form
+/// (family plus the non-default knobs), which re-parses to an equal spec.
 ///
 /// ```
 /// use ccd_workloads::ScenarioSpec;
@@ -702,12 +704,7 @@ impl ScenarioSpec {
     ///
     /// [`ConfigError::Parse`] when `family` names no registered family.
     pub fn new(family: &str) -> Result<Self, ConfigError> {
-        let f = family_by_name(family).ok_or_else(|| ConfigError::Parse {
-            what: format!(
-                "unknown workload family `{family}` (known: {})",
-                known_family_names()
-            ),
-        })?;
+        let f = registered(family).map_err(ConfigError::parse)?;
         Ok(ScenarioSpec {
             family: f.name().to_string(),
             params: f.defaults(),
@@ -767,17 +764,17 @@ impl ScenarioSpec {
         if num_cores == 0 {
             return Err(ConfigError::Zero { what: "core count" });
         }
-        let family = family_by_name(&self.family).ok_or_else(|| ConfigError::Parse {
-            what: format!(
-                "unknown workload family `{}` (known: {})",
-                self.family,
-                known_family_names()
-            ),
-        })?;
+        self.check_knobs()?;
+        self.params.effective_cores(num_cores).map(drop)
+    }
+
+    /// Checks the family exists and the knobs against their ranges and the
+    /// family's use of them.
+    fn check_knobs(&self) -> Result<(), ConfigError> {
+        let family = registered(&self.family).map_err(ConfigError::parse)?;
         self.params.validate(&self.family)?;
         Self::reject_unconsumed_knobs(family, &self.params)?;
-        family.validate_params(&self.params)?;
-        self.params.effective_cores(num_cores).map(drop)
+        family.validate_params(&self.params)
     }
 
     /// Builds the deterministic reference stream for this spec.
@@ -788,24 +785,20 @@ impl ScenarioSpec {
     /// from `num_cores`.
     pub fn stream(&self, num_cores: usize, seed: u64) -> Result<Box<dyn TraceStream>, ConfigError> {
         self.validate(num_cores)?;
-        let family = family_by_name(&self.family).ok_or_else(|| ConfigError::Parse {
-            what: format!(
-                "unknown workload family `{}` (known: {})",
-                self.family,
-                known_family_names()
-            ),
-        })?;
         let cores = self.params.effective_cores(num_cores)?;
-        Ok(family.stream(&self.params, cores, seed))
+        Ok(self.family().stream(&self.params, cores, seed))
     }
 }
 
-fn known_family_names() -> String {
-    families()
-        .iter()
-        .map(|f| f.name())
-        .collect::<Vec<_>>()
-        .join(", ")
+/// The registered family named `name`, or why there is none.
+fn registered(name: &str) -> Result<&'static dyn WorkloadFamily, String> {
+    family_by_name(name).ok_or_else(|| {
+        let known: Vec<_> = families().iter().map(|f| f.name()).collect();
+        format!(
+            "unknown workload family `{name}` (known: {})",
+            known.join(", ")
+        )
+    })
 }
 
 impl FromStr for ScenarioSpec {
@@ -813,57 +806,28 @@ impl FromStr for ScenarioSpec {
 
     fn from_str(input: &str) -> Result<Self, ConfigError> {
         let input = input.trim();
-        let mut tokens = input.split('-');
-        let family_token = tokens.next().unwrap_or_default();
-        let mut spec = ScenarioSpec::new(family_token).map_err(|_| ConfigError::Parse {
-            what: format!(
-                "workload spec `{input}`: unknown family `{family_token}` (known: {})",
-                known_family_names()
-            ),
-        })?;
-        for token in tokens {
-            spec.apply_knob(input, token)?;
-        }
-        spec.params.validate(&spec.family)?;
-        ScenarioSpec::reject_unconsumed_knobs(spec.family(), &spec.params)?;
-        spec.family().validate_params(&spec.params)?;
-        Ok(spec)
-    }
-}
-
-impl ScenarioSpec {
-    /// Applies one `-`-separated knob token, naming it in any error.
-    fn apply_knob(&mut self, input: &str, token: &str) -> Result<(), ConfigError> {
-        let bad = |why: &str| ConfigError::Parse {
-            what: format!("workload spec `{input}`: {why} in token `{token}`"),
-        };
-        if let Some(count) = token.strip_suffix('c') {
-            if let Ok(cores) = count.parse::<usize>() {
-                self.params.cores = Some(cores);
-                return Ok(());
+        let (mut clauses, family) = Clauses::new("workload spec", input);
+        registered(family).map_err(|why| clauses.error(why))?;
+        let mut spec = ScenarioSpec::new(family)?;
+        while let Some(clause) = clauses.next_clause() {
+            let params = &mut spec.params;
+            if let Some(cores) = clause.strip_suffix('c').and_then(|n| n.parse().ok()) {
+                clauses.claim("Nc")?;
+                params.cores = Some(cores);
+            } else if let Some(zipf) = clauses.value("zipf", ..)? {
+                params.zipf = zipf;
+            } else if let Some(blocks) = clauses.value("b", ..)? {
+                params.blocks = blocks;
+            } else if let Some(writes) = clauses.value("w", ..)? {
+                params.write_fraction = writes;
+            } else if let Some(epoch) = clauses.value("e", ..)? {
+                params.epoch = epoch;
+            } else {
+                return Err(clauses.unknown());
             }
         }
-        if let Some(rest) = token.strip_prefix("zipf") {
-            self.params.zipf = rest.parse().map_err(|_| bad("invalid zipf skew"))?;
-            return Ok(());
-        }
-        if let Some(rest) = token.strip_prefix('b') {
-            self.params.blocks = rest.parse().map_err(|_| bad("invalid block count"))?;
-            return Ok(());
-        }
-        if let Some(rest) = token.strip_prefix('w') {
-            self.params.write_fraction = rest.parse().map_err(|_| bad("invalid write fraction"))?;
-            return Ok(());
-        }
-        if let Some(rest) = token.strip_prefix('e') {
-            self.params.epoch = rest.parse().map_err(|_| bad("invalid epoch length"))?;
-            return Ok(());
-        }
-        Err(ConfigError::Parse {
-            what: format!(
-                "workload spec `{input}`: unknown knob `{token}` (expected Nc, bN, zipfF, wF or eN)"
-            ),
-        })
+        spec.check_knobs()?;
+        Ok(spec)
     }
 }
 
@@ -948,6 +912,17 @@ mod tests {
         assert!(err.to_string().contains("`q7`"), "{err}");
         let err = "migratory-zipfx".parse::<ScenarioSpec>().unwrap_err();
         assert!(err.to_string().contains("`zipfx`"), "{err}");
+        // A repeated knob is an error naming it, not a silent override.
+        for (input, token) in [
+            ("migratory-zipf0.5-zipf0.9", "`zipf0.9`"),
+            ("migratory-b64-b128", "`b128`"),
+            ("migratory-16c-32c", "`32c`"),
+            ("migratory-w0.5-w0.6", "`w0.6`"),
+            ("migratory-e8-e16", "`e16`"),
+        ] {
+            let err = input.parse::<ScenarioSpec>().unwrap_err();
+            assert!(err.to_string().contains(token), "{err}");
+        }
         assert!("readmostly-b0".parse::<ScenarioSpec>().is_err());
         assert!("readmostly-w1.5".parse::<ScenarioSpec>().is_err());
         assert!("prodcons-e0".parse::<ScenarioSpec>().is_err());
