@@ -14,8 +14,9 @@
 //!   workloads and the hash-characterization experiments ([`rng`]),
 //! * light-weight statistics (counters, histograms, running means) used by
 //!   the directories, caches and the coherence simulator ([`stats`]),
-//! * bounded backpressure channels connecting the directory service's
-//!   ingestion frontend to its shard-owning workers ([`channel`]),
+//! * the bounded lanes (std `sync_channel`) connecting the directory
+//!   service's ingestion frontend to its shard-owning workers
+//!   ([`channel`]),
 //! * fixed-length, cache-line-aligned buffers that move onto huge pages
 //!   when they are large — what the cuckoo table's arrays live in
 //!   ([`pages`]),

@@ -199,19 +199,23 @@ impl FromStr for DirectorySpec {
             })?;
             shards = count
                 .parse()
-                .map_err(|_| Self::parse_error(input, format!("invalid shard count `{count}`")))?;
-            if shards == 0 {
-                return Err(ConfigError::Zero {
-                    what: "shard count",
-                });
-            }
+                .ok()
+                .filter(|&shards| shards > 0)
+                .ok_or_else(|| {
+                    Self::parse_error(input, format!("invalid shard count `{count}`"))
+                })?;
             body = rest;
         }
 
         // `@SHARERS` suffix.
         let mut sharers = SharerFormat::FullVector;
         if let Some((rest, fmt)) = body.rsplit_once('@') {
-            sharers = fmt.parse()?;
+            sharers = fmt.parse().map_err(|_| {
+                Self::parse_error(
+                    input,
+                    format!("unknown sharer format `{fmt}` (known: full, limited, coarse, hier)"),
+                )
+            })?;
             body = rest;
         }
 
@@ -266,6 +270,12 @@ impl FromStr for DirectorySpec {
             .ok_or_else(|| {
                 Self::parse_error(input, format!("expected `WxS` geometry, got `{geometry}`"))
             })?;
+        if ways == 0 || sets == 0 {
+            return Err(Self::parse_error(
+                input,
+                format!("geometry `{geometry}` has no entries"),
+            ));
+        }
 
         let mut spec = DirectorySpec::new(org.to_string(), ways, sets)
             .with_sharers(sharers)
@@ -274,6 +284,12 @@ impl FromStr for DirectorySpec {
         for token in tokens {
             let count = token.strip_prefix('c').and_then(|count| count.parse().ok());
             let repeated = if let Some(count) = count {
+                if count == 0 {
+                    return Err(Self::parse_error(
+                        input,
+                        format!("cache count `{token}` must be non-zero"),
+                    ));
+                }
                 caches.replace(count).is_some()
             } else if let Ok(hash) = token.parse::<HashKind>() {
                 spec.hash.replace(hash).is_some()
@@ -294,17 +310,6 @@ impl FromStr for DirectorySpec {
         }
         spec.caches = caches.unwrap_or(spec.caches);
         spec.policy = policy.unwrap_or(spec.policy);
-        if spec.ways == 0 {
-            return Err(ConfigError::Zero { what: "ways" });
-        }
-        if spec.sets == 0 {
-            return Err(ConfigError::Zero { what: "set count" });
-        }
-        if spec.caches == 0 {
-            return Err(ConfigError::Zero {
-                what: "cache count",
-            });
-        }
         check_caches(spec.caches)?;
         Ok(spec)
     }
@@ -742,6 +747,22 @@ mod tests {
 
         let err = message("sparse-4x64@martian");
         assert!(err.contains("`martian`"), "{err}");
+
+        // Empty and zero tokens are named too, not reported as a bare
+        // "must be non-zero".
+        for (input, token) in [
+            ("sparse-4x64@", "`sparse-4x64@`"),
+            ("sparse-0x64", "`0x64`"),
+            ("sparse-4x0", "`4x0`"),
+            ("sparse-4x64-c0", "`c0`"),
+            ("sharded0:sparse-4x64", "`0`"),
+        ] {
+            assert!(
+                message(input).contains(token),
+                "{input}: {}",
+                message(input)
+            );
+        }
 
         // A retired hash family is an unknown modifier like any other.
         let err = message("cuckoo-4x64-tagalt");

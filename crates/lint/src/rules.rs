@@ -153,10 +153,7 @@ impl Config {
                 // (or interior mutability) would both cost and perturb.
                 "crates/obs",
             ]),
-            ordering_commented: owned(&[
-                "crates/common/src/channel.rs",
-                "crates/coherence/src/engine/runner.rs",
-            ]),
+            ordering_commented: owned(&["crates/coherence/src/engine/runner.rs"]),
             arch_allowed: owned(&["crates/common/src/prefetch.rs", "crates/core/src/simd.rs"]),
             ffi_allowed: owned(&["crates/common/src/pages.rs"]),
             panic_allowlist: "lint/panic_allowlist.txt".to_string(),
@@ -601,24 +598,24 @@ mod tests {
     fn locks_fire_in_hot_crates_but_not_common() {
         let bad = diags("crates/core/src/table.rs", "use std::sync::Mutex;\n");
         assert_eq!(bad[0].rule, "lock-discipline");
-        assert!(diags("crates/common/src/channel.rs", "use std::sync::Mutex;\n").is_empty());
+        assert!(diags("crates/common/src/stats.rs", "use std::sync::Mutex;\n").is_empty());
     }
 
     #[test]
     fn ordering_requires_a_justification_comment() {
         let bad = diags(
-            "crates/common/src/channel.rs",
+            "crates/coherence/src/engine/runner.rs",
             "depth.fetch_add(1, Ordering::Relaxed);\n",
         );
         assert_eq!(bad[0].rule, "ordering-comment");
         assert!(diags(
-            "crates/common/src/channel.rs",
+            "crates/coherence/src/engine/runner.rs",
             "// ordering: advisory counter, no synchronization piggybacks on it\ndepth.fetch_add(1, Ordering::Relaxed);\n",
         )
         .is_empty());
         // `cmp::Ordering` is not an atomic ordering.
         assert!(diags(
-            "crates/common/src/channel.rs",
+            "crates/coherence/src/engine/runner.rs",
             "let c: std::cmp::Ordering = a.cmp(&b);\n",
         )
         .is_empty());

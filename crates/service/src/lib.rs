@@ -8,9 +8,10 @@
 //!
 //! * owns address-interleaved directory shards, each owned by exactly one
 //!   worker thread — **no locks on the hot path**;
-//! * ingests coherence requests through bounded channels
-//!   ([`ccd_common::channel`]) with blocking backpressure, so any generator
-//!   becomes a closed loop;
+//! * ingests coherence requests through bounded lanes
+//!   ([`ccd_common::channel`], the standard library's `sync_channel`) whose
+//!   blocking send is the backpressure, so any generator becomes a closed
+//!   loop;
 //! * drains requests in batches, through the directory's batched fast path
 //!   ([`Directory::apply_batch`]) where a worker owns one shard;
 //! * exposes a snapshot-consistent, mergeable [`ServiceStats`] built from

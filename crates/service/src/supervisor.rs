@@ -19,8 +19,8 @@
 //!   │            yes        ▼         no             │
 //!   │        ┌─────────► classify ──────────┐        │
 //!   │        ▼                              ▼        │
-//!   │   REBUILD shards              FAILED: shut down
-//!   │   REPLAY journal              every lane, join,
+//!   │   REBUILD shards              FAILED: drop every
+//!   │   REPLAY journal              sender, join,
 //!   │     │    (armed: later        surface
 //!   │     │     crash points        ServiceError::
 //!   │     │     may re-fire —       WorkerCrashed
@@ -56,17 +56,15 @@
 //!
 //! # Delivery resilience
 //!
-//! Sends use [`Sender::send_timeout`] under a deterministic bounded
-//! exponential [`Backoff`] of virtual ticks (no wall-clock reads): a full
-//! queue is retried with geometrically longer bounded waits, and every
-//! expiry re-checks for a disconnect, so a stalled worker is probed gently
-//! while a crashed one is still detected promptly.  When a fault plan
-//! sheds, the seeded admission gate may reject (and count) an offer before
-//! it is retried — shedding perturbs scheduling and the
+//! A delivery is one blocking [`Sender::send`]: a full lane parks the
+//! router until the worker drains (backpressure), and a crashed worker's
+//! [`Receiver`] drops during its unwind, which fails the send — blocked or
+//! not — and hands the batch back for recovery.  When a fault plan sheds,
+//! the seeded admission gate may reject (and count) an offer before it is
+//! sent — shedding perturbs scheduling and the
 //! [`ServiceStats::shed`](crate::ServiceStats::shed) counter, never
-//! results.  When a run fails, the supervisor closes every lane with
-//! [`Sender::shutdown`] so healthy workers abandon their backlogs instead
-//! of draining work nobody will read.
+//! results.  When a run fails, the supervisor drops every sender: healthy
+//! workers drain at most `queue_depth` queued batches and exit.
 //!
 //! [`DirectoryService::run`]: crate::DirectoryService::run
 
@@ -77,11 +75,12 @@ use crate::resize::ResizePolicy;
 use crate::service::{
     absorb_into, finish, maybe_resize, DirectoryService, ServiceReport, WorkerOutput,
 };
-use ccd_common::channel::{bounded, Backoff, Receiver, SendTimeoutError, Sender};
+use ccd_common::channel::{bounded, Receiver, Sender};
 use ccd_directory::{BuilderRegistry, Directory, DirectoryOp, DirectorySpec, Outcome};
 use ccd_obs::{EventKind, FlightRecorder, ObsConfig};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::SendError;
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// What the supervisor hands back once the fleet drains: the worker
@@ -93,13 +92,6 @@ type JoinedFleet = (
     u64,
     Option<ccd_obs::FlightRecording>,
 );
-
-/// First tick budget of the delivery backoff schedule.
-pub(crate) const SEND_BACKOFF_START: u32 = 1;
-
-/// Tick-budget cap of the delivery backoff schedule (1024 ticks ≈ 100ms of
-/// bounded waiting per round at [`ccd_common::channel::TICK`]).
-pub(crate) const SEND_BACKOFF_MAX: u32 = 1024;
 
 /// Everything about a run that never changes while it executes.
 struct RunEnv {
@@ -233,16 +225,16 @@ impl<'scope> Supervisor<'scope> {
         sup
     }
 
-    /// Delivers one admitted batch to `owner`, riding out stalls (bounded
-    /// backoff), shedding (counted, re-offered) and crashes (recover, then
-    /// re-offer).  On success the batch — journaled if the owner is — is
+    /// Delivers one admitted batch to `owner`, riding out stalls (a
+    /// blocking send), shedding (counted, re-offered) and crashes (recover,
+    /// then re-offer).  On success the batch — journaled if the owner is — is
     /// in the owner's queue.
     fn deliver<'env>(
         &mut self,
         scope: &'scope Scope<'scope, 'env>,
         env: &'env RunEnv,
         owner: usize,
-        batch: Vec<Request>,
+        mut batch: Vec<Request>,
     ) -> Result<(), ServiceError> {
         // Virtual time of every router-side event for this batch: its
         // first request's sequence number.
@@ -262,39 +254,23 @@ impl<'scope> Supervisor<'scope> {
         if env.journaled[owner] {
             self.journals[owner].extend_from_slice(&batch);
         }
-        let mut pending = batch;
-        let mut backoff = Backoff::new(SEND_BACKOFF_START, SEND_BACKOFF_MAX);
-        loop {
-            match self.txs[owner].send_timeout(pending, backoff.next_ticks()) {
-                Ok(()) => {
-                    self.record_event(EventKind::BatchRouted, owner, vtime, len);
-                    return Ok(());
-                }
-                Err(SendTimeoutError::TimedOut(batch)) => {
-                    // Queue full; the worker is alive but slow (or
-                    // stalled).  Wait a deterministically longer bounded
-                    // interval and re-offer.
-                    pending = batch;
-                }
-                Err(SendTimeoutError::Disconnected(batch)) => {
-                    // This batch was never delivered: roll it back out of
-                    // the journal so recovery does not replay it…
-                    if env.journaled[owner] {
-                        let keep = self.journals[owner].len().saturating_sub(batch.len());
-                        self.journals[owner].truncate(keep);
-                    }
-                    self.recover(scope, env, owner)?;
-                    // …then re-journal and re-offer it to the replacement
-                    // on a fresh backoff schedule.  No new gate draw: the
-                    // batch was already admitted.
-                    if env.journaled[owner] {
-                        self.journals[owner].extend_from_slice(&batch);
-                    }
-                    pending = batch;
-                    backoff = Backoff::new(SEND_BACKOFF_START, SEND_BACKOFF_MAX);
-                }
+        while let Err(SendError(undelivered)) = self.txs[owner].send(batch) {
+            // The worker crashed and this batch was never delivered: roll
+            // it back out of the journal so recovery does not replay it…
+            batch = undelivered;
+            if env.journaled[owner] {
+                let keep = self.journals[owner].len().saturating_sub(batch.len());
+                self.journals[owner].truncate(keep);
+            }
+            self.recover(scope, env, owner)?;
+            // …then re-journal and re-offer it to the replacement.  No new
+            // gate draw: the batch was already admitted.
+            if env.journaled[owner] {
+                self.journals[owner].extend_from_slice(&batch);
             }
         }
+        self.record_event(EventKind::BatchRouted, owner, vtime, len);
+        Ok(())
     }
 
     /// Records one router-side event (no-op when no recorder is armed).
@@ -407,15 +383,6 @@ impl<'scope> Supervisor<'scope> {
         }
     }
 
-    /// Closes every lane by explicit shutdown: healthy workers abandon
-    /// their backlogs and exit promptly instead of draining results the
-    /// failed run will never report.
-    fn abort(&self) {
-        for tx in &self.txs {
-            tx.shutdown();
-        }
-    }
-
     /// Ends ingestion (drops every sender) and joins the fleet,
     /// recovering workers that crashed after their last delivery: with the
     /// stream over, their full journals *are* their final state, so replay
@@ -435,13 +402,7 @@ impl<'scope> Supervisor<'scope> {
                 Ok(Err(note)) => note,
                 Err(payload) => CrashNote::new(owner, payload),
             };
-            match self.recovered_output(env, note) {
-                Ok(output) => outputs.push(output),
-                Err(err) => {
-                    self.abort();
-                    return Err(err);
-                }
-            }
+            outputs.push(self.recovered_output(env, note)?);
         }
         let recording = self.recorder.as_ref().map(FlightRecorder::finish);
         Ok((outputs, self.shed, self.recoveries, recording))
@@ -509,7 +470,7 @@ pub(crate) fn run_concurrent(
                 if staging[owner].len() == batch {
                     let fresh = sup.recycles[owner]
                         .try_recv()
-                        .unwrap_or_else(|| Vec::with_capacity(batch));
+                        .unwrap_or_else(|_| Vec::with_capacity(batch));
                     let full = std::mem::replace(&mut staging[owner], fresh);
                     sup.deliver(scope, &env, owner, full)?;
                 }
@@ -521,10 +482,10 @@ pub(crate) fn run_concurrent(
             }
             Ok(())
         })();
-        if let Err(err) = routed {
-            sup.abort();
-            return Err(err);
-        }
+        // A failed run aborts by returning: dropping `sup` drops every
+        // sender, so healthy workers drain at most `queue_depth` batches
+        // and exit, and the scope joins them.
+        routed?;
         sup.join_all(&env)
     })?;
 
@@ -568,7 +529,7 @@ fn spawn_worker<'scope, 'env>(
 
 /// One worker's supervised drain loop: receive a batch, sleep any
 /// scheduled stall, run the batch, return the buffer, repeat until the
-/// ingestion side hangs up or shuts down.
+/// ingestion side hangs up.
 fn drive_worker(
     output: WorkerOutput,
     env: &RunEnv,
@@ -581,9 +542,8 @@ fn drive_worker(
         let mut output = output;
         let mut out = Outcome::new();
         let mut ops_buf: Vec<DirectoryOp> = Vec::new();
-        // Both a natural end of stream (Disconnected) and a supervisor
-        // abort (Shutdown) end the loop; the distinction matters to the
-        // supervisor, not to the worker.
+        // The loop ends when the router drops this lane's sender: at the
+        // end of the stream or on a supervisor abort alike.
         while let Ok(mut requests) = rx.recv() {
             if let Some(hooks) = hooks.as_ref() {
                 hooks.stall();

@@ -9,7 +9,9 @@
 //! no process abort.
 
 use ccd_common::rng::{Rng64, SplitMix64};
-use ccd_service::{DirectoryService, FaultPlan, LoadSpec, ServiceConfig, ServiceError};
+use ccd_service::{
+    DirectoryService, FaultPlan, LoadSpec, ServiceConfig, ServiceError, DEFAULT_QUEUE_DEPTH,
+};
 
 const CORES: usize = 8;
 const REQUESTS: u64 = 20_000;
@@ -34,8 +36,18 @@ fn serial_reference(load: &LoadSpec) -> ccd_service::ServiceReport {
 }
 
 fn run_faulty(workers: usize, plan: &str, load: &LoadSpec) -> ccd_service::ServiceReport {
+    run_faulty_at(workers, DEFAULT_QUEUE_DEPTH, plan, load)
+}
+
+fn run_faulty_at(
+    workers: usize,
+    queue_depth: usize,
+    plan: &str,
+    load: &LoadSpec,
+) -> ccd_service::ServiceReport {
     DirectoryService::build_standard(
         config(workers)
+            .with_queue_depth(queue_depth)
             .with_fault_spec(plan)
             .expect("fault plan parses"),
     )
@@ -45,10 +57,14 @@ fn run_faulty(workers: usize, plan: &str, load: &LoadSpec) -> ccd_service::Servi
 }
 
 /// Randomized recoverable plans (seeded, reproducible) across the
-/// (fault kind × worker count × scenario family) grid.  Every run must
-/// match the fault-free serial reference on `recovery_semantics()`, and —
-/// run twice — must reproduce its entire report bit-for-bit, *including*
-/// the `shed` and `recoveries` counters.
+/// (fault kind × worker count × queue depth × scenario family) grid.  Every
+/// run must match the fault-free serial reference on
+/// `recovery_semantics()`, and — run twice — must reproduce its entire
+/// report bit-for-bit, *including* the `shed` and `recoveries` counters.
+///
+/// The crashing worker stalls too, so its lane fills while it sleeps: at
+/// queue depth 1 the router is parked in a blocking `send` when the
+/// worker's receiver drops, and that blocked send is the crash detection.
 #[test]
 fn randomized_recoverable_plans_match_the_fault_free_reference() {
     let mut rng = SplitMix64::new(0xFA17_5EED);
@@ -62,21 +78,26 @@ fn randomized_recoverable_plans_match_the_fault_free_reference() {
                 let crash_seq = rng.next_u64() % REQUESTS;
                 let stall_worker = (rng.next_u64() % workers as u64) as usize;
                 let shed_bp = 1 + rng.next_u64() % 200; // 0.0001..0.02
-                let plan = format!(
+                let mut plan = format!(
                     "faults-seed{seed}-crash@w{crash_worker}:{crash_seq}\
-                     -stall@w{stall_worker}:1ms-shed0.{shed_bp:04}"
+                     -stall@w{crash_worker}:1ms-shed0.{shed_bp:04}"
                 );
-                let once = run_faulty(workers, &plan, &load);
-                assert_eq!(
-                    once.recovery_semantics(),
-                    serial.recovery_semantics(),
-                    "{workload} x {workers} workers x `{plan}`"
-                );
-                let twice = run_faulty(workers, &plan, &load);
-                assert_eq!(
-                    once, twice,
-                    "faulty runs must be reproducible wholesale: `{plan}`"
-                );
+                if stall_worker != crash_worker {
+                    plan.push_str(&format!("-stall@w{stall_worker}:1ms"));
+                }
+                for depth in [DEFAULT_QUEUE_DEPTH, 1] {
+                    let once = run_faulty_at(workers, depth, &plan, &load);
+                    assert_eq!(
+                        once.recovery_semantics(),
+                        serial.recovery_semantics(),
+                        "{workload} x {workers} workers x depth {depth} x `{plan}`"
+                    );
+                    let twice = run_faulty_at(workers, depth, &plan, &load);
+                    assert_eq!(
+                        once, twice,
+                        "faulty runs must be reproducible wholesale: depth {depth} x `{plan}`"
+                    );
+                }
             }
         }
     }
@@ -138,8 +159,8 @@ fn stalls_and_shedding_change_only_the_fault_counters() {
 
 /// An `abort@` clause is a scheduled **unrecoverable** crash: the run must
 /// return [`ServiceError::WorkerCrashed`] naming the worker — promptly, as
-/// a value, with the remaining workers shut down rather than left draining
-/// a doomed stream.
+/// a value, with the remaining workers' senders dropped so they drain at
+/// most a queue's worth of the doomed stream and exit.
 #[test]
 fn an_unrecoverable_abort_surfaces_worker_crashed() {
     let load = load("prodcons", 47);

@@ -1,18 +1,23 @@
-//! Seeded parser fuzz: the workspace's one JSON parser and its four
-//! clause grammars (`faults-…`, `resize-…`, `obs-…`, scenario workloads).
+//! Seeded parser fuzz: the workspace's one JSON parser, its four clause
+//! grammars (`faults-…`, `resize-…`, `obs-…`, scenario workloads) and the
+//! two spec grammars built on them (`DirectorySpec`, `WorkloadSpec`).
 //!
-//! No input may panic, and every accepted value's canonical label must
-//! re-parse to an equal value.  Inputs are the valid corpus itself, then
-//! mutations of it — numbers swapped for the edges where parsers truncate
-//! or overflow, characters inserted and deleted, clauses repeated, tails
-//! cut — and random text, all from one seeded `ccd_common::rng` stream per
-//! grammar, so a failure names its input and replays exactly.
+//! No input may panic, every accepted value's canonical label must
+//! re-parse to an equal value, and every rejection by a clause or spec
+//! grammar must name a token of its input.  Inputs are the valid corpus
+//! itself, then mutations of it — numbers swapped for the edges where
+//! parsers truncate or overflow, characters inserted and deleted, clauses
+//! repeated, tails cut — and random text, all from one seeded
+//! `ccd_common::rng` stream per grammar, so a failure names its input and
+//! replays exactly.
 
 use ccd_common::json::{self, Json};
 use ccd_common::rng::{Rng64, Xoshiro256};
+use ccd_common::ConfigError;
+use ccd_directory::DirectorySpec;
 use ccd_obs::ObsConfig;
 use ccd_service::{FaultPlan, ResizePolicy};
-use ccd_workloads::ScenarioSpec;
+use ccd_workloads::{ScenarioSpec, WorkloadSpec};
 use std::fmt::Debug;
 
 const ROUNDS: usize = 20_000;
@@ -26,6 +31,24 @@ const EDGES: &str = "0 1 2 3 8 16 17 100 101 1024 1073741824 2147483648 42949672
 /// What mutations insert: the grammars' punctuation and letters, JSON's
 /// structure, and a multi-byte scalar.
 const ALPHABET: &str = "-@:.+wcebmsx019{}[]\",\\ué \n";
+
+/// Whether a rejection names a token of `input`: a parse error quotes a
+/// non-empty piece of it in backticks, and a bound error's value is one of
+/// its numbers.  An input that is all whitespace has nothing to name.
+fn names_a_token(input: &str, err: &ConfigError) -> bool {
+    match err {
+        _ if input.trim().is_empty() => true,
+        ConfigError::Parse { what } => what
+            .split('`')
+            .skip(1)
+            .step_by(2)
+            .any(|token| !token.is_empty() && input.contains(token)),
+        ConfigError::TooLarge { value, .. } | ConfigError::TooSmall { value, .. } => {
+            input.contains(&value.to_string())
+        }
+        _ => false,
+    }
+}
 
 fn pick<T: Copy>(rng: &mut Xoshiro256, items: &[T]) -> T {
     *rng.choose(items).expect("a non-empty table")
@@ -77,12 +100,13 @@ fn input(rng: &mut Xoshiro256, corpus: &[&str], round: usize) -> String {
     text.into_iter().collect()
 }
 
-/// Feeds `ROUNDS` inputs to `parse`, seeded by the corpus, and holds every
-/// accepted value to its `label`.
-fn fuzz<T: PartialEq + Debug>(
+/// Feeds `ROUNDS` inputs to `parse`, seeded by the corpus, holds every
+/// accepted value to its `label` and every rejection to `explains`.
+fn fuzz<T: PartialEq + Debug, E: Debug>(
     corpus: &[&str],
-    parse: fn(&str) -> Option<T>,
+    parse: fn(&str) -> Result<T, E>,
     label: fn(&T) -> String,
+    explains: fn(&str, &E) -> bool,
 ) {
     let mut rng = Xoshiro256::new(corpus.concat().len() as u64);
     let mut accepted = 0;
@@ -90,15 +114,18 @@ fn fuzz<T: PartialEq + Debug>(
         let text = input(&mut rng, corpus, round);
         let parsed = std::panic::catch_unwind(|| parse(&text))
             .unwrap_or_else(|_| panic!("parsing {text:?} panicked"));
-        if let Some(value) = parsed {
-            accepted += 1;
-            let canonical = label(&value);
-            let again = parse(&canonical);
-            assert_eq!(
-                again.as_ref(),
-                Some(&value),
-                "{text:?} labels as {canonical:?}"
-            );
+        match parsed {
+            Ok(value) => {
+                accepted += 1;
+                let canonical = label(&value);
+                let again = parse(&canonical).ok();
+                assert_eq!(
+                    again.as_ref(),
+                    Some(&value),
+                    "{text:?} labels as {canonical:?}"
+                );
+            }
+            Err(err) => assert!(explains(&text, &err), "{text:?}: {err:?}"),
         }
     }
     // The mutations must leave enough inputs valid to test the labels.
@@ -109,15 +136,16 @@ fn fuzz<T: PartialEq + Debug>(
 }
 
 #[test]
-fn the_four_clause_grammars_never_panic_and_their_labels_round_trip() {
+fn the_four_clause_grammars_never_panic_name_what_they_reject_and_round_trip() {
     fuzz(
         &[
             "faults",
             "faults-seed7-crash@w2:5000-stall@w0:2ms-shed0.01",
             "faults-crash@w1:10-abort@w1:30-stall@w0:1ms-shed0.5",
         ],
-        |s| FaultPlan::parse(s).ok(),
+        FaultPlan::parse,
         |plan| plan.label().to_string(),
+        names_a_token,
     );
     fuzz(
         &[
@@ -125,13 +153,15 @@ fn the_four_clause_grammars_never_panic_and_their_labels_round_trip() {
             "resize-reway8@60-every128",
             "resize-max2-grow4@100",
         ],
-        |s| ResizePolicy::parse(s).ok(),
+        ResizePolicy::parse,
         |policy| policy.label().to_string(),
+        names_a_token,
     );
     fuzz(
         &["obs", "obs-sig3-ring4096-spans", "obs-spans-sig8-ring16"],
-        |s| ObsConfig::parse(s).ok(),
+        ObsConfig::parse,
         |config| config.label().to_string(),
+        names_a_token,
     );
     fuzz(
         &[
@@ -141,22 +171,51 @@ fn the_four_clause_grammars_never_panic_and_their_labels_round_trip() {
             "prodcons-b4096-e32",
             "stream-b1024-w0.25",
         ],
-        |s| s.parse::<ScenarioSpec>().ok(),
+        |s| s.parse::<ScenarioSpec>(),
         ToString::to_string,
+        names_a_token,
+    );
+}
+
+#[test]
+fn the_two_spec_grammars_never_panic_name_what_they_reject_and_round_trip() {
+    fuzz(
+        &[
+            "cuckoo-4x1024-skew",
+            "sharded4:duptag-16x512-c16@coarse",
+            "cuckoo-4x1024-ms-bfs-c16",
+            "in-cache-16x64@hier",
+            "skewed-4x256-strong-c64@limited",
+        ],
+        |s| s.parse::<DirectorySpec>(),
+        ToString::to_string,
+        names_a_token,
+    );
+    fuzz(
+        &[
+            "oracle",
+            "Ocean",
+            "migratory-16c-zipf0.9",
+            "prodcons-b4096-e32",
+            "replay:results/oracle.ccdt",
+        ],
+        |s| s.parse::<WorkloadSpec>(),
+        WorkloadSpec::label,
+        names_a_token,
     );
 }
 
 /// A document canonicalized by one rendering (`1.0` renders as `1` and
 /// reads back as an integer): the canonical value is what must
 /// round-trip.  Folded renderings read back alike.
-fn canonical_json(text: &str) -> Option<Json> {
-    let value = json::parse(text).ok()?;
+fn canonical_json(text: &str) -> Result<Json, json::ParseError> {
+    let value = json::parse(text)?;
     let canonical = json::parse(&value.to_pretty()).expect("a rendered document parses");
     assert_eq!(
         json::parse(&value.to_pretty_folded(1)),
         Ok(canonical.clone())
     );
-    Some(canonical)
+    Ok(canonical)
 }
 
 #[test]
@@ -169,5 +228,6 @@ fn the_json_parser_never_panics_and_its_renderings_round_trip() {
         ],
         canonical_json,
         Json::to_pretty,
+        |_, _| true,
     );
 }

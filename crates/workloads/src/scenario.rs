@@ -813,20 +813,28 @@ impl FromStr for ScenarioSpec {
             let params = &mut spec.params;
             if let Some(cores) = clause.strip_suffix('c').and_then(|n| n.parse().ok()) {
                 clauses.claim("Nc")?;
+                if cores == 0 {
+                    return Err(clauses.expected("<1..>c"));
+                }
                 params.cores = Some(cores);
-            } else if let Some(zipf) = clauses.value("zipf", ..)? {
+            } else if let Some(zipf) = clauses.value("zipf", 0.0..)? {
                 params.zipf = zipf;
-            } else if let Some(blocks) = clauses.value("b", ..)? {
+            } else if let Some(blocks) = clauses.value("b", 1..)? {
                 params.blocks = blocks;
-            } else if let Some(writes) = clauses.value("w", ..)? {
+            } else if let Some(writes) = clauses.value("w", 0.0..=1.0)? {
                 params.write_fraction = writes;
-            } else if let Some(epoch) = clauses.value("e", ..)? {
+            } else if let Some(epoch) = clauses.value("e", 1..)? {
                 params.epoch = epoch;
             } else {
                 return Err(clauses.unknown());
             }
         }
-        spec.check_knobs()?;
+        // What is left is a knob the family does not take or knobs that
+        // disagree with each other: name the whole spec.
+        spec.check_knobs().map_err(|err| match err {
+            ConfigError::Parse { .. } => err,
+            other => clauses.error(other),
+        })?;
         Ok(spec)
     }
 }
@@ -923,15 +931,23 @@ mod tests {
             let err = input.parse::<ScenarioSpec>().unwrap_err();
             assert!(err.to_string().contains(token), "{err}");
         }
-        assert!("readmostly-b0".parse::<ScenarioSpec>().is_err());
-        assert!("readmostly-w1.5".parse::<ScenarioSpec>().is_err());
-        assert!("prodcons-e0".parse::<ScenarioSpec>().is_err());
+        // Out-of-range knobs name their clause.
+        for (input, token) in [
+            ("readmostly-b0", "`b0`"),
+            ("readmostly-w1.5", "`w1.5`"),
+            ("prodcons-e0", "`e0`"),
+            ("migratory-0c", "`0c`"),
+        ] {
+            let err = input.parse::<ScenarioSpec>().unwrap_err();
+            assert!(err.to_string().contains(token), "{err}");
+        }
         assert!("readmostly-zipf-1".parse::<ScenarioSpec>().is_err());
 
         // Family-specific constraints are rejected, not silently clamped:
         // a prodcons buffer larger than its ring, or a streaming scan that
         // would overflow its per-core private region.
-        assert!("prodcons-b16-e64".parse::<ScenarioSpec>().is_err());
+        let err = "prodcons-b16-e64".parse::<ScenarioSpec>().unwrap_err();
+        assert!(err.to_string().contains("`prodcons-b16-e64`"), "{err}");
         assert!("stream-b8388608".parse::<ScenarioSpec>().is_err());
         assert!("stream-b4194304".parse::<ScenarioSpec>().is_ok());
 
