@@ -11,9 +11,8 @@
 //! token before anything runs.  The environment is parsed once, here:
 //! `CCD_SCALE` (`quick` / `default` / `full`), `CCD_WORKERS` (the parallel
 //! runner's worker count; `1` is a serial run with byte-identical
-//! results), `CCD_OBS` (armed at directory construction by the library;
-//! checked here so a malformed spec is an exit 2, not a panic mid-run) and
-//! `CCD_RESULTS_DIR` (default `results`).
+//! results) and `CCD_RESULTS_DIR` (default `results`).  Observation is
+//! armed by API only, where `bench_obs` asks for it.
 //!
 //! An experiment is a function from that [`Context`] to its artifacts, one
 //! per file its row declares: it builds rows as `Json` objects, naming
@@ -334,9 +333,6 @@ fn main() {
 
     let (scale, scale_name) = RunScale::from_env_named();
     let runner = ParallelRunner::from_env().unwrap_or_else(|e| exit_with(2, e));
-    if let Err(e) = ccd_obs::ObsConfig::from_env() {
-        exit_with(2, e);
-    }
     let dir = ccd_bench::results_dir();
     let context = Context {
         scale,

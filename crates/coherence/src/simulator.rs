@@ -293,10 +293,11 @@ impl CmpSimulator {
     /// The first broken clause, with the block and cache it was found at.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn check_coherence(&mut self, spec: &DirectorySpec) -> Result<(), String> {
+        use ccd_directory::Org;
         use ccd_sharers::SharerFormat;
 
         let resolved = spec.resolve(&self.system).map_err(|e| e.to_string())?;
-        let exact = resolved.sharers == SharerFormat::FullVector && resolved.org != "tagless";
+        let exact = resolved.sharers == SharerFormat::FullVector && resolved.org != Org::Tagless;
         let mut resident: Vec<(LineAddr, CacheId, CoherenceState)> = self
             .tiles
             .resident()

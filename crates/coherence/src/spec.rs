@@ -12,7 +12,7 @@
 use crate::SystemConfig;
 use ccd_common::ConfigError;
 use ccd_directory::spec::provisioned_sets;
-use ccd_directory::Directory;
+use ccd_directory::{Directory, Org};
 use ccd_hash::HashKind;
 use std::fmt;
 
@@ -155,25 +155,26 @@ impl DirectorySpec {
                 ways,
                 provisioning,
                 hash,
-            } => provisioned("cuckoo", *ways, *provisioning).with_hash(*hash),
+            } => provisioned(Org::Cuckoo, *ways, *provisioning).with_hash(*hash),
             DirectorySpec::CuckooExplicit { ways, sets, hash } => {
-                Resolved::new("cuckoo", *ways, *sets).with_hash(*hash)
+                Resolved::new(Org::Cuckoo, *ways, *sets).with_hash(*hash)
             }
             DirectorySpec::Sparse { ways, provisioning } => {
-                provisioned("sparse", *ways, *provisioning)
+                provisioned(Org::Sparse, *ways, *provisioning)
             }
             DirectorySpec::Skewed { ways, provisioning } => {
-                provisioned("skewed", *ways, *provisioning)
+                provisioned(Org::Skewed, *ways, *provisioning)
             }
             DirectorySpec::DuplicateTag => {
-                Resolved::new("duplicate-tag", cache.ways, mirrored_sets)
+                Resolved::new(Org::DuplicateTag, cache.ways, mirrored_sets)
             }
             DirectorySpec::InCache => {
                 // One bank of the shared L2 per slice.
                 let l2 = system.private_l2;
-                Resolved::new("in-cache", l2.ways, (l2.sets / system.num_slices()).max(1))
+                let sets = (l2.sets / system.num_slices()).max(1);
+                Resolved::new(Org::InCache, l2.ways, sets)
             }
-            DirectorySpec::Tagless => Resolved::new("tagless", cache.ways, mirrored_sets),
+            DirectorySpec::Tagless => Resolved::new(Org::Tagless, cache.ways, mirrored_sets),
             DirectorySpec::Custom { spec } => spec.parse()?,
         };
         Ok(spec.with_caches(system.num_private_caches()))

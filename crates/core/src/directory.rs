@@ -17,7 +17,6 @@ use crate::config::CuckooConfig;
 use crate::table::{ways_dispatch, CuckooTable};
 use ccd_common::{CacheId, ConfigError, LineAddr};
 use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome};
-use ccd_obs::ObsConfig;
 use ccd_sharers::SharerSet;
 
 /// A Cuckoo directory slice: a d-ary cuckoo hash table of sharer sets.
@@ -33,21 +32,13 @@ impl<S: SharerSet> CuckooDirectory<S> {
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] produced by [`CuckooConfig::validate`],
-    /// by the hash-family construction, or by a malformed `CCD_OBS`
-    /// environment override.
+    /// Returns the [`ConfigError`] produced by [`CuckooConfig::validate`]
+    /// or by the hash-family construction.
     pub fn new(config: CuckooConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let mut table = Self::build_table(&config)?;
-        // A CCD_OBS override arms the depth distributions at construction.
-        // It never reaches the organization label or any result-bearing
-        // field — armed and unarmed runs stay byte-identical (contract #11).
-        if let Some(obs) = ObsConfig::from_env()? {
-            table.arm_depth_metrics(obs.sig_bits());
-        }
         Ok(CuckooDirectory {
+            table: Self::build_table(&config)?,
             config,
-            table,
             stats: DirectoryStats::new(),
         })
     }

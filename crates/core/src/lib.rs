@@ -76,11 +76,6 @@ fn build_cuckoo(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>
     }))
 }
 
-/// Registers the Cuckoo directory (`cuckoo`) in `registry`.
-pub fn register_cuckoo(registry: &mut BuilderRegistry) {
-    registry.register("cuckoo", build_cuckoo);
-}
-
 /// A [`BuilderRegistry`] covering all six directory organizations of the
 /// paper's evaluation: the five baselines plus the Cuckoo directory.
 ///
@@ -90,16 +85,14 @@ pub fn register_cuckoo(registry: &mut BuilderRegistry) {
 /// assert_eq!(dir.capacity(), 2048);
 /// ```
 #[must_use]
-pub fn standard_registry() -> BuilderRegistry {
-    let mut registry = BuilderRegistry::with_baselines();
-    register_cuckoo(&mut registry);
-    registry
+pub const fn standard_registry() -> BuilderRegistry {
+    BuilderRegistry::with_cuckoo(build_cuckoo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccd_directory::Directory;
+    use ccd_directory::{Directory, Org};
     use ccd_sharers::FullBitVector;
 
     #[test]
@@ -112,19 +105,14 @@ mod tests {
 
     #[test]
     fn standard_registry_builds_all_six_organizations() {
-        let registry = standard_registry();
-        for spec in [
-            "cuckoo-4x512-skew",
-            "sparse-8x256",
-            "skewed-4x256",
-            "duplicate-tag-2x64",
-            "in-cache-16x64",
-            "tagless-2x64",
-        ] {
-            let dir = registry.build_str(spec).expect(spec);
+        for org in Org::ALL {
+            let spec = DirectorySpec::new(org, 4, 64);
+            let dir = standard_registry()
+                .build(&spec)
+                .unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert!(dir.capacity() > 0, "{spec}");
+            assert_eq!(spec.to_string().parse::<DirectorySpec>(), Ok(spec));
         }
-        assert_eq!(registry.names().count(), 6);
     }
 
     #[test]

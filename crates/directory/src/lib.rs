@@ -90,7 +90,7 @@ pub(crate) mod testing;
 pub use duplicate_tag::DuplicateTagDirectory;
 pub use sharded::ShardedDirectory;
 pub use slots::SlotDirectory;
-pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy};
+pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy, Org};
 pub use stats::{DepthMetrics, DirectoryStats};
 pub use tagless::TaglessDirectory;
 

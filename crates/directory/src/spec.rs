@@ -6,13 +6,12 @@
 //! generics.  This module provides:
 //!
 //! * [`DirectorySpec`] — the parsed form of a spec string: organization
-//!   name, `ways × sets` geometry, and optional modifiers (hash family,
+//!   ([`Org`]), `ways × sets` geometry, and optional modifiers (hash family,
 //!   sharer format, tracked-cache count, shard count);
-//! * [`BuilderRegistry`] — a name → builder-function table.  The five
-//!   baseline organizations register themselves via
-//!   [`BuilderRegistry::with_baselines`]; the `ccd-cuckoo` crate registers
-//!   the Cuckoo directory on top (its `standard_registry()` covers all
-//!   six organizations).
+//! * [`BuilderRegistry`] — one `match` on [`Org`] to the organization's
+//!   constructor.  The five baselines are built here; the Cuckoo directory
+//!   lives upstack, so [`BuilderRegistry::with_baselines`] refuses `cuckoo`
+//!   and `ccd-cuckoo`'s `standard_registry()` injects its builder.
 //!
 //! # Spec-string grammar
 //!
@@ -112,11 +111,66 @@ impl FromStr for InsertPolicy {
     }
 }
 
+/// The six directory organizations of the paper's evaluation.  `Display`
+/// prints the canonical spec-string name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Org {
+    /// The Cuckoo directory (built upstack, by `ccd-cuckoo`).
+    Cuckoo,
+    /// Set-associative Sparse directory.
+    Sparse,
+    /// Skewed-associative directory.
+    Skewed,
+    /// Duplicate-Tag directory mirroring the tracked caches.
+    DuplicateTag,
+    /// In-cache directory embedded in the L2 banks.
+    InCache,
+    /// Tagless (Bloom-filter grid) directory.
+    Tagless,
+}
+
+impl Org {
+    /// Every organization.
+    pub const ALL: [Org; 6] = [
+        Org::Cuckoo,
+        Org::Sparse,
+        Org::Skewed,
+        Org::DuplicateTag,
+        Org::InCache,
+        Org::Tagless,
+    ];
+
+    /// Every spec-string spelling, with `duptag` and `incache` as aliases.
+    const ALIASES: [(&'static str, Org); 8] = [
+        ("duplicate-tag", Org::DuplicateTag),
+        ("duptag", Org::DuplicateTag),
+        ("in-cache", Org::InCache),
+        ("incache", Org::InCache),
+        ("cuckoo", Org::Cuckoo),
+        ("sparse", Org::Sparse),
+        ("skewed", Org::Skewed),
+        ("tagless", Org::Tagless),
+    ];
+}
+
+impl fmt::Display for Org {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Org::Cuckoo => "cuckoo",
+            Org::Sparse => "sparse",
+            Org::Skewed => "skewed",
+            Org::DuplicateTag => "duplicate-tag",
+            Org::InCache => "in-cache",
+            Org::Tagless => "tagless",
+        })
+    }
+}
+
 /// A parsed directory specification (see the module docs for the grammar).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectorySpec {
-    /// Organization name (registry key), e.g. `"cuckoo"`.
-    pub org: String,
+    /// The organization.
+    pub org: Org,
     /// Ways (or mirrored associativity; see the grammar).
     pub ways: usize,
     /// Sets per way (or mirrored sets; see the grammar).
@@ -137,9 +191,9 @@ impl DirectorySpec {
     /// A spec with the given organization and geometry and all modifiers at
     /// their defaults.
     #[must_use]
-    pub fn new(org: impl Into<String>, ways: usize, sets: usize) -> Self {
+    pub fn new(org: Org, ways: usize, sets: usize) -> Self {
         DirectorySpec {
-            org: org.into(),
+            org,
             ways,
             sets,
             hash: None,
@@ -219,20 +273,10 @@ impl FromStr for DirectorySpec {
             body = rest;
         }
 
-        // Organization name: longest known alias prefix, so names containing
-        // `-` (duplicate-tag, in-cache) parse unambiguously.
-        const ORGS: &[(&str, &str)] = &[
-            ("duplicate-tag", "duplicate-tag"),
-            ("duptag", "duplicate-tag"),
-            ("in-cache", "in-cache"),
-            ("incache", "in-cache"),
-            ("cuckoo", "cuckoo"),
-            ("sparse", "sparse"),
-            ("skewed", "skewed"),
-            ("tagless", "tagless"),
-        ];
-        let (alias, org) = ORGS
-            .iter()
+        // Organization: the alias followed by `-`, so names containing `-`
+        // (duplicate-tag, in-cache) parse unambiguously.
+        let (alias, org) = Org::ALIASES
+            .into_iter()
             .find(|(alias, _)| {
                 body.strip_prefix(alias)
                     .is_some_and(|rest| rest.starts_with('-'))
@@ -240,13 +284,13 @@ impl FromStr for DirectorySpec {
             .ok_or_else(|| {
                 // A known organization with no geometry gets the more
                 // precise error.
-                if ORGS.iter().any(|(alias, _)| body == *alias) {
+                if Org::ALIASES.iter().any(|(alias, _)| body == *alias) {
                     Self::parse_error(
                         input,
                         format!("organization `{body}` is missing its `-WxS` geometry"),
                     )
                 } else {
-                    let known: Vec<&str> = ORGS.iter().map(|(alias, _)| *alias).collect();
+                    let known: Vec<&str> = Org::ALIASES.iter().map(|(alias, _)| *alias).collect();
                     Self::parse_error(
                         input,
                         format!(
@@ -277,7 +321,7 @@ impl FromStr for DirectorySpec {
             ));
         }
 
-        let mut spec = DirectorySpec::new(org.to_string(), ways, sets)
+        let mut spec = DirectorySpec::new(org, ways, sets)
             .with_sharers(sharers)
             .with_shards(shards);
         let (mut caches, mut policy) = (None, None);
@@ -454,18 +498,11 @@ macro_rules! match_sharer_format {
     };
 }
 
-/// A runtime name → builder table for directory organizations.
-#[derive(Clone, Default)]
+/// Builds any [`Org`]: the five baselines from this crate, the Cuckoo
+/// directory from the builder `ccd-cuckoo` injects.
+#[derive(Clone, Copy, Debug)]
 pub struct BuilderRegistry {
-    builders: Vec<(String, DirectoryBuilder)>,
-}
-
-impl fmt::Debug for BuilderRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BuilderRegistry")
-            .field("names", &self.names().collect::<Vec<_>>())
-            .finish()
-    }
+    cuckoo: Option<DirectoryBuilder>,
 }
 
 /// Rejects a `-HASH` modifier on organizations that do not hash their ways,
@@ -561,40 +598,21 @@ fn build_tagless(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError
 }
 
 impl BuilderRegistry {
-    /// An empty registry.
+    /// The five baseline organizations (`sparse`, `skewed`,
+    /// `duplicate-tag`, `in-cache`, `tagless`).  The Cuckoo directory
+    /// lives upstack in `ccd-cuckoo`; use its `standard_registry()` for all
+    /// six.
     #[must_use]
-    pub fn new() -> Self {
-        BuilderRegistry::default()
+    pub const fn with_baselines() -> Self {
+        BuilderRegistry { cuckoo: None }
     }
 
-    /// A registry pre-populated with the five baseline organizations
-    /// (`sparse`, `skewed`, `duplicate-tag`, `in-cache`, `tagless`).  The
-    /// Cuckoo directory lives upstack in `ccd-cuckoo`; use its
-    /// `standard_registry()` for all six.
+    /// All six organizations, `cuckoo` built by `cuckoo`.
     #[must_use]
-    pub fn with_baselines() -> Self {
-        let mut registry = BuilderRegistry::new();
-        registry.register("sparse", build_sparse);
-        registry.register("skewed", build_skewed);
-        registry.register("duplicate-tag", build_duplicate_tag);
-        registry.register("in-cache", build_in_cache);
-        registry.register("tagless", build_tagless);
-        registry
-    }
-
-    /// Registers (or replaces) the builder for `name`.
-    pub fn register(&mut self, name: impl Into<String>, builder: DirectoryBuilder) {
-        let name = name.into();
-        if let Some(slot) = self.builders.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = builder;
-        } else {
-            self.builders.push((name, builder));
+    pub const fn with_cuckoo(cuckoo: DirectoryBuilder) -> Self {
+        BuilderRegistry {
+            cuckoo: Some(cuckoo),
         }
-    }
-
-    /// The registered organization names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.builders.iter().map(|(n, _)| n.as_str())
     }
 
     /// Builds the directory described by `spec`; sharded specs produce a
@@ -603,7 +621,7 @@ impl BuilderRegistry {
     ///
     /// # Errors
     ///
-    /// * [`ConfigError::Parse`] for an unregistered organization,
+    /// * [`ConfigError::Parse`] for `cuckoo` on [`Self::with_baselines`],
     /// * [`ConfigError::Inconsistent`] when the set count is not divisible
     ///   by the shard count,
     /// * [`ConfigError::TooLarge`] when `ways × sets` is not a capacity
@@ -611,14 +629,16 @@ impl BuilderRegistry {
     ///   fit the 32-bit cache ids,
     /// * any error from the organization's own constructor.
     pub fn build(&self, spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
-        let builder = self
-            .builders
-            .iter()
-            .find(|(name, _)| *name == spec.org)
-            .map(|(_, b)| *b)
-            .ok_or_else(|| ConfigError::Parse {
+        let builder: DirectoryBuilder = match spec.org {
+            Org::Cuckoo => self.cuckoo.ok_or_else(|| ConfigError::Parse {
                 what: format!("no builder registered for organization `{}`", spec.org),
-            })?;
+            })?,
+            Org::Sparse => build_sparse,
+            Org::Skewed => build_skewed,
+            Org::DuplicateTag => build_duplicate_tag,
+            Org::InCache => build_in_cache,
+            Org::Tagless => build_tagless,
+        };
         // Every organization multiplies `ways × sets` unchecked from here
         // on, and a sharded directory sums its slices' capacities.
         checked_capacity(spec.ways, spec.sets)?;
@@ -659,7 +679,7 @@ mod tests {
     #[test]
     fn parses_the_issue_examples() {
         let spec: DirectorySpec = "cuckoo-4x1024-skew".parse().unwrap();
-        assert_eq!(spec.org, "cuckoo");
+        assert_eq!(spec.org, Org::Cuckoo);
         assert_eq!((spec.ways, spec.sets), (4, 1024));
         assert_eq!(spec.hash, Some(HashKind::Skewing));
         assert_eq!(spec.sharers, SharerFormat::FullVector);
@@ -667,7 +687,7 @@ mod tests {
         assert_eq!(spec.shards, 1);
 
         let spec: DirectorySpec = "sparse-8x2048".parse().unwrap();
-        assert_eq!(spec.org, "sparse");
+        assert_eq!(spec.org, Org::Sparse);
         assert_eq!((spec.ways, spec.sets), (8, 2048));
         assert_eq!(spec.hash, None);
     }
@@ -675,13 +695,13 @@ mod tests {
     #[test]
     fn parses_modifiers_and_aliases() {
         let spec: DirectorySpec = "sharded4:duptag-16x512-c16@coarse".parse().unwrap();
-        assert_eq!(spec.org, "duplicate-tag");
+        assert_eq!(spec.org, Org::DuplicateTag);
         assert_eq!(spec.shards, 4);
         assert_eq!(spec.caches, 16);
         assert_eq!(spec.sharers, SharerFormat::Coarse);
 
         let spec: DirectorySpec = "in-cache-16x64@hier".parse().unwrap();
-        assert_eq!(spec.org, "in-cache");
+        assert_eq!(spec.org, Org::InCache);
         assert_eq!(spec.sharers, SharerFormat::Hierarchical);
 
         let spec: DirectorySpec = "skewed-4x256-strong".parse().unwrap();
@@ -924,7 +944,7 @@ mod tests {
             };
             let input = format!("sharded2:sparse-4x64-c{caches}@coarse");
             assert_eq!(input.parse::<DirectorySpec>(), Err(want.clone()), "{input}");
-            let by_hand = DirectorySpec::new("sparse", 4, 64).with_caches(caches as usize);
+            let by_hand = DirectorySpec::new(Org::Sparse, 4, 64).with_caches(caches as usize);
             assert_eq!(registry.build(&by_hand).err(), Some(want), "{caches}");
         }
     }

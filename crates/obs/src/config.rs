@@ -119,29 +119,6 @@ impl ObsConfig {
     pub fn records_events(&self) -> bool {
         self.ring > 0
     }
-
-    /// Reads the `CCD_OBS` environment override.
-    ///
-    /// Unset means "not armed" (`Ok(None)`); anything set must parse.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::Parse`] naming the offending spec when the variable
-    /// is set to something other than a valid `obs-…` string.
-    pub fn from_env() -> Result<Option<Self>, ConfigError> {
-        match std::env::var("CCD_OBS") {
-            Ok(raw) => {
-                let config = ObsConfig::parse(raw.trim()).map_err(|err| ConfigError::Parse {
-                    what: format!("CCD_OBS: {err}"),
-                })?;
-                Ok(Some(config))
-            }
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => Err(ConfigError::Parse {
-                what: "CCD_OBS is not valid unicode".to_string(),
-            }),
-        }
-    }
 }
 
 fn render_label(sig_bits: u32, ring: usize, spans: bool) -> String {
@@ -206,27 +183,5 @@ mod tests {
             );
         }
         assert!(ObsConfig::parse(&format!("obs-ring{}", MAX_RING * 2)).is_err());
-    }
-
-    #[test]
-    fn obs_from_env_parses_and_quotes_bad_specs() {
-        // The only test touching CCD_OBS, to avoid env races in the
-        // parallel test harness.
-        let saved = std::env::var("CCD_OBS").ok();
-        std::env::remove_var("CCD_OBS");
-        assert_eq!(ObsConfig::from_env().unwrap(), None);
-        std::env::set_var("CCD_OBS", " obs-ring1024-spans ");
-        assert_eq!(
-            ObsConfig::from_env().unwrap().unwrap().label(),
-            "obs-sig2-ring1024-spans"
-        );
-        std::env::set_var("CCD_OBS", "obs-bogus");
-        let err = ObsConfig::from_env().unwrap_err();
-        assert!(format!("{err}").contains("CCD_OBS"), "{err}");
-        assert!(format!("{err}").contains("bogus"), "{err}");
-        match saved {
-            Some(value) => std::env::set_var("CCD_OBS", value),
-            None => std::env::remove_var("CCD_OBS"),
-        }
     }
 }

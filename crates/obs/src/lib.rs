@@ -6,8 +6,9 @@
 //! ARCHITECTURE.md — observation does not perturb semantics):
 //!
 //! * [`ObsConfig`] — the `obs-ring4096-spans` spec grammar that arms the
-//!   layer, mirroring the workspace's fault/resize spec style, with a
-//!   `CCD_OBS` environment override.
+//!   layer, mirroring the workspace's fault/resize spec style.  Only an
+//!   API call arms it: `ServiceConfig::with_obs_spec` for a service,
+//!   `Directory::arm_depth_metrics` for a bare directory.
 //! * [`FlightRecorder`] / [`FlightRecording`] — a fixed-capacity,
 //!   zero-alloc ring of compact binary events stamped with *virtual time*
 //!   (request sequence numbers, recovery epochs, shard-apply ticks — never

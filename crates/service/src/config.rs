@@ -49,10 +49,9 @@ pub struct ServiceConfig {
     /// An armed live-resize schedule, or `None` (the default) for
     /// statically provisioned shards.  See [`ResizePolicy`].
     pub resize_policy: Option<ResizePolicy>,
-    /// An armed observability layer, or `None` (the default) to run dark.
-    /// `None` here still honors a `CCD_OBS` environment override at build
-    /// time; an explicit config wins over the environment.  Arming is
-    /// observational only — contract #11 says armed and unarmed runs are
+    /// An armed observability layer, or `None` (the default) to run dark;
+    /// nothing but this field arms a service.  Arming is observational
+    /// only — contract #11 says armed and unarmed runs are
     /// digest-identical.  See [`ObsConfig`].
     pub obs: Option<ObsConfig>,
 }
@@ -96,55 +95,37 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns the config with a fault-injection plan armed.
-    #[must_use]
-    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
     /// Returns the config with a fault plan parsed from a `faults-…` spec
-    /// string (see [`FaultPlan::parse`]).
+    /// string (see [`FaultPlan::parse`]) armed.
     ///
     /// # Errors
     ///
     /// The plan's parse error.
-    pub fn with_fault_spec(self, spec: &str) -> Result<Self, ConfigError> {
-        Ok(self.with_faults(FaultPlan::parse(spec)?))
+    pub fn with_fault_spec(mut self, spec: &str) -> Result<Self, ConfigError> {
+        self.fault_plan = Some(FaultPlan::parse(spec)?);
+        Ok(self)
     }
 
-    /// Returns the config with a live-resize policy armed.
-    #[must_use]
-    pub fn with_resize(mut self, policy: ResizePolicy) -> Self {
-        self.resize_policy = Some(policy);
-        self
-    }
-
-    /// Returns the config with a resize policy parsed from a `resize-…`
-    /// spec string (see [`ResizePolicy::parse`]).
+    /// Returns the config with a live-resize policy parsed from a
+    /// `resize-…` spec string (see [`ResizePolicy::parse`]) armed.
     ///
     /// # Errors
     ///
     /// The policy's parse error.
-    pub fn with_resize_spec(self, spec: &str) -> Result<Self, ConfigError> {
-        Ok(self.with_resize(ResizePolicy::parse(spec)?))
-    }
-
-    /// Returns the config with the observability layer armed.
-    #[must_use]
-    pub fn with_obs(mut self, obs: ObsConfig) -> Self {
-        self.obs = Some(obs);
-        self
+    pub fn with_resize_spec(mut self, spec: &str) -> Result<Self, ConfigError> {
+        self.resize_policy = Some(ResizePolicy::parse(spec)?);
+        Ok(self)
     }
 
     /// Returns the config with an observability layer parsed from an
-    /// `obs-…` spec string (see [`ObsConfig::parse`]).
+    /// `obs-…` spec string (see [`ObsConfig::parse`]) armed.
     ///
     /// # Errors
     ///
     /// The spec's parse error.
-    pub fn with_obs_spec(self, spec: &str) -> Result<Self, ConfigError> {
-        Ok(self.with_obs(ObsConfig::parse(spec)?))
+    pub fn with_obs_spec(mut self, spec: &str) -> Result<Self, ConfigError> {
+        self.obs = Some(ObsConfig::parse(spec)?);
+        Ok(self)
     }
 
     /// Validates the topology and parses the shard spec.
@@ -219,7 +200,7 @@ mod tests {
             .with_batch(32)
             .with_outcomes(false);
         let spec = config.validate().unwrap();
-        assert_eq!(spec.org, "sparse");
+        assert_eq!(spec.org, ccd_directory::Org::Sparse);
         assert_eq!(config.queue_depth, 2);
         assert_eq!(config.batch, 32);
         assert!(!config.record_outcomes);

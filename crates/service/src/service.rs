@@ -62,9 +62,7 @@ use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
 use ccd_common::{ConfigError, Interleave};
-use ccd_directory::{
-    BuilderRegistry, DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome,
-};
+use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome};
 use ccd_obs::{EventKind, FlightRecorder, FlightRecording, ObsConfig};
 use std::fmt;
 
@@ -303,12 +301,8 @@ pub struct DirectoryService {
     pub(crate) interleave: Interleave,
     pub(crate) organization: String,
     /// Kept for the supervisor: a crashed worker's shards are rebuilt from
-    /// the same registry and per-shard spec the service was built from.
-    pub(crate) registry: BuilderRegistry,
+    /// the same per-shard spec the service was built from.
     pub(crate) slice_spec: DirectorySpec,
-    /// The effective observability config: the builder's explicit choice,
-    /// else a `CCD_OBS` environment override, else dark.
-    pub(crate) obs: Option<ObsConfig>,
 }
 
 impl fmt::Debug for DirectoryService {
@@ -322,7 +316,8 @@ impl fmt::Debug for DirectoryService {
 }
 
 impl DirectoryService {
-    /// Builds the service's shards from `config` using `registry`.
+    /// Builds the service's shards from `config` through the standard
+    /// six-organization registry (`ccd_cuckoo::standard_registry`).
     ///
     /// The spec's set count is divided across the shards, so the total
     /// capacity is the same for every shard count (exactly like the
@@ -331,50 +326,23 @@ impl DirectoryService {
     /// # Errors
     ///
     /// See [`ServiceConfig::validate`], [`Interleave::new`] (the shard count
-    /// is a power of two) and [`BuilderRegistry::build`].
-    pub fn build(config: ServiceConfig, registry: &BuilderRegistry) -> Result<Self, ConfigError> {
+    /// is a power of two) and [`ccd_directory::BuilderRegistry::build`].
+    pub fn build_standard(config: ServiceConfig) -> Result<Self, ConfigError> {
         let spec = config.validate()?;
         let interleave = Interleave::new(config.shards)?;
         let slice_spec = DirectorySpec {
             sets: spec.sets / config.shards,
             ..spec
         };
-        let mut slices = (0..config.shards)
-            .map(|_| registry.build(&slice_spec))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Resolve the effective observability layer: an explicit config
-        // wins, then the CCD_OBS environment override, then dark.  Arming
-        // the slices' depth distributions is observational only — nothing
-        // result-bearing changes (contract #11).
-        let obs = match config.obs.clone() {
-            Some(obs) => Some(obs),
-            None => ObsConfig::from_env()?,
-        };
-        if let Some(obs) = obs.as_ref() {
-            for slice in &mut slices {
-                slice.arm_depth_metrics(obs.sig_bits());
-            }
-        }
+        let slices = build_slices(&slice_spec, config.shards, config.obs.as_ref())?;
         let organization = format!("service{}x[{}]", config.shards, slices[0].organization());
         Ok(DirectoryService {
             config,
             slices,
             interleave,
             organization,
-            registry: registry.clone(),
             slice_spec,
-            obs,
         })
-    }
-
-    /// [`DirectoryService::build`] with the standard six-organization
-    /// registry (`ccd_cuckoo::standard_registry`).
-    ///
-    /// # Errors
-    ///
-    /// See [`DirectoryService::build`].
-    pub fn build_standard(config: ServiceConfig) -> Result<Self, ConfigError> {
-        Self::build(config, &ccd_cuckoo::standard_registry())
     }
 
     /// The service's organization label (independent of the worker count).
@@ -462,7 +430,7 @@ impl DirectoryService {
         let shards = self.config.shards;
         let record = self.config.record_outcomes;
         let resize = self.config.resize_policy.clone();
-        let obs = self.obs.clone();
+        let obs = self.config.obs.clone();
         let mut output = WorkerOutput::new(0, std::mem::take(&mut self.slices));
         output.arm_obs(obs.as_ref());
         let mut out = Outcome::new();
@@ -498,6 +466,27 @@ impl DirectoryService {
             None,
         )
     }
+}
+
+/// `count` fresh slices of `spec`, their depth distributions armed when
+/// `obs` is — observational only, nothing result-bearing changes
+/// (contract #11).  Construction and crash recovery both build here, so a
+/// rebuilt shard observes exactly what the original did.
+pub(crate) fn build_slices(
+    spec: &DirectorySpec,
+    count: usize,
+    obs: Option<&ObsConfig>,
+) -> Result<Vec<Box<dyn Directory>>, ConfigError> {
+    let registry = ccd_cuckoo::standard_registry();
+    let mut slices = (0..count)
+        .map(|_| registry.build(spec))
+        .collect::<Result<Vec<_>, _>>()?;
+    if let Some(obs) = obs {
+        for slice in &mut slices {
+            slice.arm_depth_metrics(obs.sig_bits());
+        }
+    }
+    Ok(slices)
 }
 
 /// What one worker hands back when its queue closes.

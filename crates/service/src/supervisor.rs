@@ -36,7 +36,7 @@
 //! with scheduled crash points (copied before the send; rolled back if the
 //! send fails).  A worker's unwind destroys its shards and all its
 //! accounting, so recovery starts from nothing: fresh shards built from
-//! the same registry and per-shard spec, then the journal — the worker's
+//! the same per-shard spec, then the journal — the worker's
 //! exact request subsequence, in FIFO order — replayed through the *same*
 //! batch-application code the live worker runs.  Replay is therefore not
 //! approximately equivalent to the lost work; it is the same fold over the
@@ -73,10 +73,10 @@ use crate::fault::{silence_injected_panics, FaultPlan, InjectedCrash, ShedGate, 
 use crate::request::Request;
 use crate::resize::ResizePolicy;
 use crate::service::{
-    absorb_into, finish, maybe_resize, DirectoryService, ServiceReport, WorkerOutput,
+    absorb_into, build_slices, finish, maybe_resize, DirectoryService, ServiceReport, WorkerOutput,
 };
 use ccd_common::channel::{bounded, Receiver, Sender};
-use ccd_directory::{BuilderRegistry, Directory, DirectoryOp, DirectorySpec, Outcome};
+use ccd_directory::{Directory, DirectoryOp, DirectorySpec, Outcome};
 use ccd_obs::{EventKind, FlightRecorder, ObsConfig};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,7 +95,6 @@ type JoinedFleet = (
 
 /// Everything about a run that never changes while it executes.
 struct RunEnv {
-    registry: BuilderRegistry,
     slice_spec: DirectorySpec,
     plan: Option<FaultPlan>,
     /// Per worker: does the plan schedule crash points for it?  Only those
@@ -111,7 +110,7 @@ struct RunEnv {
     /// and journal replay, so recovery re-fires the same resizes at the
     /// same epoch boundaries.
     resize: Option<ResizePolicy>,
-    /// The effective observability config.  Rebuilt slices and replay
+    /// The armed observability config.  Rebuilt slices and replay
     /// outputs re-arm from it, so a recovered worker observes exactly what
     /// the dead one did.
     obs: Option<ObsConfig>,
@@ -126,16 +125,8 @@ impl RunEnv {
     /// Builds fresh, empty slices for worker `w`'s shards, re-armed for
     /// observation like the originals.
     fn rebuild_slices(&self, worker: usize) -> Result<Vec<Box<dyn Directory>>, ServiceError> {
-        let mut slices = (0..self.owned_shards(worker))
-            .map(|_| self.registry.build(&self.slice_spec))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(ServiceError::from)?;
-        if let Some(obs) = self.obs.as_ref() {
-            for slice in &mut slices {
-                slice.arm_depth_metrics(obs.sig_bits());
-            }
-        }
-        Ok(slices)
+        let owned = self.owned_shards(worker);
+        Ok(build_slices(&self.slice_spec, owned, self.obs.as_ref())?)
     }
 }
 
@@ -430,7 +421,6 @@ pub(crate) fn run_concurrent(
         })
         .collect();
     let env = RunEnv {
-        registry: service.registry.clone(),
         slice_spec: service.slice_spec.clone(),
         plan,
         journaled,
@@ -440,7 +430,7 @@ pub(crate) fn run_concurrent(
         queue_depth: service.config.queue_depth,
         record,
         resize: service.config.resize_policy.clone(),
-        obs: service.obs.clone(),
+        obs: service.config.obs.clone(),
     };
     let organization = std::mem::take(&mut service.organization);
 

@@ -150,12 +150,6 @@ impl SharerSet for CoarseVector {
         }
     }
 
-    fn invalidation_targets(&self) -> Vec<CacheId> {
-        let mut targets = Vec::new();
-        self.extend_targets(&mut targets);
-        targets
-    }
-
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
         match &self.mode {
             Mode::Pointers(ptrs) => {

@@ -112,12 +112,6 @@ impl SharerSet for FullBitVector {
         self.bits == 0
     }
 
-    fn invalidation_targets(&self) -> Vec<CacheId> {
-        let mut targets = Vec::with_capacity(self.count());
-        self.extend_targets(&mut targets);
-        targets
-    }
-
     #[inline]
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
         push_set_bits(out, 0, self.bits);
@@ -199,12 +193,6 @@ impl SharerSet for WideBitVector {
 
     fn is_empty(&self) -> bool {
         self.words.iter().all(|&word| word == 0)
-    }
-
-    fn invalidation_targets(&self) -> Vec<CacheId> {
-        let mut targets = Vec::new();
-        self.extend_targets(&mut targets);
-        targets
     }
 
     fn extend_targets(&self, out: &mut Vec<CacheId>) {

@@ -116,12 +116,6 @@ impl SharerSet for HierarchicalVector {
         self.count == 0
     }
 
-    fn invalidation_targets(&self) -> Vec<CacheId> {
-        let mut targets = Vec::with_capacity(self.count);
-        self.extend_targets(&mut targets);
-        targets
-    }
-
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
         for (group, &leaf) in self.leaves.iter().enumerate() {
             let mut bits = leaf;

@@ -102,20 +102,18 @@ pub trait SharerSet: Clone + Debug + Send {
     /// sharers remain (e.g. a coarse vector after removals).
     fn is_empty(&self) -> bool;
 
-    /// The caches that must receive an invalidation to guarantee no copy
-    /// survives — a superset of the true sharers.
-    fn invalidation_targets(&self) -> Vec<CacheId>;
+    /// Appends the caches that must receive an invalidation to guarantee no
+    /// copy survives — a superset of the true sharers, in ascending order —
+    /// to `out`, allocating nothing beyond `out`'s own growth.  The
+    /// directory organizations' `apply` implementations own and reuse the
+    /// buffer, so a warmed-up buffer makes the operation allocation-free.
+    fn extend_targets(&self, out: &mut Vec<CacheId>);
 
-    /// Appends the invalidation targets to `out` without allocating (beyond
-    /// `out`'s own growth).  This is the hot-path variant of
-    /// [`SharerSet::invalidation_targets`] used by the directory
-    /// organizations' `apply` implementations: the caller owns and reuses
-    /// the buffer, so a warmed-up buffer makes the operation allocation-free.
-    ///
-    /// Implementations must append exactly the elements (and order) that
-    /// [`SharerSet::invalidation_targets`] would return.
-    fn extend_targets(&self, out: &mut Vec<CacheId>) {
-        out.extend(self.invalidation_targets());
+    /// [`SharerSet::extend_targets`] into a fresh vector.
+    fn invalidation_targets(&self) -> Vec<CacheId> {
+        let mut targets = Vec::new();
+        self.extend_targets(&mut targets);
+        targets
     }
 
     /// `true` when the current contents are known to be an exact sharer

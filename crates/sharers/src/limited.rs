@@ -108,12 +108,6 @@ impl SharerSet for LimitedPointer {
         !self.overflowed && self.pointers.is_empty()
     }
 
-    fn invalidation_targets(&self) -> Vec<CacheId> {
-        let mut targets = Vec::new();
-        self.extend_targets(&mut targets);
-        targets
-    }
-
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
         if self.overflowed {
             out.extend((0..self.num_caches as u32).map(CacheId::new));

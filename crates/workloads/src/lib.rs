@@ -28,8 +28,8 @@
 //!   the two-region (shared/private) access model,
 //! * [`derive_seed`] — the `(base, index)` seed split that gives parallel
 //!   sweeps independent per-cell streams,
-//! * [`scenario`] — the [`WorkloadFamily`] trait, the five classic
-//!   sharing-pattern families, and [`ScenarioSpec`] spec-string parsing,
+//! * [`scenario`] — the five classic sharing-pattern families
+//!   ([`ScenarioFamily`]) and [`ScenarioSpec`] spec-string parsing,
 //! * [`WorkloadSpec`] — one runtime-selectable handle over *any* workload:
 //!   paper profile, scenario, or recorded trace,
 //! * [`trace_io`] — the compact `CCDT` record/replay format
@@ -64,9 +64,7 @@ pub mod zipf;
 pub use generator::{derive_seed, TraceGenerator};
 pub use profiles::{WorkloadCategory, WorkloadProfile};
 pub use random_stream::RandomKeyStream;
-pub use scenario::{
-    families, family_by_name, ScenarioParams, ScenarioSpec, TraceStream, WorkloadFamily,
-};
+pub use scenario::{ScenarioFamily, ScenarioParams, ScenarioSpec, TraceStream};
 pub use spec::WorkloadSpec;
 pub use trace_io::{read_trace, record_trace, TraceReader, TraceWriter};
 pub use zipf::ZipfSampler;

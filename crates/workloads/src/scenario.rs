@@ -4,7 +4,7 @@
 //! presets all drive the directories through the *same* two-region access
 //! model; they vary footprints and mixes but not the *shape* of sharing.
 //! This module grows the workload layer into a library of classic sharing
-//! patterns from the coherence literature, each a [`WorkloadFamily`] with
+//! patterns from the coherence literature, each a [`ScenarioFamily`] with
 //! its own knobs:
 //!
 //! | family       | pattern                                                 |
@@ -19,10 +19,10 @@
 //! directory-spec grammar (see [`ScenarioSpec`]):
 //!
 //! ```
-//! use ccd_workloads::ScenarioSpec;
+//! use ccd_workloads::{ScenarioFamily, ScenarioSpec};
 //!
 //! let spec: ScenarioSpec = "migratory-16c-zipf0.9".parse().unwrap();
-//! assert_eq!(spec.family, "migratory");
+//! assert_eq!(spec.family, ScenarioFamily::Migratory);
 //! assert_eq!(spec.params.cores, Some(16));
 //! assert_eq!(spec.params.zipf, 0.9);
 //! let refs: Vec<_> = spec.stream(16, 42).unwrap().take(100).collect();
@@ -60,7 +60,7 @@ impl<T: Iterator<Item = MemRef> + Send + fmt::Debug> TraceStream for T {}
 ///
 /// Each family interprets only the knobs that make sense for it (see the
 /// family docs) and supplies its own defaults via
-/// [`WorkloadFamily::defaults`]; the spec-string parser overrides
+/// [`ScenarioFamily::defaults`]; the spec-string parser overrides
 /// individual knobs on top of those defaults.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioParams {
@@ -134,7 +134,7 @@ impl ScenarioParams {
 /// consumes).
 ///
 /// Families declare which of these they actually read via
-/// [`WorkloadFamily::consumed_knobs`]; setting any other knob to a
+/// [`ScenarioFamily::consumed_knobs`]; setting any other knob to a
 /// non-default value is rejected at parse/validate time rather than
 /// silently ignored, so a sweep cell's label never advertises a parameter
 /// that had no effect.
@@ -151,35 +151,224 @@ pub enum ScenarioKnob {
 /// A named, parameterized sharing-pattern generator family.
 ///
 /// A family is a *recipe*: given knobs, a core count and a seed it builds a
-/// deterministic, infinite [`TraceStream`].  The five classic families are
-/// registered in [`families`]; [`ScenarioSpec`] selects one by name from a
-/// parsed spec string.
-pub trait WorkloadFamily: fmt::Debug + Send + Sync {
+/// deterministic, infinite [`TraceStream`] — a pure function of
+/// `(params, num_cores, seed)`, the same on any thread.  [`ScenarioSpec`]
+/// selects one by name from a parsed spec string.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ScenarioFamily {
+    /// `readmostly` — Zipf-skewed read-mostly sharing: all cores read a
+    /// common hot set, with a small fraction of writes to the same lines.
+    ///
+    /// The classic "mostly-read shared data" pattern (lock-free indexes,
+    /// config tables): directory entries accumulate many sharers and
+    /// invalidations are rare but hit wide sharer sets when they come.
+    /// Knobs: `blocks`, `zipf`, `write_fraction`.
+    ReadMostly,
+    /// `prodcons` — producer–consumer handoffs: one core writes a buffer of
+    /// `epoch` lines, every other core then reads it, and the producer role
+    /// rotates.
+    ///
+    /// Models message queues and pipeline stages: each line is written by
+    /// exactly one core per handoff and then read by all the others, so the
+    /// directory sees an insert + full-set sharer build-up + invalidate
+    /// cycle per buffer.  Knobs: `blocks` (ring capacity), `epoch` (buffer
+    /// lines per handoff).
+    ProducerConsumer,
+    /// `migratory` — lines are accessed read-then-write by one core at a
+    /// time, and the owning core migrates every `epoch` pairs.
+    ///
+    /// The textbook migratory pattern (objects bounced between threads
+    /// through locks): at any time each line has at most one active sharer,
+    /// so the directory sees a steady churn of exclusive handoffs and its
+    /// occupancy stays near the unique-block worst case.  Knobs: `blocks`,
+    /// `zipf` (line popularity), `epoch` (pairs between ownership
+    /// migrations).
+    Migratory,
+    /// `falseshare` — cores write *disjoint bytes* of the same small set of
+    /// hot lines, so the block-granular directory sees furious write
+    /// sharing that the program never asked for.
+    ///
+    /// The degenerate pattern that stresses invalidation machinery: a tiny
+    /// footprint (`blocks` lines) absorbs the whole reference stream and
+    /// every write invalidates whoever touched the line last.  Slot widths
+    /// scale with the core count (8 B up to 8 cores, 4 B up to 16, … 1 B up
+    /// to 64) so every core keeps disjoint bytes; past 64 cores a 64-byte
+    /// line cannot hold disjoint slots and cores 64 apart alias.  Knobs:
+    /// `blocks`, `zipf`, `write_fraction`.
+    FalseSharing,
+    /// `stream` — each core sweeps sequentially through its own large
+    /// private region with essentially no reuse until it wraps.
+    ///
+    /// Models `memcpy`-like kernels and column scans: the directory sees a
+    /// steady stream of insert + evict with singleton sharer sets — maximum
+    /// insertion pressure, minimum sharing.  Knobs: `blocks` (lines *per
+    /// core*), `write_fraction`.
+    StreamingScan,
+}
+
+impl ScenarioFamily {
+    /// The five families, in catalog order.
+    pub const ALL: [ScenarioFamily; 5] = [
+        ScenarioFamily::ReadMostly,
+        ScenarioFamily::ProducerConsumer,
+        ScenarioFamily::Migratory,
+        ScenarioFamily::FalseSharing,
+        ScenarioFamily::StreamingScan,
+    ];
+
     /// Family name as it appears in spec strings (e.g. `"migratory"`).
-    fn name(&self) -> &'static str;
-
-    /// The family's default knob values.
-    fn defaults(&self) -> ScenarioParams;
-
-    /// The optional knobs this family's generator actually reads.
-    fn consumed_knobs(&self) -> &'static [ScenarioKnob];
-
-    /// Family-specific knob validation, on top of the generic range checks
-    /// in [`ScenarioParams`].  The default accepts everything.
-    ///
-    /// # Errors
-    ///
-    /// A [`ConfigError`] naming the violated constraint.
-    fn validate_params(&self, _params: &ScenarioParams) -> Result<(), ConfigError> {
-        Ok(())
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            ScenarioFamily::ReadMostly => "readmostly",
+            ScenarioFamily::ProducerConsumer => "prodcons",
+            ScenarioFamily::Migratory => "migratory",
+            ScenarioFamily::FalseSharing => "falseshare",
+            ScenarioFamily::StreamingScan => "stream",
+        }
     }
 
-    /// Builds the deterministic reference stream.
-    ///
-    /// The stream is infinite and a pure function of
-    /// `(params, num_cores, seed)` — same arguments, same stream, on any
-    /// thread.
-    fn stream(&self, params: &ScenarioParams, num_cores: usize, seed: u64) -> Box<dyn TraceStream>;
+    /// The family named `name` in spec strings.
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|family| family.name() == name)
+    }
+
+    /// The family's default knob values.
+    #[must_use]
+    pub fn defaults(self) -> ScenarioParams {
+        let (blocks, zipf, write_fraction, epoch) = match self {
+            ScenarioFamily::ReadMostly => (8_192, 0.9, 0.05, 1),
+            // The ring must stay resident in the paper's 64 KB L1s (1024
+            // lines) between handoffs, or the producer's rewrites find no
+            // sharers left to invalidate and the pattern degenerates into a
+            // streaming scan.
+            ScenarioFamily::ProducerConsumer => (512, 0.0, 0.0, 64),
+            ScenarioFamily::Migratory => (4_096, 0.6, 1.0, 512),
+            ScenarioFamily::FalseSharing => (64, 0.5, 0.5, 1),
+            ScenarioFamily::StreamingScan => (32_768, 0.0, 0.1, 1),
+        };
+        ScenarioParams {
+            cores: None,
+            blocks,
+            zipf,
+            write_fraction,
+            epoch,
+        }
+    }
+
+    /// The optional knobs this family's generator actually reads.
+    #[must_use]
+    pub fn consumed_knobs(self) -> &'static [ScenarioKnob] {
+        use ScenarioKnob::{Epoch, WriteFraction, Zipf};
+        match self {
+            ScenarioFamily::ReadMostly | ScenarioFamily::FalseSharing => &[Zipf, WriteFraction],
+            ScenarioFamily::ProducerConsumer => &[Epoch],
+            ScenarioFamily::Migratory => &[Zipf, Epoch],
+            ScenarioFamily::StreamingScan => &[WriteFraction],
+        }
+    }
+
+    /// Checks `params` for this family: the generic knob ranges, then that
+    /// no knob the family never reads is set off its default — a label
+    /// like `prodcons-zipf0.9` must not run (identically to plain
+    /// `prodcons`) while advertising a skew — then the family's own
+    /// constraints, which are rejected rather than clamped: a clamped knob
+    /// would leave sweep cells labelled with values that never ran.
+    fn validate(self, params: &ScenarioParams) -> Result<(), ConfigError> {
+        params.validate(self.name())?;
+        let defaults = self.defaults();
+        let offending = [
+            (ScenarioKnob::Zipf, "zipf", params.zipf != defaults.zipf),
+            (
+                ScenarioKnob::WriteFraction,
+                "w",
+                params.write_fraction != defaults.write_fraction,
+            ),
+            (ScenarioKnob::Epoch, "e", params.epoch != defaults.epoch),
+        ]
+        .into_iter()
+        .find(|(kind, _, differs)| *differs && !self.consumed_knobs().contains(kind));
+        if let Some((_, knob, _)) = offending {
+            return Err(ConfigError::Parse {
+                what: format!(
+                    "workload family `{}` does not use the `{knob}` knob",
+                    self.name()
+                ),
+            });
+        }
+        // Each core's scan must stay inside its own private region, or the
+        // "no sharing" premise of `stream` silently breaks.
+        let max_scan = (PRIVATE_REGION_SPAN / DEFAULT_BLOCK_BYTES) as usize;
+        match self {
+            ScenarioFamily::ProducerConsumer if params.epoch > params.blocks => {
+                Err(ConfigError::Inconsistent {
+                    what: "prodcons buffer (epoch) cannot exceed the ring capacity (blocks)",
+                })
+            }
+            ScenarioFamily::StreamingScan if params.blocks > max_scan => {
+                Err(ConfigError::TooLarge {
+                    what: "stream per-core block count (would overflow the private region)",
+                    value: params.blocks as u64,
+                    max: max_scan as u64,
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Builds the deterministic reference stream of validated `params`.
+    fn stream(self, params: &ScenarioParams, cores: usize, seed: u64) -> Box<dyn TraceStream> {
+        let zipf = |slot_bytes| SharedZipfStream {
+            rng: Xoshiro256::new(seed),
+            sampler: ZipfSampler::new(params.blocks, params.zipf),
+            write_fraction: params.write_fraction,
+            cores,
+            next_core: 0,
+            slot_bytes,
+        };
+        match self {
+            // Every core's slot is the whole line.
+            ScenarioFamily::ReadMostly => Box::new(zipf(DEFAULT_BLOCK_BYTES)),
+            // The widest slot that still gives every core its own bytes: 8 B
+            // up to 8 cores, 4 B up to 16, … 1 B up to 64.  Beyond 64 cores
+            // a 64-byte line cannot hold disjoint slots, so cores 64 apart
+            // legitimately alias (the sharing is then real, not false).
+            ScenarioFamily::FalseSharing => Box::new(zipf(
+                (DEFAULT_BLOCK_BYTES / cores.next_power_of_two() as u64).clamp(1, 8),
+            )),
+            ScenarioFamily::ProducerConsumer => Box::new(ProducerConsumerStream {
+                cores,
+                blocks: params.blocks,
+                epoch: params.epoch,
+                // The seed shifts the starting producer and ring offset, so
+                // replicas exercise different alignments of the same pattern.
+                handoff: SplitMix64::mix(seed) >> 16,
+                position: 0,
+            }),
+            ScenarioFamily::Migratory => Box::new(MigratoryStream {
+                rng: Xoshiro256::new(seed),
+                sampler: ZipfSampler::new(params.blocks, params.zipf),
+                cores,
+                epoch: params.epoch,
+                seed,
+                pairs: 0,
+                pending_write: None,
+            }),
+            // Seed-derived starting offsets decorrelate replicas without
+            // breaking the sequential-scan property.
+            ScenarioFamily::StreamingScan => Box::new(StreamingScanStream {
+                rng: Xoshiro256::new(seed),
+                write_fraction: params.write_fraction,
+                blocks: params.blocks,
+                cursors: (0..cores)
+                    .map(|core| {
+                        (SplitMix64::mix(seed ^ core as u64) % params.blocks as u64) as usize
+                    })
+                    .collect(),
+                next_core: 0,
+            }),
+        }
+    }
 }
 
 /// Maps a scenario line index to its byte address in the shared region.
@@ -187,89 +376,40 @@ fn shared_line(line: usize) -> Address {
     Address::new(SCENARIO_REGION_BASE + line as u64 * DEFAULT_BLOCK_BYTES)
 }
 
-// ---------------------------------------------------------------------------
-// readmostly
-// ---------------------------------------------------------------------------
-
-/// Zipf-skewed read-mostly sharing: all cores read a common hot set, with a
-/// small fraction of writes to the same lines.
-///
-/// The classic "mostly-read shared data" pattern (lock-free indexes, config
-/// tables): directory entries accumulate many sharers and invalidations are
-/// rare but hit wide sharer sets when they come.  Knobs: `blocks`, `zipf`,
-/// `write_fraction`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ReadMostlyFamily;
-
+/// `readmostly` and `falseshare`: cores take turns reading or writing a
+/// Zipf-chosen line of the shared hot set, each at its own byte slot.
 #[derive(Debug)]
-struct ReadMostlyStream {
+struct SharedZipfStream {
     rng: Xoshiro256,
     sampler: ZipfSampler,
     write_fraction: f64,
     cores: usize,
     next_core: usize,
+    /// Width of each core's byte slot within a line: the whole line for
+    /// `readmostly`, disjoint slots for `falseshare`.
+    slot_bytes: u64,
 }
 
-impl Iterator for ReadMostlyStream {
+impl Iterator for SharedZipfStream {
     type Item = MemRef;
 
     fn next(&mut self) -> Option<MemRef> {
-        let core = CoreId::new(self.next_core as u32);
+        let core = self.next_core;
         self.next_core = (self.next_core + 1) % self.cores;
         let line = self.sampler.sample(&mut self.rng);
+        // Each core owns a distinct slot within the line; the directory
+        // cannot see the distinction — that is the point of `falseshare`.
+        let slots = DEFAULT_BLOCK_BYTES / self.slot_bytes;
+        let slot = (core as u64 % slots) * self.slot_bytes;
+        let addr = Address::new(shared_line(line).raw() + slot);
         let kind = if self.rng.bernoulli(self.write_fraction) {
             AccessType::Write
         } else {
             AccessType::Read
         };
-        Some(MemRef::new(core, shared_line(line), kind))
+        Some(MemRef::new(CoreId::new(core as u32), addr, kind))
     }
 }
-
-impl WorkloadFamily for ReadMostlyFamily {
-    fn consumed_knobs(&self) -> &'static [ScenarioKnob] {
-        &[ScenarioKnob::Zipf, ScenarioKnob::WriteFraction]
-    }
-
-    fn name(&self) -> &'static str {
-        "readmostly"
-    }
-
-    fn defaults(&self) -> ScenarioParams {
-        ScenarioParams {
-            cores: None,
-            blocks: 8_192,
-            zipf: 0.9,
-            write_fraction: 0.05,
-            epoch: 1,
-        }
-    }
-
-    fn stream(&self, params: &ScenarioParams, num_cores: usize, seed: u64) -> Box<dyn TraceStream> {
-        Box::new(ReadMostlyStream {
-            rng: Xoshiro256::new(seed),
-            sampler: ZipfSampler::new(params.blocks, params.zipf),
-            write_fraction: params.write_fraction,
-            cores: num_cores,
-            next_core: 0,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// prodcons
-// ---------------------------------------------------------------------------
-
-/// Producer–consumer handoffs: one core writes a buffer of `epoch` lines,
-/// every other core then reads it, and the producer role rotates.
-///
-/// Models message queues and pipeline stages: each line is written by
-/// exactly one core per handoff and then read by all the others, so the
-/// directory sees an insert + full-set sharer build-up + invalidate cycle
-/// per buffer.  Knobs: `blocks` (ring capacity), `epoch` (buffer lines per
-/// handoff).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProducerConsumerFamily;
 
 #[derive(Debug)]
 struct ProducerConsumerStream {
@@ -314,68 +454,6 @@ impl Iterator for ProducerConsumerStream {
         Some(r)
     }
 }
-
-impl WorkloadFamily for ProducerConsumerFamily {
-    fn consumed_knobs(&self) -> &'static [ScenarioKnob] {
-        &[ScenarioKnob::Epoch]
-    }
-
-    fn name(&self) -> &'static str {
-        "prodcons"
-    }
-
-    fn defaults(&self) -> ScenarioParams {
-        // The ring must stay resident in the paper's 64 KB L1s (1024
-        // lines) between handoffs, or the producer's rewrites find no
-        // sharers left to invalidate and the pattern degenerates into a
-        // streaming scan.
-        ScenarioParams {
-            cores: None,
-            blocks: 512,
-            zipf: 0.0,
-            write_fraction: 0.0,
-            epoch: 64,
-        }
-    }
-
-    fn validate_params(&self, params: &ScenarioParams) -> Result<(), ConfigError> {
-        // Rejected rather than clamped: a clamped epoch would leave sweep
-        // cells labelled with knob values that never ran.
-        if params.epoch > params.blocks {
-            return Err(ConfigError::Inconsistent {
-                what: "prodcons buffer (epoch) cannot exceed the ring capacity (blocks)",
-            });
-        }
-        Ok(())
-    }
-
-    fn stream(&self, params: &ScenarioParams, num_cores: usize, seed: u64) -> Box<dyn TraceStream> {
-        Box::new(ProducerConsumerStream {
-            cores: num_cores,
-            blocks: params.blocks,
-            epoch: params.epoch,
-            // The seed shifts the starting producer and ring offset, so
-            // replicas exercise different alignments of the same pattern.
-            handoff: SplitMix64::mix(seed) >> 16,
-            position: 0,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// migratory
-// ---------------------------------------------------------------------------
-
-/// Migratory sharing: lines are accessed read-then-write by one core at a
-/// time, and the owning core migrates every `epoch` pairs.
-///
-/// The textbook migratory pattern (objects bounced between threads through
-/// locks): at any time each line has at most one active sharer, so the
-/// directory sees a steady churn of exclusive handoffs and its occupancy
-/// stays near the unique-block worst case.  Knobs: `blocks`, `zipf`
-/// (line popularity), `epoch` (pairs between ownership migrations).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MigratoryFamily;
 
 #[derive(Debug)]
 struct MigratoryStream {
@@ -422,139 +500,6 @@ impl Iterator for MigratoryStream {
     }
 }
 
-impl WorkloadFamily for MigratoryFamily {
-    fn consumed_knobs(&self) -> &'static [ScenarioKnob] {
-        &[ScenarioKnob::Zipf, ScenarioKnob::Epoch]
-    }
-
-    fn name(&self) -> &'static str {
-        "migratory"
-    }
-
-    fn defaults(&self) -> ScenarioParams {
-        ScenarioParams {
-            cores: None,
-            blocks: 4_096,
-            zipf: 0.6,
-            write_fraction: 1.0,
-            epoch: 512,
-        }
-    }
-
-    fn stream(&self, params: &ScenarioParams, num_cores: usize, seed: u64) -> Box<dyn TraceStream> {
-        Box::new(MigratoryStream {
-            rng: Xoshiro256::new(seed),
-            sampler: ZipfSampler::new(params.blocks, params.zipf),
-            cores: num_cores,
-            epoch: params.epoch,
-            seed,
-            pairs: 0,
-            pending_write: None,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// falseshare
-// ---------------------------------------------------------------------------
-
-/// False sharing: cores write *disjoint bytes* of the same small set of hot
-/// lines, so the block-granular directory sees furious write sharing that
-/// the program never asked for.
-///
-/// The degenerate pattern that stresses invalidation machinery: a tiny
-/// footprint (`blocks` lines) absorbs the whole reference stream and every
-/// write invalidates whoever touched the line last.  Slot widths scale
-/// with the core count (8 B up to 8 cores, 4 B up to 16, … 1 B up to 64)
-/// so every core keeps disjoint bytes; past 64 cores a 64-byte line cannot
-/// hold disjoint slots and cores 64 apart alias.  Knobs: `blocks`, `zipf`,
-/// `write_fraction`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FalseSharingFamily;
-
-#[derive(Debug)]
-struct FalseSharingStream {
-    rng: Xoshiro256,
-    sampler: ZipfSampler,
-    write_fraction: f64,
-    cores: usize,
-    next_core: usize,
-    /// Width of each core's private byte slot within a line, sized so up
-    /// to 64 cores get disjoint slots (see [`FalseSharingFamily`]).
-    slot_bytes: u64,
-}
-
-impl Iterator for FalseSharingStream {
-    type Item = MemRef;
-
-    fn next(&mut self) -> Option<MemRef> {
-        let core = self.next_core;
-        self.next_core = (self.next_core + 1) % self.cores;
-        let line = self.sampler.sample(&mut self.rng);
-        // Each core owns a distinct slot within the line; the directory
-        // cannot see the distinction — that is the point.
-        let slots = DEFAULT_BLOCK_BYTES / self.slot_bytes;
-        let slot = (core as u64 % slots) * self.slot_bytes;
-        let addr = Address::new(shared_line(line).raw() + slot);
-        let kind = if self.rng.bernoulli(self.write_fraction) {
-            AccessType::Write
-        } else {
-            AccessType::Read
-        };
-        Some(MemRef::new(CoreId::new(core as u32), addr, kind))
-    }
-}
-
-impl WorkloadFamily for FalseSharingFamily {
-    fn consumed_knobs(&self) -> &'static [ScenarioKnob] {
-        &[ScenarioKnob::Zipf, ScenarioKnob::WriteFraction]
-    }
-
-    fn name(&self) -> &'static str {
-        "falseshare"
-    }
-
-    fn defaults(&self) -> ScenarioParams {
-        ScenarioParams {
-            cores: None,
-            blocks: 64,
-            zipf: 0.5,
-            write_fraction: 0.5,
-            epoch: 1,
-        }
-    }
-
-    fn stream(&self, params: &ScenarioParams, num_cores: usize, seed: u64) -> Box<dyn TraceStream> {
-        // The widest slot that still gives every core its own bytes: 8 B
-        // up to 8 cores, 4 B up to 16, … 1 B up to 64.  Beyond 64 cores a
-        // 64-byte line cannot hold disjoint slots, so cores 64 apart
-        // legitimately alias (the sharing is then real, not false).
-        let slot_bytes = (DEFAULT_BLOCK_BYTES / num_cores.next_power_of_two() as u64).clamp(1, 8);
-        Box::new(FalseSharingStream {
-            rng: Xoshiro256::new(seed),
-            sampler: ZipfSampler::new(params.blocks, params.zipf),
-            write_fraction: params.write_fraction,
-            cores: num_cores,
-            next_core: 0,
-            slot_bytes,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// stream
-// ---------------------------------------------------------------------------
-
-/// Streaming scans: each core sweeps sequentially through its own large
-/// private region with essentially no reuse until it wraps.
-///
-/// Models `memcpy`-like kernels and column scans: the directory sees a
-/// steady stream of insert + evict with singleton sharer sets — maximum
-/// insertion pressure, minimum sharing.  Knobs: `blocks` (lines *per
-/// core*), `write_fraction`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StreamingScanFamily;
-
 #[derive(Debug)]
 struct StreamingScanStream {
     rng: Xoshiro256,
@@ -583,78 +528,7 @@ impl Iterator for StreamingScanStream {
     }
 }
 
-impl WorkloadFamily for StreamingScanFamily {
-    fn consumed_knobs(&self) -> &'static [ScenarioKnob] {
-        &[ScenarioKnob::WriteFraction]
-    }
-
-    fn name(&self) -> &'static str {
-        "stream"
-    }
-
-    fn defaults(&self) -> ScenarioParams {
-        ScenarioParams {
-            cores: None,
-            blocks: 32_768,
-            zipf: 0.0,
-            write_fraction: 0.1,
-            epoch: 1,
-        }
-    }
-
-    fn validate_params(&self, params: &ScenarioParams) -> Result<(), ConfigError> {
-        // Each core's scan must stay inside its own private region, or the
-        // "no sharing" premise of the family silently breaks.
-        let max_blocks = (PRIVATE_REGION_SPAN / DEFAULT_BLOCK_BYTES) as usize;
-        if params.blocks > max_blocks {
-            return Err(ConfigError::TooLarge {
-                what: "stream per-core block count (would overflow the private region)",
-                value: params.blocks as u64,
-                max: max_blocks as u64,
-            });
-        }
-        Ok(())
-    }
-
-    fn stream(&self, params: &ScenarioParams, num_cores: usize, seed: u64) -> Box<dyn TraceStream> {
-        // Seed-derived starting offsets decorrelate replicas without
-        // breaking the sequential-scan property.
-        let cursors = (0..num_cores)
-            .map(|core| (SplitMix64::mix(seed ^ core as u64) % params.blocks as u64) as usize)
-            .collect();
-        Box::new(StreamingScanStream {
-            rng: Xoshiro256::new(seed),
-            write_fraction: params.write_fraction,
-            blocks: params.blocks,
-            cursors,
-            next_core: 0,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// registry + spec strings
-// ---------------------------------------------------------------------------
-
-/// The five registered scenario families, in catalog order.
-#[must_use]
-pub fn families() -> &'static [&'static dyn WorkloadFamily] {
-    &[
-        &ReadMostlyFamily,
-        &ProducerConsumerFamily,
-        &MigratoryFamily,
-        &FalseSharingFamily,
-        &StreamingScanFamily,
-    ]
-}
-
-/// Looks a family up by its spec-string name.
-#[must_use]
-pub fn family_by_name(name: &str) -> Option<&'static dyn WorkloadFamily> {
-    families().iter().copied().find(|f| f.name() == name)
-}
-
-/// A parsed scenario specification: a family name plus its knob values.
+/// A parsed scenario specification: a family plus its knob values.
 ///
 /// # Spec-string grammar
 ///
@@ -691,71 +565,24 @@ pub fn family_by_name(name: &str) -> Option<&'static dyn WorkloadFamily> {
 /// [`Display`]: std::fmt::Display
 #[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioSpec {
-    /// Family name (a key into [`families`]).
-    pub family: String,
+    /// The family.
+    pub family: ScenarioFamily,
     /// Knob values (family defaults overridden by the spec string).
     pub params: ScenarioParams,
 }
 
 impl ScenarioSpec {
     /// A spec for `family` with all knobs at the family's defaults.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::Parse`] when `family` names no registered family.
-    pub fn new(family: &str) -> Result<Self, ConfigError> {
-        let f = registered(family).map_err(ConfigError::parse)?;
-        Ok(ScenarioSpec {
-            family: f.name().to_string(),
-            params: f.defaults(),
-        })
-    }
-
-    /// The family this spec selects.
-    ///
-    /// # Panics
-    ///
-    /// Never panics for specs produced by [`ScenarioSpec::new`] or parsing;
-    /// panics if `family` was manually set to an unregistered name.
     #[must_use]
-    pub fn family(&self) -> &'static dyn WorkloadFamily {
-        family_by_name(&self.family).expect("scenario spec names a registered family")
-    }
-
-    /// Rejects knobs set to non-default values that this family's
-    /// generator never reads — a label like `prodcons-zipf0.9` must not
-    /// run (identically to plain `prodcons`) while advertising a skew.
-    fn reject_unconsumed_knobs(
-        family: &dyn WorkloadFamily,
-        params: &ScenarioParams,
-    ) -> Result<(), ConfigError> {
-        let defaults = family.defaults();
-        let consumed = family.consumed_knobs();
-        let offending = [
-            (ScenarioKnob::Zipf, "zipf", params.zipf != defaults.zipf),
-            (
-                ScenarioKnob::WriteFraction,
-                "w",
-                params.write_fraction != defaults.write_fraction,
-            ),
-            (ScenarioKnob::Epoch, "e", params.epoch != defaults.epoch),
-        ]
-        .into_iter()
-        .find(|(kind, _, differs)| *differs && !consumed.contains(kind));
-        if let Some((_, knob, _)) = offending {
-            return Err(ConfigError::Parse {
-                what: format!(
-                    "workload family `{}` does not use the `{knob}` knob",
-                    family.name()
-                ),
-            });
+    pub fn new(family: ScenarioFamily) -> Self {
+        ScenarioSpec {
+            family,
+            params: family.defaults(),
         }
-        Ok(())
     }
 
     /// Validates the spec for a system with `num_cores` cores without
-    /// building anything: family existence, knob ranges and applicability,
-    /// core pinning.
+    /// building anything: knob ranges and applicability, core pinning.
     ///
     /// # Errors
     ///
@@ -764,17 +591,8 @@ impl ScenarioSpec {
         if num_cores == 0 {
             return Err(ConfigError::Zero { what: "core count" });
         }
-        self.check_knobs()?;
+        self.family.validate(&self.params)?;
         self.params.effective_cores(num_cores).map(drop)
-    }
-
-    /// Checks the family exists and the knobs against their ranges and the
-    /// family's use of them.
-    fn check_knobs(&self) -> Result<(), ConfigError> {
-        let family = registered(&self.family).map_err(ConfigError::parse)?;
-        self.params.validate(&self.family)?;
-        Self::reject_unconsumed_knobs(family, &self.params)?;
-        family.validate_params(&self.params)
     }
 
     /// Builds the deterministic reference stream for this spec.
@@ -786,19 +604,8 @@ impl ScenarioSpec {
     pub fn stream(&self, num_cores: usize, seed: u64) -> Result<Box<dyn TraceStream>, ConfigError> {
         self.validate(num_cores)?;
         let cores = self.params.effective_cores(num_cores)?;
-        Ok(self.family().stream(&self.params, cores, seed))
+        Ok(self.family.stream(&self.params, cores, seed))
     }
-}
-
-/// The registered family named `name`, or why there is none.
-fn registered(name: &str) -> Result<&'static dyn WorkloadFamily, String> {
-    family_by_name(name).ok_or_else(|| {
-        let known: Vec<_> = families().iter().map(|f| f.name()).collect();
-        format!(
-            "unknown workload family `{name}` (known: {})",
-            known.join(", ")
-        )
-    })
 }
 
 impl FromStr for ScenarioSpec {
@@ -806,9 +613,14 @@ impl FromStr for ScenarioSpec {
 
     fn from_str(input: &str) -> Result<Self, ConfigError> {
         let input = input.trim();
-        let (mut clauses, family) = Clauses::new("workload spec", input);
-        registered(family).map_err(|why| clauses.error(why))?;
-        let mut spec = ScenarioSpec::new(family)?;
+        let (mut clauses, name) = Clauses::new("workload spec", input);
+        let family = ScenarioFamily::from_name(name).ok_or_else(|| {
+            clauses.error(format_args!(
+                "unknown workload family `{name}` (known: {})",
+                ScenarioFamily::ALL.map(ScenarioFamily::name).join(", ")
+            ))
+        })?;
+        let mut spec = ScenarioSpec::new(family);
         while let Some(clause) = clauses.next_clause() {
             let params = &mut spec.params;
             if let Some(cores) = clause.strip_suffix('c').and_then(|n| n.parse().ok()) {
@@ -831,7 +643,7 @@ impl FromStr for ScenarioSpec {
         }
         // What is left is a knob the family does not take or knobs that
         // disagree with each other: name the whole spec.
-        spec.check_knobs().map_err(|err| match err {
+        family.validate(&spec.params).map_err(|err| match err {
             ConfigError::Parse { .. } => err,
             other => clauses.error(other),
         })?;
@@ -843,8 +655,8 @@ impl fmt::Display for ScenarioSpec {
     /// Prints the canonical spec string: family name plus every knob that
     /// differs from the family default, in grammar order.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let defaults = self.family().defaults();
-        write!(f, "{}", self.family)?;
+        let defaults = self.family.defaults();
+        write!(f, "{}", self.family.name())?;
         if let Some(cores) = self.params.cores {
             write!(f, "-{cores}c")?;
         }
@@ -879,17 +691,9 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_five_distinct_families() {
-        let names: HashSet<_> = families().iter().map(|f| f.name()).collect();
-        assert_eq!(names.len(), 5);
-        assert!(family_by_name("migratory").is_some());
-        assert!(family_by_name("nope").is_none());
-    }
-
-    #[test]
     fn every_family_is_deterministic_and_seed_sensitive() {
-        for family in families() {
-            let spec = ScenarioSpec::new(family.name()).unwrap();
+        for family in ScenarioFamily::ALL {
+            let spec = ScenarioSpec::new(family);
             let a: Vec<_> = spec.stream(8, 1).unwrap().take(2_000).collect();
             let b: Vec<_> = spec.stream(8, 1).unwrap().take(2_000).collect();
             assert_eq!(a, b, "{} must be deterministic", family.name());

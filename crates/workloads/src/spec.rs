@@ -30,7 +30,7 @@
 //! assert_eq!(refs.len(), 64);
 //! ```
 
-use crate::scenario::{ScenarioSpec, TraceStream};
+use crate::scenario::{ScenarioFamily, ScenarioSpec, TraceStream};
 use crate::trace_io::TraceReader;
 use crate::{TraceGenerator, WorkloadProfile};
 use ccd_common::ConfigError;
@@ -236,17 +236,17 @@ impl FromStr for WorkloadSpec {
             Ok(spec) => Ok(WorkloadSpec::Scenario(spec)),
             Err(scenario_err) => {
                 let family = input.split('-').next().unwrap_or_default();
-                if crate::scenario::family_by_name(family).is_some() {
+                if ScenarioFamily::from_name(family).is_some() {
                     // The family exists, so the knobs are at fault — the
                     // scenario parser's token-level error is the right one.
                     Err(scenario_err)
                 } else {
+                    let families = ScenarioFamily::ALL.map(ScenarioFamily::name).join(", ");
                     Err(ConfigError::Parse {
                         what: format!(
                             "unknown workload `{input}`: neither a paper profile \
                              (db2, oracle, qry2, qry16, qry17, apache, zeus, em3d, ocean), \
-                             a scenario family (readmostly, prodcons, migratory, \
-                             falseshare, stream), nor a `{REPLAY_PREFIX}<path>` trace"
+                             a scenario family ({families}), nor a `{REPLAY_PREFIX}<path>` trace"
                         ),
                     })
                 }
@@ -347,6 +347,20 @@ mod tests {
             "{what}"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_scenario_family_parses_streams_and_is_listed_as_known() {
+        let unknown = "martian".parse::<WorkloadSpec>().unwrap_err().to_string();
+        for family in ScenarioFamily::ALL {
+            let spec: WorkloadSpec = family.name().parse().unwrap();
+            assert!(
+                matches!(&spec, WorkloadSpec::Scenario(s) if s.family == family),
+                "{family:?}"
+            );
+            assert_eq!(spec.stream(4, 1).unwrap().take(100).count(), 100);
+            assert!(unknown.contains(family.name()), "{unknown}");
+        }
     }
 
     #[test]

@@ -4,15 +4,14 @@
 # rows are read off `figs --list` — the binary's own table of what each
 # experiment writes — so a result cannot go unpinned.  Kept by hand is only
 # what the binary cannot know: the CCD_WORKERS=1 re-runs (serial == parallel,
-# byte level) and the CCD_OBS-armed re-run (contract #11: observation moves no
-# result byte).
+# byte level).
 #
 #   scripts/golden_check.sh [--bless] [OUT_DIR]   # default: a fresh temp directory
 #
 # --bless is for a deliberate re-pin: a plain row that differs is copied over
 # its golden and its `git diff --stat` printed, instead of failing.  The
 # override rows stay checks — they hold the freshly blessed files to the
-# serial and armed re-runs.  CI never passes it.
+# serial re-runs.  CI never passes it.
 set -euo pipefail
 
 bless=
@@ -39,7 +38,6 @@ checks+=(
   "CCD_WORKERS=1|figs fig10_insertion_attempts|fig10_insertion_attempts.json"
   "CCD_WORKERS=1|figs fig11_attempt_distribution|fig11_attempt_distribution.json"
   "CCD_WORKERS=1|figs bench_scenarios|BENCH_scenarios.json"
-  "CCD_OBS=obs-ring1024-spans|figs fig7_hash_characteristics|fig7_hash_characteristics.json"
 )
 
 ran=

@@ -12,7 +12,8 @@
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_cuckoo::standard_registry;
-use ccd_directory::{DepthMetrics, DirectoryOp, DirectoryStats, Outcome};
+use ccd_directory::DirectorySpec as RegistrySpec;
+use ccd_directory::{DepthMetrics, DirectoryOp, DirectoryStats, Org, Outcome};
 use cuckoo_directory::prelude::*;
 
 /// Every organization (and modifier axis) constructible from the registry.
@@ -88,23 +89,15 @@ fn every_registry_spec_constructs_at_runtime() {
         assert!(dir.is_empty(), "{spec}");
         assert!(!dir.organization().is_empty(), "{spec}");
     }
-    // All six organization names are registered.
-    let names: Vec<&str> = registry.names().collect();
-    for name in [
-        "cuckoo",
-        "sparse",
-        "skewed",
-        "duplicate-tag",
-        "in-cache",
-        "tagless",
-    ] {
-        assert!(names.contains(&name), "missing builder for {name}");
+    // Every organization is named by some spec under test.
+    for org in Org::ALL {
+        let named = |spec: &&str| spec.parse::<RegistrySpec>().is_ok_and(|s| s.org == org);
+        assert!(REGISTRY_SPECS.iter().any(named), "no spec builds {org}");
     }
 }
 
 #[test]
 fn former_probe_tokens_are_unknown_modifiers_and_registry_specs_round_trip() {
-    use ccd_directory::DirectorySpec as RegistrySpec;
     // The spec grammar has no probe slot: the tokens that used to pin a
     // kernel fail like any other unknown modifier, quoting the token.
     for (input, token) in [
@@ -451,11 +444,11 @@ fn resolved_specs_describe_the_slices_they_build() {
             assert_eq!(resolved.caches, system.num_private_caches(), "{label}");
             assert_eq!(slice.num_caches(), resolved.caches, "{label}");
             let org = slice.organization();
-            assert!(org.starts_with(&resolved.org), "{label}: {org}");
+            assert!(org.starts_with(&resolved.org.to_string()), "{label}: {org}");
             // The mirroring organizations hold one `ways x sets` mirror per
             // tracked cache; the others name their entries outright.
             let entries = resolved.ways * resolved.sets;
-            if matches!(resolved.org.as_str(), "duplicate-tag" | "tagless") {
+            if matches!(resolved.org, Org::DuplicateTag | Org::Tagless) {
                 assert_eq!(slice.capacity(), entries * resolved.caches, "{label}");
             } else {
                 assert_eq!(slice.capacity(), entries, "{label}");
