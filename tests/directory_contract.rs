@@ -11,6 +11,7 @@
 
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::rng::{Rng64, SplitMix64};
+use ccd_common::stats::Fnv64;
 use ccd_cuckoo::standard_registry;
 use ccd_directory::DirectorySpec as RegistrySpec;
 use ccd_directory::{DepthMetrics, DirectoryOp, DirectoryStats, Org, Outcome};
@@ -343,6 +344,64 @@ fn an_op_naming_a_cache_past_the_count_panics_at_the_op_entry() {
         }
         assert!(!dir.may_hold(line, past), "{spec}");
         assert!(!dir.may_hold(line, CacheId::new(u32::MAX)), "{spec}");
+    }
+}
+
+/// What the compressed sharer formats decide is pinned: a seeded stream of
+/// all five ops over a few hundred lines and every cache, on geometries too
+/// small for it, so entries overflow their pointers and forced evictions
+/// fire.  Every outcome — hit, allocation, the invalidate list, each forced
+/// eviction with its targets — is folded into one digest per spec, below
+/// and above 64 caches.  A sharer set may change its representation, not
+/// these literals.
+#[test]
+fn compressed_sharer_formats_decide_what_they_were_pinned_to() {
+    for (spec, pinned) in [
+        ("cuckoo-4x64-c16@coarse", 0x7b56_57a8_1e94_1423),
+        ("cuckoo-4x64-c16@limited", 0x85d8_174e_d76b_576e),
+        ("cuckoo-4x64-c16@hier", 0x8cb2_2f85_ffa7_740e),
+        ("sparse-4x32-c16@coarse", 0xdc50_7738_2c30_db45),
+        ("skewed-4x32-c16@limited", 0xc47e_999d_d03c_ebf7),
+        ("in-cache-4x32-c16@hier", 0x9cd7_5584_6c4b_8263),
+        ("cuckoo-4x64-c100@hier", 0xb0ae_c392_9e0d_e7b0),
+        ("sparse-4x32-c100@limited", 0x9fa0_4f81_820a_f8b6),
+        ("cuckoo-4x64-c100@coarse", 0x163a_4030_f590_eb82),
+    ] {
+        let mut dir = standard_registry().build_str(spec).expect(spec);
+        let caches = dir.num_caches() as u64;
+        let mut rng = SplitMix64::new(0xF0_4A7);
+        let (mut out, mut digest, mut evictions) = (Outcome::new(), Fnv64::new(), 0);
+        for _ in 0..6_000 {
+            let line = LineAddr::from_block_number(rng.next_below(384) * 13);
+            let cache = CacheId::new(rng.next_below(caches) as u32);
+            let op = match rng.next_below(8) {
+                0 => DirectoryOp::Probe { line },
+                1 => DirectoryOp::SetExclusive { line, cache },
+                2 => DirectoryOp::RemoveSharer { line, cache },
+                3 => DirectoryOp::RemoveEntry { line },
+                _ => add(line, cache),
+            };
+            dir.apply(op, &mut out);
+            digest
+                .fold(u64::from(out.hit()))
+                .fold(u64::from(out.allocated_new_entry()))
+                .fold(out.invalidate().len() as u64);
+            out.invalidate()
+                .iter()
+                .for_each(|c| _ = digest.fold(c.index() as u64));
+            for eviction in out.forced_evictions() {
+                evictions += 1;
+                digest
+                    .fold(eviction.line.block_number())
+                    .fold(eviction.targets.len() as u64);
+                eviction
+                    .targets
+                    .iter()
+                    .for_each(|c| _ = digest.fold(c.index() as u64));
+            }
+        }
+        assert!(evictions > 0, "{spec}: the stream forced no eviction");
+        assert_eq!(digest.finish(), pinned, "{spec}: {:#018x}", digest.finish());
     }
 }
 
