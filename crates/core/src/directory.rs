@@ -331,7 +331,7 @@ mod tests {
     use ccd_common::rng::{Rng64, SplitMix64};
     use ccd_directory::StorageProfile;
     use ccd_hash::HashKind;
-    use ccd_sharers::{CoarseVector, FullBitVector, HierarchicalVector, SharerFormat};
+    use ccd_sharers::{CoarseVector, FullBitVector, LimitedPointer, SharerFormat};
 
     type Dir = CuckooDirectory<FullBitVector>;
 
@@ -518,22 +518,22 @@ mod tests {
     fn works_with_compressed_sharer_formats() {
         let mut coarse =
             CuckooDirectory::<CoarseVector>::new(CuckooConfig::new(4, 64, 64)).unwrap();
-        let mut hier =
-            CuckooDirectory::<HierarchicalVector>::new(CuckooConfig::new(4, 64, 64)).unwrap();
+        let mut limited =
+            CuckooDirectory::<LimitedPointer>::new(CuckooConfig::new(4, 64, 64)).unwrap();
         let mut out = Outcome::new();
         for c in [0u32, 5, 17, 44] {
             coarse.apply(add(line(9), CacheId::new(c)), &mut out);
-            hier.apply(add(line(9), CacheId::new(c)), &mut out);
+            limited.apply(add(line(9), CacheId::new(c)), &mut out);
         }
         // Both must report a superset of the true sharers.
         let coarse_sharers = probe(&mut coarse, line(9)).unwrap();
-        let hier_sharers = probe(&mut hier, line(9)).unwrap();
+        let limited_sharers = probe(&mut limited, line(9)).unwrap();
         for c in [0u32, 5, 17, 44] {
             assert!(coarse_sharers.contains(&CacheId::new(c)));
-            assert!(hier_sharers.contains(&CacheId::new(c)));
+            assert!(limited_sharers.contains(&CacheId::new(c)));
         }
-        // Hierarchical is exact.
-        assert_eq!(hier_sharers.len(), 4);
+        // Four sharers fit the limited pointers exactly.
+        assert_eq!(limited_sharers.len(), 4);
     }
 
     #[test]

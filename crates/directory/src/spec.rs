@@ -393,8 +393,8 @@ impl fmt::Display for DirectorySpec {
 }
 
 /// Most entries one slice may have.  No organization's slot — tag, sharer
-/// set, replacement state; the hierarchical sharer vector makes the widest,
-/// about 100 bytes — is larger than 128 bytes, so up to here every slot
+/// set, replacement state; a slot organization's limited-pointer entry
+/// makes the widest, 56 bytes — is larger than 128 bytes, so up to here every slot
 /// array is a representable [`Layout`](std::alloc::Layout) (at most
 /// `isize::MAX` bytes) and past it none need be.
 pub const MAX_CAPACITY: usize = isize::MAX as usize / 128;
@@ -465,20 +465,22 @@ pub(crate) fn try_filled<T: Clone>(len: usize, fill: T) -> Option<Vec<T>> {
 pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>;
 
 /// Dispatches over the spec's sharer format, binding the chosen
-/// representation type to `$S` inside `$body`.  The full vector's
-/// representation is chosen here, once per directory, from its cache count
-/// `$caches`: the presence word alone up to 64 caches
-/// ([`ccd_sharers::FullBitVector`]), heap words above
+/// representation type to `$S` inside `$body`.  The full and hierarchical
+/// formats name the same exact sets, so both get a full vector, chosen here
+/// once per directory from its cache count `$caches`: the presence word
+/// alone up to 64 caches ([`ccd_sharers::FullBitVector`]), heap words above
 /// ([`ccd_sharers::WideBitVector`]).
 #[macro_export]
 macro_rules! match_sharer_format {
     ($format:expr, $caches:expr, $S:ident => $body:expr) => {
         match $format {
-            ccd_sharers::SharerFormat::FullVector if $caches <= ccd_sharers::full::WORD_CACHES => {
+            ccd_sharers::SharerFormat::FullVector | ccd_sharers::SharerFormat::Hierarchical
+                if $caches <= ccd_sharers::full::WORD_CACHES =>
+            {
                 type $S = ccd_sharers::FullBitVector;
                 $body
             }
-            ccd_sharers::SharerFormat::FullVector => {
+            ccd_sharers::SharerFormat::FullVector | ccd_sharers::SharerFormat::Hierarchical => {
                 type $S = ccd_sharers::WideBitVector;
                 $body
             }
@@ -488,10 +490,6 @@ macro_rules! match_sharer_format {
             }
             ccd_sharers::SharerFormat::Coarse => {
                 type $S = ccd_sharers::CoarseVector;
-                $body
-            }
-            ccd_sharers::SharerFormat::Hierarchical => {
-                type $S = ccd_sharers::HierarchicalVector;
                 $body
             }
         }

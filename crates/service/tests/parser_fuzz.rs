@@ -1,6 +1,7 @@
 //! Seeded parser fuzz: the workspace's one JSON parser, its four clause
-//! grammars (`faults-…`, `resize-…`, `obs-…`, scenario workloads) and the
-//! two spec grammars built on them (`DirectorySpec`, `WorkloadSpec`).
+//! grammars (`faults-…`, `resize-…`, `obs-…`, scenario workloads), the
+//! two spec grammars built on them (`DirectorySpec`, `WorkloadSpec`), and
+//! the binary CCDT trace reader.
 //!
 //! No input may panic, every accepted value's canonical label must
 //! re-parse to an equal value, and every rejection by a clause or spec
@@ -17,8 +18,10 @@ use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
 use ccd_obs::ObsConfig;
 use ccd_service::{FaultPlan, ResizePolicy};
-use ccd_workloads::{ScenarioSpec, WorkloadSpec};
+use ccd_workloads::{MemRef, ScenarioSpec, TraceGenerator, TraceReader, TraceWriter};
+use ccd_workloads::{WorkloadProfile, WorkloadSpec};
 use std::fmt::Debug;
+use std::io::{self, Cursor};
 
 const ROUNDS: usize = 20_000;
 
@@ -230,4 +233,69 @@ fn the_json_parser_never_panics_and_its_renderings_round_trip() {
         Json::to_pretty,
         |_, _| true,
     );
+}
+
+/// `bytes` read as a CCDT trace, by iteration and by `read_all`: neither
+/// may panic, iteration yields nothing after its first error, and both ways
+/// end alike — in every record, or in the one same error.
+fn read_ccdt(bytes: &[u8]) -> io::Result<Vec<MemRef>> {
+    let read = || {
+        let mut reader = TraceReader::new(bytes)?;
+        let mut records = Vec::new();
+        let end = reader
+            .by_ref()
+            .find_map(|item| item.map(|r| records.push(r)).err());
+        assert!(reader.next().is_none(), "an item after {end:?}");
+        let all = TraceReader::new(bytes)?.read_all();
+        match end {
+            Some(err) => {
+                let again = all.expect_err("read_all accepted what iteration rejected");
+                assert_eq!(again.to_string(), err.to_string());
+                Err(err)
+            }
+            None => {
+                assert_eq!(all.ok().as_ref(), Some(&records));
+                Ok(records)
+            }
+        }
+    };
+    std::panic::catch_unwind(read).unwrap_or_else(|_| panic!("reading {bytes:?} panicked"))
+}
+
+#[test]
+fn the_ccdt_reader_turns_any_bytes_into_records_or_one_error() {
+    let refs: Vec<MemRef> = TraceGenerator::new(WorkloadProfile::oracle(), 4, 3)
+        .take(64)
+        .collect();
+    let mut writer = TraceWriter::new(Cursor::new(Vec::new()), 4).unwrap();
+    refs.iter().for_each(|&r| writer.record(r).unwrap());
+    let valid = writer.finish().unwrap().0.into_inner();
+    assert_eq!(read_ccdt(&valid).unwrap(), refs);
+
+    // Every cut of the recording promises records it lacks.
+    for len in 0..valid.len() {
+        assert!(read_ccdt(&valid[..len]).is_err(), "a cut at {len} read");
+    }
+    // Every single-bit flip, of the header and of each record.
+    for bit in 0..valid.len() * 8 {
+        let mut flipped = valid.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = read_ccdt(&flipped);
+    }
+    // A header that claims `u64::MAX` records: `read_all` reserves no more
+    // than its clamp and reports the truncation.
+    let mut endless = valid.clone();
+    endless[10..18].copy_from_slice(&u64::MAX.to_le_bytes());
+    assert!(read_ccdt(&endless).is_err());
+    // Random bytes, alone and after a valid header.
+    let mut rng = Xoshiro256::new(0xCCD7);
+    for round in 0..ROUNDS {
+        let mut bytes = if round % 2 == 0 {
+            valid[..18].to_vec()
+        } else {
+            Vec::new()
+        };
+        bytes.extend((0..rng.next_below(48)).map(|_| rng.next_u64() as u8));
+        let _ = read_ccdt(&bytes);
+    }
 }

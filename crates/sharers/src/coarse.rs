@@ -14,6 +14,10 @@
 //!   `⌈N / (2·log₂ N)⌉` caches.  Invalidations go to every cache of every
 //!   marked region, i.e. the representation becomes a conservative
 //!   superset.
+//!
+//! A limited-pointer entry ([`crate::limited`]) is the same two modes with
+//! four pointers and one region, all `N` caches: broadcast on overflow.  Both
+//! are a [`PointerSet`], plain inline data.
 
 use crate::SharerSet;
 use ccd_common::{ceil_log2, CacheId};
@@ -36,169 +40,155 @@ pub fn caches_per_region(num_caches: usize) -> usize {
     num_caches.div_ceil(region_count(num_caches))
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum Mode {
-    /// Up to two exact pointers.
-    Pointers(Vec<CacheId>),
-    /// Region bit mask (bit `r` covers caches `r*g .. (r+1)*g`).
-    Coarse(u64),
+/// `K` exact cache pointers; on a `K + 1`-th sharer, a mask of regions until
+/// the next `clear`: [`region_count`] regions, or one region of every cache
+/// when `BROADCAST`.
+///
+/// At most 32 bytes, and creating, cloning or dropping one never touches
+/// the allocator.
+#[derive(Clone, Copy, Debug)]
+pub struct PointerSet<const K: usize, const BROADCAST: bool> {
+    /// The exact sharers are `pointers[..len]` while `regions` is zero.
+    pointers: [CacheId; K],
+    len: u32,
+    num_caches: u32,
+    /// Bit `r` covers caches `r * per .. (r + 1) * per`; non-zero exactly
+    /// when the pointers have overflowed.
+    regions: u64,
 }
 
-/// A coarse sharer vector with a two-pointer exact fast path.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CoarseVector {
-    mode: Mode,
-    num_caches: usize,
-}
+/// The coarse format: two pointers, then [`region_count`] regions.
+pub type CoarseVector = PointerSet<2, false>;
 
-impl CoarseVector {
-    /// Maximum number of exact pointers held before falling back to the
-    /// coarse representation.
-    pub const MAX_POINTERS: usize = 2;
-
-    /// Returns `true` when the entry has fallen back to the coarse
-    /// region-vector representation.
-    #[must_use]
-    pub fn is_coarse(&self) -> bool {
-        matches!(self.mode, Mode::Coarse(_))
+impl<const K: usize, const BROADCAST: bool> PointerSet<K, BROADCAST> {
+    fn pointers(&self) -> &[CacheId] {
+        &self.pointers[..self.len as usize]
     }
 
-    fn region_of(&self, cache: CacheId) -> usize {
-        cache.index() / caches_per_region(self.num_caches)
+    /// Caches per region bit.
+    fn per_region(&self) -> usize {
+        let n = self.num_caches as usize;
+        if BROADCAST {
+            n
+        } else {
+            caches_per_region(n)
+        }
     }
 
-    fn caches_in_region(&self, region: usize) -> impl Iterator<Item = CacheId> {
-        let g = caches_per_region(self.num_caches);
-        let start = region * g;
-        let end = ((region + 1) * g).min(self.num_caches);
-        (start..end).map(|i| CacheId::new(i as u32))
+    fn region_bit(&self, cache: CacheId) -> u64 {
+        1 << (cache.index() / self.per_region())
     }
 
     fn assert_in_range(&self, cache: CacheId) {
         assert!(
-            cache.index() < self.num_caches,
+            cache.raw() < self.num_caches,
             "{cache} out of range for {} caches",
             self.num_caches
         );
     }
 }
 
-impl SharerSet for CoarseVector {
+impl<const K: usize, const BROADCAST: bool> SharerSet for PointerSet<K, BROADCAST> {
     fn new(num_caches: usize) -> Self {
         assert!(num_caches > 0, "need at least one cache");
         assert!(
-            region_count(num_caches) <= 64,
-            "coarse vector supports at most 64 regions ({num_caches} caches would need more)"
+            u32::try_from(num_caches).is_ok(),
+            "cache ids are 32-bit: no pointer tracks {num_caches} caches"
         );
-        CoarseVector {
-            mode: Mode::Pointers(Vec::with_capacity(Self::MAX_POINTERS)),
-            num_caches,
+        PointerSet {
+            pointers: [CacheId::default(); K],
+            len: 0,
+            num_caches: num_caches as u32,
+            regions: 0,
         }
     }
 
     fn add(&mut self, cache: CacheId) {
         self.assert_in_range(cache);
-        match &mut self.mode {
-            Mode::Pointers(ptrs) => {
-                if ptrs.contains(&cache) {
-                    return;
-                }
-                if ptrs.len() < Self::MAX_POINTERS {
-                    ptrs.push(cache);
-                } else {
-                    // Overflow: reinterpret as a region vector covering the
-                    // existing pointers plus the new sharer.
-                    let mut mask = 0u64;
-                    let existing: Vec<CacheId> = ptrs.clone();
-                    for c in existing.into_iter().chain(std::iter::once(cache)) {
-                        mask |= 1 << self.region_of(c);
-                    }
-                    self.mode = Mode::Coarse(mask);
-                }
-            }
-            Mode::Coarse(mask) => {
-                let region = cache.index() / caches_per_region(self.num_caches);
-                *mask |= 1 << region;
+        let len = self.len as usize;
+        if self.regions != 0 {
+            self.regions |= self.region_bit(cache);
+        } else if !self.pointers().contains(&cache) {
+            if len < K {
+                self.pointers[len] = cache;
+                self.len += 1;
+            } else {
+                // Overflow: the pointers and the newcomer become regions.
+                let regions = self.pointers.iter().map(|&c| self.region_bit(c));
+                self.regions = regions.fold(self.region_bit(cache), |mask, bit| mask | bit);
+                self.len = 0;
             }
         }
     }
 
+    /// A region may cover other live sharers, so once the pointers have
+    /// overflowed a removal stays conservative.
     fn remove(&mut self, cache: CacheId) {
         self.assert_in_range(cache);
-        match &mut self.mode {
-            Mode::Pointers(ptrs) => ptrs.retain(|&p| p != cache),
-            // A coarse region bit may cover other live sharers, so removal
-            // must stay conservative.
-            Mode::Coarse(_) => {}
+        if let Some(i) = self.pointers().iter().position(|&p| p == cache) {
+            self.len -= 1;
+            self.pointers.swap(i, self.len as usize);
         }
     }
 
     fn may_contain(&self, cache: CacheId) -> bool {
-        if cache.index() >= self.num_caches {
-            return false;
-        }
-        match &self.mode {
-            Mode::Pointers(ptrs) => ptrs.contains(&cache),
-            Mode::Coarse(mask) => mask & (1 << self.region_of(cache)) != 0,
+        if self.regions == 0 {
+            self.pointers().contains(&cache)
+        } else {
+            cache.raw() < self.num_caches && self.regions & self.region_bit(cache) != 0
         }
     }
 
     fn is_empty(&self) -> bool {
-        match &self.mode {
-            Mode::Pointers(ptrs) => ptrs.is_empty(),
-            Mode::Coarse(mask) => *mask == 0,
-        }
+        self.len == 0 && self.regions == 0
     }
 
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
-        match &self.mode {
-            Mode::Pointers(ptrs) => {
-                let start = out.len();
-                out.extend_from_slice(ptrs);
-                out[start..].sort_unstable();
-            }
-            Mode::Coarse(mask) => {
-                for region in 0..region_count(self.num_caches) {
-                    if mask & (1 << region) != 0 {
-                        out.extend(self.caches_in_region(region));
-                    }
-                }
-            }
+        if self.regions == 0 {
+            let start = out.len();
+            out.extend_from_slice(self.pointers());
+            out[start..].sort_unstable();
+            return;
+        }
+        let per = self.per_region();
+        let mut regions = self.regions;
+        while regions != 0 {
+            let first = regions.trailing_zeros() as usize * per;
+            let end = (first + per).min(self.num_caches as usize);
+            out.extend((first..end).map(|c| CacheId::new(c as u32)));
+            regions &= regions - 1;
         }
     }
 
+    /// A region of a single cache is still exact.
     fn is_exact(&self) -> bool {
-        match &self.mode {
-            Mode::Pointers(_) => true,
-            // A region covering a single cache is still exact.
-            Mode::Coarse(_) => caches_per_region(self.num_caches) == 1,
-        }
+        self.regions == 0 || self.per_region() == 1
     }
 
     fn exact_count(&self) -> Option<usize> {
-        match &self.mode {
-            Mode::Pointers(ptrs) => Some(ptrs.len()),
-            Mode::Coarse(mask) => {
-                (caches_per_region(self.num_caches) == 1).then(|| mask.count_ones() as usize)
-            }
+        if self.regions == 0 {
+            Some(self.len as usize)
+        } else {
+            (self.per_region() == 1).then(|| self.regions.count_ones() as usize)
         }
     }
 
     fn clear(&mut self) {
-        self.mode = Mode::Pointers(Vec::with_capacity(Self::MAX_POINTERS));
+        self.len = 0;
+        self.regions = 0;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LimitedPointer;
 
     #[test]
     fn pointer_mode_is_exact() {
         let mut s = CoarseVector::new(64);
-        s.add(CacheId::new(10));
         s.add(CacheId::new(50));
-        assert!(!s.is_coarse());
+        s.add(CacheId::new(10));
         assert!(s.is_exact());
         assert_eq!(s.exact_count(), Some(2));
         assert_eq!(
@@ -217,44 +207,13 @@ mod tests {
         for &c in &sharers {
             s.add(c);
         }
-        assert!(s.is_coarse());
         assert!(!s.is_exact());
-        let targets = s.invalidation_targets();
-        // Conservative: all true sharers are covered.
-        for &c in &sharers {
-            assert!(targets.contains(&c), "missing true sharer {c}");
-            assert!(s.may_contain(c));
-        }
-        // Each target's region must contain at least one true sharer region.
-        assert!(targets.len() >= sharers.len());
-    }
-
-    #[test]
-    fn coarse_removal_is_conservative() {
-        let mut s = CoarseVector::new(32);
-        for i in 0..3u32 {
-            s.add(CacheId::new(i * 10));
-        }
-        assert!(s.is_coarse());
-        s.remove(CacheId::new(0));
-        assert!(
-            s.may_contain(CacheId::new(0)),
-            "coarse removal stays conservative"
-        );
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn clear_returns_to_pointer_mode() {
-        let mut s = CoarseVector::new(32);
-        for i in 0..5u32 {
-            s.add(CacheId::new(i));
-        }
-        assert!(s.is_coarse());
-        s.clear();
-        assert!(!s.is_coarse());
-        assert!(s.is_empty());
-        assert!(s.is_exact());
+        assert_eq!(s.exact_count(), None);
+        // 12 regions of 6 caches: the three sharers' regions, in order.
+        let regions = [0..6, 18..24, 36..42].into_iter().flatten();
+        let expected: Vec<CacheId> = regions.map(CacheId::new).collect();
+        assert_eq!(s.invalidation_targets(), expected);
+        assert!(!s.may_contain(CacheId::new(6)));
     }
 
     #[test]
@@ -268,6 +227,27 @@ mod tests {
         assert!(s.is_exact());
         assert_eq!(s.exact_count(), Some(4));
         assert_eq!(s.invalidation_targets().len(), 4);
+    }
+
+    #[test]
+    fn a_limited_pointer_broadcasts_on_its_fifth_sharer() {
+        let mut s = LimitedPointer::new(64);
+        for c in [9u32, 5, 9, 40, 2] {
+            s.add(CacheId::new(c));
+        }
+        assert_eq!(s.exact_count(), Some(4), "a duplicate add takes no pointer");
+        s.add(CacheId::new(63));
+        assert!(!s.is_exact());
+        assert_eq!(s.exact_count(), None);
+        assert_eq!(s.invalidation_targets().len(), 64);
+        s.remove(CacheId::new(0));
+        assert!(
+            s.may_contain(CacheId::new(0)),
+            "conservative after overflow"
+        );
+        assert!(!s.may_contain(CacheId::new(64)));
+        s.clear();
+        assert!(s.is_empty() && s.is_exact());
     }
 
     #[test]

@@ -8,23 +8,25 @@
 //! Cuckoo tag organization combined with both the *coarse* and the
 //! *hierarchical* sharer formats (Figure 13).
 //!
-//! This crate provides the four formats used across the evaluation:
+//! This crate provides the four formats used across the evaluation, in
+//! three representations:
 //!
 //! * [`FullBitVector`] / [`WideBitVector`] — one presence bit per cache
 //!   (the traditional Sparse format whose area grows linearly with core
-//!   count): the presence word itself up to 64 caches, heap words above,
-//! * [`LimitedPointer`] — a handful of exact cache pointers with a
-//!   broadcast-on-overflow fallback,
-//! * [`CoarseVector`] — exact pointers within `2·log₂(caches)` bits,
-//!   falling back to a coarse-grained region vector on overflow
-//!   (the Sparse/Cuckoo *Coarse* format, after Gupta et al. and the SGI
-//!   Origin),
-//! * [`HierarchicalVector`] — a two-level bit vector (root groups plus
-//!   on-demand leaf vectors), the Sparse/Cuckoo *Hierarchical* format.
+//!   count): the presence word itself up to 64 caches, heap words above.
+//!   The exact two-level Sparse/Cuckoo *Hierarchical* format names the same
+//!   caches, so it is one of these too; only its price differs
+//!   ([`hierarchical`]).
+//! * [`coarse::PointerSet`] — `K` exact pointers, then a mask of regions:
+//!   as [`CoarseVector`], two pointers within `2·log₂(caches)` bits falling
+//!   back to a coarse-grained region vector (the Sparse/Cuckoo *Coarse*
+//!   format, after Gupta et al. and the SGI Origin); as [`LimitedPointer`],
+//!   four pointers falling back to one region, a broadcast.
 //!
 //! All representations implement [`SharerSet`], the semantic operations
-//! (add/remove/invalidation targets); what an entry of each costs in bits is
-//! a closed form of the cache count alone, [`SharerFormat::entry_bits`].
+//! (add/remove/invalidation targets); what an entry of each format costs in
+//! bits is a closed form of the cache count alone,
+//! [`SharerFormat::entry_bits`].
 //!
 //! # Conservativeness
 //!
@@ -56,7 +58,6 @@ pub mod limited;
 
 pub use coarse::CoarseVector;
 pub use full::{FullBitVector, WideBitVector};
-pub use hierarchical::HierarchicalVector;
 pub use limited::LimitedPointer;
 
 use ccd_common::CacheId;
@@ -74,9 +75,9 @@ use std::fmt::Debug;
 /// and checks each cache an operation names against that count once, at
 /// its op entry.  `add` and `remove` may therefore assume `cache` is in
 /// range; the full vectors do not even store the count (an entry of up to
-/// 64 caches is its presence word), while the compressed formats keep it for
-/// their own arithmetic and assert it.  `may_contain` answers `false` for
-/// any cache past the count.
+/// 64 caches is its presence word), while a pointer set keeps it for its
+/// region arithmetic and asserts it.  `may_contain` answers `false` for any
+/// cache past the count.
 pub trait SharerSet: Clone + Debug + Send {
     /// Creates an empty sharer set sized for `num_caches` private caches,
     /// using the representation's default parameters.
@@ -166,7 +167,7 @@ impl SharerFormat {
     pub fn entry_bits(self, num_caches: usize) -> u64 {
         match self {
             SharerFormat::FullVector => full::vector_bits(num_caches),
-            SharerFormat::LimitedPointer => limited::default_entry_bits(num_caches),
+            SharerFormat::LimitedPointer => limited::entry_bits(num_caches),
             SharerFormat::Coarse => coarse::entry_bits(num_caches),
             SharerFormat::Hierarchical => hierarchical::entry_bits(num_caches),
         }
@@ -206,34 +207,6 @@ impl std::fmt::Display for SharerFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn exercise<S: SharerSet>(num_caches: usize) {
-        let mut s = S::new(num_caches);
-        assert!(s.is_empty());
-        assert!(s.invalidation_targets().is_empty());
-
-        s.add(CacheId::new(0));
-        s.add(CacheId::new((num_caches - 1) as u32));
-        assert!(!s.is_empty());
-        assert!(s.may_contain(CacheId::new(0)));
-        assert!(s.may_contain(CacheId::new((num_caches - 1) as u32)));
-        let targets = s.invalidation_targets();
-        assert!(targets.contains(&CacheId::new(0)));
-        assert!(targets.contains(&CacheId::new((num_caches - 1) as u32)));
-
-        s.clear();
-        assert!(s.is_empty());
-        assert!(s.invalidation_targets().is_empty());
-    }
-
-    #[test]
-    fn every_representation_satisfies_the_basic_contract() {
-        exercise::<FullBitVector>(32);
-        exercise::<WideBitVector>(96);
-        exercise::<LimitedPointer>(32);
-        exercise::<CoarseVector>(32);
-        exercise::<HierarchicalVector>(32);
-    }
 
     #[test]
     fn entry_bits_scale_sensibly() {

@@ -114,9 +114,7 @@ pub mod prelude {
     pub use ccd_energy::{DirOrg, EnergyModel};
     pub use ccd_hash::{HashFamily, HashKind, IndexHashFamily};
     pub use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
-    pub use ccd_sharers::{
-        CoarseVector, FullBitVector, HierarchicalVector, SharerFormat, SharerSet,
-    };
+    pub use ccd_sharers::{CoarseVector, FullBitVector, SharerFormat, SharerSet};
     pub use ccd_workloads::{
         ScenarioSpec, TraceGenerator, TraceReader, TraceWriter, WorkloadProfile, WorkloadSpec,
     };

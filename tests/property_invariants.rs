@@ -8,12 +8,12 @@ use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_cuckoo::seed_reference::AosReferenceTable;
 use ccd_cuckoo::{CuckooConfig, CuckooDirectory, CuckooTable};
 use ccd_hash::HashKind;
-use ccd_sharers::{CoarseVector, FullBitVector, HierarchicalVector, LimitedPointer, SharerSet};
+use ccd_sharers::{CoarseVector, FullBitVector, LimitedPointer, SharerSet, WideBitVector};
 use cuckoo_directory::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 /// An abstract operation applied to a sharer set / directory entry.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum SharerOp {
     Add(u32),
     Remove(u32),
@@ -30,36 +30,96 @@ fn random_sharer_ops(rng: &mut SplitMix64, num_caches: u32, len: usize) -> Vec<S
         .collect()
 }
 
-/// Applies the ops to a reference model (exact set) and a representation
-/// under test, then checks the conservativeness contract.
-fn check_sharer_set<S: SharerSet>(num_caches: usize, ops: &[SharerOp]) {
+/// The set a sharer format documents: up to `k` exact pointers, then, from
+/// a `k + 1`-th sharer until the next `Clear`, every cache of every region
+/// marked, the caches split into `regions` equal runs.  An exact vector is
+/// the model whose pointers never overflow (`k` = every cache).
+#[derive(Clone)]
+struct PointerModel {
+    caches: u32,
+    k: usize,
+    per: u32,
+    pointers: Vec<u32>,
+    regions: u64,
+}
+
+impl PointerModel {
+    fn new(caches: u32, k: usize, regions: u32) -> Self {
+        let (per, pointers) = (caches.div_ceil(regions), Vec::new());
+        PointerModel {
+            caches,
+            k,
+            per,
+            pointers,
+            regions: 0,
+        }
+    }
+
+    fn apply(&mut self, op: SharerOp) {
+        let per = self.per;
+        let region = |c: u32| 1u64 << (c / per);
+        match op {
+            SharerOp::Add(c) if self.regions != 0 => self.regions |= region(c),
+            SharerOp::Add(c) if self.pointers.contains(&c) => {}
+            SharerOp::Add(c) if self.pointers.len() < self.k => self.pointers.push(c),
+            SharerOp::Add(c) => {
+                self.regions = self
+                    .pointers
+                    .drain(..)
+                    .map(region)
+                    .fold(region(c), |m, r| m | r)
+            }
+            SharerOp::Remove(c) => self.pointers.retain(|&p| p != c),
+            SharerOp::Clear => (self.pointers, self.regions) = (Vec::new(), 0),
+        }
+    }
+
+    fn targets(&self) -> Vec<CacheId> {
+        let mut caches = self.pointers.clone();
+        caches.sort_unstable();
+        caches.extend((0..self.caches).filter(|c| self.regions >> (c / self.per) & 1 != 0));
+        caches.into_iter().map(CacheId::new).collect()
+    }
+}
+
+/// Applies the ops to the true set, the documented set and a representation
+/// under test, then checks that the representation answers the documented
+/// set and that it covers the true one.
+fn check_sharer_set<S: SharerSet>(mut documented: PointerModel, ops: &[SharerOp]) {
     let mut model: HashSet<u32> = HashSet::new();
-    let mut set = S::new(num_caches);
-    for op in ops {
+    let mut set = S::new(documented.caches as usize);
+    for &op in ops {
+        documented.apply(op);
         match op {
             SharerOp::Add(c) => {
-                model.insert(*c);
-                set.add(CacheId::new(*c));
+                model.insert(c);
+                set.add(CacheId::new(c));
             }
             SharerOp::Remove(c) => {
-                model.remove(c);
-                set.remove(CacheId::new(*c));
+                model.remove(&c);
+                set.remove(CacheId::new(c));
             }
             SharerOp::Clear => {
                 model.clear();
                 set.clear();
             }
         }
+        let targets = set.invalidation_targets();
+        assert_eq!(
+            targets,
+            documented.targets(),
+            "not the documented set after {op:?}"
+        );
+        for c in (0..documented.caches).map(CacheId::new) {
+            assert_eq!(set.may_contain(c), targets.contains(&c), "{c} after {op:?}");
+        }
+        assert_eq!(set.is_empty(), targets.is_empty());
         // Conservativeness: every true sharer is covered.
         for &c in &model {
             assert!(
-                set.may_contain(CacheId::new(c)),
+                targets.contains(&CacheId::new(c)),
                 "lost true sharer cache{c}"
             );
-        }
-        let targets = set.invalidation_targets();
-        for &c in &model {
-            assert!(targets.contains(&CacheId::new(c)));
         }
         // The zero-allocation path must agree with the allocating one.
         let mut extended: Vec<CacheId> = Vec::new();
@@ -73,40 +133,39 @@ fn check_sharer_set<S: SharerSet>(num_caches: usize, ops: &[SharerOp]) {
                 "exact representation reported wrong cardinality"
             );
         }
-        // An empty report implies the model is empty too.
-        if set.is_empty() {
-            assert!(model.is_empty());
-        }
     }
 }
 
-fn sharer_set_property<S: SharerSet>(num_caches: usize, seed: u64) {
+fn sharer_set_property<S: SharerSet>(documented: PointerModel, seed: u64) {
     let mut rng = SplitMix64::new(seed);
     for round in 0..64 {
         let len = 1 + (round % 63);
-        let ops = random_sharer_ops(&mut rng, num_caches as u32, len);
-        check_sharer_set::<S>(num_caches, &ops);
+        let ops = random_sharer_ops(&mut rng, documented.caches, len);
+        check_sharer_set::<S>(documented.clone(), &ops);
     }
 }
 
 #[test]
 fn full_vector_is_always_exact() {
-    sharer_set_property::<FullBitVector>(64, 0xF011);
+    sharer_set_property::<FullBitVector>(PointerModel::new(64, 64, 1), 0xF011);
 }
 
+/// The representation of full and hierarchical entries above 64 caches.
 #[test]
-fn hierarchical_vector_is_always_exact() {
-    sharer_set_property::<HierarchicalVector>(100, 0x41E2);
+fn wide_vector_is_always_exact() {
+    sharer_set_property::<WideBitVector>(PointerModel::new(100, 100, 1), 0x41E2);
 }
 
+/// Two pointers, then 2·log2(64) = 12 regions of 6 caches.
 #[test]
 fn coarse_vector_is_conservative() {
-    sharer_set_property::<CoarseVector>(64, 0xC0A2);
+    sharer_set_property::<CoarseVector>(PointerModel::new(64, 2, 12), 0xC0A2);
 }
 
+/// Four pointers, then one region: broadcast.
 #[test]
 fn limited_pointer_is_conservative() {
-    sharer_set_property::<LimitedPointer>(32, 0x117D);
+    sharer_set_property::<LimitedPointer>(PointerModel::new(32, 4, 1), 0x117D);
 }
 
 #[test]

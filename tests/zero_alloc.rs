@@ -8,9 +8,9 @@
 //! `apply_batch` (the default's loop and the cuckoo directory's staged
 //! pipeline) and the raw cuckoo table's `probe_batch` /
 //! `apply_batch`, which probe through the SoA tag arrays with caller-owned
-//! buffers.  A cuckoo directory of full vectors over at most 64 caches
-//! goes further: its entry's sharer set is the presence word itself, so
-//! even allocating and freeing an entry stays off the heap.
+//! buffers.  Up to 64 caches every sharer format goes further: an entry's
+//! sharer set is inline data (a presence word, or pointers and a region
+//! mask), so even allocating and freeing an entry stays off the heap.
 //!
 //! The same allocator sees every layout, so it also checks that the table's
 //! cache-line- and huge-page-aligned buffers (`ccd_common::pages::PageBuf`)
@@ -24,6 +24,7 @@ use ccd_common::{CacheId, LineAddr};
 use ccd_cuckoo::{standard_registry, CuckooTable, InsertOutcome};
 use ccd_directory::{DirectoryOp, Outcome};
 use ccd_hash::HashKind;
+use ccd_sharers::{CoarseVector, FullBitVector, LimitedPointer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
@@ -118,19 +119,30 @@ fn steady_state_hot_paths_do_not_allocate() {
         "cuckoo-4x512@hier",
         "cuckoo-4x512@limited",
         "sparse-8x512",
+        "sparse-8x512@coarse",
         "skewed-4x1024",
+        "skewed-4x1024@limited",
         "duplicate-tag-2x32",
         "in-cache-16x64",
         "tagless-2x32",
         "sharded4:cuckoo-4x512-skew",
     ];
-    /// Full vectors over 16, 32 (the default) and 64 caches: the presence
-    /// word each.
+    /// Every format's sharer set up to 64 caches: full vectors over 16, 32
+    /// (the default) and 64 caches, the presence word each; coarse and
+    /// limited pointers; hierarchical entries, presence words too.
     const INLINE_SPECS: &[&str] = &[
         "cuckoo-4x512-skew",
         "cuckoo-4x512-skew-c16",
         "cuckoo-4x512-skew-c64",
+        "cuckoo-4x512@coarse",
+        "cuckoo-4x512@hier",
+        "cuckoo-4x512@limited",
+        "sparse-8x512@coarse",
+        "skewed-4x1024@limited",
     ];
+    assert_eq!(std::mem::size_of::<FullBitVector>(), 8);
+    assert!(std::mem::size_of::<CoarseVector>() <= 32);
+    assert!(std::mem::size_of::<LimitedPointer>() <= 32);
     let registry = standard_registry();
     for spec in SPECS {
         let mut dir = registry.build_str(spec).expect(spec);
@@ -232,7 +244,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         });
         assert_eq!(batched, 0, "{spec}: apply_batch allocated {batched} times");
 
-        // 5. The allocating cycle, where the sharer vector is inline: an
+        // 5. The allocating cycle, where the sharer set is inline: an
         // `AddSharer` of an untracked line allocates an entry and the
         // `RemoveSharer` of its only sharer frees it, one op at a time and
         // batched, without the heap.
