@@ -22,10 +22,12 @@
 //!
 //! Nothing here reads a clock.  Wall time belongs to the repository
 //! benchmark (`src/bin/benchmark/`), which measures it with trials and
-//! spreads; `ccd-lint`'s `no-wallclock` rule keeps it there.
+//! spreads.  Clippy's `disallowed_methods` keeps the clock out of every
+//! other crate; the `figs` output is golden-pinned byte for byte.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod sweep;
 pub mod text;

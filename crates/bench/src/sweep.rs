@@ -343,7 +343,7 @@ mod tests {
         // *shared* across organizations: competing organizations replay
         // identical traces (trace-paired comparisons), and re-expanding the
         // spec reproduces the same seeds.
-        let seeds: std::collections::HashSet<u64> = jobs.iter().map(|(_, j)| j.seed).collect();
+        let seeds: std::collections::BTreeSet<u64> = jobs.iter().map(|(_, j)| j.seed).collect();
         assert_eq!(seeds.len(), 4, "2 workloads x 2 seeds");
         for i in 0..4 {
             assert_eq!(

@@ -221,6 +221,10 @@ impl Cache {
         let range = self.frame_range(self.set_of(line));
         // First invalid frame, else the LRU one (see `Frame`); ties go to
         // the first, as `min_by_key` promises.
+        #[expect(
+            clippy::expect_used,
+            reason = "set associativity is validated non-zero at construction, so every set has a candidate frame"
+        )]
         let frame = self.frames[range]
             .iter_mut()
             .min_by_key(|fr| fr.stamp)
@@ -309,7 +313,6 @@ impl Cache {
 /// search and then an LRU search on a fill.  The lockstep test below drives
 /// it beside [`Cache`]; nothing else uses it.
 #[cfg(test)]
-#[allow(dead_code)]
 mod reference {
     use super::{AccessOutcome, CacheStats, CoherenceState, Eviction};
     use crate::CacheConfig;
@@ -353,39 +356,16 @@ mod reference {
             })
         }
 
-        /// The cache geometry.
-        #[must_use]
-        pub fn config(&self) -> &CacheConfig {
-            &self.config
-        }
-
         /// Accumulated statistics.
         #[must_use]
         pub fn stats(&self) -> &CacheStats {
             &self.stats
         }
 
-        /// Resets the statistics (not the contents).
-        pub fn reset_stats(&mut self) {
-            self.stats = CacheStats::default();
-        }
-
         /// Number of resident blocks.
         #[must_use]
         pub fn len(&self) -> usize {
             self.valid
-        }
-
-        /// `true` when no blocks are resident.
-        #[must_use]
-        pub fn is_empty(&self) -> bool {
-            self.valid == 0
-        }
-
-        /// Fraction of frames currently holding valid blocks.
-        #[must_use]
-        pub fn occupancy(&self) -> f64 {
-            self.valid as f64 / self.config.frames() as f64
         }
 
         fn set_of(&self, line: LineAddr) -> usize {

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
 pub mod config;

@@ -171,31 +171,43 @@ impl ParallelRunner {
             return items.iter().map(f).collect();
         }
         let workers = self.workers.min(items.len());
-        let results: Vec<std::sync::Mutex<Option<R>>> =
-            items.iter().map(|_| std::sync::Mutex::new(None)).collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // ordering: Relaxed suffices — the cursor only hands out
-                    // distinct indices (fetch_add is atomic at every
-                    // ordering); results are published through each slot's
-                    // Mutex and the scope join, not through this counter.
-                    let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if index >= items.len() {
-                        break;
-                    }
-                    let result = f(&items[index]);
-                    *results[index].lock().unwrap() = Some(result);
-                });
-            }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the runner is one of the two sanctioned thread owners; results are collected by input index"
+        )]
+        let mut indexed: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut done = Vec::new();
+                        loop {
+                            // ordering: Relaxed suffices — the cursor only
+                            // hands out distinct indices (fetch_add is atomic
+                            // at every ordering); results are published
+                            // through each worker's join, not through this
+                            // counter.
+                            let index = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                            let Some(item) = items.get(index) else {
+                                break done;
+                            };
+                            done.push((index, f(item)));
+                        }
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
         });
-
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap().expect("every item processed"))
-            .collect()
+        indexed.sort_unstable_by_key(|&(index, _)| index);
+        indexed.into_iter().map(|(_, result)| result).collect()
     }
 
     /// Runs every job, returning reports in job order.

@@ -714,6 +714,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "proves a simulator can move to another thread"
+    )]
     fn simulators_are_send() {
         fn assert_send<T: Send>() {}
         assert_send::<CmpSimulator>();

@@ -220,6 +220,10 @@ impl BlockGeometry {
     /// Panics if `block_bytes` is not a power of two. Use
     /// [`BlockGeometry::try_new`] for a fallible constructor.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; `try_new` is the fallible variant for untrusted input"
+    )]
     pub fn new(block_bytes: u64) -> Self {
         Self::try_new(block_bytes).expect("block size must be a non-zero power of two")
     }

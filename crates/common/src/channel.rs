@@ -43,6 +43,10 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "blocking and disconnect need a second thread on the other end of the lane"
+)]
 mod tests {
     use super::*;
     use std::sync::mpsc::TrySendError;

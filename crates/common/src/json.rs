@@ -4,9 +4,8 @@
 //! The build environment cannot fetch `serde`, so everything that reads or
 //! writes JSON goes through here: the `figs` result files (rows built with
 //! [`obj!`](crate::obj), values converted by [`ToJson`], written by
-//! [`Json::to_pretty`]), the observability snapshot (`ccd_obs::expo`), and
-//! `ccd-lint`'s diagnostics and unsafe inventory (written by
-//! [`Json::to_pretty_folded`], read back by [`parse`]).
+//! [`Json::to_pretty`]), and the observability snapshot (`ccd_obs::expo`,
+//! written by [`Json::to_pretty_folded`]); [`parse`] reads either back.
 //!
 //! Integers are a variant of their own, [`Json::Int`]: a `u64` counter is
 //! written and read back as its exact digits, never through an `f64`.

@@ -38,6 +38,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod addr;
 pub mod channel;
@@ -46,7 +47,9 @@ pub mod error;
 pub mod ids;
 pub mod json;
 pub mod mem;
+#[allow(unsafe_code, reason = "raw allocation and `madvise`")]
 pub mod pages;
+#[allow(unsafe_code, reason = "the prefetch intrinsic")]
 pub mod prefetch;
 pub mod rng;
 pub mod stats;

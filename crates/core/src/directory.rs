@@ -434,7 +434,7 @@ mod tests {
         let mut out = Outcome::new();
         let mut rng = SplitMix64::new(7);
         let target = d.capacity() / 2;
-        let mut inserted = std::collections::HashSet::new();
+        let mut inserted = std::collections::BTreeSet::new();
         while d.len() < target {
             let l = line(rng.next_u64() >> 10);
             if !inserted.insert(l.block_number()) {

@@ -49,12 +49,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod config;
 pub mod directory;
 #[doc(hidden)]
 pub mod seed_reference;
 pub mod simd;
+#[allow(unsafe_code, reason = "unchecked slots, uninit payloads")]
 pub mod table;
 
 pub use config::CuckooConfig;

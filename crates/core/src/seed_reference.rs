@@ -87,6 +87,10 @@ impl<V> AosReferenceTable<V> {
     /// Removes `key`, returning its payload.
     pub fn remove(&mut self, key: u64) -> Option<V> {
         let slot = self.find(key)?;
+        #[expect(
+            clippy::expect_used,
+            reason = "the reference model only takes/updates slots its own bookkeeping marked occupied"
+        )]
         let (_, value) = self.slots[slot].take().expect("slot is valid");
         self.valid -= 1;
         Some(value)
@@ -102,6 +106,10 @@ impl<V> AosReferenceTable<V> {
     /// Inserts with the seed's exact procedure and accounting: `find` then
     /// `find_vacant` (each hashing every way), then the displacement chain.
     /// Returns `(attempts, discarded)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the reference model only updates slots its own bookkeeping marked occupied, and cuckoo displacement by definition evicts an existing occupant"
+    )]
     pub fn insert(&mut self, key: u64, value: V) -> (u32, Option<(u64, V)>) {
         if let Some(slot) = self.find(key) {
             self.slots[slot].as_mut().expect("slot is valid").1 = value;

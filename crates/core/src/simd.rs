@@ -6,9 +6,8 @@
 //! (`crates/bench/src/bin/benchmark/host.rs`); ROADMAP item 1(e) deletes it
 //! together with that line.
 //!
-//! Detection is the one CPU-feature query outside the prefetch hint in
-//! `ccd-common`; ccd-lint's `arch-confinement` rule keeps
-//! `is_x86_feature_detected!` in these two modules.
+//! Detection is the workspace's one CPU-feature query: clippy's
+//! `disallowed_macros` rejects `is_x86_feature_detected!` anywhere else.
 
 /// Which vector instruction set the host offers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,6 +27,7 @@ impl VectorEngine {
     #[must_use]
     pub fn detect() -> VectorEngine {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
+        #[expect(clippy::disallowed_macros, reason = "the sanctioned CPU-feature query")]
         {
             if is_x86_feature_detected!("avx2") {
                 return VectorEngine::Avx2;
@@ -38,7 +38,10 @@ impl VectorEngine {
         {
             return VectorEngine::Neon;
         }
-        #[allow(unreachable_code)]
+        #[allow(
+            unreachable_code,
+            reason = "reached only under Miri or on other architectures"
+        )]
         VectorEngine::Portable
     }
 

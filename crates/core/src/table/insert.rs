@@ -230,6 +230,10 @@ impl<V> CuckooTable<V> {
         value: V,
         indices: &mut [usize; N],
     ) -> InsertOutcome<V> {
+        #[expect(
+            clippy::expect_used,
+            reason = "displace_bfs only runs under InsertPolicy::Bfs, and set_insert_policy allocates the arena before the policy can take effect"
+        )]
         let mut scratch = self
             .bfs
             .take()
@@ -405,6 +409,10 @@ impl<V> CuckooTable<V> {
             // The chain may have moved the new entry again before settling,
             // so its final slot needs one re-probe (rare path: all candidate
             // slots were occupied).
+            #[expect(
+                clippy::expect_used,
+                reason = "find runs immediately after an insert that stored the key on its terminal path"
+            )]
             let slot = self
                 .find_n::<N>(key)
                 .expect("insertion always stores the requested key");

@@ -2,7 +2,7 @@ use super::kernels::{fingerprint, fold_lanes, swar_match};
 use super::*;
 use crate::seed_reference::AosReferenceTable;
 use ccd_common::rng::{Rng64, SplitMix64};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn filled_table(ways: usize, sets: usize, fill: usize, seed: u64) -> (CuckooTable<u64>, Vec<u64>) {
     let mut table = CuckooTable::new(ways, sets, HashKind::Strong, seed).unwrap();
@@ -129,7 +129,7 @@ fn all_inserted_keys_are_retrievable_at_half_occupancy() {
         assert_eq!(table.get(k), Some(&(k * 2)));
     }
     // Iteration covers exactly the stored keys.
-    let iterated: HashSet<u64> = table.iter().map(|(k, _)| k).collect();
+    let iterated: BTreeSet<u64> = table.iter().map(|(k, _)| k).collect();
     assert_eq!(iterated.len(), keys.len());
     for &k in &keys {
         assert!(iterated.contains(&k));
@@ -681,8 +681,8 @@ fn bfs_and_greedy_store_the_same_keys_until_a_discard() {
             discard_free = i + 1;
             assert_eq!(greedy.len(), bfs.len(), "{kind} diverged at insert {i}");
             assert!(greedy.contains(key) && bfs.contains(key));
-            let reference: HashSet<u64> = greedy.iter().map(|(k, _)| k).collect();
-            let contents: HashSet<u64> = bfs.iter().map(|(k, _)| k).collect();
+            let reference: BTreeSet<u64> = greedy.iter().map(|(k, _)| k).collect();
+            let contents: BTreeSet<u64> = bfs.iter().map(|(k, _)| k).collect();
             assert_eq!(contents, reference, "{kind} key sets diverged at {i}");
         }
         assert!(

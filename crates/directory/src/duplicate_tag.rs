@@ -43,7 +43,10 @@ pub struct DuplicateTagDirectory {
     valid: usize,
     stats: DirectoryStats,
     /// Number of distinct lines currently tracked (for `len`)
-    // ccd-lint: allow(no-default-hasher) reason="membership/count only, never iterated; probe-path lookups need O(1)"
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership/count only, never iterated; probe-path lookups need O(1)"
+    )]
     distinct: std::collections::HashMap<u64, u32>,
 }
 
@@ -92,8 +95,7 @@ impl DuplicateTagDirectory {
             tick: 0,
             valid: 0,
             stats: DirectoryStats::new(),
-            // ccd-lint: allow(no-default-hasher) reason="membership/count only, never iterated"
-            distinct: std::collections::HashMap::new(),
+            distinct: Default::default(),
         })
     }
 
@@ -165,9 +167,17 @@ impl DuplicateTagDirectory {
         }
         // Mirror set full: replace the LRU frame (the private cache must have
         // replaced it too; if not, report the stale entry as forcibly evicted).
+        #[expect(
+            clippy::expect_used,
+            reason = "mirrored cache associativity is validated non-zero at construction"
+        )]
         let frame = range
             .min_by_key(|&f| self.mirrors[f].as_ref().map_or(0, |e| e.last_use))
             .expect("cache_ways > 0");
+        #[expect(
+            clippy::expect_used,
+            reason = "LRU victim search runs only on full sets, where every mirror entry is Some"
+        )]
         let victim = self.mirrors[frame]
             .replace(MirrorEntry {
                 line,
@@ -186,10 +196,12 @@ impl DuplicateTagDirectory {
         if let Some(frame) = self.find_in_mirror(cache, line) {
             // Already mirrored for this cache; refresh recency.
             self.tick += 1;
-            self.mirrors[frame]
-                .as_mut()
-                .expect("frame is valid")
-                .last_use = self.tick;
+            #[expect(
+                clippy::expect_used,
+                reason = "the touched frame was found by the hit scan an instruction earlier"
+            )]
+            let entry = self.mirrors[frame].as_mut().expect("frame is valid");
+            entry.last_use = self.tick;
             self.stats.sharer_adds.incr();
             out.set_hit(true);
             return;

@@ -74,6 +74,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod duplicate_tag;
 pub mod in_cache;
@@ -665,6 +666,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "proves a built slice can move to another thread"
+    )]
     fn built_directories_are_send() {
         fn assert_send<T: Send + ?Sized>() {}
         assert_send::<dyn Directory>();

@@ -51,7 +51,10 @@ struct Entry<S> {
 
 /// A line's candidate slots, one a way.  Lives on the stack for the length
 /// of one lookup, so the hashed variant's array is not boxed.
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "a stack value for one lookup; boxing the array would allocate per lookup"
+)]
 enum Candidates {
     /// The `ways` consecutive slots from `base` on (set-major numbering).
     Set { base: usize },
@@ -150,6 +153,10 @@ impl<S: SharerSet> SlotDirectory<S> {
         self.last_use[slot] = self.tick;
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "slot indices come from find_or_allocate/hit scans, which only yield occupied slots"
+    )]
     fn entry_mut(&mut self, slot: usize) -> &mut Entry<S> {
         self.slots[slot].as_mut().expect("slot is valid")
     }

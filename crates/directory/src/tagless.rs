@@ -28,8 +28,6 @@ use crate::spec::{capacity_too_large, checked_capacity, try_filled};
 use crate::{Directory, DirectoryOp, DirectoryStats, Outcome};
 use ccd_common::rng::SplitMix64;
 use ccd_common::{CacheId, ConfigError, LineAddr};
-// ccd-lint: allow(no-default-hasher) reason="exact-presence map is keyed lookups only, never iterated"
-use std::collections::HashMap;
 
 /// Default number of Bloom-filter buckets per (cache, set) filter.
 pub const DEFAULT_BUCKETS: usize = 64;
@@ -52,8 +50,11 @@ pub struct TaglessDirectory {
     /// Exact per-line presence, used to keep the counting filters consistent
     /// and to answer `len`/`contains` exactly (mirrors the bookkeeping the
     /// hardware design derives from observing cache fills and evictions).
-    // ccd-lint: allow(no-default-hasher) reason="keyed lookups only, never iterated; sharers-path gets need O(1)"
-    present: HashMap<u64, Vec<CacheId>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookups only, never iterated; sharers-path gets need O(1)"
+    )]
+    present: std::collections::HashMap<u64, Vec<CacheId>>,
     stats: DirectoryStats,
 }
 
@@ -150,8 +151,7 @@ impl TaglessDirectory {
             buckets,
             probes,
             filters,
-            // ccd-lint: allow(no-default-hasher) reason="keyed lookups only, never iterated"
-            present: HashMap::new(),
+            present: Default::default(),
             stats: DirectoryStats::new(),
         })
     }

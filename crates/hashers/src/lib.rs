@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod family;
 pub mod multiply_shift;

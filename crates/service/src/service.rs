@@ -197,7 +197,6 @@ impl ServiceReport {
     /// count.  Two reports with equal `semantics()` applied the same
     /// per-shard streams to the same effect.
     #[must_use]
-    #[allow(clippy::type_complexity)]
     pub fn semantics(
         &self,
     ) -> (
@@ -229,7 +228,10 @@ impl ServiceReport {
     /// serial reference on this view: shedding and recovery may change how
     /// work was scheduled and accounted, never what it computed.
     #[must_use]
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "a flat tuple compares with `==` and prints every field on a mismatch"
+    )]
     pub fn recovery_semantics(
         &self,
     ) -> (
@@ -630,7 +632,6 @@ pub(crate) fn maybe_resize(
 /// The outcome-accounting kernel shared by both worker paths and the
 /// serial reference (free function so closures can borrow the output
 /// fields disjointly from the slices).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn absorb_into(
     outcomes: &mut OutcomeLog,
     invalidations: &mut u64,
@@ -660,7 +661,10 @@ pub(crate) fn absorb_into(
 /// When the worker logs are not strictly ascending and disjoint in `seq`,
 /// naming the worker: the service broke its own routing contract, and a
 /// report built from such logs would be wrong silently.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the report's parts, each from a different stage of the run"
+)]
 pub(crate) fn finish(
     organization: String,
     shards: usize,
@@ -737,6 +741,10 @@ pub(crate) fn finish(
         }
     });
     let logs = outputs.into_iter().map(|output| output.outcomes).collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "reassemble checks strict seq order while folding the digest; a violation means the router delivered one request to two workers or a worker reordered its FIFO queue, and a report built from such logs would be silently wrong (documented under # Panics)"
+    )]
     let (outcomes, digest) = reassemble(logs)
         .expect("each worker logs its own requests, in the order its FIFO queue delivered them");
     let outcome_digest = if record { digest } else { 0 };

@@ -441,6 +441,10 @@ pub(crate) fn run_concurrent(
         owned[global % workers].push(slice);
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the supervisor is one of the two sanctioned thread owners; outputs merge in fixed shard order"
+    )]
     let (outputs, shed, recoveries, router_recording) = std::thread::scope(|scope| {
         let mut sup = Supervisor::launch(scope, &env, owned);
 

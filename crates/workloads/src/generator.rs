@@ -161,7 +161,7 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn stream_is_deterministic() {
@@ -268,7 +268,7 @@ mod tests {
         let refs: Vec<_> = TraceGenerator::new(WorkloadProfile::db2(), 16, 13)
             .take(100_000)
             .collect();
-        let shared_blocks: HashSet<u64> = refs
+        let shared_blocks: BTreeSet<u64> = refs
             .iter()
             .filter(|r| r.addr.raw() >= SHARED_DATA_BASE && r.addr.raw() < PRIVATE_REGION_BASE)
             .map(|r| r.addr.raw() / DEFAULT_BLOCK_BYTES)
@@ -305,7 +305,7 @@ mod tests {
         let refs: Vec<_> = TraceGenerator::new(profile.clone(), 4, 23)
             .take(400_000)
             .collect();
-        let private_blocks: HashSet<u64> = refs
+        let private_blocks: BTreeSet<u64> = refs
             .iter()
             .filter(|r| r.addr.raw() >= PRIVATE_REGION_BASE)
             .map(|r| r.addr.raw() / DEFAULT_BLOCK_BYTES)

@@ -282,7 +282,7 @@ mod tests {
         for p in &all {
             assert!(p.is_valid(), "{} invalid", p.name);
         }
-        let names: std::collections::HashSet<_> = all.iter().map(|p| p.name).collect();
+        let names: std::collections::BTreeSet<_> = all.iter().map(|p| p.name).collect();
         assert_eq!(names.len(), 9);
     }
 

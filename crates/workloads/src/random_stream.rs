@@ -6,15 +6,16 @@
 //! 64-bit keys drawn uniformly at random, deterministic for a given seed.
 
 use ccd_common::rng::{Rng64, Xoshiro256};
-// ccd-lint: allow(no-default-hasher) reason="dedup membership only, never iterated"
-use std::collections::HashSet;
 
 /// An infinite stream of unique random 64-bit keys.
 #[derive(Clone, Debug)]
 pub struct RandomKeyStream {
     rng: Xoshiro256,
-    // ccd-lint: allow(no-default-hasher) reason="dedup membership only, never iterated"
-    seen: HashSet<u64>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "dedup membership only, never iterated"
+    )]
+    seen: std::collections::HashSet<u64>,
 }
 
 impl RandomKeyStream {
@@ -23,8 +24,7 @@ impl RandomKeyStream {
     pub fn new(seed: u64) -> Self {
         RandomKeyStream {
             rng: Xoshiro256::new(seed),
-            // ccd-lint: allow(no-default-hasher) reason="dedup membership only, never iterated"
-            seen: HashSet::new(),
+            seen: Default::default(),
         }
     }
 
@@ -67,7 +67,7 @@ mod tests {
         let ka: Vec<u64> = a.by_ref().take(10_000).collect();
         let kb: Vec<u64> = b.by_ref().take(10_000).collect();
         assert_eq!(ka, kb);
-        let unique: HashSet<_> = ka.iter().collect();
+        let unique: std::collections::BTreeSet<_> = ka.iter().collect();
         assert_eq!(unique.len(), ka.len());
         assert_eq!(a.drawn(), 10_000);
     }

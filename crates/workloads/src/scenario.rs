@@ -679,7 +679,7 @@ impl fmt::Display for ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::{HashMap, HashSet};
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn take(spec: &str, cores: usize, seed: u64, n: usize) -> Vec<MemRef> {
         spec.parse::<ScenarioSpec>()
@@ -782,7 +782,7 @@ mod tests {
         let writes = refs.iter().filter(|r| r.kind.is_write()).count();
         let rate = writes as f64 / refs.len() as f64;
         assert!((rate - 0.2).abs() < 0.02, "{rate}");
-        let lines: HashSet<u64> = refs.iter().map(|r| r.addr.raw() / 64).collect();
+        let lines: BTreeSet<u64> = refs.iter().map(|r| r.addr.raw() / 64).collect();
         assert!(lines.len() <= 512);
         assert!(lines.len() > 256, "zipf tail should still be touched");
         for r in &refs {
@@ -804,7 +804,7 @@ mod tests {
             assert!(writes
                 .iter()
                 .all(|r| r.kind.is_write() && r.core == producer));
-            let written: HashSet<u64> = writes.iter().map(|r| r.addr.raw()).collect();
+            let written: BTreeSet<u64> = writes.iter().map(|r| r.addr.raw()).collect();
             assert_eq!(written.len(), epoch, "distinct buffer lines");
             for r in reads {
                 assert!(!r.kind.is_write());
@@ -812,7 +812,7 @@ mod tests {
                 assert!(written.contains(&r.addr.raw()), "consumers read the buffer");
             }
             // Every consumer reads every line exactly once.
-            let mut per_core: HashMap<u32, usize> = HashMap::new();
+            let mut per_core: BTreeMap<u32, usize> = BTreeMap::new();
             for r in reads {
                 *per_core.entry(r.core.raw()).or_default() += 1;
             }
@@ -827,7 +827,7 @@ mod tests {
         let refs = take("migratory-b256-e32-zipf0.4", 8, 5, 40_000);
         // Refs come in read+write pairs by the same core; group by
         // (epoch, line) and check a single core touches each.
-        let mut owner_of: HashMap<(u64, u64), u32> = HashMap::new();
+        let mut owner_of: BTreeMap<(u64, u64), u32> = BTreeMap::new();
         for (pair_index, pair) in refs.chunks(2).enumerate() {
             assert_eq!(pair.len(), 2);
             assert!(!pair[0].kind.is_write() && pair[1].kind.is_write());
@@ -852,10 +852,10 @@ mod tests {
     #[test]
     fn falseshare_cores_hit_the_same_lines_at_disjoint_bytes() {
         let refs = take("falseshare-b16", 8, 11, 20_000);
-        let lines: HashSet<u64> = refs.iter().map(|r| r.addr.raw() / 64).collect();
+        let lines: BTreeSet<u64> = refs.iter().map(|r| r.addr.raw() / 64).collect();
         assert!(lines.len() <= 16, "footprint stays inside the hot set");
         // Several cores write the same line (that is the false sharing)...
-        let mut writers_of: HashMap<u64, HashSet<u32>> = HashMap::new();
+        let mut writers_of: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
         for r in refs.iter().filter(|r| r.kind.is_write()) {
             writers_of
                 .entry(r.addr.raw() / 64)
@@ -872,12 +872,12 @@ mod tests {
         // Slots shrink with the core count so they stay disjoint: with 16
         // cores each gets its own 4-byte slot.
         let refs16 = take("falseshare-b16", 16, 11, 20_000);
-        let mut slot_of: HashMap<u32, u64> = HashMap::new();
+        let mut slot_of: BTreeMap<u32, u64> = BTreeMap::new();
         for r in &refs16 {
             let slot = (r.addr.raw() % 64) / 4;
             assert_eq!(*slot_of.entry(r.core.raw()).or_insert(slot), slot);
         }
-        let distinct: HashSet<u64> = slot_of.values().copied().collect();
+        let distinct: BTreeSet<u64> = slot_of.values().copied().collect();
         assert_eq!(distinct.len(), 16, "16 cores, 16 disjoint 4-byte slots");
     }
 
@@ -885,8 +885,8 @@ mod tests {
     fn stream_scans_are_sequential_per_core_with_low_reuse() {
         let blocks = 1_024;
         let refs = take("stream-b1024", 4, 13, 4 * blocks);
-        let mut last: HashMap<u32, u64> = HashMap::new();
-        let mut per_core_lines: HashMap<u32, HashSet<u64>> = HashMap::new();
+        let mut last: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut per_core_lines: BTreeMap<u32, BTreeSet<u64>> = BTreeMap::new();
         for r in &refs {
             let line = r.addr.raw() / 64;
             if let Some(&prev) = last.get(&r.core.raw()) {
@@ -902,7 +902,7 @@ mod tests {
         for lines in per_core_lines.values() {
             assert_eq!(lines.len(), blocks);
         }
-        let all: HashSet<u64> = per_core_lines.values().flatten().copied().collect();
+        let all: BTreeSet<u64> = per_core_lines.values().flatten().copied().collect();
         assert_eq!(all.len(), 4 * blocks, "per-core regions are disjoint");
     }
 }

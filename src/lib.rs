@@ -81,6 +81,7 @@
 //! of the paper's evaluation.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub use ccd_cache as cache;
 pub use ccd_coherence as coherence;

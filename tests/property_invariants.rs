@@ -10,7 +10,7 @@ use ccd_cuckoo::{CuckooConfig, CuckooDirectory, CuckooTable};
 use ccd_hash::HashKind;
 use ccd_sharers::{CoarseVector, FullBitVector, LimitedPointer, SharerSet, WideBitVector};
 use cuckoo_directory::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// An abstract operation applied to a sharer set / directory entry.
 #[derive(Clone, Copy, Debug)]
@@ -86,7 +86,7 @@ impl PointerModel {
 /// under test, then checks that the representation answers the documented
 /// set and that it covers the true one.
 fn check_sharer_set<S: SharerSet>(mut documented: PointerModel, ops: &[SharerOp]) {
-    let mut model: HashSet<u32> = HashSet::new();
+    let mut model: BTreeSet<u32> = BTreeSet::new();
     let mut set = S::new(documented.caches as usize);
     for &op in ops {
         documented.apply(op);
@@ -175,9 +175,9 @@ fn cuckoo_table_never_loses_undiscarded_keys() {
     for round in 0..49u64 {
         let ways = 2 + (round % 7) as usize;
         let key_count = 1 + rng.next_below(300) as usize;
-        let keys: HashSet<u64> = (0..key_count).map(|_| rng.next_below(1_000_000)).collect();
+        let keys: BTreeSet<u64> = (0..key_count).map(|_| rng.next_below(1_000_000)).collect();
         let mut table: CuckooTable<u64> = CuckooTable::new(ways, 256, HashKind::Strong, 7).unwrap();
-        let mut expected: HashSet<u64> = HashSet::new();
+        let mut expected: BTreeSet<u64> = BTreeSet::new();
         for &k in &keys {
             let outcome = table.insert(k, k);
             expected.insert(k);
@@ -206,7 +206,7 @@ fn cuckoo_directory_tracks_exactly_the_uncovered_model() {
     let mut rng = SplitMix64::new(0xD1CE);
     for _ in 0..24 {
         let mut dir = CuckooDirectory::<FullBitVector>::new(CuckooConfig::new(4, 256, 8)).unwrap();
-        let mut model: HashMap<u64, HashSet<u32>> = HashMap::new();
+        let mut model: BTreeMap<u64, BTreeSet<u32>> = BTreeMap::new();
         let mut out = Outcome::new();
         let op_count = 1 + rng.next_below(400) as usize;
         for _ in 0..op_count {
@@ -307,8 +307,8 @@ fn soa_table_matches_the_seed_aos_model_bit_for_bit() {
                     "{ways}x{sets}-{kind} budget {budget}: after step {step}"
                 );
             }
-            let table_contents: HashMap<u64, u64> = table.iter().map(|(k, v)| (k, *v)).collect();
-            let model_contents: HashMap<u64, u64> = model.iter().map(|(k, v)| (k, *v)).collect();
+            let table_contents: BTreeMap<u64, u64> = table.iter().map(|(k, v)| (k, *v)).collect();
+            let model_contents: BTreeMap<u64, u64> = model.iter().map(|(k, v)| (k, *v)).collect();
             assert_eq!(
                 table_contents, model_contents,
                 "{ways}x{sets}-{kind}: final contents diverged"

@@ -52,6 +52,9 @@ fn aligned_live() -> (i64, i64) {
     )
 }
 
+#[allow(unsafe_code, reason = "`GlobalAlloc` is an unsafe trait")]
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract; the counters beside it allocate nothing.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
