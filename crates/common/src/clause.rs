@@ -1,8 +1,9 @@
 //! The one reader of the workspace's `prefix-clause-clause…` spec strings.
 //!
 //! Fault plans (`faults-…`), resize policies (`resize-…`), observability
-//! specs (`obs-…`) and scenario workloads (`migratory-…`) share one shape,
-//! and [`Clauses`] enforces its rules once for all four:
+//! specs (`obs-…`), scenario workloads (`migratory-…`) and the modifiers of
+//! a directory spec (`cuckoo-4x512-skew-c16`, after its organization) share
+//! one shape, and [`Clauses`] enforces its rules once for all five:
 //!
 //! * the string splits at `-`; the first token is the required prefix (a
 //!   fixed word, or a scenario's family name) and every later token is one
@@ -40,6 +41,7 @@ use std::str::FromStr;
 pub struct Clauses<'a> {
     what: &'static str,
     spec: &'a str,
+    noun: &'static str,
     rest: std::str::Split<'a, char>,
     clause: &'a str,
     claimed: Vec<&'static str>,
@@ -50,12 +52,26 @@ impl<'a> Clauses<'a> {
     /// over its clauses together with the first token.
     #[must_use]
     pub fn new(what: &'static str, spec: &'a str) -> (Self, &'a str) {
-        let mut rest = spec.split('-');
+        Self::within(what, spec, spec, "clause")
+    }
+
+    /// [`Clauses::new`] over `body`, the part of `spec` that holds the
+    /// clauses, for a grammar whose errors call a clause a `noun`.  Errors
+    /// still quote all of `spec`.
+    #[must_use]
+    pub fn within(
+        what: &'static str,
+        spec: &'a str,
+        body: &'a str,
+        noun: &'static str,
+    ) -> (Self, &'a str) {
+        let mut rest = body.split('-');
         let clause = rest.next().unwrap_or_default();
         let claimed = Vec::new();
         let clauses = Clauses {
             what,
             spec,
+            noun,
             rest,
             clause,
             claimed,
@@ -99,7 +115,8 @@ impl<'a> Clauses<'a> {
     /// already read.
     pub fn claim(&mut self, name: &'static str) -> Result<(), ConfigError> {
         if self.claimed.contains(&name) {
-            return Err(self.error(format_args!("second `{name}` clause `{}`", self.clause)));
+            let (noun, clause) = (self.noun, self.clause);
+            return Err(self.error(format_args!("second `{name}` {noun} `{clause}`")));
         }
         self.claimed.push(name);
         Ok(())
@@ -137,13 +154,13 @@ impl<'a> Clauses<'a> {
     /// The error for a current clause whose value is refused `why`.
     #[must_use]
     pub fn invalid(&self, why: impl fmt::Display) -> ConfigError {
-        self.error(format_args!("clause `{}` {why}", self.clause))
+        self.error(format_args!("{} `{}` {why}", self.noun, self.clause))
     }
 
     /// The error for a current clause the grammar does not have.
     #[must_use]
     pub fn unknown(&self) -> ConfigError {
-        self.error(format_args!("unknown clause `{}`", self.clause))
+        self.error(format_args!("unknown {} `{}`", self.noun, self.clause))
     }
 
     /// An error naming the spec.

@@ -20,7 +20,7 @@
 //! * fixed-length, cache-line-aligned buffers that move onto huge pages
 //!   when they are large — what the cuckoo table's arrays live in
 //!   ([`pages`]),
-//! * the workspace's one JSON value tree, writer and parser ([`json`]),
+//! * the workspace's one JSON value tree and writer ([`json`]),
 //! * the one reader of its `prefix-clause-…` spec strings ([`clause`]),
 //! * the shared error type ([`ConfigError`]).
 //!

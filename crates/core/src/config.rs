@@ -31,9 +31,6 @@ pub struct CuckooConfig {
     pub hash_kind: HashKind,
     /// Seed for seedable hash families.
     pub hash_seed: u64,
-    /// Maximum number of insertion attempts before the most recently
-    /// displaced entry is discarded (forcing invalidations).
-    pub max_insertion_attempts: u32,
     /// How the table resolves insertions whose candidate slots are all
     /// occupied: the paper's greedy displacement chain (the default), or
     /// BFS shortest-displacement-path search.  This changes attempt
@@ -44,7 +41,8 @@ pub struct CuckooConfig {
 
 impl CuckooConfig {
     /// Creates a configuration with the paper's defaults: skewing hash
-    /// functions and a 32-attempt insertion budget.
+    /// functions and greedy insertion.  Every slice has the table's
+    /// [`DEFAULT_MAX_ATTEMPTS`] budget.
     #[must_use]
     pub fn new(ways: usize, sets: usize, num_caches: usize) -> Self {
         CuckooConfig {
@@ -53,7 +51,6 @@ impl CuckooConfig {
             num_caches,
             hash_kind: HashKind::Skewing,
             hash_seed: 0xC0C0_0D15_EC70,
-            max_insertion_attempts: DEFAULT_MAX_ATTEMPTS,
             insert_policy: InsertPolicy::Greedy,
         }
     }
@@ -62,13 +59,6 @@ impl CuckooConfig {
     #[must_use]
     pub fn with_hash_kind(mut self, kind: HashKind) -> Self {
         self.hash_kind = kind;
-        self
-    }
-
-    /// Sets the insertion-attempt budget.
-    #[must_use]
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_insertion_attempts = attempts;
         self
     }
 
@@ -104,8 +94,7 @@ impl CuckooConfig {
     /// * [`ConfigError::Zero`] if any structural parameter is zero,
     /// * [`ConfigError::TooSmall`] if fewer than 2 ways are requested (a
     ///   1-ary cuckoo table cannot displace anywhere),
-    /// * [`ConfigError::NotPowerOfTwo`] if `sets` is not a power of two,
-    /// * [`ConfigError::Zero`] if the attempt budget is zero.
+    /// * [`ConfigError::NotPowerOfTwo`] if `sets` is not a power of two.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.ways == 0 {
             return Err(ConfigError::Zero { what: "ways" });
@@ -131,11 +120,6 @@ impl CuckooConfig {
                 what: "cache count",
             });
         }
-        if self.max_insertion_attempts == 0 {
-            return Err(ConfigError::Zero {
-                what: "insertion-attempt budget",
-            });
-        }
         Ok(())
     }
 }
@@ -147,7 +131,6 @@ mod tests {
     #[test]
     fn defaults_match_the_paper() {
         let c = CuckooConfig::new(4, 512, 32);
-        assert_eq!(c.max_insertion_attempts, 32);
         assert_eq!(c.hash_kind, HashKind::Skewing);
         assert_eq!(c.capacity(), 2048);
         assert!(c.validate().is_ok());
@@ -168,11 +151,8 @@ mod tests {
 
     #[test]
     fn builder_methods_compose() {
-        let c = CuckooConfig::new(3, 8192, 16)
-            .with_hash_kind(HashKind::Strong)
-            .with_max_attempts(16);
+        let c = CuckooConfig::new(3, 8192, 16).with_hash_kind(HashKind::Strong);
         assert_eq!(c.hash_kind, HashKind::Strong);
-        assert_eq!(c.max_insertion_attempts, 16);
         assert!(c.validate().is_ok());
     }
 
@@ -183,10 +163,6 @@ mod tests {
         assert!(CuckooConfig::new(4, 0, 4).validate().is_err());
         assert!(CuckooConfig::new(4, 100, 4).validate().is_err());
         assert!(CuckooConfig::new(4, 64, 0).validate().is_err());
-        assert!(CuckooConfig::new(4, 64, 4)
-            .with_max_attempts(0)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -43,12 +43,11 @@ impl<S: SharerSet> CuckooDirectory<S> {
         })
     }
 
-    /// Builds a table for `config`, with the attempt budget and insertion
-    /// policy applied — shared by construction and live resize.
+    /// Builds a table for `config`, with the insertion policy applied —
+    /// shared by construction and live resize.
     fn build_table(config: &CuckooConfig) -> Result<CuckooTable<S>, ConfigError> {
         let mut table =
             CuckooTable::new(config.ways, config.sets, config.hash_kind, config.hash_seed)?;
-        table.set_max_attempts(config.max_insertion_attempts);
         table.set_insert_policy(config.insert_policy);
         Ok(table)
     }
@@ -502,16 +501,19 @@ mod tests {
 
     #[test]
     fn insertion_attempts_bounded_by_budget() {
-        let config = CuckooConfig::new(3, 8, 2).with_max_attempts(8);
-        let mut d = CuckooDirectory::<FullBitVector>::new(config).unwrap();
+        // 500 lines overfill 24 entries: once full, every insert spends the
+        // whole budget and discards.
+        let budget = crate::config::DEFAULT_MAX_ATTEMPTS;
+        let mut d = dir(3, 8, 2);
         let mut out = Outcome::new();
         let mut rng = SplitMix64::new(5);
         for _ in 0..500 {
             let l = line(rng.next_u64() >> 16);
             d.apply(add(l, CacheId::new(0)), &mut out);
-            assert!(out.insertion_attempts() <= 8 || !out.allocated_new_entry());
+            assert!(out.insertion_attempts() <= budget || !out.allocated_new_entry());
         }
-        assert!(d.stats().insertion_attempts.max_value() >= 8);
+        assert!(d.stats().forced_evictions.get() > 0);
+        assert!(d.stats().insertion_attempts.count(budget.into()) > 0);
     }
 
     #[test]

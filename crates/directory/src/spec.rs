@@ -35,8 +35,10 @@
 //! * `shardedN:` — interleave the capacity across `N` identical slices
 //!   behind a [`ShardedDirectory`]; `S` must be divisible by `N`.
 //!
-//! Each modifier appears at most once: a second hash, policy or cache-count
-//! token is an error naming it, not an override of the first.
+//! The modifiers are read by [`Clauses`], the reader of every other spec
+//! grammar: each appears at most once (a second hash, policy or cache-count
+//! token is an error naming it, not an override of the first), and an
+//! unknown one is an error naming it.
 //!
 //! ```
 //! use ccd_directory::{BuilderRegistry, DirectorySpec};
@@ -55,6 +57,7 @@
 use crate::{
     tagless, Directory, DuplicateTagDirectory, ShardedDirectory, SlotDirectory, TaglessDirectory,
 };
+use ccd_common::clause::Clauses;
 use ccd_common::ConfigError;
 use ccd_hash::HashKind;
 use ccd_sharers::SharerFormat;
@@ -304,56 +307,33 @@ impl FromStr for DirectorySpec {
         let rest = &body[alias.len() + 1..];
 
         // Geometry, then optional `-` separated modifiers.
-        let mut tokens = rest.split('-');
-        let geometry = tokens
-            .next()
-            .ok_or_else(|| Self::parse_error(input, "missing `WxS` geometry"))?;
+        let (mut modifiers, geometry) = Clauses::within("directory spec", input, rest, "modifier");
         let (ways, sets) = geometry
             .split_once('x')
             .and_then(|(w, s)| Some((w.parse().ok()?, s.parse().ok()?)))
             .ok_or_else(|| {
-                Self::parse_error(input, format!("expected `WxS` geometry, got `{geometry}`"))
+                modifiers.error(format_args!("expected `WxS` geometry, got `{geometry}`"))
             })?;
         if ways == 0 || sets == 0 {
-            return Err(Self::parse_error(
-                input,
-                format!("geometry `{geometry}` has no entries"),
-            ));
+            return Err(modifiers.error(format_args!("geometry `{geometry}` has no entries")));
         }
 
         let mut spec = DirectorySpec::new(org, ways, sets)
             .with_sharers(sharers)
             .with_shards(shards);
-        let (mut caches, mut policy) = (None, None);
-        for token in tokens {
-            let count = token.strip_prefix('c').and_then(|count| count.parse().ok());
-            let repeated = if let Some(count) = count {
-                if count == 0 {
-                    return Err(Self::parse_error(
-                        input,
-                        format!("cache count `{token}` must be non-zero"),
-                    ));
-                }
-                caches.replace(count).is_some()
-            } else if let Ok(hash) = token.parse::<HashKind>() {
-                spec.hash.replace(hash).is_some()
-            } else if let Ok(parsed) = token.parse::<InsertPolicy>() {
-                policy.replace(parsed).is_some()
+        while let Some(token) = modifiers.next_clause() {
+            if let Some(caches) = modifiers.value("c", 1..)? {
+                spec.caches = caches;
+            } else if let Ok(hash) = token.parse() {
+                modifiers.claim("hash")?;
+                spec.hash = Some(hash);
+            } else if let Ok(policy) = token.parse() {
+                modifiers.claim("policy")?;
+                spec.policy = policy;
             } else {
-                return Err(Self::parse_error(
-                    input,
-                    format!("unknown modifier `{token}`"),
-                ));
-            };
-            if repeated {
-                return Err(Self::parse_error(
-                    input,
-                    format!("repeated modifier `{token}`"),
-                ));
+                return Err(modifiers.unknown());
             }
         }
-        spec.caches = caches.unwrap_or(spec.caches);
-        spec.policy = policy.unwrap_or(spec.policy);
         check_caches(spec.caches)?;
         Ok(spec)
     }
@@ -787,13 +767,16 @@ mod tests {
         assert!(err.contains("unknown modifier `tagalt`"), "{err}");
 
         // A second hash, policy or cache count is refused, not an override.
-        for (input, token) in [
-            ("cuckoo-4x64-skew-strong", "`strong`"),
-            ("cuckoo-4x64-c16-c8", "`c8`"),
-            ("cuckoo-4x64-bfs-greedy", "`greedy`"),
+        for (input, second) in [
+            ("cuckoo-4x64-skew-strong", "second `hash` modifier `strong`"),
+            ("cuckoo-4x64-c16-c8", "second `c` modifier `c8`"),
+            (
+                "cuckoo-4x64-bfs-greedy",
+                "second `policy` modifier `greedy`",
+            ),
         ] {
             let err = message(input);
-            assert!(err.contains(&format!("repeated modifier {token}")), "{err}");
+            assert!(err.contains(second), "{err}");
         }
 
         // The full input is always quoted for context.

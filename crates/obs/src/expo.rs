@@ -50,7 +50,6 @@ pub fn render_json(snapshot: &MetricSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccd_common::json::parse;
     use ccd_common::LogHistogram;
 
     fn sample() -> MetricSnapshot {
@@ -66,35 +65,34 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_is_deterministic_and_parses_back_exactly() {
-        let snapshot = sample();
-        let text = render_json(&snapshot);
+    fn json_rendering_is_deterministic_and_exact() {
+        let text = render_json(&sample());
         assert_eq!(text, render_json(&sample()), "equal snapshots, equal bytes");
-        assert!(text.contains("\"exact\": 9007199254740993"), "{text}");
-
-        let doc = parse(&text).unwrap();
-        for (name, value) in &snapshot.counters {
-            let parsed = doc.get("counters").and_then(|c| c.get(name));
-            assert_eq!(parsed.and_then(Json::as_u64), Some(*value), "{name}");
-        }
-        let hists = doc.get("histograms").and_then(Json::as_array).unwrap();
-        assert_eq!(hists.len(), snapshot.histograms.len());
-        for (parsed, h) in hists.iter().zip(&snapshot.histograms) {
-            for (key, want) in [
-                ("name", h.name.to_json()),
-                ("sig_bits", h.sig_bits.to_json()),
-                ("count", h.count.to_json()),
-                ("sum", h.sum.to_json()),
-                ("min", h.min.to_json()),
-                ("max", h.max.to_json()),
-                ("p50", h.p50.to_json()),
-                ("p99", h.p99.to_json()),
-                ("p999", h.p999.to_json()),
-                ("buckets", h.buckets.to_json()),
-            ] {
-                assert_eq!(parsed.get(key), Some(&want), "{} {key}", h.name);
-            }
-        }
+        // 2^53 + 1 is written digit for digit: no integer passes through f64.
+        assert_eq!(
+            text,
+            r#"{
+  "counters": {
+    "requests": 1000,
+    "exact": 9007199254740993
+  },
+  "histograms": [
+    {
+      "name": "probe_depth",
+      "sig_bits": 2,
+      "count": 5,
+      "sum": 17,
+      "min": 1,
+      "max": 9,
+      "p50": 2,
+      "p99": 9,
+      "p999": 9,
+      "buckets": [[1, 2], [2, 1], [4, 1], [9, 1]]
+    }
+  ]
+}
+"#
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Seeded parser fuzz: the workspace's one JSON parser, its four clause
-//! grammars (`faults-…`, `resize-…`, `obs-…`, scenario workloads), the
-//! two spec grammars built on them (`DirectorySpec`, `WorkloadSpec`), and
-//! the binary CCDT trace reader.
+//! Seeded parser fuzz: the workspace's four clause grammars (`faults-…`,
+//! `resize-…`, `obs-…`, scenario workloads), the two spec grammars built on
+//! them (`DirectorySpec`, `WorkloadSpec`), and the binary CCDT trace
+//! reader.
 //!
 //! No input may panic, every accepted value's canonical label must
 //! re-parse to an equal value, and every rejection by a clause or spec
@@ -12,7 +12,6 @@
 //! `ccd_common::rng` stream per grammar, so a failure names its input and
 //! replays exactly.
 
-use ccd_common::json::{self, Json};
 use ccd_common::rng::{Rng64, Xoshiro256};
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
@@ -31,8 +30,8 @@ const EDGES: &str = "0 1 2 3 8 16 17 100 101 1024 1073741824 2147483648 42949672
                      9007199254740993 18446744073709551615 18446744073709551616 0.5 1.0 1e308 \
                      1e400 NaN inf";
 
-/// What mutations insert: the grammars' punctuation and letters, JSON's
-/// structure, and a multi-byte scalar.
+/// What mutations insert: the grammars' punctuation and letters, brackets,
+/// quotes and escapes no grammar takes, and a multi-byte scalar.
 const ALPHABET: &str = "-@:.+wcebmsx019{}[]\",\\ué \n";
 
 /// Whether a rejection names a token of `input`: a parse error quotes a
@@ -68,7 +67,7 @@ fn input(rng: &mut Xoshiro256, corpus: &[&str], round: usize) -> String {
     let base = pick(rng, corpus);
     let mut text: Vec<char> = base.chars().collect();
     if rng.next_below(4) == 0 {
-        text.truncate(base.find(['-', '{', '[']).unwrap_or(base.len()));
+        text.truncate(base.find('-').unwrap_or(base.len()));
         text.extend((0..rng.next_below(24)).map(|_| pick(rng, &alphabet)));
     }
     for _ in 0..=rng.next_below(3) {
@@ -205,33 +204,6 @@ fn the_two_spec_grammars_never_panic_name_what_they_reject_and_round_trip() {
         |s| s.parse::<WorkloadSpec>(),
         WorkloadSpec::label,
         names_a_token,
-    );
-}
-
-/// A document canonicalized by one rendering (`1.0` renders as `1` and
-/// reads back as an integer): the canonical value is what must
-/// round-trip.  Folded renderings read back alike.
-fn canonical_json(text: &str) -> Result<Json, json::ParseError> {
-    let value = json::parse(text)?;
-    let canonical = json::parse(&value.to_pretty()).expect("a rendered document parses");
-    assert_eq!(
-        json::parse(&value.to_pretty_folded(1)),
-        Ok(canonical.clone())
-    );
-    Ok(canonical)
-}
-
-#[test]
-fn the_json_parser_never_panics_and_its_renderings_round_trip() {
-    fuzz(
-        &[
-            r#"{ "entries": [{ "file": "a.rs", "line": 12, "note": "\"b\" é\/\n" }] }"#,
-            r#"{"counters": {"n": 9007199254740993}, "histograms": [{"buckets": [[1, 2]]}]}"#,
-            r#"[1, -2.5, 0.001, 1e300, true, false, null, [[[]]], {}, {"a": {"b": ["é"]}}]"#,
-        ],
-        canonical_json,
-        Json::to_pretty,
-        |_, _| true,
     );
 }
 

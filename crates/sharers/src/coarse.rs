@@ -161,10 +161,6 @@ impl<const K: usize, const BROADCAST: bool> SharerSet for PointerSet<K, BROADCAS
     }
 
     /// A region of a single cache is still exact.
-    fn is_exact(&self) -> bool {
-        self.regions == 0 || self.per_region() == 1
-    }
-
     fn exact_count(&self) -> Option<usize> {
         if self.regions == 0 {
             Some(self.len as usize)
@@ -189,7 +185,6 @@ mod tests {
         let mut s = CoarseVector::new(64);
         s.add(CacheId::new(50));
         s.add(CacheId::new(10));
-        assert!(s.is_exact());
         assert_eq!(s.exact_count(), Some(2));
         assert_eq!(
             s.invalidation_targets(),
@@ -207,7 +202,6 @@ mod tests {
         for &c in &sharers {
             s.add(c);
         }
-        assert!(!s.is_exact());
         assert_eq!(s.exact_count(), None);
         // 12 regions of 6 caches: the three sharers' regions, in order.
         let regions = [0..6, 18..24, 36..42].into_iter().flatten();
@@ -224,7 +218,6 @@ mod tests {
         for i in 0..4u32 {
             s.add(CacheId::new(i));
         }
-        assert!(s.is_exact());
         assert_eq!(s.exact_count(), Some(4));
         assert_eq!(s.invalidation_targets().len(), 4);
     }
@@ -237,7 +230,6 @@ mod tests {
         }
         assert_eq!(s.exact_count(), Some(4), "a duplicate add takes no pointer");
         s.add(CacheId::new(63));
-        assert!(!s.is_exact());
         assert_eq!(s.exact_count(), None);
         assert_eq!(s.invalidation_targets().len(), 64);
         s.remove(CacheId::new(0));
@@ -247,7 +239,8 @@ mod tests {
         );
         assert!(!s.may_contain(CacheId::new(64)));
         s.clear();
-        assert!(s.is_empty() && s.is_exact());
+        assert!(s.is_empty());
+        assert_eq!(s.exact_count(), Some(0));
     }
 
     #[test]

@@ -117,10 +117,6 @@ impl SharerSet for FullBitVector {
         push_set_bits(out, 0, self.bits);
     }
 
-    fn is_exact(&self) -> bool {
-        true
-    }
-
     fn exact_count(&self) -> Option<usize> {
         Some(self.count())
     }
@@ -201,10 +197,6 @@ impl SharerSet for WideBitVector {
         }
     }
 
-    fn is_exact(&self) -> bool {
-        true
-    }
-
     fn exact_count(&self) -> Option<usize> {
         Some(self.words.iter().map(|w| w.count_ones() as usize).sum())
     }
@@ -257,7 +249,7 @@ mod tests {
                 CacheId::new(199)
             ]
         );
-        assert!(v.is_exact());
+        assert_eq!(v.exact_count(), Some(4));
     }
 
     #[test]

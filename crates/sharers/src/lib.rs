@@ -33,7 +33,8 @@
 //! Compressed formats may *over*-approximate the sharer set (they return a
 //! superset of the true sharers, never a subset), because invalidating a
 //! non-sharer is merely wasteful while missing a sharer breaks coherence.
-//! [`SharerSet::is_exact`] reports whether the current contents are precise.
+//! [`SharerSet::exact_count`] is `Some` while the current contents are
+//! precise.
 //!
 //! # Example
 //!
@@ -44,7 +45,7 @@
 //! let mut sharers = CoarseVector::new(32);
 //! sharers.add(CacheId::new(3));
 //! sharers.add(CacheId::new(17));
-//! assert!(sharers.is_exact());
+//! assert_eq!(sharers.exact_count(), Some(2));
 //! assert_eq!(sharers.invalidation_targets(), vec![CacheId::new(3), CacheId::new(17)]);
 //! ```
 
@@ -117,10 +118,6 @@ pub trait SharerSet: Clone + Debug + Send {
         self.extend_targets(&mut targets);
         targets
     }
-
-    /// `true` when the current contents are known to be an exact sharer
-    /// list rather than an over-approximation.
-    fn is_exact(&self) -> bool;
 
     /// Number of exact sharers if known, `None` when only an upper bound is
     /// representable.

@@ -126,12 +126,8 @@ fn check_sharer_set<S: SharerSet>(mut documented: PointerModel, ops: &[SharerOp]
         set.extend_targets(&mut extended);
         assert_eq!(extended, targets, "extend_targets diverged");
         // Exact representations must be exactly right.
-        if set.is_exact() {
-            assert_eq!(
-                targets.len(),
-                model.len(),
-                "exact representation reported wrong cardinality"
-            );
+        if let Some(count) = set.exact_count() {
+            assert_eq!(count, model.len(), "wrong exact count after {op:?}");
         }
     }
 }
