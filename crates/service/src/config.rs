@@ -39,9 +39,10 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Requests per ingestion batch.
     pub batch: usize,
-    /// Record one [`OutcomeRecord`](crate::OutcomeRecord) per request.
-    /// Verification and the golden digests need the log; a pure throughput
-    /// measurement can turn it off.
+    /// Record one [`OutcomeRecord`](crate::OutcomeRecord) per request into
+    /// the report's [`OutcomeLog`](crate::OutcomeLog) (one or two words a
+    /// record on typical traffic).  Verification and the golden digests
+    /// need the log; a pure throughput measurement can turn it off.
     pub record_outcomes: bool,
     /// An armed fault-injection schedule, or `None` (the default) for a
     /// fault-free run.  See [`FaultPlan`].

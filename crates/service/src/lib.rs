@@ -17,9 +17,10 @@
 //! * exposes a snapshot-consistent, mergeable [`ServiceStats`] built from
 //!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
 //!   simulation engine;
-//! * keeps a sequence-numbered [`OutcomeRecord`] log, so **any worker
-//!   count over a fixed shard count is verifiably bit-identical** to the
-//!   inline serial reference ([`DirectoryService::run_serial`]).
+//! * keeps a sequence-numbered [`OutcomeLog`] — one [`OutcomeRecord`] a
+//!   request, stored in about 9 bytes — so **any worker count over a fixed
+//!   shard count is verifiably bit-identical** to the inline serial
+//!   reference ([`DirectoryService::run_serial`]).
 //!
 //! Traffic comes from the [`LoadSpec`] frontend: any workload the
 //! `ccd-workloads` catalog can name — paper profile, sharing-pattern
@@ -79,6 +80,6 @@ pub use config::{ServiceConfig, DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
 pub use error::ServiceError;
 pub use fault::{CrashPoint, FaultPlan, StallPoint};
 pub use load::{op_for, LoadSpec, OpStream};
-pub use request::{digest_outcome_semantics, digest_outcomes, OutcomeRecord, Request};
+pub use request::{digest_outcome_semantics, digest_outcomes, OutcomeLog, OutcomeRecord, Request};
 pub use resize::{ResizeMode, ResizePolicy};
 pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};

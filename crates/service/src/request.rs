@@ -33,9 +33,35 @@
 //! [`digest_outcomes`] is the state after the last record;
 //! [`digest_outcome_semantics`] is the same chain with `attempts` read as
 //! zero.  [`OutcomeRecord::detail`] is still an FNV-1a fold ([`Fnv64`]).
+//!
+//! # The stored log
+//!
+//! An [`OutcomeLog`] keeps its records as `u64` words, losslessly, and
+//! decodes them only when iterated.  A record is one header word
+//!
+//! | bits | field |
+//! |---|---|
+//! | 0–4 | the flags, in word 3's order |
+//! | 5 | has detail |
+//! | 6 | escape |
+//! | 7–12 | `attempts` |
+//! | 13–20 | `invalidations` |
+//! | 21–22 | `forced_evictions` |
+//! | 23–30 | `forced_invalidations` |
+//! | 31–46 | `shard` |
+//! | 47–63 | `seq` minus the previous record's `seq` (wrapping; 0 before the first) |
+//!
+//! followed by `detail` only when it is not [`Fnv64::OFFSET`], the fold of
+//! an empty outcome.  A record with a value too wide for its bits is an
+//! escape header (bit 6 alone) followed by its five mix words (step 1's
+//! table) raw.  Each record sequence has exactly one encoding, so two logs
+//! hold the same records iff they hold the same words.
 
 use ccd_common::stats::Fnv64;
 use ccd_directory::{DirectoryOp, Outcome};
+use std::borrow::Borrow;
+use std::fmt;
+use std::iter::FusedIterator;
 
 /// One coherence request in flight inside the service.
 ///
@@ -139,20 +165,47 @@ impl OutcomeRecord {
     /// equivalence is checked against.
     #[inline]
     fn mix(&self, with_attempts: bool) -> u64 {
-        let attempts = if with_attempts { self.attempts } else { 0 };
-        let words = [
-            self.seq,
-            u64::from(self.shard) | u64::from(attempts) << 32,
-            u64::from(self.invalidations) | u64::from(self.forced_evictions) << 32,
-            u64::from(self.forced_invalidations) | self.flags() << 32,
-            self.detail,
-        ];
+        let words = self.words(with_attempts);
         let mix = words[0].wrapping_mul(WORD_MULTIPLIERS[0])
             ^ words[1].wrapping_mul(WORD_MULTIPLIERS[1]).rotate_left(13)
             ^ words[2].wrapping_mul(WORD_MULTIPLIERS[2]).rotate_left(26)
             ^ words[3].wrapping_mul(WORD_MULTIPLIERS[3]).rotate_left(39)
             ^ words[4].wrapping_mul(WORD_MULTIPLIERS[4]).rotate_left(52);
         mix ^ mix >> 32
+    }
+
+    /// The five value words of the module docs' step 1, `attempts` read as
+    /// zero unless `with_attempts`.
+    #[inline]
+    fn words(&self, with_attempts: bool) -> [u64; 5] {
+        let attempts = if with_attempts { self.attempts } else { 0 };
+        [
+            self.seq,
+            u64::from(self.shard) | u64::from(attempts) << 32,
+            u64::from(self.invalidations) | u64::from(self.forced_evictions) << 32,
+            u64::from(self.forced_invalidations) | self.flags() << 32,
+            self.detail,
+        ]
+    }
+
+    /// The record whose full-view words are `words`: the inverse of
+    /// `words(true)`.
+    fn from_words([seq, shard_attempts, counts, forced_flags, detail]: [u64; 5]) -> Self {
+        let flag = |bit: u32| forced_flags >> (32 + bit) & 1 == 1;
+        OutcomeRecord {
+            seq,
+            shard: shard_attempts as u32,
+            attempts: (shard_attempts >> 32) as u32,
+            invalidations: counts as u32,
+            forced_evictions: (counts >> 32) as u32,
+            forced_invalidations: forced_flags as u32,
+            hit: flag(0),
+            allocated: flag(1),
+            failed: flag(2),
+            invalidated_all: flag(3),
+            removed_entry: flag(4),
+            detail,
+        }
     }
 
     /// The five outcome flags packed into the low bits of one word.
@@ -162,6 +215,39 @@ impl OutcomeRecord {
             | u64::from(self.failed) << 2
             | u64::from(self.invalidated_all) << 3
             | u64::from(self.removed_entry) << 4
+    }
+
+    /// This record's stored header (module docs) with the has-detail bit
+    /// clear, `delta` being its `seq` minus the previous record's; `None`
+    /// when a value does not fit its bits.
+    #[inline]
+    fn header(&self, delta: u64) -> Option<u64> {
+        let slots = [
+            (u64::from(self.attempts), ATTEMPTS),
+            (u64::from(self.invalidations), INVALIDATIONS),
+            (u64::from(self.forced_evictions), FORCED_EVICTIONS),
+            (u64::from(self.forced_invalidations), FORCED_INVALIDATIONS),
+            (u64::from(self.shard), SHARD),
+            (delta, SEQ_DELTA),
+        ];
+        let (mut header, mut overflow) = (self.flags(), 0);
+        for (value, slot) in slots {
+            header |= value << slot.shift;
+            overflow |= value >> slot.width;
+        }
+        (overflow == 0).then_some(header)
+    }
+
+    /// The record stored under `header`, which is not an escape, after a
+    /// record with `seq` `last_seq`.
+    fn unpack(header: u64, last_seq: u64, detail: u64) -> Self {
+        OutcomeRecord::from_words([
+            last_seq.wrapping_add(SEQ_DELTA.read(header)),
+            SHARD.read(header) | ATTEMPTS.read(header) << 32,
+            INVALIDATIONS.read(header) | FORCED_EVICTIONS.read(header) << 32,
+            FORCED_INVALIDATIONS.read(header) | (header & FLAGS) << 32,
+            detail,
+        ])
     }
 }
 
@@ -187,30 +273,197 @@ fn chain_step(state: u64, mix: u64) -> u64 {
 
 /// The digest chain over `records`' full or semantic view.
 #[inline]
-fn digest_view(records: &[OutcomeRecord], with_attempts: bool) -> u64 {
-    records.iter().fold(CHAIN_SEED, |state, record| {
-        chain_step(state, record.mix(with_attempts))
+fn digest_view(
+    records: impl IntoIterator<Item: Borrow<OutcomeRecord>>,
+    with_attempts: bool,
+) -> u64 {
+    records.into_iter().fold(CHAIN_SEED, |state, record| {
+        chain_step(state, record.borrow().mix(with_attempts))
     })
 }
 
 /// Digest of an outcome log in sequence order (see the module docs for the
-/// definition).
+/// definition).  Takes a slice, a `Vec` or an [`OutcomeLog`] alike.
 ///
 /// Two configurations of the service (any worker count over the same shard
 /// count) produce the same digest iff their merged outcome logs are
 /// identical record-for-record; `BENCH_service.json` records the digest so
 /// the golden check pins it.
 #[must_use]
-pub fn digest_outcomes(records: &[OutcomeRecord]) -> u64 {
+pub fn digest_outcomes(records: impl IntoIterator<Item: Borrow<OutcomeRecord>>) -> u64 {
     digest_view(records, true)
 }
 
 /// Digest of an outcome log's semantic view in sequence order:
 /// [`digest_outcomes`] with every record's attempt count read as zero.
 #[must_use]
-pub fn digest_outcome_semantics(records: &[OutcomeRecord]) -> u64 {
+pub fn digest_outcome_semantics(records: impl IntoIterator<Item: Borrow<OutcomeRecord>>) -> u64 {
     digest_view(records, false)
 }
+
+/// Where a value sits in a stored header word (module docs).
+#[derive(Clone, Copy)]
+struct Slot {
+    shift: u32,
+    width: u32,
+}
+
+impl Slot {
+    fn read(self, header: u64) -> u64 {
+        header >> self.shift & ((1 << self.width) - 1)
+    }
+}
+
+const FLAGS: u64 = 0x1f;
+const HAS_DETAIL: u64 = 1 << 5;
+const ESCAPE: u64 = 1 << 6;
+const ATTEMPTS: Slot = Slot { shift: 7, width: 6 };
+const INVALIDATIONS: Slot = Slot {
+    shift: 13,
+    width: 8,
+};
+const FORCED_EVICTIONS: Slot = Slot {
+    shift: 21,
+    width: 2,
+};
+const FORCED_INVALIDATIONS: Slot = Slot {
+    shift: 23,
+    width: 8,
+};
+const SHARD: Slot = Slot {
+    shift: 31,
+    width: 16,
+};
+const SEQ_DELTA: Slot = Slot {
+    shift: 47,
+    width: 17,
+};
+
+/// A sequence of [`OutcomeRecord`]s in the stored layout of the module
+/// docs: 8 bytes a record, 16 with a `detail`, 56 for an escape, where the
+/// records themselves take 48.  Iterating decodes the records, by value, in
+/// the order they were stored.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct OutcomeLog {
+    words: Vec<u64>,
+    len: usize,
+    /// The last record's `seq`, which the next record's delta counts from.
+    last_seq: u64,
+}
+
+impl OutcomeLog {
+    fn with_capacity(words: usize) -> Self {
+        OutcomeLog {
+            words: Vec::with_capacity(words),
+            ..OutcomeLog::default()
+        }
+    }
+
+    /// Number of records.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the log holds no record.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the stored records occupy, spare capacity not counted.
+    #[must_use]
+    pub fn stored_bytes(&self) -> usize {
+        std::mem::size_of_val(self.words.as_slice())
+    }
+
+    /// The records in order, each decoded as it is reached.
+    pub fn iter(&self) -> OutcomeIter<'_> {
+        OutcomeIter {
+            words: &self.words,
+            last_seq: 0,
+            remaining: self.len,
+        }
+    }
+
+    /// Appends `record` in the stored layout.
+    #[inline]
+    fn push(&mut self, record: &OutcomeRecord) {
+        let delta = record.seq.wrapping_sub(self.last_seq);
+        match record.header(delta) {
+            Some(header) if record.detail == Fnv64::OFFSET => self.words.push(header),
+            Some(header) => self
+                .words
+                .extend_from_slice(&[header | HAS_DETAIL, record.detail]),
+            None => {
+                self.words.push(ESCAPE);
+                self.words.extend_from_slice(&record.words(true));
+            }
+        }
+        self.last_seq = record.seq;
+        self.len += 1;
+    }
+
+    /// The buffer's address, to tell a moved log from a copied one.
+    #[cfg(test)]
+    fn buffer(&self) -> *const u64 {
+        self.words.as_ptr()
+    }
+}
+
+impl fmt::Debug for OutcomeLog {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self).finish()
+    }
+}
+
+impl<'a> IntoIterator for &'a OutcomeLog {
+    type Item = OutcomeRecord;
+    type IntoIter = OutcomeIter<'a>;
+
+    fn into_iter(self) -> OutcomeIter<'a> {
+        self.iter()
+    }
+}
+
+/// The records of an [`OutcomeLog`], decoded one at a time
+/// ([`OutcomeLog::iter`]).
+#[derive(Clone, Debug)]
+pub struct OutcomeIter<'a> {
+    words: &'a [u64],
+    last_seq: u64,
+    remaining: usize,
+}
+
+impl Iterator for OutcomeIter<'_> {
+    type Item = OutcomeRecord;
+
+    fn next(&mut self) -> Option<OutcomeRecord> {
+        let (&header, rest) = self.words.split_first()?;
+        let (record, rest) = if header & ESCAPE != 0 {
+            let (raw, rest) = rest.split_first_chunk()?;
+            (OutcomeRecord::from_words(*raw), rest)
+        } else if header & HAS_DETAIL != 0 {
+            let (&detail, rest) = rest.split_first()?;
+            (OutcomeRecord::unpack(header, self.last_seq, detail), rest)
+        } else {
+            let record = OutcomeRecord::unpack(header, self.last_seq, Fnv64::OFFSET);
+            (record, rest)
+        };
+        self.words = rest;
+        self.last_seq = record.seq;
+        self.remaining -= 1;
+        Some(record)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for OutcomeIter<'_> {}
+
+impl FusedIterator for OutcomeIter<'_> {}
 
 /// A worker's outcome log broke the order [`reassemble`] relies on: its
 /// record `seq` did not come strictly after `after`, the record accepted
@@ -260,25 +513,25 @@ impl Chain {
     }
 }
 
-/// One worker's outcome log.  [`OutcomeLog::push`] is the only way in, so
+/// One worker's outcome log.  [`WorkerLog::push`] is the only way in, so
 /// the log always knows its own digest and whether it is still strictly
 /// ascending in `seq` — which is what lets [`reassemble`] move a lone log
 /// without another pass over it.
-pub(crate) struct OutcomeLog {
+pub(crate) struct WorkerLog {
     worker: usize,
-    records: Vec<OutcomeRecord>,
+    log: OutcomeLog,
     chain: Chain,
     /// The first record pushed out of order; the digest is meaningless
     /// from there on and the log is refused by [`reassemble`].
     disorder: Option<LogOrderError>,
 }
 
-impl OutcomeLog {
+impl WorkerLog {
     /// The empty log of worker `worker`.
     pub(crate) fn new(worker: usize) -> Self {
-        OutcomeLog {
+        WorkerLog {
             worker,
-            records: Vec::new(),
+            log: OutcomeLog::default(),
             chain: Chain::new(),
             disorder: None,
         }
@@ -291,13 +544,13 @@ impl OutcomeLog {
         if let Err(broken) = self.chain.accept(self.worker, &record) {
             self.disorder.get_or_insert(broken);
         }
-        self.records.push(record);
+        self.log.push(&record);
     }
 
     /// Worker `worker`'s log of `records`, pushed in the order given.
     #[cfg(test)]
     pub(crate) fn of(worker: usize, records: impl IntoIterator<Item = OutcomeRecord>) -> Self {
-        let mut log = OutcomeLog::new(worker);
+        let mut log = WorkerLog::new(worker);
         records.into_iter().for_each(|record| log.push(record));
         log
     }
@@ -308,44 +561,49 @@ impl OutcomeLog {
 /// log, and returns it with its [`digest_outcomes`] value.
 ///
 /// When at most one log holds records (every serial run, every one-worker
-/// run) its `Vec` is moved out untouched and its digest taken as is: the
-/// log was order-checked and folded record by record as it grew.  Otherwise
-/// the logs are k-way merged into one exactly-sized vector, each record
-/// order-checked and folded by the same [`Chain::accept`] as it is emitted
-/// (the workers' own partial digests go unused).  `k` is the worker count,
-/// a handful, so the smallest head is found by scanning them.
+/// run) it is moved out untouched and its digest taken as is: the log was
+/// order-checked and folded record by record as it grew.  Otherwise the
+/// logs are decoded and k-way merged into one freshly encoded log, each
+/// record order-checked and folded by the same [`Chain::accept`] as it is
+/// emitted (the workers' own partial digests go unused).  `k` is the worker
+/// count, a handful, so the smallest head is found by scanning them.
 ///
 /// # Errors
 ///
 /// [`LogOrderError`], naming the worker, when a log is not strictly
 /// ascending or a `seq` occurs in two logs.  Nothing is emitted then.
-pub(crate) fn reassemble(
-    mut logs: Vec<OutcomeLog>,
-) -> Result<(Vec<OutcomeRecord>, u64), LogOrderError> {
-    logs.retain(|log| !log.records.is_empty());
+pub(crate) fn reassemble(mut logs: Vec<WorkerLog>) -> Result<(OutcomeLog, u64), LogOrderError> {
+    logs.retain(|log| !log.log.is_empty());
     if logs.len() <= 1 {
-        let log = logs.pop().unwrap_or_else(|| OutcomeLog::new(0));
+        let log = logs.pop().unwrap_or_else(|| WorkerLog::new(0));
         return match log.disorder {
             Some(broken) => Err(broken),
-            None => Ok((log.records, log.chain.state)),
+            None => Ok((log.log, log.chain.state)),
         };
     }
 
-    let total = logs.iter().map(|log| log.records.len()).sum();
-    let mut merged = Vec::with_capacity(total);
+    // Merged, a record's delta is never wider than in its ascending worker
+    // log, so the merged words never outnumber the workers' together.
+    let words = logs.iter().map(|log| log.log.words.len()).sum();
+    let mut merged = OutcomeLog::with_capacity(words);
     let mut chain = Chain::new();
-    // The unfinished logs, each with its worker: never an empty slice.
-    let mut runs: Vec<(usize, &[OutcomeRecord])> = logs
+    // Each unfinished log's worker, its next record and the rest of it.
+    let mut runs: Vec<(usize, OutcomeRecord, OutcomeIter<'_>)> = logs
         .iter()
-        .map(|log| (log.worker, log.records.as_slice()))
+        .filter_map(|log| {
+            let mut rest = log.log.iter();
+            rest.next().map(|head| (log.worker, head, rest))
+        })
         .collect();
-    while let Some(lead) = (0..runs.len()).min_by_key(|&at| runs[at].1[0].seq) {
-        let (worker, run) = &mut runs[lead];
-        chain.accept(*worker, &run[0])?;
-        merged.push(run[0]);
-        *run = &run[1..];
-        if run.is_empty() {
-            runs.remove(lead);
+    while let Some(lead) = (0..runs.len()).min_by_key(|&at| runs[at].1.seq) {
+        let (worker, head, rest) = &mut runs[lead];
+        chain.accept(*worker, head)?;
+        merged.push(head);
+        match rest.next() {
+            Some(next) => *head = next,
+            None => {
+                runs.remove(lead);
+            }
         }
     }
     Ok((merged, chain.state))
@@ -366,6 +624,47 @@ mod tests {
         out
     }
 
+    /// The record of a request that did nothing.
+    const QUIET: OutcomeRecord = OutcomeRecord {
+        seq: 0,
+        shard: 0,
+        attempts: 0,
+        invalidations: 0,
+        forced_evictions: 0,
+        forced_invalidations: 0,
+        hit: false,
+        allocated: false,
+        failed: false,
+        invalidated_all: false,
+        removed_entry: false,
+        detail: Fnv64::OFFSET,
+    };
+
+    /// `records` stored the way a worker stores them.
+    fn stored(records: &[OutcomeRecord]) -> OutcomeLog {
+        let mut log = OutcomeLog::default();
+        records.iter().for_each(|record| log.push(record));
+        log
+    }
+
+    /// Stores `records` one at a time, checks that the log gives them all
+    /// back, and returns the words each one took.
+    fn stored_sizes(records: &[OutcomeRecord]) -> Vec<usize> {
+        let mut log = OutcomeLog::default();
+        let sizes = records
+            .iter()
+            .map(|record| {
+                let before = log.stored_bytes();
+                log.push(record);
+                (log.stored_bytes() - before) / 8
+            })
+            .collect();
+        assert_eq!(log.len(), records.len());
+        assert_eq!(log.iter().len(), records.len());
+        assert_eq!(log.iter().collect::<Vec<_>>(), records);
+        sizes
+    }
+
     #[test]
     fn capture_reflects_the_outcome_buffer() {
         let record = OutcomeRecord::capture(17, 4, &sample_outcome());
@@ -377,6 +676,8 @@ mod tests {
         assert_eq!(record.forced_invalidations, 1);
         assert!(record.hit && record.allocated);
         assert!(!record.failed && !record.invalidated_all && !record.removed_entry);
+        // What the stored log leaves out when it is all a record says.
+        assert_eq!(OutcomeRecord::capture(0, 0, &Outcome::new()), QUIET);
     }
 
     #[test]
@@ -389,21 +690,129 @@ mod tests {
     }
 
     #[test]
+    fn every_count_round_trips_at_the_edges_of_its_bits() {
+        type Count = (&'static str, u32, fn(&mut OutcomeRecord, u32));
+        let counts: [Count; 5] = [
+            ("attempts", 6, |r, value| r.attempts = value),
+            ("invalidations", 8, |r, value| r.invalidations = value),
+            ("forced_evictions", 2, |r, value| r.forced_evictions = value),
+            ("forced_invalidations", 8, |r, value| {
+                r.forced_invalidations = value
+            }),
+            ("shard", 16, |r, value| r.shard = value),
+        ];
+        for (field, width, set) in counts {
+            let widest = (1 << width) - 1;
+            // One header word while the value fits; an escape header and
+            // five raw words from one past it.
+            for (value, words) in [(0, 1), (widest, 1), (widest + 1, 6), (u32::MAX, 6)] {
+                let mut record = OutcomeRecord {
+                    seq: 3,
+                    hit: true,
+                    removed_entry: true,
+                    ..QUIET
+                };
+                set(&mut record, value);
+                let next = OutcomeRecord { seq: 4, ..record };
+                assert_eq!(
+                    stored_sizes(&[record, next]),
+                    [words, words],
+                    "{field} = {value}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seq_deltas_round_trip_at_the_edges_of_their_bits() {
+        let at = |seq| OutcomeRecord { seq, ..QUIET };
+        let widest: u64 = (1 << 17) - 1;
+        // Deltas 5 (from 0: the first record), 1, 2, widest and one past.
+        let last = 8 + widest + (widest + 1);
+        let seqs = [5, 6, 8, 8 + widest, last];
+        // A step backwards or past `u64::MAX` escapes; a wrap to 0 does not.
+        let records: Vec<_> = seqs
+            .into_iter()
+            .chain([last - 1, u64::MAX, 0])
+            .map(at)
+            .collect();
+        assert_eq!(stored_sizes(&records), [1, 1, 1, 1, 6, 6, 6, 1]);
+        assert_eq!(stored_sizes(&[at(widest)]), [1]);
+        assert_eq!(stored_sizes(&[at(widest + 1)]), [6]);
+    }
+
+    #[test]
+    fn detail_is_stored_by_its_value_not_by_the_counts() {
+        let counted_but_empty = OutcomeRecord {
+            invalidations: 3,
+            forced_evictions: 1,
+            forced_invalidations: 2,
+            ..QUIET
+        };
+        let uncounted_but_folded = OutcomeRecord {
+            seq: 1,
+            detail: 0x1234,
+            ..QUIET
+        };
+        let zero = OutcomeRecord {
+            seq: 2,
+            detail: 0,
+            ..QUIET
+        };
+        assert_eq!(
+            stored_sizes(&[counted_but_empty, uncounted_but_folded, zero]),
+            [1, 2, 2]
+        );
+    }
+
+    #[test]
+    fn random_logs_round_trip_and_digest_as_their_records() {
+        let mut rng = SplitMix64::new(0x10_6c0d);
+        for case in 0..40 {
+            let mut records = dense_log(&mut rng, 300);
+            if case % 2 == 1 {
+                // Gaps either side of the delta's width, and counts that
+                // fit or escape.
+                let mut seq = rng.next_u64() % 1000;
+                for record in &mut records {
+                    seq += 1 + rng.next_u64() % (1 << 18);
+                    record.seq = seq;
+                    let wide = rng.next_u64() as u32 >> (rng.next_u64() % 32);
+                    match rng.next_u64() % 4 {
+                        0 => record.attempts = wide,
+                        1 => record.shard = wide,
+                        2 => record.forced_invalidations = wide,
+                        _ => {}
+                    }
+                }
+            }
+            let log = stored(&records);
+            assert_eq!(log.len(), records.len(), "case {case}");
+            assert_eq!(log.iter().collect::<Vec<_>>(), records, "case {case}");
+            assert_eq!(digest_outcomes(&log), digest_outcomes(&records));
+            assert_eq!(
+                digest_outcome_semantics(&log),
+                digest_outcome_semantics(&records)
+            );
+        }
+    }
+
+    #[test]
     fn semantic_digest_masks_attempts_and_nothing_else() {
         let base = OutcomeRecord::capture(0, 0, &sample_outcome());
         let mut cheaper = base;
         cheaper.attempts = 1;
-        assert_ne!(digest_outcomes(&[base]), digest_outcomes(&[cheaper]));
+        assert_ne!(digest_outcomes([base]), digest_outcomes([cheaper]));
         assert_eq!(
-            digest_outcome_semantics(&[base]),
-            digest_outcome_semantics(&[cheaper]),
+            digest_outcome_semantics([base]),
+            digest_outcome_semantics([cheaper]),
             "attempt counts must not enter the semantic view"
         );
         let mut other = base;
         other.invalidations += 1;
         assert_ne!(
-            digest_outcome_semantics(&[base]),
-            digest_outcome_semantics(&[other]),
+            digest_outcome_semantics([base]),
+            digest_outcome_semantics([other]),
             "every other field still must"
         );
     }
@@ -412,9 +821,9 @@ mod tests {
     fn digest_is_order_and_content_sensitive() {
         let a = OutcomeRecord::capture(0, 0, &sample_outcome());
         let b = OutcomeRecord::capture(1, 1, &sample_outcome());
-        assert_ne!(digest_outcomes(&[a, b]), digest_outcomes(&[b, a]));
-        assert_eq!(digest_outcomes(&[a, b]), digest_outcomes(&[a, b]));
-        assert_ne!(digest_outcomes(&[a]), digest_outcomes(&[a, b]));
+        assert_ne!(digest_outcomes([a, b]), digest_outcomes([b, a]));
+        assert_eq!(digest_outcomes([a, b]), digest_outcomes([a, b]));
+        assert_ne!(digest_outcomes([a]), digest_outcomes([a, b]));
     }
 
     /// Every digested field: its name, its width in bits, and how to flip
@@ -441,7 +850,8 @@ mod tests {
 
     #[test]
     fn every_bit_of_every_field_of_every_record_reaches_the_digest() {
-        // Exhaustive over a 64-record log: 293 bits a record, ~19k digests.
+        // Exhaustive over a 64-record log: 293 bits a record, ~19k digests,
+        // each of a stored log, so every bit must also survive storage.
         // The semantic view must move with all of them but `attempts`.
         let log = dense_log(&mut SplitMix64::new(0xd1_6e57), 64);
         let (full, semantic) = (digest_outcomes(&log), digest_outcome_semantics(&log));
@@ -451,13 +861,19 @@ mod tests {
                 for bit in 0..width {
                     flip(&mut flipped[at], bit);
                     assert_ne!(flipped[at], log[at], "{field} bit {bit} did not flip");
+                    let kept = stored(&flipped);
+                    assert_eq!(
+                        kept.iter().nth(at),
+                        Some(flipped[at]),
+                        "record {at}: {field} bit {bit} is lost in storage"
+                    );
                     assert_ne!(
-                        digest_outcomes(&flipped),
+                        digest_outcomes(&kept),
                         full,
                         "record {at}: {field} bit {bit} does not reach the digest"
                     );
                     assert_eq!(
-                        digest_outcome_semantics(&flipped) == semantic,
+                        digest_outcome_semantics(&kept) == semantic,
                         field == "attempts",
                         "record {at}: {field} bit {bit} and the semantic view"
                     );
@@ -484,11 +900,7 @@ mod tests {
         }
         assert_ne!(digest_outcomes(&log[..63]), full, "truncated by one");
         assert_ne!(digest_outcomes(&log[1..]), full, "first record dropped");
-        assert_ne!(
-            digest_outcomes(&[log, extra].concat()),
-            full,
-            "one appended"
-        );
+        assert_ne!(digest_outcomes([log, extra].concat()), full, "one appended");
         // Appending even the blandest record moves the chain.
         let mut blank = log.to_vec();
         blank.push(OutcomeRecord::capture(64, 0, &Outcome::new()));
@@ -497,25 +909,11 @@ mod tests {
 
     #[test]
     fn digests_of_a_fixed_log_are_pinned() {
-        let quiet = OutcomeRecord {
-            seq: 0,
-            shard: 0,
-            attempts: 0,
-            invalidations: 0,
-            forced_evictions: 0,
-            forced_invalidations: 0,
-            hit: false,
-            allocated: false,
-            failed: false,
-            invalidated_all: false,
-            removed_entry: false,
-            detail: Fnv64::OFFSET,
-        };
         let log = [
             OutcomeRecord {
                 attempts: 1,
                 allocated: true,
-                ..quiet
+                ..QUIET
             },
             OutcomeRecord {
                 seq: 1,
@@ -524,7 +922,7 @@ mod tests {
                 hit: true,
                 invalidated_all: true,
                 detail: 0x0123_4567_89ab_cdef,
-                ..quiet
+                ..QUIET
             },
             OutcomeRecord {
                 seq: 0x1_0000,
@@ -535,7 +933,7 @@ mod tests {
                 allocated: true,
                 failed: true,
                 detail: u64::MAX,
-                ..quiet
+                ..QUIET
             },
             OutcomeRecord {
                 seq: 0xff_ffff_ffff,
@@ -544,15 +942,28 @@ mod tests {
                 hit: true,
                 removed_entry: true,
                 detail: 0x100,
-                ..quiet
+                ..QUIET
             },
         ];
         // Literals computed once outside this crate, from the module docs'
         // definition written out in another language: every golden file's
-        // digest rests on them.
-        assert_eq!(digest_outcomes(&log), 0x7f83_1ec3_d240_b651);
-        assert_eq!(digest_outcome_semantics(&log), 0x6f4f_498c_707a_9771);
-        assert_eq!(digest_outcomes(&[]), 0x2545_f491_4f6c_dd1d);
+        // digest rests on them.  Stored, the records digest the same.
+        let kept = stored(&log);
+        for (full, semantic) in [
+            (digest_outcomes(log), digest_outcome_semantics(log)),
+            (digest_outcomes(&kept), digest_outcome_semantics(&kept)),
+        ] {
+            assert_eq!(full, 0x7f83_1ec3_d240_b651);
+            assert_eq!(semantic, 0x6f4f_498c_707a_9771);
+        }
+        assert_eq!(
+            digest_outcomes(&[] as &[OutcomeRecord]),
+            0x2545_f491_4f6c_dd1d
+        );
+        assert_eq!(
+            digest_outcomes(&OutcomeLog::default()),
+            0x2545_f491_4f6c_dd1d
+        );
     }
 
     /// A dense log `0..len` whose records differ in every digested field.
@@ -593,35 +1004,27 @@ mod tests {
             } else {
                 workers
             };
-            let mut logs: Vec<OutcomeLog> = (0..workers).map(OutcomeLog::new).collect();
+            let mut logs: Vec<WorkerLog> = (0..workers).map(WorkerLog::new).collect();
             for record in &reference {
                 let run = rng.next_u64() as usize % used.min(workers);
                 logs[run].push(*record);
             }
-            let non_empty: Vec<_> = logs.iter().filter(|log| !log.records.is_empty()).collect();
+            let non_empty: Vec<_> = logs.iter().filter(|log| !log.log.is_empty()).collect();
             let lone = match non_empty[..] {
-                [log] => Some(log.records.as_ptr()),
+                [log] => Some(log.log.buffer()),
                 _ => None,
             };
 
             let (merged, digest) = reassemble(logs).expect("ascending, disjoint runs");
-            assert_eq!(merged, reference, "case {case}");
+            assert_eq!(merged.iter().collect::<Vec<_>>(), reference, "case {case}");
+            // One encoding per record sequence: merged or moved, the log
+            // is word for word the reference stored directly.
+            assert_eq!(merged, stored(&reference), "case {case}");
             assert_eq!(digest, digest_outcomes(&reference), "case {case}");
             if let Some(buffer) = lone {
-                assert_eq!(merged.as_ptr(), buffer, "a lone log is moved, not copied");
+                assert_eq!(merged.buffer(), buffer, "a lone log is moved, not copied");
             }
         }
-    }
-
-    #[test]
-    fn reassembly_sizes_the_merged_log_exactly() {
-        let mut rng = SplitMix64::new(7);
-        let reference = dense_log(&mut rng, 1000);
-        let (even, odd): (Vec<_>, Vec<_>) = reference.iter().partition(|r| r.seq % 2 == 0);
-        let (merged, _) = reassemble(vec![OutcomeLog::of(0, even), OutcomeLog::of(1, odd)])
-            .expect("two ascending runs");
-        assert_eq!(merged, reference);
-        assert_eq!(merged.capacity(), reference.len());
     }
 
     #[test]
@@ -629,7 +1032,7 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let log = dense_log(&mut rng, 8);
         // Every log is built record by record through `push`.
-        let pick = |worker, seqs: &[usize]| OutcomeLog::of(worker, seqs.iter().map(|&at| log[at]));
+        let pick = |worker, seqs: &[usize]| WorkerLog::of(worker, seqs.iter().map(|&at| log[at]));
 
         // A run that steps backwards, merged with a healthy one.
         let err = reassemble(vec![pick(0, &[0, 2, 4]), pick(1, &[1, 5, 3])]).unwrap_err();
@@ -649,10 +1052,11 @@ mod tests {
 
     #[test]
     fn reassembly_of_nothing_is_the_empty_log() {
-        for logs in [Vec::new(), vec![OutcomeLog::new(0), OutcomeLog::new(1)]] {
+        for logs in [Vec::new(), vec![WorkerLog::new(0), WorkerLog::new(1)]] {
             let (merged, digest) = reassemble(logs).expect("nothing to disorder");
             assert!(merged.is_empty());
-            assert_eq!(digest, digest_outcomes(&[]));
+            assert_eq!(merged.iter().next(), None);
+            assert_eq!(digest, digest_outcomes(&merged));
         }
     }
 }

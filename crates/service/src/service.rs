@@ -57,7 +57,9 @@
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
-use crate::request::{digest_outcome_semantics, reassemble, OutcomeLog, OutcomeRecord, Request};
+use crate::request::{
+    digest_outcome_semantics, reassemble, OutcomeLog, OutcomeRecord, Request, WorkerLog,
+};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
@@ -177,9 +179,10 @@ pub struct ServiceReport {
     pub entries: usize,
     /// The merged statistics snapshot.
     pub stats: ServiceStats,
-    /// The sequence-ordered outcome log (empty when
+    /// The sequence-ordered outcome log, one [`OutcomeRecord`] a request in
+    /// the compact stored layout, decoded when iterated (empty when
     /// [`ServiceConfig::record_outcomes`] is off).
-    pub outcomes: Vec<OutcomeRecord>,
+    pub outcomes: OutcomeLog,
     /// [`crate::digest_outcomes`] of the outcome log, folded record by
     /// record as the log was written (`0` when
     /// [`ServiceConfig::record_outcomes`] is off).
@@ -197,17 +200,7 @@ impl ServiceReport {
     /// count.  Two reports with equal `semantics()` applied the same
     /// per-shard streams to the same effect.
     #[must_use]
-    pub fn semantics(
-        &self,
-    ) -> (
-        &str,
-        usize,
-        u64,
-        usize,
-        &ServiceStats,
-        &[OutcomeRecord],
-        u64,
-    ) {
+    pub fn semantics(&self) -> (&str, usize, u64, usize, &ServiceStats, &OutcomeLog, u64) {
         (
             &self.organization,
             self.shards,
@@ -241,7 +234,7 @@ impl ServiceReport {
         usize,
         (u64, u64, u64),
         &DirectoryStats,
-        &[OutcomeRecord],
+        &OutcomeLog,
         u64,
     ) {
         (
@@ -497,7 +490,7 @@ pub(crate) struct WorkerOutput {
     pub(crate) index: usize,
     /// The owned slices, in local order.
     pub(crate) slices: Vec<Box<dyn Directory>>,
-    pub(crate) outcomes: OutcomeLog,
+    pub(crate) outcomes: WorkerLog,
     pub(crate) applied: u64,
     pub(crate) batches: u64,
     pub(crate) invalidations: u64,
@@ -523,7 +516,7 @@ impl WorkerOutput {
         WorkerOutput {
             index,
             slices,
-            outcomes: OutcomeLog::new(index),
+            outcomes: WorkerLog::new(index),
             applied: 0,
             batches: 0,
             invalidations: 0,
@@ -633,7 +626,7 @@ pub(crate) fn maybe_resize(
 /// serial reference (free function so closures can borrow the output
 /// fields disjointly from the slices).
 pub(crate) fn absorb_into(
-    outcomes: &mut OutcomeLog,
+    outcomes: &mut WorkerLog,
     invalidations: &mut u64,
     forced_invalidations: &mut u64,
     seq: u64,
@@ -860,8 +853,8 @@ mod tests {
             WorkerOutput::new(0, Vec::new()),
             WorkerOutput::new(1, Vec::new()),
         ];
-        outputs[0].outcomes = OutcomeLog::of(0, [record(0), record(2)]);
-        outputs[1].outcomes = OutcomeLog::of(1, [record(1), record(2)]);
+        outputs[0].outcomes = WorkerLog::of(0, [record(0), record(2)]);
+        outputs[1].outcomes = WorkerLog::of(1, [record(1), record(2)]);
         let _ = finish(String::new(), 0, 2, outputs, true, 0, 0, None, None);
     }
 
