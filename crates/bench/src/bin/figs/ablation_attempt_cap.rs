@@ -5,12 +5,12 @@
 //! entries it could have placed, while anything beyond ~16 attempts changes
 //! nothing at practical occupancies.
 
-use crate::{fill_to, Artifact, Context};
+use crate::{fill_to, Context};
 use ccd_common::{json::Json, obj};
 use ccd_cuckoo::CuckooTable;
 use ccd_hash::HashKind;
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let grid: Vec<(f64, u32)> = [0.5, 0.75, 0.9]
         .into_iter()
         .flat_map(|target| [2u32, 4, 8, 16, 32, 64].map(|cap| (target, cap)))
@@ -26,5 +26,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             "discard_percent": discarded * 100.0,
         }
     });
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

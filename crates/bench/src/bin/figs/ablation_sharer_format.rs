@@ -5,7 +5,7 @@
 //! implemented in `ccd-sharers` on a 4-way 1x Cuckoo tag store at 64 and
 //! 1024 cores (Shared-L2 model).
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 use ccd_sharers::SharerFormat;
@@ -23,7 +23,7 @@ fn org_for(format: SharerFormat) -> Option<DirOrg> {
     }
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let model = EnergyModel::shared_l2();
     let grid: Vec<(usize, SharerFormat)> = [64usize, 1024]
         .into_iter()
@@ -39,5 +39,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             "area_percent": point.map(|p| p.area_relative * 100.0),
         }
     });
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

@@ -11,7 +11,7 @@
 //! — serially and in parallel — asserting the replayed `SimReport`s are
 //! **byte-identical** to the live generation.
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_bench::{ParallelRunner, SweepSpec};
 use ccd_coherence::{DirectorySpec, Hierarchy, SimJob, SimReport, SystemConfig};
 use ccd_common::{json::Json, obj};
@@ -83,7 +83,7 @@ fn record_replay_check(sweep: &SweepSpec, workload_index: usize) -> (SimReport, 
     (live_report, replays)
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let mut sweep = SweepSpec::new("Scenario catalog (Shared-L2)")
         .system("Shared-L2", SystemConfig::table1(Hierarchy::SharedL2))
         .org("Cuckoo 1x", DirectorySpec::cuckoo(4, 1.0))
@@ -130,5 +130,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
         "replay_identical_parallel": identical[1],
         "rows": Json::Arr(rows.collect()),
     };
-    vec![bench.into()]
+    vec![bench]
 }

@@ -1,7 +1,7 @@
 //! Figure 10 — average insertion attempts per workload for the selected
 //! Cuckoo organizations (4×512 Shared-L2, 3×8192 Private-L2).
 
-use crate::{explicit_cuckoo_sweep, selected_cuckoo, Artifact, Context};
+use crate::{explicit_cuckoo_sweep, selected_cuckoo, Context};
 use ccd_bench::SweepResults;
 use ccd_coherence::Hierarchy;
 use ccd_common::{json::Json, obj};
@@ -17,7 +17,7 @@ fn attempts(context: &Context, hierarchy: Hierarchy, base_seed: u64) -> SweepRes
         .expect("simulation failed")
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let shared = attempts(context, Hierarchy::SharedL2, 0xA10);
     let private = attempts(context, Hierarchy::PrivateL2, 0xA11);
     // Each sweep has one system and one organization: a cell per workload.
@@ -37,5 +37,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             }
         })
         .collect();
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

@@ -6,7 +6,7 @@
 //! selected 4×512 and 3×8192 Cuckoo organizations.  `percent_by_attempts`
 //! pairs an attempt count with the share of insert operations that took it.
 
-use crate::{explicit_cuckoo_sweep, selected_cuckoo, Artifact, Context};
+use crate::{explicit_cuckoo_sweep, selected_cuckoo, Context};
 use ccd_coherence::Hierarchy;
 use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
@@ -33,7 +33,7 @@ fn distribution(
     obj! { "label": label, "percent_by_attempts": percent_by_attempts }
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let oracle = distribution(
         context,
         "OLTP Oracle (Shared-L2, 4x512)",
@@ -46,5 +46,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
         Hierarchy::PrivateL2,
         WorkloadProfile::ocean(),
     );
-    vec![Json::Arr(vec![oracle, ocean]).into()]
+    vec![Json::Arr(vec![oracle, ocean])]
 }

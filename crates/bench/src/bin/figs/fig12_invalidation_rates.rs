@@ -7,13 +7,13 @@
 //! 8× capacity, (c) a 4-way skewed-associative directory with 2× capacity,
 //! and (d) the selected Cuckoo directory (1× Shared-L2 / 1.5× Private-L2).
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_bench::SweepSpec;
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let mut rows = Vec::new();
     for hierarchy in [Hierarchy::SharedL2, Hierarchy::PrivateL2] {
         let cuckoo = match hierarchy {
@@ -51,5 +51,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             });
         }
     }
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

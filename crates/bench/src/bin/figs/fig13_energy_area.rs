@@ -2,11 +2,11 @@
 //! organizations for 16–1024 cores, Shared-L2 and Private-L2.
 
 use crate::fig4_scalability::series;
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let cores = EnergyModel::paper_core_counts();
     let mut rows = Vec::new();
     for (hierarchy, model, shared) in [
@@ -24,5 +24,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             });
         }
     }
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

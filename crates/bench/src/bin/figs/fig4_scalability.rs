@@ -6,7 +6,7 @@
 //! Shared-L2 analytical model; the same sweep with the Private-L2 model is
 //! part of Figure 13.
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 
@@ -28,7 +28,7 @@ pub fn series(
     })
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let cores = EnergyModel::paper_core_counts();
     let rows = series(context, &EnergyModel::shared_l2(), &DirOrg::figure4_set())
         .into_iter()
@@ -41,5 +41,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             }
         })
         .collect();
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

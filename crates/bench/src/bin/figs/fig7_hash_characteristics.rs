@@ -8,7 +8,7 @@
 //! shortest-path engine's occupancy-vs-attempts trade-off sits next to the
 //! paper's greedy displacement chain in the same report.
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_cuckoo::CuckooTable;
 use ccd_directory::InsertPolicy;
@@ -58,7 +58,7 @@ fn characterize(arity: usize, sets: usize, seed: u64, policy: InsertPolicy) -> J
     obj! { "arity": arity, "policy": policy.to_string(), "points": Json::Arr(points) }
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     // Each (arity, policy) characterization is independent; fan them across
     // the runner's workers (results stay in case order either way).
     let cases: Vec<(usize, InsertPolicy)> = [InsertPolicy::Greedy, InsertPolicy::Bfs]
@@ -73,5 +73,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             policy,
         )
     });
-    vec![Json::Arr(curves).into()]
+    vec![Json::Arr(curves)]
 }

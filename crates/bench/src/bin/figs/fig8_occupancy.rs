@@ -7,7 +7,7 @@
 //! over-provisioning while the Private-L2 configuration needs ~1.5×
 //! (Section 5.2).
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_bench::SweepSpec;
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::{json::Json, obj};
@@ -22,7 +22,7 @@ fn rescale(system: &SystemConfig, occupancy: f64) -> f64 {
     occupancy * capacity_per_slice / system.tracked_frames_per_slice() as f64
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let shared = SystemConfig::table1(Hierarchy::SharedL2);
     let private = SystemConfig::table1(Hierarchy::PrivateL2);
 
@@ -54,5 +54,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             }
         })
         .collect();
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

@@ -6,7 +6,7 @@
 //! insertion attempts and forced-invalidation rates over the full workload
 //! suite.
 
-use crate::{explicit_cuckoo_sweep, Artifact, Context};
+use crate::{explicit_cuckoo_sweep, Context};
 use ccd_bench::sweep::cuckoo_org_label;
 use ccd_bench::{RunScale, SweepSpec};
 use ccd_coherence::Hierarchy;
@@ -49,7 +49,7 @@ fn sweep(hierarchy: Hierarchy, scale: RunScale) -> SweepSpec {
         .base_seed(0xF19)
 }
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     let mut rows = Vec::new();
     for hierarchy in [Hierarchy::SharedL2, Hierarchy::PrivateL2] {
         let results = sweep(hierarchy, context.scale)
@@ -71,7 +71,7 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             });
         }
     }
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }
 
 #[cfg(test)]

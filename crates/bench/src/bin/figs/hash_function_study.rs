@@ -9,7 +9,7 @@
 //!    configuration where the paper observed strong hashes eliminating the
 //!    residual forced invalidations — `hash_function_study_sim`.
 
-use crate::{fill_to, Artifact, Context};
+use crate::{fill_to, Context};
 use ccd_bench::SweepSpec;
 use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::{json::Json, obj};
@@ -17,7 +17,7 @@ use ccd_cuckoo::CuckooTable;
 use ccd_hash::HashKind;
 use ccd_workloads::WorkloadProfile;
 
-pub fn run(context: &Context) -> Vec<Artifact> {
+pub fn run(context: &Context) -> Vec<Json> {
     // Part 1: raw table behaviour — one characterization per (hash, target)
     // grid point, fanned across the runner's workers.
     let grid: Vec<(HashKind, f64)> = HashKind::all()
@@ -60,5 +60,5 @@ pub fn run(context: &Context) -> Vec<Artifact> {
             "avg_attempts": cell.report.avg_insertion_attempts(),
         }
     });
-    vec![Json::Arr(raw).into(), Json::Arr(sim.collect()).into()]
+    vec![Json::Arr(raw), Json::Arr(sim.collect())]
 }

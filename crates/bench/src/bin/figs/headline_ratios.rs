@@ -2,11 +2,11 @@
 //! and conclusion (Sections 1 and 7), derived from the same analytical
 //! model as Figures 4/13.
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_energy::{DirOrg, EnergyModel};
 
-pub fn run(_: &Context) -> Vec<Artifact> {
+pub fn run(_: &Context) -> Vec<Json> {
     let shared = EnergyModel::shared_l2();
     let private = EnergyModel::private_l2();
     let (cuckoo_shared, cuckoo_private) = (
@@ -57,5 +57,5 @@ pub fn run(_: &Context) -> Vec<Artifact> {
     .map(|(claim, paper_value, measured)| {
         obj! { "claim": claim, "paper_value": paper_value, "measured": measured }
     });
-    vec![Json::Arr(rows.to_vec()).into()]
+    vec![Json::Arr(rows.to_vec())]
 }

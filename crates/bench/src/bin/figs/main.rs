@@ -1,5 +1,5 @@
-//! `figs` — the one results program: every table, figure, ablation and
-//! determinism matrix of the evaluation is a row of [`EXPERIMENTS`].
+//! `figs` — the one results program: every table, figure and ablation of
+//! the evaluation is a row of [`EXPERIMENTS`].
 //!
 //! ```text
 //! figs <name>…      run the named experiments, in argument order
@@ -11,11 +11,10 @@
 //! token before anything runs.  The environment is parsed once, here:
 //! `CCD_SCALE` (`quick` / `default` / `full`), `CCD_WORKERS` (the parallel
 //! runner's worker count; `1` is a serial run with byte-identical
-//! results) and `CCD_RESULTS_DIR` (default `results`).  Observation is
-//! armed by API only, where `bench_obs` asks for it.
+//! results) and `CCD_RESULTS_DIR` (default `results`).
 //!
-//! An experiment is a function from that [`Context`] to its artifacts, one
-//! per file its row declares: it builds rows as `Json` objects, naming
+//! An experiment is a function from that [`Context`] to its result trees,
+//! one per file its row declares: it builds rows as `Json` objects, naming
 //! each column once, and neither prints nor writes.  The driver does both:
 //! [`ccd_bench::text::to_text`] is the stdout table,
 //! [`ccd_bench::write_result`] the file; a file that cannot be written
@@ -25,10 +24,7 @@
 
 mod ablation_attempt_cap;
 mod ablation_sharer_format;
-mod bench_chaos;
-mod bench_obs;
 mod bench_scenarios;
-mod bench_service;
 mod fig10_insertion_attempts;
 mod fig11_attempt_distribution;
 mod fig12_invalidation_rates;
@@ -47,7 +43,6 @@ use ccd_coherence::{DirectorySpec, Hierarchy, SystemConfig};
 use ccd_common::json::Json;
 use ccd_cuckoo::CuckooTable;
 use ccd_hash::HashKind;
-use ccd_service::{DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
 use ccd_workloads::RandomKeyStream;
 
 /// What an experiment runs under: the environment, parsed once.
@@ -57,42 +52,18 @@ struct Context {
     runner: ParallelRunner,
 }
 
-impl Context {
-    /// Requests per service-matrix cell at the selected scale.
-    fn requests_for(&self, quick: u64, default: u64, full: u64) -> u64 {
-        match self.scale_name {
-            "quick" => quick,
-            "full" => full,
-            _ => default,
-        }
-    }
-}
-
-/// One file's content, as the experiment hands it to the driver.
-enum Artifact {
-    /// A result tree: printed as a table, written as pretty JSON.
-    Json(Json),
-    /// Raw bytes (`bench_obs`'s flight recordings): written, not printed.
-    Bytes(Vec<u8>),
-}
-
-impl From<Json> for Artifact {
-    fn from(tree: Json) -> Self {
-        Artifact::Json(tree)
-    }
-}
-
 /// One row of the results program.
 struct Experiment {
     /// What `figs <name>` selects.
     name: &'static str,
-    /// Every file the experiment leaves under the results directory; each
-    /// `.json` among them has a golden under `tests/golden/`.
+    /// Every file the experiment leaves under the results directory, each
+    /// pinned by a golden under `tests/golden/`.
     results: &'static [&'static str],
     /// What the paper reports for it, printed after the tables.
     note: &'static str,
-    /// One artifact per entry of `results`, in order.
-    run: fn(&Context) -> Vec<Artifact>,
+    /// One result tree per entry of `results`, in order: printed as a
+    /// table, written as pretty JSON.
+    run: fn(&Context) -> Vec<Json>,
 }
 
 const EXPERIMENTS: &[Experiment] = &[
@@ -213,53 +184,7 @@ const EXPERIMENTS: &[Experiment] = &[
         note: "",
         run: bench_scenarios::run,
     },
-    Experiment {
-        name: "bench_service",
-        results: &["BENCH_service.json"],
-        note: "",
-        run: bench_service::run,
-    },
-    Experiment {
-        name: "bench_chaos",
-        results: &["BENCH_chaos.json"],
-        note: "",
-        run: bench_chaos::run,
-    },
-    Experiment {
-        name: "bench_obs",
-        results: &[
-            "BENCH_obs.json",
-            "obs_trace_router.bin",
-            "obs_trace_worker0.bin",
-        ],
-        note: "",
-        run: bench_obs::run,
-    },
 ];
-
-/// The shard organization of the three service matrices: a 16 K-entry
-/// 4-way cuckoo directory tracking 16 caches; the set count divides by
-/// every shard count they use.
-const SERVICE_SPEC: &str = "cuckoo-4x4096-c16";
-const SERVICE_CORES: usize = 16;
-const WORKER_AXIS: &[usize] = &[1, 2, 4];
-
-/// One service-matrix cell: builds the topology and streams `load` through
-/// it — through the workers, or through the inline serial reference.
-fn service_cell(config: ServiceConfig, load: &LoadSpec, serial: bool) -> ServiceReport {
-    let service = DirectoryService::build_standard(config).expect("matrix topology builds");
-    let report = if serial {
-        service.run_load_serial(load)
-    } else {
-        service.run_load(load)
-    };
-    report.expect("matrix load runs")
-}
-
-/// The outcome-log digest as the result files spell it.
-fn digest_hex(report: &ServiceReport) -> String {
-    format!("{:016x}", report.outcome_digest)
-}
 
 /// A Table 1 system under explicit `ways x sets` skewing Cuckoo
 /// organizations, each labelled by [`cuckoo_org_label`] (Figures 9–11 add
@@ -342,22 +267,16 @@ fn main() {
 
     for experiment in selected {
         println!("== {} (scale {scale_name}) ==", experiment.name);
-        let artifacts = (experiment.run)(&context);
+        let trees = (experiment.run)(&context);
         assert_eq!(
-            artifacts.len(),
+            trees.len(),
             experiment.results.len(),
-            "{} returns one artifact per file its row declares",
+            "{} returns one result per file its row declares",
             experiment.name
         );
-        for (file, artifact) in experiment.results.iter().zip(artifacts) {
-            let bytes = match artifact {
-                Artifact::Json(tree) => {
-                    print!("{}", ccd_bench::text::to_text(&tree));
-                    tree.to_pretty().into_bytes()
-                }
-                Artifact::Bytes(bytes) => bytes,
-            };
-            match ccd_bench::write_result(&dir, file, &bytes) {
+        for (file, tree) in experiment.results.iter().zip(trees) {
+            print!("{}", ccd_bench::text::to_text(&tree));
+            match ccd_bench::write_result(&dir, file, tree.to_pretty().as_bytes()) {
                 Ok(path) => println!("-> {}", path.display()),
                 Err(e) => exit_with(1, e),
             }

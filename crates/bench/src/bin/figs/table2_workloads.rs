@@ -4,11 +4,11 @@
 //! and access-mix parameters each generator is calibrated to (see
 //! `ccd-workloads` and ARCHITECTURE.md for the substitution rationale).
 
-use crate::{Artifact, Context};
+use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_workloads::WorkloadProfile;
 
-pub fn run(_: &Context) -> Vec<Artifact> {
+pub fn run(_: &Context) -> Vec<Json> {
     let rows = WorkloadProfile::all_paper_workloads()
         .iter()
         .map(|w| {
@@ -25,5 +25,5 @@ pub fn run(_: &Context) -> Vec<Artifact> {
             }
         })
         .collect();
-    vec![Json::Arr(rows).into()]
+    vec![Json::Arr(rows)]
 }

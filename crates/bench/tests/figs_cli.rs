@@ -50,15 +50,15 @@ fn list_prints_one_name_and_its_files_per_row_in_table_order() {
     for (name, files) in &rows {
         assert!(!name.contains('.') && !files.is_empty(), "{name} {files:?}");
         for file in files {
-            assert!(file.ends_with(".json") || file.ends_with(".bin"), "{file}");
+            assert!(file.ends_with(".json"), "{file}");
         }
     }
-    // The table follows the paper: Table 2 first, the matrices last.
+    // The table follows the paper: Table 2 first, the scenario sweep last.
     let line = |(name, files): &(String, Vec<String>)| format!("{name} {}", files.join(" "));
     assert_eq!(line(&rows[0]), "table2_workloads table2_workloads.json");
     assert_eq!(
         line(rows.last().unwrap()),
-        "bench_obs BENCH_obs.json obs_trace_router.bin obs_trace_worker0.bin"
+        "bench_scenarios BENCH_scenarios.json"
     );
 }
 
@@ -68,7 +68,7 @@ fn every_golden_has_one_owner_and_every_result_a_golden() {
     let declared: Vec<String> = listed()
         .into_iter()
         .flat_map(|(_, files)| files)
-        .filter_map(|file| file.strip_suffix(".json").map(golden_of))
+        .map(|file| golden_of(file.trim_end_matches(".json")))
         .collect();
     let owned: BTreeSet<&String> = declared.iter().collect();
     assert_eq!(owned.len(), declared.len(), "a result has one owner");

@@ -5,9 +5,9 @@
 //! ```
 //!
 //! Reads files produced by serializing a [`FlightRecording`]
-//! (`figs bench_obs` writes two under the results directory) and prints each
-//! event with its virtual-time stamp, kind, lane and argument.  Exits
-//! non-zero on unreadable or corrupt input.
+//! ([`FlightRecording::to_bytes`] of an armed service run's router or
+//! worker ring) and prints each event with its virtual-time stamp, kind,
+//! lane and argument.  Exits non-zero on unreadable or corrupt input.
 //!
 //! [`FlightRecording`]: ccd_obs::FlightRecording
 

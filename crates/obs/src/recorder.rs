@@ -31,11 +31,15 @@ pub const VTIME_BITS: u32 = 40;
 
 const VTIME_MASK: u64 = (1 << VTIME_BITS) - 1;
 const MAGIC: u64 = u64::from_le_bytes(*b"CCDOBS01");
+/// Serialized sizes: the header is four words (magic, capacity, recorded,
+/// event count), an event two.
+const HEADER_BYTES: usize = 32;
+const EVENT_BYTES: usize = 16;
 
 /// The kinds of events the service stack records.
 ///
 /// Discriminants are part of the recording byte format; append new kinds,
-/// never renumber.
+/// never renumber or reuse (3 was a retired kind).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -43,8 +47,6 @@ pub enum EventKind {
     BatchRouted = 1,
     /// A worker applied a batch (`lane` = worker, arg = len).
     BatchApplied = 2,
-    /// The admission gate shed a batch offer (`lane` = worker, arg = len).
-    Shed = 3,
     /// A worker crashed (`lane` = worker, arg = recovery epoch).
     Crash = 4,
     /// The supervisor recovered a worker (`lane` = worker, arg = epoch).
@@ -65,7 +67,6 @@ impl EventKind {
         Some(match raw {
             1 => EventKind::BatchRouted,
             2 => EventKind::BatchApplied,
-            3 => EventKind::Shed,
             4 => EventKind::Crash,
             5 => EventKind::Recovery,
             6 => EventKind::ResizeFired,
@@ -82,7 +83,6 @@ impl EventKind {
         match self {
             EventKind::BatchRouted => "batch-routed",
             EventKind::BatchApplied => "batch-applied",
-            EventKind::Shed => "shed",
             EventKind::Crash => "crash",
             EventKind::Recovery => "recovery",
             EventKind::ResizeFired => "resize-fired",
@@ -235,7 +235,7 @@ impl FlightRecording {
     /// events, all little-endian `u64`s.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 * (4 + 2 * self.events.len()));
+        let mut out = Vec::with_capacity(HEADER_BYTES + EVENT_BYTES * self.events.len());
         for word in [
             MAGIC,
             self.capacity,
@@ -256,45 +256,50 @@ impl FlightRecording {
     ///
     /// # Errors
     ///
-    /// [`ConfigError::Parse`] on truncation, a bad magic word, or an event
+    /// [`ConfigError::Parse`] on a short header, a bad magic word, an event
+    /// count the bytes after the header do not hold exactly, or an event
     /// with an unknown kind.
     pub fn from_bytes(bytes: &[u8]) -> Result<FlightRecording, ConfigError> {
-        let mut words = bytes.chunks_exact(8).map(|c| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c);
-            u64::from_le_bytes(word)
-        });
-        if !bytes.len().is_multiple_of(8) {
-            return Err(ConfigError::parse(
-                "flight recording truncated mid-word".to_string(),
-            ));
-        }
-        let mut next = |what: &str| {
-            words
-                .next()
-                .ok_or_else(|| ConfigError::parse(format!("flight recording missing {what}")))
+        let read_words = |bytes: &[u8]| -> Vec<u64> {
+            let word = |c: &[u8]| u64::from_le_bytes(std::array::from_fn(|i| c[i]));
+            bytes.chunks_exact(8).map(word).collect()
         };
-        if next("magic")? != MAGIC {
+        let [magic, capacity, recorded, count] =
+            read_words(&bytes[..bytes.len().min(HEADER_BYTES)])[..]
+        else {
+            return Err(ConfigError::parse(format!(
+                "flight recording of {} bytes lacks its {HEADER_BYTES}-byte header",
+                bytes.len()
+            )));
+        };
+        if magic != MAGIC {
             return Err(ConfigError::parse(
                 "not a flight recording (bad magic)".to_string(),
             ));
         }
-        let capacity = next("capacity")?;
-        let recorded = next("recorded count")?;
-        let count = next("event count")?;
-        let mut events = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let word0 = next(&format!("event {i}"))?;
-            let word1 = next(&format!("event {i} argument"))?;
-            let event = RawEvent([word0, word1]);
-            if event.kind().is_none() {
-                return Err(ConfigError::parse(format!(
-                    "flight recording event {i} has unknown kind {}",
-                    word0 >> 56
-                )));
-            }
-            events.push(event);
+        // The header is trusted for nothing: the count must account for
+        // every byte after it before anything is allocated.
+        let body = &bytes[HEADER_BYTES..];
+        if count.checked_mul(EVENT_BYTES as u64) != Some(body.len() as u64) {
+            return Err(ConfigError::parse(format!(
+                "flight recording declares {count} events, but {} bytes follow its \
+                 header ({EVENT_BYTES} an event)",
+                body.len()
+            )));
         }
+        let events = read_words(body)
+            .chunks_exact(2)
+            .enumerate()
+            .map(|(i, pair)| {
+                let event = RawEvent([pair[0], pair[1]]);
+                event.kind().map(|_| event).ok_or_else(|| {
+                    ConfigError::parse(format!(
+                        "flight recording event {i} has unknown kind {}",
+                        pair[0] >> 56
+                    ))
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(FlightRecording {
             capacity,
             recorded,
@@ -414,7 +419,7 @@ mod tests {
     #[test]
     fn from_bytes_rejects_corrupt_input() {
         let mut rec = FlightRecorder::new(4, false);
-        rec.record(EventKind::Shed, 0, 5, 8);
+        rec.record(EventKind::BatchRouted, 0, 5, 8);
         let good = rec.finish().to_bytes();
         assert!(FlightRecording::from_bytes(&good[..good.len() - 3]).is_err());
         assert!(FlightRecording::from_bytes(&good[..16]).is_err());
@@ -427,38 +432,41 @@ mod tests {
         assert!(FlightRecording::from_bytes(&[]).is_err());
     }
 
-    #[test]
-    fn render_text_names_every_kind() {
-        let mut rec = FlightRecorder::new(16, true);
-        for (i, kind) in [
-            EventKind::BatchRouted,
-            EventKind::BatchApplied,
-            EventKind::Shed,
-            EventKind::Crash,
-            EventKind::Recovery,
-            EventKind::ResizeFired,
-            EventKind::JournalReplay,
-            EventKind::SpanBegin,
-            EventKind::SpanEnd,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            rec.record(kind, i as u16, i as u64, 0);
+    /// A recording of `events` batch-routed events.
+    fn recording_of(events: u64) -> Vec<u8> {
+        let mut rec = FlightRecorder::new(8, false);
+        for i in 0..events {
+            rec.record(EventKind::BatchRouted, 1, i, 64);
         }
-        let text = rec.finish().render_text();
-        for name in [
-            "batch-routed",
-            "batch-applied",
-            "shed",
-            "crash",
-            "recovery",
-            "resize-fired",
-            "journal-replay",
-            "span-begin",
-            "span-end",
-        ] {
-            assert!(text.contains(name), "{name} missing from:\n{text}");
+        rec.finish().to_bytes()
+    }
+
+    #[test]
+    fn an_event_count_the_bytes_cannot_hold_is_rejected_naming_both_numbers() {
+        for count in [u64::MAX, u64::MAX / 16 + 1, 1 << 40, 4] {
+            let mut lying = recording_of(3);
+            lying[24..32].copy_from_slice(&count.to_le_bytes());
+            let err = FlightRecording::from_bytes(&lying).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("declares {count} events, but 48 bytes")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn words_after_the_declared_events_are_rejected() {
+        for extra in [8, 16] {
+            let mut padded = recording_of(2);
+            padded.resize(padded.len() + extra, 0);
+            let err = FlightRecording::from_bytes(&padded)
+                .unwrap_err()
+                .to_string();
+            let body = 32 + extra;
+            assert!(
+                err.contains(&format!("declares 2 events, but {body} bytes")),
+                "{err}"
+            );
         }
     }
 }

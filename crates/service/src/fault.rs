@@ -1,20 +1,16 @@
 //! Deterministic fault injection for the directory service.
 //!
-//! A [`FaultPlan`] is a seeded, spec-string-driven schedule of failures —
-//! worker panics, artificial batch-processing stalls, admission-control
-//! shedding.  Faults are *scheduled against the request sequence
-//! numbering*, never against time, so a plan reproduces the same failure
-//! at the same point in the stream on every run, at every worker count, on
-//! every machine:
+//! A [`FaultPlan`] is a spec-string-driven schedule of failures — worker
+//! panics and artificial batch-processing stalls.  Faults are *scheduled
+//! against the request sequence numbering*, never against time, so a plan
+//! reproduces the same failure at the same point in the stream on every
+//! run, at every worker count, on every machine:
 //!
 //! ```text
-//! faults-seed7-crash@w2:5000-stall@w0:2ms-shed0.01
-//! └─┬──┘ └─┬──┘ └────┬─────┘ └────┬─────┘ └──┬───┘
-//!   │      │         │            │          └ shed each batch offer with
-//!   │      │         │            │            probability 0.01 (seeded)
-//!   │      │         │            └ worker 0 sleeps 2ms per batch
-//!   │      │         └ worker 2 panics before applying seq 5000
-//!   │      └ seed for the shedding gate
+//! faults-crash@w2:5000-stall@w0:2ms
+//! └─┬──┘ └────┬─────┘ └────┬─────┘
+//!   │         │            └ worker 0 sleeps 2ms per batch
+//!   │         └ worker 2 panics before applying seq 5000
 //!   └ required prefix
 //! ```
 //!
@@ -22,15 +18,13 @@
 //!
 //! | clause          | meaning                                                |
 //! |-----------------|--------------------------------------------------------|
-//! | `seed<N>`       | seed for the [`ShedGate`] RNG (default 0)              |
 //! | `crash@w<W>:<S>`| worker `W` panics before applying the first request with `seq >= S`; *recoverable* — the supervisor replays and resumes |
 //! | `abort@w<W>:<S>`| like `crash@`, but marked unrecoverable: the supervisor surfaces `ServiceError::WorkerCrashed` instead of recovering |
 //! | `stall@w<W>:<N>ms` | worker `W` sleeps `N` ms before each batch (latency only — results are unaffected) |
-//! | `shed<P>`       | the router sheds each batch offer with probability `P ∈ [0, 1)`; shed offers are counted and re-offered, so no request is lost |
 //!
-//! `seed` and `shed` may appear once; `crash@` and `abort@` repeat for
-//! distinct `(worker, seq)` points, `stall@` once per worker.  The rules
-//! every spec grammar shares are [`ccd_common::clause`]'s.
+//! `crash@` and `abort@` repeat for distinct `(worker, seq)` points,
+//! `stall@` once per worker.  The rules every spec grammar shares are
+//! [`ccd_common::clause`]'s.
 //!
 //! Injection sites are compiled into the worker loop as an
 //! `Option<WorkerFaults>` hook — `None` (the unarmed case) costs one branch
@@ -40,8 +34,7 @@
 //! backtrace spew out of expected-failure test output.
 
 use ccd_common::clause::Clauses;
-use ccd_common::rng::Rng64;
-use ccd_common::{ConfigError, Xoshiro256};
+use ccd_common::ConfigError;
 use std::time::Duration;
 
 /// The longest stall a plan may schedule, per batch.  A cap keeps a typo
@@ -74,10 +67,8 @@ pub struct StallPoint {
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     label: String,
-    seed: u64,
     crashes: Vec<CrashPoint>,
     stalls: Vec<StallPoint>,
-    shed: f64,
 }
 
 impl FaultPlan {
@@ -86,23 +77,17 @@ impl FaultPlan {
     /// # Errors
     ///
     /// [`ConfigError::Parse`] naming the offending clause; rejected inputs
-    /// include a repeated `seed` or `shed`, duplicate `(worker, seq)` crash
-    /// points, more than one stall per worker, `shed` outside `[0, 1)` and
-    /// stalls over [`MAX_STALL_MS`].
+    /// include duplicate `(worker, seq)` crash points, more than one stall
+    /// per worker and stalls over [`MAX_STALL_MS`].
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
         let mut clauses = Clauses::with_prefix("fault plan", "faults", spec)?;
-        let (mut seed, mut shed) = (0u64, 0.0f64);
         let mut crashes: Vec<CrashPoint> = Vec::new();
         let mut stalls: Vec<StallPoint> = Vec::new();
         while clauses.next_clause().is_some() {
             let crash = [("crash@", true), ("abort@", false)]
                 .into_iter()
                 .find(|(key, _)| clauses.strip(key).is_some());
-            if let Some(n) = clauses.value("seed", ..)? {
-                seed = n;
-            } else if let Some(p) = clauses.value("shed", 0.0..1.0)? {
-                shed = p;
-            } else if let Some((key, recoverable)) = crash {
+            if let Some((key, recoverable)) = crash {
                 let (worker, seq) = clauses
                     .strip(key)
                     .and_then(worker_colon_value)
@@ -134,13 +119,11 @@ impl FaultPlan {
         // firing order each worker observes — and stalls by worker.
         crashes.sort_by_key(|c| (c.worker, c.seq));
         stalls.sort_by_key(|s| s.worker);
-        let label = render_label(seed, &crashes, &stalls, shed);
+        let label = render_label(&crashes, &stalls);
         Ok(FaultPlan {
             label,
-            seed,
             crashes,
             stalls,
-            shed,
         })
     }
 
@@ -149,12 +132,6 @@ impl FaultPlan {
     #[must_use]
     pub fn label(&self) -> &str {
         &self.label
-    }
-
-    /// The shedding-gate seed.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Scheduled crashes, sorted by `(worker, seq)`.
@@ -169,12 +146,6 @@ impl FaultPlan {
         &self.stalls
     }
 
-    /// The per-offer shedding probability.
-    #[must_use]
-    pub fn shed(&self) -> f64 {
-        self.shed
-    }
-
     /// `true` when every scheduled crash is recoverable (a plan with no
     /// crashes is trivially recoverable).
     #[must_use]
@@ -185,7 +156,7 @@ impl FaultPlan {
     /// `true` when the plan schedules nothing at all.
     #[must_use]
     pub fn is_noop(&self) -> bool {
-        self.crashes.is_empty() && self.stalls.is_empty() && self.shed == 0.0
+        self.crashes.is_empty() && self.stalls.is_empty()
     }
 
     /// Checks that every referenced worker exists under a `workers`-wide
@@ -232,13 +203,6 @@ impl FaultPlan {
         }
         Some(WorkerFaults { crashes, stall })
     }
-
-    /// The router's admission-control gate, or `None` when the plan sheds
-    /// nothing.
-    #[must_use]
-    pub fn shed_gate(&self) -> Option<ShedGate> {
-        (self.shed > 0.0).then(|| ShedGate::new(self.seed, self.shed))
-    }
 }
 
 impl std::str::FromStr for FaultPlan {
@@ -256,18 +220,15 @@ fn worker_colon_value(text: &str) -> Option<(usize, u64)> {
     Some((worker.parse().ok()?, value.parse().ok()?))
 }
 
-fn render_label(seed: u64, crashes: &[CrashPoint], stalls: &[StallPoint], shed: f64) -> String {
+fn render_label(crashes: &[CrashPoint], stalls: &[StallPoint]) -> String {
     use std::fmt::Write as _;
-    let mut label = format!("faults-seed{seed}");
+    let mut label = "faults".to_string();
     for c in crashes {
         let kind = if c.recoverable { "crash" } else { "abort" };
         let _ = write!(label, "-{kind}@w{}:{}", c.worker, c.seq);
     }
     for s in stalls {
         let _ = write!(label, "-stall@w{}:{}ms", s.worker, s.millis);
-    }
-    if shed > 0.0 {
-        let _ = write!(label, "-shed{shed}");
     }
     label
 }
@@ -374,46 +335,13 @@ pub fn silence_injected_panics() {
     });
 }
 
-/// The router's seeded admission-control gate: decides, per batch offer,
-/// whether to *shed* — count the offer as rejected and retry — instead of
-/// delivering immediately.
-///
-/// The gate models an overloaded frontend turning requests away, but
-/// deterministically: the decision stream depends only on the plan seed
-/// (one seeded [`Xoshiro256`] consumed by the single router thread in
-/// offer order), never on queue timing.  Shed offers are
-/// re-offered rather than dropped, so shedding perturbs scheduling and the
-/// `shed` counter — not results.
-#[derive(Clone, Debug)]
-pub struct ShedGate {
-    rng: Xoshiro256,
-    probability: f64,
-}
-
-impl ShedGate {
-    /// A gate shedding with `probability` per offer, seeded by `seed`.
-    #[must_use]
-    pub fn new(seed: u64, probability: f64) -> Self {
-        ShedGate {
-            rng: Xoshiro256::new(seed),
-            probability,
-        }
-    }
-
-    /// Draws the next decision: `true` to shed this offer.
-    pub fn should_shed(&mut self) -> bool {
-        self.rng.next_f64() < self.probability
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_the_full_grammar_and_renders_a_canonical_label() {
-        let plan = FaultPlan::parse("faults-seed7-crash@w2:5000-stall@w0:2ms-shed0.01").unwrap();
-        assert_eq!(plan.seed(), 7);
+        let plan = FaultPlan::parse("faults-crash@w2:5000-stall@w0:2ms").unwrap();
         assert_eq!(
             plan.crashes(),
             &[CrashPoint {
@@ -429,16 +357,11 @@ mod tests {
                 millis: 2
             }]
         );
-        assert!((plan.shed() - 0.01).abs() < 1e-12);
         assert!(plan.is_recoverable());
         assert!(!plan.is_noop());
-        assert_eq!(
-            plan.label(),
-            "faults-seed7-crash@w2:5000-stall@w0:2ms-shed0.01"
-        );
+        assert_eq!(plan.label(), "faults-crash@w2:5000-stall@w0:2ms");
         // The label round-trips to an equal plan, clause order regardless.
-        let shuffled =
-            FaultPlan::parse("faults-shed0.01-stall@w0:2ms-crash@w2:5000-seed7").unwrap();
+        let shuffled = FaultPlan::parse("faults-stall@w0:2ms-crash@w2:5000").unwrap();
         assert_eq!(shuffled, plan);
         assert_eq!(FaultPlan::parse(plan.label()).unwrap(), plan);
     }
@@ -462,14 +385,11 @@ mod tests {
             ("faults-crash@w0", "crash@w0"),                      // missing seq
             ("faults-stall@w0:2", "stall@w0:2"),                  // missing `ms`
             ("faults-stall@w0:2000ms", "stall@w0:2000ms"),        // over the cap
-            ("faults-shed1.5", "shed1.5"),                        // probability out of range
-            ("faults-shed1.0", "shed1.0"),                        // [0, 1) is half-open
-            ("faults-seedx", "seedx"),                            // unparsable seed
             ("faults-explode@w0:1", "explode@w0:1"),              // unknown clause
+            ("faults-seed7", "seed7"),                            // no RNG to seed
+            ("faults-shed0.01", "shed0.01"),                      // no admission gate
             ("faults-crash@w0:1-crash@w0:1", "crash@w0:1"),       // duplicate crash point
             ("faults-stall@w0:1ms-stall@w0:2ms", "stall@w0:2ms"), // two stalls, one worker
-            ("faults-seed1-seed2", "seed2"),                      // repeated seed
-            ("faults-shed0.1-shed0.2", "shed0.2"),                // repeated shed
         ] {
             let err = FaultPlan::parse(spec).unwrap_err().to_string();
             assert!(
@@ -490,7 +410,7 @@ mod tests {
 
     #[test]
     fn arm_compiles_per_worker_hooks_and_skips_fired_crashes() {
-        let plan = FaultPlan::parse("faults-crash@w1:10-crash@w1:30-stall@w0:1ms-shed0.5").unwrap();
+        let plan = FaultPlan::parse("faults-crash@w1:10-crash@w1:30-stall@w0:1ms").unwrap();
         assert!(plan.arm(2, 0).is_none(), "worker 2 has no scheduled faults");
         let w0 = plan.arm(0, 0).unwrap();
         assert!(w0.crashes().is_empty());
@@ -501,8 +421,6 @@ mod tests {
         let w1_after = plan.arm(1, 1).unwrap();
         assert_eq!(w1_after.crashes(), &w1.crashes()[1..]);
         assert!(plan.arm(1, 2).is_none(), "all crashes fired, no stall");
-        assert!(plan.shed_gate().is_some());
-        assert!(FaultPlan::parse("faults").unwrap().shed_gate().is_none());
     }
 
     #[test]
@@ -516,21 +434,6 @@ mod tests {
         assert!(hooks.crash_cut([1, 2, 3].into_iter()).is_none());
         let (at, _) = hooks.crash_cut([100].into_iter()).unwrap();
         assert_eq!(at, 0, "a crash can cut a batch at its first request");
-    }
-
-    #[test]
-    fn shed_gate_is_deterministic_per_seed() {
-        let draw = |seed: u64| -> Vec<bool> {
-            let mut gate = ShedGate::new(seed, 0.5);
-            (0..64).map(|_| gate.should_shed()).collect()
-        };
-        assert_eq!(draw(7), draw(7));
-        assert_ne!(draw(7), draw(8));
-        let sheds = draw(7).iter().filter(|&&s| s).count();
-        assert!((10..54).contains(&sheds), "p=0.5 over 64 draws: {sheds}");
-
-        let mut never = ShedGate::new(1, 0.0);
-        assert!((0..64).all(|_| !never.should_shed()));
     }
 
     #[test]

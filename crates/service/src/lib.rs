@@ -27,8 +27,8 @@
 //! scenario, or recorded trace replay — deterministically becomes directory
 //! traffic per `(workload, cores, seed)`.
 //!
-//! Workers run **supervised** ([`supervisor`]): a seeded [`FaultPlan`] can
-//! deterministically crash, stall, or shed against the service, and the
+//! Workers run **supervised** ([`supervisor`]): a [`FaultPlan`] can
+//! deterministically crash or stall the service's workers, and the
 //! supervisor recovers crashed workers by replaying the sequenced request
 //! journal — the post-recovery report is still bit-identical to the
 //! fault-free serial reference ([`ServiceReport::recovery_semantics`]).

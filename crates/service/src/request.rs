@@ -287,8 +287,8 @@ fn digest_view(
 ///
 /// Two configurations of the service (any worker count over the same shard
 /// count) produce the same digest iff their merged outcome logs are
-/// identical record-for-record; `BENCH_service.json` records the digest so
-/// the golden check pins it.
+/// identical record-for-record; `service_determinism.rs` pins nine serial
+/// runs' digests as literals.
 #[must_use]
 pub fn digest_outcomes(records: impl IntoIterator<Item: Borrow<OutcomeRecord>>) -> u64 {
     digest_view(records, true)

@@ -86,10 +86,6 @@ pub struct ServiceStats {
     pub invalidations: Counter,
     /// Cached-block invalidations forced by directory-capacity conflicts.
     pub forced_invalidations: Counter,
-    /// Batch offers the admission-control gate shed (counted, then
-    /// re-offered — shedding never loses a request).  Always zero without
-    /// an armed `shed` fault clause.
-    pub shed: Counter,
     /// Worker crashes the supervisor recovered from by journal replay.
     /// Always zero without an armed `crash@` fault clause.
     pub recoveries: Counter,
@@ -116,7 +112,6 @@ impl ServiceStats {
         self.requests.merge(&other.requests);
         self.invalidations.merge(&other.invalidations);
         self.forced_invalidations.merge(&other.forced_invalidations);
-        self.shed.merge(&other.shed);
         self.recoveries.merge(&other.recoveries);
         self.resizes.merge(&other.resizes);
         self.directory.merge(&other.directory);
@@ -128,16 +123,16 @@ impl ServiceStats {
 /// path that builds the rest of the report.
 ///
 /// The **metric snapshot is worker-count invariant**: counters come from
-/// the merged [`ServiceStats`] (scheduling-dependent ones — shed,
-/// recoveries, batch counts — are deliberately excluded) and the depth
+/// the merged [`ServiceStats`] (scheduling-dependent ones — recoveries,
+/// batch counts — are deliberately excluded) and the depth
 /// distributions merge in global shard order, so
 /// [`ccd_obs::expo::render_json`] of the snapshot is byte-identical for a
 /// serial run and any worker count.  The **flight recordings are not**:
 /// they narrate how work was scheduled (per-worker batch spans, router
 /// events), which legitimately depends on the worker count.  For a fixed
 /// topology a recording is run-to-run bit-reproducible whenever
-/// scheduling itself is deterministic — which includes armed shed gates,
-/// stalls and resize policies, but *not* injected crashes: crash
+/// scheduling itself is deterministic — which includes armed stalls and
+/// resize policies, but *not* injected crashes: crash
 /// *detection* is a thread race, so the position of crash/recovery/replay
 /// events relative to routed batches (and the journal length a replay
 /// reports) varies between runs even though every crash fires at its
@@ -213,13 +208,12 @@ impl ServiceReport {
     }
 
     /// The part of the report the **fault-recovery** determinism contract
-    /// covers: [`ServiceReport::semantics`] minus the two counters that
-    /// describe the failure handling itself ([`ServiceStats::shed`],
-    /// [`ServiceStats::recoveries`]).
+    /// covers: [`ServiceReport::semantics`] minus the counter that
+    /// describes the failure handling itself ([`ServiceStats::recoveries`]).
     ///
     /// A run under a recoverable fault plan must match the fault-free
-    /// serial reference on this view: shedding and recovery may change how
-    /// work was scheduled and accounted, never what it computed.
+    /// serial reference on this view: recovery may change how work was
+    /// scheduled and accounted, never what it computed.
     #[must_use]
     #[expect(
         clippy::type_complexity,
@@ -232,7 +226,7 @@ impl ServiceReport {
         usize,
         u64,
         usize,
-        (u64, u64, u64),
+        (u64, u64, u64, u64),
         &DirectoryStats,
         &OutcomeLog,
         u64,
@@ -246,6 +240,7 @@ impl ServiceReport {
                 self.stats.requests.get(),
                 self.stats.invalidations.get(),
                 self.stats.forced_invalidations.get(),
+                self.stats.resizes.get(),
             ),
             &self.stats.directory,
             &self.outcomes,
@@ -456,7 +451,6 @@ impl DirectoryService {
             vec![output],
             record,
             0,
-            0,
             obs.as_ref(),
             None,
         )
@@ -645,8 +639,8 @@ pub(crate) fn absorb_into(
 /// global order, per-shard statistics merged in that (fixed) order, and the
 /// outcome logs reassembled by [`reassemble`] — a lone log, checked and
 /// folded as it grew, is moved; several are k-way merged by sequence number
-/// in a pass that checks the order and folds the digest.  `shed` and
-/// `recoveries` come from the supervisor (always 0 for serial runs), as
+/// in a pass that checks the order and folds the digest.  `recoveries`
+/// comes from the supervisor (always 0 for serial runs), as
 /// does the router's flight recording (`None` for serial runs).
 ///
 /// # Panics
@@ -664,7 +658,6 @@ pub(crate) fn finish(
     workers: usize,
     mut outputs: Vec<WorkerOutput>,
     record: bool,
-    shed: u64,
     recoveries: u64,
     obs: Option<&ObsConfig>,
     router: Option<FlightRecording>,
@@ -686,7 +679,6 @@ pub(crate) fn finish(
         stats.resizes.add(output.resizes);
     }
     stats.requests.add(requests);
-    stats.shed.add(shed);
     stats.recoveries.add(recoveries);
     // Per-shard statistics merge in global shard order — a fixed order, so
     // the float accumulators are reproducible at every worker count.  The
@@ -701,7 +693,7 @@ pub(crate) fn finish(
         stats.directory.merge(&slice.stats());
     }
     // The observability report rides the same reassembly.  Counters come
-    // from the merged stats (scheduling-dependent ones — shed, recoveries,
+    // from the merged stats (scheduling-dependent ones — recoveries,
     // batches — deliberately excluded) and the depth distributions merge
     // in global shard order, so the snapshot is worker-count invariant;
     // its order is fixed here and nowhere else.
@@ -855,7 +847,7 @@ mod tests {
         ];
         outputs[0].outcomes = WorkerLog::of(0, [record(0), record(2)]);
         outputs[1].outcomes = WorkerLog::of(1, [record(1), record(2)]);
-        let _ = finish(String::new(), 0, 2, outputs, true, 0, 0, None, None);
+        let _ = finish(String::new(), 0, 2, outputs, true, 0, None, None);
     }
 
     #[test]

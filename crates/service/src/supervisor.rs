@@ -59,17 +59,14 @@
 //! A delivery is one blocking [`Sender::send`]: a full lane parks the
 //! router until the worker drains (backpressure), and a crashed worker's
 //! [`Receiver`] drops during its unwind, which fails the send — blocked or
-//! not — and hands the batch back for recovery.  When a fault plan sheds,
-//! the seeded admission gate may reject (and count) an offer before it is
-//! sent — shedding perturbs scheduling and the
-//! [`ServiceStats::shed`](crate::ServiceStats::shed) counter, never
-//! results.  When a run fails, the supervisor drops every sender: healthy
-//! workers drain at most `queue_depth` queued batches and exit.
+//! not — and hands the batch back for recovery.  When a run fails, the
+//! supervisor drops every sender: healthy workers drain at most
+//! `queue_depth` queued batches and exit.
 //!
 //! [`DirectoryService::run`]: crate::DirectoryService::run
 
 use crate::error::ServiceError;
-use crate::fault::{silence_injected_panics, FaultPlan, InjectedCrash, ShedGate, WorkerFaults};
+use crate::fault::{silence_injected_panics, FaultPlan, InjectedCrash, WorkerFaults};
 use crate::request::Request;
 use crate::resize::ResizePolicy;
 use crate::service::{
@@ -84,14 +81,9 @@ use std::sync::mpsc::SendError;
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// What the supervisor hands back once the fleet drains: the worker
-/// outputs, the shed and recovery counts, and the router-side flight
-/// recording (when one was armed).
-type JoinedFleet = (
-    Vec<WorkerOutput>,
-    u64,
-    u64,
-    Option<ccd_obs::FlightRecording>,
-);
+/// outputs, the recovery count, and the router-side flight recording (when
+/// one was armed).
+type JoinedFleet = (Vec<WorkerOutput>, u64, Option<ccd_obs::FlightRecording>);
 
 /// Everything about a run that never changes while it executes.
 struct RunEnv {
@@ -174,11 +166,9 @@ struct Supervisor<'scope> {
     journals: Vec<Vec<Request>>,
     /// Per worker: how many of its crash points have fired.
     fired: Vec<usize>,
-    gate: Option<ShedGate>,
-    shed: u64,
     recoveries: u64,
-    /// The router-side flight recorder: delivery, shedding, crash and
-    /// recovery events, stamped with request sequence numbers.
+    /// The router-side flight recorder: delivery, crash and recovery
+    /// events, stamped with request sequence numbers.
     recorder: Option<FlightRecorder>,
 }
 
@@ -195,8 +185,6 @@ impl<'scope> Supervisor<'scope> {
             handles: Vec::with_capacity(env.workers),
             journals: (0..env.workers).map(|_| Vec::new()).collect(),
             fired: vec![0; env.workers],
-            gate: env.plan.as_ref().and_then(FaultPlan::shed_gate),
-            shed: 0,
             recoveries: 0,
             recorder: env
                 .obs
@@ -216,9 +204,8 @@ impl<'scope> Supervisor<'scope> {
         sup
     }
 
-    /// Delivers one admitted batch to `owner`, riding out stalls (a
-    /// blocking send), shedding (counted, re-offered) and crashes (recover,
-    /// then re-offer).  On success the batch — journaled if the owner is — is
+    /// Delivers one batch to `owner`, riding out stalls (a blocking send)
+    /// and crashes (recover, then re-offer).  On success the batch — journaled if the owner is — is
     /// in the owner's queue.
     fn deliver<'env>(
         &mut self,
@@ -231,17 +218,6 @@ impl<'scope> Supervisor<'scope> {
         // first request's sequence number.
         let vtime = batch.first().map_or(0, |request| request.seq);
         let len = batch.len() as u64;
-        // Admission control: draw the gate once per shed rejection plus
-        // the final admission.  The decision stream is consumed only here,
-        // on the single router thread, in offer order — deterministic.
-        if let Some(gate) = self.gate.as_mut() {
-            while gate.should_shed() {
-                self.shed += 1;
-                if let Some(recorder) = self.recorder.as_mut() {
-                    recorder.record(EventKind::Shed, owner as u16, vtime, len);
-                }
-            }
-        }
         if env.journaled[owner] {
             self.journals[owner].extend_from_slice(&batch);
         }
@@ -254,8 +230,7 @@ impl<'scope> Supervisor<'scope> {
                 self.journals[owner].truncate(keep);
             }
             self.recover(scope, env, owner)?;
-            // …then re-journal and re-offer it to the replacement.  No new
-            // gate draw: the batch was already admitted.
+            // …then re-journal and re-offer it to the replacement.
             if env.journaled[owner] {
                 self.journals[owner].extend_from_slice(&batch);
             }
@@ -396,7 +371,7 @@ impl<'scope> Supervisor<'scope> {
             outputs.push(self.recovered_output(env, note)?);
         }
         let recording = self.recorder.as_ref().map(FlightRecorder::finish);
-        Ok((outputs, self.shed, self.recoveries, recording))
+        Ok((outputs, self.recoveries, recording))
     }
 }
 
@@ -445,7 +420,7 @@ pub(crate) fn run_concurrent(
         clippy::disallowed_methods,
         reason = "the supervisor is one of the two sanctioned thread owners; outputs merge in fixed shard order"
     )]
-    let (outputs, shed, recoveries, router_recording) = std::thread::scope(|scope| {
+    let (outputs, recoveries, router_recording) = std::thread::scope(|scope| {
         let mut sup = Supervisor::launch(scope, &env, owned);
 
         // The router: stamp, route, batch, deliver (with backpressure
@@ -489,7 +464,6 @@ pub(crate) fn run_concurrent(
         workers,
         outputs,
         record,
-        shed,
         recoveries,
         env.obs.as_ref(),
         router_recording,

@@ -1,9 +1,9 @@
 //! The **fault-recovery** determinism contract: a service run under a
-//! recoverable [`FaultPlan`] — scheduled worker crashes, batch stalls,
-//! admission-control shedding — must produce a report whose
+//! recoverable [`FaultPlan`] — scheduled worker crashes and batch stalls —
+//! must produce a report whose
 //! [`recovery_semantics`](ccd_service::ServiceReport::recovery_semantics)
-//! (outcome log, digest, statistics, entries; everything except the `shed`
-//! and `recoveries` counters that describe the failure handling itself) is
+//! (outcome log, digest, statistics, entries; everything except the
+//! `recoveries` counter that describes the failure handling itself) is
 //! **byte-identical to the fault-free serial reference**.  Unrecoverable
 //! plans must surface [`ServiceError::WorkerCrashed`] as a value — no hang,
 //! no process abort.
@@ -23,8 +23,8 @@ fn load(workload: &str, seed: u64) -> LoadSpec {
 }
 
 fn config(workers: usize) -> ServiceConfig {
-    // A small batch maximizes deliveries (more journal entries, more shed
-    // draws, more crash-detection windows) without slowing the test much.
+    // A small batch maximizes deliveries (more journal entries, more
+    // crash-detection windows) without slowing the test much.
     ServiceConfig::new(SPEC, SHARDS, workers).with_batch(64)
 }
 
@@ -60,7 +60,7 @@ fn run_faulty_at(
 /// (fault kind × worker count × queue depth × scenario family) grid.  Every
 /// run must match the fault-free serial reference on
 /// `recovery_semantics()`, and — run twice — must reproduce its entire
-/// report bit-for-bit, *including* the `shed` and `recoveries` counters.
+/// report bit-for-bit, *including* the `recoveries` counter.
 ///
 /// The crashing worker stalls too, so its lane fills while it sleeps: at
 /// queue depth 1 the router is parked in a blocking `send` when the
@@ -73,15 +73,11 @@ fn randomized_recoverable_plans_match_the_fault_free_reference() {
         let serial = serial_reference(&load);
         for workers in [1usize, 2, 4] {
             for _ in 0..2 {
-                let seed = rng.next_u64() % 1_000;
                 let crash_worker = (rng.next_u64() % workers as u64) as usize;
                 let crash_seq = rng.next_u64() % REQUESTS;
                 let stall_worker = (rng.next_u64() % workers as u64) as usize;
-                let shed_bp = 1 + rng.next_u64() % 200; // 0.0001..0.02
-                let mut plan = format!(
-                    "faults-seed{seed}-crash@w{crash_worker}:{crash_seq}\
-                     -stall@w{crash_worker}:1ms-shed0.{shed_bp:04}"
-                );
+                let mut plan =
+                    format!("faults-crash@w{crash_worker}:{crash_seq}-stall@w{crash_worker}:1ms");
                 if stall_worker != crash_worker {
                     plan.push_str(&format!("-stall@w{stall_worker}:1ms"));
                 }
@@ -138,23 +134,15 @@ fn a_double_crash_on_one_worker_recovers_twice() {
     assert_eq!(report.stats.recoveries.get(), 2);
 }
 
-/// Stalls and shedding perturb scheduling and the `shed` counter, never
-/// results — and with no crash clause, `recoveries` stays zero.
+/// Stalls perturb scheduling, never results: with no crash clause the
+/// whole report — `recoveries` included — equals the serial reference.
 #[test]
-fn stalls_and_shedding_change_only_the_fault_counters() {
+fn stalls_change_nothing_but_latency() {
     let load = load("prodcons", 31);
     let serial = serial_reference(&load);
-    let report = run_faulty(2, "faults-seed3-stall@w0:1ms-shed0.05", &load);
-    assert_eq!(report.recovery_semantics(), serial.recovery_semantics());
+    let report = run_faulty(2, "faults-stall@w0:1ms-stall@w1:1ms", &load);
+    assert_eq!(report.semantics(), serial.semantics());
     assert_eq!(report.stats.recoveries.get(), 0);
-    // 20k requests at batch 64 is ~300 offers at 5% shed: statistically
-    // certain to shed at least once, and deterministic per seed besides.
-    assert!(
-        report.stats.shed.get() > 0,
-        "a 5% gate over ~300 offers must shed"
-    );
-    let again = run_faulty(2, "faults-seed3-stall@w0:1ms-shed0.05", &load);
-    assert_eq!(report.stats.shed.get(), again.stats.shed.get());
 }
 
 /// An `abort@` clause is a scheduled **unrecoverable** crash: the run must
@@ -205,8 +193,8 @@ fn plans_validate_against_the_topology() {
     .expect_err("worker 2 does not exist at 2 workers");
     assert!(err.to_string().contains("worker index"), "{err}");
     // And the parsed plan round-trips through its canonical label.
-    let plan: FaultPlan = "faults-seed9-shed0.01-crash@w1:5"
+    let plan: FaultPlan = "faults-stall@w0:2ms-crash@w1:5"
         .parse()
         .expect("grammar parses");
-    assert_eq!(plan.label(), "faults-seed9-crash@w1:5-shed0.01");
+    assert_eq!(plan.label(), "faults-crash@w1:5-stall@w0:2ms");
 }

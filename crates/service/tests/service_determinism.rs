@@ -3,7 +3,8 @@
 //! configuration must produce outcome streams and merged statistics
 //! bit-identical to inline serial application of the same per-address
 //! streams — across scenario families, a calibrated paper profile, and a
-//! recorded trace replay.
+//! recorded trace replay.  Nine serial runs are also held to literal
+//! digests, so a change to what the service decides cannot pass unseen.
 
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_service::{digest_outcomes, DirectoryService, LoadSpec, ServiceConfig, ServiceReport};
@@ -165,5 +166,47 @@ fn the_reported_digest_is_the_digest_of_the_reported_log() {
             report.outcome_digest, reference,
             "{what}: differs from serial"
         );
+    }
+}
+
+/// One serial run at 16 cores a row, `spec resize workload seed requests
+/// shards digest entries` (`-`: no resize policy).  The digests and entry
+/// counts are literals, written down once and never recomputed: a
+/// saturated oracle table (two thirds of its requests force an eviction),
+/// a migratory and a false-sharing stream, a shard that grows online, and
+/// two more seeds.  A change that moves one redefines the outcome log or
+/// what the service decides, and re-pins it on purpose.
+const PINNED: &[&str] = &[
+    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 4 853718bc4b1c8b0c 16384",
+    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 16 209c8640108a7ff0 16384",
+    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 4 4fd1d3a61c89faba 4054",
+    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 16 de3caf852ac94077 4054",
+    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 4 41d661a1791775b1 64",
+    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 16 e6a130e00a31a2ab 64",
+    "cuckoo-4x1024-c16 resize-grow2@60-every64-max1 migratory-zipf0.9 0x5E22 150000 4 c101f92ad3843b1d 4054",
+    "cuckoo-4x4096-c16 - migratory-zipf0.9 0xC4A0 100000 4 d728eadd07d63e99 3965",
+    "cuckoo-4x4096-c16 - oracle 0x0B5E 150000 8 a43b91a315ca5c63 16384",
+];
+
+#[test]
+fn serial_runs_reproduce_their_pinned_digests() {
+    for row in PINNED {
+        let fields: Vec<&str> = row.split(' ').collect();
+        let [spec, resize, workload, seed, requests, shards, digest, entries] = fields[..] else {
+            panic!("{row}: eight fields");
+        };
+        let number = |text: &str| text.parse::<u64>().expect("a decimal field");
+        let seed = u64::from_str_radix(&seed[2..], 16).expect("a hex seed");
+        let mut config = ServiceConfig::new(spec, number(shards) as usize, 1);
+        if resize != "-" {
+            config = config.with_resize_spec(resize).expect("policy parses");
+        }
+        let load = LoadSpec::parse(workload, 16, seed, number(requests)).expect("workload parses");
+        let report = DirectoryService::build_standard(config)
+            .expect("topology builds")
+            .run_load_serial(&load)
+            .expect("serial run completes");
+        assert_eq!(format!("{:016x}", report.outcome_digest), digest, "{row}");
+        assert_eq!(report.entries as u64, number(entries), "{row}");
     }
 }

@@ -64,8 +64,8 @@ fn smoke_service_matches_serial_at_the_env_worker_count() {
     assert_eq!(report.requests, 30_000);
     assert!(report.stats.directory.insertions.get() > 0);
     if faults.is_some() {
-        // Under an armed fault plan the `shed`/`recoveries` counters may
-        // differ from the (fault-free) serial reference; everything the
+        // Under an armed fault plan the `recoveries` counter may differ
+        // from the (fault-free) serial reference; everything the
         // service *computed* must still match.
         assert_eq!(
             report.recovery_semantics(),

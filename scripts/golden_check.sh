@@ -31,7 +31,7 @@ bins="${CARGO_TARGET_DIR:-$repo/target}/release"
 checks=()
 while read -r _ files; do
   for file in $files; do
-    case "$file" in *.json) checks+=("|figs all|$file") ;; esac
+    checks+=("|figs all|$file")
   done
 done < <("$bins/figs" --list)
 checks+=(
