@@ -50,18 +50,21 @@ impl SimJob {
             .validate(self.system.num_cores, self.warmup_refs + self.measure_refs)
     }
 
-    /// Runs the job to completion.
+    /// Runs the job to completion through [`CmpSimulator::run_workload`],
+    /// so a debug build checks coherence at the end of every job.
     ///
     /// # Errors
     ///
     /// Propagates construction errors; see [`CmpSimulator::new`].
     pub fn run(&self) -> Result<SimReport, ConfigError> {
-        let mut sim = CmpSimulator::new(self.system.clone(), &self.spec)?;
         let mut trace = self.workload.stream(self.system.num_cores, self.seed)?;
-        sim.run(&mut trace, self.warmup_refs);
-        sim.reset_stats();
-        sim.run(&mut trace, self.measure_refs);
-        Ok(sim.report())
+        CmpSimulator::run_workload(
+            self.system.clone(),
+            &self.spec,
+            &mut trace,
+            self.warmup_refs,
+            self.measure_refs,
+        )
     }
 }
 

@@ -40,8 +40,8 @@ pub struct ServiceConfig {
     /// Requests per ingestion batch.
     pub batch: usize,
     /// Record one [`OutcomeRecord`](crate::OutcomeRecord) per request into
-    /// the report's [`OutcomeLog`](crate::OutcomeLog) (one or two words a
-    /// record on typical traffic).  Verification and the golden digests
+    /// the report's [`OutcomeLog`](crate::OutcomeLog) (2 bytes a quiet
+    /// record, 10 with a `detail`).  Verification and the golden digests
     /// need the log; a pure throughput measurement can turn it off.
     pub record_outcomes: bool,
     /// An armed fault-injection schedule, or `None` (the default) for a

@@ -18,9 +18,10 @@
 //!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
 //!   simulation engine;
 //! * keeps a sequence-numbered [`OutcomeLog`] — one [`OutcomeRecord`] a
-//!   request, stored in about 9 bytes — so **any worker count over a fixed
-//!   shard count is verifiably bit-identical** to the inline serial
-//!   reference ([`DirectoryService::run_serial`]).
+//!   request, stored in 2 bytes when quiet and 10 with a `detail` — so
+//!   **any worker count over a fixed shard count is verifiably
+//!   bit-identical** to the inline serial reference
+//!   ([`DirectoryService::run_serial`]).
 //!
 //! Traffic comes from the [`LoadSpec`] frontend: any workload the
 //! `ccd-workloads` catalog can name — paper profile, sharing-pattern

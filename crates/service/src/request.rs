@@ -36,26 +36,28 @@
 //!
 //! # The stored log
 //!
-//! An [`OutcomeLog`] keeps its records as `u64` words, losslessly, and
-//! decodes them only when iterated.  A record is one header word
+//! An [`OutcomeLog`] keeps its records as bytes, losslessly, and decodes
+//! them only when iterated.  A record is
 //!
-//! | bits | field |
-//! |---|---|
-//! | 0–4 | the flags, in word 3's order |
-//! | 5 | has detail |
-//! | 6 | escape |
-//! | 7–12 | `attempts` |
-//! | 13–20 | `invalidations` |
-//! | 21–22 | `forced_evictions` |
-//! | 23–30 | `forced_invalidations` |
-//! | 31–46 | `shard` |
-//! | 47–63 | `seq` minus the previous record's `seq` (wrapping; 0 before the first) |
+//! | bytes | field | present |
+//! |---|---|---|
+//! | 1 | tag: the flags in word 3's order (bits 0–4), has-detail (5), has-counts (6), has-delta (7) | always |
+//! | varint | `shard` | always |
+//! | varint | `seq` minus the previous record's `seq` (wrapping; 0 before the first) | has-delta: the difference is not 1 |
+//! | 4 varints | `attempts`, `invalidations`, `forced_evictions`, `forced_invalidations` | has-counts: they are not the defaults the tag implies |
+//! | 8, little-endian | `detail` | has-detail: it is not [`Fnv64::OFFSET`], the fold of an empty outcome |
 //!
-//! followed by `detail` only when it is not [`Fnv64::OFFSET`], the fold of
-//! an empty outcome.  A record with a value too wide for its bits is an
-//! escape header (bit 6 alone) followed by its five mix words (step 1's
-//! table) raw.  Each record sequence has exactly one encoding, so two logs
-//! hold the same records iff they hold the same words.
+//! The implied counts are `allocated` attempts, has-detail invalidations
+//! and no forced ones; a hit on a quiet line is therefore two bytes, and
+//! one that invalidates a sharer ten.  A varint is LEB128: seven bits a
+//! byte, low bits first, the top bit set on every byte but the last.
+//!
+//! The bytes sit in chunks of 64 KiB, each allocated once and never
+//! grown or copied; a record that does not fit in what is left of the open
+//! chunk opens the next one, so no record straddles two.  Varints are
+//! minimal, every presence bit is decided by value and every chunk is cut
+//! by that one rule, so each record sequence has exactly one encoding: two
+//! logs hold the same records iff they hold the same bytes.
 
 use ccd_common::stats::Fnv64;
 use ccd_directory::{DirectoryOp, Outcome};
@@ -188,26 +190,6 @@ impl OutcomeRecord {
         ]
     }
 
-    /// The record whose full-view words are `words`: the inverse of
-    /// `words(true)`.
-    fn from_words([seq, shard_attempts, counts, forced_flags, detail]: [u64; 5]) -> Self {
-        let flag = |bit: u32| forced_flags >> (32 + bit) & 1 == 1;
-        OutcomeRecord {
-            seq,
-            shard: shard_attempts as u32,
-            attempts: (shard_attempts >> 32) as u32,
-            invalidations: counts as u32,
-            forced_evictions: (counts >> 32) as u32,
-            forced_invalidations: forced_flags as u32,
-            hit: flag(0),
-            allocated: flag(1),
-            failed: flag(2),
-            invalidated_all: flag(3),
-            removed_entry: flag(4),
-            detail,
-        }
-    }
-
     /// The five outcome flags packed into the low bits of one word.
     fn flags(&self) -> u64 {
         u64::from(self.hit)
@@ -215,39 +197,6 @@ impl OutcomeRecord {
             | u64::from(self.failed) << 2
             | u64::from(self.invalidated_all) << 3
             | u64::from(self.removed_entry) << 4
-    }
-
-    /// This record's stored header (module docs) with the has-detail bit
-    /// clear, `delta` being its `seq` minus the previous record's; `None`
-    /// when a value does not fit its bits.
-    #[inline]
-    fn header(&self, delta: u64) -> Option<u64> {
-        let slots = [
-            (u64::from(self.attempts), ATTEMPTS),
-            (u64::from(self.invalidations), INVALIDATIONS),
-            (u64::from(self.forced_evictions), FORCED_EVICTIONS),
-            (u64::from(self.forced_invalidations), FORCED_INVALIDATIONS),
-            (u64::from(self.shard), SHARD),
-            (delta, SEQ_DELTA),
-        ];
-        let (mut header, mut overflow) = (self.flags(), 0);
-        for (value, slot) in slots {
-            header |= value << slot.shift;
-            overflow |= value >> slot.width;
-        }
-        (overflow == 0).then_some(header)
-    }
-
-    /// The record stored under `header`, which is not an escape, after a
-    /// record with `seq` `last_seq`.
-    fn unpack(header: u64, last_seq: u64, detail: u64) -> Self {
-        OutcomeRecord::from_words([
-            last_seq.wrapping_add(SEQ_DELTA.read(header)),
-            SHARD.read(header) | ATTEMPTS.read(header) << 32,
-            INVALIDATIONS.read(header) | FORCED_EVICTIONS.read(header) << 32,
-            FORCED_INVALIDATIONS.read(header) | (header & FLAGS) << 32,
-            detail,
-        ])
     }
 }
 
@@ -301,64 +250,128 @@ pub fn digest_outcome_semantics(records: impl IntoIterator<Item: Borrow<OutcomeR
     digest_view(records, false)
 }
 
-/// Where a value sits in a stored header word (module docs).
-#[derive(Clone, Copy)]
-struct Slot {
-    shift: u32,
-    width: u32,
+/// The tag's presence bits, above the five flags (module docs).
+const HAS_DETAIL: u8 = 1 << 5;
+const HAS_COUNTS: u8 = 1 << 6;
+const HAS_DELTA: u8 = 1 << 7;
+
+/// Bytes a chunk of a stored log holds (module docs).
+const CHUNK: usize = 64 << 10;
+
+/// The widest stored record: tag, `shard`, `seq` delta, the four counts
+/// and `detail`.
+const MAX_RECORD: usize = 1 + 5 + 10 + 4 * 5 + 8;
+
+/// One record's stored bytes, built field by field: the general path of
+/// [`OutcomeLog::push`].
+struct Encoded {
+    bytes: [u8; MAX_RECORD],
+    len: usize,
 }
 
-impl Slot {
-    fn read(self, header: u64) -> u64 {
-        header >> self.shift & ((1 << self.width) - 1)
+impl Encoded {
+    /// `record`'s stored bytes, `tag` already holding its flags and
+    /// has-detail bit; `delta` and `implied` as [`OutcomeLog::push`] found
+    /// them.  Kept out of line: the common record never comes here.
+    #[inline(never)]
+    fn record(record: &OutcomeRecord, tag: u8, delta: u64, implied: bool) -> Self {
+        let mut encoded = Encoded {
+            bytes: [0; MAX_RECORD],
+            len: 0,
+        };
+        let counted = if implied { 0 } else { HAS_COUNTS };
+        let stepped = if delta == 1 { 0 } else { HAS_DELTA };
+        encoded.byte(tag | counted | stepped);
+        encoded.varint(u64::from(record.shard));
+        if delta != 1 {
+            encoded.varint(delta);
+        }
+        if !implied {
+            let counts = [
+                record.attempts,
+                record.invalidations,
+                record.forced_evictions,
+                record.forced_invalidations,
+            ];
+            counts
+                .into_iter()
+                .for_each(|count| encoded.varint(u64::from(count)));
+        }
+        if tag & HAS_DETAIL != 0 {
+            encoded.word(record.detail);
+        }
+        encoded
+    }
+
+    fn byte(&mut self, byte: u8) {
+        self.bytes[self.len] = byte;
+        self.len += 1;
+    }
+
+    /// `value` as a minimal LEB128 varint (module docs).
+    fn varint(&mut self, mut value: u64) {
+        while value >= 0x80 {
+            self.byte(value as u8 | 0x80);
+            value >>= 7;
+        }
+        self.byte(value as u8);
+    }
+
+    fn word(&mut self, word: u64) {
+        self.bytes[self.len..self.len + 8].copy_from_slice(&word.to_le_bytes());
+        self.len += 8;
     }
 }
 
-const FLAGS: u64 = 0x1f;
-const HAS_DETAIL: u64 = 1 << 5;
-const ESCAPE: u64 = 1 << 6;
-const ATTEMPTS: Slot = Slot { shift: 7, width: 6 };
-const INVALIDATIONS: Slot = Slot {
-    shift: 13,
-    width: 8,
-};
-const FORCED_EVICTIONS: Slot = Slot {
-    shift: 21,
-    width: 2,
-};
-const FORCED_INVALIDATIONS: Slot = Slot {
-    shift: 23,
-    width: 8,
-};
-const SHARD: Slot = Slot {
-    shift: 31,
-    width: 16,
-};
-const SEQ_DELTA: Slot = Slot {
-    shift: 47,
-    width: 17,
-};
+/// The unread rest of a chunk, taken field by field by [`OutcomeIter`].
+struct Fields<'a>(&'a [u8]);
+
+impl Fields<'_> {
+    fn byte(&mut self) -> Option<u8> {
+        let (&byte, rest) = self.0.split_first()?;
+        self.0 = rest;
+        Some(byte)
+    }
+
+    fn varint(&mut self) -> Option<u64> {
+        let mut value = 0;
+        for shift in (0..u64::BITS).step_by(7) {
+            let byte = self.byte()?;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Some(value);
+            }
+        }
+        None
+    }
+
+    fn word(&mut self) -> Option<u64> {
+        let (word, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(u64::from_le_bytes(*word))
+    }
+}
 
 /// A sequence of [`OutcomeRecord`]s in the stored layout of the module
-/// docs: 8 bytes a record, 16 with a `detail`, 56 for an escape, where the
-/// records themselves take 48.  Iterating decodes the records, by value, in
-/// the order they were stored.
+/// docs: 2 bytes a quiet record, 10 with a `detail`, where the records
+/// themselves take 48.  Iterating decodes the records, by value, in the
+/// order they were stored.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct OutcomeLog {
-    words: Vec<u64>,
+    /// The full chunks, in order.
+    sealed: Vec<Vec<u8>>,
+    /// The chunk records go into: allocated with a capacity of [`CHUNK`]
+    /// bytes at the first record that needs it, and never grown.  Records
+    /// are pushed only into logs that start empty ([`WorkerLog`] and
+    /// [`reassemble`]), never into a clone, whose chunks have no room to
+    /// spare.
+    open: Vec<u8>,
     len: usize,
     /// The last record's `seq`, which the next record's delta counts from.
     last_seq: u64,
 }
 
 impl OutcomeLog {
-    fn with_capacity(words: usize) -> Self {
-        OutcomeLog {
-            words: Vec::with_capacity(words),
-            ..OutcomeLog::default()
-        }
-    }
-
     /// Number of records.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -371,43 +384,79 @@ impl OutcomeLog {
         self.len == 0
     }
 
-    /// Bytes the stored records occupy, spare capacity not counted.
+    /// Bytes the stored records occupy, the open chunk's spare room and
+    /// the sealed chunks' unused tails not counted.
     #[must_use]
     pub fn stored_bytes(&self) -> usize {
-        std::mem::size_of_val(self.words.as_slice())
+        self.sealed.iter().map(Vec::len).sum::<usize>() + self.open.len()
     }
 
     /// The records in order, each decoded as it is reached.
     pub fn iter(&self) -> OutcomeIter<'_> {
         OutcomeIter {
-            words: &self.words,
+            sealed: self.sealed.iter(),
+            open: &self.open,
+            bytes: &[],
             last_seq: 0,
             remaining: self.len,
         }
     }
 
-    /// Appends `record` in the stored layout.
+    /// Appends `record` in the stored layout.  The common record — the
+    /// next `seq`, implied counts, a one-byte shard — is written as two or
+    /// ten fixed bytes after one space check; any other is built field by
+    /// field first.  Both write the same bytes for the same record.
     #[inline]
     fn push(&mut self, record: &OutcomeRecord) {
         let delta = record.seq.wrapping_sub(self.last_seq);
-        match record.header(delta) {
-            Some(header) if record.detail == Fnv64::OFFSET => self.words.push(header),
-            Some(header) => self
-                .words
-                .extend_from_slice(&[header | HAS_DETAIL, record.detail]),
-            None => {
-                self.words.push(ESCAPE);
-                self.words.extend_from_slice(&record.words(true));
+        let has_detail = record.detail != Fnv64::OFFSET;
+        let implied = (record.attempts ^ u32::from(record.allocated))
+            | (record.invalidations ^ u32::from(has_detail))
+            | record.forced_evictions
+            | record.forced_invalidations
+            == 0;
+        let tag = record.flags() as u8 | (u8::from(has_detail) * HAS_DETAIL);
+        if delta == 1 && implied && record.shard < 0x80 {
+            let head = [tag, record.shard as u8];
+            if has_detail {
+                let mut bytes = [0; 10];
+                bytes[..2].copy_from_slice(&head);
+                bytes[2..].copy_from_slice(&record.detail.to_le_bytes());
+                self.room(10).extend_from_slice(&bytes);
+            } else {
+                self.room(2).extend_from_slice(&head);
             }
+        } else {
+            let encoded = Encoded::record(record, tag, delta, implied);
+            self.room(encoded.len)
+                .extend_from_slice(&encoded.bytes[..encoded.len]);
         }
         self.last_seq = record.seq;
         self.len += 1;
     }
 
-    /// The buffer's address, to tell a moved log from a copied one.
+    /// The open chunk, with room for `need` more bytes: when it has not,
+    /// it is sealed and the next one opened.
+    #[inline]
+    fn room(&mut self, need: usize) -> &mut Vec<u8> {
+        if self.open.capacity() - self.open.len() < need {
+            self.open_next();
+        }
+        &mut self.open
+    }
+
+    #[cold]
+    fn open_next(&mut self) {
+        let full = std::mem::replace(&mut self.open, Vec::with_capacity(CHUNK));
+        if !full.is_empty() {
+            self.sealed.push(full);
+        }
+    }
+
+    /// The open chunk's address, to tell a moved log from a copied one.
     #[cfg(test)]
-    fn buffer(&self) -> *const u64 {
-        self.words.as_ptr()
+    fn buffer(&self) -> *const u8 {
+        self.open.as_ptr()
     }
 }
 
@@ -430,7 +479,12 @@ impl<'a> IntoIterator for &'a OutcomeLog {
 /// ([`OutcomeLog::iter`]).
 #[derive(Clone, Debug)]
 pub struct OutcomeIter<'a> {
-    words: &'a [u64],
+    /// The sealed chunks not yet reached.
+    sealed: std::slice::Iter<'a, Vec<u8>>,
+    /// The open chunk, until it is reached.
+    open: &'a [u8],
+    /// The unread rest of the chunk being read.
+    bytes: &'a [u8],
     last_seq: u64,
     remaining: usize,
 }
@@ -439,18 +493,56 @@ impl Iterator for OutcomeIter<'_> {
     type Item = OutcomeRecord;
 
     fn next(&mut self) -> Option<OutcomeRecord> {
-        let (&header, rest) = self.words.split_first()?;
-        let (record, rest) = if header & ESCAPE != 0 {
-            let (raw, rest) = rest.split_first_chunk()?;
-            (OutcomeRecord::from_words(*raw), rest)
-        } else if header & HAS_DETAIL != 0 {
-            let (&detail, rest) = rest.split_first()?;
-            (OutcomeRecord::unpack(header, self.last_seq, detail), rest)
+        if self.remaining == 0 {
+            return None;
+        }
+        if self.bytes.is_empty() {
+            self.bytes = match self.sealed.next() {
+                Some(chunk) => chunk,
+                None => std::mem::take(&mut self.open),
+            };
+        }
+        let mut fields = Fields(self.bytes);
+        let tag = fields.byte()?;
+        let flag = |bit: u32| tag >> bit & 1 == 1;
+        let shard = fields.varint()?;
+        let delta = if tag & HAS_DELTA != 0 {
+            fields.varint()?
         } else {
-            let record = OutcomeRecord::unpack(header, self.last_seq, Fnv64::OFFSET);
-            (record, rest)
+            1
         };
-        self.words = rest;
+        let has_detail = tag & HAS_DETAIL != 0;
+        let [attempts, invalidations, forced_evictions, forced_invalidations] =
+            if tag & HAS_COUNTS != 0 {
+                [
+                    fields.varint()?,
+                    fields.varint()?,
+                    fields.varint()?,
+                    fields.varint()?,
+                ]
+            } else {
+                [u64::from(flag(1)), u64::from(has_detail), 0, 0]
+            };
+        let detail = if has_detail {
+            fields.word()?
+        } else {
+            Fnv64::OFFSET
+        };
+        let record = OutcomeRecord {
+            seq: self.last_seq.wrapping_add(delta),
+            shard: shard as u32,
+            attempts: attempts as u32,
+            invalidations: invalidations as u32,
+            forced_evictions: forced_evictions as u32,
+            forced_invalidations: forced_invalidations as u32,
+            hit: flag(0),
+            allocated: flag(1),
+            failed: flag(2),
+            invalidated_all: flag(3),
+            removed_entry: flag(4),
+            detail,
+        };
+        self.bytes = fields.0;
         self.last_seq = record.seq;
         self.remaining -= 1;
         Some(record)
@@ -582,10 +674,7 @@ pub(crate) fn reassemble(mut logs: Vec<WorkerLog>) -> Result<(OutcomeLog, u64), 
         };
     }
 
-    // Merged, a record's delta is never wider than in its ascending worker
-    // log, so the merged words never outnumber the workers' together.
-    let words = logs.iter().map(|log| log.log.words.len()).sum();
-    let mut merged = OutcomeLog::with_capacity(words);
+    let mut merged = OutcomeLog::default();
     let mut chain = Chain::new();
     // Each unfinished log's worker, its next record and the rest of it.
     let mut runs: Vec<(usize, OutcomeRecord, OutcomeIter<'_>)> = logs
@@ -648,7 +737,7 @@ mod tests {
     }
 
     /// Stores `records` one at a time, checks that the log gives them all
-    /// back, and returns the words each one took.
+    /// back, and returns the bytes each one took.
     fn stored_sizes(records: &[OutcomeRecord]) -> Vec<usize> {
         let mut log = OutcomeLog::default();
         let sizes = records
@@ -656,7 +745,7 @@ mod tests {
             .map(|record| {
                 let before = log.stored_bytes();
                 log.push(record);
-                (log.stored_bytes() - before) / 8
+                log.stored_bytes() - before
             })
             .collect();
         assert_eq!(log.len(), records.len());
@@ -664,6 +753,16 @@ mod tests {
         assert_eq!(log.iter().collect::<Vec<_>>(), records);
         sizes
     }
+
+    /// Each varint edge and the bytes a value there takes.
+    const VARINT_EDGES: [(u32, usize); 6] = [
+        (0, 1),
+        (127, 1),
+        (128, 2),
+        (16_383, 2),
+        (16_384, 3),
+        (u32::MAX, 5),
+    ];
 
     #[test]
     fn capture_reflects_the_outcome_buffer() {
@@ -690,22 +789,19 @@ mod tests {
     }
 
     #[test]
-    fn every_count_round_trips_at_the_edges_of_its_bits() {
-        type Count = (&'static str, u32, fn(&mut OutcomeRecord, u32));
+    fn every_count_round_trips_at_the_edges_of_its_varint() {
+        type Count = (&'static str, fn(&mut OutcomeRecord, u32));
         let counts: [Count; 5] = [
-            ("attempts", 6, |r, value| r.attempts = value),
-            ("invalidations", 8, |r, value| r.invalidations = value),
-            ("forced_evictions", 2, |r, value| r.forced_evictions = value),
-            ("forced_invalidations", 8, |r, value| {
+            ("attempts", |r, value| r.attempts = value),
+            ("invalidations", |r, value| r.invalidations = value),
+            ("forced_evictions", |r, value| r.forced_evictions = value),
+            ("forced_invalidations", |r, value| {
                 r.forced_invalidations = value
             }),
-            ("shard", 16, |r, value| r.shard = value),
+            ("shard", |r, value| r.shard = value),
         ];
-        for (field, width, set) in counts {
-            let widest = (1 << width) - 1;
-            // One header word while the value fits; an escape header and
-            // five raw words from one past it.
-            for (value, words) in [(0, 1), (widest, 1), (widest + 1, 6), (u32::MAX, 6)] {
+        for (field, set) in counts {
+            for (value, bytes) in VARINT_EDGES {
                 let mut record = OutcomeRecord {
                     seq: 3,
                     hit: true,
@@ -714,9 +810,16 @@ mod tests {
                 };
                 set(&mut record, value);
                 let next = OutcomeRecord { seq: 4, ..record };
+                // Tag and shard, plus the first record's delta of 3; a
+                // count other than its default brings all four counts.
+                let extra = match (field, value) {
+                    ("shard", _) => bytes - 1,
+                    (_, 0) => 0,
+                    _ => 3 + bytes,
+                };
                 assert_eq!(
                     stored_sizes(&[record, next]),
-                    [words, words],
+                    [3 + extra, 2 + extra],
                     "{field} = {value}"
                 );
             }
@@ -724,21 +827,56 @@ mod tests {
     }
 
     #[test]
-    fn seq_deltas_round_trip_at_the_edges_of_their_bits() {
+    fn counts_the_flags_imply_are_not_stored() {
+        let allocated = OutcomeRecord {
+            seq: 1,
+            attempts: 1,
+            allocated: true,
+            ..QUIET
+        };
+        let invalidating = OutcomeRecord {
+            seq: 2,
+            invalidations: 1,
+            detail: 0x1234,
+            ..QUIET
+        };
+        let unallocated_attempt = OutcomeRecord {
+            seq: 3,
+            attempts: 1,
+            ..QUIET
+        };
+        let allocated_without_attempts = OutcomeRecord {
+            seq: 4,
+            allocated: true,
+            ..QUIET
+        };
+        assert_eq!(
+            stored_sizes(&[
+                allocated,
+                invalidating,
+                unallocated_attempt,
+                allocated_without_attempts
+            ]),
+            [2, 10, 6, 6]
+        );
+    }
+
+    #[test]
+    fn seq_deltas_round_trip_at_the_edges_of_their_varint() {
         let at = |seq| OutcomeRecord { seq, ..QUIET };
-        let widest: u64 = (1 << 17) - 1;
-        // Deltas 5 (from 0: the first record), 1, 2, widest and one past.
-        let last = 8 + widest + (widest + 1);
-        let seqs = [5, 6, 8, 8 + widest, last];
-        // A step backwards or past `u64::MAX` escapes; a wrap to 0 does not.
+        // Deltas 5 (from 0: the first record), 1, 2, 127, 128 and 16 384;
+        // a delta of 1 is not written, any other follows tag and shard.
+        let seqs = [5, 6, 8, 135, 263, 16_647];
+        // A step back and a jump to `u64::MAX` wrap to ten-byte deltas; the
+        // wrap past `u64::MAX` to 0 is a delta of 1.
         let records: Vec<_> = seqs
             .into_iter()
-            .chain([last - 1, u64::MAX, 0])
+            .chain([16_646, u64::MAX, 0])
             .map(at)
             .collect();
-        assert_eq!(stored_sizes(&records), [1, 1, 1, 1, 6, 6, 6, 1]);
-        assert_eq!(stored_sizes(&[at(widest)]), [1]);
-        assert_eq!(stored_sizes(&[at(widest + 1)]), [6]);
+        assert_eq!(stored_sizes(&records), [3, 2, 3, 3, 4, 5, 12, 12, 2]);
+        assert_eq!(stored_sizes(&[at(0)]), [3]);
+        assert_eq!(stored_sizes(&[at(1)]), [2]);
     }
 
     #[test]
@@ -761,8 +899,47 @@ mod tests {
         };
         assert_eq!(
             stored_sizes(&[counted_but_empty, uncounted_but_folded, zero]),
-            [1, 2, 2]
+            [7, 14, 14]
         );
+    }
+
+    #[test]
+    fn a_log_of_many_chunks_round_trips_and_merges_to_the_same_bytes() {
+        // One three-byte record and then two-byte ones fill the first
+        // chunk to one byte short of full, where the next record must open
+        // the second; records of every size follow.
+        let mut records: Vec<_> = (1..=100_000)
+            .map(|seq| OutcomeRecord {
+                seq,
+                shard: if seq == 1 { 128 } else { 0 },
+                ..QUIET
+            })
+            .collect();
+        let mut rng = SplitMix64::new(0xc4_0c5);
+        records.extend(
+            dense_log(&mut rng, 20_000)
+                .into_iter()
+                .map(|record| OutcomeRecord {
+                    seq: record.seq + 100_001,
+                    ..record
+                }),
+        );
+        let log = stored(&records);
+        assert!(log.sealed.len() >= 2, "{} chunks", log.sealed.len() + 1);
+        for chunk in log.sealed.iter().chain([&log.open]) {
+            assert_eq!(chunk.capacity(), CHUNK, "a chunk is never regrown");
+        }
+        assert_eq!(log.len(), records.len());
+        assert_eq!(log.iter().collect::<Vec<_>>(), records);
+
+        let mut workers = [WorkerLog::new(0), WorkerLog::new(1)];
+        for record in &records {
+            workers[(rng.next_u64() % 2) as usize].push(*record);
+        }
+        let (merged, digest) = reassemble(workers.into()).expect("ascending, disjoint runs");
+        assert_eq!(merged, log, "merged, the log is the same bytes");
+        assert_eq!(merged.stored_bytes(), log.stored_bytes());
+        assert_eq!(digest, digest_outcomes(&records));
     }
 
     #[test]
@@ -771,8 +948,8 @@ mod tests {
         for case in 0..40 {
             let mut records = dense_log(&mut rng, 300);
             if case % 2 == 1 {
-                // Gaps either side of the delta's width, and counts that
-                // fit or escape.
+                // Deltas of one to three varint bytes, and counts of one
+                // to five.
                 let mut seq = rng.next_u64() % 1000;
                 for record in &mut records {
                     seq += 1 + rng.next_u64() % (1 << 18);
@@ -1018,7 +1195,7 @@ mod tests {
             let (merged, digest) = reassemble(logs).expect("ascending, disjoint runs");
             assert_eq!(merged.iter().collect::<Vec<_>>(), reference, "case {case}");
             // One encoding per record sequence: merged or moved, the log
-            // is word for word the reference stored directly.
+            // is byte for byte the reference stored directly.
             assert_eq!(merged, stored(&reference), "case {case}");
             assert_eq!(digest, digest_outcomes(&reference), "case {case}");
             if let Some(buffer) = lone {

@@ -170,30 +170,38 @@ fn the_reported_digest_is_the_digest_of_the_reported_log() {
 }
 
 /// One serial run at 16 cores a row, `spec resize workload seed requests
-/// shards digest entries` (`-`: no resize policy).  The digests and entry
-/// counts are literals, written down once and never recomputed: a
+/// shards digest stored entries` (`-`: no resize policy; `stored`: the
+/// outcome log's `stored_bytes`).  The digests, sizes and entry counts are
+/// literals, written down once and never recomputed: a
 /// saturated oracle table (two thirds of its requests force an eviction),
 /// a migratory and a false-sharing stream, a shard that grows online, and
-/// two more seeds.  A change that moves one redefines the outcome log or
-/// what the service decides, and re-pins it on purpose.
+/// two more seeds.  A change that moves a digest or an entry count redefines
+/// the outcome log or what the service decides, and re-pins it on purpose;
+/// one that moves only a size changes the stored layout.
 const PINNED: &[&str] = &[
-    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 4 853718bc4b1c8b0c 16384",
-    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 16 209c8640108a7ff0 16384",
-    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 4 4fd1d3a61c89faba 4054",
-    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 16 de3caf852ac94077 4054",
-    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 4 41d661a1791775b1 64",
-    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 16 e6a130e00a31a2ab 64",
-    "cuckoo-4x1024-c16 resize-grow2@60-every64-max1 migratory-zipf0.9 0x5E22 150000 4 c101f92ad3843b1d 4054",
-    "cuckoo-4x4096-c16 - migratory-zipf0.9 0xC4A0 100000 4 d728eadd07d63e99 3965",
-    "cuckoo-4x4096-c16 - oracle 0x0B5E 150000 8 a43b91a315ca5c63 16384",
+    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 4 853718bc4b1c8b0c 1087477 16384",
+    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 16 209c8640108a7ff0 1087681 16384",
+    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 4 4fd1d3a61c89faba 620977 4054",
+    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 16 de3caf852ac94077 620977 4054",
+    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 4 41d661a1791775b1 1018845 64",
+    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 16 e6a130e00a31a2ab 1018845 64",
+    "cuckoo-4x1024-c16 resize-grow2@60-every64-max1 migratory-zipf0.9 0x5E22 150000 4 c101f92ad3843b1d 621005 4054",
+    "cuckoo-4x4096-c16 - migratory-zipf0.9 0xC4A0 100000 4 d728eadd07d63e99 405193 3965",
+    "cuckoo-4x4096-c16 - oracle 0x0B5E 150000 8 a43b91a315ca5c63 1084545 16384",
 ];
+
+/// The spec, resize policy, workload and shard count of the benchmark's
+/// `svc_hit` workload, which also runs at 16 cores.
+const SVC_HIT: (&str, &str, &str, &str) = ("cuckoo-4x4096-c16", "-", "migratory-zipf0.9", "4");
 
 #[test]
 fn serial_runs_reproduce_their_pinned_digests() {
+    let mut svc_hit_rows = 0;
     for row in PINNED {
         let fields: Vec<&str> = row.split(' ').collect();
-        let [spec, resize, workload, seed, requests, shards, digest, entries] = fields[..] else {
-            panic!("{row}: eight fields");
+        let [spec, resize, workload, seed, requests, shards, digest, stored, entries] = fields[..]
+        else {
+            panic!("{row}: nine fields");
         };
         let number = |text: &str| text.parse::<u64>().expect("a decimal field");
         let seed = u64::from_str_radix(&seed[2..], 16).expect("a hex seed");
@@ -207,6 +215,17 @@ fn serial_runs_reproduce_their_pinned_digests() {
             .run_load_serial(&load)
             .expect("serial run completes");
         assert_eq!(format!("{:016x}", report.outcome_digest), digest, "{row}");
+        assert_eq!(
+            report.outcomes.stored_bytes() as u64,
+            number(stored),
+            "{row}"
+        );
         assert_eq!(report.entries as u64, number(entries), "{row}");
+        if (spec, resize, workload, shards) == SVC_HIT {
+            // The benchmark's `svc_hit` cell: at most 4.5 bytes a record.
+            assert!(2 * number(stored) <= 9 * number(requests), "{row}");
+            svc_hit_rows += 1;
+        }
     }
+    assert!(svc_hit_rows > 0, "no row has svc_hit's shape");
 }
