@@ -41,8 +41,9 @@ pub struct ServiceConfig {
     pub batch: usize,
     /// Record one [`OutcomeRecord`](crate::OutcomeRecord) per request into
     /// the report's [`OutcomeLog`](crate::OutcomeLog) (2 bytes a quiet
-    /// record, 10 with a `detail`).  Verification and the golden digests
-    /// need the log; a pure throughput measurement can turn it off.
+    /// record, 3 with one invalidation of a cache below 256).  Verification
+    /// and the golden digests need the log; a pure throughput measurement
+    /// can turn it off.
     pub record_outcomes: bool,
     /// An armed fault-injection schedule, or `None` (the default) for a
     /// fault-free run.  See [`FaultPlan`].

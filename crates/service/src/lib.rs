@@ -18,7 +18,8 @@
 //!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
 //!   simulation engine;
 //! * keeps a sequence-numbered [`OutcomeLog`] — one [`OutcomeRecord`] a
-//!   request, stored in 2 bytes when quiet and 10 with a `detail` — so
+//!   request, stored in 2 bytes when quiet and 3 with one invalidation of a
+//!   cache below 256 — so
 //!   **any worker count over a fixed shard count is verifiably
 //!   bit-identical** to the inline serial reference
 //!   ([`DirectoryService::run_serial`]).

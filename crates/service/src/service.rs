@@ -32,10 +32,10 @@
 //!    per-address (in fact per-shard) subsequence of the input stream, in
 //!    input order, regardless of how many workers exist,
 //! 3. statistics merge in global shard order, and the per-worker outcome
-//!    logs — each ascending in sequence number, order-checked and folded
-//!    into its digest record by record as it grows — are reassembled into
-//!    one by moving a lone log or k-way merging several, the merge checking
-//!    and folding each record it emits the same way.
+//!    logs — each ascending in sequence number, order-checked record by
+//!    record as it grows — are reassembled into one by moving a lone log or
+//!    k-way merging several, the merge checking each record it emits the
+//!    same way; the digest is hashed from the one log's bytes.
 //!
 //! Consequently, for a fixed shard count, **every worker count produces
 //! bit-identical outcome logs, statistics and shard contents** — equal to
@@ -57,9 +57,7 @@
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
-use crate::request::{
-    digest_outcome_semantics, reassemble, OutcomeLog, OutcomeRecord, Request, WorkerLog,
-};
+use crate::request::{digest_outcome_semantics, reassemble, OutcomeLog, Request, WorkerLog};
 use crate::resize::ResizePolicy;
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
@@ -174,12 +172,12 @@ pub struct ServiceReport {
     pub entries: usize,
     /// The merged statistics snapshot.
     pub stats: ServiceStats,
-    /// The sequence-ordered outcome log, one [`OutcomeRecord`] a request in
-    /// the compact stored layout, decoded when iterated (empty when
-    /// [`ServiceConfig::record_outcomes`] is off).
+    /// The sequence-ordered outcome log, one [`crate::OutcomeRecord`] a
+    /// request in the compact stored layout, decoded when iterated (empty
+    /// when [`ServiceConfig::record_outcomes`] is off).
     pub outcomes: OutcomeLog,
-    /// [`crate::digest_outcomes`] of the outcome log, folded record by
-    /// record as the log was written (`0` when
+    /// [`crate::digest_outcomes`] of the outcome log, hashed from the
+    /// bytes the workers stored, each chunk as it filled (`0` when
     /// [`ServiceConfig::record_outcomes`] is off).
     pub outcome_digest: u64,
     /// What the observability layer recorded, when one was armed.
@@ -631,16 +629,16 @@ pub(crate) fn absorb_into(
     *invalidations += out.invalidate().len() as u64;
     *forced_invalidations += out.forced_invalidation_count() as u64;
     if record {
-        outcomes.push(OutcomeRecord::capture(seq, global_shard, out));
+        outcomes.push(seq, global_shard, out);
     }
 }
 
 /// Reassembles worker outputs into the final report: shards back into
 /// global order, per-shard statistics merged in that (fixed) order, and the
 /// outcome logs reassembled by [`reassemble`] — a lone log, checked and
-/// folded as it grew, is moved; several are k-way merged by sequence number
-/// in a pass that checks the order and folds the digest.  `recoveries`
-/// comes from the supervisor (always 0 for serial runs), as
+/// hashed as it grew, is moved; several are k-way merged by sequence number
+/// in a pass that checks the order, and the merged log is hashed.
+/// `recoveries` comes from the supervisor (always 0 for serial runs), as
 /// does the router's flight recording (`None` for serial runs).
 ///
 /// # Panics
@@ -728,7 +726,7 @@ pub(crate) fn finish(
     let logs = outputs.into_iter().map(|output| output.outcomes).collect();
     #[expect(
         clippy::expect_used,
-        reason = "reassemble checks strict seq order while folding the digest; a violation means the router delivered one request to two workers or a worker reordered its FIFO queue, and a report built from such logs would be silently wrong (documented under # Panics)"
+        reason = "reassemble checks strict seq order; a violation means the router delivered one request to two workers or a worker reordered its FIFO queue, and a report built from such logs would be silently wrong (documented under # Panics)"
     )]
     let (outcomes, digest) = reassemble(logs)
         .expect("each worker logs its own requests, in the order its FIFO queue delivered them");
@@ -840,7 +838,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "LogOrderError { worker: 1, seq: 2, after: 2 }")]
     fn finish_refuses_to_emit_a_log_two_workers_both_claim() {
-        let record = |seq| OutcomeRecord::capture(seq, 0, &Outcome::new());
+        let record = |seq| crate::OutcomeRecord::capture(seq, 0, &Outcome::new());
         let mut outputs = vec![
             WorkerOutput::new(0, Vec::new()),
             WorkerOutput::new(1, Vec::new()),
