@@ -17,9 +17,9 @@
 //! * the bounded lanes (std `sync_channel`) connecting the directory
 //!   service's ingestion frontend to its shard-owning workers
 //!   ([`channel`]),
-//! * fixed-length, cache-line-aligned buffers that move onto huge pages
-//!   when they are large — what the cuckoo table's arrays live in
-//!   ([`pages`]),
+//! * fixed-length, cache-line-aligned buffers that become mappings of
+//!   their own on huge pages when they are large — what the cuckoo table's
+//!   arrays live in ([`pages`]),
 //! * the workspace's one JSON value tree and writer ([`json`]),
 //! * the one reader of its `prefix-clause-…` spec strings ([`clause`]),
 //! * the shared error type ([`ConfigError`]).
@@ -47,7 +47,7 @@ pub mod error;
 pub mod ids;
 pub mod json;
 pub mod mem;
-#[allow(unsafe_code, reason = "raw allocation and `madvise`")]
+#[allow(unsafe_code, reason = "raw allocation, `mmap`, `munmap` and `madvise`")]
 pub mod pages;
 #[allow(unsafe_code, reason = "the prefetch intrinsic")]
 pub mod prefetch;

@@ -1,26 +1,41 @@
 //! Fixed-length buffers for arrays that can outgrow the TLB's reach.
 //!
-//! [`PageBuf<T>`] is an owned, fixed-length `[T]` over `std::alloc`.  Its
-//! byte size alone decides how it is placed:
+//! [`PageBuf<T>`] is an owned, fixed-length `[T]`.  Its byte size alone
+//! decides where it lives:
 //!
-//! * below [`HUGE_PAGE_BYTES`] it is aligned to a cache line
-//!   ([`CACHE_LINE_BYTES`]) and is otherwise what a boxed slice would be;
-//! * from [`HUGE_PAGE_BYTES`] up it is aligned to a huge page, and the whole
-//!   huge pages inside it are advised `MADV_HUGEPAGE` **before anything
-//!   touches them**, so on a host whose transparent-huge-page mode is
-//!   `always` or `madvise` the first touch faults 2 MiB pages in.  A table
-//!   of millions of slots probed at random then stays within the TLB's
-//!   reach instead of missing it on every probe.  The allocation is never
-//!   rounded up: the tail past the last whole huge page stays on base pages.
+//! * below [`HUGE_PAGE_BYTES`] it comes from `std::alloc`, aligned to a
+//!   cache line ([`CACHE_LINE_BYTES`]), and is otherwise what a boxed slice
+//!   would be;
+//! * from [`HUGE_PAGE_BYTES`] up it is an anonymous mapping of its own,
+//!   aligned to a huge page, and the whole huge pages inside it are advised
+//!   `MADV_HUGEPAGE` **before anything touches them**, so on a host whose
+//!   transparent-huge-page mode is `always` or `madvise` the first touch
+//!   faults 2 MiB pages in.  A table of millions of slots probed at random
+//!   then stays within the TLB's reach instead of missing it on every
+//!   probe.  The tail past the last whole huge page is not advised and
+//!   stays on base pages.
 //!
-//! The advice is a hint.  It is compiled out off Linux and under Miri, and a
-//! host that says `never` (or a kernel that rejects the call) ignores it;
-//! nothing a buffer holds depends on it.
+//! A huge buffer is mapped, not allocated, so that dropping it returns its
+//! memory to the kernel (`munmap`) at once.  Through `malloc` it would not
+//! always: glibc raises its mmap threshold to the size of the last mapped
+//! chunk it frees, up to 32 MiB, so once an 8 MiB array has been freed the
+//! next one comes from the `brk` heap, where the arrays of tables rebuilt
+//! one after another fragment and are never given back.  The mapping
+//! over-maps by one huge page and trims its head and tail to land on a
+//! huge-page boundary; it ends at the next boundary past the buffer, and
+//! that address space costs nothing until something touches it.
 //!
-//! Allocation is fallible: a length whose bytes are not a [`Layout`], or an
-//! allocator that returns null, is `None` rather than a wrapped
-//! multiplication or an abort.  Only `Clone` — which has no error to return
-//! — treats a refused allocation the way `Vec::clone` does.
+//! The mapping and the advice are compiled out off Linux and under Miri,
+//! where every buffer comes from `std::alloc`, huge ones aligned to
+//! [`HUGE_PAGE_BYTES`].  The advice is a hint: a host that says `never`
+//! (or a kernel that rejects the call) ignores it, and nothing a buffer
+//! holds depends on it.
+//!
+//! Allocation is fallible: a length whose bytes are not a [`Layout`], an
+//! allocator that returns null or a kernel that refuses the mapping is
+//! `None` rather than a wrapped multiplication or an abort.  Only `Clone` —
+//! which has no error to return — treats a refused allocation the way
+//! `Vec::clone` does.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::fmt;
@@ -76,36 +91,140 @@ fn layout_of<T>(len: usize) -> Option<Layout> {
     array.align_to(align).ok()
 }
 
-/// Asks the kernel to back `[start, start + bytes)` — `start` on a huge-page
-/// boundary — with huge pages where whole ones fit.
-#[cfg(all(target_os = "linux", not(miri)))]
-fn advise_huge(start: NonNull<u8>, bytes: usize) {
-    use std::ffi::{c_int, c_void};
-
-    extern "C" {
-        fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
+/// `layout`'s bytes: a mapping of their own from the size line up (see
+/// the module docs), the global allocator below it; `None` when either
+/// refuses.
+///
+/// # Safety
+///
+/// `layout` has a non-zero size.
+unsafe fn allocate(layout: Layout) -> Option<NonNull<u8>> {
+    #[cfg(all(target_os = "linux", not(miri)))]
+    if layout.size() >= HUGE_PAGE_BYTES {
+        return mapping::map(layout.size());
     }
-    /// `MADV_HUGEPAGE` of `<asm-generic/mman-common.h>`.
-    const MADV_HUGEPAGE: c_int = 14;
-
-    let whole = bytes & !(HUGE_PAGE_BYTES - 1);
-    // SAFETY: `madvise(MADV_HUGEPAGE)` reads and writes no memory: it marks
-    // the mapping behind a page-aligned range this buffer owns as eligible
-    // for huge pages, which changes how the range is faulted in and nothing
-    // a program can observe in it.  Its result is ignored: a kernel built
-    // without transparent huge pages returns `EINVAL`, and the buffer works
-    // the same on base pages.
-    let _ = unsafe { madvise(start.as_ptr().cast(), whole, MADV_HUGEPAGE) };
+    // SAFETY: `layout` has a non-zero size (the caller's).
+    NonNull::new(unsafe { alloc(layout) })
 }
 
-#[cfg(not(all(target_os = "linux", not(miri))))]
-fn advise_huge(_start: NonNull<u8>, _bytes: usize) {}
+/// Returns what [`allocate`] gave out for `layout`.
+///
+/// # Safety
+///
+/// `ptr` came from `allocate(layout)` and nothing uses it afterwards.
+unsafe fn release(ptr: NonNull<u8>, layout: Layout) {
+    #[cfg(all(target_os = "linux", not(miri)))]
+    if layout.size() >= HUGE_PAGE_BYTES {
+        // SAFETY: the caller's; `allocate` mapped `ptr` for this size.
+        return unsafe { mapping::unmap(ptr, layout.size()) };
+    }
+    // SAFETY: the caller's; below the line `ptr` came from `alloc(layout)`.
+    unsafe { dealloc(ptr.as_ptr(), layout) }
+}
+
+/// Huge buffers as anonymous mappings of their own, advised before the
+/// first touch.  The constants are those of `<asm-generic/mman-common.h>`.
+#[cfg(all(target_os = "linux", not(miri)))]
+mod mapping {
+    use super::HUGE_PAGE_BYTES;
+    use std::ffi::{c_int, c_long, c_void};
+    use std::ptr::NonNull;
+
+    extern "C" {
+        fn mmap(
+            addr: *mut c_void,
+            length: usize,
+            prot: c_int,
+            flags: c_int,
+            fd: c_int,
+            offset: c_long,
+        ) -> *mut c_void;
+        fn munmap(addr: *mut c_void, length: usize) -> c_int;
+        fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
+    }
+    const PROT_READ: c_int = 1;
+    const PROT_WRITE: c_int = 2;
+    const MAP_PRIVATE: c_int = 0x02;
+    const MAP_ANONYMOUS: c_int = 0x20;
+    const MADV_HUGEPAGE: c_int = 14;
+
+    /// Bytes a buffer of `bytes` keeps mapped: up to the next huge-page
+    /// boundary, where the trimmed tail starts.
+    fn kept(bytes: usize) -> usize {
+        bytes.next_multiple_of(HUGE_PAGE_BYTES)
+    }
+
+    /// A fresh, zeroed, untouched mapping of at least `bytes` bytes that
+    /// starts on a huge-page boundary, its whole huge pages advised, or
+    /// `None` when the kernel refuses it.
+    pub(super) fn map(bytes: usize) -> Option<NonNull<u8>> {
+        let kept = kept(bytes);
+        let length = kept + HUGE_PAGE_BYTES;
+        // SAFETY: an anonymous private mapping at an address of the
+        // kernel's choosing aliases nothing: it reads and writes no memory
+        // the program already has.
+        let raw = unsafe {
+            mmap(
+                std::ptr::null_mut(),
+                length,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS,
+                -1,
+                0,
+            )
+        };
+        // `MAP_FAILED` is `(void *)-1`.
+        if raw.addr() == usize::MAX {
+            return None;
+        }
+        let base = raw.cast::<u8>();
+        let head = base.addr().next_multiple_of(HUGE_PAGE_BYTES) - base.addr();
+        let start = base.wrapping_add(head);
+        // SAFETY: the head `[base, start)` and the tail `[start + kept,
+        // base + length)` lie inside the mapping made above, which nothing
+        // has seen yet; both begin on a page boundary (`base` is page
+        // aligned, `start` huge-page aligned and `kept` a multiple of huge
+        // pages), and together they are the one huge page mapped beyond
+        // `kept`.  A trim the kernel refuses leaves address space mapped
+        // and the buffer as it is, so its result is not needed.
+        unsafe {
+            if head != 0 {
+                let _ = munmap(base.cast(), head);
+            }
+            let _ = munmap(start.wrapping_add(kept).cast(), HUGE_PAGE_BYTES - head);
+        }
+        // Advised before the first touch: a page already faulted in on base
+        // pages is only ever collapsed later, in the background.
+        let whole = bytes & !(HUGE_PAGE_BYTES - 1);
+        // SAFETY: `madvise(MADV_HUGEPAGE)` reads and writes no memory: it
+        // marks the mapping behind a page-aligned range this buffer owns as
+        // eligible for huge pages, which changes how the range is faulted
+        // in and nothing a program can observe in it.  Its result is
+        // ignored: a kernel built without transparent huge pages returns
+        // `EINVAL`, and the buffer works the same on base pages.
+        let _ = unsafe { madvise(start.cast(), whole, MADV_HUGEPAGE) };
+        NonNull::new(start)
+    }
+
+    /// Returns a buffer's mapping to the kernel.
+    ///
+    /// # Safety
+    ///
+    /// `start` came from `map(bytes)` and nothing uses it afterwards.
+    pub(super) unsafe fn unmap(start: NonNull<u8>, bytes: usize) {
+        // SAFETY: `[start, start + kept(bytes))` is exactly what `map` left
+        // mapped, and the caller's promise makes it unused.  A refusal
+        // leaves address space mapped, which `Drop` (the only caller) can
+        // neither report nor mend, so the result is not read.
+        let _ = unsafe { munmap(start.as_ptr().cast(), kept(bytes)) };
+    }
+}
 
 impl<T> PageBuf<MaybeUninit<T>> {
     /// A buffer of `len` uninitialised elements, or `None` when no such
     /// allocation exists: `len × size_of::<T>()` is not a [`Layout`], or
-    /// the allocator returned null.  Nothing is touched, so a large buffer
-    /// costs address space until it is written.
+    /// the allocator or the kernel refused it.  Nothing is touched, so a
+    /// large buffer costs address space until it is written.
     #[must_use]
     pub fn uninit(len: usize) -> Option<Self> {
         let layout = layout_of::<T>(len)?;
@@ -117,12 +236,7 @@ impl<T> PageBuf<MaybeUninit<T>> {
             });
         }
         // SAFETY: `layout` has a non-zero size.
-        let ptr = NonNull::new(unsafe { alloc(layout) })?;
-        if layout.size() >= HUGE_PAGE_BYTES {
-            // Before the first touch: a page already faulted in on base
-            // pages is only ever collapsed later, in the background.
-            advise_huge(ptr, layout.size());
-        }
+        let ptr = unsafe { allocate(layout) }?;
         Some(PageBuf {
             ptr: ptr.cast(),
             len,
@@ -214,9 +328,9 @@ impl<T> Drop for PageBuf<T> {
         // exactly once, here.
         unsafe { std::ptr::drop_in_place::<[T]>(&mut **self) };
         if self.layout.size() != 0 {
-            // SAFETY: `ptr` came from `alloc(self.layout)` in `uninit` and
-            // is released once, with that same layout.
-            unsafe { dealloc(self.ptr.as_ptr().cast(), self.layout) };
+            // SAFETY: `ptr` came from `allocate(self.layout)` in `uninit`
+            // and is released once, with that same layout.
+            unsafe { release(self.ptr.cast(), self.layout) };
         }
     }
 }
@@ -353,60 +467,13 @@ mod tests {
         assert_eq!(Rc::strong_count(&live), 1);
     }
 
-    /// `AnonHugePages` of the mapping that holds `addr`, in KiB, from
-    /// `/proc/self/smaps`.
-    #[cfg(all(target_os = "linux", not(miri)))]
-    fn anon_huge_kib_at(addr: usize) -> Option<u64> {
-        let smaps = std::fs::read_to_string("/proc/self/smaps").ok()?;
-        let mut inside = false;
-        for line in smaps.lines() {
-            let mut fields = line.split_whitespace();
-            let first = fields.next()?;
-            if let Some((low, high)) = first.split_once('-') {
-                if let (Ok(low), Ok(high)) = (
-                    usize::from_str_radix(low, 16),
-                    usize::from_str_radix(high, 16),
-                ) {
-                    inside = (low..high).contains(&addr);
-                    continue;
-                }
-            }
-            if inside && first == "AnonHugePages:" {
-                return fields.next()?.parse().ok();
-            }
-        }
-        None
-    }
-
-    /// Fails the day something touches a large buffer before advising it
-    /// (an `alloc_zeroed`, say): pages faulted in small stay small, but for
-    /// the 4096 of them (16 MiB) `khugepaged` collapses on its first pass
-    /// over a newly advised mapping — hence "at least half", not "any".
+    /// Past any address space a process has, so the kernel refuses the
+    /// mapping: the same `None` as a refused allocation, which
+    /// `CuckooTable::new` turns into `ConfigError::TooLarge`.
     #[test]
     #[cfg(all(target_os = "linux", not(miri)))]
-    fn a_large_touched_buffer_sits_on_huge_pages_where_the_host_grants_them() {
-        let mode = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
-            .unwrap_or_default();
-        if !(mode.contains("[always]") || mode.contains("[madvise]")) {
-            eprintln!(
-                "skipped: transparent huge pages are `{}` on this host",
-                mode.trim()
-            );
-            return;
-        }
-        let len = (64 << 20) / 8;
-        let buf = PageBuf::filled(len, 0u64).unwrap();
-        assert_eq!(buf[len - 1], 0);
-        let middle = buf.as_ptr().addr() + (32 << 20);
-        let Some(huge_kib) = anon_huge_kib_at(middle) else {
-            eprintln!("skipped: /proc/self/smaps does not list the buffer's mapping");
-            return;
-        };
-        assert!(
-            huge_kib >= (32 << 10),
-            "{huge_kib} KiB of a 64 MiB buffer are on huge pages ({}): it was touched before \
-             it was advised, or the host has no contiguous memory left to grant",
-            mode.trim()
-        );
+    fn a_mapping_the_kernel_refuses_is_none() {
+        assert!(PageBuf::<MaybeUninit<u8>>::uninit(1 << 62).is_none());
+        assert!(PageBuf::filled(1 << 61, 0u16).is_none());
     }
 }

@@ -12,8 +12,9 @@
 //!
 //! The table stores its slots struct-of-arrays across three parallel dense
 //! arrays, each a [`PageBuf`]: a fixed-length buffer that is 64-byte aligned
-//! and, from one huge page (2 MiB) of bytes up, huge-page aligned and
-//! advised `MADV_HUGEPAGE` before its first touch.  The byte size of each
+//! and, from one huge page (2 MiB) of bytes up, a huge-page-aligned mapping
+//! of its own, advised `MADV_HUGEPAGE` before its first touch and returned
+//! to the kernel when the table is dropped.  The byte size of each
 //! array is the only selector — a 4 × 64 Ki-set table's 2 MiB key array is
 //! the smallest that crosses the line — so a slice of millions of entries
 //! sits on a few dozen huge pages a TLB can hold instead of tens of

@@ -448,14 +448,29 @@ pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, Con
 /// representation type to `$S` inside `$body`.  The full and hierarchical
 /// formats name the same exact sets, so both get a full vector, chosen here
 /// once per directory from its cache count `$caches`: the presence word
-/// alone up to 64 caches ([`ccd_sharers::FullBitVector`]), heap words above
-/// ([`ccd_sharers::WideBitVector`]).
+/// alone up to 64 caches, in the narrowest of `u16` (up to 16 caches),
+/// `u32` (up to 32) and `u64` (up to 64) that holds the count
+/// ([`ccd_sharers::PresenceWord`]), and heap words above
+/// ([`ccd_sharers::WideBitVector`]).  A cuckoo entry is then 11 bytes at 16
+/// caches, 13 at 32 and 17 at 64.
 #[macro_export]
 macro_rules! match_sharer_format {
     ($format:expr, $caches:expr, $S:ident => $body:expr) => {
         match $format {
             ccd_sharers::SharerFormat::FullVector | ccd_sharers::SharerFormat::Hierarchical
-                if $caches <= ccd_sharers::full::WORD_CACHES =>
+                if $caches <= ccd_sharers::PresenceWord::<u16>::CACHES =>
+            {
+                type $S = ccd_sharers::PresenceWord<u16>;
+                $body
+            }
+            ccd_sharers::SharerFormat::FullVector | ccd_sharers::SharerFormat::Hierarchical
+                if $caches <= ccd_sharers::PresenceWord::<u32>::CACHES =>
+            {
+                type $S = ccd_sharers::PresenceWord<u32>;
+                $body
+            }
+            ccd_sharers::SharerFormat::FullVector | ccd_sharers::SharerFormat::Hierarchical
+                if $caches <= ccd_sharers::FullBitVector::CACHES =>
             {
                 type $S = ccd_sharers::FullBitVector;
                 $body
@@ -871,6 +886,30 @@ mod tests {
         };
         assert_eq!(probed_sharers("sparse-8x256-c64@full"), 3);
         assert!(probed_sharers("sparse-8x256-c64@coarse") > 3);
+    }
+
+    #[test]
+    fn full_and_hierarchical_entries_are_the_narrowest_word_that_holds_the_count() {
+        for format in [SharerFormat::FullVector, SharerFormat::Hierarchical] {
+            let chosen = |caches: usize| {
+                match_sharer_format!(format, caches, S => {
+                    (std::mem::size_of::<S>(), std::any::type_name::<S>())
+                })
+            };
+            for (caches, bytes) in [(1, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8)] {
+                let (size, name) = chosen(caches);
+                assert_eq!(size, bytes, "{format} at {caches} caches is {name}");
+                assert!(
+                    name.contains("PresenceWord"),
+                    "{format} at {caches}: {name}"
+                );
+            }
+            let (_, name) = chosen(65);
+            assert!(
+                name.ends_with("WideBitVector"),
+                "{format} at 65 caches: {name}"
+            );
+        }
     }
 
     #[test]

@@ -7,28 +7,29 @@
 //! paper describes ("at 256 cores, the aggregate vector-based L1 directory
 //! could consume more than 256 MB of on-chip storage").
 //!
-//! The width is a property of the directory, not of each entry.  Up to
-//! [`WORD_CACHES`] caches an entry's vector is a [`FullBitVector`]: the
-//! presence word itself, 8 bytes of plain data, its sharer count a
-//! `count_ones`.  Above that it is a [`WideBitVector`], `ceil(caches / 64)`
-//! words on the heap.  The directory registry picks one of the two once per
-//! directory, from its cache count (`ccd_directory::match_sharer_format!`),
-//! so both sides of a comparison are always the same type.  Neither stores
-//! the cache count: the range check `cache < caches` belongs to the
-//! directory, which knows the count and makes the check once, at its op
-//! entry.
+//! The width is a property of the directory, not of each entry, and an
+//! entry stores the width the paper prices ([`vector_bits`]) rounded up to
+//! a machine word.  Up to 64 caches an entry's vector is a
+//! [`PresenceWord`]: the narrowest of `u16`, `u32` and `u64` that holds one
+//! bit per cache, plain data, its sharer count a `count_ones`.  At the
+//! Table 1 systems that is 2 bytes (Private-L2, 16 caches) and 4 bytes
+//! (Shared-L2, 32 caches).  Above 64 caches it is a [`WideBitVector`],
+//! `ceil(caches / 64)` words on the heap.  The directory registry picks the
+//! representation once per directory, from its cache count
+//! (`ccd_directory::match_sharer_format!`), so both sides of a comparison
+//! are always the same type.  None stores the cache count: the range check
+//! `cache < caches` belongs to the directory, which knows the count and
+//! makes the check once, at its op entry.
 
 use crate::SharerSet;
 use ccd_common::CacheId;
+use std::fmt::Debug;
 
 /// Storage width in bits of a full vector for `num_caches` caches.
 #[must_use]
 pub fn vector_bits(num_caches: usize) -> u64 {
     num_caches as u64
 }
-
-/// Caches one presence word tracks: the most a [`FullBitVector`] holds.
-pub const WORD_CACHES: usize = u64::BITS as usize;
 
 /// Appends the caches whose bits are set in `word`, the word that starts at
 /// cache `base`, in ascending order.
@@ -40,29 +41,77 @@ fn push_set_bits(out: &mut Vec<CacheId>, base: usize, word: u64) {
     }
 }
 
-/// An exact, one-bit-per-cache sharer vector for up to [`WORD_CACHES`]
-/// caches: the presence word and nothing else.
-///
-/// A cuckoo entry is then a tag byte, a key word and this word — 17 bytes —
-/// and creating, cloning and dropping one never touches the allocator.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FullBitVector {
-    bits: u64,
+mod sealed {
+    pub trait Sealed {}
 }
 
-impl FullBitVector {
+/// An unsigned integer a [`PresenceWord`] keeps its bits in: `u16`, `u32`
+/// or `u64`, and nothing else (the trait is sealed).  There is no `u8`:
+/// no workload or paper configuration tracks 8 caches or fewer.
+pub trait Word: sealed::Sealed + Copy + Debug + Default + Eq + Send + Sync {
+    /// Caches the word tracks: its width in bits.
+    const CACHES: usize;
+
+    /// The word, zero-extended.
+    fn widen(self) -> u64;
+
+    /// The low [`Word::CACHES`] bits of `bits`.
+    fn narrow(bits: u64) -> Self;
+}
+
+macro_rules! impl_word {
+    ($($word:ty),*) => {$(
+        impl sealed::Sealed for $word {}
+
+        impl Word for $word {
+            const CACHES: usize = <$word>::BITS as usize;
+
+            #[inline]
+            fn widen(self) -> u64 {
+                u64::from(self)
+            }
+
+            #[inline]
+            fn narrow(bits: u64) -> Self {
+                bits as $word
+            }
+        }
+    )*};
+}
+
+impl_word!(u16, u32, u64);
+
+/// An exact, one-bit-per-cache sharer vector for up to `W::CACHES` caches:
+/// the presence word and nothing else.
+///
+/// A cuckoo entry is then a tag byte, a key word and this word — 11 bytes
+/// over a `u16`, 13 over a `u32`, 17 over a `u64` — and creating, cloning
+/// and dropping one never touches the allocator.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PresenceWord<W: Word> {
+    bits: W,
+}
+
+/// The 64-cache presence word, the widest: what a caller that names one
+/// representation for every count up to 64 uses.
+pub type FullBitVector = PresenceWord<u64>;
+
+impl<W: Word> PresenceWord<W> {
+    /// Caches this word tracks at most.
+    pub const CACHES: usize = W::CACHES;
+
     /// Number of caches currently marked as sharers.
     #[must_use]
     pub fn count(&self) -> usize {
-        self.bits.count_ones() as usize
+        self.bits.widen().count_ones() as usize
     }
 
     /// `cache`'s presence bit.  The directory has checked `cache` against
-    /// its own count, which is at most [`WORD_CACHES`].
+    /// its own count, which is at most [`Self::CACHES`].
     #[inline]
     fn bit(cache: CacheId) -> u64 {
         debug_assert!(
-            cache.index() < WORD_CACHES,
+            cache.index() < W::CACHES,
             "{cache} is past the presence word"
         );
         1 << cache.index()
@@ -72,49 +121,52 @@ impl FullBitVector {
     /// no bit at or past `caches`.
     #[cfg(test)]
     fn check_invariants(&self, caches: usize) -> Result<(), String> {
-        if caches < WORD_CACHES && self.bits >> caches != 0 {
-            return Err(format!("a bit past cache {caches} in {:#x}", self.bits));
+        let bits = self.bits.widen();
+        if caches < W::CACHES && bits >> caches != 0 {
+            return Err(format!("a bit past cache {caches} in {bits:#x}"));
         }
         Ok(())
     }
 }
 
-impl SharerSet for FullBitVector {
+impl<W: Word> SharerSet for PresenceWord<W> {
     /// # Panics
     ///
-    /// Unless `1 <= num_caches <= 64`: wider directories hold a
-    /// [`WideBitVector`].
+    /// Unless `1 <= num_caches <= W::CACHES`: a wider directory holds a
+    /// wider word, or a [`WideBitVector`] above 64 caches.
     fn new(num_caches: usize) -> Self {
         assert!(
-            (1..=WORD_CACHES).contains(&num_caches),
-            "a presence word tracks 1 to {WORD_CACHES} caches, not {num_caches}"
+            (1..=W::CACHES).contains(&num_caches),
+            "a {}-bit presence word tracks 1 to {} caches, not {num_caches}",
+            W::CACHES,
+            W::CACHES
         );
-        FullBitVector::default()
+        PresenceWord::default()
     }
 
     #[inline]
     fn add(&mut self, cache: CacheId) {
-        self.bits |= Self::bit(cache);
+        self.bits = W::narrow(self.bits.widen() | Self::bit(cache));
     }
 
     #[inline]
     fn remove(&mut self, cache: CacheId) {
-        self.bits &= !Self::bit(cache);
+        self.bits = W::narrow(self.bits.widen() & !Self::bit(cache));
     }
 
     #[inline]
     fn may_contain(&self, cache: CacheId) -> bool {
-        cache.index() < WORD_CACHES && (self.bits >> cache.index()) & 1 != 0
+        cache.index() < W::CACHES && (self.bits.widen() >> cache.index()) & 1 != 0
     }
 
     #[inline]
     fn is_empty(&self) -> bool {
-        self.bits == 0
+        self.bits == W::default()
     }
 
     #[inline]
     fn extend_targets(&self, out: &mut Vec<CacheId>) {
-        push_set_bits(out, 0, self.bits);
+        push_set_bits(out, 0, self.bits.widen());
     }
 
     fn exact_count(&self) -> Option<usize> {
@@ -123,13 +175,12 @@ impl SharerSet for FullBitVector {
 
     #[inline]
     fn clear(&mut self) {
-        self.bits = 0;
+        self.bits = W::default();
     }
 }
 
 /// An exact, one-bit-per-cache sharer vector of any width: a heap slice of
-/// `ceil(num_caches / 64)` words, for directories of more than
-/// [`WORD_CACHES`] caches.
+/// `ceil(num_caches / 64)` words, for directories of more than 64 caches.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WideBitVector {
     words: Box<[u64]>,
@@ -254,7 +305,7 @@ mod tests {
 
     #[test]
     fn clear_empties_everything() {
-        let mut v = FullBitVector::new(16);
+        let mut v = PresenceWord::<u16>::new(16);
         for i in 0..16u32 {
             v.add(CacheId::new(i));
         }
@@ -272,17 +323,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "tracks 1 to 64 caches, not 65")]
-    fn a_presence_word_refuses_a_65th_cache() {
+    #[should_panic(expected = "a 16-bit presence word tracks 1 to 16 caches, not 17")]
+    fn a_16_bit_word_refuses_a_17th_cache() {
+        let _ = PresenceWord::<u16>::new(17);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 32-bit presence word tracks 1 to 32 caches, not 33")]
+    fn a_32_bit_word_refuses_a_33rd_cache() {
+        let _ = PresenceWord::<u32>::new(33);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 64-bit presence word tracks 1 to 64 caches, not 65")]
+    fn a_64_bit_word_refuses_a_65th_cache() {
         let _ = FullBitVector::new(65);
     }
 
     #[test]
-    fn the_entry_stays_small_and_inline_up_to_64_caches() {
+    fn the_entry_is_the_narrowest_word_and_stays_inline() {
         // The cuckoo table stores one of these per slot: the presence word
-        // alone is what keeps an entry (tag + key + vector) at 17 bytes.
+        // alone is what keeps an entry (tag + key + vector) at 11, 13 or 17
+        // bytes.
+        assert_eq!(std::mem::size_of::<PresenceWord<u16>>(), 2);
+        assert_eq!(std::mem::size_of::<PresenceWord<u32>>(), 4);
         assert_eq!(std::mem::size_of::<FullBitVector>(), 8);
-        assert!(!std::mem::needs_drop::<FullBitVector>());
+        assert!(!std::mem::needs_drop::<PresenceWord<u16>>());
+        assert_eq!(PresenceWord::<u16>::new(16), PresenceWord::default());
         assert_eq!(FullBitVector::new(64), FullBitVector::default());
     }
 
@@ -345,7 +412,13 @@ mod tests {
 
     #[test]
     fn both_representations_track_a_bool_model_in_lockstep() {
-        for caches in [1usize, 63, 64] {
+        for caches in [1usize, 15, 16] {
+            lockstep::<PresenceWord<u16>>(caches, |v| v.check_invariants(caches));
+        }
+        for caches in [17usize, 31, 32] {
+            lockstep::<PresenceWord<u32>>(caches, |v| v.check_invariants(caches));
+        }
+        for caches in [33usize, 63, 64] {
             lockstep::<FullBitVector>(caches, |v| v.check_invariants(caches));
         }
         for caches in [65usize, 128, 1024] {

@@ -8,15 +8,18 @@
 //! to `O(√N)` bits.
 //!
 //! The format is exact, so the caches an entry names are a full vector's:
-//! the directory builds a `@hier` spec over [`FullBitVector`] or
-//! [`WideBitVector`].  What differs is the price, [`entry_bits`]: the
+//! the directory builds a `@hier` spec over the same representation as a
+//! full-vector spec of its cache count — a [`PresenceWord`] of 16, 32 or 64
+//! bits up to 64 caches, a [`WideBitVector`] above.  What the table stores
+//! is therefore the flat vector, not a root and leaves; what differs is
+//! the price, [`entry_bits`]: the
 //! *primary-entry* width a directory provisions and the analytical model
 //! charges — the root vector plus one resident leaf, which is also all a
 //! lookup or update touches.  The further leaves of a block shared across
 //! groups, which a hierarchical directory keeps in additional entries with
 //! replicated tags, are charged nowhere.
 //!
-//! [`FullBitVector`]: crate::FullBitVector
+//! [`PresenceWord`]: crate::PresenceWord
 //! [`WideBitVector`]: crate::WideBitVector
 
 /// Number of cache groups (root-vector bits) used for `num_caches` caches.

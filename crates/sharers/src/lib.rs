@@ -11,12 +11,13 @@
 //! This crate provides the four formats used across the evaluation, in
 //! three representations:
 //!
-//! * [`FullBitVector`] / [`WideBitVector`] — one presence bit per cache
+//! * [`PresenceWord`] / [`WideBitVector`] — one presence bit per cache
 //!   (the traditional Sparse format whose area grows linearly with core
-//!   count): the presence word itself up to 64 caches, heap words above.
-//!   The exact two-level Sparse/Cuckoo *Hierarchical* format names the same
-//!   caches, so it is one of these too; only its price differs
-//!   ([`hierarchical`]).
+//!   count): up to 64 caches the presence word itself, the narrowest of
+//!   `u16`, `u32` and `u64` that holds the count ([`FullBitVector`] is the
+//!   `u64` one), heap words above.  The exact two-level Sparse/Cuckoo
+//!   *Hierarchical* format names the same caches, so it is one of these
+//!   too; only its price differs ([`hierarchical`]).
 //! * [`coarse::PointerSet`] — `K` exact pointers, then a mask of regions:
 //!   as [`CoarseVector`], two pointers within `2·log₂(caches)` bits falling
 //!   back to a coarse-grained region vector (the Sparse/Cuckoo *Coarse*
@@ -59,7 +60,7 @@ pub mod hierarchical;
 pub mod limited;
 
 pub use coarse::CoarseVector;
-pub use full::{FullBitVector, WideBitVector};
+pub use full::{FullBitVector, PresenceWord, WideBitVector};
 pub use limited::LimitedPointer;
 
 use ccd_common::CacheId;
@@ -77,9 +78,10 @@ use std::fmt::Debug;
 /// and checks each cache an operation names against that count once, at
 /// its op entry.  `add` and `remove` may therefore assume `cache` is in
 /// range; the full vectors do not even store the count (an entry of up to
-/// 64 caches is its presence word), while a pointer set keeps it for its
-/// region arithmetic and asserts it.  `may_contain` answers `false` for any
-/// cache past the count.
+/// 64 caches is its presence word, 16, 32 or 64 bits wide, and asserts the
+/// count against that width only when it is created), while a pointer set
+/// keeps it for its region arithmetic and asserts it.  `may_contain`
+/// answers `false` for any cache past the count.
 pub trait SharerSet: Clone + Debug + Send {
     /// Creates an empty sharer set sized for `num_caches` private caches,
     /// using the representation's default parameters.
