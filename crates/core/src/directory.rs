@@ -288,40 +288,6 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
     fn depth_metrics(&self) -> Option<&DepthMetrics> {
         self.table.depth_metrics()
     }
-
-    fn geometry(&self) -> Option<(usize, usize)> {
-        Some((self.config.ways, self.config.sets))
-    }
-
-    // Online live resize: build a table at the new geometry and migrate
-    // every resident entry through its batched insertion path.  The
-    // migration itself bypasses the per-insertion statistics — the grown
-    // directory must stay semantically comparable to one statically
-    // provisioned at the new geometry — except for entries the new geometry
-    // cannot re-home, which are folded into the failure statistics exactly
-    // like a budget-exhausted insertion (deterministic, and practically
-    // never fired by a growth resize).
-    fn live_resize(&mut self, ways: usize, sets: usize) -> Result<bool, ConfigError> {
-        let mut config = self.config.clone();
-        config.ways = ways;
-        config.sets = sets;
-        config.validate()?;
-        let mut table = Self::build_table(&config)?;
-        // Like the per-insertion statistics, the depth distributions skip
-        // the migration itself: recorded data survives the resize, and the
-        // re-homed table stays armed, but migration traffic never lands in
-        // the request-path distributions.
-        let metrics = self.table.take_depth_metrics();
-        for (_victim_key, victim_sharers) in self.table.migrate_into(&mut table) {
-            self.stats.insertion_failures.incr();
-            let targets = victim_sharers.invalidation_targets().len();
-            self.stats.forced_block_invalidations.add(targets as u64);
-        }
-        self.table = table;
-        self.table.restore_depth_metrics(metrics);
-        self.config = config;
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
@@ -561,116 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn live_resize_grows_in_place_and_preserves_entries() {
-        let mut d = dir(4, 64, 8);
-        let mut out = Outcome::new();
-        let mut rng = SplitMix64::new(0x9E51);
-        let mut tracked = Vec::new();
-        for _ in 0..180 {
-            let l = line(rng.next_u64() >> 10);
-            d.apply(add(l, CacheId::new((rng.next_below(8)) as u32)), &mut out);
-            if out.forced_eviction_count() == 0 {
-                tracked.push(l);
-            }
-        }
-        assert_eq!(d.geometry(), Some((4, 64)));
-        let failures_before = d.stats().insertion_failures.get();
-        assert!(d.live_resize(4, 128).unwrap());
-        assert_eq!(d.geometry(), Some((4, 128)));
-        assert_eq!(d.capacity(), 512);
-        assert_eq!(d.organization(), "cuckoo-4x128-skewing");
-        assert_eq!(
-            d.stats().insertion_failures.get(),
-            failures_before,
-            "a growth migration must not discard"
-        );
-        for &l in &tracked {
-            assert!(d.contains(l), "resize lost {:#x}", l.block_number());
-        }
-        // The resized directory keeps serving and can re-way too.
-        assert!(d.live_resize(8, 64).unwrap());
-        assert_eq!(d.geometry(), Some((8, 64)));
-        for &l in &tracked {
-            assert!(d.contains(l), "re-way lost {:#x}", l.block_number());
-        }
-    }
-
-    #[test]
-    fn live_resize_re_ways_in_both_directions() {
-        // A 4 <-> 8 re-way is the one place a live directory changes the
-        // way count its probe is compiled for.  Nothing observable may move
-        // but the geometry.
-        type Observed = (
-            usize,
-            DirectoryStats,
-            Option<DepthMetrics>,
-            Vec<Option<Vec<CacheId>>>,
-        );
-        fn observe(d: &mut Dir, lines: &[LineAddr]) -> Observed {
-            (
-                d.len(),
-                d.stats(),
-                d.depth_metrics().cloned(),
-                lines.iter().map(|&l| probe(d, l)).collect(),
-            )
-        }
-        let mut out = Outcome::new();
-        for (from_ways, to_ways) in [(4usize, 8usize), (8, 4)] {
-            for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
-                for armed in [false, true] {
-                    let case = format!("{from_ways}->{to_ways} {policy} armed={armed}");
-                    let config = CuckooConfig::new(from_ways, 64, 8)
-                        .with_hash_kind(HashKind::Strong)
-                        .with_insert_policy(policy);
-                    let mut d = Dir::new(config).unwrap();
-                    if armed {
-                        assert!(d.arm_depth_metrics(2));
-                    }
-                    let mut rng = SplitMix64::new(0x7A6A);
-                    let lines: Vec<LineAddr> =
-                        (0..100).map(|_| line(rng.next_u64() >> 10)).collect();
-                    for &l in &lines {
-                        d.apply(add(l, CacheId::new(rng.next_below(8) as u32)), &mut out);
-                        d.apply(add(l, CacheId::new(rng.next_below(8) as u32)), &mut out);
-                    }
-                    assert_eq!(d.stats().forced_evictions.get(), 0, "{case}");
-                    let before = observe(&mut d, &lines);
-                    assert_eq!(observe(&mut d.clone(), &lines), before, "{case}: clone");
-                    let label = d.organization();
-
-                    assert!(d.live_resize(to_ways, 64).unwrap(), "{case}");
-                    assert_eq!(observe(&mut d, &lines), before, "{case}: resized");
-                    assert_eq!(observe(&mut d.clone(), &lines), before, "{case}: reclone");
-                    assert_eq!(
-                        d.organization(),
-                        label.replace(&format!("-{from_ways}x64-"), &format!("-{to_ways}x64-")),
-                        "{case}"
-                    );
-                    // The re-homed directory keeps serving under its policy.
-                    d.apply(add(line(1), CacheId::new(0)), &mut out);
-                    assert_eq!(d.len(), before.0 + 1, "{case}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn live_resize_validates_the_new_geometry() {
-        let mut d = dir(4, 64, 8);
-        assert!(d.live_resize(4, 100).is_err(), "non-power-of-two sets");
-        assert!(d.live_resize(1, 64).is_err(), "1-ary cannot displace");
-        assert_eq!(d.geometry(), Some((4, 64)), "failed resize changes nothing");
-    }
-
-    #[test]
-    fn baseline_directories_report_non_resizable() {
-        let mut sparse = ccd_directory::SlotDirectory::<FullBitVector>::sparse(4, 64, 8).unwrap();
-        assert_eq!(sparse.geometry(), None);
-        assert!(!sparse.live_resize(4, 128).unwrap());
-    }
-
-    #[test]
-    fn depth_metrics_arm_record_and_survive_resize() {
+    fn depth_metrics_arm_and_record() {
         let mut d = dir(4, 64, 8);
         let mut out = Outcome::new();
         assert!(d.depth_metrics().is_none(), "directories start disarmed");
@@ -682,12 +539,6 @@ mod tests {
         }
         let recorded = d.depth_metrics().unwrap().probe_depth.count();
         assert!(recorded > 0, "armed insertions must record probe depths");
-
-        // The migration is not request traffic: a resize preserves what was
-        // recorded, records nothing new, and leaves the directory armed.
-        assert!(d.live_resize(4, 128).unwrap());
-        let metrics = d.depth_metrics().unwrap();
-        assert_eq!(metrics.probe_depth.count(), recorded);
         d.apply(add(line(1), CacheId::new(0)), &mut out);
         assert_eq!(d.depth_metrics().unwrap().probe_depth.count(), recorded + 1);
 

@@ -132,7 +132,6 @@
 mod insert;
 mod invariants;
 mod kernels;
-mod migrate;
 mod pipeline;
 mod probe;
 #[cfg(test)]
@@ -438,21 +437,6 @@ impl<V> CuckooTable<V> {
     /// Panics if `sig_bits` is outside `1..=8`.
     pub fn arm_depth_metrics(&mut self, sig_bits: u32) {
         self.metrics = Some(Box::new(DepthMetrics::new(sig_bits)));
-    }
-
-    /// Moves the recorded distributions out of the table, disarming it.
-    /// The live-resize migration path uses this to keep migration traffic
-    /// out of the request-path distributions.
-    #[must_use]
-    pub fn take_depth_metrics(&mut self) -> Option<Box<DepthMetrics>> {
-        self.metrics.take()
-    }
-
-    /// Re-installs distributions taken by
-    /// [`CuckooTable::take_depth_metrics`], re-arming the table when
-    /// `metrics` is `Some`.
-    pub fn restore_depth_metrics(&mut self, metrics: Option<Box<DepthMetrics>>) {
-        self.metrics = metrics;
     }
 
     /// The depth distributions recorded since arming, or `None` when

@@ -96,11 +96,9 @@ fn depth_metrics_observe_without_perturbing() {
     assert!(metrics.displacement_chain.count() > 0);
     assert_eq!(metrics.bfs_path_depth.count(), 0);
 
-    // Clones carry the recorded distributions; taking them disarms.
+    // Clones carry the recorded distributions.
     let cloned = armed.clone();
     assert_eq!(cloned.depth_metrics(), armed.depth_metrics());
-    assert!(armed.take_depth_metrics().is_some());
-    assert!(armed.depth_metrics().is_none());
 }
 
 #[test]
@@ -573,36 +571,21 @@ fn tables_across_the_huge_page_line_match_the_seed_reference() {
         assert_eq!(got, want);
     }
 
-    /// The live-resize primitive against re-inserting the reference's
-    /// entries in the same ascending slot order.
-    fn resize(from: (CuckooTable<Tracked>, Reference), to: &mut (CuckooTable<Tracked>, Reference)) {
-        let (mut table, reference) = from;
-        let discarded: Vec<(u64, u64)> = table
-            .migrate_into(&mut to.0)
-            .into_iter()
-            .map(|(k, v)| (k, v.0))
-            .collect();
-        let want: Vec<(u64, u64)> = reference
-            .iter()
-            .filter_map(|(k, &v)| to.1.insert(k, v).1)
-            .collect();
-        assert_eq!(discarded, want);
-        assert!(table.is_empty());
-        in_step(&to.0, &to.1);
-    }
-
     {
+        // Below the line.
         let mut rng = SplitMix64::new(0x2_0000);
         let mut small = pair(SMALL, 7);
         drive(&mut small.0, &mut small.1, &mut rng, 6000, 6000);
         assert!(small.0.occupancy() > 0.6, "the stream loads the table");
-
-        // Below the line -> above it: nothing is lost growing 64x.
+        assert_eq!(live_payloads(), small.0.len() as i64);
+    }
+    assert_eq!(live_payloads(), 0, "every payload dropped");
+    {
+        // Above it: inserts, displacements and removals on huge-page
+        // buffers stay in lockstep with the reference.
+        let mut rng = SplitMix64::new(0x2_0001);
         let mut large = pair(LARGE, 8);
-        let before = small.0.len();
-        resize(small, &mut large);
-        assert_eq!(large.0.len(), before);
-        drive(&mut large.0, &mut large.1, &mut rng, 6000, 1 << 20);
+        drive(&mut large.0, &mut large.1, &mut rng, 12_000, 1 << 20);
         assert_eq!(live_payloads(), large.0.len() as i64);
 
         // Clone and Drop of a table whose arrays are huge-page buffers.
@@ -616,20 +599,11 @@ fn tables_across_the_huge_page_line_match_the_seed_reference() {
             assert!(large.0.contains(key), "the clone owns its own arrays");
         }
         assert_eq!(live_payloads(), large.0.len() as i64);
-
-        // ... and back below it, into a table too small for everything.
-        let mut shrunk = pair(SMALL, 9);
-        let before = large.0.len();
-        resize(large, &mut shrunk);
-        assert!(shrunk.0.len() < before, "4096 slots cannot hold {before}");
-        assert_eq!(live_payloads(), shrunk.0.len() as i64);
-        drive(&mut shrunk.0, &mut shrunk.1, &mut rng, 2000, 6000);
-        assert_eq!(live_payloads(), shrunk.0.len() as i64);
     }
     assert_eq!(live_payloads(), 0, "every payload dropped");
 }
 
-// ---- Insertion-policy and migration tests ------------------------------
+// ---- Insertion-policy tests -------------------------------------------
 
 #[test]
 fn bfs_policy_round_trips_and_clones_with_its_scratch() {
@@ -792,90 +766,4 @@ fn check_invariants_names_corrupted_tags_keys_and_counts() {
         table.valid -= 1;
         assert_eq!(table.check_invariants(), Ok(()));
     }
-}
-
-#[test]
-fn migrate_into_preserves_contents_and_empties_the_source() {
-    let (mut source, keys) = filled_table(4, 64, 200, 41);
-    let mut target: CuckooTable<u64> =
-        CuckooTable::new(4, 128, HashKind::MultiplyShift, 42).unwrap();
-    let discarded = source.migrate_into(&mut target);
-    assert!(discarded.is_empty(), "a 2x-larger target never discards");
-    assert!(source.is_empty());
-    assert_eq!(target.len(), keys.len());
-    for &k in &keys {
-        assert_eq!(target.get(k), Some(&(k * 2)), "migration lost {k:#x}");
-    }
-}
-
-#[test]
-fn migrate_into_re_ways_across_way_counts() {
-    // A re-way moves every entry into a probe compiled for another way
-    // count; nothing but the placement may change.
-    for (from_ways, to_ways) in [(4usize, 8usize), (8, 4), (3, 5), (6, 7)] {
-        for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
-            for armed in [false, true] {
-                let case = format!("{from_ways}->{to_ways} {policy} armed={armed}");
-                let mut source: CuckooTable<u64> =
-                    CuckooTable::new(from_ways, 64, HashKind::Strong, 51).unwrap();
-                let mut target: CuckooTable<u64> =
-                    CuckooTable::new(to_ways, 64, HashKind::Strong, 52).unwrap();
-                for table in [&mut source, &mut target] {
-                    table.set_insert_policy(policy);
-                    if armed {
-                        table.arm_depth_metrics(2);
-                    }
-                }
-                let mut rng = SplitMix64::new(0x3167);
-                for _ in 0..100 {
-                    let key = rng.next_u64() >> 8;
-                    assert!(source.insert(key, key ^ 5).succeeded(), "{case}");
-                }
-                let snapshot = source.clone();
-                assert_eq!(contents(&snapshot), contents(&source), "{case}");
-                assert_eq!(snapshot.depth_metrics(), source.depth_metrics(), "{case}");
-
-                assert!(source.migrate_into(&mut target).is_empty(), "{case}");
-                assert!(source.is_empty(), "{case}");
-                assert_eq!(source.depth_metrics(), snapshot.depth_metrics(), "{case}");
-                assert_eq!(target.len(), snapshot.len(), "{case}");
-                assert_eq!(contents(&target), contents(&snapshot), "{case}");
-                assert_eq!(target.insert_policy(), policy, "{case}");
-                assert_eq!(target.depth_metrics().is_some(), armed, "{case}");
-                let cloned = target.clone();
-                assert_eq!(contents(&cloned), contents(&target), "{case}");
-                assert_eq!(cloned.depth_metrics(), target.depth_metrics(), "{case}");
-            }
-        }
-    }
-}
-
-#[test]
-fn migrate_into_reports_discards_from_an_undersized_target() {
-    let (mut source, keys) = filled_table(4, 64, 200, 43);
-    let mut target: CuckooTable<u64> = CuckooTable::new(2, 16, HashKind::Strong, 44).unwrap();
-    target.set_max_attempts(4);
-    let discarded = source.migrate_into(&mut target);
-    assert!(source.is_empty());
-    assert!(
-        !discarded.is_empty(),
-        "200 entries cannot fit a 32-slot target"
-    );
-    assert_eq!(target.len() + discarded.len(), keys.len());
-    for &(k, v) in &discarded {
-        assert_eq!(v, k * 2, "discards carry their payloads");
-        assert!(!target.contains(k));
-    }
-}
-
-#[test]
-fn migrate_into_is_deterministic() {
-    let (mut a, _) = filled_table(4, 64, 200, 45);
-    let mut b = a.clone();
-    let mut ta: CuckooTable<u64> = CuckooTable::new(4, 128, HashKind::Strong, 46).unwrap();
-    let mut tb: CuckooTable<u64> = CuckooTable::new(4, 128, HashKind::Strong, 46).unwrap();
-    assert_eq!(a.migrate_into(&mut ta), b.migrate_into(&mut tb));
-    let ca: Vec<(u64, u64)> = ta.iter().map(|(k, &v)| (k, v)).collect();
-    let cb: Vec<(u64, u64)> = tb.iter().map(|(k, &v)| (k, v)).collect();
-    assert_eq!(ca, cb, "identical sources migrate identically");
 }

@@ -95,7 +95,7 @@ pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy, Org};
 pub use stats::{DepthMetrics, DirectoryStats};
 pub use tagless::TaglessDirectory;
 
-use ccd_common::{ceil_log2, BlockGeometry, CacheId, ConfigError, LineAddr};
+use ccd_common::{ceil_log2, BlockGeometry, CacheId, LineAddr};
 use ccd_sharers::SharerSet;
 
 /// One operation against a directory slice.
@@ -510,32 +510,6 @@ pub trait Directory: Send {
 
     /// Clears the statistics (used after warm-up).
     fn reset_stats(&mut self);
-
-    // ---- provided: live resize --------------------------------------------
-
-    /// The resizable `(ways, sets)` geometry of this organization, when it
-    /// supports [`Directory::live_resize`].  The default (`None`) marks the
-    /// organization non-resizable; schedulers treat a resize request against
-    /// it as a no-op.
-    fn geometry(&self) -> Option<(usize, usize)> {
-        None
-    }
-
-    /// Rebuilds the organization in place at the requested `(ways, sets)`
-    /// geometry, migrating every resident entry — the primitive behind
-    /// occupancy-adaptive online resizing.  Returns `Ok(false)` when the
-    /// organization does not support resizing (the default), `Ok(true)` when
-    /// the migration completed.  Entries that cannot be re-homed in the new
-    /// geometry are folded into the organization's failure statistics, the
-    /// same accounting a budget-exhausted insertion uses.
-    ///
-    /// # Errors
-    ///
-    /// Implementations surface their configuration validation (e.g. a
-    /// non-power-of-two set count) as [`ConfigError`].
-    fn live_resize(&mut self, _ways: usize, _sets: usize) -> Result<bool, ConfigError> {
-        Ok(false)
-    }
 
     // ---- provided: depth observability ------------------------------------
 

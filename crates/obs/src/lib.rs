@@ -6,13 +6,12 @@
 //! ARCHITECTURE.md — observation does not perturb semantics):
 //!
 //! * [`ObsConfig`] — the `obs-ring4096-spans` spec grammar that arms the
-//!   layer, mirroring the workspace's fault/resize spec style.  Only an
+//!   layer, mirroring the workspace's fault-plan spec style.  Only an
 //!   API call arms it: `ServiceConfig::with_obs_spec` for a service,
 //!   `Directory::arm_depth_metrics` for a bare directory.
 //! * [`FlightRecorder`] / [`FlightRecording`] — a fixed-capacity,
 //!   zero-alloc ring of compact binary events stamped with *virtual time*
-//!   (request sequence numbers, recovery epochs, shard-apply ticks — never
-//!   wall-clock), so recordings of deterministic runs are bit-reproducible.
+//!   (request sequence numbers — never wall-clock), so recordings of deterministic runs are bit-reproducible.
 //! * [`expo`] — the byte-deterministic JSON rendering of a
 //!   [`MetricSnapshot`], the serialized form the service's merged-metrics
 //!   determinism contract is asserted against.

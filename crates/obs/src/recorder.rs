@@ -1,8 +1,8 @@
 //! The virtual-time flight recorder.
 //!
 //! A [`FlightRecorder`] is a fixed-capacity ring of compact binary events.
-//! Every event is stamped with *virtual time* — a request sequence number,
-//! recovery epoch, or shard-apply tick supplied by the instrumented code —
+//! Every event is stamped with *virtual time* — a request sequence number
+//! supplied by the instrumented code —
 //! never wall-clock time, so a recording of a deterministic run is itself
 //! bit-reproducible: same config, same recording bytes, on every machine.
 //!
@@ -21,8 +21,7 @@
 //!
 //! `lane` identifies the emitting entity within a worker (usually a global
 //! shard index, or the worker index for router-side events); `argument`
-//! carries the event-specific payload (batch length, new set count, replayed
-//! request count, …).
+//! carries the event-specific payload (a batch length, a span's argument).
 
 use ccd_common::{ConfigError, Fnv64};
 
@@ -39,7 +38,7 @@ const EVENT_BYTES: usize = 16;
 /// The kinds of events the service stack records.
 ///
 /// Discriminants are part of the recording byte format; append new kinds,
-/// never renumber or reuse (3 was a retired kind).
+/// never renumber or reuse (3 through 7 are retired kinds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
@@ -47,14 +46,6 @@ pub enum EventKind {
     BatchRouted = 1,
     /// A worker applied a batch (`lane` = worker, arg = len).
     BatchApplied = 2,
-    /// A worker crashed (`lane` = worker, arg = recovery epoch).
-    Crash = 4,
-    /// The supervisor recovered a worker (`lane` = worker, arg = epoch).
-    Recovery = 5,
-    /// A shard resized (`lane` = global shard, arg = new set count).
-    ResizeFired = 6,
-    /// A journal replay re-applied requests (`lane` = worker, arg = count).
-    JournalReplay = 7,
     /// A span opened (`lane`/arg defined by the span site).
     SpanBegin = 8,
     /// A span closed, paired with the [`EventKind::SpanBegin`] sharing its
@@ -67,10 +58,6 @@ impl EventKind {
         Some(match raw {
             1 => EventKind::BatchRouted,
             2 => EventKind::BatchApplied,
-            4 => EventKind::Crash,
-            5 => EventKind::Recovery,
-            6 => EventKind::ResizeFired,
-            7 => EventKind::JournalReplay,
             8 => EventKind::SpanBegin,
             9 => EventKind::SpanEnd,
             _ => return None,
@@ -83,10 +70,6 @@ impl EventKind {
         match self {
             EventKind::BatchRouted => "batch-routed",
             EventKind::BatchApplied => "batch-applied",
-            EventKind::Crash => "crash",
-            EventKind::Recovery => "recovery",
-            EventKind::ResizeFired => "resize-fired",
-            EventKind::JournalReplay => "journal-replay",
             EventKind::SpanBegin => "span-begin",
             EventKind::SpanEnd => "span-end",
         }
@@ -355,16 +338,20 @@ mod tests {
         for (kind, lane, vtime, arg) in [
             (EventKind::BatchRouted, 0u16, 0u64, 0u64),
             (EventKind::SpanEnd, u16::MAX, VTIME_MASK, u64::MAX),
-            (EventKind::ResizeFired, 513, 1 << 39, 4096),
+            (EventKind::SpanBegin, 513, 1 << 39, 4096),
             // Virtual time wider than 40 bits truncates, nothing bleeds
             // into the lane or kind fields.
-            (EventKind::Crash, 7, u64::MAX, 3),
+            (EventKind::BatchApplied, 7, u64::MAX, 3),
         ] {
             let event = RawEvent::pack(kind, lane, vtime, arg);
             assert_eq!(event.kind(), Some(kind));
             assert_eq!(event.lane(), lane);
             assert_eq!(event.vtime(), vtime & VTIME_MASK);
             assert_eq!(event.arg(), arg);
+        }
+        // Retired codes read as corrupt words, never as a live kind.
+        for retired in 3..=7u64 {
+            assert_eq!(RawEvent([retired << 56, 0]).kind(), None, "{retired}");
         }
     }
 
@@ -402,9 +389,9 @@ mod tests {
     fn recordings_serialize_round_trip_and_digest_is_stable() {
         let mut rec = FlightRecorder::new(16, true);
         rec.record(EventKind::BatchRouted, 2, 100, 8);
-        rec.record(EventKind::Crash, 2, 150, 1);
-        rec.record(EventKind::Recovery, 2, 150, 1);
-        rec.record(EventKind::JournalReplay, 2, 150, 37);
+        rec.record(EventKind::BatchApplied, 2, 100, 8);
+        rec.span_begin(2, 150, 37);
+        rec.span_end(2, 190, 37);
         let recording = rec.finish();
         let bytes = recording.to_bytes();
         let parsed = FlightRecording::from_bytes(&bytes).unwrap();

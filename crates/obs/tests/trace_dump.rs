@@ -6,13 +6,9 @@ use ccd_obs::{EventKind, FlightRecorder};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-const KINDS: [EventKind; 8] = [
+const KINDS: [EventKind; 4] = [
     EventKind::BatchRouted,
     EventKind::BatchApplied,
-    EventKind::Crash,
-    EventKind::Recovery,
-    EventKind::ResizeFired,
-    EventKind::JournalReplay,
     EventKind::SpanBegin,
     EventKind::SpanEnd,
 ];

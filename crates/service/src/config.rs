@@ -1,7 +1,6 @@
 //! Service topology configuration.
 
 use crate::fault::FaultPlan;
-use crate::resize::ResizePolicy;
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
 use ccd_obs::ObsConfig;
@@ -48,9 +47,6 @@ pub struct ServiceConfig {
     /// An armed fault-injection schedule, or `None` (the default) for a
     /// fault-free run.  See [`FaultPlan`].
     pub fault_plan: Option<FaultPlan>,
-    /// An armed live-resize schedule, or `None` (the default) for
-    /// statically provisioned shards.  See [`ResizePolicy`].
-    pub resize_policy: Option<ResizePolicy>,
     /// An armed observability layer, or `None` (the default) to run dark;
     /// nothing but this field arms a service.  Arming is observational
     /// only — contract #11 says armed and unarmed runs are
@@ -71,7 +67,6 @@ impl ServiceConfig {
             batch: DEFAULT_BATCH,
             record_outcomes: true,
             fault_plan: None,
-            resize_policy: None,
             obs: None,
         }
     }
@@ -108,17 +103,6 @@ impl ServiceConfig {
         Ok(self)
     }
 
-    /// Returns the config with a live-resize policy parsed from a
-    /// `resize-…` spec string (see [`ResizePolicy::parse`]) armed.
-    ///
-    /// # Errors
-    ///
-    /// The policy's parse error.
-    pub fn with_resize_spec(mut self, spec: &str) -> Result<Self, ConfigError> {
-        self.resize_policy = Some(ResizePolicy::parse(spec)?);
-        Ok(self)
-    }
-
     /// Returns the config with an observability layer parsed from an
     /// `obs-…` spec string (see [`ObsConfig::parse`]) armed.
     ///
@@ -137,9 +121,8 @@ impl ServiceConfig {
     /// * [`ConfigError::Zero`] — zero shards, workers, queue depth or batch;
     /// * [`ConfigError::Inconsistent`] — more workers than shards, a
     ///   `shardedN:` spec prefix (the service does its own interleaving),
-    ///   a set count not divisible by the shard count, a fault plan
-    ///   naming a worker the topology does not have, or a resize policy
-    ///   whose firings grow a shard past the largest directory capacity;
+    ///   a set count not divisible by the shard count, or a fault plan
+    ///   naming a worker the topology does not have;
     /// * any parse error from [`DirectorySpec`].
     pub fn validate(&self) -> Result<DirectorySpec, ConfigError> {
         if self.shards == 0 {
@@ -184,9 +167,6 @@ impl ServiceConfig {
                        so total capacity is preserved",
             });
         }
-        if let Some(policy) = &self.resize_policy {
-            policy.validate_for(spec.ways, spec.sets / self.shards)?;
-        }
         Ok(spec)
     }
 }
@@ -223,38 +203,15 @@ mod tests {
     #[test]
     fn fault_plans_are_validated_against_the_worker_count() {
         let config = ServiceConfig::new("sparse-4x256-c8", 4, 2)
-            .with_fault_spec("faults-crash@w1:100")
+            .with_fault_spec("faults-abort@w1:100")
             .unwrap();
         assert!(config.validate().is_ok());
-        let config = config.with_fault_spec("faults-crash@w2:100").unwrap();
+        let config = config.with_fault_spec("faults-abort@w2:100").unwrap();
         let err = config.validate().unwrap_err();
         assert!(err.to_string().contains("worker index"), "{err}");
         assert!(ServiceConfig::new("sparse-4x256-c8", 4, 2)
             .with_fault_spec("faults-oops")
             .is_err());
-    }
-
-    #[test]
-    fn resize_policies_parse_through_the_builder() {
-        let config = ServiceConfig::new("cuckoo-4x256-c8", 4, 2)
-            .with_resize_spec("resize-grow2@75-every128")
-            .unwrap();
-        assert_eq!(
-            config.resize_policy.as_ref().unwrap().label(),
-            "resize-grow2@75-every128-max1"
-        );
-        assert!(config.validate().is_ok());
-        assert!(ServiceConfig::new("cuckoo-4x256-c8", 4, 2)
-            .with_resize_spec("resize-oops")
-            .is_err());
-        // Validated against the shard geometry: two 2^30 growths of a
-        // 4x64 shard leave every directory capacity there is.
-        let err = ServiceConfig::new("cuckoo-4x256-c16", 4, 2)
-            .with_resize_spec("resize-grow1073741824@1-max2")
-            .unwrap()
-            .validate()
-            .unwrap_err();
-        assert!(err.to_string().contains("resize policy"), "{err}");
     }
 
     #[test]

@@ -9,16 +9,14 @@ use std::fmt;
 /// Before the supervision layer existed, a worker panic propagated through
 /// a bare `join().expect(...)` and aborted the whole process; now it is a
 /// value callers can match on: [`ServiceError::WorkerCrashed`] names the
-/// worker and carries the stringified panic payload.  The supervisor only
-/// surfaces it when recovery is impossible — a genuine (non-injected)
-/// panic, or a fault plan's `abort@` clause.
+/// worker and carries the stringified panic payload, whether the panic is
+/// a genuine bug or a fault plan's `abort@` clause.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum ServiceError {
     /// The topology, spec string, load or fault plan was rejected.
     Config(ConfigError),
-    /// A worker thread panicked and the supervisor could not (or was
-    /// scheduled not to) recover it.
+    /// A worker thread panicked; the other workers drained and exited.
     WorkerCrashed {
         /// Index of the worker that died.
         worker: usize,
@@ -68,7 +66,7 @@ mod tests {
 
         let err = ServiceError::WorkerCrashed {
             worker: 3,
-            cause: "injected crash on worker 3 at seq 9 (unrecoverable)".into(),
+            cause: "injected abort on worker 3 at seq 9".into(),
         };
         assert!(err.to_string().contains("worker 3 crashed"));
         assert!(std::error::Error::source(&err).is_none());

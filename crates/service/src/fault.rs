@@ -7,7 +7,7 @@
 //! run, at every worker count, on every machine:
 //!
 //! ```text
-//! faults-crash@w2:5000-stall@w0:2ms
+//! faults-abort@w2:5000-stall@w0:2ms
 //! └─┬──┘ └────┬─────┘ └────┬─────┘
 //!   │         │            └ worker 0 sleeps 2ms per batch
 //!   │         └ worker 2 panics before applying seq 5000
@@ -18,12 +18,11 @@
 //!
 //! | clause          | meaning                                                |
 //! |-----------------|--------------------------------------------------------|
-//! | `crash@w<W>:<S>`| worker `W` panics before applying the first request with `seq >= S`; *recoverable* — the supervisor replays and resumes |
-//! | `abort@w<W>:<S>`| like `crash@`, but marked unrecoverable: the supervisor surfaces `ServiceError::WorkerCrashed` instead of recovering |
+//! | `abort@w<W>:<S>`| worker `W` panics before applying the first request with `seq >= S`; the run fails with `ServiceError::WorkerCrashed` |
 //! | `stall@w<W>:<N>ms` | worker `W` sleeps `N` ms before each batch (latency only — results are unaffected) |
 //!
-//! `crash@` and `abort@` repeat for distinct `(worker, seq)` points,
-//! `stall@` once per worker.  The rules every spec grammar shares are
+//! `abort@` repeats for distinct `(worker, seq)` points (a worker dies at
+//! its earliest), `stall@` once per worker.  The rules every spec grammar shares are
 //! [`ccd_common::clause`]'s.
 //!
 //! Injection sites are compiled into the worker loop as an
@@ -49,8 +48,6 @@ pub struct CrashPoint {
     /// The panic fires immediately before this worker applies its first
     /// request with `seq >= seq`.
     pub seq: u64,
-    /// `false` for `abort@` clauses: the supervisor must not recover.
-    pub recoverable: bool,
 }
 
 /// One scheduled per-batch stall.
@@ -77,29 +74,20 @@ impl FaultPlan {
     /// # Errors
     ///
     /// [`ConfigError::Parse`] naming the offending clause; rejected inputs
-    /// include duplicate `(worker, seq)` crash points, more than one stall
+    /// include duplicate `(worker, seq)` abort points, more than one stall
     /// per worker and stalls over [`MAX_STALL_MS`].
     pub fn parse(spec: &str) -> Result<Self, ConfigError> {
         let mut clauses = Clauses::with_prefix("fault plan", "faults", spec)?;
         let mut crashes: Vec<CrashPoint> = Vec::new();
         let mut stalls: Vec<StallPoint> = Vec::new();
         while clauses.next_clause().is_some() {
-            let crash = [("crash@", true), ("abort@", false)]
-                .into_iter()
-                .find(|(key, _)| clauses.strip(key).is_some());
-            if let Some((key, recoverable)) = crash {
-                let (worker, seq) = clauses
-                    .strip(key)
-                    .and_then(worker_colon_value)
-                    .ok_or_else(|| clauses.expected(&format!("{key}w<worker>:<seq>")))?;
+            if let Some(rest) = clauses.strip("abort@") {
+                let (worker, seq) = worker_colon_value(rest)
+                    .ok_or_else(|| clauses.expected("abort@w<worker>:<seq>"))?;
                 if crashes.iter().any(|c| (c.worker, c.seq) == (worker, seq)) {
-                    return Err(clauses.invalid("repeats a crash point"));
+                    return Err(clauses.invalid("repeats an abort point"));
                 }
-                crashes.push(CrashPoint {
-                    worker,
-                    seq,
-                    recoverable,
-                });
+                crashes.push(CrashPoint { worker, seq });
             } else if let Some(rest) = clauses.strip("stall@") {
                 let form = format!("stall@w<worker>:<0..={MAX_STALL_MS}>ms");
                 let (worker, millis) = rest
@@ -115,8 +103,7 @@ impl FaultPlan {
                 return Err(clauses.unknown());
             }
         }
-        // Canonical order: crashes by (worker, seq) — which is also the
-        // firing order each worker observes — and stalls by worker.
+        // Canonical order: aborts by (worker, seq) and stalls by worker.
         crashes.sort_by_key(|c| (c.worker, c.seq));
         stalls.sort_by_key(|s| s.worker);
         let label = render_label(&crashes, &stalls);
@@ -134,7 +121,7 @@ impl FaultPlan {
         &self.label
     }
 
-    /// Scheduled crashes, sorted by `(worker, seq)`.
+    /// Scheduled aborts, sorted by `(worker, seq)`.
     #[must_use]
     pub fn crashes(&self) -> &[CrashPoint] {
         &self.crashes
@@ -144,13 +131,6 @@ impl FaultPlan {
     #[must_use]
     pub fn stalls(&self) -> &[StallPoint] {
         &self.stalls
-    }
-
-    /// `true` when every scheduled crash is recoverable (a plan with no
-    /// crashes is trivially recoverable).
-    #[must_use]
-    pub fn is_recoverable(&self) -> bool {
-        self.crashes.iter().all(|c| c.recoverable)
     }
 
     /// `true` when the plan schedules nothing at all.
@@ -180,28 +160,21 @@ impl FaultPlan {
         }
     }
 
-    /// Compiles the per-worker injection hooks: `arm(w, fired)` is what
-    /// worker `w`'s loop consults, with the first `fired` of its crash
-    /// points disarmed (a replacement worker spawned after recovery `k`
-    /// must not re-fire the crashes its predecessors already fired).
+    /// Compiles the injection hooks worker `worker`'s loop consults: its
+    /// earliest abort point and its stall, or `None` when the plan
+    /// schedules neither for it.
     #[must_use]
-    pub fn arm(&self, worker: usize, fired: usize) -> Option<WorkerFaults> {
-        let crashes: Vec<CrashPoint> = self
-            .crashes
-            .iter()
-            .filter(|c| c.worker == worker)
-            .skip(fired)
-            .copied()
-            .collect();
+    pub fn arm(&self, worker: usize) -> Option<WorkerFaults> {
+        let abort = self.crashes.iter().find(|c| c.worker == worker).copied();
         let stall = self
             .stalls
             .iter()
             .find(|s| s.worker == worker)
             .map(|s| Duration::from_millis(s.millis));
-        if crashes.is_empty() && stall.is_none() {
+        if abort.is_none() && stall.is_none() {
             return None;
         }
-        Some(WorkerFaults { crashes, stall })
+        Some(WorkerFaults { abort, stall })
     }
 }
 
@@ -224,8 +197,7 @@ fn render_label(crashes: &[CrashPoint], stalls: &[StallPoint]) -> String {
     use std::fmt::Write as _;
     let mut label = "faults".to_string();
     for c in crashes {
-        let kind = if c.recoverable { "crash" } else { "abort" };
-        let _ = write!(label, "-{kind}@w{}:{}", c.worker, c.seq);
+        let _ = write!(label, "-abort@w{}:{}", c.worker, c.seq);
     }
     for s in stalls {
         let _ = write!(label, "-stall@w{}:{}ms", s.worker, s.millis);
@@ -236,26 +208,24 @@ fn render_label(crashes: &[CrashPoint], stalls: &[StallPoint]) -> String {
 /// One worker's compiled injection hooks ([`FaultPlan::arm`]).
 #[derive(Clone, Debug)]
 pub struct WorkerFaults {
-    /// This worker's remaining crash points, in firing (seq) order.
-    crashes: Vec<CrashPoint>,
+    /// This worker's earliest abort point.
+    abort: Option<CrashPoint>,
     /// Per-batch sleep, when scheduled.
     stall: Option<Duration>,
 }
 
 impl WorkerFaults {
-    /// Where this batch must be cut short by a scheduled crash: the index
-    /// of the first request with `seq >= the next crash point` (requests
-    /// before it apply normally, then the worker panics), together with
-    /// that crash point.  `None` when no crash fires inside this batch.
+    /// Where this batch must be cut short by the scheduled abort: the
+    /// index of the first request with `seq >=` the abort point (requests
+    /// before it apply normally, then the worker panics).  `None` when the
+    /// abort does not fire inside this batch.
     ///
     /// Worker queues are FIFO and seqs within one worker's stream ascend,
     /// so scanning the batch in order finds the unique cut.
     #[must_use]
-    pub fn crash_cut(&self, seqs: impl Iterator<Item = u64>) -> Option<(usize, CrashPoint)> {
-        let next = *self.crashes.first()?;
-        seqs.enumerate()
-            .find(|&(_, seq)| seq >= next.seq)
-            .map(|(at, _)| (at, next))
+    pub fn crash_cut(&self, mut seqs: impl Iterator<Item = u64>) -> Option<usize> {
+        let abort = self.abort?;
+        seqs.position(|seq| seq >= abort.seq)
     }
 
     /// Sleeps this worker's scheduled per-batch stall, if any.  Pure
@@ -264,12 +234,6 @@ impl WorkerFaults {
         if let Some(pause) = self.stall {
             std::thread::sleep(pause);
         }
-    }
-
-    /// The remaining crash points, in firing order.
-    #[must_use]
-    pub fn crashes(&self) -> &[CrashPoint] {
-        &self.crashes
     }
 }
 
@@ -286,8 +250,6 @@ pub struct InjectedCrash {
     /// The sequence number the crash fired at (the first request *not*
     /// applied).
     pub seq: u64,
-    /// Mirrors [`CrashPoint::recoverable`].
-    pub recoverable: bool,
 }
 
 impl InjectedCrash {
@@ -301,14 +263,8 @@ impl std::fmt::Display for InjectedCrash {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "injected crash on worker {} at seq {} ({})",
-            self.worker,
-            self.seq,
-            if self.recoverable {
-                "recoverable"
-            } else {
-                "unrecoverable"
-            }
+            "injected abort on worker {} at seq {}",
+            self.worker, self.seq
         )
     }
 }
@@ -317,8 +273,8 @@ impl std::fmt::Display for InjectedCrash {
 /// [`InjectedCrash`] payloads and delegates everything else to the
 /// previously installed hook.
 ///
-/// Injected panics are *expected*: the supervisor catches and handles
-/// them, so the default hook's "thread panicked" + backtrace output would
+/// Injected panics are *expected*: the supervisor catches them and fails
+/// the run, so the default hook's "thread panicked" + backtrace output would
 /// be pure noise — and alarming noise — in every fault-injection test and
 /// benchmark.  The wrapper is installed under a [`std::sync::Once`] and
 /// never uninstalled, which keeps it safe under concurrently running
@@ -341,13 +297,12 @@ mod tests {
 
     #[test]
     fn parses_the_full_grammar_and_renders_a_canonical_label() {
-        let plan = FaultPlan::parse("faults-crash@w2:5000-stall@w0:2ms").unwrap();
+        let plan = FaultPlan::parse("faults-abort@w2:5000-stall@w0:2ms").unwrap();
         assert_eq!(
             plan.crashes(),
             &[CrashPoint {
                 worker: 2,
-                seq: 5000,
-                recoverable: true
+                seq: 5000
             }]
         );
         assert_eq!(
@@ -357,38 +312,28 @@ mod tests {
                 millis: 2
             }]
         );
-        assert!(plan.is_recoverable());
         assert!(!plan.is_noop());
-        assert_eq!(plan.label(), "faults-crash@w2:5000-stall@w0:2ms");
+        assert_eq!(plan.label(), "faults-abort@w2:5000-stall@w0:2ms");
         // The label round-trips to an equal plan, clause order regardless.
-        let shuffled = FaultPlan::parse("faults-stall@w0:2ms-crash@w2:5000").unwrap();
+        let shuffled = FaultPlan::parse("faults-stall@w0:2ms-abort@w2:5000").unwrap();
         assert_eq!(shuffled, plan);
         assert_eq!(FaultPlan::parse(plan.label()).unwrap(), plan);
-    }
-
-    #[test]
-    fn abort_clauses_make_the_plan_unrecoverable() {
-        let plan = FaultPlan::parse("faults-abort@w1:100").unwrap();
-        assert!(!plan.is_recoverable());
-        assert!(!plan.crashes()[0].recoverable);
-        let mixed = FaultPlan::parse("faults-crash@w0:5-abort@w0:10").unwrap();
-        assert!(!mixed.is_recoverable());
-        assert_eq!(mixed.crashes().len(), 2);
     }
 
     #[test]
     fn rejects_malformed_and_inconsistent_specs() {
         // Each error quotes the spec and the token at fault.
         for (spec, token) in [
-            ("fault-crash@w0:1", "faults"),                       // wrong prefix
-            ("faults-crash@0:1", "crash@0:1"),                    // missing `w`
-            ("faults-crash@w0", "crash@w0"),                      // missing seq
+            ("fault-abort@w0:1", "faults"),                       // wrong prefix
+            ("faults-abort@0:1", "abort@0:1"),                    // missing `w`
+            ("faults-abort@w0", "abort@w0"),                      // missing seq
             ("faults-stall@w0:2", "stall@w0:2"),                  // missing `ms`
             ("faults-stall@w0:2000ms", "stall@w0:2000ms"),        // over the cap
             ("faults-explode@w0:1", "explode@w0:1"),              // unknown clause
+            ("faults-crash@w0:1", "crash@w0:1"),                  // no recovery to crash into
             ("faults-seed7", "seed7"),                            // no RNG to seed
             ("faults-shed0.01", "shed0.01"),                      // no admission gate
-            ("faults-crash@w0:1-crash@w0:1", "crash@w0:1"),       // duplicate crash point
+            ("faults-abort@w0:1-abort@w0:1", "abort@w0:1"),       // duplicate abort point
             ("faults-stall@w0:1ms-stall@w0:2ms", "stall@w0:2ms"), // two stalls, one worker
         ] {
             let err = FaultPlan::parse(spec).unwrap_err().to_string();
@@ -402,49 +347,42 @@ mod tests {
 
     #[test]
     fn validate_for_checks_worker_bounds() {
-        let plan = FaultPlan::parse("faults-crash@w2:100").unwrap();
+        let plan = FaultPlan::parse("faults-abort@w2:100").unwrap();
         assert!(plan.validate_for(3).is_ok());
         assert!(plan.validate_for(2).is_err());
         assert!(FaultPlan::parse("faults").unwrap().validate_for(1).is_ok());
     }
 
     #[test]
-    fn arm_compiles_per_worker_hooks_and_skips_fired_crashes() {
-        let plan = FaultPlan::parse("faults-crash@w1:10-crash@w1:30-stall@w0:1ms").unwrap();
-        assert!(plan.arm(2, 0).is_none(), "worker 2 has no scheduled faults");
-        let w0 = plan.arm(0, 0).unwrap();
-        assert!(w0.crashes().is_empty());
+    fn arm_compiles_per_worker_hooks_with_the_earliest_abort() {
+        let plan = FaultPlan::parse("faults-abort@w1:30-abort@w1:10-stall@w0:1ms").unwrap();
+        assert!(plan.arm(2).is_none(), "worker 2 has no scheduled faults");
+        let w0 = plan.arm(0).unwrap();
+        assert_eq!(w0.abort, None);
         assert_eq!(w0.stall, Some(Duration::from_millis(1)));
-        let w1 = plan.arm(1, 0).unwrap();
-        assert_eq!(w1.crashes().len(), 2);
-        // After the first crash fired, the replacement arms only the rest.
-        let w1_after = plan.arm(1, 1).unwrap();
-        assert_eq!(w1_after.crashes(), &w1.crashes()[1..]);
-        assert!(plan.arm(1, 2).is_none(), "all crashes fired, no stall");
+        let w1 = plan.arm(1).unwrap();
+        assert_eq!(w1.abort, Some(CrashPoint { worker: 1, seq: 10 }));
+        assert_eq!(w1.stall, None);
     }
 
     #[test]
     fn crash_cut_finds_the_first_request_at_or_past_the_trigger() {
-        let plan = FaultPlan::parse("faults-crash@w0:100").unwrap();
-        let hooks = plan.arm(0, 0).unwrap();
+        let plan = FaultPlan::parse("faults-abort@w0:100").unwrap();
+        let hooks = plan.arm(0).unwrap();
         // The trigger seq itself need not appear in the stream.
-        let (at, point) = hooks.crash_cut([40, 90, 150, 200].into_iter()).unwrap();
-        assert_eq!(at, 2);
-        assert_eq!(point.seq, 100);
-        assert!(hooks.crash_cut([1, 2, 3].into_iter()).is_none());
-        let (at, _) = hooks.crash_cut([100].into_iter()).unwrap();
-        assert_eq!(at, 0, "a crash can cut a batch at its first request");
+        assert_eq!(hooks.crash_cut([40, 90, 150, 200].into_iter()), Some(2));
+        assert_eq!(hooks.crash_cut([1, 2, 3].into_iter()), None);
+        assert_eq!(
+            hooks.crash_cut([100].into_iter()),
+            Some(0),
+            "an abort can cut a batch at its first request"
+        );
     }
 
     #[test]
     fn injected_crash_displays_and_fires_as_a_typed_panic() {
-        let crash = InjectedCrash {
-            worker: 3,
-            seq: 42,
-            recoverable: true,
-        };
-        assert!(crash.to_string().contains("worker 3"));
-        assert!(crash.to_string().contains("seq 42"));
+        let crash = InjectedCrash { worker: 3, seq: 42 };
+        assert_eq!(crash.to_string(), "injected abort on worker 3 at seq 42");
         silence_injected_panics();
         let caught = std::panic::catch_unwind(|| crash.fire()).unwrap_err();
         let payload = caught.downcast_ref::<InjectedCrash>().unwrap();

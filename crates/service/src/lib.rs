@@ -30,22 +30,10 @@
 //! traffic per `(workload, cores, seed)`.
 //!
 //! Workers run **supervised** ([`supervisor`]): a [`FaultPlan`] can
-//! deterministically crash or stall the service's workers, and the
-//! supervisor recovers crashed workers by replaying the sequenced request
-//! journal — the post-recovery report is still bit-identical to the
-//! fault-free serial reference ([`ServiceReport::recovery_semantics`]).
-//! Unrecoverable crashes surface as [`ServiceError::WorkerCrashed`] instead
-//! of aborting the process.
-//!
-//! Shards can also **grow online**: an armed [`ResizePolicy`] checks each
-//! shard's occupancy at shard-local epoch boundaries (every N requests the
-//! shard applies) and live-resizes the shard's directory in place through
-//! [`Directory::live_resize`](ccd_directory::Directory::live_resize).
-//! Because the epochs are a pure function of each shard's request
-//! subsequence, resizes fire at identical points at every worker count and
-//! during journal replay — the full determinism contract holds with a
-//! policy armed, and [`ServiceReport::resize_semantics`] additionally
-//! relates a grown run to a statically provisioned one.
+//! deterministically stall the service's workers or make one panic, and a
+//! worker panic — injected or genuine — surfaces as
+//! [`ServiceError::WorkerCrashed`] while the other workers drain, instead of
+//! hanging the run or aborting the process.
 //!
 //! ```
 //! use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
@@ -73,7 +61,6 @@ pub mod error;
 pub mod fault;
 pub mod load;
 pub mod request;
-pub mod resize;
 pub mod service;
 pub mod supervisor;
 
@@ -82,6 +69,5 @@ pub use config::{ServiceConfig, DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
 pub use error::ServiceError;
 pub use fault::{CrashPoint, FaultPlan, StallPoint};
 pub use load::{op_for, LoadSpec, OpStream};
-pub use request::{digest_outcome_semantics, digest_outcomes, OutcomeLog, OutcomeRecord, Request};
-pub use resize::{ResizeMode, ResizePolicy};
+pub use request::{digest_outcomes, OutcomeLog, OutcomeRecord, Request};
 pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};

@@ -49,10 +49,8 @@
 //! encoding is lossless and one-to-one, so every bit of every field reaches
 //! the words.
 //!
-//! [`digest_outcomes`] is that digest; [`digest_outcome_semantics`] is the
-//! digest of the same records with each `attempts` read as zero before it
-//! is encoded.  Both encode the records they are given afresh.  A worker's
-//! log hashes each chunk as it is sealed and the open one when the run
+//! [`digest_outcomes`] is that digest; it encodes the records it is given
+//! afresh.  A worker's log hashes each chunk as it is sealed and the open one when the run
 //! ends.  [`OutcomeRecord::detail`] is an FNV-1a fold ([`Fnv64`]).
 
 use ccd_common::stats::Fnv64;
@@ -367,29 +365,6 @@ impl Digest {
     }
 }
 
-/// The digest of `records`' full or semantic view, encoded afresh.
-fn digest_view(
-    records: impl IntoIterator<Item: Borrow<OutcomeRecord>>,
-    with_attempts: bool,
-) -> u64 {
-    let mut log = OutcomeLog::default();
-    for record in records {
-        let record = record.borrow();
-        let attempts = if with_attempts { record.attempts } else { 0 };
-        log.push(
-            record.seq,
-            record.shard,
-            &OutcomeRecord {
-                attempts,
-                ..*record
-            },
-        );
-        // Only the digest is wanted: a chunk is dropped once it is hashed.
-        log.sealed.clear();
-    }
-    log.digest()
-}
-
 /// Digest of an outcome log in sequence order (see the module docs for the
 /// definition).  Takes a slice, a `Vec` or an [`OutcomeLog`] alike, and
 /// encodes the records it is given, so a stored log is decoded and
@@ -397,25 +372,18 @@ fn digest_view(
 ///
 /// Two configurations of the service (any worker count over the same shard
 /// count) produce the same digest iff their merged outcome logs are
-/// identical record-for-record; `service_determinism.rs` pins nine serial
+/// identical record-for-record; `service_determinism.rs` pins eight serial
 /// runs' digests as literals.
 #[must_use]
 pub fn digest_outcomes(records: impl IntoIterator<Item: Borrow<OutcomeRecord>>) -> u64 {
-    digest_view(records, true)
-}
-
-/// Digest of an outcome log's semantic view in sequence order:
-/// [`digest_outcomes`] with every record's attempt count read as zero.
-///
-/// Attempt counts describe how hard the directory worked, not what it
-/// decided: a statically large table and a table that grew to the same
-/// geometry mid-stream hold the same entries and produce the same hits,
-/// invalidations and evictions, but reach them through different
-/// displacement chains.  The semantic view is what live-resize
-/// equivalence is checked against.
-#[must_use]
-pub fn digest_outcome_semantics(records: impl IntoIterator<Item: Borrow<OutcomeRecord>>) -> u64 {
-    digest_view(records, false)
+    let mut log = OutcomeLog::default();
+    for record in records {
+        let record = record.borrow();
+        log.push(record.seq, record.shard, record);
+        // Only the digest is wanted: a chunk is dropped once it is hashed.
+        log.sealed.clear();
+    }
+    log.digest()
 }
 
 /// The tag's presence bits, above the five flags (module docs).
@@ -1370,31 +1338,7 @@ mod tests {
             assert_eq!(log.len(), records.len(), "case {case}");
             assert_eq!(log.iter().collect::<Vec<_>>(), records, "case {case}");
             assert_eq!(digest_outcomes(&log), digest_outcomes(&records));
-            assert_eq!(
-                digest_outcome_semantics(&log),
-                digest_outcome_semantics(&records)
-            );
         }
-    }
-
-    #[test]
-    fn semantic_digest_masks_attempts_and_nothing_else() {
-        let base = OutcomeRecord::capture(0, 0, &sample_outcome());
-        let mut cheaper = base;
-        cheaper.attempts = 1;
-        assert_ne!(digest_outcomes([base]), digest_outcomes([cheaper]));
-        assert_eq!(
-            digest_outcome_semantics([base]),
-            digest_outcome_semantics([cheaper]),
-            "attempt counts must not enter the semantic view"
-        );
-        let mut other = base;
-        other.invalidations += 1;
-        assert_ne!(
-            digest_outcome_semantics([base]),
-            digest_outcome_semantics([other]),
-            "every other field still must"
-        );
     }
 
     #[test]
@@ -1432,9 +1376,8 @@ mod tests {
     fn every_bit_of_every_field_of_every_record_reaches_the_digest() {
         // Exhaustive over a 64-record log: 293 bits a record, ~19k digests,
         // each of a stored log, so every bit must also survive storage.
-        // The semantic view must move with all of them but `attempts`.
         let log = dense_log(&mut SplitMix64::new(0xd1_6e57), 64);
-        let (full, semantic) = (digest_outcomes(&log), digest_outcome_semantics(&log));
+        let full = digest_outcomes(&log);
         let mut flipped = log.clone();
         for at in 0..log.len() {
             for (field, width, flip) in FIELDS {
@@ -1451,11 +1394,6 @@ mod tests {
                         digest_outcomes(&kept),
                         full,
                         "record {at}: {field} bit {bit} does not reach the digest"
-                    );
-                    assert_eq!(
-                        digest_outcome_semantics(&kept) == semantic,
-                        field == "attempts",
-                        "record {at}: {field} bit {bit} and the semantic view"
                     );
                     flipped[at] = log[at];
                 }
@@ -1542,13 +1480,8 @@ mod tests {
         let kept = stored(&log);
         assert_eq!(kept.stored_bytes(), 58);
         assert_eq!(kept.digest(), 0x38f7_4b04_62ec_c035);
-        for (full, semantic) in [
-            (digest_outcomes(log), digest_outcome_semantics(log)),
-            (digest_outcomes(&kept), digest_outcome_semantics(&kept)),
-        ] {
-            assert_eq!(full, 0x38f7_4b04_62ec_c035);
-            assert_eq!(semantic, 0x6ebd_f393_b739_3ec7);
-        }
+        assert_eq!(digest_outcomes(log), 0x38f7_4b04_62ec_c035);
+        assert_eq!(digest_outcomes(&kept), 0x38f7_4b04_62ec_c035);
         // An empty log hashes no byte, only its count of zero.
         assert_eq!(
             digest_outcomes(&[] as &[OutcomeRecord]),

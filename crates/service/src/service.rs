@@ -18,8 +18,8 @@
 //! it drains batches from (and the allocation-recycling return channel it
 //! offers drained batch buffers back on).  A worker that owns a single shard
 //! applies each batch through the directory's own batched fast path,
-//! [`Directory::apply_batch`]; one that owns several (or runs with a resize
-//! policy armed) applies request by request, each on its own shard.
+//! [`Directory::apply_batch`]; one that owns several applies request by
+//! request, each on its own shard.
 //!
 //! # Determinism contract
 //!
@@ -44,21 +44,14 @@
 //! `crates/service/tests/service_determinism.rs` enforces this across
 //! scenario families, trace replays and (workers × shards) grids.
 //!
-//! The contract extends to **failure paths**: workers run supervised (see
-//! [`crate::supervisor`]), and when a worker crashes under a
-//! recoverable [`FaultPlan`](crate::fault::FaultPlan) the supervisor
-//! rebuilds its shards by deterministic replay of the sequenced request
-//! journal and resumes — the post-recovery report still matches the
-//! fault-free serial reference ([`ServiceReport::recovery_semantics`]).
-//! Unrecoverable crashes surface as
-//! [`crate::ServiceError::WorkerCrashed`]
-//! instead of aborting the process.
+//! Workers run supervised (see [`crate::supervisor`]): a worker panic
+//! surfaces as [`crate::ServiceError::WorkerCrashed`] while the other
+//! workers drain, instead of hanging the run or aborting the process.
 
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
-use crate::request::{digest_outcome_semantics, reassemble, OutcomeLog, Request, WorkerLog};
-use crate::resize::ResizePolicy;
+use crate::request::{reassemble, OutcomeLog, Request, WorkerLog};
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
 use ccd_common::{ConfigError, Interleave};
@@ -84,14 +77,6 @@ pub struct ServiceStats {
     pub invalidations: Counter,
     /// Cached-block invalidations forced by directory-capacity conflicts.
     pub forced_invalidations: Counter,
-    /// Worker crashes the supervisor recovered from by journal replay.
-    /// Always zero without an armed `crash@` fault clause.
-    pub recoveries: Counter,
-    /// Shard live-resize operations fired by an armed
-    /// [`ResizePolicy`].  Always zero without one.  Firing points are
-    /// shard-local epoch boundaries, so the count is identical at every
-    /// worker count and across journal-replay recovery.
-    pub resizes: Counter,
     /// Directory statistics merged across all shards, in shard order.
     pub directory: DirectoryStats,
 }
@@ -110,8 +95,6 @@ impl ServiceStats {
         self.requests.merge(&other.requests);
         self.invalidations.merge(&other.invalidations);
         self.forced_invalidations.merge(&other.forced_invalidations);
-        self.recoveries.merge(&other.recoveries);
-        self.resizes.merge(&other.resizes);
         self.directory.merge(&other.directory);
     }
 }
@@ -121,23 +104,18 @@ impl ServiceStats {
 /// path that builds the rest of the report.
 ///
 /// The **metric snapshot is worker-count invariant**: counters come from
-/// the merged [`ServiceStats`] (scheduling-dependent ones — recoveries,
-/// batch counts — are deliberately excluded) and the depth
-/// distributions merge in global shard order, so
-/// [`ccd_obs::expo::render_json`] of the snapshot is byte-identical for a
-/// serial run and any worker count.  The **flight recordings are not**:
-/// they narrate how work was scheduled (per-worker batch spans, router
-/// events), which legitimately depends on the worker count.  For a fixed
-/// topology a recording is run-to-run bit-reproducible whenever
-/// scheduling itself is deterministic — which includes armed stalls and
-/// resize policies, but *not* injected crashes: crash
-/// *detection* is a thread race, so the position of crash/recovery/replay
-/// events relative to routed batches (and the journal length a replay
-/// reports) varies between runs even though every crash fires at its
-/// scheduled sequence number and semantics stay bit-identical.
+/// the merged [`ServiceStats`] (the scheduling-dependent batch count is
+/// deliberately excluded) and the depth distributions merge in global shard
+/// order, so [`ccd_obs::expo::render_json`] of the snapshot is
+/// byte-identical for a serial run and any worker count.  The **flight
+/// recordings are not**: they narrate how work was scheduled (per-worker
+/// batch spans, router events), which legitimately depends on the worker
+/// count.  For a fixed topology a recording is run-to-run bit-reproducible
+/// whenever scheduling itself is deterministic, which includes armed
+/// stalls.
 ///
-/// The whole struct is excluded from [`ServiceReport::semantics`] and its
-/// sibling views: observation output is not semantics (contract #11).
+/// The whole struct is excluded from [`ServiceReport::semantics`]:
+/// observation output is not semantics (contract #11).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ObsReport {
     /// The canonical label of the armed [`ObsConfig`].
@@ -181,9 +159,8 @@ pub struct ServiceReport {
     /// [`ServiceConfig::record_outcomes`] is off).
     pub outcome_digest: u64,
     /// What the observability layer recorded, when one was armed.
-    /// Excluded from every semantics view — the explicit field lists in
-    /// [`ServiceReport::semantics`] and its siblings are what enforces
-    /// contract #11 at the report level.
+    /// Excluded from [`ServiceReport::semantics`] — its explicit field list
+    /// is what enforces contract #11 at the report level.
     pub obs: Option<ObsReport>,
 }
 
@@ -204,78 +181,6 @@ impl ServiceReport {
             self.outcome_digest,
         )
     }
-
-    /// The part of the report the **fault-recovery** determinism contract
-    /// covers: [`ServiceReport::semantics`] minus the counter that
-    /// describes the failure handling itself ([`ServiceStats::recoveries`]).
-    ///
-    /// A run under a recoverable fault plan must match the fault-free
-    /// serial reference on this view: recovery may change how work was
-    /// scheduled and accounted, never what it computed.
-    #[must_use]
-    #[expect(
-        clippy::type_complexity,
-        reason = "a flat tuple compares with `==` and prints every field on a mismatch"
-    )]
-    pub fn recovery_semantics(
-        &self,
-    ) -> (
-        &str,
-        usize,
-        u64,
-        usize,
-        (u64, u64, u64, u64),
-        &DirectoryStats,
-        &OutcomeLog,
-        u64,
-    ) {
-        (
-            &self.organization,
-            self.shards,
-            self.requests,
-            self.entries,
-            (
-                self.stats.requests.get(),
-                self.stats.invalidations.get(),
-                self.stats.forced_invalidations.get(),
-                self.stats.resizes.get(),
-            ),
-            &self.stats.directory,
-            &self.outcomes,
-            self.outcome_digest,
-        )
-    }
-
-    /// The part of the report the **live-resize** determinism contract
-    /// covers: what the service *decided*, independent of how hard it
-    /// worked deciding it.
-    ///
-    /// A run whose shards grew mid-stream to some final geometry must match
-    /// a statically provisioned run at that geometry on this view —
-    /// provided neither run forced evictions (a discard permanently changes
-    /// which entries are resident, after which the streams legitimately
-    /// diverge).  Excluded relative to [`ServiceReport::semantics`]:
-    ///
-    /// * the organization label (it embeds the *initial* geometry),
-    /// * insertion-attempt counts, per request and aggregated (different
-    ///   occupancy histories mean different displacement chains), which is
-    ///   why the outcome log is compared through
-    ///   [`digest_outcome_semantics`] and the directory stats are dropped,
-    /// * the resize bookkeeping itself ([`ServiceStats::resizes`]).
-    #[must_use]
-    pub fn resize_semantics(&self) -> (usize, u64, usize, (u64, u64, u64), u64) {
-        (
-            self.shards,
-            self.requests,
-            self.entries,
-            (
-                self.stats.requests.get(),
-                self.stats.invalidations.get(),
-                self.stats.forced_invalidations.get(),
-            ),
-            digest_outcome_semantics(&self.outcomes),
-        )
-    }
 }
 
 /// A built directory service: `shards` independent directory slices plus
@@ -288,9 +193,6 @@ pub struct DirectoryService {
     /// Which shard owns a line, and the shard-local line it tracks it under.
     pub(crate) interleave: Interleave,
     pub(crate) organization: String,
-    /// Kept for the supervisor: a crashed worker's shards are rebuilt from
-    /// the same per-shard spec the service was built from.
-    pub(crate) slice_spec: DirectorySpec,
 }
 
 impl fmt::Debug for DirectoryService {
@@ -322,14 +224,23 @@ impl DirectoryService {
             sets: spec.sets / config.shards,
             ..spec
         };
-        let slices = build_slices(&slice_spec, config.shards, config.obs.as_ref())?;
+        let registry = ccd_cuckoo::standard_registry();
+        let mut slices = (0..config.shards)
+            .map(|_| registry.build(&slice_spec))
+            .collect::<Result<Vec<_>, _>>()?;
+        // Armed depth distributions are observational only: nothing
+        // result-bearing changes (contract #11).
+        if let Some(obs) = &config.obs {
+            for slice in &mut slices {
+                slice.arm_depth_metrics(obs.sig_bits());
+            }
+        }
         let organization = format!("service{}x[{}]", config.shards, slices[0].organization());
         Ok(DirectoryService {
             config,
             slices,
             interleave,
             organization,
-            slice_spec,
         })
     }
 
@@ -399,9 +310,8 @@ impl DirectoryService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::WorkerCrashed`] when a worker panics and the
-    /// supervisor cannot recover it: the panic was not an injected fault,
-    /// or the fault plan scheduled it as unrecoverable (`abort@`).
+    /// [`ServiceError::WorkerCrashed`] when a worker panics, whether a
+    /// fault plan's `abort@` clause injected the panic or not.
     pub fn run(
         self,
         ops: impl Iterator<Item = DirectoryOp>,
@@ -417,63 +327,37 @@ impl DirectoryService {
     pub fn run_serial(mut self, ops: impl Iterator<Item = DirectoryOp>) -> ServiceReport {
         let shards = self.config.shards;
         let record = self.config.record_outcomes;
-        let resize = self.config.resize_policy.clone();
         let obs = self.config.obs.clone();
         let mut output = WorkerOutput::new(0, std::mem::take(&mut self.slices));
         output.arm_obs(obs.as_ref());
         let mut out = Outcome::new();
-        for (seq, op) in ops.enumerate() {
+        let mut requests = 0;
+        for op in ops {
             let (shard, local) = self.interleave.home_of(op.line());
             output.slices[shard].apply(op.with_line(local), &mut out);
-            output.applied += 1;
             absorb_into(
                 &mut output.outcomes,
                 &mut output.invalidations,
                 &mut output.forced_invalidations,
-                seq as u64,
+                requests,
                 shard as u32,
                 &out,
                 record,
             );
-            // Same order as the worker path: apply, absorb, then count the
-            // request towards the shard's resize epoch.
-            if let Some(policy) = resize.as_ref() {
-                maybe_resize(&mut output, shard, shard as u32, policy);
-            }
+            requests += 1;
         }
         // One "worker" owning every shard in global order.
         finish(
             self.organization,
             shards,
             1,
+            requests,
             vec![output],
             record,
-            0,
             obs.as_ref(),
             None,
         )
     }
-}
-
-/// `count` fresh slices of `spec`, their depth distributions armed when
-/// `obs` is — observational only, nothing result-bearing changes
-/// (contract #11).  Construction and crash recovery both build here, so a
-/// rebuilt shard observes exactly what the original did.
-pub(crate) fn build_slices(
-    spec: &DirectorySpec,
-    count: usize,
-    obs: Option<&ObsConfig>,
-) -> Result<Vec<Box<dyn Directory>>, ConfigError> {
-    let registry = ccd_cuckoo::standard_registry();
-    let mut slices = (0..count)
-        .map(|_| registry.build(spec))
-        .collect::<Result<Vec<_>, _>>()?;
-    if let Some(obs) = obs {
-        for slice in &mut slices {
-            slice.arm_depth_metrics(obs.sig_bits());
-        }
-    }
-    Ok(slices)
 }
 
 /// What one worker hands back when its queue closes.
@@ -483,20 +367,9 @@ pub(crate) struct WorkerOutput {
     /// The owned slices, in local order.
     pub(crate) slices: Vec<Box<dyn Directory>>,
     pub(crate) outcomes: WorkerLog,
-    pub(crate) applied: u64,
     pub(crate) batches: u64,
     pub(crate) invalidations: u64,
     pub(crate) forced_invalidations: u64,
-    /// Requests applied per owned shard (local order).  Only maintained
-    /// while a resize policy is armed: its epochs are defined over this
-    /// count, which depends on nothing but the shard's own subsequence of
-    /// the input stream.
-    pub(crate) shard_applied: Vec<u64>,
-    /// Resize firings per owned shard (local order), bounding the policy's
-    /// `max` clause.
-    pub(crate) shard_resizes: Vec<u32>,
-    /// Total resize firings across this worker's shards.
-    pub(crate) resizes: u64,
     /// The worker's flight recorder, when an observability config with a
     /// ring is armed.  `None` costs one branch per record site.
     pub(crate) recorder: Option<FlightRecorder>,
@@ -504,18 +377,13 @@ pub(crate) struct WorkerOutput {
 
 impl WorkerOutput {
     pub(crate) fn new(index: usize, slices: Vec<Box<dyn Directory>>) -> Self {
-        let owned = slices.len();
         WorkerOutput {
             index,
             slices,
             outcomes: WorkerLog::new(index),
-            applied: 0,
             batches: 0,
             invalidations: 0,
             forced_invalidations: 0,
-            shard_applied: vec![0; owned],
-            shard_resizes: vec![0; owned],
-            resizes: 0,
             recorder: None,
         }
     }
@@ -556,64 +424,6 @@ impl WorkerOutput {
     }
 }
 
-/// The live-resize kernel shared by the worker path and the serial
-/// reference: counts the request just applied to (local) shard `shard`
-/// and, at an epoch boundary, consults the policy and resizes the slice in
-/// place.  Runs at exactly the same points of a shard's stream no matter
-/// which thread owns it, which is the whole determinism argument.
-///
-/// Non-resizable organizations ([`Directory::geometry`] `None` or
-/// [`Directory::live_resize`] returning `Ok(false)`) make this a silent
-/// no-op.
-///
-/// # Panics
-///
-/// When the policy's target geometry is invalid for the organization (for
-/// example re-waying past the hash family's way limit).  That is a
-/// configuration error, not a runtime condition, and surfacing it beats
-/// silently diverging from the schedule.
-pub(crate) fn maybe_resize(
-    output: &mut WorkerOutput,
-    shard: usize,
-    global_shard: u32,
-    policy: &ResizePolicy,
-) {
-    output.shard_applied[shard] += 1;
-    if !output.shard_applied[shard].is_multiple_of(policy.every()) {
-        return;
-    }
-    let slice = &mut output.slices[shard];
-    if !policy.should_fire(slice.len(), slice.capacity(), output.shard_resizes[shard]) {
-        return;
-    }
-    let Some((ways, sets)) = slice.geometry() else {
-        return;
-    };
-    let (new_ways, new_sets) = policy.next_geometry(ways, sets);
-    match slice.live_resize(new_ways, new_sets) {
-        Ok(true) => {
-            output.shard_resizes[shard] += 1;
-            output.resizes += 1;
-            // Virtual time: the shard's own request tick, a pure function
-            // of its subsequence — identical at every worker count.
-            if let Some(recorder) = output.recorder.as_mut() {
-                recorder.record(
-                    EventKind::ResizeFired,
-                    global_shard as u16,
-                    output.shard_applied[shard],
-                    new_sets as u64,
-                );
-            }
-        }
-        Ok(false) => {}
-        Err(err) => panic!(
-            "resize policy `{}` produced a geometry ({new_ways}x{new_sets}) \
-             the organization rejects: {err}",
-            policy.label()
-        ),
-    }
-}
-
 /// The outcome-accounting kernel shared by both worker paths and the
 /// serial reference (free function so closures can borrow the output
 /// fields disjointly from the slices).
@@ -638,8 +448,8 @@ pub(crate) fn absorb_into(
 /// outcome logs reassembled by [`reassemble`] — a lone log, checked and
 /// hashed as it grew, is moved; several are k-way merged by sequence number
 /// in a pass that checks the order, and the merged log is hashed.
-/// `recoveries` comes from the supervisor (always 0 for serial runs), as
-/// does the router's flight recording (`None` for serial runs).
+/// `requests` is what the router (or the serial loop) fed in, and the
+/// router's flight recording is `None` for serial runs.
 ///
 /// # Panics
 ///
@@ -654,9 +464,9 @@ pub(crate) fn finish(
     organization: String,
     shards: usize,
     workers: usize,
+    requests: u64,
     mut outputs: Vec<WorkerOutput>,
     record: bool,
-    recoveries: u64,
     obs: Option<&ObsConfig>,
     router: Option<FlightRecording>,
 ) -> ServiceReport {
@@ -667,17 +477,13 @@ pub(crate) fn finish(
         .all(|(index, output)| output.index == index));
 
     let mut stats = ServiceStats::new();
-    let mut requests = 0u64;
     let mut batches = 0u64;
     for output in &outputs {
-        requests += output.applied;
         batches += output.batches;
         stats.invalidations.add(output.invalidations);
         stats.forced_invalidations.add(output.forced_invalidations);
-        stats.resizes.add(output.resizes);
     }
     stats.requests.add(requests);
-    stats.recoveries.add(recoveries);
     // Per-shard statistics merge in global shard order — a fixed order, so
     // the float accumulators are reproducible at every worker count.  The
     // worker that owns global shard `g` is `g mod workers`; its local index
@@ -691,8 +497,8 @@ pub(crate) fn finish(
         stats.directory.merge(&slice.stats());
     }
     // The observability report rides the same reassembly.  Counters come
-    // from the merged stats (scheduling-dependent ones — recoveries,
-    // batches — deliberately excluded) and the depth distributions merge
+    // from the merged stats (the scheduling-dependent batch count
+    // deliberately excluded) and the depth distributions merge
     // in global shard order, so the snapshot is worker-count invariant;
     // its order is fixed here and nowhere else.
     let obs = obs.map(|cfg| {
@@ -701,7 +507,6 @@ pub(crate) fn finish(
             ("requests", requests),
             ("invalidations", stats.invalidations.get()),
             ("forced_invalidations", stats.forced_invalidations.get()),
-            ("resizes", stats.resizes.get()),
             ("entries", entries as u64),
         ] {
             metrics.push_counter(name, value);
@@ -845,7 +650,7 @@ mod tests {
         ];
         outputs[0].outcomes = WorkerLog::of(0, [record(0), record(2)]);
         outputs[1].outcomes = WorkerLog::of(1, [record(1), record(2)]);
-        let _ = finish(String::new(), 0, 2, outputs, true, 0, None, None);
+        let _ = finish(String::new(), 0, 2, 4, outputs, true, None, None);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Two halves, both enforced here:
 //!
 //! * **Armed ≡ unarmed** — a run with the observability layer fully armed
-//!   (metrics + flight recorder + spans), under an active fault plan *and*
-//!   an active resize policy, is digest-identical to the same run dark.
+//!   (metrics + flight recorder + spans), under an active stall plan, is
+//!   digest-identical to the same run dark.
 //! * **Merged metrics are worker-count invariant** — the merged metric
 //!   snapshot (and its byte-level JSON rendering) is identical for the
 //!   serial reference and every worker count, because
@@ -13,10 +13,8 @@
 //!
 //! Flight recordings are explicitly *not* worker-count invariant (they
 //! narrate scheduling); what they must be is run-to-run bit-reproducible
-//! for a fixed topology whenever scheduling is deterministic — stalls
-//! and resize policies qualify; crash *detection* is a
-//! thread race, so crash narration is asserted by presence and by its
-//! deterministic virtual-time stamps instead of by ring digest.
+//! for a fixed topology whenever scheduling is deterministic, which a
+//! stall plan is.
 
 use ccd_obs::expo::render_json;
 use ccd_obs::EventKind;
@@ -27,8 +25,7 @@ const SHARDS: usize = 4;
 const CORES: usize = 8;
 const REQUESTS: u64 = 30_000;
 const OBS: &str = "obs-ring4096-spans";
-const FAULTS: &str = "faults-crash@w0:9000";
-const RESIZE: &str = "resize-grow2@55-every128-max2";
+const STALL: &str = "faults-stall@w0:1ms";
 
 fn load() -> LoadSpec {
     LoadSpec::parse("migratory-zipf0.9", CORES, 0x0B5, REQUESTS).expect("workload parses")
@@ -52,21 +49,15 @@ fn run_serial(config: ServiceConfig) -> ServiceReport {
         .expect("serial run completes")
 }
 
-/// The headline assertion: with a crash to recover and resizes firing
-/// mid-stream, arming the full observability layer
-/// changes nothing the semantics views can see — same outcome digest,
-/// same statistics, same entries.
+/// The headline assertion: with a worker stalling before every batch,
+/// arming the full observability layer changes nothing the semantics view
+/// can see — same outcome digest, same statistics, same entries.
 #[test]
-fn armed_and_unarmed_runs_are_digest_identical_under_faults_and_resize() {
+fn armed_and_unarmed_runs_are_digest_identical_under_a_stall_plan() {
     for workers in [1usize, 2, 4] {
-        let chaotic = |cfg: ServiceConfig| {
-            cfg.with_fault_spec(FAULTS)
-                .expect("fault plan parses")
-                .with_resize_spec(RESIZE)
-                .expect("resize policy parses")
-        };
-        let dark = run(chaotic(config(workers)));
-        let armed = run(chaotic(config(workers))
+        let stalled = |cfg: ServiceConfig| cfg.with_fault_spec(STALL).expect("fault plan parses");
+        let dark = run(stalled(config(workers)));
+        let armed = run(stalled(config(workers))
             .with_obs_spec(OBS)
             .expect("obs spec parses"));
         assert!(dark.obs.is_none(), "no obs config, no obs report");
@@ -84,31 +75,23 @@ fn armed_and_unarmed_runs_are_digest_identical_under_faults_and_resize() {
             obs.metrics.histograms.iter().any(|h| h.count > 0),
             "depth distributions must have recorded"
         );
-        // The crash narrated: a crash event stamped with the sequence it
-        // actually fired at — the first of worker 0's requests at or past
-        // the trigger (detection is racy; the stamp is not) — its
-        // recovery, and the journal replay that rebuilt the worker.
+        // Every request was narrated: the router routed it in one batch and
+        // a worker applied that batch.
         let router = obs.router.as_ref().expect("concurrent runs have a router");
-        let stamped = |kind: EventKind| {
-            router
-                .events
+        let narrated = |events: &[ccd_obs::RawEvent], kind| {
+            events
                 .iter()
-                .filter(move |e| e.kind() == Some(kind))
-                .collect::<Vec<_>>()
+                .filter(|e| e.kind() == Some(kind))
+                .map(|e| e.arg())
+                .sum::<u64>()
         };
-        let crashes = stamped(EventKind::Crash);
-        assert!(!crashes.is_empty(), "injected crash must be narrated");
-        assert!(crashes.iter().all(|e| e.lane() == 0 && e.vtime() >= 9_000));
-        assert!(!stamped(EventKind::Recovery).is_empty());
-        assert!(!stamped(EventKind::JournalReplay).is_empty());
-        // Resizes fired (guard against a policy that never triggers) and
-        // were narrated worker-side, where `maybe_resize` records them.
-        assert!(armed.stats.resizes.get() > 0);
-        assert!(obs
+        assert_eq!(narrated(&router.events, EventKind::BatchRouted), REQUESTS);
+        let applied: u64 = obs
             .workers
             .iter()
-            .flat_map(|r| r.events.iter())
-            .any(|e| e.kind() == Some(EventKind::ResizeFired)));
+            .map(|r| narrated(&r.events, EventKind::BatchApplied))
+            .sum();
+        assert_eq!(applied, REQUESTS);
     }
 }
 
@@ -131,16 +114,13 @@ fn merged_metric_snapshots_are_byte_identical_across_worker_counts() {
 
 /// Flight recordings narrate scheduling, so they are required to be
 /// run-to-run bit-reproducible for a fixed topology whenever scheduling
-/// is deterministic: stalls are pure latency, and resize epochs are a
-/// function of each shard's request subsequence.
+/// is deterministic: stalls are pure latency.
 #[test]
 fn flight_recordings_are_bit_reproducible_for_a_fixed_topology() {
     let build = || {
         config(2)
             .with_fault_spec("faults-stall@w1:1ms")
             .expect("fault plan parses")
-            .with_resize_spec(RESIZE)
-            .expect("resize policy parses")
             .with_obs_spec(OBS)
             .expect("obs spec parses")
     };

@@ -1,5 +1,5 @@
-//! Seeded parser fuzz: the workspace's four clause grammars (`faults-…`,
-//! `resize-…`, `obs-…`, scenario workloads), the two spec grammars built on
+//! Seeded parser fuzz: the workspace's three clause grammars (`faults-…`,
+//! `obs-…`, scenario workloads), the two spec grammars built on
 //! them (`DirectorySpec`, `WorkloadSpec`), and the two binary readers (CCDT
 //! traces, flight recordings).
 //!
@@ -16,7 +16,7 @@ use ccd_common::rng::{Rng64, Xoshiro256};
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
 use ccd_obs::{FlightRecording, ObsConfig};
-use ccd_service::{DirectoryService, FaultPlan, LoadSpec, ResizePolicy, ServiceConfig};
+use ccd_service::{DirectoryService, FaultPlan, LoadSpec, ServiceConfig};
 use ccd_workloads::{MemRef, ScenarioSpec, TraceGenerator, TraceReader, TraceWriter};
 use ccd_workloads::{WorkloadProfile, WorkloadSpec};
 use std::fmt::Debug;
@@ -138,25 +138,15 @@ fn fuzz<T: PartialEq + Debug, E: Debug>(
 }
 
 #[test]
-fn the_four_clause_grammars_never_panic_name_what_they_reject_and_round_trip() {
+fn the_three_clause_grammars_never_panic_name_what_they_reject_and_round_trip() {
     fuzz(
         &[
             "faults",
-            "faults-crash@w2:5000-stall@w0:2ms",
-            "faults-crash@w1:10-abort@w1:30-stall@w0:1ms",
+            "faults-abort@w2:5000-stall@w0:2ms",
+            "faults-abort@w1:10-abort@w1:30-stall@w0:1ms",
         ],
         FaultPlan::parse,
         |plan| plan.label().to_string(),
-        names_a_token,
-    );
-    fuzz(
-        &[
-            "resize-grow2@75-every256-max4",
-            "resize-reway8@60-every128",
-            "resize-max2-grow4@100",
-        ],
-        ResizePolicy::parse,
-        |policy| policy.label().to_string(),
         names_a_token,
     );
     fuzz(

@@ -3,7 +3,7 @@
 //! configuration must produce outcome streams and merged statistics
 //! bit-identical to inline serial application of the same per-address
 //! streams — across scenario families, a calibrated paper profile, and a
-//! recorded trace replay.  Nine serial runs are also held to literal
+//! recorded trace replay.  Eight serial runs are also held to literal
 //! digests, so a change to what the service decides cannot pass unseen.
 
 use ccd_common::rng::{Rng64, SplitMix64};
@@ -124,9 +124,7 @@ fn randomized_topologies_obey_the_contract() {
 /// The reported digest is hashed from the bytes the workers stored — a
 /// lone log's chunks as they filled, a merged log's after the merge — and
 /// either way it must be what [`digest_outcomes`] computes from the
-/// reported log's decoded records, encoded afresh.  The crash plans (from
-/// `fault_recovery.rs`) put a journal replay under it: at one worker the
-/// log that is moved out was rebuilt by replay and then extended live.
+/// reported log's decoded records, encoded afresh.
 #[test]
 fn the_reported_digest_is_the_digest_of_the_reported_log() {
     const SPEC: &str = "cuckoo-4x128-c8";
@@ -138,21 +136,6 @@ fn the_reported_digest_is_the_digest_of_the_reported_log() {
     for workers in [1usize, 2, 4] {
         let report = build(SPEC, 4, workers).run_load(&load).unwrap();
         reports.push((format!("{workers} workers"), report));
-    }
-    for (workers, plan, recoveries) in [
-        (1usize, "faults-crash@w0:5000", 1),
-        (2, "faults-crash@w1:3000-crash@w1:9000", 2),
-    ] {
-        let config = ServiceConfig::new(SPEC, 4, workers)
-            .with_batch(64)
-            .with_fault_spec(plan)
-            .expect("fault plan parses");
-        let report = DirectoryService::build_standard(config)
-            .expect("topology builds")
-            .run_load(&load)
-            .expect("a recoverable plan recovers");
-        assert_eq!(report.stats.recoveries.get(), recoveries, "{plan}");
-        reports.push((format!("{workers} workers under {plan}"), report));
     }
     let reference = reports[0].1.outcome_digest;
     for (what, report) in &reports {
@@ -169,46 +152,40 @@ fn the_reported_digest_is_the_digest_of_the_reported_log() {
     }
 }
 
-/// One serial run at 16 cores a row, `spec resize workload seed requests
-/// shards digest stored entries` (`-`: no resize policy; `stored`: the
-/// outcome log's `stored_bytes`).  The digests, sizes and entry counts are
-/// literals, written down once and never recomputed: a
-/// saturated oracle table (two thirds of its requests force an eviction),
-/// a migratory and a false-sharing stream, a shard that grows online, and
-/// two more seeds.  A change that moves a digest or an entry count redefines
+/// One serial run at 16 cores a row, `spec workload seed requests shards
+/// digest stored entries` (`stored`: the outcome log's `stored_bytes`).
+/// The digests, sizes and entry counts are literals, written down once and
+/// never recomputed: a saturated oracle table (two thirds of its requests
+/// force an eviction), a migratory and a false-sharing stream, and two
+/// more seeds.  A change that moves a digest or an entry count redefines
 /// the outcome log or what the service decides, and re-pins it on purpose;
 /// one that moves only a size changes the stored layout.
 const PINNED: &[&str] = &[
-    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 4 8a9262488f60f772 1070446 16384",
-    "cuckoo-4x4096-c16 - oracle 0x5E21 150000 16 f4f1ffbee08325de 1070223 16384",
-    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 4 fbc7daf96980b701 340123 4054",
-    "cuckoo-4x4096-c16 - migratory-zipf0.9 0x5E22 150000 16 300f71c59141d151 340123 4054",
-    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 4 c1261eef2366e2b2 749513 64",
-    "cuckoo-4x4096-c16 - falseshare 0x5E23 150000 16 f448ae82abb1d911 749513 64",
-    "cuckoo-4x1024-c16 resize-grow2@60-every64-max1 migratory-zipf0.9 0x5E22 150000 4 cd3917b351f068c5 340151 4054",
-    "cuckoo-4x4096-c16 - migratory-zipf0.9 0xC4A0 100000 4 ce415ce9aaa0acf3 225650 3965",
-    "cuckoo-4x4096-c16 - oracle 0x0B5E 150000 8 a060bcbc4376fbac 1067955 16384",
+    "cuckoo-4x4096-c16 oracle 0x5E21 150000 4 8a9262488f60f772 1070446 16384",
+    "cuckoo-4x4096-c16 oracle 0x5E21 150000 16 f4f1ffbee08325de 1070223 16384",
+    "cuckoo-4x4096-c16 migratory-zipf0.9 0x5E22 150000 4 fbc7daf96980b701 340123 4054",
+    "cuckoo-4x4096-c16 migratory-zipf0.9 0x5E22 150000 16 300f71c59141d151 340123 4054",
+    "cuckoo-4x4096-c16 falseshare 0x5E23 150000 4 c1261eef2366e2b2 749513 64",
+    "cuckoo-4x4096-c16 falseshare 0x5E23 150000 16 f448ae82abb1d911 749513 64",
+    "cuckoo-4x4096-c16 migratory-zipf0.9 0xC4A0 100000 4 ce415ce9aaa0acf3 225650 3965",
+    "cuckoo-4x4096-c16 oracle 0x0B5E 150000 8 a060bcbc4376fbac 1067955 16384",
 ];
 
-/// The spec, resize policy, workload and shard count of the benchmark's
-/// `svc_hit` workload, which also runs at 16 cores.
-const SVC_HIT: (&str, &str, &str, &str) = ("cuckoo-4x4096-c16", "-", "migratory-zipf0.9", "4");
+/// The spec, workload and shard count of the benchmark's `svc_hit`
+/// workload, which also runs at 16 cores.
+const SVC_HIT: (&str, &str, &str) = ("cuckoo-4x4096-c16", "migratory-zipf0.9", "4");
 
 #[test]
 fn serial_runs_reproduce_their_pinned_digests() {
     let mut svc_hit_rows = 0;
     for row in PINNED {
         let fields: Vec<&str> = row.split(' ').collect();
-        let [spec, resize, workload, seed, requests, shards, digest, stored, entries] = fields[..]
-        else {
-            panic!("{row}: nine fields");
+        let [spec, workload, seed, requests, shards, digest, stored, entries] = fields[..] else {
+            panic!("{row}: eight fields");
         };
         let number = |text: &str| text.parse::<u64>().expect("a decimal field");
         let seed = u64::from_str_radix(&seed[2..], 16).expect("a hex seed");
-        let mut config = ServiceConfig::new(spec, number(shards) as usize, 1);
-        if resize != "-" {
-            config = config.with_resize_spec(resize).expect("policy parses");
-        }
+        let config = ServiceConfig::new(spec, number(shards) as usize, 1);
         let load = LoadSpec::parse(workload, 16, seed, number(requests)).expect("workload parses");
         let report = DirectoryService::build_standard(config)
             .expect("topology builds")
@@ -221,7 +198,7 @@ fn serial_runs_reproduce_their_pinned_digests() {
             "{row}"
         );
         assert_eq!(report.entries as u64, number(entries), "{row}");
-        if (spec, resize, workload, shards) == SVC_HIT {
+        if (spec, workload, shards) == SVC_HIT {
             // The benchmark's `svc_hit` cell: at most 2.5 bytes a record.
             assert!(2 * number(stored) <= 5 * number(requests), "{row}");
             svc_hit_rows += 1;

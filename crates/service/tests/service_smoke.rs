@@ -2,11 +2,12 @@
 //!
 //! CI runs this under `CCD_WORKERS=1` and `CCD_WORKERS=4`, so the inline
 //! single-worker topology and a genuinely concurrent one are both
-//! exercised against the serial reference on every push — plus a
-//! `CCD_FAULTS` variant that arms a crash plan and checks the service
-//! recovers to the same answer.
+//! exercised against the serial reference on every push — plus
+//! `CCD_FAULTS` variants: under a plan with an `abort@` clause the run must
+//! fail with `WorkerCrashed` naming that worker, and under a stall-only
+//! plan it must still equal the serial reference.
 
-use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
+use ccd_service::{DirectoryService, FaultPlan, LoadSpec, ServiceConfig, ServiceError};
 
 fn workers_from_env() -> usize {
     match std::env::var("CCD_WORKERS") {
@@ -49,36 +50,33 @@ fn smoke_service_matches_serial_at_the_env_worker_count() {
             .run_load_serial(&load)
             .expect("serial reference runs");
     let mut config = ServiceConfig::new("cuckoo-4x4096-c16", shards, workers);
-    let faults = fault_spec_from_env();
-    if let Some(spec) = &faults {
-        config = config
-            .with_fault_spec(spec)
-            .unwrap_or_else(|e| panic!("CCD_FAULTS `{spec}`: {e}"));
+    let mut aborting = Vec::new();
+    if let Some(spec) = fault_spec_from_env() {
+        let plan = FaultPlan::parse(&spec).unwrap_or_else(|e| panic!("CCD_FAULTS `{spec}`: {e}"));
+        aborting = plan.crashes().iter().map(|c| c.worker).collect();
+        config.fault_plan = Some(plan);
     }
-    let report = DirectoryService::build_standard(config)
+    let result = DirectoryService::build_standard(config)
         .expect("smoke topology builds")
-        .run_load(&load)
-        .expect("service runs (and recovers, under CCD_FAULTS)");
+        .run_load(&load);
 
+    if !aborting.is_empty() {
+        match result {
+            Err(ServiceError::WorkerCrashed { worker, .. }) => assert!(
+                aborting.contains(&worker),
+                "worker {worker} crashed, but the plan aborts {aborting:?}"
+            ),
+            other => panic!("an abort@ plan must fail naming one of {aborting:?}, got {other:?}"),
+        }
+        return;
+    }
+    let report = result.expect("service runs");
     assert_eq!(report.workers, workers);
     assert_eq!(report.requests, 30_000);
     assert!(report.stats.directory.insertions.get() > 0);
-    if faults.is_some() {
-        // Under an armed fault plan the `recoveries` counter may differ
-        // from the (fault-free) serial reference; everything the
-        // service *computed* must still match.
-        assert_eq!(
-            report.recovery_semantics(),
-            serial.recovery_semantics(),
-            "service with {workers} workers under `{:?}` must recover to \
-             the serial answer",
-            faults
-        );
-    } else {
-        assert_eq!(
-            report.semantics(),
-            serial.semantics(),
-            "service with {workers} workers must match serial application"
-        );
-    }
+    assert_eq!(
+        report.semantics(),
+        serial.semantics(),
+        "service with {workers} workers must match serial application"
+    );
 }

@@ -1,40 +1,22 @@
 //! Differential fuzz harness (ARCHITECTURE.md Contract #10).
 //!
 //! Each fuzz case draws a random directory spec (geometry × hash family ×
-//! insertion policy), a random workload, and optionally a
-//! live-resize policy and a crash schedule — then checks the service's
-//! determinism contract differentially:
-//!
-//! * serial reference ≡ every legal worker count
-//!   ([`ServiceReport::semantics`]), with the resize policy armed or not;
-//! * a crashed-and-replayed run ≡ the fault-free serial reference
-//!   ([`ServiceReport::recovery_semantics`]), resizes re-fired mid-replay.
+//! insertion policy) and a random workload, then checks the service's
+//! determinism contract differentially: serial reference ≡ every legal
+//! worker count ([`ServiceReport::semantics`]).
 //!
 //! `fuzz_at_a_fixed_seed` pins one reproducible sweep; `fuzz_burst` draws
 //! a fresh seed per run (override with `CCD_FUZZ_SEED`, printed on entry so
 //! any failure is replayable).
 //!
 //! [`ServiceReport::semantics`]: ccd_service::ServiceReport::semantics
-//! [`ServiceReport::recovery_semantics`]: ccd_service::ServiceReport::recovery_semantics
 
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
 
-/// Builds one service; `resize` and `faults` arm the respective schedules.
-fn build(
-    spec: &str,
-    shards: usize,
-    workers: usize,
-    resize: Option<&str>,
-    faults: Option<&str>,
-) -> DirectoryService {
-    let mut config = ServiceConfig::new(spec, shards, workers).with_batch(64);
-    if let Some(policy) = resize {
-        config = config.with_resize_spec(policy).unwrap();
-    }
-    if let Some(plan) = faults {
-        config = config.with_fault_spec(plan).unwrap();
-    }
+/// Builds one service.
+fn build(spec: &str, shards: usize, workers: usize) -> DirectoryService {
+    let config = ServiceConfig::new(spec, shards, workers).with_batch(64);
     DirectoryService::build_standard(config).unwrap_or_else(|err| panic!("{spec}: {err}"))
 }
 
@@ -47,8 +29,8 @@ fn run_case(seed: u64, index: usize) {
     let shards = [2usize, 4][rng.next_below(2) as usize];
     let sets = [32usize, 64][rng.next_below(2) as usize] * shards;
     let spec = if rng.next_below(5) == 0 {
-        // Occasionally a baseline: exercises the non-resizable no-op path
-        // (baselines also reject `-bfs`, so no policy modifier here).
+        // Occasionally a baseline, which runs the directories' default
+        // `apply_batch` (baselines reject `-bfs`, so no policy modifier).
         format!("sparse-4x{sets}-c8")
     } else {
         let ways = [2usize, 3, 4, 8][rng.next_below(4) as usize];
@@ -62,20 +44,13 @@ fn run_case(seed: u64, index: usize) {
     let requests = 2_000 + rng.next_below(2_000);
     let load = LoadSpec::parse(workload, 8, rng.next_u64(), requests).unwrap();
 
-    // --- the schedules ----------------------------------------------------
-    let resize = (rng.next_below(2) == 0).then(|| {
-        let pct = [50, 60, 75][rng.next_below(3) as usize];
-        let every = [64, 128][rng.next_below(2) as usize];
-        let max = 1 + rng.next_below(2);
-        format!("resize-grow2@{pct}-every{every}-max{max}")
-    });
     let ctx = format!(
         "seed={seed:#x} case={index} spec={spec} workload={workload} \
-         requests={requests} shards={shards} resize={resize:?}"
+         requests={requests} shards={shards}"
     );
 
     // --- serial vs every legal worker count -------------------------------
-    let serial = build(&spec, shards, 1, resize.as_deref(), None)
+    let serial = build(&spec, shards, 1)
         .run_load_serial(&load)
         .unwrap_or_else(|err| panic!("{ctx}: {err}"));
     assert_eq!(serial.requests, requests, "{ctx}");
@@ -83,30 +58,13 @@ fn run_case(seed: u64, index: usize) {
         if workers > shards {
             continue;
         }
-        let report = build(&spec, shards, workers, resize.as_deref(), None)
+        let report = build(&spec, shards, workers)
             .run_load(&load)
             .unwrap_or_else(|err| panic!("{ctx} workers={workers}: {err}"));
         assert_eq!(
             report.semantics(),
             serial.semantics(),
             "{ctx} workers={workers}"
-        );
-    }
-
-    // --- crash, replay, compare to the fault-free reference ---------------
-    if rng.next_below(2) == 0 {
-        let workers = shards.min(4);
-        let victim = rng.next_below(workers as u64);
-        let at = requests / 2;
-        let plan = format!("faults-crash@w{victim}:{at}");
-        let report = build(&spec, shards, workers, resize.as_deref(), Some(&plan))
-            .run_load(&load)
-            .unwrap_or_else(|err| panic!("{ctx} plan={plan}: {err}"));
-        assert!(report.stats.recoveries.get() >= 1, "{ctx} plan={plan}");
-        assert_eq!(
-            report.recovery_semantics(),
-            serial.recovery_semantics(),
-            "{ctx} plan={plan}"
         );
     }
 }
