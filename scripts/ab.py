@@ -25,6 +25,7 @@ median, and a verdict:
                 parent's by more than the metric's BENCHMARK.json bound,
                 and the parent's IQR is within that bound
   unresolved    neither: the runs spread too widely to tell
+  equal         every pair read the same value
 
 Metrics measured in op/s, s or MiB are timings and memory.  Every other
 metric is counted from what the run computed, so it must repeat exactly for
@@ -101,7 +102,9 @@ def verdict(metric, base, change):
     losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
     iqr = iqr_over_median(base)
     needed = math.ceil(0.9 * len(base))
-    if max(wins, losses) >= needed and abs(shift) > iqr:
+    if base == change:
+        word = "equal"
+    elif max(wins, losses) >= needed and abs(shift) > iqr:
         word = "moved (better)" if shift > 0 else "moved (worse)"
     elif -shift <= metric["bound"] and iqr <= metric["bound"]:
         word = "within bound"
