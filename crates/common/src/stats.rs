@@ -64,7 +64,7 @@ impl From<Counter> for u64 {
 /// eight little-endian bytes.
 ///
 /// The workspace's determinism contracts are proven by folding observable
-/// results (outcome records, recovery checkpoints) into one order-sensitive
+/// results (outcome records, flight-recorder events) into one order-sensitive
 /// fingerprint and comparing it across configurations: equal digests mean
 /// bit-identical observable streams.  FNV-1a is used because it is tiny,
 /// has no dependencies, and — critically — is fully specified here, so the

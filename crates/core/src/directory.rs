@@ -36,20 +36,14 @@ impl<S: SharerSet> CuckooDirectory<S> {
     /// or by the hash-family construction.
     pub fn new(config: CuckooConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        Ok(CuckooDirectory {
-            table: Self::build_table(&config)?,
-            config,
-            stats: DirectoryStats::new(),
-        })
-    }
-
-    /// Builds a table for `config`, with the insertion policy applied —
-    /// shared by construction and live resize.
-    fn build_table(config: &CuckooConfig) -> Result<CuckooTable<S>, ConfigError> {
         let mut table =
             CuckooTable::new(config.ways, config.sets, config.hash_kind, config.hash_seed)?;
         table.set_insert_policy(config.insert_policy);
-        Ok(table)
+        Ok(CuckooDirectory {
+            table,
+            config,
+            stats: DirectoryStats::new(),
+        })
     }
 
     /// The configuration this slice was built from.

@@ -7,8 +7,7 @@ use ccd_hash::MAX_FAMILY_WAYS;
 impl<V> CuckooTable<V> {
     /// Checks the table's structural invariants and describes the first one
     /// broken.  Walks every slot and hashes every stored key, so it belongs
-    /// in tests and `debug_assert!`s (the migration boundary above), never
-    /// on a request path.
+    /// in tests, never on a request path.
     ///
     /// * Every occupied slot's tag is its key's fingerprint.
     /// * Every stored key sits in a candidate slot: at the index its own

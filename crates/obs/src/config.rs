@@ -25,7 +25,7 @@
 //! Observation must never perturb semantics (contract #11), so the config
 //! deliberately has no clause that could: there is no sampling, no
 //! truncation of metric values, and no time source — events are stamped
-//! with virtual time (request sequence numbers, epochs) supplied by the
+//! with virtual time (request sequence numbers) supplied by the
 //! instrumented code.
 //!
 //! [`LogHistogram`]: ccd_common::LogHistogram

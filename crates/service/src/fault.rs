@@ -22,15 +22,15 @@
 //! | `stall@w<W>:<N>ms` | worker `W` sleeps `N` ms before each batch (latency only — results are unaffected) |
 //!
 //! `abort@` repeats for distinct `(worker, seq)` points (a worker dies at
-//! its earliest), `stall@` once per worker.  The rules every spec grammar shares are
-//! [`ccd_common::clause`]'s.
+//! its earliest), `stall@` once per worker.  The rules every spec grammar
+//! shares are [`ccd_common::clause`]'s.
 //!
 //! Injection sites are compiled into the worker loop as an
 //! `Option<WorkerFaults>` hook — `None` (the unarmed case) costs one branch
 //! per batch and nothing else.  Injected panics carry an [`InjectedCrash`]
-//! payload so the supervisor can tell a scheduled failure from a genuine
-//! bug, and [`silence_injected_panics`] keeps the default panic hook's
-//! backtrace spew out of expected-failure test output.
+//! payload, so the error names the scheduled abort, and
+//! [`silence_injected_panics`] keeps the default panic hook's backtrace
+//! spew out of expected-failure test output.
 
 use ccd_common::clause::Clauses;
 use ccd_common::ConfigError;
