@@ -5,19 +5,17 @@
 //! # Supervision state machine
 //!
 //! ```text
-//!            spawn                    batch delivered
-//!   ─────────────────► RUNNING ◄──────────────────┐
-//!                         │  └─────────────────────┘
-//!                panic (caught by the
-//!                 worker's catch_unwind;
-//!                 its Receiver drops, so
-//!                 the router's next send
-//!                 fails Disconnected)
-//!                         ▼
-//!                      CRASHED
-//!                         │
-//!                         ▼
-//!   FAILED: drop every sender, join, surface ServiceError::WorkerCrashed
+//!   spawn ──► RUNNING ◄──┐
+//!                │  └────┘ batch delivered
+//!                │
+//!      panic, caught by the worker's catch_unwind: its Receiver
+//!      drops, so the router's next send fails Disconnected (or
+//!      join reports it after the last delivery)
+//!                ▼
+//!             CRASHED
+//!                │
+//!                ▼
+//!   FAILED: drop every sender, join, return ServiceError::WorkerCrashed
 //! ```
 //!
 //! A delivery is one blocking [`Sender::send`]: a full lane parks the
