@@ -70,6 +70,10 @@ pub const PHYSICAL_ADDRESS_BITS: u32 = 48;
 /// The default cache-block size used throughout the paper (Table 1).
 pub const DEFAULT_BLOCK_BYTES: u64 = 64;
 
+/// The width of a line address (a block number): the physical address
+/// above the offset of a default-sized block, 48 − 6 = 42 bits.
+pub const LINE_ADDRESS_BITS: u32 = PHYSICAL_ADDRESS_BITS - DEFAULT_BLOCK_BYTES.trailing_zeros();
+
 /// Returns `ceil(log2(x))` for `x >= 1`; `0` for `x <= 1`.
 ///
 /// Used pervasively when sizing index and tag fields.

@@ -14,30 +14,38 @@
 //! rate, occupancy) are the quantities Figures 8–12 report.
 
 use crate::config::CuckooConfig;
-use crate::table::{ways_dispatch, CuckooTable};
+use crate::table::{ways_dispatch, CuckooTable, KeyWord};
 use ccd_common::{CacheId, ConfigError, LineAddr};
 use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome};
 use ccd_sharers::SharerSet;
 
-/// A Cuckoo directory slice: a d-ary cuckoo hash table of sharer sets.
+/// A Cuckoo directory slice: a d-ary cuckoo hash table of sharer sets,
+/// keyed by line in a `Q` ([`KeyWord`]).  The registry picks `u32` — the
+/// line's bits above the set index — wherever [`crate::table::narrow_keys`]
+/// allows it; `u64`, the default, stores whole lines.
 #[derive(Clone, Debug)]
-pub struct CuckooDirectory<S: SharerSet> {
+pub struct CuckooDirectory<S: SharerSet, Q: KeyWord = u64> {
     config: CuckooConfig,
-    table: CuckooTable<S>,
+    table: CuckooTable<S, Q>,
     stats: DirectoryStats,
 }
 
-impl<S: SharerSet> CuckooDirectory<S> {
+impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
     /// Creates a Cuckoo directory slice from `config`.
     ///
     /// # Errors
     ///
-    /// Returns the [`ConfigError`] produced by [`CuckooConfig::validate`]
-    /// or by the hash-family construction.
+    /// Returns the [`ConfigError`] produced by [`CuckooConfig::validate`],
+    /// by the hash-family construction, or by
+    /// [`CuckooTable::with_key_word`] for a `Q` the geometry rules out.
     pub fn new(config: CuckooConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let mut table =
-            CuckooTable::new(config.ways, config.sets, config.hash_kind, config.hash_seed)?;
+        let mut table = CuckooTable::with_key_word(
+            config.ways,
+            config.sets,
+            config.hash_kind,
+            config.hash_seed,
+        )?;
         table.set_insert_policy(config.insert_policy);
         Ok(CuckooDirectory {
             table,
@@ -71,7 +79,7 @@ impl<S: SharerSet> CuckooDirectory<S> {
     /// entry's sharer set, which is guaranteed to exist afterwards.
     fn find_or_allocate<'t, const N: usize>(
         config: &CuckooConfig,
-        table: &'t mut CuckooTable<S>,
+        table: &'t mut CuckooTable<S, Q>,
         stats: &mut DirectoryStats,
         line: LineAddr,
         indices: &mut [usize; N],
@@ -120,18 +128,22 @@ impl<S: SharerSet> CuckooDirectory<S> {
     /// the line just before) and stage 3 of [`Directory::apply_batch`]
     /// (whose pipeline hashed it a window ago, so nothing is hashed twice).
     /// This is the organization's op entry, where the cache an op names is
-    /// checked against the directory's cache count.  Takes the directory
+    /// checked against the directory's cache count and, with narrow keys,
+    /// its line against the 48-bit physical address.  Takes the directory
     /// field by field because the pipeline lends the table out on its own.
     #[inline]
     fn apply_op<const N: usize>(
         config: &CuckooConfig,
-        table: &mut CuckooTable<S>,
+        table: &mut CuckooTable<S, Q>,
         stats: &mut DirectoryStats,
         op: DirectoryOp,
         indices: &mut [usize; N],
         out: &mut Outcome,
     ) {
         op.check_cache(config.num_caches);
+        if Q::NARROW {
+            op.check_line();
+        }
         out.reset();
         match op {
             DirectoryOp::Probe { line } => {
@@ -188,7 +200,17 @@ impl<S: SharerSet> CuckooDirectory<S> {
     }
 }
 
-impl<S: SharerSet> Directory for CuckooDirectory<S> {
+impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
+    /// Whether `line` can be resident at all: with narrow keys only lines
+    /// below the 42-bit bound ever are ([`DirectoryOp::check_line`]), and
+    /// a query past it must not alias one that is.
+    #[inline]
+    fn storable(line: LineAddr) -> bool {
+        !Q::NARROW || line.block_number() >> ccd_common::LINE_ADDRESS_BITS == 0
+    }
+}
+
+impl<S: SharerSet, Q: KeyWord> Directory for CuckooDirectory<S, Q> {
     fn organization(&self) -> String {
         let mut label = format!(
             "cuckoo-{}x{}-{}",
@@ -216,13 +238,15 @@ impl<S: SharerSet> Directory for CuckooDirectory<S> {
     }
 
     fn contains(&self, line: LineAddr) -> bool {
-        self.table.contains(line.block_number())
+        Self::storable(line) && self.table.contains(line.block_number())
     }
 
     fn may_hold(&self, line: LineAddr, cache: CacheId) -> bool {
-        self.table
-            .get(line.block_number())
-            .is_some_and(|sharers| sharers.may_contain(cache))
+        Self::storable(line)
+            && self
+                .table
+                .get(line.block_number())
+                .is_some_and(|sharers| sharers.may_contain(cache))
     }
 
     fn apply(&mut self, op: DirectoryOp, out: &mut Outcome) {
@@ -550,6 +574,35 @@ mod tests {
         }
         assert_eq!(plain.stats(), armed.stats());
         assert_eq!(plain.len(), armed.len());
+    }
+
+    #[test]
+    fn narrow_keyed_directories_take_lines_up_to_the_physical_address_bound() {
+        let last = line((1 << ccd_common::LINE_ADDRESS_BITS) - 1);
+        let past = line(last.block_number() + 1);
+        let mut narrow =
+            CuckooDirectory::<FullBitVector, u32>::new(CuckooConfig::new(4, 1024, 8)).unwrap();
+        let mut out = Outcome::new();
+        narrow.apply(add(last, CacheId::new(3)), &mut out);
+        assert_eq!(probe(&mut narrow, last), Some(vec![CacheId::new(3)]));
+        // Past the bound nothing is resident, whatever its low bits alias.
+        let alias = line(last.block_number() | 1 << 50);
+        for query in [past, alias] {
+            assert!(!narrow.contains(query) && !narrow.may_hold(query, CacheId::new(3)));
+        }
+        // Full keys take any line.
+        let mut wide = dir(4, 1024, 8);
+        wide.apply(add(alias, CacheId::new(3)), &mut out);
+        assert!(wide.contains(alias) && !wide.contains(last));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 48-bit physical address space (lines below 2^42)")]
+    fn narrow_keyed_directories_reject_a_line_past_the_bound_at_op_entry() {
+        let mut narrow =
+            CuckooDirectory::<FullBitVector, u32>::new(CuckooConfig::new(4, 1024, 8)).unwrap();
+        let past = line(1 << ccd_common::LINE_ADDRESS_BITS);
+        narrow.apply(DirectoryOp::Probe { line: past }, &mut Outcome::new());
     }
 
     #[test]

@@ -62,19 +62,28 @@ pub mod table;
 pub use config::CuckooConfig;
 pub use directory::CuckooDirectory;
 pub use simd::VectorEngine;
-pub use table::{CuckooTable, FindOrInsert, InsertOutcome, PIPELINE_DEPTH};
+pub use table::{narrow_keys, CuckooTable, FindOrInsert, InsertOutcome, KeyWord, PIPELINE_DEPTH};
 
 use ccd_common::ConfigError;
 use ccd_directory::{match_sharer_format, BuilderRegistry, Directory, DirectorySpec};
 use ccd_hash::HashKind;
 
-/// The registry builder for `cuckoo-WxS[-hash][-policy]` specs.
+/// The registry builder for `cuckoo-WxS[-hash][-policy]` specs.  Beside
+/// the sharer format it picks the key word, once per directory from the
+/// hash family and the set count alone: `u32` where [`narrow_keys`] allows
+/// it, `u64` elsewhere.
 fn build_cuckoo(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
+    let kind = spec.hash.unwrap_or(HashKind::Skewing);
     let config = CuckooConfig::new(spec.ways, spec.sets, spec.caches)
-        .with_hash_kind(spec.hash.unwrap_or(HashKind::Skewing))
+        .with_hash_kind(kind)
         .with_insert_policy(spec.policy);
+    let narrow = narrow_keys(kind, spec.sets);
     Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
-        Box::new(CuckooDirectory::<S>::new(config)?)
+        if narrow {
+            Box::new(CuckooDirectory::<S, u32>::new(config)?)
+        } else {
+            Box::new(CuckooDirectory::<S>::new(config)?)
+        }
     }))
 }
 

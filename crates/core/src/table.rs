@@ -26,7 +26,22 @@
 //!   7-bit key fingerprint with the high bit set for an occupied one.  The
 //!   encoding doubles as the occupancy marker, so the probe loop needs no
 //!   `Option` and a miss touches one byte per way instead of a full slot.
-//! * `keys` — the stored 64-bit keys (garbage where `tags` is empty).
+//! * `keys` — one [`KeyWord`] per slot (garbage where `tags` is empty).
+//!   By default it is the whole 64-bit key.  A table of `2^n` sets indexed
+//!   by the skewing family stores, from `n = 10` up, only `q = key >> n`
+//!   in a `u32`: the bits of a 42-bit line that the set index does not
+//!   determine, the tag a skewed cache keeps.  Way `w`'s
+//!   skewing index is `rot(a1) ^ rot(a2) ^ fold(rest)`, so the slot's index
+//!   and `q` give back `a1`, the low `n` bits, exactly
+//!   ([`ccd_hash::SkewingFamily::line_from_high`]).  A probe compares `q`,
+//!   and the table rebuilds the full key only where it reads one back:
+//!   the victim of a displacement, a discarded entry
+//!   ([`InsertOutcome::discarded`]), BFS's frontier and [`CuckooTable::iter`].
+//!   A move between slots copies `q` as it is, since `q` does not depend
+//!   on the way.  The fingerprint is still taken from the full key, so
+//!   tags, placement and attempts are the same at either width.
+//!   [`narrow_keys`] makes the choice from the family and the set count;
+//!   multiply-shift and strong indices mix every bit and keep full keys.
 //! * `values` — the payloads, kept as `MaybeUninit<V>` and only initialized
 //!   where `tags` is occupied.
 //!
@@ -35,7 +50,7 @@
 //! one integer, matched with SWAR arithmetic, and the matching lanes folded
 //! into way bits by one multiply-shift (`fold_lanes`): no branch or loop
 //! depends on how many ways match.  The fingerprint scan may over-report,
-//! so only ways whose tag matches are confirmed with a full key compare,
+//! so only ways whose tag matches are confirmed with a key-word compare,
 //! and a negative lookup usually performs **zero** key loads.  Because
 //! occupied tags always have their high bit set and the empty tag is zero,
 //! the vacancy scan is exact (no false positives).
@@ -132,12 +147,14 @@
 mod insert;
 mod invariants;
 mod kernels;
+mod keys;
 mod pipeline;
 mod probe;
 #[cfg(test)]
 mod tests;
 
 pub use insert::BFS_ARENA;
+pub use keys::{narrow_keys, KeyWord};
 pub use pipeline::PIPELINE_DEPTH;
 
 use ccd_common::pages::PageBuf;
@@ -206,12 +223,12 @@ impl<V> std::fmt::Debug for FindOrInsert<'_, V> {
 /// A resident entry found by [`CuckooTable::occupied`].  It borrows the
 /// table mutably, so the slot it names stays occupied for as long as it
 /// lives.
-pub(crate) struct Occupied<'a, V> {
-    table: &'a mut CuckooTable<V>,
+pub(crate) struct Occupied<'a, V, Q: KeyWord> {
+    table: &'a mut CuckooTable<V, Q>,
     slot: usize,
 }
 
-impl<'a, V> Occupied<'a, V> {
+impl<'a, V, Q: KeyWord> Occupied<'a, V, Q> {
     /// The entry's payload.
     #[inline]
     pub(crate) fn get_mut(&mut self) -> &mut V {
@@ -289,7 +306,9 @@ macro_rules! ways_dispatch {
 }
 pub(crate) use ways_dispatch;
 
-/// A d-ary cuckoo hash table with bounded displacement insertion.
+/// A d-ary cuckoo hash table with bounded displacement insertion, storing
+/// each key in a `Q` ([`KeyWord`]): the full `u64` by default, or a `u32`
+/// of the bits above the set index ([`CuckooTable::with_key_word`]).
 ///
 /// ```
 /// use ccd_cuckoo::CuckooTable;
@@ -303,14 +322,15 @@ pub(crate) use ways_dispatch;
 /// # Ok::<(), ccd_common::ConfigError>(())
 /// ```
 #[derive(Debug)]
-pub struct CuckooTable<V> {
+pub struct CuckooTable<V, Q: KeyWord = u64> {
     ways: usize,
     sets: usize,
     hashes: HashFamily,
     /// Per-slot occupancy tags, indexed `way * sets + index`.
     tags: PageBuf<u8>,
-    /// Stored keys, indexed like `tags` (garbage where the tag is empty).
-    keys: PageBuf<u64>,
+    /// Stored key words, indexed like `tags` (garbage where the tag is
+    /// empty): the full keys, or for `Q = u32` their bits above the index.
+    keys: PageBuf<Q>,
     /// Stored payloads, initialized exactly where the tag is occupied.
     values: PageBuf<MaybeUninit<V>>,
     valid: usize,
@@ -330,7 +350,8 @@ pub struct CuckooTable<V> {
 
 impl<V> CuckooTable<V> {
     /// Creates an empty table of `ways` direct-mapped tables with `sets`
-    /// entries each, indexed by the `kind` hash family seeded with `seed`.
+    /// entries each, indexed by the `kind` hash family seeded with `seed`,
+    /// storing full 64-bit keys.
     ///
     /// # Errors
     ///
@@ -340,6 +361,30 @@ impl<V> CuckooTable<V> {
     ///   allocation, or the allocator refuses it,
     /// * plus the hash family's own validation errors (zero/`!pow2` sets).
     pub fn new(ways: usize, sets: usize, kind: HashKind, seed: u64) -> Result<Self, ConfigError> {
+        Self::with_key_word(ways, sets, kind, seed)
+    }
+}
+
+impl<V, Q: KeyWord> CuckooTable<V, Q> {
+    /// [`CuckooTable::new`], storing each key in a `Q`: `u64` for the full
+    /// key, `u32` for its bits above the set index.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`CuckooTable::new`], plus [`ConfigError::Inconsistent`]
+    /// when `Q` is `u32` and [`narrow_keys`] rules narrow keys out for
+    /// `kind` over `sets` sets.
+    pub fn with_key_word(
+        ways: usize,
+        sets: usize,
+        kind: HashKind,
+        seed: u64,
+    ) -> Result<Self, ConfigError> {
+        if Q::NARROW && !narrow_keys(kind, sets) {
+            return Err(ConfigError::Inconsistent {
+                what: "narrow keys need a skewing family over at least 1,024 sets",
+            });
+        }
         if ways < 2 {
             return Err(ConfigError::TooSmall {
                 what: "ways",
@@ -358,7 +403,7 @@ impl<V> CuckooTable<V> {
             sets,
             hashes,
             tags: PageBuf::filled(capacity, EMPTY_TAG).ok_or_else(refused)?,
-            keys: PageBuf::filled(capacity, 0).ok_or_else(refused)?,
+            keys: PageBuf::filled(capacity, Q::default()).ok_or_else(refused)?,
             values: PageBuf::uninit(capacity).ok_or_else(refused)?,
             valid: 0,
             max_attempts: crate::config::DEFAULT_MAX_ATTEMPTS,
@@ -556,7 +601,7 @@ impl<V> CuckooTable<V> {
         &mut self,
         key: u64,
         indices: &[usize; N],
-    ) -> Option<Occupied<'_, V>> {
+    ) -> Option<Occupied<'_, V, Q>> {
         let slot = self.probe_hit_prehashed(key, indices)?;
         Some(Occupied { table: self, slot })
     }
@@ -567,14 +612,14 @@ impl<V> CuckooTable<V> {
             .filter(move |&slot| self.tag_at(slot) != EMPTY_TAG)
             .map(move |slot| {
                 // SAFETY: occupied tags guarantee initialized payloads.
-                (self.keys[slot], unsafe {
+                (self.key_of(slot), unsafe {
                     self.values[slot].assume_init_ref()
                 })
             })
     }
 }
 
-impl<V: Clone> Clone for CuckooTable<V> {
+impl<V: Clone, Q: KeyWord> Clone for CuckooTable<V, Q> {
     fn clone(&self) -> Self {
         let capacity = self.ways * self.sets;
         let mut values = self.values.uninit_like();
@@ -606,7 +651,7 @@ impl<V: Clone> Clone for CuckooTable<V> {
     }
 }
 
-impl<V> Drop for CuckooTable<V> {
+impl<V, Q: KeyWord> Drop for CuckooTable<V, Q> {
     fn drop(&mut self) {
         if std::mem::needs_drop::<V>() {
             for slot in 0..self.ways * self.sets {

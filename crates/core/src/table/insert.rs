@@ -2,7 +2,7 @@
 //! and the slot writes they share.
 
 use super::kernels::fingerprint;
-use super::{ways_dispatch, CuckooTable, FindOrInsert, InsertOutcome, EMPTY_TAG};
+use super::{ways_dispatch, CuckooTable, FindOrInsert, InsertOutcome, KeyWord, EMPTY_TAG};
 use ccd_directory::InsertPolicy;
 use std::mem::MaybeUninit;
 
@@ -59,37 +59,39 @@ impl BfsScratch {
     }
 }
 
-impl<V> CuckooTable<V> {
+impl<V, Q: KeyWord> CuckooTable<V, Q> {
     /// Writes `key`/`value` into the vacant `slot`.
     #[inline]
     fn fill_slot(&mut self, slot: usize, key: u64, value: V) {
         debug_assert_eq!(self.tags[slot], EMPTY_TAG, "fill requires a vacant slot");
         self.tags[slot] = fingerprint(key);
-        self.keys[slot] = key;
+        self.keys[slot] = self.word_of(key);
         self.values[slot].write(value);
     }
 
     /// Replaces the occupant of `slot` with `key`/`value`, returning the
-    /// displaced pair.
+    /// displaced pair, its key rebuilt in full.
     #[inline]
     fn swap_slot(&mut self, slot: usize, key: u64, value: V) -> (u64, V) {
         assert!(
             self.tags[slot] != EMPTY_TAG,
             "displacement only happens into occupied slots"
         );
-        let old_key = self.keys[slot];
+        let old_key = self.key_of(slot);
         // SAFETY: the occupied tag guarantees the payload is initialized,
         // and it is replaced (not duplicated) in the same expression.
         let old_value = unsafe {
             std::mem::replace(&mut self.values[slot], MaybeUninit::new(value)).assume_init()
         };
         self.tags[slot] = fingerprint(key);
-        self.keys[slot] = key;
+        self.keys[slot] = self.word_of(key);
         (old_key, old_value)
     }
 
     /// Moves the occupant of `from` into the vacant slot `to`, leaving
-    /// `from` vacant — one hop of a BFS displacement path.
+    /// `from` vacant — one hop of a BFS displacement path.  The key word
+    /// moves unchanged: a narrow word is the key's bits above the index,
+    /// the same in every way.
     #[inline]
     fn move_slot(&mut self, from: usize, to: usize) {
         debug_assert_ne!(self.tags[from], EMPTY_TAG, "path nodes are occupied");
@@ -337,7 +339,7 @@ impl<V> CuckooTable<V> {
                 }
             }
             let node_slot = scratch.nodes[head].slot as usize;
-            self.hash_into(self.key_at(node_slot), &mut cand);
+            self.hash_into(self.key_of(node_slot), &mut cand);
             if let Some(vacant) = self.first_vacant_prehashed(&cand) {
                 return Some((head as u32, vacant));
             }

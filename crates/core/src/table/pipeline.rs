@@ -1,7 +1,7 @@
 //! The staged batch pipeline (see the `table` module docs).
 
 use super::kernels::fingerprint;
-use super::{ways_dispatch, CuckooTable, InsertOutcome};
+use super::{ways_dispatch, CuckooTable, InsertOutcome, KeyWord};
 use ccd_common::prefetch::prefetch_slice_element;
 
 /// Operations per window of the staged batch pipeline
@@ -19,7 +19,7 @@ use ccd_common::prefetch::prefetch_slice_element;
 /// so the simpler loop stayed.
 pub const PIPELINE_DEPTH: usize = 16;
 
-impl<V> CuckooTable<V> {
+impl<V, Q: KeyWord> CuckooTable<V, Q> {
     /// Stage 1 of the batch pipeline: hints the CPU to fetch the candidate
     /// tag bytes behind `indices`.  Purely a performance hint; see
     /// [`ccd_common::prefetch::prefetch_read`].

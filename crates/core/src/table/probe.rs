@@ -2,11 +2,11 @@
 //! key compares that confirm a fingerprint match.
 
 use super::kernels::{fingerprint, fold_lanes, swar_match};
-use super::{CuckooTable, ProbeOutcome, EMPTY_TAG, SMALL_WAYS};
+use super::{CuckooTable, KeyWord, ProbeOutcome, EMPTY_TAG, SMALL_WAYS};
 use ccd_common::LineAddr;
 use ccd_hash::IndexHashFamily;
 
-impl<V> CuckooTable<V> {
+impl<V, Q: KeyWord> CuckooTable<V, Q> {
     /// The number of ways a kernel compiled for `N` walks: `N` itself, a
     /// constant, when [`ways_dispatch!`] matched the table's way count
     /// exactly; the runtime count for the wide tables it sends to
@@ -54,10 +54,44 @@ impl<V> CuckooTable<V> {
     /// Reads the key word of `slot`; same bounds argument as
     /// [`CuckooTable::tag_at`].
     #[inline]
-    pub(super) fn key_at(&self, slot: usize) -> u64 {
+    pub(super) fn key_at(&self, slot: usize) -> Q {
         debug_assert!(slot < self.keys.len());
         // SAFETY: see `tag_at` — slot < ways * sets == keys.len().
         unsafe { *self.keys.get_unchecked(slot) }
+    }
+
+    /// `log2(sets)`: the bits of a key the set index stands for.
+    #[inline(always)]
+    pub(super) fn index_bits(&self) -> u32 {
+        self.sets.trailing_zeros()
+    }
+
+    /// The key word `key` is stored as ([`KeyWord::pack`]).
+    #[inline(always)]
+    pub(super) fn word_of(&self, key: u64) -> Q {
+        Q::pack(key, self.index_bits())
+    }
+
+    /// The full key resident in the occupied `slot`: its key word itself,
+    /// or, for narrow words, the one line whose high bits are the word and
+    /// whose index in the slot's way is the slot's index.
+    #[inline]
+    pub(super) fn key_of(&self, slot: usize) -> u64 {
+        let word = self.key_at(slot).bits();
+        if !Q::NARROW {
+            return word;
+        }
+        let way = slot >> self.index_bits();
+        let index = slot & (self.sets - 1);
+        #[expect(
+            clippy::expect_used,
+            reason = "with_key_word builds narrow tables over a skewing family only"
+        )]
+        let line = self
+            .hashes
+            .line_from_high(way, index, word)
+            .expect("narrow keys are rebuilt by a skewing family");
+        line.block_number()
     }
 
     /// Gathers the candidate tags of ways `way .. way + lanes` into one SWAR
@@ -135,10 +169,11 @@ impl<V> CuckooTable<V> {
         indices: &[usize; N],
     ) -> Option<usize> {
         let (mut candidates, _) = self.way_masks::<N, true, false>(fingerprint(key), indices);
+        let word = self.word_of(key);
         while candidates != 0 {
             let w = candidates.trailing_zeros() as usize;
             let slot = w * self.sets + indices[w];
-            if self.key_at(slot) == key {
+            if self.key_at(slot) == word {
                 return Some(slot);
             }
             candidates &= candidates - 1;
@@ -162,10 +197,11 @@ impl<V> CuckooTable<V> {
             let w = empties.trailing_zeros() as usize;
             w * self.sets + indices[w]
         });
+        let word = self.word_of(key);
         while candidates != 0 {
             let w = candidates.trailing_zeros() as usize;
             let slot = w * self.sets + indices[w];
-            if self.key_at(slot) == key {
+            if self.key_at(slot) == word {
                 return ProbeOutcome {
                     hit: Some(slot),
                     vacant,

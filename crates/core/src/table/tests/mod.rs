@@ -767,3 +767,135 @@ fn check_invariants_names_corrupted_tags_keys_and_counts() {
         assert_eq!(table.check_invariants(), Ok(()));
     }
 }
+
+// ---- Narrow keys ------------------------------------------------------
+
+/// Random lines below the 42-bit bound of a 48-bit physical address.
+fn random_lines(seed: u64, count: usize) -> Vec<u64> {
+    let mut rng = SplitMix64::new(seed);
+    (0..count)
+        .map(|_| rng.next_u64() >> (64 - ccd_common::LINE_ADDRESS_BITS))
+        .collect()
+}
+
+#[test]
+fn narrow_words_round_trip_to_their_keys_in_every_way() {
+    use ccd_common::LineAddr;
+    use ccd_hash::{skewing, IndexHashFamily, SkewingFamily};
+    for n in [10u32, 12, 20] {
+        let sets = 1usize << n;
+        assert!(narrow_keys(HashKind::Skewing, sets), "2^{n} sets");
+        let family = SkewingFamily::new(skewing::MAX_WAYS, sets).unwrap();
+        for key in random_lines(0x0A12 + u64::from(n), 2000) {
+            let word = u32::pack(key, n);
+            assert_eq!(
+                u64::from(word),
+                key >> n,
+                "the word is the bits above the index"
+            );
+            for way in 0..skewing::MAX_WAYS {
+                let index = family.index(way, LineAddr::from_block_number(key));
+                let rebuilt = family.line_from_high(way, index, word.bits());
+                assert_eq!(rebuilt.block_number(), key, "2^{n} sets, way {way}");
+            }
+        }
+    }
+}
+
+#[test]
+fn narrow_tables_rebuild_every_key_they_hold() {
+    for (ways, n) in [(4usize, 10u32), (8, 12), (2, 20)] {
+        let sets = 1usize << n;
+        let mut table: CuckooTable<u64, u32> =
+            CuckooTable::with_key_word(ways, sets, HashKind::Skewing, 0).unwrap();
+        let mut wide: CuckooTable<u64> =
+            CuckooTable::new(ways, sets, HashKind::Skewing, 0).unwrap();
+        // Nine tenths of the capacity, so displacement and discards run
+        // and every way fills; capped so the 2^20-set case stays quick.
+        let lines = random_lines(0xB0 + u64::from(n), (ways * sets * 9 / 10).min(40_000));
+        for &key in &lines {
+            assert_eq!(table.insert(key, !key), wide.insert(key, !key));
+        }
+        assert_eq!(table.check_invariants(), Ok(()));
+        assert_eq!(table.len(), wide.len());
+        let mut per_way = vec![0usize; ways];
+        for slot in (0..table.capacity()).filter(|&slot| table.tags[slot] != EMPTY_TAG) {
+            assert_eq!(table.key_of(slot), wide.key_of(slot), "same placement");
+            per_way[slot / sets] += 1;
+        }
+        assert!(
+            per_way.iter().all(|&n| n > 0),
+            "every way holds keys: {per_way:?}"
+        );
+        let got: BTreeMap<u64, u64> = table.iter().map(|(k, &v)| (k, v)).collect();
+        assert_eq!(got, contents(&wide));
+        for &key in &lines {
+            assert_eq!(table.get(key), wide.get(key));
+        }
+        for absent in random_lines(0xAB5E, 2000) {
+            assert_eq!(table.contains(absent), wide.contains(absent), "{absent:#x}");
+        }
+    }
+}
+
+#[test]
+fn only_skewing_from_1024_sets_stores_narrow_words() {
+    for n in 1..=30u32 {
+        let sets = 1usize << n;
+        assert_eq!(narrow_keys(HashKind::Skewing, sets), n >= 10, "2^{n} sets");
+        assert!(!narrow_keys(HashKind::Strong, sets), "strong, 2^{n} sets");
+        assert!(
+            !narrow_keys(HashKind::MultiplyShift, sets),
+            "ms, 2^{n} sets"
+        );
+    }
+    // A narrow word asked for where it cannot rebuild the key is refused.
+    for (kind, sets) in [
+        (HashKind::Skewing, 512),
+        (HashKind::Strong, 1 << 10),
+        (HashKind::MultiplyShift, 1 << 20),
+    ] {
+        let err = CuckooTable::<(), u32>::with_key_word(4, sets, kind, 0).unwrap_err();
+        assert!(
+            matches!(err, ConfigError::Inconsistent { .. }),
+            "{kind} {sets}: {err}"
+        );
+    }
+    assert!(CuckooTable::<(), u32>::with_key_word(4, 1024, HashKind::Skewing, 0).is_ok());
+}
+
+#[test]
+fn check_invariants_catches_a_corrupted_narrow_word() {
+    let mut table: CuckooTable<u64, u32> =
+        CuckooTable::with_key_word(4, 1 << 10, HashKind::Skewing, 0).unwrap();
+    for key in random_lines(0xC0, 2000) {
+        table.insert(key, key);
+    }
+    assert_eq!(table.check_invariants(), Ok(()));
+    let slot = (0..table.capacity())
+        .find(|&slot| table.tags[slot] != EMPTY_TAG)
+        .unwrap();
+    let resident = table.keys[slot];
+
+    // A word past the 32 bits a line has above 2^10 sets cannot be
+    // written in a u32, so shrink the table's view: 2^12 sets leave 30.
+    let mut wider: CuckooTable<u64, u32> =
+        CuckooTable::with_key_word(4, 1 << 12, HashKind::Skewing, 0).unwrap();
+    for key in random_lines(0xC1, 2000) {
+        wider.insert(key, key);
+    }
+    let far = (0..wider.capacity())
+        .find(|&slot| wider.tags[slot] != EMPTY_TAG)
+        .unwrap();
+    wider.keys[far] |= 1 << 30;
+    let why = wider.check_invariants().unwrap_err();
+    assert!(why.contains("does not fit the 30 bits"), "{why}");
+
+    // A word that fits but names another line: the slot rebuilds that
+    // line, whose fingerprint is not the tag.
+    table.keys[slot] = resident ^ 1;
+    let why = table.check_invariants().unwrap_err();
+    assert!(why.contains("fingerprint"), "{why}");
+    table.keys[slot] = resident;
+    assert_eq!(table.check_invariants(), Ok(()));
+}

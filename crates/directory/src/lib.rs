@@ -180,6 +180,27 @@ impl DirectoryOp {
         }
     }
 
+    /// The line check of an organization that stores only the bits of a
+    /// line its set index does not determine (a cuckoo directory with
+    /// narrow keys): the line must lie in the paper's 48-bit physical
+    /// address space, below `2^LINE_ADDRESS_BITS`.  Like
+    /// [`DirectoryOp::check_cache`], it runs at the op entry, before
+    /// anything is looked up or allocated.
+    ///
+    /// # Panics
+    ///
+    /// When the line is at or past `2^LINE_ADDRESS_BITS`.
+    #[inline]
+    pub fn check_line(&self) {
+        let line = self.line().block_number();
+        assert!(
+            line >> ccd_common::LINE_ADDRESS_BITS == 0,
+            "line {line:#x} lies past the 48-bit physical address space \
+             (lines below 2^{})",
+            ccd_common::LINE_ADDRESS_BITS
+        );
+    }
+
     /// Returns a copy of the operation with its line replaced — used by
     /// wrappers (e.g. [`ShardedDirectory`]) that translate global lines to
     /// slice-local ones.

@@ -451,8 +451,9 @@ pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, Con
 /// alone up to 64 caches, in the narrowest of `u16` (up to 16 caches),
 /// `u32` (up to 32) and `u64` (up to 64) that holds the count
 /// ([`ccd_sharers::PresenceWord`]), and heap words above
-/// ([`ccd_sharers::WideBitVector`]).  A cuckoo entry is then 11 bytes at 16
-/// caches, 13 at 32 and 17 at 64.
+/// ([`ccd_sharers::WideBitVector`]).  A cuckoo entry with full 64-bit keys
+/// is then 11 bytes at 16 caches, 13 at 32 and 17 at 64, and 4 bytes less
+/// where the cuckoo builder picks narrow keys as well.
 #[macro_export]
 macro_rules! match_sharer_format {
     ($format:expr, $caches:expr, $S:ident => $body:expr) => {

@@ -123,6 +123,19 @@ impl HashFamily {
         })
     }
 
+    /// The line whose bits above the index field are `high` and whose
+    /// way-`way` index is `index`, where the family can invert its index:
+    /// skewing ([`SkewingFamily::line_from_high`]).  `None` for
+    /// multiply-shift and strong, whose index mixes every address bit.
+    #[inline]
+    #[must_use]
+    pub fn line_from_high(&self, way: usize, index: usize, high: u64) -> Option<LineAddr> {
+        match self {
+            HashFamily::Skewing(f) => Some(f.line_from_high(way, index, high)),
+            HashFamily::MultiplyShift(_) | HashFamily::Strong(_) => None,
+        }
+    }
+
     /// Returns which kind of family this is.
     #[must_use]
     pub fn kind(&self) -> HashKind {

@@ -88,6 +88,34 @@ impl SkewingFamily {
         })
     }
 
+    /// The line whose bits above the index field are `high` (`line >> n`
+    /// for `2^n` sets) and whose way-`way` index is `index`: the inverse of
+    /// [`IndexHashFamily::index`] once the high bits are known.  Every field
+    /// but the first enters the index through an XOR and the first through a
+    /// rotation, so `A1 = rotl(index XOR rot(A2) XOR A3 XOR …, r1)`, and
+    /// exactly one line with these high bits lands on `index` in `way`.
+    ///
+    /// This is what lets a skewed structure store only the address bits its
+    /// set index does not determine, as a skewed cache's tag does.
+    #[inline]
+    #[must_use]
+    pub fn line_from_high(&self, way: usize, index: usize, high: u64) -> LineAddr {
+        let n = self.index_bits;
+        let mask = (1u64 << n) - 1;
+        let a2 = high & mask;
+        let mut remaining = high >> n;
+        let mut folded = 0u64;
+        while remaining != 0 {
+            folded ^= remaining & mask;
+            remaining >>= n;
+        }
+        let (rot1, rot2) = self.rotations[way];
+        let rotated = (index as u64 ^ Self::rotate_field(a2, rot2, n) ^ folded) & mask;
+        // A right rotation by `n - r1` undoes the right rotation by `r1`.
+        let a1 = Self::rotate_field(rotated, (n - rot1) % n, n);
+        LineAddr::from_block_number((high << n) | a1)
+    }
+
     /// Rotates the low `bits` bits of `field` right by `amount`
     /// (pre-reduced: `amount < bits`).
     #[inline]
@@ -262,6 +290,28 @@ mod tests {
                 "way {way} mapped 64 conflicting lines to only {} sets",
                 indices.len()
             );
+        }
+    }
+
+    #[test]
+    fn the_inverse_rebuilds_the_first_field_for_every_way() {
+        use ccd_common::rng::{Rng64, SplitMix64};
+        let mut rng = SplitMix64::new(0x1A7E);
+        for sets in [2usize, 512, 1 << 10, 1 << 12, 1 << 20, 1 << 31] {
+            let f = SkewingFamily::new(MAX_WAYS, sets).unwrap();
+            let n = f.index_bits;
+            for _ in 0..200 {
+                let line = LineAddr::from_block_number(rng.next_u64() >> 22);
+                for way in 0..MAX_WAYS {
+                    let index = f.index(way, line);
+                    let high = line.block_number() >> n;
+                    assert_eq!(
+                        f.line_from_high(way, index, high),
+                        line,
+                        "2^{n} sets, way {way}"
+                    );
+                }
+            }
         }
     }
 

@@ -199,7 +199,8 @@ fn the_two_spec_grammars_never_panic_name_what_they_reject_and_round_trip() {
 
 /// `bytes` read as a CCDT trace, by iteration and by `read_all`: neither
 /// may panic, iteration yields nothing after its first error, and both ways
-/// end alike — in every record, or in the one same error.
+/// end alike — in every record, or in the one same error.  Every record
+/// read lies in the 48-bit physical address space a directory keys.
 fn read_ccdt(bytes: &[u8]) -> io::Result<Vec<MemRef>> {
     let read = || {
         let mut reader = TraceReader::new(bytes)?;
@@ -217,6 +218,9 @@ fn read_ccdt(bytes: &[u8]) -> io::Result<Vec<MemRef>> {
             }
             None => {
                 assert_eq!(all.ok().as_ref(), Some(&records));
+                assert!(records
+                    .iter()
+                    .all(|r| r.addr.raw() >> ccd_common::PHYSICAL_ADDRESS_BITS == 0));
                 Ok(records)
             }
         }

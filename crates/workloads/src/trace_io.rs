@@ -24,7 +24,8 @@
 //! against the 13 bytes of a naive fixed layout) because consecutive
 //! references cluster in the address space.  The reader streams from any
 //! [`Read`] — no memory-mapping, no seeking — and validates the header,
-//! every varint, every core id against the header's core count, and the
+//! every varint, every core id against the header's core count, every
+//! address against the paper's 48-bit physical address space, and the
 //! record count.
 //!
 //! ```
@@ -47,7 +48,7 @@
 //! assert_eq!(replayed, refs, "replay is bit-identical");
 //! ```
 
-use ccd_common::{AccessType, Address, CoreId, MemRef};
+use ccd_common::{AccessType, Address, CoreId, MemRef, PHYSICAL_ADDRESS_BITS};
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -116,6 +117,16 @@ fn excluded_core(record: u64, core: u64, num_cores: u32) -> String {
     format!("record {record} names core {core}, but the header declares {num_cores} cores")
 }
 
+/// The first byte address past the paper's 48-bit physical address space.
+const ADDRESS_LIMIT: u64 = 1 << PHYSICAL_ADDRESS_BITS;
+
+fn address_past_limit(record: u64, addr: u64) -> String {
+    format!(
+        "record {record} names address {addr:#x}, past the {PHYSICAL_ADDRESS_BITS}-bit \
+         physical address space"
+    )
+}
+
 fn kind_of(code: u8) -> io::Result<AccessType> {
     match code {
         0 => Ok(AccessType::InstructionFetch),
@@ -163,14 +174,21 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`], before any byte of the record is
-    /// written, when `r.core` is not below the header's core count — the
-    /// reader would reject the whole file over it.  Propagates I/O errors
+    /// written, when `r.core` is not below the header's core count or
+    /// `r.addr` lies past the 48-bit physical address space — the reader
+    /// would reject the whole file over either.  Propagates I/O errors
     /// from the sink.
     pub fn record(&mut self, r: MemRef) -> io::Result<()> {
         if r.core.raw() >= self.num_cores {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 excluded_core(self.count, u64::from(r.core.raw()), self.num_cores),
+            ));
+        }
+        if r.addr.raw() >= ADDRESS_LIMIT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                address_past_limit(self.count, r.addr.raw()),
             ));
         }
         self.sink.write_all(&[kind_code(r.kind)])?;
@@ -339,6 +357,14 @@ impl<R: Read> TraceReader<R> {
             })?;
         let delta = unzigzag(read_varint(&mut self.src)?);
         let addr = self.prev_addr.wrapping_add(delta as u64);
+        // Directories key lines of a 48-bit physical address; one past it
+        // is corruption, as an excluded core is.
+        if addr >= ADDRESS_LIMIT {
+            return Err(invalid(address_past_limit(
+                self.count - self.remaining,
+                addr,
+            )));
+        }
         self.prev_addr = addr;
         Ok(MemRef::new(CoreId::new(core), Address::new(addr), kind))
     }
@@ -487,7 +513,7 @@ mod tests {
     #[test]
     fn extreme_addresses_and_cores_survive() {
         let refs = vec![
-            MemRef::read(CoreId::new(0), Address::new(u64::MAX)),
+            MemRef::read(CoreId::new(0), Address::new(ADDRESS_LIMIT - 1)),
             MemRef::write(CoreId::new(u32::MAX - 1), Address::new(0)),
             MemRef::ifetch(CoreId::new(1023), Address::new(0x0400_0000_0000)),
         ];
@@ -558,6 +584,50 @@ mod tests {
             assert!(message.contains("declares 4 cores"), "{message}");
             assert!(reader.next().is_none(), "errors end the stream");
         }
+    }
+
+    #[test]
+    fn an_address_past_the_physical_address_space_is_corruption() {
+        let refs = [
+            MemRef::read(CoreId::new(0), Address::new(64)),
+            MemRef::write(CoreId::new(1), Address::new(ADDRESS_LIMIT - 64)),
+        ];
+        let bytes = round_trip(&refs, 2);
+        // Record 1's delta varint follows record 0 and record 1's kind and
+        // core bytes.  Re-encode it to land on 2^48, then on 2^64 - 64 (a
+        // negative delta from 64).
+        let tail = round_trip(&refs[..1], 2).len() + 2;
+        for (delta, addr) in [
+            (ADDRESS_LIMIT as i64 - 64, "0x1000000000000"),
+            (-128, "0xffffffffffffffc0"),
+        ] {
+            let mut patched = bytes[..tail].to_vec();
+            write_varint(&mut patched, zigzag(delta)).unwrap();
+            let mut reader = TraceReader::new(Cursor::new(&patched)).unwrap();
+            assert_eq!(reader.next().unwrap().unwrap(), refs[0]);
+            let err = reader.next().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("record 1 names address {addr},"))
+                    && message.contains("48-bit physical address space"),
+                "{message}"
+            );
+            assert!(reader.next().is_none(), "errors end the stream");
+        }
+
+        // The writer refuses such an address before writing any of it.
+        let mut writer = TraceWriter::new(Cursor::new(Vec::new()), 2).unwrap();
+        writer.record(refs[0]).unwrap();
+        for addr in [ADDRESS_LIMIT, u64::MAX] {
+            let err = writer
+                .record(MemRef::read(CoreId::new(0), Address::new(addr)))
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains("record 1 names address"), "{err}");
+        }
+        writer.record(refs[1]).unwrap();
+        assert_eq!(writer.finish().unwrap().0.into_inner(), bytes);
     }
 
     #[test]

@@ -27,6 +27,13 @@ median, and a verdict:
   unresolved    neither: the runs spread too widely to tell
   equal         every pair read the same value
 
+Before the runs it prints, from `nm`, where the cuckoo table's and
+directory's compiled functions start modulo 64 on each side, one row per
+function name (generic arguments and hashes stripped, one offset per
+instance), and flags the names whose offsets differ.  A metric that moves
+when no code on its path changed is then checked against code alignment
+from this output alone.
+
 Metrics measured in op/s, s or MiB are timings and memory.  Every other
 metric is counted from what the run computed, so it must repeat exactly for
 a shared seed; so must the `digest` line.  The exit status is 1 when any of
@@ -39,6 +46,7 @@ import math
 import os
 import pathlib
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -46,6 +54,9 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MEASURED_UNITS = {"op/s", "s", "MiB"}
+# The functions whose start offsets modulo 64 are compared: everything
+# compiled from the cuckoo table and the directory built on it.
+HOT = ("ccd_cuckoo::table", "ccd_cuckoo::directory")
 
 
 def git(*args, cwd=ROOT):
@@ -67,6 +78,25 @@ class Side:
     def build(self):
         argv = ["build" if word == "run" else word for word in self.command if word != "--"]
         subprocess.run(argv, cwd=self.tree, env=self.env, check=True)
+
+    def hot_offsets(self):
+        """Function name -> sorted start offsets modulo 64, from `nm`."""
+        binary = pathlib.Path(self.env["CARGO_TARGET_DIR"]) / "release" / "benchmark"
+        done = subprocess.run(["nm", "-C", "--defined-only", str(binary)],
+                              capture_output=True, text=True)
+        offsets = {}
+        for line in done.stdout.splitlines():
+            addr, kind, name = (line.split(" ", 2) + ["", ""])[:3]
+            if kind.lower() != "t":
+                continue
+            # Strip generic argument lists (no spaces inside), keeping the
+            # `<impl T>` and `<T as Trait>` paths that say what a method is.
+            name = re.sub(r"::h[0-9a-f]{16}$", "", name)
+            while (bare := re.sub(r"<[^<>\s]*>", "", name)) != name:
+                name = bare
+            if any(hot in name for hot in HOT):
+                offsets.setdefault(name, []).append(int(addr, 16) % 64)
+        return {name: sorted(found) for name, found in offsets.items()}
 
     def run(self, workload, seed, seconds):
         argv = self.command + ["--workload", workload, "--seed", str(seed),
@@ -113,6 +143,20 @@ def verdict(metric, base, change):
     return m_base, m_change, shift, wins, iqr, word
 
 
+def print_alignment(parent, change):
+    """One row per hot function: its offsets modulo 64 on both sides, as
+    `offset×instances`."""
+    def cell(offsets):
+        return " ".join(f"{o}×{offsets.count(o)}" for o in sorted(set(offsets))) or "-"
+
+    print("\n| function | parent mod 64 | change mod 64 | |")
+    print("|---|---|---|---|")
+    for name in sorted(set(parent) | set(change)):
+        a, b = parent.get(name, []), change.get(name, [])
+        print(f"| {name} | {cell(a)} | {cell(b)} | {'' if a == b else 'DIFFERS'} |")
+    print(flush=True)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="the parent revision")
@@ -146,6 +190,7 @@ def main():
             print(f"parent {parent.commit[:10]}  change {change.commit[:10]}", flush=True)
             for side in sides:
                 side.build()
+            print_alignment(parent.hot_offsets(), change.hot_offsets())
 
             rows = []
             for workload in workloads:

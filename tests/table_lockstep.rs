@@ -7,11 +7,14 @@
 //! to ~0.95) and the displacement edge cases (attempt budget of 1, a 2-way
 //! table at 100% load, chains that circle back to the incoming key) through
 //! every hash kind at every way count the probe is compiled for, in
-//! lockstep against [`AosReferenceTable`].
+//! lockstep against [`AosReferenceTable`].  Tables of narrow keys (skewing
+//! from 1,024 sets up, storing only each line's bits above the set index)
+//! run the same streams over 42-bit lines against the same full-key
+//! reference, and under BFS against a full-key table.
 
 use ccd_common::rng::{Rng64, SplitMix64};
 use ccd_cuckoo::seed_reference::AosReferenceTable;
-use ccd_cuckoo::CuckooTable;
+use ccd_cuckoo::{narrow_keys, CuckooTable, KeyWord};
 use ccd_directory::InsertPolicy;
 use ccd_hash::HashKind;
 use std::collections::BTreeMap;
@@ -29,16 +32,33 @@ fn lockstep_stream(
     ops: usize,
     seed: u64,
 ) -> f64 {
-    let mut table: CuckooTable<u64> = CuckooTable::new(ways, sets, kind, seed).unwrap();
-    table.set_max_attempts(budget);
-    let mut reference = AosReferenceTable::new(ways, sets, kind, seed, budget).unwrap();
-    let mut rng = SplitMix64::new(seed ^ 0x9E3779B9);
+    let table: CuckooTable<u64> = CuckooTable::new(ways, sets, kind, seed).unwrap();
     // A keyspace of ~1.5x capacity saturates the structure: insertions keep
     // landing in full candidate sets, exercising displacement and discard.
     let keyspace = (ways * sets * 3 / 2) as u64;
+    let pool: Vec<u64> = (0..keyspace).map(|i| i << 4 | 0x3).collect();
+    lockstep(table, kind, &pool, budget, ops, seed, 1)
+}
+
+/// The body of [`lockstep_stream`] for any key word: `table` (empty,
+/// built over `kind` with the stream's seed) draws its keys from `pool`
+/// and checks its invariants every `check_every` steps.
+fn lockstep<Q: KeyWord>(
+    mut table: CuckooTable<u64, Q>,
+    kind: HashKind,
+    pool: &[u64],
+    budget: u32,
+    ops: usize,
+    seed: u64,
+    check_every: usize,
+) -> f64 {
+    let (ways, sets) = (table.ways(), table.sets());
+    table.set_max_attempts(budget);
+    let mut reference = AosReferenceTable::new(ways, sets, kind, seed, budget).unwrap();
+    let mut rng = SplitMix64::new(seed ^ 0x9E3779B9);
     let mut peak = 0.0f64;
     for step in 0..ops {
-        let key = rng.next_below(keyspace) << 4 | 0x3;
+        let key = pool[rng.next_below(pool.len() as u64) as usize];
         match rng.next_below(8) {
             0 => {
                 let got = table.remove(key);
@@ -62,18 +82,116 @@ fn lockstep_stream(
                 );
             }
         }
-        assert_eq!(
-            table.check_invariants(),
-            Ok(()),
-            "{kind}/{ways}-way after {step}"
-        );
+        if step % check_every == 0 {
+            assert_eq!(
+                table.check_invariants(),
+                Ok(()),
+                "{kind}/{ways}-way after {step}"
+            );
+        }
         assert_eq!(table.len(), reference.len(), "{kind}/{ways}-way at {step}");
         peak = peak.max(table.occupancy());
     }
+    assert_eq!(
+        table.check_invariants(),
+        Ok(()),
+        "{kind}/{ways}-way at the end"
+    );
     let got: BTreeMap<u64, u64> = table.iter().map(|(k, &v)| (k, v)).collect();
     let want: BTreeMap<u64, u64> = reference.iter().map(|(k, &v)| (k, v)).collect();
     assert_eq!(got, want, "{kind}/{ways}-way final contents diverged");
     peak
+}
+
+/// `count` distinct random lines below the 42-bit bound of a 48-bit
+/// physical address, spread over all 42 bits.
+fn line_pool(count: usize, seed: u64) -> Vec<u64> {
+    let mut rng = SplitMix64::new(seed);
+    let mut lines = std::collections::BTreeSet::new();
+    while lines.len() < count {
+        lines.insert(rng.next_u64() >> (64 - ccd_common::LINE_ADDRESS_BITS));
+    }
+    lines.into_iter().collect()
+}
+
+/// A 4-way skewing table of narrow keys over `sets` sets.
+fn narrow_table(sets: usize, seed: u64) -> CuckooTable<u64, u32> {
+    assert!(
+        narrow_keys(HashKind::Skewing, sets),
+        "{sets} sets store full keys"
+    );
+    CuckooTable::with_key_word(4, sets, HashKind::Skewing, seed).unwrap()
+}
+
+#[test]
+fn narrow_keys_match_the_full_key_reference_at_saturating_occupancy() {
+    for (sets, seed) in [(1 << 10, 0xD1), (1 << 12, 0xD2)] {
+        let pool = line_pool(4 * sets * 3 / 2, seed);
+        let ops = 16 * 4 * sets;
+        let peak = lockstep(
+            narrow_table(sets, seed),
+            HashKind::Skewing,
+            &pool,
+            32,
+            ops,
+            seed,
+            997,
+        );
+        assert!(peak >= 0.85, "{sets} sets: peak occupancy only {peak:.3}");
+    }
+}
+
+#[test]
+fn narrow_keys_stay_in_lockstep_under_an_attempt_budget_of_one() {
+    // Every fully conflicted insert exhausts the budget at once: the
+    // probed slot's victim, its key rebuilt from the slot, is discarded.
+    let sets = 1 << 10;
+    let pool = line_pool(4 * sets * 3 / 2, 0xD3);
+    lockstep(
+        narrow_table(sets, 0xD3),
+        HashKind::Skewing,
+        &pool,
+        1,
+        8 * 4 * sets,
+        0xD3,
+        997,
+    );
+}
+
+#[test]
+fn narrow_keys_under_bfs_match_a_full_key_bfs_table() {
+    // The seed reference has no BFS, so the full-key table (held to the
+    // reference above) is the reference here: the same attempts, discards
+    // and final contents on a saturating stream of 42-bit lines.
+    let (sets, budget, seed) = (1usize << 10, 6, 0xD4u64);
+    let mut narrow = narrow_table(sets, seed);
+    let mut wide: CuckooTable<u64> = CuckooTable::new(4, sets, HashKind::Skewing, seed).unwrap();
+    narrow.set_max_attempts(budget);
+    narrow.set_insert_policy(InsertPolicy::Bfs);
+    wide.set_max_attempts(budget);
+    wide.set_insert_policy(InsertPolicy::Bfs);
+    let pool = line_pool(4 * sets * 3 / 2, seed);
+    let mut rng = SplitMix64::new(seed);
+    let (mut discards, mut peak) = (0usize, 0.0f64);
+    for step in 0..16 * 4 * sets {
+        let key = pool[rng.next_below(pool.len() as u64) as usize];
+        if rng.next_below(8) == 0 {
+            assert_eq!(narrow.remove(key), wide.remove(key), "remove at {step}");
+        } else {
+            let got = narrow.insert(key, key ^ step as u64);
+            assert_eq!(got, wide.insert(key, key ^ step as u64), "insert at {step}");
+            discards += usize::from(got.discarded.is_some());
+        }
+        peak = peak.max(narrow.occupancy());
+    }
+    assert_eq!(narrow.check_invariants(), Ok(()));
+    assert!(
+        discards > 0 && peak >= 0.9,
+        "{discards} discards, peak {peak:.3}"
+    );
+    let got: BTreeMap<u64, u64> = narrow.iter().map(|(k, &v)| (k, v)).collect();
+    let want: BTreeMap<u64, u64> = wide.iter().map(|(k, &v)| (k, v)).collect();
+    assert_eq!(got, want);
 }
 
 #[test]

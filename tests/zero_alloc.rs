@@ -16,14 +16,16 @@
 //! buffers (`ccd_common::pages::PageBuf`): a cache-line-aligned one below
 //! the 2 MiB huge-page line is released with exactly the layout it was
 //! allocated with, and a huge one never reaches the allocator (on Linux it
-//! is a mapping of its own).
+//! is a mapping of its own).  Their byte sums also show the key word the
+//! registry picks: 4 bytes a slot for skewing from 1,024 sets up, 8
+//! otherwise.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; this file
 //! contains a single `#[test]` so no concurrent test can perturb the
 //! counters.
 
 use ccd_common::{CacheId, LineAddr};
-use ccd_cuckoo::{standard_registry, CuckooTable, InsertOutcome};
+use ccd_cuckoo::{narrow_keys, standard_registry, CuckooTable, InsertOutcome};
 use ccd_directory::{DirectoryOp, Outcome};
 use ccd_hash::HashKind;
 use ccd_sharers::{CoarseVector, LimitedPointer, PresenceWord};
@@ -346,6 +348,9 @@ fn steady_state_hot_paths_do_not_allocate() {
         assert_eq!(aligns - before.1, 3 * LINE);
         let large: CuckooTable<u64> = CuckooTable::new(4, 1 << 16, HashKind::Skewing, 1).unwrap();
         let cloned = large.clone();
+        // Narrow keys halve the key array to 1 MiB, below the line.
+        let narrow: CuckooTable<u64, u32> =
+            CuckooTable::with_key_word(4, 1 << 16, HashKind::Skewing, 1).unwrap();
         let (bytes, aligns) = aligned_live();
         // What each 2 MiB array adds to both sums: nothing where it is
         // mapped, its size and alignment where the allocator holds it.
@@ -356,15 +361,44 @@ fn steady_state_hot_paths_do_not_allocate() {
         };
         assert_eq!(
             bytes - before.0,
-            2048 + 2 * 16384 + 2 * ((256 << 10) + 2 * huge),
+            2048 + 2 * 16384 + 2 * ((256 << 10) + 2 * huge) + (256 << 10) + (1 << 20) + huge,
             "a huge array went through the allocator"
         );
-        assert_eq!(aligns - before.1, 3 * LINE + 2 * (LINE + 2 * huge));
-        drop((small, large, cloned));
+        assert_eq!(
+            aligns - before.1,
+            3 * LINE + 2 * (LINE + 2 * huge) + 2 * LINE + huge
+        );
+        drop((small, large, cloned, narrow));
     }
     assert_eq!(
         aligned_live(),
         before,
         "a buffer was released with another layout"
     );
+
+    // --- Key words: a registry-built slice of 16 caches is a tag byte, a
+    // key word and a 2-byte presence word a slot, each array below the
+    // line ------------------------------------------------------------
+
+    for (spec, kind, key_bytes) in [
+        ("cuckoo-4x1024-skew-c16", HashKind::Skewing, 4),
+        ("cuckoo-4x4096-c16", HashKind::Skewing, 4),
+        ("cuckoo-4x512-skew-c16", HashKind::Skewing, 8),
+        ("cuckoo-4x1024-strong-c16", HashKind::Strong, 8),
+        ("cuckoo-4x4096-ms-c16", HashKind::MultiplyShift, 8),
+    ] {
+        let before = aligned_live();
+        let dir = registry.build_str(spec).expect(spec);
+        let sets = dir.capacity() / 4;
+        assert_eq!(narrow_keys(kind, sets), key_bytes == 4, "{spec}");
+        let (bytes, aligns) = aligned_live();
+        assert_eq!(
+            bytes - before.0,
+            dir.capacity() as i64 * (1 + key_bytes + 2),
+            "{spec}: {key_bytes}-byte keys"
+        );
+        assert_eq!(aligns - before.1, 3 * LINE, "{spec}");
+        drop(dir);
+        assert_eq!(aligned_live(), before, "{spec}");
+    }
 }
