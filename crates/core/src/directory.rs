@@ -72,6 +72,14 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
         self.config.sets
     }
 
+    /// Whether `line` can be resident at all: with narrow keys only lines
+    /// below the 42-bit bound ever are ([`DirectoryOp::check_line`]), and
+    /// a query past it must not alias one that is.
+    #[inline]
+    fn storable(line: LineAddr) -> bool {
+        !Q::NARROW || line.block_number() >> ccd_common::LINE_ADDRESS_BITS == 0
+    }
+
     /// Looks `line` up and, if absent, inserts a fresh entry via the cuckoo
     /// displacement procedure, recording hit / allocation / forced-eviction
     /// facts in `out`.  One fused table probe covers the lookup, the vacancy
@@ -197,16 +205,6 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
                 stats.entry_removes.incr();
             }
         }
-    }
-}
-
-impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
-    /// Whether `line` can be resident at all: with narrow keys only lines
-    /// below the 42-bit bound ever are ([`DirectoryOp::check_line`]), and
-    /// a query past it must not alias one that is.
-    #[inline]
-    fn storable(line: LineAddr) -> bool {
-        !Q::NARROW || line.block_number() >> ccd_common::LINE_ADDRESS_BITS == 0
     }
 }
 
