@@ -262,11 +262,13 @@ impl<S: SharerSet, Q: KeyWord> Directory for CuckooDirectory<S, Q> {
     // The staged pipeline of `CuckooTable::for_each_staged` instead of the
     // default's `apply` loop, which overlaps no memory latency: per window,
     // each line is hashed once and its candidate tags prefetched; then the
-    // key and sharer lines behind matching tags are prefetched; then the
-    // ops run in order through the same indices.  The prefetches are hints
-    // only — each op probes the tags itself — so the batch computes exactly
-    // what the `apply` loop computes, including when an earlier op of the
-    // window moves or discards a later op's line.
+    // key and sharer lines behind matching tags are prefetched, or, for an
+    // `AddSharer` or `SetExclusive` whose tags match none, those of the
+    // first vacant way, which its allocation would fill; then the ops run
+    // in order through the same indices.  The prefetches are hints only —
+    // each op probes the tags itself — so the batch computes exactly what
+    // the `apply` loop computes, including when an earlier op of the
+    // window moves or discards a later op's line or takes its vacancy.
     fn apply_batch(
         &mut self,
         ops: &[DirectoryOp],
@@ -280,7 +282,14 @@ impl<S: SharerSet, Q: KeyWord> Directory for CuckooDirectory<S, Q> {
         } = self;
         ways_dispatch!(table.ways(), N => table.for_each_staged::<N>(
             ops.len(),
-            |item| ops[item].line().block_number(),
+            |item| {
+                let op = ops[item];
+                let allocating = matches!(
+                    op,
+                    DirectoryOp::AddSharer { .. } | DirectoryOp::SetExclusive { .. }
+                );
+                (op.line().block_number(), allocating)
+            },
             |table, item, indices| {
                 Self::apply_op(config, table, stats, ops[item], indices, out);
                 sink(&ops[item], out);

@@ -76,7 +76,9 @@
 //!    its candidate tags;
 //! 2. read the now-resident tags and prefetch `keys[slot]` and
 //!    `values[slot]` of only the ways whose tag equals the key's fingerprint
-//!    — about one line pair for a resident key, none for an absent one;
+//!    — about one line pair for a resident key — or, for an operation that
+//!    may allocate an absent key, of its first vacant way, the slot its
+//!    insertion writes; nothing for a probe of an absent key;
 //! 3. run the operations in order through the `_prehashed` entry points,
 //!    which take the stage-1 indices instead of hashing again.
 //!

@@ -386,6 +386,88 @@ fn apply_batch_matches_sequential_inserts_exactly() {
     }
 }
 
+// ---- Stage 2's hint targets --------------------------------------------
+
+/// Inserts `keys` window by window the way the staged pipeline does: every
+/// key of a window gets its hints from the table as stage 2 sees it, before
+/// any of the window's insertions runs; then the insertions run in order.
+/// Returns their outcomes, how many allocating keys got a vacancy that a
+/// probe of the same key does not, and how many vacancy hints went stale
+/// (an earlier insertion of the window had taken the slot).
+fn insert_against_hints<Q: KeyWord>(
+    table: &mut CuckooTable<u64, Q>,
+    keys: &[u64],
+) -> (Vec<InsertOutcome<u64>>, usize, usize) {
+    let (mut outcomes, mut hinted, mut stale) = (Vec::new(), 0, 0);
+    for window in keys.chunks(PIPELINE_DEPTH) {
+        let staged: Vec<([usize; 4], Option<usize>)> = window
+            .iter()
+            .map(|&key| {
+                let indices = table.hashed::<4>(key);
+                let (matching, vacant) = table.hint_targets(key, &indices, true);
+                let probe = table.hint_targets(key, &indices, false);
+                assert_eq!(probe, (matching, None), "a probe gets no vacancy");
+                hinted += usize::from(vacant.is_some());
+                (indices, vacant)
+            })
+            .collect();
+        for (&key, (mut indices, vacant)) in window.iter().zip(staged) {
+            // Insertions never vacate a slot, so a hinted slot still vacant
+            // here is one no earlier insertion of the window wrote.
+            let untouched = vacant.filter(|&slot| table.tags[slot] == EMPTY_TAG);
+            stale += usize::from(vacant.is_some() && untouched.is_none());
+            outcomes.push(table.insert_prehashed(key, key, &mut indices));
+            if let Some(slot) = untouched {
+                assert_ne!(table.tags[slot], EMPTY_TAG, "{key:#x} left its hint vacant");
+                assert_eq!(table.key_of(slot), key, "{key:#x} filled another slot");
+            }
+        }
+    }
+    (outcomes, hinted, stale)
+}
+
+fn check_vacancy_hints<Q: KeyWord>(table: CuckooTable<u64, Q>, keys: &[u64]) {
+    let mut sequential = table.clone();
+    let expected: Vec<InsertOutcome<u64>> = keys.iter().map(|&k| sequential.insert(k, k)).collect();
+
+    let mut hints = table.clone();
+    let (outcomes, hinted, stale) = insert_against_hints(&mut hints, keys);
+    assert_eq!(outcomes, expected);
+    assert!(hinted > keys.len() / 2, "{hinted} vacancy hints");
+    assert!(
+        stale > 0,
+        "no window had an insertion take a later one's hint"
+    );
+    assert!(
+        expected.iter().any(|outcome| outcome.attempts > 1),
+        "no insertion displaced"
+    );
+
+    let mut batched = table;
+    let mut entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+    let mut outcomes = Vec::new();
+    batched.apply_batch(&mut entries, &mut outcomes);
+    assert_eq!(outcomes, expected, "batched outcomes must be identical");
+    let contents = |t: &CuckooTable<u64, Q>| t.iter().map(|(k, &v)| (k, v)).collect::<Vec<_>>();
+    assert_eq!(contents(&batched), contents(&sequential));
+    assert_eq!(batched.check_invariants(), Ok(()));
+}
+
+#[test]
+fn stage_two_hints_the_vacancy_an_insertion_fills() {
+    // Nineteen twentieths of a 4 × 1024 table: late windows contend for
+    // the same vacancies, and insertions displace.
+    let keys = random_lines(0x5747E, 4 * 1024 * 19 / 20);
+    check_vacancy_hints(
+        CuckooTable::<u64>::new(4, 1024, HashKind::Skewing, 0).unwrap(),
+        &keys,
+    );
+    check_vacancy_hints(
+        CuckooTable::<u64, u32>::with_key_word(4, 1024, HashKind::Skewing, 0).unwrap(),
+        &keys,
+    );
+}
+
 #[test]
 fn wide_tables_probe_through_the_chunked_swar_path() {
     // Past eight ways the gather runs in chunks: 8 + 1, 8 + 4 and 8 + 8

@@ -54,6 +54,8 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MEASURED_UNITS = {"op/s", "s", "MiB"}
+# The metrics each pair's progress line shows, parent -> change.
+PROGRESS = ("ops_per_s", "setup_s", "peak_rss_mb")
 # The functions whose start offsets modulo 64 are compared: everything
 # compiled from the cuckoo table and the directory built on it.
 HOT = ("ccd_cuckoo::table", "ccd_cuckoo::directory")
@@ -123,7 +125,29 @@ def iqr_over_median(values):
 
 
 def verdict(metric, base, change):
-    """The row for one metric: medians, shift, wins, parent IQR, verdict."""
+    """The row for one metric: medians, shift, wins, parent IQR, verdict.
+
+    >>> lower = {"better": "lower", "bound": 0.25}
+    >>> parent = [0.28, 0.29, 0.29, 0.30, 0.31, 0.28, 0.29, 0.30, 0.29, 0.30]
+    >>> def wins_and_word(change, metric=lower):
+    ...     row = verdict(metric, parent, change)
+    ...     return row[3], row[5]
+    >>> wins_and_word([v * 0.62 for v in parent])
+    (10, 'moved (better)')
+    >>> wins_and_word([v * 1.5 for v in parent])
+    (0, 'moved (worse)')
+
+    Short of nine pairs in ten, a change is "within bound" when neither its
+    median's loss nor the parent's IQR exceeds the bound, else "unresolved":
+
+    >>> mixed = [v * (0.9 if i % 3 else 1.1) for i, v in enumerate(parent)]
+    >>> wins_and_word(mixed)
+    (6, 'within bound')
+    >>> wins_and_word(mixed, dict(lower, bound=0.01))
+    (6, 'unresolved')
+    >>> verdict({"better": "higher", "bound": 1e-7}, [1.0] * 10, [1.0] * 10)
+    (1.0, 1.0, 0.0, 0, 0.0, 'equal')
+    """
     sign = 1.0 if metric["better"] == "higher" else -1.0
     m_base, m_change = statistics.median(base), statistics.median(change)
     scale = abs(m_base) or 1.0
@@ -214,10 +238,11 @@ def main():
                         b = r_change["metrics"][name]["value"]
                         if a != b:
                             problems.append(f"{workload} seed {seed}: {name} {a} -> {b}")
+                    shown = "  ".join(
+                        f"{name} {r_base['metrics'][name]['value']:.6g} -> "
+                        f"{r_change['metrics'][name]['value']:.6g}" for name in PROGRESS)
                     print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} "
-                          f"({order[0].name} first): ops_per_s "
-                          f"{r_base['metrics']['ops_per_s']['value']:.6g} -> "
-                          f"{r_change['metrics']['ops_per_s']['value']:.6g}", flush=True)
+                          f"({order[0].name} first): {shown}", flush=True)
                 for metric in declared:
                     name = metric["name"]
                     rows.append((workload, metric,

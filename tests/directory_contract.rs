@@ -651,6 +651,10 @@ const PIPELINE_SPECS: &[&str] = &[
 /// Eight entries for a stream over 96 lines.
 const TINY_GREEDY: &str = "cuckoo-2x4-strong-c4";
 
+/// A skewing table of 1,024 sets, which stores `u32` key words: the batch
+/// path of the `dir_spill` and `svc_*` slices.
+const NARROW_PIPELINE_SPEC: &str = "cuckoo-4x1024-c16";
+
 /// Everything observable about one run of an op stream.
 #[derive(Debug, PartialEq)]
 struct Observed {
@@ -664,6 +668,7 @@ struct Observed {
 
 fn observe(
     spec: &str,
+    lines: &[LineAddr],
     run: impl FnOnce(&mut dyn Directory, &mut dyn FnMut(&DirectoryOp, &Outcome)),
 ) -> Observed {
     let mut dir = standard_registry().build_str(spec).expect(spec);
@@ -677,10 +682,42 @@ fn observe(
         len: dir.len(),
         stats: dir.stats(),
         depths: dir.depth_metrics().cloned(),
-        contents: (0..96u64)
-            .map(|block| probe(dir.as_mut(), LineAddr::from_block_number(block * 13)))
+        contents: lines
+            .iter()
+            .map(|&line| probe(dir.as_mut(), line))
             .collect(),
     }
+}
+
+/// Drives `ops`, then its prefixes around the pipeline depth (an empty
+/// batch, a lone op, a window one short, exact, and one over), through
+/// `apply_batch` and through an `apply` loop on fresh `spec` directories,
+/// and holds the two to the same observations, contents read at `lines`.
+/// Returns what the `apply` loop observed of the whole stream.
+fn assert_batch_matches_apply(spec: &str, ops: &[DirectoryOp], lines: &[LineAddr]) -> Observed {
+    let depth = ccd_cuckoo::PIPELINE_DEPTH;
+    let mut whole = None;
+    for len in [ops.len(), 0, 1, depth - 1, depth, depth + 1] {
+        let ops = &ops[..len];
+        let expected = observe(spec, lines, |dir, sink| {
+            let mut out = Outcome::new();
+            for op in ops {
+                dir.apply(*op, &mut out);
+                sink(op, &out);
+            }
+        });
+        let observed = observe(spec, lines, |dir, sink| {
+            dir.apply_batch(ops, &mut Outcome::new(), sink);
+        });
+        // Per op first, so a divergence names the op it began at.
+        for (i, pair) in observed.outcomes.iter().zip(&expected.outcomes).enumerate() {
+            assert_eq!(pair.0, pair.1, "{spec}: op {i} of {len} ({:?})", ops[i]);
+        }
+        assert_eq!(observed, expected, "{spec}: {len} ops");
+        assert_eq!(observed.outcomes.len(), len, "{spec}: one outcome per op");
+        whole.get_or_insert(expected);
+    }
+    whole.unwrap_or_else(|| unreachable!("the loop runs the whole stream first"))
 }
 
 #[test]
@@ -725,43 +762,63 @@ fn apply_batch_is_observably_identical_to_sequential_apply() {
             }
         }));
 
-        // Whole stream, then prefixes around the pipeline depth (an empty
-        // batch, a lone op, a window one short, exact, and one over).
-        let whole = ops.len();
-        for len in [whole, 0, 1, depth - 1, depth, depth + 1] {
-            let ops = &ops[..len];
-            let expected = observe(spec, |dir, sink| {
-                let mut out = Outcome::new();
-                for op in ops {
-                    dir.apply(*op, &mut out);
-                    sink(op, &out);
-                }
+        let lines: Vec<LineAddr> = (0..96u64)
+            .map(|block| LineAddr::from_block_number(block * 13))
+            .collect();
+        let expected = assert_batch_matches_apply(spec, &ops, &lines);
+        if *spec == TINY_GREEDY {
+            // The stream really does what the pipeline must survive: a
+            // forced eviction discards a line that a later op of the same
+            // window then touches.
+            let len = ops.len();
+            let discarded_then_touched = expected.outcomes.iter().enumerate().any(|(i, out)| {
+                let window_end = (i / depth + 1) * depth;
+                out.forced_evictions().any(|eviction| {
+                    ops[i + 1..window_end.min(len)]
+                        .iter()
+                        .any(|later| later.line() == eviction.line)
+                })
             });
-            let observed = observe(spec, |dir, sink| {
-                dir.apply_batch(ops, &mut Outcome::new(), sink);
-            });
-            // Per op first, so a divergence names the op it began at.
-            for (i, pair) in observed.outcomes.iter().zip(&expected.outcomes).enumerate() {
-                assert_eq!(pair.0, pair.1, "{spec}: op {i} of {len} ({:?})", ops[i]);
-            }
-            assert_eq!(observed, expected, "{spec}: {len} ops");
-            assert_eq!(observed.outcomes.len(), len, "{spec}: one outcome per op");
-
-            if *spec == TINY_GREEDY && len == whole {
-                // The stream really does what the pipeline must survive: a
-                // forced eviction discards a line that a later op of the
-                // same window then touches.
-                let discarded_then_touched =
-                    expected.outcomes.iter().enumerate().any(|(i, out)| {
-                        let window_end = (i / depth + 1) * depth;
-                        out.forced_evictions().any(|eviction| {
-                            ops[i + 1..window_end.min(len)]
-                                .iter()
-                                .any(|later| later.line() == eviction.line)
-                        })
-                    });
-                assert!(discarded_then_touched, "{spec}: stream lost its hazard");
-            }
+            assert!(discarded_then_touched, "{spec}: stream lost its hazard");
         }
     }
+
+    // The narrow-key path, over 42-bit lines: every line of a pool of
+    // 4,400 is added once, past the table's 4,096 entries, then a mixed
+    // stream keeps it nearly full, so the allocations of one window
+    // contend for the same vacancies and some insertions displace.
+    let spec = NARROW_PIPELINE_SPEC;
+    let mut rng = SplitMix64::new(0x4A22);
+    let pool: Vec<LineAddr> = (0..4400)
+        .map(|_| LineAddr::from_block_number(rng.next_u64() >> (64 - 42)))
+        .collect();
+    let mut ops: Vec<DirectoryOp> = pool
+        .iter()
+        .map(|&line| add(line, CacheId::new(rng.next_below(16) as u32)))
+        .collect();
+    ops.extend((0..4000).map(|_| {
+        let line = pool[rng.next_below(pool.len() as u64) as usize];
+        let cache = CacheId::new(rng.next_below(16) as u32);
+        match rng.next_below(20) {
+            0..=3 => DirectoryOp::Probe { line },
+            4..=6 => DirectoryOp::SetExclusive { line, cache },
+            7 => DirectoryOp::RemoveSharer { line, cache },
+            8 => DirectoryOp::RemoveEntry { line },
+            _ => DirectoryOp::AddSharer { line, cache },
+        }
+    }));
+    let expected = assert_batch_matches_apply(spec, &ops, &pool);
+    let capacity = standard_registry().build_str(spec).expect(spec).capacity();
+    assert!(
+        expected.len * 10 >= capacity * 9,
+        "{spec}: {} of {capacity} entries",
+        expected.len
+    );
+    assert!(
+        expected
+            .outcomes
+            .iter()
+            .any(|out| out.insertion_attempts() > 1),
+        "{spec}: no insertion displaced"
+    );
 }
