@@ -45,14 +45,12 @@ impl<V, Q: KeyWord> CuckooTable<V, Q> {
         indices: &[usize; N],
         allocating: bool,
     ) -> (u64, Option<usize>) {
+        let fp = fingerprint(key);
         if !allocating {
-            return (
-                self.way_masks::<N, true, false>(fingerprint(key), indices)
-                    .0,
-                None,
-            );
+            let (matching, _) = self.way_masks::<N, true, false>(fp, indices);
+            return (matching, None);
         }
-        let (matching, empties) = self.way_masks::<N, true, true>(fingerprint(key), indices);
+        let (matching, empties) = self.way_masks::<N, true, true>(fp, indices);
         let vacant = (matching == 0 && empties != 0).then(|| {
             let w = empties.trailing_zeros() as usize;
             w * self.sets + indices[w]

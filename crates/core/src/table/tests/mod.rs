@@ -455,9 +455,13 @@ fn check_vacancy_hints<Q: KeyWord>(table: CuckooTable<u64, Q>, keys: &[u64]) {
 
 #[test]
 fn stage_two_hints_the_vacancy_an_insertion_fills() {
-    // Nineteen twentieths of a 4 × 1024 table: late windows contend for
-    // the same vacancies, and insertions displace.
-    let keys = random_lines(0x5747E, 4 * 1024 * 19 / 20);
+    // Nineteen twentieths of a 4 × 1024 table, so late windows contend
+    // for the same vacancies and insertions displace; every fourth line is
+    // followed by one added before it, which hits and gets no vacancy.
+    let lines = random_lines(0x5747E, 4 * 1024 * 19 / 20);
+    let keys: Vec<u64> = (0..lines.len())
+        .flat_map(|i| std::iter::once(lines[i]).chain((i % 4 == 3).then(|| lines[i / 2])))
+        .collect();
     check_vacancy_hints(
         CuckooTable::<u64>::new(4, 1024, HashKind::Skewing, 0).unwrap(),
         &keys,

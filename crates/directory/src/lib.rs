@@ -508,7 +508,8 @@ pub trait Directory: Send {
     /// organization but one runs it; the cuckoo directory overrides it with
     /// a three-stage pipeline that hashes each line once and prefetches the
     /// tag, key and sharer lines of a window of operations before applying
-    /// them: those of a hit, or of the vacancy an allocation would fill.  Either way observable behaviour is identical to the loop —
+    /// them: those of a hit, or of the vacancy an allocation would fill.
+    /// Either way observable behaviour is identical to the loop —
     /// prefetches are hints, never inputs — and with a warmed-up `out`
     /// buffer and an allocation-free `sink` the batch performs no heap
     /// allocation.

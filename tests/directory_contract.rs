@@ -696,8 +696,7 @@ fn observe(
 /// Returns what the `apply` loop observed of the whole stream.
 fn assert_batch_matches_apply(spec: &str, ops: &[DirectoryOp], lines: &[LineAddr]) -> Observed {
     let depth = ccd_cuckoo::PIPELINE_DEPTH;
-    let mut whole = None;
-    for len in [ops.len(), 0, 1, depth - 1, depth, depth + 1] {
+    let [whole, ..] = [ops.len(), 0, 1, depth - 1, depth, depth + 1].map(|len| {
         let ops = &ops[..len];
         let expected = observe(spec, lines, |dir, sink| {
             let mut out = Outcome::new();
@@ -715,9 +714,9 @@ fn assert_batch_matches_apply(spec: &str, ops: &[DirectoryOp], lines: &[LineAddr
         }
         assert_eq!(observed, expected, "{spec}: {len} ops");
         assert_eq!(observed.outcomes.len(), len, "{spec}: one outcome per op");
-        whole.get_or_insert(expected);
-    }
-    whole.unwrap_or_else(|| unreachable!("the loop runs the whole stream first"))
+        expected
+    });
+    whole
 }
 
 #[test]
