@@ -4,24 +4,21 @@
 //! the insertion-failure probability as a function of occupancy, for 2-,
 //! 3-, 4- and 8-ary cuckoo tables indexed by strong hash functions, driven
 //! with uniformly random values exactly as in Section 5.1 (100k+ values
-//! per arity, 32-attempt budget) — once per insertion policy, so the BFS
-//! shortest-path engine's occupancy-vs-attempts trade-off sits next to the
-//! paper's greedy displacement chain in the same report.
+//! per arity, 32-attempt budget), under the paper's greedy displacement
+//! chain.
 
 use crate::Context;
 use ccd_common::{json::Json, obj};
 use ccd_cuckoo::CuckooTable;
-use ccd_directory::InsertPolicy;
 use ccd_hash::HashKind;
 use ccd_workloads::RandomKeyStream;
 
 /// Occupancy bucket width of the reported curves.
 const BUCKET: f64 = 0.05;
 
-fn characterize(arity: usize, sets: usize, seed: u64, policy: InsertPolicy) -> Json {
+fn characterize(arity: usize, sets: usize, seed: u64) -> Json {
     let mut table: CuckooTable<()> =
         CuckooTable::new(arity, sets, HashKind::Strong, seed).expect("valid geometry");
-    table.set_insert_policy(policy);
     let mut keys = RandomKeyStream::new(seed ^ 0xF167);
     let capacity = table.capacity();
 
@@ -55,23 +52,14 @@ fn characterize(arity: usize, sets: usize, seed: u64, policy: InsertPolicy) -> J
             }
         })
         .collect();
-    obj! { "arity": arity, "policy": policy.to_string(), "points": Json::Arr(points) }
+    obj! { "arity": arity, "points": Json::Arr(points) }
 }
 
 pub fn run(context: &Context) -> Vec<Json> {
-    // Each (arity, policy) characterization is independent; fan them across
-    // the runner's workers (results stay in case order either way).
-    let cases: Vec<(usize, InsertPolicy)> = [InsertPolicy::Greedy, InsertPolicy::Bfs]
-        .into_iter()
-        .flat_map(|policy| [2usize, 3, 4, 8].map(|d| (d, policy)))
-        .collect();
-    let curves = context.runner.map(&cases, |&(d, policy)| {
-        characterize(
-            d,
-            32 * 1024 / d.next_power_of_two(),
-            0xC0FFEE + d as u64,
-            policy,
-        )
+    // Each arity's characterization is independent; fan them across the
+    // runner's workers (results stay in arity order either way).
+    let curves = context.runner.map(&[2usize, 3, 4, 8], |&d| {
+        characterize(d, 32 * 1024 / d.next_power_of_two(), 0xC0FFEE + d as u64)
     });
     vec![Json::Arr(curves)]
 }

@@ -90,8 +90,7 @@ const EXPERIMENTS: &[Experiment] = &[
         results: &["fig7_hash_characteristics.json"],
         note: "Paper reference (Section 5.1): below 50% occupancy, 3-ary and wider tables\n\
                succeed immediately or with a single displacement, and no failures occur\n\
-               up to ~65% occupancy.  The BFS curves pay the same attempt budget for\n\
-               shortest displacement paths, pushing the failure knee to higher occupancy.",
+               up to ~65% occupancy.",
         run: fig7_hash_characteristics::run,
     },
     Experiment {

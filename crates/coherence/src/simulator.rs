@@ -532,7 +532,7 @@ mod protocol_order {
             custom("cuckoo-4x16@full"),
             custom("cuckoo-4x16@coarse"),
             custom("cuckoo-4x16@limited"),
-            custom("cuckoo-4x4-bfs@limited"),
+            custom("cuckoo-4x4@limited"),
             custom("sparse-2x8@coarse"),
             custom("sparse-4x16@limited"),
             custom("skewed-4x8@coarse"),

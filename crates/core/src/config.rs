@@ -1,7 +1,6 @@
 //! Configuration of a Cuckoo directory slice.
 
 use ccd_common::ConfigError;
-use ccd_directory::InsertPolicy;
 use ccd_hash::HashKind;
 
 /// The insertion-attempt budget used throughout the paper's evaluation
@@ -31,18 +30,12 @@ pub struct CuckooConfig {
     pub hash_kind: HashKind,
     /// Seed for seedable hash families.
     pub hash_seed: u64,
-    /// How the table resolves insertions whose candidate slots are all
-    /// occupied: the paper's greedy displacement chain (the default), or
-    /// BFS shortest-displacement-path search.  This changes attempt
-    /// accounting and placements, so a non-default policy is always
-    /// reflected in the organization label.
-    pub insert_policy: InsertPolicy,
 }
 
 impl CuckooConfig {
     /// Creates a configuration with the paper's defaults: skewing hash
-    /// functions and greedy insertion.  Every slice has the table's
-    /// [`DEFAULT_MAX_ATTEMPTS`] budget.
+    /// functions.  Every slice has the table's [`DEFAULT_MAX_ATTEMPTS`]
+    /// budget.
     #[must_use]
     pub fn new(ways: usize, sets: usize, num_caches: usize) -> Self {
         CuckooConfig {
@@ -51,7 +44,6 @@ impl CuckooConfig {
             num_caches,
             hash_kind: HashKind::Skewing,
             hash_seed: 0xC0C0_0D15_EC70,
-            insert_policy: InsertPolicy::Greedy,
         }
     }
 
@@ -62,29 +54,10 @@ impl CuckooConfig {
         self
     }
 
-    /// Selects the insertion policy (greedy displacement or BFS
-    /// shortest-path search).
-    #[must_use]
-    pub fn with_insert_policy(mut self, policy: InsertPolicy) -> Self {
-        self.insert_policy = policy;
-        self
-    }
-
     /// Total number of entries (`ways × sets`).
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.ways * self.sets
-    }
-
-    /// The provisioning factor relative to `tracked_frames` worst-case
-    /// blocks.
-    #[must_use]
-    pub fn provisioning_factor(&self, tracked_frames: usize) -> f64 {
-        if tracked_frames == 0 {
-            0.0
-        } else {
-            self.capacity() as f64 / tracked_frames as f64
-        }
     }
 
     /// Validates the configuration.
@@ -137,19 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn provisioning_factor_round_trip() {
-        // Shared-L2, 16 cores: each slice tracks 2048 L1 frames; 1x with 4
-        // ways -> 4 x 512.
-        let c = CuckooConfig::new(4, 512, 32);
-        assert!((c.provisioning_factor(2048) - 1.0).abs() < 1e-12);
-
-        // Private-L2, 16 cores: 16384 frames per slice; 1.5x with 3 ways ->
-        // 3 x 8192.
-        let c = CuckooConfig::new(3, 8192, 16);
-        assert!((c.provisioning_factor(16_384) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn builder_methods_compose() {
         let c = CuckooConfig::new(3, 8192, 16).with_hash_kind(HashKind::Strong);
         assert_eq!(c.hash_kind, HashKind::Strong);
@@ -163,20 +123,5 @@ mod tests {
         assert!(CuckooConfig::new(4, 0, 4).validate().is_err());
         assert!(CuckooConfig::new(4, 100, 4).validate().is_err());
         assert!(CuckooConfig::new(4, 64, 0).validate().is_err());
-    }
-
-    #[test]
-    fn insert_policy_defaults_to_greedy_and_composes() {
-        let c = CuckooConfig::new(4, 512, 32);
-        assert_eq!(c.insert_policy, InsertPolicy::Greedy);
-        let c = c.with_insert_policy(InsertPolicy::Bfs);
-        assert_eq!(c.insert_policy, InsertPolicy::Bfs);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn provisioning_factor_handles_zero_frames() {
-        let c = CuckooConfig::new(4, 64, 4);
-        assert_eq!(c.provisioning_factor(0), 0.0);
     }
 }

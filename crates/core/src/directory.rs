@@ -16,7 +16,7 @@
 use crate::config::CuckooConfig;
 use crate::table::{ways_dispatch, CuckooTable, KeyWord};
 use ccd_common::{CacheId, ConfigError, LineAddr};
-use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectoryStats, InsertPolicy, Outcome};
+use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectoryStats, Outcome};
 use ccd_sharers::SharerSet;
 
 /// A Cuckoo directory slice: a d-ary cuckoo hash table of sharer sets,
@@ -40,13 +40,12 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
     /// [`CuckooTable::with_key_word`] for a `Q` the geometry rules out.
     pub fn new(config: CuckooConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        let mut table = CuckooTable::with_key_word(
+        let table = CuckooTable::with_key_word(
             config.ways,
             config.sets,
             config.hash_kind,
             config.hash_seed,
         )?;
-        table.set_insert_policy(config.insert_policy);
         Ok(CuckooDirectory {
             table,
             config,
@@ -210,17 +209,10 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
 
 impl<S: SharerSet, Q: KeyWord> Directory for CuckooDirectory<S, Q> {
     fn organization(&self) -> String {
-        let mut label = format!(
+        format!(
             "cuckoo-{}x{}-{}",
             self.config.ways, self.config.sets, self.config.hash_kind
-        );
-        // The insertion policy is semantic (attempt counts and placements
-        // differ), so a non-default policy is always part of the label.
-        if self.config.insert_policy != InsertPolicy::Greedy {
-            label.push('-');
-            label.push_str(&self.config.insert_policy.to_string());
-        }
-        label
+        )
     }
 
     fn num_caches(&self) -> usize {

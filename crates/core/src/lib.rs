@@ -62,21 +62,19 @@ pub mod table;
 pub use config::CuckooConfig;
 pub use directory::CuckooDirectory;
 pub use simd::VectorEngine;
-pub use table::{narrow_keys, CuckooTable, FindOrInsert, InsertOutcome, KeyWord, PIPELINE_DEPTH};
+pub use table::{narrow_keys, CuckooTable, InsertOutcome, KeyWord, PIPELINE_DEPTH};
 
 use ccd_common::ConfigError;
 use ccd_directory::{match_sharer_format, BuilderRegistry, Directory, DirectorySpec};
 use ccd_hash::HashKind;
 
-/// The registry builder for `cuckoo-WxS[-hash][-policy]` specs.  Beside
+/// The registry builder for `cuckoo-WxS[-hash]` specs.  Beside
 /// the sharer format it picks the key word, once per directory from the
 /// hash family and the set count alone: `u32` where [`narrow_keys`] allows
 /// it, `u64` elsewhere.
 fn build_cuckoo(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     let kind = spec.hash.unwrap_or(HashKind::Skewing);
-    let config = CuckooConfig::new(spec.ways, spec.sets, spec.caches)
-        .with_hash_kind(kind)
-        .with_insert_policy(spec.policy);
+    let config = CuckooConfig::new(spec.ways, spec.sets, spec.caches).with_hash_kind(kind);
     let narrow = narrow_keys(kind, spec.sets);
     Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         if narrow {
@@ -186,19 +184,5 @@ mod tests {
         assert!(probed_sharers(dir) > 3);
         let dir = registry.build_str("cuckoo-4x512-skew").unwrap();
         assert_eq!(dir.organization(), "cuckoo-4x512-skewing");
-    }
-
-    #[test]
-    fn registry_cuckoo_honours_policy_modifiers() {
-        let registry = standard_registry();
-        // A non-default insertion policy round-trips through the label.
-        let dir = registry.build_str("cuckoo-4x64-strong-bfs").unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x64-strong-bfs");
-        // It composes with a hash family (policy after hash, per grammar).
-        let dir = registry.build_str("cuckoo-4x64-ms-bfs-c16").unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x64-multiply-shift-bfs");
-        // The default greedy policy leaves the label unchanged.
-        let dir = registry.build_str("cuckoo-4x64-strong-greedy").unwrap();
-        assert_eq!(dir.organization(), "cuckoo-4x64-strong");
     }
 }

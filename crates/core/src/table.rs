@@ -36,10 +36,9 @@
 //!   ([`ccd_hash::SkewingFamily::line_from_high`]).  A probe compares `q`,
 //!   and the table rebuilds the full key only where it reads one back:
 //!   the victim of a displacement, a discarded entry
-//!   ([`InsertOutcome::discarded`]), BFS's frontier and [`CuckooTable::iter`].
-//!   A move between slots copies `q` as it is, since `q` does not depend
-//!   on the way.  The fingerprint is still taken from the full key, so
-//!   tags, placement and attempts are the same at either width.
+//!   ([`InsertOutcome::discarded`]) and [`CuckooTable::iter`].  The
+//!   fingerprint is still taken from the full key, so tags, placement and
+//!   attempts are the same at either width.
 //!   [`narrow_keys`] makes the choice from the family and the set count;
 //!   multiply-shift and strong indices mix every bit and keep full keys.
 //! * `values` — the payloads, kept as `MaybeUninit<V>` and only initialized
@@ -99,8 +98,10 @@
 //!   way and probing the displaced victim's candidate slots) adds one
 //!   attempt.
 //!
-//! The discard rule when the attempt budget expires is exact, and shared by
-//! both insertion policies:
+//! When every candidate slot is occupied, the table runs the paper's one
+//! insertion procedure, a greedy random-walk chain: kick a victim, probe
+//! its alternates, repeat.  The discard rule when the attempt budget
+//! expires is exact:
 //!
 //! * the entry discarded is the **most recently displaced** one — the entry
 //!   left in flight when `attempts` reaches the budget — and it is reported
@@ -121,30 +122,6 @@
 //! [`index_all_into`](ccd_hash::IndexHashFamily::index_all_into) pass, and
 //! the displacement loop reuses each victim's indices for both its vacancy
 //! probe and its next displacement target.
-//!
-//! # Insertion policies
-//!
-//! When every candidate slot of a new key is occupied, the table resolves
-//! the insertion with one of two [`InsertPolicy`] kernels:
-//!
-//! * `greedy` (the default, the paper's Section 5.2 procedure) — the
-//!   random-walk chain above: kick a victim, probe its alternates, repeat.
-//! * `bfs` — breadth-first search for a **shortest displacement path**: the
-//!   frontier starts at the key's `d` candidate slots and expands each
-//!   victim into its alternate candidates (re-hashing the victim's key)
-//!   until some frontier victim has a vacant alternate.  The path of moves
-//!   is then applied deepest-first, vacating one of the key's candidate
-//!   slots.  A path of `L` moves costs `L + 1` attempts, so the budget
-//!   bounds the search depth at `max_attempts - 1`; the frontier is
-//!   additionally bounded by a fixed preallocated scratch arena
-//!   ([`BFS_ARENA`] nodes), keeping steady-state insertions allocation-free.
-//!   When the bounded search finds no path the table falls back to the
-//!   shared discard rule: one final displacement into the round-robin
-//!   candidate way, reported with `attempts = max_attempts`.
-//!
-//! Both policies agree on which keys are resident until a budget actually
-//! expires, but attempt counts and physical placements differ: the policy
-//! is semantic.
 
 mod insert;
 mod invariants;
@@ -155,16 +132,14 @@ mod probe;
 #[cfg(test)]
 mod tests;
 
-pub use insert::BFS_ARENA;
 pub use keys::{narrow_keys, KeyWord};
 pub use pipeline::PIPELINE_DEPTH;
 
 use ccd_common::pages::PageBuf;
 use ccd_common::ConfigError;
 use ccd_directory::spec::{capacity_too_large, checked_capacity};
-use ccd_directory::{DepthMetrics, InsertPolicy};
+use ccd_directory::DepthMetrics;
 use ccd_hash::{HashFamily, HashKind, MAX_FAMILY_WAYS};
-use insert::BfsScratch;
 use std::mem::MaybeUninit;
 
 /// Tag byte of a vacant slot.  Occupied slots always carry the key's
@@ -203,10 +178,10 @@ impl<V> InsertOutcome<V> {
     }
 }
 
-/// Result of [`CuckooTable::find_or_insert_with`]: a mutable borrow of the
+/// Result of `CuckooTable::find_or_insert_prehashed`: a mutable borrow of the
 /// payload stored for the requested key, plus the insertion outcome when the
 /// key was newly inserted.
-pub struct FindOrInsert<'a, V> {
+pub(crate) struct FindOrInsert<'a, V> {
     /// The payload stored for the requested key (existing or just created).
     pub value: &'a mut V,
     /// `None` when the key was already present (the payload was left
@@ -338,15 +313,10 @@ pub struct CuckooTable<V, Q: KeyWord = u64> {
     valid: usize,
     max_attempts: u32,
     next_start_way: usize,
-    /// How insertions whose candidate slots are all occupied are resolved.
-    policy: InsertPolicy,
-    /// Scratch arena of the BFS kernel; `Some` exactly when `policy` is
-    /// [`InsertPolicy::Bfs`].
-    bfs: Option<Box<BfsScratch>>,
-    /// Depth distributions (probe depth, displacement-chain length, BFS
-    /// path depth), recorded only while armed.  `None` — the default —
-    /// costs one branch per record site and must never change what the
-    /// table computes (contract #11).
+    /// Depth distributions (probe depth and displacement-chain length),
+    /// recorded only while armed.  `None` — the default — costs one
+    /// branch per record site and must never change what the table
+    /// computes (contract #11).
     metrics: Option<Box<DepthMetrics>>,
 }
 
@@ -410,8 +380,6 @@ impl<V, Q: KeyWord> CuckooTable<V, Q> {
             valid: 0,
             max_attempts: crate::config::DEFAULT_MAX_ATTEMPTS,
             next_start_way: 0,
-            policy: InsertPolicy::Greedy,
-            bfs: None,
             metrics: None,
         })
     }
@@ -447,33 +415,13 @@ impl<V, Q: KeyWord> CuckooTable<V, Q> {
         self.max_attempts = max_attempts;
     }
 
-    /// Selects the insertion policy (default [`InsertPolicy::Greedy`]).
-    ///
-    /// Switching to [`InsertPolicy::Bfs`] preallocates the policy's fixed
-    /// scratch arena, so steady-state insertions remain allocation-free.
-    /// The policy only governs future insertions; resident entries are left
-    /// where they are.
-    pub fn set_insert_policy(&mut self, policy: InsertPolicy) {
-        self.policy = policy;
-        self.bfs = match policy {
-            InsertPolicy::Bfs => Some(Box::new(BfsScratch::new(self.capacity()))),
-            InsertPolicy::Greedy => None,
-        };
-    }
-
-    /// The insertion policy this table runs.
-    #[must_use]
-    pub fn insert_policy(&self) -> InsertPolicy {
-        self.policy
-    }
-
     /// Arms depth-distribution recording at `sig_bits` resolution,
     /// replacing any distributions recorded so far.
     ///
-    /// While armed, every mutating operation feeds three
+    /// While armed, every mutating operation feeds two
     /// [`LogHistogram`](ccd_common::LogHistogram)s: the ways inspected by
-    /// each insertion-path probe, the entries physically displaced by each
-    /// greedy chain, and the moves applied by each BFS shortest path.
+    /// each insertion-path probe and the entries physically displaced by
+    /// each displacement chain.
     /// Pure queries (`find`, `contains`, `probe_batch`) take `&self` and
     /// are deliberately not recorded — observation never adds interior
     /// mutability to the read path.  Recording never changes what the
@@ -506,19 +454,11 @@ impl<V, Q: KeyWord> CuckooTable<V, Q> {
         }
     }
 
-    /// Records the number of entries a greedy chain physically displaced.
+    /// Records the number of entries a displacement chain displaced.
     #[inline]
     fn record_chain(&mut self, moved: u32) {
         if let Some(metrics) = self.metrics.as_deref_mut() {
             metrics.displacement_chain.record(u64::from(moved));
-        }
-    }
-
-    /// Records the number of moves a successful BFS path applied.
-    #[inline]
-    fn record_bfs_depth(&mut self, moves: u32) {
-        if let Some(metrics) = self.metrics.as_deref_mut() {
-            metrics.bfs_path_depth.record(u64::from(moves));
         }
     }
 
@@ -641,13 +581,6 @@ impl<V: Clone, Q: KeyWord> Clone for CuckooTable<V, Q> {
             valid: self.valid,
             max_attempts: self.max_attempts,
             next_start_way: self.next_start_way,
-            policy: self.policy,
-            // The scratch holds no state between insertions; a clone gets a
-            // fresh arena sized for the same capacity.
-            bfs: self
-                .bfs
-                .as_ref()
-                .map(|_| Box::new(BfsScratch::new(capacity))),
             metrics: self.metrics.clone(),
         }
     }

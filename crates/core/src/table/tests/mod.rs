@@ -94,28 +94,10 @@ fn depth_metrics_observe_without_perturbing() {
     assert!(metrics.probe_depth.max().unwrap() <= 2);
     // A 2-way table filled past half occupancy must have displaced.
     assert!(metrics.displacement_chain.count() > 0);
-    assert_eq!(metrics.bfs_path_depth.count(), 0);
 
     // Clones carry the recorded distributions.
     let cloned = armed.clone();
     assert_eq!(cloned.depth_metrics(), armed.depth_metrics());
-}
-
-#[test]
-fn depth_metrics_record_bfs_paths_under_the_bfs_policy() {
-    let mut table: CuckooTable<()> = CuckooTable::new(2, 32, HashKind::Strong, 5).unwrap();
-    table.set_insert_policy(InsertPolicy::Bfs);
-    table.arm_depth_metrics(2);
-    let mut rng = SplitMix64::new(0xB5);
-    while table.depth_metrics().unwrap().bfs_path_depth.count() == 0 {
-        table.insert(rng.next_u64() >> 8, ());
-    }
-    let metrics = table.depth_metrics().unwrap();
-    assert!(metrics.bfs_path_depth.min().unwrap() >= 1);
-    assert_eq!(metrics.probe_depth.count() as usize, {
-        // Every insertion-path probe was recorded, hit or miss.
-        metrics.probe_depth.iter().map(|(_, n)| n as usize).sum()
-    });
 }
 
 #[test]
@@ -307,11 +289,13 @@ fn fingerprints_are_never_the_empty_tag() {
 #[test]
 fn find_or_insert_only_builds_payloads_for_new_keys() {
     let mut t: CuckooTable<Vec<u32>> = CuckooTable::new(4, 64, HashKind::Strong, 9).unwrap();
-    let r = t.find_or_insert_with(42, || vec![1]);
+    let r = t.find_or_insert_prehashed(42, &mut t.hashed::<4>(42), || vec![1]);
     assert!(r.inserted.is_some());
     r.value.push(2);
     // Second call must not invoke `make` and must see the mutation.
-    let r = t.find_or_insert_with(42, || panic!("payload must not be rebuilt"));
+    let r = t.find_or_insert_prehashed(42, &mut t.hashed::<4>(42), || {
+        panic!("payload must not be rebuilt")
+    });
     assert!(r.inserted.is_none());
     assert_eq!(r.value, &vec![1, 2]);
     assert_eq!(t.len(), 1);
@@ -333,7 +317,7 @@ fn find_or_insert_reports_the_displacement_outcome() {
     while t.contains(fresh) {
         fresh = rng.next_u64() >> 8;
     }
-    let r = t.find_or_insert_with(fresh, || fresh);
+    let r = t.find_or_insert_prehashed(fresh, &mut t.hashed::<2>(fresh), || fresh);
     let outcome = r.inserted.expect("key was absent");
     assert_eq!(*r.value, fresh);
     assert!(outcome.discarded.is_some(), "full table must discard");
@@ -687,110 +671,6 @@ fn tables_across_the_huge_page_line_match_the_seed_reference() {
         assert_eq!(live_payloads(), large.0.len() as i64);
     }
     assert_eq!(live_payloads(), 0, "every payload dropped");
-}
-
-// ---- Insertion-policy tests -------------------------------------------
-
-#[test]
-fn bfs_policy_round_trips_and_clones_with_its_scratch() {
-    let mut t: CuckooTable<u64> = CuckooTable::new(4, 64, HashKind::Strong, 9).unwrap();
-    assert_eq!(t.insert_policy(), InsertPolicy::Greedy);
-    t.set_insert_policy(InsertPolicy::Bfs);
-    assert_eq!(t.insert_policy(), InsertPolicy::Bfs);
-    let mut rng = SplitMix64::new(0xB55);
-    let mut keys = Vec::new();
-    for _ in 0..200 {
-        let key = rng.next_u64() >> 8;
-        let o = t.insert(key, key + 1);
-        keys.push(key);
-        if let Some((lost, _)) = o.discarded {
-            keys.retain(|&k| k != lost);
-        }
-    }
-    keys.sort_unstable();
-    keys.dedup();
-    let cloned = t.clone();
-    assert_eq!(cloned.insert_policy(), InsertPolicy::Bfs);
-    for &k in &keys {
-        assert_eq!(t.get(k), Some(&(k + 1)), "lost key {k:#x}");
-        assert_eq!(cloned.get(k), Some(&(k + 1)), "clone lost key {k:#x}");
-    }
-    assert_eq!(cloned.len(), t.len());
-}
-
-#[test]
-fn bfs_and_greedy_store_the_same_keys_until_a_discard() {
-    // Until a budget actually expires both policies accept every key, so
-    // the resident key sets must be identical (placements may differ).
-    for kind in [HashKind::Strong, HashKind::MultiplyShift] {
-        let mut greedy: CuckooTable<u64> = CuckooTable::new(4, 64, kind, 13).unwrap();
-        let mut bfs: CuckooTable<u64> = CuckooTable::new(4, 64, kind, 13).unwrap();
-        bfs.set_insert_policy(InsertPolicy::Bfs);
-        let mut rng = SplitMix64::new(0xABCD);
-        let samples = if cfg!(miri) { 60 } else { 400 };
-        let mut discard_free = 0u32;
-        for i in 0..samples {
-            let key = rng.next_u64() >> 8;
-            let og = greedy.insert(key, key);
-            let ob = bfs.insert(key, key);
-            if og.discarded.is_some() || ob.discarded.is_some() {
-                // Once either budget expires the discards (and thus the
-                // key sets) may legitimately differ.
-                break;
-            }
-            discard_free = i + 1;
-            assert_eq!(greedy.len(), bfs.len(), "{kind} diverged at insert {i}");
-            assert!(greedy.contains(key) && bfs.contains(key));
-            let reference: BTreeSet<u64> = greedy.iter().map(|(k, _)| k).collect();
-            let contents: BTreeSet<u64> = bfs.iter().map(|(k, _)| k).collect();
-            assert_eq!(contents, reference, "{kind} key sets diverged at {i}");
-        }
-        assert!(
-            discard_free > 100,
-            "{kind}: stream must exercise real displacement before discarding"
-        );
-    }
-}
-
-#[test]
-fn bfs_falls_back_to_the_shared_discard_rule() {
-    // A saturated 2x2 table with a 2-attempt budget: BFS cannot find a
-    // path once every slot is full, so the discard rule must fire and
-    // keep the requested key resident.
-    let mut t: CuckooTable<u64> = CuckooTable::new(2, 2, HashKind::Strong, 17).unwrap();
-    t.set_max_attempts(2);
-    t.set_insert_policy(InsertPolicy::Bfs);
-    let mut rng = SplitMix64::new(5);
-    let mut saw_discard = false;
-    for _ in 0..64 {
-        let key = rng.next_u64() >> 8;
-        let o = t.insert(key, key);
-        assert!(o.attempts <= 2);
-        if let Some((victim, _)) = o.discarded {
-            saw_discard = true;
-            assert_ne!(victim, key, "the requested key is never discarded");
-            assert!(t.contains(key), "requested block must stay tracked");
-            assert!(!t.contains(victim));
-        }
-        assert!(t.len() <= t.capacity());
-    }
-    assert!(saw_discard, "a 4-entry table driven with 64 keys discards");
-    assert_eq!(t.iter().count(), t.len());
-}
-
-#[test]
-fn bfs_attempts_never_exceed_the_budget() {
-    let mut t: CuckooTable<()> = CuckooTable::new(4, 16, HashKind::Strong, 23).unwrap();
-    t.set_max_attempts(6);
-    t.set_insert_policy(InsertPolicy::Bfs);
-    let mut rng = SplitMix64::new(0x6A);
-    for _ in 0..400 {
-        let o = t.insert(rng.next_u64() >> 8, ());
-        assert!((1..=6).contains(&o.attempts));
-        if o.discarded.is_some() {
-            assert_eq!(o.attempts, 6, "a discard always reports max attempts");
-        }
-    }
 }
 
 #[test]

@@ -99,13 +99,6 @@ impl DuplicateTagDirectory {
         })
     }
 
-    /// Effective directory associativity: cache ways × cache count
-    /// (Section 3.1).
-    #[must_use]
-    pub fn effective_associativity(&self) -> usize {
-        self.cache_ways * self.num_caches
-    }
-
     fn set_of(&self, line: LineAddr) -> usize {
         (line.block_number() % self.cache_sets as u64) as usize
     }
@@ -356,7 +349,6 @@ mod tests {
         assert!(DuplicateTagDirectory::new(16, 2, 0).is_err());
         assert!(DuplicateTagDirectory::new(12, 2, 4).is_err());
         let dir = DuplicateTagDirectory::new(16, 2, 4).unwrap();
-        assert_eq!(dir.effective_associativity(), 8);
         assert_eq!(dir.capacity(), 16 * 2 * 4);
     }
 

@@ -91,7 +91,7 @@ pub(crate) mod testing;
 pub use duplicate_tag::DuplicateTagDirectory;
 pub use sharded::ShardedDirectory;
 pub use slots::SlotDirectory;
-pub use spec::{BuilderRegistry, DirectorySpec, InsertPolicy, Org};
+pub use spec::{BuilderRegistry, DirectorySpec, Org};
 pub use stats::{DepthMetrics, DirectoryStats};
 pub use tagless::TaglessDirectory;
 
@@ -535,9 +535,9 @@ pub trait Directory: Send {
 
     // ---- provided: depth observability ------------------------------------
 
-    /// Arms per-operation depth metrics (probe depth, displacement-chain
-    /// length, BFS path depth) at `sig_bits` histogram resolution,
-    /// resetting any previously gathered distributions.  Returns `false`
+    /// Arms per-operation depth metrics (probe depth and displacement-chain
+    /// length) at `sig_bits` histogram resolution, resetting any
+    /// previously gathered distributions.  Returns `false`
     /// when the organization has no depth instrumentation (the default);
     /// callers treat that as "nothing to observe", not an error.
     ///

@@ -16,7 +16,7 @@
 //! # Spec-string grammar
 //!
 //! ```text
-//! [shardedN:]ORG-WxS[-HASH][-POLICY][-cCACHES][@SHARERS]
+//! [shardedN:]ORG-WxS[-HASH][-cCACHES][@SHARERS]
 //! ```
 //!
 //! * `ORG` — `cuckoo`, `sparse`, `skewed`, `duplicate-tag` (alias
@@ -26,17 +26,13 @@
 //!   `in-cache`, the embedding L2 bank geometry;
 //! * `HASH` — `skew`, `ms` or `strong` (organizations with hashed indexing
 //!   only);
-//! * `POLICY` — `greedy` (default) or `bfs`: the cuckoo directory's
-//!   insertion policy.  The policy is *semantic*: BFS finds shortest
-//!   displacement paths, so attempt counts and placements differ from the
-//!   greedy chain (the label names `bfs` whenever it is in effect);
 //! * `cCACHES` — number of tracked private caches (default 32);
 //! * `@SHARERS` — `full`, `limited`, `coarse`, or `hier` (default `full`);
 //! * `shardedN:` — interleave the capacity across `N` identical slices
 //!   behind a [`ShardedDirectory`]; `S` must be divisible by `N`.
 //!
 //! The modifiers are read by [`Clauses`], the reader of every other spec
-//! grammar: each appears at most once (a second hash, policy or cache-count
+//! grammar: each appears at most once (a second hash or cache-count
 //! token is an error naming it, not an override of the first), and an
 //! unknown one is an error naming it.
 //!
@@ -67,52 +63,6 @@ use std::str::FromStr;
 /// Default tracked-cache count when a spec string names none (the paper's
 /// 16-core Shared-L2 system tracks 32 L1 caches).
 pub const DEFAULT_CACHES: usize = 32;
-
-/// How a cuckoo directory's table finds a home for a new entry when every
-/// candidate slot is occupied.
-///
-/// The policy is **semantic**: the two policies
-/// agree on which keys are resident (until an attempt budget actually
-/// expires), but attempt counts and physical placements differ, so the
-/// policy is part of the organization label (`cuckoo-4x1024-bfs`) and of
-/// every digest built over insertion outcomes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum InsertPolicy {
-    /// The paper's Section 5.2 procedure: a greedy random-walk displacement
-    /// chain, kicking victims round-robin until one lands in a vacancy.
-    #[default]
-    Greedy,
-    /// Breadth-first search over the displacement graph: the table finds a
-    /// *shortest* sequence of moves that frees one of the new entry's
-    /// candidate slots, then applies it deepest-first.  Same attempt
-    /// accounting contract (a path of `L` moves costs `L + 1` attempts),
-    /// strictly fewer entries touched per insertion at high occupancy.
-    Bfs,
-}
-
-impl fmt::Display for InsertPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            InsertPolicy::Greedy => "greedy",
-            InsertPolicy::Bfs => "bfs",
-        };
-        f.write_str(name)
-    }
-}
-
-impl FromStr for InsertPolicy {
-    type Err = ConfigError;
-
-    fn from_str(s: &str) -> Result<Self, ConfigError> {
-        match s {
-            "greedy" => Ok(InsertPolicy::Greedy),
-            "bfs" => Ok(InsertPolicy::Bfs),
-            other => Err(ConfigError::Parse {
-                what: format!("unknown insert policy `{other}` (known: greedy, bfs)"),
-            }),
-        }
-    }
-}
 
 /// The six directory organizations of the paper's evaluation.  `Display`
 /// prints the canonical spec-string name.
@@ -180,8 +130,6 @@ pub struct DirectorySpec {
     pub sets: usize,
     /// Index hash family, for organizations that hash their ways.
     pub hash: Option<HashKind>,
-    /// Insertion policy, for the cuckoo organization (default greedy).
-    pub policy: InsertPolicy,
     /// Per-entry sharer representation.
     pub sharers: SharerFormat,
     /// Number of tracked private caches.
@@ -200,7 +148,6 @@ impl DirectorySpec {
             ways,
             sets,
             hash: None,
-            policy: InsertPolicy::Greedy,
             sharers: SharerFormat::FullVector,
             caches: DEFAULT_CACHES,
             shards: 1,
@@ -327,9 +274,6 @@ impl FromStr for DirectorySpec {
             } else if let Ok(hash) = token.parse() {
                 modifiers.claim("hash")?;
                 spec.hash = Some(hash);
-            } else if let Ok(policy) = token.parse() {
-                modifiers.claim("policy")?;
-                spec.policy = policy;
             } else {
                 return Err(modifiers.unknown());
             }
@@ -352,9 +296,6 @@ impl fmt::Display for DirectorySpec {
                 HashKind::Strong => "strong",
             };
             write!(f, "-{name}")?;
-        }
-        if self.policy != InsertPolicy::Greedy {
-            write!(f, "-{}", self.policy)?;
         }
         if self.caches != DEFAULT_CACHES {
             write!(f, "-c{}", self.caches)?;
@@ -525,32 +466,14 @@ fn reject_sharers(spec: &DirectorySpec) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Rejects a `-POLICY` modifier on organizations without a displacement
-/// insertion engine, so e.g. `sparse-8x512-bfs` fails loudly instead of
-/// silently ignoring the requested policy.
-fn reject_policy(spec: &DirectorySpec) -> Result<(), ConfigError> {
-    if spec.policy != InsertPolicy::Greedy {
-        return Err(ConfigError::Parse {
-            what: format!(
-                "organization `{}` has no displacement-insertion engine; the `{}` modifier \
-                 does not apply",
-                spec.org, spec.policy
-            ),
-        });
-    }
-    Ok(())
-}
-
 fn build_sparse(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
-    reject_policy(spec)?;
     Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(SlotDirectory::<S>::sparse(spec.ways, spec.sets, spec.caches)?)
     }))
 }
 
 fn build_skewed(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
-    reject_policy(spec)?;
     let hash = spec.hash.unwrap_or(HashKind::Skewing);
     Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(SlotDirectory::<S>::skewed(spec.ways, spec.sets, spec.caches, hash)?)
@@ -561,7 +484,6 @@ fn build_duplicate_tag(spec: &DirectorySpec) -> Result<Box<dyn Directory>, Confi
     // `ways` mirrors the tracked caches' associativity; sharer identity is
     // implicit in which mirror a tag sits in.
     reject_hash(spec)?;
-    reject_policy(spec)?;
     reject_sharers(spec)?;
     Ok(Box::new(DuplicateTagDirectory::new(
         spec.sets,
@@ -572,7 +494,6 @@ fn build_duplicate_tag(spec: &DirectorySpec) -> Result<Box<dyn Directory>, Confi
 
 fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
-    reject_policy(spec)?;
     Ok(match_sharer_format!(spec.sharers, spec.caches, S => {
         Box::new(SlotDirectory::<S>::in_cache(spec.ways, spec.sets, spec.caches)?)
     }))
@@ -580,7 +501,6 @@ fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigErro
 
 fn build_tagless(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
-    reject_policy(spec)?;
     reject_sharers(spec)?;
     Ok(Box::new(TaglessDirectory::with_filter_geometry(
         spec.sets,
@@ -701,24 +621,9 @@ mod tests {
         let spec: DirectorySpec = "skewed-4x256-strong".parse().unwrap();
         assert_eq!(spec.hash, Some(HashKind::Strong));
 
-        let spec: DirectorySpec = "cuckoo-4x1024-ms-bfs-c16".parse().unwrap();
+        let spec: DirectorySpec = "cuckoo-4x1024-ms-c16".parse().unwrap();
         assert_eq!(spec.hash, Some(HashKind::MultiplyShift));
-        assert_eq!(spec.policy, InsertPolicy::Bfs);
         assert_eq!(spec.caches, 16);
-
-        // An explicit `greedy` token parses and equals the default.
-        let spec: DirectorySpec = "cuckoo-4x1024-greedy".parse().unwrap();
-        assert_eq!(spec, "cuckoo-4x1024".parse().unwrap());
-    }
-
-    #[test]
-    fn insert_policy_parse_errors_name_the_token() {
-        let err = "dfs".parse::<InsertPolicy>().unwrap_err().to_string();
-        assert!(err.contains("`dfs`"), "{err}");
-        assert!(err.contains("bfs"), "should list policies: {err}");
-        for policy in [InsertPolicy::Greedy, InsertPolicy::Bfs] {
-            assert_eq!(policy.to_string().parse::<InsertPolicy>().unwrap(), policy);
-        }
     }
 
     #[test]
@@ -778,18 +683,29 @@ mod tests {
             );
         }
 
-        // A retired hash family is an unknown modifier like any other.
-        let err = message("cuckoo-4x64-tagalt");
-        assert!(err.contains("unknown modifier `tagalt`"), "{err}");
+        // A retired hash family or insertion-policy token is an unknown
+        // modifier like any other, on every organization.
+        for (input, token) in [
+            ("cuckoo-4x64-tagalt", "tagalt"),
+            ("cuckoo-4x64-bfs", "bfs"),
+            ("cuckoo-4x64-greedy", "greedy"),
+            ("sparse-8x512-bfs", "bfs"),
+            ("skewed-4x256-bfs", "bfs"),
+            ("duplicate-tag-2x32-bfs", "bfs"),
+            ("in-cache-16x64-bfs", "bfs"),
+            ("tagless-2x32-bfs", "bfs"),
+        ] {
+            let err = message(input);
+            assert!(
+                err.contains(&format!("unknown modifier `{token}`")),
+                "{err}"
+            );
+        }
 
-        // A second hash, policy or cache count is refused, not an override.
+        // A second hash or cache count is refused, not an override.
         for (input, second) in [
             ("cuckoo-4x64-skew-strong", "second `hash` modifier `strong`"),
             ("cuckoo-4x64-c16-c8", "second `c` modifier `c8`"),
-            (
-                "cuckoo-4x64-bfs-greedy",
-                "second `policy` modifier `greedy`",
-            ),
         ] {
             let err = message(input);
             assert!(err.contains(second), "{err}");
@@ -809,8 +725,7 @@ mod tests {
             "duplicate-tag-16x512-c16",
             "sharded4:sparse-4x256@coarse",
             "cuckoo-4x1024-ms",
-            "cuckoo-4x1024-bfs",
-            "cuckoo-4x1024-strong-bfs-c16",
+            "cuckoo-4x1024-strong-c16",
         ] {
             let spec: DirectorySpec = input.parse().unwrap();
             assert_eq!(spec.to_string(), input);
@@ -850,23 +765,6 @@ mod tests {
         // Sharer formats only apply to organizations with per-entry sets.
         assert!(registry.build_str("duplicate-tag-2x32@coarse").is_err());
         assert!(registry.build_str("tagless-2x32@hier").is_err());
-        // Insert policies only apply to the cuckoo displacement engine.
-        for spec in [
-            "sparse-8x512-bfs",
-            "skewed-4x256-bfs",
-            "duplicate-tag-2x32-bfs",
-            "in-cache-16x64-bfs",
-            "tagless-2x32-bfs",
-        ] {
-            let err = match registry.build_str(spec) {
-                Err(e) => e.to_string(),
-                Ok(_) => panic!("{spec} must be rejected"),
-            };
-            assert!(
-                err.contains("no displacement-insertion engine"),
-                "{spec}: {err}"
-            );
-        }
         // The skewed directory takes both modifiers.
         assert!(registry.build_str("skewed-4x256-strong@coarse").is_ok());
     }

@@ -172,9 +172,8 @@ impl DirectoryStats {
 ///
 /// Where [`DirectoryStats`] counts *what* happened, `DepthMetrics` records
 /// *how far* each operation had to walk: probe depth (ways inspected per
-/// lookup-bearing operation), displacement-chain length (entries moved per
-/// greedy cuckoo insertion) and BFS path depth (moves along a
-/// shortest-path insertion).  The histograms are HDR-style
+/// lookup-bearing operation) and displacement-chain length (entries moved
+/// per cuckoo insertion).  The histograms are HDR-style
 /// [`LogHistogram`]s so tails stay cheap to record at full precision.
 ///
 /// Arming is optional and off by default — an unarmed directory pays one
@@ -187,11 +186,9 @@ pub struct DepthMetrics {
     /// Ways inspected by the probe serving each table operation (1 = hit
     /// or vacancy in the first way).
     pub probe_depth: LogHistogram,
-    /// Entries displaced by each greedy insertion that had to displace
-    /// (length of the random-walk kick chain).
+    /// Entries displaced by each insertion that had to displace (length
+    /// of the random-walk kick chain).
     pub displacement_chain: LogHistogram,
-    /// Moves applied by each BFS shortest-path insertion.
-    pub bfs_path_depth: LogHistogram,
 }
 
 impl DepthMetrics {
@@ -201,7 +198,6 @@ impl DepthMetrics {
         DepthMetrics {
             probe_depth: LogHistogram::new(sig_bits),
             displacement_chain: LogHistogram::new(sig_bits),
-            bfs_path_depth: LogHistogram::new(sig_bits),
         }
     }
 
@@ -220,22 +216,19 @@ impl DepthMetrics {
     pub fn merge(&mut self, other: &DepthMetrics) {
         self.probe_depth.merge(&other.probe_depth);
         self.displacement_chain.merge(&other.displacement_chain);
-        self.bfs_path_depth.merge(&other.bfs_path_depth);
     }
 
-    /// Registers the three distributions into `snapshot` under their
+    /// Registers the two distributions into `snapshot` under their
     /// canonical names.
     pub fn register_into(&self, snapshot: &mut MetricSnapshot) {
         snapshot.push_histogram("probe_depth", &self.probe_depth);
         snapshot.push_histogram("displacement_chain", &self.displacement_chain);
-        snapshot.push_histogram("bfs_path_depth", &self.bfs_path_depth);
     }
 
     /// Resets every histogram, keeping the resolution.
     pub fn reset(&mut self) {
         self.probe_depth.reset();
         self.displacement_chain.reset();
-        self.bfs_path_depth.reset();
     }
 }
 
@@ -358,7 +351,7 @@ mod tests {
         a.displacement_chain.record(5);
         let mut b = DepthMetrics::new(2);
         b.probe_depth.record(4);
-        b.bfs_path_depth.record(3);
+        b.displacement_chain.record(3);
         // Merge commutes, like every other stats reduction.
         let mut ab = a.clone();
         ab.merge(&b);
@@ -369,11 +362,10 @@ mod tests {
 
         let mut snap = MetricSnapshot::default();
         ab.register_into(&mut snap);
-        assert_eq!(snap.histograms.len(), 3);
+        assert_eq!(snap.histograms.len(), 2);
         assert_eq!(snap.histograms[0].name, "probe_depth");
         assert_eq!(snap.histograms[0].count, 2);
         assert_eq!(snap.histograms[1].name, "displacement_chain");
-        assert_eq!(snap.histograms[2].name, "bfs_path_depth");
 
         ab.reset();
         assert_eq!(ab.probe_depth.count(), 0);

@@ -175,7 +175,7 @@ fn the_two_spec_grammars_never_panic_name_what_they_reject_and_round_trip() {
         &[
             "cuckoo-4x1024-skew",
             "sharded4:duptag-16x512-c16@coarse",
-            "cuckoo-4x1024-ms-bfs-c16",
+            "cuckoo-4x1024-ms-c16",
             "in-cache-16x64@hier",
             "skewed-4x256-strong-c64@limited",
         ],

@@ -1,7 +1,7 @@
-//! Differential fuzz harness (ARCHITECTURE.md Contract #10).
+//! Differential fuzz harness (ARCHITECTURE.md Contract #6).
 //!
 //! Each fuzz case draws a random directory spec (geometry × hash family ×
-//! insertion policy) and a random workload, then checks the service's
+//! sharer format) and a random workload, then checks the service's
 //! determinism contract differentially: serial reference ≡ every legal
 //! worker count ([`ServiceReport::semantics`]).
 //!
@@ -25,18 +25,18 @@ fn build(spec: &str, shards: usize, workers: usize) -> DirectoryService {
 fn run_case(seed: u64, index: usize) {
     let mut rng = SplitMix64::new(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
-    // --- the spec: geometry x hash x policy -------------------------------
+    // --- the spec: geometry x hash x sharer format -----------------------
     let shards = [2usize, 4][rng.next_below(2) as usize];
     let sets = [32usize, 64][rng.next_below(2) as usize] * shards;
     let spec = if rng.next_below(5) == 0 {
         // Occasionally a baseline, which runs the directories' default
-        // `apply_batch` (baselines reject `-bfs`, so no policy modifier).
+        // `apply_batch`.
         format!("sparse-4x{sets}-c8")
     } else {
         let ways = [2usize, 3, 4, 8][rng.next_below(4) as usize];
         let kind = ["skew", "strong", "ms"][rng.next_below(3) as usize];
-        let policy = ["", "-bfs"][rng.next_below(2) as usize];
-        format!("cuckoo-{ways}x{sets}-{kind}{policy}-c8")
+        let sharers = ["", "@coarse", "@limited", "@hier"][rng.next_below(4) as usize];
+        format!("cuckoo-{ways}x{sets}-{kind}-c8{sharers}")
     };
 
     // --- the traffic ------------------------------------------------------

@@ -413,11 +413,11 @@ fn capacity_and_storage_profiles_are_positive_and_consistent() {
 }
 
 /// One spec per organization the registry builds (and per cuckoo hash
-/// family and insertion policy), `{sets}` left open.
+/// family), `{sets}` left open.
 const GEOMETRY_TEMPLATES: &[&str] = &[
     "cuckoo-4x{sets}-c16",
     "cuckoo-3x{sets}-ms",
-    "cuckoo-4x{sets}-strong-bfs",
+    "cuckoo-4x{sets}-strong",
     "cuckoo-2x{sets}@hier",
     "sparse-8x{sets}",
     "sparse-1x{sets}@limited",
@@ -627,29 +627,28 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
 /// Cuckoo geometries the batch pipeline must treat alike, on top of
 /// [`REGISTRY_SPECS`]: every way count the table compiles its probe for
 /// exactly (2 to 8, across the hash families) and one past that bound (16),
-/// both insertion policies, full vectors on each side of the
-/// 64-cache presence word (64 / 65) and far above it (128), and two tables
-/// small enough that the stream below drives them far past capacity.
+/// full vectors on each side of the 64-cache presence word (64 / 65) and
+/// far above it (128), and two tables small enough that the stream below drives them far past capacity.
 const PIPELINE_SPECS: &[&str] = &[
     "cuckoo-2x64-strong-c8",
     "cuckoo-3x64-ms-c8",
     "cuckoo-5x32-skew-c8",
     "cuckoo-5x32-strong-c8",
     "cuckoo-6x32-ms-c8",
-    "cuckoo-7x32-strong-bfs-c8",
+    "cuckoo-7x32-strong-c8",
     "cuckoo-8x16-skew-c8",
     "cuckoo-16x8-strong-c8",
     "cuckoo-4x64-strong-c8",
-    "cuckoo-4x64-ms-bfs-c8",
+    "cuckoo-4x64-ms-c8",
     "cuckoo-4x64-skew-c64",
     "cuckoo-4x64-skew-c65",
     "cuckoo-4x64-skew-c128",
-    TINY_GREEDY,
-    "cuckoo-3x4-strong-bfs-c4",
+    TINY_TABLE,
+    "cuckoo-3x4-strong-c4",
 ];
 
 /// Eight entries for a stream over 96 lines.
-const TINY_GREEDY: &str = "cuckoo-2x4-strong-c4";
+const TINY_TABLE: &str = "cuckoo-2x4-strong-c4";
 
 /// A skewing table of 1,024 sets, which stores `u32` key words: the batch
 /// path of the `dir_spill` and `svc_*` slices.
@@ -765,7 +764,7 @@ fn apply_batch_is_observably_identical_to_sequential_apply() {
             .map(|block| LineAddr::from_block_number(block * 13))
             .collect();
         let expected = assert_batch_matches_apply(spec, &ops, &lines);
-        if *spec == TINY_GREEDY {
+        if *spec == TINY_TABLE {
             // The stream really does what the pipeline must survive: a
             // forced eviction discards a line that a later op of the same
             // window then touches.

@@ -121,7 +121,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         "cuckoo-4x512-skew-c16",
         "cuckoo-4x512-skew-c64",
         "cuckoo-4x512-skew-c65",
-        "cuckoo-4x512-strong-bfs",
+        "cuckoo-4x512-strong",
         "cuckoo-4x512@coarse",
         "cuckoo-4x512@hier",
         "cuckoo-4x512@limited",
