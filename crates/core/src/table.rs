@@ -189,14 +189,6 @@ pub(crate) struct FindOrInsert<'a, V> {
     pub inserted: Option<InsertOutcome<V>>,
 }
 
-impl<V> std::fmt::Debug for FindOrInsert<'_, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FindOrInsert")
-            .field("was_insert", &self.inserted.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 /// A resident entry found by [`CuckooTable::occupied`].  It borrows the
 /// table mutably, so the slot it names stays occupied for as long as it
 /// lives.
