@@ -628,7 +628,8 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
 /// [`REGISTRY_SPECS`]: every way count the table compiles its probe for
 /// exactly (2 to 8, across the hash families) and one past that bound (16),
 /// full vectors on each side of the 64-cache presence word (64 / 65) and
-/// far above it (128), and two tables small enough that the stream below drives them far past capacity.
+/// far above it (128), and two tables small enough that the stream below
+/// drives them far past capacity.
 const PIPELINE_SPECS: &[&str] = &[
     "cuckoo-2x64-strong-c8",
     "cuckoo-3x64-ms-c8",
