@@ -2,7 +2,7 @@
 
 use crate::{CmpSimulator, DirectorySpec, SimReport, SystemConfig};
 use ccd_common::ConfigError;
-use ccd_workloads::WorkloadSpec;
+use ccd_workloads::{TraceStream, WorkloadSpec};
 
 /// One fully-described simulation: build the system, warm it up on a
 /// deterministic trace, measure, report.
@@ -51,13 +51,18 @@ impl SimJob {
     }
 
     /// Runs the job to completion through [`CmpSimulator::run_workload`],
-    /// so a debug build checks coherence at the end of every job.
+    /// so a debug build checks coherence at the end of every job.  The
+    /// references come from [`WorkloadSpec::stream`], one batch ahead on a
+    /// helper thread, so the simulator does not wait on the generator.
     ///
     /// # Errors
     ///
     /// Propagates construction errors; see [`CmpSimulator::new`].
     pub fn run(&self) -> Result<SimReport, ConfigError> {
-        let mut trace = self.workload.stream(self.system.num_cores, self.seed)?;
+        self.run_on(self.workload.stream(self.system.num_cores, self.seed)?)
+    }
+
+    fn run_on(&self, mut trace: Box<dyn TraceStream>) -> Result<SimReport, ConfigError> {
         CmpSimulator::run_workload(
             self.system.clone(),
             &self.spec,
@@ -213,11 +218,14 @@ impl ParallelRunner {
         indexed.into_iter().map(|(_, result)| result).collect()
     }
 
-    /// Runs every job, returning reports in job order.
+    /// Runs every job, returning reports in job order: the reports
+    /// [`SimJob::run`] returns.
     ///
     /// Every job is [validated](SimJob::validate) up front, so a
     /// mis-configured cell fails the whole batch *before* any simulation
-    /// wall-clock is spent.
+    /// wall-clock is spent.  Each job generates its references inline
+    /// ([`WorkloadSpec::stream_inline`]): the workers already keep the
+    /// CPUs busy, and a serial runner stays one thread.
     ///
     /// # Errors
     ///
@@ -226,7 +234,11 @@ impl ParallelRunner {
         for job in jobs {
             job.validate()?;
         }
-        self.map(jobs, SimJob::run).into_iter().collect()
+        self.map(jobs, |job| {
+            job.run_on(job.workload.stream_inline(job.system.num_cores, job.seed)?)
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -281,6 +293,22 @@ mod tests {
             assert_eq!(s.directory.insertions.get(), p.directory.insertions.get());
             assert!((s.avg_directory_occupancy - p.avg_directory_occupancy).abs() == 0.0);
         }
+    }
+
+    #[test]
+    fn job_run_ahead_equals_run_jobs_inline_report_for_report() {
+        let jobs: Vec<SimJob> = ["oracle", "migratory", "stream-b1024"]
+            .into_iter()
+            .enumerate()
+            .map(|(seed, workload)| SimJob {
+                workload: workload.parse().unwrap(),
+                seed: seed as u64,
+                ..quick_job()
+            })
+            .collect();
+        let inline = ParallelRunner::with_workers(2).run_jobs(&jobs).unwrap();
+        let ahead: Vec<SimReport> = jobs.iter().map(|job| job.run().unwrap()).collect();
+        assert_eq!(ahead, inline);
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! * [`scenario`] — the five classic sharing-pattern families
 //!   ([`ScenarioFamily`]) and [`ScenarioSpec`] spec-string parsing,
 //! * [`WorkloadSpec`] — one runtime-selectable handle over *any* workload:
-//!   paper profile, scenario, or recorded trace,
+//!   paper profile, scenario, or recorded trace, streamed inline or
+//!   [`AHEAD_BATCH`] references ahead on a helper thread,
 //! * [`trace_io`] — the compact `CCDT` record/replay format
 //!   ([`TraceWriter`] / [`TraceReader`]),
 //! * [`zipf::ZipfSampler`] — the locality model,
@@ -54,6 +55,7 @@
 #![warn(missing_debug_implementations)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+mod ahead;
 pub mod generator;
 pub mod profiles;
 pub mod random_stream;
@@ -62,6 +64,7 @@ pub mod spec;
 pub mod trace_io;
 pub mod zipf;
 
+pub use ahead::AHEAD_BATCH;
 pub use generator::{derive_seed, TraceGenerator};
 pub use profiles::{WorkloadCategory, WorkloadProfile};
 pub use random_stream::RandomKeyStream;

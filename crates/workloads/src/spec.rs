@@ -30,6 +30,7 @@
 //! assert_eq!(refs.len(), 64);
 //! ```
 
+use crate::ahead::AheadStream;
 use crate::scenario::{ScenarioFamily, ScenarioSpec, TraceStream};
 use crate::trace_io::TraceReader;
 use crate::{TraceGenerator, WorkloadProfile};
@@ -128,7 +129,30 @@ impl WorkloadSpec {
         }
     }
 
-    /// Builds the deterministic reference stream for `(num_cores, seed)`.
+    /// Builds the deterministic reference stream for `(num_cores, seed)`,
+    /// generated one batch ahead on a helper thread.
+    ///
+    /// The stream is [`WorkloadSpec::stream_inline`]'s, built on the
+    /// calling thread and then moved onto a helper that fills batches of
+    /// [`AHEAD_BATCH`](crate::AHEAD_BATCH) references while the caller
+    /// consumes the batch before.  It yields exactly the references the
+    /// inline stream yields, and a generator panic (say, a replayed file
+    /// that changed on disk) is re-raised on the caller at the reference
+    /// that raised it, with its payload.  Dropping the stream stops and
+    /// joins the helper.  A caller that already keeps every CPU busy, like
+    /// `ParallelRunner`'s workers, wants [`WorkloadSpec::stream_inline`].
+    ///
+    /// # Errors
+    ///
+    /// Those of [`WorkloadSpec::stream_inline`], raised before the helper
+    /// starts.
+    pub fn stream(&self, num_cores: usize, seed: u64) -> Result<Box<dyn TraceStream>, ConfigError> {
+        let inline = self.stream_inline(num_cores, seed)?;
+        Ok(Box::new(AheadStream::new(inline)))
+    }
+
+    /// Builds the deterministic reference stream for `(num_cores, seed)`,
+    /// generated on the thread that pulls it.
     ///
     /// Profile and scenario streams are infinite; a replayed stream ends
     /// when the recording does.
@@ -139,7 +163,11 @@ impl WorkloadSpec {
     ///   `num_cores` ([`crate::ScenarioSpec::stream`]),
     /// * an unreadable, corrupt, or core-count-mismatched trace file for
     ///   [`WorkloadSpec::Replay`] (the whole file is validated up front).
-    pub fn stream(&self, num_cores: usize, seed: u64) -> Result<Box<dyn TraceStream>, ConfigError> {
+    pub fn stream_inline(
+        &self,
+        num_cores: usize,
+        seed: u64,
+    ) -> Result<Box<dyn TraceStream>, ConfigError> {
         if num_cores == 0 {
             return Err(ConfigError::Zero { what: "core count" });
         }
@@ -346,6 +374,59 @@ mod tests {
             what.contains("core 9") && what.contains("4 cores"),
             "{what}"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_replay_truncated_after_validation_panics_on_the_consumer_naming_the_file() {
+        let dir = std::env::temp_dir().join("ccd-workload-spec-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("truncated.ccdt");
+        let records = 20 * crate::AHEAD_BATCH as u64;
+        let trace = TraceGenerator::new(WorkloadProfile::apache(), 4, 9);
+        crate::trace_io::record_trace(&path, 4, trace, records).unwrap();
+        let spec = WorkloadSpec::replay(path.to_str().unwrap());
+
+        // Both streams pass validation, then the file loses its second
+        // half: far beyond what the helper reads ahead before its lane
+        // fills.
+        let inline = spec.stream_inline(4, 0).unwrap();
+        let ahead = spec.stream(4, 0).unwrap();
+        let bytes = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(bytes / 2)
+            .unwrap();
+
+        let drain = |mut stream: Box<dyn TraceStream>| {
+            let mut yielded = 0u64;
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for _ in stream.by_ref() {
+                    yielded += 1;
+                }
+            }))
+            .expect_err("a truncated replay panics");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            (yielded, message)
+        };
+        let (inline_yielded, inline_message) = drain(inline);
+        let (ahead_yielded, ahead_message) = drain(ahead);
+        assert!(
+            ahead_message.contains(path.to_str().unwrap())
+                && ahead_message.contains("changed during replay"),
+            "{ahead_message}"
+        );
+        assert_eq!(ahead_message, inline_message);
+        assert_eq!(
+            ahead_yielded, inline_yielded,
+            "the panic comes at the same reference"
+        );
+        assert!(0 < ahead_yielded && ahead_yielded < records);
         std::fs::remove_file(&path).ok();
     }
 
