@@ -53,12 +53,6 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
         })
     }
 
-    /// The configuration this slice was built from.
-    #[must_use]
-    pub fn config(&self) -> &CuckooConfig {
-        &self.config
-    }
-
     /// Number of ways (`d`).
     #[must_use]
     pub fn ways(&self) -> usize {
@@ -540,7 +534,7 @@ mod tests {
         assert_eq!(d.organization(), "cuckoo-3x8192-strong");
         assert_eq!(d.ways(), 3);
         assert_eq!(d.sets(), 8192);
-        assert_eq!(d.config().num_caches, 16);
+        assert_eq!(d.num_caches(), 16);
     }
 
     #[test]
