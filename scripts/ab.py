@@ -2,30 +2,40 @@
 """Paired A/B runs of the repository benchmark: one revision against another.
 
     scripts/ab.py --against <rev> [--change <rev>] [--workload W]... [--pairs N]
+                  [--seconds S]
+    scripts/ab.py --aa [--change <rev>] [--workload W]... [--pairs N] [--seconds S]
 
-Checks out `--against` (the parent) and `--change` (default HEAD) as two
-detached `git worktree`s under a temporary directory, builds BENCHMARK.json's
+Exports `--against` (the parent) and `--change` (default HEAD) with `git
+archive` into two directories under a temporary one, builds BENCHMARK.json's
 command once in each with a target directory of its own, then runs N pairs
-(default 10) per workload (default: every workload BENCHMARK.json lists) at
-its `run_seconds` with `--trace 0`.  Which side runs first alternates from
-pair to pair; both runs of a pair share one seed, drawn from a range printed
-at the start, well above the seeds 1-10 the benchmark's own checks use.
-Only committed files are measured: uncommitted edits are not in either
-worktree.
+(default 10) per workload (default: every workload BENCHMARK.json lists) of
+S seconds each (default: BENCHMARK.json's `run_seconds`) with `--trace 0`.
+Which side runs first alternates from pair to pair; both runs of a pair
+share one seed, drawn from a range printed at the start, well above the
+seeds 1-10 the benchmark's own checks use.  Only committed files are
+measured: uncommitted edits are not in either export.  `--aa` runs one
+build of `--change` on both sides, so its verdicts show what the clock
+reads when nothing changed.
 
-Per workload and end-to-end metric it prints the parent's and the change's
-medians, the median shift as a fraction of the parent's median (positive
-means better, by the metric's direction), how many pairs the change won
-(ties count for neither side), the parent's interquartile range over its
-median, and a verdict:
+Each metric is judged by its per-pair log ratio, log(change / parent),
+signed so that positive means better by the metric's direction.  Per
+workload and end-to-end metric the script prints the parent's and the
+change's medians, the median per-pair shift (the median log ratio, as a
+fraction), how many pairs the change won (ties count for neither side), a
+distribution-free 90 % interval for the median shift taken from the order
+statistics of the pairs, its half-width as the run's resolution, and a
+verdict:
 
-  moved         the change won, or lost, at least nine pairs in ten and
-                the medians differ by more than the parent's IQR
-  within bound  not moved, the change's median is no worse than the
-                parent's by more than the metric's BENCHMARK.json bound,
-                and the parent's IQR is within that bound
-  unresolved    neither: the runs spread too widely to tell
+  moved         the interval excludes zero: the change is better, or worse
+  within bound  not moved, and the interval's worse end is inside the
+                metric's BENCHMARK.json bound
+  unresolved    neither: the interval is wider than the bound allows
   equal         every pair read the same value
+
+A shift smaller than the printed resolution is not a measurement.  Ten
+pairs give the interval between the 2nd and 9th smallest of ten ratios;
+fewer than five pairs cannot give a 90 % interval at all, so their
+verdicts read unresolved.
 
 Before the runs it prints, from `nm`, where the cuckoo table's and
 directory's compiled functions start modulo 64 on each side, one row per
@@ -67,7 +77,7 @@ def git(*args, cwd=ROOT):
 
 
 class Side:
-    """One revision checked out and built in a worktree of its own."""
+    """One revision exported and built in a directory of its own."""
 
     def __init__(self, name, rev, scratch, command):
         self.name = name
@@ -75,7 +85,10 @@ class Side:
         self.tree = scratch / name
         self.env = {**os.environ, "CARGO_TARGET_DIR": str(scratch / f"target-{name}")}
         self.command = command
-        git("worktree", "add", "--detach", str(self.tree), self.commit)
+        self.tree.mkdir()
+        archive = subprocess.run(["git", "archive", self.commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(self.tree)], input=archive, check=True)
 
     def build(self):
         argv = ["build" if word == "run" else word for word in self.command if word != "--"]
@@ -112,59 +125,94 @@ class Side:
         digest = next((line.split()[1] for line in lines if line.startswith("digest ")), None)
         return json.loads(lines[-1]), digest
 
-    def remove(self):
-        subprocess.run(["git", "worktree", "remove", "--force", str(self.tree)],
-                       cwd=ROOT, capture_output=True)
+
+def binomial_cdf(k, n):
+    """P(X <= k) for X ~ Binomial(n, 1/2)."""
+    return sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
 
 
-def iqr_over_median(values):
-    if len(values) < 2:
-        return math.inf
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return (q3 - q1) / abs(statistics.median(values)) if statistics.median(values) else math.inf
+def interval_ranks(n, coverage=0.90):
+    """1-based ranks (lo, hi) of the order statistics bounding a
+    distribution-free interval for the median of n values, covering at
+    least `coverage`; None when n values are too few.
+
+    >>> interval_ranks(10)
+    (2, 9)
+    >>> interval_ranks(40)
+    (15, 26)
+    >>> interval_ranks(5), interval_ranks(4)
+    ((1, 5), None)
+    """
+    best = None
+    for k in range(1, n // 2 + 1):
+        if 1 - 2 * binomial_cdf(k - 1, n) >= coverage:
+            best = (k, n + 1 - k)
+    return best
+
+
+def log_ratio(base, change):
+    if base == change:
+        return 0.0
+    if base <= 0 or change <= 0:
+        return math.copysign(math.inf, change - base)
+    return math.log(change / base)
 
 
 def verdict(metric, base, change):
-    """The row for one metric: medians, shift, wins, parent IQR, verdict.
+    """The row for one metric: medians, median shift, wins, the 90 %
+    interval of the shift, its half-width (the resolution), verdict.
+    Shifts are per-pair log ratios, signed so that positive is better.
 
     >>> lower = {"better": "lower", "bound": 0.25}
     >>> parent = [0.28, 0.29, 0.29, 0.30, 0.31, 0.28, 0.29, 0.30, 0.29, 0.30]
-    >>> def wins_and_word(change, metric=lower):
-    ...     row = verdict(metric, parent, change)
-    ...     return row[3], row[5]
-    >>> wins_and_word([v * 0.62 for v in parent])
-    (10, 'moved (better)')
-    >>> wins_and_word([v * 1.5 for v in parent])
-    (0, 'moved (worse)')
+    >>> def word(change, metric=lower, base=parent):
+    ...     row = verdict(metric, base, change)
+    ...     return row[3], round(row[6], 3), row[7]
+    >>> word([v * 0.62 for v in parent])
+    (10, 0.0, 'moved (better)')
+    >>> word([v * 1.5 for v in parent])
+    (0, 0.0, 'moved (worse)')
 
-    Short of nine pairs in ten, a change is "within bound" when neither its
-    median's loss nor the parent's IQR exceeds the bound, else "unresolved":
+    Noise that straddles zero is not a move.  It is within bound while the
+    interval's worse end stays inside the bound, else unresolved:
 
     >>> mixed = [v * (0.9 if i % 3 else 1.1) for i, v in enumerate(parent)]
-    >>> wins_and_word(mixed)
-    (6, 'within bound')
-    >>> wins_and_word(mixed, dict(lower, bound=0.01))
-    (6, 'unresolved')
-    >>> verdict({"better": "higher", "bound": 1e-7}, [1.0] * 10, [1.0] * 10)
-    (1.0, 1.0, 0.0, 0, 0.0, 'equal')
+    >>> word(mixed)
+    (6, 0.1, 'within bound')
+    >>> word(mixed, dict(lower, bound=0.05))
+    (6, 0.1, 'unresolved')
+
+    The interval runs from the 2nd- to the 9th-smallest of ten ratios, so
+    one outlying pair cannot unmake a move, and two can:
+
+    >>> word([v * (0.8 if i else 1.3) for i, v in enumerate(parent)])
+    (9, 0.0, 'moved (better)')
+    >>> word([v * (0.8 if i > 1 else 1.3) for i, v in enumerate(parent)])
+    (8, 0.243, 'within bound')
+
+    Too few pairs for a 90 % interval read unresolved, and identical pairs
+    read equal:
+
+    >>> word(parent[:4], base=parent[:4]), word([v * 0.5 for v in parent[:4]], base=parent[:4])
+    ((0, inf, 'equal'), (4, inf, 'unresolved'))
     """
     sign = 1.0 if metric["better"] == "higher" else -1.0
+    ratios = sorted(sign * log_ratio(b, c) for b, c in zip(base, change))
     m_base, m_change = statistics.median(base), statistics.median(change)
-    scale = abs(m_base) or 1.0
-    shift = sign * (m_change - m_base) / scale
-    wins = sum(sign * (c - b) > 0 for b, c in zip(base, change))
-    losses = sum(sign * (c - b) < 0 for b, c in zip(base, change))
-    iqr = iqr_over_median(base)
-    needed = math.ceil(0.9 * len(base))
+    shift = math.expm1(statistics.median(ratios))
+    wins = sum(r > 0 for r in ratios)
+    ranks = interval_ranks(len(ratios))
+    lo, hi = (ratios[ranks[0] - 1], ratios[ranks[1] - 1]) if ranks else (-math.inf, math.inf)
+    resolution = (hi - lo) / 2 if ranks else math.inf
     if base == change:
         word = "equal"
-    elif max(wins, losses) >= needed and abs(shift) > iqr:
-        word = "moved (better)" if shift > 0 else "moved (worse)"
-    elif -shift <= metric["bound"] and iqr <= metric["bound"]:
+    elif lo > 0 or hi < 0:
+        word = "moved (better)" if lo > 0 else "moved (worse)"
+    elif math.expm1(lo) >= -metric["bound"]:
         word = "within bound"
     else:
         word = "unresolved"
-    return m_base, m_change, shift, wins, iqr, word
+    return m_base, m_change, shift, wins, math.expm1(lo), math.expm1(hi), resolution, word
 
 
 def print_alignment(parent, change):
@@ -183,13 +231,20 @@ def print_alignment(parent, change):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, help="the parent revision")
+    parser.add_argument("--against", help="the parent revision")
     parser.add_argument("--change", default="HEAD", help="the changed revision (default HEAD)")
+    parser.add_argument("--aa", action="store_true",
+                        help="run --change on both sides: the null spread")
     parser.add_argument("--workload", action="append", help="repeatable; default: all")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float,
+                        help="seconds a run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args()
+    if not args.aa and args.against is None:
+        parser.error("--against is required without --aa")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     known = [w["name"] for w in spec["workloads"]]
     workloads = args.workload or known
     unknown = sorted(set(workloads) - set(known))
@@ -201,62 +256,59 @@ def main():
 
     base_seed = random.SystemRandom().randrange(100_000, 900_000)
     seeds = range(base_seed, base_seed + args.pairs)
-    print(f"seeds {seeds.start}..{seeds.stop - 1}", flush=True)
+    print(f"seeds {seeds.start}..{seeds.stop - 1}  {seconds:g} s a run", flush=True)
 
     problems = []
     with tempfile.TemporaryDirectory(prefix="ccd-ab-") as scratch:
         scratch = pathlib.Path(scratch)
-        sides = []
-        try:
-            sides.append(Side("parent", args.against, scratch, spec["command"]))
-            sides.append(Side("change", args.change, scratch, spec["command"]))
-            parent, change = sides
-            print(f"parent {parent.commit[:10]}  change {change.commit[:10]}", flush=True)
-            for side in sides:
-                side.build()
-            print_alignment(parent.hot_offsets(), change.hot_offsets())
+        change = Side("change", args.change, scratch, spec["command"])
+        parent = change if args.aa else Side("parent", args.against, scratch, spec["command"])
+        # Names to sides; under --aa both names run the one build.
+        sides = {"parent": parent, "change": change}
+        print(f"parent {parent.commit[:10]}  change {change.commit[:10]}"
+              f"{'  (A/A)' if args.aa else ''}", flush=True)
+        for side in {id(side): side for side in sides.values()}.values():
+            side.build()
+        print_alignment(parent.hot_offsets(), change.hot_offsets())
 
-            rows = []
-            for workload in workloads:
-                values = {side.name: {m["name"]: [] for m in declared} for side in sides}
-                for pair, seed in enumerate(seeds):
-                    order = sides if pair % 2 == 0 else sides[::-1]
-                    got = {side.name: side.run(workload, seed, spec["run_seconds"])
-                           for side in order}
-                    for name, (result, _) in got.items():
-                        if not result["correct"] or result["failed"]:
-                            problems.append(f"{workload} seed {seed}: {name} run "
-                                            f"correct={result['correct']} failed={result['failed']}")
-                        for metric in declared:
-                            values[name][metric["name"]].append(
-                                result["metrics"][metric["name"]]["value"])
-                    (r_base, d_base), (r_change, d_change) = got["parent"], got["change"]
-                    if d_base != d_change:
-                        problems.append(f"{workload} seed {seed}: digest {d_base} -> {d_change}")
-                    for name in exact:
-                        a = r_base["metrics"][name]["value"]
-                        b = r_change["metrics"][name]["value"]
-                        if a != b:
-                            problems.append(f"{workload} seed {seed}: {name} {a} -> {b}")
-                    shown = "  ".join(
-                        f"{name} {r_base['metrics'][name]['value']:.6g} -> "
-                        f"{r_change['metrics'][name]['value']:.6g}" for name in PROGRESS)
-                    print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} "
-                          f"({order[0].name} first): {shown}", flush=True)
-                for metric in declared:
-                    name = metric["name"]
-                    rows.append((workload, metric,
-                                 verdict(metric, values["parent"][name], values["change"][name])))
-        finally:
-            for side in sides:
-                side.remove()
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+        rows = []
+        for workload in workloads:
+            values = {name: {m["name"]: [] for m in declared} for name in sides}
+            for pair, seed in enumerate(seeds):
+                order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+                got = {name: sides[name].run(workload, seed, seconds) for name in order}
+                for name, (result, _) in got.items():
+                    if not result["correct"] or result["failed"]:
+                        problems.append(f"{workload} seed {seed}: {name} run "
+                                        f"correct={result['correct']} failed={result['failed']}")
+                    for metric in declared:
+                        values[name][metric["name"]].append(
+                            result["metrics"][metric["name"]]["value"])
+                (r_base, d_base), (r_change, d_change) = got["parent"], got["change"]
+                if d_base != d_change:
+                    problems.append(f"{workload} seed {seed}: digest {d_base} -> {d_change}")
+                for name in exact:
+                    a = r_base["metrics"][name]["value"]
+                    b = r_change["metrics"][name]["value"]
+                    if a != b:
+                        problems.append(f"{workload} seed {seed}: {name} {a} -> {b}")
+                shown = "  ".join(
+                    f"{name} {r_base['metrics'][name]['value']:.6g} -> "
+                    f"{r_change['metrics'][name]['value']:.6g}" for name in PROGRESS)
+                print(f"{workload} pair {pair + 1}/{args.pairs} seed {seed} "
+                      f"({order[0]} first): {shown}", flush=True)
+            for metric in declared:
+                name = metric["name"]
+                rows.append((workload, metric,
+                             verdict(metric, values["parent"][name], values["change"][name])))
 
-    print(f"\n| workload | metric | parent | change | shift | wins | parent IQR | bound | verdict |")
-    print("|---|---|---|---|---|---|---|---|---|")
-    for workload, metric, (m_base, m_change, shift, wins, iqr, word) in rows:
+    print("\n| workload | metric | parent | change | shift | wins | 90 % interval "
+          "| resolution | bound | verdict |")
+    print("|---|---|---|---|---|---|---|---|---|---|")
+    for workload, metric, (m_base, m_change, shift, wins, lo, hi, resolution, word) in rows:
         print(f"| {workload} | {metric['name']} | {m_base:.6g} | {m_change:.6g} | "
-              f"{shift:+.4f} | {wins}/{args.pairs} | {iqr:.4f} | {metric['bound']} | {word} |")
+              f"{shift:+.4f} | {wins}/{args.pairs} | [{lo:+.4f}, {hi:+.4f}] | "
+              f"±{resolution:.4f} | {metric['bound']} | {word} |")
     for problem in problems:
         print(f"DIFFERS: {problem}")
     sys.exit(1 if problems else 0)
