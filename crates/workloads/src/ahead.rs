@@ -46,11 +46,28 @@ pub(crate) struct AheadStream {
     /// The batch being consumed, from `next` on.
     batch: Vec<MemRef>,
     next: usize,
-    /// Full batches from the helper, in generation order.
-    full: Option<Receiver<Vec<MemRef>>>,
-    /// Spent batches back to the helper.
-    spent: Option<Sender<Vec<MemRef>>>,
-    helper: Option<JoinHandle<()>>,
+    /// `None` once the helper has been stopped.
+    helper: Option<Helper>,
+}
+
+/// The helper thread and both ends of its lanes on the consumer's side.
+struct Helper {
+    /// Full batches, in generation order.
+    full: Receiver<Vec<MemRef>>,
+    /// Spent batches, back to the helper.
+    spent: Sender<Vec<MemRef>>,
+    thread: JoinHandle<()>,
+}
+
+impl Helper {
+    /// Disconnects both lanes, then joins the thread: a helper blocked on
+    /// either (a full lane, or no spent buffer) wakes with an error and
+    /// returns.
+    fn stop(self) -> std::thread::Result<()> {
+        drop(self.full);
+        drop(self.spent);
+        self.thread.join()
+    }
 }
 
 impl AheadStream {
@@ -70,7 +87,7 @@ impl AheadStream {
                       deterministic stream, hands its batches over in order and is \
                       joined on drop"
         )]
-        let helper = std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || {
             while let Ok(mut batch) = spent_rx.recv() {
                 batch.clear();
                 let filled = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -94,32 +111,29 @@ impl AheadStream {
         AheadStream {
             batch: Vec::with_capacity(AHEAD_BATCH),
             next: 0,
-            full: Some(full),
-            spent: Some(spent),
-            helper: Some(helper),
+            helper: Some(Helper {
+                full,
+                spent,
+                thread,
+            }),
         }
     }
 
     /// Swaps in the next full batch; `false` once the helper has finished.
     #[cold]
     fn refill(&mut self) -> bool {
-        let received = match &self.full {
-            Some(full) => full.recv(),
-            None => return false,
+        let Some(helper) = &self.helper else {
+            return false;
         };
-        if let Ok(batch) = received {
+        if let Ok(batch) = helper.full.recv() {
             let spent = std::mem::replace(&mut self.batch, batch);
-            if let Some(lane) = &self.spent {
-                // A helper that has finished needs no more buffers.
-                let _ = lane.send(spent);
-            }
+            // Fails only once the helper has finished, needing no buffers.
+            let _ = helper.spent.send(spent);
             self.next = 0;
             return true;
         }
         // The helper dropped its lane: the stream ended or it panicked.
-        self.full = None;
-        self.spent = None;
-        if let Some(Err(payload)) = self.helper.take().map(JoinHandle::join) {
+        if let Some(Err(payload)) = self.helper.take().map(Helper::stop) {
             panic::resume_unwind(payload);
         }
         false
@@ -142,14 +156,10 @@ impl Iterator for AheadStream {
 
 impl Drop for AheadStream {
     fn drop(&mut self) {
-        // Both lanes go before the join: a helper blocked on either (a full
-        // lane, or no spent buffer) wakes with an error and returns.
-        self.full = None;
-        self.spent = None;
         if let Some(helper) = self.helper.take() {
             // A panic the consumer never reached stays unraised, as the
             // inline stream would never have raised it.
-            let _ = helper.join();
+            let _ = helper.stop();
         }
     }
 }
@@ -250,11 +260,37 @@ mod tests {
         );
         drops_promptly(stream);
 
-        // With the helper blocked on a full lane: it fills the lane and
-        // one more buffer in a few hundred microseconds, then waits.
-        let mut stream = spec.stream(CORES, 1).unwrap();
-        assert!(stream.next().is_some());
-        std::thread::sleep(Duration::from_millis(100));
-        drops_promptly(stream);
+        // With the helper blocked on a full lane: nothing was pulled, so
+        // the lane holds two batches when the helper finishes its third,
+        // whose send then blocks.
+        let (filled_tx, filled) = std::sync::mpsc::channel();
+        let inner = Signalling {
+            inner: TraceGenerator::new(WorkloadProfile::apache(), CORES, 1),
+            yielded: 0,
+            filled: filled_tx,
+        };
+        let stream = AheadStream::new(Box::new(inner));
+        filled.recv().unwrap();
+        drops_promptly(Box::new(stream));
+    }
+
+    /// A generator that reports once it has yielded three batches.
+    #[derive(Debug)]
+    struct Signalling {
+        inner: TraceGenerator,
+        yielded: usize,
+        filled: std::sync::mpsc::Sender<()>,
+    }
+
+    impl Iterator for Signalling {
+        type Item = MemRef;
+
+        fn next(&mut self) -> Option<MemRef> {
+            self.yielded += 1;
+            if self.yielded == (LANE_DEPTH + 1) * AHEAD_BATCH {
+                self.filled.send(()).unwrap();
+            }
+            self.inner.next()
+        }
     }
 }
