@@ -21,9 +21,10 @@ use std::panic::{self, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 /// References per batch: 1,024 [`MemRef`]s, 16 KiB.  Large enough that a
-/// lane hop (a few hundred nanoseconds) is noise beside the ≈ 70 µs the
-/// generators take to fill it; small enough that every buffer of a stream
-/// together stays a small share of a core's L2.
+/// lane hop (a few microseconds at most) is noise beside the 60–85 µs the
+/// paper profiles take to fill it (60–85 ns a reference on a 2-vCPU Xeon
+/// VM); small enough that all of a stream's buffers stay a small share of
+/// a core's L2.
 pub const AHEAD_BATCH: usize = 1024;
 
 /// Full batches the lane holds.  One lets the helper finish batch *k + 1*
