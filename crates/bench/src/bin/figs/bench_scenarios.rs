@@ -46,7 +46,7 @@ fn record_replay_check(sweep: &SweepSpec, workload_index: usize) -> (SimReport, 
         std::process::id()
     ));
     let stream = workload
-        .stream(system.num_cores, seed)
+        .stream_inline(system.num_cores, seed)
         .expect("catalog workload builds");
     let written = record_trace(
         &path,

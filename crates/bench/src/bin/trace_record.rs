@@ -79,7 +79,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let stream = match args.workload.stream(args.cores, args.seed) {
+    let stream = match args.workload.stream_inline(args.cores, args.seed) {
         Ok(stream) => stream,
         Err(e) => {
             eprintln!("error: {e}");

@@ -61,15 +61,18 @@ impl LoadSpec {
         self.workload.validate(self.cores, self.requests)
     }
 
-    /// Builds the deterministic operation stream.
+    /// Builds the deterministic operation stream, generated on the thread
+    /// that pulls it ([`WorkloadSpec::stream_inline`]): the concurrent
+    /// service's router and workers already keep the CPUs busy, and the
+    /// serial reference stays one thread.
     ///
     /// # Errors
     ///
-    /// See [`WorkloadSpec::stream`].
+    /// See [`WorkloadSpec::stream_inline`].
     pub fn ops(&self) -> Result<OpStream, ConfigError> {
         self.validate()?;
         Ok(OpStream {
-            refs: self.workload.stream(self.cores, self.seed)?,
+            refs: self.workload.stream_inline(self.cores, self.seed)?,
             geometry: BlockGeometry::new(DEFAULT_BLOCK_BYTES),
             remaining: self.requests,
         })

@@ -140,7 +140,8 @@ impl WorkloadSpec {
     /// that changed on disk) is re-raised on the caller at the reference
     /// that raised it, with its payload.  Dropping the stream stops and
     /// joins the helper.  A caller that already keeps every CPU busy, like
-    /// `ParallelRunner`'s workers, wants [`WorkloadSpec::stream_inline`].
+    /// `ParallelRunner`'s workers or the service's router and workers,
+    /// wants [`WorkloadSpec::stream_inline`].
     ///
     /// # Errors
     ///

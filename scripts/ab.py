@@ -22,9 +22,9 @@ signed so that positive means better by the metric's direction.  Per
 workload and end-to-end metric the script prints the parent's and the
 change's medians, the median per-pair shift (the median log ratio, as a
 fraction), how many pairs the change won (ties count for neither side), a
-distribution-free 90 % interval for the median shift taken from the order
-statistics of the pairs, its half-width as the run's resolution, and a
-verdict:
+distribution-free interval for the median shift taken from the order
+statistics of the pairs, covering at least 90 %, its half-width as the
+run's resolution, and a verdict:
 
   moved         the interval excludes zero: the change is better, or worse
   within bound  not moved, and the interval's worse end is inside the
@@ -32,10 +32,14 @@ verdict:
   unresolved    neither: the interval is wider than the bound allows
   equal         every pair read the same value
 
-A shift smaller than the printed resolution is not a measurement.  Ten
-pairs give the interval between the 2nd and 9th smallest of ten ratios;
-fewer than five pairs cannot give a 90 % interval at all, so their
-verdicts read unresolved.
+A shift smaller than the printed resolution is not a measurement.  The
+interval is the narrowest pair of order statistics that reaches 90 %, so
+the coverage it does reach depends on N, and the table's header prints it:
+ten pairs give the 2nd to 9th smallest of ten ratios, which cover 97.9 %;
+forty give the 15th to 26th of forty, 91.9 %.  Fewer than five pairs
+cannot reach 90 % at all, so their verdicts read unresolved.  An A/A run
+reads *moved* on a metric at about one minus that coverage: 2.1 % at ten
+pairs, 8.1 % at forty.
 
 Before the runs it prints, from `nm`, where the cuckoo table's and
 directory's compiled functions start modulo 64 on each side, one row per
@@ -145,9 +149,19 @@ def interval_ranks(n, coverage=0.90):
     """
     best = None
     for k in range(1, n // 2 + 1):
-        if 1 - 2 * binomial_cdf(k - 1, n) >= coverage:
+        if ranks_coverage(k, n) >= coverage:
             best = (k, n + 1 - k)
     return best
+
+
+def ranks_coverage(lo, n):
+    """How often the interval between the lo-th smallest and the lo-th
+    largest of n values covers their median.
+
+    >>> round(ranks_coverage(2, 10), 4), round(ranks_coverage(15, 40), 4)
+    (0.9785, 0.9193)
+    """
+    return 1 - 2 * binomial_cdf(lo - 1, n)
 
 
 def log_ratio(base, change):
@@ -159,8 +173,8 @@ def log_ratio(base, change):
 
 
 def verdict(metric, base, change):
-    """The row for one metric: medians, median shift, wins, the 90 %
-    interval of the shift, its half-width (the resolution), verdict.
+    """The row for one metric: medians, median shift, wins, the interval
+    of the shift (at least 90 %, see `interval_ranks`), its half-width (the resolution), verdict.
     Shifts are per-pair log ratios, signed so that positive is better.
 
     >>> lower = {"better": "lower", "bound": 0.25}
@@ -190,7 +204,7 @@ def verdict(metric, base, change):
     >>> word([v * (0.8 if i > 1 else 1.3) for i, v in enumerate(parent)])
     (8, 0.243, 'within bound')
 
-    Too few pairs for a 90 % interval read unresolved, and identical pairs
+    Too few pairs to reach 90 % read unresolved, and identical pairs
     read equal:
 
     >>> word(parent[:4], base=parent[:4]), word([v * 0.5 for v in parent[:4]], base=parent[:4])
@@ -302,7 +316,10 @@ def main():
                 rows.append((workload, metric,
                              verdict(metric, values["parent"][name], values["change"][name])))
 
-    print("\n| workload | metric | parent | change | shift | wins | 90 % interval "
+    ranks = interval_ranks(args.pairs)
+    level = (f"{100 * ranks_coverage(ranks[0], args.pairs):.1f} % interval"
+             if ranks else "interval (none below 5 pairs)")
+    print(f"\n| workload | metric | parent | change | shift | wins | {level} "
           "| resolution | bound | verdict |")
     print("|---|---|---|---|---|---|---|---|---|---|")
     for workload, metric, (m_base, m_change, shift, wins, lo, hi, resolution, word) in rows:
