@@ -1,9 +1,9 @@
 //! The one reader of the workspace's `prefix-clause-clause…` spec strings.
 //!
-//! Fault plans (`faults-…`), observability specs (`obs-…`), scenario
-//! workloads (`migratory-…`) and the modifiers of a directory spec
-//! (`cuckoo-4x512-skew-c16`, after its organization) share one shape, and
-//! [`Clauses`] enforces its rules once for all four:
+//! Observability specs (`obs-…`), scenario workloads (`migratory-…`) and
+//! the modifiers of a directory spec (`cuckoo-4x512-skew-c16`, after its
+//! organization) share one shape, and [`Clauses`] enforces its rules once
+//! for all three:
 //!
 //! * the string splits at `-`; the first token is the required prefix (a
 //!   fixed word, or a scenario's family name) and every later token is one

@@ -58,7 +58,7 @@ pub enum ConfigError {
 
 impl ConfigError {
     /// Builds a [`ConfigError::Parse`] from any message — the one-liner the
-    /// spec-string parsers (`DirectorySpec`, `WorkloadSpec`, `FaultPlan`)
+    /// spec-string parsers (`DirectorySpec`, `WorkloadSpec`, `ObsConfig`)
     /// use at every rejection site.
     #[must_use]
     pub fn parse(what: impl Into<String>) -> Self {
@@ -125,11 +125,11 @@ mod tests {
 
     #[test]
     fn parse_helper_builds_the_parse_variant() {
-        let e = ConfigError::parse(format!("fault plan `{}`: unknown clause", "x@y"));
+        let e = ConfigError::parse(format!("obs spec `{}`: unknown clause", "x@y"));
         assert_eq!(
             e,
             ConfigError::Parse {
-                what: "fault plan `x@y`: unknown clause".to_string()
+                what: "obs spec `x@y`: unknown clause".to_string()
             }
         );
         assert!(e.to_string().starts_with("parse error:"));

@@ -6,7 +6,7 @@
 //! ARCHITECTURE.md — observation does not perturb semantics):
 //!
 //! * [`ObsConfig`] — the `obs-ring4096-spans` spec grammar that arms the
-//!   layer, mirroring the workspace's fault-plan spec style.  Only an
+//!   layer, in the workspace's `prefix-clause-clause…` spec style.  Only an
 //!   API call arms it: `ServiceConfig::with_obs_spec` for a service,
 //!   `Directory::arm_depth_metrics` for a bare directory.
 //! * [`FlightRecorder`] / [`FlightRecording`] — a fixed-capacity,

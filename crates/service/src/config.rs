@@ -1,6 +1,5 @@
 //! Service topology configuration.
 
-use crate::fault::FaultPlan;
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
 use ccd_obs::ObsConfig;
@@ -44,9 +43,6 @@ pub struct ServiceConfig {
     /// and the golden digests need the log; a pure throughput measurement
     /// can turn it off.
     pub record_outcomes: bool,
-    /// An armed fault-injection schedule, or `None` (the default) for a
-    /// fault-free run.  See [`FaultPlan`].
-    pub fault_plan: Option<FaultPlan>,
     /// An armed observability layer, or `None` (the default) to run dark;
     /// nothing but this field arms a service.  Arming is observational
     /// only — contract #11 says armed and unarmed runs are
@@ -66,7 +62,6 @@ impl ServiceConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             batch: DEFAULT_BATCH,
             record_outcomes: true,
-            fault_plan: None,
             obs: None,
         }
     }
@@ -92,17 +87,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns the config with a fault plan parsed from a `faults-…` spec
-    /// string (see [`FaultPlan::parse`]) armed.
-    ///
-    /// # Errors
-    ///
-    /// The plan's parse error.
-    pub fn with_fault_spec(mut self, spec: &str) -> Result<Self, ConfigError> {
-        self.fault_plan = Some(FaultPlan::parse(spec)?);
-        Ok(self)
-    }
-
     /// Returns the config with an observability layer parsed from an
     /// `obs-…` spec string (see [`ObsConfig::parse`]) armed.
     ///
@@ -121,8 +105,7 @@ impl ServiceConfig {
     /// * [`ConfigError::Zero`] — zero shards, workers, queue depth or batch;
     /// * [`ConfigError::Inconsistent`] — more workers than shards, a
     ///   `shardedN:` spec prefix (the service does its own interleaving),
-    ///   a set count not divisible by the shard count, or a fault plan
-    ///   naming a worker the topology does not have;
+    ///   or a set count not divisible by the shard count;
     /// * any parse error from [`DirectorySpec`].
     pub fn validate(&self) -> Result<DirectorySpec, ConfigError> {
         if self.shards == 0 {
@@ -150,9 +133,6 @@ impl ServiceConfig {
                 what: "service worker count must not exceed the shard count \
                        (each worker owns at least one shard)",
             });
-        }
-        if let Some(plan) = &self.fault_plan {
-            plan.validate_for(self.workers)?;
         }
         let spec: DirectorySpec = self.spec.parse()?;
         if spec.shards != 1 {
@@ -198,20 +178,6 @@ mod tests {
         assert!(base(4, 4).with_batch(0).validate().is_err());
         // 3 shards do not divide 256 sets.
         assert!(base(3, 1).validate().is_err());
-    }
-
-    #[test]
-    fn fault_plans_are_validated_against_the_worker_count() {
-        let config = ServiceConfig::new("sparse-4x256-c8", 4, 2)
-            .with_fault_spec("faults-abort@w1:100")
-            .unwrap();
-        assert!(config.validate().is_ok());
-        let config = config.with_fault_spec("faults-abort@w2:100").unwrap();
-        let err = config.validate().unwrap_err();
-        assert!(err.to_string().contains("worker index"), "{err}");
-        assert!(ServiceConfig::new("sparse-4x256-c8", 4, 2)
-            .with_fault_spec("faults-oops")
-            .is_err());
     }
 
     #[test]

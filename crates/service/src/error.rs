@@ -6,24 +6,20 @@ use std::fmt;
 /// Everything a [`DirectoryService`](crate::DirectoryService) run can fail
 /// with.
 ///
-/// Before the supervision layer existed, a worker panic propagated through
-/// a bare `join().expect(...)` and aborted the whole process; now it is a
-/// value callers can match on: [`ServiceError::WorkerCrashed`] names the
-/// worker and carries the stringified panic payload, whether the panic is
-/// a genuine bug or a fault plan's `abort@` clause.
+/// A worker panic is a value callers can match on, never a process abort:
+/// [`ServiceError::WorkerCrashed`] names the worker and carries the
+/// stringified panic payload — for an op naming a cache past the
+/// directory's count, the op-entry assert's `out of range` message.
 #[derive(Clone, Debug, PartialEq)]
 #[non_exhaustive]
 pub enum ServiceError {
-    /// The topology, spec string, load or fault plan was rejected.
+    /// The topology, spec string or load was rejected.
     Config(ConfigError),
     /// A worker thread panicked; the other workers drained and exited.
     WorkerCrashed {
         /// Index of the worker that died.
         worker: usize,
-        /// The panic payload, stringified (an [`InjectedCrash`] renders
-        /// its `Display` form).
-        ///
-        /// [`InjectedCrash`]: crate::fault::InjectedCrash
+        /// The panic payload, stringified.
         cause: String,
     },
 }
@@ -66,7 +62,7 @@ mod tests {
 
         let err = ServiceError::WorkerCrashed {
             worker: 3,
-            cause: "injected abort on worker 3 at seq 9".into(),
+            cause: "cache8 out of range for a 8-cache directory".into(),
         };
         assert!(err.to_string().contains("worker 3 crashed"));
         assert!(std::error::Error::source(&err).is_none());

@@ -29,11 +29,10 @@
 //! scenario, or recorded trace replay — deterministically becomes directory
 //! traffic per `(workload, cores, seed)`.
 //!
-//! Workers run **supervised** ([`supervisor`]): a [`FaultPlan`] can
-//! deterministically stall the service's workers or make one panic, and a
-//! worker panic — injected or genuine — surfaces as
-//! [`ServiceError::WorkerCrashed`] while the other workers drain, instead of
-//! hanging the run or aborting the process.
+//! Workers run **supervised** ([`supervisor`]): a worker panic — an op
+//! naming a cache past the directory's count trips one at the op entry —
+//! surfaces as [`ServiceError::WorkerCrashed`] while the other workers
+//! drain, instead of hanging the run or aborting the process.
 //!
 //! ```
 //! use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
@@ -58,7 +57,6 @@
 
 pub mod config;
 pub mod error;
-pub mod fault;
 pub mod load;
 pub mod request;
 pub mod service;
@@ -67,7 +65,6 @@ pub mod supervisor;
 pub use ccd_obs::ObsConfig;
 pub use config::{ServiceConfig, DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
 pub use error::ServiceError;
-pub use fault::{CrashPoint, FaultPlan, StallPoint};
 pub use load::{op_for, LoadSpec, OpStream};
 pub use request::{digest_outcomes, OutcomeLog, OutcomeRecord, Request};
 pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};

@@ -111,8 +111,7 @@ impl ServiceStats {
 /// recordings are not**: they narrate how work was scheduled (per-worker
 /// batch spans, router events), which legitimately depends on the worker
 /// count.  For a fixed topology a recording is run-to-run bit-reproducible
-/// whenever scheduling itself is deterministic, which includes armed
-/// stalls.
+/// whenever scheduling itself is deterministic.
 ///
 /// The whole struct is excluded from [`ServiceReport::semantics`]:
 /// observation output is not semantics (contract #11).
@@ -310,8 +309,9 @@ impl DirectoryService {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::WorkerCrashed`] when a worker panics, whether a
-    /// fault plan's `abort@` clause injected the panic or not.
+    /// [`ServiceError::WorkerCrashed`] when a worker panics — for one, at
+    /// the op-entry assert of an op naming a cache past the directory's
+    /// count.
     pub fn run(
         self,
         ops: impl Iterator<Item = DirectoryOp>,

@@ -21,16 +21,16 @@
 //! A delivery is one blocking [`Sender::send`]: a full lane parks the
 //! router until the worker drains (backpressure), and a crashed worker's
 //! [`Receiver`] drops during its unwind, which fails the send — blocked or
-//! not.  A panic is never retried, whether a fault plan's `abort@` clause
-//! injected it or it is a genuine bug: the supervisor drops every sender,
-//! so the healthy workers drain at most `queue_depth` queued batches and
+//! not.  A panic is never retried: the supervisor drops every sender, so
+//! the healthy workers drain at most `queue_depth` queued batches and
 //! exit, and the run returns the crash as a value.  A worker that dies
 //! after its last delivery is found the same way when the fleet is joined.
+//! `tests/fault_injection.rs` drives both paths with an op naming a cache
+//! past the directory's count, which its owner's op-entry assert rejects.
 //!
 //! [`DirectoryService::run`]: crate::DirectoryService::run
 
 use crate::error::ServiceError;
-use crate::fault::{silence_injected_panics, FaultPlan, InjectedCrash, WorkerFaults};
 use crate::request::Request;
 use crate::service::{absorb_into, finish, DirectoryService, ServiceReport, WorkerOutput};
 use ccd_common::channel::{bounded, Receiver, Sender};
@@ -46,7 +46,6 @@ type JoinedFleet = (Vec<WorkerOutput>, Option<ccd_obs::FlightRecording>);
 
 /// Everything about a run that never changes while it executes.
 struct RunEnv {
-    plan: Option<FaultPlan>,
     workers: usize,
     queue_depth: usize,
     record: bool,
@@ -62,14 +61,11 @@ struct CrashNote {
 
 impl CrashNote {
     fn new(worker: usize, payload: Box<dyn Any + Send>) -> Self {
-        let cause = match payload.downcast_ref::<InjectedCrash>() {
-            Some(crash) => crash.to_string(),
-            None => payload
-                .downcast_ref::<&'static str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".to_string()),
-        };
+        let cause = payload
+            .downcast_ref::<&'static str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string());
         CrashNote { worker, cause }
     }
 
@@ -109,10 +105,9 @@ impl<'scope> Supervisor<'scope> {
                 .map(|cfg| FlightRecorder::new(cfg.ring(), cfg.spans())),
         };
         for (index, slices) in owned.into_iter().enumerate() {
-            let hooks = env.plan.as_ref().and_then(|p| p.arm(index));
             let mut output = WorkerOutput::new(index, slices);
             output.arm_obs(env.obs.as_ref());
-            let (tx, recycle_rx, handle) = spawn_worker(scope, env, output, hooks);
+            let (tx, recycle_rx, handle) = spawn_worker(scope, env, output);
             sup.txs.push(tx);
             sup.recycles.push(recycle_rx);
             sup.handles.push(Some(handle));
@@ -120,7 +115,8 @@ impl<'scope> Supervisor<'scope> {
         sup
     }
 
-    /// Delivers one batch to `owner`, riding out stalls (a blocking send).
+    /// Delivers one batch to `owner`, waiting out a full lane (a blocking
+    /// send).
     /// A failed send means the owner crashed: its crash note is the error.
     fn deliver(&mut self, owner: usize, batch: Vec<Request>) -> Result<(), ServiceError> {
         // Virtual time of the router-side event for this batch: its first
@@ -193,12 +189,7 @@ pub(crate) fn run_concurrent(
     let shards = service.config.shards;
     let interleave = service.interleave;
     let batch = service.config.batch;
-    let plan = service.config.fault_plan.clone().filter(|p| !p.is_noop());
-    if plan.as_ref().is_some_and(|p| !p.crashes().is_empty()) {
-        silence_injected_panics();
-    }
     let env = RunEnv {
-        plan,
         workers,
         queue_depth: service.config.queue_depth,
         record: service.config.record_outcomes,
@@ -283,25 +274,23 @@ fn spawn_worker<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     env: &'env RunEnv,
     output: WorkerOutput,
-    hooks: Option<WorkerFaults>,
 ) -> WorkerLanes<'scope> {
     let (tx, rx) = bounded::<Vec<Request>>(env.queue_depth);
     // One spare slot beyond the queue depth so a worker's non-blocking
     // buffer return almost never drops a buffer.
     let (recycle_tx, recycle_rx) = bounded::<Vec<Request>>(env.queue_depth + 1);
-    let handle = scope.spawn(move || drive_worker(output, env, rx, recycle_tx, hooks));
+    let handle = scope.spawn(move || drive_worker(output, env, rx, recycle_tx));
     (tx, recycle_rx, handle)
 }
 
-/// One worker's supervised drain loop: receive a batch, sleep any
-/// scheduled stall, run the batch, return the buffer, repeat until the
+/// One worker's supervised drain loop: receive a batch, count it, open its
+/// span, apply it, close the span, return the buffer, repeat until the
 /// ingestion side hangs up.
 fn drive_worker(
     output: WorkerOutput,
     env: &RunEnv,
     rx: Receiver<Vec<Request>>,
     recycle_tx: Sender<Vec<Request>>,
-    hooks: Option<WorkerFaults>,
 ) -> Result<WorkerOutput, CrashNote> {
     let worker = output.index;
     catch_unwind(AssertUnwindSafe(move || {
@@ -311,17 +300,10 @@ fn drive_worker(
         // The loop ends when the router drops this lane's sender: at the
         // end of the stream or on a supervisor abort alike.
         while let Ok(mut requests) = rx.recv() {
-            if let Some(hooks) = hooks.as_ref() {
-                hooks.stall();
-            }
-            run_batch(
-                &mut output,
-                &requests,
-                env,
-                hooks.as_ref(),
-                &mut out,
-                &mut ops_buf,
-            );
+            output.batches += 1;
+            output.batch_span_begin(&requests);
+            apply_requests(&mut output, &requests, env, &mut out, &mut ops_buf);
+            output.batch_applied(&requests);
             requests.clear();
             // Non-blocking buffer return; on a full recycle ring the
             // buffer is simply dropped and the router allocates fresh.
@@ -330,32 +312,6 @@ fn drive_worker(
         output
     }))
     .map_err(|payload| CrashNote::new(worker, payload))
-}
-
-/// One batch through a worker: count it, open its span, die at a scheduled
-/// abort point if one falls inside it, apply it, close the span.
-fn run_batch(
-    output: &mut WorkerOutput,
-    requests: &[Request],
-    env: &RunEnv,
-    hooks: Option<&WorkerFaults>,
-    out: &mut Outcome,
-    ops_buf: &mut Vec<DirectoryOp>,
-) {
-    output.batches += 1;
-    output.batch_span_begin(requests);
-    if let Some(cut) = hooks.and_then(|h| h.crash_cut(requests.iter().map(|r| r.seq))) {
-        // Apply the prefix normally, then die exactly where the plan says —
-        // before the first request with `seq >= the trigger`.
-        apply_requests(output, &requests[..cut], env, out, ops_buf);
-        InjectedCrash {
-            worker: output.index,
-            seq: requests[cut].seq,
-        }
-        .fire();
-    }
-    apply_requests(output, requests, env, out, ops_buf);
-    output.batch_applied(requests);
 }
 
 /// Applies `requests` to the worker's shards and absorbs each outcome.

@@ -1,5 +1,5 @@
-//! Seeded parser fuzz: the workspace's three clause grammars (`faults-…`,
-//! `obs-…`, scenario workloads), the two spec grammars built on
+//! Seeded parser fuzz: the workspace's two clause grammars (`obs-…`,
+//! scenario workloads), the two spec grammars built on
 //! them (`DirectorySpec`, `WorkloadSpec`), and the two binary readers (CCDT
 //! traces, flight recordings).
 //!
@@ -16,7 +16,7 @@ use ccd_common::rng::{Rng64, Xoshiro256};
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
 use ccd_obs::{FlightRecording, ObsConfig};
-use ccd_service::{DirectoryService, FaultPlan, LoadSpec, ServiceConfig};
+use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
 use ccd_workloads::{MemRef, ScenarioSpec, TraceGenerator, TraceReader, TraceWriter};
 use ccd_workloads::{WorkloadProfile, WorkloadSpec};
 use std::fmt::Debug;
@@ -138,17 +138,7 @@ fn fuzz<T: PartialEq + Debug, E: Debug>(
 }
 
 #[test]
-fn the_three_clause_grammars_never_panic_name_what_they_reject_and_round_trip() {
-    fuzz(
-        &[
-            "faults",
-            "faults-abort@w2:5000-stall@w0:2ms",
-            "faults-abort@w1:10-abort@w1:30-stall@w0:1ms",
-        ],
-        FaultPlan::parse,
-        |plan| plan.label().to_string(),
-        names_a_token,
-    );
+fn the_two_clause_grammars_never_panic_name_what_they_reject_and_round_trip() {
     fuzz(
         &["obs", "obs-sig3-ring4096-spans", "obs-spans-sig8-ring16"],
         ObsConfig::parse,

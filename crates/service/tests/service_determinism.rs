@@ -94,7 +94,10 @@ fn trace_replay_traffic_matches_serial_application() {
 }
 
 /// Randomized topologies (seeded, reproducible): any (shards, workers,
-/// queue depth, batch size) the config accepts obeys the contract.
+/// queue depth, batch size) the config accepts obeys the contract.  The
+/// first row is fixed at four workers, queue depth 1 and batch 1: one
+/// request in flight a lane, so the router parks in a blocking send
+/// whenever a worker is behind.
 #[test]
 fn randomized_topologies_obey_the_contract() {
     let mut rng = SplitMix64::new(0x0CCD_5EED);
@@ -102,10 +105,15 @@ fn randomized_topologies_obey_the_contract() {
     let serial = build("sparse-4x256-c8", 4, 1)
         .run_load_serial(&load)
         .expect("serial reference runs");
-    for _ in 0..6 {
-        let workers = 1 + (rng.next_u64() % 4) as usize;
-        let queue_depth = 1 + (rng.next_u64() % 8) as usize;
-        let batch = 1 + (rng.next_u64() % 500) as usize;
+    let parked = (4, 1, 1);
+    let drawn = (0..6).map(|_| {
+        (
+            1 + (rng.next_u64() % 4) as usize,
+            1 + (rng.next_u64() % 8) as usize,
+            1 + (rng.next_u64() % 500) as usize,
+        )
+    });
+    for (workers, queue_depth, batch) in std::iter::once(parked).chain(drawn) {
         let config = ServiceConfig::new("sparse-4x256-c8", 4, workers)
             .with_queue_depth(queue_depth)
             .with_batch(batch);
