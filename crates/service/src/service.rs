@@ -110,8 +110,9 @@ impl ServiceStats {
 /// byte-identical for a serial run and any worker count.  The **flight
 /// recordings are not**: they narrate how work was scheduled (per-worker
 /// batch spans, router events), which legitimately depends on the worker
-/// count.  For a fixed topology a recording is run-to-run bit-reproducible
-/// whenever scheduling itself is deterministic.
+/// count.  For a fixed topology a recording is run-to-run bit-reproducible:
+/// its events carry request sequence numbers, not the threads'
+/// interleaving.
 ///
 /// The whole struct is excluded from [`ServiceReport::semantics`]:
 /// observation output is not semantics (contract #11).
