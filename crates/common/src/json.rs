@@ -3,9 +3,7 @@
 //! The build environment cannot fetch `serde`, so everything that writes
 //! JSON goes through here: the `figs` result files (rows built with
 //! [`obj!`](crate::obj), values converted by [`ToJson`], written by
-//! [`Json::to_pretty`]), and the observability snapshot (`ccd_obs::expo`,
-//! written by [`Json::to_pretty_folded`]).  Nothing in the workspace reads
-//! JSON back.
+//! [`Json::to_pretty`]).  Nothing in the workspace reads JSON back.
 //!
 //! Integers are a variant of their own, [`Json::Int`]: a `u64` counter is
 //! written as its exact digits, never through an `f64`.

@@ -291,8 +291,8 @@ impl<S: SharerSet, Q: KeyWord> Directory for CuckooDirectory<S, Q> {
         self.stats.reset();
     }
 
-    fn arm_depth_metrics(&mut self, sig_bits: u32) -> bool {
-        self.table.arm_depth_metrics(sig_bits);
+    fn arm_depth_metrics(&mut self) -> bool {
+        self.table.arm_depth_metrics();
         true
     }
 
@@ -542,7 +542,7 @@ mod tests {
         let mut d = dir(4, 64, 8);
         let mut out = Outcome::new();
         assert!(d.depth_metrics().is_none(), "directories start disarmed");
-        assert!(d.arm_depth_metrics(2));
+        assert!(d.arm_depth_metrics());
         let mut rng = SplitMix64::new(0x0B5);
         for _ in 0..120 {
             let l = line(rng.next_u64() >> 10);
@@ -557,7 +557,7 @@ mod tests {
         // same requests report identical result-bearing statistics.
         let mut plain = dir(4, 64, 8);
         let mut armed = dir(4, 64, 8);
-        assert!(armed.arm_depth_metrics(2));
+        assert!(armed.arm_depth_metrics());
         let mut rng = SplitMix64::new(0x7777);
         for _ in 0..300 {
             let l = line(rng.next_u64() >> 14);

@@ -407,8 +407,8 @@ impl<V, Q: KeyWord> CuckooTable<V, Q> {
         self.max_attempts = max_attempts;
     }
 
-    /// Arms depth-distribution recording at `sig_bits` resolution,
-    /// replacing any distributions recorded so far.
+    /// Arms depth-distribution recording, replacing any distributions
+    /// recorded so far.
     ///
     /// While armed, every mutating operation feeds two
     /// [`LogHistogram`](ccd_common::LogHistogram)s: the ways inspected by
@@ -418,12 +418,8 @@ impl<V, Q: KeyWord> CuckooTable<V, Q> {
     /// are deliberately not recorded — observation never adds interior
     /// mutability to the read path.  Recording never changes what the
     /// table computes (contract #11).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sig_bits` is outside `1..=8`.
-    pub fn arm_depth_metrics(&mut self, sig_bits: u32) {
-        self.metrics = Some(Box::new(DepthMetrics::new(sig_bits)));
+    pub fn arm_depth_metrics(&mut self) {
+        self.metrics = Some(Box::new(DepthMetrics::new()));
     }
 
     /// The depth distributions recorded since arming, or `None` when

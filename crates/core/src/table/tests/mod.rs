@@ -71,7 +71,7 @@ fn depth_metrics_observe_without_perturbing() {
     // unarmed table computes, while its distributions fill in.
     let mut armed: CuckooTable<u64> = CuckooTable::new(2, 64, HashKind::Strong, 9).unwrap();
     let mut plain: CuckooTable<u64> = CuckooTable::new(2, 64, HashKind::Strong, 9).unwrap();
-    armed.arm_depth_metrics(2);
+    armed.arm_depth_metrics();
     assert!(plain.depth_metrics().is_none());
 
     let mut rng = SplitMix64::new(0xD1);

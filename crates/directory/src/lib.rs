@@ -536,14 +536,14 @@ pub trait Directory: Send {
     // ---- provided: depth observability ------------------------------------
 
     /// Arms per-operation depth metrics (probe depth and displacement-chain
-    /// length) at `sig_bits` histogram resolution, resetting any
+    /// length), resetting any
     /// previously gathered distributions.  Returns `false`
     /// when the organization has no depth instrumentation (the default);
     /// callers treat that as "nothing to observe", not an error.
     ///
     /// Arming must never change what the directory computes — only
     /// [`Directory::depth_metrics`] output (contract #11).
-    fn arm_depth_metrics(&mut self, _sig_bits: u32) -> bool {
+    fn arm_depth_metrics(&mut self) -> bool {
         false
     }
 

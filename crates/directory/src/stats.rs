@@ -18,6 +18,10 @@ use ccd_common::stats::{
 /// 32-attempt cap (Section 5.2).
 pub const MAX_TRACKED_ATTEMPTS: usize = 32;
 
+/// Significant bits of [`DepthMetrics`]' histograms: quantiles within 25 %
+/// of the exact depth.
+pub const DEPTH_SIG_BITS: u32 = 2;
+
 /// Statistics accumulated by a directory slice.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DirectoryStats {
@@ -191,28 +195,24 @@ pub struct DepthMetrics {
     pub displacement_chain: LogHistogram,
 }
 
-impl DepthMetrics {
-    /// Creates empty metrics at `sig_bits` histogram resolution.
-    #[must_use]
-    pub fn new(sig_bits: u32) -> Self {
-        DepthMetrics {
-            probe_depth: LogHistogram::new(sig_bits),
-            displacement_chain: LogHistogram::new(sig_bits),
-        }
+impl Default for DepthMetrics {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    /// The configured histogram resolution.
+impl DepthMetrics {
+    /// Creates empty metrics at [`DEPTH_SIG_BITS`] histogram resolution.
     #[must_use]
-    pub fn sig_bits(&self) -> u32 {
-        self.probe_depth.sig_bits()
+    pub fn new() -> Self {
+        DepthMetrics {
+            probe_depth: LogHistogram::new(DEPTH_SIG_BITS),
+            displacement_chain: LogHistogram::new(DEPTH_SIG_BITS),
+        }
     }
 
     /// Merges another metrics block into this one (fixed-shard-order
     /// reduction, like [`DirectoryStats::merge`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolutions differ.
     pub fn merge(&mut self, other: &DepthMetrics) {
         self.probe_depth.merge(&other.probe_depth);
         self.displacement_chain.merge(&other.displacement_chain);
@@ -345,11 +345,11 @@ mod tests {
 
     #[test]
     fn depth_metrics_merge_register_and_reset() {
-        let mut a = DepthMetrics::new(2);
-        assert_eq!(a.sig_bits(), 2);
+        let mut a = DepthMetrics::new();
+        assert_eq!(a.probe_depth.sig_bits(), DEPTH_SIG_BITS);
         a.probe_depth.record(1);
         a.displacement_chain.record(5);
-        let mut b = DepthMetrics::new(2);
+        let mut b = DepthMetrics::new();
         b.probe_depth.record(4);
         b.displacement_chain.record(3);
         // Merge commutes, like every other stats reduction.
@@ -369,6 +369,6 @@ mod tests {
 
         ab.reset();
         assert_eq!(ab.probe_depth.count(), 0);
-        assert_eq!(ab.sig_bits(), 2);
+        assert_eq!(ab.probe_depth.sig_bits(), DEPTH_SIG_BITS);
     }
 }

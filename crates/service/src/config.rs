@@ -1,8 +1,8 @@
 //! Service topology configuration.
 
+use crate::obs::ObsConfig;
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
-use ccd_obs::ObsConfig;
 
 /// Default number of request batches a worker queue can hold before the
 /// ingestion frontend blocks.
@@ -191,5 +191,54 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.to_string().contains("`4xq`"), "{err}");
+    }
+
+    /// An observability spec, read through its one arming path.
+    fn obs(spec: &str) -> Result<ObsConfig, ConfigError> {
+        let config = ServiceConfig::new("sparse-4x256-c8", 4, 2).with_obs_spec(spec)?;
+        Ok(config.obs.unwrap())
+    }
+
+    #[test]
+    fn parses_the_full_grammar_and_defaults() {
+        let full = obs("obs-ring4096-spans").unwrap();
+        assert_eq!(full.ring(), 4096);
+        assert!(full.spans());
+        assert!(full.recorder().is_some());
+        assert_eq!(full.label(), "obs-ring4096-spans");
+
+        let bare = obs("obs").unwrap();
+        assert_eq!(bare.ring(), 0);
+        assert!(!bare.spans());
+        assert!(bare.recorder().is_none());
+        assert_eq!(bare.label(), "obs");
+        // Clause order is canonicalized; the parser fuzz holds every label
+        // to re-parsing equal.
+        assert_eq!(obs("obs-spans-ring16").unwrap().label(), "obs-ring16-spans");
+    }
+
+    #[test]
+    fn rejects_malformed_specs() {
+        // Each error quotes the spec and the token at fault.
+        for (spec, token) in [
+            ("observability", "obs"),
+            ("obs-ring3", "ring3"),
+            ("obs-ring", "ring"),
+            ("obs-ringx", "ringx"),
+            ("obs-ring99999999999", "ring99999999999"),
+            ("obs-spans", "spans"),
+            ("obs-ring8-ring8", "ring8"),
+            ("obs-ring8-spans-spans", "spans"),
+            ("obs-ring8-sig2", "sig2"),
+            ("obs-what", "what"),
+        ] {
+            let err = obs(spec).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("obs spec `{spec}`")) && err.contains(&format!("`{token}`")),
+                "`{spec}` should fail naming `{token}`, got: {err}"
+            );
+        }
+        // Past the 2^24-event cap.
+        assert!(obs(&format!("obs-ring{}", 1 << 25)).is_err());
     }
 }

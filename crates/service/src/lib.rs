@@ -58,13 +58,14 @@
 pub mod config;
 pub mod error;
 pub mod load;
+mod obs;
 pub mod request;
 pub mod service;
 pub mod supervisor;
 
-pub use ccd_obs::ObsConfig;
 pub use config::{ServiceConfig, DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
 pub use error::ServiceError;
 pub use load::{op_for, LoadSpec, OpStream};
+pub use obs::{EventKind, FlightRecording, ObsConfig, RawEvent};
 pub use request::{digest_outcomes, OutcomeLog, OutcomeRecord, Request};
 pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};

@@ -51,12 +51,12 @@
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
 use crate::load::LoadSpec;
+use crate::obs::{EventKind, FlightRecorder, FlightRecording, ObsConfig};
 use crate::request::{reassemble, OutcomeLog, Request, WorkerLog};
 use crate::supervisor;
 use ccd_common::stats::{Counter, MetricSnapshot};
 use ccd_common::{ConfigError, Interleave};
 use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome};
-use ccd_obs::{EventKind, FlightRecorder, FlightRecording, ObsConfig};
 use std::fmt;
 
 /// Snapshot-consistent service statistics, built from the same mergeable
@@ -106,12 +106,11 @@ impl ServiceStats {
 /// The **metric snapshot is worker-count invariant**: counters come from
 /// the merged [`ServiceStats`] (the scheduling-dependent batch count is
 /// deliberately excluded) and the depth distributions merge in global shard
-/// order, so [`ccd_obs::expo::render_json`] of the snapshot is
-/// byte-identical for a serial run and any worker count.  The **flight
-/// recordings are not**: they narrate how work was scheduled (per-worker
-/// batch spans, router events), which legitimately depends on the worker
-/// count.  For a fixed topology a recording is run-to-run bit-reproducible:
-/// its events carry request sequence numbers, not the threads'
+/// order, so a serial run and any worker count report equal snapshots.
+/// The **flight recordings are not**: they narrate how work was scheduled
+/// (per-worker batch spans, router events), which legitimately depends on
+/// the worker count.  For a fixed topology a recording is equal from run
+/// to run: its events carry request sequence numbers, not the threads'
 /// interleaving.
 ///
 /// The whole struct is excluded from [`ServiceReport::semantics`]:
@@ -230,9 +229,9 @@ impl DirectoryService {
             .collect::<Result<Vec<_>, _>>()?;
         // Armed depth distributions are observational only: nothing
         // result-bearing changes (contract #11).
-        if let Some(obs) = &config.obs {
+        if config.obs.is_some() {
             for slice in &mut slices {
-                slice.arm_depth_metrics(obs.sig_bits());
+                slice.arm_depth_metrics();
             }
         }
         let organization = format!("service{}x[{}]", config.shards, slices[0].organization());
@@ -392,9 +391,7 @@ impl WorkerOutput {
     /// Arms the worker's flight recorder from the effective observability
     /// config (a ring-less config keeps the recorder off).
     pub(crate) fn arm_obs(&mut self, obs: Option<&ObsConfig>) {
-        self.recorder = obs
-            .filter(|cfg| cfg.records_events())
-            .map(|cfg| FlightRecorder::new(cfg.ring(), cfg.spans()));
+        self.recorder = obs.and_then(ObsConfig::recorder);
     }
 
     /// Opens the batch-application span (no-op unless spans are armed).
@@ -512,7 +509,7 @@ pub(crate) fn finish(
         ] {
             metrics.push_counter(name, value);
         }
-        let mut depth = DepthMetrics::new(cfg.sig_bits());
+        let mut depth = DepthMetrics::new();
         for shard in 0..shards {
             if let Some(recorded) = outputs[shard % stride].slices[shard / stride].depth_metrics() {
                 depth.merge(recorded);

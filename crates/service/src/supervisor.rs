@@ -31,18 +31,18 @@
 //! [`DirectoryService::run`]: crate::DirectoryService::run
 
 use crate::error::ServiceError;
+use crate::obs::{EventKind, FlightRecorder, FlightRecording, ObsConfig};
 use crate::request::Request;
 use crate::service::{absorb_into, finish, DirectoryService, ServiceReport, WorkerOutput};
 use ccd_common::channel::{bounded, Receiver, Sender};
 use ccd_directory::{Directory, DirectoryOp, Outcome};
-use ccd_obs::{EventKind, FlightRecorder, ObsConfig};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::{Scope, ScopedJoinHandle};
 
 /// What the supervisor hands back once the fleet drains: the worker
 /// outputs and the router-side flight recording (when one was armed).
-type JoinedFleet = (Vec<WorkerOutput>, Option<ccd_obs::FlightRecording>);
+type JoinedFleet = (Vec<WorkerOutput>, Option<FlightRecording>);
 
 /// Everything about a run that never changes while it executes.
 struct RunEnv {
@@ -98,11 +98,7 @@ impl<'scope> Supervisor<'scope> {
             txs: Vec::with_capacity(env.workers),
             recycles: Vec::with_capacity(env.workers),
             handles: Vec::with_capacity(env.workers),
-            recorder: env
-                .obs
-                .as_ref()
-                .filter(|cfg| cfg.records_events())
-                .map(|cfg| FlightRecorder::new(cfg.ring(), cfg.spans())),
+            recorder: env.obs.as_ref().and_then(ObsConfig::recorder),
         };
         for (index, slices) in owned.into_iter().enumerate() {
             let mut output = WorkerOutput::new(index, slices);

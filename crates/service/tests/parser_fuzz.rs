@@ -1,7 +1,6 @@
 //! Seeded parser fuzz: the workspace's two clause grammars (`obs-…`,
 //! scenario workloads), the two spec grammars built on
-//! them (`DirectorySpec`, `WorkloadSpec`), and the two binary readers (CCDT
-//! traces, flight recordings).
+//! them (`DirectorySpec`, `WorkloadSpec`), and the CCDT trace reader.
 //!
 //! No input may panic, every accepted value's canonical label must
 //! re-parse to an equal value, and every rejection by a clause or spec
@@ -15,8 +14,7 @@
 use ccd_common::rng::{Rng64, Xoshiro256};
 use ccd_common::ConfigError;
 use ccd_directory::DirectorySpec;
-use ccd_obs::{FlightRecording, ObsConfig};
-use ccd_service::{DirectoryService, LoadSpec, ServiceConfig};
+use ccd_service::ObsConfig;
 use ccd_workloads::{MemRef, ScenarioSpec, TraceGenerator, TraceReader, TraceWriter};
 use ccd_workloads::{WorkloadProfile, WorkloadSpec};
 use std::fmt::Debug;
@@ -140,7 +138,7 @@ fn fuzz<T: PartialEq + Debug, E: Debug>(
 #[test]
 fn the_two_clause_grammars_never_panic_name_what_they_reject_and_round_trip() {
     fuzz(
-        &["obs", "obs-sig3-ring4096-spans", "obs-spans-sig8-ring16"],
+        &["obs", "obs-ring4096-spans", "obs-spans-ring16"],
         ObsConfig::parse,
         |config| config.label().to_string(),
         names_a_token,
@@ -254,72 +252,4 @@ fn the_ccdt_reader_turns_any_bytes_into_records_or_one_error() {
         bytes.extend((0..rng.next_below(48)).map(|_| rng.next_u64() as u8));
         let _ = read_ccdt(&bytes);
     }
-}
-
-/// `bytes` read as a flight recording, which may not panic: `Some` of a
-/// recording that serializes back to exactly `bytes`, or `None` for the one
-/// error.
-fn read_recording(bytes: &[u8]) -> Option<FlightRecording> {
-    let parsed = std::panic::catch_unwind(|| FlightRecording::from_bytes(bytes))
-        .unwrap_or_else(|_| panic!("reading {bytes:?} panicked"));
-    let recording = parsed.ok()?;
-    assert_eq!(recording.to_bytes(), bytes, "a recording is its bytes");
-    Some(recording)
-}
-
-#[test]
-fn flight_recordings_read_as_a_recording_or_one_error() {
-    // A real recording: worker 0's ring over a two-worker run, spans on.
-    let config = ServiceConfig::new("cuckoo-4x256-c8", 4, 2)
-        .with_batch(64)
-        .with_obs_spec("obs-ring64-spans")
-        .unwrap();
-    let load = LoadSpec::parse("migratory-zipf0.9", 8, 5, 4_000).unwrap();
-    let report = DirectoryService::build_standard(config)
-        .unwrap()
-        .run_load(&load)
-        .unwrap();
-    let valid = report.obs.unwrap().workers[0].to_bytes();
-    let events = read_recording(&valid).map(|r| r.events.len());
-    assert_eq!(events, Some(64), "it reads, its ring wrapped");
-
-    // Every cut promises events it lacks; any bit may flip.
-    let cut = (0..valid.len()).find(|&len| read_recording(&valid[..len]).is_some());
-    assert_eq!(cut, None, "a cut read");
-    for bit in 0..valid.len() * 8 {
-        let mut flipped = valid.clone();
-        flipped[bit / 8] ^= 1 << (bit % 8);
-        let _ = read_recording(&flipped);
-    }
-    // Only the true event count reads, whatever a header claims.
-    for count in [0, 63, 64, 65, 1 << 40, u64::MAX / 16 + 1, u64::MAX] {
-        let mut claimed = valid.clone();
-        claimed[24..32].copy_from_slice(&count.to_le_bytes());
-        assert_eq!(read_recording(&claimed).is_some(), count == 64, "{count}");
-    }
-    // Seeded word-level mutations: overwrite, insert, delete, cut.
-    let mut rng = Xoshiro256::new(0x0B5);
-    let mut accepted = 0;
-    for _ in 0..ROUNDS {
-        let mut words: Vec<[u8; 8]> = valid
-            .chunks_exact(8)
-            .map(|c| c.try_into().unwrap())
-            .collect();
-        for _ in 0..=rng.next_below(3) {
-            let at = rng.next_below(words.len() as u64 + 1) as usize;
-            let word = rng.next_u64().to_le_bytes();
-            match rng.next_below(4) {
-                0 if at < words.len() => words[at] = word,
-                1 => words.insert(at, word),
-                2 if at < words.len() => {
-                    words.remove(at);
-                }
-                _ => words.truncate(at),
-            }
-        }
-        let mut bytes = words.concat();
-        bytes.truncate(bytes.len().saturating_sub(rng.next_below(2) as usize * 3));
-        accepted += usize::from(read_recording(&bytes).is_some());
-    }
-    assert!(accepted >= ROUNDS / 50, "{accepted} of {ROUNDS} accepted");
 }

@@ -23,8 +23,10 @@ workload and end-to-end metric the script prints the parent's and the
 change's medians, the median per-pair shift (the median log ratio, as a
 fraction), how many pairs the change won (ties count for neither side), a
 distribution-free interval for the median shift taken from the order
-statistics of the pairs, covering at least 90 %, its half-width as the
-run's resolution, and a verdict:
+statistics of the pairs, its half-width as the run's resolution, and a
+verdict.  The interval covers at least 1 - 0.10/m, where m is the number
+of timed metrics the run judges (three a workload, twelve for all four), so
+an A/A run reads a false *moved* on any of them at most one time in ten:
 
   moved         the interval excludes zero: the change is better, or worse
   within bound  not moved, and the interval's worse end is inside the
@@ -33,13 +35,14 @@ run's resolution, and a verdict:
   equal         every pair read the same value
 
 A shift smaller than the printed resolution is not a measurement.  The
-interval is the narrowest pair of order statistics that reaches 90 %, so
-the coverage it does reach depends on N, and the table's header prints it:
-ten pairs give the 2nd to 9th smallest of ten ratios, which cover 97.9 %;
-forty give the 15th to 26th of forty, 91.9 %.  Fewer than five pairs
-cannot reach 90 % at all, so their verdicts read unresolved.  An A/A run
-reads *moved* on a metric at about one minus that coverage: 2.1 % at ten
-pairs, 8.1 % at forty.
+interval is the narrowest pair of order statistics that reaches the level,
+so the coverage it does reach depends on N and m, and the table's header
+prints both.  With all four workloads (m = 12, at least 99.2 %) ten pairs
+give the whole range of the ten ratios, 99.8 %, so a metric moves only when
+every pair agrees; forty give the 12th to 29th of forty, 99.4 %.  With one
+workload (m = 3, at least 96.7 %) ten pairs give the 2nd to 9th, 97.9 %.
+Fewer than eight pairs (m = 12) or six (m = 3) reach no interval, so their
+verdicts read unresolved.
 
 Before the runs it prints, from `nm`, where the cuckoo table's and
 directory's compiled functions start modulo 64 on each side, one row per
@@ -135,10 +138,11 @@ def binomial_cdf(k, n):
     return sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n
 
 
-def interval_ranks(n, coverage=0.90):
+def interval_ranks(n, family=1):
     """1-based ranks (lo, hi) of the order statistics bounding a
     distribution-free interval for the median of n values, covering at
-    least `coverage`; None when n values are too few.
+    least 1 - 0.10/family, so that `family` such intervals all cover their
+    medians at least 90 % of the time; None when n values are too few.
 
     >>> interval_ranks(10)
     (2, 9)
@@ -146,10 +150,14 @@ def interval_ranks(n, coverage=0.90):
     (15, 26)
     >>> interval_ranks(5), interval_ranks(4)
     ((1, 5), None)
+    >>> interval_ranks(10, 12), interval_ranks(40, 12), interval_ranks(10, 3)
+    ((1, 10), (12, 29), (2, 9))
+    >>> interval_ranks(8, 12), interval_ranks(7, 12), interval_ranks(6, 3)
+    ((1, 8), None, (1, 6))
     """
     best = None
     for k in range(1, n // 2 + 1):
-        if ranks_coverage(k, n) >= coverage:
+        if ranks_coverage(k, n) >= 1 - 0.10 / family:
             best = (k, n + 1 - k)
     return best
 
@@ -172,15 +180,17 @@ def log_ratio(base, change):
     return math.log(change / base)
 
 
-def verdict(metric, base, change):
-    """The row for one metric: medians, median shift, wins, the interval
-    of the shift (at least 90 %, see `interval_ranks`), its half-width (the resolution), verdict.
+def verdict(metric, base, change, family):
+    """The row for one metric judged among `family` timed metrics:
+    medians, median shift, wins, the interval of the shift (see
+    `interval_ranks`), its half-width (the resolution), verdict.
     Shifts are per-pair log ratios, signed so that positive is better.
+    The examples judge one workload's three timed metrics.
 
     >>> lower = {"better": "lower", "bound": 0.25}
     >>> parent = [0.28, 0.29, 0.29, 0.30, 0.31, 0.28, 0.29, 0.30, 0.29, 0.30]
-    >>> def word(change, metric=lower, base=parent):
-    ...     row = verdict(metric, base, change)
+    >>> def word(change, metric=lower, base=parent, family=3):
+    ...     row = verdict(metric, base, change, family)
     ...     return row[3], round(row[6], 3), row[7]
     >>> word([v * 0.62 for v in parent])
     (10, 0.0, 'moved (better)')
@@ -204,7 +214,13 @@ def verdict(metric, base, change):
     >>> word([v * (0.8 if i > 1 else 1.3) for i, v in enumerate(parent)])
     (8, 0.243, 'within bound')
 
-    Too few pairs to reach 90 % read unresolved, and identical pairs
+    Among all four workloads' twelve, the interval is the whole range of
+    the ten ratios, so one outlying pair unmakes the move:
+
+    >>> word([v * (0.8 if i else 1.3) for i, v in enumerate(parent)], family=12)
+    (9, 0.243, 'within bound')
+
+    Too few pairs to reach the level read unresolved, and identical pairs
     read equal:
 
     >>> word(parent[:4], base=parent[:4]), word([v * 0.5 for v in parent[:4]], base=parent[:4])
@@ -215,7 +231,7 @@ def verdict(metric, base, change):
     m_base, m_change = statistics.median(base), statistics.median(change)
     shift = math.expm1(statistics.median(ratios))
     wins = sum(r > 0 for r in ratios)
-    ranks = interval_ranks(len(ratios))
+    ranks = interval_ranks(len(ratios), family)
     lo, hi = (ratios[ranks[0] - 1], ratios[ranks[1] - 1]) if ranks else (-math.inf, math.inf)
     resolution = (hi - lo) / 2 if ranks else math.inf
     if base == change:
@@ -267,6 +283,9 @@ def main():
                  if unknown else "--pairs must be at least 1")
     declared = spec["end_to_end"]
     exact = [m["name"] for m in declared if m["unit"] not in MEASURED_UNITS]
+    # Every timed metric of every workload is one more chance of a false
+    # move: the intervals widen with their number.
+    family = (len(declared) - len(exact)) * len(workloads)
 
     base_seed = random.SystemRandom().randrange(100_000, 900_000)
     seeds = range(base_seed, base_seed + args.pairs)
@@ -313,12 +332,13 @@ def main():
                       f"({order[0]} first): {shown}", flush=True)
             for metric in declared:
                 name = metric["name"]
-                rows.append((workload, metric,
-                             verdict(metric, values["parent"][name], values["change"][name])))
+                rows.append((workload, metric, verdict(
+                    metric, values["parent"][name], values["change"][name], family)))
 
-    ranks = interval_ranks(args.pairs)
-    level = (f"{100 * ranks_coverage(ranks[0], args.pairs):.1f} % interval"
-             if ranks else "interval (none below 5 pairs)")
+    ranks = interval_ranks(args.pairs, family)
+    floor = f"at least {100 * (1 - 0.10 / family):.1f} % for {family} timed metrics"
+    level = (f"{100 * ranks_coverage(ranks[0], args.pairs):.1f} % interval ({floor})"
+             if ranks else f"interval (none reaches {floor})")
     print(f"\n| workload | metric | parent | change | shift | wins | {level} "
           "| resolution | bound | verdict |")
     print("|---|---|---|---|---|---|---|---|---|---|")

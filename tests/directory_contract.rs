@@ -674,7 +674,7 @@ fn observe(
     let mut dir = standard_registry().build_str(spec).expect(spec);
     // Armed on both sides where the organization has depth metrics: the
     // distributions are part of what must not differ (contract #11).
-    dir.arm_depth_metrics(2);
+    dir.arm_depth_metrics();
     let mut outcomes = Vec::new();
     run(dir.as_mut(), &mut |_, out| outcomes.push(out.clone()));
     Observed {
