@@ -536,10 +536,9 @@ pub trait Directory: Send {
     // ---- provided: depth observability ------------------------------------
 
     /// Arms per-operation depth metrics (probe depth and displacement-chain
-    /// length), resetting any
-    /// previously gathered distributions.  Returns `false`
-    /// when the organization has no depth instrumentation (the default);
-    /// callers treat that as "nothing to observe", not an error.
+    /// length), resetting any previously gathered distributions.  Returns
+    /// `false` when the organization has no depth instrumentation (the
+    /// default); callers treat that as "nothing to observe", not an error.
     ///
     /// Arming must never change what the directory computes — only
     /// [`Directory::depth_metrics`] output (contract #11).

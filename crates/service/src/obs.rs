@@ -24,9 +24,9 @@ const VTIME_MASK: u64 = (1 << VTIME_BITS) - 1;
 
 /// A parsed, validated observability spec.
 ///
-/// Only `ServiceConfig::with_obs_spec` hands one to a service; armed, the
-/// service also gathers each slice's depth distributions
-/// (`Directory::arm_depth_metrics`).
+/// A service is armed through `ServiceConfig::obs`, which
+/// `ServiceConfig::with_obs_spec` fills; armed, it also gathers each
+/// slice's depth distributions (`Directory::arm_depth_metrics`).
 ///
 /// ```text
 /// obs-ring4096-spans
