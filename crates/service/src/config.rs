@@ -202,15 +202,11 @@ mod tests {
     #[test]
     fn parses_the_full_grammar_and_defaults() {
         let full = obs("obs-ring4096-spans").unwrap();
-        assert_eq!(full.ring(), 4096);
-        assert!(full.spans());
-        assert!(full.recorder().is_some());
+        assert_eq!(full.recorder().unwrap().finish().capacity, 4096);
         assert_eq!(full.label(), "obs-ring4096-spans");
 
         let bare = obs("obs").unwrap();
-        assert_eq!(bare.ring(), 0);
-        assert!(!bare.spans());
-        assert!(bare.recorder().is_none());
+        assert!(bare.recorder().is_none(), "no ring, no recorder");
         assert_eq!(bare.label(), "obs");
         // Clause order is canonicalized; the parser fuzz holds every label
         // to re-parsing equal.

@@ -94,18 +94,6 @@ impl ObsConfig {
         &self.label
     }
 
-    /// Flight-recorder capacity in events; 0 disables event recording.
-    #[must_use]
-    pub fn ring(&self) -> usize {
-        self.ring
-    }
-
-    /// Whether span begin/end events are recorded.
-    #[must_use]
-    pub fn spans(&self) -> bool {
-        self.spans
-    }
-
     /// A fresh flight recorder, or `None` when the config has no ring.
     pub(crate) fn recorder(&self) -> Option<FlightRecorder> {
         (self.ring > 0).then(|| FlightRecorder::new(self.ring, self.spans))
