@@ -1,7 +1,7 @@
 //! Section 5.5 — hash-function selection study.
 //!
-//! Compares the skewing functions, multiply-shift functions and strong
-//! mixers along two axes:
+//! Compares the paper's two hash families, the skewing functions and strong
+//! mixers, along two axes:
 //!
 //! 1. raw 4-ary cuckoo behaviour at several occupancy targets (average
 //!    attempts, failure probability) — `hash_function_study_raw`, and

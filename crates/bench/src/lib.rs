@@ -38,7 +38,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 pub use ccd_coherence::{ParallelRunner, SimJob};
-pub use sweep::{SweepCell, SweepResults, SweepSpec};
+pub use sweep::SweepCell;
+pub use sweep::{SweepResults, SweepSpec};
 
 /// How much work each simulation performs, expressed as multiples of the
 /// aggregate tracked-cache capacity (so Private-L2 runs, whose caches are
@@ -88,7 +89,7 @@ impl RunScale {
     /// [`ConfigError::Parse`] quoting the token when it is not exactly
     /// `quick`, `default` or `full`: a typo must not silently run minutes
     /// of default-scale work under the wrong label.
-    pub fn parse_named(raw: Option<&str>) -> Result<(Self, &'static str), ConfigError> {
+    pub(crate) fn parse_named(raw: Option<&str>) -> Result<(Self, &'static str), ConfigError> {
         match raw {
             Some("quick") => Ok((Self::quick(), "quick")),
             None | Some("default") => Ok((Self::default_scale(), "default")),

@@ -41,7 +41,7 @@ use ccd_common::ConfigError;
 use ccd_workloads::{derive_seed, WorkloadSpec};
 
 /// Default [`SweepSpec::base_seed`].
-pub const DEFAULT_BASE_SEED: u64 = 0xCCD5;
+pub(crate) const DEFAULT_BASE_SEED: u64 = 0xCCD5;
 
 /// A declarative parameter sweep: the cross product of four axes.
 ///

@@ -24,43 +24,6 @@ impl CacheConfig {
         }
     }
 
-    /// Creates a configuration from a total capacity in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when the parameters do not divide evenly
-    /// into a power-of-two number of sets, or when any parameter is zero.
-    pub fn from_capacity(
-        capacity_bytes: u64,
-        ways: usize,
-        block_bytes: u64,
-    ) -> Result<Self, ConfigError> {
-        if ways == 0 {
-            return Err(ConfigError::Zero { what: "ways" });
-        }
-        if block_bytes == 0 {
-            return Err(ConfigError::Zero { what: "block size" });
-        }
-        if capacity_bytes == 0 {
-            return Err(ConfigError::Zero { what: "capacity" });
-        }
-        let frames = capacity_bytes / block_bytes;
-        if frames * block_bytes != capacity_bytes {
-            return Err(ConfigError::Inconsistent {
-                what: "capacity is not a multiple of the block size",
-            });
-        }
-        let sets = frames / ways as u64;
-        if sets * ways as u64 != frames {
-            return Err(ConfigError::Inconsistent {
-                what: "capacity is not a multiple of ways x block size",
-            });
-        }
-        let config = CacheConfig::new(sets as usize, ways, block_bytes);
-        config.validate()?;
-        Ok(config)
-    }
-
     /// The paper's L1 configuration (Table 1): 64 KB, 2 ways, 64-byte
     /// blocks — used for both the I and D caches of each core.
     #[must_use]
@@ -85,17 +48,6 @@ impl CacheConfig {
     #[must_use]
     pub fn frames(&self) -> usize {
         self.sets * self.ways
-    }
-
-    /// Block geometry for this cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block size is not a power of two (prevented by
-    /// [`CacheConfig::validate`]).
-    #[must_use]
-    pub fn block_geometry(&self) -> BlockGeometry {
-        BlockGeometry::new(self.block_bytes)
     }
 
     /// Validates the geometry.
@@ -143,26 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn from_capacity_round_trips() {
-        let c = CacheConfig::from_capacity(64 * 1024, 2, 64).unwrap();
-        assert_eq!(c, CacheConfig::l1_64k());
-        let c = CacheConfig::from_capacity(1024 * 1024, 16, 64).unwrap();
-        assert_eq!(c, CacheConfig::l2_1m());
-    }
-
-    #[test]
-    fn from_capacity_rejects_bad_shapes() {
-        assert!(CacheConfig::from_capacity(0, 2, 64).is_err());
-        assert!(CacheConfig::from_capacity(64 * 1024, 0, 64).is_err());
-        assert!(CacheConfig::from_capacity(64 * 1024, 2, 0).is_err());
-        assert!(CacheConfig::from_capacity(100, 2, 64).is_err());
-        // 3 ways over 64KB of 64B blocks leaves a non-integral set count.
-        assert!(CacheConfig::from_capacity(64 * 1024, 3, 64).is_err());
-        // 96KB / 64B / 2 = 768 sets: not a power of two.
-        assert!(CacheConfig::from_capacity(96 * 1024, 2, 64).is_err());
-    }
-
-    #[test]
     fn validate_checks_every_field() {
         assert!(CacheConfig::new(0, 2, 64).validate().is_err());
         assert!(CacheConfig::new(512, 0, 64).validate().is_err());
@@ -172,12 +104,5 @@ mod tests {
             CacheConfig::new(512, 3, 64).validate().is_ok(),
             "odd way counts are fine"
         );
-    }
-
-    #[test]
-    fn block_geometry_matches_block_size() {
-        let c = CacheConfig::l1_64k();
-        assert_eq!(c.block_geometry().block_bytes(), 64);
-        assert_eq!(c.block_geometry().offset_bits(), 6);
     }
 }

@@ -38,5 +38,7 @@
 pub mod cache;
 pub mod config;
 
-pub use cache::{AccessOutcome, Cache, CacheStats, CoherenceState, Eviction};
+pub use cache::CacheStats;
+pub use cache::Eviction;
+pub use cache::{AccessOutcome, Cache, CoherenceState};
 pub use config::CacheConfig;

@@ -25,9 +25,9 @@ impl fmt::Display for Hierarchy {
     }
 }
 
-/// Default for [`SystemConfig::occupancy_sample_interval`]: sample the
-/// directory occupancy every 8192 processed references.
-pub const DEFAULT_OCCUPANCY_SAMPLE_INTERVAL: u64 = 8_192;
+/// How often (in processed references) the simulator samples the mean
+/// directory occupancy for Figure 8.
+pub(crate) const DEFAULT_OCCUPANCY_SAMPLE_INTERVAL: u64 = 8_192;
 
 /// Configuration of the simulated tiled CMP (Table 1 of the paper).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -42,9 +42,6 @@ pub struct SystemConfig {
     pub private_l2: CacheConfig,
     /// Cache-block geometry.
     pub block: BlockGeometry,
-    /// How often (in processed references) the simulator samples the mean
-    /// directory occupancy for Figure 8.  Must be nonzero.
-    pub occupancy_sample_interval: u64,
 }
 
 impl SystemConfig {
@@ -58,7 +55,6 @@ impl SystemConfig {
             l1: CacheConfig::l1_64k(),
             private_l2: CacheConfig::l2_1m(),
             block: BlockGeometry::new(64),
-            occupancy_sample_interval: DEFAULT_OCCUPANCY_SAMPLE_INTERVAL,
         }
     }
 
@@ -87,13 +83,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_hierarchy(mut self, hierarchy: Hierarchy) -> Self {
         self.hierarchy = hierarchy;
-        self
-    }
-
-    /// Returns a copy with a different occupancy sampling interval.
-    #[must_use]
-    pub fn with_occupancy_sample_interval(mut self, interval: u64) -> Self {
-        self.occupancy_sample_interval = interval;
         self
     }
 
@@ -168,11 +157,6 @@ impl SystemConfig {
                 what: "tracked cache has fewer sets than there are directory slices",
             });
         }
-        if self.occupancy_sample_interval == 0 {
-            return Err(ConfigError::Zero {
-                what: "occupancy sample interval",
-            });
-        }
         Ok(())
     }
 }
@@ -223,19 +207,6 @@ mod tests {
         let c = SystemConfig::shared_l2(1024);
         assert!(c.validate().is_err());
         assert!(SystemConfig::shared_l2(64).validate().is_ok());
-    }
-
-    #[test]
-    fn occupancy_sample_interval_defaults_and_validates() {
-        let c = SystemConfig::shared_l2(4);
-        assert_eq!(
-            c.occupancy_sample_interval,
-            DEFAULT_OCCUPANCY_SAMPLE_INTERVAL
-        );
-        let custom = c.clone().with_occupancy_sample_interval(128);
-        assert_eq!(custom.occupancy_sample_interval, 128);
-        assert!(custom.validate().is_ok());
-        assert!(c.with_occupancy_sample_interval(0).validate().is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * a [`ShardedDirectory`](ccd_directory::ShardedDirectory) — one
 //!   directory slice per tile behind the home-slice interleaving between
 //!   global and slice-local lines ([`ccd_common::Interleave`]);
-//! * [`StatsPipeline`] — the protocol-level counters, assembled on demand
+//! * `StatsPipeline` — the protocol-level counters, assembled on demand
 //!   into a mergeable [`SimStats`] snapshot.
 //!
 //! On top of the layers, [`SimJob`] describes one complete simulation as a
@@ -22,5 +22,6 @@ pub mod stats;
 pub mod tiles;
 
 pub use runner::{ParallelRunner, SimJob};
-pub use stats::{SimStats, StatsPipeline};
+pub use stats::SimStats;
+pub(crate) use stats::StatsPipeline;
 pub use tiles::TileCaches;

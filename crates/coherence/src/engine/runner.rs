@@ -160,7 +160,7 @@ impl ParallelRunner {
 
     /// `true` when the runner executes inline without spawning threads.
     #[must_use]
-    pub fn is_serial(&self) -> bool {
+    pub(crate) fn is_serial(&self) -> bool {
         self.workers == 1
     }
 

@@ -1,7 +1,8 @@
 //! The statistics layer of the engine: the mergeable [`SimStats`] snapshot
-//! and the [`StatsPipeline`] that accumulates protocol-level counters while
+//! and the `StatsPipeline` that accumulates protocol-level counters while
 //! a simulation runs.
 
+use crate::config::DEFAULT_OCCUPANCY_SAMPLE_INTERVAL;
 use crate::engine::TileCaches;
 use crate::SimReport;
 use ccd_common::stats::{Counter, MeanAccumulator};
@@ -84,8 +85,7 @@ impl SimStats {
 /// directory counters stay in their layers and are merged in at
 /// [`StatsPipeline::collect`] time.
 #[derive(Clone, Debug)]
-pub struct StatsPipeline {
-    sample_interval: u64,
+pub(crate) struct StatsPipeline {
     refs_processed: u64,
     occupancy_samples: MeanAccumulator,
     coherence_invalidations: Counter,
@@ -93,18 +93,11 @@ pub struct StatsPipeline {
 }
 
 impl StatsPipeline {
-    /// Creates a pipeline sampling occupancy every `sample_interval`
-    /// retired references.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_interval` is zero (callers validate it via
-    /// [`SystemConfig::validate`](crate::SystemConfig::validate)).
+    /// Creates a pipeline sampling occupancy every
+    /// [`DEFAULT_OCCUPANCY_SAMPLE_INTERVAL`] retired references.
     #[must_use]
-    pub fn new(sample_interval: u64) -> Self {
-        assert!(sample_interval > 0, "sample interval must be nonzero");
+    pub fn new() -> Self {
         StatsPipeline {
-            sample_interval,
             refs_processed: 0,
             occupancy_samples: MeanAccumulator::new(),
             coherence_invalidations: Counter::new(),
@@ -119,12 +112,12 @@ impl StatsPipeline {
     }
 
     /// Records one ordinary coherence invalidation.
-    pub fn record_coherence_invalidation(&mut self) {
+    pub(crate) fn record_coherence_invalidation(&mut self) {
         self.coherence_invalidations.incr();
     }
 
     /// Records one forced (capacity-conflict) invalidation.
-    pub fn record_forced_invalidation(&mut self) {
+    pub(crate) fn record_forced_invalidation(&mut self) {
         self.forced_invalidations.incr();
     }
 
@@ -132,13 +125,14 @@ impl StatsPipeline {
     /// sample is due (the caller then feeds it to
     /// [`StatsPipeline::record_occupancy`]).
     #[must_use]
-    pub fn retire_reference(&mut self) -> bool {
+    pub(crate) fn retire_reference(&mut self) -> bool {
         self.refs_processed += 1;
-        self.refs_processed.is_multiple_of(self.sample_interval)
+        self.refs_processed
+            .is_multiple_of(DEFAULT_OCCUPANCY_SAMPLE_INTERVAL)
     }
 
     /// Records one directory-occupancy sample.
-    pub fn record_occupancy(&mut self, occupancy: f64) {
+    pub(crate) fn record_occupancy(&mut self, occupancy: f64) {
         self.occupancy_samples.record(occupancy);
     }
 
@@ -179,13 +173,15 @@ mod tests {
 
     #[test]
     fn retire_reference_flags_sample_points() {
-        let mut pipeline = StatsPipeline::new(4);
-        let due: Vec<bool> = (0..8).map(|_| pipeline.retire_reference()).collect();
+        let mut pipeline = StatsPipeline::new();
+        let refs = 2 * DEFAULT_OCCUPANCY_SAMPLE_INTERVAL;
+        let due: Vec<u64> = (1..=refs).filter(|_| pipeline.retire_reference()).collect();
         assert_eq!(
             due,
-            vec![false, false, false, true, false, false, false, true]
+            [DEFAULT_OCCUPANCY_SAMPLE_INTERVAL, refs],
+            "every interval-th reference"
         );
-        assert_eq!(pipeline.refs_processed(), 8);
+        assert_eq!(pipeline.refs_processed(), refs);
         pipeline.record_occupancy(0.5);
         assert_eq!(pipeline.occupancy_samples.count(), 1);
         pipeline.reset();
@@ -222,11 +218,5 @@ mod tests {
             right.directory.insertions.get()
         );
         assert!((left.avg_insertion_attempts() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn zero_sample_interval_panics() {
-        let _ = StatsPipeline::new(0);
     }
 }

@@ -11,7 +11,7 @@ use ccd_common::{AccessType, CacheId, ConfigError, CoreId, LineAddr};
 /// the core→cache routing that the hierarchy implies.  It knows nothing
 /// about directories or statistics pipelines; the simulator composes it with
 /// a [`ShardedDirectory`](ccd_directory::ShardedDirectory) and a
-/// [`StatsPipeline`](crate::engine::StatsPipeline).
+/// `StatsPipeline`.
 pub struct TileCaches {
     hierarchy: Hierarchy,
     caches: Vec<Cache>,
@@ -110,7 +110,7 @@ impl TileCaches {
 
     /// Total `(accesses, misses)` across all caches.
     #[must_use]
-    pub fn totals(&self) -> (u64, u64) {
+    pub(crate) fn totals(&self) -> (u64, u64) {
         self.caches.iter().fold((0u64, 0u64), |(a, m), c| {
             (a + c.stats().accesses.get(), m + c.stats().misses.get())
         })
@@ -137,7 +137,6 @@ mod tests {
             l1: CacheConfig::new(64, 2, 64),
             private_l2: CacheConfig::new(256, 4, 64),
             block: BlockGeometry::new(64),
-            ..SystemConfig::shared_l2(4)
         }
     }
 

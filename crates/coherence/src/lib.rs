@@ -29,7 +29,7 @@
 //!   core→cache routing of the hierarchy;
 //! * a [`ccd_directory::ShardedDirectory`] — the directory slices behind
 //!   the global↔slice-local line interleaving;
-//! * [`engine::StatsPipeline`] — the protocol counters, assembled into a
+//! * `engine::StatsPipeline` — the protocol counters, assembled into a
 //!   mergeable [`engine::SimStats`] snapshot.
 //!
 //! Independent simulations — the cells of a sweep — are described as pure

@@ -11,7 +11,7 @@ use ccd_directory::{Directory, DirectoryOp, Outcome, ShardedDirectory};
 /// See the crate-level documentation for the modelled protocol.  The
 /// simulator composes the three engine layers — [`TileCaches`] for the
 /// private caches, a [`ShardedDirectory`] of one slice per tile for the
-/// distributed directory and [`StatsPipeline`] for the protocol counters —
+/// distributed directory and `StatsPipeline` for the protocol counters —
 /// and implements the coherence protocol that ties them together.  The
 /// directory is addressed by *global* lines: home-slice routing and the
 /// translation of forced-eviction lines back to global ones are the
@@ -59,7 +59,7 @@ impl CmpSimulator {
             .map(|_| registry.build(&resolved))
             .collect::<Result<Vec<_>, _>>()?;
         let directory = ShardedDirectory::new(slices)?;
-        let stats = StatsPipeline::new(system.occupancy_sample_interval);
+        let stats = StatsPipeline::new();
         Ok(CmpSimulator {
             system,
             tiles,
@@ -436,9 +436,7 @@ mod protocol_order {
             l1: CacheConfig::new(16, 2, 64),
             private_l2: CacheConfig::new(32, 4, 64),
             block: BlockGeometry::new(64),
-            ..SystemConfig::shared_l2(4)
         }
-        .with_occupancy_sample_interval(64)
     }
 
     /// The new order and the reference, fed the same references.
@@ -685,7 +683,6 @@ mod tests {
             l1: ccd_cache::CacheConfig::new(64, 2, 64),
             private_l2: ccd_cache::CacheConfig::new(256, 4, 64),
             block: BlockGeometry::new(64),
-            ..SystemConfig::shared_l2(4)
         }
     }
 
@@ -709,8 +706,6 @@ mod tests {
             Some(ConfigError::NotPowerOfTwo { what, value })
         );
         assert!(CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(1, 1.0)).is_err());
-        let unsampled = small_shared_system().with_occupancy_sample_interval(0);
-        assert!(CmpSimulator::new(unsampled, &DirectorySpec::cuckoo(4, 1.0)).is_err());
     }
 
     #[test]
@@ -938,26 +933,24 @@ mod tests {
     }
 
     #[test]
-    fn custom_sample_intervals_take_effect() {
-        // With a 16-reference interval a 64-reference run takes 4 periodic
-        // samples; with the 8192 default it takes none (and the report falls
-        // back to a single synthetic end-state sample).
-        let system = small_shared_system().with_occupancy_sample_interval(16);
-        let mut sim = CmpSimulator::new(system, &DirectorySpec::cuckoo(4, 1.0)).unwrap();
+    fn occupancy_is_sampled_every_interval() {
+        // A run shorter than one interval takes no periodic sample, and the
+        // report falls back to a single synthetic end-state sample; two
+        // intervals take two.
+        let interval = crate::config::DEFAULT_OCCUPANCY_SAMPLE_INTERVAL;
+        let mut sim =
+            CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).unwrap();
         for block in 0..64u64 {
             sim.process(read(0, block));
         }
-        assert_eq!(sim.stats().occupancy_samples.count(), 4);
-
-        let mut default_sim =
-            CmpSimulator::new(small_shared_system(), &DirectorySpec::cuckoo(4, 1.0)).unwrap();
-        for block in 0..64u64 {
-            default_sim.process(read(0, block));
-        }
         assert_eq!(
-            default_sim.stats().occupancy_samples.count(),
+            sim.stats().occupancy_samples.count(),
             1,
             "synthetic end-state sample only"
         );
+        for block in 64..2 * interval {
+            sim.process(read(0, block));
+        }
+        assert_eq!(sim.stats().occupancy_samples.count(), 2);
     }
 }

@@ -97,12 +97,6 @@ impl LineAddr {
     pub const fn block_number(self) -> u64 {
         self.0
     }
-
-    /// Reconstructs the block-aligned byte [`Address`] for this line.
-    #[must_use]
-    pub fn byte_address(self, geom: &BlockGeometry) -> Address {
-        Address(self.0 << geom.offset_bits())
-    }
 }
 
 impl From<u64> for LineAddr {
@@ -254,22 +248,10 @@ impl BlockGeometry {
         self.block_bytes
     }
 
-    /// Number of low-order address bits covered by the block offset.
-    #[must_use]
-    pub const fn offset_bits(&self) -> u32 {
-        self.offset_bits
-    }
-
     /// Maps a byte address to its cache-line address.
     #[must_use]
     pub fn line_of(&self, addr: Address) -> LineAddr {
         LineAddr(addr.raw() >> self.offset_bits)
-    }
-
-    /// Returns the byte offset of `addr` within its block.
-    #[must_use]
-    pub fn block_offset(&self, addr: Address) -> u64 {
-        addr.raw() & (self.block_bytes - 1)
     }
 
     /// Number of tag bits required to identify a line when `index_bits` of
@@ -294,17 +276,17 @@ mod tests {
         for raw in [0u64, 63, 64, 0x1fff, 0xffff_ffff_ffff] {
             let addr = Address::new(raw);
             let line = geom.line_of(addr);
-            let back = line.byte_address(&geom);
-            assert_eq!(back.raw(), raw & !63);
+            assert_eq!(line.block_number(), raw >> 6);
+            assert_eq!(geom.line_of(Address::new(raw & !63)), line);
         }
     }
 
     #[test]
     fn offsets_within_block() {
         let geom = BlockGeometry::new(128);
-        assert_eq!(geom.offset_bits(), 7);
-        assert_eq!(geom.block_offset(Address::new(0x1285)), 0x05);
-        assert_eq!(geom.block_offset(Address::new(0x127f)), 0x7f);
+        assert_eq!(geom.offset_bits, 7);
+        assert_eq!(geom.line_of(Address::new(0x1285)).block_number(), 0x25);
+        assert_eq!(geom.line_of(Address::new(0x127f)).block_number(), 0x24);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl<'a> Clauses<'a> {
 
     /// The rest of the current clause after `key`, when it starts with it.
     #[must_use]
-    pub fn strip(&self, key: &str) -> Option<&'a str> {
+    pub(crate) fn strip(&self, key: &str) -> Option<&'a str> {
         self.clause.strip_prefix(key)
     }
 

@@ -34,19 +34,11 @@ impl Json {
     /// array element or object field per line.
     #[must_use]
     pub fn to_pretty(&self) -> String {
-        self.render(0, usize::MAX)
+        self.render(0)
     }
 
-    /// Like [`Json::to_pretty`], but every array or object nested `depth`
-    /// or more levels below the root is written on one line
-    /// (`{ "a": 1, "b": [2, 3] }`): one record per line.
-    #[must_use]
-    pub fn to_pretty_folded(&self, depth: usize) -> String {
-        self.render(0, depth)
-    }
-
-    fn render(&self, level: usize, fold: usize) -> String {
-        let child = |value: &Json| value.render(level + 1, fold);
+    fn render(&self, level: usize) -> String {
+        let child = |value: &Json| value.render(level + 1);
         match self {
             Json::Null => "null".to_string(),
             Json::Bool(b) => b.to_string(),
@@ -56,11 +48,10 @@ impl Json {
             Json::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => (*n as i64).to_string(),
             Json::Num(n) => n.to_string(),
             Json::Str(s) => quote(s),
-            Json::Arr(items) => container(["[", "]"], level, fold, items.iter().map(child)),
+            Json::Arr(items) => container(["[", "]"], level, items.iter().map(child)),
             Json::Obj(fields) => container(
-                ["{ ", " }"],
+                ["{", "}"],
                 level,
-                fold,
                 fields
                     .iter()
                     .map(|(key, value)| format!("{}: {}", quote(key), child(value))),
@@ -89,25 +80,19 @@ fn quote(s: &str) -> String {
     out
 }
 
-/// Rendered `items` between brackets: one per line indented to
-/// `level + 1`, or, from the `fold` level down, on one line with the
-/// brackets' inner padding.
+/// Rendered `items` between brackets, one per line indented to `level + 1`.
 fn container(
     [open, close]: [&str; 2],
     level: usize,
-    fold: usize,
     items: impl Iterator<Item = String>,
 ) -> String {
     let items: Vec<String> = items.collect();
-    let (bare_open, bare_close) = (open.trim(), close.trim());
     if items.is_empty() {
-        format!("{bare_open}{bare_close}")
-    } else if level >= fold {
-        format!("{open}{}{close}", items.join(", "))
+        format!("{open}{close}")
     } else {
         let indent = "  ".repeat(level + 1);
         let items = items.join(&format!(",\n{indent}"));
-        format!("{bare_open}\n{indent}{items}\n{}{bare_close}", &indent[2..])
+        format!("{open}\n{indent}{items}\n{}{close}", &indent[2..])
     }
 }
 
@@ -168,8 +153,8 @@ impl<A: ToJson, B: ToJson> ToJson for (A, B) {
 /// ```
 /// let row = ccd_common::obj! { "workload": "DB2", "rate": 0.5, "refs": 3u64 };
 /// assert_eq!(
-///     row.to_pretty_folded(0),
-///     r#"{ "workload": "DB2", "rate": 0.5, "refs": 3 }"#
+///     row.to_pretty(),
+///     "{\n  \"workload\": \"DB2\",\n  \"rate\": 0.5,\n  \"refs\": 3\n}"
 /// );
 /// ```
 #[macro_export]
@@ -186,7 +171,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn renders_scalars_nested_and_folded_structures() {
+    fn renders_scalars_and_nested_structures() {
         let row =
             obj! { "n": (1u64, 0.5), "nan": f64::NAN, "s": "a\"b\\\n\u{1}", "none": None::<u32> };
         assert_eq!(
@@ -194,14 +179,10 @@ mod tests {
             "[\n  {\n    \"n\": [\n      1,\n      0.5\n    ],\n    \"nan\": null,\n    \
              \"s\": \"a\\\"b\\\\\\n\\u0001\",\n    \"none\": null\n  }\n]"
         );
-        let doc = obj! {
-            "entries": vec![obj! { "file": "a.rs", "pairs": vec![(1u32, true), (3, false)] }],
-            "empty": Vec::<u32>::new(),
-        };
+        let doc = obj! { "empty": Vec::<u32>::new(), "none": obj! { "b": true } };
         assert_eq!(
-            doc.to_pretty_folded(2),
-            "{\n  \"entries\": [\n    { \"file\": \"a.rs\", \"pairs\": [[1, true], [3, false]] }\n  \
-             ],\n  \"empty\": []\n}"
+            doc.to_pretty(),
+            "{\n  \"empty\": [],\n  \"none\": {\n    \"b\": true\n  }\n}"
         );
     }
 

@@ -32,8 +32,7 @@
 //! let geom = BlockGeometry::new(64);
 //! let addr = Address::new(0x8000_1234);
 //! let line: LineAddr = geom.line_of(addr);
-//! assert_eq!(line.byte_address(&geom).raw(), 0x8000_1200);
-//! assert_eq!(geom.block_offset(addr), 0x34);
+//! assert_eq!(line.block_number(), 0x8000_1234 >> 6);
 //! ```
 
 #![warn(missing_docs)]
@@ -59,9 +58,9 @@ pub use error::ConfigError;
 pub use ids::{CacheId, CoreId, SliceId};
 pub use mem::{AccessType, MemRef};
 pub use rng::{SplitMix64, Xoshiro256};
+pub use stats::HistogramSnapshot;
 pub use stats::{
-    Counter, Fnv64, Histogram, HistogramSnapshot, LogHistogram, MeanAccumulator, MetricSnapshot,
-    RateEstimator,
+    Counter, Fnv64, Histogram, LogHistogram, MeanAccumulator, MetricSnapshot, RateEstimator,
 };
 
 /// The physical address width assumed by the paper's system (Table 1).

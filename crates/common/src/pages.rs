@@ -4,7 +4,7 @@
 //! decides where it lives:
 //!
 //! * below [`HUGE_PAGE_BYTES`] it comes from `std::alloc`, aligned to a
-//!   cache line ([`CACHE_LINE_BYTES`]), and is otherwise what a boxed slice
+//!   cache line (`CACHE_LINE_BYTES`), and is otherwise what a boxed slice
 //!   would be;
 //! * from [`HUGE_PAGE_BYTES`] up it is an anonymous mapping of its own,
 //!   aligned to a huge page, and the whole huge pages inside it are advised
@@ -44,7 +44,7 @@ use std::ops::{Deref, DerefMut};
 use std::ptr::NonNull;
 
 /// Alignment of every allocated [`PageBuf`] below [`HUGE_PAGE_BYTES`].
-pub const CACHE_LINE_BYTES: usize = 64;
+pub(crate) const CACHE_LINE_BYTES: usize = 64;
 
 /// The size line: a [`PageBuf`] of at least this many bytes is aligned to
 /// it and asks for huge pages.  2 MiB is the transparent-huge-page size of
@@ -55,13 +55,13 @@ pub const HUGE_PAGE_BYTES: usize = 2 << 20;
 /// when it is large (see the module docs).
 ///
 /// ```
-/// use ccd_common::pages::{PageBuf, CACHE_LINE_BYTES};
+/// use ccd_common::pages::PageBuf;
 ///
 /// let mut tags = PageBuf::filled(1000, 0u8).expect("1000 bytes exist");
 /// tags[7] = 0x81;
 /// assert_eq!(tags.len(), 1000);
 /// assert_eq!(tags.iter().filter(|&&t| t != 0).count(), 1);
-/// assert_eq!(tags.as_ptr().addr() % CACHE_LINE_BYTES, 0);
+/// assert_eq!(tags.as_ptr().addr() % 64, 0); // cache-line aligned
 /// ```
 pub struct PageBuf<T> {
     ptr: NonNull<T>,

@@ -192,7 +192,7 @@ impl Histogram {
     }
 
     /// Records `n` observations of `value` (saturating, like [`Counter`]).
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         let clamped = (value as usize).min(self.buckets.len() - 1);
         self.buckets[clamped] = self.buckets[clamped].saturating_add(n);
         self.total = self.total.saturating_add(n);
@@ -236,24 +236,6 @@ impl Histogram {
         } else {
             self.count(value) as f64 / self.total as f64
         }
-    }
-
-    /// The smallest value `v` such that at least `q` (0..=1) of the
-    /// observations are `<= v`. Returns 0 for an empty histogram.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut cumulative = 0u64;
-        for (value, &count) in self.buckets.iter().enumerate() {
-            cumulative += count;
-            if cumulative >= target {
-                return value as u64;
-            }
-        }
-        self.max_value()
     }
 
     /// Iterates over `(value, count)` pairs for non-empty buckets.
@@ -319,7 +301,6 @@ impl Histogram {
 /// assert_eq!(h.count(), 4);
 /// assert_eq!(h.min(), Some(1));
 /// assert_eq!(h.max(), Some(1000));
-/// assert_eq!(h.p50(), 2);
 /// let p99 = h.p99() as f64;
 /// assert!((p99 - 1000.0).abs() / 1000.0 <= 0.25);
 /// ```
@@ -400,7 +381,7 @@ impl LogHistogram {
     }
 
     /// Records `n` observations of `value` (saturating).
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    pub(crate) fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -458,7 +439,7 @@ impl LogHistogram {
     /// order statistic (biased up, clamped to the recorded `max`).
     /// Returns 0 for an empty histogram.
     #[must_use]
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -477,7 +458,7 @@ impl LogHistogram {
 
     /// The median ([`LogHistogram::quantile`] at 0.5).
     #[must_use]
-    pub fn p50(&self) -> u64 {
+    pub(crate) fn p50(&self) -> u64 {
         self.quantile(0.5)
     }
 
@@ -489,7 +470,7 @@ impl LogHistogram {
 
     /// The 99.9th percentile.
     #[must_use]
-    pub fn p999(&self) -> u64 {
+    pub(crate) fn p999(&self) -> u64 {
         self.quantile(0.999)
     }
 
@@ -622,7 +603,6 @@ impl MeanAccumulator {
 /// r.record_miss();            // an insertion that forced nothing
 /// r.record_hit(2);            // an insertion that forced two invalidations
 /// assert_eq!(r.events(), 2);
-/// assert_eq!(r.opportunities(), 2);
 /// assert!((r.rate() - 1.0).abs() < 1e-12);
 ///
 /// // Per-worker estimators reduce into one aggregate rate.
@@ -669,12 +649,6 @@ impl RateEstimator {
     #[must_use]
     pub const fn events(&self) -> u64 {
         self.events
-    }
-
-    /// Number of opportunities observed.
-    #[must_use]
-    pub const fn opportunities(&self) -> u64 {
-        self.opportunities
     }
 
     /// The event rate (events per opportunity); 0 when no opportunities.
@@ -989,16 +963,14 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fractions_and_quantiles() {
+    fn histogram_fractions() {
         let mut h = Histogram::new(10);
         for v in [1u64, 1, 1, 2, 2, 5, 10, 10, 10, 10] {
             h.record(v);
         }
         assert!((h.fraction(1) - 0.3).abs() < 1e-12);
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(0.3), 1);
-        assert_eq!(h.quantile(0.5), 2);
-        assert_eq!(h.quantile(1.0), 10);
+        assert!((h.fraction(10) - 0.4).abs() < 1e-12);
+        assert_eq!(h.fraction(3), 0.0);
     }
 
     #[test]
@@ -1030,7 +1002,6 @@ mod tests {
         let h = Histogram::new(4);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.fraction(2), 0.0);
-        assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.iter().count(), 0);
     }
 
@@ -1067,14 +1038,12 @@ mod tests {
         r.record_hit(1);
         r.record_hit(3);
         assert_eq!(r.events(), 4);
-        assert_eq!(r.opportunities(), 4);
         assert!((r.rate() - 1.0).abs() < 1e-12);
         assert!((r.percent() - 100.0).abs() < 1e-12);
 
         let mut s = RateEstimator::new();
         s.add(1, 96);
         r.merge(&s);
-        assert_eq!(r.opportunities(), 100);
         assert!((r.rate() - 0.05).abs() < 1e-12);
     }
 

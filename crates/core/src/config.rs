@@ -6,7 +6,7 @@ use ccd_hash::HashKind;
 /// The insertion-attempt budget used throughout the paper's evaluation
 /// ("we allow up to 32 insertion attempts to ensure termination in the
 /// unlikely event of a loop", Section 5.2).
-pub const DEFAULT_MAX_ATTEMPTS: u32 = 32;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: u32 = 32;
 
 /// Configuration of one Cuckoo directory slice.
 ///
@@ -34,7 +34,7 @@ pub struct CuckooConfig {
 
 impl CuckooConfig {
     /// Creates a configuration with the paper's defaults: skewing hash
-    /// functions.  Every slice has the table's [`DEFAULT_MAX_ATTEMPTS`]
+    /// functions.  Every slice has the table's `DEFAULT_MAX_ATTEMPTS`
     /// budget.
     #[must_use]
     pub fn new(ways: usize, sets: usize, num_caches: usize) -> Self {
@@ -49,7 +49,7 @@ impl CuckooConfig {
 
     /// Selects the hash family.
     #[must_use]
-    pub fn with_hash_kind(mut self, kind: HashKind) -> Self {
+    pub(crate) fn with_hash_kind(mut self, kind: HashKind) -> Self {
         self.hash_kind = kind;
         self
     }

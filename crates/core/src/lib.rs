@@ -62,7 +62,10 @@ pub mod table;
 pub use config::CuckooConfig;
 pub use directory::CuckooDirectory;
 pub use simd::VectorEngine;
-pub use table::{narrow_keys, CuckooTable, InsertOutcome, KeyWord, PIPELINE_DEPTH};
+pub use table::narrow_keys;
+pub use table::KeyWord;
+pub use table::PIPELINE_DEPTH;
+pub use table::{CuckooTable, InsertOutcome};
 
 use ccd_common::ConfigError;
 use ccd_directory::{match_sharer_format, BuilderRegistry, Directory, DirectorySpec};

@@ -40,7 +40,7 @@
 //!   fingerprint is still taken from the full key, so tags, placement and
 //!   attempts are the same at either width.
 //!   [`narrow_keys`] makes the choice from the family and the set count;
-//!   multiply-shift and strong indices mix every bit and keep full keys.
+//!   strong indices mix every bit and keep full keys.
 //! * `values` — the payloads, kept as `MaybeUninit<V>` and only initialized
 //!   where `tags` is occupied.
 //!

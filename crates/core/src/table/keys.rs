@@ -63,8 +63,8 @@ impl KeyWord for u32 {
 /// Whether a table of `sets` sets indexed by `kind` stores narrow (`u32`)
 /// keys: only skewing can rebuild a key from its slot, and only from
 /// `2^10` sets up do a line's `42 − 10 = 32` bits above the index fit a
-/// `u32`.  Multiply-shift and strong indices mix every bit, so their
-/// tables keep full `u64` keys at every size.
+/// `u32`.  Strong indices mix every bit, so their tables keep full `u64`
+/// keys at every size.
 #[must_use]
 pub fn narrow_keys(kind: HashKind, sets: usize) -> bool {
     kind == HashKind::Skewing && sets >= 1 << (LINE_ADDRESS_BITS - u32::BITS)

@@ -32,7 +32,7 @@ struct MirrorEntry {
 /// of `cache_sets × cache_ways` frames (the portion of each private cache
 /// that maps to this slice).
 #[derive(Clone, Debug)]
-pub struct DuplicateTagDirectory {
+pub(crate) struct DuplicateTagDirectory {
     cache_sets: usize,
     cache_ways: usize,
     num_caches: usize,

@@ -16,14 +16,14 @@
 //!   indexed through a different skewing hash function (Seznec's
 //!   skewed-associative cache adapted to a directory).  Reduces, but does
 //!   not eliminate, conflicts.
-//! * [`DuplicateTagDirectory`] — mirrors every private cache's tag array;
+//! * `DuplicateTagDirectory` — mirrors every private cache's tag array;
 //!   never forces invalidations but needs `cache associativity × cache
 //!   count` way comparisons per lookup (Section 3.1), which is what makes
 //!   its energy grow quadratically in aggregate.
 //! * In-Cache ([`SlotDirectory::in_cache`]) — embeds sharer vectors in the
 //!   (inclusive) shared L2 tags; tag storage is free but every L2 tag
 //!   carries a full vector.
-//! * [`TaglessDirectory`] — the Tagless design of Zebchuk et al.: a grid of
+//! * `TaglessDirectory` — the Tagless design of Zebchuk et al.: a grid of
 //!   per-(cache, set) Bloom filters giving a conservative sharer superset.
 //!
 //! Sparse, Skewed and In-Cache differ in one decision each (where a line's
@@ -88,12 +88,12 @@ pub mod tagless;
 #[cfg(test)]
 pub(crate) mod testing;
 
-pub use duplicate_tag::DuplicateTagDirectory;
+pub(crate) use duplicate_tag::DuplicateTagDirectory;
 pub use sharded::ShardedDirectory;
 pub use slots::SlotDirectory;
 pub use spec::{BuilderRegistry, DirectorySpec, Org};
 pub use stats::{DepthMetrics, DirectoryStats};
-pub use tagless::TaglessDirectory;
+pub(crate) use tagless::TaglessDirectory;
 
 use ccd_common::{ceil_log2, BlockGeometry, CacheId, LineAddr};
 use ccd_sharers::SharerSet;
@@ -350,12 +350,6 @@ impl Outcome {
             })
     }
 
-    /// `true` when no blocks need to be invalidated anywhere.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.invalidate.is_empty() && self.eviction_targets.is_empty()
-    }
-
     // ---- producer API (used by Directory implementations) -----------------
 
     /// Marks the operation as having found an existing entry.
@@ -432,7 +426,7 @@ impl Outcome {
 
     /// Rewrites every forced-eviction line through `f` — used by wrappers
     /// that translate slice-local lines back to global ones.
-    pub fn map_eviction_lines(&mut self, mut f: impl FnMut(LineAddr) -> LineAddr) {
+    pub(crate) fn map_eviction_lines(&mut self, mut f: impl FnMut(LineAddr) -> LineAddr) {
         for (line, _) in &mut self.eviction_lines {
             *line = f(*line);
         }
@@ -694,11 +688,10 @@ mod tests {
         assert_eq!(views[0].targets, &[CacheId::new(2), CacheId::new(5)]);
         assert_eq!(views[1].targets, &[CacheId::new(1)]);
 
-        assert!(!out.is_clean());
-
         out.reset();
-        assert!(out.is_clean());
+        assert!(out.invalidate().is_empty());
         assert_eq!(out.forced_eviction_count(), 0);
+        assert_eq!(out.forced_invalidation_count(), 0);
     }
 
     #[test]

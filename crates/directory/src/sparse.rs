@@ -86,7 +86,8 @@ mod tests {
         let mut out = Outcome::new();
         dir.apply(add(line(5), CacheId::new(1)), &mut out);
         assert!(out.allocated_new_entry());
-        assert!(out.is_clean());
+        assert!(out.invalidate().is_empty());
+        assert_eq!(out.forced_eviction_count(), 0);
         dir.apply(add(line(5), CacheId::new(3)), &mut out);
         assert!(!out.allocated_new_entry());
         assert_eq!(

@@ -10,8 +10,8 @@
 //!   sharer format, tracked-cache count, shard count);
 //! * [`BuilderRegistry`] — one `match` on [`Org`] to the organization's
 //!   constructor.  The five baselines are built here; the Cuckoo directory
-//!   lives upstack, so [`BuilderRegistry::with_baselines`] refuses `cuckoo`
-//!   and `ccd-cuckoo`'s `standard_registry()` injects its builder.
+//!   lives upstack, so `ccd-cuckoo`'s `standard_registry()` injects its
+//!   builder.
 //!
 //! # Spec-string grammar
 //!
@@ -24,7 +24,7 @@
 //! * `WxS` — ways × sets.  For `duplicate-tag`/`tagless`, `W` is the
 //!   mirrored cache associativity and `S` the mirrored sets; for
 //!   `in-cache`, the embedding L2 bank geometry;
-//! * `HASH` — `skew`, `ms` or `strong` (organizations with hashed indexing
+//! * `HASH` — `skew` or `strong` (organizations with hashed indexing
 //!   only);
 //! * `cCACHES` — number of tracked private caches (default 32);
 //! * `@SHARERS` — `full`, `limited`, `coarse`, or `hier` (default `full`);
@@ -37,22 +37,19 @@
 //! unknown one is an error naming it.
 //!
 //! ```
-//! use ccd_directory::{BuilderRegistry, DirectorySpec};
+//! use ccd_directory::{DirectorySpec, Org};
+//! use ccd_sharers::SharerFormat;
 //!
-//! let registry = BuilderRegistry::with_baselines();
-//! let dir = registry.build_str("sparse-8x2048-c16@coarse").unwrap();
-//! assert_eq!(dir.capacity(), 8 * 2048);
-//! assert_eq!(dir.num_caches(), 16);
+//! let spec: DirectorySpec = "sparse-8x2048-c16@coarse".parse().unwrap();
+//! assert_eq!((spec.org, spec.ways, spec.sets), (Org::Sparse, 8, 2048));
+//! assert_eq!((spec.caches, spec.sharers), (16, SharerFormat::Coarse));
 //!
 //! let spec: DirectorySpec = "sharded4:skewed-4x1024".parse().unwrap();
 //! assert_eq!(spec.shards, 4);
-//! let dir = registry.build(&spec).unwrap();
-//! assert_eq!(dir.capacity(), 4 * 1024, "total capacity is preserved");
+//! assert_eq!(spec.to_string(), "sharded4:skewed-4x1024");
 //! ```
 
-use crate::{
-    tagless, Directory, DuplicateTagDirectory, ShardedDirectory, SlotDirectory, TaglessDirectory,
-};
+use crate::{Directory, DuplicateTagDirectory, ShardedDirectory, SlotDirectory, TaglessDirectory};
 use ccd_common::clause::Clauses;
 use ccd_common::ConfigError;
 use ccd_hash::HashKind;
@@ -62,7 +59,7 @@ use std::str::FromStr;
 
 /// Default tracked-cache count when a spec string names none (the paper's
 /// 16-core Shared-L2 system tracks 32 L1 caches).
-pub const DEFAULT_CACHES: usize = 32;
+pub(crate) const DEFAULT_CACHES: usize = 32;
 
 /// The six directory organizations of the paper's evaluation.  `Display`
 /// prints the canonical spec-string name.
@@ -170,14 +167,14 @@ impl DirectorySpec {
 
     /// Returns the spec with a different sharer format.
     #[must_use]
-    pub fn with_sharers(mut self, sharers: SharerFormat) -> Self {
+    pub(crate) fn with_sharers(mut self, sharers: SharerFormat) -> Self {
         self.sharers = sharers;
         self
     }
 
     /// Returns the spec interleaved over `shards` slices.
     #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
+    pub(crate) fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
     }
@@ -292,7 +289,6 @@ impl fmt::Display for DirectorySpec {
         if let Some(hash) = self.hash {
             let name = match hash {
                 HashKind::Skewing => "skew",
-                HashKind::MultiplyShift => "ms",
                 HashKind::Strong => "strong",
             };
             write!(f, "-{name}")?;
@@ -318,12 +314,12 @@ impl fmt::Display for DirectorySpec {
 /// makes the widest, 56 bytes — is larger than 128 bytes, so up to here every slot
 /// array is a representable [`Layout`](std::alloc::Layout) (at most
 /// `isize::MAX` bytes) and past it none need be.
-pub const MAX_CAPACITY: usize = isize::MAX as usize / 128;
+pub(crate) const MAX_CAPACITY: usize = isize::MAX as usize / 128;
 
 /// The error for a `ways × sets` geometry of more entries than can exist:
-/// past [`MAX_CAPACITY`], or refused by the allocator at any size.  An
+/// past `MAX_CAPACITY`, or refused by the allocator at any size.  An
 /// allocator does not say what it would have granted, so for a refusal
-/// below [`MAX_CAPACITY`] the reported maximum is one less than was asked.
+/// below `MAX_CAPACITY` the reported maximum is one less than was asked.
 #[must_use]
 pub fn capacity_too_large(ways: usize, sets: usize) -> ConfigError {
     let value = (ways as u64).saturating_mul(sets as u64);
@@ -340,7 +336,7 @@ pub fn capacity_too_large(ways: usize, sets: usize) -> ConfigError {
 /// # Errors
 ///
 /// [`capacity_too_large`] when the product overflows or exceeds
-/// [`MAX_CAPACITY`].
+/// `MAX_CAPACITY`.
 pub fn checked_capacity(ways: usize, sets: usize) -> Result<usize, ConfigError> {
     ways.checked_mul(sets)
         .filter(|&capacity| capacity <= MAX_CAPACITY)
@@ -383,7 +379,7 @@ pub(crate) fn try_filled<T: Clone>(len: usize, fill: T) -> Option<Vec<T>> {
 }
 
 /// A builder function constructing one (unsharded) directory slice.
-pub type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>;
+pub(crate) type DirectoryBuilder = fn(&DirectorySpec) -> Result<Box<dyn Directory>, ConfigError>;
 
 /// Dispatches over the spec's sharer format, binding the chosen
 /// representation type to `$S` inside `$body`.  The full and hierarchical
@@ -437,7 +433,7 @@ macro_rules! match_sharer_format {
 /// directory from the builder `ccd-cuckoo` injects.
 #[derive(Clone, Copy, Debug)]
 pub struct BuilderRegistry {
-    cuckoo: Option<DirectoryBuilder>,
+    cuckoo: DirectoryBuilder,
 }
 
 /// Rejects a `-HASH` modifier on organizations that do not hash their ways,
@@ -502,31 +498,18 @@ fn build_in_cache(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigErro
 fn build_tagless(spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
     reject_hash(spec)?;
     reject_sharers(spec)?;
-    Ok(Box::new(TaglessDirectory::with_filter_geometry(
+    Ok(Box::new(TaglessDirectory::new(
         spec.sets,
         spec.ways,
         spec.caches,
-        tagless::DEFAULT_BUCKETS,
-        tagless::DEFAULT_PROBES,
     )?))
 }
 
 impl BuilderRegistry {
-    /// The five baseline organizations (`sparse`, `skewed`,
-    /// `duplicate-tag`, `in-cache`, `tagless`).  The Cuckoo directory
-    /// lives upstack in `ccd-cuckoo`; use its `standard_registry()` for all
-    /// six.
-    #[must_use]
-    pub const fn with_baselines() -> Self {
-        BuilderRegistry { cuckoo: None }
-    }
-
     /// All six organizations, `cuckoo` built by `cuckoo`.
     #[must_use]
     pub const fn with_cuckoo(cuckoo: DirectoryBuilder) -> Self {
-        BuilderRegistry {
-            cuckoo: Some(cuckoo),
-        }
+        BuilderRegistry { cuckoo }
     }
 
     /// Builds the directory described by `spec`; sharded specs produce a
@@ -535,7 +518,6 @@ impl BuilderRegistry {
     ///
     /// # Errors
     ///
-    /// * [`ConfigError::Parse`] for `cuckoo` on [`Self::with_baselines`],
     /// * [`ConfigError::Inconsistent`] when the set count is not divisible
     ///   by the shard count,
     /// * [`ConfigError::TooLarge`] when `ways × sets` is not a capacity
@@ -544,9 +526,7 @@ impl BuilderRegistry {
     /// * any error from the organization's own constructor.
     pub fn build(&self, spec: &DirectorySpec) -> Result<Box<dyn Directory>, ConfigError> {
         let builder: DirectoryBuilder = match spec.org {
-            Org::Cuckoo => self.cuckoo.ok_or_else(|| ConfigError::Parse {
-                what: format!("no builder registered for organization `{}`", spec.org),
-            })?,
+            Org::Cuckoo => self.cuckoo,
             Org::Sparse => build_sparse,
             Org::Skewed => build_skewed,
             Org::DuplicateTag => build_duplicate_tag,
@@ -590,6 +570,12 @@ impl BuilderRegistry {
 mod tests {
     use super::*;
 
+    /// The five baselines.  The cuckoo builder lives upstack; no test here
+    /// builds a `cuckoo` spec, so a baseline's builder stands in for it.
+    fn baselines() -> BuilderRegistry {
+        BuilderRegistry::with_cuckoo(build_sparse)
+    }
+
     #[test]
     fn parses_the_issue_examples() {
         let spec: DirectorySpec = "cuckoo-4x1024-skew".parse().unwrap();
@@ -621,8 +607,8 @@ mod tests {
         let spec: DirectorySpec = "skewed-4x256-strong".parse().unwrap();
         assert_eq!(spec.hash, Some(HashKind::Strong));
 
-        let spec: DirectorySpec = "cuckoo-4x1024-ms-c16".parse().unwrap();
-        assert_eq!(spec.hash, Some(HashKind::MultiplyShift));
+        let spec: DirectorySpec = "cuckoo-4x1024-strong-c16".parse().unwrap();
+        assert_eq!(spec.hash, Some(HashKind::Strong));
         assert_eq!(spec.caches, 16);
     }
 
@@ -687,6 +673,9 @@ mod tests {
         // modifier like any other, on every organization.
         for (input, token) in [
             ("cuckoo-4x64-tagalt", "tagalt"),
+            ("cuckoo-4x1024-ms", "ms"),
+            ("cuckoo-4x1024-mshift", "mshift"),
+            ("skewed-4x256-multiply-shift", "multiply"),
             ("cuckoo-4x64-bfs", "bfs"),
             ("cuckoo-4x64-greedy", "greedy"),
             ("sparse-8x512-bfs", "bfs"),
@@ -724,7 +713,7 @@ mod tests {
             "skewed-4x1024-strong",
             "duplicate-tag-16x512-c16",
             "sharded4:sparse-4x256@coarse",
-            "cuckoo-4x1024-ms",
+            "cuckoo-4x1024-skew",
             "cuckoo-4x1024-strong-c16",
         ] {
             let spec: DirectorySpec = input.parse().unwrap();
@@ -736,7 +725,7 @@ mod tests {
 
     #[test]
     fn baseline_registry_builds_every_organization() {
-        let registry = BuilderRegistry::with_baselines();
+        let registry = baselines();
         for spec in [
             "sparse-8x256",
             "skewed-4x256",
@@ -748,19 +737,15 @@ mod tests {
             assert!(dir.capacity() > 0, "{spec}");
             assert_eq!(dir.num_caches(), DEFAULT_CACHES, "{spec}");
         }
-        assert!(
-            registry.build_str("cuckoo-4x512").is_err(),
-            "cuckoo registers upstack"
-        );
     }
 
     #[test]
     fn inapplicable_modifiers_are_rejected_at_build_time() {
-        let registry = BuilderRegistry::with_baselines();
+        let registry = baselines();
         // Hash modifiers only apply to hashed-index organizations.
         assert!(registry.build_str("sparse-8x512-skew").is_err());
         assert!(registry.build_str("in-cache-16x64-strong").is_err());
-        assert!(registry.build_str("duplicate-tag-2x32-ms").is_err());
+        assert!(registry.build_str("duplicate-tag-2x32-skew").is_err());
         assert!(registry.build_str("tagless-2x32-skew").is_err());
         // Sharer formats only apply to organizations with per-entry sets.
         assert!(registry.build_str("duplicate-tag-2x32@coarse").is_err());
@@ -774,7 +759,7 @@ mod tests {
         use crate::testing::{add, line, probe};
         // Three caches share a line — one more than `@coarse` has exact
         // pointers, so it answers with whole regions where `@full` is exact.
-        let registry = BuilderRegistry::with_baselines();
+        let registry = baselines();
         let probed_sharers = |spec: &str| {
             let mut dir = registry.build_str(spec).unwrap();
             let mut out = crate::Outcome::new();
@@ -813,7 +798,7 @@ mod tests {
 
     #[test]
     fn sharded_build_preserves_total_capacity() {
-        let registry = BuilderRegistry::with_baselines();
+        let registry = baselines();
         let single = registry.build_str("sparse-4x1024").unwrap();
         let sharded = registry.build_str("sharded4:sparse-4x1024").unwrap();
         assert_eq!(single.capacity(), sharded.capacity());
@@ -852,7 +837,7 @@ mod tests {
 
         // The cache count has a bound of its own: ids are 32-bit.  Checked
         // by the parser, and again by `build` for a spec assembled by hand.
-        let registry = BuilderRegistry::with_baselines();
+        let registry = baselines();
         let ids = u64::from(u32::MAX);
         assert!(registry.build_str("sparse-4x64-c4294967295").is_ok());
         for caches in [ids + 1, u64::MAX] {

@@ -20,7 +20,7 @@ pub const MAX_TRACKED_ATTEMPTS: usize = 32;
 
 /// Significant bits of [`DepthMetrics`]' histograms: quantiles within 25 %
 /// of the exact depth.
-pub const DEPTH_SIG_BITS: u32 = 2;
+pub(crate) const DEPTH_SIG_BITS: u32 = 2;
 
 /// Statistics accumulated by a directory slice.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,15 +110,9 @@ impl DirectoryStats {
         self.invalidation_rate.rate()
     }
 
-    /// Average occupancy observed across insertions (0.0 ..= 1.0).
-    #[must_use]
-    pub fn avg_occupancy(&self) -> f64 {
-        self.occupancy.mean()
-    }
-
     /// Total directory operations, used to derive the event mix.
     #[must_use]
-    pub fn total_operations(&self) -> u64 {
+    pub(crate) fn total_operations(&self) -> u64 {
         self.insertions.get()
             + self.sharer_adds.get()
             + self.sharer_removes.get()
@@ -202,7 +196,7 @@ impl Default for DepthMetrics {
 }
 
 impl DepthMetrics {
-    /// Creates empty metrics at [`DEPTH_SIG_BITS`] histogram resolution.
+    /// Creates empty metrics at `DEPTH_SIG_BITS` histogram resolution.
     #[must_use]
     pub fn new() -> Self {
         DepthMetrics {
@@ -289,7 +283,7 @@ mod tests {
         assert_eq!(s.insertions.get(), 3);
         assert!((s.avg_insertion_attempts() - 2.0).abs() < 1e-12);
         assert!((s.forced_invalidation_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.avg_occupancy() - 0.5).abs() < 1e-12);
+        assert!((s.occupancy.mean() - 0.5).abs() < 1e-12);
         assert_eq!(s.forced_evictions.get(), 1);
     }
 
@@ -314,7 +308,7 @@ mod tests {
         let s = DirectoryStats::new();
         assert_eq!(s.avg_insertion_attempts(), 0.0);
         assert_eq!(s.forced_invalidation_rate(), 0.0);
-        assert_eq!(s.avg_occupancy(), 0.0);
+        assert_eq!(s.occupancy.mean(), 0.0);
         assert_eq!(s.total_operations(), 0);
         assert_eq!(s.event_mix().total(), 0.0);
     }
@@ -331,7 +325,7 @@ mod tests {
         assert_eq!(a.lookups.get(), 10);
         assert_eq!(a.forced_evictions.get(), 2);
         assert!((a.avg_insertion_attempts() - 3.0).abs() < 1e-12);
-        assert!((a.avg_occupancy() - 0.5).abs() < 1e-12);
+        assert!((a.occupancy.mean() - 0.5).abs() < 1e-12);
     }
 
     #[test]

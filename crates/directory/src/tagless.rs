@@ -30,14 +30,14 @@ use ccd_common::rng::SplitMix64;
 use ccd_common::{CacheId, ConfigError, LineAddr};
 
 /// Default number of Bloom-filter buckets per (cache, set) filter.
-pub const DEFAULT_BUCKETS: usize = 64;
+pub(crate) const DEFAULT_BUCKETS: usize = 64;
 
 /// Default number of hash probes per filter test/update.
-pub const DEFAULT_PROBES: usize = 2;
+pub(crate) const DEFAULT_PROBES: usize = 2;
 
 /// A Tagless coherence directory slice.
 #[derive(Clone, Debug)]
-pub struct TaglessDirectory {
+pub(crate) struct TaglessDirectory {
     cache_sets: usize,
     cache_ways: usize,
     num_caches: usize,
@@ -88,7 +88,7 @@ impl TaglessDirectory {
     /// `buckets` is not a power of two, `probes` exceeds `buckets`, or
     /// `cache_sets × cache_ways × num_caches` tracked frames cannot exist
     /// ([`checked_capacity`]) or their filters are refused by the allocator.
-    pub fn with_filter_geometry(
+    pub(crate) fn with_filter_geometry(
         cache_sets: usize,
         cache_ways: usize,
         num_caches: usize,

@@ -43,5 +43,6 @@ pub mod model;
 pub mod orgs;
 pub mod sram;
 
-pub use model::{EnergyModel, ScalingPoint};
+pub use model::EnergyModel;
+pub use model::ScalingPoint;
 pub use orgs::DirOrg;

@@ -22,7 +22,7 @@ use ccd_directory::stats::EventMix;
 
 /// The default average insertion-attempt count charged to Cuckoo
 /// insertions, matching the measured averages of Figure 10.
-pub const DEFAULT_CUCKOO_AVG_ATTEMPTS: f64 = 1.5;
+pub(crate) const DEFAULT_CUCKOO_AVG_ATTEMPTS: f64 = 1.5;
 
 /// One evaluated point of a scaling curve.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -121,7 +121,7 @@ impl EnergyModel {
     /// Average bits touched per directory operation for `org` at `cores`
     /// cores.
     #[must_use]
-    pub fn bits_per_operation(&self, org: &DirOrg, cores: usize) -> f64 {
+    pub(crate) fn bits_per_operation(&self, org: &DirOrg, cores: usize) -> f64 {
         let env = self.slice_environment(cores);
         let profile = storage_profile(org, &env);
         let lookup = profile.bits_read_per_lookup as f64;

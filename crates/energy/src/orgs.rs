@@ -18,7 +18,7 @@ use std::fmt;
 /// organization: the filter is sized proportionally to the number of blocks
 /// it summarizes (~8 buckets per cache way), as in the MICRO 2009 design.
 #[must_use]
-pub fn tagless_buckets(cache_ways: usize) -> usize {
+pub(crate) fn tagless_buckets(cache_ways: usize) -> usize {
     (cache_ways * 8).next_power_of_two()
 }
 
@@ -165,7 +165,7 @@ impl DirOrg {
 
     /// `true` for the two Cuckoo organizations.
     #[must_use]
-    pub fn is_cuckoo(&self) -> bool {
+    pub(crate) fn is_cuckoo(&self) -> bool {
         matches!(
             self,
             DirOrg::CuckooCoarse { .. } | DirOrg::CuckooHierarchical { .. }

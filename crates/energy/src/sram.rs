@@ -14,7 +14,7 @@ use ccd_common::{ceil_log2, BlockGeometry};
 /// 16-way, 64-byte-block L2 cache (16 384 frames, 1 024 sets): 16 ways ×
 /// (tag + valid).
 #[must_use]
-pub fn reference_lookup_bits() -> f64 {
+pub(crate) fn reference_lookup_bits() -> f64 {
     let sets = 1024;
     let tag_bits = BlockGeometry::default().tag_bits(ceil_log2(sets));
     16.0 * f64::from(tag_bits + 1)
@@ -22,21 +22,21 @@ pub fn reference_lookup_bits() -> f64 {
 
 /// Bits stored by the reference area: the data array of a 1 MB cache.
 #[must_use]
-pub fn reference_area_bits() -> f64 {
+pub(crate) fn reference_area_bits() -> f64 {
     (1024u64 * 1024 * 8) as f64
 }
 
 /// Energy of an access that touches `bits` bits, expressed relative to the
 /// reference lookup (1.0 = one L2 tag lookup).
 #[must_use]
-pub fn relative_energy(bits: f64) -> f64 {
+pub(crate) fn relative_energy(bits: f64) -> f64 {
     bits / reference_lookup_bits()
 }
 
 /// Area of a structure storing `bits` bits, expressed relative to the
 /// reference 1 MB data array (1.0 = one L2 data array).
 #[must_use]
-pub fn relative_area(bits: f64) -> f64 {
+pub(crate) fn relative_area(bits: f64) -> f64 {
     bits / reference_area_bits()
 }
 

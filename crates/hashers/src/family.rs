@@ -3,10 +3,10 @@
 //! Most of the workspace wants to be parameterized over the hash family by
 //! *configuration* rather than by a generic type parameter (e.g. the
 //! hash-function-selection study of Section 5.5 swaps families at runtime),
-//! so [`HashFamily`] wraps the three concrete families behind one enum that
+//! so [`HashFamily`] wraps the two concrete families behind one enum that
 //! still implements [`IndexHashFamily`].
 
-use crate::{IndexHashFamily, MultiplyShiftFamily, SkewingFamily, StrongFamily};
+use crate::{IndexHashFamily, SkewingFamily, StrongFamily};
 use ccd_common::{ConfigError, LineAddr};
 use std::fmt;
 
@@ -17,8 +17,6 @@ pub enum HashKind {
     /// (Section 5.5): a few levels of XOR logic.
     #[default]
     Skewing,
-    /// Multiply-shift (2-universal) functions — an intermediate option.
-    MultiplyShift,
     /// Strong SplitMix-style mixers — stand-in for the paper's
     /// "cryptographic" functions.
     Strong,
@@ -28,7 +26,6 @@ impl fmt::Display for HashKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
             HashKind::Skewing => "skewing",
-            HashKind::MultiplyShift => "multiply-shift",
             HashKind::Strong => "strong",
         };
         f.write_str(name)
@@ -39,8 +36,8 @@ impl HashKind {
     /// Every kind, in ascending hardware-cost order: what the
     /// hash-function studies (Section 5.5 / Figure 7) sweep.
     #[must_use]
-    pub const fn all() -> [HashKind; 3] {
-        [HashKind::Skewing, HashKind::MultiplyShift, HashKind::Strong]
+    pub const fn all() -> [HashKind; 2] {
+        [HashKind::Skewing, HashKind::Strong]
     }
 }
 
@@ -48,11 +45,10 @@ impl std::str::FromStr for HashKind {
     type Err = ConfigError;
 
     /// Parses the names used in directory-spec strings: `skew`/`skewing`,
-    /// `ms`/`mshift`/`multiply-shift`, `strong`.
+    /// `strong`.
     fn from_str(s: &str) -> Result<Self, ConfigError> {
         match s {
             "skew" | "skewing" => Ok(HashKind::Skewing),
-            "ms" | "mshift" | "multiply-shift" => Ok(HashKind::MultiplyShift),
             "strong" => Ok(HashKind::Strong),
             other => Err(ConfigError::Parse {
                 what: format!("unknown hash kind `{other}`"),
@@ -78,8 +74,6 @@ impl std::str::FromStr for HashKind {
 pub enum HashFamily {
     /// Seznec–Bodin skewing functions.
     Skewing(SkewingFamily),
-    /// Multiply-shift functions.
-    MultiplyShift(MultiplyShiftFamily),
     /// Strong mixers.
     Strong(StrongFamily),
 }
@@ -95,9 +89,6 @@ impl HashFamily {
     pub fn new(kind: HashKind, ways: usize, sets: usize) -> Result<Self, ConfigError> {
         Ok(match kind {
             HashKind::Skewing => HashFamily::Skewing(SkewingFamily::new(ways, sets)?),
-            HashKind::MultiplyShift => {
-                HashFamily::MultiplyShift(MultiplyShiftFamily::new(ways, sets)?)
-            }
             HashKind::Strong => HashFamily::Strong(StrongFamily::new(ways, sets)?),
         })
     }
@@ -116,23 +107,20 @@ impl HashFamily {
     ) -> Result<Self, ConfigError> {
         Ok(match kind {
             HashKind::Skewing => HashFamily::Skewing(SkewingFamily::new(ways, sets)?),
-            HashKind::MultiplyShift => {
-                HashFamily::MultiplyShift(MultiplyShiftFamily::with_seed(ways, sets, seed)?)
-            }
             HashKind::Strong => HashFamily::Strong(StrongFamily::with_seed(ways, sets, seed)?),
         })
     }
 
     /// The line whose bits above the index field are `high` and whose
     /// way-`way` index is `index`, where the family can invert its index:
-    /// skewing ([`SkewingFamily::line_from_high`]).  `None` for
-    /// multiply-shift and strong, whose index mixes every address bit.
+    /// skewing ([`SkewingFamily::line_from_high`]).  `None` for strong,
+    /// whose index mixes every address bit.
     #[inline]
     #[must_use]
     pub fn line_from_high(&self, way: usize, index: usize, high: u64) -> Option<LineAddr> {
         match self {
             HashFamily::Skewing(f) => Some(f.line_from_high(way, index, high)),
-            HashFamily::MultiplyShift(_) | HashFamily::Strong(_) => None,
+            HashFamily::Strong(_) => None,
         }
     }
 
@@ -141,7 +129,6 @@ impl HashFamily {
     pub fn kind(&self) -> HashKind {
         match self {
             HashFamily::Skewing(_) => HashKind::Skewing,
-            HashFamily::MultiplyShift(_) => HashKind::MultiplyShift,
             HashFamily::Strong(_) => HashKind::Strong,
         }
     }
@@ -151,7 +138,6 @@ impl IndexHashFamily for HashFamily {
     fn ways(&self) -> usize {
         match self {
             HashFamily::Skewing(f) => f.ways(),
-            HashFamily::MultiplyShift(f) => f.ways(),
             HashFamily::Strong(f) => f.ways(),
         }
     }
@@ -159,7 +145,6 @@ impl IndexHashFamily for HashFamily {
     fn sets(&self) -> usize {
         match self {
             HashFamily::Skewing(f) => f.sets(),
-            HashFamily::MultiplyShift(f) => f.sets(),
             HashFamily::Strong(f) => f.sets(),
         }
     }
@@ -168,7 +153,6 @@ impl IndexHashFamily for HashFamily {
     fn index(&self, way: usize, line: LineAddr) -> usize {
         match self {
             HashFamily::Skewing(f) => f.index(way, line),
-            HashFamily::MultiplyShift(f) => f.index(way, line),
             HashFamily::Strong(f) => f.index(way, line),
         }
     }
@@ -178,7 +162,6 @@ impl IndexHashFamily for HashFamily {
     fn index_all_into(&self, line: LineAddr, out: &mut [usize]) {
         match self {
             HashFamily::Skewing(f) => f.index_all_into(line, out),
-            HashFamily::MultiplyShift(f) => f.index_all_into(line, out),
             HashFamily::Strong(f) => f.index_all_into(line, out),
         }
     }
@@ -186,7 +169,6 @@ impl IndexHashFamily for HashFamily {
     fn logic_levels(&self) -> u32 {
         match self {
             HashFamily::Skewing(f) => f.logic_levels(),
-            HashFamily::MultiplyShift(f) => f.logic_levels(),
             HashFamily::Strong(f) => f.logic_levels(),
         }
     }
@@ -220,8 +202,16 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(HashKind::Skewing.to_string(), "skewing");
-        assert_eq!(HashKind::MultiplyShift.to_string(), "multiply-shift");
         assert_eq!(HashKind::Strong.to_string(), "strong");
+    }
+
+    #[test]
+    fn the_paper_evaluates_two_families() {
+        assert_eq!(HashKind::all(), [HashKind::Skewing, HashKind::Strong]);
+        for name in ["multiply-shift", "mshift", "ms"] {
+            let err = name.parse::<HashKind>().expect_err(name);
+            assert!(err.to_string().contains(&format!("`{name}`")), "{err}");
+        }
     }
 
     #[test]
@@ -237,9 +227,7 @@ mod tests {
     #[test]
     fn logic_level_ordering_matches_hardware_cost() {
         let skew = HashFamily::new(HashKind::Skewing, 4, 512).unwrap();
-        let mult = HashFamily::new(HashKind::MultiplyShift, 4, 512).unwrap();
         let strong = HashFamily::new(HashKind::Strong, 4, 512).unwrap();
-        assert!(skew.logic_levels() < mult.logic_levels());
-        assert!(mult.logic_levels() < strong.logic_levels());
+        assert!(skew.logic_levels() < strong.logic_levels());
     }
 }

@@ -10,8 +10,7 @@
 //!   the intrinsic behaviour of d-ary cuckoo hashing independent of hash
 //!   quality (Figure 7) and as a sensitivity study (Section 5.5).
 //!
-//! This crate provides both, plus a classic multiply-shift family as a
-//! middle ground, all behind the [`IndexHashFamily`] trait.
+//! This crate provides both, behind the [`IndexHashFamily`] trait.
 //!
 //! # Example
 //!
@@ -32,19 +31,17 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod family;
-pub mod multiply_shift;
 pub mod skewing;
 pub mod strong;
 
 pub use family::{HashFamily, HashKind};
-pub use multiply_shift::MultiplyShiftFamily;
 pub use skewing::SkewingFamily;
 pub use strong::StrongFamily;
 
 use ccd_common::LineAddr;
 
 /// Upper bound on the way count of *any* family in this crate (the strong
-/// and multiply-shift families allow up to 64 ways; skewing allows 16).
+/// family allows up to 64 ways; skewing allows 16).
 /// Probe code can size its per-key index buffers with this constant and hold
 /// them on the stack.
 pub const MAX_FAMILY_WAYS: usize = 64;
@@ -148,7 +145,6 @@ mod tests {
     fn all_families_are_uniform_on_random_input() {
         check_uniformity(&SkewingFamily::new(4, 256).unwrap(), 100_000);
         check_uniformity(&StrongFamily::new(4, 256).unwrap(), 100_000);
-        check_uniformity(&MultiplyShiftFamily::new(4, 256).unwrap(), 100_000);
     }
 
     #[test]
@@ -213,13 +209,6 @@ mod tests {
     fn skewing_index_all_into_over_exact_buffers_matches_index() {
         exact_buffers_match_per_way_index(skewing::MAX_WAYS, |ways| {
             SkewingFamily::new(ways, 512).unwrap()
-        });
-    }
-
-    #[test]
-    fn multiply_shift_index_all_into_over_exact_buffers_matches_index() {
-        exact_buffers_match_per_way_index(multiply_shift::MAX_WAYS, |ways| {
-            MultiplyShiftFamily::with_seed(ways, 512, 3).unwrap()
         });
     }
 

@@ -65,7 +65,13 @@ pub mod supervisor;
 
 pub use config::{ServiceConfig, DEFAULT_BATCH, DEFAULT_QUEUE_DEPTH};
 pub use error::ServiceError;
-pub use load::{op_for, LoadSpec, OpStream};
-pub use obs::{EventKind, FlightRecording, ObsConfig, RawEvent};
+pub use load::LoadSpec;
+pub use load::OpStream;
+pub use obs::EventKind;
+pub use obs::FlightRecording;
+pub use obs::ObsConfig;
+pub use obs::RawEvent;
 pub use request::{digest_outcomes, OutcomeLog, OutcomeRecord, Request};
-pub use service::{DirectoryService, ObsReport, ServiceReport, ServiceStats};
+pub use service::ObsReport;
+pub use service::ServiceStats;
+pub use service::{DirectoryService, ServiceReport};

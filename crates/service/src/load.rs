@@ -83,7 +83,7 @@ impl LoadSpec {
 /// exclusive requests (invalidating other sharers), loads and instruction
 /// fetches add a sharer.  `geometry` converts byte addresses to lines.
 #[must_use]
-pub fn op_for(reference: &MemRef, geometry: &BlockGeometry) -> DirectoryOp {
+pub(crate) fn op_for(reference: &MemRef, geometry: &BlockGeometry) -> DirectoryOp {
     let line = geometry.line_of(reference.addr);
     let cache = CacheId::new(reference.core.raw());
     if reference.kind.is_write() {
@@ -94,7 +94,7 @@ pub fn op_for(reference: &MemRef, geometry: &BlockGeometry) -> DirectoryOp {
 }
 
 /// The operation stream of one [`LoadSpec`]: a workload reference stream
-/// mapped through [`op_for`], truncated to the configured request count.
+/// mapped through `op_for`, truncated to the configured request count.
 #[derive(Debug)]
 pub struct OpStream {
     refs: Box<dyn ccd_workloads::TraceStream>,

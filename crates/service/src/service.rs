@@ -50,7 +50,7 @@
 
 use crate::config::ServiceConfig;
 use crate::error::ServiceError;
-use crate::load::LoadSpec;
+use crate::load::{LoadSpec, OpStream};
 use crate::obs::{EventKind, FlightRecorder, FlightRecording, ObsConfig};
 use crate::request::{reassemble, OutcomeLog, Request, WorkerLog};
 use crate::supervisor;
@@ -261,31 +261,31 @@ impl DirectoryService {
         self.slices.iter().map(|s| s.capacity()).sum()
     }
 
-    /// Checks that `load` fits this service (its cores map onto tracked
-    /// caches, its workload validates for the configured request count).
+    /// The ops of `load`, once its cores map onto tracked caches.
     ///
     /// # Errors
     ///
     /// [`ConfigError::Inconsistent`] on a core/cache mismatch, or the
-    /// load's own validation error.
-    pub fn check_load(&self, load: &LoadSpec) -> Result<(), ConfigError> {
+    /// load's own validation error ([`LoadSpec::ops`]).
+    fn load_ops(&self, load: &LoadSpec) -> Result<OpStream, ConfigError> {
         if load.cores > self.num_caches() {
             return Err(ConfigError::Inconsistent {
                 what: "load generates references for more cores than the \
                        directory spec tracks caches (add a `-cN` modifier)",
             });
         }
-        load.validate()
+        load.ops()
     }
 
     /// Streams `load` through the concurrent service.
     ///
     /// # Errors
     ///
-    /// See [`DirectoryService::check_load`] and [`DirectoryService::run`].
+    /// [`ConfigError::Inconsistent`] when the load has more cores than the
+    /// directory tracks caches, the load's own validation error
+    /// ([`LoadSpec::ops`]), or see [`DirectoryService::run`].
     pub fn run_load(self, load: &LoadSpec) -> Result<ServiceReport, ServiceError> {
-        self.check_load(load)?;
-        let ops = load.ops()?;
+        let ops = self.load_ops(load)?;
         self.run(ops)
     }
 
@@ -293,10 +293,9 @@ impl DirectoryService {
     ///
     /// # Errors
     ///
-    /// See [`DirectoryService::check_load`].
+    /// As [`DirectoryService::run_load`], less the workers' failures.
     pub fn run_load_serial(self, load: &LoadSpec) -> Result<ServiceReport, ServiceError> {
-        self.check_load(load)?;
-        let ops = load.ops()?;
+        let ops = self.load_ops(load)?;
         Ok(self.run_serial(ops))
     }
 
@@ -655,7 +654,7 @@ mod tests {
     fn load_checks_reject_core_overflow() {
         let service = build(2, 1);
         let load = LoadSpec::parse("oracle", 16, 1, 100).unwrap();
-        assert!(service.check_load(&load).is_err(), "8 caches, 16 cores");
+        assert!(service.load_ops(&load).is_err(), "8 caches, 16 cores");
         let load = LoadSpec::parse("oracle", 8, 1, 100).unwrap();
         assert!(build(2, 1).run_load(&load).is_ok());
     }

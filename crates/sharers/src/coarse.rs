@@ -30,18 +30,18 @@ pub fn entry_bits(num_caches: usize) -> u64 {
 
 /// Number of region bits available in coarse mode.
 #[must_use]
-pub fn region_count(num_caches: usize) -> usize {
+pub(crate) fn region_count(num_caches: usize) -> usize {
     (2 * ceil_log2(num_caches as u64).max(1) as usize).min(num_caches)
 }
 
 /// Number of caches covered by each region bit.
 #[must_use]
-pub fn caches_per_region(num_caches: usize) -> usize {
+pub(crate) fn caches_per_region(num_caches: usize) -> usize {
     num_caches.div_ceil(region_count(num_caches))
 }
 
 /// `K` exact cache pointers; on a `K + 1`-th sharer, a mask of regions until
-/// the next `clear`: [`region_count`] regions, or one region of every cache
+/// the next `clear`: `region_count` regions, or one region of every cache
 /// when `BROADCAST`.
 ///
 /// At most 32 bytes, and creating, cloning or dropping one never touches
@@ -57,7 +57,7 @@ pub struct PointerSet<const K: usize, const BROADCAST: bool> {
     regions: u64,
 }
 
-/// The coarse format: two pointers, then [`region_count`] regions.
+/// The coarse format: two pointers, then `region_count` regions.
 pub type CoarseVector = PointerSet<2, false>;
 
 impl<const K: usize, const BROADCAST: bool> PointerSet<K, BROADCAST> {

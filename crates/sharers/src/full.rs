@@ -8,7 +8,7 @@
 //! could consume more than 256 MB of on-chip storage").
 //!
 //! The width is a property of the directory, not of each entry, and an
-//! entry stores the width the paper prices ([`vector_bits`]) rounded up to
+//! entry stores the width the paper prices (`vector_bits`) rounded up to
 //! a machine word.  Up to 64 caches an entry's vector is a
 //! [`PresenceWord`]: the narrowest of `u16`, `u32` and `u64` that holds one
 //! bit per cache, plain data, its sharer count a `count_ones`.  At the
@@ -27,7 +27,7 @@ use std::fmt::Debug;
 
 /// Storage width in bits of a full vector for `num_caches` caches.
 #[must_use]
-pub fn vector_bits(num_caches: usize) -> u64 {
+pub(crate) fn vector_bits(num_caches: usize) -> u64 {
     num_caches as u64
 }
 

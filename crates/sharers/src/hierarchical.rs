@@ -24,13 +24,13 @@
 
 /// Number of cache groups (root-vector bits) used for `num_caches` caches.
 #[must_use]
-pub fn group_count(num_caches: usize) -> usize {
+pub(crate) fn group_count(num_caches: usize) -> usize {
     (num_caches as f64).sqrt().ceil() as usize
 }
 
 /// Number of caches per group (leaf-vector bits).
 #[must_use]
-pub fn group_size(num_caches: usize) -> usize {
+pub(crate) fn group_size(num_caches: usize) -> usize {
     num_caches.div_ceil(group_count(num_caches))
 }
 

@@ -10,7 +10,7 @@
 use ccd_common::ceil_log2;
 
 /// Default number of exact pointers stored per entry.
-pub const DEFAULT_POINTERS: usize = 4;
+pub(crate) const DEFAULT_POINTERS: usize = 4;
 
 /// A limited-pointer sharer set with broadcast-on-overflow semantics.
 pub type LimitedPointer = crate::coarse::PointerSet<DEFAULT_POINTERS, true>;

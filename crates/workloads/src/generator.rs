@@ -24,18 +24,18 @@ use ccd_common::rng::{Rng64, SplitMix64, Xoshiro256};
 use ccd_common::{AccessType, Address, CoreId, MemRef, DEFAULT_BLOCK_BYTES};
 
 /// Base byte address of the shared-instruction region.
-pub const CODE_REGION_BASE: u64 = 0x0100_0000_0000;
+pub(crate) const CODE_REGION_BASE: u64 = 0x0100_0000_0000;
 /// Base byte address of the shared-data region.
-pub const SHARED_DATA_BASE: u64 = 0x0200_0000_0000;
+pub(crate) const SHARED_DATA_BASE: u64 = 0x0200_0000_0000;
 /// Base byte address of the first core's private region.
-pub const PRIVATE_REGION_BASE: u64 = 0x0400_0000_0000;
+pub(crate) const PRIVATE_REGION_BASE: u64 = 0x0400_0000_0000;
 /// Byte span reserved for each core's private region.
-pub const PRIVATE_REGION_SPAN: u64 = 0x0000_1000_0000;
+pub(crate) const PRIVATE_REGION_SPAN: u64 = 0x0000_1000_0000;
 
 /// Page size used for physical scattering (Table 1: 8 KB pages).
-pub const PAGE_BYTES: u64 = 8 * 1024;
+pub(crate) const PAGE_BYTES: u64 = 8 * 1024;
 /// Cache blocks per page.
-pub const BLOCKS_PER_PAGE: u64 = PAGE_BYTES / DEFAULT_BLOCK_BYTES;
+pub(crate) const BLOCKS_PER_PAGE: u64 = PAGE_BYTES / DEFAULT_BLOCK_BYTES;
 /// Number of physical page frames each region's pages are scattered over.
 /// 32 768 frames × 8 KB = 256 MB, which exactly fills one private-region
 /// span while keeping the probability of two logical pages landing on the
@@ -106,7 +106,7 @@ impl TraceGenerator {
     }
 
     /// Generates the next reference.
-    pub fn next_ref(&mut self) -> MemRef {
+    pub(crate) fn next_ref(&mut self) -> MemRef {
         // Round-robin core interleaving approximates the lock-step progress
         // of a throughput workload while keeping the stream deterministic.
         let core = CoreId::new(self.next_core as u32);

@@ -35,7 +35,7 @@
 //!   [`AHEAD_BATCH`] references ahead on a helper thread,
 //! * [`trace_io`] — the compact `CCDT` record/replay format
 //!   ([`TraceWriter`] / [`TraceReader`]),
-//! * [`zipf::ZipfSampler`] — the locality model,
+//! * `zipf::ZipfSampler` — the locality model,
 //! * [`random_stream::RandomKeyStream`] — unique uniformly random keys for
 //!   the pure cuckoo-hash characterization of Figure 7.
 //!
@@ -66,11 +66,14 @@ pub mod zipf;
 
 pub use ahead::AHEAD_BATCH;
 pub use generator::{derive_seed, TraceGenerator};
-pub use profiles::{WorkloadCategory, WorkloadProfile};
+pub use profiles::WorkloadCategory;
+pub use profiles::WorkloadProfile;
 pub use random_stream::RandomKeyStream;
-pub use scenario::{ScenarioFamily, ScenarioParams, ScenarioSpec, TraceStream};
+pub use scenario::ScenarioFamily;
+pub use scenario::ScenarioParams;
+pub use scenario::{ScenarioSpec, TraceStream};
 pub use spec::WorkloadSpec;
-pub use trace_io::{read_trace, record_trace, TraceReader, TraceWriter};
-pub use zipf::ZipfSampler;
+pub use trace_io::{record_trace, TraceReader, TraceWriter};
+pub(crate) use zipf::ZipfSampler;
 
 pub use ccd_common::MemRef;

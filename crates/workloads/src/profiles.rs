@@ -110,7 +110,7 @@ impl WorkloadProfile {
 
     /// TPC-H query 2 (DSS): join-heavy with moderate scans.
     #[must_use]
-    pub fn qry2() -> Self {
+    pub(crate) fn qry2() -> Self {
         WorkloadProfile {
             name: "Qry2",
             category: WorkloadCategory::Dss,
@@ -127,7 +127,7 @@ impl WorkloadProfile {
 
     /// TPC-H query 16 (DSS): scan-dominated.
     #[must_use]
-    pub fn qry16() -> Self {
+    pub(crate) fn qry16() -> Self {
         WorkloadProfile {
             name: "Qry16",
             category: WorkloadCategory::Dss,
@@ -144,7 +144,7 @@ impl WorkloadProfile {
 
     /// TPC-H query 17 (DSS): the largest scans of the three queries.
     #[must_use]
-    pub fn qry17() -> Self {
+    pub(crate) fn qry17() -> Self {
         WorkloadProfile {
             name: "Qry17",
             category: WorkloadCategory::Dss,
@@ -179,7 +179,7 @@ impl WorkloadProfile {
     /// Zeus serving SPECweb99: event-driven, smaller private state than
     /// Apache.
     #[must_use]
-    pub fn zeus() -> Self {
+    pub(crate) fn zeus() -> Self {
         WorkloadProfile {
             name: "Zeus",
             category: WorkloadCategory::Web,
@@ -250,7 +250,7 @@ impl WorkloadProfile {
 
     /// Looks a preset up by its (case-insensitive) figure name.
     #[must_use]
-    pub fn by_name(name: &str) -> Option<WorkloadProfile> {
+    pub(crate) fn by_name(name: &str) -> Option<WorkloadProfile> {
         Self::all_paper_workloads()
             .into_iter()
             .find(|p| p.name.eq_ignore_ascii_case(name))
@@ -258,7 +258,7 @@ impl WorkloadProfile {
 
     /// Validates that the profile's fractions are sane.
     #[must_use]
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         let frac_ok = |f: f64| (0.0..=1.0).contains(&f);
         self.shared_code_blocks > 0
             && self.private_data_blocks > 0

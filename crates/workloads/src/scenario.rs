@@ -46,7 +46,7 @@ use std::str::FromStr;
 /// Sits between the profile generators' shared-data region
 /// (`0x0200_…`) and the per-core private regions (`0x0400_…`), so scenario
 /// and profile traces can never alias each other.
-pub const SCENARIO_REGION_BASE: u64 = 0x0300_0000_0000;
+pub(crate) const SCENARIO_REGION_BASE: u64 = 0x0300_0000_0000;
 
 /// A boxed, sendable memory-reference stream.
 ///
@@ -139,7 +139,7 @@ impl ScenarioParams {
 /// silently ignored, so a sweep cell's label never advertises a parameter
 /// that had no effect.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScenarioKnob {
+pub(crate) enum ScenarioKnob {
     /// Zipf skew of line selection (`-zipfF`).
     Zipf,
     /// Write fraction (`-wF`).
@@ -258,7 +258,7 @@ impl ScenarioFamily {
 
     /// The optional knobs this family's generator actually reads.
     #[must_use]
-    pub fn consumed_knobs(self) -> &'static [ScenarioKnob] {
+    pub(crate) fn consumed_knobs(self) -> &'static [ScenarioKnob] {
         use ScenarioKnob::{Epoch, WriteFraction, Zipf};
         match self {
             ScenarioFamily::ReadMostly | ScenarioFamily::FalseSharing => &[Zipf, WriteFraction],

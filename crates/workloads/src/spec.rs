@@ -39,7 +39,7 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Prefix selecting trace replay in a workload spec string.
-pub const REPLAY_PREFIX: &str = "replay:";
+pub(crate) const REPLAY_PREFIX: &str = "replay:";
 
 /// A workload selected at runtime: profile, scenario, or recorded trace.
 #[derive(Clone, Debug, PartialEq)]

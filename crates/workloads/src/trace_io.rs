@@ -54,9 +54,9 @@ use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// File magic of the trace format.
-pub const TRACE_MAGIC: [u8; 4] = *b"CCDT";
+pub(crate) const TRACE_MAGIC: [u8; 4] = *b"CCDT";
 /// Current format version.
-pub const TRACE_VERSION: u16 = 1;
+pub(crate) const TRACE_VERSION: u16 = 1;
 /// Byte offset of the record-count field within the header.
 const COUNT_OFFSET: u64 = 4 + 2 + 4;
 
@@ -227,7 +227,7 @@ impl TraceWriter<BufWriter<File>> {
     /// # Errors
     ///
     /// Propagates file-creation and I/O errors.
-    pub fn create(path: impl AsRef<Path>, num_cores: u32) -> io::Result<Self> {
+    pub(crate) fn create(path: impl AsRef<Path>, num_cores: u32) -> io::Result<Self> {
         // BufWriter<File> is Write + Seek; seeking flushes the buffer first.
         TraceWriter::new(BufWriter::new(File::create(path)?), num_cores)
     }
@@ -445,18 +445,6 @@ impl<R: Read> Iterator for TraceReader<R> {
             }
         }
     }
-}
-
-/// Reads a whole trace file: `(num_cores, records)`, every record
-/// validated.
-///
-/// # Errors
-///
-/// Propagates file-open errors, header validation and record corruption.
-pub fn read_trace(path: impl AsRef<Path>) -> io::Result<(u32, Vec<MemRef>)> {
-    let reader = TraceReader::open(path)?;
-    let cores = reader.num_cores();
-    Ok((cores, reader.read_all()?))
 }
 
 #[cfg(test)]
@@ -703,8 +691,9 @@ mod tests {
         let written = record_trace(&path, 8, trace, 2_000).unwrap();
         assert_eq!(written, 2_000);
 
-        let (cores, refs) = read_trace(&path).unwrap();
-        assert_eq!(cores, 8);
+        let reader = TraceReader::open(&path).unwrap();
+        assert_eq!(reader.num_cores(), 8);
+        let refs = reader.read_all().unwrap();
         let expected: Vec<_> = TraceGenerator::new(WorkloadProfile::zeus(), 8, 5)
             .take(2_000)
             .collect();

@@ -26,7 +26,7 @@ use ccd_common::rng::Rng64;
 /// two guide marks; the memory cost is one `f64` per rank and one `u32`
 /// per bucket (at most `n.next_power_of_two() + 1` of them).
 #[derive(Clone, Debug)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     cdf: Vec<f64>,
     /// `guide[k]` = first index whose CDF value is `>= k / buckets`, for
     /// `k` in `0..=buckets`.
@@ -83,18 +83,6 @@ impl ZipfSampler {
             guide,
             buckets: buckets as f64,
         }
-    }
-
-    /// Number of ranks.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` when the population has a single element.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
     }
 
     /// Draws one rank in `[0, len())`; rank 0 is the hottest.
@@ -221,8 +209,7 @@ mod tests {
             seen[sampler.sample(&mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(sampler.len(), 16);
-        assert!(!sampler.is_empty());
+        assert_eq!(sampler.cdf.len(), 16);
     }
 
     #[test]

@@ -6,16 +6,24 @@
     scripts/ab.py --aa [--change <rev>] [--workload W]... [--pairs N] [--seconds S]
 
 Exports `--against` (the parent) and `--change` (default HEAD) with `git
-archive` into two directories under a temporary one, builds BENCHMARK.json's
-command once in each with a target directory of its own, then runs N pairs
-(default 10) per workload (default: every workload BENCHMARK.json lists) of
-S seconds each (default: BENCHMARK.json's `run_seconds`) with `--trace 0`.
-Which side runs first alternates from pair to pair; both runs of a pair
-share one seed, drawn from a range printed at the start, well above the
-seeds 1-10 the benchmark's own checks use.  Only committed files are
-measured: uncommitted edits are not in either export.  `--aa` runs one
-build of `--change` on both sides, so its verdicts show what the clock
-reads when nothing changed.
+archive`, in turn, into one fixed source directory, `ccd-ab/src` under the
+system's temporary directory (`TMPDIR`), and builds BENCHMARK.json's
+command there for each, each side with a target directory of its own
+beside it.  The source path decides the code layout of the build (two
+exports of one commit to two paths build two different binaries; to one
+path, one), so both sides, and every run of this script under one `TMPDIR`,
+draw the same layout for the same code.  The header prints each binary's
+sha256.  It then runs each side's binary from its target directory for N
+pairs (default 10) per workload (default: every workload BENCHMARK.json
+lists) of S seconds each (default: BENCHMARK.json's `run_seconds`) with
+`--trace 0`.  Which side runs first alternates from pair to pair; both runs
+of a pair share one seed, drawn from a range printed at the start, well
+above the seeds 1-10 the benchmark's own checks use.  Only committed files
+are measured: uncommitted edits are not in either export.  `--aa` exports
+and builds `--change` twice, stops unless the two binaries hash equal, and
+runs one on each side, so its verdicts show what the clock reads when
+nothing changed.  One run of this script at a time: the directory is
+emptied at the start and removed at the end.
 
 Each metric is judged by its per-pair log ratio, log(change / parent),
 signed so that positive means better by the metric's direction.  Per
@@ -58,12 +66,14 @@ them differs within a pair or a run fails its own checks, and 0 otherwise.
 """
 
 import argparse
+import hashlib
 import json
 import math
 import os
 import pathlib
 import random
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -83,28 +93,59 @@ def git(*args, cwd=ROOT):
                           capture_output=True, text=True).stdout.strip()
 
 
-class Side:
-    """One revision exported and built in a directory of its own."""
+def sha256(path):
+    """The hex sha256 of the file at `path`.
 
-    def __init__(self, name, rev, scratch, command):
+    >>> import tempfile
+    >>> with tempfile.NamedTemporaryFile() as f:
+    ...     _ = f.write(b"abc"); f.flush(); sha256(f.name)[:16]
+    'ba7816bf8f01cfea'
+    """
+    return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+
+def same_build(parent, change):
+    """Stop an A/A run whose two builds of one commit at one path differ:
+    then the layout is not a function of the source, and the run cannot
+    tell a move from a layout draw.
+
+    >>> same_build("ab12", "ab12")
+    >>> same_build("ab12", "cd34")
+    Traceback (most recent call last):
+    ...
+    SystemExit: two builds of one commit differ (sha256 ab12 vs cd34): the layout is not a function of the source
+    """
+    if parent != change:
+        sys.exit(f"two builds of one commit differ (sha256 {parent} vs {change}): "
+                 "the layout is not a function of the source")
+
+
+class Side:
+    """One revision, built from the shared source directory into a target
+    directory of its own."""
+
+    def __init__(self, name, rev, work, command):
         self.name = name
         self.commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
-        self.tree = scratch / name
-        self.env = {**os.environ, "CARGO_TARGET_DIR": str(scratch / f"target-{name}")}
+        self.target = work / f"target-{name}"
+        self.binary = self.target / "release" / "benchmark"
         self.command = command
-        self.tree.mkdir()
+
+    def build(self, source):
+        """Exports the revision into `source`, emptied first, and builds it."""
+        shutil.rmtree(source, ignore_errors=True)
+        source.mkdir(parents=True)
         archive = subprocess.run(["git", "archive", self.commit], cwd=ROOT, check=True,
                                  capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(self.tree)], input=archive, check=True)
-
-    def build(self):
+        subprocess.run(["tar", "-x", "-C", str(source)], input=archive, check=True)
         argv = ["build" if word == "run" else word for word in self.command if word != "--"]
-        subprocess.run(argv, cwd=self.tree, env=self.env, check=True)
+        env = {**os.environ, "CARGO_TARGET_DIR": str(self.target)}
+        subprocess.run(argv, cwd=source, env=env, check=True)
+        self.sha256 = sha256(self.binary)
 
     def hot_offsets(self):
         """Function name -> sorted start offsets modulo 64, from `nm`."""
-        binary = pathlib.Path(self.env["CARGO_TARGET_DIR"]) / "release" / "benchmark"
-        done = subprocess.run(["nm", "-C", "--defined-only", str(binary)],
+        done = subprocess.run(["nm", "-C", "--defined-only", str(self.binary)],
                               capture_output=True, text=True)
         offsets = {}
         for line in done.stdout.splitlines():
@@ -121,10 +162,10 @@ class Side:
         return {name: sorted(found) for name, found in offsets.items()}
 
     def run(self, workload, seed, seconds):
-        argv = self.command + ["--workload", workload, "--seed", str(seed),
-                               "--seconds", str(seconds), "--trace", "0"]
-        done = subprocess.run(argv, cwd=self.tree, env=self.env,
-                              capture_output=True, text=True, timeout=900)
+        argv = [str(self.binary), "--workload", workload, "--seed", str(seed),
+                "--seconds", str(seconds), "--trace", "0"]
+        done = subprocess.run(argv, cwd=self.target, capture_output=True, text=True,
+                              timeout=900)
         lines = done.stdout.strip().splitlines()
         if done.returncode != 0 or not lines:
             sys.exit(f"{self.name} ({self.commit[:10]}): {' '.join(argv)} exited "
@@ -292,16 +333,20 @@ def main():
     print(f"seeds {seeds.start}..{seeds.stop - 1}  {seconds:g} s a run", flush=True)
 
     problems = []
-    with tempfile.TemporaryDirectory(prefix="ccd-ab-") as scratch:
-        scratch = pathlib.Path(scratch)
-        change = Side("change", args.change, scratch, spec["command"])
-        parent = change if args.aa else Side("parent", args.against, scratch, spec["command"])
-        # Names to sides; under --aa both names run the one build.
+    work = pathlib.Path(tempfile.gettempdir()) / "ccd-ab"
+    shutil.rmtree(work, ignore_errors=True)
+    try:
+        change = Side("change", args.change, work, spec["command"])
+        parent = Side("parent", args.change if args.aa else args.against, work,
+                      spec["command"])
         sides = {"parent": parent, "change": change}
-        print(f"parent {parent.commit[:10]}  change {change.commit[:10]}"
+        for side in sides.values():
+            side.build(work / "src")
+        print(f"parent {parent.commit[:10]} sha256 {parent.sha256[:16]}  "
+              f"change {change.commit[:10]} sha256 {change.sha256[:16]}"
               f"{'  (A/A)' if args.aa else ''}", flush=True)
-        for side in {id(side): side for side in sides.values()}.values():
-            side.build()
+        if args.aa:
+            same_build(parent.sha256, change.sha256)
         print_alignment(parent.hot_offsets(), change.hot_offsets())
 
         rows = []
@@ -334,6 +379,8 @@ def main():
                 name = metric["name"]
                 rows.append((workload, metric, verdict(
                     metric, values["parent"][name], values["change"][name], family)))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
     ranks = interval_ranks(args.pairs, family)
     floor = f"at least {100 * (1 - 0.10 / family):.1f} % for {family} timed metrics"

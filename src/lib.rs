@@ -16,7 +16,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`common`] | `ccd-common` | addresses, identifiers, RNG, statistics |
-//! | [`hash`] | `ccd-hash` | skewing / multiply-shift / strong index hash families |
+//! | [`hash`] | `ccd-hash` | skewing and strong index hash families |
 //! | [`sharers`] | `ccd-sharers` | full, coarse, hierarchical, limited-pointer sharer sets |
 //! | [`directory`] | `ccd-directory` | the op/outcome `Directory` protocol, the baselines, the builder registry, sharded composition |
 //! | [`cuckoo`] | `ccd-cuckoo` | the d-ary Cuckoo table and the Cuckoo directory (the paper's contribution) |

@@ -34,7 +34,7 @@ fn run_case(seed: u64, index: usize) {
         format!("sparse-4x{sets}-c8")
     } else {
         let ways = [2usize, 3, 4, 8][rng.next_below(4) as usize];
-        let kind = ["skew", "strong", "ms"][rng.next_below(3) as usize];
+        let kind = ["skew", "strong"][rng.next_below(2) as usize];
         let sharers = ["", "@coarse", "@limited", "@hier"][rng.next_below(4) as usize];
         format!("cuckoo-{ways}x{sets}-{kind}-c8{sharers}")
     };

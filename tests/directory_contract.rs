@@ -20,7 +20,7 @@ use cuckoo_directory::prelude::*;
 /// Every organization (and modifier axis) constructible from the registry.
 const REGISTRY_SPECS: &[&str] = &[
     "cuckoo-4x512-skew",
-    "cuckoo-3x1024-ms",
+    "cuckoo-3x1024-strong",
     "cuckoo-4x512@coarse",
     "cuckoo-4x512@limited",
     "cuckoo-4x512@hier",
@@ -416,7 +416,7 @@ fn capacity_and_storage_profiles_are_positive_and_consistent() {
 /// family), `{sets}` left open.
 const GEOMETRY_TEMPLATES: &[&str] = &[
     "cuckoo-4x{sets}-c16",
-    "cuckoo-3x{sets}-ms",
+    "cuckoo-3x{sets}-strong",
     "cuckoo-4x{sets}-strong",
     "cuckoo-2x{sets}@hier",
     "sparse-8x{sets}",
@@ -632,15 +632,15 @@ fn sharded_directory_is_observably_equivalent_to_a_single_slice() {
 /// drives them far past capacity.
 const PIPELINE_SPECS: &[&str] = &[
     "cuckoo-2x64-strong-c8",
-    "cuckoo-3x64-ms-c8",
+    "cuckoo-3x64-strong-c8",
     "cuckoo-5x32-skew-c8",
     "cuckoo-5x32-strong-c8",
-    "cuckoo-6x32-ms-c8",
+    "cuckoo-6x32-strong-c8",
     "cuckoo-7x32-strong-c8",
     "cuckoo-8x16-skew-c8",
     "cuckoo-16x8-strong-c8",
     "cuckoo-4x64-strong-c8",
-    "cuckoo-4x64-ms-c8",
+    "cuckoo-4x64-skew-c8",
     "cuckoo-4x64-skew-c64",
     "cuckoo-4x64-skew-c65",
     "cuckoo-4x64-skew-c128",

@@ -20,6 +20,14 @@ fn small_private() -> SystemConfig {
     small_shared().with_hierarchy(Hierarchy::PrivateL2)
 }
 
+/// One of the paper's nine workloads (Table 2), by name.
+fn paper_workload(name: &str) -> WorkloadProfile {
+    WorkloadProfile::all_paper_workloads()
+        .into_iter()
+        .find(|p| p.name == name)
+        .expect("a Table 2 workload")
+}
+
 fn run(
     system: &SystemConfig,
     spec: &DirectorySpec,
@@ -106,7 +114,7 @@ fn tagless_matches_exact_directories_on_protocol_behaviour() {
     // force evictions, and its cache-side behaviour matches the exact
     // directories (same trace, same caches).
     let system = small_shared();
-    let profile = WorkloadProfile::zeus();
+    let profile = paper_workload("Zeus");
     let tagless = run(&system, &DirectorySpec::Tagless, &profile, 9);
     let cuckoo = run(&system, &DirectorySpec::cuckoo(4, 2.0), &profile, 9);
     assert_eq!(tagless.directory.forced_evictions.get(), 0);
@@ -119,7 +127,7 @@ fn under_provisioned_cuckoo_degrades_gracefully() {
     // Figure 9: below 1x the attempts and forced invalidations rise sharply,
     // but the system keeps running and the directory never overflows.
     let system = small_shared();
-    let profile = WorkloadProfile::qry17();
+    let profile = paper_workload("Qry17");
     let provisioned = run(&system, &DirectorySpec::cuckoo(4, 1.0), &profile, 11);
     let starved = run(&system, &DirectorySpec::cuckoo(3, 0.375), &profile, 11);
     assert!(starved.avg_insertion_attempts() > provisioned.avg_insertion_attempts());

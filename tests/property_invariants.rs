@@ -265,7 +265,7 @@ fn soa_table_matches_the_seed_aos_model_bit_for_bit() {
         (8, 8, 6),
         (12, 8, 6),
     ] {
-        for kind in [HashKind::Skewing, HashKind::MultiplyShift, HashKind::Strong] {
+        for kind in HashKind::all() {
             let hash_seed = rng.next_u64();
             let mut table: CuckooTable<u64> =
                 CuckooTable::new(ways, sets, kind, hash_seed).unwrap();

@@ -385,7 +385,7 @@ fn steady_state_hot_paths_do_not_allocate() {
         ("cuckoo-4x4096-c16", HashKind::Skewing, 4),
         ("cuckoo-4x512-skew-c16", HashKind::Skewing, 8),
         ("cuckoo-4x1024-strong-c16", HashKind::Strong, 8),
-        ("cuckoo-4x4096-ms-c16", HashKind::MultiplyShift, 8),
+        ("cuckoo-4x4096-strong-c16", HashKind::Strong, 8),
     ] {
         let before = aligned_live();
         let dir = registry.build_str(spec).expect(spec);
