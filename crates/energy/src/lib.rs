@@ -14,7 +14,7 @@
 //!
 //! This crate reproduces those projections:
 //!
-//! * [`sram`] — the normalization references and the bits→energy/area
+//! * `sram` — the normalization references and the bits→energy/area
 //!   proportionality,
 //! * [`orgs`] — the organizations of the figures and the geometry each has
 //!   at a given core count, priced by `ccd_directory::StorageProfile`'s
@@ -41,7 +41,7 @@
 
 pub mod model;
 pub mod orgs;
-pub mod sram;
+mod sram;
 
 pub use model::EnergyModel;
 pub use model::ScalingPoint;
