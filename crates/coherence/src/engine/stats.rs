@@ -12,9 +12,9 @@ use ccd_directory::{Directory, DirectoryStats};
 ///
 /// The integer fields (counters, histogram buckets) merge commutatively
 /// and associatively — any merge order produces the same aggregate.  The
-/// floating-point accumulators ([`MeanAccumulator`] sums,
-/// [`DirectoryStats`] occupancy/rate floats) are mathematically
-/// commutative but *not* bit-exactly associative; **byte-identical**
+/// one floating-point accumulator (the occupancy samples'
+/// [`MeanAccumulator`] sum) is mathematically commutative but *not*
+/// bit-exactly associative; **byte-identical**
 /// aggregates therefore additionally rely on the parallel runner folding
 /// snapshots in input order (which it does — results are collected by
 /// input index, never by completion order).  Do not reduce snapshots in
@@ -195,13 +195,13 @@ mod tests {
         a.refs_processed.add(10);
         a.cache_misses.add(3);
         a.occupancy_samples.record(0.25);
-        a.directory.record_insertion(2, 0, 0.25);
+        a.directory.record_insertion(2, 0);
 
         let mut b = SimStats::new();
         b.refs_processed.add(30);
         b.cache_misses.add(1);
         b.occupancy_samples.record(0.75);
-        b.directory.record_insertion(4, 1, 0.75);
+        b.directory.record_insertion(4, 1);
 
         let mut ab = a.clone();
         ab.merge(&b);

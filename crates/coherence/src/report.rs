@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn summary_reports_percentages() {
         let mut stats = DirectoryStats::new();
-        stats.record_insertion(2, 1, 0.5);
+        stats.record_insertion(2, 1);
         let report = SimReport {
             organization: "Sparse 2x (8-way)".to_string(),
             refs_processed: 100,

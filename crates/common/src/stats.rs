@@ -520,35 +520,26 @@ impl LogHistogram {
     }
 }
 
-/// Incremental mean/min/max accumulator over `f64` samples.
+/// Incremental mean accumulator over `f64` samples.
 ///
 /// Used for averaging occupancy over the course of a simulation (Figure 8).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MeanAccumulator {
     count: u64,
     sum: f64,
-    min: f64,
-    max: f64,
 }
 
 impl MeanAccumulator {
     /// Creates an empty accumulator.
     #[must_use]
     pub const fn new() -> Self {
-        MeanAccumulator {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        MeanAccumulator { count: 0, sum: 0.0 }
     }
 
     /// Records one sample.
     pub fn record(&mut self, sample: f64) {
         self.count += 1;
         self.sum += sample;
-        self.min = self.min.min(sample);
-        self.max = self.max.max(sample);
     }
 
     /// Number of recorded samples.
@@ -567,27 +558,10 @@ impl MeanAccumulator {
         }
     }
 
-    /// Minimum sample, or `None` when empty.
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Maximum sample, or `None` when empty.
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &MeanAccumulator) {
-        if other.count == 0 {
-            return;
-        }
         self.count += other.count;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -902,13 +876,11 @@ mod tests {
 
     #[test]
     fn mean_accumulator_merge_empty_and_extreme_cases() {
-        // empty ← empty stays empty (no spurious min/max/count).
+        // empty ← empty stays empty (no spurious count).
         let mut empty = MeanAccumulator::new();
         empty.merge(&MeanAccumulator::new());
         assert_eq!(empty.count(), 0);
         assert_eq!(empty.mean(), 0.0);
-        assert_eq!(empty.min(), None);
-        assert_eq!(empty.max(), None);
 
         // empty ← populated adopts the other side's samples exactly.
         let mut filled = MeanAccumulator::new();
@@ -918,8 +890,6 @@ mod tests {
         target.merge(&filled);
         assert_eq!(target.count(), 2);
         assert!((target.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(target.min(), Some(2.0));
-        assert_eq!(target.max(), Some(4.0));
 
         // Merge commutes: (a ⊎ b) == (b ⊎ a) on all observable fields.
         let mut a = MeanAccumulator::new();
@@ -933,10 +903,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab.count(), ba.count());
         assert!((ab.mean() - ba.mean()).abs() < 1e-12);
-        assert_eq!(ab.min(), ba.min());
-        assert_eq!(ab.max(), ba.max());
-        assert_eq!(ab.min(), Some(-1.0));
-        assert_eq!(ab.max(), Some(5.0));
 
         // Overflow-adjacent sample magnitudes survive the merge as f64s.
         let mut huge = MeanAccumulator::new();
@@ -1006,23 +972,20 @@ mod tests {
     }
 
     #[test]
-    fn mean_accumulator_tracks_extremes() {
+    fn mean_accumulator_records_and_merges() {
         let mut m = MeanAccumulator::new();
         assert_eq!(m.mean(), 0.0);
-        assert_eq!(m.min(), None);
         for x in [1.0, 2.0, 3.0, 10.0] {
             m.record(x);
         }
         assert_eq!(m.count(), 4);
         assert!((m.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(m.min(), Some(1.0));
-        assert_eq!(m.max(), Some(10.0));
 
         let mut other = MeanAccumulator::new();
         other.record(0.5);
         m.merge(&other);
         assert_eq!(m.count(), 5);
-        assert_eq!(m.min(), Some(0.5));
+        assert!((m.mean() - 3.3).abs() < 1e-12);
 
         let empty = MeanAccumulator::new();
         m.merge(&empty);

@@ -88,7 +88,6 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
     ) -> &'t mut S {
         stats.lookups.incr();
         let num_caches = config.num_caches;
-        let len_before = table.len();
         let entry =
             table.find_or_insert_prehashed(line.block_number(), indices, || S::new(num_caches));
         let Some(outcome) = entry.inserted else {
@@ -111,16 +110,7 @@ impl<S: SharerSet, Q: KeyWord> CuckooDirectory<S, Q> {
             stats.forced_block_invalidations.add(targets as u64);
             forced = 1;
         }
-        // A discarding insertion removes one entry for the one it adds, so
-        // the table's occupancy after the insertion is derivable without
-        // touching the table (whose payload is borrowed by `entry`).
-        let len_after = if forced == 1 {
-            len_before
-        } else {
-            len_before + 1
-        };
-        let occupancy = len_after as f64 / config.capacity() as f64;
-        stats.record_insertion(outcome.attempts, forced, occupancy);
+        stats.record_insertion(outcome.attempts, forced);
         entry.value
     }
 

@@ -212,8 +212,7 @@ impl DuplicateTagDirectory {
             out.push_forced_eviction_one(victim_line, cache);
         }
         if new_tag {
-            let occupancy = self.occupancy();
-            self.stats.record_insertion(1, forced, occupancy);
+            self.stats.record_insertion(1, forced);
         } else {
             self.stats.sharer_adds.incr();
             if forced > 0 {

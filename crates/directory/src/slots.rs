@@ -202,8 +202,7 @@ impl<S: SharerSet> SlotDirectory<S> {
         });
         self.valid += 1;
         self.touch(chosen);
-        let occupancy = self.occupancy();
-        self.stats.record_insertion(1, evictions, occupancy);
+        self.stats.record_insertion(1, evictions);
         chosen
     }
 }

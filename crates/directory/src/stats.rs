@@ -6,13 +6,10 @@
 //! * forced-invalidation rate — forced evictions per directory-entry
 //!   insertion (Figures 9 and 12),
 //! * average and distribution of insertion attempts (Figures 7, 9, 10, 11),
-//! * average occupancy (Figure 8),
 //! * the directory event mix used to weight the energy model
 //!   (footnote 1 of Section 5.6).
 
-use ccd_common::stats::{
-    Counter, Histogram, LogHistogram, MeanAccumulator, MetricSnapshot, RateEstimator,
-};
+use ccd_common::stats::{Counter, Histogram, LogHistogram, MetricSnapshot, RateEstimator};
 
 /// Upper bound for the insertion-attempt histogram, matching the paper's
 /// 32-attempt cap (Section 5.2).
@@ -23,7 +20,7 @@ pub const MAX_TRACKED_ATTEMPTS: usize = 32;
 pub(crate) const DEPTH_SIG_BITS: u32 = 2;
 
 /// Statistics accumulated by a directory slice.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirectoryStats {
     /// Lookups performed (reads of the directory, including the implicit
     /// lookup preceding every insertion).
@@ -53,8 +50,6 @@ pub struct DirectoryStats {
     /// Insertions that failed to find a vacant slot within the attempt
     /// budget and had to discard an entry.
     pub insertion_failures: Counter,
-    /// Directory occupancy sampled at every insertion.
-    pub occupancy: MeanAccumulator,
 }
 
 impl Default for DirectoryStats {
@@ -79,14 +74,12 @@ impl DirectoryStats {
             invalidation_rate: RateEstimator::new(),
             insertion_attempts: Histogram::new(MAX_TRACKED_ATTEMPTS),
             insertion_failures: Counter::new(),
-            occupancy: MeanAccumulator::new(),
         }
     }
 
-    /// Records a completed insertion: `attempts` insertion attempts,
-    /// `forced_evictions` entries displaced out of the directory, and the
-    /// occupancy observed at insertion time.
-    pub fn record_insertion(&mut self, attempts: u32, forced_evictions: u64, occupancy: f64) {
+    /// Records a completed insertion: `attempts` insertion attempts and
+    /// `forced_evictions` entries displaced out of the directory.
+    pub fn record_insertion(&mut self, attempts: u32, forced_evictions: u64) {
         self.insertions.incr();
         self.insertion_attempts.record(u64::from(attempts));
         if forced_evictions > 0 {
@@ -95,7 +88,6 @@ impl DirectoryStats {
         } else {
             self.invalidation_rate.record_miss();
         }
-        self.occupancy.record(occupancy);
     }
 
     /// Mean number of insertion attempts per insertion.
@@ -157,7 +149,6 @@ impl DirectoryStats {
         self.invalidation_rate.merge(&other.invalidation_rate);
         self.insertion_attempts.merge(&other.insertion_attempts);
         self.insertion_failures.add(other.insertion_failures.get());
-        self.occupancy.merge(&other.occupancy);
     }
 
     /// Resets every counter.
@@ -277,13 +268,12 @@ mod tests {
     #[test]
     fn record_insertion_updates_all_derived_metrics() {
         let mut s = DirectoryStats::new();
-        s.record_insertion(1, 0, 0.25);
-        s.record_insertion(3, 0, 0.50);
-        s.record_insertion(2, 1, 0.75);
+        s.record_insertion(1, 0);
+        s.record_insertion(3, 0);
+        s.record_insertion(2, 1);
         assert_eq!(s.insertions.get(), 3);
         assert!((s.avg_insertion_attempts() - 2.0).abs() < 1e-12);
         assert!((s.forced_invalidation_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert!((s.occupancy.mean() - 0.5).abs() < 1e-12);
         assert_eq!(s.forced_evictions.get(), 1);
     }
 
@@ -308,7 +298,6 @@ mod tests {
         let s = DirectoryStats::new();
         assert_eq!(s.avg_insertion_attempts(), 0.0);
         assert_eq!(s.forced_invalidation_rate(), 0.0);
-        assert_eq!(s.occupancy.mean(), 0.0);
         assert_eq!(s.total_operations(), 0);
         assert_eq!(s.event_mix().total(), 0.0);
     }
@@ -317,21 +306,20 @@ mod tests {
     fn merge_combines_counters() {
         let mut a = DirectoryStats::new();
         let mut b = DirectoryStats::new();
-        a.record_insertion(1, 0, 0.1);
-        b.record_insertion(5, 2, 0.9);
+        a.record_insertion(1, 0);
+        b.record_insertion(5, 2);
         b.lookups.add(10);
         a.merge(&b);
         assert_eq!(a.insertions.get(), 2);
         assert_eq!(a.lookups.get(), 10);
         assert_eq!(a.forced_evictions.get(), 2);
         assert!((a.avg_insertion_attempts() - 3.0).abs() < 1e-12);
-        assert!((a.occupancy.mean() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn reset_clears_everything() {
         let mut s = DirectoryStats::new();
-        s.record_insertion(4, 1, 0.3);
+        s.record_insertion(4, 1);
         s.reset();
         assert_eq!(s.insertions.get(), 0);
         assert_eq!(s.avg_insertion_attempts(), 0.0);

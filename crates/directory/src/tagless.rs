@@ -29,11 +29,13 @@ use crate::{Directory, DirectoryOp, DirectoryStats, Outcome};
 use ccd_common::rng::SplitMix64;
 use ccd_common::{CacheId, ConfigError, LineAddr};
 
-/// Default number of Bloom-filter buckets per (cache, set) filter.
-pub(crate) const DEFAULT_BUCKETS: usize = 64;
+/// Bloom-filter buckets per (cache, set) filter.
+const BUCKETS: usize = 64;
 
-/// Default number of hash probes per filter test/update.
-pub(crate) const DEFAULT_PROBES: usize = 2;
+/// Hash probes per filter test/update.
+const PROBES: usize = 2;
+
+const _: () = assert!(BUCKETS.is_power_of_two() && 0 < PROBES && PROBES <= BUCKETS);
 
 /// A Tagless coherence directory slice.
 #[derive(Clone, Debug)]
@@ -41,8 +43,6 @@ pub(crate) struct TaglessDirectory {
     cache_sets: usize,
     cache_ways: usize,
     num_caches: usize,
-    buckets: usize,
-    probes: usize,
     /// One filter row per cache, end to end:
     /// `filters[(cache * cache_sets + set) * buckets + bucket]` — small
     /// saturating counters.
@@ -60,40 +60,18 @@ pub(crate) struct TaglessDirectory {
 
 impl TaglessDirectory {
     /// Creates a Tagless directory for `num_caches` private caches of
-    /// `cache_sets × cache_ways` frames each, with the default filter
-    /// geometry.
+    /// `cache_sets × cache_ways` frames each.
     ///
     /// # Errors
     ///
-    /// See [`TaglessDirectory::with_filter_geometry`].
+    /// Returns a [`ConfigError`] when any parameter is zero, `cache_sets` is
+    /// not a power of two, or `cache_sets × cache_ways × num_caches` tracked
+    /// frames cannot exist ([`checked_capacity`]) or their filters are
+    /// refused by the allocator.
     pub fn new(
         cache_sets: usize,
         cache_ways: usize,
         num_caches: usize,
-    ) -> Result<Self, ConfigError> {
-        Self::with_filter_geometry(
-            cache_sets,
-            cache_ways,
-            num_caches,
-            DEFAULT_BUCKETS,
-            DEFAULT_PROBES,
-        )
-    }
-
-    /// Creates a Tagless directory with explicit Bloom-filter geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] when any parameter is zero, `cache_sets` or
-    /// `buckets` is not a power of two, `probes` exceeds `buckets`, or
-    /// `cache_sets × cache_ways × num_caches` tracked frames cannot exist
-    /// ([`checked_capacity`]) or their filters are refused by the allocator.
-    pub(crate) fn with_filter_geometry(
-        cache_sets: usize,
-        cache_ways: usize,
-        num_caches: usize,
-        buckets: usize,
-        probes: usize,
     ) -> Result<Self, ConfigError> {
         if cache_sets == 0 {
             return Err(ConfigError::Zero {
@@ -108,39 +86,16 @@ impl TaglessDirectory {
                 what: "cache count",
             });
         }
-        if buckets == 0 {
-            return Err(ConfigError::Zero {
-                what: "bloom buckets",
-            });
-        }
-        if probes == 0 {
-            return Err(ConfigError::Zero {
-                what: "bloom probes",
-            });
-        }
         if !ccd_common::is_power_of_two(cache_sets as u64) {
             return Err(ConfigError::NotPowerOfTwo {
                 what: "cache set count",
                 value: cache_sets as u64,
             });
         }
-        if !ccd_common::is_power_of_two(buckets as u64) {
-            return Err(ConfigError::NotPowerOfTwo {
-                what: "bloom buckets",
-                value: buckets as u64,
-            });
-        }
-        if probes > buckets {
-            return Err(ConfigError::TooLarge {
-                what: "bloom probes",
-                value: probes as u64,
-                max: buckets as u64,
-            });
-        }
         let frames = checked_capacity(cache_ways, cache_sets)?;
         checked_capacity(frames, num_caches)?;
         let filters = cache_sets
-            .checked_mul(buckets)
+            .checked_mul(BUCKETS)
             .and_then(|row| row.checked_mul(num_caches))
             .and_then(|cells| try_filled(cells, 0u8))
             .ok_or_else(|| capacity_too_large(frames, num_caches))?;
@@ -148,8 +103,6 @@ impl TaglessDirectory {
             cache_sets,
             cache_ways,
             num_caches,
-            buckets,
-            probes,
             filters,
             present: Default::default(),
             stats: DirectoryStats::new(),
@@ -165,22 +118,22 @@ impl TaglessDirectory {
     fn probe_bucket(&self, cache: CacheId, line: LineAddr, p: usize) -> usize {
         let h = SplitMix64::mix(line.block_number() ^ (p as u64).wrapping_mul(0x9E37_79B9));
         let filter = cache.index() * self.cache_sets + self.set_of(line);
-        filter * self.buckets + (h % self.buckets as u64) as usize
+        filter * BUCKETS + (h % BUCKETS as u64) as usize
     }
 
     fn filter_may_contain(&self, cache: CacheId, line: LineAddr) -> bool {
-        (0..self.probes).all(|p| self.filters[self.probe_bucket(cache, line, p)] > 0)
+        (0..PROBES).all(|p| self.filters[self.probe_bucket(cache, line, p)] > 0)
     }
 
     fn filter_add(&mut self, cache: CacheId, line: LineAddr) {
-        for p in 0..self.probes {
+        for p in 0..PROBES {
             let b = self.probe_bucket(cache, line, p);
             self.filters[b] = self.filters[b].saturating_add(1);
         }
     }
 
     fn filter_remove(&mut self, cache: CacheId, line: LineAddr) {
-        for p in 0..self.probes {
+        for p in 0..PROBES {
             let b = self.probe_bucket(cache, line, p);
             self.filters[b] = self.filters[b].saturating_sub(1);
         }
@@ -206,8 +159,7 @@ impl TaglessDirectory {
         self.filter_add(cache, line);
         if new_tag {
             out.record_allocation(1);
-            let occupancy = self.occupancy();
-            self.stats.record_insertion(1, 0, occupancy);
+            self.stats.record_insertion(1, 0);
         } else {
             out.set_hit(true);
             self.stats.sharer_adds.incr();
@@ -219,7 +171,7 @@ impl Directory for TaglessDirectory {
     fn organization(&self) -> String {
         format!(
             "tagless-{}c-{}s-{}b",
-            self.num_caches, self.cache_sets, self.buckets
+            self.num_caches, self.cache_sets, BUCKETS
         )
     }
 
@@ -379,8 +331,6 @@ mod tests {
         assert!(TaglessDirectory::new(16, 0, 4).is_err());
         assert!(TaglessDirectory::new(16, 2, 0).is_err());
         assert!(TaglessDirectory::new(12, 2, 4).is_err());
-        assert!(TaglessDirectory::with_filter_geometry(16, 2, 4, 48, 2).is_err());
-        assert!(TaglessDirectory::with_filter_geometry(16, 2, 4, 4, 8).is_err());
         assert!(TaglessDirectory::new(16, 2, 4).is_ok());
     }
 
@@ -459,8 +409,8 @@ mod tests {
 
     #[test]
     fn lookup_width_scales_with_cache_count_but_storage_stays_small() {
-        let small = StorageProfile::tagless(256, 2, DEFAULT_BUCKETS);
-        let large = StorageProfile::tagless(256, 64, DEFAULT_BUCKETS);
+        let small = StorageProfile::tagless(256, 2, BUCKETS);
+        let large = StorageProfile::tagless(256, 64, BUCKETS);
         assert_eq!(large.bits_read_per_lookup, 32 * small.bits_read_per_lookup);
         assert_eq!(small.bits_written_per_update, large.bits_written_per_update);
         // Storage per tracked frame is far below a duplicate-tag entry.

@@ -372,8 +372,8 @@ impl Digest {
 ///
 /// Two configurations of the service (any worker count over the same shard
 /// count) produce the same digest iff their merged outcome logs are
-/// identical record-for-record; `service_determinism.rs` pins eight serial
-/// runs' digests as literals.
+/// identical record-for-record; `tests/contracts.rs` pins eight serial runs'
+/// digests as literals.
 #[must_use]
 pub fn digest_outcomes(records: impl IntoIterator<Item: Borrow<OutcomeRecord>>) -> u64 {
     let mut log = OutcomeLog::default();

@@ -41,8 +41,8 @@
 //! bit-identical outcome logs, statistics and shard contents** — equal to
 //! [`DirectoryService::run_serial`], the inline reference that applies the
 //! same per-shard streams on the calling thread with no channels at all.
-//! `crates/service/tests/service_determinism.rs` enforces this across
-//! scenario families, trace replays and (workers × shards) grids.
+//! `crates/service/tests/contracts.rs` enforces this across scenario
+//! families, trace replays, random specs and (workers × shards) grids.
 //!
 //! Workers run supervised (see [`crate::supervisor`]): a worker panic
 //! surfaces as [`crate::ServiceError::WorkerCrashed`] while the other
@@ -66,10 +66,9 @@ use std::fmt;
 /// A snapshot is taken after the ingestion stream is fully drained and all
 /// workers have quiesced, so it is consistent by construction: every
 /// counter reflects exactly the same prefix of the request stream (all of
-/// it).  Per-shard directory statistics merge in global shard order — a
-/// fixed order — so even the floating-point accumulators inside
-/// [`DirectoryStats`] are bit-identical across worker counts.
-#[derive(Clone, Debug, Default, PartialEq)]
+/// it).  Every field is an integer count, so the merge is order-free and
+/// the snapshot is equal across worker counts.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests applied (equals the requests ingested once drained).
     pub requests: Counter,
@@ -88,9 +87,7 @@ impl ServiceStats {
         ServiceStats::default()
     }
 
-    /// Merges another snapshot into this one.  Integer counters merge
-    /// order-independently; merge [`ServiceStats::directory`] snapshots in
-    /// a fixed order when bit-exact float reproducibility matters.
+    /// Merges another snapshot into this one, in any order.
     pub fn merge(&mut self, other: &ServiceStats) {
         self.requests.merge(&other.requests);
         self.invalidations.merge(&other.invalidations);
@@ -481,8 +478,7 @@ pub(crate) fn finish(
         stats.forced_invalidations.add(output.forced_invalidations);
     }
     stats.requests.add(requests);
-    // Per-shard statistics merge in global shard order — a fixed order, so
-    // the float accumulators are reproducible at every worker count.  The
+    // Per-shard statistics merge in global shard order.  The
     // worker that owns global shard `g` is `g mod workers`; its local index
     // for that shard is `g div workers` (serial runs are one worker owning
     // every shard in global order).
@@ -672,5 +668,8 @@ mod tests {
             merged.directory.lookups.get(),
             half_a.stats.directory.lookups.get() + half_b.stats.directory.lookups.get()
         );
+        let mut reversed = half_b.stats.clone();
+        reversed.merge(&half_a.stats);
+        assert_eq!(merged, reversed, "a ⊕ b == b ⊕ a");
     }
 }

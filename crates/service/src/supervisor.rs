@@ -25,8 +25,9 @@
 //! the healthy workers drain at most `queue_depth` queued batches and
 //! exit, and the run returns the crash as a value.  A worker that dies
 //! after its last delivery is found the same way when the fleet is joined.
-//! `tests/fault_injection.rs` drives both paths with an op naming a cache
-//! past the directory's count, which its owner's op-entry assert rejects.
+//! `tests/contracts.rs` (`crashes_its_owner`) drives both paths with an op
+//! naming a cache past the directory's count, which its owner's op-entry
+//! assert rejects.
 //!
 //! [`DirectoryService::run`]: crate::DirectoryService::run
 
