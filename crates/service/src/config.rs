@@ -66,20 +66,6 @@ impl ServiceConfig {
         }
     }
 
-    /// Returns the config with a different queue depth.
-    #[must_use]
-    pub fn with_queue_depth(mut self, queue_depth: usize) -> Self {
-        self.queue_depth = queue_depth;
-        self
-    }
-
-    /// Returns the config with a different batch size.
-    #[must_use]
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
-        self
-    }
-
     /// Returns the config with outcome recording switched on or off.
     #[must_use]
     pub fn with_outcomes(mut self, record_outcomes: bool) -> Self {
@@ -157,10 +143,12 @@ mod tests {
 
     #[test]
     fn accepts_a_sound_topology() {
-        let config = ServiceConfig::new("sparse-4x256-c8", 4, 2)
-            .with_queue_depth(2)
-            .with_batch(32)
-            .with_outcomes(false);
+        let config = ServiceConfig {
+            queue_depth: 2,
+            batch: 32,
+            ..ServiceConfig::new("sparse-4x256-c8", 4, 2)
+        }
+        .with_outcomes(false);
         let spec = config.validate().unwrap();
         assert_eq!(spec.org, ccd_directory::Org::Sparse);
         assert_eq!(config.queue_depth, 2);
@@ -174,8 +162,16 @@ mod tests {
         assert!(base(0, 1).validate().is_err());
         assert!(base(4, 0).validate().is_err());
         assert!(base(2, 4).validate().is_err(), "more workers than shards");
-        assert!(base(4, 4).with_queue_depth(0).validate().is_err());
-        assert!(base(4, 4).with_batch(0).validate().is_err());
+        let zero_depth = ServiceConfig {
+            queue_depth: 0,
+            ..base(4, 4)
+        };
+        assert!(zero_depth.validate().is_err());
+        let zero_batch = ServiceConfig {
+            batch: 0,
+            ..base(4, 4)
+        };
+        assert!(zero_batch.validate().is_err());
         // 3 shards do not divide 256 sets.
         assert!(base(3, 1).validate().is_err());
     }

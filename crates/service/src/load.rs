@@ -114,8 +114,16 @@ impl Iterator for OpStream {
         Some(op_for(&reference, &self.geometry))
     }
 
+    /// Exact when the workload's is: every profile and scenario stream is
+    /// infinite and a replay reports its records left, so a collected
+    /// load is allocated once.
     fn size_hint(&self) -> (usize, Option<usize>) {
-        (0, Some(self.remaining as usize))
+        let remaining = usize::try_from(self.remaining).unwrap_or(usize::MAX);
+        let (lower, upper) = self.refs.size_hint();
+        (
+            lower.min(remaining),
+            Some(upper.map_or(remaining, |upper| upper.min(remaining))),
+        )
     }
 }
 

@@ -567,9 +567,10 @@ mod tests {
     }
 
     fn build(shards: usize, workers: usize) -> DirectoryService {
-        DirectoryService::build_standard(
-            ServiceConfig::new("sparse-4x64-c8", shards, workers).with_batch(16),
-        )
+        DirectoryService::build_standard(ServiceConfig {
+            batch: 16,
+            ..ServiceConfig::new("sparse-4x64-c8", shards, workers)
+        })
         .unwrap()
     }
 

@@ -46,9 +46,10 @@ impl Case {
 
     /// The case at queue depth `depth` and `batch` requests a batch.
     fn lanes(&self, depth: usize, batch: usize) -> Case {
-        let mut case = self.clone();
-        case.config = case.config.with_queue_depth(depth).with_batch(batch);
-        case
+        self.with(|c| {
+            c.queue_depth = depth;
+            c.batch = batch;
+        })
     }
 
     fn armed(&self) -> Case {

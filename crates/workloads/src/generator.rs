@@ -110,7 +110,10 @@ impl TraceGenerator {
         // Round-robin core interleaving approximates the lock-step progress
         // of a throughput workload while keeping the stream deterministic.
         let core = CoreId::new(self.next_core as u32);
-        self.next_core = (self.next_core + 1) % self.num_cores;
+        self.next_core += 1;
+        if self.next_core == self.num_cores {
+            self.next_core = 0;
+        }
 
         let offset = self.rng.next_below(DEFAULT_BLOCK_BYTES / 8) * 8;
 
@@ -143,6 +146,10 @@ impl Iterator for TraceGenerator {
 
     fn next(&mut self) -> Option<MemRef> {
         Some(self.next_ref())
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
     }
 }
 

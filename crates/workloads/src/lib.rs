@@ -59,6 +59,8 @@ mod ahead;
 pub mod generator;
 pub mod profiles;
 pub mod random_stream;
+#[cfg(test)]
+mod reference;
 pub mod scenario;
 pub mod spec;
 pub mod trace_io;

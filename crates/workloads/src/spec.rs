@@ -228,6 +228,12 @@ impl Iterator for ReplayStream {
             Err(e) => panic!("trace file `{}` changed during replay: {e}", self.path),
         }
     }
+
+    /// Exact: the file was validated whole, so it holds the header's count.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.reader.records_left()).unwrap_or(usize::MAX);
+        (left, Some(left))
+    }
 }
 
 impl From<WorkloadProfile> for WorkloadSpec {

@@ -325,6 +325,11 @@ impl<R: Read> TraceReader<R> {
         self.count
     }
 
+    /// Records the header promises past those already read.
+    pub(crate) fn records_left(&self) -> u64 {
+        self.remaining
+    }
+
     fn next_record(&mut self) -> io::Result<MemRef> {
         self.read_record_fields().map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {

@@ -14,20 +14,37 @@
 //! (`B` a power of two, about one per rank) and `guide[k]` is the first
 //! CDF index at or past the bucket's lower edge `k / B`, so the answer for
 //! a `u` in bucket `k` lies in `cdf[guide[k]..=guide[k + 1]]` — a handful
-//! of entries even in the flat tail of a skewed distribution — and the
-//! search runs over those alone instead of over the whole array.
+//! of entries even in the flat tail of a skewed distribution.
+//!
+//! The draw counts, without a branch, the entries below `u` in a fixed
+//! window of [`WINDOW`] entries starting at `guide[k]`.  Every entry from
+//! `guide[k + 1]` on is at least `(k + 1) / B`, which is past `u`, so the
+//! count is exactly the rank's offset from `guide[k]` whenever the
+//! bucket's range `guide[k]..guide[k + 1]` fits the window.  The CDF is
+//! padded with [`WINDOW`] sentinels of `1.0` (never below a `u < 1`), so a
+//! window starting at the last rank stays in bounds and counts nothing
+//! past it.  Only a bucket whose range is wider than the window — a few
+//! tail buckets of a strongly skewed, large population — falls back to a
+//! binary search over its range.
 
 use ccd_common::rng::Rng64;
+
+/// CDF entries a draw compares `u` against at once, and sentinels padding
+/// the CDF past its last rank.
+const WINDOW: usize = 8;
 
 /// A sampler drawing ranks in `[0, n)` from a Zipf distribution.
 ///
 /// The cumulative distribution and its guide table are precomputed, so a
-/// draw is one guide load plus a search over the few CDF entries between
-/// two guide marks; the memory cost is one `f64` per rank and one `u32`
-/// per bucket (at most `n.next_power_of_two() + 1` of them).
+/// draw is one guide load plus a count over the [`WINDOW`] CDF entries
+/// after it; the memory cost is one `f64` per rank (plus the sentinels)
+/// and one `u32` per bucket (at most `n.next_power_of_two() + 1` of them).
 #[derive(Clone, Debug)]
 pub(crate) struct ZipfSampler {
+    /// The `ranks` CDF values, then [`WINDOW`] sentinels of `1.0`.
     cdf: Vec<f64>,
+    /// The population size `n`.
+    ranks: usize,
     /// `guide[k]` = first index whose CDF value is `>= k / buckets`, for
     /// `k` in `0..=buckets`.
     guide: Vec<u32>,
@@ -53,7 +70,9 @@ impl ZipfSampler {
             theta >= 0.0 && theta.is_finite(),
             "theta must be finite and >= 0"
         );
-        let mut cdf = Vec::with_capacity(n);
+        // Allocated once at its padded length: growing it for the
+        // sentinels would copy the whole array.
+        let mut cdf = Vec::with_capacity(n + WINDOW);
         let mut total = 0.0;
         for rank in 1..=n {
             total += 1.0 / (rank as f64).powf(theta);
@@ -78,14 +97,16 @@ impl ZipfSampler {
             }
             guide.push(index as u32);
         }
+        cdf.resize(n + WINDOW, 1.0);
         ZipfSampler {
             cdf,
+            ranks: n,
             guide,
             buckets: buckets as f64,
         }
     }
 
-    /// Draws one rank in `[0, len())`; rank 0 is the hottest.
+    /// Draws one rank in `[0, n)`; rank 0 is the hottest.
     pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> usize {
         self.rank_of(rng.next_f64())
     }
@@ -94,28 +115,26 @@ impl ZipfSampler {
     /// CDF value is `>= u`.  `u * buckets` only shifts the exponent, so the
     /// bucket `k` satisfies `k / buckets <= u < (k + 1) / buckets` exactly
     /// and the first entry at or past `u` sits between the two marks.
+    #[inline]
     fn rank_of(&self, u: f64) -> usize {
         let bucket = (u * self.buckets) as usize;
         let lo = self.guide[bucket] as usize;
         let hi = self.guide[bucket + 1] as usize;
-        let index = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
-        index.min(self.cdf.len() - 1)
+        let index = if hi - lo <= WINDOW {
+            let window = &self.cdf[lo..lo + WINDOW];
+            lo + window.iter().map(|&c| usize::from(c < u)).sum::<usize>()
+        } else {
+            lo + self.cdf[lo..hi].partition_point(|&c| c < u)
+        };
+        index.min(self.ranks - 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use ccd_common::rng::Xoshiro256;
-
-    impl ZipfSampler {
-        /// The oracle: the draw as one search over the whole CDF, which is
-        /// what `rank_of` did before the guide table narrowed it.
-        fn rank_of_whole_array(&self, u: f64) -> usize {
-            let index = self.cdf.partition_point(|&c| c < u);
-            index.min(self.cdf.len() - 1)
-        }
-    }
 
     /// `x` and the `f64`s right below and above it, kept to `[0, 1)`.
     fn with_neighbours(x: f64) -> impl Iterator<Item = f64> {
@@ -126,34 +145,49 @@ mod tests {
 
     #[test]
     fn guided_draw_matches_the_whole_array_search() {
-        for n in [1, 2, 3, 1000, 2560, 49_152] {
-            for theta in [0.0, 0.02, 0.8, 0.99, 1.5] {
+        let mut widths = [false; 3];
+        for n in [1, 2, 3, 1000, 49_152] {
+            for theta in [0.0, 0.02, 0.9, 1.5] {
                 let sampler = ZipfSampler::new(n, theta);
-                let buckets = sampler.guide.len() - 1;
-                assert_eq!(buckets, n.next_power_of_two());
-                assert!(sampler.guide.windows(2).all(|w| w[0] <= w[1]));
-
+                let old = reference::ZipfSampler::new(n, theta);
+                assert_eq!(sampler.guide, old.guide());
                 let check = |u: f64| {
+                    let rank = sampler.rank_of(u);
+                    assert_eq!(rank, old.rank_of(u), "n={n} theta={theta} u={u:e}");
                     assert_eq!(
-                        sampler.rank_of(u),
-                        sampler.rank_of_whole_array(u),
+                        rank,
+                        old.rank_of_whole_array(u),
                         "n={n} theta={theta} u={u:e}"
                     );
                 };
                 check(0.0);
                 check(1.0f64.next_down());
-                for &c in &sampler.cdf {
+                for &c in old.cdf() {
                     with_neighbours(c).for_each(check);
                 }
-                for k in 0..=buckets {
+                let buckets = old.guide().len() - 1;
+                for (k, marks) in old.guide().windows(2).enumerate() {
+                    let width = (marks[1] - marks[0]) as usize;
+                    for (seen, matches) in widths.iter_mut().zip([
+                        width == WINDOW - 1,
+                        width == WINDOW,
+                        width > WINDOW,
+                    ]) {
+                        *seen |= matches;
+                    }
                     with_neighbours(k as f64 / buckets as f64).for_each(check);
+                    with_neighbours((k + 1) as f64 / buckets as f64).for_each(check);
                 }
                 let mut rng = Xoshiro256::new(n as u64 ^ theta.to_bits());
-                for _ in 0..1_000_000 {
+                for _ in 0..20_000 {
                     check(rng.next_f64());
                 }
             }
         }
+        assert_eq!(
+            widths, [true; 3],
+            "bucket ranges of WINDOW - 1, WINDOW and more entries are all exercised"
+        );
     }
 
     #[test]
@@ -209,7 +243,8 @@ mod tests {
             seen[sampler.sample(&mut rng)] = true;
         }
         assert!(seen.iter().all(|&s| s));
-        assert_eq!(sampler.cdf.len(), 16);
+        // The top of `[0, 1)` selects the last rank, never a sentinel.
+        assert_eq!(sampler.rank_of(1.0f64.next_down()), 15);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 """Paired A/B runs of the repository benchmark: one revision against another.
 
     scripts/ab.py --against <rev> [--change <rev>] [--workload W]... [--pairs N]
-                  [--seconds S]
+                  [--seconds S] [--align64]
     scripts/ab.py --aa [--change <rev>] [--workload W]... [--pairs N] [--seconds S]
+                  [--align64]
 
 Exports `--against` (the parent) and `--change` (default HEAD) with `git
 archive`, in turn, into one fixed source directory, `ccd-ab/src` under the
@@ -57,7 +58,11 @@ directory's compiled functions start modulo 64 on each side, one row per
 function name (generic arguments and hashes stripped, one offset per
 instance), and flags the names whose offsets differ.  A metric that moves
 when no code on its path changed is then checked against code alignment
-from this output alone.
+from this output alone.  `--align64` builds both sides with every function
+aligned to 64 bytes (`RUSTFLAGS` gains `-C
+llvm-args=-align-all-functions=6`, and the header prints the `RUSTFLAGS`
+both sides were built with): a move that survives it is not a draw of
+function placement.
 
 Metrics measured in op/s, s or MiB are timings and memory.  Every other
 metric is counted from what the run computed, so it must repeat exactly for
@@ -86,6 +91,9 @@ PROGRESS = ("ops_per_s", "setup_s", "peak_rss_mb")
 # The functions whose start offsets modulo 64 are compared: everything
 # compiled from the cuckoo table and the directory built on it.
 HOT = ("ccd_cuckoo::table", "ccd_cuckoo::directory")
+# The code-generation flag `--align64` adds: every function starts on a
+# 64-byte boundary.
+ALIGN64 = "-C llvm-args=-align-all-functions=6"
 
 
 def git(*args, cwd=ROOT):
@@ -120,16 +128,36 @@ def same_build(parent, change):
                  "the layout is not a function of the source")
 
 
+def build_env(environ, target, align64):
+    """The environment a side builds in: `environ` with the side's own
+    target directory and, for `--align64`, `ALIGN64` after any `RUSTFLAGS`
+    already set.
+
+    >>> env = build_env({"PATH": "/bin"}, "/t", False)
+    >>> env["CARGO_TARGET_DIR"], env.get("RUSTFLAGS"), env["PATH"]
+    ('/t', None, '/bin')
+    >>> build_env({}, "/t", True)["RUSTFLAGS"]
+    '-C llvm-args=-align-all-functions=6'
+    >>> build_env({"RUSTFLAGS": "-g"}, "/t", True)["RUSTFLAGS"]
+    '-g -C llvm-args=-align-all-functions=6'
+    """
+    env = {**environ, "CARGO_TARGET_DIR": str(target)}
+    if align64:
+        env["RUSTFLAGS"] = " ".join(filter(None, [environ.get("RUSTFLAGS"), ALIGN64]))
+    return env
+
+
 class Side:
     """One revision, built from the shared source directory into a target
     directory of its own."""
 
-    def __init__(self, name, rev, work, command):
+    def __init__(self, name, rev, work, command, align64):
         self.name = name
         self.commit = git("rev-parse", "--verify", f"{rev}^{{commit}}")
         self.target = work / f"target-{name}"
         self.binary = self.target / "release" / "benchmark"
         self.command = command
+        self.env = build_env(os.environ, self.target, align64)
 
     def build(self, source):
         """Exports the revision into `source`, emptied first, and builds it."""
@@ -139,8 +167,7 @@ class Side:
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", str(source)], input=archive, check=True)
         argv = ["build" if word == "run" else word for word in self.command if word != "--"]
-        env = {**os.environ, "CARGO_TARGET_DIR": str(self.target)}
-        subprocess.run(argv, cwd=source, env=env, check=True)
+        subprocess.run(argv, cwd=source, env=self.env, check=True)
         self.sha256 = sha256(self.binary)
 
     def hot_offsets(self):
@@ -310,6 +337,8 @@ def main():
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float,
                         help="seconds a run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--align64", action="store_true",
+                        help="build both sides with every function aligned to 64 bytes")
     args = parser.parse_args()
     if not args.aa and args.against is None:
         parser.error("--against is required without --aa")
@@ -336,9 +365,11 @@ def main():
     work = pathlib.Path(tempfile.gettempdir()) / "ccd-ab"
     shutil.rmtree(work, ignore_errors=True)
     try:
-        change = Side("change", args.change, work, spec["command"])
+        change = Side("change", args.change, work, spec["command"], args.align64)
         parent = Side("parent", args.change if args.aa else args.against, work,
-                      spec["command"])
+                      spec["command"], args.align64)
+        print(f"RUSTFLAGS=\"{change.env.get('RUSTFLAGS', '')}\""
+              f"{'  (--align64)' if args.align64 else ''}", flush=True)
         sides = {"parent": parent, "change": change}
         for side in sides.values():
             side.build(work / "src")

@@ -39,9 +39,8 @@ KEEP = {
     #   `ahead_alloc` sizes its streams in ahead batches);
     "AHEAD_BATCH",
     # - #6, #8 and #11, whose driver (`crates/service/tests/contracts.rs`)
-    #   sets a case's queue depth and batch through these and runs the
-    #   service's two load drivers.
-    "with_queue_depth", "with_batch", "run_load", "run_load_serial",
+    #   runs the service's two load drivers.
+    "run_load", "run_load_serial",
     # Named only by integration tests that check across crates what no
     # crate's own tests can: `directory_contract` drives batches around the
     # pipeline depth and holds resolved slices to the system's cache count;
