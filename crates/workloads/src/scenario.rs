@@ -33,7 +33,7 @@
 //! sweeps derive each cell's seed through
 //! [`derive_seed`](crate::derive_seed).
 
-use crate::generator::{PRIVATE_REGION_BASE, PRIVATE_REGION_SPAN};
+use crate::generator::{next_wrapping, PRIVATE_REGION_BASE, PRIVATE_REGION_SPAN};
 use crate::ZipfSampler;
 use ccd_common::clause::Clauses;
 use ccd_common::rng::{Rng64, SplitMix64, Xoshiro256};
@@ -376,17 +376,6 @@ impl ScenarioFamily {
 /// Maps a scenario line index to its byte address in the shared region.
 fn shared_line(line: usize) -> Address {
     Address::new(SCENARIO_REGION_BASE + line as u64 * DEFAULT_BLOCK_BYTES)
-}
-
-/// `index + 1`, wrapped to 0 at `count`: the per-reference step of a
-/// counter that would otherwise be a `% count`.
-fn next_wrapping(index: usize, count: usize) -> usize {
-    let next = index + 1;
-    if next == count {
-        0
-    } else {
-        next
-    }
 }
 
 /// `readmostly` and `falseshare`: cores take turns reading or writing a
