@@ -17,15 +17,15 @@
 //! of entries even in the flat tail of a skewed distribution.
 //!
 //! The draw counts, without a branch, the entries below `u` in a fixed
-//! window of [`WINDOW`] entries starting at `guide[k]`.  Every entry from
-//! `guide[k + 1]` on is at least `(k + 1) / B`, which is past `u`, so the
-//! count is exactly the rank's offset from `guide[k]` whenever the
-//! bucket's range `guide[k]..guide[k + 1]` fits the window.  The CDF is
-//! padded with [`WINDOW`] sentinels of `1.0` (never below a `u < 1`), so a
-//! window starting at the last rank stays in bounds and counts nothing
-//! past it.  Only a bucket whose range is wider than the window — a few
-//! tail buckets of a strongly skewed, large population — falls back to a
-//! binary search over its range.
+//! window of eight entries (`WINDOW`) starting at `guide[k]`.  Every
+//! entry from `guide[k + 1]` on is at least `(k + 1) / B`, which is past
+//! `u`, so the count is exactly the rank's offset from `guide[k]`
+//! whenever the bucket's range `guide[k]..guide[k + 1]` fits the window.
+//! The CDF is padded with `WINDOW` sentinels of `1.0` (never below a
+//! `u < 1`), so a window starting at the last rank stays in bounds and
+//! counts nothing past it.  Only a bucket whose range is wider than the
+//! window — a few tail buckets of a strongly skewed, large population —
+//! falls back to a binary search over its range.
 
 use ccd_common::rng::Rng64;
 
@@ -146,8 +146,8 @@ mod tests {
     #[test]
     fn guided_draw_matches_the_whole_array_search() {
         let mut widths = [false; 3];
-        for n in [1, 2, 3, 1000, 49_152] {
-            for theta in [0.0, 0.02, 0.9, 1.5] {
+        for n in [1, 2, 3, 1000, 2560, 49_152] {
+            for theta in [0.0, 0.02, 0.8, 0.9, 0.99, 1.5] {
                 let sampler = ZipfSampler::new(n, theta);
                 let old = reference::ZipfSampler::new(n, theta);
                 assert_eq!(sampler.guide, old.guide());
@@ -179,7 +179,7 @@ mod tests {
                     with_neighbours((k + 1) as f64 / buckets as f64).for_each(check);
                 }
                 let mut rng = Xoshiro256::new(n as u64 ^ theta.to_bits());
-                for _ in 0..20_000 {
+                for _ in 0..100_000 {
                     check(rng.next_f64());
                 }
             }
