@@ -55,22 +55,14 @@ pub trait Rng64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Returns `true` with probability `p` (clamped to `[0, 1]`); draws
-    /// nothing when `p <= 0` or `p >= 1`.
-    ///
-    /// Otherwise it draws the 53 bits `k` of [`Rng64::next_f64`] and
-    /// returns `k < ⌈p·2⁵³⌉`, which is `next_f64() < p` exactly:
-    /// `k·2⁻⁵³ < p` holds when the integer `k` is below `p·2⁵³` (exact, a
-    /// power-of-two scaling), that is below its ceiling.  The comparison is
-    /// made in `f64`, where `k` and `p·2⁵³` are both exact, because the
-    /// ceiling itself is a library call on baseline x86-64.
+    /// Returns `true` with probability `p` (clamped to `[0, 1]`).
     fn bernoulli(&mut self, p: f64) -> bool {
         if p <= 0.0 {
             false
         } else if p >= 1.0 {
             true
         } else {
-            ((self.next_u64() >> 11) as f64) < p * (1u64 << 53) as f64
+            self.next_f64() < p
         }
     }
 
@@ -299,45 +291,6 @@ mod tests {
         assert!(rng.bernoulli(1.0));
         assert!(!rng.bernoulli(-1.0));
         assert!(rng.bernoulli(2.0));
-    }
-
-    /// Yields one fixed word and counts the draws.
-    struct Fixed {
-        word: u64,
-        draws: u32,
-    }
-
-    impl Rng64 for Fixed {
-        fn next_u64(&mut self) -> u64 {
-            self.draws += 1;
-            self.word
-        }
-    }
-
-    #[test]
-    fn bernoulli_is_next_f64_below_p_at_every_threshold() {
-        let scale = (1u64 << 53) as f64;
-        let dyadic = 0.375;
-        for p in [2f64.powi(-60), 0.18, 0.5, 1.0 - 2f64.powi(-53), dyadic] {
-            let threshold = (p * scale).ceil() as u64;
-            let edges = [threshold - 1, threshold, threshold + 1];
-            for k in [0, 1, 2, (1 << 53) - 1].into_iter().chain(edges) {
-                if k >= 1 << 53 {
-                    continue;
-                }
-                let word = (k << 11) | 0x7ff;
-                let mut fixed = Fixed { word, draws: 0 };
-                let expected = Fixed { word, draws: 0 }.next_f64() < p;
-                assert_eq!(expected, k < threshold, "p={p:e} k={k}");
-                assert_eq!(fixed.bernoulli(p), expected, "p={p:e} k={k}");
-                assert_eq!(fixed.draws, 1);
-            }
-        }
-        for p in [-1.0, 0.0, 1.0, 2.0] {
-            let mut fixed = Fixed { word: 0, draws: 0 };
-            assert_eq!(fixed.bernoulli(p), p >= 1.0);
-            assert_eq!(fixed.draws, 0, "p={p} draws nothing");
-        }
     }
 
     #[test]

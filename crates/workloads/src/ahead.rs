@@ -49,19 +49,6 @@ pub(crate) struct AheadStream {
     next: usize,
     /// `None` once the helper has been stopped.
     helper: Option<Helper>,
-    /// The inline stream's size hint less the batches before `batch`.
-    hint: (usize, Option<usize>),
-}
-
-/// `hint` less `consumed` references; an infinite stream stays infinite.
-fn less(hint: (usize, Option<usize>), consumed: usize) -> (usize, Option<usize>) {
-    match hint {
-        (usize::MAX, None) => hint,
-        (lower, upper) => (
-            lower.saturating_sub(consumed),
-            upper.map(|upper| upper.saturating_sub(consumed)),
-        ),
-    }
 }
 
 /// The helper thread and both ends of its lanes on the consumer's side.
@@ -88,7 +75,6 @@ impl AheadStream {
     /// Moves `inline` onto a new helper thread, which starts generating at
     /// once.
     pub(crate) fn new(mut inline: Box<dyn TraceStream>) -> Self {
-        let hint = inline.size_hint();
         let (full_tx, full) = bounded(LANE_DEPTH);
         let (spent, spent_rx) = bounded::<Vec<MemRef>>(BUFFERS);
         for _ in 1..BUFFERS {
@@ -131,7 +117,6 @@ impl AheadStream {
                 spent,
                 thread,
             }),
-            hint,
         }
     }
 
@@ -143,7 +128,6 @@ impl AheadStream {
         };
         if let Ok(batch) = helper.full.recv() {
             let spent = std::mem::replace(&mut self.batch, batch);
-            self.hint = less(self.hint, spent.len());
             // Fails only once the helper has finished, needing no buffers.
             let _ = helper.spent.send(spent);
             self.next = 0;
@@ -168,10 +152,6 @@ impl Iterator for AheadStream {
         let r = self.batch[self.next];
         self.next += 1;
         Some(r)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        less(self.hint, self.next)
     }
 }
 

@@ -110,7 +110,10 @@ impl TraceGenerator {
         // Round-robin core interleaving approximates the lock-step progress
         // of a throughput workload while keeping the stream deterministic.
         let core = CoreId::new(self.next_core as u32);
-        self.next_core = next_wrapping(self.next_core, self.num_cores);
+        self.next_core += 1;
+        if self.next_core == self.num_cores {
+            self.next_core = 0;
+        }
 
         let offset = self.rng.next_below(DEFAULT_BLOCK_BYTES / 8) * 8;
 
@@ -147,17 +150,6 @@ impl Iterator for TraceGenerator {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (usize::MAX, None)
-    }
-}
-
-/// `index + 1`, wrapped to 0 at `count`: the per-reference step of a
-/// counter that would otherwise be a `% count`.
-pub(crate) fn next_wrapping(index: usize, count: usize) -> usize {
-    let next = index + 1;
-    if next == count {
-        0
-    } else {
-        next
     }
 }
 

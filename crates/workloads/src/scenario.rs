@@ -33,7 +33,7 @@
 //! sweeps derive each cell's seed through
 //! [`derive_seed`](crate::derive_seed).
 
-use crate::generator::{next_wrapping, PRIVATE_REGION_BASE, PRIVATE_REGION_SPAN};
+use crate::generator::{PRIVATE_REGION_BASE, PRIVATE_REGION_SPAN};
 use crate::ZipfSampler;
 use ccd_common::clause::Clauses;
 use ccd_common::rng::{Rng64, SplitMix64, Xoshiro256};
@@ -324,7 +324,6 @@ impl ScenarioFamily {
             write_fraction: params.write_fraction,
             cores,
             next_core: 0,
-            slot_mask: DEFAULT_BLOCK_BYTES / slot_bytes - 1,
             slot_bytes,
         };
         match self {
@@ -337,14 +336,15 @@ impl ScenarioFamily {
             ScenarioFamily::FalseSharing => Box::new(zipf(
                 (DEFAULT_BLOCK_BYTES / cores.next_power_of_two() as u64).clamp(1, 8),
             )),
-            // The seed shifts the starting producer and ring offset, so
-            // replicas exercise different alignments of the same pattern.
-            ScenarioFamily::ProducerConsumer => Box::new(ProducerConsumerStream::new(
+            ScenarioFamily::ProducerConsumer => Box::new(ProducerConsumerStream {
                 cores,
-                params.blocks,
-                params.epoch,
-                SplitMix64::mix(seed) >> 16,
-            )),
+                blocks: params.blocks,
+                epoch: params.epoch,
+                // The seed shifts the starting producer and ring offset, so
+                // replicas exercise different alignments of the same pattern.
+                handoff: SplitMix64::mix(seed) >> 16,
+                position: 0,
+            }),
             ScenarioFamily::Migratory => Box::new(MigratoryStream {
                 rng: Xoshiro256::new(seed),
                 sampler: ZipfSampler::new(params.blocks, params.zipf),
@@ -387,9 +387,6 @@ struct SharedZipfStream {
     write_fraction: f64,
     cores: usize,
     next_core: usize,
-    /// Slots a line holds, less one: both are powers of two, so a core's
-    /// slot index is `core & slot_mask`.
-    slot_mask: u64,
     /// Width of each core's byte slot within a line: the whole line for
     /// `readmostly`, disjoint slots for `falseshare`.
     slot_bytes: u64,
@@ -400,11 +397,12 @@ impl Iterator for SharedZipfStream {
 
     fn next(&mut self) -> Option<MemRef> {
         let core = self.next_core;
-        self.next_core = next_wrapping(core, self.cores);
+        self.next_core = (self.next_core + 1) % self.cores;
         let line = self.sampler.sample(&mut self.rng);
         // Each core owns a distinct slot within the line; the directory
         // cannot see the distinction — that is the point of `falseshare`.
-        let slot = (core as u64 & self.slot_mask) * self.slot_bytes;
+        let slots = DEFAULT_BLOCK_BYTES / self.slot_bytes;
+        let slot = (core as u64 % slots) * self.slot_bytes;
         let addr = Address::new(shared_line(line).raw() + slot);
         let kind = if self.rng.bernoulli(self.write_fraction) {
             AccessType::Write
@@ -419,101 +417,46 @@ impl Iterator for SharedZipfStream {
     }
 }
 
-/// `prodcons`: handoff `h` has producer `h % cores` write the `epoch`
-/// buffer lines from `h · epoch % blocks` on, then each other core read
-/// each line in turn.  The divisions happen once a handoff; a reference
-/// only steps counters.
 #[derive(Debug)]
 struct ProducerConsumerStream {
     cores: usize,
     blocks: usize,
     epoch: usize,
-    /// Reads of each buffer line: every core but the producer (the
-    /// producer itself on one core).
-    readers: usize,
     /// Index of the current handoff; producer and ring offset derive from it.
     handoff: u64,
     /// Position within the handoff: `0..epoch` writes, then
-    /// `epoch..epoch * (1 + readers)` reads (consumers interleaved per
-    /// line).
+    /// `epoch..epoch * cores` reads (consumers interleaved per line).
     position: usize,
-    producer: usize,
-    /// The handoff's first buffer line.
-    ring_start: usize,
-    /// The line of the next reference.
-    line: usize,
-    /// The reader of the next reference, and its rank among the line's
-    /// readers.
-    consumer: usize,
-    nth: usize,
-}
-
-impl ProducerConsumerStream {
-    fn new(cores: usize, blocks: usize, epoch: usize, handoff: u64) -> Self {
-        let mut stream = ProducerConsumerStream {
-            cores,
-            blocks,
-            epoch,
-            readers: (cores - 1).max(1),
-            handoff,
-            position: 0,
-            producer: 0,
-            ring_start: 0,
-            line: 0,
-            consumer: 0,
-            nth: 0,
-        };
-        stream.start_handoff();
-        stream
-    }
-
-    /// Derives the producer and buffer of `handoff` and points at its
-    /// first write.
-    fn start_handoff(&mut self) {
-        self.producer = (self.handoff % self.cores as u64) as usize;
-        self.ring_start = (self.handoff as usize).wrapping_mul(self.epoch) % self.blocks;
-        self.line = self.ring_start;
-        self.position = 0;
-    }
-
-    /// Steps to the reference after the current one.
-    fn advance(&mut self) {
-        self.position += 1;
-        if self.position < self.epoch {
-            // Produce phase: sequential writes.
-            self.line = next_wrapping(self.line, self.blocks);
-        } else if self.position == self.epoch {
-            // Consume phase: back to the first buffer line, read first by
-            // the core after the producer.
-            self.line = self.ring_start;
-            self.consumer = next_wrapping(self.producer, self.cores);
-            self.nth = 0;
-        } else if self.position == self.epoch * (1 + self.readers) {
-            self.handoff += 1;
-            self.start_handoff();
-        } else if self.nth + 1 == self.readers {
-            self.line = next_wrapping(self.line, self.blocks);
-            self.consumer = next_wrapping(self.producer, self.cores);
-            self.nth = 0;
-        } else {
-            // The next consumer, skipping the producer.
-            self.consumer = next_wrapping(self.consumer, self.cores);
-            self.nth += 1;
-        }
-    }
 }
 
 impl Iterator for ProducerConsumerStream {
     type Item = MemRef;
 
     fn next(&mut self) -> Option<MemRef> {
-        let line = shared_line(self.line);
+        let producer = (self.handoff % self.cores as u64) as usize;
+        let ring_start = (self.handoff as usize).wrapping_mul(self.epoch) % self.blocks;
+        let reads_per_handoff = self.epoch * (self.cores - 1).max(1);
+
         let r = if self.position < self.epoch {
-            MemRef::write(CoreId::new(self.producer as u32), line)
+            // Produce phase: sequential writes.
+            let line = (ring_start + self.position) % self.blocks;
+            MemRef::write(CoreId::new(producer as u32), shared_line(line))
         } else {
-            MemRef::read(CoreId::new(self.consumer as u32), line)
+            // Consume phase: for each buffer line, every non-producer core
+            // reads it in turn.
+            let offset = self.position - self.epoch;
+            let line = (ring_start + offset / (self.cores - 1).max(1)) % self.blocks;
+            let nth = offset % (self.cores - 1).max(1);
+            // The nth consumer, skipping the producer.
+            let consumer = (producer + 1 + nth) % self.cores;
+            MemRef::read(CoreId::new(consumer as u32), shared_line(line))
         };
-        self.advance();
+
+        self.position += 1;
+        if self.position >= self.epoch + reads_per_handoff {
+            self.position = 0;
+            self.handoff += 1;
+        }
         Some(r)
     }
 
@@ -596,9 +539,9 @@ impl Iterator for StreamingScanStream {
 
     fn next(&mut self) -> Option<MemRef> {
         let core = self.next_core;
-        self.next_core = next_wrapping(core, self.cursors.len());
+        self.next_core = (self.next_core + 1) % self.cursors.len();
         let cursor = self.cursors[core];
-        self.cursors[core] = next_wrapping(cursor, self.blocks);
+        self.cursors[core] = (cursor + 1) % self.blocks;
         let base = PRIVATE_REGION_BASE + core as u64 * PRIVATE_REGION_SPAN;
         let addr = Address::new(base + cursor as u64 * DEFAULT_BLOCK_BYTES);
         let kind = if self.rng.bernoulli(self.write_fraction) {

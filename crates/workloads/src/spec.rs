@@ -199,9 +199,17 @@ impl WorkloadSpec {
                     })?;
                 }
                 // Then stream the validated file record by record; the
-                // trace is never materialized in memory.
+                // trace is never materialized in memory.  The reopened
+                // header must be the validated one: its count is the
+                // stream's exact size hint.
+                let reader = open(path)?;
+                if reader.record_count() != probe.record_count() {
+                    return Err(ConfigError::Parse {
+                        what: format!("trace file `{path}` changed after validation"),
+                    });
+                }
                 Ok(Box::new(ReplayStream {
-                    reader: open(path)?,
+                    reader,
                     path: path.clone(),
                 }))
             }
@@ -229,7 +237,7 @@ impl Iterator for ReplayStream {
         }
     }
 
-    /// Exact: the file was validated whole, so it holds the header's count.
+    /// Exact: the header's count is the one the validation pass read.
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = usize::try_from(self.reader.records_left()).unwrap_or(usize::MAX);
         (left, Some(left))
