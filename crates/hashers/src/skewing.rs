@@ -34,10 +34,10 @@ pub struct SkewingFamily {
     ways: usize,
     sets: usize,
     index_bits: u32,
-    /// Per-way `(rot(A1), rot(A2))` rotation amounts, pre-reduced modulo the
-    /// field width so the per-index hot path never divides — for all
-    /// [`MAX_WAYS`] ways, so `index_all_into`'s loop has the buffer's trip
-    /// count.
+    /// Per-way `(rot(A1), rot(A2))` rotation amounts `(w mod n, 2w mod n)`,
+    /// pre-reduced so no index divides, for all [`MAX_WAYS`] ways.
+    /// `index_all_into` reads them only for a buffer too long for its
+    /// amounts to be the plain `(w, 2w)` (see there).
     rotations: [(u32, u32); MAX_WAYS],
 }
 
@@ -101,33 +101,53 @@ impl SkewingFamily {
     #[must_use]
     pub fn line_from_high(&self, way: usize, index: usize, high: u64) -> LineAddr {
         let n = self.index_bits;
-        let mask = (1u64 << n) - 1;
-        let a2 = high & mask;
-        let mut remaining = high >> n;
-        let mut folded = 0u64;
-        while remaining != 0 {
-            folded ^= remaining & mask;
-            remaining >>= n;
-        }
+        let (a2, folded) = Self::high_terms(high, n);
         let (rot1, rot2) = self.rotations[way];
-        let rotated = (index as u64 ^ Self::rotate_field(a2, rot2, n) ^ folded) & mask;
+        let rotated = index as u64 ^ Self::rotate_field(a2, rot2, n) ^ folded;
         // A right rotation by `n - r1` undoes the right rotation by `r1`.
-        let a1 = Self::rotate_field(rotated, (n - rot1) % n, n);
+        let a1 = Self::rotate_field(rotated, n - rot1, n);
         LineAddr::from_block_number((high << n) | a1)
     }
 
+    /// Splits `high`, a line's bits above its first field (`line >> n`),
+    /// into the terms every way's index shares: the second field `A2` and
+    /// the XOR of all fields above it.  Below `2^(4n)` a line has at most
+    /// two such fields, folded by one shift and one XOR whatever the line;
+    /// only a longer line takes the field loop.
+    #[inline(always)]
+    fn high_terms(high: u64, n: u32) -> (u64, u64) {
+        let mask = (1u64 << n) - 1;
+        let rest = high >> n;
+        let folded = if rest >> n >> n == 0 {
+            (rest ^ (rest >> n)) & mask
+        } else {
+            Self::fold_fields(rest, n)
+        };
+        (high & mask, folded)
+    }
+
+    /// The XOR of every `n`-bit field of `rest`: [`SkewingFamily::high_terms`]
+    /// for lines of `4n` bits or more, which no workload generates.
+    #[cold]
+    #[inline(never)]
+    fn fold_fields(mut rest: u64, n: u32) -> u64 {
+        let mask = (1u64 << n) - 1;
+        let mut folded = 0;
+        while rest != 0 {
+            folded ^= rest & mask;
+            rest >>= n;
+        }
+        folded
+    }
+
     /// Rotates the low `bits` bits of `field` right by `amount`
-    /// (pre-reduced: `amount < bits`).
+    /// (`amount <= bits`; both `0` and `bits` leave the field as it is).
     #[inline]
     fn rotate_field(field: u64, amount: u32, bits: u32) -> u64 {
-        debug_assert!(amount < bits, "rotation amounts are pre-reduced");
+        debug_assert!(amount <= bits, "rotation amounts are pre-reduced");
         let mask = (1u64 << bits) - 1;
         let field = field & mask;
-        if amount == 0 {
-            field
-        } else {
-            ((field >> amount) | (field << (bits - amount))) & mask
-        }
+        ((field >> amount) | (field << (bits - amount))) & mask
     }
 }
 
@@ -148,23 +168,10 @@ impl IndexHashFamily for SkewingFamily {
             self.ways
         );
         let n = self.index_bits;
-        let mask = (1u64 << n) - 1;
-        let mut remaining = line.block_number();
-        // First field: rotated by the way number.
-        let a1 = remaining & mask;
-        remaining >>= n;
-        // Second field: rotated by twice the way number to decorrelate.
-        let a2 = remaining & mask;
-        remaining >>= n;
+        let line = line.block_number();
+        let (a2, folded) = Self::high_terms(line >> n, n);
         let (rot1, rot2) = self.rotations[way];
-        let mut h = Self::rotate_field(a1, rot1, n) ^ Self::rotate_field(a2, rot2, n);
-        // Fold any remaining high-order fields straight in so that every
-        // address bit participates in every index.
-        while remaining != 0 {
-            h ^= remaining & mask;
-            remaining >>= n;
-        }
-        (h & mask) as usize
+        (Self::rotate_field(line, rot1, n) ^ Self::rotate_field(a2, rot2, n) ^ folded) as usize
     }
 
     #[inline(always)]
@@ -175,36 +182,29 @@ impl IndexHashFamily for SkewingFamily {
             out.len(),
             self.ways
         );
-        // Decompose the address into its fields once; only the per-way
-        // rotations differ between ways (XOR is associative, so folding the
-        // high-order fields first yields the same index as `index`).  Each
-        // field is doubled (`a | a << n`) so that an n-bit right-rotation by
-        // `k < n` collapses to a single shift: `(doubled >> k) & mask` —
-        // branch-free and one instruction per rotation.
+        // Decompose the address once; only the per-way rotations differ
+        // between ways.
         let n = self.index_bits;
         let mask = (1u64 << n) - 1;
-        let mut remaining = line.block_number();
-        let a1 = remaining & mask;
-        remaining >>= n;
-        let a2 = remaining & mask;
-        remaining >>= n;
-        let mut high = 0u64;
-        while remaining != 0 {
-            high ^= remaining & mask;
-            remaining >>= n;
-        }
-        if n <= 32 {
+        let line = line.block_number();
+        let a1 = line & mask;
+        let (a2, folded) = Self::high_terms(line >> n, n);
+        if n <= 32 && 2 * (out.len() - 1) < n as usize {
+            // Every way `w` of the buffer rotates by `(w, 2w)`, both below
+            // `n`: constants once an `N`-long buffer unrolls the loop.  Each
+            // field is doubled (`a | a << n`, which needs `2n <= 64`) so that
+            // an n-bit right-rotation collapses to one shift and the mask.
             let a1d = a1 | (a1 << n);
             let a2d = a2 | (a2 << n);
-            for (slot, &(rot1, rot2)) in out.iter_mut().zip(&self.rotations) {
-                *slot = ((((a1d >> rot1) ^ (a2d >> rot2)) & mask) ^ high) as usize;
+            for (way, slot) in out.iter_mut().enumerate() {
+                *slot = ((((a1d >> way) ^ (a2d >> (2 * way))) & mask) ^ folded) as usize;
             }
         } else {
-            // Doubling would overflow 64 bits; no real directory has 2^32
-            // sets, but stay correct anyway.
+            // Tables of fewer than `2^(2·len − 1)` sets (an 8-way family
+            // below 2^15 sets, 4 ways below 2^7) and above 2^32 sets.
             for (slot, &(rot1, rot2)) in out.iter_mut().zip(&self.rotations) {
-                let h = Self::rotate_field(a1, rot1, n) ^ Self::rotate_field(a2, rot2, n) ^ high;
-                *slot = (h & mask) as usize;
+                let h = Self::rotate_field(a1, rot1, n) ^ Self::rotate_field(a2, rot2, n) ^ folded;
+                *slot = h as usize;
             }
         }
     }
@@ -313,6 +313,73 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The definition before the fold and the rotations were made constant,
+    /// kept verbatim: the field loop over every line and the amounts
+    /// `(w mod n, 2w mod n)` computed per index.
+    fn oracle_index(way: usize, line: u64, n: u32) -> usize {
+        let mask = (1u64 << n) - 1;
+        let rotate = |field: u64, amount: u32| {
+            let field = field & mask;
+            if amount == 0 {
+                field
+            } else {
+                ((field >> amount) | (field << (n - amount))) & mask
+            }
+        };
+        let mut remaining = line;
+        let a1 = remaining & mask;
+        remaining >>= n;
+        let a2 = remaining & mask;
+        remaining >>= n;
+        let way = way as u32;
+        let mut h = rotate(a1, way % n) ^ rotate(a2, (2 * way) % n);
+        while remaining != 0 {
+            h ^= remaining & mask;
+            remaining >>= n;
+        }
+        (h & mask) as usize
+    }
+
+    #[test]
+    fn every_index_matches_the_loop_definition() {
+        use ccd_common::rng::{Rng64, SplitMix64};
+        let mut rng = SplitMix64::new(0x5EED_0F01D);
+        let (mut long_lines, mut table_buffers) = (false, false);
+        for n in 1..=40u32 {
+            let mut lines = vec![0, u64::MAX, (1 << 42) - 1];
+            for k in (1..=6).filter(|k| k * n < 64) {
+                let field = 1u64 << (k * n);
+                lines.extend([field - 1, field, field + 1]);
+            }
+            lines.extend((0..10_000).map(|_| match rng.next_below(65) {
+                0 => 0,
+                bits => rng.next_u64() >> (64 - bits),
+            }));
+            long_lines |= lines.iter().any(|&l| l >> n >> n >> n >> n != 0);
+            for ways in [1usize, 2, 3, 4, 5, 8, 16] {
+                let f = SkewingFamily::new(ways, 1 << n).unwrap();
+                table_buffers |= n > 32 || 2 * (ways - 1) >= n as usize;
+                let (mut exact, mut full) = ([0usize; MAX_WAYS], [0usize; MAX_WAYS]);
+                for &line in &lines {
+                    let addr = LineAddr::from_block_number(line);
+                    let want: [usize; MAX_WAYS] =
+                        std::array::from_fn(|way| oracle_index(way, line, n));
+                    f.index_all_into(addr, &mut exact[..ways]);
+                    f.index_all_into(addr, &mut full);
+                    assert_eq!(exact[..ways], want[..ways], "n {n}, {ways} ways, {line:#x}");
+                    assert_eq!(full, want, "n {n}, {ways} ways, {line:#x}, 16 long");
+                    for (way, &index) in want.iter().enumerate().take(ways) {
+                        assert_eq!(f.index(way, addr), index, "n {n}, way {way}, {line:#x}");
+                        assert_eq!(f.line_from_high(way, index, line >> n), addr);
+                    }
+                }
+            }
+        }
+        // Both fallbacks ran: lines of `4n` bits or more, and buffers too
+        // long for the constant amounts `(w, 2w)`.
+        assert!(long_lines && table_buffers);
     }
 
     #[test]
