@@ -21,6 +21,19 @@
 //! address bits into every index (so two blocks conflict in one way only if
 //! a specific XOR of their address fields matches, which is unlikely to hold
 //! simultaneously for several ways).
+//!
+//! In hardware that is wires and one XOR tree; here an index costs a fixed
+//! handful of shifts and XORs whatever the line:
+//!
+//! * the fields above `A2` fold as `(r ^ (r >> n)) & mask`, `r = A >> 2n`,
+//!   whenever `r < 2^(2n)`: every line below `2^(4n)`, which covers every
+//!   line a workload generates.  A longer line runs a loop over its fields.
+//! * [`IndexHashFamily::index_all_into`] over a buffer of `len` ways uses
+//!   the amounts `(i mod n, 2i mod n)` as the plain `(i, 2i)` whenever
+//!   `2 (len − 1) < n` (and `n <= 32`), so an exactly-sized buffer unrolls
+//!   into constant shifts.  A longer buffer (8 ways below 2^15 sets, 4 below
+//!   2^7) or a table above 2^32 sets reads them from a per-way table, as
+//!   [`IndexHashFamily::index`] and [`SkewingFamily::line_from_high`] do.
 
 use crate::IndexHashFamily;
 use ccd_common::{ceil_log2, ConfigError, LineAddr};
@@ -36,8 +49,6 @@ pub struct SkewingFamily {
     index_bits: u32,
     /// Per-way `(rot(A1), rot(A2))` rotation amounts `(w mod n, 2w mod n)`,
     /// pre-reduced so no index divides, for all [`MAX_WAYS`] ways.
-    /// `index_all_into` reads them only for a buffer too long for its
-    /// amounts to be the plain `(w, 2w)` (see there).
     rotations: [(u32, u32); MAX_WAYS],
 }
 
@@ -112,39 +123,31 @@ impl SkewingFamily {
     /// Splits `high`, a line's bits above its first field (`line >> n`),
     /// into the terms every way's index shares: the second field `A2` and
     /// the XOR of all fields above it.  Below `2^(4n)` a line has at most
-    /// two such fields, folded by one shift and one XOR whatever the line;
-    /// only a longer line takes the field loop.
+    /// two such fields.  The loop for a longer one stays inline: the
+    /// benchmark's absent keys (bit 62 set) take it, and a call cost them
+    /// about a tenth more.
     #[inline(always)]
     fn high_terms(high: u64, n: u32) -> (u64, u64) {
         let mask = (1u64 << n) - 1;
-        let rest = high >> n;
+        let mut rest = high >> n;
         let folded = if rest >> n >> n == 0 {
             (rest ^ (rest >> n)) & mask
         } else {
-            Self::fold_fields(rest, n)
+            let mut folded = 0;
+            while rest != 0 {
+                folded ^= rest & mask;
+                rest >>= n;
+            }
+            folded
         };
         (high & mask, folded)
-    }
-
-    /// The XOR of every `n`-bit field of `rest`: [`SkewingFamily::high_terms`]
-    /// for lines of `4n` bits or more, which no workload generates.
-    #[cold]
-    #[inline(never)]
-    fn fold_fields(mut rest: u64, n: u32) -> u64 {
-        let mask = (1u64 << n) - 1;
-        let mut folded = 0;
-        while rest != 0 {
-            folded ^= rest & mask;
-            rest >>= n;
-        }
-        folded
     }
 
     /// Rotates the low `bits` bits of `field` right by `amount`
     /// (`amount <= bits`; both `0` and `bits` leave the field as it is).
     #[inline]
     fn rotate_field(field: u64, amount: u32, bits: u32) -> u64 {
-        debug_assert!(amount <= bits, "rotation amounts are pre-reduced");
+        debug_assert!(amount <= bits, "a rotation stays within its field");
         let mask = (1u64 << bits) - 1;
         let field = field & mask;
         ((field >> amount) | (field << (bits - amount))) & mask
@@ -190,18 +193,15 @@ impl IndexHashFamily for SkewingFamily {
         let a1 = line & mask;
         let (a2, folded) = Self::high_terms(line >> n, n);
         if n <= 32 && 2 * (out.len() - 1) < n as usize {
-            // Every way `w` of the buffer rotates by `(w, 2w)`, both below
-            // `n`: constants once an `N`-long buffer unrolls the loop.  Each
-            // field is doubled (`a | a << n`, which needs `2n <= 64`) so that
-            // an n-bit right-rotation collapses to one shift and the mask.
+            // Each field is doubled (`a | a << n`, which needs `2n <= 64`)
+            // so that an n-bit right-rotation collapses to one shift and the
+            // mask.
             let a1d = a1 | (a1 << n);
             let a2d = a2 | (a2 << n);
             for (way, slot) in out.iter_mut().enumerate() {
                 *slot = ((((a1d >> way) ^ (a2d >> (2 * way))) & mask) ^ folded) as usize;
             }
         } else {
-            // Tables of fewer than `2^(2·len − 1)` sets (an 8-way family
-            // below 2^15 sets, 4 ways below 2^7) and above 2^32 sets.
             for (slot, &(rot1, rot2)) in out.iter_mut().zip(&self.rotations) {
                 let h = Self::rotate_field(a1, rot1, n) ^ Self::rotate_field(a2, rot2, n) ^ folded;
                 *slot = h as usize;
