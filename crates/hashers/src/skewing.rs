@@ -194,12 +194,15 @@ impl IndexHashFamily for SkewingFamily {
         let (a2, folded) = Self::high_terms(line >> n, n);
         if n <= 32 && 2 * (out.len() - 1) < n as usize {
             // Each field is doubled (`a | a << n`, which needs `2n <= 64`)
-            // so that an n-bit right-rotation collapses to one shift and the
-            // mask.
-            let a1d = a1 | (a1 << n);
-            let a2d = a2 | (a2 << n);
-            for (way, slot) in out.iter_mut().enumerate() {
-                *slot = ((((a1d >> way) ^ (a2d >> (2 * way))) & mask) ^ folded) as usize;
+            // so that an n-bit right-rotation by `k <= n` is a right shift
+            // by `k` and the mask; each way shifts on from the last by the
+            // constants 1 and 2 (no variable shift, even in a loop whose
+            // length is only known at run time).
+            let (mut a1d, mut a2d) = (a1 | (a1 << n), a2 | (a2 << n));
+            for slot in out.iter_mut() {
+                *slot = (((a1d ^ a2d) & mask) ^ folded) as usize;
+                a1d >>= 1;
+                a2d >>= 2;
             }
         } else {
             for (slot, &(rot1, rot2)) in out.iter_mut().zip(&self.rotations) {
