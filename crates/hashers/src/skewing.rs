@@ -28,12 +28,13 @@
 //! * the fields above `A2` fold as `(r ^ (r >> n)) & mask`, `r = A >> 2n`,
 //!   whenever `r < 2^(2n)`: every line below `2^(4n)`, which covers every
 //!   line a workload generates.  A longer line runs a loop over its fields.
-//! * [`IndexHashFamily::index_all_into`] over a buffer of `len` ways uses
-//!   the amounts `(i mod n, 2i mod n)` as the plain `(i, 2i)` whenever
-//!   `2 (len − 1) < n` (and `n <= 32`), so an exactly-sized buffer unrolls
-//!   into constant shifts.  A longer buffer (8 ways below 2^15 sets, 4 below
-//!   2^7) or a table above 2^32 sets reads them from a per-way table, as
-//!   [`IndexHashFamily::index`] and [`SkewingFamily::line_from_high`] do.
+//! * [`IndexHashFamily::index_all_into`] over a buffer of `len` ways
+//!   rotates way `i` by the plain `(i, 2i)`, not `(i mod n, 2i mod n)`,
+//!   whenever `2 (len − 1) < n` (and `n <= 32`): each way shifts on from
+//!   the last by the constants 1 and 2.  A longer buffer (8 ways below
+//!   2^15 sets, 4 below 2^7) or a table above 2^32 sets reads the amounts
+//!   from a per-way table, as [`IndexHashFamily::index`] and
+//!   [`SkewingFamily::line_from_high`] do.
 
 use crate::IndexHashFamily;
 use ccd_common::{ceil_log2, ConfigError, LineAddr};
