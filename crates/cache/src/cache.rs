@@ -1,7 +1,6 @@
 //! The set-associative cache model.
 
 use crate::CacheConfig;
-use ccd_common::stats::Counter;
 use ccd_common::{ConfigError, LineAddr};
 
 /// MESI-lite coherence state of a resident block.
@@ -52,25 +51,6 @@ impl AccessOutcome {
     }
 }
 
-/// Hit/miss/eviction counters for one cache.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Total accesses.
-    pub accesses: Counter,
-    /// Accesses that hit with sufficient permission.
-    pub hits: Counter,
-    /// Fill misses.
-    pub misses: Counter,
-    /// Write accesses that hit a `Shared` block and needed an upgrade.
-    pub upgrade_misses: Counter,
-    /// Blocks displaced by fills.
-    pub evictions: Counter,
-    /// Displaced blocks that were dirty.
-    pub writebacks: Counter,
-    /// Blocks invalidated by external (coherence) requests.
-    pub invalidations: Counter,
-}
-
 /// Stamp bits holding the coherence state of a valid frame.
 const STATE_MASK: u64 = 0b11;
 const SHARED: u64 = 0b01;
@@ -111,7 +91,8 @@ pub struct Cache {
     frames: Vec<Frame>,
     tick: u64,
     valid: usize,
-    stats: CacheStats,
+    /// Fill misses since construction or the last [`Cache::reset_stats`].
+    misses: u64,
 }
 
 impl Cache {
@@ -128,7 +109,7 @@ impl Cache {
             frames: vec![Frame::default(); config.frames()],
             tick: 0,
             valid: 0,
-            stats: CacheStats::default(),
+            misses: 0,
         })
     }
 
@@ -138,15 +119,17 @@ impl Cache {
         &self.config
     }
 
-    /// Accumulated statistics.
+    /// Fill misses ([`AccessOutcome::Miss`]) since construction or the
+    /// last [`Cache::reset_stats`].  Every other event an access,
+    /// fill or invalidation causes reaches the caller in its return value.
     #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    pub fn misses(&self) -> u64 {
+        self.misses
     }
 
-    /// Resets the statistics (not the contents).
+    /// Resets the miss count (not the contents).
     pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
+        self.misses = 0;
     }
 
     /// Number of resident blocks.
@@ -234,27 +217,20 @@ impl Cache {
             self.valid += 1;
             return None;
         }
-        self.stats.evictions.incr();
-        let dirty = victim.stamp & MODIFIED != 0;
-        if dirty {
-            self.stats.writebacks.incr();
-        }
         Some(Eviction {
             line: victim.line,
-            dirty,
+            dirty: victim.stamp & MODIFIED != 0,
         })
     }
 
     /// Performs a read (or instruction-fetch) access to `line`.
     pub fn access_read(&mut self, line: LineAddr) -> AccessOutcome {
-        self.stats.accesses.incr();
         if let Some(frame) = self.find_frame(line) {
-            self.stats.hits.incr();
             let state = self.frames[frame].stamp & STATE_MASK;
             self.frames[frame].stamp = self.next_stamp(state);
             return AccessOutcome::Hit;
         }
-        self.stats.misses.incr();
+        self.misses += 1;
         let stamp = self.next_stamp(SHARED);
         let victim = self.fill(line, stamp);
         AccessOutcome::Miss { victim }
@@ -266,20 +242,17 @@ impl Cache {
     /// so the caller can obtain exclusive permission from the directory; the
     /// block is promoted to `Modified` locally.
     pub fn access_write(&mut self, line: LineAddr) -> AccessOutcome {
-        self.stats.accesses.incr();
         let stamp = self.next_stamp(MODIFIED);
         if let Some(frame) = self.find_frame(line) {
             let was_modified = self.frames[frame].stamp & MODIFIED != 0;
             self.frames[frame].stamp = stamp;
             return if was_modified {
-                self.stats.hits.incr();
                 AccessOutcome::Hit
             } else {
-                self.stats.upgrade_misses.incr();
                 AccessOutcome::UpgradeMiss
             };
         }
-        self.stats.misses.incr();
+        self.misses += 1;
         let victim = self.fill(line, stamp);
         AccessOutcome::Miss { victim }
     }
@@ -291,7 +264,6 @@ impl Cache {
         let state = self.frames[frame].state();
         self.frames[frame].stamp = 0;
         self.valid -= 1;
-        self.stats.invalidations.incr();
         Some(state)
     }
 
@@ -308,13 +280,14 @@ impl Cache {
     }
 }
 
-/// The cache as it was before the 16-byte frames, verbatim: one
-/// `Option<Frame>` of line, state and `last_use` a frame, a first-invalid
-/// search and then an LRU search on a fill.  The lockstep test below drives
+/// The cache as it was before the 16-byte frames, verbatim but for its
+/// counters, of which only the miss count is kept: one `Option<Frame>` of
+/// line, state and `last_use` a frame, a first-invalid search and then an
+/// LRU search on a fill.  The lockstep test below drives
 /// it beside [`Cache`]; nothing else uses it.
 #[cfg(test)]
 mod reference {
-    use super::{AccessOutcome, CacheStats, CoherenceState, Eviction};
+    use super::{AccessOutcome, CoherenceState, Eviction};
     use crate::CacheConfig;
     use ccd_common::{ConfigError, LineAddr};
 
@@ -335,7 +308,7 @@ mod reference {
         frames: Vec<Option<Frame>>,
         tick: u64,
         valid: usize,
-        stats: CacheStats,
+        misses: u64,
     }
 
     impl Cache {
@@ -352,14 +325,14 @@ mod reference {
                 frames: (0..config.frames()).map(|_| None).collect(),
                 tick: 0,
                 valid: 0,
-                stats: CacheStats::default(),
+                misses: 0,
             })
         }
 
-        /// Accumulated statistics.
+        /// Fill misses.
         #[must_use]
-        pub fn stats(&self) -> &CacheStats {
-            &self.stats
+        pub fn misses(&self) -> u64 {
+            self.misses
         }
 
         /// Number of resident blocks.
@@ -439,26 +412,19 @@ mod reference {
                     last_use: tick,
                 })
                 .expect("full set has valid frames");
-            self.stats.evictions.incr();
-            let dirty = victim.state == CoherenceState::Modified;
-            if dirty {
-                self.stats.writebacks.incr();
-            }
             Some(Eviction {
                 line: victim.line,
-                dirty,
+                dirty: victim.state == CoherenceState::Modified,
             })
         }
 
         /// Performs a read (or instruction-fetch) access to `line`.
         pub fn access_read(&mut self, line: LineAddr) -> AccessOutcome {
-            self.stats.accesses.incr();
             if let Some(frame) = self.find_frame(line) {
-                self.stats.hits.incr();
                 self.touch(frame);
                 return AccessOutcome::Hit;
             }
-            self.stats.misses.incr();
+            self.misses += 1;
             let victim = self.fill(line, CoherenceState::Shared);
             AccessOutcome::Miss { victim }
         }
@@ -469,23 +435,18 @@ mod reference {
         /// so the caller can obtain exclusive permission from the directory; the
         /// block is promoted to `Modified` locally.
         pub fn access_write(&mut self, line: LineAddr) -> AccessOutcome {
-            self.stats.accesses.incr();
             if let Some(frame) = self.find_frame(line) {
                 self.touch(frame);
                 let entry = self.frames[frame].as_mut().expect("frame is valid");
                 return match entry.state {
-                    CoherenceState::Modified => {
-                        self.stats.hits.incr();
-                        AccessOutcome::Hit
-                    }
+                    CoherenceState::Modified => AccessOutcome::Hit,
                     CoherenceState::Shared => {
                         entry.state = CoherenceState::Modified;
-                        self.stats.upgrade_misses.incr();
                         AccessOutcome::UpgradeMiss
                     }
                 };
             }
-            self.stats.misses.incr();
+            self.misses += 1;
             let victim = self.fill(line, CoherenceState::Modified);
             AccessOutcome::Miss { victim }
         }
@@ -496,7 +457,6 @@ mod reference {
             let frame = self.find_frame(line)?;
             let entry = self.frames[frame].take().expect("frame is valid");
             self.valid -= 1;
-            self.stats.invalidations.incr();
             Some(entry.state)
         }
 
@@ -563,9 +523,7 @@ mod tests {
         ));
         assert!(matches!(c.access_read(line(0)), AccessOutcome::Hit));
         assert_eq!(c.state_of(line(0)), Some(CoherenceState::Shared));
-        assert_eq!(c.stats().hits.get(), 1);
-        assert_eq!(c.stats().misses.get(), 1);
-        assert_eq!(c.stats().accesses.get(), 2);
+        assert_eq!(c.misses(), 1);
         assert_eq!(c.len(), 1);
     }
 
@@ -584,9 +542,9 @@ mod tests {
         let outcome = c.access_write(line(5));
         assert_eq!(outcome, AccessOutcome::UpgradeMiss);
         assert_eq!(c.state_of(line(5)), Some(CoherenceState::Modified));
-        assert_eq!(c.stats().upgrade_misses.get(), 1);
-        // Subsequent writes hit.
+        // Subsequent writes hit; an upgrade is no fill.
         assert!(matches!(c.access_write(line(5)), AccessOutcome::Hit));
+        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -614,8 +572,6 @@ mod tests {
             }
             other => panic!("expected dirty eviction, got {other:?}"),
         }
-        assert_eq!(c.stats().writebacks.get(), 1);
-        assert_eq!(c.stats().evictions.get(), 2);
     }
 
     #[test]
@@ -625,7 +581,6 @@ mod tests {
         assert_eq!(c.invalidate(line(1)), Some(CoherenceState::Modified));
         assert!(!c.contains(line(1)));
         assert_eq!(c.invalidate(line(1)), None);
-        assert_eq!(c.stats().invalidations.get(), 1);
 
         c.access_write(line(3));
         assert!(c.downgrade(line(3)));
@@ -661,8 +616,9 @@ mod tests {
     fn stats_reset_keeps_contents() {
         let mut c = tiny();
         c.access_read(line(1));
+        assert_eq!(c.misses(), 1);
         c.reset_stats();
-        assert_eq!(c.stats().accesses.get(), 0);
+        assert_eq!(c.misses(), 0);
         assert!(c.contains(line(1)));
     }
 
@@ -699,7 +655,7 @@ mod tests {
             assert_eq!(cache.state_of(l), model.state_of(l), "{at}: state");
             assert_eq!(cache.contains(l), model.contains(l), "{at}: contains");
             assert_eq!(cache.len(), model.len(), "{at}: len");
-            assert_eq!(cache.stats(), model.stats(), "{at}: stats");
+            assert_eq!(cache.misses(), model.misses(), "{at}: misses");
         }
         assert!(
             evictions > 0,

@@ -9,9 +9,8 @@
 //!   the paper's Table 1 parameters (split 64 KB 2-way L1s, 1 MB 16-way
 //!   private L2s),
 //! * [`Cache`] — a set-associative, write-back/write-allocate cache with LRU
-//!   replacement, per-line MESI-lite coherence state, and eviction
-//!   reporting,
-//! * [`CacheStats`] — hit/miss/eviction counters.
+//!   replacement, per-line MESI-lite coherence state, eviction reporting
+//!   and one counter, its fill misses ([`Cache::misses`]).
 //!
 //! Timing is deliberately not modelled: the paper's directory results depend
 //! only on the *sequence* of fills, upgrades and evictions each cache
@@ -38,7 +37,6 @@
 pub mod cache;
 pub mod config;
 
-pub use cache::CacheStats;
 pub use cache::Eviction;
 pub use cache::{AccessOutcome, Cache, CoherenceState};
 pub use config::CacheConfig;

@@ -8,8 +8,8 @@
 //! * a [`ShardedDirectory`](ccd_directory::ShardedDirectory) — one
 //!   directory slice per tile behind the home-slice interleaving between
 //!   global and slice-local lines ([`ccd_common::Interleave`]);
-//! * `StatsPipeline` — the protocol-level counters, assembled on demand
-//!   into a mergeable [`SimStats`] snapshot.
+//! * `StatsPipeline` — the protocol-level counters, rendered on demand
+//!   with the other layers' counts as a [`SimReport`](crate::SimReport).
 //!
 //! On top of the layers, [`SimJob`] describes one complete simulation as a
 //! pure value and [`ParallelRunner`] fans independent jobs (the cells of a
@@ -18,10 +18,9 @@
 //! list, never on worker scheduling.
 
 pub mod runner;
-pub mod stats;
+mod stats;
 pub mod tiles;
 
 pub use runner::{ParallelRunner, SimJob};
-pub use stats::SimStats;
 pub(crate) use stats::StatsPipeline;
 pub use tiles::TileCaches;

@@ -108,15 +108,13 @@ impl TileCaches {
             .flat_map(|(id, cache)| cache.resident_lines().map(move |(l, s)| (id, l, s)))
     }
 
-    /// Total `(accesses, misses)` across all caches.
+    /// Total fill misses across all caches.
     #[must_use]
-    pub(crate) fn totals(&self) -> (u64, u64) {
-        self.caches.iter().fold((0u64, 0u64), |(a, m), c| {
-            (a + c.stats().accesses.get(), m + c.stats().misses.get())
-        })
+    pub(crate) fn misses(&self) -> u64 {
+        self.caches.iter().map(Cache::misses).sum()
     }
 
-    /// Clears the access statistics of every cache, keeping contents.
+    /// Clears the miss counts of every cache, keeping contents.
     pub fn reset_stats(&mut self) {
         for cache in &mut self.caches {
             cache.reset_stats();
@@ -172,11 +170,11 @@ mod tests {
         let cache = CacheId::new(1);
         assert!(tiles.access(cache, line, false).is_miss());
         assert!(!tiles.access(cache, line, false).is_miss());
-        assert_eq!(tiles.totals(), (2, 1));
+        assert_eq!(tiles.misses(), 1);
         assert_eq!(tiles.state_of(cache, line), Some(CoherenceState::Shared));
         assert!(tiles.invalidate(cache, line));
         assert!(!tiles.invalidate(cache, line), "already gone");
         tiles.reset_stats();
-        assert_eq!(tiles.totals(), (0, 0));
+        assert_eq!(tiles.misses(), 0);
     }
 }

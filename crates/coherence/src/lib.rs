@@ -29,8 +29,8 @@
 //!   core→cache routing of the hierarchy;
 //! * a [`ccd_directory::ShardedDirectory`] — the directory slices behind
 //!   the global↔slice-local line interleaving;
-//! * `engine::StatsPipeline` — the protocol counters, assembled into a
-//!   mergeable [`engine::SimStats`] snapshot.
+//! * `engine::StatsPipeline` — the protocol counters, rendered with the
+//!   cache and directory counts as a [`SimReport`].
 //!
 //! Independent simulations — the cells of a sweep — are described as pure
 //! [`engine::SimJob`] values and fanned across threads by
@@ -66,7 +66,7 @@ pub mod simulator;
 pub mod spec;
 
 pub use config::{Hierarchy, SystemConfig};
-pub use engine::{ParallelRunner, SimJob, SimStats};
+pub use engine::{ParallelRunner, SimJob};
 pub use report::SimReport;
 pub use simulator::CmpSimulator;
 pub use spec::DirectorySpec;

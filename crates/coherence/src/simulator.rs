@@ -1,6 +1,6 @@
 //! The tiled-CMP simulator proper: a thin composition of the engine layers.
 
-use crate::engine::{SimStats, StatsPipeline, TileCaches};
+use crate::engine::{StatsPipeline, TileCaches};
 use crate::{DirectorySpec, SimReport, SystemConfig};
 use ccd_cache::{AccessOutcome, CoherenceState};
 use ccd_common::{CacheId, ConfigError, LineAddr, MemRef};
@@ -245,25 +245,13 @@ impl CmpSimulator {
         self.stats.reset();
     }
 
-    /// A mergeable snapshot of every statistic of the measured interval.
-    ///
-    /// When no periodic occupancy sample has been taken yet (short runs),
-    /// the current occupancy is recorded as a single synthetic sample so
-    /// the snapshot — and any aggregate merged from it — still reports a
-    /// meaningful occupancy.
-    #[must_use]
-    pub fn stats(&self) -> SimStats {
-        let mut stats = self.stats.collect(&self.tiles, &self.directory);
-        if stats.occupancy_samples.count() == 0 {
-            stats.occupancy_samples.record(self.occupancy());
-        }
-        stats
-    }
-
     /// Produces the aggregated report for the measured interval.
     #[must_use]
     pub fn report(&self) -> SimReport {
-        self.stats().report(&self.organization)
+        self.stats
+            .report(&self.organization, &self.tiles, &self.directory, || {
+                self.occupancy()
+            })
     }
 
     /// Checks what the directory exists to keep (Section 4.2): it stays
@@ -944,13 +932,18 @@ mod tests {
             sim.process(read(0, block));
         }
         assert_eq!(
-            sim.stats().occupancy_samples.count(),
-            1,
-            "synthetic end-state sample only"
+            sim.stats.occupancy_samples.count(),
+            0,
+            "no periodic sample yet"
+        );
+        assert_eq!(
+            sim.report().avg_directory_occupancy,
+            sim.occupancy(),
+            "the report's single sample is the end state"
         );
         for block in 64..2 * interval {
             sim.process(read(0, block));
         }
-        assert_eq!(sim.stats().occupancy_samples.count(), 2);
+        assert_eq!(sim.stats.occupancy_samples.count(), 2);
     }
 }

@@ -59,9 +59,7 @@ pub use ids::{CacheId, CoreId, SliceId};
 pub use mem::{AccessType, MemRef};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use stats::HistogramSnapshot;
-pub use stats::{
-    Counter, Fnv64, Histogram, LogHistogram, MeanAccumulator, MetricSnapshot, RateEstimator,
-};
+pub use stats::{Counter, Fnv64, Histogram, LogHistogram, MeanAccumulator, MetricSnapshot};
 
 /// The physical address width assumed by the paper's system (Table 1).
 pub const PHYSICAL_ADDRESS_BITS: u32 = 48;

@@ -46,12 +46,6 @@ impl Counter {
     pub fn reset(&mut self) {
         self.0 = 0;
     }
-
-    /// Merges another counter into this one (saturating), so per-worker
-    /// counters can be reduced into one aggregate regardless of merge order.
-    pub fn merge(&mut self, other: &Counter) {
-        self.0 = self.0.saturating_add(other.0);
-    }
 }
 
 impl From<Counter> for u64 {
@@ -557,95 +551,6 @@ impl MeanAccumulator {
             self.sum / self.count as f64
         }
     }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &MeanAccumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-}
-
-/// A numerator/denominator pair reported as a rate.
-///
-/// Forced-invalidation rates in the paper are reported as *invalidations per
-/// directory-entry insertion* (Figure 12); this type keeps the two counts
-/// together so the rate can never be computed against the wrong denominator.
-///
-/// ```
-/// use ccd_common::stats::RateEstimator;
-/// let mut r = RateEstimator::new();
-/// r.record_miss();            // an insertion that forced nothing
-/// r.record_hit(2);            // an insertion that forced two invalidations
-/// assert_eq!(r.events(), 2);
-/// assert!((r.rate() - 1.0).abs() < 1e-12);
-///
-/// // Per-worker estimators reduce into one aggregate rate.
-/// let mut other = RateEstimator::new();
-/// other.add(0, 2);
-/// r.merge(&other);
-/// assert!((r.percent() - 50.0).abs() < 1e-12);
-/// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RateEstimator {
-    events: u64,
-    opportunities: u64,
-}
-
-impl RateEstimator {
-    /// Creates an empty estimator.
-    #[must_use]
-    pub const fn new() -> Self {
-        RateEstimator {
-            events: 0,
-            opportunities: 0,
-        }
-    }
-
-    /// Records one opportunity during which the event did not occur.
-    pub fn record_miss(&mut self) {
-        self.opportunities += 1;
-    }
-
-    /// Records one opportunity during which the event occurred `events`
-    /// times (e.g. a directory insertion that forced two invalidations).
-    pub fn record_hit(&mut self, events: u64) {
-        self.opportunities += 1;
-        self.events += events;
-    }
-
-    /// Adds raw counts.
-    pub fn add(&mut self, events: u64, opportunities: u64) {
-        self.events += events;
-        self.opportunities += opportunities;
-    }
-
-    /// Number of events observed.
-    #[must_use]
-    pub const fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// The event rate (events per opportunity); 0 when no opportunities.
-    #[must_use]
-    pub fn rate(&self) -> f64 {
-        if self.opportunities == 0 {
-            0.0
-        } else {
-            self.events as f64 / self.opportunities as f64
-        }
-    }
-
-    /// The rate expressed as a percentage.
-    #[must_use]
-    pub fn percent(&self) -> f64 {
-        self.rate() * 100.0
-    }
-
-    /// Merges another estimator into this one.
-    pub fn merge(&mut self, other: &RateEstimator) {
-        self.events += other.events;
-        self.opportunities += other.opportunities;
-    }
 }
 
 /// Named counters and log-histogram summaries in a *fixed push order*.
@@ -843,78 +748,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_merge_is_order_independent_and_saturates() {
-        let mut a = Counter::new();
-        let mut b = Counter::new();
-        a.add(7);
-        b.add(35);
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab.get(), 42);
-        assert_eq!(ab, ba, "merge must commute");
-
-        // Merging an untouched counter is the identity.
-        let empty = Counter::new();
-        ab.merge(&empty);
-        assert_eq!(ab.get(), 42);
-        let mut from_empty = Counter::new();
-        from_empty.merge(&ab);
-        assert_eq!(from_empty.get(), 42);
-
-        // Overflow-adjacent: sums past u64::MAX saturate instead of wrapping.
-        let mut near_max = Counter::new();
-        near_max.add(u64::MAX - 1);
-        let mut two = Counter::new();
-        two.add(2);
-        near_max.merge(&two);
-        assert_eq!(near_max.get(), u64::MAX);
-        near_max.merge(&two);
-        assert_eq!(near_max.get(), u64::MAX, "saturated counters stay put");
-    }
-
-    #[test]
-    fn mean_accumulator_merge_empty_and_extreme_cases() {
-        // empty ← empty stays empty (no spurious count).
-        let mut empty = MeanAccumulator::new();
-        empty.merge(&MeanAccumulator::new());
-        assert_eq!(empty.count(), 0);
-        assert_eq!(empty.mean(), 0.0);
-
-        // empty ← populated adopts the other side's samples exactly.
-        let mut filled = MeanAccumulator::new();
-        filled.record(2.0);
-        filled.record(4.0);
-        let mut target = MeanAccumulator::new();
-        target.merge(&filled);
-        assert_eq!(target.count(), 2);
-        assert!((target.mean() - 3.0).abs() < 1e-12);
-
-        // Merge commutes: (a ⊎ b) == (b ⊎ a) on all observable fields.
-        let mut a = MeanAccumulator::new();
-        a.record(-1.0);
-        a.record(5.0);
-        let mut b = MeanAccumulator::new();
-        b.record(0.25);
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab.count(), ba.count());
-        assert!((ab.mean() - ba.mean()).abs() < 1e-12);
-
-        // Overflow-adjacent sample magnitudes survive the merge as f64s.
-        let mut huge = MeanAccumulator::new();
-        huge.record(f64::MAX / 2.0);
-        let mut other = MeanAccumulator::new();
-        other.record(f64::MAX / 2.0);
-        huge.merge(&other);
-        assert!(huge.mean().is_finite());
-        assert!((huge.mean() - f64::MAX / 2.0).abs() < f64::MAX * 1e-10);
-    }
-
-    #[test]
     fn histogram_records_and_clamps() {
         let mut h = Histogram::new(4);
         h.record(0);
@@ -972,7 +805,7 @@ mod tests {
     }
 
     #[test]
-    fn mean_accumulator_records_and_merges() {
+    fn mean_accumulator_records() {
         let mut m = MeanAccumulator::new();
         assert_eq!(m.mean(), 0.0);
         for x in [1.0, 2.0, 3.0, 10.0] {
@@ -980,34 +813,6 @@ mod tests {
         }
         assert_eq!(m.count(), 4);
         assert!((m.mean() - 4.0).abs() < 1e-12);
-
-        let mut other = MeanAccumulator::new();
-        other.record(0.5);
-        m.merge(&other);
-        assert_eq!(m.count(), 5);
-        assert!((m.mean() - 3.3).abs() < 1e-12);
-
-        let empty = MeanAccumulator::new();
-        m.merge(&empty);
-        assert_eq!(m.count(), 5);
-    }
-
-    #[test]
-    fn rate_estimator_rates() {
-        let mut r = RateEstimator::new();
-        assert_eq!(r.rate(), 0.0);
-        r.record_miss();
-        r.record_miss();
-        r.record_hit(1);
-        r.record_hit(3);
-        assert_eq!(r.events(), 4);
-        assert!((r.rate() - 1.0).abs() < 1e-12);
-        assert!((r.percent() - 100.0).abs() < 1e-12);
-
-        let mut s = RateEstimator::new();
-        s.add(1, 96);
-        r.merge(&s);
-        assert!((r.rate() - 0.05).abs() < 1e-12);
     }
 
     use crate::rng::{Rng64, SplitMix64};

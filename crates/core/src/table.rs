@@ -55,12 +55,13 @@
 //! the vacancy scan is exact (no false positives).
 //!
 //! Every entry point picks the probe compiled for the table's way count
-//! (`ways_dispatch!`): exactly `d` for tables of up to eight ways, so the
+//! (`ways_dispatch!`): exactly `d` for tables of 2, 3, 4 and 8 ways, so the
 //! hash, the tag gather and the lane mask run a constant number of ways and
 //! unroll into straight-line code, one copy per way count from one generic
-//! body.  The walks over the resulting masks stay `trailing_zeros` loops —
-//! their trip count is the number of matching ways, not the way count, and
-//! a branch per way measured slower once the hit way is a coin flip.
+//! body; other way counts share one kernel that keeps the runtime count.
+//! The walks over the resulting masks stay `trailing_zeros` loops — their
+//! trip count is the number of matching ways, not the way count, and a
+//! branch per way measured slower once the hit way is a coin flip.
 //!
 //! # The staged batch pipeline
 //!
@@ -146,9 +147,10 @@ use std::mem::MaybeUninit;
 /// [`fingerprint`], whose high bit is set, so `0` is unambiguous.
 const EMPTY_TAG: u8 = 0;
 
-/// Way counts up to this bound get a probe compiled for exactly their way
-/// count ([`ways_dispatch!`]); wider tables (up to [`MAX_FAMILY_WAYS`]) share
-/// one compiled for full-width buffers and a runtime bound.
+/// A kernel compiled for `N` ways up to this bound walks exactly `N` ways;
+/// [`ways_dispatch!`] compiles one for 2, 3, 4 and 8 ways, and every other
+/// table (up to [`MAX_FAMILY_WAYS`] ways) shares one compiled for
+/// full-width buffers and a runtime bound.
 const SMALL_WAYS: usize = 8;
 
 /// What a fused probe learned about a key's `d` candidate slots.
@@ -228,13 +230,15 @@ impl<'a, V, Q: KeyWord> Occupied<'a, V, Q> {
 }
 
 /// Evaluates `$body` with the constant `$N` bound to the way count `$ways`
-/// for tables of up to [`SMALL_WAYS`] ways, and to [`MAX_FAMILY_WAYS`] above.
+/// for tables of 2, 3, 4 and 8 ways (the arities the paper's figures and the
+/// benchmark build), and to [`MAX_FAMILY_WAYS`] for every other count.
 /// Every probe kernel is generic over `N` and walks its ways as
-/// `0..ways_of::<N>()`, which is the constant `N` itself below the bound: the
-/// tag gather, the lane mask, the hash and the vacancy and candidate
-/// positions of a 3- or 4-way table are straight-line code, compiled once
-/// per way count from one body.  Above the bound the buffers are
-/// `MAX_FAMILY_WAYS` long and the loops keep the table's runtime count.
+/// `0..ways_of::<N>()`, which is the constant `N` itself up to
+/// [`SMALL_WAYS`]: the tag gather, the lane mask, the hash and the vacancy
+/// and candidate positions of a 3- or 4-way table are straight-line code,
+/// compiled once per way count from one body.  For `MAX_FAMILY_WAYS` the
+/// buffers are that long and the loops keep the table's runtime count, so
+/// a 5-, 6-, 7- or 16-way table shares that one kernel.
 macro_rules! ways_dispatch {
     ($ways:expr, $N:ident => $body:expr) => {
         match $ways {
@@ -248,18 +252,6 @@ macro_rules! ways_dispatch {
             }
             4 => {
                 const $N: usize = 4;
-                $body
-            }
-            5 => {
-                const $N: usize = 5;
-                $body
-            }
-            6 => {
-                const $N: usize = 6;
-                $body
-            }
-            7 => {
-                const $N: usize = 7;
                 $body
             }
             8 => {

@@ -9,7 +9,7 @@ use ccd_hash::IndexHashFamily;
 impl<V, Q: KeyWord> CuckooTable<V, Q> {
     /// The number of ways a kernel compiled for `N` walks: `N` itself, a
     /// constant, when [`ways_dispatch!`] matched the table's way count
-    /// exactly; the runtime count for the wide tables it sends to
+    /// exactly; the runtime count for the tables it sends to
     /// `MAX_FAMILY_WAYS`.
     #[inline(always)]
     pub(super) fn ways_of<const N: usize>(&self) -> usize {

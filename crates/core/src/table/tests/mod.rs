@@ -515,9 +515,9 @@ impl Drop for Tracked {
 fn every_way_count_matches_the_seed_reference_on_the_same_op_stream() {
     // Drive the same saturating insert/remove stream through the table
     // and the seed's array-of-structs model for every hash kind at every
-    // way count the probe is compiled for and one past the 8-lane SWAR
-    // chunk, and demand bit-identical outcomes (attempts, discards) and
-    // contents.
+    // way count up to eight (compiled exactly or sharing the runtime-count
+    // kernel) and one past the 8-lane SWAR chunk, and demand bit-identical
+    // outcomes (attempts, discards) and contents.
     for kind in HashKind::all() {
         for ways in (2usize..=8).chain([16]) {
             let mut table: CuckooTable<u64> = CuckooTable::new(ways, 16, kind, 7).unwrap();

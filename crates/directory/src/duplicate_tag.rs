@@ -417,6 +417,25 @@ mod tests {
     }
 
     #[test]
+    fn a_sharer_that_overflows_its_mirror_counts_in_the_rate() {
+        // One set a mirror, one way, two caches: cache 1 adds line 0, which
+        // cache 0 already tracks, while its own mirror set holds line 2.
+        // The add allocates no entry but forces line 2 out, and the rate's
+        // numerator counts that eviction like any other.
+        let mut dir = DuplicateTagDirectory::new(1, 1, 2).unwrap();
+        let mut out = Outcome::new();
+        dir.apply(add(line(0), CacheId::new(0)), &mut out);
+        dir.apply(add(line(2), CacheId::new(1)), &mut out);
+        dir.apply(add(line(0), CacheId::new(1)), &mut out);
+        assert!(out.hit() && !out.allocated_new_entry());
+        assert_eq!(out.forced_evictions().next().unwrap().line, line(2));
+        let stats = dir.stats();
+        assert_eq!(stats.insertions.get(), 2);
+        assert_eq!(stats.forced_evictions.get(), 1);
+        assert_eq!(stats.forced_invalidation_rate(), 0.5);
+    }
+
+    #[test]
     fn exclusive_removes_other_mirrors() {
         let mut dir = DuplicateTagDirectory::new(8, 2, 4).unwrap();
         let mut out = Outcome::new();

@@ -9,7 +9,7 @@
 //! * the directory event mix used to weight the energy model
 //!   (footnote 1 of Section 5.6).
 
-use ccd_common::stats::{Counter, Histogram, LogHistogram, MetricSnapshot, RateEstimator};
+use ccd_common::stats::{Counter, Histogram, LogHistogram, MetricSnapshot};
 
 /// Upper bound for the insertion-attempt histogram, matching the paper's
 /// 32-attempt cap (Section 5.2).
@@ -42,8 +42,6 @@ pub struct DirectoryStats {
     pub forced_evictions: Counter,
     /// Cached blocks invalidated as a result of forced evictions.
     pub forced_block_invalidations: Counter,
-    /// Forced evictions per insertion — the paper's invalidation rate.
-    pub invalidation_rate: RateEstimator,
     /// Distribution of insertion attempts (1 = vacant way found during the
     /// initial lookup).
     pub insertion_attempts: Histogram,
@@ -71,7 +69,6 @@ impl DirectoryStats {
             invalidate_alls: Counter::new(),
             forced_evictions: Counter::new(),
             forced_block_invalidations: Counter::new(),
-            invalidation_rate: RateEstimator::new(),
             insertion_attempts: Histogram::new(MAX_TRACKED_ATTEMPTS),
             insertion_failures: Counter::new(),
         }
@@ -82,12 +79,7 @@ impl DirectoryStats {
     pub fn record_insertion(&mut self, attempts: u32, forced_evictions: u64) {
         self.insertions.incr();
         self.insertion_attempts.record(u64::from(attempts));
-        if forced_evictions > 0 {
-            self.forced_evictions.add(forced_evictions);
-            self.invalidation_rate.record_hit(forced_evictions);
-        } else {
-            self.invalidation_rate.record_miss();
-        }
+        self.forced_evictions.add(forced_evictions);
     }
 
     /// Mean number of insertion attempts per insertion.
@@ -96,10 +88,15 @@ impl DirectoryStats {
         self.insertion_attempts.mean()
     }
 
-    /// Forced-invalidation rate: forced evictions per insertion (0.0..).
+    /// Forced-invalidation rate: forced evictions per insertion (0.0..),
+    /// 0 before the first insertion.  Every forced eviction counts, also
+    /// one that a sharer added to an already-tracked line caused.
     #[must_use]
     pub fn forced_invalidation_rate(&self) -> f64 {
-        self.invalidation_rate.rate()
+        match self.insertions.get() {
+            0 => 0.0,
+            insertions => self.forced_evictions.get() as f64 / insertions as f64,
+        }
     }
 
     /// Total directory operations, used to derive the event mix.
@@ -146,7 +143,6 @@ impl DirectoryStats {
         self.forced_evictions.add(other.forced_evictions.get());
         self.forced_block_invalidations
             .add(other.forced_block_invalidations.get());
-        self.invalidation_rate.merge(&other.invalidation_rate);
         self.insertion_attempts.merge(&other.insertion_attempts);
         self.insertion_failures.add(other.insertion_failures.get());
     }

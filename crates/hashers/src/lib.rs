@@ -168,9 +168,9 @@ mod tests {
 
     /// `index_all_into` over a buffer of exactly the way count equals
     /// `index` way by way, for every way count 1..=`max_ways` the family
-    /// takes: through `[usize; N]` arrays for the counts the cuckoo table
-    /// compiles its probe for (up to eight ways, where the loop's trip count
-    /// is a constant), through slices for all of them.
+    /// takes: through `[usize; N]` arrays up to eight ways, where the loop's
+    /// trip count is a constant (the cuckoo table compiles its probe for 2,
+    /// 3, 4 and 8), through slices for all of them.
     fn exact_buffers_match_per_way_index<F: IndexHashFamily>(
         max_ways: usize,
         make: impl Fn(usize) -> F,

@@ -14,9 +14,8 @@
 //!   loop;
 //! * drains requests in batches, through the directory's batched fast path
 //!   ([`Directory::apply_batch`]) where a worker owns one shard;
-//! * exposes a snapshot-consistent, mergeable [`ServiceStats`] built from
-//!   the same `Counter::merge` / `DirectoryStats::merge` machinery as the
-//!   simulation engine;
+//! * exposes a snapshot-consistent [`ServiceStats`]: request counts plus
+//!   the shards' directory statistics, merged in global shard order;
 //! * keeps a sequence-numbered [`OutcomeLog`] — one [`OutcomeRecord`] a
 //!   request, stored in 2 bytes when quiet and 3 with one invalidation of a
 //!   cache below 256 — so

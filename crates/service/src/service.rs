@@ -59,15 +59,15 @@ use ccd_common::{ConfigError, Interleave};
 use ccd_directory::{DepthMetrics, Directory, DirectoryOp, DirectorySpec, DirectoryStats, Outcome};
 use std::fmt;
 
-/// Snapshot-consistent service statistics, built from the same mergeable
-/// machinery the simulation engine uses ([`Counter::merge`],
-/// [`DirectoryStats::merge`]).
+/// Snapshot-consistent service statistics: request counts plus the
+/// shards' [`DirectoryStats`], merged in global shard order
+/// ([`DirectoryStats::merge`]).
 ///
 /// A snapshot is taken after the ingestion stream is fully drained and all
 /// workers have quiesced, so it is consistent by construction: every
 /// counter reflects exactly the same prefix of the request stream (all of
-/// it).  Every field is an integer count, so the merge is order-free and
-/// the snapshot is equal across worker counts.
+/// it).  Every field is an integer count, so the snapshot is equal across
+/// worker counts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests applied (equals the requests ingested once drained).
@@ -85,14 +85,6 @@ impl ServiceStats {
     #[must_use]
     pub fn new() -> Self {
         ServiceStats::default()
-    }
-
-    /// Merges another snapshot into this one, in any order.
-    pub fn merge(&mut self, other: &ServiceStats) {
-        self.requests.merge(&other.requests);
-        self.invalidations.merge(&other.invalidations);
-        self.forced_invalidations.merge(&other.forced_invalidations);
-        self.directory.merge(&other.directory);
     }
 }
 
@@ -654,23 +646,5 @@ mod tests {
         assert!(service.load_ops(&load).is_err(), "8 caches, 16 cores");
         let load = LoadSpec::parse("oracle", 8, 1, 100).unwrap();
         assert!(build(2, 1).run_load(&load).is_ok());
-    }
-
-    #[test]
-    fn service_stats_merge_uses_the_mergeable_machinery() {
-        let stream = ops(1_000);
-        let half_a = build(2, 1).run_serial(stream[..500].iter().copied());
-        let half_b = build(2, 1).run_serial(stream[500..].iter().copied());
-        let whole_requests = half_a.stats.requests.get() + half_b.stats.requests.get();
-        let mut merged = half_a.stats.clone();
-        merged.merge(&half_b.stats);
-        assert_eq!(merged.requests.get(), whole_requests);
-        assert_eq!(
-            merged.directory.lookups.get(),
-            half_a.stats.directory.lookups.get() + half_b.stats.directory.lookups.get()
-        );
-        let mut reversed = half_b.stats.clone();
-        reversed.merge(&half_a.stats);
-        assert_eq!(merged, reversed, "a ⊕ b == b ⊕ a");
     }
 }

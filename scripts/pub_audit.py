@@ -54,7 +54,7 @@ KEEP = {
     # Types a public signature names, so rustc requires them public.
     "KeyWord", "EvictionView", "OutcomeIter", "PointerSet", "StrongFamily",
     "ServiceError", "OutcomeLog", "ServiceStats", "ObsReport", "FlightRecording",
-    "RawEvent", "EventKind", "OpStream", "CacheStats", "Eviction", "HistogramSnapshot",
+    "RawEvent", "EventKind", "OpStream", "Eviction", "HistogramSnapshot",
     "ScalingPoint", "SliceEnvironment", "WorkloadCategory", "ScenarioFamily",
     "ScenarioParams", "SweepCell", "CellKey",
 }

@@ -103,8 +103,7 @@ pub use ccd_workloads as workloads;
 pub mod prelude {
     pub use ccd_cache::{Cache, CacheConfig};
     pub use ccd_coherence::{
-        CmpSimulator, DirectorySpec, Hierarchy, ParallelRunner, SimJob, SimReport, SimStats,
-        SystemConfig,
+        CmpSimulator, DirectorySpec, Hierarchy, ParallelRunner, SimJob, SimReport, SystemConfig,
     };
     pub use ccd_common::{Address, BlockGeometry, CacheId, CoreId, LineAddr, MemRef};
     pub use ccd_cuckoo::{standard_registry, CuckooConfig, CuckooDirectory, CuckooTable};

@@ -6,8 +6,9 @@
 //! stream.  These tests drive randomized saturating streams (occupancies up
 //! to ~0.95) and the displacement edge cases (attempt budget of 1, a 2-way
 //! table at 100% load, chains that circle back to the incoming key) through
-//! every hash kind at every way count the probe is compiled for, in
-//! lockstep against [`AosReferenceTable`].  Tables of narrow keys (skewing
+//! every hash kind at every way count up to eight (2, 3, 4 and 8 compiled
+//! exactly, the rest on the runtime-count kernel) and beyond, in lockstep
+//! against [`AosReferenceTable`].  Tables of narrow keys (skewing
 //! from 1,024 sets up, storing only each line's bits above the set index)
 //! run the same streams over 42-bit lines against the same full-key
 //! reference.
@@ -190,8 +191,14 @@ fn displacement_edge_cases_stay_in_lockstep() {
         lockstep_stream(kind, 2, 16, 1, 1500, 0xB1);
         // 2-way at 100% load: every insert displaces; short budget.
         lockstep_stream(kind, 2, 16, 4, 1500, 0xB2);
-        // Wider table, budget 2: chains that wrap past the last way.
+        // Wider tables, budget 2: chains that wrap past the last way.
         lockstep_stream(kind, 4, 16, 2, 1500, 0xB3);
+        lockstep_stream(kind, 3, 8, 2, 2000, 0xB4);
+        // Budget 6 on tiny tables: the runtime-count kernel at 5–7 ways and
+        // the multi-chunk (> 8-way) SWAR gather at 12.
+        for ways in [5, 6, 7, 12] {
+            lockstep_stream(kind, ways, 8, 6, 2000, 0xB5 + ways as u64);
+        }
     }
 }
 
