@@ -5,6 +5,7 @@
 //! workspace's own deterministic RNG ([`SplitMix64`]) across many seeds.
 
 use ccd_common::rng::{Rng64, SplitMix64};
+use ccd_cuckoo::seed_reference::AosReferenceTable;
 use ccd_cuckoo::{CuckooConfig, CuckooDirectory, CuckooTable};
 use ccd_hash::HashKind;
 use ccd_sharers::{CoarseVector, FullBitVector, LimitedPointer, SharerSet, WideBitVector};
@@ -236,6 +237,78 @@ fn cuckoo_directory_tracks_exactly_the_uncovered_model() {
             for c in caches {
                 assert!(out.sharers().contains(&CacheId::new(*c)));
             }
+        }
+    }
+}
+
+#[test]
+fn soa_table_matches_the_seed_aos_model_bit_for_bit() {
+    // Drive the SoA/SWAR table and the seed's AoS algorithm in lockstep
+    // through the same (hash family, budget, operation stream) and demand
+    // identical insertion outcomes — including the rare displacement-chain
+    // branches: budget exhaustion, discard selection, and the chain circling
+    // back to the in-flight incoming key (which must trigger one final
+    // displacement so the requested key stays tracked).
+    let mut rng = SplitMix64::new(0x5EED_30DE1);
+    for (ways, sets, budget) in [
+        (2usize, 2usize, 1u32),
+        (2, 2, 3),
+        (2, 8, 4),
+        (3, 8, 2),
+        (3, 16, 32),
+        (4, 16, 8),
+        // One table per remaining way count compiled exactly, then the
+        // multi-chunk (>8-way) SWAR path with its runtime bound.
+        (5, 8, 6),
+        (6, 8, 6),
+        (7, 8, 6),
+        (8, 8, 6),
+        (12, 8, 6),
+    ] {
+        for kind in HashKind::all() {
+            let hash_seed = rng.next_u64();
+            let mut table: CuckooTable<u64> =
+                CuckooTable::new(ways, sets, kind, hash_seed).unwrap();
+            table.set_max_attempts(budget);
+            let mut model =
+                AosReferenceTable::<u64>::new(ways, sets, kind, hash_seed, budget).unwrap();
+
+            // A small key space keeps hits, displacements and discards all
+            // frequent; removals keep vacancies appearing mid-stream.
+            let key_space = (ways * sets * 2) as u64;
+            for step in 0..2_000u64 {
+                let key = rng.next_below(key_space);
+                if rng.next_below(10) < 7 {
+                    let outcome = table.insert(key, step);
+                    let (attempts, discarded) = model.insert(key, step);
+                    assert_eq!(
+                        outcome.attempts, attempts,
+                        "{ways}x{sets}-{kind} budget {budget}: attempt count diverged at step {step}"
+                    );
+                    assert_eq!(
+                        outcome.discarded, discarded,
+                        "{ways}x{sets}-{kind} budget {budget}: discard choice diverged at step {step}"
+                    );
+                } else {
+                    assert_eq!(
+                        table.remove(key),
+                        model.remove(key),
+                        "{ways}x{sets}-{kind}: removal diverged at step {step}"
+                    );
+                }
+                assert_eq!(table.len(), model.len());
+                assert_eq!(
+                    table.check_invariants(),
+                    Ok(()),
+                    "{ways}x{sets}-{kind} budget {budget}: after step {step}"
+                );
+            }
+            let table_contents: BTreeMap<u64, u64> = table.iter().map(|(k, v)| (k, *v)).collect();
+            let model_contents: BTreeMap<u64, u64> = model.iter().map(|(k, v)| (k, *v)).collect();
+            assert_eq!(
+                table_contents, model_contents,
+                "{ways}x{sets}-{kind}: final contents diverged"
+            );
         }
     }
 }
